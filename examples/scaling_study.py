@@ -24,7 +24,7 @@ def main() -> None:
     parser.add_argument(
         "--measured",
         action="store_true",
-        help="also microbenchmark this machine's pure-Python primitives",
+        help="also microbenchmark this machine's primitives (on the active kernel tier)",
     )
     args = parser.parse_args()
 
@@ -49,8 +49,8 @@ def main() -> None:
     print(f"  Stadium {headline['stadium_latency']:8.1f} s   (XRD {headline['stadium_slowdown']:.1f}x slower; paper: ~2-3x)")
 
     if args.measured:
-        print("\nMicrobenchmarks of this machine's pure-Python primitives "
-              "(why absolute throughput cannot match the Go prototype):")
+        print("\nMicrobenchmarks of this machine's primitives on the active kernel "
+              "tier (how far absolute throughput is from the Go prototype):")
         timings = measure_primitives(iterations=10)
         paper = CostModel.paper_testbed()
         print(f"  scalar multiplication: {timings.scalar_mult * 1e3:7.3f} ms "

@@ -5,9 +5,11 @@ discrete log is hard and the decisional Diffie-Hellman assumption holds"
 (§3.1).  Two implementations are provided behind one interface:
 
 * :class:`Ed25519Group` — the edwards25519 curve (RFC 8032 parameters) in
-  pure Python using extended twisted-Edwards coordinates.  All protocol code
-  uses this group by default; its prime-order subgroup has the standard
-  ~2^252 order.
+  extended twisted-Edwards coordinates.  All protocol code uses this group
+  by default; its prime-order subgroup has the standard ~2^252 order.  The
+  pure-Python ladders here are the reference; on the ``native`` kernel tier
+  the multiplications, the accumulation and the point codec run in
+  ``_xrdkernels`` (DESIGN.md §11) and must agree with them bit for bit.
 * :class:`ModPGroup` — the quadratic-residue subgroup of ``Z_p*`` for a
   deterministically generated safe prime.  It is far too small to be secure
   but is convenient for fast property-based tests of group-generic code.
@@ -140,8 +142,8 @@ _BASE_POINT = _point_from_affine(_recover_x(_BASE_Y, 0), _BASE_Y)
 #
 # * a comb table for the base point: ``_BASE_COMB[j][d] = d · 16^j · B`` so a
 #   base multiplication is ~63 additions and no doublings;
-# * per-point 4-bit window tables (``[P, 2P, …, 15P]``), cached by object
-#   identity for points that are reused across calls;
+# * per-point 4-bit window tables (``[P, 2P, …, 15P]``), cached by encoding
+#   for points that are reused across calls;
 # * Straus interleaving for Σ sᵢ·Pᵢ, sharing one doubling chain between all
 #   terms (used by NIZK verification, which checks ``s·G − c·P == R``).
 
@@ -151,23 +153,16 @@ _SCALAR_WINDOWS = (253 + _WINDOW_BITS - 1) // _WINDOW_BITS  # 64 windows cover a
 
 _BASE_COMB: Optional[List[List[Point]]] = None
 
-#: Window tables are cached at two levels.  The durable cache is keyed by
-#: the point's canonical 32-byte encoding, so distinct :class:`Point`
-#: instances decoding the same wire bytes (every round re-decodes the chain
-#: mixing keys) share one table — the rebuild-per-call behaviour this
-#: replaces cost 14 additions per ``multi_scalar_accumulate`` term.  An
-#: identity-keyed probation level sits in front for instances whose
-#: encoding is not yet known: computing an encoding costs an affine field
-#: inversion (comparable to building the table), so one-shot internal
-#: points — blinded keys flowing between chain members — must never pay
-#: it.  A table is only *promoted* to the durable cache on a second
-#: sighting (by instance or by encoding), so the flood of one-shot
+#: Window tables are cached by the point's canonical 32-byte encoding, so
+#: distinct :class:`Point` instances decoding the same wire bytes (every
+#: round re-decodes the chain mixing keys) share one table.  Only points
+#: whose encoding is already known are cached — computing one costs an
+#: affine field inversion, comparable to building the table, so one-shot
+#: internal points never pay it — and a table is only *promoted* to the
+#: cache on its encoding's second sighting, so the flood of one-shot
 #: ephemeral DH keys through mixing and proof verification cannot evict
-#: the genuinely hot entries.  The id-keyed dicts keep a strong reference
-#: to the point so a recycled ``id()`` can never alias a different point;
-#: all levels are bounded and evicted FIFO.
-_WINDOW_TABLE_CACHE: "dict[int, tuple]" = {}
-_WINDOW_SEEN_ONCE: "dict[int, Point]" = {}
+#: the genuinely hot entries.  Both dicts are bounded and evicted FIFO.
+#: (Python tiers only: the native kernels build their tables in C.)
 _WINDOW_TABLE_BY_ENCODING: "dict[bytes, List[Point]]" = {}
 _ENCODING_SEEN_ONCE: "dict[bytes, None]" = {}
 _WINDOW_TABLE_CACHE_LIMIT = 512
@@ -192,8 +187,6 @@ def reset_window_table_caches() -> None:
     base-point comb and window table are derived from a compile-time
     constant and survive resets.
     """
-    _WINDOW_TABLE_CACHE.clear()
-    _WINDOW_SEEN_ONCE.clear()
     _WINDOW_TABLE_BY_ENCODING.clear()
     _ENCODING_SEEN_ONCE.clear()
 
@@ -216,11 +209,12 @@ def _point_encoding(point: Point) -> bytes:
     return enc
 
 
-def _promote_window_table(enc: bytes, table: List[Point]) -> None:
-    _ENCODING_SEEN_ONCE.pop(enc, None)
-    if len(_WINDOW_TABLE_BY_ENCODING) >= _WINDOW_TABLE_CACHE_LIMIT:
-        _evict_one(_WINDOW_TABLE_BY_ENCODING)
-    _WINDOW_TABLE_BY_ENCODING[enc] = table
+def _point_from_record(record: "_kernels.Ed25519Record") -> Point:
+    """A native kernel's affine result as a :class:`Point`, encoding memoised."""
+    encoding, x, y, t = record
+    point = Point(x, y, 1, t)
+    object.__setattr__(point, "_enc", encoding)
+    return point
 
 
 def _window_table(point: Point) -> List[Point]:
@@ -231,44 +225,21 @@ def _window_table(point: Point) -> List[Point]:
             _BASE_WINDOW_TABLE = _build_window_table(point)
         return _BASE_WINDOW_TABLE
     enc = point.__dict__.get("_enc")
-    if enc is not None:
-        # Encoding known (the point crossed the wire): the durable cache is
-        # shared across instances, with its own second-sighting probation.
-        table = _WINDOW_TABLE_BY_ENCODING.get(enc)
-        if table is not None:
-            return table
-        table = _build_window_table(point)
-        if enc in _ENCODING_SEEN_ONCE:
-            _promote_window_table(enc, table)
-        else:
-            if len(_ENCODING_SEEN_ONCE) >= _WINDOW_TABLE_CACHE_LIMIT:
-                _evict_one(_ENCODING_SEEN_ONCE)
-            _ENCODING_SEEN_ONCE[enc] = None
-        return table
-    # Encoding unknown (an internal, never-encoded point): identity-keyed
-    # probation avoids the affine inversion an encoding would cost.
-    key = id(point)
-    cached = _WINDOW_TABLE_CACHE.get(key)
-    if cached is not None and cached[0] is point:
-        return cached[1]
-    seen = _WINDOW_SEEN_ONCE.get(key)
-    if seen is not None and seen is point:
-        _WINDOW_SEEN_ONCE.pop(key, None)
-        # Second sighting: worth the encoding cost — promotion makes the
-        # table outlive this instance and reach equal decoded points.
-        enc = _point_encoding(point)
-        table = _WINDOW_TABLE_BY_ENCODING.get(enc)
-        if table is None:
-            table = _build_window_table(point)
-            _promote_window_table(enc, table)
-        if len(_WINDOW_TABLE_CACHE) >= _WINDOW_TABLE_CACHE_LIMIT:
-            _evict_one(_WINDOW_TABLE_CACHE)
-        _WINDOW_TABLE_CACHE[key] = (point, table)
+    if enc is None:  # an internal, never-encoded point: not worth an inversion
+        return _build_window_table(point)
+    table = _WINDOW_TABLE_BY_ENCODING.get(enc)
+    if table is not None:
         return table
     table = _build_window_table(point)
-    if len(_WINDOW_SEEN_ONCE) >= _WINDOW_TABLE_CACHE_LIMIT:
-        _evict_one(_WINDOW_SEEN_ONCE)
-    _WINDOW_SEEN_ONCE[key] = point
+    if enc in _ENCODING_SEEN_ONCE:
+        _ENCODING_SEEN_ONCE.pop(enc, None)
+        if len(_WINDOW_TABLE_BY_ENCODING) >= _WINDOW_TABLE_CACHE_LIMIT:
+            _evict_one(_WINDOW_TABLE_BY_ENCODING)
+        _WINDOW_TABLE_BY_ENCODING[enc] = table
+    else:
+        if len(_ENCODING_SEEN_ONCE) >= _WINDOW_TABLE_CACHE_LIMIT:
+            _evict_one(_ENCODING_SEEN_ONCE)
+        _ENCODING_SEEN_ONCE[enc] = None
     return table
 
 
@@ -280,7 +251,7 @@ def _build_window_table(point: Point) -> List[Point]:
 
 
 def _scalar_windows(scalar: int) -> List[int]:
-    """Split a reduced scalar into ``_SCALAR_WINDOWS`` 4-bit digits, LSB first."""
+    """Split a scalar below 2^256 into ``_SCALAR_WINDOWS`` 4-bit digits, LSB first."""
     return [(scalar >> (_WINDOW_BITS * j)) & (_WINDOW_SIZE - 1) for j in range(_SCALAR_WINDOWS)]
 
 
@@ -395,6 +366,9 @@ class Ed25519Group:
         precomputed comb table of :meth:`base_mult`.
         """
         scalar %= self.order
+        native = _kernels.ed25519_scalar_mult_batch([point], scalar)
+        if native is not None:
+            return _point_from_record(native[0])
         if scalar == 0 or point.is_identity():
             return _IDENTITY
         if point is _BASE_POINT or point == _BASE_POINT:
@@ -418,6 +392,9 @@ class Ed25519Group:
     def base_mult(self, scalar: int) -> Point:
         """Return ``scalar * B`` via the fixed-base comb table (additions only)."""
         scalar %= self.order
+        native = _kernels.ed25519_fixed_mult_batch(_BASE_POINT, [scalar])
+        if native is not None:
+            return _point_from_record(native[0])
         if scalar == 0:
             return _IDENTITY
         comb = _base_comb()
@@ -439,6 +416,9 @@ class Ed25519Group:
         multiplies every submission's DH key by the same blinding secret.
         """
         scalar %= self.order
+        native = _kernels.ed25519_scalar_mult_batch(points, scalar)
+        if native is not None:
+            return [_point_from_record(record) for record in native]
         if scalar == 0:
             return [_IDENTITY for _ in points]
         digits = _scalar_windows(scalar)
@@ -451,6 +431,11 @@ class Ed25519Group:
         """Return ``Σ sᵢ·Pᵢ`` with one shared doubling chain (Straus's trick)."""
         if len(points) != len(scalars):
             raise ConfigurationError("points and scalars must have the same length")
+        native = _kernels.ed25519_multi_scalar_accumulate(
+            points, [scalar % self.order for scalar in scalars]
+        )
+        if native is not None:
+            return _point_from_record(native)
         terms = []
         for point, scalar in zip(points, scalars):
             scalar %= self.order
@@ -480,6 +465,10 @@ class Ed25519Group:
 
     def encode(self, point: Point) -> bytes:
         """Encode a point in the standard 32-byte compressed form."""
+        if "_enc" not in point.__dict__:
+            native = _kernels.ed25519_encode_batch([point])
+            if native is not None:
+                object.__setattr__(point, "_enc", native[0])
         return _point_encoding(point)
 
     def decode(self, data: bytes) -> Point:
@@ -492,6 +481,11 @@ class Ed25519Group:
         """
         if len(data) != self.element_size:
             raise DecodingError(f"element encoding must be {self.element_size} bytes")
+        native = _kernels.ed25519_decode_batch([data])
+        if native is not None and native[0] is not None:
+            return _point_from_record(native[0])
+        # The reference path; also where an encoding the kernel rejected
+        # gets its exception.
         sign = data[31] >> 7
         y = int.from_bytes(bytes(data[:31]) + bytes([data[31] & 0x7F]), "little")
         if y >= _P:
@@ -505,8 +499,17 @@ class Ed25519Group:
         return point
 
     def is_in_prime_subgroup(self, point: Point) -> bool:
-        """Return ``True`` when ``point`` lies in the prime-order subgroup."""
-        return self.scalar_mult(point, self.order).is_identity()
+        """Return ``True`` when ``point`` lies in the prime-order subgroup.
+
+        ``[L]P`` with the order *unreduced*: :meth:`scalar_mult` reduces its
+        scalar mod ``L`` first, which would turn this into ``[0]P`` and
+        accept every point on the curve, small-order ones included.
+        """
+        native = _kernels.ed25519_scalar_mult_batch([point], self.order)
+        if native is not None:
+            return _point_from_record(native[0]).is_identity()
+        table = _build_window_table(point)
+        return _windowed_mult_with_table(table, _scalar_windows(self.order)).is_identity()
 
     def hash_to_scalar(self, *parts: bytes) -> int:
         """Hash a transcript into a scalar (Fiat-Shamir challenge derivation)."""
@@ -700,12 +703,15 @@ def fixed_point_mult_batch(group, point, scalars: Sequence[int]) -> List:
     The dual of :func:`scalar_mult_batch`, and the shape of the population
     layer's whole-chain client crypto: every user of a chain multiplies the
     *same* public key (the aggregate inner key, or one mixing key) by her own
-    fresh scalar.  On the curve the point's window table is built once for
-    the whole batch; ``scalar_mult`` would rebuild or cache-lookup it per
-    call.
+    fresh scalar.  On the curve the point's window table (natively: its
+    comb) is built once for the whole batch; ``scalar_mult`` would rebuild
+    or cache-lookup it per call.
     """
     if isinstance(group, Ed25519Group):
         reduced = [scalar % group.order for scalar in scalars]
+        native = _kernels.ed25519_fixed_mult_batch(point, reduced)
+        if native is not None:
+            return [_point_from_record(record) for record in native]
         if point is _BASE_POINT or point == _BASE_POINT:
             return [group.base_mult(scalar) for scalar in reduced]
         if point.is_identity():

@@ -5,9 +5,11 @@ Three tiers run the batched hot loops, all bit-identical:
 * ``python`` — the scalar reference implementations, numpy disabled;
 * ``numpy``  — the vectorised ChaCha20 column batch (the pre-native
   default whenever numpy is importable);
-* ``native`` — the ``_xrdkernels`` cffi extension for the four proven
-  hot kernels, falling back *per function* to the lower tiers for
-  anything it does not cover (or cannot run, e.g. a >256-bit modulus).
+* ``native`` — the ``_xrdkernels`` cffi extension for the proven hot
+  kernels (ChaCha20, the AEAD cascade, the modp ladders, and the
+  edwards25519 ladders, comb, accumulation and point codec), falling back
+  *per function* to the lower tiers for anything it does not cover (or
+  cannot run, e.g. a >256-bit modulus).
 
 The active tier is process-global state, resolved lazily on first query
 from, in priority order: an explicit :func:`set_active_kernel` call
@@ -47,6 +49,11 @@ __all__ = [
     "modp_scalar_mult_batch",
     "modp_fixed_mult_batch",
     "modp_multi_scalar_accumulate",
+    "ed25519_scalar_mult_batch",
+    "ed25519_fixed_mult_batch",
+    "ed25519_multi_scalar_accumulate",
+    "ed25519_encode_batch",
+    "ed25519_decode_batch",
 ]
 
 #: Largest modulus the native Montgomery kernels accept (4×64-bit limbs,
@@ -334,6 +341,173 @@ def modp_multi_scalar_accumulate(prime: int, elements: Sequence[int],
     if rc != 0:
         return None
     return int.from_bytes(out, "big")
+
+
+# -- edwards25519 -----------------------------------------------------------
+#
+# Points go in as anything with integer ``x, y, z, t`` attributes (extended
+# coordinates, any z != 0) and come back as affine records
+# ``(encoding, x, y, t)`` with z = 1 implied: the kernels normalise every
+# result with one shared inversion, so the canonical 32-byte encoding is a
+# by-product and the caller never pays for it again.  Scalars are used as
+# the integers they are, in [0, 2^256) — callers reduce mod the group order
+# first where the reference path does.
+
+#: An affine point with its encoding: ``(encoding, x, y, t)``.
+Ed25519Record = Tuple[bytes, int, int, int]
+
+_Y_MASK = (1 << 255) - 1
+
+
+def _ed25519_pack(points: Sequence[object]) -> bytes:
+    return b"".join(
+        coordinate.to_bytes(32, "little")
+        for point in points
+        for coordinate in (point.x, point.y, point.z, point.t)  # type: ignore[attr-defined]
+    )
+
+
+def _ed25519_records(out: bytearray, count: int) -> List[Ed25519Record]:
+    records = []
+    for offset in range(0, 96 * count, 96):
+        encoding = bytes(out[offset:offset + 32])
+        records.append((
+            encoding,
+            int.from_bytes(out[offset + 32:offset + 64], "little"),
+            int.from_bytes(encoding, "little") & _Y_MASK,
+            int.from_bytes(out[offset + 64:offset + 96], "little"),
+        ))
+    return records
+
+
+def ed25519_scalar_mult_batch(points: Sequence[object],
+                              scalar: int) -> Optional[List[Ed25519Record]]:
+    """``[scalar · P for P in points]`` natively, or ``None``.
+
+    Constant time in ``scalar`` (a chain member's blinding or mixing
+    secret): a fixed 64-window ladder with masked table selects.
+    """
+    handle = _handle()
+    if handle is None:
+        return None
+    ffi, lib = handle
+    count = len(points)
+    out = bytearray(96 * count)
+    if count:
+        try:
+            rc = lib.xrd_ed25519_scalar_mult_batch(
+                _ed25519_pack(points), count, scalar.to_bytes(32, "little"),
+                ffi.from_buffer(out, require_writable=True),
+            )
+        except OverflowError:  # a coordinate or scalar outside [0, 2^256)
+            return None
+        if rc != 0:
+            return None
+    return _ed25519_records(out, count)
+
+
+def ed25519_fixed_mult_batch(point: object,
+                             scalars: Sequence[int]) -> Optional[List[Ed25519Record]]:
+    """``[s · point for s in scalars]`` natively, or ``None``.
+
+    Constant time in the scalars (users' ephemeral secrets).  Each is 64
+    additions over the point's comb; the kernel recognises the standard
+    base point and keeps its comb for the process, and builds any other
+    point's (about four ladders' worth) for the one call.
+    """
+    handle = _handle()
+    if handle is None:
+        return None
+    ffi, lib = handle
+    count = len(scalars)
+    out = bytearray(96 * count)
+    if count:
+        try:
+            rc = lib.xrd_ed25519_fixed_mult_batch(
+                _ed25519_pack([point]),
+                b"".join(scalar.to_bytes(32, "little") for scalar in scalars), count,
+                ffi.from_buffer(out, require_writable=True),
+            )
+        except OverflowError:
+            return None
+        if rc != 0:
+            return None
+    return _ed25519_records(out, count)
+
+
+def ed25519_multi_scalar_accumulate(points: Sequence[object],
+                                    scalars: Sequence[int]) -> Optional[Ed25519Record]:
+    """``Σ sᵢ·Pᵢ`` by Straus's trick in one native pass, or ``None``.
+
+    Variable time: this is the verifier's side of the NIZKs, over public
+    points and public scalars only.
+    """
+    handle = _handle()
+    if handle is None or len(points) != len(scalars):
+        return None
+    ffi, lib = handle
+    out = bytearray(96)
+    try:
+        rc = lib.xrd_ed25519_multi_scalar_accumulate(
+            _ed25519_pack(points),
+            b"".join(scalar.to_bytes(32, "little") for scalar in scalars), len(points),
+            ffi.from_buffer(out, require_writable=True),
+        )
+    except OverflowError:
+        return None
+    if rc != 0:
+        return None
+    return _ed25519_records(out, 1)[0]
+
+
+def ed25519_encode_batch(points: Sequence[object]) -> Optional[List[bytes]]:
+    """The canonical 32-byte encodings, one inversion for the batch, or ``None``."""
+    handle = _handle()
+    if handle is None:
+        return None
+    ffi, lib = handle
+    count = len(points)
+    out = bytearray(32 * count)
+    if count:
+        try:
+            rc = lib.xrd_ed25519_encode_batch(
+                _ed25519_pack(points), count,
+                ffi.from_buffer(out, require_writable=True),
+            )
+        except OverflowError:
+            return None
+        if rc != 0:
+            return None
+    return [bytes(out[offset:offset + 32]) for offset in range(0, 32 * count, 32)]
+
+
+def ed25519_decode_batch(encodings: Sequence[bytes],
+                         ) -> Optional[List[Optional[Ed25519Record]]]:
+    """Decode 32-byte encodings natively, or ``None``.
+
+    Per encoding: its affine record, or ``None`` for exactly the encodings
+    ``Ed25519Group.decode`` rejects (the caller re-runs the reference path
+    on those, for its exception).
+    """
+    handle = _handle()
+    if handle is None or any(len(encoding) != 32 for encoding in encodings):
+        return None
+    ffi, lib = handle
+    count = len(encodings)
+    out = bytearray(96 * count)
+    ok = bytearray(count)
+    if count:
+        rc = lib.xrd_ed25519_decode_batch(
+            b"".join(encodings), count,
+            ffi.from_buffer(out, require_writable=True),
+            ffi.from_buffer(ok, require_writable=True),
+        )
+        if rc != 0:  # pragma: no cover - the kernel reports per encoding
+            return None
+    return [
+        record if accepted else None
+        for record, accepted in zip(_ed25519_records(out, count), ok)
+    ]
 
 
 # The registry's factory contract instantiates components; for kernels the

@@ -9,20 +9,45 @@ C compiler are available), or ``None`` when it is not.  All policy about
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import os
+import re
 from typing import Optional, Tuple
 
 # ABI stamp expected from xrd_abi_version(); mirrors XRD_KERNELS_ABI in
 # xrdkernels.c so a stale prebuilt .so is rebuilt instead of trusted.
-EXPECTED_ABI = 1
+EXPECTED_ABI = 2
+
+_MODULE = "repro.native._xrdkernels"
+# The string xrdkernels.c compiles in next to xrd_abi_version().
+_ABI_STAMP = re.compile(rb"xrd-kernels-abi:(\d+)\0")
 
 _state: dict = {"probed": False, "handle": None, "error": None}
 
 
 def _import_extension():
-    from repro.native import _xrdkernels  # type: ignore[attr-defined]
+    module = importlib.import_module(_MODULE)
+    return module.ffi, module.lib
 
-    return _xrdkernels.ffi, _xrdkernels.lib
+
+def _built_abi() -> Optional[int]:
+    """The ABI of the built extension on disk, read without importing it.
+
+    An extension module cannot be unloaded or reloaded, so a stale build
+    has to be recognised *before* the import: once it is in the process,
+    a rebuild only helps the next one.  ``None`` means no built module;
+    0 means one from before the stamp existed (ABI 1).
+    """
+    try:
+        spec = importlib.util.find_spec(_MODULE)
+        if spec is None or not spec.origin:
+            return None
+        with open(spec.origin, "rb") as handle:
+            stamp = _ABI_STAMP.search(handle.read())
+    except (ImportError, OSError, ValueError):
+        return None
+    return int(stamp.group(1)) if stamp else 0
 
 
 def _try_build() -> bool:
@@ -31,6 +56,7 @@ def _try_build() -> bool:
         from repro.native import _build
 
         _build.compile_extension()
+        importlib.invalidate_caches()  # the finder may have cached the old listing
         return True
     except Exception as exc:  # cffi missing, no compiler, read-only tree...
         _state["error"] = exc
@@ -50,37 +76,21 @@ def load() -> Optional[Tuple[object, object]]:
     if os.environ.get("XRD_NATIVE_DISABLE"):  # escape hatch for tests
         _state["error"] = RuntimeError("disabled via XRD_NATIVE_DISABLE")
         return None
+    # Missing, or stale from an older checkout: build before the import.
+    if _built_abi() != EXPECTED_ABI and not _try_build():
+        return None
     try:
         ffi, lib = _import_extension()
-    except Exception:
-        if not _try_build():
-            return None
-        try:
-            ffi, lib = _import_extension()
-        except Exception as exc:  # pragma: no cover - build said ok but import failed
-            _state["error"] = exc
-            return None
-    try:
         abi = lib.xrd_abi_version()
-    except Exception as exc:  # pragma: no cover - malformed extension
+    except Exception as exc:  # build said ok but import failed, or malformed
         _state["error"] = exc
         return None
     if abi != EXPECTED_ABI:
-        # Stale build from an older checkout: rebuild once, then give up.
-        if not _try_build():
-            return None
-        try:
-            import importlib
-
-            from repro.native import _xrdkernels  # type: ignore[attr-defined]
-
-            importlib.reload(_xrdkernels)
-            ffi, lib = _xrdkernels.ffi, _xrdkernels.lib
-            if lib.xrd_abi_version() != EXPECTED_ABI:  # pragma: no cover
-                return None
-        except Exception as exc:  # pragma: no cover
-            _state["error"] = exc
-            return None
+        _state["error"] = RuntimeError(
+            f"_xrdkernels reports ABI {abi}, expected {EXPECTED_ABI}: "
+            "xrdkernels.c and repro/native/__init__.py disagree"
+        )
+        return None
     _state["handle"] = (ffi, lib)
     return _state["handle"]
 

@@ -36,6 +36,16 @@ int xrd_modp_multi_scalar_accumulate(const uint8_t *prime,
                                      const uint8_t *elements,
                                      const uint8_t *exponents, size_t count,
                                      uint8_t *out);
+int xrd_ed25519_scalar_mult_batch(const uint8_t *points, size_t count,
+                                  const uint8_t *scalar, uint8_t *out);
+int xrd_ed25519_fixed_mult_batch(const uint8_t *point, const uint8_t *scalars,
+                                 size_t count, uint8_t *out);
+int xrd_ed25519_multi_scalar_accumulate(const uint8_t *points,
+                                        const uint8_t *scalars, size_t count,
+                                        uint8_t *out);
+int xrd_ed25519_encode_batch(const uint8_t *points, size_t count, uint8_t *out);
+int xrd_ed25519_decode_batch(const uint8_t *encodings, size_t count,
+                             uint8_t *out, uint8_t *ok_out);
 """
 
 _HERE = os.path.dirname(os.path.abspath(__file__))

@@ -1,6 +1,6 @@
 /* Native crypto kernels for the batched hot loops (DESIGN.md §11).
  *
- * Four kernel families, mirroring the pure-Python reference
+ * Five kernel families, mirroring the pure-Python reference
  * implementations bit for bit:
  *
  *   - batched ChaCha20 keystream blocks (RFC 8439 §2.3);
@@ -11,22 +11,35 @@
  *   - Montgomery-form modular exponentiation over the small modp test
  *     group: many-bases-one-exponent (scalar_mult_batch),
  *     one-base-many-exponents (fixed_point_mult_batch), and the fused
- *     product-of-powers accumulate.
+ *     product-of-powers accumulate;
+ *   - edwards25519 (the Ed25519Group of crypto/group.py): the same three
+ *     shapes as 4-bit fixed-window ladders, a fixed-point comb and a
+ *     Straus accumulation over 5x51-bit field limbs, plus the batched
+ *     point codec.
  *
  * Every entry point operates on whole batches behind one C call, so the
  * cffi wrapper releases the GIL for the duration.  All multi-byte modp
  * values are 32-byte big-endian, exactly the ModPGroup wire encoding;
- * ChaCha20 keys/nonces are the raw 32/12-byte strings.  Return codes:
- * 0 on success, negative on malformed input (the Python dispatcher
- * falls back to the reference path on any nonzero return).
+ * curve coordinates and scalars are 32-byte little-endian, exactly the
+ * Ed25519Group one; ChaCha20 keys/nonces are the raw 32/12-byte strings.
+ * Return codes: 0 on success, negative on malformed input (the Python
+ * dispatcher falls back to the reference path on any nonzero return).
  */
 
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* Bumped whenever a signature or semantic changes; the loader refuses a
- * stale prebuilt module and triggers a rebuild. */
-#define XRD_KERNELS_ABI 1
+ * stale prebuilt module and rebuilds it.  The stamp string lets the loader
+ * read the ABI of a built module from its file, without importing it (an
+ * imported extension cannot be replaced within the process). */
+#define XRD_KERNELS_ABI 2
+#define XRD_STR2(x) #x
+#define XRD_STR(x) XRD_STR2(x)
+
+__attribute__((used)) const char xrd_abi_stamp[] =
+    "xrd-kernels-abi:" XRD_STR(XRD_KERNELS_ABI);
 
 int xrd_abi_version(void) { return XRD_KERNELS_ABI; }
 
@@ -515,5 +528,576 @@ int xrd_modp_multi_scalar_accumulate(const uint8_t *prime,
         mont_mul(total, total, acc, &m);
     }
     store_element(&m, total, out);
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* edwards25519: field arithmetic mod 2^255 - 19 on 5 x 51-bit limbs  */
+/* ------------------------------------------------------------------ */
+
+/* Limb bounds.  fe_mul, fe_sq and fe_sub take limbs below 2^54 (the
+ * multiplications have room to 2^59) and return limbs below 2^52; fe_add
+ * does not carry.  Every formula below adds at most three such results
+ * before the next multiplication or subtraction, so nothing passes 2^54.
+ * No operation branches on, or indexes by, a limb's value. */
+
+typedef unsigned __int128 u128;
+typedef uint64_t fe[5];
+
+#define MASK51 ((((uint64_t)1) << 51) - 1)
+
+static const fe FE_D = {
+    0x34dca135978a3ULL, 0x1a8283b156ebdULL, 0x5e7a26001c029ULL,
+    0x739c663a03cbbULL, 0x52036cee2b6ffULL};
+static const fe FE_D2 = {
+    0x69b9426b2f159ULL, 0x35050762add7aULL, 0x3cf44c0038052ULL,
+    0x6738cc7407977ULL, 0x2406d9dc56dffULL};
+static const fe FE_SQRTM1 = {
+    0x61b274a0ea0b0ULL, 0x0d5a5fc8f189dULL, 0x7ef5e9cbd0c60ULL,
+    0x78595a6804c9eULL, 0x2b8324804fc1dULL};
+
+static void fe_copy(fe out, const fe a) { memcpy(out, a, sizeof(fe)); }
+
+static void fe_set(fe out, uint64_t value) {
+    memset(out, 0, sizeof(fe));
+    out[0] = value;
+}
+
+static void fe_add(fe out, const fe a, const fe b) {
+    int i;
+    for (i = 0; i < 5; i++) out[i] = a[i] + b[i];
+}
+
+/* out = a - b, carried: 16p is added first so no limb goes negative. */
+static void fe_sub(fe out, const fe a, const fe b) {
+    uint64_t t0 = a[0] + 16 * (MASK51 - 18) - b[0];
+    uint64_t t1 = a[1] + 16 * MASK51 - b[1];
+    uint64_t t2 = a[2] + 16 * MASK51 - b[2];
+    uint64_t t3 = a[3] + 16 * MASK51 - b[3];
+    uint64_t t4 = a[4] + 16 * MASK51 - b[4];
+    t1 += t0 >> 51;
+    t2 += t1 >> 51;
+    t3 += t2 >> 51;
+    t4 += t3 >> 51;
+    out[0] = (t0 & MASK51) + 19 * (t4 >> 51);
+    out[1] = t1 & MASK51;
+    out[2] = t2 & MASK51;
+    out[3] = t3 & MASK51;
+    out[4] = t4 & MASK51;
+}
+
+/* Carry five 128-bit column sums into limbs below 2^52. */
+static void fe_carry_wide(fe out, u128 t0, u128 t1, u128 t2, u128 t3, u128 t4) {
+    t1 += t0 >> 51;
+    t2 += t1 >> 51;
+    t3 += t2 >> 51;
+    t4 += t3 >> 51;
+    t0 = ((uint64_t)t0 & MASK51) + (t4 >> 51) * 19;
+    out[0] = (uint64_t)t0 & MASK51;
+    out[1] = ((uint64_t)t1 & MASK51) + (uint64_t)(t0 >> 51);
+    out[2] = (uint64_t)t2 & MASK51;
+    out[3] = (uint64_t)t3 & MASK51;
+    out[4] = (uint64_t)t4 & MASK51;
+}
+
+static void fe_mul(fe out, const fe a, const fe b) {
+    uint64_t a0 = a[0], a1 = a[1], a2 = a[2], a3 = a[3], a4 = a[4];
+    uint64_t b0 = b[0], b1 = b[1], b2 = b[2], b3 = b[3], b4 = b[4];
+    uint64_t b1_19 = 19 * b1, b2_19 = 19 * b2, b3_19 = 19 * b3, b4_19 = 19 * b4;
+    fe_carry_wide(out,
+        (u128)a0 * b0 + (u128)a1 * b4_19 + (u128)a2 * b3_19 + (u128)a3 * b2_19 + (u128)a4 * b1_19,
+        (u128)a0 * b1 + (u128)a1 * b0 + (u128)a2 * b4_19 + (u128)a3 * b3_19 + (u128)a4 * b2_19,
+        (u128)a0 * b2 + (u128)a1 * b1 + (u128)a2 * b0 + (u128)a3 * b4_19 + (u128)a4 * b3_19,
+        (u128)a0 * b3 + (u128)a1 * b2 + (u128)a2 * b1 + (u128)a3 * b0 + (u128)a4 * b4_19,
+        (u128)a0 * b4 + (u128)a1 * b3 + (u128)a2 * b2 + (u128)a3 * b1 + (u128)a4 * b0);
+}
+
+static void fe_sq(fe out, const fe a) {
+    uint64_t a0 = a[0], a1 = a[1], a2 = a[2], a3 = a[3], a4 = a[4];
+    uint64_t a0_2 = 2 * a0, a1_2 = 2 * a1, a2_2 = 2 * a2, a3_2 = 2 * a3;
+    uint64_t a3_19 = 19 * a3, a4_19 = 19 * a4;
+    fe_carry_wide(out,
+        (u128)a0 * a0 + (u128)a1_2 * a4_19 + (u128)a2_2 * a3_19,
+        (u128)a0_2 * a1 + (u128)a2_2 * a4_19 + (u128)a3 * a3_19,
+        (u128)a0_2 * a2 + (u128)a1 * a1 + (u128)a3_2 * a4_19,
+        (u128)a0_2 * a3 + (u128)a1_2 * a2 + (u128)a4 * a4_19,
+        (u128)a0_2 * a4 + (u128)a1_2 * a3 + (u128)a2 * a2);
+}
+
+static void fe_sq_times(fe out, const fe a, int count) {
+    fe_sq(out, a);
+    while (--count) fe_sq(out, out);
+}
+
+static uint64_t load64_le(const uint8_t *p) {
+    return (uint64_t)le32(p) | ((uint64_t)le32(p + 4) << 32);
+}
+
+static void store64_le(uint8_t *p, uint64_t v) {
+    st32(p, (uint32_t)v);
+    st32(p + 4, (uint32_t)(v >> 32));
+}
+
+/* Any 256-bit little-endian integer, as is: values at or above p are valid
+ * (unreduced) limbs, so a coordinate needs no range check. */
+static void fe_frombytes(fe out, const uint8_t in[32]) {
+    uint64_t w0 = load64_le(in), w1 = load64_le(in + 8);
+    uint64_t w2 = load64_le(in + 16), w3 = load64_le(in + 24);
+    out[0] = w0 & MASK51;
+    out[1] = ((w0 >> 51) | (w1 << 13)) & MASK51;
+    out[2] = ((w1 >> 38) | (w2 << 26)) & MASK51;
+    out[3] = ((w2 >> 25) | (w3 << 39)) & MASK51;
+    out[4] = w3 >> 12;
+}
+
+/* The canonical encoding: the unique representative in [0, p). */
+static void fe_tobytes(uint8_t out[32], const fe in) {
+    uint64_t t[5], q;
+    int pass, i;
+    memcpy(t, in, sizeof(t));
+    for (pass = 0; pass < 2; pass++) {  /* limbs below 2^51 after the second */
+        for (i = 0; i < 4; i++) {
+            t[i + 1] += t[i] >> 51;
+            t[i] &= MASK51;
+        }
+        t[0] += 19 * (t[4] >> 51);
+        t[4] &= MASK51;
+    }
+    /* q = 1 iff t >= p: the carry out of t + 19. */
+    q = (t[0] + 19) >> 51;
+    for (i = 1; i < 5; i++) q = (t[i] + q) >> 51;
+    t[0] += 19 * q;
+    for (i = 0; i < 4; i++) {
+        t[i + 1] += t[i] >> 51;
+        t[i] &= MASK51;
+    }
+    t[4] &= MASK51;
+    store64_le(out, t[0] | (t[1] << 51));
+    store64_le(out + 8, (t[1] >> 13) | (t[2] << 38));
+    store64_le(out + 16, (t[2] >> 26) | (t[3] << 25));
+    store64_le(out + 24, (t[3] >> 39) | (t[4] << 12));
+}
+
+static int fe_iszero(const fe a) {
+    uint8_t bytes[32], acc = 0;
+    int i;
+    fe_tobytes(bytes, a);
+    for (i = 0; i < 32; i++) acc |= bytes[i];
+    return acc == 0;
+}
+
+/* out = z^(2^250 - 1) and z11 = z^11: the shared head of both exponents. */
+static void fe_pow_2_250_1(fe out, fe z11, const fe z) {
+    fe t0, t1, t2;
+    fe_sq(t0, z);                                   /* 2 */
+    fe_sq_times(t1, t0, 2);                         /* 8 */
+    fe_mul(t1, z, t1);                              /* 9 */
+    fe_mul(z11, t0, t1);                            /* 11 */
+    fe_sq(t0, z11);                                 /* 22 */
+    fe_mul(t0, t1, t0);                             /* 2^5 - 1 */
+    fe_sq_times(t1, t0, 5);   fe_mul(t0, t1, t0);   /* 2^10 - 1 */
+    fe_sq_times(t1, t0, 10);  fe_mul(t1, t1, t0);   /* 2^20 - 1 */
+    fe_sq_times(t2, t1, 20);  fe_mul(t1, t2, t1);   /* 2^40 - 1 */
+    fe_sq_times(t1, t1, 10);  fe_mul(t0, t1, t0);   /* 2^50 - 1 */
+    fe_sq_times(t1, t0, 50);  fe_mul(t1, t1, t0);   /* 2^100 - 1 */
+    fe_sq_times(t2, t1, 100); fe_mul(t1, t2, t1);   /* 2^200 - 1 */
+    fe_sq_times(t1, t1, 50);  fe_mul(out, t1, t0);  /* 2^250 - 1 */
+}
+
+/* out = z^(p - 2) = z^(2^255 - 21): the inverse (0 for z = 0). */
+static void fe_invert(fe out, const fe z) {
+    fe t, z11;
+    fe_pow_2_250_1(t, z11, z);
+    fe_sq_times(t, t, 5);
+    fe_mul(out, t, z11);
+}
+
+/* out = z^((p - 5) / 8) = z^(2^252 - 3). */
+static void fe_pow22523(fe out, const fe z) {
+    fe t, z11;
+    fe_pow_2_250_1(t, z11, z);
+    fe_sq_times(t, t, 2);
+    fe_mul(out, t, z);
+}
+
+/* ------------------------------------------------------------------ */
+/* edwards25519: points, window tables, ladders                       */
+/* ------------------------------------------------------------------ */
+
+/* Extended coordinates (x = X/Z, y = Y/Z, T = XY/Z), and the addend form
+ * the unified addition wants: (Y + X, Y - X, 2Z, 2dT).  The formulas are
+ * group.py's (add-2008-hwcd-3 and dbl-2008-hwcd for a = -1), which are
+ * complete on this curve: they need no special case for the identity, for
+ * equal operands or for the small-order points. */
+typedef struct { fe X, Y, Z, T; } ge;
+typedef struct { fe YpX, YmX, Z2, T2d; } ge_cached;
+
+#define WINDOWS 64  /* 4-bit digits of a 256-bit scalar */
+
+static const ge GE_BASE = {
+    {0x62d608f25d51aULL, 0x412a4b4f6592aULL, 0x75b7171a4b31dULL,
+     0x1ff60527118feULL, 0x216936d3cd6e5ULL},
+    {0x6666666666658ULL, 0x4ccccccccccccULL, 0x1999999999999ULL,
+     0x3333333333333ULL, 0x6666666666666ULL},
+    {1, 0, 0, 0, 0},
+    {0x68ab3a5b7dda3ULL, 0x00eea2a5eadbbULL, 0x2af8df483c27eULL,
+     0x332b375274732ULL, 0x67875f0fd78b7ULL}};
+
+static void ge_identity(ge *r) {
+    fe_set(r->X, 0);
+    fe_set(r->Y, 1);
+    fe_set(r->Z, 1);
+    fe_set(r->T, 0);
+}
+
+static void ge_frombytes(ge *r, const uint8_t in[128]) {
+    fe_frombytes(r->X, in);
+    fe_frombytes(r->Y, in + 32);
+    fe_frombytes(r->Z, in + 64);
+    fe_frombytes(r->T, in + 96);
+}
+
+static void ge_to_cached(ge_cached *r, const ge *p) {
+    fe_add(r->YpX, p->Y, p->X);
+    fe_sub(r->YmX, p->Y, p->X);
+    fe_add(r->Z2, p->Z, p->Z);
+    fe_mul(r->T2d, p->T, FE_D2);
+}
+
+/* r = p + q; r may alias p. */
+static void ge_add(ge *r, const ge *p, const ge_cached *q) {
+    fe a, b, c, d, e, f, g, h;
+    fe_sub(a, p->Y, p->X);
+    fe_mul(a, a, q->YmX);
+    fe_add(b, p->Y, p->X);
+    fe_mul(b, b, q->YpX);
+    fe_mul(c, p->T, q->T2d);
+    fe_mul(d, p->Z, q->Z2);
+    fe_sub(e, b, a);
+    fe_sub(f, d, c);
+    fe_add(g, d, c);
+    fe_add(h, b, a);
+    fe_mul(r->X, e, f);
+    fe_mul(r->Y, g, h);
+    fe_mul(r->Z, f, g);
+    fe_mul(r->T, e, h);
+}
+
+/* r = 2p; r may alias p.  T is only read by ge_add and ge_to_cached, so
+ * the doublings that feed another doubling skip it. */
+static void ge_double(ge *r, const ge *p, int with_t) {
+    fe a, b, c, e, f, g, h;
+    fe_sq(a, p->X);
+    fe_sq(b, p->Y);
+    fe_sq(c, p->Z);
+    fe_add(c, c, c);
+    fe_add(h, a, b);
+    fe_add(e, p->X, p->Y);
+    fe_sq(e, e);
+    fe_sub(e, h, e);
+    fe_sub(g, a, b);
+    fe_add(f, c, g);
+    fe_mul(r->X, e, f);
+    fe_mul(r->Y, g, h);
+    fe_mul(r->Z, f, g);
+    if (with_t) fe_mul(r->T, e, h);
+}
+
+/* r = 16p, T included. */
+static void ge_times16(ge *r, const ge *p) {
+    ge_double(r, p, 0);
+    ge_double(r, r, 0);
+    ge_double(r, r, 0);
+    ge_double(r, r, 1);
+}
+
+/* table[k] = k * p for k = 0..15. */
+static void ge_window_table(ge_cached table[16], const ge *p) {
+    ge multiple;
+    int k;
+    ge_identity(&multiple);
+    ge_to_cached(&table[0], &multiple);
+    ge_to_cached(&table[1], p);
+    multiple = *p;
+    for (k = 2; k < 16; k++) {
+        ge_add(&multiple, &multiple, &table[1]);
+        ge_to_cached(&table[k], &multiple);
+    }
+}
+
+static unsigned scalar_digit(const uint8_t scalar[32], int index) {
+    return (scalar[index >> 1] >> ((index & 1) * 4)) & 15;
+}
+
+/* out = table[digit], reading every entry: the digit of a secret scalar
+ * reaches neither a branch nor an address. */
+static void ge_cached_select(ge_cached *out, const ge_cached table[16], unsigned digit) {
+    unsigned k;
+    int i;
+    memset(out, 0, sizeof(*out));
+    for (k = 0; k < 16; k++) {
+        uint64_t mask = (uint64_t)0 - ((((uint64_t)(k ^ digit)) - 1) >> 63);
+        for (i = 0; i < 5; i++) {
+            out->YpX[i] |= table[k].YpX[i] & mask;
+            out->YmX[i] |= table[k].YmX[i] & mask;
+            out->Z2[i] |= table[k].Z2[i] & mask;
+            out->T2d[i] |= table[k].T2d[i] & mask;
+        }
+    }
+}
+
+/* r = scalar * P for the 256-bit little-endian scalar taken as an integer
+ * (no reduction mod L), P given by its window table.  Constant time: 64
+ * windows of four doublings, one masked select and one addition each. */
+static void ge_ladder(ge *r, const ge_cached table[16], const uint8_t scalar[32]) {
+    ge_cached addend;
+    int index;
+    ge_identity(r);
+    for (index = WINDOWS - 1; index >= 0; index--) {
+        ge_times16(r, r);
+        ge_cached_select(&addend, table, scalar_digit(scalar, index));
+        ge_add(r, r, &addend);
+    }
+}
+
+/* comb[j][k] = k * 16^j * P: a multiplication becomes 64 additions. */
+typedef ge_cached ge_comb[WINDOWS][16];
+
+static void ge_comb_build(ge_comb comb, const ge *p) {
+    ge row = *p;
+    int j;
+    for (j = 0; j < WINDOWS; j++) {
+        ge_window_table(comb[j], &row);
+        ge_times16(&row, &row);
+    }
+}
+
+static void ge_comb_mult(ge *r, ge_comb comb, const uint8_t scalar[32]) {
+    ge_cached addend;
+    int j;
+    ge_identity(r);
+    for (j = 0; j < WINDOWS; j++) {
+        ge_cached_select(&addend, comb[j], scalar_digit(scalar, j));
+        ge_add(r, r, &addend);
+    }
+}
+
+/* The base point's comb: built on first use, never at import.  Threads
+ * race to publish a finished table; the losers free theirs. */
+static ge_comb *base_comb_ptr;
+
+static ge_comb *base_comb(void) {
+    ge_comb *comb = __atomic_load_n(&base_comb_ptr, __ATOMIC_ACQUIRE);
+    ge_comb *expected = NULL;
+    if (comb) return comb;
+    comb = malloc(sizeof(ge_comb));
+    if (!comb) return NULL;
+    ge_comb_build(*comb, &GE_BASE);
+    if (__atomic_compare_exchange_n(&base_comb_ptr, &expected, comb, 0,
+                                    __ATOMIC_RELEASE, __ATOMIC_ACQUIRE))
+        return comb;
+    free(comb);
+    return expected;
+}
+
+static int ge_is_base(const ge *p) {
+    fe left, right;
+    fe_mul(left, p->X, GE_BASE.Z);
+    fe_mul(right, GE_BASE.X, p->Z);
+    fe_sub(left, left, right);
+    if (!fe_iszero(left)) return 0;
+    fe_mul(left, p->Y, GE_BASE.Z);
+    fe_mul(right, GE_BASE.Y, p->Z);
+    fe_sub(left, left, right);
+    return fe_iszero(left);
+}
+
+/* Normalise `count` points with one inversion (Montgomery's trick) and
+ * write them out: 96-byte records  encoding | x | t  (y is the encoding
+ * with its top bit cleared, z = 1), or the 32-byte encoding alone.
+ * Overwrites each point's T.  Fails on a zero Z, which no curve point has. */
+static int ge_emit_affine(ge *points, size_t count, uint8_t *out, int with_coordinates) {
+    fe running, inverse, zinv, x, y;
+    uint8_t xbytes[32];
+    size_t i;
+    fe_set(running, 1);
+    for (i = 0; i < count; i++) {  /* T[i] = Z[0] * ... * Z[i-1] */
+        if (fe_iszero(points[i].Z)) return -2;
+        fe_copy(points[i].T, running);
+        fe_mul(running, running, points[i].Z);
+    }
+    fe_invert(inverse, running);
+    for (i = count; i-- > 0;) {
+        uint8_t *record = out + i * (with_coordinates ? 96 : 32);
+        fe_mul(zinv, inverse, points[i].T);
+        fe_mul(inverse, inverse, points[i].Z);
+        fe_mul(x, points[i].X, zinv);
+        fe_mul(y, points[i].Y, zinv);
+        fe_tobytes(xbytes, x);
+        fe_tobytes(record, y);
+        record[31] |= (uint8_t)((xbytes[0] & 1) << 7);
+        if (with_coordinates) {
+            memcpy(record + 32, xbytes, 32);
+            fe_mul(x, x, y);
+            fe_tobytes(record + 64, x);
+        }
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* edwards25519: batch entry points                                   */
+/* ------------------------------------------------------------------ */
+
+/* Points are 128 bytes (X | Y | Z | T, 32-byte little-endian each, any
+ * Z != 0); scalars are 32-byte little-endian integers, used unreduced;
+ * results are the 96-byte records of ge_emit_affine.  The two kernels
+ * that take secret scalars run in time independent of them. */
+
+static void *alloc_array(size_t count, size_t size) {
+    return malloc((count ? count : 1) * size);
+}
+
+int xrd_ed25519_scalar_mult_batch(const uint8_t *points, size_t count,
+                                  const uint8_t *scalar, uint8_t *out) {
+    ge_cached table[16];
+    ge point, *results = alloc_array(count, sizeof(ge));
+    size_t i;
+    int rc;
+    if (!results) return -3;
+    for (i = 0; i < count; i++) {
+        ge_frombytes(&point, points + 128 * i);
+        ge_window_table(table, &point);
+        ge_ladder(&results[i], table, scalar);
+    }
+    rc = ge_emit_affine(results, count, out, 1);
+    free(results);
+    return rc;
+}
+
+/* One point, many scalars: 64 additions each over the point's comb.  The
+ * base point's comb is the process-wide one; any other point pays about
+ * four ladders for its own, which the second scalar already repays. */
+int xrd_ed25519_fixed_mult_batch(const uint8_t *point, const uint8_t *scalars,
+                                 size_t count, uint8_t *out) {
+    ge_comb *comb, *own_comb = NULL;
+    ge base, *results;
+    size_t i;
+    int rc = -3;
+    ge_frombytes(&base, point);
+    if (ge_is_base(&base)) {
+        comb = base_comb();
+    } else {
+        comb = own_comb = malloc(sizeof(ge_comb));
+        if (comb) ge_comb_build(*comb, &base);
+    }
+    results = alloc_array(count, sizeof(ge));
+    if (comb && results) {
+        for (i = 0; i < count; i++)
+            ge_comb_mult(&results[i], *comb, scalars + 32 * i);
+        rc = ge_emit_affine(results, count, out, 1);
+    }
+    free(results);
+    free(own_comb);
+    return rc;
+}
+
+/* Straus: sum of scalars[i] * points[i] over one shared doubling chain.
+ * Verification only (public inputs), so zero digits and the leading
+ * identity are skipped. */
+int xrd_ed25519_multi_scalar_accumulate(const uint8_t *points,
+                                        const uint8_t *scalars, size_t count,
+                                        uint8_t *out) {
+    ge_cached (*tables)[16] = alloc_array(count, sizeof(*tables));
+    ge point, total;
+    size_t i;
+    int index, started = 0;
+    if (!tables) return -3;
+    for (i = 0; i < count; i++) {
+        ge_frombytes(&point, points + 128 * i);
+        ge_window_table(tables[i], &point);
+    }
+    ge_identity(&total);
+    for (index = WINDOWS - 1; index >= 0; index--) {
+        if (started) ge_times16(&total, &total);
+        for (i = 0; i < count; i++) {
+            unsigned digit = scalar_digit(scalars + 32 * i, index);
+            if (digit) {
+                ge_add(&total, &total, &tables[i][digit]);
+                started = 1;
+            }
+        }
+    }
+    free(tables);
+    return ge_emit_affine(&total, 1, out, 1);
+}
+
+int xrd_ed25519_encode_batch(const uint8_t *points, size_t count, uint8_t *out) {
+    ge *loaded = alloc_array(count, sizeof(ge));
+    size_t i;
+    int rc;
+    if (!loaded) return -3;
+    for (i = 0; i < count; i++) ge_frombytes(&loaded[i], points + 128 * i);
+    rc = ge_emit_affine(loaded, count, out, 0);
+    free(loaded);
+    return rc;
+}
+
+/* RFC 8032 section 5.1.3 with the square root and the division fused into
+ * one exponentiation: x = u v^3 (u v^7)^((p-5)/8) for u = y^2 - 1 and
+ * v = d y^2 + 1.  Per encoding, ok_out is 1 and out holds the point's
+ * 96-byte record, or ok_out is 0 for exactly the inputs
+ * Ed25519Group.decode rejects: y >= p, x^2 not a square, x = 0 with the
+ * sign bit set. */
+int xrd_ed25519_decode_batch(const uint8_t *encodings, size_t count,
+                             uint8_t *out, uint8_t *ok_out) {
+    fe y, u, v, v3, x, check;
+    uint8_t ybytes[32], canonical[32];
+    size_t i;
+    for (i = 0; i < count; i++) {
+        const uint8_t *encoding = encodings + 32 * i;
+        uint8_t *record = out + 96 * i;
+        unsigned sign = encoding[31] >> 7;
+        ok_out[i] = 0;
+        memcpy(ybytes, encoding, 32);
+        ybytes[31] &= 0x7f;
+        fe_frombytes(y, ybytes);
+        fe_tobytes(canonical, y);
+        if (memcmp(canonical, ybytes, 32) != 0) continue;  /* y >= p */
+        fe_sq(u, y);
+        fe_mul(v, u, FE_D);
+        fe_set(check, 1);
+        fe_sub(u, u, check);
+        fe_add(v, v, check);
+        fe_sq(v3, v);
+        fe_mul(v3, v3, v);
+        fe_sq(x, v3);
+        fe_mul(x, x, v);
+        fe_mul(x, x, u);
+        fe_pow22523(x, x);
+        fe_mul(x, x, v3);
+        fe_mul(x, x, u);
+        fe_sq(check, x);
+        fe_mul(check, check, v);
+        fe_sub(v3, check, u);
+        if (!fe_iszero(v3)) {
+            fe_add(v3, check, u);
+            if (!fe_iszero(v3)) continue;  /* not a square */
+            fe_mul(x, x, FE_SQRTM1);
+        }
+        fe_tobytes(canonical, x);
+        if (fe_iszero(x)) {
+            if (sign) continue;
+        } else if ((canonical[0] & 1u) != sign) {
+            fe_set(check, 0);
+            fe_sub(x, check, x);
+            fe_tobytes(canonical, x);
+        }
+        memcpy(record, encoding, 32);
+        memcpy(record + 32, canonical, 32);
+        fe_mul(x, x, y);
+        fe_tobytes(record + 64, x);
+        ok_out[i] = 1;
+    }
     return 0;
 }

@@ -7,9 +7,10 @@ Two flavours of :class:`CostModel` are provided:
   NaCl testbed (e.g., 2M users on 100 servers in ≈251 s, Figure 4/5).  This
   is what the figure benchmarks use.
 * :meth:`CostModel.measured` — constants measured from this library's own
-  pure-Python primitives (see :mod:`repro.simulation.microbench`), useful to
-  show how much slower the Python substrate is and to sanity-check that the
-  model structure (not just the constants) is right.
+  primitives on the active kernel tier (see
+  :mod:`repro.simulation.microbench`), useful to show how far this substrate
+  is from the testbed's and to sanity-check that the model structure (not
+  just the constants) is right.
 """
 
 from __future__ import annotations

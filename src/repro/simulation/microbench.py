@@ -1,10 +1,11 @@
 """Microbenchmarks of this library's own primitives.
 
 The measurements feed :meth:`CostModel.from_primitive_costs`, giving a cost
-model for *this* (pure-Python) substrate.  Comparing it against
-:meth:`CostModel.paper_testbed` makes explicit how much of the gap to the
-paper's absolute numbers is the Python-vs-Go substrate (documented in
-EXPERIMENTS.md) rather than the protocol itself.
+model for *this* substrate on the active crypto-kernel tier.  Comparing it
+against :meth:`CostModel.paper_testbed` makes explicit how much of the gap
+to the paper's absolute numbers is the substrate (pure Python on the
+``python`` tier, C kernels under a Python driver on ``native``) rather than
+the protocol itself.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 from repro.crypto.aead import aenc
 from repro.crypto.group import default_group
+from repro.crypto.kernels import active_kernel
 from repro.crypto.nizk import prove_dlog, verify_dlog
 from repro.simulation.costmodel import CostModel
 
@@ -80,5 +82,5 @@ def measured_cost_model(
         aead_fixed=timings.aead_fixed,
         aead_per_byte=timings.aead_per_byte,
         cores_per_server=cores_per_server,
-        source=f"measured (pure-Python primitives, {iterations} iterations)",
+        source=f"measured ({active_kernel().value} kernel tier, {iterations} iterations)",
     )

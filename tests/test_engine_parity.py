@@ -959,6 +959,75 @@ class TestCryptoKernelStreamParity:
         deployment.close()
 
 
+class TestEd25519KernelParity:
+    """The curve kernels are unobservable (DESIGN.md §11).
+
+    The rows above run the modp test group; this one runs the real group,
+    where the native tier replaces every ladder, comb, accumulation and
+    point codec call of ``Ed25519Group``.  ``RoundReport`` canonical bytes
+    must not move: honest rounds (payloads, an offline user's cover, an
+    idle round) and the tamper → blame → evict → re-form arc, eager and on
+    the production path (batched population, streamed mix).
+    """
+
+    @pytest.fixture(autouse=True)
+    def _kernel_state(self):
+        from repro.crypto import kernels
+
+        kernels.reset_kernel_for_tests()
+        yield
+        kernels.reset_kernel_for_tests()
+
+    @staticmethod
+    def _config(kernel, production=False):
+        import warnings as _warnings
+
+        from repro.registry import CryptoKernelKind, PopulationKind
+
+        kwargs = dict(population=PopulationKind.BATCHED, stream_mix=True) if production else {}
+        with _warnings.catch_warnings():
+            # On a box with no built extension the native cells downgrade
+            # (one warning) and re-prove a lower tier instead.
+            _warnings.simplefilter("ignore", RuntimeWarning)
+            return Deployment.create(DeploymentConfig(
+                num_servers=3, num_users=4, num_chains=2, chain_length=2, seed=7,
+                group_kind="ed25519", crypto_kernel=CryptoKernelKind(kernel), **kwargs,
+            ))
+
+    def _honest(self, kernel, **kwargs):
+        deployment = self._config(kernel, **kwargs)
+        try:
+            assert type(deployment.group).__name__ == "Ed25519Group"
+            return fingerprints(deployment.run_rounds(conversation_script(deployment)[:3]))
+        finally:
+            deployment.close()
+
+    def _blame(self, kernel, **kwargs):
+        from repro.faults.runner import ScenarioRunner
+        from repro.faults.scenarios import tamper_and_recover
+
+        deployment = self._config(kernel, **kwargs)
+        try:
+            report = ScenarioRunner(deployment, tamper_and_recover(num_rounds=3)).run()
+        finally:
+            deployment.close()
+        fault = report.outcome_for(2)
+        assert fault.statuses[0] == "halted-blame"
+        assert report.evicted_servers == ["server-0"]
+        assert report.outcome_for(3).all_delivered
+        return report.canonical_bytes()
+
+    def test_honest_rounds_identical_across_tiers(self):
+        reference = self._honest("python")
+        assert self._honest("native") == reference
+        assert self._honest("native", production=True) == reference
+
+    def test_blame_round_identical_across_tiers(self):
+        reference = self._blame("python")
+        assert self._blame("native") == reference
+        assert self._blame("native", production=True) == reference
+
+
 def _native_available():
     from repro.crypto import kernels
 

@@ -1,14 +1,34 @@
-"""Tests for the pure-Python edwards25519 group."""
+"""Tests for the edwards25519 group, on whichever kernel tier is active
+(plus, where the tier could matter, on each tier by name)."""
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import kernels
 from repro.crypto.group import Ed25519Group, default_group
 from repro.errors import DecodingError
 
+from tests.test_native_kernels import SMALL_ORDER
+
 GROUP = Ed25519Group()
 SCALARS = st.integers(min_value=1, max_value=GROUP.order - 1)
+
+
+@pytest.fixture(params=["python", "native"])
+def each_tier(request):
+    """Run a test on the reference tier and on the native one (which, on a
+    box with no built extension, quietly re-proves the best lower tier)."""
+    import warnings
+
+    kernels.reset_kernel_for_tests()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        kernels.set_active_kernel(request.param)
+    yield request.param
+    kernels.reset_kernel_for_tests()
 
 
 class TestBasePoint:
@@ -33,6 +53,35 @@ class TestBasePoint:
         assert GROUP.encode(GROUP.base()).hex() == (
             "5866666666666666666666666666666666666666666666666666666666666666"
         )
+
+
+#: RFC 8032 section 7.1: (secret key, public key) of the Ed25519 test vectors
+#: 1, 2, 3, 1024 and SHA(abc).  The public key is the encoding of [s]B for
+#: the clamped hash s of the secret key.
+RFC8032_KEYS = [
+    ("9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60",
+     "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a"),
+    ("4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb",
+     "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c"),
+    ("c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7",
+     "fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025"),
+    ("f5e5767cf153319517630f226876b86c8160cc583bc013744c6bf255f5cc0ee5",
+     "278117fc144c72340f67d0f2316e8386ceffbf2b2428c9c51fef7c597f1d426e"),
+    ("833fe62409237b9d62ec77587520911e9a759cec1d19755b7da901b96dca3d42",
+     "ec172b93ad5e563bf4932c70e1245034c35467ef2efd4d64ebf819683467e2bf"),
+]
+
+
+class TestRfc8032Vectors:
+    @pytest.mark.parametrize("secret_key, public_key", RFC8032_KEYS)
+    def test_base_mult_gives_the_public_key(self, each_tier, secret_key, public_key):
+        digest = bytearray(hashlib.sha512(bytes.fromhex(secret_key)).digest()[:32])
+        digest[0] &= 248
+        digest[31] &= 127
+        digest[31] |= 64
+        scalar = int.from_bytes(digest, "little")  # above the order: reduced inside
+        assert GROUP.encode(GROUP.base_mult(scalar)).hex() == public_key
+        assert GROUP.encode(GROUP.scalar_mult(GROUP.base(), scalar)).hex() == public_key
 
 
 class TestGroupLaws:
@@ -124,8 +173,25 @@ class TestEncoding:
 
 
 class TestSubgroupAndHashing:
-    def test_base_multiples_in_prime_subgroup(self):
+    def test_base_multiples_in_prime_subgroup(self, each_tier):
+        assert GROUP.is_in_prime_subgroup(GROUP.base())
         assert GROUP.is_in_prime_subgroup(GROUP.base_mult(9999))
+        assert GROUP.is_in_prime_subgroup(GROUP.identity())
+
+    @pytest.mark.parametrize("order", sorted(SMALL_ORDER))
+    def test_small_order_points_rejected(self, each_tier, order):
+        # Regression: the check used to reduce L mod L and accept everything.
+        for point in SMALL_ORDER[order]:
+            total = GROUP.identity()
+            for step in range(1, order + 1):
+                total = GROUP.add(total, point)
+                assert total.is_identity() == (step == order)
+            assert not GROUP.is_in_prime_subgroup(point)
+
+    @pytest.mark.parametrize("order", sorted(SMALL_ORDER))
+    def test_prime_order_point_plus_small_order_point_rejected(self, each_tier, order):
+        for point in SMALL_ORDER[order]:
+            assert not GROUP.is_in_prime_subgroup(GROUP.add(GROUP.base_mult(31337), point))
 
     def test_hash_to_scalar_deterministic(self):
         assert GROUP.hash_to_scalar(b"a", b"b") == GROUP.hash_to_scalar(b"a", b"b")

@@ -4,8 +4,10 @@ Every kernel the ``_xrdkernels`` cffi extension implements is held
 bit-identical to its Python reference here, under hypothesis-driven inputs:
 random keys/nonces/lengths for the symmetric kernels, moduli across every
 limb count and scalars at the group-order edges for the Montgomery kernels,
-plus the structural edges (empty batches, single-entry batches, forged
-tags, short ciphertexts).  The fuzzers call the :mod:`repro.crypto.kernels`
+curve points in every shape (identity, base, small order, unnormalised Z)
+against the pure-Python ladders for the edwards25519 kernels, plus the
+structural edges (empty batches, single-entry batches, forged tags, short
+ciphertexts, rejected point encodings).  The fuzzers call the :mod:`repro.crypto.kernels`
 wrappers directly — the same entry points the hot loops dispatch through —
 so a mismatch pins the exact kernel, not a composite code path.
 
@@ -18,6 +20,10 @@ degraded mode.
 
 from __future__ import annotations
 
+import os
+import shutil
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -32,7 +38,7 @@ from repro.crypto.group import (
     Ed25519Group,
     reset_window_table_caches,
 )
-from repro.errors import ConfigurationError, CryptoError
+from repro.errors import ConfigurationError, CryptoError, DecodingError
 from repro.registry import CRYPTO_KERNELS, CryptoKernelKind
 
 NATIVE = kernels.native_available()
@@ -259,6 +265,292 @@ class TestModPDifferential:
         assert kernels.modp_scalar_mult_batch(p, [-1], 3) is None
 
 
+# -- edwards25519 ------------------------------------------------------------
+
+_P = group_mod._P
+_L = group_mod._L
+CURVE = Ed25519Group()
+
+
+def _reference_mult(point, scalar):
+    """``[scalar]P`` for the integer ``scalar`` (unreduced) by the pure-Python
+    window ladder, which never dispatches to a kernel."""
+    return group_mod._windowed_mult_with_table(
+        group_mod._build_window_table(point), group_mod._scalar_windows(scalar)
+    )
+
+
+def _record(point):
+    """What the kernels return for ``point``: ``(encoding, x, y, t)``, affine."""
+    x, y = point.affine()
+    encoding = bytearray(y.to_bytes(32, "little"))
+    encoding[31] |= (x & 1) << 7
+    return (bytes(encoding), x, y, x * y % _P)
+
+
+def _doubled(point, times):
+    for _ in range(times):
+        point = group_mod._edwards_double(point)
+    return point
+
+
+_SQRT_M1 = pow(2, (_P - 1) // 4, _P)
+#: Points of order 2, 4, 4, 8, 8 (the last two by their standard encodings,
+#: decoded on the reference path).
+SMALL_ORDER = {
+    2: [group_mod.Point(0, _P - 1, 1, 0)],
+    4: [group_mod.Point(_SQRT_M1, 0, 1, 0), group_mod.Point(_P - _SQRT_M1, 0, 1, 0)],
+    8: [
+        group_mod._point_from_affine(group_mod._recover_x(y, 0), y)
+        for y in (
+            int.from_bytes(bytes.fromhex(encoding), "little")
+            for encoding in (
+                "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+                "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+            )
+        )
+    ],
+}
+_SMALL_ORDER_POINTS = [point for points in SMALL_ORDER.values() for point in points]
+
+_EDGE_SCALARS = [0, 1, 2, 15, 16, _L - 1, _L, _L + 1, 2**252, 2**255, 2**256 - 1]
+curve_scalars_st = st.integers(min_value=0, max_value=2**256 - 1) | st.sampled_from(
+    _EDGE_SCALARS
+)
+
+
+@st.composite
+def curve_points_st(draw):
+    """A curve point: a special one or a random multiple of the base or of a
+    small-order-tainted point, usually with an unnormalised Z."""
+    kind = draw(st.sampled_from(["identity", "base", "small", "multiple", "tainted"]))
+    if kind == "identity":
+        point = group_mod._IDENTITY
+    elif kind == "base":
+        point = group_mod._BASE_POINT
+    elif kind == "small":
+        point = draw(st.sampled_from(_SMALL_ORDER_POINTS))
+    else:
+        point = _reference_mult(
+            group_mod._BASE_POINT, draw(st.integers(min_value=1, max_value=_L - 1))
+        )
+        if kind == "tainted":  # outside the prime-order subgroup
+            point = group_mod._edwards_add(point, draw(st.sampled_from(_SMALL_ORDER_POINTS)))
+    z = draw(st.sampled_from([1, 2, _P - 1]) | st.integers(min_value=1, max_value=_P - 1))
+    return group_mod.Point(point.x * z % _P, point.y * z % _P, point.z * z % _P, point.t * z % _P)
+
+
+def _first_non_square_y():
+    """The smallest y whose x^2 = (y^2 - 1) / (d y^2 + 1) is not a square."""
+    y = 2
+    while True:
+        try:
+            group_mod._recover_x(y, 0)
+        except CryptoError:
+            return y
+        y += 1
+
+
+_NON_SQUARE_Y = _first_non_square_y()
+
+#: Encodings ``Ed25519Group.decode`` rejects, by reason.
+REJECTED_ENCODINGS = {
+    "y = p": _P.to_bytes(32, "little"),
+    "y = p + 1": (_P + 1).to_bytes(32, "little"),
+    "y = 2^255 - 1": (2**255 - 1).to_bytes(32, "little"),
+    "y = p, sign set": (_P | 1 << 255).to_bytes(32, "little"),
+    "all ones": b"\xff" * 32,
+    "not a square": _NON_SQUARE_Y.to_bytes(32, "little"),
+    "not a square, sign set": (_NON_SQUARE_Y | 1 << 255).to_bytes(32, "little"),
+    "x = 0 (y = 1), sign set": (1 | 1 << 255).to_bytes(32, "little"),
+    "x = 0 (y = -1), sign set": (_P - 1 | 1 << 255).to_bytes(32, "little"),
+}
+
+
+def test_small_order_fixture_orders():
+    for order, points in SMALL_ORDER.items():
+        for point in points:
+            assert _doubled(point, order.bit_length() - 1).is_identity()
+            assert not _doubled(point, order.bit_length() - 2).is_identity()
+
+
+@needs_native
+class TestEd25519Differential:
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(curve_points_st(), min_size=0, max_size=5), curve_scalars_st)
+    def test_scalar_mult_batch(self, points, scalar):
+        kernels.set_active_kernel("native")
+        native = kernels.ed25519_scalar_mult_batch(points, scalar)
+        assert native == [_record(_reference_mult(point, scalar)) for point in points]
+
+    @settings(max_examples=30, deadline=None)
+    @given(curve_points_st(), st.lists(curve_scalars_st, min_size=0, max_size=5))
+    def test_fixed_mult_batch(self, point, scalars):
+        kernels.set_active_kernel("native")
+        native = kernels.ed25519_fixed_mult_batch(point, scalars)
+        assert native == [_record(_reference_mult(point, scalar)) for scalar in scalars]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(curve_points_st(), curve_scalars_st), min_size=0, max_size=4))
+    def test_multi_scalar_accumulate(self, terms):
+        kernels.set_active_kernel("native")
+        native = kernels.ed25519_multi_scalar_accumulate(
+            [point for point, _ in terms], [scalar for _, scalar in terms]
+        )
+        expected = group_mod._IDENTITY
+        for point, scalar in terms:
+            expected = group_mod._edwards_add(expected, _reference_mult(point, scalar))
+        assert native == _record(expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(curve_points_st(), min_size=0, max_size=8))
+    def test_encode_batch(self, points):
+        kernels.set_active_kernel("native")
+        native = kernels.ed25519_encode_batch(points)
+        assert native == [_record(point)[0] for point in points]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.binary(min_size=32, max_size=32)
+            | curve_points_st().map(lambda point: _record(point)[0])
+            | st.sampled_from(sorted(REJECTED_ENCODINGS.values())),
+            min_size=0,
+            max_size=8,
+        )
+    )
+    def test_decode_batch(self, encodings):
+        kernels.set_active_kernel("python")
+        expected = []
+        for encoding in encodings:
+            try:
+                expected.append(_record(CURVE.decode(encoding)))
+            except CryptoError:
+                expected.append(None)
+        kernels.set_active_kernel("native")
+        assert kernels.ed25519_decode_batch(encodings) == expected
+
+    def test_single_element_batches(self):
+        kernels.set_active_kernel("native")
+        base, five = group_mod._BASE_POINT, _record(_reference_mult(group_mod._BASE_POINT, 5))
+        assert kernels.ed25519_scalar_mult_batch([base], 5) == [five]
+        assert kernels.ed25519_fixed_mult_batch(base, [5]) == [five]
+        assert kernels.ed25519_multi_scalar_accumulate([base], [5]) == five
+        assert kernels.ed25519_encode_batch([_reference_mult(base, 5)]) == [five[0]]
+        assert kernels.ed25519_decode_batch([five[0]]) == [five]
+
+    def test_empty_batches(self):
+        kernels.set_active_kernel("native")
+        assert kernels.ed25519_scalar_mult_batch([], 5) == []
+        assert kernels.ed25519_fixed_mult_batch(group_mod._BASE_POINT, []) == []
+        assert kernels.ed25519_multi_scalar_accumulate([], []) == _record(group_mod._IDENTITY)
+        assert kernels.ed25519_encode_batch([]) == []
+        assert kernels.ed25519_decode_batch([]) == []
+
+    @pytest.mark.parametrize("reason", sorted(REJECTED_ENCODINGS))
+    def test_decode_rejections_agree_with_reference(self, reason):
+        encoding = REJECTED_ENCODINGS[reason]
+        kernels.set_active_kernel("native")
+        assert kernels.ed25519_decode_batch([encoding]) == [None]
+        raised = []
+        for tier in ("python", "native"):
+            kernels.set_active_kernel(tier)
+            with pytest.raises(CryptoError) as caught:
+                CURVE.decode(encoding)
+            raised.append((type(caught.value), str(caught.value)))
+        assert raised[0] == raised[1]
+
+    def test_decode_declines_wrong_length(self):
+        kernels.set_active_kernel("native")
+        assert kernels.ed25519_decode_batch([b"\x01" * 31]) is None
+        with pytest.raises(DecodingError):
+            CURVE.decode(b"\x01" * 31)
+
+    def test_declines_out_of_range_inputs(self):
+        # Neither a negative nor a 257-bit integer has a 32-byte encoding:
+        # the wrapper falls back rather than guess.
+        kernels.set_active_kernel("native")
+        base = group_mod._BASE_POINT
+        bad = group_mod.Point(-1, 1, 1, 0)
+        assert kernels.ed25519_scalar_mult_batch([bad], 5) is None
+        assert kernels.ed25519_scalar_mult_batch([base], 2**256) is None
+        assert kernels.ed25519_fixed_mult_batch(base, [-1]) is None
+        assert kernels.ed25519_multi_scalar_accumulate([bad], [1]) is None
+        assert kernels.ed25519_encode_batch([bad]) is None
+
+    def test_declines_zero_z(self):
+        kernels.set_active_kernel("native")
+        assert kernels.ed25519_encode_batch([group_mod.Point(0, 0, 0, 0)]) is None
+        assert kernels.ed25519_scalar_mult_batch([group_mod.Point(0, 0, 0, 0)], 3) is None
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.lists(curve_points_st(), min_size=1, max_size=4),
+        st.lists(curve_scalars_st, min_size=4, max_size=4),
+    )
+    def test_group_entry_points_are_tier_invariant(self, points, scalars):
+        """``Ed25519Group`` answers identically on the python and native tiers,
+        scalars at and above the order included (both reduce first)."""
+        answers = []
+        for tier in ("python", "native"):
+            kernels.set_active_kernel(tier)
+            fresh = [group_mod.Point(p.x, p.y, p.z, p.t) for p in points]  # no memo
+            results = [
+                CURVE.scalar_mult(fresh[0], scalars[0]),
+                CURVE.base_mult(scalars[1]),
+                *CURVE.scalar_mult_batch(fresh, scalars[2]),
+                CURVE.multi_scalar_accumulate(fresh, scalars[: len(fresh)]),
+                *group_mod.fixed_point_mult_batch(CURVE, fresh[0], scalars),
+                *group_mod.fixed_point_mult_batch(CURVE, CURVE.base(), scalars),
+            ]
+            encodings = [CURVE.encode(point) for point in fresh + results]
+            decoded = [CURVE.encode(CURVE.decode(encoding)) for encoding in encodings]
+            subgroup = [CURVE.is_in_prime_subgroup(point) for point in fresh]
+            answers.append((encodings, decoded, subgroup))
+        assert answers[0] == answers[1]
+
+    def test_base_comb_first_use_is_thread_safe(self):
+        """Eight threads race to build the base point's comb in a fresh
+        process (the kernel runs with the GIL released); every one of them
+        must get correct products, whichever table wins."""
+        import repro
+
+        code = (
+            "import threading\n"
+            "from repro.crypto import group, kernels\n"
+            "kernels.set_active_kernel('native')\n"
+            "barrier, results = threading.Barrier(8), [None] * 8\n"
+            "def work(index):\n"
+            "    barrier.wait(timeout=60)\n"
+            "    results[index] = kernels.ed25519_fixed_mult_batch(\n"
+            "        group._BASE_POINT, [index + 1, 2**252 + index])\n"
+            "threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]\n"
+            "for thread in threads: thread.start()\n"
+            "for thread in threads: thread.join(timeout=60)\n"
+            "assert not any(thread.is_alive() for thread in threads)\n"
+            "kernels.set_active_kernel('python')\n"
+            "curve = group.Ed25519Group()\n"
+            "for index, records in enumerate(results):\n"
+            "    assert [record[0] for record in records] == [\n"
+            "        curve.encode(curve.base_mult(index + 1)),\n"
+            "        curve.encode(curve.base_mult(2**252 + index))]\n"
+            "print('ok')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        env.pop("XRD_NATIVE_DISABLE", None)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr
+
+    def test_results_carry_their_encoding(self):
+        kernels.set_active_kernel("native")
+        point = CURVE.scalar_mult(CURVE.base_mult(7), 9)
+        assert point.z == 1 and point.t == point.x * point.y % _P
+        assert point.__dict__["_enc"] == _record(point)[0]
+        assert CURVE.decode(point.__dict__["_enc"]).__dict__["_enc"] == point.__dict__["_enc"]
+
+
 # -- tier selection machinery ------------------------------------------------
 
 
@@ -301,6 +593,12 @@ class TestTierSelection:
         assert kernels.aead_seal_batch([b"\x00" * 32], [b"\x00" * 12], [b""], b"") is None
         assert kernels.aead_open_batch([b"\x00" * 32], [b"\x00" * 12], [b""], b"") is None
         assert kernels.modp_scalar_mult_batch(2**61 - 1, [2], 2) is None
+        base = group_mod._BASE_POINT
+        assert kernels.ed25519_scalar_mult_batch([base], 2) is None
+        assert kernels.ed25519_fixed_mult_batch(base, [2]) is None
+        assert kernels.ed25519_multi_scalar_accumulate([base], [2]) is None
+        assert kernels.ed25519_encode_batch([base]) is None
+        assert kernels.ed25519_decode_batch([b"\x01" + b"\x00" * 31]) is None
 
     @needs_native
     def test_numpy_tier_does_not_call_native(self):
@@ -347,6 +645,77 @@ class TestTierSelection:
 
         ffi, lib = native.load()
         assert lib.xrd_abi_version() == native.EXPECTED_ABI
+
+    @needs_native
+    def test_stale_build_is_replaced_before_first_import(self, tmp_path):
+        """The first process after an ABI bump already runs native.
+
+        A copy of the package gets an extension built from sources one ABI
+        behind (stamp included) next to today's sources.  An extension
+        module cannot be reloaded, so the loader must spot the stale file
+        without importing it, rebuild, and only then import.
+        """
+        import repro
+        from repro import native
+
+        package = tmp_path / "src" / "repro"
+        shutil.copytree(
+            os.path.dirname(repro.__file__), package,
+            ignore=shutil.ignore_patterns("__pycache__", "_xrdkernels*"),
+        )
+        source = package / "native" / "xrdkernels.c"
+        current = source.read_text(encoding="utf-8")
+        define = f"#define XRD_KERNELS_ABI {native.EXPECTED_ABI}"
+        assert define in current
+        env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"))
+        env.pop("XRD_NATIVE_DISABLE", None)
+        env.pop("XRD_CRYPTO_KERNEL", None)
+
+        def run(code):
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, cwd=tmp_path,
+                capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            return done.stdout.split()
+
+        source.write_text(
+            current.replace(define, f"#define XRD_KERNELS_ABI {native.EXPECTED_ABI - 1}"),
+            encoding="utf-8",
+        )
+        run("from repro.native import _build; _build.compile_extension()")
+        source.write_text(current, encoding="utf-8")
+        probe = (
+            "from repro import native\n"
+            "from repro.crypto import kernels\n"
+            "print(native._built_abi(), kernels.active_kernel().value,"
+            " native.load()[1].xrd_abi_version(), native.load_error())"
+        )
+        stale, tier, abi, error = run(probe)
+        assert int(stale) == native.EXPECTED_ABI - 1
+        assert (tier, int(abi), error) == ("native", native.EXPECTED_ABI, "None")
+        # ... and the second process finds nothing left to do.
+        assert run(probe) == [str(native.EXPECTED_ABI), "native", str(native.EXPECTED_ABI), "None"]
+
+    def test_abi_mismatch_after_import_is_recorded(self, monkeypatch):
+        """A module that is already in the process cannot be swapped: if it
+        reports the wrong ABI the loader says so instead of a bare ``None``."""
+        from repro import native
+
+        class _Lib:
+            @staticmethod
+            def xrd_abi_version():
+                return native.EXPECTED_ABI - 1
+
+        monkeypatch.delenv("XRD_NATIVE_DISABLE", raising=False)
+        monkeypatch.setattr(native, "_built_abi", lambda: native.EXPECTED_ABI)
+        monkeypatch.setattr(native, "_import_extension", lambda: (object(), _Lib))
+        native.reset_probe_for_tests()
+        try:
+            assert native.load() is None
+            assert "ABI" in str(native.load_error())
+        finally:
+            native.reset_probe_for_tests()
 
 
 class TestDeploymentKnob:
@@ -424,14 +793,16 @@ class TestWindowTableCache:
         table = group_mod._window_table(first)  # promoted
         assert group_mod._window_table(second) is table
 
-    def test_unencoded_point_promoted_on_second_sighting(self):
+    def test_unencoded_point_is_never_cached(self):
+        kernels.set_active_kernel("python")
         group = Ed25519Group()
         point = group.base_mult(11)  # never encoded: no _enc memo yet
         assert "_enc" not in point.__dict__
-        group_mod._window_table(point)
-        group_mod._window_table(point)
-        # Promotion computed the encoding and parked the table durably.
-        assert point.__dict__["_enc"] in group_mod._WINDOW_TABLE_BY_ENCODING
+        first = group_mod._window_table(point)
+        assert group_mod._window_table(point) is not first
+        assert "_enc" not in point.__dict__
+        assert not group_mod._WINDOW_TABLE_BY_ENCODING
+        assert not group_mod._ENCODING_SEEN_ONCE
 
     def test_reset_clears_everything_but_base(self):
         group = Ed25519Group()
@@ -443,8 +814,6 @@ class TestWindowTableCache:
         reset_window_table_caches()
         assert not group_mod._WINDOW_TABLE_BY_ENCODING
         assert not group_mod._ENCODING_SEEN_ONCE
-        assert not group_mod._WINDOW_TABLE_CACHE
-        assert not group_mod._WINDOW_SEEN_ONCE
         assert group_mod._window_table(group.base()) is base_table
 
     def test_cache_is_bounded(self):
