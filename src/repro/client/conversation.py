@@ -26,6 +26,10 @@ class Conversation:
     partner_public_point: object
     shared_secret_bytes: bytes = field(repr=False)
     my_public_bytes: bytes
+    #: The two directional keys; constant for the life of the conversation,
+    #: so they are derived once, in :meth:`establish`.
+    partner_key: bytes = field(repr=False)
+    my_key: bytes = field(repr=False)
     established_round: int = 0
     active: bool = True
     partner_offline: bool = False
@@ -42,22 +46,27 @@ class Conversation:
         """Create conversation state from my key pair and the partner's public key."""
         partner_point = group.decode(partner_public_bytes)
         shared_point = group.diffie_hellman(partner_point, my_keypair.secret)
+        partner_public_bytes = bytes(partner_public_bytes)
+        my_public_bytes = bytes(my_keypair.public_bytes)
+        shared_secret_bytes = group.encode(shared_point)
         return cls(
             partner_name=partner_name,
-            partner_public_bytes=bytes(partner_public_bytes),
+            partner_public_bytes=partner_public_bytes,
             partner_public_point=partner_point,
-            shared_secret_bytes=group.encode(shared_point),
-            my_public_bytes=bytes(my_keypair.public_bytes),
+            shared_secret_bytes=shared_secret_bytes,
+            my_public_bytes=my_public_bytes,
+            partner_key=conversation_key(shared_secret_bytes, partner_public_bytes),
+            my_key=conversation_key(shared_secret_bytes, my_public_bytes),
             established_round=established_round,
         )
 
     def key_to_partner(self) -> bytes:
         """Symmetric key for messages addressed to the partner (``KDF(s_AB, pk_B)``)."""
-        return conversation_key(self.shared_secret_bytes, self.partner_public_bytes)
+        return self.partner_key
 
     def key_to_me(self) -> bytes:
         """Symmetric key for messages the partner addresses to me (``KDF(s_AB, pk_A)``)."""
-        return conversation_key(self.shared_secret_bytes, self.my_public_bytes)
+        return self.my_key
 
     def mark_partner_offline(self) -> None:
         """Record that the partner's offline notice arrived; stop sending to them.

@@ -174,6 +174,30 @@ def _batch_keystreams(keys: Sequence[bytes], nonces: Sequence[bytes],
     return pairs
 
 
+def _keys_for(keys: _kernels.KeyBatch, messages: Sequence[bytes], noun: str) -> bytes:
+    """One 32-byte key per message, as the contiguous blob the kernels take.
+
+    ``keys`` is that blob already (what the KDF batch returns) or a
+    sequence of keys.
+    """
+    if isinstance(keys, bytes):
+        blob, count, whole = keys, len(keys) // 32, len(keys) % 32 == 0
+    else:
+        blob, count, whole = b"".join(keys), len(keys), all(len(key) == 32 for key in keys)
+    if count != len(messages):
+        raise CryptoError(
+            f"one key per {noun} required "
+            f"(got {count} keys, {len(messages)} {noun}s)"
+        )
+    if not whole:
+        raise CryptoError("AEAD key must be 32 bytes")
+    return blob
+
+
+def _split_keys(blob: bytes) -> List[bytes]:
+    return [blob[offset:offset + 32] for offset in range(0, len(blob), 32)]
+
+
 def _normalise_nonces(nonce, count: int) -> List[bytes]:
     if isinstance(nonce, (list, tuple)):
         if len(nonce) != count:
@@ -182,25 +206,20 @@ def _normalise_nonces(nonce, count: int) -> List[bytes]:
     return [_normalise_nonce(nonce)] * count
 
 
-def aenc_batch(keys: Sequence[bytes], nonce, plaintexts: Sequence[bytes],
+def aenc_batch(keys: _kernels.KeyBatch, nonce, plaintexts: Sequence[bytes],
                aad: bytes = b"") -> List[bytes]:
     """Batched :func:`aenc`: ``[aenc(k, nonce, m) for k, m in zip(...)]``.
 
-    ``nonce`` is shared (a round number or 12-byte nonce) or a per-message
-    sequence.  All messages share ``aad``.
+    ``keys`` is a sequence of 32-byte keys or one blob of them (the KDF
+    batch's output).  ``nonce`` is shared (a round number or 12-byte nonce)
+    or a per-message sequence.  All messages share ``aad``.
     """
-    if len(keys) != len(plaintexts):
-        raise CryptoError(
-            "one key per plaintext required "
-            f"(got {len(keys)} keys, {len(plaintexts)} plaintexts)"
-        )
-    for key in keys:
-        if len(key) != 32:
-            raise CryptoError("AEAD key must be 32 bytes")
-    nonces = _normalise_nonces(nonce, len(keys))
-    native = _kernels.aead_seal_batch(keys, nonces, plaintexts, aad)
+    key_blob = _keys_for(keys, plaintexts, "plaintext")
+    nonces = _normalise_nonces(nonce, len(plaintexts))
+    native = _kernels.aead_seal_batch(key_blob, nonces, plaintexts, aad)
     if native is not None:
         return native
+    keys = _split_keys(key_blob)
     lengths = [len(plaintext) for plaintext in plaintexts]
     out: List[bytes] = []
     for (otk, stream), plaintext in zip(_batch_keystreams(keys, nonces, lengths), plaintexts):
@@ -210,28 +229,23 @@ def aenc_batch(keys: Sequence[bytes], nonce, plaintexts: Sequence[bytes],
     return out
 
 
-def adec_batch(keys: Sequence[bytes], nonce, datas: Sequence[bytes],
+def adec_batch(keys: _kernels.KeyBatch, nonce, datas: Sequence[bytes],
                aad: bytes = b"") -> List[Tuple[bool, Optional[bytes]]]:
     """Batched :func:`adec`: per-message ``(ok, plaintext)`` pairs.
 
-    Messages shorter than a tag fail without consuming keystream, exactly
-    like the scalar path.
+    ``keys`` is a sequence of 32-byte keys or one blob of them.  Messages
+    shorter than a tag fail without consuming keystream, exactly like the
+    scalar path.
     """
-    if len(keys) != len(datas):
-        raise CryptoError(
-            "one key per ciphertext required "
-            f"(got {len(keys)} keys, {len(datas)} ciphertexts)"
-        )
-    for key in keys:
-        if len(key) != 32:
-            raise CryptoError("AEAD key must be 32 bytes")
+    key_blob = _keys_for(keys, datas, "ciphertext")
     try:
-        nonces = _normalise_nonces(nonce, len(keys))
+        nonces = _normalise_nonces(nonce, len(datas))
     except CryptoError:
-        return [(False, None)] * len(keys)
-    native = _kernels.aead_open_batch(keys, nonces, datas, aad)
+        return [(False, None)] * len(datas)
+    native = _kernels.aead_open_batch(key_blob, nonces, datas, aad)
     if native is not None:
         return native
+    keys = _split_keys(key_blob)
     # Pass 1: one counter-0 block per message yields every Poly1305 one-time
     # key.  Verify-before-decrypt matters here more than in scalar adec:
     # the fetch cascade's trials fail by design (every message authenticates

@@ -427,6 +427,22 @@ class Ed25519Group:
             for point in points
         ]
 
+    def scalar_mult_keys(self, points: Sequence[Point], scalar: int,
+                         label: bytes) -> Optional[bytes]:
+        """The KDF keys of ``[scalar · P for P in points]`` as one blob, or ``None``.
+
+        DH, encode and KDF without leaving the native kernels; ``None``
+        means there is no fused path and the caller runs the three steps.
+        """
+        return _kernels.ed25519_scalar_mult_keys(points, scalar % self.order, label)
+
+    def fixed_point_mult_keys(self, point: Point, scalars: Sequence[int],
+                              label: bytes) -> Optional[bytes]:
+        """The KDF keys of ``[s · point for s in scalars]`` as one blob, or ``None``."""
+        return _kernels.ed25519_fixed_mult_keys(
+            point, [scalar % self.order for scalar in scalars], label
+        )
+
     def multi_scalar_accumulate(self, points: Sequence[Point], scalars: Sequence[int]) -> Point:
         """Return ``Σ sᵢ·Pᵢ`` with one shared doubling chain (Straus's trick)."""
         if len(points) != len(scalars):
@@ -606,6 +622,24 @@ class ModPGroup:
         if native is not None:
             return native
         return [pow(element, exponent, self.prime) for exponent in exponents]
+
+    def scalar_mult_keys(self, elements: Sequence[int], scalar: int,
+                         label: bytes) -> Optional[bytes]:
+        """The KDF keys of ``[element^scalar for element in elements]`` as one blob, or ``None``.
+
+        DH, encode and KDF without leaving the native kernels; ``None``
+        means there is no fused path and the caller runs the three steps.
+        """
+        return _kernels.modp_scalar_mult_keys(
+            self.prime, elements, scalar % self.order, label
+        )
+
+    def fixed_point_mult_keys(self, element: int, scalars: Sequence[int],
+                              label: bytes) -> Optional[bytes]:
+        """The KDF keys of ``[element^s for s in scalars]`` as one blob, or ``None``."""
+        return _kernels.modp_fixed_mult_keys(
+            self.prime, element, [scalar % self.order for scalar in scalars], label
+        )
 
     def multi_scalar_accumulate(self, elements: Sequence[int], scalars: Sequence[int]) -> int:
         if len(elements) != len(scalars):

@@ -31,7 +31,7 @@ def hkdf_extract(salt: bytes, input_key_material: bytes) -> bytes:
     """HKDF-Extract (RFC 5869): return a pseudorandom key."""
     if not salt:
         salt = b"\x00" * _HASH_LEN
-    return hmac.new(salt, input_key_material, hashlib.sha256).digest()
+    return hmac.digest(salt, input_key_material, hashlib.sha256)
 
 
 def hkdf_expand(pseudo_random_key: bytes, info: bytes, length: int) -> bytes:
@@ -41,17 +41,23 @@ def hkdf_expand(pseudo_random_key: bytes, info: bytes, length: int) -> bytes:
     blocks = []
     previous = b""
     counter = 1
-    while sum(len(block) for block in blocks) < length:
-        previous = hmac.new(
+    produced = 0
+    while produced < length:
+        previous = hmac.digest(
             pseudo_random_key, previous + info + bytes([counter]), hashlib.sha256
-        ).digest()
+        )
         blocks.append(previous)
+        produced += _HASH_LEN
         counter += 1
     return b"".join(blocks)[:length]
 
 
 def derive_key(secret: bytes, label: bytes, context: bytes = b"", length: int = 32) -> bytes:
-    """Derive a symmetric key from ``secret`` with domain separation ``label``."""
+    """Derive a symmetric key from ``secret`` with domain separation ``label``.
+
+    This is the reference the native batch kernel
+    (:func:`repro.crypto.kernels.hkdf_derive_batch`) is held to.
+    """
     pseudo_random_key = hkdf_extract(label, secret)
     return hkdf_expand(pseudo_random_key, context, length)
 

@@ -6,8 +6,8 @@ Three tiers run the batched hot loops, all bit-identical:
 * ``numpy``  — the vectorised ChaCha20 column batch (the pre-native
   default whenever numpy is importable);
 * ``native`` — the ``_xrdkernels`` cffi extension for the proven hot
-  kernels (ChaCha20, the AEAD cascade, the modp ladders, and the
-  edwards25519 ladders, comb, accumulation and point codec), falling back
+  kernels (ChaCha20, the AEAD cascade, batched HKDF, the modp ladders, and
+  the edwards25519 ladders, comb, accumulation and point codec), falling back
   *per function* to the lower tiers for anything it does not cover (or
   cannot run, e.g. a >256-bit modulus).
 
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
@@ -46,11 +47,16 @@ __all__ = [
     "chacha20_blocks",
     "aead_seal_batch",
     "aead_open_batch",
+    "hkdf_derive_batch",
     "modp_scalar_mult_batch",
+    "modp_scalar_mult_keys",
     "modp_fixed_mult_batch",
+    "modp_fixed_mult_keys",
     "modp_multi_scalar_accumulate",
     "ed25519_scalar_mult_batch",
+    "ed25519_scalar_mult_keys",
     "ed25519_fixed_mult_batch",
+    "ed25519_fixed_mult_keys",
     "ed25519_multi_scalar_accumulate",
     "ed25519_encode_batch",
     "ed25519_decode_batch",
@@ -200,26 +206,35 @@ def chacha20_blocks(keys: Sequence[bytes], nonces: Sequence[bytes],
 
 
 def _offsets(lengths: Sequence[int]) -> List[int]:
-    offs = [0]
-    for length in lengths:
-        offs.append(offs[-1] + length)
-    return offs
+    return list(accumulate(lengths, initial=0))
 
 
-def aead_seal_batch(keys: Sequence[bytes], nonces: Sequence[bytes],
+#: AEAD keys for a batch: one contiguous blob of 32-byte keys (what the KDF
+#: kernels return) or a sequence of them.
+KeyBatch = Union[bytes, Sequence[bytes]]
+
+
+def _key_blob(keys: KeyBatch) -> bytes:
+    return keys if isinstance(keys, bytes) else b"".join(keys)
+
+
+def aead_seal_batch(keys: KeyBatch, nonces: Sequence[bytes],
                     plaintexts: Sequence[bytes], aad: bytes) -> Optional[List[bytes]]:
     """Whole-batch ChaCha20-Poly1305 seal (ct || tag per message), or ``None``."""
     handle = _handle()
     if handle is None:
         return None
     ffi, lib = handle
-    count = len(keys)
+    count = len(plaintexts)
+    key_blob = _key_blob(keys)
+    if len(key_blob) != 32 * count:
+        return None
     pt_offs = _offsets([len(pt) for pt in plaintexts])
     out_offs = _offsets([len(pt) + 16 for pt in plaintexts])
     out = bytearray(out_offs[-1])
     if count:
         rc = lib.xrd_aead_seal_batch(
-            b"".join(keys), b"".join(nonces), count,
+            key_blob, b"".join(nonces), count,
             b"".join(plaintexts), ffi.new("uint64_t[]", pt_offs),
             aad, len(aad),
             ffi.from_buffer(out, require_writable=True),
@@ -230,7 +245,7 @@ def aead_seal_batch(keys: Sequence[bytes], nonces: Sequence[bytes],
     return [bytes(out[out_offs[i]:out_offs[i + 1]]) for i in range(count)]
 
 
-def aead_open_batch(keys: Sequence[bytes], nonces: Sequence[bytes],
+def aead_open_batch(keys: KeyBatch, nonces: Sequence[bytes],
                     datas: Sequence[bytes], aad: bytes,
                     ) -> Optional[List[Tuple[bool, Optional[bytes]]]]:
     """Whole-batch verify-then-decrypt cascade, or ``None``.
@@ -243,14 +258,17 @@ def aead_open_batch(keys: Sequence[bytes], nonces: Sequence[bytes],
     if handle is None:
         return None
     ffi, lib = handle
-    count = len(keys)
+    count = len(datas)
+    key_blob = _key_blob(keys)
+    if len(key_blob) != 32 * count:
+        return None
     ct_offs = _offsets([len(d) for d in datas])
     pt_offs = _offsets([max(0, len(d) - 16) for d in datas])
     plain = bytearray(pt_offs[-1])
     ok = bytearray(count)
     if count:
         rc = lib.xrd_aead_open_batch(
-            b"".join(keys), b"".join(nonces), count,
+            key_blob, b"".join(nonces), count,
             b"".join(datas), ffi.new("uint64_t[]", ct_offs),
             aad, len(aad),
             ffi.from_buffer(plain, require_writable=True),
@@ -265,17 +283,67 @@ def aead_open_batch(keys: Sequence[bytes], nonces: Sequence[bytes],
     ]
 
 
+# -- HKDF-SHA256 --------------------------------------------------------------
+#
+# The step between the DH kernels and the AEAD kernels.  Keys come back as
+# one blob of 32-byte keys, in input order — the layout ``aead_seal_batch``
+# and ``aead_open_batch`` pass to C as is — so a DH → KDF → AEAD pipeline
+# creates no per-element Python object between its three kernel calls.
+
+
+def _hkdf(secrets: Union[bytes, bytearray], stride: int,
+          label: bytes, context: bytes) -> Optional[bytes]:
+    """Keys for the 32-byte secrets that start every ``stride`` bytes of ``secrets``."""
+    handle = _handle()
+    if handle is None:
+        return None
+    ffi, lib = handle
+    count = len(secrets) // stride
+    out = bytearray(32 * count)
+    if count:
+        rc = lib.xrd_hkdf_sha256_batch(
+            label, len(label), context, len(context),
+            ffi.from_buffer(secrets), stride, count,
+            ffi.from_buffer(out, require_writable=True),
+        )
+        if rc != 0:  # pragma: no cover - the strides passed here are 32 and 96
+            return None
+    return bytes(out)
+
+
+def hkdf_derive_batch(secrets: bytes, label: bytes, context: bytes = b"",
+                      length: int = 32) -> Optional[bytes]:
+    """``derive_key(secret, label, context)`` for each 32-byte secret, or ``None``.
+
+    ``secrets`` is one blob of 32-byte encoded group elements; the result
+    is the blob of their keys.  The kernel has one shape, 32 bytes in and
+    32 bytes out: any other ``length``, or a blob that is not whole
+    secrets, is declined.
+    """
+    if length != 32 or len(secrets) % 32:
+        return None
+    return _hkdf(secrets, 32, label, context)
+
+
+# -- modp ---------------------------------------------------------------------
+#
+# Each multiplication kernel has two wrappers over one call: ``*_batch``
+# returns the elements as the integers the group works in, ``*_keys`` hands
+# the kernel's output (already the 32-byte wire encodings) to the KDF kernel
+# and returns the key blob (``derive_key(encoding, label)``, empty context:
+# what ``kdf.shared_key_from_element`` derives).
+
+
 def _modp_ready(prime: int) -> bool:
     return prime.bit_length() <= _MODP_LIMIT_BITS and prime % 2 == 1
 
 
-def modp_scalar_mult_batch(prime: int, elements: Sequence[int],
-                           exponent: int) -> Optional[List[int]]:
-    """``[pow(e, exponent, prime) for e in elements]`` natively, or ``None``.
+def _modp_ints(blob: bytearray) -> List[int]:
+    return [int.from_bytes(blob[offset:offset + 32], "big") for offset in range(0, len(blob), 32)]
 
-    ``exponent`` must already be reduced into ``[0, 2^256)`` (callers
-    reduce mod the group order first, as the reference path does).
-    """
+
+def _modp_scalar_mult(prime: int, elements: Sequence[int],
+                      exponent: int) -> Optional[bytearray]:
     handle = _handle()
     if handle is None or not _modp_ready(prime):
         return None
@@ -294,12 +362,11 @@ def modp_scalar_mult_batch(prime: int, elements: Sequence[int],
             return None
         if rc != 0:
             return None
-    return [int.from_bytes(out[32 * i:32 * i + 32], "big") for i in range(count)]
+    return out
 
 
-def modp_fixed_mult_batch(prime: int, element: int,
-                          exponents: Sequence[int]) -> Optional[List[int]]:
-    """``[pow(element, x, prime) for x in exponents]`` natively, or ``None``."""
+def _modp_fixed_mult(prime: int, element: int,
+                     exponents: Sequence[int]) -> Optional[bytearray]:
     handle = _handle()
     if handle is None or not _modp_ready(prime):
         return None
@@ -317,7 +384,39 @@ def modp_fixed_mult_batch(prime: int, element: int,
             return None
         if rc != 0:
             return None
-    return [int.from_bytes(out[32 * i:32 * i + 32], "big") for i in range(count)]
+    return out
+
+
+def modp_scalar_mult_batch(prime: int, elements: Sequence[int],
+                           exponent: int) -> Optional[List[int]]:
+    """``[pow(e, exponent, prime) for e in elements]`` natively, or ``None``.
+
+    ``exponent`` must already be reduced into ``[0, 2^256)`` (callers
+    reduce mod the group order first, as the reference path does).
+    """
+    out = _modp_scalar_mult(prime, elements, exponent)
+    return None if out is None else _modp_ints(out)
+
+
+def modp_scalar_mult_keys(prime: int, elements: Sequence[int], exponent: int,
+                          label: bytes) -> Optional[bytes]:
+    """The KDF keys of :func:`modp_scalar_mult_batch`'s elements as one blob, or ``None``."""
+    out = _modp_scalar_mult(prime, elements, exponent)
+    return None if out is None else _hkdf(out, 32, label, b"")
+
+
+def modp_fixed_mult_batch(prime: int, element: int,
+                          exponents: Sequence[int]) -> Optional[List[int]]:
+    """``[pow(element, x, prime) for x in exponents]`` natively, or ``None``."""
+    out = _modp_fixed_mult(prime, element, exponents)
+    return None if out is None else _modp_ints(out)
+
+
+def modp_fixed_mult_keys(prime: int, element: int, exponents: Sequence[int],
+                         label: bytes) -> Optional[bytes]:
+    """The KDF keys of :func:`modp_fixed_mult_batch`'s elements as one blob, or ``None``."""
+    out = _modp_fixed_mult(prime, element, exponents)
+    return None if out is None else _hkdf(out, 32, label, b"")
 
 
 def modp_multi_scalar_accumulate(prime: int, elements: Sequence[int],
@@ -380,13 +479,7 @@ def _ed25519_records(out: bytearray, count: int) -> List[Ed25519Record]:
     return records
 
 
-def ed25519_scalar_mult_batch(points: Sequence[object],
-                              scalar: int) -> Optional[List[Ed25519Record]]:
-    """``[scalar · P for P in points]`` natively, or ``None``.
-
-    Constant time in ``scalar`` (a chain member's blinding or mixing
-    secret): a fixed 64-window ladder with masked table selects.
-    """
+def _ed25519_scalar_mult(points: Sequence[object], scalar: int) -> Optional[bytearray]:
     handle = _handle()
     if handle is None:
         return None
@@ -403,18 +496,10 @@ def ed25519_scalar_mult_batch(points: Sequence[object],
             return None
         if rc != 0:
             return None
-    return _ed25519_records(out, count)
+    return out
 
 
-def ed25519_fixed_mult_batch(point: object,
-                             scalars: Sequence[int]) -> Optional[List[Ed25519Record]]:
-    """``[s · point for s in scalars]`` natively, or ``None``.
-
-    Constant time in the scalars (users' ephemeral secrets).  Each is 64
-    additions over the point's comb; the kernel recognises the standard
-    base point and keeps its comb for the process, and builds any other
-    point's (about four ladders' worth) for the one call.
-    """
+def _ed25519_fixed_mult(point: object, scalars: Sequence[int]) -> Optional[bytearray]:
     handle = _handle()
     if handle is None:
         return None
@@ -432,7 +517,49 @@ def ed25519_fixed_mult_batch(point: object,
             return None
         if rc != 0:
             return None
-    return _ed25519_records(out, count)
+    return out
+
+
+def ed25519_scalar_mult_batch(points: Sequence[object],
+                              scalar: int) -> Optional[List[Ed25519Record]]:
+    """``[scalar · P for P in points]`` natively, or ``None``.
+
+    Constant time in ``scalar`` (a chain member's blinding or mixing
+    secret): a fixed 64-window ladder with masked table selects.
+    """
+    out = _ed25519_scalar_mult(points, scalar)
+    return None if out is None else _ed25519_records(out, len(points))
+
+
+def ed25519_scalar_mult_keys(points: Sequence[object], scalar: int,
+                             label: bytes) -> Optional[bytes]:
+    """The KDF keys of :func:`ed25519_scalar_mult_batch`'s points as one blob, or ``None``.
+
+    A record opens with its point's encoding, so the KDF kernel reads the
+    records where they lie.
+    """
+    out = _ed25519_scalar_mult(points, scalar)
+    return None if out is None else _hkdf(out, 96, label, b"")
+
+
+def ed25519_fixed_mult_batch(point: object,
+                             scalars: Sequence[int]) -> Optional[List[Ed25519Record]]:
+    """``[s · point for s in scalars]`` natively, or ``None``.
+
+    Constant time in the scalars (users' ephemeral secrets).  Each is 64
+    additions over the point's comb; the kernel recognises the standard
+    base point and keeps its comb for the process, and builds any other
+    point's (about four ladders' worth) for the one call.
+    """
+    out = _ed25519_fixed_mult(point, scalars)
+    return None if out is None else _ed25519_records(out, len(scalars))
+
+
+def ed25519_fixed_mult_keys(point: object, scalars: Sequence[int],
+                            label: bytes) -> Optional[bytes]:
+    """The KDF keys of :func:`ed25519_fixed_mult_batch`'s points as one blob, or ``None``."""
+    out = _ed25519_fixed_mult(point, scalars)
+    return None if out is None else _hkdf(out, 96, label, b"")
 
 
 def ed25519_multi_scalar_accumulate(points: Sequence[object],

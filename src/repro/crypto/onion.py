@@ -19,7 +19,7 @@ Padding helpers enforce the paper's fixed 256-byte payloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.constants import (
     AEAD_TAG_SIZE,
@@ -29,6 +29,7 @@ from repro.constants import (
     PAYLOAD_SIZE,
 )
 from repro.crypto.aead import adec, adec_batch, aenc
+from repro.crypto.group import fixed_point_mult_batch, scalar_mult_batch
 from repro.crypto.kdf import shared_key_from_element
 from repro.errors import CryptoError
 
@@ -38,6 +39,7 @@ __all__ = [
     "unpad_payload",
     "outer_layer_key",
     "inner_envelope_key",
+    "shared_keys_batch",
     "encrypt_inner",
     "decrypt_inner",
     "decrypt_inner_batch",
@@ -88,6 +90,34 @@ def outer_layer_key(group, dh_element) -> bytes:
 def inner_envelope_key(group, dh_element) -> bytes:
     """AEAD key for the inner envelope, derived from the DH shared element."""
     return shared_key_from_element(group.encode(dh_element), KDF_LABEL_INNER)
+
+
+def shared_keys_batch(group, label: bytes, points, scalars: Union[int, Sequence[int]]) -> bytes:
+    """The AEAD keys of a whole batch of DH shared elements, as one blob.
+
+    ``label`` is :data:`KDF_LABEL_OUTER` or :data:`KDF_LABEL_INNER`; key
+    ``i`` (bytes ``32·i`` onwards) equals :func:`outer_layer_key` or
+    :func:`inner_envelope_key` of shared element ``i``.  The batch has one
+    of the two shapes a round produces: a sequence of ``points`` under one
+    ``scalars`` integer (a server's secret over every submission), or one
+    ``points`` element under a sequence of ``scalars`` (every user's
+    ephemeral secret over one server key).  On the native tier the
+    multiplication, the encoding and the KDF run as kernel calls with no
+    per-element Python in between; :func:`~repro.crypto.aead.aenc_batch`
+    and :func:`~repro.crypto.aead.adec_batch` take the blob as it is.
+    """
+    if isinstance(scalars, int):
+        fused, mult = group.scalar_mult_keys, scalar_mult_batch
+    else:
+        fused, mult = group.fixed_point_mult_keys, fixed_point_mult_batch
+    keys = fused(points, scalars, label)
+    if keys is not None:
+        return keys
+    # The reference path: outer_layer_key / inner_envelope_key per element.
+    return b"".join(
+        shared_key_from_element(group.encode(shared), label)
+        for shared in mult(group, points, scalars)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -149,8 +179,6 @@ def decrypt_inner_batch(
     elements use the many-points-one-scalar fast path and the AEAD opens run
     as one batched keystream pass.
     """
-    from repro.crypto.group import scalar_mult_batch  # deferred: group imports field only
-
     aggregate_secret = sum(inner_secrets) % group.order
     results: List[Tuple[bool, Optional[bytes]]] = [(False, None)] * len(envelopes)
     decodable = []
@@ -161,8 +189,7 @@ def decrypt_inner_batch(
         except Exception:
             continue
         decodable.append(index)
-    shared_elements = scalar_mult_batch(group, points, aggregate_secret)
-    keys = [inner_envelope_key(group, shared) for shared in shared_elements]
+    keys = shared_keys_batch(group, KDF_LABEL_INNER, points, aggregate_secret)
     opened = adec_batch(keys, round_number, [envelopes[i].ciphertext for i in decodable])
     for index, result in zip(decodable, opened):
         results[index] = result

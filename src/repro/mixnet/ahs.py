@@ -36,6 +36,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.constants import KDF_LABEL_OUTER
 from repro.crypto.nizk import (
     DleqProof,
     SchnorrProof,
@@ -49,7 +50,7 @@ from repro.crypto.group import scalar_mult_batch
 from repro.crypto.onion import (
     InnerEnvelope,
     decrypt_inner_batch,
-    outer_layer_key,
+    shared_keys_batch,
 )
 from repro.errors import ProofError, ProtocolError
 from repro.mixnet.messages import (
@@ -206,6 +207,17 @@ class _RoundRecord:
     precomputed: Optional[Dict[bytes, tuple]] = None
 
 
+def _batch_publics(entries: Sequence[BatchEntry]) -> List[object]:
+    """Every entry's DH public.
+
+    A wire-resident batch decodes its elements only: iterating it would
+    build a :class:`BatchEntry` per entry, ciphertext copy included.
+    """
+    if isinstance(entries, EncodedBatch):
+        return entries.decode_publics()
+    return [entry.dh_public for entry in entries]
+
+
 class ChainMember:
     """One server's state and behaviour within one chain.
 
@@ -318,9 +330,9 @@ class ChainMember:
         if missing:
             fresh = [dh_publics[index] for index in missing]
             blinded = scalar_mult_batch(group, fresh, self.blinding_secret)
-            shared = scalar_mult_batch(group, fresh, self.mixing_secret)
-            for index, blinded_key, shared_element in zip(missing, blinded, shared):
-                table[encodings[index]] = (blinded_key, outer_layer_key(group, shared_element))
+            keys = shared_keys_batch(group, KDF_LABEL_OUTER, fresh, self.mixing_secret)
+            for slot, (index, blinded_key) in enumerate(zip(missing, blinded)):
+                table[encodings[index]] = (blinded_key, keys[32 * slot:32 * slot + 32])
         return [table[key][0] for key in encodings]
 
     def invalidate_precompute(self, round_number: Optional[int] = None) -> None:
@@ -340,14 +352,15 @@ class ChainMember:
 
     def _blind_and_derive_keys(
         self, round_number: int, dh_publics: Sequence[object]
-    ) -> Tuple[List[object], List[bytes]]:
+    ) -> Tuple[List[object], bytes]:
         """The two public-key passes of the mix step, precomputed or fresh.
 
-        With a precompute table the passes become table lookups (topping up
-        any entries the precompute phase missed); without one this is the
-        straight batched reference path.  Values are bit-identical either
-        way — ``scalar_mult`` is deterministic — which is what the
-        precompute parity matrix asserts.
+        Returns the blinded keys and the outer layer keys, the latter as
+        the one blob ``adec_batch`` takes.  With a precompute table the
+        passes become table lookups (topping up any entries the precompute
+        phase missed); without one this is the straight batched reference
+        path.  Values are bit-identical either way — ``scalar_mult`` is
+        deterministic — which is what the precompute parity matrix asserts.
         """
         group = self.group
         record = self._rounds.setdefault(round_number, _RoundRecord())
@@ -357,8 +370,9 @@ class ChainMember:
             # whole batch; the per-entry shared elements for layer removal
             # are one many-points-one-scalar pass over the mixing secret.
             blinded_keys = scalar_mult_batch(group, dh_publics, self.blinding_secret)
-            shared_elements = scalar_mult_batch(group, dh_publics, self.mixing_secret)
-            return blinded_keys, [outer_layer_key(group, shared) for shared in shared_elements]
+            return blinded_keys, shared_keys_batch(
+                group, KDF_LABEL_OUTER, dh_publics, self.mixing_secret
+            )
         table = record.precomputed
         encodings = [group.encode(public) for public in dh_publics]
         missing = [public for public, key in zip(dh_publics, encodings) if key not in table]
@@ -366,7 +380,7 @@ class ChainMember:
             self.precompute_round(round_number, missing)
         return (
             [table[key][0] for key in encodings],
-            [table[key][1] for key in encodings],
+            b"".join(table[key][1] for key in encodings),
         )
 
     # -- mixing -----------------------------------------------------------------
@@ -393,13 +407,12 @@ class ChainMember:
         rng = self._round_rng(round_number)
         record = self._rounds.setdefault(round_number, _RoundRecord())
         streamed = isinstance(entries, EncodedBatch)
+        dh_publics = _batch_publics(entries)
         if streamed:
             record.inputs = entries  # immutable, blob-backed: no copy
-            dh_publics = entries.decode_publics()
             ciphertexts = [entries.ciphertext(index) for index in range(len(entries))]
         else:
             record.inputs = list(entries)
-            dh_publics = [entry.dh_public for entry in entries]
             ciphertexts = [entry.ciphertext for entry in entries]
         blinded_keys, layer_keys = self._blind_and_derive_keys(round_number, dh_publics)
         # The authenticated opens run as one keystream batch; per-entry
@@ -835,12 +848,8 @@ class MixChain:
                 return rerun
             # Aggregate blinding verification performed on behalf of every
             # other (in particular the honest) member.
-            input_aggregate = group.sum(entry.dh_public for entry in entries) if entries else group.identity()
-            output_aggregate = (
-                group.sum(entry.dh_public for entry in result.entries)
-                if result.entries
-                else group.identity()
-            )
+            input_aggregate = group.sum(_batch_publics(entries))
+            output_aggregate = group.sum(_batch_publics(result.entries))
             context = mixing_context(self.chain_id, member.position, round_number)
             valid = (
                 result.proof is not None

@@ -26,6 +26,10 @@ int xrd_aead_open_batch(const uint8_t *keys, const uint8_t *nonces, size_t count
                         const uint8_t *aad, size_t aad_len,
                         uint8_t *plain_out, const uint64_t *pt_offsets,
                         uint8_t *ok_out);
+int xrd_hkdf_sha256_batch(const uint8_t *label, size_t label_len,
+                          const uint8_t *context, size_t context_len,
+                          const uint8_t *secrets, size_t stride, size_t count,
+                          uint8_t *out);
 int xrd_modp_scalar_mult_batch(const uint8_t *prime, const uint8_t *elements,
                                size_t count, const uint8_t *exponent,
                                uint8_t *out);

@@ -1,6 +1,6 @@
 /* Native crypto kernels for the batched hot loops (DESIGN.md §11).
  *
- * Five kernel families, mirroring the pure-Python reference
+ * Six kernel families, mirroring the pure-Python reference
  * implementations bit for bit:
  *
  *   - batched ChaCha20 keystream blocks (RFC 8439 §2.3);
@@ -8,6 +8,9 @@
  *     trial-decrypt cascade behind adec_batch: one counter-0 block per
  *     message for the Poly1305 one-time key, verify-before-decrypt,
  *     payload keystream only for survivors);
+ *   - batched HKDF-SHA256 (RFC 5869; kdf.py's derive_key): the step from a
+ *     32-byte encoded Diffie-Hellman element to its 32-byte AEAD key, one
+ *     label and context for the whole batch;
  *   - Montgomery-form modular exponentiation over the small modp test
  *     group: many-bases-one-exponent (scalar_mult_batch),
  *     one-base-many-exponents (fixed_point_mult_batch), and the fused
@@ -34,7 +37,7 @@
  * stale prebuilt module and rebuilds it.  The stamp string lets the loader
  * read the ABI of a built module from its file, without importing it (an
  * imported extension cannot be replaced within the process). */
-#define XRD_KERNELS_ABI 2
+#define XRD_KERNELS_ABI 3
 #define XRD_STR2(x) #x
 #define XRD_STR(x) XRD_STR2(x)
 
@@ -297,6 +300,174 @@ int xrd_aead_open_batch(const uint8_t *keys, const uint8_t *nonces, size_t count
         if (memcmp(tag, data + ct_len, 16) != 0) continue;
         chacha_xor(key, nonce, 1, data, ct_len, plain_out + pt_offsets[i]);
         ok_out[i] = 1;
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* HKDF-SHA256 batches (RFC 5869): encoded DH element -> AEAD key      */
+/* ------------------------------------------------------------------ */
+
+/* Nothing here branches on, or indexes by, a byte of the secrets or of
+ * anything derived from them; the only data-dependent control flow is on
+ * lengths, which are public. */
+
+static uint32_t be32(const uint8_t *p) {
+    return ((uint32_t)p[0] << 24) | ((uint32_t)p[1] << 16) | ((uint32_t)p[2] << 8)
+         | (uint32_t)p[3];
+}
+
+static void st32_be(uint8_t *p, uint32_t v) {
+    p[0] = (uint8_t)(v >> 24);
+    p[1] = (uint8_t)(v >> 16);
+    p[2] = (uint8_t)(v >> 8);
+    p[3] = (uint8_t)v;
+}
+
+static const uint32_t SHA256_K[64] = {
+    0x428a2f98u, 0x71374491u, 0xb5c0fbcfu, 0xe9b5dba5u, 0x3956c25bu, 0x59f111f1u,
+    0x923f82a4u, 0xab1c5ed5u, 0xd807aa98u, 0x12835b01u, 0x243185beu, 0x550c7dc3u,
+    0x72be5d74u, 0x80deb1feu, 0x9bdc06a7u, 0xc19bf174u, 0xe49b69c1u, 0xefbe4786u,
+    0x0fc19dc6u, 0x240ca1ccu, 0x2de92c6fu, 0x4a7484aau, 0x5cb0a9dcu, 0x76f988dau,
+    0x983e5152u, 0xa831c66du, 0xb00327c8u, 0xbf597fc7u, 0xc6e00bf3u, 0xd5a79147u,
+    0x06ca6351u, 0x14292967u, 0x27b70a85u, 0x2e1b2138u, 0x4d2c6dfcu, 0x53380d13u,
+    0x650a7354u, 0x766a0abbu, 0x81c2c92eu, 0x92722c85u, 0xa2bfe8a1u, 0xa81a664bu,
+    0xc24b8b70u, 0xc76c51a3u, 0xd192e819u, 0xd6990624u, 0xf40e3585u, 0x106aa070u,
+    0x19a4c116u, 0x1e376c08u, 0x2748774cu, 0x34b0bcb5u, 0x391c0cb3u, 0x4ed8aa4au,
+    0x5b9cca4fu, 0x682e6ff3u, 0x748f82eeu, 0x78a5636fu, 0x84c87814u, 0x8cc70208u,
+    0x90befffau, 0xa4506cebu, 0xbef9a3f7u, 0xc67178f2u};
+
+#define ROTR32(v, n) (((v) >> (n)) | ((v) << (32 - (n))))
+
+static void sha256_compress(uint32_t state[8], const uint8_t block[64]) {
+    uint32_t w[64];
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    int i;
+    for (i = 0; i < 16; i++) w[i] = be32(block + 4 * i);
+    for (i = 16; i < 64; i++) {
+        uint32_t s0 = ROTR32(w[i - 15], 7) ^ ROTR32(w[i - 15], 18) ^ (w[i - 15] >> 3);
+        uint32_t s1 = ROTR32(w[i - 2], 17) ^ ROTR32(w[i - 2], 19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    for (i = 0; i < 64; i++) {
+        uint32_t t1 = h + (ROTR32(e, 6) ^ ROTR32(e, 11) ^ ROTR32(e, 25))
+                    + ((e & f) ^ (~e & g)) + SHA256_K[i] + w[i];
+        uint32_t t2 = (ROTR32(a, 2) ^ ROTR32(a, 13) ^ ROTR32(a, 22))
+                    + ((a & b) ^ (a & c) ^ (b & c));
+        h = g; g = f; f = e; e = d + t1;
+        d = c; c = b; b = a; a = t1 + t2;
+    }
+    state[0] += a; state[1] += b; state[2] += c; state[3] += d;
+    state[4] += e; state[5] += f; state[6] += g; state[7] += h;
+}
+
+typedef struct {
+    uint32_t state[8];
+    uint64_t length;     /* bytes absorbed so far */
+    uint8_t buffer[64];  /* the length % 64 bytes not yet compressed */
+} sha256_ctx;
+
+static void sha256_init(sha256_ctx *ctx) {
+    static const uint32_t initial[8] = {
+        0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
+        0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u};
+    memcpy(ctx->state, initial, sizeof(initial));
+    ctx->length = 0;
+}
+
+static void sha256_update(sha256_ctx *ctx, const uint8_t *data, size_t len) {
+    size_t held = (size_t)(ctx->length % 64);
+    if (!len) return;
+    ctx->length += len;
+    if (held) {
+        size_t want = 64 - held;
+        if (want > len) want = len;
+        memcpy(ctx->buffer + held, data, want);
+        data += want; len -= want;
+        if (held + want < 64) return;
+        sha256_compress(ctx->state, ctx->buffer);
+    }
+    for (; len >= 64; data += 64, len -= 64) sha256_compress(ctx->state, data);
+    if (len) memcpy(ctx->buffer, data, len);
+}
+
+static void sha256_final(sha256_ctx *ctx, uint8_t out[32]) {
+    size_t held = (size_t)(ctx->length % 64);
+    uint64_t bits = ctx->length * 8;
+    int i;
+    ctx->buffer[held++] = 0x80;
+    if (held > 56) {
+        memset(ctx->buffer + held, 0, 64 - held);
+        sha256_compress(ctx->state, ctx->buffer);
+        held = 0;
+    }
+    memset(ctx->buffer + held, 0, 56 - held);
+    st32_be(ctx->buffer + 56, (uint32_t)(bits >> 32));
+    st32_be(ctx->buffer + 60, (uint32_t)bits);
+    sha256_compress(ctx->state, ctx->buffer);
+    for (i = 0; i < 8; i++) st32_be(out + 4 * i, ctx->state[i]);
+}
+
+/* An HMAC key as the two hash states that have absorbed key ^ ipad and
+ * key ^ opad: every MAC under the key starts from a copy of them. */
+typedef struct { sha256_ctx inner, outer; } hmac_key;
+
+static void hmac_set_key(hmac_key *mac, const uint8_t *key, size_t key_len) {
+    uint8_t block[64] = {0};
+    int i;
+    if (key_len > 64) {  /* a key longer than a block is hashed first */
+        sha256_init(&mac->inner);
+        sha256_update(&mac->inner, key, key_len);
+        sha256_final(&mac->inner, block);
+    } else if (key_len) {
+        memcpy(block, key, key_len);
+    }
+    for (i = 0; i < 64; i++) block[i] ^= 0x36;
+    sha256_init(&mac->inner);
+    sha256_update(&mac->inner, block, 64);
+    for (i = 0; i < 64; i++) block[i] ^= 0x36 ^ 0x5c;
+    sha256_init(&mac->outer);
+    sha256_update(&mac->outer, block, 64);
+}
+
+/* out = HMAC(key, m) for the message m that `inner` (a copy of the key's
+ * inner state) has absorbed. */
+static void hmac_finish(const hmac_key *mac, sha256_ctx *inner, uint8_t out[32]) {
+    sha256_ctx outer = mac->outer;
+    sha256_final(inner, out);
+    sha256_update(&outer, out, 32);
+    sha256_final(&outer, out);
+}
+
+/* out[32 i ..] = HKDF(salt = label, IKM = the 32 bytes at secrets +
+ * stride i, info = context, L = 32): extract, then the one block of
+ * expand, T(1) = HMAC(PRK, context || 0x01).  An empty label is RFC 5869's
+ * default salt (a zero key either way).  `stride` is 32 for packed
+ * encodings and 96 for the curve kernels' records, whose first 32 bytes
+ * are the encoding.  The label's two key states are computed once for the
+ * batch; each element then costs six compressions while context || 0x01
+ * fits one block. */
+int xrd_hkdf_sha256_batch(const uint8_t *label, size_t label_len,
+                          const uint8_t *context, size_t context_len,
+                          const uint8_t *secrets, size_t stride, size_t count,
+                          uint8_t *out) {
+    static const uint8_t block_index = 1;
+    hmac_key salt, prk_key;
+    sha256_ctx inner;
+    uint8_t prk[32];
+    size_t i;
+    if (stride < 32) return -1;
+    hmac_set_key(&salt, label, label_len);
+    for (i = 0; i < count; i++) {
+        inner = salt.inner;
+        sha256_update(&inner, secrets + stride * i, 32);
+        hmac_finish(&salt, &inner, prk);
+        hmac_set_key(&prk_key, prk, 32);
+        inner = prk_key.inner;
+        sha256_update(&inner, context, context_len);
+        sha256_update(&inner, &block_index, 1);
+        hmac_finish(&prk_key, &inner, out + 32 * i);
     }
     return 0;
 }

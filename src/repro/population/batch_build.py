@@ -9,10 +9,12 @@ ClientSubmission` batch in one pass per cryptographic operation:
 
 1. every mailbox body is sealed in one batched AEAD call;
 2. the inner envelopes share one fixed-point pass over the aggregate inner
-   key (``y_i · Σipk``) and one batched AEAD call;
+   key (``y_i · Σipk``), keyed straight into one batched AEAD call;
 3. each outer layer is one fixed-point pass over that mixing key
    (``x_i · mpk_j``) plus one batched AEAD call — ℓ layers, ℓ passes,
-   instead of ℓ passes *per user*;
+   instead of ℓ passes *per user*.  Both DH passes come back as key blobs
+   (:func:`~repro.crypto.onion.shared_keys_batch`): the shared elements
+   never become Python objects;
 4. the Schnorr proofs reuse the already-computed ``X_i = g^{x_i}`` and
    differ from :func:`repro.crypto.nizk.prove_dlog` only in not re-deriving
    it.
@@ -29,11 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.constants import NIZK_LABEL_DLOG
+from repro.constants import KDF_LABEL_INNER, KDF_LABEL_OUTER, NIZK_LABEL_DLOG
 from repro.crypto.aead import aenc_batch
 from repro.crypto.group import fixed_point_mult_batch
 from repro.crypto.nizk import SchnorrProof
-from repro.crypto.onion import inner_envelope_key, outer_layer_key
+from repro.crypto.onion import shared_keys_batch
 from repro.mixnet.ahs import submission_context
 from repro.mixnet.messages import ClientSubmission
 
@@ -92,8 +94,9 @@ def build_chain_submissions(
     #    table over the chain.
     inner_scalars = [entry.inner_scalar for entry in entries]
     inner_publics = fixed_point_mult_batch(group, base, inner_scalars)
-    inner_shared = fixed_point_mult_batch(group, view.aggregate_inner_public, inner_scalars)
-    inner_keys = [inner_envelope_key(group, shared) for shared in inner_shared]
+    inner_keys = shared_keys_batch(
+        group, KDF_LABEL_INNER, view.aggregate_inner_public, inner_scalars
+    )
     inner_cts = aenc_batch(inner_keys, round_number, mailbox_bytes)
     payloads = [
         group.encode(public) + ciphertext
@@ -104,8 +107,7 @@ def build_chain_submissions(
     #    (encrypt_outer_layers, innermost key last).
     outer_scalars = [entry.outer_scalar for entry in entries]
     for mixing_public in reversed(list(view.mixing_publics)):
-        shared_elements = fixed_point_mult_batch(group, mixing_public, outer_scalars)
-        layer_keys = [outer_layer_key(group, shared) for shared in shared_elements]
+        layer_keys = shared_keys_batch(group, KDF_LABEL_OUTER, mixing_public, outer_scalars)
         payloads = aenc_batch(layer_keys, round_number, payloads)
 
     # 4. DH publics and Schnorr proofs (prove_dlog with X_i precomputed).

@@ -959,16 +959,19 @@ class TestCryptoKernelStreamParity:
         deployment.close()
 
 
-class TestEd25519KernelParity:
-    """The curve kernels are unobservable (DESIGN.md §11).
+class TestKernelTierParity:
+    """The native kernels are unobservable (DESIGN.md §11), in either group.
 
-    The rows above run the modp test group; this one runs the real group,
-    where the native tier replaces every ladder, comb, accumulation and
-    point codec call of ``Ed25519Group``.  ``RoundReport`` canonical bytes
-    must not move: honest rounds (payloads, an offline user's cover, an
-    idle round) and the tamper → blame → evict → re-form arc, eager and on
-    the production path (batched population, streamed mix).
+    On the real group the native tier replaces every ladder, comb,
+    accumulation and point codec call of ``Ed25519Group``; in both groups
+    it replaces the DH → KDF → AEAD key pipeline of client build, precompute
+    and mix.  ``RoundReport`` canonical bytes must not move: honest rounds
+    (payloads, an offline user's cover, an idle round) and the tamper →
+    blame → evict → re-form arc, eager and on the production path (batched
+    population, streamed mix).
     """
+
+    GROUPS = {"ed25519": "Ed25519Group", "modp": "ModPGroup"}
 
     @pytest.fixture(autouse=True)
     def _kernel_state(self):
@@ -978,8 +981,11 @@ class TestEd25519KernelParity:
         yield
         kernels.reset_kernel_for_tests()
 
-    @staticmethod
-    def _config(kernel, production=False):
+    @pytest.fixture(params=sorted(GROUPS))
+    def group_kind(self, request):
+        return request.param
+
+    def _config(self, group_kind, kernel, production=False):
         import warnings as _warnings
 
         from repro.registry import CryptoKernelKind, PopulationKind
@@ -989,24 +995,25 @@ class TestEd25519KernelParity:
             # On a box with no built extension the native cells downgrade
             # (one warning) and re-prove a lower tier instead.
             _warnings.simplefilter("ignore", RuntimeWarning)
-            return Deployment.create(DeploymentConfig(
+            deployment = Deployment.create(DeploymentConfig(
                 num_servers=3, num_users=4, num_chains=2, chain_length=2, seed=7,
-                group_kind="ed25519", crypto_kernel=CryptoKernelKind(kernel), **kwargs,
+                group_kind=group_kind, crypto_kernel=CryptoKernelKind(kernel), **kwargs,
             ))
+        assert type(deployment.group).__name__ == self.GROUPS[group_kind]
+        return deployment
 
-    def _honest(self, kernel, **kwargs):
-        deployment = self._config(kernel, **kwargs)
+    def _honest(self, group_kind, kernel, **kwargs):
+        deployment = self._config(group_kind, kernel, **kwargs)
         try:
-            assert type(deployment.group).__name__ == "Ed25519Group"
             return fingerprints(deployment.run_rounds(conversation_script(deployment)[:3]))
         finally:
             deployment.close()
 
-    def _blame(self, kernel, **kwargs):
+    def _blame(self, group_kind, kernel, **kwargs):
         from repro.faults.runner import ScenarioRunner
         from repro.faults.scenarios import tamper_and_recover
 
-        deployment = self._config(kernel, **kwargs)
+        deployment = self._config(group_kind, kernel, **kwargs)
         try:
             report = ScenarioRunner(deployment, tamper_and_recover(num_rounds=3)).run()
         finally:
@@ -1017,15 +1024,15 @@ class TestEd25519KernelParity:
         assert report.outcome_for(3).all_delivered
         return report.canonical_bytes()
 
-    def test_honest_rounds_identical_across_tiers(self):
-        reference = self._honest("python")
-        assert self._honest("native") == reference
-        assert self._honest("native", production=True) == reference
+    def test_honest_rounds_identical_across_tiers(self, group_kind):
+        reference = self._honest(group_kind, "python")
+        assert self._honest(group_kind, "native") == reference
+        assert self._honest(group_kind, "native", production=True) == reference
 
-    def test_blame_round_identical_across_tiers(self):
-        reference = self._blame("python")
-        assert self._blame("native") == reference
-        assert self._blame("native", production=True) == reference
+    def test_blame_round_identical_across_tiers(self, group_kind):
+        reference = self._blame(group_kind, "python")
+        assert self._blame(group_kind, "native") == reference
+        assert self._blame(group_kind, "native", production=True) == reference
 
 
 def _native_available():

@@ -7,26 +7,88 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import kdf
+from repro.crypto import kdf, kernels
 from repro.errors import CryptoError
+
+#: RFC 5869 appendix A, the SHA-256 cases: (IKM, salt, info, L, PRK, OKM).
+RFC5869 = {
+    "A.1": (
+        b"\x0b" * 22,
+        bytes(range(13)),
+        bytes(range(0xF0, 0xFA)),
+        42,
+        "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5",
+        "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
+        "34007208d5b887185865",
+    ),
+    # Everything longer than a SHA-256 block: 80-byte IKM, salt and info.
+    "A.2": (
+        bytes(range(0x00, 0x50)),
+        bytes(range(0x60, 0xB0)),
+        bytes(range(0xB0, 0x100)),
+        82,
+        "06a6b88c5853361a06104c9ceb35b45cef760014904671014a193f40c15fc244",
+        "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c"
+        "59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71"
+        "cc30c58179ec3e87c14c01d5c1f3434f1d87",
+    ),
+    # Zero-length salt and info.
+    "A.3": (
+        b"\x0b" * 22,
+        b"",
+        b"",
+        42,
+        "19ef24a32c717b167f33a91d6f648bdf96596776afdb6377ac434c1c293ccb04",
+        "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
+        "9d201395faa4b61a96c8",
+    ),
+}
+
+TIERS = ["python", pytest.param("native", marks=pytest.mark.skipif(
+    not kernels.native_available(), reason="_xrdkernels extension not built"
+))]
+
+
+@pytest.fixture(params=TIERS)
+def tier(request):
+    """Run under each kernel tier, then restore lazy resolution."""
+    kernels.reset_kernel_for_tests()
+    kernels.set_active_kernel(request.param)
+    yield request.param
+    kernels.reset_kernel_for_tests()
+
+
+class TestRFC5869:
+    @pytest.mark.parametrize("case", sorted(RFC5869))
+    def test_extract_then_expand(self, tier, case):
+        ikm, salt, info, length, prk, okm = RFC5869[case]
+        assert kdf.hkdf_extract(salt, ikm).hex() == prk
+        assert kdf.hkdf_expand(bytes.fromhex(prk), info, length).hex() == okm
+
+    @pytest.mark.parametrize("case", sorted(RFC5869))
+    def test_derive_key_is_extract_then_expand(self, tier, case):
+        # derive_key(secret, label, context) is HKDF(IKM, salt, info).
+        ikm, salt, info, length, _prk, okm = RFC5869[case]
+        assert kdf.derive_key(ikm, salt, info, length).hex() == okm
+
+    @pytest.mark.parametrize("case", sorted(RFC5869))
+    def test_batch_kernel_on_the_vectors_salt_and_info(self, tier, case):
+        """The batch kernel takes 32-byte secrets only, which no RFC vector
+        has: run each vector's salt and info over 32-byte secrets cut from its
+        IKM, and expect the first expand block of extract-then-expand."""
+        ikm, salt, info, _length, _prk, _okm = RFC5869[case]
+        secrets = (ikm * 3)[:64]
+        keys = kernels.hkdf_derive_batch(secrets, salt, info)
+        if tier == "python":
+            assert keys is None  # no kernel: callers run derive_key per element
+        else:
+            assert keys == b"".join(
+                kdf.hkdf_expand(kdf.hkdf_extract(salt, secret), info, 32)
+                for secret in (secrets[:32], secrets[32:])
+            )
 
 
 class TestHKDF:
-    def test_rfc5869_test_case_1(self):
-        # RFC 5869 A.1: SHA-256, 22-byte IKM of 0x0b, 13-byte salt, 10-byte info.
-        ikm = b"\x0b" * 22
-        salt = bytes(range(13))
-        info = bytes(range(0xF0, 0xFA))
-        prk = kdf.hkdf_extract(salt, ikm)
-        assert prk.hex() == (
-            "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5"
-        )
-        okm = kdf.hkdf_expand(prk, info, 42)
-        assert okm.hex() == (
-            "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
-            "34007208d5b887185865"
-        )
-
     def test_extract_with_empty_salt(self):
         prk = kdf.hkdf_extract(b"", b"input")
         expected = hmac.new(b"\x00" * 32, b"input", hashlib.sha256).digest()

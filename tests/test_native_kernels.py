@@ -30,14 +30,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.constants import KDF_LABEL_INNER, KDF_LABEL_OUTER
 from repro.crypto import aead, chacha20, kernels
 from repro.crypto import group as group_mod
 from repro.crypto.aead import adec, aenc
 from repro.crypto.chacha20 import chacha20_block
 from repro.crypto.group import (
     Ed25519Group,
+    ModPGroup,
     reset_window_table_caches,
 )
+from repro.crypto.kdf import derive_key
+from repro.crypto.onion import inner_envelope_key, outer_layer_key, shared_keys_batch
 from repro.errors import ConfigurationError, CryptoError, DecodingError
 from repro.registry import CRYPTO_KERNELS, CryptoKernelKind
 
@@ -203,6 +207,47 @@ class TestAeadDifferential:
         kernels.set_active_kernel("native")
         assert kernels.aead_seal_batch([], [], [], b"") == []
         assert kernels.aead_open_batch([], [], [], b"") == []
+
+
+@needs_native
+class TestHkdfDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(keys_st, min_size=0, max_size=8),
+        # Empty (RFC 5869's default salt), short, exactly one block, and
+        # longer than a block (HMAC hashes such a key first).
+        st.binary(min_size=0, max_size=40) | st.binary(min_size=63, max_size=140),
+        # Up to 54 bytes of context, context || 0x01 and the padding share
+        # one SHA-256 block; from 55 on the expand message spills over.
+        st.binary(min_size=0, max_size=60) | st.binary(min_size=118, max_size=130),
+    )
+    def test_matches_derive_key(self, secrets, label, context):
+        kernels.set_active_kernel("native")
+        native = kernels.hkdf_derive_batch(b"".join(secrets), label, context)
+        assert native == b"".join(derive_key(secret, label, context) for secret in secrets)
+
+    def test_single_and_empty_batches(self):
+        kernels.set_active_kernel("native")
+        assert kernels.hkdf_derive_batch(b"", b"label") == b""
+        assert kernels.hkdf_derive_batch(b"\x07" * 32, b"label", b"ctx") == derive_key(
+            b"\x07" * 32, b"label", b"ctx"
+        )
+
+    @pytest.mark.parametrize("label", [b"", b"k" * 64, b"k" * 65], ids=len)
+    @pytest.mark.parametrize("context", [b"", b"c" * 54, b"c" * 55, b"c" * 119], ids=len)
+    def test_block_boundaries(self, label, context):
+        kernels.set_active_kernel("native")
+        secrets = bytes(range(64))
+        assert kernels.hkdf_derive_batch(secrets, label, context) == b"".join(
+            derive_key(secret, label, context) for secret in (secrets[:32], secrets[32:])
+        )
+
+    def test_declines_other_shapes(self):
+        kernels.set_active_kernel("native")
+        assert kernels.hkdf_derive_batch(b"\x07" * 31, b"label") is None
+        assert kernels.hkdf_derive_batch(b"\x07" * 65, b"label") is None
+        assert kernels.hkdf_derive_batch(b"\x07" * 32, b"label", length=16) is None
+        assert kernels.hkdf_derive_batch(b"\x07" * 32, b"label", length=64) is None
 
 
 @needs_native
@@ -551,6 +596,96 @@ class TestEd25519Differential:
         assert CURVE.decode(point.__dict__["_enc"]).__dict__["_enc"] == point.__dict__["_enc"]
 
 
+# -- DH -> KDF -> AEAD key pipeline --------------------------------------------
+
+MODP = ModPGroup(bits=96)
+
+
+def _group_elements(group, data, count):
+    scalars = data.draw(
+        st.lists(st.integers(1, group.order - 1), min_size=count, max_size=count),
+        label="element logs",
+    )
+    return [group.base_mult(scalar) for scalar in scalars]
+
+
+@needs_native
+class TestKeyPipeline:
+    """The fused mult→keys entry points and the onion batch helper against
+    the per-element ``outer_layer_key`` / ``inner_envelope_key``."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from([MODP, CURVE]), st.integers(0, 5), st.data())
+    def test_group_keys_match_per_element_derivation(self, group, count, data):
+        kernels.set_active_kernel("native")
+        points = _group_elements(group, data, count)
+        scalars = data.draw(
+            st.lists(st.integers(0, 2 * group.order), min_size=count, max_size=count),
+            label="scalars",
+        )
+        scalar = data.draw(st.integers(0, 2 * group.order), label="scalar")
+        label = data.draw(st.binary(min_size=0, max_size=80), label="label")
+        point = group.base_mult(7)
+        assert group.scalar_mult_keys(points, scalar, label) == b"".join(
+            derive_key(group.encode(group.scalar_mult(p, scalar)), label) for p in points
+        )
+        assert group.fixed_point_mult_keys(point, scalars, label) == b"".join(
+            derive_key(group.encode(group.scalar_mult(point, s)), label) for s in scalars
+        )
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from([MODP, CURVE]), st.integers(0, 5), st.data())
+    def test_onion_helper_is_tier_invariant(self, group, count, data):
+        points = _group_elements(group, data, count)
+        scalars = data.draw(
+            st.lists(st.integers(1, group.order - 1), min_size=count, max_size=count),
+            label="scalars",
+        )
+        scalar = data.draw(st.integers(1, group.order - 1), label="scalar")
+        point = group.base_mult(11)
+        kernels.set_active_kernel("python")
+        expected = [
+            b"".join(outer_layer_key(group, group.scalar_mult(p, scalar)) for p in points),
+            b"".join(inner_envelope_key(group, group.scalar_mult(p, scalar)) for p in points),
+            b"".join(outer_layer_key(group, group.scalar_mult(point, s)) for s in scalars),
+            b"".join(inner_envelope_key(group, group.scalar_mult(point, s)) for s in scalars),
+        ]
+        for tier in ("python", "native"):
+            kernels.set_active_kernel(tier)
+            assert [
+                shared_keys_batch(group, KDF_LABEL_OUTER, points, scalar),
+                shared_keys_batch(group, KDF_LABEL_INNER, points, scalar),
+                shared_keys_batch(group, KDF_LABEL_OUTER, point, scalars),
+                shared_keys_batch(group, KDF_LABEL_INNER, point, scalars),
+            ] == expected, tier
+
+    def test_keys_entry_points_decline_what_the_mult_kernels_decline(self):
+        kernels.set_active_kernel("native")
+        p = MODP.prime
+        assert kernels.modp_scalar_mult_keys(p, [p], 3, b"label") is None
+        assert kernels.modp_fixed_mult_keys(p, p, [3], b"label") is None
+        assert kernels.modp_scalar_mult_keys(2**300 + 1, [2], 2, b"label") is None
+        bad = group_mod.Point(-1, 1, 1, 0)
+        assert kernels.ed25519_scalar_mult_keys([bad], 5, b"label") is None
+        assert kernels.ed25519_fixed_mult_keys(group_mod._BASE_POINT, [-1], b"label") is None
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.lists(st.tuples(keys_st, st.binary(min_size=0, max_size=100)), min_size=0, max_size=6)
+    )
+    def test_aead_batches_take_a_key_blob_on_every_tier(self, items):
+        keys = [key for key, _ in items]
+        plains = [plain for _, plain in items]
+        for tier in ("python", "native"):
+            kernels.set_active_kernel(tier)
+            sealed = aead.aenc_batch(b"".join(keys), 7, plains)
+            assert sealed == aead.aenc_batch(keys, 7, plains)
+            assert sealed == [aenc(key, 7, plain) for key, plain in items]
+            opened = aead.adec_batch(b"".join(keys), 7, sealed)
+            assert opened == aead.adec_batch(keys, 7, sealed)
+            assert opened == [(True, plain) for plain in plains]
+
+
 # -- tier selection machinery ------------------------------------------------
 
 
@@ -592,8 +727,13 @@ class TestTierSelection:
         assert kernels.chacha20_blocks([b"\x00" * 32], [b"\x00" * 12], [0]) is None
         assert kernels.aead_seal_batch([b"\x00" * 32], [b"\x00" * 12], [b""], b"") is None
         assert kernels.aead_open_batch([b"\x00" * 32], [b"\x00" * 12], [b""], b"") is None
+        assert kernels.hkdf_derive_batch(b"\x00" * 32, b"label") is None
         assert kernels.modp_scalar_mult_batch(2**61 - 1, [2], 2) is None
+        assert kernels.modp_scalar_mult_keys(2**61 - 1, [2], 2, b"label") is None
+        assert kernels.modp_fixed_mult_keys(2**61 - 1, 2, [2], b"label") is None
         base = group_mod._BASE_POINT
+        assert kernels.ed25519_scalar_mult_keys([base], 2, b"label") is None
+        assert kernels.ed25519_fixed_mult_keys(base, [2], b"label") is None
         assert kernels.ed25519_scalar_mult_batch([base], 2) is None
         assert kernels.ed25519_fixed_mult_batch(base, [2]) is None
         assert kernels.ed25519_multi_scalar_accumulate([base], [2]) is None
@@ -771,6 +911,12 @@ class TestLengthMismatchMessages:
     def test_adec_batch_reports_lengths(self):
         with pytest.raises(CryptoError, match=r"1 keys, 2 ciphertexts"):
             aead.adec_batch([b"\x00" * 32], 1, [b"a" * 16, b"b" * 16])
+
+    def test_key_blob_is_counted_in_keys(self):
+        with pytest.raises(CryptoError, match=r"3 keys, 2 plaintexts"):
+            aead.aenc_batch(b"\x00" * 96, 1, [b"a", b"b"])
+        with pytest.raises(CryptoError, match=r"32 bytes"):
+            aead.aenc_batch(b"\x00" * 33, 1, [b"a"])
 
 
 # -- window-table cache satellite --------------------------------------------
