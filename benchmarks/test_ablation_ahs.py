@@ -17,6 +17,8 @@ small constant factor over the unprotected baseline.
 import random
 import time
 
+import pytest
+
 from repro.crypto.group import ModPGroup
 from repro.crypto.keys import KeyPair
 from repro.crypto.onion import encrypt_onion_baseline
@@ -72,6 +74,7 @@ def test_ablation_ahs_chain(benchmark):
     assert len(result.mailbox_messages) == BATCH
 
 
+@pytest.mark.wallclock
 def test_ablation_summary_against_verifiable_shuffle(benchmark):
     """Compare per-message server-side cost: AHS vs. a verifiable-shuffle estimate.
 

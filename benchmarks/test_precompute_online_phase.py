@@ -15,9 +15,10 @@ configuration, and the win is regression-gated via
 ``benchmarks/baselines/baseline.json``.
 
 What tier-1 holds is the mechanism, which repeats exactly: the stage ran
-and every online entry was served from its tables.  The speedup floor is a
-ratio of two wall clocks on a shared box, so it carries the ``wallclock``
-marker, which tier-1 deselects and the ``benchmarks`` CI job selects.
+and every online entry was served from its tables, sequential or
+staggered.  The speedup floor and the stagger-overlap bound are ratios of
+two wall clocks on a shared box, so they carry the ``wallclock`` marker,
+which tier-1 deselects and the ``benchmarks`` CI job selects.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ from benchmarks.conftest import save_result
 MIN_SPEEDUP = 1.15
 
 
-def measure_phases(precompute: bool, num_users: int = 600, rounds: int = 2):
+def measure_phases(
+    precompute: bool, num_users: int = 600, rounds: int = 2, staggered: bool = False
+):
     """Mean per-round phase timings for a deployment with/without precompute."""
     deployment = Deployment.create(
         DeploymentConfig(
@@ -55,7 +58,9 @@ def measure_phases(precompute: bool, num_users: int = 600, rounds: int = 2):
             precompute=precompute,
         )
     )
-    reports = deployment.run_rounds([deployment.round_spec() for _ in range(rounds)])
+    reports = deployment.run_rounds(
+        [deployment.round_spec() for _ in range(rounds)], staggered=staggered
+    )
     deployment.close()
     assert all(report.all_chains_delivered() for report in reports)
     return {
@@ -66,9 +71,11 @@ def measure_phases(precompute: bool, num_users: int = 600, rounds: int = 2):
     }
 
 
-def test_precompute_serves_every_online_entry(monkeypatch):
+@pytest.mark.parametrize("staggered", (False, True), ids=("sequential", "staggered"))
+def test_precompute_serves_every_online_entry(monkeypatch, staggered):
     """The mechanism behind the drop, without a clock: with the stage on, no
-    member's online pass computes a key the tables did not already hold."""
+    member's online pass computes a key the tables did not already hold —
+    including when the stage ran in the stagger's overlap window."""
     served = []
     online_pass = ChainMember._blind_and_derive_keys
 
@@ -80,11 +87,11 @@ def test_precompute_serves_every_online_entry(monkeypatch):
         return result
 
     monkeypatch.setattr(ChainMember, "_blind_and_derive_keys", watched)
-    with_precompute = measure_phases(precompute=True, num_users=60)
+    with_precompute = measure_phases(precompute=True, num_users=60, staggered=staggered)
     assert with_precompute["precompute"] > 0.0
     assert served and all(served)
     del served[:]
-    reference = measure_phases(precompute=False, num_users=60)
+    reference = measure_phases(precompute=False, num_users=60, staggered=staggered)
     assert reference["precompute"] == 0.0
     assert served and not any(served)
 
@@ -112,6 +119,7 @@ def test_precompute_online_phase_drop(benchmark):
     assert speedup > MIN_SPEEDUP
 
 
+@pytest.mark.wallclock
 def test_precompute_hides_behind_stagger(benchmark):
     """Under the staggered scheduler the precompute runs in the overlap
     window (while the previous round mixes), so enabling it must not grow

@@ -17,6 +17,11 @@ are opt-in via ``XRD_SCALE``:
 * ``XRD_SCALE=full`` adds the 100k monolithic-vs-streamed comparison and
   the million-user streamed round.
 
+The committed sweeps end in ratios of wall clocks (``< 25×``, ``> 2×``),
+so they carry the ``wallclock`` marker: tier-1 deselects them, the
+``benchmarks`` CI job selects them.  Tier-1 keeps the exact part — one
+round per build path through the same helper, every submission accounted.
+
 Memory accounting: rounds are timed *without* tracemalloc (its allocation
 hooks slow this workload by an order of magnitude); each point's peak RSS
 is metered per window by :class:`benchmarks.memutil.PeakRssMeter` (VmHWM
@@ -70,11 +75,11 @@ SMOKE_PEAK_RSS_CEILING = 1_500_000_000
 #: scales the measured 100k streamed round (~1.6 GB) by 10× with headroom.
 MILLION_USER_PEAK_RSS_BUDGET = 24_000_000_000
 
-#: PR 6's measured retained floor at 100k users: the chunked (but eager)
-#: round's transient working set was ~1.12 GB, dominated by the decoded
-#: submission batch every chain holds through mixing and blame.  The
-#: streamed-mix acceptance criterion (ISSUE 9) is to land *below* this —
-#: the wire-resident EncodedBatch replaces the decoded objects.
+#: PR 6's measured retained floor at 100k users: with chains holding
+#: decoded entry lists, the chunked round's transient working set was
+#: ~1.12 GB, dominated by the decoded submission batch every chain held
+#: through mixing and blame.  The wire-resident EncodedBatch that replaced
+#: those objects (ISSUE 9) must keep the round *below* this.
 EAGER_100K_ROUND_DELTA_FLOOR = 1_120_000_000
 
 
@@ -84,7 +89,6 @@ def run_round_at_scale(
     precompute: bool = True,
     chunk_size: int | None = None,
     build_workers: int = 0,
-    stream_mix: bool = False,
     crypto_kernel: str | None = None,
 ):
     """One full round at ``num_users`` (modp group, 4 chains, covers off).
@@ -124,7 +128,6 @@ def run_round_at_scale(
         precompute=precompute,
         population_chunk_size=chunk_size,
         population_build_workers=build_workers,
-        stream_mix=stream_mix,
     )
     with PeakRssMeter() as create_meter:
         deployment = Deployment.create(config)
@@ -172,6 +175,16 @@ def _sweep_rows(points):
 _SWEEP_HEADER = ["users", "kernel", "round s", "online s", "peak RSS MB", "round Δ MB"]
 
 
+@pytest.mark.parametrize("chunk_size", (None, 250), ids=("monolithic", "chunked"))
+def test_scale_round_accounts_every_submission(chunk_size):
+    """Tier-1's share of the sweeps below: the helper's exact assertions
+    (every chain delivered, ``users × ℓ`` submissions, the analytic
+    per-chain load) on one small round per build path."""
+    point = run_round_at_scale(1_000, chunk_size=chunk_size)
+    assert point["users"] == 1_000 and point["online_seconds"] > 0.0
+
+
+@pytest.mark.wallclock
 def test_scale_users_sweep(benchmark):
     """The committed fig4-companion sweep: 1k → 10k users, one round each."""
 
@@ -191,6 +204,7 @@ def test_scale_users_sweep(benchmark):
     assert points[-1]["seconds"] < 25 * points[0]["seconds"]
 
 
+@pytest.mark.wallclock
 def test_scale_users_chunked_sweep(benchmark):
     """The streaming-pipeline companion sweep (ISSUE 6): the same 1k → 10k
     points built in 1k-user chunks by a forked worker pool, committed to the
@@ -212,6 +226,7 @@ def test_scale_users_chunked_sweep(benchmark):
     assert points[-1]["seconds"] < 25 * points[0]["seconds"]
 
 
+@pytest.mark.wallclock
 def test_batched_population_beats_object_path(benchmark):
     """The tentpole's speedup claim at equal size, measured end to end."""
 
@@ -286,7 +301,7 @@ def test_scale_smoke_50k_users():
     """
     point = run_round_at_scale(
         50_000, precompute=True, chunk_size=CHUNK_SIZE, build_workers=BUILD_WORKERS,
-        stream_mix=True, crypto_kernel="native",
+        crypto_kernel="native",
     )
     assert point["precompute_seconds"] > 0.0
     assert point["online_seconds"] > 0.0
@@ -294,8 +309,8 @@ def test_scale_smoke_50k_users():
     save_result(
         "scale_users_50k",
         f"50,000-user streamed round ({CHUNK_SIZE // 1000}k chunks, "
-        f"{BUILD_WORKERS} build workers, {point['kernel']} kernels, "
-        f"streamed mix): {point['seconds']:.1f}s "
+        f"{BUILD_WORKERS} build workers, {point['kernel']} kernels): "
+        f"{point['seconds']:.1f}s "
         f"(online mix phase {point['online_seconds']:.1f}s, "
         f"precomputed off-path {point['precompute_seconds']:.1f}s), "
         f"peak RSS {point['peak_rss'] / 1e6:.0f} MB "
@@ -315,7 +330,9 @@ def test_scale_full_100k_users():
     retained batch — every submission, held for mixing and for blame — is
     O(users) under any pipeline (a batch mixnet's servers hold their whole
     chain batch), so chunking removes the build-stage transient on top of
-    that floor, not the floor itself.
+    that floor, not the floor itself.  What the chains retain is the wire
+    blob plus sender stubs, so the chunked round's transient must also stay
+    below the floor measured when they held decoded entries.
     """
     mono = run_round_at_scale(100_000)
     chunked = run_round_at_scale(
@@ -324,6 +341,7 @@ def test_scale_full_100k_users():
     assert chunked["seconds"] < mono["seconds"] * 1.15
     assert chunked["peak_rss"] < mono["peak_rss"]
     assert chunked["round_delta_rss"] < mono["round_delta_rss"]
+    assert chunked["round_delta_rss"] < EAGER_100K_ROUND_DELTA_FLOOR
     rows = [
         ["monolithic", f"{mono['seconds']:.1f}", f"{mono['peak_rss'] / 1e6:.0f}",
          f"{mono['round_delta_rss'] / 1e6:.0f}"],
@@ -338,52 +356,6 @@ def test_scale_full_100k_users():
     )
 
 
-@pytest.mark.skipif(SCALE != "full", reason="set XRD_SCALE=full for the 100k rounds")
-def test_scale_full_100k_streamed_mix():
-    """The retained-memory attack, measured (ISSUE 9): the same 100k
-    chunked round with the mix stage's batches kept wire-resident
-    (``stream_mix=True``) and the native kernels doing the arithmetic.
-
-    The gate is the acceptance criterion itself: the streamed round's
-    transient working set (``round_delta_rss``) must land below PR 6's
-    measured eager floor, and below the eager twin measured in the same
-    process — the engine releases its decoded submission lists after
-    acceptance and every chain holds an ``EncodedBatch`` blob plus sender
-    stubs instead of decoded entries through mixing, blame, and history.
-    """
-    eager = run_round_at_scale(
-        100_000, chunk_size=CHUNK_SIZE, build_workers=BUILD_WORKERS,
-        crypto_kernel="native",
-    )
-    streamed = run_round_at_scale(
-        100_000, chunk_size=CHUNK_SIZE, build_workers=BUILD_WORKERS,
-        stream_mix=True, crypto_kernel="native",
-    )
-    assert streamed["round_delta_rss"] < EAGER_100K_ROUND_DELTA_FLOOR
-    assert streamed["round_delta_rss"] < eager["round_delta_rss"]
-    # The residency change must not cost wall clock (same band as the
-    # mono-vs-chunked comparison).
-    assert streamed["seconds"] < eager["seconds"] * 1.15
-    rows = [
-        ["eager", f"{eager['seconds']:.1f}", f"{eager['online_seconds']:.1f}",
-         f"{eager['peak_rss'] / 1e6:.0f}",
-         f"{eager['round_delta_rss'] / 1e6:.0f}"],
-        ["streamed mix", f"{streamed['seconds']:.1f}",
-         f"{streamed['online_seconds']:.1f}",
-         f"{streamed['peak_rss'] / 1e6:.0f}",
-         f"{streamed['round_delta_rss'] / 1e6:.0f}"],
-    ]
-    save_result(
-        "scale_users_100k_streamed",
-        f"100,000-user chunked round, eager vs streamed mix "
-        f"({eager['kernel']} kernels; eager floor "
-        f"{EAGER_100K_ROUND_DELTA_FLOOR / 1e6:.0f} MB)\n"
-        + render_table(
-            ["mix intake", "round s", "online s", "peak RSS MB", "round Δ MB"], rows
-        ),
-    )
-
-
 @pytest.mark.skipif(SCALE != "full", reason="set XRD_SCALE=full for the million-user round")
 def test_scale_full_1m_users():
     """The million-user point (ISSUE 6): one round, streaming pipeline only
@@ -391,14 +363,14 @@ def test_scale_full_1m_users():
     retires), under the whole-process peak-RSS budget."""
     point = run_round_at_scale(
         1_000_000, chunk_size=CHUNK_SIZE, build_workers=BUILD_WORKERS,
-        stream_mix=True, crypto_kernel="native",
+        crypto_kernel="native",
     )
     assert point["peak_rss"] < MILLION_USER_PEAK_RSS_BUDGET
     save_result(
         "scale_users_1m",
         f"1,000,000-user streamed round ({CHUNK_SIZE // 1000}k chunks, "
-        f"{BUILD_WORKERS} build workers, {point['kernel']} kernels, "
-        f"streamed mix): {point['seconds']:.1f}s "
+        f"{BUILD_WORKERS} build workers, {point['kernel']} kernels): "
+        f"{point['seconds']:.1f}s "
         f"(online mix phase {point['online_seconds']:.1f}s, "
         f"precomputed off-path {point['precompute_seconds']:.1f}s), "
         f"peak RSS {point['peak_rss'] / 1e6:.0f} MB of "

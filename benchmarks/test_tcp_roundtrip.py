@@ -12,6 +12,8 @@ fan-outs go through ``request_batch`` rather than a loop.
 
 import time
 
+import pytest
+
 from repro.crypto.group import ModPGroup
 from repro.transport import InProcTransport
 from repro.transport.envelope import SUBMISSION, Envelope
@@ -50,6 +52,7 @@ def test_tcp_loopback_roundtrip(benchmark):
         transport.close()
 
 
+@pytest.mark.wallclock
 def test_pipelined_batch_vs_sequential_requests():
     group = ModPGroup(bits=96)
     envelopes = submission_envelopes(group, BATCH)

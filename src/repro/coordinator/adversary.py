@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 from repro.client.user import ChainKeysView
 from repro.crypto.nizk import prove_dlog
 from repro.errors import ConfigurationError
 from repro.mixnet.ahs import ChainMember, MixStepResult, submission_context
-from repro.mixnet.messages import BatchEntry, ClientSubmission
+from repro.mixnet.messages import BatchEntry, ClientSubmission, EncodedBatch
 
 __all__ = [
     "TamperingMember",
@@ -144,7 +144,7 @@ class TamperingMember:
             )
         return self._round_rngs[round_number]
 
-    def process_round(self, round_number: int, entries: Sequence[BatchEntry]) -> MixStepResult:
+    def process_round(self, round_number: int, entries: EncodedBatch) -> MixStepResult:
         result = self._member.process_round(round_number, entries)
         if self.rounds is not None and round_number not in self.rounds:
             return result
@@ -152,6 +152,8 @@ class TamperingMember:
             return result
         group = self._member.group
         rng = self._round_rng(round_number)
+        # Decode the honest output, corrupt it, and hand on what a server
+        # really would: the re-encoded batch.
         outputs: List[BatchEntry] = list(result.entries)
         target = self.target_index % len(outputs)
         if self.mode == MODE_TAMPER_CIPHERTEXT:
@@ -166,7 +168,7 @@ class TamperingMember:
         elif self.mode == MODE_PRESERVE_AGGREGATE:
             other = (target + 1) % len(outputs)
             if other == target:
-                return MixStepResult(result.position, outputs, result.proof)
+                return result
             delta = group.base_mult(group.random_scalar(rng))
             outputs[target] = BatchEntry(
                 group.add(outputs[target].dh_public, delta), outputs[target].ciphertext
@@ -176,7 +178,11 @@ class TamperingMember:
             )
         elif self.mode == MODE_DROP_MESSAGE:
             del outputs[target]
-        return MixStepResult(position=result.position, entries=outputs, proof=result.proof)
+        return MixStepResult(
+            position=result.position,
+            entries=EncodedBatch.from_entries(group, outputs),
+            proof=result.proof,
+        )
 
 
 def install_tampering_server(

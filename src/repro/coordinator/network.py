@@ -113,7 +113,7 @@ class DeploymentConfig:
     #: ``MULTIPROCESS`` (chains forked to worker processes that ship their
     #: round results back as wire bytes — escapes the GIL) — or the name of
     #: a backend registered in :data:`repro.registry.EXECUTION_BACKENDS`.
-    #: Plain built-in strings still work through a deprecation shim.
+    #: A built-in's plain string (``"serial"``) is normalised to its member.
     execution_backend: Union[str, ExecutionBackendKind] = ExecutionBackendKind.SERIAL
     #: Worker cap for the parallel/multiprocess backends (``None`` → CPU count).
     max_workers: Optional[int] = None
@@ -165,28 +165,16 @@ class DeploymentConfig:
     #: available).  Note the selection is process-global, like the numpy
     #: fast path always was: the last deployment created wins.
     crypto_kernel: Union[str, CryptoKernelKind, None] = None
-    #: Streamed mix intake (DESIGN.md §11.3): chains keep each round's
-    #: accepted batch in its wire encoding (:class:`~repro.mixnet.messages.
-    #: EncodedBatch`) and decode entries transiently during the mix, so
-    #: per-round retained memory is the blob instead of per-entry decoded
-    #: objects.  Bit-identical output; the scale benchmarks measure the
-    #: retained-RSS difference.
-    stream_mix: bool = False
 
     def __post_init__(self) -> None:
-        # The deprecation shim: plain built-in strings are coerced to their
-        # typed enum members (with one DeprecationWarning); strings naming
-        # registered external components pass through untouched.  Unknown
-        # names also pass through here — validate() is the loud gate.
-        self.execution_backend = EXECUTION_BACKENDS.coerce(
-            self.execution_backend, field="execution_backend"
-        )
-        self.transport = TRANSPORTS.coerce(self.transport, field="transport")
-        self.population = POPULATIONS.coerce(self.population, field="population")
-        if self.crypto_kernel is not None:
-            self.crypto_kernel = CRYPTO_KERNELS.coerce(
-                self.crypto_kernel, field="crypto_kernel"
-            )
+        # Plain built-in strings are normalised to their typed enum
+        # members; strings naming registered external components pass
+        # through untouched.  Unknown names also pass through here —
+        # validate() is the loud gate.
+        self.execution_backend = EXECUTION_BACKENDS.coerce(self.execution_backend)
+        self.transport = TRANSPORTS.coerce(self.transport)
+        self.population = POPULATIONS.coerce(self.population)
+        self.crypto_kernel = CRYPTO_KERNELS.coerce(self.crypto_kernel)
 
     def resolved_num_chains(self) -> int:
         return self.num_chains if self.num_chains is not None else self.num_servers
@@ -392,12 +380,7 @@ class Deployment:
                 nodes_by_name[server_name].join_chain(topology.chain_id, position)
                 for position, server_name in enumerate(topology.servers)
             ]
-            chain = MixChain(
-                chain_id=topology.chain_id,
-                members=members,
-                group=group,
-                stream_mix=config.stream_mix,
-            )
+            chain = MixChain(chain_id=topology.chain_id, members=members, group=group)
             chain.setup()
             chains.append(chain)
 
@@ -675,12 +658,7 @@ class Deployment:
         ]
         for name in sorted(old_names - set(topology.servers)):
             self._nodes_by_name[name].chain_members.pop(chain_id, None)
-        chain = MixChain(
-            chain_id=chain_id,
-            members=members,
-            group=self.group,
-            stream_mix=self.config.stream_mix,
-        )
+        chain = MixChain(chain_id=chain_id, members=members, group=self.group)
         chain.setup()
         chain.transport = self.transport
         self.chains[index] = chain

@@ -16,9 +16,10 @@ from an independent derived randomness stream, so a forked copy of a chain
 computes bit-identically to the parent's copy, and the parent's own chain
 state — which the fork leaves untouched — never diverges from what the
 reports claim.  The parent's chains simply do not *record* rounds that were
-mixed in workers (``_entries``/``_history`` stay unpopulated for those
-rounds); the blame-protocol tests, which need that private state, run on
-the serial backend.
+mixed in workers (they hold the batch they accepted until the round is
+delivered, and ``_history`` and the members' round records stay unpopulated
+for those rounds); the blame-protocol tests, which need that private state,
+run on the serial backend.
 
 Two contract details beyond :class:`ExecutionBackend`:
 

@@ -325,13 +325,12 @@ class RoundEngine:
                 if delivered is not None:
                     ctx.per_chain[submission.chain_id].append(delivered)
         ctx.report.total_submissions = sum(len(batch) for batch in ctx.per_chain.values())
-        if deployment.config.stream_mix:
-            # The fold above was the last reader of the per-user index, but
-            # the index still references every decoded submission — left in
-            # place it would pin the whole decoded round even after the
-            # chains release their batches at acceptance.  Streamed mode
-            # drops it here so the decoded objects die with ``per_chain``.
-            ctx.user_submissions = {}
+        # The fold above was the last reader of the per-user index, but the
+        # index still references every decoded submission — left in place
+        # it would pin the whole decoded round even after the chains release
+        # their batches at acceptance.  Dropped here, the decoded objects
+        # die with ``per_chain``.
+        ctx.user_submissions = {}
 
     # -- precompute stage (§5.2.1 / DESIGN.md §8) ---------------------------------
 
@@ -418,38 +417,34 @@ class RoundEngine:
         it).
         """
 
-        pre_rejected: Dict[int, List[str]] = {}
+        accept_rejected: Dict[int, List[str]] = {}
 
         def run_chain(chain) -> ChainOutcome:
-            if chain.chain_id in pre_rejected:
-                rejected = pre_rejected[chain.chain_id]
-            else:
-                submissions = ctx.per_chain[chain.chain_id]
-                _, rejected = chain.accept_submissions(ctx.round_number, submissions)
             result = chain.run_round(
                 ctx.round_number, retry_after_blame=ctx.spec.retry_after_blame
             )
-            return ChainOutcome(chain_id=chain.chain_id, accept_rejected=rejected, result=result)
+            return ChainOutcome(
+                chain_id=chain.chain_id,
+                accept_rejected=accept_rejected[chain.chain_id],
+                result=result,
+            )
 
         started = time.perf_counter()  # xrdlint: disable=XRD102 - stage timing, not canonical
         if self.deployment.remote_mix is not None:
             outcomes = self.deployment.remote_mix.mix_round(ctx)
         else:
-            # Streamed chains accept up front, before any chain mixes: each
+            # Every chain accepts up front, before any chain mixes: each
             # acceptance re-encodes its batch into the chain's wire blob and
             # keeps sender-only stubs for blame, so the engine can release
             # the decoded submission list — the round's largest structure —
             # for *every* chain before the first mix's transient working set
             # stacks on top of it.  (Acceptance is transport-free and cheap
-            # next to mixing, so hoisting it out of the backend's fan-out
+            # next to mixing, so keeping it out of the backend's fan-out
             # does not move the online-phase clock.)
             for chain in self.deployment.chains:
-                if not chain.stream_mix:
-                    continue
-                _, rejected = chain.accept_submissions(
+                _, accept_rejected[chain.chain_id] = chain.accept_submissions(
                     ctx.round_number, ctx.per_chain[chain.chain_id]
                 )
-                pre_rejected[chain.chain_id] = rejected
                 ctx.per_chain[chain.chain_id] = []
             outcomes = self.backend.map_chains(run_chain, self.deployment.chains)
         # stage_seconds is excluded from canonical_bytes: diagnostics only.
@@ -476,6 +471,13 @@ class RoundEngine:
                 if sender not in report.rejected_senders
             )
             if result.delivered:
+                # Nothing reads a delivered round's precompute tables again;
+                # freed on the coordinating thread, they go under every
+                # backend.  (A halted round keeps its own until the re-form.)
+                # Likewise the batch this process accepted for a round that
+                # a forked worker then mixed.
+                chain.invalidate_precompute(ctx.round_number)
+                chain.release_unmixed(ctx.round_number)
                 # The last server of the chain ships the recovered messages
                 # to the mailbox tier — as one framed message per chain, or
                 # per (chain, chunk) under the streaming pipeline, so the

@@ -54,7 +54,6 @@ from repro.crypto.onion import (
 )
 from repro.errors import ProofError, ProtocolError
 from repro.mixnet.messages import (
-    BatchEntry,
     ClientSubmission,
     EncodedBatch,
     MailboxMessage,
@@ -161,7 +160,7 @@ class MixStepResult:
     """Output of one server's decrypt–blind–shuffle step."""
 
     position: int
-    entries: List[BatchEntry]
+    entries: EncodedBatch
     proof: Optional[DleqProof]
     failed_indices: List[int] = field(default_factory=list)
 
@@ -172,12 +171,12 @@ class MixStepResult:
 
 @dataclass(frozen=True, slots=True)
 class _AcceptedSender:
-    """Sender-only stand-in for an accepted submission in streamed mix mode.
+    """Sender-only stand-in for an accepted submission.
 
     The only field the retained submission list is ever read for after
     acceptance is ``sender`` (blame attribution and the rerun filter), so
-    streamed intake keeps these stubs instead of whole submissions —
-    dropping the per-user ciphertext/proof bytes from the retained set.
+    intake keeps these stubs instead of whole submissions — dropping the
+    per-user ciphertext/proof bytes from the retained set.
     """
 
     sender: str
@@ -185,15 +184,10 @@ class _AcceptedSender:
 
 @dataclass
 class _RoundRecord:
-    """Private per-round state a member keeps for verification and blame.
+    """Private per-round state a member keeps for verification and blame."""
 
-    In streamed mix mode ``inputs``/``outputs`` hold
-    :class:`~repro.mixnet.messages.EncodedBatch` instances — same sequence
-    interface, wire-encoded residency — instead of entry lists.
-    """
-
-    inputs: Sequence[BatchEntry] = field(default_factory=list)
-    outputs: Sequence[BatchEntry] = field(default_factory=list)
+    inputs: Optional[EncodedBatch] = None
+    outputs: Optional[EncodedBatch] = None
     permutation: List[int] = field(default_factory=list)
     inner_secret: Optional[int] = field(default=None, repr=False)
     inner_public: Optional[object] = None
@@ -205,17 +199,6 @@ class _RoundRecord:
     #: Keyed by encoding (not batch index) so the table survives shuffles,
     #: rejected submissions, and the rerun-after-blame entry removal.
     precomputed: Optional[Dict[bytes, tuple]] = None
-
-
-def _batch_publics(entries: Sequence[BatchEntry]) -> List[object]:
-    """Every entry's DH public.
-
-    A wire-resident batch decodes its elements only: iterating it would
-    build a :class:`BatchEntry` per entry, ciphertext copy included.
-    """
-    if isinstance(entries, EncodedBatch):
-        return entries.decode_publics()
-    return [entry.dh_public for entry in entries]
 
 
 class ChainMember:
@@ -338,8 +321,9 @@ class ChainMember:
     def invalidate_precompute(self, round_number: Optional[int] = None) -> None:
         """Drop cached precompute tables (for one round, or every round).
 
-        Called when the key material the tables were derived from stops
-        being valid — in particular when a chain is re-formed after a blame
+        Called for a round once it is delivered — nothing reads its table
+        again — and for every round when the key material the tables were
+        derived from stops being valid: a chain re-formed after a blame
         eviction, where the fresh ceremony replaces every member secret.
         """
         if round_number is not None:
@@ -385,7 +369,7 @@ class ChainMember:
 
     # -- mixing -----------------------------------------------------------------
 
-    def process_round(self, round_number: int, entries: Sequence[BatchEntry]) -> MixStepResult:
+    def process_round(self, round_number: int, entries: EncodedBatch) -> MixStepResult:
         """Decrypt one layer, blind the DH keys, shuffle, and prove (§6.3 steps 1-3).
 
         The public-key work (blinding, layer-key derivation) is served from
@@ -393,31 +377,24 @@ class ChainMember:
         round, leaving the online phase as AEAD opens + shuffle + the
         aggregate proof; otherwise both batched passes run inline.
 
-        When ``entries`` is an :class:`~repro.mixnet.messages.EncodedBatch`
-        the step runs in **streamed intake** mode: submissions decode from
-        their wire records on demand, the decoded publics and opened
-        plaintexts live only inside this call, and both the retained input
-        record and the output batch stay wire-encoded (decode →
-        outer-strip → re-encode survivor).  Every output byte is identical
-        to the eager path — only residency changes.
+        The batch arrives and leaves wire-encoded: its elements are decoded
+        here, once (an encoding the group rejects raises
+        :class:`~repro.errors.DecodingError`); the decoded publics and
+        opened plaintexts live only inside this call, and both the retained
+        input record and the output batch are blobs (decode → outer-strip →
+        re-encode survivor).
         """
         if self.mixing_secret is None or self.blinding_secret is None:
             raise ProtocolError("chain member has not completed key setup")
         group = self.group
         rng = self._round_rng(round_number)
         record = self._rounds.setdefault(round_number, _RoundRecord())
-        streamed = isinstance(entries, EncodedBatch)
-        dh_publics = _batch_publics(entries)
-        if streamed:
-            record.inputs = entries  # immutable, blob-backed: no copy
-            ciphertexts = [entries.ciphertext(index) for index in range(len(entries))]
-        else:
-            record.inputs = list(entries)
-            ciphertexts = [entry.ciphertext for entry in entries]
+        dh_publics = entries.decode_publics()
+        record.inputs = entries  # immutable, blob-backed: no copy
         blinded_keys, layer_keys = self._blind_and_derive_keys(round_number, dh_publics)
         # The authenticated opens run as one keystream batch; per-entry
         # results are identical to decrypt_outer_layer.
-        opened = adec_batch(layer_keys, round_number, ciphertexts)
+        opened = adec_batch(layer_keys, round_number, entries.ciphertexts())
         stripped: List[bytes] = []
         failed: List[int] = []
         for index, (ok, next_ciphertext) in enumerate(opened):
@@ -427,23 +404,20 @@ class ChainMember:
             stripped.append(next_ciphertext or b"")
         if failed:
             record.failed_indices = failed
-            return MixStepResult(position=self.position, entries=[], proof=None, failed_indices=failed)
+            return MixStepResult(
+                position=self.position, entries=entries.select(()), proof=None,
+                failed_indices=failed,
+            )
         permutation = list(range(len(stripped)))
         rng.shuffle(permutation)
-        if streamed:
-            # Re-encode the survivors straight into the next wire blob; the
-            # decoded publics, blinded points, and plaintext list all die
-            # with this frame.
-            outputs: Sequence[BatchEntry] = EncodedBatch.from_parts(
-                group,
-                [group.encode(blinded_keys[source]) for source in permutation],
-                [stripped[source] for source in permutation],
-            )
-        else:
-            outputs = [
-                BatchEntry(dh_public=blinded_keys[source], ciphertext=stripped[source])
-                for source in permutation
-            ]
+        # Re-encode the survivors straight into the next wire blob; the
+        # decoded publics, blinded points, and plaintext list all die with
+        # this frame.
+        outputs = EncodedBatch.from_parts(
+            group,
+            [group.encode(blinded_keys[source]) for source in permutation],
+            [stripped[source] for source in permutation],
+        )
         record.permutation = permutation
         record.outputs = outputs
         proof = prove_dleq(
@@ -569,8 +543,7 @@ class MixChain:
     """
 
     def __init__(
-        self, chain_id: int, members: Sequence[ChainMember], group, transport=None,
-        stream_mix: bool = False,
+        self, chain_id: int, members: Sequence[ChainMember], group, transport=None
     ) -> None:
         if not members:
             raise ProtocolError("a chain needs at least one member")
@@ -580,17 +553,14 @@ class MixChain:
         #: Carries the batch hand-offs between consecutive members (§6.3);
         #: the deployment wires one shared transport into every chain.
         self.transport = transport if transport is not None else InProcTransport()
-        #: Streamed intake (DESIGN.md §11.3): round batches stay in their
-        #: wire encoding (one blob per hop) and the retained submission
-        #: list shrinks to sender-only stubs.  Outputs are bit-identical to
-        #: the eager mode; only memory residency changes.
-        self.stream_mix = stream_mix
         self.public_keys: Optional[ChainPublicKeys] = None
         self._inner_publics: Dict[int, List[object]] = {}
         self._aggregate_inner: Dict[int, object] = {}
-        self._submissions: Dict[int, List[ClientSubmission]] = {}
-        self._entries: Dict[int, Sequence[BatchEntry]] = {}
-        self._history: Dict[int, List[Sequence[BatchEntry]]] = {}
+        #: Per round: the accepted batch (DESIGN.md §11.3 — one wire blob,
+        #: like every hop's) and, index-aligned with it, who sent each entry.
+        self._entries: Dict[int, EncodedBatch] = {}
+        self._submissions: Dict[int, List[_AcceptedSender]] = {}
+        self._history: Dict[int, List[EncodedBatch]] = {}
 
     def __len__(self) -> int:
         return len(self.members)
@@ -703,7 +673,7 @@ class MixChain:
 
     def accept_submissions(
         self, round_number: int, submissions: Sequence[ClientSubmission]
-    ) -> Tuple[Sequence[BatchEntry], List[str]]:
+    ) -> Tuple[EncodedBatch, List[str]]:
         """Verify client NIZKs and build the round's input batch.
 
         Submissions whose knowledge-of-discrete-log proof does not verify are
@@ -711,16 +681,13 @@ class MixChain:
         misbehaviour is detected and the adversary is immediately
         identified").
 
-        With ``stream_mix`` the accepted batch is returned as an
-        :class:`~repro.mixnet.messages.EncodedBatch` built directly from
-        the submissions' wire bytes, and the retained submission list holds
-        sender-only stubs — the caller may (and the engine does) drop its
-        submission references once this returns.
+        The accepted batch is built directly from the submissions' wire
+        bytes, and the retained submission list holds sender-only stubs —
+        the caller may (and the engine does) drop its submission references
+        once this returns.
         """
         group = self.group
-        stream = self.stream_mix
-        accepted: List[object] = []
-        entries: List[BatchEntry] = []
+        accepted: List[_AcceptedSender] = []
         element_bytes: List[bytes] = []
         ciphertexts: List[bytes] = []
         rejected: List[str] = []
@@ -737,36 +704,40 @@ class MixChain:
             if not verify_dlog(group, group.base(), dh_public, submission.proof, context):
                 rejected.append(submission.sender)
                 continue
-            if stream:
-                # Streamed intake: keep the *wire bytes* (the decode above
-                # validated them, and every accepted encoding is canonical,
-                # so no re-encode is needed) plus a sender-only stub; the
-                # decoded point dies here.
-                accepted.append(_AcceptedSender(submission.sender))
-                element_bytes.append(submission.dh_public)
-                ciphertexts.append(submission.ciphertext)
-            else:
-                accepted.append(submission)
-                entries.append(BatchEntry(dh_public=dh_public, ciphertext=submission.ciphertext))
+            # Keep the *wire bytes* (the decode above validated them, and
+            # every accepted encoding is canonical, so no re-encode is
+            # needed) plus a sender-only stub; the decoded point dies here.
+            accepted.append(_AcceptedSender(submission.sender))
+            element_bytes.append(submission.dh_public)
+            ciphertexts.append(submission.ciphertext)
         self._submissions[round_number] = accepted
-        if stream:
-            batch = EncodedBatch.from_parts(group, element_bytes, ciphertexts)
-            self._entries[round_number] = batch
-            return batch, rejected
-        self._entries[round_number] = entries
-        return entries, rejected
+        batch = EncodedBatch.from_parts(group, element_bytes, ciphertexts)
+        self._entries[round_number] = batch
+        return batch, rejected
 
-    def submissions_for_round(self, round_number: int) -> List[ClientSubmission]:
-        """The accepted submissions (used by the blame protocol to identify users)."""
+    def release_unmixed(self, round_number: int) -> None:
+        """Drop the accepted batch of a round this replica never mixed.
+
+        A round mixed in a forked worker leaves the coordinating process's
+        replica holding the batch it accepted and nothing else; once the
+        round is delivered no one reads it.  A round mixed here keeps its
+        batch alongside its history (blame and tests index into both).
+        """
+        if round_number not in self._history:
+            self._entries.pop(round_number, None)
+            self._submissions.pop(round_number, None)
+
+    def submissions_for_round(self, round_number: int) -> List[_AcceptedSender]:
+        """The accepted submissions' senders, in batch order (blame identifies users by index)."""
         return self._submissions.get(round_number, [])
 
-    def history_for_round(self, round_number: int) -> List[List[BatchEntry]]:
+    def history_for_round(self, round_number: int) -> List[EncodedBatch]:
         """Per-position input batches observed during the round (for blame/tests)."""
         return self._history.get(round_number, [])
 
     def _forward_batch(
-        self, round_number: int, index: int, entries: List[BatchEntry]
-    ) -> List[BatchEntry]:
+        self, round_number: int, index: int, entries: EncodedBatch
+    ) -> EncodedBatch:
         """Send member ``index``'s output batch to its successor over the transport."""
         if index + 1 >= len(self.members):
             return entries
@@ -796,15 +767,9 @@ class MixChain:
         group = self.group
         if round_number not in self._entries:
             raise ProtocolError("accept_submissions must run before run_round")
-        stored = self._entries[round_number]
-        # An EncodedBatch is immutable and blob-backed: copying it into a
-        # list would decode the whole round up front, exactly what streamed
-        # intake exists to avoid.
-        entries: Sequence[BatchEntry] = stored if isinstance(stored, EncodedBatch) else list(stored)
-        digest = batch_digest(group, entries)
-        history: List[Sequence[BatchEntry]] = [
-            entries if isinstance(entries, EncodedBatch) else list(entries)
-        ]
+        entries = self._entries[round_number]
+        digest = batch_digest(entries)
+        history: List[EncodedBatch] = [entries]
         rejected_senders: List[str] = []
 
         for index, member in enumerate(self.members):
@@ -826,8 +791,8 @@ class MixChain:
                         input_digest=digest,
                     )
                 # Remove the convicted users' submissions and rerun the
-                # round.  Index-based so the streamed batch can subset its
-                # blob without decoding the survivors.
+                # round.  Index-based so the batch can subset its blob
+                # without decoding the survivors.
                 rejected_senders.extend(verdict.malicious_users)
                 malicious = set(verdict.malicious_users)
                 stored_submissions = self._submissions[round_number]
@@ -837,19 +802,15 @@ class MixChain:
                     if submission.sender not in malicious
                 ]
                 self._submissions[round_number] = [stored_submissions[index] for index in keep]
-                stored_entries = self._entries[round_number]
-                if isinstance(stored_entries, EncodedBatch):
-                    self._entries[round_number] = stored_entries.select(keep)
-                else:
-                    self._entries[round_number] = [stored_entries[index] for index in keep]
+                self._entries[round_number] = self._entries[round_number].select(keep)
                 rerun = self.run_round(round_number, retry_after_blame=retry_after_blame)
                 rerun.rejected_senders = rejected_senders + rerun.rejected_senders
                 rerun.blame_verdict = verdict
                 return rerun
             # Aggregate blinding verification performed on behalf of every
             # other (in particular the honest) member.
-            input_aggregate = group.sum(_batch_publics(entries))
-            output_aggregate = group.sum(_batch_publics(result.entries))
+            input_aggregate = group.sum(entries.decode_publics())
+            output_aggregate = group.sum(result.entries.decode_publics())
             context = mixing_context(self.chain_id, member.position, round_number)
             valid = (
                 result.proof is not None
@@ -876,7 +837,7 @@ class MixChain:
             # server→server wire of §6.3); the last member's output stays
             # local for the inner-key reveal.
             entries = self._forward_batch(round_number, index, result.entries)
-            history.append(entries if isinstance(entries, EncodedBatch) else list(entries))
+            history.append(entries)
 
         self._history[round_number] = history
 
@@ -897,12 +858,8 @@ class MixChain:
 
         mailbox_messages: List[MailboxMessage] = []
         invalid_inner = 0
-        if isinstance(entries, EncodedBatch):
-            final_ciphertexts = (entries.ciphertext(index) for index in range(len(entries)))
-        else:
-            final_ciphertexts = (entry.ciphertext for entry in entries)
         envelopes: List[Optional[InnerEnvelope]] = []
-        for ciphertext in final_ciphertexts:
+        for ciphertext in map(entries.ciphertext, range(len(entries))):
             try:
                 envelopes.append(InnerEnvelope.from_bytes(ciphertext))
             except Exception:

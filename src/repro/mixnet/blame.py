@@ -28,7 +28,7 @@ from repro.crypto.nizk import DleqProof, verify_dleq
 from repro.crypto.onion import outer_layer_key
 from repro.crypto.aead import adec
 from repro.errors import BlameError
-from repro.mixnet.messages import BatchEntry
+from repro.mixnet.messages import BatchEntry, EncodedBatch
 
 __all__ = ["BlameReveal", "AccuserReveal", "BlameVerdict", "run_blame_protocol"]
 
@@ -116,7 +116,7 @@ def _verify_upstream_reveal(
     reveal: BlameReveal,
     round_number: int,
     downstream_entry: BatchEntry,
-    upstream_inputs: Sequence[BatchEntry],
+    upstream_inputs: EncodedBatch,
 ) -> Optional[str]:
     """Check one upstream server's reveal; return an error string if it is bad."""
     from repro.mixnet.ahs import blame_context
@@ -163,7 +163,7 @@ def run_blame_protocol(
     round_number: int,
     accusing_position: int,
     flagged_input_indices: Sequence[int],
-    history: Sequence[Sequence[BatchEntry]],
+    history: Sequence[EncodedBatch],
 ) -> BlameVerdict:
     """Run the blame protocol for every flagged ciphertext.
 

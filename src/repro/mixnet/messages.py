@@ -10,8 +10,9 @@ honest user's, so all formats here are fixed-size for a given deployment:
 * :class:`ClientSubmission` — what a user sends to the first server of a
   chain in the AHS design: the shared outer Diffie-Hellman key ``X = g^x``,
   the outer ciphertext, and the NIZK that she knows ``x`` (§6.2).
-* :class:`BatchEntry` — the ``(X_i^j, c_i^j)`` pair that flows between
-  servers inside a chain during mixing (§6.3).
+* :class:`EncodedBatch` — the round's batch of ``(X_i^j, c_i^j)`` pairs
+  that flows between servers inside a chain during mixing (§6.3), held in
+  its wire encoding; :class:`BatchEntry` is the decoded view of one pair.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.constants import (
     AEAD_TAG_SIZE,
@@ -200,13 +201,15 @@ class ClientSubmission:
 
 @dataclass(frozen=True, slots=True)
 class BatchEntry:
-    """The ``(X_i^j, c_i^j)`` pair passed from server ``i`` to server ``i+1``."""
+    """One decoded ``(X_i^j, c_i^j)`` pair of a chain's round batch.
+
+    Chains hold, forward and record batches as :class:`EncodedBatch`; this
+    is the per-entry view indexing one yields (what the blame protocol and
+    tests read), and what :meth:`EncodedBatch.from_entries` encodes.
+    """
 
     dh_public: object
     ciphertext: bytes
-
-    def digest_material(self, group) -> bytes:
-        return group.encode(self.dh_public) + self.ciphertext
 
     def to_bytes(self, group) -> bytes:
         """``X (element) || ciphertext length (4) || ciphertext``.
@@ -224,38 +227,29 @@ class BatchEntry:
     @classmethod
     def from_bytes(cls, group, data: bytes) -> "BatchEntry":
         """Parse one entry occupying the whole of ``data``."""
-        entry, offset = cls.read_from(group, data, 0)
-        if offset != len(data):
-            raise DecodingError("trailing bytes after batch entry")
-        return entry
-
-    @classmethod
-    def read_from(cls, group, data: bytes, offset: int) -> Tuple["BatchEntry", int]:
-        """Parse one entry starting at ``offset``; return it and the next offset."""
-        element_size = group.element_size
-        if len(data) < offset + element_size + 4:
+        header = group.element_size + 4
+        if len(data) < header:
             raise DecodingError("batch entry too short")
-        dh_public = group.decode(data[offset:offset + element_size])
-        offset += element_size
-        length = int.from_bytes(data[offset:offset + 4], "big")
-        offset += 4
-        if len(data) < offset + length:
-            raise DecodingError("batch entry ciphertext truncated")
-        return cls(dh_public=dh_public, ciphertext=data[offset:offset + length]), offset + length
+        if len(data) != header + int.from_bytes(data[group.element_size:header], "big"):
+            raise DecodingError("batch entry length does not match its prefix")
+        return cls(
+            dh_public=group.decode(data[:group.element_size]), ciphertext=data[header:]
+        )
 
 
 class EncodedBatch(Sequence):
-    """A chain's round batch kept in its wire encoding (streamed mix mode).
+    """A chain's round batch, held in its wire encoding.
 
     One contiguous blob of concatenated :meth:`BatchEntry.to_bytes` records
     plus an offset table — exactly the payload of a BATCH frame minus its
-    count header.  Entries decode *on demand* through :meth:`__getitem__`,
-    so holding a 100k-entry round in history costs the blob (a few MB)
-    instead of 100k decoded :class:`BatchEntry`/element objects.  The blame
-    protocol's random access and the history replay both read through the
-    same lazy window; mixing itself uses the bulk accessors
-    (:meth:`element_bytes`, :meth:`ciphertext`, :meth:`decode_publics`) to
-    avoid materialising entry objects at all.
+    count header.  This is the only shape a chain accepts, mixes, forwards,
+    records or digests a batch in.  Entries decode *on demand* through
+    :meth:`__getitem__`, so holding a 100k-entry round in history costs the
+    blob (a few MB) instead of 100k decoded :class:`BatchEntry`/element
+    objects.  The blame protocol's random access and the history replay
+    both read through the same lazy window; mixing itself uses the bulk
+    accessors (:meth:`element_bytes`, :meth:`ciphertext`,
+    :meth:`decode_publics`) to avoid materialising entry objects at all.
 
     Instances are immutable: transforms produce a new batch
     (:meth:`select`) or build one from parts (:meth:`from_parts`).
@@ -271,17 +265,18 @@ class EncodedBatch(Sequence):
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def from_entries(cls, group, entries: Iterable[BatchEntry]) -> "EncodedBatch":
-        """Encode already-decoded entries (the eager path's output shape)."""
-        parts: List[bytes] = []
+    def _from_records(cls, group, records: List[bytes]) -> "EncodedBatch":
         offsets = array("Q", [0])
         total = 0
-        for entry in entries:
-            record = entry.to_bytes(group)
-            parts.append(record)
+        for record in records:
             total += len(record)
             offsets.append(total)
-        return cls(group, b"".join(parts), offsets)
+        return cls(group, b"".join(records), offsets)
+
+    @classmethod
+    def from_entries(cls, group, entries: Iterable[BatchEntry]) -> "EncodedBatch":
+        """Encode decoded entries (how tests and adversaries build a batch)."""
+        return cls._from_records(group, [entry.to_bytes(group) for entry in entries])
 
     @classmethod
     def from_parts(cls, group, element_bytes: Sequence[bytes],
@@ -303,6 +298,42 @@ class EncodedBatch(Sequence):
             total += len(element) + 4 + len(ciphertext)
             offsets.append(total)
         return cls(group, b"".join(parts), offsets)
+
+    @classmethod
+    def from_wire(cls, group, data: bytes) -> "EncodedBatch":
+        """Parse a BATCH payload: ``count (4) || records``.
+
+        The one place bytes from another node become a batch, so the whole
+        structure is checked against the buffer first: the count must fit
+        (``count`` minimum-size records inside the remaining bytes, so a
+        forged count cannot size the offset table), every record's
+        ``element || length (4) || ciphertext`` must end inside the buffer
+        (a record cut short anywhere, its header included, ends beyond it),
+        and nothing may trail the last one.  Elements are *not* decoded
+        here — :meth:`decode_publics` does that once per hop and raises the
+        same :class:`DecodingError` for one the group rejects.
+        """
+        if len(data) < 4:
+            raise DecodingError("truncated batch header")
+        count = int.from_bytes(data[:4], "big")
+        header = group.element_size + 4
+        if count * header > len(data) - 4:
+            raise DecodingError("batch count exceeds the payload")
+        offsets = array("Q", [0])
+        end = 4
+        for _ in range(count):
+            end += header
+            end += int.from_bytes(data[end - 4:end], "big")
+            if len(data) < end:
+                raise DecodingError("batch entry overruns the payload")
+            offsets.append(end - 4)
+        if end != len(data):
+            raise DecodingError("trailing bytes after batch")
+        return cls(group, data[4:], offsets)
+
+    def to_wire(self) -> bytes:
+        """The BATCH payload: the entry count, then the blob as it is."""
+        return len(self).to_bytes(4, "big") + self._blob
 
     # -- sequence protocol ---------------------------------------------------
 
@@ -340,42 +371,32 @@ class EncodedBatch(Sequence):
         start = self._offsets[index] + self._group.element_size + 4
         return self._blob[start:self._offsets[index + 1]]
 
+    def ciphertexts(self) -> List[bytes]:
+        return [self.ciphertext(index) for index in range(len(self))]
+
     def decode_publics(self) -> List[object]:
         """Decode every entry's DH element (transient: caller drops the list)."""
         return [self._group.decode(self.element_bytes(i)) for i in range(len(self))]
 
-    def digest_materials(self) -> List[bytes]:
-        """Per-entry ``encode(X) || ciphertext`` (the digest input layout)."""
-        return [
-            self.element_bytes(index) + self.ciphertext(index)
-            for index in range(len(self))
-        ]
-
-    def select(self, indices: Sequence[int]) -> "EncodedBatch":
+    def select(self, indices: Iterable[int]) -> "EncodedBatch":
         """A new batch holding the entries at ``indices``, in that order."""
-        parts: List[bytes] = []
-        offsets = array("Q", [0])
-        total = 0
-        for index in indices:
-            record = self._blob[self._offsets[index]:self._offsets[index + 1]]
-            parts.append(record)
-            total += len(record)
-            offsets.append(total)
-        return EncodedBatch(self._group, b"".join(parts), offsets)
+        return self._from_records(
+            self._group,
+            [self._blob[self._offsets[index]:self._offsets[index + 1]] for index in indices],
+        )
 
 
-def batch_digest(group, entries: Sequence[BatchEntry]) -> bytes:
+def batch_digest(batch: EncodedBatch) -> bytes:
     """Input-agreement digest: hash of the sorted entries (§6.3 preamble).
 
     All servers in a chain compare this digest before mixing starts so they
-    agree on the round's input set.
+    agree on the round's input set.  Per entry the hashed material is
+    ``encode(X) || ciphertext``.
     """
-    if isinstance(entries, EncodedBatch):
-        materials = entries.digest_materials()
-    else:
-        materials = [entry.digest_material(group) for entry in entries]
     hasher = hashlib.sha256()
-    for material in sorted(materials):
+    for material in sorted(
+        batch.element_bytes(index) + batch.ciphertext(index) for index in range(len(batch))
+    ):
         hasher.update(material)
     return hasher.digest()
 

@@ -18,10 +18,9 @@ This module provides that contract:
   ``make_backend`` are thin wrappers over :meth:`ComponentRegistry.create`
   — and third-party components register under their own string keys
   (``TRANSPORTS.register("quic", factory)``) without touching this package;
-* a deprecation shim: a plain built-in string assigned to a config knob is
-  coerced to its enum member with a single :class:`DeprecationWarning`, so
-  every pre-existing call site still works while new code gets the typed
-  surface.
+* both spellings of a built-in are first class: a plain string assigned to
+  a config knob (``transport="tcp"``) is normalised to its enum member, so
+  the config always holds the typed value.
 
 Registration happens in the module that owns the component (the transport
 package registers the transports, and so on), so importing a component's
@@ -31,9 +30,8 @@ to maintain.
 
 from __future__ import annotations
 
-import warnings
 from enum import Enum
-from typing import Callable, Dict, List, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.errors import ConfigurationError
 
@@ -88,8 +86,8 @@ class CryptoKernelKind(str, Enum):
     NATIVE = "native"
 
 
-#: A config knob value: the typed enum member, or (deprecated / third-party)
-#: a plain string key.
+#: A config knob value: the typed enum member, or a plain string key (a
+#: built-in's value, or a third-party component's registered name).
 ComponentKey = Union[str, Enum]
 
 
@@ -133,30 +131,18 @@ class ComponentRegistry:
     def is_known(self, key: ComponentKey) -> bool:
         return self._name_of(key) in self._factories
 
-    def coerce(self, value: ComponentKey, field: str) -> ComponentKey:
+    def coerce(self, value: Optional[ComponentKey]) -> Optional[ComponentKey]:
         """Normalise a config knob value to its typed form.
 
-        Enum members pass through; a plain string naming a built-in is
-        converted to the enum member with one :class:`DeprecationWarning`;
-        any other string is returned unchanged (it may name a registered
-        external component — :meth:`ensure_known` is the validation gate).
+        Enum members pass through; a plain string naming a built-in becomes
+        its enum member; any other value (``None`` included) is returned
+        unchanged — a string may name a registered external component, and
+        :meth:`ensure_known` is the validation gate.
         """
-        if isinstance(value, self.kind_enum):
+        try:
+            return self.kind_enum(value)
+        except ValueError:
             return value
-        if isinstance(value, str):
-            try:
-                member = self.kind_enum(value)
-            except ValueError:
-                return value
-            warnings.warn(
-                f"passing the plain string {value!r} for DeploymentConfig."
-                f"{field} is deprecated; use {self.kind_enum.__name__}."
-                f"{member.name} (repro.registry)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return member
-        return value
 
     def ensure_known(self, value: ComponentKey, field: str) -> None:
         """Raise :class:`ConfigurationError` unless ``value`` is resolvable."""

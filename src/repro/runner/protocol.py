@@ -29,12 +29,6 @@ from typing import Any, Dict, Tuple
 from repro.coordinator.network import DeploymentConfig
 from repro.errors import DecodingError
 from repro.faults.plan import FaultPlan, ServerFault, UserFault
-from repro.registry import (
-    CryptoKernelKind,
-    ExecutionBackendKind,
-    PopulationKind,
-    TransportKind,
-)
 from repro.transport.faulty import LinkFault
 
 __all__ = [
@@ -126,14 +120,6 @@ def decode_mix_request(payload: bytes) -> Tuple[int, int, bool, bytes]:
 
 # -- config serialisation --------------------------------------------------------
 
-_KNOB_ENUMS = {
-    "execution_backend": ExecutionBackendKind,
-    "transport": TransportKind,
-    "population": PopulationKind,
-    "crypto_kernel": CryptoKernelKind,
-}
-
-
 def config_to_dict(config: DeploymentConfig) -> Dict:
     """A JSON-serialisable dict of the config (enum knobs as their values)."""
     data = {}
@@ -146,21 +132,8 @@ def config_to_dict(config: DeploymentConfig) -> Dict:
 
 
 def config_from_dict(data: Dict) -> DeploymentConfig:
-    """Rebuild a config; knob strings become enum members where they can.
-
-    Reconstructing the enum members here (instead of letting
-    ``DeploymentConfig.__post_init__`` coerce the plain strings) keeps a
-    role process from emitting the deprecation warning for a config the
-    *coordinator* expressed with typed enums.
-    """
-    kwargs = dict(data)
-    for name, kind in _KNOB_ENUMS.items():
-        if name in kwargs and isinstance(kwargs[name], str):
-            try:
-                kwargs[name] = kind(kwargs[name])
-            except ValueError:
-                pass  # an externally-registered component name; leave as-is
-    return DeploymentConfig(**kwargs)
+    """Rebuild a config (``__post_init__`` turns knob strings back into members)."""
+    return DeploymentConfig(**data)
 
 
 def config_digest(config: DeploymentConfig) -> bytes:

@@ -155,6 +155,10 @@ class MixRoleHandler(RoleHandler):
                 )
             _, rejected = chain.accept_submissions(round_number, submissions)
             result = chain.run_round(round_number, retry_after_blame=retry_after_blame)
+            if result.delivered:
+                # This replica's engine never runs ``deliver``; free the
+                # round's precompute tables where the round ended.
+                chain.invalidate_precompute(round_number)
             deployment.next_round = max(deployment.next_round, round_number + 1)
         return encode_chain_outcome(chain_id, rejected, result)
 

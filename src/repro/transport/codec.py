@@ -24,12 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 
 from repro.errors import DecodingError
-from repro.mixnet.messages import (
-    BatchEntry,
-    ClientSubmission,
-    EncodedBatch,
-    MailboxMessage,
-)
+from repro.mixnet.messages import ClientSubmission, EncodedBatch, MailboxMessage
 from repro.transport import envelope as ev
 from repro.transport.envelope import Envelope
 
@@ -202,14 +197,7 @@ def encode_payload(group: Any, envelope: Envelope) -> bytes:
     if kind in (ev.SUBMISSION_BATCH, ev.COVER_SUBMISSION_BATCH):
         return _encode_submission_batch(envelope.payload)
     if kind == ev.BATCH:
-        entries: Sequence[BatchEntry] = envelope.payload
-        if isinstance(entries, EncodedBatch):
-            # Streamed batches already *are* their wire records — prepend
-            # the count and ship the blob without materialising entries.
-            return len(entries).to_bytes(4, "big") + entries.blob
-        parts = [len(entries).to_bytes(4, "big")]
-        parts.extend(entry.to_bytes(group) for entry in entries)
-        return b"".join(parts)
+        return envelope.payload.to_wire()
     if kind in (ev.MAILBOX_DELIVERY, ev.MAILBOX_FETCH):
         return _encode_mailbox_batch(envelope.payload)
     if kind == ev.MAILBOX_FETCH_BATCH:
@@ -224,17 +212,7 @@ def decode_payload(group: Any, kind: str, data: bytes) -> object:
     if kind in (ev.SUBMISSION_BATCH, ev.COVER_SUBMISSION_BATCH):
         return _decode_submission_batch(group, data)
     if kind == ev.BATCH:
-        if len(data) < 4:
-            raise DecodingError("truncated batch header")
-        count = int.from_bytes(data[:4], "big")
-        offset = 4
-        entries: List[BatchEntry] = []
-        for _ in range(count):
-            entry, offset = BatchEntry.read_from(group, data, offset)
-            entries.append(entry)
-        if offset != len(data):
-            raise DecodingError("trailing bytes after batch")
-        return entries
+        return EncodedBatch.from_wire(group, data)
     if kind in (ev.MAILBOX_DELIVERY, ev.MAILBOX_FETCH):
         return _decode_mailbox_batch(data)
     if kind == ev.MAILBOX_FETCH_BATCH:

@@ -10,8 +10,8 @@ These kinds cover every cross-node interaction of the system:
   one of her assigned chains (§6.2); covers are banked with the coordinator
   one round ahead (§5.3.3) and are distinguished only so accounting can
   attribute them.
-* ``BATCH`` — the list of :class:`~repro.mixnet.messages.BatchEntry` pairs
-  one chain server hands to its successor during mixing (§6.3).
+* ``BATCH`` — the :class:`~repro.mixnet.messages.EncodedBatch` one chain
+  server hands to its successor during mixing (§6.3).
 * ``MAILBOX_DELIVERY`` — the recovered
   :class:`~repro.mixnet.messages.MailboxMessage` batch the last server of a
   chain sends to the mailbox servers.

@@ -134,6 +134,19 @@ class LinkFault:
         return True
 
 
+def _pick(envelope: Envelope, order: Sequence[int]) -> object:
+    """The elements of a list payload at ``order``, in the payload's own shape.
+
+    A mix batch is subset through :meth:`~repro.mixnet.messages.
+    EncodedBatch.select` — its records move as bytes, undecoded, which is
+    all a link can do to them; every other list kind is a plain list.
+    """
+    payload = envelope.payload
+    if envelope.kind == ev.BATCH:
+        return payload.select(order)
+    return [payload[index] for index in order]
+
+
 @dataclass(frozen=True)
 class AppliedFault:
     """Advisory log entry: one fault applied to one envelope."""
@@ -192,20 +205,21 @@ class FaultyTransport(Transport):
         for fault in matching:
             if fault.behaviour == DROP:
                 self._log(fault, envelope)
-                return [] if envelope.kind in _LIST_KINDS else None
+                return _pick(envelope, ()) if envelope.kind in _LIST_KINDS else None
             if fault.behaviour == DUPLICATE:
-                payload = list(envelope.payload)
-                if payload:
-                    payload.append(payload[fault.index % len(payload)])
+                count = len(envelope.payload)
+                if count:
                     # dataclasses.replace keeps every other field (including
                     # the streaming pipeline's chunk index) intact.
-                    envelope = replace(envelope, payload=payload)
+                    order = [*range(count), fault.index % count]
+                    envelope = replace(envelope, payload=_pick(envelope, order))
                     self._log(fault, envelope)
             elif fault.behaviour == REORDER:
-                payload = list(envelope.payload)
-                if len(payload) > 1:
-                    self._reorder_rng(fault, envelope).shuffle(payload)
-                    envelope = replace(envelope, payload=payload)
+                count = len(envelope.payload)
+                if count > 1:
+                    order = list(range(count))
+                    self._reorder_rng(fault, envelope).shuffle(order)
+                    envelope = replace(envelope, payload=_pick(envelope, order))
                     self._log(fault, envelope)
             elif fault.behaviour == DELAY:
                 delay_total += fault.delay_seconds

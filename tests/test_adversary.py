@@ -116,7 +116,7 @@ class TestAdversarialReproducibility:
             deployment.run_round()
             # What the (honest) second member received is the tampered output.
             record = deployment.chain(0).members[1].round_record(1)
-            return [(entry.dh_public, entry.ciphertext) for entry in record.inputs]
+            return record.inputs.blob
 
         assert tampered_batch() == tampered_batch()
 

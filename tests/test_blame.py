@@ -6,6 +6,7 @@ from repro.crypto.keys import KeyPair
 from repro.errors import BlameError
 from repro.mixnet.ahs import ChainRoundResult
 from repro.mixnet.blame import BlameVerdict, run_blame_protocol
+from repro.mixnet.messages import EncodedBatch
 from repro.coordinator.adversary import (
     MODE_PRESERVE_AGGREGATE,
     MODE_TAMPER_CIPHERTEXT,
@@ -173,14 +174,14 @@ class TestBlameProtocolDirect:
         chain.begin_round(1)
         chain.accept_submissions(1, [])
         with pytest.raises(BlameError):
-            run_blame_protocol(chain, 1, accusing_position=5, flagged_input_indices=[0], history=[[]])
+            run_blame_protocol(chain, 1, accusing_position=5, flagged_input_indices=[0], history=[EncodedBatch.from_entries(group, [])])
 
     def test_history_must_cover_accuser(self, group):
         chain = build_chain(group, length=3)
         chain.begin_round(1)
         chain.accept_submissions(1, [])
         with pytest.raises(BlameError):
-            run_blame_protocol(chain, 1, accusing_position=2, flagged_input_indices=[0], history=[[]])
+            run_blame_protocol(chain, 1, accusing_position=2, flagged_input_indices=[0], history=[EncodedBatch.from_entries(group, [])])
 
     def test_flagged_index_out_of_range(self, group):
         chain = build_chain(group, length=1)

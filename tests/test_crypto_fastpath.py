@@ -151,6 +151,7 @@ class TestMultiScalarAccumulate:
 
 
 class TestPrecomputationSpeed:
+    @pytest.mark.wallclock
     def test_base_mult_fast_path_at_least_as_fast_as_double_and_add(self, curve, fixed_rng):
         """CI microbench smoke: the comb table must not lose to the old ladder.
 

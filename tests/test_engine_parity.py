@@ -379,21 +379,51 @@ class TestPrecomputeParity:
             assert report.canonical_bytes() == expected
 
     def test_reform_invalidates_old_chain_precompute(self):
-        """Stale tables die with the re-formed chain's retired members."""
+        """A halted round keeps its tables until the re-form; then they die
+        with the re-formed chain's retired members."""
+        from repro.coordinator.adversary import (
+            MODE_TAMPER_CIPHERTEXT,
+            install_tampering_server,
+        )
+
         deployment = build()
-        deployment.run_round()
+        install_tampering_server(deployment, 0, 0, MODE_TAMPER_CIPHERTEXT)
+        report = deployment.run_round()
         old_chain = deployment.chains[0]
-        record = old_chain.members[0].round_record(1)
-        assert record.precomputed
-        deployment.note_convictions(1, old_chain.chain_id, [old_chain.members[0].server_name])
+        assert not report.chain_results[old_chain.chain_id].delivered
+        assert all(member.round_record(1).precomputed for member in old_chain.members)
+        for chain in deployment.chains[1:]:  # delivered: already released
+            assert all(m.round_record(1).precomputed is None for m in chain.members)
         deployment.recover()
         for member in old_chain.members:
             assert member.round_record(1).precomputed is None
         # The re-formed chain (fresh members, fresh ceremony) still delivers.
+        assert deployment.chains[0] is not old_chain
         report = deployment.run_round()
         assert report.all_chains_delivered()
-        assert deployment.chains[0].members[0].round_record(2).precomputed
+        assert "precompute" in report.stage_seconds
         deployment.close()
+
+    @pytest.mark.parametrize("staggered", (False, True))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_delivered_rounds_release_their_tables(self, backend, staggered):
+        """Retention is bounded: N delivered rounds leave no member a table."""
+        deployment = build(backend)
+        reports = deployment.run_rounds(conversation_script(deployment), staggered=staggered)
+        deployment.close()
+        assert all(report.all_chains_delivered() for report in reports)
+        assert all("precompute" in report.stage_seconds for report in reports)
+        for chain in deployment.chains:
+            for member in chain.members:
+                for report in reports:
+                    assert member.round_record(report.round_number).precomputed is None
+            # A replica keeps a round's accepted batch only with the history
+            # it recorded mixing it: the forked backend's parent keeps neither.
+            for report in reports:
+                mixed_here = bool(chain.history_for_round(report.round_number))
+                assert mixed_here == (backend != "multiprocess")
+                assert (report.round_number in chain._entries) == mixed_here
+                assert bool(chain.submissions_for_round(report.round_number)) == mixed_here
 
 
 class TestPrecomputePropertyParity:
@@ -409,7 +439,7 @@ class TestPrecomputePropertyParity:
     @given(st.data())
     def test_precompute_then_online_equals_process_round(self, data):
         from repro.crypto.keys import KeyPair
-        from repro.mixnet.messages import BatchEntry
+        from repro.mixnet.messages import BatchEntry, EncodedBatch
         from tests.test_ahs_protocol import build_chain
 
         group = _property_group()
@@ -442,13 +472,13 @@ class TestPrecomputePropertyParity:
                         ciphertext=bytes([entries[index].ciphertext[0] ^ 0xFF])
                         + entries[index].ciphertext[1:],
                     )
-            return entries
+            return EncodedBatch.from_entries(group, entries)
 
         entries = entries_for(online)
         twin_entries = entries_for(precomputed)
         member_online = online.members[0]
         member_pre = precomputed.members[0]
-        blinded = member_pre.precompute_round(1, [entry.dh_public for entry in entries])
+        blinded = member_pre.precompute_round(1, entries.decode_publics())
         assert blinded == [
             group.scalar_mult(entry.dh_public, member_pre.blinding_secret)
             for entry in entries
@@ -456,7 +486,7 @@ class TestPrecomputePropertyParity:
         result_pre = member_pre.process_round(1, twin_entries)
         result_online = member_online.process_round(1, entries)
         assert result_pre.position == result_online.position
-        assert result_pre.entries == result_online.entries
+        assert result_pre.entries.blob == result_online.entries.blob
         assert result_pre.proof == result_online.proof
         assert result_pre.failed_indices == result_online.failed_indices
         # The slim online phase really did consult the table.
@@ -471,7 +501,7 @@ class TestPrecomputePropertyParity:
     def test_chain_level_precompute_parity_with_blame(self, data):
         """Whole-chain cascade parity, including halted/blamed rounds."""
         from repro.crypto.keys import KeyPair
-        from repro.mixnet.messages import BatchEntry
+        from repro.mixnet.messages import BatchEntry, EncodedBatch
         from tests.test_ahs_protocol import build_chain
 
         group = _property_group()
@@ -497,13 +527,15 @@ class TestPrecomputePropertyParity:
         def run(chain, with_precompute):
             chain.accept_submissions(1, submissions)
             if corrupt_index is not None:
-                entry = chain._entries[1][corrupt_index]
-                chain._entries[1][corrupt_index] = BatchEntry(
+                entries = list(chain._entries[1])
+                entry = entries[corrupt_index]
+                entries[corrupt_index] = BatchEntry(
                     dh_public=entry.dh_public,
                     ciphertext=bytes([entry.ciphertext[0] ^ 0xFF]) + entry.ciphertext[1:],
                 )
+                chain._entries[1] = EncodedBatch.from_entries(group, entries)
             if with_precompute:
-                chain.precompute_round(1, [e.dh_public for e in chain._entries[1]])
+                chain.precompute_round(1, chain._entries[1].decode_publics())
             return chain.run_round(1)
 
         result_online = run(online, with_precompute=False)
@@ -634,8 +666,9 @@ class TestBackendParity:
         assert ctx3.deferred_users == [a]
         assert a not in ctx3.user_submissions
         engine.finalize_collect(ctx3)
-        assert a in ctx3.user_submissions
-        assert ctx3.deferred_users == []
+        # Built after the fetch, folded into the chain batches, index dropped.
+        assert any(sub.sender == a for batch in ctx3.per_chain.values() for sub in batch)
+        assert ctx3.deferred_users == [] and ctx3.user_submissions == {}
 
 
 class TestBlameParity:
@@ -785,12 +818,11 @@ class TestDistributedParity:
         assert summary["evicted_servers"] == ["server-0"]
         assert summary["recoveries"], "the scenario must include a recovery round"
 
-    def test_localhost_tcp_streamed_native_matches_reference(self):
-        """The new axes survive real process separation: every role process
-        resolves the native tier (or its documented downgrade) from the
-        shipped config and keeps its chains' batches wire-resident, and
-        the scenario — tamper, blame, recovery included — still matches
-        the eager in-process python-tier reference bit for bit."""
+    def test_localhost_tcp_native_matches_reference(self):
+        """The kernel axis survives real process separation: every role
+        process resolves the native tier (or its documented downgrade) from
+        the shipped config, and the scenario — tamper, blame, recovery
+        included — still matches the in-process reference bit for bit."""
         import warnings as _warnings
 
         from repro.crypto import kernels
@@ -822,11 +854,7 @@ class TestDistributedParity:
         try:
             with _warnings.catch_warnings():
                 _warnings.simplefilter("ignore", RuntimeWarning)
-                config = DeploymentConfig(
-                    **base,
-                    crypto_kernel=CryptoKernelKind.NATIVE,
-                    stream_mix=True,
-                )
+                config = DeploymentConfig(**base, crypto_kernel=CryptoKernelKind.NATIVE)
                 summary = run_localhost(config, plan, num_mix=2, timeout=240.0)
         finally:
             kernels.reset_kernel_for_tests()
@@ -843,15 +871,14 @@ class TestDistributedParity:
 KERNELS = ("python", "numpy", "native")
 
 
-class TestCryptoKernelStreamParity:
-    """Kernel tiers × streamed mix are unobservable (DESIGN.md §11).
+class TestCryptoKernelParity:
+    """Kernel tiers are unobservable (DESIGN.md §11).
 
-    The tentpole's acceptance matrix: {python, numpy, native} crypto
-    kernels × {eager, streamed} mix intake, over the six-round
-    conversation script, against the all-reference cell (python kernels,
-    eager mix).  ``canonical_bytes`` equality means the tier and the
-    batch residency model are both invisible in every observable byte —
-    delivered messages, rejections, statuses, mailbox contents.
+    {python, numpy, native} crypto kernels × {inproc, instrumented}, over
+    the six-round conversation script, against the all-reference cell
+    (python kernels, in process).  ``canonical_bytes`` equality means the
+    tier is invisible in every observable byte — delivered messages,
+    rejections, statuses, mailbox contents.
     """
 
     @pytest.fixture(autouse=True)
@@ -870,17 +897,15 @@ class TestCryptoKernelStreamParity:
         kernels.reset_kernel_for_tests()
         try:
             deployment = build(
-                "serial", transport="inproc",
-                crypto_kernel=CryptoKernelKind.PYTHON, stream_mix=False,
+                "serial", transport="inproc", crypto_kernel=CryptoKernelKind.PYTHON
             )
             return fingerprints(deployment.run_rounds(conversation_script(deployment)))
         finally:
             kernels.reset_kernel_for_tests()
 
-    @pytest.mark.parametrize("stream_mix", (False, True))
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_kernel_stream_cell(self, reference, kernel, stream_mix, transport):
+    def test_kernel_cell(self, reference, kernel, transport):
         import warnings as _warnings
 
         from repro.registry import CryptoKernelKind
@@ -889,11 +914,7 @@ class TestCryptoKernelStreamParity:
             # The native cell may legitimately downgrade on a box with no
             # C toolchain; the warning is the contract, not a failure.
             _warnings.simplefilter("ignore", RuntimeWarning)
-            deployment = build(
-                transport=transport,
-                crypto_kernel=CryptoKernelKind(kernel),
-                stream_mix=stream_mix,
-            )
+            deployment = build(transport=transport, crypto_kernel=CryptoKernelKind(kernel))
             actual = fingerprints(
                 deployment.run_rounds(conversation_script(deployment))
             )
@@ -901,13 +922,12 @@ class TestCryptoKernelStreamParity:
         assert actual == reference
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_kernel_stream_blame_recovery(self, kernel):
-        """Blame, eviction, and chain re-formation under streamed intake.
+    def test_kernel_blame_recovery(self, kernel):
+        """Blame, eviction, and chain re-formation on every tier.
 
-        The streamed chain retains only sender stubs and the wire blob;
-        this proves that is enough state for the whole blame arc — the
-        accusation, the history replay, the re-formed chain's rounds —
-        to match the eager reference byte for byte, on every tier.
+        The chain retains only sender stubs and the wire blob; this proves
+        that is enough state for the whole blame arc — the accusation, the
+        history replay, the re-formed chain's rounds — byte for byte.
         """
         import warnings as _warnings
 
@@ -921,42 +941,87 @@ class TestCryptoKernelStreamParity:
             for backend, staggered in (("serial", False), ("multiprocess", True)):
                 report = run_scenario(
                     tamper_and_recover(), backend, staggered,
-                    crypto_kernel=CryptoKernelKind(kernel), stream_mix=True,
+                    crypto_kernel=CryptoKernelKind(kernel),
                 )
                 assert report.canonical_bytes() == expected
 
-    @pytest.mark.parametrize("stream_mix", (False, True))
-    def test_kernel_stream_with_batched_population(self, reference, stream_mix):
-        """The population fast path composes with both new axes."""
+    def test_kernel_with_batched_population(self, reference):
+        """The population fast path composes with the kernel axis."""
         from repro.registry import CryptoKernelKind
 
         deployment = build(
             population="batched",
             crypto_kernel=CryptoKernelKind.NATIVE if _native_available()
             else CryptoKernelKind.PYTHON,
-            stream_mix=stream_mix,
         )
         actual = fingerprints(deployment.run_rounds(conversation_script(deployment)))
         deployment.close()
         assert actual == reference
 
-    def test_streamed_entries_are_wire_resident(self):
-        """The streamed chain really holds EncodedBatch + sender stubs, not
-        decoded entries — the retained-memory claim's structural half."""
-        from repro.mixnet.messages import EncodedBatch
-        from repro.registry import CryptoKernelKind
 
-        deployment = build(
-            crypto_kernel=CryptoKernelKind.PYTHON, stream_mix=True
+class TestBatchRepresentation:
+    """One batch shape in the chain (DESIGN.md §11.3), however it travelled.
+
+    Over every transport, honest or tampered or link-faulted, what each hop
+    recorded and what the chain's history holds is an ``EncodedBatch`` —
+    the wire transports, a tampering server and a faulty link used to hand
+    the next hop a decoded list — and the round is byte-identical to the
+    same case run in process.
+    """
+
+    CASES = ("honest", "tamper", "duplicate", "reorder", "drop")
+
+    @staticmethod
+    def _run(transport, case):
+        from repro.coordinator.adversary import (
+            MODE_TAMPER_CIPHERTEXT,
+            install_tampering_server,
         )
-        deployment.run_round()
-        chain = deployment.chains[0]
-        stored = chain._entries[1]
-        assert isinstance(stored, EncodedBatch)
-        for submission in chain._submissions[1]:
-            assert not hasattr(submission, "ciphertext")
-            assert isinstance(submission.sender, str)
-        deployment.close()
+        from repro.transport import BATCH
+        from repro.transport.faulty import FaultyTransport, LinkFault
+
+        deployment = Deployment.create(DeploymentConfig(
+            num_servers=4, num_users=6, num_chains=2, chain_length=3, seed=42,
+            group_kind="modp", transport=transport,
+        ))
+        try:
+            if case == "tamper":
+                install_tampering_server(deployment, 0, 0, MODE_TAMPER_CIPHERTEXT)
+            elif case != "honest":
+                fault = LinkFault(behaviour=case, kind=BATCH, chain_id=0, index=1, seed=5)
+                deployment.use_transport(
+                    FaultyTransport(deployment.transport, [fault]), close_previous=False
+                )
+            return deployment, deployment.run_round()
+        finally:
+            deployment.close()
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("transport", ("inproc", "instrumented", "tcp"))
+    def test_every_hop_holds_an_encoded_batch(self, transport, case):
+        from repro.mixnet.messages import EncodedBatch
+
+        deployment, report = self._run(transport, case)
+        _, reference = self._run("inproc", case)
+        assert report.canonical_bytes() == reference.canonical_bytes()
+        assert report.chain_results[0].delivered == (case != "tamper")
+        for chain in deployment.chains:
+            halted = not report.chain_results[chain.chain_id].delivered
+            history = chain.history_for_round(1)
+            assert len(history) == (0 if halted else len(chain.members) + 1)
+            assert all(type(batch) is EncodedBatch for batch in history)
+            # The hop behind the tampering server / the faulted link ran.
+            assert type(chain.members[1].round_record(1).inputs) is EncodedBatch
+            for member in chain.members:
+                record = member.round_record(1)
+                for batch in (record.inputs, record.outputs):
+                    assert batch is None or type(batch) is EncodedBatch
+                if not halted:
+                    assert record.inputs is not None and record.outputs is not None
+            # What the chain keeps of the submissions is who sent them.
+            for accepted in chain.submissions_for_round(1):
+                assert not hasattr(accepted, "ciphertext")
+                assert isinstance(accepted.sender, str)
 
 
 class TestKernelTierParity:
@@ -967,8 +1032,8 @@ class TestKernelTierParity:
     it replaces the DH → KDF → AEAD key pipeline of client build, precompute
     and mix.  ``RoundReport`` canonical bytes must not move: honest rounds
     (payloads, an offline user's cover, an idle round) and the tamper →
-    blame → evict → re-form arc, eager and on the production path (batched
-    population, streamed mix).
+    blame → evict → re-form arc, per user and through the batched
+    population.
     """
 
     GROUPS = {"ed25519": "Ed25519Group", "modp": "ModPGroup"}
@@ -985,19 +1050,19 @@ class TestKernelTierParity:
     def group_kind(self, request):
         return request.param
 
-    def _config(self, group_kind, kernel, production=False):
+    def _config(self, group_kind, kernel, population="object"):
         import warnings as _warnings
 
-        from repro.registry import CryptoKernelKind, PopulationKind
+        from repro.registry import CryptoKernelKind
 
-        kwargs = dict(population=PopulationKind.BATCHED, stream_mix=True) if production else {}
         with _warnings.catch_warnings():
             # On a box with no built extension the native cells downgrade
             # (one warning) and re-prove a lower tier instead.
             _warnings.simplefilter("ignore", RuntimeWarning)
             deployment = Deployment.create(DeploymentConfig(
                 num_servers=3, num_users=4, num_chains=2, chain_length=2, seed=7,
-                group_kind=group_kind, crypto_kernel=CryptoKernelKind(kernel), **kwargs,
+                group_kind=group_kind, crypto_kernel=CryptoKernelKind(kernel),
+                population=population,
             ))
         assert type(deployment.group).__name__ == self.GROUPS[group_kind]
         return deployment
@@ -1027,12 +1092,12 @@ class TestKernelTierParity:
     def test_honest_rounds_identical_across_tiers(self, group_kind):
         reference = self._honest(group_kind, "python")
         assert self._honest(group_kind, "native") == reference
-        assert self._honest(group_kind, "native", production=True) == reference
+        assert self._honest(group_kind, "native", population="batched") == reference
 
     def test_blame_round_identical_across_tiers(self, group_kind):
         reference = self._blame(group_kind, "python")
         assert self._blame(group_kind, "native") == reference
-        assert self._blame(group_kind, "native", production=True) == reference
+        assert self._blame(group_kind, "native", population="batched") == reference
 
 
 def _native_available():

@@ -18,6 +18,7 @@ from repro.mixnet import messages
 from repro.mixnet.messages import (
     BatchEntry,
     ClientSubmission,
+    EncodedBatch,
     MailboxMessage,
     MessageBody,
     batch_digest,
@@ -194,18 +195,6 @@ class TestBatchEntry:
         entry = BatchEntry(dh_public=group.base_mult(2), ciphertext=b"")
         assert BatchEntry.from_bytes(group, entry.to_bytes(group)) == entry
 
-    def test_concatenated_entries_read_in_sequence(self, group):
-        entries = [
-            BatchEntry(dh_public=group.base_mult(index + 1), ciphertext=bytes([index]) * index)
-            for index in range(5)
-        ]
-        blob = b"".join(entry.to_bytes(group) for entry in entries)
-        offset, decoded = 0, []
-        while offset < len(blob):
-            entry, offset = BatchEntry.read_from(group, blob, offset)
-            decoded.append(entry)
-        assert decoded == entries
-
     def test_truncation_rejected(self, group):
         wire = BatchEntry(dh_public=group.base_mult(5), ciphertext=b"c" * 10).to_bytes(group)
         with pytest.raises(DecodingError):
@@ -214,20 +203,122 @@ class TestBatchEntry:
             BatchEntry.from_bytes(group, wire + b"\x00")
 
 
+def make_entries(group, count):
+    return [
+        BatchEntry(dh_public=group.base_mult(index + 1), ciphertext=bytes([index]) * index)
+        for index in range(count)
+    ]
+
+
+class TestEncodedBatch:
+    def test_concatenated_entries_read_in_sequence(self, group):
+        entries = make_entries(group, 5)
+        batch = EncodedBatch.from_entries(group, entries)
+        assert batch.blob == b"".join(entry.to_bytes(group) for entry in entries)
+        assert list(batch) == entries
+        assert batch[-1] == entries[-1] and batch[1:3] == entries[1:3]
+        assert batch.decode_publics() == [entry.dh_public for entry in entries]
+        assert batch.ciphertexts() == [entry.ciphertext for entry in entries]
+
+    def test_from_parts_matches_from_entries(self, group):
+        entries = make_entries(group, 4)
+        batch = EncodedBatch.from_parts(
+            group,
+            [group.encode(entry.dh_public) for entry in entries],
+            [entry.ciphertext for entry in entries],
+        )
+        assert batch.blob == EncodedBatch.from_entries(group, entries).blob
+
+    def test_select_subsets_duplicates_and_empties(self, group):
+        entries = make_entries(group, 4)
+        batch = EncodedBatch.from_entries(group, entries)
+        assert list(batch.select([3, 0, 0])) == [entries[3], entries[0], entries[0]]
+        assert len(batch.select(())) == 0 and batch.select(()).blob == b""
+
+    def test_wire_round_trip(self, group):
+        batch = EncodedBatch.from_entries(group, make_entries(group, 5))
+        decoded = EncodedBatch.from_wire(group, batch.to_wire())
+        assert decoded.blob == batch.blob and list(decoded) == list(batch)
+        empty = EncodedBatch.from_wire(group, EncodedBatch.from_entries(group, []).to_wire())
+        assert len(empty) == 0
+
+    def test_truncated_header_rejected(self, group):
+        for cut in range(4):
+            with pytest.raises(DecodingError, match="truncated batch header"):
+                EncodedBatch.from_wire(group, b"\x00\x00\x00\x01"[:cut])
+
+    def test_count_beyond_payload_rejected_before_the_walk(self, group):
+        """A forged count needs ``count`` minimum-size records of room."""
+        wire = EncodedBatch.from_entries(group, make_entries(group, 2)).to_wire()
+        minimum = group.element_size + 4
+        room = (len(wire) - 4) // minimum
+        forged = (room + 1).to_bytes(4, "big") + wire[4:]
+        with pytest.raises(DecodingError, match="count exceeds"):
+            EncodedBatch.from_wire(group, forged)
+        with pytest.raises(DecodingError, match="count exceeds"):
+            EncodedBatch.from_wire(group, b"\xff\xff\xff\xff" + wire[4:])
+
+    def test_record_overrun_rejected(self, group):
+        entries = [BatchEntry(group.base_mult(index + 1), b"c" * 40) for index in range(3)]
+        wire = EncodedBatch.from_entries(group, entries).to_wire()
+        # The last record's length field claims more ciphertext than is left.
+        length_at = len(wire) - 40 - 4
+        overrun = wire[:length_at] + (41).to_bytes(4, "big") + wire[length_at + 4:]
+        with pytest.raises(DecodingError, match="overruns"):
+            EncodedBatch.from_wire(group, overrun)
+        # Every proper prefix is short somewhere: a record header or a body.
+        for cut in range(4, len(wire)):
+            with pytest.raises(DecodingError, match="overruns|count exceeds"):
+                EncodedBatch.from_wire(group, wire[:cut])
+
+    def test_trailing_bytes_rejected(self, group):
+        wire = EncodedBatch.from_entries(group, make_entries(group, 3)).to_wire()
+        with pytest.raises(DecodingError, match="trailing bytes"):
+            EncodedBatch.from_wire(group, wire + b"\x00")
+
+    def test_out_of_range_element_surfaces_at_decode_publics(self, group):
+        """Structure is checked at the wire; elements once per hop, same error."""
+        wire = EncodedBatch.from_entries(group, make_entries(group, 2)).to_wire()
+        bad = wire[:4] + b"\xff" * group.element_size + wire[4 + group.element_size:]
+        batch = EncodedBatch.from_wire(group, bad)
+        assert len(batch) == 2
+        with pytest.raises(DecodingError):
+            batch.decode_publics()
+        with pytest.raises(DecodingError):
+            batch[0]
+        assert batch[1] == make_entries(group, 2)[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(min_value=1, max_value=2**32), st.binary(max_size=80)),
+            max_size=6,
+        )
+    )
+    def test_decode_encode_round_trip(self, group, records):
+        batch = EncodedBatch.from_entries(
+            group, [BatchEntry(group.base_mult(scalar), ct) for scalar, ct in records]
+        )
+        decoded = EncodedBatch.from_wire(group, batch.to_wire())
+        assert decoded.blob == batch.blob
+        assert decoded.to_wire() == batch.to_wire()
+        assert [batch.ciphertext(i) for i in range(len(batch))] == [ct for _, ct in records]
+
+
 class TestBatchDigest:
     def test_order_independent(self, group):
-        entries = [
-            BatchEntry(group.base_mult(index + 1), bytes([index]) * 4) for index in range(4)
-        ]
-        assert batch_digest(group, entries) == batch_digest(group, list(reversed(entries)))
+        batch = EncodedBatch.from_entries(
+            group, [BatchEntry(group.base_mult(index + 1), bytes([index]) * 4) for index in range(4)]
+        )
+        assert batch_digest(batch) == batch_digest(batch.select([3, 2, 1, 0]))
 
     def test_content_sensitive(self, group):
-        entries = [BatchEntry(group.base_mult(1), b"aaaa")]
-        other = [BatchEntry(group.base_mult(1), b"aaab")]
-        assert batch_digest(group, entries) != batch_digest(group, other)
+        entries = EncodedBatch.from_entries(group, [BatchEntry(group.base_mult(1), b"aaaa")])
+        other = EncodedBatch.from_entries(group, [BatchEntry(group.base_mult(1), b"aaab")])
+        assert batch_digest(entries) != batch_digest(other)
 
     def test_empty_batch(self, group):
-        assert len(batch_digest(group, [])) == 32
+        assert len(batch_digest(EncodedBatch.from_entries(group, []))) == 32
 
 
 class TestChunking:

@@ -866,13 +866,6 @@ class TestDeploymentKnob:
         config.validate()
         assert config.crypto_kernel is CryptoKernelKind.PYTHON
 
-    def test_config_coerces_plain_string_with_deprecation(self):
-        from repro.coordinator.network import DeploymentConfig
-
-        with pytest.warns(DeprecationWarning):
-            config = DeploymentConfig(crypto_kernel="python")
-        assert config.crypto_kernel is CryptoKernelKind.PYTHON
-
     def test_config_rejects_unknown_kernel(self):
         from repro.coordinator.network import DeploymentConfig
 

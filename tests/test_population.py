@@ -141,13 +141,35 @@ class TestPopulationSemantics:
         a, b = reference.users[0].name, reference.users[1].name
         reference.start_conversation(a, b)
         batched.start_conversation(a, b)
-        spec = {"payloads": {a: b"hello"}}
-        ref_report = reference.run_round(**spec)
-        bat_report = batched.run_round(**spec)
-        assert bat_report.canonical_bytes() == ref_report.canonical_bytes()
+        # Once a chain has accepted it keeps sender stubs and the wire blob,
+        # so whole submissions — chain id, sender, X, ciphertext, proof,
+        # cover flag — are compared where they still exist: in the engine's
+        # per-chain lists, after collect and before mix consumes them.
+        collected = []
+        for deployment in (reference, batched):
+            ctx = deployment.engine.prepare(deployment.round_spec(payloads={a: b"hello"}))
+            deployment.engine.collect(ctx)
+            deployment.engine.finalize_collect(ctx)
+            collected.append((ctx, {cid: list(subs) for cid, subs in ctx.per_chain.items()}))
+        (ref_ctx, ref_submissions), (bat_ctx, bat_submissions) = collected
+        assert all(ref_submissions.values())
+        assert bat_submissions == ref_submissions
+        for chain_id, submissions in ref_submissions.items():
+            assert [s.to_bytes() for s in bat_submissions[chain_id]] == [
+                s.to_bytes() for s in submissions
+            ]
+        for deployment, ctx in ((reference, ref_ctx), (batched, bat_ctx)):
+            for stage in ("precompute", "mix", "deliver", "fetch"):
+                getattr(deployment.engine, stage)(ctx)
+        assert bat_ctx.report.canonical_bytes() == ref_ctx.report.canonical_bytes()
         for chain_ref, chain_bat in zip(reference.chains, batched.chains):
+            assert chain_bat.submissions_for_round(1)
             assert (
                 chain_bat.submissions_for_round(1) == chain_ref.submissions_for_round(1)
+            )
+            assert (
+                chain_bat.history_for_round(1)[0].blob
+                == chain_ref.history_for_round(1)[0].blob
             )
 
     def test_population_rosters_cover_every_user_slot(self):

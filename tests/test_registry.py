@@ -1,4 +1,4 @@
-"""The typed component registry and the stringly-knob deprecation shim."""
+"""The typed component registry and its two spellings of a built-in."""
 
 import warnings
 
@@ -10,6 +10,7 @@ from repro.registry import (
     EXECUTION_BACKENDS,
     POPULATIONS,
     TRANSPORTS,
+    CryptoKernelKind,
     ExecutionBackendKind,
     PopulationKind,
     TransportKind,
@@ -49,49 +50,33 @@ class TestEnums:
         assert set(k.value for k in TransportKind) <= set(TRANSPORTS.keys())
 
 
-class TestDeprecationShim:
-    def test_builtin_string_coerces_with_exactly_one_warning(self):
-        with pytest.warns(DeprecationWarning, match="TransportKind.INPROC") as caught:
-            value = TRANSPORTS.coerce("inproc", field="transport")
-        assert value is TransportKind.INPROC
-        assert len(caught) == 1
-
-    def test_stringly_config_warns_once_per_knob(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            make_config(transport="inproc")
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert "transport" in str(deprecations[0].message)
-
-    def test_enum_knobs_warn_nothing(self):
+class TestStringSpelling:
+    def test_builtin_strings_are_normalised_without_a_warning(self):
+        """``-W error``: the plain spelling is first class, not a deprecation."""
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("error")
+            assert DeploymentConfig(transport="tcp").transport is TransportKind.TCP
             config = make_config(
-                transport=TransportKind.INPROC,
-                execution_backend=ExecutionBackendKind.SERIAL,
-                population=PopulationKind.OBJECT,
+                execution_backend="parallel", population="batched", crypto_kernel="python"
             )
-        assert config.transport is TransportKind.INPROC
-        assert config.execution_backend is ExecutionBackendKind.SERIAL
-        assert config.population is PopulationKind.OBJECT
+            assert TRANSPORTS.coerce("inproc") is TransportKind.INPROC
+        assert config.execution_backend is ExecutionBackendKind.PARALLEL
+        assert config.population is PopulationKind.BATCHED
+        assert config.crypto_kernel is CryptoKernelKind.PYTHON
+        assert config.transport is TransportKind.INPROC  # members pass through
 
-    def test_deprecated_strings_still_build_a_working_deployment(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            config = make_config(
-                transport="inproc", execution_backend="serial", population="object"
-            )
+    def test_strings_build_a_working_deployment(self):
+        config = make_config(
+            transport="inproc", execution_backend="serial", population="object"
+        )
         deployment = Deployment.create(config)
         report = deployment.run_round()
         assert report.round_number == 1
         deployment.close()
 
     def test_unknown_string_passes_coerce_but_fails_validate(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            # Not a builtin: passes through silently (might be third-party)…
-            assert TRANSPORTS.coerce("carrier-pigeon", field="transport") == "carrier-pigeon"
+        # Not a builtin: passes through (might be third-party)…
+        assert TRANSPORTS.coerce("carrier-pigeon") == "carrier-pigeon"
         # …but the validation gate rejects it if nothing registered it.
         with pytest.raises(ConfigurationError, match="transport"):
             make_config(transport="carrier-pigeon").validate()
@@ -108,11 +93,9 @@ class TestRegistration:
         TRANSPORTS.register("test-custom-transport", factory)
         try:
             assert TRANSPORTS.is_known("test-custom-transport")
-            # A registered third-party name is accepted by the config with
-            # no deprecation warning (the shim only claims builtin names).
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                config = make_config(transport="test-custom-transport")
+            # A registered third-party name is accepted by the config as is.
+            config = make_config(transport="test-custom-transport")
+            assert config.transport == "test-custom-transport"
             transport = make_transport(config.transport, group=None)
             assert isinstance(transport, InProcTransport)
             assert calls, "the registered factory was never invoked"

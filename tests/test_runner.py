@@ -112,11 +112,10 @@ class TestRunSpecCodec:
         assert digest == protocol.config_digest(make_config())
         assert len(digest) == 32
         assert digest != protocol.config_digest(make_config(seed=43))
-        # Enum knob and its deprecated string spelling digest identically
-        # (str-subclass enums serialise to their value).
+        # Enum knob and its string spelling digest identically.
         assert protocol.config_digest(
             make_config(transport=TransportKind.INPROC)
-        ) == protocol.config_digest(make_config())
+        ) == protocol.config_digest(make_config(transport="inproc"))
 
     def test_plan_round_trip(self):
         plan = FaultPlan(
@@ -242,6 +241,17 @@ class TestDistributedInProcess:
         # SHUTDOWN was broadcast: every role saw it.
         for node in nodes:
             assert node.wait_for_shutdown(timeout=5)
+        # The mix roles mixed (and precomputed) on their own replicas, and
+        # kept no round's key tables once it was delivered or re-formed.
+        records = [
+            record
+            for node in nodes if node.kind == "mix"
+            for chain in node.deployment.chains
+            for member in chain.members
+            for record in member._rounds.values()
+        ]
+        assert any(record.inputs is not None for record in records)
+        assert all(record.precomputed is None for record in records)
 
     def test_mix_rpc_on_the_mailbox_role_is_refused_over_the_wire(self):
         config = make_config(num_users=2, num_chains=1)

@@ -8,7 +8,13 @@ from repro.crypto.nizk import prove_dlog
 from repro.engine.multiprocess import MultiprocessBackend
 from repro.errors import ConfigurationError, DecodingError
 from repro.mixnet.ahs import ChainRoundResult
-from repro.mixnet.messages import BatchEntry, ClientSubmission, MailboxMessage, MessageBody
+from repro.mixnet.messages import (
+    BatchEntry,
+    ClientSubmission,
+    EncodedBatch,
+    MailboxMessage,
+    MessageBody,
+)
 from repro.simulation.costmodel import CostModel
 from repro.transport import (
     BATCH,
@@ -64,9 +70,11 @@ class TestCodecRoundTrips:
             BatchEntry(dh_public=group.base_mult(index + 1), ciphertext=bytes([index]) * index)
             for index in range(4)
         ]
-        wire = encode_payload(group, envelope(BATCH, entries, chain_id=0))
+        batch = EncodedBatch.from_entries(group, entries)
+        wire = encode_payload(group, envelope(BATCH, batch, chain_id=0))
         decoded = decode_payload(group, BATCH, wire)
-        assert decoded == entries
+        assert isinstance(decoded, EncodedBatch)
+        assert decoded.blob == batch.blob and list(decoded) == entries
 
     def test_mailbox_payloads(self, group):
         messages = [
@@ -78,7 +86,8 @@ class TestCodecRoundTrips:
             assert decode_payload(group, kind, wire) == messages
 
     def test_empty_batches(self, group):
-        assert decode_payload(group, BATCH, encode_payload(group, envelope(BATCH, []))) == []
+        empty = EncodedBatch.from_entries(group, [])
+        assert len(decode_payload(group, BATCH, encode_payload(group, envelope(BATCH, empty)))) == 0
         assert (
             decode_payload(
                 group, MAILBOX_FETCH, encode_payload(group, envelope(MAILBOX_FETCH, []))
@@ -87,7 +96,8 @@ class TestCodecRoundTrips:
         )
 
     def test_trailing_bytes_rejected(self, group):
-        wire = encode_payload(group, envelope(BATCH, [BatchEntry(group.base_mult(2), b"ct")]))
+        batch = EncodedBatch.from_entries(group, [BatchEntry(group.base_mult(2), b"ct")])
+        wire = encode_payload(group, envelope(BATCH, batch))
         with pytest.raises(DecodingError):
             decode_payload(group, BATCH, wire + b"\x00")
 
@@ -296,8 +306,9 @@ class TestWireOverheadConstant:
                 seed=2, group_kind="modp",
             )
         )
-        report = deployment.run_round()
-        assert report.total_submissions > 0
-        chain = deployment.chains[0]
-        for submission in chain.submissions_for_round(1):
+        built = deployment.users[0].build_round_submissions(
+            1, deployment.num_chains, deployment.chain_keys_view(1)
+        )
+        assert built
+        for submission in built:
             assert submission.wire_size() == SUBMISSION_OVERHEAD + onion_size(3)
