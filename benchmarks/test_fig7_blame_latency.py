@@ -4,7 +4,10 @@ Paper reference: ~13 s for 5,000 malicious users, growing linearly to ~150 s
 for 100,000 (f = 0.2, 100 servers).  Our analytic model reproduces the linear
 slope at the same order of magnitude (about 2-3× lower absolute numbers; see
 EXPERIMENTS.md).  A micro-scale run of the *real* blame protocol is also
-benchmarked so the measured per-ciphertext cost backs the model.
+benchmarked so the measured per-ciphertext cost backs the model: the walk
+is hop-wise over the whole flagged set (one batch of proofs, keys and
+opens per hop), so its cost is the model's per-ciphertext, per-layer term
+times the flagged count plus a per-hop constant — linear, as in the figure.
 """
 
 import pytest

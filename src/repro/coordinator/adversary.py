@@ -8,6 +8,8 @@ benchmarks can exercise them:
 
 * :class:`TamperingMember` wraps an honest :class:`ChainMember` and corrupts
   its output in one of several ways;
+* :class:`LyingRevealMember` wraps one and lies when the blame protocol
+  asks it to reveal;
 * :func:`install_tampering_server` swaps a chain position over to the
   tampering wrapper inside an existing deployment;
 * :func:`forge_misauthenticated_submission` builds the malicious-user
@@ -17,18 +19,20 @@ benchmarks can exercise them:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 from repro.client.user import ChainKeysView
-from repro.crypto.nizk import prove_dlog
-from repro.errors import ConfigurationError
+from repro.crypto.nizk import DleqProof, prove_dlog
+from repro.errors import ConfigurationError, ProtocolError
 from repro.mixnet.ahs import ChainMember, MixStepResult, submission_context
 from repro.mixnet.messages import BatchEntry, ClientSubmission, EncodedBatch
 
 __all__ = [
     "TamperingMember",
+    "LyingRevealMember",
     "install_tampering_server",
     "forge_misauthenticated_submission",
     "forge_invalid_proof_submission",
@@ -183,6 +187,85 @@ class TamperingMember:
             entries=EncodedBatch.from_entries(group, outputs),
             proof=result.proof,
         )
+
+
+#: Point outside the batch this server received.
+LIE_INPUT_INDEX = "input-index"
+#: Show an entry other than the one the chain saw this server receive.
+LIE_PREIMAGE = "preimage"
+#: A blinding-relation proof that does not verify.
+LIE_BLINDING_PROOF = "blinding-proof"
+#: A decryption-key proof that does not verify.
+LIE_KEY_PROOF = "key-proof"
+#: Refuse to reveal anything.
+LIE_REFUSE = "refuse"
+
+_LIES = (LIE_INPUT_INDEX, LIE_PREIMAGE, LIE_BLINDING_PROOF, LIE_KEY_PROOF, LIE_REFUSE)
+
+
+class LyingRevealMember:
+    """A chain member that mixes honestly and lies in the blame protocol (§6.4).
+
+    Everything but :meth:`blame_reveals` is the wrapped member's.  When the
+    walk-back asks this server for its pre-images, the reveal for
+    ``output_index`` (every requested entry when ``None``) carries one lie;
+    the other entries of the same request are revealed honestly, so one
+    flagged batch can hold ciphertexts that convict this server next to
+    ciphertexts that go on to convict their submitters.  ``LIE_REFUSE``
+    answers no request that includes the entry.  (The fifth way a reveal
+    fails — the pre-image does not open to the downstream ciphertext — needs
+    no lie: it is what an honest reveal shows after
+    :data:`MODE_TAMPER_CIPHERTEXT`.)
+    """
+
+    def __init__(self, member, lie: str, output_index: Optional[int] = None) -> None:
+        if lie not in _LIES:
+            raise ConfigurationError(f"unknown reveal lie {lie!r}")
+        self._member = member
+        self.lie = lie
+        self.output_index = output_index
+
+    def __getattr__(self, name: str):
+        return getattr(self._member, name)
+
+    def blame_reveals(self, round_number: int, output_indices: Sequence[int]):
+        columns = [
+            column for column, index in enumerate(output_indices)
+            if self.output_index in (None, index)
+        ]
+        if columns and self.lie == LIE_REFUSE:
+            raise ProtocolError(f"{self._member.server_name} refuses to reveal")
+        reveals = self._member.blame_reveals(round_number, output_indices)
+        group = self._member.group
+
+        def forged(proofs: List[DleqProof]) -> List[DleqProof]:
+            proofs = list(proofs)
+            for column in columns:
+                proof = proofs[column]
+                proofs[column] = dataclasses.replace(
+                    proof, response=(proof.response + 1) % group.order
+                )
+            return proofs
+
+        if self.lie == LIE_INPUT_INDEX:
+            outside = len(self._member.round_record(round_number).inputs)
+            return dataclasses.replace(reveals, input_indices=[
+                outside if column in columns else index
+                for column, index in enumerate(reveals.input_indices)
+            ])
+        if self.lie == LIE_PREIMAGE:
+            entries = list(reveals.preimages)
+            for column in columns:
+                entry = entries[column]
+                entries[column] = BatchEntry(
+                    entry.dh_public, entry.ciphertext[:-1] + bytes([entry.ciphertext[-1] ^ 0x01])
+                )
+            return dataclasses.replace(
+                reveals, preimages=EncodedBatch.from_entries(group, entries)
+            )
+        if self.lie == LIE_BLINDING_PROOF:
+            return dataclasses.replace(reveals, blinding_proofs=forged(reveals.blinding_proofs))
+        return dataclasses.replace(reveals, key_proofs=forged(reveals.key_proofs))
 
 
 def install_tampering_server(

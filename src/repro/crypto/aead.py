@@ -22,9 +22,7 @@ from repro.constants import AEAD_NONCE_SIZE, AEAD_TAG_SIZE
 from repro.crypto import kernels as _kernels
 from repro.crypto.chacha20 import (
     BLOCK_SIZE,
-    chacha20_block,
     chacha20_blocks_batch,
-    chacha20_encrypt,
     chacha20_keystreams,
     xor_bytes,
 )
@@ -63,10 +61,6 @@ class AuthenticatedCiphertext:
         return len(self.ciphertext) + len(self.tag)
 
 
-def _poly1305_key(key: bytes, nonce: bytes) -> bytes:
-    return chacha20_block(key, 0, nonce)[:32]
-
-
 def _normalise_nonce(nonce) -> bytes:
     """Accept either a 12-byte nonce or a round number and normalise it."""
     if isinstance(nonce, int):
@@ -98,15 +92,11 @@ def aenc(key: bytes, nonce, plaintext: bytes, aad: bytes = b"") -> bytes:
 
     ``nonce`` is typically the XRD round number; ``aad`` carries any
     additional data bound to the ciphertext (e.g., a protocol label).
-    Returns ``ciphertext || tag``.
+    Returns ``ciphertext || tag``.  A batch of one: the active kernel tier
+    seals it, and on the python tier that is the RFC 8439 construction
+    below, block function and MAC in pure Python.
     """
-    if len(key) != 32:
-        raise CryptoError("AEAD key must be 32 bytes")
-    nonce_bytes = _normalise_nonce(nonce)
-    ciphertext = chacha20_encrypt(key, nonce_bytes, plaintext, initial_counter=1)
-    otk = _poly1305_key(key, nonce_bytes)
-    tag = poly1305_mac(_mac_data(aad, ciphertext), otk)
-    return ciphertext + tag
+    return aenc_batch([key], nonce, [plaintext], aad)[0]
 
 
 def adec(key: bytes, nonce, data: bytes, aad: bytes = b"") -> Tuple[bool, Optional[bytes]]:
@@ -114,22 +104,10 @@ def adec(key: bytes, nonce, data: bytes, aad: bytes = b"") -> Tuple[bool, Option
 
     Returns ``(True, plaintext)`` on success and ``(False, None)`` when the
     key is wrong, the ciphertext was tampered with, or the encoding is
-    malformed — mirroring the paper's ``(b, m)`` return convention.
+    malformed — mirroring the paper's ``(b, m)`` return convention.  A batch
+    of one, like :func:`aenc`.
     """
-    if len(key) != 32:
-        raise CryptoError("AEAD key must be 32 bytes")
-    try:
-        nonce_bytes = _normalise_nonce(nonce)
-    except CryptoError:
-        return False, None
-    if len(data) < AEAD_TAG_SIZE:
-        return False, None
-    ciphertext, tag = data[:-AEAD_TAG_SIZE], data[-AEAD_TAG_SIZE:]
-    otk = _poly1305_key(key, nonce_bytes)
-    if not poly1305_verify(_mac_data(aad, ciphertext), otk, tag):
-        return False, None
-    plaintext = chacha20_encrypt(key, nonce_bytes, ciphertext, initial_counter=1)
-    return True, plaintext
+    return adec_batch([key], nonce, [data], aad)[0]
 
 
 def ciphertext_overhead(layers: int = 1) -> int:
@@ -146,8 +124,8 @@ def ciphertext_overhead(layers: int = 1) -> int:
 # the mix servers strip one outer layer from a whole batch at once.  Each
 # message needs the Poly1305 one-time-key block (counter 0) plus its payload
 # blocks (counters 1…), all under its own key — so the batch flattens to one
-# :func:`~repro.crypto.chacha20.chacha20_blocks_batch` call.  The per-message
-# outputs are byte-identical to :func:`aenc` / :func:`adec`.
+# :func:`~repro.crypto.chacha20.chacha20_blocks_batch` call.  A single
+# :func:`aenc` / :func:`adec` is a batch of one message.
 
 
 def _batch_keystreams(keys: Sequence[bytes], nonces: Sequence[bytes],

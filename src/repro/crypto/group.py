@@ -287,6 +287,14 @@ def _windowed_mult(point: Point, digits: List[int]) -> Point:
     return _windowed_mult_with_table(_window_table(point), digits)
 
 
+def _check_rows(points: Sequence, scalars: Sequence[int], k: int) -> None:
+    if k < 1 or len(points) != len(scalars) or len(points) % k:
+        raise ConfigurationError(
+            f"rows of {k} need as many scalars as points, in whole rows "
+            f"(got {len(points)} points, {len(scalars)} scalars)"
+        )
+
+
 class Ed25519Group:
     """The prime-order subgroup of edwards25519 used for all XRD DH operations."""
 
@@ -468,6 +476,26 @@ class Ed25519Group:
                 if digit:
                     result = _edwards_add(result, table[digit - 1])
         return result
+
+    def accumulate_rows(self, points: Sequence[Point], scalars: Sequence[int],
+                        k: int) -> List[Point]:
+        """``n`` independent ``k``-term accumulations: row ``i`` is ``Σ_j s_ij·P_ij``.
+
+        Entries ``i·k … i·k + k − 1`` of both inputs make row ``i``.  ``k = 1``
+        multiplies many points by as many scalars; ``k = 2`` evaluates one
+        Schnorr or Chaum-Pedersen verification equation per row.  One
+        native call for the whole batch, else
+        :meth:`multi_scalar_accumulate` row by row.
+        """
+        _check_rows(points, scalars, k)
+        reduced = [scalar % self.order for scalar in scalars]
+        native = _kernels.ed25519_accumulate_rows(points, reduced, k)
+        if native is not None:
+            return [_point_from_record(record) for record in native]
+        return [
+            self.multi_scalar_accumulate(points[start:start + k], reduced[start:start + k])
+            for start in range(0, len(points), k)
+        ]
 
     def exp(self, point: Point, scalar: int) -> Point:
         """Alias of :meth:`scalar_mult` using the paper's multiplicative notation."""
@@ -653,6 +681,22 @@ class ModPGroup:
             total = (total * pow(element, exponent, self.prime)) % self.prime
         return total
 
+    def accumulate_rows(self, elements: Sequence[int], scalars: Sequence[int],
+                        k: int) -> List[int]:
+        """``n`` independent ``k``-term accumulations: row ``i`` is ``Π_j e_ij^s_ij``.
+
+        Mirrors :meth:`Ed25519Group.accumulate_rows`.
+        """
+        _check_rows(elements, scalars, k)
+        exponents = [scalar % self.order for scalar in scalars]
+        native = _kernels.modp_accumulate_rows(self.prime, elements, exponents, k)
+        if native is not None:
+            return native
+        return [
+            self.multi_scalar_accumulate(elements[start:start + k], exponents[start:start + k])
+            for start in range(0, len(elements), k)
+        ]
+
     def exp(self, element: int, scalar: int) -> int:
         return self.scalar_mult(element, scalar)
 
@@ -703,10 +747,13 @@ def aggregate_public_keys(group, public_keys: Sequence) -> object:
 
 
 def multi_scalar_mult(group, points: Sequence, scalars: Sequence[int]) -> List:
-    """Return ``[s_i * P_i]`` element-wise; a convenience for batch blinding."""
-    if len(points) != len(scalars):
-        raise ValueError("points and scalars must have the same length")
-    return [group.scalar_mult(point, scalar) for point, scalar in zip(points, scalars)]
+    """Return ``[s_i * P_i]`` element-wise: many points, as many scalars.
+
+    One-term rows of the group's ``accumulate_rows`` (constant time in the
+    scalars on the curve's native tier) — the shape of a batch of sigma
+    protocol commitments ``nonce_i · base_i``.
+    """
+    return group.accumulate_rows(points, scalars, 1)
 
 
 def multi_scalar_accumulate(group, points: Sequence, scalars: Sequence[int]):
@@ -720,7 +767,7 @@ def multi_scalar_accumulate(group, points: Sequence, scalars: Sequence[int]):
     fused = getattr(group, "multi_scalar_accumulate", None)
     if fused is not None:
         return fused(points, scalars)
-    return group.sum(multi_scalar_mult(group, points, scalars))
+    return group.sum(group.scalar_mult(point, scalar) for point, scalar in zip(points, scalars))
 
 
 def scalar_mult_batch(group, points: Sequence, scalar: int) -> List:

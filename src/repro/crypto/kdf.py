@@ -12,12 +12,14 @@ import hashlib
 import hmac
 
 from repro.constants import AEAD_NONCE_SIZE
+from repro.crypto import kernels as _kernels
 from repro.errors import CryptoError
 
 __all__ = [
     "hkdf_extract",
     "hkdf_expand",
     "derive_key",
+    "derive_key_batch",
     "nonce_from_round",
     "loopback_key",
     "conversation_key",
@@ -60,6 +62,23 @@ def derive_key(secret: bytes, label: bytes, context: bytes = b"", length: int = 
     """
     pseudo_random_key = hkdf_extract(label, secret)
     return hkdf_expand(pseudo_random_key, context, length)
+
+
+def derive_key_batch(secrets: bytes, label: bytes, context: bytes = b"") -> bytes:
+    """:func:`derive_key` of every 32-byte secret in ``secrets``, as one key blob.
+
+    Key ``i`` (bytes ``32·i`` onwards) belongs to secret ``i`` — the layout
+    the AEAD batches take.  One native call, else the reference per secret.
+    """
+    if len(secrets) % _HASH_LEN:
+        raise CryptoError("a secret blob must hold whole 32-byte secrets")
+    keys = _kernels.hkdf_derive_batch(secrets, label, context)
+    if keys is not None:
+        return keys
+    return b"".join(
+        derive_key(secrets[offset:offset + _HASH_LEN], label, context)
+        for offset in range(0, len(secrets), _HASH_LEN)
+    )
 
 
 def shared_key_from_element(encoded_element: bytes, label: bytes, context: bytes = b"") -> bytes:

@@ -7,7 +7,7 @@ Three tiers run the batched hot loops, all bit-identical:
   default whenever numpy is importable);
 * ``native`` — the ``_xrdkernels`` cffi extension for the proven hot
   kernels (ChaCha20, the AEAD cascade, batched HKDF, the modp ladders, and
-  the edwards25519 ladders, comb, accumulation and point codec), falling back
+  the edwards25519 ladders, comb, accumulation rows and point codec), falling back
   *per function* to the lower tiers for anything it does not cover (or
   cannot run, e.g. a >256-bit modulus).
 
@@ -52,11 +52,13 @@ __all__ = [
     "modp_scalar_mult_keys",
     "modp_fixed_mult_batch",
     "modp_fixed_mult_keys",
+    "modp_accumulate_rows",
     "modp_multi_scalar_accumulate",
     "ed25519_scalar_mult_batch",
     "ed25519_scalar_mult_keys",
     "ed25519_fixed_mult_batch",
     "ed25519_fixed_mult_keys",
+    "ed25519_accumulate_rows",
     "ed25519_multi_scalar_accumulate",
     "ed25519_encode_batch",
     "ed25519_decode_batch",
@@ -419,27 +421,52 @@ def modp_fixed_mult_keys(prime: int, element: int, exponents: Sequence[int],
     return None if out is None else _hkdf(out, 32, label, b"")
 
 
-def modp_multi_scalar_accumulate(prime: int, elements: Sequence[int],
-                                 exponents: Sequence[int]) -> Optional[int]:
-    """``prod(pow(e, x, prime))`` fused in one native pass, or ``None``."""
+def _modp_rows(prime: int, elements: Sequence[int], exponents: Sequence[int],
+               k: int, n: int) -> Optional[bytearray]:
     handle = _handle()
     if handle is None or not _modp_ready(prime):
         return None
+    if not len(elements) == len(exponents) == k * n:
+        return None
     ffi, lib = handle
-    count = len(elements)
-    out = bytearray(32)
-    try:
-        rc = lib.xrd_modp_multi_scalar_accumulate(
-            prime.to_bytes(32, "big"),
-            b"".join(e.to_bytes(32, "big") for e in elements),
-            b"".join(x.to_bytes(32, "big") for x in exponents), count,
-            ffi.from_buffer(out, require_writable=True),
-        )
-    except OverflowError:
+    out = bytearray(32 * n)
+    if n:
+        try:
+            rc = lib.xrd_modp_accumulate_rows(
+                prime.to_bytes(32, "big"),
+                b"".join(e.to_bytes(32, "big") for e in elements),
+                b"".join(x.to_bytes(32, "big") for x in exponents), k, n,
+                ffi.from_buffer(out, require_writable=True),
+            )
+        except OverflowError:
+            return None
+        if rc != 0:
+            return None
+    return out
+
+
+def modp_accumulate_rows(prime: int, elements: Sequence[int], exponents: Sequence[int],
+                         k: int) -> Optional[List[int]]:
+    """``n`` independent ``k``-term products of powers natively, or ``None``.
+
+    Row ``i`` is ``prod(pow(elements[i*k + j], exponents[i*k + j], prime)
+    for j in range(k))``, each row one Straus pass (one squaring chain for
+    its ``k`` terms).  Both inputs must hold whole rows.
+    """
+    if k < 1 or len(elements) % k:
         return None
-    if rc != 0:
-        return None
-    return int.from_bytes(out, "big")
+    out = _modp_rows(prime, elements, exponents, k, len(elements) // k)
+    return None if out is None else _modp_ints(out)
+
+
+def modp_multi_scalar_accumulate(prime: int, elements: Sequence[int],
+                                 exponents: Sequence[int]) -> Optional[int]:
+    """``prod(pow(e, x, prime))`` fused in one native pass, or ``None``.
+
+    One row of :func:`modp_accumulate_rows` as long as the batch.
+    """
+    out = _modp_rows(prime, elements, exponents, len(elements), 1)
+    return None if out is None else int.from_bytes(out, "big")
 
 
 # -- edwards25519 -----------------------------------------------------------
@@ -562,29 +589,50 @@ def ed25519_fixed_mult_keys(point: object, scalars: Sequence[int],
     return None if out is None else _hkdf(out, 96, label, b"")
 
 
+def _ed25519_rows(points: Sequence[object], scalars: Sequence[int],
+                  k: int, n: int) -> Optional[List[Ed25519Record]]:
+    handle = _handle()
+    if handle is None or not len(points) == len(scalars) == k * n:
+        return None
+    ffi, lib = handle
+    out = bytearray(96 * n)
+    if n:
+        try:
+            rc = lib.xrd_ed25519_accumulate_rows(
+                _ed25519_pack(points),
+                b"".join(scalar.to_bytes(32, "little") for scalar in scalars), k, n,
+                ffi.from_buffer(out, require_writable=True),
+            )
+        except OverflowError:
+            return None
+        if rc != 0:
+            return None
+    return _ed25519_records(out, n)
+
+
+def ed25519_accumulate_rows(points: Sequence[object], scalars: Sequence[int],
+                            k: int) -> Optional[List[Ed25519Record]]:
+    """``n`` independent ``k``-term sums ``Σ_j s_ij·P_ij`` natively, or ``None``.
+
+    Row ``i`` takes entries ``i*k … i*k + k - 1`` of both inputs, which must
+    hold whole rows.  Rows of one term are multiplications and run the
+    constant-time ladder (a prover's nonces take this shape); rows of two
+    or more are Straus accumulations in variable time — the verifier's
+    side of the NIZKs, over public points and public scalars only.
+    """
+    if k < 1 or len(points) % k:
+        return None
+    return _ed25519_rows(points, scalars, k, len(points) // k)
+
+
 def ed25519_multi_scalar_accumulate(points: Sequence[object],
                                     scalars: Sequence[int]) -> Optional[Ed25519Record]:
     """``Σ sᵢ·Pᵢ`` by Straus's trick in one native pass, or ``None``.
 
-    Variable time: this is the verifier's side of the NIZKs, over public
-    points and public scalars only.
+    One row of :func:`ed25519_accumulate_rows` as long as the batch.
     """
-    handle = _handle()
-    if handle is None or len(points) != len(scalars):
-        return None
-    ffi, lib = handle
-    out = bytearray(96)
-    try:
-        rc = lib.xrd_ed25519_multi_scalar_accumulate(
-            _ed25519_pack(points),
-            b"".join(scalar.to_bytes(32, "little") for scalar in scalars), len(points),
-            ffi.from_buffer(out, require_writable=True),
-        )
-    except OverflowError:
-        return None
-    if rc != 0:
-        return None
-    return _ed25519_records(out, 1)[0]
+    rows = _ed25519_rows(points, scalars, len(points), 1)
+    return None if rows is None else rows[0]
 
 
 def ed25519_encode_batch(points: Sequence[object]) -> Optional[List[bytes]]:

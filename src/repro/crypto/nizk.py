@@ -15,14 +15,23 @@ Two proof systems appear in the paper:
 Both are standard sigma protocols; the Fiat-Shamir challenge binds the
 statement, the prover-supplied context (round number, chain id, server
 index), and a domain-separation label.
+
+Each proof system has a per-item form (``prove_*`` / ``verify_*``: the
+setup ceremony, the aggregate proof, and the reference the tests hold the
+batches to) and a batch form (``*_batch``: the intake check and the blame
+walk-back).  A batch evaluates the *same* equations, one row of
+``group.accumulate_rows`` per equation — no random linear combination — so
+item ``i`` of a batch gets exactly the proof bytes or the verdict the
+per-item function gives it, and a forged proof is pinned to its index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Sequence
 
 from repro.constants import NIZK_LABEL_DLEQ, NIZK_LABEL_DLOG
-from repro.crypto.group import multi_scalar_accumulate
+from repro.crypto.group import fixed_point_mult_batch, multi_scalar_accumulate, multi_scalar_mult
 from repro.errors import ProofError
 
 __all__ = [
@@ -32,6 +41,9 @@ __all__ = [
     "verify_dlog",
     "prove_dleq",
     "verify_dleq",
+    "verify_dlog_batch",
+    "prove_dleq_batch",
+    "verify_dleq_batch",
 ]
 
 
@@ -68,6 +80,14 @@ def _dlog_challenge(group, base, public, commitment, context: bytes) -> int:
     )
 
 
+def _same_length(*columns: Sequence) -> None:
+    if len({len(column) for column in columns}) > 1:
+        raise ProofError(
+            "a proof batch needs one entry per item in every column "
+            f"(got {[len(column) for column in columns]})"
+        )
+
+
 def prove_dlog(group, base, secret: int, context: bytes = b"", rng=None) -> SchnorrProof:
     """Prove knowledge of ``secret`` such that ``secret · base`` is known.
 
@@ -98,9 +118,31 @@ def verify_dlog(group, base, public, proof: SchnorrProof, context: bytes = b"") 
     return combined == commitment_point
 
 
+def verify_dlog_batch(group, base, publics: Sequence, proofs: Sequence[SchnorrProof],
+                      contexts: Sequence[bytes]) -> List[bool]:
+    """Batched :func:`verify_dlog` over one base: ``[verify_dlog(group, base, P_i, π_i, ctx_i)]``.
+
+    One accumulation row ``s_i·base − c_i·P_i`` per proof, compared with the
+    commitment in its encoding: decoding accepts canonical encodings only,
+    so "the bytes decode to this point" and "these are this point's bytes"
+    are the same predicate, garbage commitments included.
+    """
+    _same_length(publics, proofs, contexts)
+    points: list = []
+    scalars: List[int] = []
+    for public, proof, context in zip(publics, proofs, contexts):
+        challenge = _dlog_challenge(group, base, public, proof.commitment, context)
+        points += (base, public)
+        scalars += (proof.response, group.order - challenge)
+    combined = group.accumulate_rows(points, scalars, 2)
+    return [
+        group.encode(point) == proof.commitment for point, proof in zip(combined, proofs)
+    ]
+
+
 def _dleq_challenge(group, base1, public1, base2, public2, commitment1, commitment2, context: bytes) -> int:
-    return group.hash_to_scalar(
-        NIZK_LABEL_DLEQ,
+    return _dleq_challenge_encoded(
+        group,
         group.encode(base1),
         group.encode(public1),
         group.encode(base2),
@@ -108,6 +150,13 @@ def _dleq_challenge(group, base1, public1, base2, public2, commitment1, commitme
         commitment1,
         commitment2,
         context,
+    )
+
+
+def _dleq_challenge_encoded(group, base1: bytes, public1: bytes, base2: bytes, public2: bytes,
+                            commitment1: bytes, commitment2: bytes, context: bytes) -> int:
+    return group.hash_to_scalar(
+        NIZK_LABEL_DLEQ, base1, public1, base2, public2, commitment1, commitment2, context
     )
 
 
@@ -141,6 +190,62 @@ def verify_dleq(group, base1, public1, base2, public2, proof: DleqProof, context
         return False
     combined2 = multi_scalar_accumulate(group, [base2, public2], [proof.response, negated])
     return combined2 == commitment2_point
+
+
+def prove_dleq_batch(group, base1s: Sequence, encoded_public1s: Sequence[bytes], base2,
+                     encoded_public2: bytes, secret: int, nonces: Sequence[int],
+                     context: bytes = b"") -> List[DleqProof]:
+    """Batched :func:`prove_dleq` under one secret and one second base.
+
+    Proof ``i`` states ``log_base1s[i](public1_i) = log_base2(public2) =
+    secret`` and is byte for byte what :func:`prove_dleq` returns when its
+    rng yields ``nonces[i]``.  The prover already holds its publics and they
+    enter nothing but the transcript, so they are taken as their wire
+    encodings; the nonces are drawn by the caller, in the order the per-item
+    prover would have drawn them.
+    """
+    _same_length(base1s, encoded_public1s, nonces)
+    commitments1 = multi_scalar_mult(group, base1s, nonces)
+    commitments2 = fixed_point_mult_batch(group, base2, nonces)
+    encoded_base2 = group.encode(base2)
+    proofs = []
+    for base1, encoded_public1, point1, point2, nonce in zip(
+        base1s, encoded_public1s, commitments1, commitments2, nonces
+    ):
+        commitment1, commitment2 = group.encode(point1), group.encode(point2)
+        challenge = _dleq_challenge_encoded(
+            group, group.encode(base1), encoded_public1, encoded_base2, encoded_public2,
+            commitment1, commitment2, context,
+        )
+        proofs.append(
+            DleqProof(commitment1, commitment2, (nonce + challenge * secret) % group.order)
+        )
+    return proofs
+
+
+def verify_dleq_batch(group, base1s: Sequence, public1s: Sequence, base2s: Sequence,
+                      public2s: Sequence, proofs: Sequence[DleqProof],
+                      context: bytes = b"") -> List[bool]:
+    """Batched :func:`verify_dleq`: item ``i`` is ``verify_dleq(group, base1s[i], …, proofs[i], context)``.
+
+    Two accumulation rows per proof (``s·base − c·public`` against each
+    commitment), all in one ``accumulate_rows`` call; commitments are
+    compared encoded, as in :func:`verify_dlog_batch`.
+    """
+    _same_length(base1s, public1s, base2s, public2s, proofs)
+    points: list = []
+    scalars: List[int] = []
+    for base1, public1, base2, public2, proof in zip(base1s, public1s, base2s, public2s, proofs):
+        challenge = _dleq_challenge(
+            group, base1, public1, base2, public2, proof.commitment1, proof.commitment2, context
+        )
+        points += (base1, public1, base2, public2)
+        scalars += (proof.response, group.order - challenge) * 2
+    combined = [group.encode(point) for point in group.accumulate_rows(points, scalars, 2)]
+    return [
+        combined[2 * index] == proof.commitment1 and combined[2 * index + 1] == proof.commitment2
+        for index, proof in enumerate(proofs)
+    ]
 
 
 def require_valid_dlog(group, base, public, proof: SchnorrProof, context: bytes = b"") -> None:

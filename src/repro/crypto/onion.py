@@ -30,7 +30,7 @@ from repro.constants import (
 )
 from repro.crypto.aead import adec, adec_batch, aenc
 from repro.crypto.group import fixed_point_mult_batch, scalar_mult_batch
-from repro.crypto.kdf import shared_key_from_element
+from repro.crypto.kdf import derive_key_batch, shared_key_from_element
 from repro.errors import CryptoError
 
 __all__ = [
@@ -113,11 +113,8 @@ def shared_keys_batch(group, label: bytes, points, scalars: Union[int, Sequence[
     keys = fused(points, scalars, label)
     if keys is not None:
         return keys
-    # The reference path: outer_layer_key / inner_envelope_key per element.
-    return b"".join(
-        shared_key_from_element(group.encode(shared), label)
-        for shared in mult(group, points, scalars)
-    )
+    # The unfused path: outer_layer_key / inner_envelope_key per element.
+    return derive_key_batch(b"".join(map(group.encode, mult(group, points, scalars))), label)
 
 
 # --------------------------------------------------------------------------

@@ -41,9 +41,11 @@ from repro.crypto.nizk import (
     DleqProof,
     SchnorrProof,
     prove_dleq,
+    prove_dleq_batch,
     prove_dlog,
     verify_dleq,
     verify_dlog,
+    verify_dlog_batch,
 )
 from repro.crypto.aead import adec_batch
 from repro.crypto.group import scalar_mult_batch
@@ -191,7 +193,6 @@ class _RoundRecord:
     permutation: List[int] = field(default_factory=list)
     inner_secret: Optional[int] = field(default=None, repr=False)
     inner_public: Optional[object] = None
-    failed_indices: List[int] = field(default_factory=list)
     rng: Optional[random.Random] = None
     #: Precomputed public-key work (§5.2.1): encoded DH public →
     #: ``(blinded key, outer layer key)``.  ``None`` means no precompute ran
@@ -403,7 +404,6 @@ class ChainMember:
                 next_ciphertext = b""
             stripped.append(next_ciphertext or b"")
         if failed:
-            record.failed_indices = failed
             return MixStepResult(
                 position=self.position, entries=entries.select(()), proof=None,
                 failed_indices=failed,
@@ -456,57 +456,76 @@ class ChainMember:
         """Access the private round record (used by the blame protocol and tests)."""
         return self._rounds[round_number]
 
-    def blame_reveal(self, round_number: int, output_index: int):
-        """Reveal the pre-image of one output entry with proofs (§6.4 steps 1-2)."""
-        from repro.mixnet.blame import BlameReveal  # local import to avoid a cycle
+    def _reveal_keys(self, preimages: EncodedBatch, nonces: Sequence[int], context: bytes):
+        """Decryption keys ``msk · X`` for ``preimages``, each proved against the mixing key."""
+        group = self.group
+        dh_publics = preimages.decode_publics()
+        decryption_keys = scalar_mult_batch(group, dh_publics, self.mixing_secret)
+        key_proofs = prove_dleq_batch(
+            group,
+            dh_publics,
+            [group.encode(key) for key in decryption_keys],
+            self.base_point,
+            group.encode(self.mixing_public),
+            self.mixing_secret,
+            nonces,
+            context,
+        )
+        return dh_publics, decryption_keys, key_proofs
+
+    def blame_reveals(self, round_number: int, output_indices: Sequence[int]):
+        """Reveal the pre-images of some output entries with proofs (§6.4 steps 1-2).
+
+        One reveal for the whole set; per entry the rng gives the blinding
+        proof's nonce, then the key proof's.
+        """
+        from repro.mixnet.blame import BlameReveals  # local import to avoid a cycle
 
         group = self.group
         rng = self._round_rng(round_number)
         record = self._rounds[round_number]
-        input_index = record.permutation[output_index]
-        entry = record.inputs[input_index]
+        input_indices = [record.permutation[index] for index in output_indices]
+        preimages = record.inputs.select(input_indices)
+        outputs = record.outputs
+        nonces = [group.random_scalar(rng) for _ in range(2 * len(input_indices))]
         context = blame_context(self.chain_id, self.position, round_number)
-        blinding_proof = prove_dleq(
-            group, entry.dh_public, self.base_point, self.blinding_secret, context, rng
+        dh_publics, decryption_keys, key_proofs = self._reveal_keys(
+            preimages, nonces[1::2], context
         )
-        decryption_key = group.scalar_mult(entry.dh_public, self.mixing_secret)
-        key_proof = prove_dleq(
-            group, entry.dh_public, self.base_point, self.mixing_secret, context, rng
+        # X_out = bsk · X_in is the output entry this server already holds.
+        blinding_proofs = prove_dleq_batch(
+            group,
+            dh_publics,
+            [outputs.element_bytes(index) for index in output_indices],
+            self.base_point,
+            group.encode(self.blinding_public),
+            self.blinding_secret,
+            nonces[0::2],
+            context,
         )
-        return BlameReveal(
-            position=self.position,
-            input_index=input_index,
-            dh_public=entry.dh_public,
-            ciphertext=entry.ciphertext,
-            decryption_key=decryption_key,
-            blinding_proof=blinding_proof,
-            key_proof=key_proof,
+        return BlameReveals(
+            preimages=preimages,
+            decryption_keys=decryption_keys,
+            key_proofs=key_proofs,
+            input_indices=input_indices,
+            blinding_proofs=blinding_proofs,
         )
 
-    def reveal_decryption_key(self, round_number: int, input_index: int):
-        """Reveal the decryption key for one of this member's *input* entries.
+    def reveal_decryption_keys(self, round_number: int, input_indices: Sequence[int]):
+        """Reveal the decryption keys for some of this member's *input* entries.
 
         Used by the accusing server in blame step 4 to demonstrate that the
-        flagged ciphertext does not authenticate under the correct key.
+        flagged ciphertexts do not authenticate under the correct keys.
         """
-        from repro.mixnet.blame import AccuserReveal  # local import to avoid a cycle
+        from repro.mixnet.blame import KeyReveals  # local import to avoid a cycle
 
-        group = self.group
         rng = self._round_rng(round_number)
-        record = self._rounds[round_number]
-        entry = record.inputs[input_index]
+        preimages = self._rounds[round_number].inputs.select(input_indices)
+        nonces = [self.group.random_scalar(rng) for _ in input_indices]
         context = blame_context(self.chain_id, self.position, round_number)
-        decryption_key = group.scalar_mult(entry.dh_public, self.mixing_secret)
-        key_proof = prove_dleq(
-            group, entry.dh_public, self.base_point, self.mixing_secret, context, rng
-        )
-        return AccuserReveal(
-            position=self.position,
-            input_index=input_index,
-            dh_public=entry.dh_public,
-            ciphertext=entry.ciphertext,
-            decryption_key=decryption_key,
-            key_proof=key_proof,
+        _, decryption_keys, key_proofs = self._reveal_keys(preimages, nonces, context)
+        return KeyReveals(
+            preimages=preimages, decryption_keys=decryption_keys, key_proofs=key_proofs
         )
 
 
@@ -687,31 +706,45 @@ class MixChain:
         once this returns.
         """
         group = self.group
-        accepted: List[_AcceptedSender] = []
-        element_bytes: List[bytes] = []
-        ciphertexts: List[bytes] = []
-        rejected: List[str] = []
-        for submission in submissions:
+        # One pass sorts out what cannot be a proof statement at all (wrong
+        # chain, undecodable key); everything else is one row of one batched
+        # verification, and the verdicts fall back into submission order.
+        valid = [False] * len(submissions)
+        rows: List[int] = []
+        publics: List[object] = []
+        for index, submission in enumerate(submissions):
             if submission.chain_id != self.chain_id:
-                rejected.append(submission.sender)
                 continue
             try:
-                dh_public = group.decode(submission.dh_public)
+                publics.append(group.decode(submission.dh_public))
             except Exception:
-                rejected.append(submission.sender)
                 continue
-            context = submission_context(self.chain_id, round_number, submission.sender)
-            if not verify_dlog(group, group.base(), dh_public, submission.proof, context):
-                rejected.append(submission.sender)
-                continue
-            # Keep the *wire bytes* (the decode above validated them, and
-            # every accepted encoding is canonical, so no re-encode is
-            # needed) plus a sender-only stub; the decoded point dies here.
-            accepted.append(_AcceptedSender(submission.sender))
-            element_bytes.append(submission.dh_public)
-            ciphertexts.append(submission.ciphertext)
-        self._submissions[round_number] = accepted
-        batch = EncodedBatch.from_parts(group, element_bytes, ciphertexts)
+            rows.append(index)
+        verified = verify_dlog_batch(
+            group,
+            group.base(),
+            publics,
+            [submissions[index].proof for index in rows],
+            [
+                submission_context(self.chain_id, round_number, submissions[index].sender)
+                for index in rows
+            ],
+        )
+        for index, ok in zip(rows, verified):
+            valid[index] = ok
+        # Keep the *wire bytes* (the decode above validated them, and every
+        # accepted encoding is canonical, so no re-encode is needed) plus a
+        # sender-only stub; the decoded points die here.
+        accepted = [submission for submission, ok in zip(submissions, valid) if ok]
+        rejected = [submission.sender for submission, ok in zip(submissions, valid) if not ok]
+        self._submissions[round_number] = [
+            _AcceptedSender(submission.sender) for submission in accepted
+        ]
+        batch = EncodedBatch.from_parts(
+            group,
+            [submission.dh_public for submission in accepted],
+            [submission.ciphertext for submission in accepted],
+        )
         self._entries[round_number] = batch
         return batch, rejected
 

@@ -36,17 +36,15 @@ int xrd_modp_scalar_mult_batch(const uint8_t *prime, const uint8_t *elements,
 int xrd_modp_fixed_mult_batch(const uint8_t *prime, const uint8_t *element,
                               const uint8_t *exponents, size_t count,
                               uint8_t *out);
-int xrd_modp_multi_scalar_accumulate(const uint8_t *prime,
-                                     const uint8_t *elements,
-                                     const uint8_t *exponents, size_t count,
-                                     uint8_t *out);
+int xrd_modp_accumulate_rows(const uint8_t *prime, const uint8_t *elements,
+                             const uint8_t *exponents, size_t k, size_t n,
+                             uint8_t *out);
 int xrd_ed25519_scalar_mult_batch(const uint8_t *points, size_t count,
                                   const uint8_t *scalar, uint8_t *out);
 int xrd_ed25519_fixed_mult_batch(const uint8_t *point, const uint8_t *scalars,
                                  size_t count, uint8_t *out);
-int xrd_ed25519_multi_scalar_accumulate(const uint8_t *points,
-                                        const uint8_t *scalars, size_t count,
-                                        uint8_t *out);
+int xrd_ed25519_accumulate_rows(const uint8_t *points, const uint8_t *scalars,
+                                size_t k, size_t n, uint8_t *out);
 int xrd_ed25519_encode_batch(const uint8_t *points, size_t count, uint8_t *out);
 int xrd_ed25519_decode_batch(const uint8_t *encodings, size_t count,
                              uint8_t *out, uint8_t *ok_out);

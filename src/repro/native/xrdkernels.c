@@ -13,11 +13,11 @@
  *     label and context for the whole batch;
  *   - Montgomery-form modular exponentiation over the small modp test
  *     group: many-bases-one-exponent (scalar_mult_batch),
- *     one-base-many-exponents (fixed_point_mult_batch), and the fused
- *     product-of-powers accumulate;
+ *     one-base-many-exponents (fixed_point_mult_batch), and rows of
+ *     product-of-powers accumulations (accumulate_rows);
  *   - edwards25519 (the Ed25519Group of crypto/group.py): the same three
- *     shapes as 4-bit fixed-window ladders, a fixed-point comb and a
- *     Straus accumulation over 5x51-bit field limbs, plus the batched
+ *     shapes as 4-bit fixed-window ladders, a fixed-point comb and rows of
+ *     Straus accumulations over 5x51-bit field limbs, plus the batched
  *     point codec.
  *
  * Every entry point operates on whole batches behind one C call, so the
@@ -37,7 +37,7 @@
  * stale prebuilt module and rebuilds it.  The stamp string lets the loader
  * read the ABI of a built module from its file, without importing it (an
  * imported extension cannot be replaced within the process). */
-#define XRD_KERNELS_ABI 3
+#define XRD_KERNELS_ABI 4
 #define XRD_STR2(x) #x
 #define XRD_STR(x) XRD_STR2(x)
 
@@ -45,6 +45,10 @@ __attribute__((used)) const char xrd_abi_stamp[] =
     "xrd-kernels-abi:" XRD_STR(XRD_KERNELS_ABI);
 
 int xrd_abi_version(void) { return XRD_KERNELS_ABI; }
+
+static void *alloc_array(size_t count, size_t size) {
+    return malloc((count ? count : 1) * size);
+}
 
 /* ------------------------------------------------------------------ */
 /* ChaCha20 (RFC 8439)                                                */
@@ -683,22 +687,60 @@ int xrd_modp_fixed_mult_batch(const uint8_t *prime, const uint8_t *element,
     return 0;
 }
 
-int xrd_modp_multi_scalar_accumulate(const uint8_t *prime,
-                                     const uint8_t *elements,
-                                     const uint8_t *exponents, size_t count,
-                                     uint8_t *out) {
-    mont_ctx m;
-    uint64_t table[16][MAXL], base_m[MAXL], acc[MAXL], total[MAXL];
-    size_t i;
-    if (mont_init(&m, prime) != 0) return -1;
-    memcpy(total, m.one, sizeof(total));
-    for (i = 0; i < count; i++) {
-        if (load_element(&m, elements + 32 * i, base_m) != 0) return -2;
-        mont_pow_table(&m, base_m, table);
-        mont_pow_with_table(&m, table, exponents + 32 * i, acc);
-        mont_mul(total, total, acc, &m);
+/* acc (Montgomery form) = product of table[j]'s base ^ exponents[j] over
+ * `count` terms: Straus's trick, one squaring chain shared by every term's
+ * 4-bit windows (32-byte big-endian exponents, leading zero windows
+ * skipped). */
+static void mont_straus(const mont_ctx *m, uint64_t (*tables)[16][MAXL],
+                        const uint8_t *exponents, size_t count, uint64_t *acc) {
+    int started = 0, i, half;
+    size_t j;
+    memcpy(acc, m->one, MAXL * sizeof(uint64_t));
+    for (i = 0; i < 32; i++) {
+        for (half = 0; half < 2; half++) {
+            if (started) {
+                mont_mul(acc, acc, acc, m);
+                mont_mul(acc, acc, acc, m);
+                mont_mul(acc, acc, acc, m);
+                mont_mul(acc, acc, acc, m);
+            }
+            for (j = 0; j < count; j++) {
+                int d = half ? (exponents[32 * j + i] & 0xF) : (exponents[32 * j + i] >> 4);
+                if (d) {
+                    mont_mul(acc, acc, tables[j][d], m);
+                    started = 1;
+                }
+            }
+        }
     }
-    store_element(&m, total, out);
+}
+
+/* n independent k-term accumulations: out[i] = product over j < k of
+ * elements[i k + j] ^ exponents[i k + j].  k = 1 is many bases, many
+ * exponents; k = 2 is one Schnorr or Chaum-Pedersen verification equation
+ * per row; n = 1 is the fused product of a whole batch.  The caller has
+ * checked that both inputs hold k n entries. */
+int xrd_modp_accumulate_rows(const uint8_t *prime, const uint8_t *elements,
+                             const uint8_t *exponents, size_t k, size_t n,
+                             uint8_t *out) {
+    mont_ctx m;
+    uint64_t (*tables)[16][MAXL], base_m[MAXL], acc[MAXL];
+    size_t row, j;
+    if (mont_init(&m, prime) != 0) return -1;
+    tables = alloc_array(k, sizeof(*tables));
+    if (!tables) return -3;
+    for (row = 0; row < n; row++) {
+        for (j = 0; j < k; j++) {
+            if (load_element(&m, elements + 32 * (row * k + j), base_m) != 0) {
+                free(tables);
+                return -2;
+            }
+            mont_pow_table(&m, base_m, tables[j]);
+        }
+        mont_straus(&m, tables, exponents + 32 * row * k, k, acc);
+        store_element(&m, acc, out + 32 * row);
+    }
+    free(tables);
     return 0;
 }
 
@@ -1125,10 +1167,6 @@ static int ge_emit_affine(ge *points, size_t count, uint8_t *out, int with_coord
  * results are the 96-byte records of ge_emit_affine.  The two kernels
  * that take secret scalars run in time independent of them. */
 
-static void *alloc_array(size_t count, size_t size) {
-    return malloc((count ? count : 1) * size);
-}
-
 int xrd_ed25519_scalar_mult_batch(const uint8_t *points, size_t count,
                                   const uint8_t *scalar, uint8_t *out) {
     ge_cached table[16];
@@ -1173,34 +1211,55 @@ int xrd_ed25519_fixed_mult_batch(const uint8_t *point, const uint8_t *scalars,
     return rc;
 }
 
-/* Straus: sum of scalars[i] * points[i] over one shared doubling chain.
- * Verification only (public inputs), so zero digits and the leading
- * identity are skipped. */
-int xrd_ed25519_multi_scalar_accumulate(const uint8_t *points,
-                                        const uint8_t *scalars, size_t count,
-                                        uint8_t *out) {
-    ge_cached (*tables)[16] = alloc_array(count, sizeof(*tables));
-    ge point, total;
+/* Straus: total = sum of scalars[i] * P_i (given by its window table) over
+ * one shared doubling chain.  Variable time: zero digits and the leading
+ * identity are skipped, so this is for public points and scalars only. */
+static void ge_straus(ge *total, ge_cached (*tables)[16], const uint8_t *scalars,
+                      size_t count) {
     size_t i;
     int index, started = 0;
-    if (!tables) return -3;
-    for (i = 0; i < count; i++) {
-        ge_frombytes(&point, points + 128 * i);
-        ge_window_table(tables[i], &point);
-    }
-    ge_identity(&total);
+    ge_identity(total);
     for (index = WINDOWS - 1; index >= 0; index--) {
-        if (started) ge_times16(&total, &total);
+        if (started) ge_times16(total, total);
         for (i = 0; i < count; i++) {
             unsigned digit = scalar_digit(scalars + 32 * i, index);
             if (digit) {
-                ge_add(&total, &total, &tables[i][digit]);
+                ge_add(total, total, &tables[i][digit]);
                 started = 1;
             }
         }
     }
+}
+
+/* n independent k-term accumulations: record i = sum over j < k of
+ * scalars[i k + j] * points[i k + j], all normalised with one inversion.
+ * A row of one term is a multiplication — the shape a prover's nonces
+ * take — and runs the constant-time ladder of scalar_mult_batch; rows of
+ * two or more are the verifier's side (k = 2 is one Schnorr or
+ * Chaum-Pedersen equation) and run Straus over public inputs.  The caller
+ * has checked that both inputs hold k n entries. */
+int xrd_ed25519_accumulate_rows(const uint8_t *points, const uint8_t *scalars,
+                                size_t k, size_t n, uint8_t *out) {
+    ge_cached (*tables)[16] = alloc_array(k, sizeof(*tables));
+    ge point, *results = alloc_array(n, sizeof(ge));
+    size_t row, j;
+    int rc = -3;
+    if (tables && results) {
+        for (row = 0; row < n; row++) {
+            for (j = 0; j < k; j++) {
+                ge_frombytes(&point, points + 128 * (row * k + j));
+                ge_window_table(tables[j], &point);
+            }
+            if (k == 1)
+                ge_ladder(&results[row], tables[0], scalars + 32 * row);
+            else
+                ge_straus(&results[row], tables, scalars + 32 * row * k, k);
+        }
+        rc = ge_emit_affine(results, n, out, 1);
+    }
+    free(results);
     free(tables);
-    return ge_emit_affine(&total, 1, out, 1);
+    return rc;
 }
 
 int xrd_ed25519_encode_batch(const uint8_t *points, size_t count, uint8_t *out) {

@@ -163,5 +163,12 @@ class CostModel:
         )
 
     def blame_per_message_per_layer(self) -> float:
-        """Cost of one blame-protocol step: two DLEQ verifications plus a decryption."""
+        """Cost of one blame-protocol step: two DLEQ verifications plus a decryption.
+
+        Per flagged ciphertext and per hop walked — the paper's unit (§8.2),
+        and what the executed protocol spends: the hop-wise walk of
+        ``mixnet/blame.py`` batches a hop's checks over the flagged set
+        (one proof batch, one key batch, one open batch) but does the same
+        two verifications and one open per ciphertext.
+        """
         return 2 * self.nizk_verify + self.aead_fixed

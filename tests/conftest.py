@@ -12,7 +12,24 @@ import random
 import pytest
 
 from repro.coordinator.network import Deployment, DeploymentConfig
+from repro.crypto import kernels
 from repro.crypto.group import Ed25519Group, ModPGroup
+
+needs_native = pytest.mark.skipif(
+    not kernels.native_available(), reason="_xrdkernels extension not built (no C compiler?)"
+)
+#: The kernel tiers a tier-sensitive test runs under (numpy shares python's group code).
+TIERS = ("python", pytest.param("native", marks=needs_native))
+
+
+@pytest.fixture(params=TIERS)
+def tier(request):
+    """Run under each kernel tier, then restore lazy resolution."""
+    kernels.reset_kernel_for_tests()
+    kernels.set_active_kernel(request.param)
+    yield request.param
+    kernels.reset_kernel_for_tests()
+
 
 
 @pytest.fixture(scope="session")

@@ -5,11 +5,59 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import AEAD_TAG_SIZE
-from repro.crypto.aead import AuthenticatedCiphertext, adec, aenc, ciphertext_overhead
+from repro.crypto import kernels
+from repro.crypto.aead import (
+    AuthenticatedCiphertext,
+    adec,
+    adec_batch,
+    aenc,
+    aenc_batch,
+    ciphertext_overhead,
+)
 from repro.errors import CryptoError
 
 KEY = b"\x11" * 32
 OTHER_KEY = b"\x22" * 32
+
+
+class TestRFC8439:
+    """Section 2.8.2's AEAD vector; the single calls are a batch of one on
+    whichever tier is active, so the vector pins both tiers to the RFC."""
+
+    KEY = bytes(range(0x80, 0xA0))
+    NONCE = bytes.fromhex("070000004041424344454647")
+    AAD = bytes.fromhex("50515253c0c1c2c3c4c5c6c7")
+    PLAINTEXT = (
+        b"Ladies and Gentlemen of the class of '99: If I could offer you "
+        b"only one tip for the future, sunscreen would be it."
+    )
+    CIPHERTEXT = bytes.fromhex(
+        "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6"
+        "3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36"
+        "92ddbd7f2d778b8c9803aee328091b58fab324e4fad675945585808b4831d7bc"
+        "3ff4def08e4b7a9de576d26586cec64b6116"
+    )
+    TAG = bytes.fromhex("1ae10b594f09e26a7e902ecbd0600691")
+
+    def test_seal_and_open_the_vector(self, tier):
+        sealed = aenc(self.KEY, self.NONCE, self.PLAINTEXT, self.AAD)
+        assert sealed == self.CIPHERTEXT + self.TAG
+        assert adec(self.KEY, self.NONCE, sealed, self.AAD) == (True, self.PLAINTEXT)
+
+    @given(st.binary(min_size=32, max_size=32), st.integers(0, 2**40),
+           st.binary(max_size=300), st.binary(max_size=20))
+    @settings(max_examples=20, deadline=None)
+    def test_single_call_is_a_batch_of_one(self, key, round_number, plaintext, aad):
+        try:
+            for name in ["python"] + ["native"] * kernels.native_available():
+                kernels.set_active_kernel(name)
+                sealed = aenc(key, round_number, plaintext, aad)
+                assert [sealed] == aenc_batch([key], round_number, [plaintext], aad)
+                assert [adec(key, round_number, sealed, aad)] == adec_batch(
+                    [key], round_number, [sealed], aad
+                ) == [(True, plaintext)]
+        finally:
+            kernels.reset_kernel_for_tests()
 
 
 class TestRoundtrip:

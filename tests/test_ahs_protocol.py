@@ -29,19 +29,22 @@ def build_chain(group, length=3, chain_id=0, seed=11):
     return chain
 
 
-def make_submission(group, chain, round_number, sender, recipient_key, symmetric_key, body=None):
-    """Build a well-formed AHS submission for one chain."""
+def make_submission(group, chain, round_number, sender, recipient_key, symmetric_key, body=None,
+                    rng=None):
+    """Build a well-formed AHS submission for one chain (``rng``: reproducibly)."""
     body = body or MessageBody.data(b"payload for " + sender.encode())
     mailbox_message = MailboxMessage.seal(recipient_key, symmetric_key, round_number, body)
     envelope = encrypt_inner(
-        group, chain.aggregate_inner_public(round_number), round_number, mailbox_message.to_bytes()
+        group, chain.aggregate_inner_public(round_number), round_number,
+        mailbox_message.to_bytes(), rng,
     )
-    ephemeral = group.random_scalar()
+    ephemeral = group.random_scalar(rng)
     ciphertext = encrypt_outer_layers(
         group, chain.public_keys.mixing_publics, round_number, envelope.to_bytes(), ephemeral
     )
     proof = prove_dlog(
-        group, group.base(), ephemeral, submission_context(chain.chain_id, round_number, sender)
+        group, group.base(), ephemeral,
+        submission_context(chain.chain_id, round_number, sender), rng,
     )
     return ClientSubmission(
         chain_id=chain.chain_id,

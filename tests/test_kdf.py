@@ -44,20 +44,6 @@ RFC5869 = {
     ),
 }
 
-TIERS = ["python", pytest.param("native", marks=pytest.mark.skipif(
-    not kernels.native_available(), reason="_xrdkernels extension not built"
-))]
-
-
-@pytest.fixture(params=TIERS)
-def tier(request):
-    """Run under each kernel tier, then restore lazy resolution."""
-    kernels.reset_kernel_for_tests()
-    kernels.set_active_kernel(request.param)
-    yield request.param
-    kernels.reset_kernel_for_tests()
-
-
 class TestRFC5869:
     @pytest.mark.parametrize("case", sorted(RFC5869))
     def test_extract_then_expand(self, tier, case):
@@ -86,6 +72,24 @@ class TestRFC5869:
                 kdf.hkdf_expand(kdf.hkdf_extract(salt, secret), info, 32)
                 for secret in (secrets[:32], secrets[32:])
             )
+
+
+class TestDeriveKeyBatch:
+    @given(st.lists(st.binary(min_size=32, max_size=32), max_size=5),
+           st.binary(max_size=40), st.binary(max_size=60))
+    @settings(max_examples=25, deadline=None)
+    def test_is_derive_key_per_secret(self, secrets, label, context):
+        expected = b"".join(kdf.derive_key(secret, label, context) for secret in secrets)
+        try:
+            for name in ["python"] + ["native"] * kernels.native_available():
+                kernels.set_active_kernel(name)
+                assert kdf.derive_key_batch(b"".join(secrets), label, context) == expected
+        finally:
+            kernels.reset_kernel_for_tests()
+
+    def test_ragged_blob_is_rejected(self, tier):
+        with pytest.raises(CryptoError):
+            kdf.derive_key_batch(b"\x07" * 33, b"label")
 
 
 class TestHKDF:

@@ -153,13 +153,13 @@ class TestAeadDifferential:
         st.binary(min_size=0, max_size=40),
     )
     def test_seal_matches_reference(self, items, aad):
-        kernels.set_active_kernel("native")
         keys = [k for k, _, _ in items]
         nonces = [n for _, n, _ in items]
         plains = [p for _, _, p in items]
-        native = kernels.aead_seal_batch(keys, nonces, plains, aad)
+        kernels.set_active_kernel("python")  # aenc runs on the active tier
         reference = [aenc(k, n, p, aad) for k, n, p in zip(keys, nonces, plains)]
-        assert native == reference
+        kernels.set_active_kernel("native")
+        assert kernels.aead_seal_batch(keys, nonces, plains, aad) == reference
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -172,7 +172,7 @@ class TestAeadDifferential:
         st.data(),
     )
     def test_open_matches_reference_with_forgeries(self, items, aad, data):
-        kernels.set_active_kernel("native")
+        kernels.set_active_kernel("python")  # aenc and adec run on the active tier
         keys = [k for k, _, _ in items]
         nonces = [n for _, n, _ in items]
         sealed = [aenc(k, n, p, aad) for k, n, p in items]
@@ -191,13 +191,14 @@ class TestAeadDifferential:
                 sealed[index] = bytes(corrupted)
             elif action == "truncate":
                 sealed[index] = sealed[index][: data.draw(st.integers(0, 15))]
-        native = kernels.aead_open_batch(keys, nonces, sealed, aad)
         reference = [adec(k, n, d, aad) for k, n, d in zip(keys, nonces, sealed)]
-        assert native == reference
+        kernels.set_active_kernel("native")
+        assert kernels.aead_open_batch(keys, nonces, sealed, aad) == reference
 
     def test_wrong_key_rejected(self):
         kernels.set_active_kernel("native")
         sealed = aenc(b"\x01" * 32, b"\x00" * 12, b"secret", b"")
+        assert adec(b"\x01" * 32, b"\x00" * 12, sealed) == (True, b"secret")
         [(ok, plain)] = kernels.aead_open_batch(
             [b"\x02" * 32], [b"\x00" * 12], [sealed], b""
         )
@@ -686,6 +687,138 @@ class TestKeyPipeline:
             assert opened == [(True, plain) for plain in plains]
 
 
+# -- accumulate_rows (ABI 4) ---------------------------------------------------
+
+
+@needs_native
+class TestRowsDifferential:
+    """The rows kernels against the per-row Python reference: ``k`` terms per
+    row for k = 1, 2, 3, empty and single batches, scalars at the order's
+    edges, the identity and (on the curve) small-order points, and the
+    shapes the wrappers decline."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(MODULI), st.integers(1, 3), st.integers(0, 5), st.data())
+    def test_modp_rows(self, modulus, k, n, data):
+        kernels.set_active_kernel("native")
+        elements = data.draw(
+            st.lists(
+                st.integers(0, modulus - 1) | st.sampled_from([0, 1, modulus - 1]),
+                min_size=k * n, max_size=k * n,
+            ),
+            label="elements",
+        )
+        exponents = data.draw(
+            st.lists(_exponent_st(modulus), min_size=k * n, max_size=k * n), label="exponents"
+        )
+        expected = []
+        for start in range(0, k * n, k):
+            value = 1 % modulus
+            for element, exponent in zip(elements[start:start + k], exponents[start:start + k]):
+                value = value * pow(element, exponent, modulus) % modulus
+            expected.append(value)
+        assert kernels.modp_accumulate_rows(modulus, elements, exponents, k) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 3), st.data())
+    def test_ed25519_rows(self, k, n, data):
+        kernels.set_active_kernel("native")
+        points = data.draw(
+            st.lists(curve_points_st(), min_size=k * n, max_size=k * n), label="points"
+        )
+        scalars = data.draw(
+            st.lists(curve_scalars_st, min_size=k * n, max_size=k * n), label="scalars"
+        )
+        expected = []
+        for start in range(0, k * n, k):
+            total = group_mod._IDENTITY
+            for point, scalar in zip(points[start:start + k], scalars[start:start + k]):
+                total = group_mod._edwards_add(total, _reference_mult(point, scalar))
+            expected.append(_record(total))
+        assert kernels.ed25519_accumulate_rows(points, scalars, k) == expected
+
+    def test_single_and_empty_batches(self):
+        kernels.set_active_kernel("native")
+        p = 2**127 - 1
+        assert kernels.modp_accumulate_rows(p, [], [], 2) == []
+        assert kernels.modp_accumulate_rows(p, [5], [3], 1) == [125]
+        assert kernels.modp_accumulate_rows(p, [5, 7], [3, 2], 2) == [125 * 49]
+        assert kernels.modp_accumulate_rows(p, [5, 7], [3, 2], 1) == [125, 49]
+        assert kernels.modp_multi_scalar_accumulate(p, [], []) == 1
+        base = group_mod._BASE_POINT
+        five = _record(_reference_mult(base, 5))
+        assert kernels.ed25519_accumulate_rows([], [], 2) == []
+        assert kernels.ed25519_accumulate_rows([base], [5], 1) == [five]
+        assert kernels.ed25519_accumulate_rows([base, base], [2, 3], 2) == [five]
+        assert kernels.ed25519_accumulate_rows([base, base], [5, 5], 1) == [five, five]
+
+    def test_rows_share_nothing(self):
+        """A row's answer does not depend on its neighbours (tables are per row)."""
+        kernels.set_active_kernel("native")
+        base = group_mod._BASE_POINT
+        other = _reference_mult(base, 9)
+        together = kernels.ed25519_accumulate_rows(
+            [base, other, other, base], [3, 4, 5, 6], 2
+        )
+        assert together == [
+            kernels.ed25519_multi_scalar_accumulate([base, other], [3, 4]),
+            kernels.ed25519_multi_scalar_accumulate([other, base], [5, 6]),
+        ]
+
+    def test_declines_ragged_and_out_of_range(self):
+        kernels.set_active_kernel("native")
+        p = 2**61 - 1
+        base = group_mod._BASE_POINT
+        assert kernels.modp_accumulate_rows(p, [2, 3, 4], [1, 1, 1], 2) is None  # not whole rows
+        assert kernels.modp_accumulate_rows(p, [2, 3], [1], 2) is None           # scalars short
+        assert kernels.modp_accumulate_rows(p, [2, 3], [1, 1], 0) is None
+        assert kernels.modp_accumulate_rows(p, [p, 3], [1, 1], 2) is None        # element >= p
+        assert kernels.modp_accumulate_rows(p, [2, 3], [1, 2**256], 2) is None
+        assert kernels.modp_accumulate_rows(2**300 + 1, [2], [2], 1) is None
+        assert kernels.modp_multi_scalar_accumulate(p, [2, 3], [1]) is None
+        assert kernels.ed25519_accumulate_rows([base] * 3, [1, 1, 1], 2) is None
+        assert kernels.ed25519_accumulate_rows([base] * 2, [1], 2) is None
+        assert kernels.ed25519_accumulate_rows([base], [1], 0) is None
+        assert kernels.ed25519_accumulate_rows([group_mod.Point(-1, 1, 1, 0)], [1], 1) is None
+        assert kernels.ed25519_accumulate_rows([base], [2**256], 1) is None
+        assert kernels.ed25519_accumulate_rows([group_mod.Point(0, 0, 0, 0)], [1], 1) is None
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from(["modp", "curve"]), st.integers(1, 3), st.integers(0, 3), st.data())
+    def test_group_rows_are_tier_invariant(self, name, k, n, data):
+        """``accumulate_rows`` and ``multi_scalar_mult`` answer identically on
+        both tiers, scalars at and above the order included (both reduce)."""
+        group = MODP if name == "modp" else CURVE
+        points = _group_elements(group, data, k * n)
+        scalars = data.draw(
+            st.lists(
+                st.integers(0, 2 * group.order) | st.sampled_from([0, 1, group.order - 1, group.order]),
+                min_size=k * n, max_size=k * n,
+            ),
+            label="scalars",
+        )
+        answers = []
+        for tier in ("python", "native"):
+            kernels.set_active_kernel(tier)
+            rows = group.accumulate_rows(points, scalars, k)
+            singles = group_mod.multi_scalar_mult(group, points, scalars)
+            answers.append([group.encode(point) for point in rows + singles])
+        assert answers[0] == answers[1]
+        assert answers[0][n:] == [
+            group.encode(group.scalar_mult(point, scalar)) for point, scalar in zip(points, scalars)
+        ]
+
+    def test_group_rows_reject_ragged_input(self):
+        for group in (MODP, CURVE):
+            points = [group.base_mult(3)] * 3
+            with pytest.raises(ConfigurationError):
+                group.accumulate_rows(points, [1, 2, 3], 2)
+            with pytest.raises(ConfigurationError):
+                group.accumulate_rows(points, [1, 2], 1)
+            with pytest.raises(ConfigurationError):
+                group.accumulate_rows(points, [1, 2, 3], 0)
+
+
 # -- tier selection machinery ------------------------------------------------
 
 
@@ -729,6 +862,7 @@ class TestTierSelection:
         assert kernels.aead_open_batch([b"\x00" * 32], [b"\x00" * 12], [b""], b"") is None
         assert kernels.hkdf_derive_batch(b"\x00" * 32, b"label") is None
         assert kernels.modp_scalar_mult_batch(2**61 - 1, [2], 2) is None
+        assert kernels.modp_accumulate_rows(2**61 - 1, [2], [2], 1) is None
         assert kernels.modp_scalar_mult_keys(2**61 - 1, [2], 2, b"label") is None
         assert kernels.modp_fixed_mult_keys(2**61 - 1, 2, [2], b"label") is None
         base = group_mod._BASE_POINT
@@ -737,6 +871,7 @@ class TestTierSelection:
         assert kernels.ed25519_scalar_mult_batch([base], 2) is None
         assert kernels.ed25519_fixed_mult_batch(base, [2]) is None
         assert kernels.ed25519_multi_scalar_accumulate([base], [2]) is None
+        assert kernels.ed25519_accumulate_rows([base], [2], 1) is None
         assert kernels.ed25519_encode_batch([base]) is None
         assert kernels.ed25519_decode_batch([b"\x01" + b"\x00" * 31]) is None
 

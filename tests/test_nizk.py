@@ -4,17 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import kernels
 from repro.crypto.nizk import (
     DleqProof,
     SchnorrProof,
     prove_dleq,
+    prove_dleq_batch,
     prove_dlog,
     require_valid_dleq,
     require_valid_dlog,
     verify_dleq,
+    verify_dleq_batch,
     verify_dlog,
+    verify_dlog_batch,
 )
 from repro.errors import ProofError
+
+from tests.conftest import TIERS
 
 
 class TestSchnorr:
@@ -204,3 +210,165 @@ class TestDleq:
         assert verify_dleq(
             group, input_aggregate, output_aggregate, base_point, blinding_public, proof, b"mix"
         )
+
+
+# -- the batch forms: the same bytes, the same predicate ----------------------------
+
+#: Commitments no honest prover sends: not an element at all, the wrong length,
+#: the identity, and (an element of the curve only) a point of order four.
+ODD_COMMITMENTS = (
+    b"\xff" * 32,
+    b"\x01" * 31,
+    b"",
+    (1).to_bytes(32, "big"),
+    (1).to_bytes(32, "little"),
+    b"\x00" * 32,
+)
+
+
+@pytest.fixture(autouse=True)
+def _kernel_state():
+    yield
+    kernels.reset_kernel_for_tests()
+
+
+def _on(group_name, tier, group, ed_group):
+    """Select ``tier`` and return the group a test's parameters name."""
+    kernels.set_active_kernel(tier)
+    return {"modp": group, "ed25519": ed_group}[group_name]
+
+
+def on_groups_and_tiers(test):
+    test = pytest.mark.parametrize("group_name", ["modp", "ed25519"])(test)
+    return pytest.mark.parametrize("tier", TIERS)(test)
+
+
+class _Nonces:
+    """An rng whose ``randrange`` hands out the given nonces, in order."""
+
+    def __init__(self, nonces):
+        self._nonces = iter(nonces)
+
+    def randrange(self, _order):
+        return next(self._nonces)
+
+
+def _mutation(data, group, proof, label):
+    """What to replace in ``proof``: nothing, its response (off by one), or a
+    commitment (with one no honest prover sends)."""
+    change = data.draw(st.sampled_from(["keep", "response", "commitment"]), label=label)
+    if change == "keep":
+        return {}
+    if change == "response":
+        return {"response": (proof.response + 1) % group.order}
+    return {"commitment": data.draw(st.sampled_from(ODD_COMMITMENTS), label=label)}
+
+
+class TestBatchForms:
+    @on_groups_and_tiers
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_prove_dleq_batch_is_prove_dleq(self, group, ed_group, group_name, tier, data):
+        group = _on(group_name, tier, group, ed_group)
+        count = data.draw(st.integers(0, 4), label="count")
+        scalars = st.integers(1, group.order - 1)
+        secret = data.draw(scalars, label="secret")
+        base2 = group.base_mult(data.draw(scalars, label="base2 log"))
+        base1s = [group.base_mult(data.draw(scalars, label="base1 log")) for _ in range(count)]
+        nonces = [data.draw(scalars, label="nonce") for _ in range(count)]
+        batch = prove_dleq_batch(
+            group,
+            base1s,
+            [group.encode(group.scalar_mult(base1, secret)) for base1 in base1s],
+            base2,
+            group.encode(group.scalar_mult(base2, secret)),
+            secret,
+            nonces,
+            b"ctx",
+        )
+        assert batch == [
+            prove_dleq(group, base1, base2, secret, b"ctx", _Nonces([nonce]))
+            for base1, nonce in zip(base1s, nonces)
+        ]
+
+    @on_groups_and_tiers
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_verify_dlog_batch_is_verify_dlog(self, group, ed_group, group_name, tier, data):
+        group = _on(group_name, tier, group, ed_group)
+        base = group.base()
+        publics, proofs, contexts = [], [], []
+        for index in range(data.draw(st.integers(0, 5), label="count")):
+            secret = data.draw(st.integers(1, group.order - 1), label="secret")
+            context = b"sender-%d" % index
+            proof = prove_dlog(group, base, secret, context)
+            changes = _mutation(data, group, proof, "proof")
+            proofs.append(SchnorrProof(
+                changes.get("commitment", proof.commitment), changes.get("response", proof.response)
+            ))
+            wrong = data.draw(st.sampled_from(["", "public", "context"]), label="wrong")
+            publics.append(group.base_mult(secret + (wrong == "public")))
+            contexts.append(context + (b"!" if wrong == "context" else b""))
+        expected = [
+            verify_dlog(group, base, public, proof, context)
+            for public, proof, context in zip(publics, proofs, contexts)
+        ]
+        assert verify_dlog_batch(group, base, publics, proofs, contexts) == expected
+
+    @on_groups_and_tiers
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_verify_dleq_batch_is_verify_dleq(self, group, ed_group, group_name, tier, data):
+        group = _on(group_name, tier, group, ed_group)
+        columns = []
+        for _ in range(data.draw(st.integers(0, 4), label="count")):
+            scalars = st.integers(1, group.order - 1)
+            secret = data.draw(scalars, label="secret")
+            base1 = group.base_mult(data.draw(scalars, label="base1 log"))
+            base2 = group.base_mult(data.draw(scalars, label="base2 log"))
+            proof = prove_dleq(group, base1, base2, secret, b"hop")
+            first = _mutation(data, group, proof, "first")
+            second = _mutation(data, group, proof, "second")
+            proof = DleqProof(
+                first.get("commitment", proof.commitment1),
+                second.get("commitment", proof.commitment2),
+                first.get("response", second.get("response", proof.response)),
+            )
+            wrong = data.draw(st.sampled_from(["", "public1", "public2"]), label="wrong")
+            columns.append((
+                base1, group.scalar_mult(base1, secret + (wrong == "public1")),
+                base2, group.scalar_mult(base2, secret + (wrong == "public2")),
+                proof,
+            ))
+        expected = [verify_dleq(group, *column, b"hop") for column in columns]
+        base1s, public1s, base2s, public2s, proofs = map(list, zip(*columns)) if columns else [[]] * 5
+        assert verify_dleq_batch(group, base1s, public1s, base2s, public2s, proofs, b"hop") == expected
+
+    def test_small_order_commitment_is_judged_like_any_other(self, ed_group, tier):
+        """No cofactor gap: the batch checks each equation exactly, so a
+        commitment off by a point of order four fails, as it does per item."""
+        group = ed_group
+        order_four = bytes(32)  # y = 0: the point (sqrt(-1), 0)
+        assert not group.is_in_prime_subgroup(group.decode(order_four))
+        secret = 12345
+        proof = prove_dlog(group, group.base(), secret, b"ctx")
+        shifted = group.encode(group.add(group.decode(proof.commitment), group.decode(order_four)))
+        forged = SchnorrProof(shifted, proof.response)
+        public = group.base_mult(secret)
+        assert verify_dlog_batch(
+            group, group.base(), [public, public], [proof, forged], [b"ctx", b"ctx"]
+        ) == [True, False] == [
+            verify_dlog(group, group.base(), public, proof, b"ctx"),
+            verify_dlog(group, group.base(), public, forged, b"ctx"),
+        ]
+
+    def test_ragged_batches_are_refused(self, group):
+        proof = prove_dlog(group, group.base(), 5, b"ctx")
+        with pytest.raises(ProofError):
+            verify_dlog_batch(group, group.base(), [group.base_mult(5)] * 2, [proof], [b"ctx"] * 2)
+        dleq = prove_dleq(group, group.base(), group.base_mult(2), 5)
+        with pytest.raises(ProofError):
+            verify_dleq_batch(group, [group.base()] * 2, [group.base_mult(5)] * 2,
+                              [group.base_mult(2)] * 2, [group.base_mult(10)] * 2, [dleq])
+        with pytest.raises(ProofError):
+            prove_dleq_batch(group, [group.base()], [b""] * 2, group.base(), b"", 5, [7])
