@@ -444,11 +444,16 @@ class Ed25519Group:
         """
         return _kernels.ed25519_scalar_mult_keys(points, scalar % self.order, label)
 
-    def fixed_point_mult_keys(self, point: Point, scalars: Sequence[int],
-                              label: bytes) -> Optional[bytes]:
-        """The KDF keys of ``[s · point for s in scalars]`` as one blob, or ``None``."""
-        return _kernels.ed25519_fixed_mult_keys(
-            point, [scalar % self.order for scalar in scalars], label
+    def onion_build(self, inner_public: Point, mixing_publics: Sequence[Point], round_number: int,
+                    seal_keys, recipients, bodies, scalars) -> Optional["_kernels.OnionColumns"]:
+        """One chain's onions, ``g^x`` and ``g^k`` in one native call, or ``None``.
+
+        ``scalars`` is the three columns ``(y, x, k)``; ``None`` means there
+        is no fused path and the caller builds operation by operation.
+        """
+        reduced = [[scalar % self.order for scalar in column] for column in scalars]
+        return _kernels.ed25519_onion_build(
+            inner_public, mixing_publics, round_number, seal_keys, recipients, bodies, reduced
         )
 
     def multi_scalar_accumulate(self, points: Sequence[Point], scalars: Sequence[int]) -> Point:
@@ -662,11 +667,13 @@ class ModPGroup:
             self.prime, elements, scalar % self.order, label
         )
 
-    def fixed_point_mult_keys(self, element: int, scalars: Sequence[int],
-                              label: bytes) -> Optional[bytes]:
-        """The KDF keys of ``[element^s for s in scalars]`` as one blob, or ``None``."""
-        return _kernels.modp_fixed_mult_keys(
-            self.prime, element, [scalar % self.order for scalar in scalars], label
+    def onion_build(self, inner_public: int, mixing_publics: Sequence[int], round_number: int,
+                    seal_keys, recipients, bodies, scalars) -> Optional["_kernels.OnionColumns"]:
+        """Mirrors :meth:`Ed25519Group.onion_build`."""
+        reduced = [[scalar % self.order for scalar in column] for column in scalars]
+        return _kernels.modp_onion_build(
+            self.prime, self.generator, inner_public, mixing_publics,
+            round_number, seal_keys, recipients, bodies, reduced,
         )
 
     def multi_scalar_accumulate(self, elements: Sequence[int], scalars: Sequence[int]) -> int:

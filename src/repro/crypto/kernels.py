@@ -34,6 +34,7 @@ import warnings
 from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple, Union
 
+from repro.constants import AEAD_NONCE_SIZE, KDF_LABEL_INNER, KDF_LABEL_OUTER
 from repro.errors import ConfigurationError
 from repro.registry import CRYPTO_KERNELS, CryptoKernelKind
 
@@ -51,15 +52,15 @@ __all__ = [
     "modp_scalar_mult_batch",
     "modp_scalar_mult_keys",
     "modp_fixed_mult_batch",
-    "modp_fixed_mult_keys",
     "modp_accumulate_rows",
     "modp_multi_scalar_accumulate",
+    "modp_onion_build",
     "ed25519_scalar_mult_batch",
     "ed25519_scalar_mult_keys",
     "ed25519_fixed_mult_batch",
-    "ed25519_fixed_mult_keys",
     "ed25519_accumulate_rows",
     "ed25519_multi_scalar_accumulate",
+    "ed25519_onion_build",
     "ed25519_encode_batch",
     "ed25519_decode_batch",
 ]
@@ -329,11 +330,11 @@ def hkdf_derive_batch(secrets: bytes, label: bytes, context: bytes = b"",
 
 # -- modp ---------------------------------------------------------------------
 #
-# Each multiplication kernel has two wrappers over one call: ``*_batch``
-# returns the elements as the integers the group works in, ``*_keys`` hands
-# the kernel's output (already the 32-byte wire encodings) to the KDF kernel
-# and returns the key blob (``derive_key(encoding, label)``, empty context:
-# what ``kdf.shared_key_from_element`` derives).
+# The many-bases kernel has two wrappers over one call: ``*_batch`` returns
+# the elements as the integers the group works in, ``*_keys`` hands the
+# kernel's output (already the 32-byte wire encodings) to the KDF kernel and
+# returns the key blob (``derive_key(encoding, label)``, empty context: what
+# ``kdf.shared_key_from_element`` derives).
 
 
 def _modp_ready(prime: int) -> bool:
@@ -367,28 +368,6 @@ def _modp_scalar_mult(prime: int, elements: Sequence[int],
     return out
 
 
-def _modp_fixed_mult(prime: int, element: int,
-                     exponents: Sequence[int]) -> Optional[bytearray]:
-    handle = _handle()
-    if handle is None or not _modp_ready(prime):
-        return None
-    ffi, lib = handle
-    count = len(exponents)
-    out = bytearray(32 * count)
-    if count:
-        try:
-            rc = lib.xrd_modp_fixed_mult_batch(
-                prime.to_bytes(32, "big"), element.to_bytes(32, "big"),
-                b"".join(x.to_bytes(32, "big") for x in exponents), count,
-                ffi.from_buffer(out, require_writable=True),
-            )
-        except OverflowError:
-            return None
-        if rc != 0:
-            return None
-    return out
-
-
 def modp_scalar_mult_batch(prime: int, elements: Sequence[int],
                            exponent: int) -> Optional[List[int]]:
     """``[pow(e, exponent, prime) for e in elements]`` natively, or ``None``.
@@ -410,15 +389,24 @@ def modp_scalar_mult_keys(prime: int, elements: Sequence[int], exponent: int,
 def modp_fixed_mult_batch(prime: int, element: int,
                           exponents: Sequence[int]) -> Optional[List[int]]:
     """``[pow(element, x, prime) for x in exponents]`` natively, or ``None``."""
-    out = _modp_fixed_mult(prime, element, exponents)
-    return None if out is None else _modp_ints(out)
-
-
-def modp_fixed_mult_keys(prime: int, element: int, exponents: Sequence[int],
-                         label: bytes) -> Optional[bytes]:
-    """The KDF keys of :func:`modp_fixed_mult_batch`'s elements as one blob, or ``None``."""
-    out = _modp_fixed_mult(prime, element, exponents)
-    return None if out is None else _hkdf(out, 32, label, b"")
+    handle = _handle()
+    if handle is None or not _modp_ready(prime):
+        return None
+    ffi, lib = handle
+    count = len(exponents)
+    out = bytearray(32 * count)
+    if count:
+        try:
+            rc = lib.xrd_modp_fixed_mult_batch(
+                prime.to_bytes(32, "big"), element.to_bytes(32, "big"),
+                b"".join(x.to_bytes(32, "big") for x in exponents), count,
+                ffi.from_buffer(out, require_writable=True),
+            )
+        except OverflowError:
+            return None
+        if rc != 0:
+            return None
+    return _modp_ints(out)
 
 
 def _modp_rows(prime: int, elements: Sequence[int], exponents: Sequence[int],
@@ -526,27 +514,6 @@ def _ed25519_scalar_mult(points: Sequence[object], scalar: int) -> Optional[byte
     return out
 
 
-def _ed25519_fixed_mult(point: object, scalars: Sequence[int]) -> Optional[bytearray]:
-    handle = _handle()
-    if handle is None:
-        return None
-    ffi, lib = handle
-    count = len(scalars)
-    out = bytearray(96 * count)
-    if count:
-        try:
-            rc = lib.xrd_ed25519_fixed_mult_batch(
-                _ed25519_pack([point]),
-                b"".join(scalar.to_bytes(32, "little") for scalar in scalars), count,
-                ffi.from_buffer(out, require_writable=True),
-            )
-        except OverflowError:
-            return None
-        if rc != 0:
-            return None
-    return out
-
-
 def ed25519_scalar_mult_batch(points: Sequence[object],
                               scalar: int) -> Optional[List[Ed25519Record]]:
     """``[scalar · P for P in points]`` natively, or ``None``.
@@ -578,15 +545,24 @@ def ed25519_fixed_mult_batch(point: object,
     base point and keeps its comb for the process, and builds any other
     point's (about four ladders' worth) for the one call.
     """
-    out = _ed25519_fixed_mult(point, scalars)
-    return None if out is None else _ed25519_records(out, len(scalars))
-
-
-def ed25519_fixed_mult_keys(point: object, scalars: Sequence[int],
-                            label: bytes) -> Optional[bytes]:
-    """The KDF keys of :func:`ed25519_fixed_mult_batch`'s points as one blob, or ``None``."""
-    out = _ed25519_fixed_mult(point, scalars)
-    return None if out is None else _hkdf(out, 96, label, b"")
+    handle = _handle()
+    if handle is None:
+        return None
+    ffi, lib = handle
+    count = len(scalars)
+    out = bytearray(96 * count)
+    if count:
+        try:
+            rc = lib.xrd_ed25519_fixed_mult_batch(
+                _ed25519_pack([point]),
+                b"".join(scalar.to_bytes(32, "little") for scalar in scalars), count,
+                ffi.from_buffer(out, require_writable=True),
+            )
+        except OverflowError:
+            return None
+        if rc != 0:
+            return None
+    return _ed25519_records(out, count)
 
 
 def _ed25519_rows(points: Sequence[object], scalars: Sequence[int],
@@ -683,6 +659,83 @@ def ed25519_decode_batch(encodings: Sequence[bytes],
         record if accepted else None
         for record, accepted in zip(_ed25519_records(out, count), ok)
     ]
+
+
+# -- fused onion build ----------------------------------------------------------
+#
+# One call per (chain, chunk): everything ``population/batch_build.py`` does
+# between the users' RNG draws and the Schnorr challenges (DESIGN.md §11.7).
+# The columns are one 32-byte seal key, one 32-byte recipient, one body of
+# the common length and three reduced scalars ``(y, x, k)`` per entry;
+# anything else is declined before the C call.
+
+#: The finished onions, then the encodings of every ``g^x`` and every ``g^k``.
+OnionColumns = Tuple[List[bytes], List[bytes], List[bytes]]
+
+
+def _onion_build(entry: str, head: Sequence[bytes], byteorder: str, layers: int,
+                 round_number: int, seal_keys: Sequence[bytes], recipients: Sequence[bytes],
+                 bodies: Sequence[bytes], scalars: Sequence[Sequence[int]],
+                 ) -> Optional[OnionColumns]:
+    """Run kernel ``entry`` (its group's arguments in ``head``) over one chain's columns."""
+    handle = _handle()
+    if handle is None:
+        return None
+    ffi, lib = handle
+    count = len(bodies)
+    body_len = len(bodies[0]) if count else 0
+    if (any(len(column) != count for column in (seal_keys, recipients, *scalars))
+            or any(len(item) != 32 for item in (*seal_keys, *recipients))
+            or any(len(body) != body_len for body in bodies)):
+        return None
+    stride = body_len + 96 + 16 * layers
+    out, publics = bytearray(stride * count), bytearray(96 * count)
+    if count:
+        try:
+            rc = getattr(lib, entry)(
+                *head, layers, round_number.to_bytes(AEAD_NONCE_SIZE, "big"),
+                KDF_LABEL_INNER, len(KDF_LABEL_INNER), KDF_LABEL_OUTER, len(KDF_LABEL_OUTER),
+                count, body_len, b"".join(seal_keys), b"".join(recipients), b"".join(bodies),
+                b"".join(s.to_bytes(32, byteorder) for row in zip(*scalars) for s in row),
+                ffi.from_buffer(out, require_writable=True),
+                ffi.from_buffer(publics, require_writable=True),
+            )
+        except OverflowError:  # a scalar or the round outside its width
+            return None
+        if rc != 0:
+            return None
+    onions, keys = memoryview(out), memoryview(publics)  # sliced with one copy each
+    return (
+        [bytes(onions[offset:offset + stride]) for offset in range(0, stride * count, stride)],
+        [bytes(keys[offset + 32:offset + 64]) for offset in range(0, 96 * count, 96)],
+        [bytes(keys[offset + 64:offset + 96]) for offset in range(0, 96 * count, 96)],
+    )
+
+
+def modp_onion_build(prime: int, generator: int, inner_public: int,
+                     mixing_publics: Sequence[int], *columns) -> Optional[OnionColumns]:
+    """One chain's onions, ``g^x`` and ``g^k`` in one native call, or ``None``.
+
+    ``columns`` is ``round_number, seal_keys, recipients, bodies, (y, x, k)``.
+    """
+    if not _modp_ready(prime):
+        return None
+    try:
+        head = [value.to_bytes(32, "big") for value in (prime, generator, inner_public)]
+        head.append(b"".join(public.to_bytes(32, "big") for public in mixing_publics))
+    except OverflowError:
+        return None
+    return _onion_build("xrd_modp_onion_build", head, "big", len(mixing_publics), *columns)
+
+
+def ed25519_onion_build(inner_public: object, mixing_publics: Sequence[object],
+                        *columns) -> Optional[OnionColumns]:
+    """:func:`modp_onion_build` on the curve: constant time in the scalars."""
+    try:
+        head = [_ed25519_pack([inner_public]), _ed25519_pack(mixing_publics)]
+    except OverflowError:
+        return None
+    return _onion_build("xrd_ed25519_onion_build", head, "little", len(mixing_publics), *columns)
 
 
 # The registry's factory contract instantiates components; for kernels the

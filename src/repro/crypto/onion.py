@@ -99,22 +99,24 @@ def shared_keys_batch(group, label: bytes, points, scalars: Union[int, Sequence[
     ``i`` (bytes ``32·i`` onwards) equals :func:`outer_layer_key` or
     :func:`inner_envelope_key` of shared element ``i``.  The batch has one
     of the two shapes a round produces: a sequence of ``points`` under one
-    ``scalars`` integer (a server's secret over every submission), or one
-    ``points`` element under a sequence of ``scalars`` (every user's
-    ephemeral secret over one server key).  On the native tier the
-    multiplication, the encoding and the KDF run as kernel calls with no
-    per-element Python in between; :func:`~repro.crypto.aead.aenc_batch`
-    and :func:`~repro.crypto.aead.adec_batch` take the blob as it is.
+    ``scalars`` integer (a server's secret over every submission — on the
+    native tier the multiplication, the encoding and the KDF run as kernel
+    calls with no per-element Python in between), or one ``points`` element
+    under a sequence of ``scalars`` (every user's ephemeral secret over one
+    server key: the per-operation client build; the native tier fuses that
+    whole build instead, :meth:`group.onion_build`).
+    :func:`~repro.crypto.aead.aenc_batch` and
+    :func:`~repro.crypto.aead.adec_batch` take the blob as it is.
     """
     if isinstance(scalars, int):
-        fused, mult = group.scalar_mult_keys, scalar_mult_batch
+        keys = group.scalar_mult_keys(points, scalars, label)
+        if keys is not None:
+            return keys
+        shared = scalar_mult_batch(group, points, scalars)
     else:
-        fused, mult = group.fixed_point_mult_keys, fixed_point_mult_batch
-    keys = fused(points, scalars, label)
-    if keys is not None:
-        return keys
+        shared = fixed_point_mult_batch(group, points, scalars)
     # The unfused path: outer_layer_key / inner_envelope_key per element.
-    return derive_key_batch(b"".join(map(group.encode, mult(group, points, scalars))), label)
+    return derive_key_batch(b"".join(map(group.encode, shared)), label)
 
 
 # --------------------------------------------------------------------------

@@ -16,10 +16,10 @@ Three backends are provided:
 
 * :class:`SerialBackend` — one chain after another on the calling thread;
   the default, and the reference semantics.
-* :class:`ParallelBackend` — chains dispatched to a thread pool.  In this
-  pure-Python build the GIL serialises the group arithmetic, so the speedup
-  is bounded; the point is that the orchestration layer already expresses
-  the parallelism.
+* :class:`ParallelBackend` — chains dispatched to a thread pool.  The
+  native kernels release the GIL for each batched call, so the chains'
+  group arithmetic and AEAD overlap; the Python between the calls (and all
+  of it on the python tier) still serialises on the GIL.
 * :class:`~repro.engine.multiprocess.MultiprocessBackend` — chains forked
   to worker processes that ship their round results back as the wire
   encodings of :mod:`repro.transport.codec`; escapes the GIL and realises

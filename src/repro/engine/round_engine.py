@@ -142,17 +142,11 @@ class RoundEngine:
         draw order never changes — only *when* it runs — so reports stay
         bit-identical to serial execution.
 
-        When the deployment carries a :class:`~repro.population.
-        UserPopulation`, the online builds run through its whole-chain batch
-        path instead of the per-user loop; users the population does not own
-        (adversarial wrappers swapped into ``deployment.users``) keep the
-        per-user path.
         """
         deployment = self.deployment
-        population = deployment.population
         spec = ctx.spec
         report = ctx.report
-        batched = []
+        online = []
         for user in deployment.users:
             if user.name in spec.offline_users:
                 report.offline_users.append(user.name)
@@ -174,10 +168,24 @@ class RoundEngine:
             if user.name in defer:
                 ctx.deferred_users.append(user.name)
                 continue
+            online.append(user)
+        self._build_submissions(ctx, online)
+
+    def _build_submissions(self, ctx: RoundContext, users) -> None:
+        """Build for ``users`` (in deployment order), overlapped or deferred alike.
+
+        When the deployment carries a :class:`~repro.population.
+        UserPopulation`, its users build through the whole-chain batch path;
+        users it does not own (adversarial wrappers swapped into
+        ``deployment.users``) keep the per-user path.
+        """
+        population = self.deployment.population
+        batched = []
+        for user in users:
             if population is not None and population.owns(user):
                 batched.append(user)
-                continue
-            self._build_user_submissions(ctx, user)
+            else:
+                self._build_user_submissions(ctx, user)
         if batched:
             self._build_population_submissions(ctx, batched)
 
@@ -190,25 +198,28 @@ class RoundEngine:
 
         One framed envelope crosses each (chain, entry-server) link — per
         round in the monolithic path, per (chain, chunk) when the streaming
-        pipeline passes a ``part`` index.  The delivered (possibly
-        re-decoded) submissions are scattered into per-sender FIFO queues
-        keyed by chain, from which :meth:`_build_population_submissions`
-        reassembles each user's list in her own chain-slot order — the exact
-        shape the per-user path stores.
+        pipeline passes a ``part`` index — and the chains' envelopes go out
+        together (``deliver_many``: TCP keeps them all in flight).  The
+        delivered (possibly re-decoded) submissions are scattered into
+        per-sender FIFO queues keyed by chain, from which
+        :meth:`_build_population_submissions` reassembles each user's list
+        in her own chain-slot order — the exact shape the per-user path
+        stores.
         """
         deployment = self.deployment
-        queues: dict = {}
-        for chain_id, submissions in per_chain.items():
-            delivered = deployment.transport.deliver(
-                submission_batch_envelope(
-                    chain_id,
-                    submissions,
-                    deployment.entry_servers,
-                    ctx.round_number,
-                    cover=cover,
-                    part=part,
-                )
+        envelopes = [
+            submission_batch_envelope(
+                chain_id,
+                submissions,
+                deployment.entry_servers,
+                ctx.round_number,
+                cover=cover,
+                part=part,
             )
+            for chain_id, submissions in per_chain.items()
+        ]
+        queues: dict = {}
+        for chain_id, delivered in zip(per_chain, deployment.transport.deliver_many(envelopes)):
             chain_queues = queues.setdefault(chain_id, {})
             for submission in delivered or []:
                 chain_queues.setdefault(submission.sender, []).append(submission)
@@ -309,8 +320,7 @@ class RoundEngine:
         so their contents are independent of which phase built each user.
         """
         deployment = self.deployment
-        for user_name in ctx.deferred_users:
-            self._build_user_submissions(ctx, deployment.user(user_name))
+        self._build_submissions(ctx, [deployment.user(name) for name in ctx.deferred_users])
         ctx.deferred_users = []
         self._fold_user_submissions(ctx, ctx.per_chain)
         for submission in ctx.spec.extra_submissions:

@@ -11,44 +11,9 @@ from __future__ import annotations
 
 import os
 
-# The cdef below is the single source of truth for the Python-visible
-# ABI; it must match the declarations in xrdkernels.c exactly.
-CDEF = """
-int xrd_abi_version(void);
-int xrd_chacha20_blocks(const uint8_t *keys, const uint8_t *nonces,
-                        const uint32_t *counters, size_t count, uint8_t *out);
-int xrd_aead_seal_batch(const uint8_t *keys, const uint8_t *nonces, size_t count,
-                        const uint8_t *plains, const uint64_t *pt_offsets,
-                        const uint8_t *aad, size_t aad_len,
-                        uint8_t *out, const uint64_t *out_offsets);
-int xrd_aead_open_batch(const uint8_t *keys, const uint8_t *nonces, size_t count,
-                        const uint8_t *datas, const uint64_t *ct_offsets,
-                        const uint8_t *aad, size_t aad_len,
-                        uint8_t *plain_out, const uint64_t *pt_offsets,
-                        uint8_t *ok_out);
-int xrd_hkdf_sha256_batch(const uint8_t *label, size_t label_len,
-                          const uint8_t *context, size_t context_len,
-                          const uint8_t *secrets, size_t stride, size_t count,
-                          uint8_t *out);
-int xrd_modp_scalar_mult_batch(const uint8_t *prime, const uint8_t *elements,
-                               size_t count, const uint8_t *exponent,
-                               uint8_t *out);
-int xrd_modp_fixed_mult_batch(const uint8_t *prime, const uint8_t *element,
-                              const uint8_t *exponents, size_t count,
-                              uint8_t *out);
-int xrd_modp_accumulate_rows(const uint8_t *prime, const uint8_t *elements,
-                             const uint8_t *exponents, size_t k, size_t n,
-                             uint8_t *out);
-int xrd_ed25519_scalar_mult_batch(const uint8_t *points, size_t count,
-                                  const uint8_t *scalar, uint8_t *out);
-int xrd_ed25519_fixed_mult_batch(const uint8_t *point, const uint8_t *scalars,
-                                 size_t count, uint8_t *out);
-int xrd_ed25519_accumulate_rows(const uint8_t *points, const uint8_t *scalars,
-                                size_t k, size_t n, uint8_t *out);
-int xrd_ed25519_encode_batch(const uint8_t *points, size_t count, uint8_t *out);
-int xrd_ed25519_decode_batch(const uint8_t *encodings, size_t count,
-                             uint8_t *out, uint8_t *ok_out);
-"""
+#: The Python-visible ABI is declared once, in xrdkernels.c: the prototypes
+#: between these two marker comments are handed to cffi as the cdef.
+_CDEF_MARKERS = ("/* xrd-cdef-begin */", "/* xrd-cdef-end */")
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -58,9 +23,10 @@ def make_ffi():
     from cffi import FFI
 
     ffi = FFI()
-    ffi.cdef(CDEF)
     with open(os.path.join(_HERE, "xrdkernels.c"), "r", encoding="utf-8") as fh:
         source = fh.read()
+    begin, end = (source.index(marker) for marker in _CDEF_MARKERS)
+    ffi.cdef(source[begin + len(_CDEF_MARKERS[0]):end])
     ffi.set_source("repro.native._xrdkernels", source)
     return ffi
 

@@ -1,6 +1,6 @@
 /* Native crypto kernels for the batched hot loops (DESIGN.md §11).
  *
- * Six kernel families, mirroring the pure-Python reference
+ * Seven kernel families, mirroring the pure-Python reference
  * implementations bit for bit:
  *
  *   - batched ChaCha20 keystream blocks (RFC 8439 §2.3);
@@ -18,7 +18,11 @@
  *   - edwards25519 (the Ed25519Group of crypto/group.py): the same three
  *     shapes as 4-bit fixed-window ladders, a fixed-point comb and rows of
  *     Straus accumulations over 5x51-bit field limbs, plus the batched
- *     point codec.
+ *     point codec;
+ *   - the fused onion build (one per group): a whole chain's client
+ *     submissions — bodies, inner envelope, outer layers, g^x and g^k —
+ *     sealed in place in one fixed-stride buffer, composed of the bodies
+ *     above.
  *
  * Every entry point operates on whole batches behind one C call, so the
  * cffi wrapper releases the GIL for the duration.  All multi-byte modp
@@ -37,12 +41,68 @@
  * stale prebuilt module and rebuilds it.  The stamp string lets the loader
  * read the ABI of a built module from its file, without importing it (an
  * imported extension cannot be replaced within the process). */
-#define XRD_KERNELS_ABI 4
+#define XRD_KERNELS_ABI 5
 #define XRD_STR2(x) #x
 #define XRD_STR(x) XRD_STR2(x)
 
 __attribute__((used)) const char xrd_abi_stamp[] =
     "xrd-kernels-abi:" XRD_STR(XRD_KERNELS_ABI);
+
+/* The Python-visible ABI, in its only copy: _build.py hands cffi the text
+ * between the two marker comments as the cdef. */
+/* xrd-cdef-begin */
+int xrd_abi_version(void);
+int xrd_chacha20_blocks(const uint8_t *keys, const uint8_t *nonces,
+                        const uint32_t *counters, size_t count, uint8_t *out);
+int xrd_aead_seal_batch(const uint8_t *keys, const uint8_t *nonces, size_t count,
+                        const uint8_t *plains, const uint64_t *pt_offsets,
+                        const uint8_t *aad, size_t aad_len,
+                        uint8_t *out, const uint64_t *out_offsets);
+int xrd_aead_open_batch(const uint8_t *keys, const uint8_t *nonces, size_t count,
+                        const uint8_t *datas, const uint64_t *ct_offsets,
+                        const uint8_t *aad, size_t aad_len,
+                        uint8_t *plain_out, const uint64_t *pt_offsets,
+                        uint8_t *ok_out);
+int xrd_hkdf_sha256_batch(const uint8_t *label, size_t label_len,
+                          const uint8_t *context, size_t context_len,
+                          const uint8_t *secrets, size_t stride, size_t count,
+                          uint8_t *out);
+int xrd_modp_scalar_mult_batch(const uint8_t *prime, const uint8_t *elements,
+                               size_t count, const uint8_t *exponent,
+                               uint8_t *out);
+int xrd_modp_fixed_mult_batch(const uint8_t *prime, const uint8_t *element,
+                              const uint8_t *exponents, size_t count,
+                              uint8_t *out);
+int xrd_modp_accumulate_rows(const uint8_t *prime, const uint8_t *elements,
+                             const uint8_t *exponents, size_t k, size_t n,
+                             uint8_t *out);
+int xrd_ed25519_scalar_mult_batch(const uint8_t *points, size_t count,
+                                  const uint8_t *scalar, uint8_t *out);
+int xrd_ed25519_fixed_mult_batch(const uint8_t *point, const uint8_t *scalars,
+                                 size_t count, uint8_t *out);
+int xrd_ed25519_accumulate_rows(const uint8_t *points, const uint8_t *scalars,
+                                size_t k, size_t n, uint8_t *out);
+int xrd_modp_onion_build(const uint8_t *prime, const uint8_t *generator,
+                         const uint8_t *inner_public, const uint8_t *mixing_publics,
+                         size_t layers, const uint8_t *nonce,
+                         const uint8_t *inner_label, size_t inner_label_len,
+                         const uint8_t *outer_label, size_t outer_label_len,
+                         size_t count, size_t body_len,
+                         const uint8_t *seal_keys, const uint8_t *recipients,
+                         const uint8_t *bodies, const uint8_t *scalars,
+                         uint8_t *out, uint8_t *publics);
+int xrd_ed25519_onion_build(const uint8_t *inner_public, const uint8_t *mixing_publics,
+                            size_t layers, const uint8_t *nonce,
+                            const uint8_t *inner_label, size_t inner_label_len,
+                            const uint8_t *outer_label, size_t outer_label_len,
+                            size_t count, size_t body_len,
+                            const uint8_t *seal_keys, const uint8_t *recipients,
+                            const uint8_t *bodies, const uint8_t *scalars,
+                            uint8_t *out, uint8_t *publics);
+int xrd_ed25519_encode_batch(const uint8_t *points, size_t count, uint8_t *out);
+int xrd_ed25519_decode_batch(const uint8_t *encodings, size_t count,
+                             uint8_t *out, uint8_t *ok_out);
+/* xrd-cdef-end */
 
 int xrd_abi_version(void) { return XRD_KERNELS_ABI; }
 
@@ -261,21 +321,35 @@ static void aead_tag(const uint8_t otk[32], const uint8_t *aad, size_t aad_len,
     poly1305_finish(&st, tag);
 }
 
+/* dst[0 .. len + 16) = ciphertext || tag of the len bytes at src; src may
+ * be dst itself (the onion build seals its layers in place). */
+static void aead_seal(const uint8_t key[32], const uint8_t nonce[12],
+                      const uint8_t *aad, size_t aad_len,
+                      const uint8_t *src, size_t len, uint8_t *dst) {
+    uint8_t otk_block[64];
+    chacha_xor(key, nonce, 1, src, len, dst);
+    chacha_block(key, 0, nonce, otk_block);
+    aead_tag(otk_block, aad, aad_len, dst, len, dst + len);
+}
+
+/* 1 iff the two tags are equal, in time independent of where they differ. */
+static int tag_equal(const uint8_t a[16], const uint8_t b[16]) {
+    uint32_t diff = 0;
+    int i;
+    for (i = 0; i < 16; i++) diff |= (uint32_t)(a[i] ^ b[i]);
+    return (int)((diff - 1) >> 31);
+}
+
 int xrd_aead_seal_batch(const uint8_t *keys, const uint8_t *nonces, size_t count,
                         const uint8_t *plains, const uint64_t *pt_offsets,
                         const uint8_t *aad, size_t aad_len,
                         uint8_t *out, const uint64_t *out_offsets) {
     size_t i;
-    uint8_t otk_block[64];
     for (i = 0; i < count; i++) {
-        const uint8_t *key = keys + 32 * i;
-        const uint8_t *nonce = nonces + 12 * i;
         size_t pt_len = (size_t)(pt_offsets[i + 1] - pt_offsets[i]);
-        uint8_t *dst = out + out_offsets[i];
         if (out_offsets[i + 1] - out_offsets[i] != pt_len + 16) return -1;
-        chacha_xor(key, nonce, 1, plains + pt_offsets[i], pt_len, dst);
-        chacha_block(key, 0, nonce, otk_block);
-        aead_tag(otk_block, aad, aad_len, dst, pt_len, dst + pt_len);
+        aead_seal(keys + 32 * i, nonces + 12 * i, aad, aad_len,
+                  plains + pt_offsets[i], pt_len, out + out_offsets[i]);
     }
     return 0;
 }
@@ -301,7 +375,7 @@ int xrd_aead_open_batch(const uint8_t *keys, const uint8_t *nonces, size_t count
          * design, so payload keystream is only spent on survivors. */
         chacha_block(key, 0, nonce, otk_block);
         aead_tag(otk_block, aad, aad_len, data, ct_len, tag);
-        if (memcmp(tag, data + ct_len, 16) != 0) continue;
+        if (!tag_equal(tag, data + ct_len)) continue;
         chacha_xor(key, nonce, 1, data, ct_len, plain_out + pt_offsets[i]);
         ok_out[i] = 1;
     }
@@ -444,35 +518,41 @@ static void hmac_finish(const hmac_key *mac, sha256_ctx *inner, uint8_t out[32])
     sha256_final(&outer, out);
 }
 
-/* out[32 i ..] = HKDF(salt = label, IKM = the 32 bytes at secrets +
- * stride i, info = context, L = 32): extract, then the one block of
- * expand, T(1) = HMAC(PRK, context || 0x01).  An empty label is RFC 5869's
- * default salt (a zero key either way).  `stride` is 32 for packed
- * encodings and 96 for the curve kernels' records, whose first 32 bytes
- * are the encoding.  The label's two key states are computed once for the
- * batch; each element then costs six compressions while context || 0x01
- * fits one block. */
+/* out = HKDF(salt, IKM = the 32 bytes at secret, info = context, L = 32):
+ * extract, then the one block of expand, T(1) = HMAC(PRK, context || 0x01).
+ * The salt comes as its two key states, computed once for a batch; each
+ * element then costs six compressions while context || 0x01 fits one
+ * block. */
+static void hkdf_derive(const hmac_key *salt, const uint8_t secret[32],
+                        const uint8_t *context, size_t context_len,
+                        uint8_t out[32]) {
+    static const uint8_t block_index = 1;
+    hmac_key prk_key;
+    sha256_ctx inner = salt->inner;
+    uint8_t prk[32];
+    sha256_update(&inner, secret, 32);
+    hmac_finish(salt, &inner, prk);
+    hmac_set_key(&prk_key, prk, 32);
+    inner = prk_key.inner;
+    sha256_update(&inner, context, context_len);
+    sha256_update(&inner, &block_index, 1);
+    hmac_finish(&prk_key, &inner, out);
+}
+
+/* out[32 i ..] = hkdf_derive of the secret at secrets + stride i under
+ * salt = label.  An empty label is RFC 5869's default salt (a zero key
+ * either way).  `stride` is 32 for packed encodings and 96 for the curve
+ * kernels' records, whose first 32 bytes are the encoding. */
 int xrd_hkdf_sha256_batch(const uint8_t *label, size_t label_len,
                           const uint8_t *context, size_t context_len,
                           const uint8_t *secrets, size_t stride, size_t count,
                           uint8_t *out) {
-    static const uint8_t block_index = 1;
-    hmac_key salt, prk_key;
-    sha256_ctx inner;
-    uint8_t prk[32];
+    hmac_key salt;
     size_t i;
     if (stride < 32) return -1;
     hmac_set_key(&salt, label, label_len);
-    for (i = 0; i < count; i++) {
-        inner = salt.inner;
-        sha256_update(&inner, secrets + stride * i, 32);
-        hmac_finish(&salt, &inner, prk);
-        hmac_set_key(&prk_key, prk, 32);
-        inner = prk_key.inner;
-        sha256_update(&inner, context, context_len);
-        sha256_update(&inner, &block_index, 1);
-        hmac_finish(&prk_key, &inner, out + 32 * i);
-    }
+    for (i = 0; i < count; i++)
+        hkdf_derive(&salt, secrets + stride * i, context, context_len, out + 32 * i);
     return 0;
 }
 
@@ -671,20 +751,30 @@ int xrd_modp_scalar_mult_batch(const uint8_t *prime, const uint8_t *elements,
     return 0;
 }
 
+/* One base, many exponents, one window table: out[out_stride i ..] =
+ * element ^ (the exponent at exponents + exp_stride i).  `group` is the
+ * mont_ctx (the onion build's column signature, shared with the curve). */
+static int modp_fixed_mult(const void *group, const uint8_t *element,
+                           const uint8_t *exponents, size_t exp_stride,
+                           size_t count, uint8_t *out, size_t out_stride) {
+    const mont_ctx *m = group;
+    uint64_t table[16][MAXL], base_m[MAXL], acc[MAXL];
+    size_t i;
+    if (load_element(m, element, base_m) != 0) return -2;
+    mont_pow_table(m, base_m, table);
+    for (i = 0; i < count; i++) {
+        mont_pow_with_table(m, table, exponents + exp_stride * i, acc);
+        store_element(m, acc, out + out_stride * i);
+    }
+    return 0;
+}
+
 int xrd_modp_fixed_mult_batch(const uint8_t *prime, const uint8_t *element,
                               const uint8_t *exponents, size_t count,
                               uint8_t *out) {
     mont_ctx m;
-    uint64_t table[16][MAXL], base_m[MAXL], acc[MAXL];
-    size_t i;
     if (mont_init(&m, prime) != 0) return -1;
-    if (load_element(&m, element, base_m) != 0) return -2;
-    mont_pow_table(&m, base_m, table);
-    for (i = 0; i < count; i++) {
-        mont_pow_with_table(&m, table, exponents + 32 * i, acc);
-        store_element(&m, acc, out + 32 * i);
-    }
-    return 0;
+    return modp_fixed_mult(&m, element, exponents, 32, count, out, 32);
 }
 
 /* acc (Montgomery form) = product of table[j]'s base ^ exponents[j] over
@@ -1126,10 +1216,12 @@ static int ge_is_base(const ge *p) {
 }
 
 /* Normalise `count` points with one inversion (Montgomery's trick) and
- * write them out: 96-byte records  encoding | x | t  (y is the encoding
- * with its top bit cleared, z = 1), or the 32-byte encoding alone.
- * Overwrites each point's T.  Fails on a zero Z, which no curve point has. */
-static int ge_emit_affine(ge *points, size_t count, uint8_t *out, int with_coordinates) {
+ * write them out every `stride` bytes: 96-byte records  encoding | x | t
+ * (y is the encoding with its top bit cleared, z = 1), or the 32-byte
+ * encoding alone.  Overwrites each point's T.  Fails on a zero Z, which no
+ * curve point has. */
+static int ge_emit_affine(ge *points, size_t count, uint8_t *out, size_t stride,
+                          int with_coordinates) {
     fe running, inverse, zinv, x, y;
     uint8_t xbytes[32];
     size_t i;
@@ -1141,7 +1233,7 @@ static int ge_emit_affine(ge *points, size_t count, uint8_t *out, int with_coord
     }
     fe_invert(inverse, running);
     for (i = count; i-- > 0;) {
-        uint8_t *record = out + i * (with_coordinates ? 96 : 32);
+        uint8_t *record = out + i * stride;
         fe_mul(zinv, inverse, points[i].T);
         fe_mul(inverse, inverse, points[i].Z);
         fe_mul(x, points[i].X, zinv);
@@ -1179,22 +1271,28 @@ int xrd_ed25519_scalar_mult_batch(const uint8_t *points, size_t count,
         ge_window_table(table, &point);
         ge_ladder(&results[i], table, scalar);
     }
-    rc = ge_emit_affine(results, count, out, 1);
+    rc = ge_emit_affine(results, count, out, 96, 1);
     free(results);
     return rc;
 }
 
 /* One point, many scalars: 64 additions each over the point's comb.  The
  * base point's comb is the process-wide one; any other point pays about
- * four ladders for its own, which the second scalar already repays. */
-int xrd_ed25519_fixed_mult_batch(const uint8_t *point, const uint8_t *scalars,
-                                 size_t count, uint8_t *out) {
+ * four ladders for its own, which the second scalar already repays.
+ * Scalars are read every `scalar_stride` bytes, results written (as
+ * ge_emit_affine writes them) every `out_stride`. */
+static int ge_fixed_mult(const uint8_t *point, const uint8_t *scalars,
+                         size_t scalar_stride, size_t count,
+                         uint8_t *out, size_t out_stride, int with_coordinates) {
     ge_comb *comb, *own_comb = NULL;
     ge base, *results;
     size_t i;
-    int rc = -3;
-    ge_frombytes(&base, point);
-    if (ge_is_base(&base)) {
+    int rc = -3, standard = !point;  /* NULL: the standard base point */
+    if (point) {
+        ge_frombytes(&base, point);
+        standard = ge_is_base(&base);
+    }
+    if (standard) {
         comb = base_comb();
     } else {
         comb = own_comb = malloc(sizeof(ge_comb));
@@ -1203,12 +1301,17 @@ int xrd_ed25519_fixed_mult_batch(const uint8_t *point, const uint8_t *scalars,
     results = alloc_array(count, sizeof(ge));
     if (comb && results) {
         for (i = 0; i < count; i++)
-            ge_comb_mult(&results[i], *comb, scalars + 32 * i);
-        rc = ge_emit_affine(results, count, out, 1);
+            ge_comb_mult(&results[i], *comb, scalars + scalar_stride * i);
+        rc = ge_emit_affine(results, count, out, out_stride, with_coordinates);
     }
     free(results);
     free(own_comb);
     return rc;
+}
+
+int xrd_ed25519_fixed_mult_batch(const uint8_t *point, const uint8_t *scalars,
+                                 size_t count, uint8_t *out) {
+    return ge_fixed_mult(point, scalars, 32, count, out, 96, 1);
 }
 
 /* Straus: total = sum of scalars[i] * P_i (given by its window table) over
@@ -1255,7 +1358,7 @@ int xrd_ed25519_accumulate_rows(const uint8_t *points, const uint8_t *scalars,
             else
                 ge_straus(&results[row], tables, scalars + 32 * row * k, k);
         }
-        rc = ge_emit_affine(results, n, out, 1);
+        rc = ge_emit_affine(results, n, out, 96, 1);
     }
     free(results);
     free(tables);
@@ -1268,7 +1371,7 @@ int xrd_ed25519_encode_batch(const uint8_t *points, size_t count, uint8_t *out) 
     int rc;
     if (!loaded) return -3;
     for (i = 0; i < count; i++) ge_frombytes(&loaded[i], points + 128 * i);
-    rc = ge_emit_affine(loaded, count, out, 0);
+    rc = ge_emit_affine(loaded, count, out, 32, 0);
     free(loaded);
     return rc;
 }
@@ -1330,4 +1433,131 @@ int xrd_ed25519_decode_batch(const uint8_t *encodings, size_t count,
         ok_out[i] = 1;
     }
     return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Fused onion build: one chain's client submissions in one call      */
+/* ------------------------------------------------------------------ */
+
+/* What population/batch_build.py does between the users' RNG draws and the
+ * Schnorr challenges, for `count` entries of one chain with `layers` mix
+ * servers.  Entry i of `out` is `stride = body_len + 96 + 16 layers` bytes
+ * and ends up holding its finished onion; every entry has the same size, so
+ * each seal runs in place and nothing is joined or re-split between layers:
+ *
+ *     offset 0    g^y                                   32
+ *     offset 32   recipient                             32  \ mailbox message,
+ *     offset 64   AEnc(seal key, body) || tag   body_len+16  / sealed under y.ipk
+ *     ...         inner tag, then one tag per layer, outermost last
+ *
+ * `scalars` holds y | x | k per entry (32 bytes each, the group's scalar
+ * encoding); `publics` receives g^y | g^x | g^k per entry.  A group supplies
+ * one function — one base, a strided column of scalars, strided 32-byte
+ * encodings out — and the schedule below calls it once per base: the
+ * generator (all 3 count scalars in one pass), the aggregate inner key, and
+ * each mixing key back to front.  All arithmetic is the bodies above. */
+
+typedef int (*fixed_mult_fn)(const void *group, const uint8_t *base,
+                             const uint8_t *scalars, size_t scalar_stride,
+                             size_t count, uint8_t *out, size_t out_stride);
+
+/* The onion's KDF context and AEAD associated data: none. */
+static const uint8_t EMPTY[1] = {0};
+
+/* Seal bytes [0, len) of every entry in place under HKDF(label, shared_i),
+ * appending the tag. */
+static void onion_seal_layer(const uint8_t *label, size_t label_len,
+                             const uint8_t *shared, const uint8_t nonce[12],
+                             size_t count, uint8_t *first, size_t stride, size_t len) {
+    hmac_key salt;
+    uint8_t key[32];
+    size_t i;
+    hmac_set_key(&salt, label, label_len);
+    for (i = 0; i < count; i++) {
+        uint8_t *entry = first + stride * i;
+        hkdf_derive(&salt, shared + 32 * i, EMPTY, 0, key);
+        aead_seal(key, nonce, EMPTY, 0, entry, len, entry);
+    }
+}
+
+static int onion_build(fixed_mult_fn mult, const void *group, size_t base_size,
+                       const uint8_t *generator, const uint8_t *inner_public,
+                       const uint8_t *mixing_publics, size_t layers,
+                       const uint8_t *nonce,
+                       const uint8_t *inner_label, size_t inner_label_len,
+                       const uint8_t *outer_label, size_t outer_label_len,
+                       size_t count, size_t body_len,
+                       const uint8_t *seal_keys, const uint8_t *recipients,
+                       const uint8_t *bodies, const uint8_t *scalars,
+                       uint8_t *out, uint8_t *publics) {
+    size_t stride = body_len + 96 + 16 * layers, len = body_len + 48, i;
+    uint8_t *shared = alloc_array(count, 32);
+    int rc;
+    if (!shared) return -3;
+    for (i = 0; i < count; i++) {  /* MailboxMessage.seal */
+        uint8_t *entry = out + stride * i;
+        memcpy(entry + 32, recipients + 32 * i, 32);
+        aead_seal(seal_keys + 32 * i, nonce, EMPTY, 0,
+                  bodies + body_len * i, body_len, entry + 64);
+    }
+    rc = mult(group, generator, scalars, 32, 3 * count, publics, 32);
+    if (rc == 0)  /* encrypt_inner: the mailbox message under y.ipk, g^y in front */
+        rc = mult(group, inner_public, scalars, 96, count, shared, 32);
+    if (rc == 0) {
+        for (i = 0; i < count; i++) memcpy(out + stride * i, publics + 96 * i, 32);
+        onion_seal_layer(inner_label, inner_label_len, shared, nonce,
+                         count, out + 32, stride, len);
+        len += 48;
+    }
+    while (rc == 0 && layers-- > 0) {  /* encrypt_outer_layers: x.mpk_j, innermost last */
+        rc = mult(group, mixing_publics + base_size * layers, scalars + 32, 96,
+                  count, shared, 32);
+        if (rc == 0) {
+            onion_seal_layer(outer_label, outer_label_len, shared, nonce,
+                             count, out, stride, len);
+            len += 16;
+        }
+    }
+    free(shared);
+    return rc;
+}
+
+int xrd_modp_onion_build(const uint8_t *prime, const uint8_t *generator,
+                         const uint8_t *inner_public, const uint8_t *mixing_publics,
+                         size_t layers, const uint8_t *nonce,
+                         const uint8_t *inner_label, size_t inner_label_len,
+                         const uint8_t *outer_label, size_t outer_label_len,
+                         size_t count, size_t body_len,
+                         const uint8_t *seal_keys, const uint8_t *recipients,
+                         const uint8_t *bodies, const uint8_t *scalars,
+                         uint8_t *out, uint8_t *publics) {
+    mont_ctx m;
+    if (mont_init(&m, prime) != 0) return -1;
+    return onion_build(modp_fixed_mult, &m, 32, generator, inner_public,
+                       mixing_publics, layers, nonce, inner_label, inner_label_len,
+                       outer_label, outer_label_len, count, body_len, seal_keys,
+                       recipients, bodies, scalars, out, publics);
+}
+
+static int ed25519_fixed_mult(const void *group, const uint8_t *point,
+                              const uint8_t *scalars, size_t scalar_stride,
+                              size_t count, uint8_t *out, size_t out_stride) {
+    (void)group;
+    return ge_fixed_mult(point, scalars, scalar_stride, count, out, out_stride, 0);
+}
+
+/* Points as everywhere on the curve: 128 bytes X | Y | Z | T; the generator
+ * is the standard base point and its process-wide comb. */
+int xrd_ed25519_onion_build(const uint8_t *inner_public, const uint8_t *mixing_publics,
+                            size_t layers, const uint8_t *nonce,
+                            const uint8_t *inner_label, size_t inner_label_len,
+                            const uint8_t *outer_label, size_t outer_label_len,
+                            size_t count, size_t body_len,
+                            const uint8_t *seal_keys, const uint8_t *recipients,
+                            const uint8_t *bodies, const uint8_t *scalars,
+                            uint8_t *out, uint8_t *publics) {
+    return onion_build(ed25519_fixed_mult, NULL, 128, NULL, inner_public,
+                       mixing_publics, layers, nonce, inner_label, inner_label_len,
+                       outer_label, outer_label_len, count, body_len, seal_keys,
+                       recipients, bodies, scalars, out, publics);
 }

@@ -37,7 +37,7 @@ from repro.crypto.aead import adec_batch
 from repro.crypto.kdf import loopback_key
 from repro.errors import ConfigurationError
 from repro.mixnet.messages import ClientSubmission, MailboxMessage, MessageBody
-from repro.population.batch_build import PendingEntry, build_chain_submissions
+from repro.population.batch_build import PendingColumns, build_chain_submissions
 
 __all__ = ["UserPopulation"]
 
@@ -169,7 +169,8 @@ class UserPopulation:
         """
         group = self.group
         payloads = payloads or {}
-        buckets: Dict[int, List[PendingEntry]] = {}
+        buckets: Dict[int, PendingColumns] = {}
+        loopback_body = MessageBody.loopback().encode()
         for user in users:
             assignment = self.chain_assignments.get(user.name)
             if assignment is None:
@@ -195,50 +196,33 @@ class UserPopulation:
                         MessageBody.offline_notice()
                         if offline_notice
                         else MessageBody.data(payload or b"")
-                    )
+                    ).encode()
                     seal_key = user.conversation.key_to_partner()
                     recipient = user.conversation.partner_public_bytes
                     conversation_sent = True
                 else:
-                    body = MessageBody.loopback()
+                    body = loopback_body
                     seal_key = self._loopback_key(user, chain_id)
                     recipient = user.public_bytes
+                pending = buckets.get(chain_id)
+                if pending is None:
+                    pending = buckets[chain_id] = PendingColumns()
+                pending.senders.append(user.name)
+                pending.seal_keys.append(seal_key)
+                pending.recipients.append(recipient)
+                pending.bodies.append(body)
                 # The user's own RNG, in the object path's draw order:
                 # inner ephemeral, outer ephemeral, proof nonce — per slot.
                 rng = user._rng
-                buckets.setdefault(chain_id, []).append(
-                    PendingEntry(
-                        sender=user.name,
-                        seal_key=seal_key,
-                        recipient=recipient,
-                        body_plaintext=body.encode(),
-                        inner_scalar=group.random_scalar(rng),
-                        outer_scalar=group.random_scalar(rng),
-                        nonce_scalar=group.random_scalar(rng),
-                    )
-                )
+                pending.inner_scalars.append(group.random_scalar(rng))
+                pending.outer_scalars.append(group.random_scalar(rng))
+                pending.nonce_scalars.append(group.random_scalar(rng))
         return {
             chain_id: build_chain_submissions(
-                group, chain_keys[chain_id], round_number, entries, cover=cover
+                group, chain_keys[chain_id], round_number, pending, cover=cover
             )
-            for chain_id, entries in sorted(buckets.items())
+            for chain_id, pending in sorted(buckets.items())
         }
-
-    def build_cover_submissions_batch(
-        self,
-        next_round_number: int,
-        chain_keys: Dict[int, object],
-        users: Sequence[User],
-    ) -> Dict[int, List[ClientSubmission]]:
-        """Next round's banked covers (§5.3.3), batched per chain."""
-        return self.build_round_submissions_batch(
-            next_round_number,
-            chain_keys,
-            users,
-            payloads=None,
-            offline_notice=True,
-            cover=True,
-        )
 
     # -- batched mailbox decryption ---------------------------------------------
 

@@ -147,8 +147,10 @@ def _build_one_chunk(
     )
     covers = None
     if use_covers:
-        covers = population.build_cover_submissions_batch(
-            round_number + 1, next_views, span
+        # Next round's banked covers (§5.3.3): an offline notice where the
+        # user is in a conversation, loopbacks elsewhere.
+        covers = population.build_round_submissions_batch(
+            round_number + 1, next_views, span, offline_notice=True, cover=True
         )
     return BuiltChunk(index=index, users=span, submissions=submissions, covers=covers)
 

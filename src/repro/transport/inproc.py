@@ -8,6 +8,8 @@ against this one by the parity suite.
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 from repro.transport.base import Transport
 from repro.transport.envelope import Envelope
 
@@ -21,3 +23,8 @@ class InProcTransport(Transport):
 
     def deliver(self, envelope: Envelope) -> object:
         return envelope.payload
+
+    def deliver_many(self, envelopes: Sequence[Envelope]) -> List[object]:
+        # The same hand-off, not a loop over ``deliver``: an observer that
+        # wraps both entry points then sees each envelope once.
+        return [envelope.payload for envelope in envelopes]

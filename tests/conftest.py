@@ -8,6 +8,7 @@ end-to-end integration test so the default production path is covered too.
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -30,6 +31,44 @@ def tier(request):
     yield request.param
     kernels.reset_kernel_for_tests()
 
+
+def forbid(monkeypatch, *functions):
+    """Make every ``repro`` module's binding of the given functions raise."""
+    for function in functions:
+        def forbidden(*args, _name=function.__name__, **kwargs):
+            raise AssertionError(f"per-item {_name}() called from a batched path")
+
+        for module in list(sys.modules.values()):
+            name = getattr(module, "__name__", "")
+            if name.startswith("repro") and getattr(module, function.__name__, None) is function:
+                monkeypatch.setattr(module, function.__name__, forbidden)
+
+
+@pytest.fixture
+def dispatches(monkeypatch):
+    """Counts of native dispatches that ran (did not decline), by wrapper.
+
+    The point codec is left out: it is still one call per element
+    (DESIGN.md §11.4).
+    """
+    kernels.set_active_kernel("native")
+    counts = {}
+
+    def counting(name, wrapper):
+        def counted(*args, **kwargs):
+            result = wrapper(*args, **kwargs)
+            if result is not None:
+                counts[name] = counts.get(name, 0) + 1
+            return result
+
+        return counted
+
+    for name in kernels.__all__:
+        if name.startswith(("chacha20_", "aead_", "hkdf_", "modp_", "ed25519_")):
+            if name not in ("ed25519_encode_batch", "ed25519_decode_batch"):
+                monkeypatch.setattr(kernels, name, counting(name, getattr(kernels, name)))
+    yield counts
+    kernels.reset_kernel_for_tests()
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,6 @@
 """Tests for the blame protocol (§6.4): convict the guilty, never the honest."""
 
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +26,7 @@ from repro.coordinator.adversary import (
 )
 from repro.client.user import ChainKeysView
 
-from tests.conftest import needs_native
+from tests.conftest import forbid, needs_native
 from tests.blame_oracle import (
     reference_blame_protocol,
     reference_blame_reveal,
@@ -445,47 +444,11 @@ class TestLyingReveals:
 # -- the clock-free performance guard ---------------------------------------------
 
 
-def _forbid(monkeypatch, *functions):
-    """Make every ``repro`` module's binding of the given functions raise."""
-    for function in functions:
-        def forbidden(*args, _name=function.__name__, **kwargs):
-            raise AssertionError(f"per-item {_name}() called from a batched path")
-
-        for module in list(sys.modules.values()):
-            name = getattr(module, "__name__", "")
-            if name.startswith("repro") and getattr(module, function.__name__, None) is function:
-                monkeypatch.setattr(module, function.__name__, forbidden)
-
-
 class TestBatchedPathsStayBatched:
     """What a blame walk and an intake cost is a number of kernel dispatches
     that does not depend on how many ciphertexts they cover."""
 
     SIZES = (1, 8, 40)
-    #: The point codec is still one call per element (DESIGN.md §11.4).
-    PER_ELEMENT = {"ed25519_encode_batch", "ed25519_decode_batch"}
-
-    @pytest.fixture
-    def dispatches(self, monkeypatch):
-        """Counts of native dispatches that ran (did not decline), by wrapper."""
-        kernels.set_active_kernel("native")
-        counts = {}
-
-        def counting(name, wrapper):
-            def counted(*args, **kwargs):
-                result = wrapper(*args, **kwargs)
-                if result is not None:
-                    counts[name] = counts.get(name, 0) + 1
-                return result
-
-            return counted
-
-        for name in kernels.__all__:
-            if name.startswith(("chacha20_", "aead_", "hkdf_", "modp_", "ed25519_")):
-                if name not in self.PER_ELEMENT:
-                    monkeypatch.setattr(kernels, name, counting(name, getattr(kernels, name)))
-        yield counts
-        kernels.reset_kernel_for_tests()
 
     @needs_native
     @pytest.mark.parametrize("group_name", ["group", "ed_group"])
@@ -532,11 +495,11 @@ class TestBatchedPathsStayBatched:
             forge_misauthenticated_submission(group, keys_view(chain, 1), 1, f"mallory-{index}")
             for index in range(3)
         ]
-        _forbid(monkeypatch, *per_item)
+        forbid(monkeypatch, *per_item)
         entries, rejected = chain.accept_submissions(1, forged)
         assert (len(entries), rejected) == (3, [])
         monkeypatch.undo()  # mixing proves and checks its one aggregate proof per item
         result, history = mix_to(chain, 1, 2, entries)
-        _forbid(monkeypatch, *per_item)
+        forbid(monkeypatch, *per_item)
         verdict = run_blame_protocol(chain, 1, 2, result.failed_indices, history)
         assert len(verdict.malicious_users) == 3

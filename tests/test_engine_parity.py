@@ -158,6 +158,60 @@ class TestPopulationParity:
         deployment.close()
         assert actual == reference
 
+    @pytest.mark.parametrize("transport", TRANSPORTS + ("tcp",))
+    def test_staggered_population_never_builds_per_user(self, reference, transport, monkeypatch):
+        """The deferred users (offline-notice targets, built after the fetch)
+        go through the batched builder too: the production schedule never
+        enters ``client/user.py``'s build path."""
+        from repro.client.user import User
+
+        def per_user(self, *args, **kwargs):
+            raise AssertionError(f"per-user build entered for {self.name}")
+
+        monkeypatch.setattr(User, "build_round_submissions", per_user)
+        monkeypatch.setattr(User, "build_cover_submissions", per_user)
+        deployment = build(transport=transport, population="batched")
+        deferrals = []
+        finalize = deployment.engine.finalize_collect
+        monkeypatch.setattr(
+            deployment.engine, "finalize_collect",
+            lambda ctx: (deferrals.extend(ctx.deferred_users), finalize(ctx)),
+        )
+        actual = fingerprints(
+            deployment.run_rounds(conversation_script(deployment), staggered=True)
+        )
+        deployment.close()
+        assert actual == reference
+        assert deferrals  # the script did defer someone
+
+    def test_users_the_population_does_not_own_build_per_user(self):
+        """An adversarial wrapper swapped into ``deployment.users`` keeps the
+        per-user path, overlapped or deferred, next to the batched rest."""
+        from repro.client.user import User
+
+        class Wrapped(User):
+            built = 0
+
+            def build_round_submissions(self, *args, **kwargs):
+                type(self).built += 1
+                return super().build_round_submissions(*args, **kwargs)
+
+        runs = []
+        for staggered in (False, True):
+            deployment = build(population="batched")
+            wrapper = Wrapped.__new__(Wrapped)
+            wrapper.__dict__.update(deployment.users[0].__dict__)
+            deployment.users[0] = deployment._users_by_name[wrapper.name] = wrapper
+            assert not deployment.population.owns(wrapper)
+            Wrapped.built = 0
+            runs.append(fingerprints(
+                deployment.run_rounds(conversation_script(deployment), staggered=staggered)
+            ))
+            # One round build and one cover build per round online (all six:
+            # user 0 never goes offline, and round 3 defers her).
+            assert Wrapped.built == 12
+        assert runs[0] == runs[1]
+
     def test_population_without_cover_messages(self, reference):
         object_path = build(use_cover_messages=False)
         batched = build(population="batched", use_cover_messages=False)

@@ -21,6 +21,7 @@ degraded mode.
 from __future__ import annotations
 
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -44,6 +45,8 @@ from repro.crypto.kdf import derive_key
 from repro.crypto.onion import inner_envelope_key, outer_layer_key, shared_keys_batch
 from repro.errors import ConfigurationError, CryptoError, DecodingError
 from repro.registry import CRYPTO_KERNELS, CryptoKernelKind
+
+from tests.conftest import TIERS, forbid
 
 NATIVE = kernels.native_available()
 
@@ -208,6 +211,23 @@ class TestAeadDifferential:
         kernels.set_active_kernel("native")
         assert kernels.aead_seal_batch([], [], [], b"") == []
         assert kernels.aead_open_batch([], [], [], b"") == []
+
+    @pytest.mark.parametrize("length", [0, 1, 64, 300])
+    def test_tag_is_compared_whole(self, length, dispatches):
+        """A tag wrong in its first byte and one wrong in its last are the
+        same rejection: neither opens, and both cost the same dispatches
+        (the kernel's compare reads all 16 bytes either way)."""
+        key, nonce = b"\x07" * 32, b"\x00" * 11 + b"\x01"
+        sealed = aenc(key, nonce, b"m" * length)
+        seen = []
+        for position in (length, length + 15):
+            forged = bytearray(sealed)
+            forged[position] ^= 0x80
+            dispatches.clear()
+            assert adec(key, nonce, bytes(forged)) == (False, None)
+            seen.append(dict(dispatches))
+        assert seen[0] == seen[1] == {"aead_open_batch": 1}
+        assert adec(key, nonce, sealed) == (True, b"m" * length)
 
 
 @needs_native
@@ -620,18 +640,10 @@ class TestKeyPipeline:
     def test_group_keys_match_per_element_derivation(self, group, count, data):
         kernels.set_active_kernel("native")
         points = _group_elements(group, data, count)
-        scalars = data.draw(
-            st.lists(st.integers(0, 2 * group.order), min_size=count, max_size=count),
-            label="scalars",
-        )
         scalar = data.draw(st.integers(0, 2 * group.order), label="scalar")
         label = data.draw(st.binary(min_size=0, max_size=80), label="label")
-        point = group.base_mult(7)
         assert group.scalar_mult_keys(points, scalar, label) == b"".join(
             derive_key(group.encode(group.scalar_mult(p, scalar)), label) for p in points
-        )
-        assert group.fixed_point_mult_keys(point, scalars, label) == b"".join(
-            derive_key(group.encode(group.scalar_mult(point, s)), label) for s in scalars
         )
 
     @settings(max_examples=15, deadline=None)
@@ -664,11 +676,9 @@ class TestKeyPipeline:
         kernels.set_active_kernel("native")
         p = MODP.prime
         assert kernels.modp_scalar_mult_keys(p, [p], 3, b"label") is None
-        assert kernels.modp_fixed_mult_keys(p, p, [3], b"label") is None
         assert kernels.modp_scalar_mult_keys(2**300 + 1, [2], 2, b"label") is None
         bad = group_mod.Point(-1, 1, 1, 0)
         assert kernels.ed25519_scalar_mult_keys([bad], 5, b"label") is None
-        assert kernels.ed25519_fixed_mult_keys(group_mod._BASE_POINT, [-1], b"label") is None
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -685,6 +695,150 @@ class TestKeyPipeline:
             opened = aead.adec_batch(b"".join(keys), 7, sealed)
             assert opened == aead.adec_batch(keys, 7, sealed)
             assert opened == [(True, plain) for plain in plains]
+
+
+# -- fused onion build (ABI 5) -------------------------------------------------
+
+
+def _build_three_ways(group, tier, num_users, num_chains, layers, paired, notice, cover, seed):
+    """One population build as ``to_bytes()`` lists per chain: the batched
+    builder as the tier runs it, the same with the fused kernel declined,
+    and ``User.build_round_submissions`` user by user."""
+    from repro.client.user import ChainKeysView, User
+    from repro.crypto.keys import KeyPair
+    from repro.population import UserPopulation
+
+    def users():
+        rng = random.Random(seed)
+        made = [
+            User(f"user-{i}", group, KeyPair.generate(group, rng), random.Random(rng.random()))
+            for i in range(num_users)
+        ]
+        for left, right in zip(made[0:paired:2], made[1:paired:2]):
+            left.start_conversation(right.name, right.public_bytes)
+            right.start_conversation(left.name, left.public_bytes)
+        return made
+
+    rng = random.Random(seed + 1)
+    views = {
+        chain_id: ChainKeysView(
+            chain_id,
+            tuple(group.base_mult(group.random_scalar(rng)) for _ in range(layers)),
+            group.base_mult(group.random_scalar(rng)),
+        )
+        for chain_id in range(num_chains)
+    }
+    payloads = {f"user-{i}": bytes([i]) * (i % 7) for i in range(num_users)}
+    kernels.set_active_kernel(tier)
+
+    def batched(decline_fused):
+        made = users()
+        population = UserPopulation(group, made, num_chains)
+        fused = []
+        real = group.onion_build
+        group.onion_build = lambda *a: fused.append(None if decline_fused else real(*a)) or fused[-1]
+        try:
+            built = population.build_round_submissions_batch(
+                5, views, made, payloads=payloads, offline_notice=notice, cover=cover
+            )
+        finally:
+            del group.onion_build
+        ran = [result is not None for result in fused]
+        return {c: [(s.to_bytes(), s.cover) for s in subs] for c, subs in built.items()}, ran
+
+    per_user = {}
+    for user in users():
+        for submission in user.build_round_submissions(
+            5, num_chains, views, payload=payloads[user.name], offline_notice=notice, cover=cover
+        ):
+            per_user.setdefault(submission.chain_id, []).append(
+                (submission.to_bytes(), submission.cover)
+            )
+    return batched(False), batched(True), per_user
+
+
+class TestOnionBuildDifferential:
+    """The fused build kernel against the per-operation batched path and the
+    per-user object path: conversation, loopback and offline-notice bodies,
+    covers, every chain length, empty chains, both groups, both tiers."""
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("group", [MODP, CURVE], ids=["modp", "ed25519"])
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.integers(0, 13), st.integers(1, 6), st.integers(1, 4), st.integers(0, 13),
+        st.booleans(), st.booleans(), st.integers(0, 2**32),
+    )
+    def test_three_build_paths_agree(self, tier, group, num_users, num_chains, layers,
+                                     paired, notice, cover, seed):
+        if group is CURVE and tier == "python":
+            num_users = min(num_users, 3)  # ~2 ms per Python ladder
+        (fused, fused_ran), (unfused, unfused_ran), per_user = _build_three_ways(
+            group, tier, num_users, num_chains, layers, paired, notice, cover, seed
+        )
+        assert fused == unfused == per_user
+        assert sum(len(batch) for batch in fused.values()) <= 40
+        assert all(fused_ran) == (tier == "native" or not fused_ran)
+        assert not any(unfused_ran)
+
+    @needs_native
+    @pytest.mark.parametrize("group_name", ["group", "ed_group"])
+    def test_one_build_call_per_chain_whatever_its_size(
+        self, request, group_name, dispatches, monkeypatch
+    ):
+        from repro.client.user import ChainKeysView
+        from repro.crypto.group import fixed_point_mult_batch
+        from repro.population.batch_build import PendingColumns, build_chain_submissions
+
+        group = request.getfixturevalue(group_name)
+        rng = random.Random(9)
+        view = ChainKeysView(2, tuple(group.base_mult(s) for s in (3, 5, 7)), group.base_mult(11))
+        forbid(monkeypatch, aenc, aead.aenc_batch, fixed_point_mult_batch, shared_keys_batch)
+        seen = []
+        for size in (1, 8, 40):
+            pending = PendingColumns(
+                [f"user-{i}" for i in range(size)],
+                *([rng.randbytes(width) for _ in range(size)] for width in (32, 32, 256)),
+                *([group.random_scalar(rng) for _ in range(size)] for _ in range(3)),
+            )
+            dispatches.clear()
+            assert len(build_chain_submissions(group, view, 4, pending)) == size
+            seen.append(dict(dispatches))
+        name = "modp_onion_build" if group_name == "group" else "ed25519_onion_build"
+        assert seen[0] == seen[1] == seen[2] == {name: 1}
+
+    @needs_native
+    def test_declines_before_the_c_call(self, monkeypatch):
+        kernels.set_active_kernel("native")
+        ffi, lib = kernels._load_native()
+
+        class NoKernel:  # any attribute is a kernel that must not be reached
+            def __getattr__(self, name):
+                raise AssertionError(f"{name} called on a batch the wrapper must decline")
+
+        key, body = b"k" * 32, b"b" * 256
+        good = (MODP.base_mult(5), [MODP.base_mult(7)], 3, [key, key], [key, key], [body, body],
+                [[1, 2], [3, 4], [5, 6]])
+        curve_head = [CURVE.base_mult(5), [CURVE.base_mult(7)]]
+        assert MODP.onion_build(*good) is not None
+        assert CURVE.onion_build(*curve_head, *good[2:]) is not None
+        monkeypatch.setattr(kernels, "_load_native", lambda: (ffi, NoKernel()))
+        for position, bad in (
+            (5, [body, body[:-1]]),           # ragged bodies
+            (3, [key, key[:-1]]),             # a short seal key
+            (3, [key]),                       # a short key column
+            (4, [key, key + b"x"]),           # a long recipient
+            (6, [[1, 2], [3, 4], [5]]),       # a short scalar column
+        ):
+            columns = list(good)
+            columns[position] = bad
+            assert MODP.onion_build(*columns) is None
+            assert CURVE.onion_build(*curve_head, *columns[2:]) is None
+        # What the C side itself refuses: an element outside the group.
+        monkeypatch.undo()
+        kernels.set_active_kernel("native")
+        assert MODP.onion_build(MODP.prime, *good[1:]) is None
+        assert kernels.modp_onion_build(2**300 + 1, 2, *good) is None
 
 
 # -- accumulate_rows (ABI 4) ---------------------------------------------------
@@ -864,10 +1018,8 @@ class TestTierSelection:
         assert kernels.modp_scalar_mult_batch(2**61 - 1, [2], 2) is None
         assert kernels.modp_accumulate_rows(2**61 - 1, [2], [2], 1) is None
         assert kernels.modp_scalar_mult_keys(2**61 - 1, [2], 2, b"label") is None
-        assert kernels.modp_fixed_mult_keys(2**61 - 1, 2, [2], b"label") is None
         base = group_mod._BASE_POINT
         assert kernels.ed25519_scalar_mult_keys([base], 2, b"label") is None
-        assert kernels.ed25519_fixed_mult_keys(base, [2], b"label") is None
         assert kernels.ed25519_scalar_mult_batch([base], 2) is None
         assert kernels.ed25519_fixed_mult_batch(base, [2]) is None
         assert kernels.ed25519_multi_scalar_accumulate([base], [2]) is None

@@ -215,6 +215,31 @@ class TestPopulationSemantics:
         assert reference.user(a).conversation.partner_offline
         assert batched.user(a).conversation.partner_offline
 
+    @pytest.mark.parametrize("transport", ["inproc", "instrumented"])
+    def test_chain_envelopes_of_a_pass_travel_together(self, transport):
+        """One ``deliver_many`` per build pass, one envelope per chain in it
+        (TCP pipelines them) — and nothing counted twice by an observer that
+        wraps both entry points, as the benchmark's tracer does."""
+        from repro.transport.envelope import COVER_SUBMISSION_BATCH, SUBMISSION_BATCH
+
+        _, batched = deployment_pair(transport=transport, use_cover_messages=True)
+        link = batched.transport
+        batches, singles = [], []
+        one, many = link.deliver, link.deliver_many
+        link.deliver = lambda envelope: singles.append(envelope.kind) or one(envelope)
+        link.deliver_many = lambda envelopes: (
+            batches.append([(envelope.kind, envelope.chain_id) for envelope in envelopes])
+            or many(envelopes)
+        )
+        batched.run_round()
+        chains = sorted(batched.population.chain_rosters)
+        assert batches == [
+            [(SUBMISSION_BATCH, chain_id) for chain_id in chains],
+            [(COVER_SUBMISSION_BATCH, chain_id) for chain_id in chains],
+        ]
+        if transport == "inproc":  # the hand-off has no per-envelope call underneath
+            assert not [kind for kind in singles if kind.endswith("submission-batch")]
+
     def test_link_faults_on_batch_frames(self):
         """Drop and duplicate faults compose with the batch frames: a
         dropped frame loses the whole chain's uploads (the engine skips the
