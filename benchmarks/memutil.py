@@ -10,12 +10,10 @@ uses to give each measured window its own peak:
 
 * ``__enter__`` collects garbage, asks glibc to return freed arenas to the
   kernel (``malloc_trim``), and resets ``VmHWM``;
-* ``__exit__`` reads the window's own ``VmHWM`` and, for workloads that
-  fork (the streaming population build pool, the multiprocess mix
-  backend), folds in ``RUSAGE_CHILDREN``'s high-water mark when some child
-  reaped during the window exceeded every child before it (that counter is
-  itself a monotonic max and cannot be reset — the caveat is surfaced via
-  :attr:`PeakRssMeter.children_attributable`).
+* ``__exit__`` reads the window's own ``VmHWM``.
+
+Every measured workload runs in this one process (nothing in the library
+forks), so no child's peak needs folding in.
 
 On platforms without ``/proc`` the meter degrades to the monotonic
 ``ru_maxrss`` (normalised to bytes — Linux reports KiB, macOS bytes), which
@@ -31,7 +29,6 @@ import sys
 
 __all__ = [
     "peak_rss_bytes",
-    "children_peak_rss_bytes",
     "current_rss_bytes",
     "resettable_peak_rss_bytes",
     "reset_peak_rss",
@@ -50,11 +47,6 @@ def _maxrss_to_bytes(rss: int) -> int:
 def peak_rss_bytes() -> int:
     """This process's peak resident set size (monotonic high-water mark)."""
     return _maxrss_to_bytes(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-
-
-def children_peak_rss_bytes() -> int:
-    """The largest peak RSS among *reaped* child processes (monotonic)."""
-    return _maxrss_to_bytes(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 
 def _read_status_field(field: str) -> int | None:
@@ -112,41 +104,24 @@ class PeakRssMeter:
 
     Attributes after exit:
 
-    * ``self_peak_bytes`` — the parent process's peak during the window
-      (per-window on Linux; the monotonic whole-process peak elsewhere,
-      see ``attributable``);
-    * ``children_peak_bytes`` — the largest child peak, when a child reaped
-      during this window set a new children high-water mark (0 when no
-      child did — ``children_attributable`` distinguishes "no forked work"
-      from "bounded by an earlier window's child");
-    * ``peak_bytes`` — max of the two: the figure the scale tables report.
+    * ``peak_bytes`` — the process's peak during the window (per-window on
+      Linux; the monotonic whole-process peak elsewhere, see
+      ``attributable``): the figure the scale tables report.
     """
 
     def __init__(self) -> None:
         self.attributable = False
-        self.children_attributable = False
         self.baseline_bytes = 0
-        self.self_peak_bytes = 0
-        self.children_peak_bytes = 0
         self.peak_bytes = 0
-        self._children_before = 0
 
     def __enter__(self) -> "PeakRssMeter":
         gc.collect()
         _malloc_trim()
         self.attributable = reset_peak_rss()
         self.baseline_bytes = current_rss_bytes()
-        self._children_before = children_peak_rss_bytes()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.self_peak_bytes = (
+        self.peak_bytes = (
             resettable_peak_rss_bytes() if self.attributable else peak_rss_bytes()
         )
-        children_after = children_peak_rss_bytes()
-        if children_after > self._children_before:
-            # A monotonic max that moved: some child reaped inside this
-            # window reached exactly this peak.
-            self.children_peak_bytes = children_after
-            self.children_attributable = True
-        self.peak_bytes = max(self.self_peak_bytes, self.children_peak_bytes)

@@ -1,14 +1,13 @@
-"""Round-engine backends: serial vs. parallel vs. multiprocess vs. staggered.
+"""Round-engine backends: serial vs. parallel vs. staggered.
 
 Times the *real* protocol stack (on the fast test group, so batches are
 non-trivial without taking minutes) under each execution strategy, verifies
 the strategies deliver bit-identical reports, and records the measured
-round throughputs.  In this pure-Python build the GIL bounds the thread
-pool's speedup and CI machines may expose a single core, so the
-benchmark's job is to exercise the engine's concurrency paths — including
-the fork/encode/merge cycle of the multiprocess backend — and catch
-regressions in their overheads, not to demonstrate multicore scaling (see
-DESIGN.md §2.2).
+round throughputs.  The Python between native calls still serialises on
+the GIL and CI machines may expose a single core, so the benchmark's job
+is to exercise the engine's concurrency paths and catch regressions in
+their overheads, not to demonstrate multicore scaling (see DESIGN.md
+§2.2).
 """
 
 import time
@@ -43,12 +42,7 @@ def script(deployment):
 
 
 def run_mode(mode):
-    if mode in ("parallel", "staggered+parallel"):
-        backend = "parallel"
-    elif mode == "multiprocess":
-        backend = "multiprocess"
-    else:
-        backend = "serial"
+    backend = "parallel" if mode.endswith("parallel") else "serial"
     deployment = make_deployment(backend)
     specs = script(deployment)
     start = time.perf_counter()
@@ -61,7 +55,7 @@ def run_mode(mode):
 def test_engine_backends(benchmark):
     timings = {}
     fingerprints = {}
-    for mode in ("serial", "parallel", "multiprocess", "staggered", "staggered+parallel"):
+    for mode in ("serial", "parallel", "staggered", "staggered+parallel"):
         reports, elapsed = run_mode(mode)
         assert all(report.all_chains_delivered() for report in reports)
         timings[mode] = elapsed
@@ -77,5 +71,5 @@ def test_engine_backends(benchmark):
         lines.append(
             f"  {mode:20s} {elapsed:6.2f} s total, {ROUNDS / elapsed:6.2f} rounds/s"
         )
-    lines.append("  (all five strategies byte-identical under seed 77)")
+    lines.append("  (all four strategies byte-identical under seed 77)")
     save_result("engine_backends", "\n".join(lines))

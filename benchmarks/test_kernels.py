@@ -4,7 +4,7 @@ Each proven hot kernel is timed per tier at the batch sizes the protocol
 actually runs (a chain's round batch: hundreds to tens of thousands of
 entries), and the tentpole's speedup floors are asserted directly:
 
-* batched ChaCha20 blocks — native ≥ 2.5× the numpy tier;
+* batched ChaCha20 blocks — native ≥ 2.5× the python tier;
 * modp ``scalar_mult_batch`` — native ≥ 2.5× the CPython ``pow`` loop.
 
 Both floors are ratios of two short wall clocks, so they carry the
@@ -45,7 +45,8 @@ pytestmark = pytest.mark.skipif(
 BATCH = 2048
 
 #: Measured speedup floors (see ISSUE 9 acceptance).  The reference box
-#: measures ~4.5× (chacha vs numpy) and ~9× (modp vs pow); 2.5× leaves
+#: measured ~4.5× for chacha against the since-deleted numpy tier (the
+#: python tier is far slower still) and ~9× for modp vs pow; 2.5× leaves
 #: room for slower CI arithmetic without letting a disabled kernel pass.
 CHACHA_FLOOR = 2.5
 MODP_FLOOR = 2.5
@@ -84,26 +85,30 @@ def _chacha_inputs(count: int):
 
 @pytest.mark.wallclock
 def test_chacha20_blocks_native_vs_numpy(benchmark):
-    """The headline symmetric gate: native blocks ≥ 2.5× the numpy tier."""
+    """The headline symmetric gate: native blocks ≥ 2.5× the python tier.
+
+    (The name predates the numpy tier's removal; it is kept so the recorded
+    baselines stay comparable.)
+    """
     keys, nonces, counters = _chacha_inputs(BATCH)
 
-    def run_tier(tier):
+    def run_tier(tier, repeats, inner):
         kernels.set_active_kernel(tier)
         return _time_per_op(
             lambda: chacha20_blocks_batch(keys, nonces, counters),
             BATCH,
-            repeats=7,
-            inner=4,
+            repeats=repeats,
+            inner=inner,
         )
 
-    numpy_per_op = run_tier("numpy")
+    python_per_op = run_tier("python", repeats=3, inner=1)
     kernels.set_active_kernel("native")
     benchmark(chacha20_blocks_batch, keys, nonces, counters)
-    native_per_op = run_tier("native")
-    speedup = numpy_per_op / native_per_op
+    native_per_op = run_tier("native", repeats=7, inner=4)
+    speedup = python_per_op / native_per_op
     save_result(
         "kernel_chacha_speedup",
-        f"ChaCha20 blocks x{BATCH}: numpy {numpy_per_op * 1e6:.2f} us/block, "
+        f"ChaCha20 blocks x{BATCH}: python {python_per_op * 1e6:.2f} us/block, "
         f"native {native_per_op * 1e6:.2f} us/block ({speedup:.1f}x)",
     )
     assert speedup >= CHACHA_FLOOR

@@ -25,8 +25,7 @@ round per build path through the same helper, every submission accounted.
 Memory accounting: rounds are timed *without* tracemalloc (its allocation
 hooks slow this workload by an order of magnitude); each point's peak RSS
 is metered per window by :class:`benchmarks.memutil.PeakRssMeter` (VmHWM
-reset + ``RUSAGE_CHILDREN`` for the streaming pipeline's forked build
-workers), so the numbers are attributable to their own point instead of
+reset), so the numbers are attributable to their own point instead of
 inheriting the biggest predecessor's high-water mark.  The ``slots=True``
 satellite is verified per object in
 :func:`test_slots_removes_instance_dicts`.
@@ -57,9 +56,8 @@ from benchmarks.memutil import PeakRssMeter, current_rss_bytes
 SCALE = os.environ.get("XRD_SCALE", "")
 
 #: The streaming configuration the chunked scale points run: bounded build
-#: chunks, built by a small forked pool (DESIGN.md §9).
+#: chunks (DESIGN.md §9).
 CHUNK_SIZE = 10_000
-BUILD_WORKERS = 2
 
 #: Whole-window peak-RSS budget for the CI scale-smoke point: the 50k-user
 #: streamed round measures ~0.86 GB on the reference box (vs ~1.02 GB
@@ -88,7 +86,6 @@ def run_round_at_scale(
     population: str = "batched",
     precompute: bool = True,
     chunk_size: int | None = None,
-    build_workers: int = 0,
     crypto_kernel: str | None = None,
 ):
     """One full round at ``num_users`` (modp group, 4 chains, covers off).
@@ -114,7 +111,7 @@ def run_round_at_scale(
     kernels.reset_kernel_for_tests()
     if crypto_kernel is not None:
         # The native request degrades (with one warning) on a box without
-        # the extension, so the sweep still runs — on the lower tier.
+        # the extension, so the sweep still runs — on the python tier.
         kernels.set_active_kernel(crypto_kernel)
     config = DeploymentConfig(
         num_servers=4,
@@ -127,7 +124,6 @@ def run_round_at_scale(
         population=population,
         precompute=precompute,
         population_chunk_size=chunk_size,
-        population_build_workers=build_workers,
     )
     with PeakRssMeter() as create_meter:
         deployment = Deployment.create(config)
@@ -149,10 +145,7 @@ def run_round_at_scale(
         "seconds": elapsed,
         "peak_rss": max(create_meter.peak_bytes, round_meter.peak_bytes),
         "standing_rss": standing,
-        # Forked build workers inherit the standing population copy-on-write,
-        # so their absolute peaks sit on the same baseline as the parent's.
         "round_delta_rss": max(0, round_meter.peak_bytes - standing),
-        "children_peak_rss": round_meter.children_peak_bytes,
         "online_seconds": report.stage_seconds.get("mix", 0.0),
         "precompute_seconds": report.stage_seconds.get("precompute", 0.0),
     }
@@ -207,20 +200,17 @@ def test_scale_users_sweep(benchmark):
 @pytest.mark.wallclock
 def test_scale_users_chunked_sweep(benchmark):
     """The streaming-pipeline companion sweep (ISSUE 6): the same 1k → 10k
-    points built in 1k-user chunks by a forked worker pool, committed to the
-    benchmark baseline so a regression in the chunked path gates CI."""
+    points built in 1k-user chunks, committed to the benchmark baseline so
+    a regression in the chunked path gates CI."""
 
     def sweep():
-        return [
-            run_round_at_scale(users, chunk_size=1_000, build_workers=BUILD_WORKERS)
-            for users in (1_000, 5_000, 10_000)
-        ]
+        return [run_round_at_scale(users, chunk_size=1_000) for users in (1_000, 5_000, 10_000)]
 
     points = benchmark.pedantic(sweep, rounds=1, iterations=1)
     save_result(
         "scale_users_chunked",
-        "Measured round latency vs. users, streaming pipeline (1k-user chunks,\n"
-        f"{BUILD_WORKERS} forked build workers; same deployment as the monolithic sweep)\n"
+        "Measured round latency vs. users, streaming pipeline (1k-user chunks;\n"
+        "same deployment as the monolithic sweep)\n"
         + render_table(_SWEEP_HEADER, _sweep_rows(points)),
     )
     assert points[-1]["seconds"] < 25 * points[0]["seconds"]
@@ -292,16 +282,14 @@ def test_slots_removes_instance_dicts():
 @pytest.mark.skipif(SCALE not in ("smoke", "full"), reason="set XRD_SCALE=smoke for the 50k round")
 def test_scale_smoke_50k_users():
     """The CI scale-smoke acceptance point: a 50k-user round through the
-    streaming pipeline (10k-user chunks, forked build pool), under a
-    peak-RSS budget.
+    streaming pipeline (10k-user chunks), under a peak-RSS budget.
 
     Runs with the precompute stage enabled (the default), so the smoke job
     also proves the precompute subsystem holds at 50k users and records the
     online/precompute phase split at that scale (ISSUE 5).
     """
     point = run_round_at_scale(
-        50_000, precompute=True, chunk_size=CHUNK_SIZE, build_workers=BUILD_WORKERS,
-        crypto_kernel="native",
+        50_000, precompute=True, chunk_size=CHUNK_SIZE, crypto_kernel="native"
     )
     assert point["precompute_seconds"] > 0.0
     assert point["online_seconds"] > 0.0
@@ -309,7 +297,7 @@ def test_scale_smoke_50k_users():
     save_result(
         "scale_users_50k",
         f"50,000-user streamed round ({CHUNK_SIZE // 1000}k chunks, "
-        f"{BUILD_WORKERS} build workers, {point['kernel']} kernels): "
+        f"{point['kernel']} kernels): "
         f"{point['seconds']:.1f}s "
         f"(online mix phase {point['online_seconds']:.1f}s, "
         f"precomputed off-path {point['precompute_seconds']:.1f}s), "
@@ -335,9 +323,7 @@ def test_scale_full_100k_users():
     below the floor measured when they held decoded entries.
     """
     mono = run_round_at_scale(100_000)
-    chunked = run_round_at_scale(
-        100_000, chunk_size=CHUNK_SIZE, build_workers=BUILD_WORKERS
-    )
+    chunked = run_round_at_scale(100_000, chunk_size=CHUNK_SIZE)
     assert chunked["seconds"] < mono["seconds"] * 1.15
     assert chunked["peak_rss"] < mono["peak_rss"]
     assert chunked["round_delta_rss"] < mono["round_delta_rss"]
@@ -345,7 +331,7 @@ def test_scale_full_100k_users():
     rows = [
         ["monolithic", f"{mono['seconds']:.1f}", f"{mono['peak_rss'] / 1e6:.0f}",
          f"{mono['round_delta_rss'] / 1e6:.0f}"],
-        [f"chunked {CHUNK_SIZE // 1000}k x{BUILD_WORKERS}",
+        [f"chunked {CHUNK_SIZE // 1000}k",
          f"{chunked['seconds']:.1f}", f"{chunked['peak_rss'] / 1e6:.0f}",
          f"{chunked['round_delta_rss'] / 1e6:.0f}"],
     ]
@@ -361,15 +347,12 @@ def test_scale_full_1m_users():
     """The million-user point (ISSUE 6): one round, streaming pipeline only
     (the monolithic build at this scale is exactly what the pipeline
     retires), under the whole-process peak-RSS budget."""
-    point = run_round_at_scale(
-        1_000_000, chunk_size=CHUNK_SIZE, build_workers=BUILD_WORKERS,
-        crypto_kernel="native",
-    )
+    point = run_round_at_scale(1_000_000, chunk_size=CHUNK_SIZE, crypto_kernel="native")
     assert point["peak_rss"] < MILLION_USER_PEAK_RSS_BUDGET
     save_result(
         "scale_users_1m",
         f"1,000,000-user streamed round ({CHUNK_SIZE // 1000}k chunks, "
-        f"{BUILD_WORKERS} build workers, {point['kernel']} kernels): "
+        f"{point['kernel']} kernels): "
         f"{point['seconds']:.1f}s "
         f"(online mix phase {point['online_seconds']:.1f}s, "
         f"precomputed off-path {point['precompute_seconds']:.1f}s), "

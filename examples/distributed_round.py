@@ -6,7 +6,9 @@ launches the process-per-role runtime (DESIGN.md §10): two mix-server
 processes and a mailbox process bind localhost TCP listeners, then a
 coordinator process drives the tamper/blame/recovery acceptance scenario
 across them — submissions, chain outcomes, and mailbox fetches all cross
-real sockets as length-prefixed frames.
+real sockets as length-prefixed frames.  This runtime is the repo's one
+multi-process deployment: inside one interpreter, chains run serially or on
+a thread pool (``execution_backend``), never in forked workers.
 
 The punchline is parity: the distributed run's per-round fingerprints and
 scenario digest are compared against an ordinary in-process run of the

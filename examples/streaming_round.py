@@ -2,12 +2,11 @@
 """Drive a large round through the streaming population pipeline (DESIGN.md §9).
 
 The monolithic population path builds every submission of a round in one
-O(users) pass; the streaming pipeline slices the build into bounded chunks —
-optionally fanned out to a fork-based worker pool — and uploads, delivers,
-and fetches per chunk, so peak memory is O(chunk) no matter how large the
-population grows.  The round's observable outputs are bit-identical either
-way (the engine parity suite proves it); only the memory/latency profile
-changes.
+O(users) pass; the streaming pipeline slices the build into bounded chunks
+and uploads, delivers, and fetches per chunk, so peak memory is O(chunk) no
+matter how large the population grows.  The round's observable outputs are
+bit-identical either way (the engine parity suite proves it); only the
+memory/latency profile changes.
 
 This example runs one such round end to end and logs a progress line per
 chunk as the engine streams through the build and fetch stages, then prints
@@ -16,7 +15,7 @@ the round's phase timings and, on Linux, the process's peak RSS.
 Run with::
 
     python examples/streaming_round.py                 # 20k users, 2k chunks
-    python examples/streaming_round.py --users 100000 --chunk-size 10000 --workers 2
+    python examples/streaming_round.py --users 100000 --chunk-size 10000
 """
 
 import argparse
@@ -31,17 +30,12 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--users", type=int, default=20_000)
     parser.add_argument("--chunk-size", type=int, default=2_000)
-    parser.add_argument(
-        "--workers", type=int, default=0,
-        help="forked build workers (0 = build chunks in process)",
-    )
     args = parser.parse_args()
 
     num_chunks = -(-args.users // args.chunk_size)
     print(
         f"Creating deployment: {args.users:,} users, 4 chains, "
-        f"chunk size {args.chunk_size:,} ({num_chunks} chunks), "
-        f"{args.workers} build workers"
+        f"chunk size {args.chunk_size:,} ({num_chunks} chunks)"
     )
     deployment = Deployment.create(
         DeploymentConfig(
@@ -54,7 +48,6 @@ def main() -> None:
             use_cover_messages=False,
             population="batched",
             population_chunk_size=args.chunk_size,
-            population_build_workers=args.workers,
         )
     )
 

@@ -28,7 +28,6 @@ bytes, and only physical sockets are elided (DESIGN.md §3).
 
 from __future__ import annotations
 
-import os
 import random
 import warnings
 from dataclasses import dataclass
@@ -109,13 +108,13 @@ class DeploymentConfig:
     modp_bits: int = 96
     #: How the mix stage executes the per-chain work: a typed
     #: :class:`~repro.registry.ExecutionBackendKind` — ``SERIAL`` (default,
-    #: reference semantics), ``PARALLEL`` (chains on a thread pool), or
-    #: ``MULTIPROCESS`` (chains forked to worker processes that ship their
-    #: round results back as wire bytes — escapes the GIL) — or the name of
-    #: a backend registered in :data:`repro.registry.EXECUTION_BACKENDS`.
-    #: A built-in's plain string (``"serial"``) is normalised to its member.
+    #: reference semantics) or ``PARALLEL`` (chains on a thread pool) — or
+    #: the name of a backend registered in
+    #: :data:`repro.registry.EXECUTION_BACKENDS`.  A built-in's plain string
+    #: (``"serial"``) is normalised to its member.  Chains in separate OS
+    #: processes are the distributed runtime's job (:mod:`repro.runner`).
     execution_backend: Union[str, ExecutionBackendKind] = ExecutionBackendKind.SERIAL
-    #: Worker cap for the parallel/multiprocess backends (``None`` → CPU count).
+    #: Worker cap for the parallel backend (``None`` → CPU count).
     max_workers: Optional[int] = None
     #: How cross-node messages travel: a typed
     #: :class:`~repro.registry.TransportKind` — ``INPROC`` (default,
@@ -148,22 +147,15 @@ class DeploymentConfig:
     #: is O(chunk).  ``None`` (default) keeps the monolithic reference pass.
     #: Requires ``population="batched"``.
     population_chunk_size: Optional[int] = None
-    #: Fork-based worker pool for the chunk builds (0 = build chunks in
-    #: process).  Workers inherit the population copy-on-write and ship
-    #: encoded batch envelopes plus RNG-stream cursors back to the parent,
-    #: which replays the draws so determinism is preserved.  Requires
-    #: ``population_chunk_size`` (and therefore ``population="batched"``).
-    population_build_workers: int = 0
     #: Which crypto kernel tier steers the batched hot loops: a typed
     #: :class:`~repro.registry.CryptoKernelKind` — ``PYTHON`` (scalar
-    #: reference), ``NUMPY`` (vectorised ChaCha20 batches), or ``NATIVE``
-    #: (the ``_xrdkernels`` cffi extension, DESIGN.md §11; degrades to the
-    #: best lower tier with one warning when the extension is unavailable)
-    #: — or the name of a kernel registered in
+    #: reference) or ``NATIVE`` (the ``_xrdkernels`` cffi extension,
+    #: DESIGN.md §11; degrades to python with one warning when the
+    #: extension is unavailable) — or the name of a kernel registered in
     #: :data:`repro.registry.CRYPTO_KERNELS`.  ``None`` (default) keeps the
     #: process's lazy resolution (``XRD_CRYPTO_KERNEL`` env, else best
-    #: available).  Note the selection is process-global, like the numpy
-    #: fast path always was: the last deployment created wins.
+    #: available).  Note the selection is process-global: the last
+    #: deployment created wins.
     crypto_kernel: Union[str, CryptoKernelKind, None] = None
 
     def __post_init__(self) -> None:
@@ -207,30 +199,13 @@ class DeploymentConfig:
         POPULATIONS.ensure_known(self.population, field="population")
         if self.crypto_kernel is not None:
             CRYPTO_KERNELS.ensure_known(self.crypto_kernel, field="crypto_kernel")
-        if self.population_chunk_size is not None and self.population_chunk_size < 1:
-            raise ConfigurationError("population_chunk_size must be positive when set")
-        if self.population_build_workers < 0:
-            raise ConfigurationError("population_build_workers must be non-negative")
-        if self.population != "batched":
-            if self.population_chunk_size is not None:
+        if self.population_chunk_size is not None:
+            if self.population_chunk_size < 1:
+                raise ConfigurationError("population_chunk_size must be positive when set")
+            if self.population != "batched":
                 raise ConfigurationError(
                     "population_chunk_size requires population='batched' "
                     "(the object path has no chunked build)"
-                )
-            if self.population_build_workers > 0:
-                raise ConfigurationError(
-                    "population_build_workers requires population='batched' "
-                    "(the object path has no chunked build)"
-                )
-        if self.population_build_workers > 0:
-            if self.population_chunk_size is None:
-                raise ConfigurationError(
-                    "population_build_workers needs population_chunk_size: "
-                    "workers parallelise over chunks"
-                )
-            if not hasattr(os, "fork"):
-                raise ConfigurationError(
-                    "population_build_workers requires POSIX fork"
                 )
 
 
@@ -318,20 +293,9 @@ class Deployment:
         #: dispatches each chain's round as an RPC to the owning mix process
         #: instead of running it through the local execution backend.
         self.remote_mix = None
-        self._check_fork_safety(self.transport)
         self.engine = RoundEngine(
             self, backend=make_backend(config.execution_backend, config.max_workers)
         )
-
-    def _check_fork_safety(self, transport: Transport) -> None:
-        """A forked mix worker cannot inherit live sockets or event loops."""
-        if not transport.fork_safe and (
-            self.config.execution_backend == ExecutionBackendKind.MULTIPROCESS
-        ):
-            raise ConfigurationError(
-                f"transport {transport.name!r} is not fork-safe and cannot be "
-                "combined with the multiprocess execution backend"
-            )
 
     # -- construction -----------------------------------------------------------
 
@@ -341,7 +305,7 @@ class Deployment:
         config.validate()
         if config.crypto_kernel is not None:
             # The registry factory for a kernel *is* the tier selection
-            # (process-global, like the numpy fast path before it).
+            # (process-global).
             CRYPTO_KERNELS.create(config.crypto_kernel)
         if config.group_kind == "modp":
             group = ModPGroup(bits=config.modp_bits)
@@ -716,7 +680,6 @@ class Deployment:
         :class:`~repro.transport.faulty.FaultyTransport`) and will keep
         delegating to it.
         """
-        self._check_fork_safety(transport)
         old = self.transport
         self.transport = transport
         for chain in self.chains:

@@ -10,17 +10,11 @@ Two implementations share one block function contract:
 * the scalar reference path (:func:`chacha20_block`), used for single
   messages; and
 * a batched path (:func:`chacha20_blocks_batch`) that evaluates many
-  independent blocks at once.  When numpy is available the 20 rounds run as
-  vectorised ``uint32`` column operations over the whole batch — the state
-  matrices of *B* blocks form a ``(16, B)`` array, so each quarter-round is
-  a handful of array ops regardless of batch size.  Without numpy the batch
-  falls back to the scalar block in a loop.  Both paths are bit-identical
-  (the batched output is compared against the scalar reference in the test
-  suite), so callers may batch opportunistically without observable change.
-
-The batched path is what makes the population layer's whole-chain AEAD
-passes (seal → inner envelope → ℓ outer layers, for every user of a chain
-at once) affordable in pure Python; see DESIGN.md §7.
+  independent blocks in one call: one native kernel call on the native tier
+  (DESIGN.md §11), the scalar block in a loop on the python tier.  Both are
+  bit-identical (the batched output is compared against the scalar
+  reference in the test suite), so callers may batch opportunistically
+  without observable change.
 """
 
 from __future__ import annotations
@@ -30,11 +24,6 @@ from typing import List, Sequence
 
 from repro.crypto import kernels as _kernels
 from repro.errors import CryptoError
-
-try:  # optional vectorisation; every caller has a scalar fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
 
 _MASK32 = 0xFFFFFFFF
 _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
@@ -127,50 +116,6 @@ chacha20_decrypt = chacha20_encrypt
 # Batched keystream generation
 # ---------------------------------------------------------------------------
 
-#: Below this many blocks the numpy dispatch overhead beats its per-block
-#: savings and the scalar loop wins.
-_BATCH_THRESHOLD = 16
-
-
-def _blocks_batch_numpy(keys: Sequence[bytes], nonces: Sequence[bytes],
-                        counters: Sequence[int]) -> bytes:
-    """All requested blocks, concatenated, via vectorised uint32 columns."""
-    count = len(keys)
-    state = _np.empty((16, count), dtype=_np.uint32)
-    for index, constant in enumerate(_CONSTANTS):
-        state[index] = constant
-    state[4:12] = _np.frombuffer(b"".join(keys), dtype="<u4").reshape(count, 8).T
-    state[12] = _np.asarray(counters, dtype=_np.uint32)
-    state[13:16] = _np.frombuffer(b"".join(nonces), dtype="<u4").reshape(count, 3).T
-    working = state.copy()
-
-    def quarter_round(a: int, b: int, c: int, d: int) -> None:
-        working[a] += working[b]
-        mixed = working[d] ^ working[a]
-        working[d] = (mixed << _np.uint32(16)) | (mixed >> _np.uint32(16))
-        working[c] += working[d]
-        mixed = working[b] ^ working[c]
-        working[b] = (mixed << _np.uint32(12)) | (mixed >> _np.uint32(20))
-        working[a] += working[b]
-        mixed = working[d] ^ working[a]
-        working[d] = (mixed << _np.uint32(8)) | (mixed >> _np.uint32(24))
-        working[c] += working[d]
-        mixed = working[b] ^ working[c]
-        working[b] = (mixed << _np.uint32(7)) | (mixed >> _np.uint32(25))
-
-    for _ in range(10):
-        quarter_round(0, 4, 8, 12)
-        quarter_round(1, 5, 9, 13)
-        quarter_round(2, 6, 10, 14)
-        quarter_round(3, 7, 11, 15)
-        quarter_round(0, 5, 10, 15)
-        quarter_round(1, 6, 11, 12)
-        quarter_round(2, 7, 8, 13)
-        quarter_round(3, 4, 9, 14)
-    working += state
-    # Transpose so each block's 16 little-endian words are contiguous.
-    return working.T.astype("<u4").tobytes()
-
 
 def chacha20_blocks_batch(keys: Sequence[bytes], nonces: Sequence[bytes],
                           counters: Sequence[int]) -> bytes:
@@ -195,8 +140,6 @@ def chacha20_blocks_batch(keys: Sequence[bytes], nonces: Sequence[bytes],
         native = _kernels.chacha20_blocks(keys, nonces, counters)
         if native is not None:
             return native
-    if _np is not None and _kernels.numpy_enabled() and len(keys) >= _BATCH_THRESHOLD:
-        return _blocks_batch_numpy(keys, nonces, counters)
     return b"".join(
         chacha20_block(key, counter, nonce)
         for key, nonce, counter in zip(keys, nonces, counters)
@@ -210,7 +153,7 @@ def chacha20_keystreams(keys: Sequence[bytes], nonces: Sequence[bytes],
     Message ``i`` receives ``lengths[i]`` keystream bytes starting at block
     ``initial_counter`` — exactly what ``chacha20_keystream`` would return
     for it — but the blocks of the whole batch are evaluated in one
-    vectorised pass.  Ragged lengths are supported.
+    :func:`chacha20_blocks_batch` call.  Ragged lengths are supported.
     """
     block_keys: List[bytes] = []
     block_nonces: List[bytes] = []

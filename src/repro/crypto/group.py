@@ -162,7 +162,7 @@ _BASE_COMB: Optional[List[List[Point]]] = None
 #: cache on its encoding's second sighting, so the flood of one-shot
 #: ephemeral DH keys through mixing and proof verification cannot evict
 #: the genuinely hot entries.  Both dicts are bounded and evicted FIFO.
-#: (Python tiers only: the native kernels build their tables in C.)
+#: (Python tier only: the native kernels build their tables in C.)
 _WINDOW_TABLE_BY_ENCODING: "dict[bytes, List[Point]]" = {}
 _ENCODING_SEEN_ONCE: "dict[bytes, None]" = {}
 _WINDOW_TABLE_CACHE_LIMIT = 512

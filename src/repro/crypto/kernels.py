@@ -1,14 +1,12 @@
 """Crypto kernel tier selection and native-call wrappers (DESIGN.md §11).
 
-Three tiers run the batched hot loops, all bit-identical:
+Two tiers run the batched hot loops, bit-identically:
 
-* ``python`` — the scalar reference implementations, numpy disabled;
-* ``numpy``  — the vectorised ChaCha20 column batch (the pre-native
-  default whenever numpy is importable);
+* ``python`` — the scalar reference implementations, the oracle;
 * ``native`` — the ``_xrdkernels`` cffi extension for the proven hot
   kernels (ChaCha20, the AEAD cascade, batched HKDF, the modp ladders, and
   the edwards25519 ladders, comb, accumulation rows and point codec), falling back
-  *per function* to the lower tiers for anything it does not cover (or
+  *per function* to the python tier for anything it does not cover (or
   cannot run, e.g. a >256-bit modulus).
 
 The active tier is process-global state, resolved lazily on first query
@@ -43,7 +41,6 @@ __all__ = [
     "set_active_kernel",
     "resolve_kernel",
     "native_enabled",
-    "numpy_enabled",
     "native_available",
     "chacha20_blocks",
     "aead_seal_batch",
@@ -76,11 +73,7 @@ _warned_downgrade = False
 def _best_available() -> CryptoKernelKind:
     if _load_native() is not None:
         return CryptoKernelKind.NATIVE
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - exercised on numpy-less installs
-        return CryptoKernelKind.PYTHON
-    return CryptoKernelKind.NUMPY
+    return CryptoKernelKind.PYTHON
 
 
 def _load_native():
@@ -109,18 +102,15 @@ def _downgrade_warning(requested: str, got: CryptoKernelKind) -> None:
 def resolve_kernel(requested: Union[str, CryptoKernelKind, None]) -> CryptoKernelKind:
     """Map a requested tier (or ``None``/``"auto"``) to a usable one.
 
-    ``native`` degrades to the best lower tier (with one warning) when the
-    extension is unavailable; ``python`` and ``numpy`` are always usable
-    (the numpy tier itself falls back scalar-wise inside chacha20.py when
-    numpy is not importable, preserving pre-registry behaviour).
+    ``native`` degrades to ``python`` (with one warning) when the extension
+    is unavailable; ``python`` is always usable.
     """
     if requested is None or requested == "auto":
         return _best_available()
     kind = CryptoKernelKind(requested)
     if kind is CryptoKernelKind.NATIVE and _load_native() is None:
-        best = _best_available()
-        _downgrade_warning(str(requested), best)
-        return best
+        _downgrade_warning(str(requested), CryptoKernelKind.PYTHON)
+        return CryptoKernelKind.PYTHON
     return kind
 
 
@@ -143,8 +133,7 @@ def set_active_kernel(kind: Union[str, CryptoKernelKind, None]) -> CryptoKernelK
 
     ``None`` re-enables lazy resolution (environment / auto).  Note this
     is process-global: a ``DeploymentConfig.crypto_kernel`` setting
-    applies to every deployment in the process, matching how the numpy
-    fast path has always behaved.
+    applies to every deployment in the process.
     """
     global _active
     if kind is None:
@@ -156,12 +145,6 @@ def set_active_kernel(kind: Union[str, CryptoKernelKind, None]) -> CryptoKernelK
 
 def native_enabled() -> bool:
     return active_kernel() is CryptoKernelKind.NATIVE
-
-
-def numpy_enabled() -> bool:
-    """Whether the vectorised numpy paths may run (native tier includes them
-    as its own fallback for anything the extension does not cover)."""
-    return active_kernel() is not CryptoKernelKind.PYTHON
 
 
 def native_available() -> bool:

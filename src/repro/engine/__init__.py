@@ -13,7 +13,6 @@ from repro.engine.backends import (
     SerialBackend,
     make_backend,
 )
-from repro.engine.multiprocess import MultiprocessBackend
 from repro.engine.round_engine import RoundEngine
 from repro.engine.stages import ChainOutcome, RoundContext, RoundReport, RoundSpec
 from repro.engine.stagger import StaggeredScheduler
@@ -22,7 +21,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ParallelBackend",
-    "MultiprocessBackend",
     "make_backend",
     "RoundEngine",
     "RoundSpec",

@@ -12,7 +12,7 @@ chains share no mutable state, which is exactly the independence the paper's
 horizontal-scaling claim rests on, so backends are free to run them
 concurrently.
 
-Three backends are provided:
+Two backends are provided:
 
 * :class:`SerialBackend` — one chain after another on the calling thread;
   the default, and the reference semantics.
@@ -20,10 +20,9 @@ Three backends are provided:
   native kernels release the GIL for each batched call, so the chains'
   group arithmetic and AEAD overlap; the Python between the calls (and all
   of it on the python tier) still serialises on the GIL.
-* :class:`~repro.engine.multiprocess.MultiprocessBackend` — chains forked
-  to worker processes that ship their round results back as the wire
-  encodings of :mod:`repro.transport.codec`; escapes the GIL and realises
-  the multicore speedup with no change above this contract.
+
+Running chains in separate OS processes is the distributed runtime's job
+(:mod:`repro.runner`, one process per role over TCP), not a backend's.
 
 Because every member's per-round randomness is an independent derived stream
 (see :class:`~repro.mixnet.ahs.ChainMember`), every backend produces
@@ -50,15 +49,6 @@ class ExecutionBackend:
     """Contract every mix-stage backend implements."""
 
     name: str = "abstract"
-
-    #: Whether ``map_chains`` mutates the *caller's* chain objects.  True for
-    #: in-process backends (serial, threads); False when the work runs in
-    #: forked workers whose state dies with them.  The engine's precompute
-    #: stage consults this: precomputed tables must land in the coordinator's
-    #: members (forked mix workers then inherit them by copy-on-write), so a
-    #: backend that cannot share state gets the precompute executed inline
-    #: instead of through ``map_chains``.
-    shares_state: bool = True
 
     def map_chains(self, fn: Callable[[_T], _R], chains: Sequence[_T]) -> List[_R]:
         raise NotImplementedError
@@ -133,16 +123,9 @@ def _make_parallel(max_workers: Optional[int] = None) -> ExecutionBackend:
     return ParallelBackend(max_workers=max_workers)
 
 
-def _make_multiprocess(max_workers: Optional[int] = None) -> ExecutionBackend:
-    from repro.engine.multiprocess import MultiprocessBackend  # avoid an import cycle
-
-    return MultiprocessBackend(max_workers=max_workers)
-
-
 if not EXECUTION_BACKENDS.is_known(ExecutionBackendKind.SERIAL):  # tolerate re-import
     EXECUTION_BACKENDS.register(ExecutionBackendKind.SERIAL, _make_serial)
     EXECUTION_BACKENDS.register(ExecutionBackendKind.PARALLEL, _make_parallel)
-    EXECUTION_BACKENDS.register(ExecutionBackendKind.MULTIPROCESS, _make_multiprocess)
 
 
 def make_backend(kind, max_workers: Optional[int] = None) -> ExecutionBackend:

@@ -250,12 +250,11 @@ class RoundEngine:
         Streams through :func:`repro.population.streaming.built_chunks`:
         with ``population_chunk_size`` unset that is a single
         whole-population chunk (the monolithic reference pass — envelope
-        stream unchanged); with it set, each chunk is built (possibly in a
-        forked worker), uploaded as per-(chain, chunk) framed envelopes, and
-        released before the next, so peak build memory is O(chunk).  Uploads
-        always run here on the coordinating thread in (chunk, chain) order,
-        so every transport sees the same deterministic envelope stream
-        regardless of how the chunks were built.
+        stream unchanged); with it set, each chunk is built, uploaded as
+        per-(chain, chunk) framed envelopes, and released before the next,
+        so peak build memory is O(chunk).  Uploads run in (chunk, chain)
+        order, so every transport sees the same deterministic envelope
+        stream.
         """
         deployment = self.deployment
         population = deployment.population
@@ -270,7 +269,6 @@ class RoundEngine:
             ctx.spec.payloads,
             chunk_size,
             use_covers=config.use_cover_messages,
-            num_workers=config.population_build_workers,
         ):
             part = chunk.index if chunk_size is not None else None
             delivered = self._scatter_batch(
@@ -352,14 +350,11 @@ class RoundEngine:
         Incremental: members skip publics already in their round tables, so
         calling this once from the overlap window and again after
         :meth:`finalize_collect` only pays for the entries the first pass
-        could not see (deferred users, injected extras).  In-process
-        backends fan the per-chain work out through ``map_chains``; the
-        multiprocess backend cannot (worker state dies with the fork), so
-        its precompute runs inline here and the mix workers inherit the
-        tables by copy-on-write at fork time.  ``use_backend=False`` forces
-        the inline path regardless — the staggered overlap window uses it
-        so the precompute never competes with the in-flight mix for the
-        backend's worker pool.
+        could not see (deferred users, injected extras).  The per-chain
+        work fans out through the backend's ``map_chains``;
+        ``use_backend=False`` runs it inline instead — the staggered overlap
+        window uses that so the precompute never competes with the
+        in-flight mix for the backend's worker pool.
         """
         deployment = self.deployment
 
@@ -371,7 +366,7 @@ class RoundEngine:
                 )
 
         started = time.perf_counter()  # xrdlint: disable=XRD102 - stage timing, not canonical
-        if use_backend and self.backend.shares_state:
+        if use_backend:
             self.backend.map_chains(run_chain, deployment.chains)
         else:
             for chain in deployment.chains:
@@ -484,10 +479,7 @@ class RoundEngine:
                 # Nothing reads a delivered round's precompute tables again;
                 # freed on the coordinating thread, they go under every
                 # backend.  (A halted round keeps its own until the re-form.)
-                # Likewise the batch this process accepted for a round that
-                # a forked worker then mixed.
                 chain.invalidate_precompute(ctx.round_number)
-                chain.release_unmixed(ctx.round_number)
                 # The last server of the chain ships the recovered messages
                 # to the mailbox tier — as one framed message per chain, or
                 # per (chain, chunk) under the streaming pipeline, so the

@@ -12,7 +12,7 @@ re-form the affected chains).  Segment boundaries come from the *plan*, not
 from execution results, and recovery always runs on the coordinator thread
 between ``run_rounds`` calls — so a staggered schedule never pipelines
 across a recovery, and the scenario's canonical bytes are bit-identical
-across {serial, parallel, multiprocess} × {sequential, staggered} ×
+across {serial, parallel} × {sequential, staggered} ×
 {inproc, instrumented}.
 
 Reproducibility: every adversarial behaviour draws from a stream derived

@@ -748,18 +748,6 @@ class MixChain:
         self._entries[round_number] = batch
         return batch, rejected
 
-    def release_unmixed(self, round_number: int) -> None:
-        """Drop the accepted batch of a round this replica never mixed.
-
-        A round mixed in a forked worker leaves the coordinating process's
-        replica holding the batch it accepted and nothing else; once the
-        round is delivered no one reads it.  A round mixed here keeps its
-        batch alongside its history (blame and tests index into both).
-        """
-        if round_number not in self._history:
-            self._entries.pop(round_number, None)
-            self._submissions.pop(round_number, None)
-
     def submissions_for_round(self, round_number: int) -> List[_AcceptedSender]:
         """The accepted submissions' senders, in batch order (blame identifies users by index)."""
         return self._submissions.get(round_number, [])

@@ -92,10 +92,10 @@ class BlameVerdict:
     def to_bytes(self) -> bytes:
         """The verdict's wire encoding (what servers broadcast after blame).
 
-        The multiprocess backend ships verdicts across its pipe in exactly
-        this format, so eviction decisions taken by the coordinator are
-        byte-identical whether the blame protocol ran in-process or in a
-        forked worker.
+        A mix role of the distributed runtime returns verdicts to the
+        coordinator in exactly this format, so eviction decisions are
+        byte-identical whether the blame protocol ran in-process or in
+        another process.
         """
         from repro.transport.codec import encode_blame_verdict
 

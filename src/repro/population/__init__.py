@@ -9,8 +9,8 @@ population produces bit-identical outputs (enforced by the engine parity
 suite) while feeding the batched crypto fast paths with whole-chain inputs.
 
 :mod:`repro.population.streaming` (DESIGN.md §9) slices those whole-chain
-operations into bounded chunks — optionally built by a fork-based worker
-pool — so peak memory is O(chunk) instead of O(users).
+operations into bounded chunks, so peak memory is O(chunk) instead of
+O(users).
 """
 
 from repro.population.population import UserPopulation

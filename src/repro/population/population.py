@@ -102,46 +102,6 @@ class UserPopulation:
         if self.progress is not None:
             self.progress(phase, chunk_index, num_users)
 
-    # -- RNG-stream cursors (forked chunk builds, DESIGN.md §9) ----------------
-
-    def submission_draw_counts(self, users: Sequence[User], passes: int = 1) -> List[int]:
-        """Per-user count of RNG draws ``passes`` build passes consume.
-
-        One build pass draws exactly three scalars per assigned chain slot
-        (inner ephemeral, outer ephemeral, proof nonce — see
-        :meth:`build_round_submissions_batch`); with covers enabled a round
-        makes two passes (round submissions, then banked covers).  These
-        counts are the *cursors* a forked build worker ships back: replaying
-        that many draws in the parent advances each user's RNG stream to
-        exactly the state the worker left its copy in.
-        """
-        counts: List[int] = []
-        for user in users:
-            assignment = self.chain_assignments.get(user.name)
-            if assignment is None:
-                raise ConfigurationError(f"user {user.name!r} is not in the population")
-            counts.append(3 * len(assignment) * passes)
-        return counts
-
-    def replay_submission_draws(self, users: Sequence[User], counts: Sequence[int]) -> None:
-        """Advance each user's RNG past draws a forked worker already made.
-
-        ``group.random_scalar`` rejection-samples (``randrange`` until
-        nonzero), so replaying the same *number of calls* against the same
-        starting state consumes exactly the same underlying stream — the
-        parent's RNGs end up bit-identical to the worker's copies without
-        shipping RNG state objects across the pipe.  Users without a seeded
-        stream (``_rng is None``) draw from ``secrets`` and carry no
-        determinism expectation, so there is nothing to replay.
-        """
-        group = self.group
-        for user, count in zip(users, counts):
-            rng = user._rng
-            if rng is None:
-                continue
-            for _ in range(count):
-                group.random_scalar(rng)
-
     def _loopback_key(self, user: User, chain_id: int) -> bytes:
         cache_key = (user.name, chain_id)
         key = self._loopback_keys.get(cache_key)

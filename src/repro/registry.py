@@ -61,7 +61,6 @@ class ExecutionBackendKind(str, Enum):
 
     SERIAL = "serial"
     PARALLEL = "parallel"
-    MULTIPROCESS = "multiprocess"
 
 
 class PopulationKind(str, Enum):
@@ -75,14 +74,12 @@ class CryptoKernelKind(str, Enum):
     """Which implementation tier runs the batched crypto hot loops
     (DESIGN.md §11).
 
-    ``PYTHON`` is the scalar reference everywhere, ``NUMPY`` adds the
-    vectorised ChaCha20 columns, ``NATIVE`` adds the ``_xrdkernels`` C
-    extension with transparent per-function fallback to the lower tiers.
-    All three are bit-identical; the parity matrix enforces it.
+    ``PYTHON`` is the scalar reference everywhere, ``NATIVE`` adds the
+    ``_xrdkernels`` C extension with transparent per-function fallback to
+    the python tier.  Both are bit-identical; the parity matrix enforces it.
     """
 
     PYTHON = "python"
-    NUMPY = "numpy"
     NATIVE = "native"
 
 

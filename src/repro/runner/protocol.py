@@ -92,8 +92,7 @@ def decode_json_payload(payload: bytes) -> Any:
 # ``chain_id (4B) || round (8B) || retry_after_blame (1B) || submission batch``
 # where the batch is :func:`repro.transport.codec.encode_submission_batch`
 # over the coordinator-assembled per-chain submissions.  The reply is
-# :func:`repro.transport.codec.encode_chain_outcome` — the same bytes the
-# multiprocess backend's forked workers ship to their parent.
+# :func:`repro.transport.codec.encode_chain_outcome`.
 
 
 def encode_mix_request(

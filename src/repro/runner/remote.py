@@ -4,10 +4,10 @@
 engine's mix stage hands it the round context and each chain's round becomes
 one ``MIX`` control RPC to the role process owning the chain's entry server.
 The request carries the coordinator-assembled submission batch in its
-canonical wire encoding; the reply is the chain outcome in the same encoding
-the multiprocess backend's forked workers use — so the distributed mix is,
-byte for byte, the same data flow as the in-process one with a socket in the
-middle.
+canonical wire encoding; the reply is the chain outcome in its canonical
+wire encoding (:func:`repro.transport.codec.encode_chain_outcome`) — so the
+distributed mix is, byte for byte, the same data flow as the in-process one
+with a socket in the middle.
 
 :class:`DistributedControl` is the :class:`~repro.faults.runner.ScenarioRunner`
 ``control`` hook: it broadcasts fault installation and recovery state to

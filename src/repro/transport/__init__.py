@@ -18,10 +18,6 @@ delivery, and the user's mailbox fetch — travels as a typed
   (:mod:`repro.runner`) deploys it across OS processes, and the standalone
   ``transport="tcp"`` knob runs it against a loopback reflector.
 
-The mix stage's :class:`~repro.engine.multiprocess.MultiprocessBackend`
-uses the same wire codecs (:mod:`repro.transport.codec`) to ship per-chain
-round state across process boundaries.
-
 Transports are registered in the typed component registry
 (:data:`repro.registry.TRANSPORTS`); :func:`make_transport` is a thin
 wrapper over it, and external transports register there without touching

@@ -32,12 +32,7 @@ every implementation by the shared suite in
   ``deliver``, and an implementation may override it to pipeline the
   round-trips, but the results must be element-wise identical to the loop;
 * ``close`` must be idempotent, and delivery after ``close`` may fail but
-  must never hang;
-* ``fork_safe`` declares whether the transport tolerates being inherited
-  across ``fork`` (the multiprocess backend and the streaming population's
-  build workers fork with the transport reachable).  In-memory transports
-  are; a transport holding an event loop and live sockets is not, and the
-  deployment refuses to combine one with a forking backend.
+  must never hang.
 """
 
 from __future__ import annotations
@@ -54,9 +49,6 @@ class Transport(abc.ABC):
     """Carries envelopes between the deployment's nodes."""
 
     name: str = "abstract"
-
-    #: Whether this transport survives being inherited across ``fork``.
-    fork_safe: bool = True
 
     @abc.abstractmethod
     def deliver(self, envelope: Envelope) -> object:

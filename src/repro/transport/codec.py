@@ -2,9 +2,10 @@
 
 Every encoding here is the *real* byte format of
 :mod:`repro.mixnet.messages` — the instrumented transport measures these
-bytes, the multiprocess backend ships them across process boundaries, and
-the parity suite proves they round-trip losslessly (decode(encode(x))
-produces a payload the protocol cannot distinguish from ``x``).
+bytes, the distributed runtime (:mod:`repro.runner`) ships them between
+role processes, and the parity suite proves they round-trip losslessly
+(decode(encode(x)) produces a payload the protocol cannot distinguish from
+``x``).
 
 One payload detail is deliberately *not* on the wire: a submission's
 ``cover`` flag is client-side metadata (to a server, a cover is
@@ -13,10 +14,11 @@ so decoded submissions carry the default ``cover=False``.
 
 A :class:`~repro.mixnet.blame.BlameVerdict` *is* a wire format
 (:func:`encode_blame_verdict`): it is the coordinator-facing outcome of the
-blame protocol — the convicted users and servers plus counters — which must
-survive the multiprocess backend's pipe and would be broadcast between
-servers in a networked deployment.  The reveals and NIZKs the protocol
-*consumed* to reach the verdict stay local to the chain that ran it.
+blame protocol — the convicted users and servers plus counters — which
+crosses the mix role's TCP reply in the distributed runtime and would be
+broadcast between servers in a networked deployment.  The reveals and NIZKs
+the protocol *consumed* to reach the verdict stay local to the chain that
+ran it.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ __all__ = [
 
 
 class UnsupportedPayload(ValueError):
-    """The payload has no pure wire encoding (caller should fall back)."""
+    """The envelope kind has no wire encoding."""
 
 
 # -- primitive framing -------------------------------------------------------
@@ -160,10 +162,9 @@ def _decode_submission_batch(group: Any, data: bytes) -> List[ClientSubmission]:
     return submissions
 
 
-#: Public aliases of the submission-batch codec: the streaming population
-#: pipeline's forked build workers ship each chunk's per-chain batches back
-#: to the parent in exactly the bytes a ``SUBMISSION_BATCH`` envelope would
-#: carry on the wire (DESIGN.md §9).
+#: Public aliases of the submission-batch codec: the distributed runtime's
+#: coordinator ships each chain's batch to its mix role in exactly the bytes
+#: a ``SUBMISSION_BATCH`` envelope would carry on the wire.
 encode_submission_batch = _encode_submission_batch
 decode_submission_batch = _decode_submission_batch
 
@@ -220,7 +221,7 @@ def decode_payload(group: Any, kind: str, data: bytes) -> object:
     raise UnsupportedPayload(f"no wire decoding for envelope kind {kind!r}")
 
 
-# -- blame verdicts (broadcast between servers; multiprocess return channel) --
+# -- blame verdicts (broadcast between servers) --------------------------------
 
 def encode_blame_verdict(verdict: "BlameVerdict") -> bytes:
     """Serialise a blame verdict: convicted parties plus protocol counters."""
@@ -257,11 +258,11 @@ def decode_blame_verdict(data: bytes, offset: int = 0) -> tuple:
     return verdict, offset
 
 
-# -- per-chain round results (the multiprocess backend's return channel) ------
+# -- per-chain round results (the mix role's reply in repro.runner) ------------
 
 def encode_chain_outcome(chain_id: int, accept_rejected: Sequence[str],
                          result: "ChainRoundResult") -> bytes:
-    """Serialise one chain's round outcome for the trip back to the parent."""
+    """Serialise one chain's round outcome for the trip back to the coordinator."""
     if result.blame_verdict is None:
         verdict_bytes = b"\x00"
     else:

@@ -27,11 +27,8 @@ envelope before (or instead of) handing it to the inner transport:
 
 Every behaviour is a *pure function of the envelope* — matching keeps no
 counters — so the wrapper is safe to share between the coordinator thread
-and mix workers, and a forked child (multiprocess backend) applies exactly
-the faults the parent would have.  The applied-fault log is advisory and
-process-local: under the multiprocess backend, batch faults applied inside
-workers do not appear in the parent's log (the observable round outcome is
-what parity is measured on).
+and mix worker threads.  The applied-fault log is advisory (the observable
+round outcome is what parity is measured on).
 """
 
 from __future__ import annotations
@@ -168,8 +165,6 @@ class FaultyTransport(Transport):
         self.inner = inner
         self.faults: List[LinkFault] = list(faults)
         self.applied: List[AppliedFault] = []
-        # A wrapper is exactly as fork-tolerant as what it delegates to.
-        self.fork_safe = inner.fork_safe
 
     @property
     def ledger(self) -> Optional[object]:

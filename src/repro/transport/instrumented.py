@@ -8,8 +8,8 @@ plus the link model's one-way time for that many bytes — to its
 bytes*.  Returning the decoded object rather than the original is the
 load-bearing choice: the parity suite demands instrumented rounds be
 bit-identical to in-process rounds, which therefore proves every wire
-codec round-trips losslessly, the same property the multiprocess backend's
-serialisation depends on.
+codec round-trips losslessly, the same property the distributed runtime
+(:mod:`repro.runner`) depends on.
 
 The link model is a :class:`~repro.simulation.costmodel.CostModel`: an
 envelope of ``b`` bytes takes ``rtt/2 + b / link_bandwidth`` seconds

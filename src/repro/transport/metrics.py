@@ -3,10 +3,8 @@
 The :class:`TrafficLedger` is an append-only log of :class:`LinkRecord`
 entries, one per delivered envelope.  Appends are GIL-atomic list appends —
 no lock is taken, which keeps the ledger safe to share between the
-coordinator thread and the mix worker (staggered scheduling), between pool
-threads (parallel backend), and across ``fork`` (multiprocess backend,
-which snapshots the record count in the child and ships the delta back to
-the parent as plain tuples).
+coordinator thread and the mix worker (staggered scheduling) and between
+pool threads (parallel backend).
 
 Summaries answer the two questions the paper's evaluation measures from
 traffic:
@@ -44,22 +42,6 @@ class LinkRecord:
     seconds: float
     chain_id: Optional[int] = None
 
-    def to_tuple(self) -> Tuple:
-        """A plain-data form that crosses process boundaries trivially."""
-        return (
-            self.round_number,
-            self.kind,
-            self.source,
-            self.destination,
-            self.num_bytes,
-            self.seconds,
-            self.chain_id,
-        )
-
-    @classmethod
-    def from_tuple(cls, data: Tuple) -> "LinkRecord":
-        return cls(*data)
-
 
 #: Envelope kinds that count toward a user's upstream traffic.
 _UPLOAD_KINDS = (ev.SUBMISSION, ev.COVER_SUBMISSION)
@@ -75,17 +57,6 @@ class TrafficLedger:
 
     def append(self, record: LinkRecord) -> None:
         self._records.append(record)
-
-    def extend(self, records: Iterable[LinkRecord]) -> None:
-        for record in records:
-            self._records.append(record)
-
-    def record_count(self) -> int:
-        return len(self._records)
-
-    def records_since(self, start: int) -> List[LinkRecord]:
-        """Records appended at or after index ``start`` (multiprocess delta)."""
-        return self._records[start:]
 
     @property
     def records(self) -> List[LinkRecord]:

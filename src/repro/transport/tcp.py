@@ -36,10 +36,6 @@ refused connection, a rejected handshake, a mid-request disconnect, or a
 reply timeout surfaces as :class:`~repro.errors.TransportError` to the
 caller — there are no retries and no buffering, because a round that lost a
 message cannot be bit-identical to the reference anyway (DESIGN.md §10.4).
-
-The transport is **not fork-safe** (``fork_safe = False``): the event loop
-thread and live sockets do not survive ``fork``, so the deployment refuses
-to pair it with the multiprocess execution backend.
 """
 
 from __future__ import annotations
@@ -117,8 +113,6 @@ class TcpTransport(Transport):
     """Length-prefixed envelope frames over real asyncio TCP sockets."""
 
     name = "tcp"
-    #: An event loop thread and live sockets do not survive ``fork``.
-    fork_safe = False
 
     def __init__(
         self,

@@ -19,7 +19,7 @@ from repro.crypto.group import Ed25519Group, ModPGroup
 needs_native = pytest.mark.skipif(
     not kernels.native_available(), reason="_xrdkernels extension not built (no C compiler?)"
 )
-#: The kernel tiers a tier-sensitive test runs under (numpy shares python's group code).
+#: The kernel tiers a tier-sensitive test runs under.
 TIERS = ("python", pytest.param("native", marks=needs_native))
 
 

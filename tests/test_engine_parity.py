@@ -4,7 +4,7 @@ The acceptance property of the engine and transport refactors: with a fixed
 deployment seed, every cell of the matrix
 
     {InProcTransport, InstrumentedTransport}
-        × {SerialBackend, ParallelBackend, MultiprocessBackend}
+        × {SerialBackend, ParallelBackend}
         × {sequential, staggered}
 
 delivers byte-identical :class:`RoundReport` payloads across multi-round
@@ -34,7 +34,7 @@ from repro.errors import ConfigurationError
 
 from tests.test_ahs_protocol import make_submission
 
-BACKENDS = ("serial", "parallel", "multiprocess")
+BACKENDS = ("serial", "parallel")
 TRANSPORTS = ("inproc", "instrumented")
 
 _PROPERTY_GROUP = None
@@ -52,9 +52,9 @@ def _property_group():
 
 
 def build(backend="serial", seed=42, transport="inproc", population="object", **kwargs):
-    # Pin the worker count so the multiprocess cells really fork (and
-    # wire-encode their results) even on single-core CI runners, where the
-    # cpu-count default would fall back to inline execution.
+    # Pin the worker count so the parallel cells really run chains on two
+    # threads even on single-core CI runners, where the cpu-count default
+    # would give the pool one worker.
     kwargs.setdefault("max_workers", 2)
     config = DeploymentConfig(
         num_servers=4,
@@ -121,7 +121,7 @@ class TestTransportBackendMatrix:
         assert actual == reference
 
     def test_instrumented_ledgers_agree_across_backends(self):
-        """Per-round byte totals are backend-independent, worker-merged or not."""
+        """Per-round byte totals are backend-independent."""
         totals = []
         for backend in BACKENDS:
             deployment = build(backend, transport="instrumented")
@@ -129,7 +129,7 @@ class TestTransportBackendMatrix:
             ledger = deployment.traffic_ledger
             totals.append([ledger.bytes_by_kind(r) for r in range(1, 7)])
             deployment.close()
-        assert totals[0] == totals[1] == totals[2]
+        assert totals[0] == totals[1]
 
 
 class TestPopulationParity:
@@ -272,32 +272,22 @@ class TestPopulationParity:
 
 
 #: The streaming-pipeline axis of the parity matrix (ISSUE 6): the
-#: monolithic whole-population pass, chunked builds on the coordinating
-#: process, and chunked builds fanned out to a forked worker pool.  With 6
-#: users and chunk size 2 every round streams three chunks, and 3 workers
-#: exercise the full pool (each worker owns one chunk per pass).
+#: monolithic whole-population pass and chunked builds.  With 6 users and
+#: chunk size 2 every round streams three chunks.
 CHUNKINGS = (
     pytest.param({}, id="monolithic"),
     pytest.param({"population_chunk_size": 2}, id="chunked-serial"),
-    pytest.param(
-        {"population_chunk_size": 2, "population_build_workers": 3},
-        id="chunked-workers",
-    ),
 )
 
 
 class TestStreamingParity:
     """The streaming population pipeline is bit-identical to the per-user
-    path across {monolithic, chunked×1, chunked×N-workers} × {backend} ×
-    {transport} × {scheduler} (ISSUE 6).
+    path across {monolithic, chunked} × {backend} × {transport} ×
+    {scheduler} (ISSUE 6).
 
     The chunked cells stream every flow: per-(chain, chunk) submission
     uploads, per-(chain, chunk) mailbox deliveries, and per-(shard, chunk)
-    fetch downloads.  For the forked cells each chunk's batches additionally
-    crossed a worker pipe as wire bytes and the parent replayed the RNG
-    cursors — so equality across the six-round script (which spends banked
-    covers and runs three more rounds on the replayed streams) proves the
-    cursor replay exact.
+    fetch downloads.
     """
 
     @pytest.fixture(scope="class")
@@ -324,7 +314,7 @@ class TestStreamingParity:
         from tests.test_faults import run_scenario
 
         expected = run_scenario(tamper_and_recover()).canonical_bytes()
-        for backend, staggered in (("serial", False), ("multiprocess", True)):
+        for backend, staggered in (("serial", False), ("parallel", True)):
             report = run_scenario(
                 tamper_and_recover(), backend, staggered,
                 population="batched", **chunking,
@@ -374,7 +364,7 @@ class TestPrecomputeParity:
     public-key work runs in the engine's precompute stage — overlapped with
     the previous round's mixing under the staggered scheduler — and the
     online mix phase serves blinded keys and layer keys from the cached
-    tables.  Every cell of {serial, parallel, multiprocess} × {inproc,
+    tables.  Every cell of {serial, parallel} × {inproc,
     instrumented} × {sequential, staggered} (plus the batched-population
     path) must equal the online-only reference, including rounds after a
     blame conviction and chain re-formation.
@@ -426,7 +416,7 @@ class TestPrecomputeParity:
         from tests.test_faults import run_scenario
 
         expected = run_scenario(tamper_and_recover(), precompute=False).canonical_bytes()
-        for backend, staggered in (("serial", False), ("parallel", True), ("multiprocess", True)):
+        for backend, staggered in (("serial", False), ("parallel", True)):
             report = run_scenario(
                 tamper_and_recover(), backend, staggered, precompute=True
             )
@@ -471,13 +461,12 @@ class TestPrecomputeParity:
             for member in chain.members:
                 for report in reports:
                     assert member.round_record(report.round_number).precomputed is None
-            # A replica keeps a round's accepted batch only with the history
-            # it recorded mixing it: the forked backend's parent keeps neither.
+            # A replica keeps a round's accepted batch with the history it
+            # recorded mixing it (blame and tests index into both).
             for report in reports:
-                mixed_here = bool(chain.history_for_round(report.round_number))
-                assert mixed_here == (backend != "multiprocess")
-                assert (report.round_number in chain._entries) == mixed_here
-                assert bool(chain.submissions_for_round(report.round_number)) == mixed_here
+                assert chain.history_for_round(report.round_number)
+                assert report.round_number in chain._entries
+                assert chain.submissions_for_round(report.round_number)
 
 
 class TestPrecomputePropertyParity:
@@ -687,8 +676,7 @@ class TestBackendParity:
             ("serial", True, "inproc"),
             ("parallel", True, "inproc"),
             ("serial", False, "instrumented"),
-            ("multiprocess", False, "inproc"),
-            ("multiprocess", True, "instrumented"),
+            ("parallel", True, "instrumented"),
         ):
             reports = run(backend, staggered, transport)
             assert fingerprints(reports) == fingerprints(expected)
@@ -730,10 +718,7 @@ class TestBlameParity:
 
     The same :class:`~repro.faults.plan.FaultPlan` must yield the identical
     verdict — same convicted server, byte-identical wire encoding — under
-    serial, parallel, and multiprocess execution, sequential or staggered.
-    For the multiprocess cells the verdict crossed the worker pipe as wire
-    bytes (:func:`repro.transport.codec.encode_blame_verdict`), so equality
-    also proves that encoding lossless.
+    serial and parallel execution, sequential or staggered.
     """
 
     def test_tampering_verdict_identical_across_backends(self):
@@ -919,16 +904,15 @@ class TestDistributedParity:
 
 #: The crypto-kernel axis (DESIGN.md §11): every tier must be bit-identical.
 #: ``native`` cells run even without the extension — the documented
-#: downgrade path resolves them to the best lower tier, so the cell then
-#: re-proves that tier (and proves the downgrade harmless) instead of
-#: skipping.
-KERNELS = ("python", "numpy", "native")
+#: downgrade path resolves them to python, so the cell then re-proves that
+#: tier (and proves the downgrade harmless) instead of skipping.
+KERNELS = ("python", "native")
 
 
 class TestCryptoKernelParity:
     """Kernel tiers are unobservable (DESIGN.md §11).
 
-    {python, numpy, native} crypto kernels × {inproc, instrumented}, over
+    {python, native} crypto kernels × {inproc, instrumented}, over
     the six-round conversation script, against the all-reference cell
     (python kernels, in process).  ``canonical_bytes`` equality means the
     tier is invisible in every observable byte — delivered messages,
@@ -992,7 +976,7 @@ class TestCryptoKernelParity:
         expected = run_scenario(tamper_and_recover()).canonical_bytes()
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore", RuntimeWarning)
-            for backend, staggered in (("serial", False), ("multiprocess", True)):
+            for backend, staggered in (("serial", False), ("parallel", True)):
                 report = run_scenario(
                     tamper_and_recover(), backend, staggered,
                     crypto_kernel=CryptoKernelKind(kernel),

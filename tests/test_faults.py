@@ -4,8 +4,8 @@ The acceptance property of the faults subsystem (ISSUE 3): a scenario
 injecting ``MODE_TAMPER_CIPHERTEXT`` at round *r* is detected and blamed,
 the convicted server is evicted, the chain is re-formed from the remaining
 pool, and rounds *r+1…* deliver correctly — with the whole scenario
-bit-identical across {serial, parallel, multiprocess} × {sequential,
-staggered} × {inproc, instrumented}.
+bit-identical across {serial, parallel} × {sequential, staggered} ×
+{inproc, instrumented}.
 """
 
 import pytest
@@ -36,7 +36,7 @@ from repro.mixnet.blame import BlameVerdict
 from repro.transport import envelope as ev
 from repro.transport.faulty import DELAY, DROP, DUPLICATE, REORDER, FaultyTransport
 
-BACKENDS = ("serial", "parallel", "multiprocess")
+BACKENDS = ("serial", "parallel")
 
 
 def build(backend="serial", transport="inproc", seed=42, **kwargs):
@@ -104,7 +104,7 @@ class TestTamperAndRecoverAcceptance:
         report = run_scenario(tamper_and_recover(), backend, staggered)
         assert report.canonical_bytes() == reference.canonical_bytes()
 
-    @pytest.mark.parametrize("backend", ("serial", "multiprocess"))
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_bit_identical_on_instrumented_transport(self, reference, backend):
         report = run_scenario(tamper_and_recover(), backend, staggered=True,
                               transport="instrumented")

@@ -32,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import KDF_LABEL_INNER, KDF_LABEL_OUTER
+from repro.coordinator.network import DeploymentConfig
 from repro.crypto import aead, chacha20, kernels
 from repro.crypto import group as group_mod
 from repro.crypto.aead import adec, aenc
@@ -138,10 +139,10 @@ class TestChaChaDifferential:
         nonces = [n for _, n, _ in items]
         counters = [c for _, _, c in items]
         outputs = []
-        for tier in ("python", "numpy", "native"):
+        for tier in ("python", "native"):
             kernels.set_active_kernel(tier)
             outputs.append(chacha20.chacha20_blocks_batch(keys, nonces, counters))
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
 
 
 @needs_native
@@ -982,13 +983,12 @@ class TestTierSelection:
         if NATIVE:
             assert resolved is CryptoKernelKind.NATIVE
         else:
-            assert resolved in (CryptoKernelKind.NUMPY, CryptoKernelKind.PYTHON)
+            assert resolved is CryptoKernelKind.PYTHON
 
     def test_set_active_kernel_round_trip(self):
         assert kernels.set_active_kernel("python") is CryptoKernelKind.PYTHON
         assert kernels.active_kernel() is CryptoKernelKind.PYTHON
         assert not kernels.native_enabled()
-        assert not kernels.numpy_enabled()
 
     def test_none_restores_lazy_resolution(self):
         kernels.set_active_kernel("python")
@@ -1004,6 +1004,44 @@ class TestTierSelection:
         kernels.reset_kernel_for_tests()
         with pytest.raises(ConfigurationError):
             kernels.active_kernel()
+
+    def test_numpy_is_not_a_tier(self, monkeypatch):
+        """Two tiers, named by both the environment and the config gate."""
+        monkeypatch.setenv("XRD_CRYPTO_KERNEL", "numpy")
+        kernels.reset_kernel_for_tests()
+        with pytest.raises(ConfigurationError, match=r"\['python', 'native'\]"):
+            kernels.active_kernel()
+        monkeypatch.delenv("XRD_CRYPTO_KERNEL")
+        kernels.reset_kernel_for_tests()
+        with pytest.raises(ConfigurationError, match=r"\['python', 'native'\]"):
+            DeploymentConfig(crypto_kernel="numpy").validate()
+
+    def test_numpy_is_never_imported(self):
+        """A production round — the benchmark's ``steady`` configuration at
+        toy size — runs without numpy ever entering ``sys.modules``."""
+        import repro
+
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        code = (
+            "import sys, warnings\n"
+            "import repro\n"
+            "from benchmarks.e2e.workloads import WORKLOADS, build_config\n"
+            "steady = WORKLOADS['steady']\n"
+            "config, _ = build_config(steady, 1, steady.toy_users)\n"
+            "with warnings.catch_warnings():\n"
+            "    warnings.simplefilter('ignore', RuntimeWarning)  # python-tier downgrade\n"
+            "    deployment = repro.Deployment.create(config)\n"
+            "assert deployment.run_round().all_chains_delivered()\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+            "print('ok')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            (package_root, os.path.dirname(package_root))
+        ))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr
 
     def test_registry_factories_select_tier(self):
         assert CRYPTO_KERNELS.create(CryptoKernelKind.PYTHON) is CryptoKernelKind.PYTHON
@@ -1027,11 +1065,6 @@ class TestTierSelection:
         assert kernels.ed25519_encode_batch([base]) is None
         assert kernels.ed25519_decode_batch([b"\x01" + b"\x00" * 31]) is None
 
-    @needs_native
-    def test_numpy_tier_does_not_call_native(self):
-        kernels.set_active_kernel("numpy")
-        assert kernels.chacha20_blocks([b"\x00" * 32], [b"\x00" * 12], [0]) is None
-
     def test_downgrade_warns_once_when_unavailable(self, monkeypatch):
         from repro import native
 
@@ -1041,7 +1074,7 @@ class TestTierSelection:
             assert not kernels.native_available()
             with pytest.warns(RuntimeWarning, match="falling back"):
                 resolved = kernels.set_active_kernel("native")
-            assert resolved is not CryptoKernelKind.NATIVE
+            assert resolved is CryptoKernelKind.PYTHON
             # The warning fires once per process, not once per call.
             with warnings.catch_warnings():
                 warnings.simplefilter("error")

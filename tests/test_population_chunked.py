@@ -3,18 +3,16 @@
 Properties under test, per ISSUE 6:
 
 * **bit-identity** — for *random* chunk sizes (including 1 and larger than
-  the population) and worker counts, a chunked deployment's round reports
-  equal the monolithic batched path's, for submissions, banked covers, and
-  mailbox decryption alike (``RoundReport.canonical_bytes`` hashes all
-  three observables);
+  the population), a chunked deployment's round reports equal the
+  monolithic batched path's, for submissions, banked covers, and mailbox
+  decryption alike (``RoundReport.canonical_bytes`` hashes all three
+  observables);
 * **chunk mechanics** — :func:`repro.population.streaming.chunk_spans`
-  partitions without loss; the forked pool propagates worker exceptions;
-  RNG cursors replay to the exact stream position;
+  partitions without loss; a chunked build leaves every user's RNG stream
+  exactly where the monolithic build does;
 * **configuration** — incoherent knob combinations are rejected at
   ``DeploymentConfig.validate`` time with actionable errors.
 """
-
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -87,17 +85,12 @@ class TestChunkSpans:
 
 
 class TestChunkedBitIdentity:
-    """Hypothesis: any (chunk size, worker count) is unobservable."""
+    """Hypothesis: any chunk size is unobservable."""
 
     @settings(max_examples=8, deadline=None)
-    @given(
-        chunk_size=st.integers(min_value=1, max_value=NUM_USERS + 3),
-        workers=st.integers(min_value=0, max_value=3),
-    )
-    def test_random_chunking_matches_monolithic(self, chunk_size, workers):
-        actual = run_script(
-            population_chunk_size=chunk_size, population_build_workers=workers
-        )
+    @given(chunk_size=st.integers(min_value=1, max_value=NUM_USERS + 3))
+    def test_random_chunking_matches_monolithic(self, chunk_size):
+        actual = run_script(population_chunk_size=chunk_size)
         assert actual == reference_fingerprints()
 
     def test_chunk_of_one_matches(self):
@@ -109,55 +102,18 @@ class TestChunkedBitIdentity:
             == reference_fingerprints()
         )
 
-    def test_forked_single_chunk_falls_back_to_serial(self):
-        # One span → nothing to parallelise; the pool is skipped entirely.
-        assert (
-            run_script(
-                population_chunk_size=NUM_USERS + 1, population_build_workers=4
-            )
-            == reference_fingerprints()
-        )
-
-    def test_more_workers_than_chunks_matches(self):
-        assert (
-            run_script(population_chunk_size=4, population_build_workers=8)
-            == reference_fingerprints()
-        )
-
-
-class TestForkedPool:
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs POSIX fork")
-    def test_worker_exception_propagates_to_parent(self, monkeypatch):
-        deployment = build(population_chunk_size=2, population_build_workers=2)
-        population = deployment.population
-
-        original = population.build_round_submissions_batch
-
-        def explode(round_number, chain_keys, users, **kwargs):
-            if kwargs.get("cover"):
-                return original(round_number, chain_keys, users, **kwargs)
-            raise RuntimeError("chunk build exploded")
-
-        # Patched before the fork, so the failure happens inside a worker
-        # and must cross the pipe as a framed error.
-        monkeypatch.setattr(population, "build_round_submissions_batch", explode)
-        with pytest.raises(RuntimeError, match="chunk build exploded"):
-            deployment.run_round()
-        deployment.close()
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs POSIX fork")
-    def test_rng_cursor_replay_is_exact(self):
-        """After a forked round, every seeded user RNG sits exactly where the
-        monolithic build would have left it (getstate comparison — stronger
-        than report parity)."""
-        forked = build(population_chunk_size=2, population_build_workers=3)
+    def test_rng_streams_match_monolithic(self):
+        """After a chunked round, every seeded user RNG sits exactly where the
+        monolithic build left it (getstate comparison — stronger than report
+        parity)."""
+        chunked = build(population_chunk_size=2)
         monolithic = build()
-        forked.run_round()
+        chunked.run_round()
         monolithic.run_round()
-        for left, right in zip(forked.users, monolithic.users):
+        for left, right in zip(chunked.users, monolithic.users):
             assert left._rng is not None
             assert left._rng.getstate() == right._rng.getstate()
-        forked.close()
+        chunked.close()
         monolithic.close()
 
 
@@ -166,33 +122,11 @@ class TestStreamingConfiguration:
         with pytest.raises(ConfigurationError, match="population='batched'"):
             DeploymentConfig(population="object", population_chunk_size=100).validate()
 
-    def test_workers_require_batched_population(self):
-        with pytest.raises(ConfigurationError, match="population='batched'"):
-            DeploymentConfig(population="object", population_build_workers=2).validate()
-
-    def test_workers_require_chunk_size(self):
-        with pytest.raises(ConfigurationError, match="population_chunk_size"):
-            DeploymentConfig(
-                population="batched", population_build_workers=2
-            ).validate()
-
     def test_nonpositive_chunk_size_rejected(self):
         with pytest.raises(ConfigurationError, match="positive"):
             DeploymentConfig(
                 population="batched", population_chunk_size=0
             ).validate()
 
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ConfigurationError, match="non-negative"):
-            DeploymentConfig(
-                population="batched",
-                population_chunk_size=10,
-                population_build_workers=-1,
-            ).validate()
-
     def test_coherent_streaming_config_accepted(self):
-        DeploymentConfig(
-            population="batched",
-            population_chunk_size=10,
-            population_build_workers=2,
-        ).validate()
+        DeploymentConfig(population="batched", population_chunk_size=10).validate()

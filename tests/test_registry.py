@@ -34,7 +34,7 @@ def make_config(**kwargs):
 class TestEnums:
     def test_str_subclass_equality_keeps_old_comparisons_working(self):
         assert TransportKind.INPROC == "inproc"
-        assert ExecutionBackendKind.MULTIPROCESS == "multiprocess"
+        assert ExecutionBackendKind.PARALLEL == "parallel"
         assert PopulationKind.BATCHED == "batched"
         assert TransportKind.TCP.value == "tcp"
 

@@ -1,11 +1,10 @@
-"""Transport layer: envelopes, codecs, accounting, and the fork backend."""
+"""Transport layer: envelopes, codecs, accounting, and deployment wiring."""
 
 import pytest
 
 from repro.constants import SUBMISSION_OVERHEAD
 from repro.coordinator.network import Deployment, DeploymentConfig
 from repro.crypto.nizk import prove_dlog
-from repro.engine.multiprocess import MultiprocessBackend
 from repro.errors import ConfigurationError, DecodingError
 from repro.mixnet.ahs import ChainRoundResult
 from repro.mixnet.messages import (
@@ -198,57 +197,6 @@ class TestTrafficLedger:
         # slowest upload (0.2) + slowest chain (0.5 + 0.2 delivery) + fetch (0.4)
         assert ledger.round_latency_seconds(1) == pytest.approx(1.3)
         assert ledger.chain_hop_seconds(1) == {0: pytest.approx(0.6), 1: pytest.approx(0.5)}
-
-    def test_record_tuple_round_trip(self):
-        record = self.record(chain_id=4)
-        assert LinkRecord.from_tuple(record.to_tuple()) == record
-
-
-class TestMultiprocessBackend:
-    def test_generic_map_preserves_order(self):
-        backend = MultiprocessBackend(max_workers=3)
-        assert backend.map_chains(lambda v: v * v, list(range(10))) == [
-            v * v for v in range(10)
-        ]
-        backend.close()
-
-    def test_single_chain_runs_inline(self):
-        backend = MultiprocessBackend(max_workers=4)
-        assert backend.map_chains(lambda v: v + 1, [41]) == [42]
-
-    def test_first_exception_propagates(self):
-        backend = MultiprocessBackend(max_workers=2)
-
-        def boom(value):
-            if value >= 2:
-                raise RuntimeError("chain %d exploded" % value)
-            return value
-
-        with pytest.raises(RuntimeError, match="chain 2 exploded"):
-            backend.map_chains(boom, [0, 1, 2, 3])
-
-    def test_bad_worker_count_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MultiprocessBackend(max_workers=0)
-
-    def test_chain_outcomes_cross_as_wire_bytes(self):
-        """A real mix round's outcomes survive the fork-and-encode trip."""
-        deployment = Deployment.create(
-            DeploymentConfig(
-                num_servers=4,
-                num_users=4,
-                num_chains=2,
-                chain_length=2,
-                seed=5,
-                group_kind="modp",
-                execution_backend="multiprocess",
-                max_workers=2,
-            )
-        )
-        report = deployment.run_round()
-        assert report.all_chains_delivered()
-        assert report.total_submissions == 4 * deployment.ell()
-        deployment.close()
 
 
 class TestDeploymentWiring:

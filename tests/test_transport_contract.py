@@ -3,8 +3,7 @@
 Every transport the registry can produce — and every wrapper — must honour
 the same capability surface: ``deliver`` returns the payload as the
 destination observed it, ``deliver_many`` is semantically the per-envelope
-loop, ``close`` is idempotent, the context-manager protocol closes, and
-``fork_safe`` truthfully reports whether the instance survives ``fork``.
+loop, ``close`` is idempotent, and the context-manager protocol closes.
 The suite runs identically over inproc, instrumented, faulty(inproc), and
 the TCP loopback reflector, so a new transport only needs a factory row
 here to prove itself.
@@ -48,16 +47,6 @@ FACTORIES = {
     "instrumented": _instrumented,
     "faulty": _faulty,
     "tcp": _tcp,
-}
-
-#: The honest fork-safety surface: an event-loop thread and live sockets do
-#: not survive fork; everything in-process does.  A wrapper mirrors what it
-#: wraps (see TestForkSafety for the faulty-over-tcp case).
-EXPECTED_FORK_SAFE = {
-    "inproc": True,
-    "instrumented": True,
-    "faulty": True,
-    "tcp": False,
 }
 
 
@@ -108,17 +97,6 @@ class TestTransportContract:
                 assert isinstance(instance, Transport)
             instance.close()  # idempotent even after __exit__
 
-    def test_fork_safety_flags(self, transport):
-        assert transport.fork_safe == EXPECTED_FORK_SAFE[transport.name]
-
-
-class TestForkSafety:
-    def test_wrapper_mirrors_inner_flag(self, group):
-        with TcpTransport(group, node_name="wrapped") as tcp:
-            assert FaultyTransport(tcp, []).fork_safe is False
-        assert FaultyTransport(InProcTransport(), []).fork_safe is True
-
-
 class TestAbstractBase:
     def test_cannot_instantiate_without_deliver(self):
         with pytest.raises(TypeError):
@@ -142,7 +120,6 @@ class TestAbstractBase:
             envelope.payload,
         ]
         assert len(recorder.seen) == 2
-        assert recorder.fork_safe is True
         recorder.close()
         with recorder as entered:
             assert entered is recorder

@@ -248,47 +248,6 @@ class TestSecretHygieneRules:
         assert "secret" in result.findings[0].message
 
 
-# -- XRD3xx: fork safety -------------------------------------------------------
-
-class TestForkSafetyRules:
-    def test_fork_unsafe_class_in_fork_context_is_flagged(self, tree):
-        write(tree, "transport/sockets.py", (
-            "class SocketTransport:\n"
-            "    fork_safe = False\n"
-        ))
-        write(tree, "engine/multiprocess.py", (
-            "from repro.transport.sockets import SocketTransport\n"
-            "def worker():\n"
-            "    return SocketTransport()\n"
-        ))
-        result = run_lint(tree)
-        assert [f.rule for f in result.findings] == ["XRD301"] * 2  # import + use
-
-    def test_fork_safe_class_is_clean(self, tree):
-        write(tree, "transport/inproc.py", (
-            "class InProcTransport:\n"
-            "    fork_safe = True\n"
-        ))
-        write(tree, "engine/multiprocess.py", (
-            "from repro.transport.inproc import InProcTransport\n"
-            "def worker():\n"
-            "    return InProcTransport()\n"
-        ))
-        assert codes(run_lint(tree)) == []
-
-    def test_fork_unsafe_class_outside_fork_context_is_clean(self, tree):
-        write(tree, "transport/sockets.py", (
-            "class SocketTransport:\n"
-            "    fork_safe = False\n"
-        ))
-        write(tree, "coordinator/network.py", (
-            "from repro.transport.sockets import SocketTransport\n"
-            "def wire():\n"
-            "    return SocketTransport()\n"
-        ))
-        assert codes(run_lint(tree)) == []
-
-
 # -- XRD4xx: codec exhaustiveness ----------------------------------------------
 
 CODEC_GOOD = (
@@ -575,8 +534,9 @@ class TestCli:
         listed = self._run("--list-rules", cwd=tmp_path)
         assert listed.returncode == 0
         for code in ("XRD101", "XRD102", "XRD103", "XRD201", "XRD202", "XRD203",
-                     "XRD301", "XRD401", "XRD402", "XRD501", "XRD502"):
+                     "XRD401", "XRD402", "XRD501", "XRD502"):
             assert code in listed.stdout
+        assert "XRD301" not in listed.stdout
 
     def test_missing_path_is_a_usage_error(self, tmp_path):
         tmp_path.joinpath("src/repro").mkdir(parents=True)

@@ -18,8 +18,6 @@ XRD2xx   secret hygiene — secret scalars and derived keys never reach
          ``repr``/``str``/f-strings/logs/exception text; MAC tags are
          compared in constant time; dataclass secret fields set
          ``repr=False``
-XRD3xx   fork safety — components declaring ``fork_safe = False`` never
-         appear in the fork-based worker modules
 XRD4xx   codec exhaustiveness — every envelope kind and frame opcode has an
          encoder, a decoder, and a round-trip test
 XRD5xx   native-loader contract — the optional C-extension loaders never

@@ -27,7 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="xrdlint",
         description=(
             "Repo-specific static analysis for the XRD reproduction: "
-            "determinism, secret hygiene, fork safety, codec exhaustiveness "
+            "determinism, secret hygiene, codec exhaustiveness "
             "and the native-loader contract."
         ),
     )

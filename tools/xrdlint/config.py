@@ -46,14 +46,6 @@ _ENTROPY_ALLOWLIST = (
     "*/memutil.py",
 )
 
-#: Modules whose function bodies execute on both sides of a fork: the mix
-#: worker pool and the population build-worker pool.  Anything declaring
-#: ``fork_safe = False`` must not be constructed or captured here.
-_FORK_CONTEXTS = (
-    "*/repro/engine/multiprocess.py",
-    "*/repro/population/streaming.py",
-)
-
 #: The native-kernel loader surface held to the never-raise-at-import /
 #: always-offer-a-fallback contract (DESIGN.md §11).
 _NATIVE_LOADERS = (
@@ -72,7 +64,6 @@ class LintConfig:
 
     protocol_globs: Tuple[str, ...] = _PROTOCOL
     entropy_allowlist: Tuple[str, ...] = _ENTROPY_ALLOWLIST
-    fork_context_globs: Tuple[str, ...] = _FORK_CONTEXTS
     native_loader_globs: Tuple[str, ...] = _NATIVE_LOADERS
     #: Where the codec-exhaustiveness rule looks for round-trip tests; None
     #: disables the test cross-reference (XRD402).
@@ -85,9 +76,6 @@ class LintConfig:
 
     def entropy_allowlisted(self, path: str) -> bool:
         return _matches(path, self.entropy_allowlist)
-
-    def in_fork_context(self, path: str) -> bool:
-        return _matches(path, self.fork_context_globs)
 
     def in_native_loader_scope(self, path: str) -> bool:
         return _matches(path, self.native_loader_globs)

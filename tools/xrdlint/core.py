@@ -12,7 +12,7 @@ The pieces every rule builds on:
   index;
 * :class:`Rule` / :class:`ProjectRule` — the plugin surface.  A ``Rule``
   sees one module at a time; a ``ProjectRule`` sees the whole parsed tree
-  at once (cross-file invariants: codec coverage, fork-safety);
+  at once (cross-file invariants: codec coverage);
 * :func:`lint_paths` — the driver: discover, parse, run rules, apply
   pragmas, split against the baseline.
 """
@@ -187,22 +187,6 @@ class Project:
         self.config = config
         self._tests_corpus: Optional[List[Tuple[str, str]]] = None
 
-    def fork_unsafe_classes(self) -> Dict[str, Tuple[ModuleContext, int]]:
-        """Classes whose body declares ``fork_safe = False``."""
-        found: Dict[str, Tuple[ModuleContext, int]] = {}
-        for module in self.modules:
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.ClassDef):
-                    continue
-                for stmt in node.body:
-                    target = _single_assign_target(stmt)
-                    if target != "fork_safe":
-                        continue
-                    value = stmt.value
-                    if isinstance(value, ast.Constant) and value.value is False:
-                        found[node.name] = (module, node.lineno)
-        return found
-
     def set_annotated_attributes(self) -> Set[str]:
         """Attribute names annotated as sets anywhere in the tree.
 
@@ -315,16 +299,6 @@ def resolve_call_name(func: ast.AST, imports: Dict[str, str]) -> Optional[str]:
         root = imports.get(node.id, node.id)
         parts.append(root)
         return ".".join(reversed(parts))
-    return None
-
-
-def _single_assign_target(stmt: ast.stmt) -> Optional[str]:
-    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-        target = stmt.targets[0]
-        if isinstance(target, ast.Name):
-            return target.id
-    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-        return stmt.target.id
     return None
 
 

@@ -35,7 +35,6 @@ def all_rules() -> List[Rule]:
 from tools.xrdlint.rules import (  # noqa: E402  (registration imports)
     codec_surface,  # noqa: F401
     determinism,  # noqa: F401
-    fork_safety,  # noqa: F401
     native_loader,  # noqa: F401
     secret_hygiene,  # noqa: F401
 )
