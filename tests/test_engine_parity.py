@@ -272,11 +272,13 @@ class TestPopulationParity:
 
 
 #: The streaming-pipeline axis of the parity matrix (ISSUE 6): the
-#: monolithic whole-population pass and chunked builds.  With 6 users and
-#: chunk size 2 every round streams three chunks.
+#: monolithic whole-population pass and chunked builds.  With 6 users, chunk
+#: size 2 streams three equal chunks a round and chunk size 4 a full chunk
+#: followed by a short one.
 CHUNKINGS = (
     pytest.param({}, id="monolithic"),
     pytest.param({"population_chunk_size": 2}, id="chunked-serial"),
+    pytest.param({"population_chunk_size": 4}, id="chunked-ragged"),
 )
 
 
@@ -778,24 +780,6 @@ class TestBackendConfiguration:
         report = deployment.run_round()
         deployment.close()
         assert report.all_chains_delivered()
-
-    def test_backend_close_is_idempotent(self):
-        backend = ParallelBackend(max_workers=2)
-        assert backend.map_chains(lambda value: value * 2, [1, 2, 3]) == [2, 4, 6]
-        backend.close()
-        backend.close()
-
-    def test_map_chains_propagates_worker_exception(self):
-        backend = ParallelBackend(max_workers=2)
-
-        def boom(value):
-            if value == 2:
-                raise RuntimeError("chain exploded")
-            return value
-
-        with pytest.raises(RuntimeError, match="chain exploded"):
-            backend.map_chains(boom, [1, 2, 3])
-        backend.close()
 
     def test_round_engine_usable_standalone(self):
         """The engine API works without going through Deployment.run_round."""

@@ -999,6 +999,13 @@ class TestTierSelection:
         kernels.reset_kernel_for_tests()
         assert kernels.active_kernel() is CryptoKernelKind.PYTHON
 
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_env_selects_each_tier(self, monkeypatch, tier):
+        monkeypatch.setenv("XRD_CRYPTO_KERNEL", tier)
+        kernels.reset_kernel_for_tests()
+        assert kernels.active_kernel() is CryptoKernelKind(tier)
+        assert kernels.native_enabled() == (tier == "native")
+
     def test_env_invalid_value_raises(self, monkeypatch):
         monkeypatch.setenv("XRD_CRYPTO_KERNEL", "turbo")
         kernels.reset_kernel_for_tests()

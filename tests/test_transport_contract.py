@@ -85,6 +85,9 @@ class TestTransportContract:
         batch = transport.deliver_many([envelope for _, envelope in pairs])
         assert batch == [submission for submission, _ in pairs]
 
+    def test_deliver_many_of_nothing_is_nothing(self, transport):
+        assert transport.deliver_many([]) == []
+
     def test_close_is_idempotent(self, transport):
         transport.close()
         transport.close()  # must not raise
