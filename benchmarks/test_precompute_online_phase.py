@@ -54,7 +54,6 @@ def measure_phases(
             seed=7,
             group_kind="modp",
             use_cover_messages=False,
-            population="batched",
             precompute=precompute,
         )
     )
@@ -107,7 +106,7 @@ def test_precompute_online_phase_drop(benchmark):
     speedup = reference["online"] / with_precompute["online"]
     save_result(
         "precompute_online_phase",
-        "Online mix phase, 600 users (modp, 4 chains of length 2, batched population):\n"
+        "Online mix phase, 600 users (modp, 4 chains of length 2):\n"
         f"  online-only reference : {reference['online'] * 1e3:8.1f} ms/round\n"
         f"  with precompute stage : {with_precompute['online'] * 1e3:8.1f} ms/round "
         f"(+{with_precompute['precompute'] * 1e3:.1f} ms precomputed off-path)\n"
@@ -137,7 +136,6 @@ def test_precompute_hides_behind_stagger(benchmark):
                 seed=11,
                 group_kind="modp",
                 use_cover_messages=False,
-                population="batched",
                 precompute=precompute,
             )
         )

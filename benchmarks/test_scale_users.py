@@ -2,11 +2,10 @@
 
 The analytic Figure 4 curve prices XRD at millions of users; before the
 population layer the *measured* companion points stopped at a few hundred,
-because the per-user Python overhead of the object path dominated wall
-clock.  This module runs whole rounds through the batched population path
-(``DeploymentConfig.population="batched"``) at four orders of magnitude and
-records users vs. round latency vs. peak RSS — the scale table README
-cites.
+because the per-user Python overhead of building one user at a time
+dominated wall clock.  This module runs whole rounds through the batched
+population at four orders of magnitude and records users vs. round latency
+vs. peak RSS — the scale table README cites.
 
 The default run sweeps up to 10k users (kept CI-sized).  The larger points
 are opt-in via ``XRD_SCALE``:
@@ -81,9 +80,23 @@ MILLION_USER_PEAK_RSS_BUDGET = 24_000_000_000
 EAGER_100K_ROUND_DELTA_FLOOR = 1_120_000_000
 
 
+def scale_config(num_users: int, precompute: bool = True, chunk_size: int | None = None):
+    """The scale points' deployment: modp group, 4 chains, covers off."""
+    return DeploymentConfig(
+        num_servers=4,
+        num_users=num_users,
+        num_chains=4,
+        chain_length=2,
+        seed=4,
+        group_kind="modp",
+        use_cover_messages=False,
+        precompute=precompute,
+        population_chunk_size=chunk_size,
+    )
+
+
 def run_round_at_scale(
     num_users: int,
-    population: str = "batched",
     precompute: bool = True,
     chunk_size: int | None = None,
     crypto_kernel: str | None = None,
@@ -113,18 +126,7 @@ def run_round_at_scale(
         # The native request degrades (with one warning) on a box without
         # the extension, so the sweep still runs — on the python tier.
         kernels.set_active_kernel(crypto_kernel)
-    config = DeploymentConfig(
-        num_servers=4,
-        num_users=num_users,
-        num_chains=4,
-        chain_length=2,
-        seed=4,
-        group_kind="modp",
-        use_cover_messages=False,
-        population=population,
-        precompute=precompute,
-        population_chunk_size=chunk_size,
-    )
+    config = scale_config(num_users, precompute, chunk_size)
     with PeakRssMeter() as create_meter:
         deployment = Deployment.create(config)
     standing = current_rss_bytes()
@@ -216,24 +218,39 @@ def test_scale_users_chunked_sweep(benchmark):
     assert points[-1]["seconds"] < 25 * points[0]["seconds"]
 
 
+def oracle_round_seconds(num_users: int) -> float:
+    """Wall clock of one scale-point round whose users build and decrypt
+    through the per-user oracle (``tests/user_oracle.py``), one at a time."""
+    from tests import user_oracle
+
+    deployment = Deployment.create(scale_config(num_users))
+    user_oracle.install(deployment)
+    started = time.perf_counter()
+    report = deployment.run_round()
+    elapsed = time.perf_counter() - started
+    assert report.total_submissions == num_users * deployment.ell()
+    deployment.close()
+    return elapsed
+
+
 @pytest.mark.wallclock
 def test_batched_population_beats_object_path(benchmark):
-    """The tentpole's speedup claim at equal size, measured end to end."""
+    """The population's speedup at equal size: the 1k-user production round
+    against the same round with the per-user oracle building and decrypting
+    for the same users."""
 
     def compare():
-        batched = run_round_at_scale(1_000, population="batched")
-        object_path = run_round_at_scale(1_000, population="object")
-        return batched, object_path
+        return run_round_at_scale(1_000), oracle_round_seconds(1_000)
 
-    batched, object_path = benchmark.pedantic(compare, rounds=1, iterations=1)
-    speedup = object_path["seconds"] / batched["seconds"]
+    production, oracle_seconds = benchmark.pedantic(compare, rounds=1, iterations=1)
+    speedup = oracle_seconds / production["seconds"]
     save_result(
         "scale_population_speedup",
-        f"1k-user round: object path {object_path['seconds']:.1f}s, "
-        f"batched population {batched['seconds']:.1f}s ({speedup:.1f}x)",
+        f"1k-user round: per-user oracle {oracle_seconds:.2f}s, "
+        f"production population {production['seconds']:.2f}s ({speedup:.1f}x)",
     )
-    # The measured gap is ~9x; demand a comfortable floor so CI noise never
-    # flakes while a disabled fast path still fails loudly.
+    # Demand a comfortable floor so CI noise never flakes while a disabled
+    # fast path still fails loudly.
     assert speedup > 2.0
 
 

@@ -30,7 +30,7 @@ import sys
 from repro import Deployment, DeploymentConfig
 from repro.faults import ScenarioRunner
 from repro.faults.scenarios import tamper_and_recover
-from repro.registry import ExecutionBackendKind, PopulationKind, TransportKind
+from repro.registry import ExecutionBackendKind, TransportKind
 from repro.runner import protocol
 from repro.runner.harness import run_localhost
 
@@ -52,7 +52,6 @@ def main() -> int:
         group_kind="modp",
         execution_backend=ExecutionBackendKind.SERIAL,
         transport=TransportKind.INPROC,  # what each replica uses internally
-        population=PopulationKind.OBJECT,
         max_workers=2,
     )
     plan = tamper_and_recover()  # tamper at round 2 → blame → evict → re-form

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Drive a large round through the streaming population pipeline (DESIGN.md §9).
 
-The monolithic population path builds every submission of a round in one
-O(users) pass; the streaming pipeline slices the build into bounded chunks
-and uploads, delivers, and fetches per chunk, so peak memory is O(chunk) no
-matter how large the population grows.  The round's observable outputs are
-bit-identical either way (the engine parity suite proves it); only the
-memory/latency profile changes.
+By default the population builds every submission of a round in one
+O(users) pass; ``population_chunk_size`` slices the build into bounded
+chunks and uploads, delivers, and fetches per chunk, so peak memory is
+O(chunk) no matter how large the population grows.  The round's observable
+outputs are bit-identical either way (the engine parity suite proves it);
+only the memory/latency profile changes.
 
 This example runs one such round end to end and logs a progress line per
 chunk as the engine streams through the build and fetch stages, then prints
@@ -46,7 +46,6 @@ def main() -> None:
             seed=7,
             group_kind="modp",
             use_cover_messages=False,
-            population="batched",
             population_chunk_size=args.chunk_size,
         )
     )

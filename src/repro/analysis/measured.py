@@ -43,10 +43,10 @@ def _ledger_or_raise(deployment):
     return ledger
 
 
-def _population_per_user_bytes(deployment, round_number: int) -> Dict:
+def _per_user_frame_bytes(deployment, round_number: int) -> Dict:
     """Per-user upload/download bytes reconstructed from batch frames.
 
-    A batched deployment uploads one framed ``SUBMISSION_BATCH`` per
+    The population uploads one framed ``SUBMISSION_BATCH`` per
     (chain, round) and downloads one ``MAILBOX_FETCH_BATCH`` per shard, so
     the ledger carries frame totals rather than per-user records.  The
     split is exact under the same full-attendance assumption the mean
@@ -102,15 +102,12 @@ def measured_vs_model_bandwidth(deployment, round_number: int) -> Dict:
 
     The comparison is only meaningful for a round in which every user was
     online (offline users upload nothing, pulling the measured mean down).
-    On a batched deployment the per-user split is reconstructed from the
-    population's batch frames (:func:`_population_per_user_bytes`); batching
-    carries the owner key on the download wire explicitly, so its framing
-    overhead is slightly higher than the object path's.
+    The per-user split is reconstructed from the population's batch frames
+    (:func:`_per_user_frame_bytes`); the frames carry a length prefix
+    per submission and the owner key on the download wire, so measured
+    bytes sit slightly above the model's.
     """
-    ledger = _ledger_or_raise(deployment)
-    per_user = ledger.per_user_bytes(round_number)
-    if not per_user and getattr(deployment, "population", None) is not None:
-        per_user = _population_per_user_bytes(deployment, round_number)
+    per_user = _per_user_frame_bytes(deployment, round_number)
     if not per_user:
         raise SimulationError(f"no traffic recorded for round {round_number}")
     uploads = [upload for upload, _ in per_user.values()]

@@ -1,29 +1,24 @@
 """The XRD user agent (§5.3, §6.2).
 
 A :class:`User` owns an identity key pair (which doubles as her mailbox
-address), computes her chain assignment, builds one fixed-size submission per
-assigned chain every round (a conversation message on the intersection chain
-when she is talking to someone, loopback messages everywhere else), builds
-the next round's *cover* submissions (§5.3.3), and decrypts whatever lands in
-her mailbox.
+address), her conversation state, and her chain assignment.  Every round she
+sends one fixed-size submission per assigned chain (a conversation message
+on the intersection chain when she is talking to someone, loopback messages
+everywhere else), banks the next round's *cover* submissions (§5.3.3), and
+decrypts whatever lands in her mailbox — all of which the deployment's
+:class:`~repro.population.UserPopulation` executes for every user at once,
+column-wise.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.client.chain_selection import chains_for_user, intersection_chain
 from repro.client.conversation import Conversation
-from repro.crypto.kdf import loopback_key
 from repro.crypto.keys import KeyPair
-from repro.crypto.nizk import prove_dlog
-from repro.crypto.onion import encrypt_inner, encrypt_outer_layers
-from repro.errors import ConfigurationError, ProtocolError
-from repro.mixnet.ahs import submission_context
-from repro.mixnet.messages import ClientSubmission, MailboxMessage, MessageBody
-from repro.transport.envelope import Envelope, submission_envelope
 
 __all__ = ["ChainKeysView", "ReceivedMessage", "User"]
 
@@ -53,7 +48,7 @@ class ReceivedMessage:
 
 
 class User:
-    """One XRD user: identity, conversation state, and per-round message builder."""
+    """One XRD user: identity, conversation state, and chain assignment."""
 
     def __init__(
         self,
@@ -102,193 +97,3 @@ class User:
         return intersection_chain(
             self.public_bytes, self.conversation.partner_public_bytes, num_chains
         )
-
-    # -- message construction ----------------------------------------------------
-
-    def _seal_loopback(self, round_number: int, chain_id: int) -> MailboxMessage:
-        key = loopback_key(self.keypair.identity_secret_bytes(), chain_id)
-        return MailboxMessage.seal(self.public_bytes, key, round_number, MessageBody.loopback())
-
-    def _seal_conversation(self, round_number: int, body: MessageBody) -> MailboxMessage:
-        if self.conversation is None:
-            raise ProtocolError("no active conversation to seal a message for")
-        return MailboxMessage.seal(
-            self.conversation.partner_public_bytes,
-            self.conversation.key_to_partner(),
-            round_number,
-            body,
-        )
-
-    def _wrap_for_chain(
-        self,
-        round_number: int,
-        chain_keys: ChainKeysView,
-        mailbox_message: MailboxMessage,
-        cover: bool,
-    ) -> ClientSubmission:
-        group = self.group
-        envelope = encrypt_inner(
-            group, chain_keys.aggregate_inner_public, round_number, mailbox_message.to_bytes(), self._rng
-        )
-        ephemeral_secret = group.random_scalar(self._rng)
-        ciphertext = encrypt_outer_layers(
-            group, chain_keys.mixing_publics, round_number, envelope.to_bytes(), ephemeral_secret
-        )
-        proof = prove_dlog(
-            group,
-            group.base(),
-            ephemeral_secret,
-            submission_context(chain_keys.chain_id, round_number, self.name),
-            self._rng,
-        )
-        return ClientSubmission(
-            chain_id=chain_keys.chain_id,
-            sender=self.name,
-            dh_public=group.encode(group.base_mult(ephemeral_secret)),
-            ciphertext=ciphertext,
-            proof=proof,
-            cover=cover,
-        )
-
-    def build_round_submissions(
-        self,
-        round_number: int,
-        num_chains: int,
-        chain_keys: Dict[int, ChainKeysView],
-        payload: Optional[bytes] = None,
-        offline_notice: bool = False,
-        cover: bool = False,
-    ) -> List[ClientSubmission]:
-        """Build the user's ℓ fixed-size submissions for ``round_number``.
-
-        If the user is in an active conversation, the chain she shares with
-        her partner carries a conversation message (containing ``payload``,
-        or an offline notice when ``offline_notice`` is set — the content of
-        cover messages); every other assigned chain carries a loopback
-        message.  Users not in a conversation send loopbacks everywhere, so
-        their traffic pattern is identical.
-        """
-        chains = self.assigned_chains(num_chains)
-        conversation_chain_id = self.conversation_chain(num_chains) if self.in_conversation() else None
-        submissions: List[ClientSubmission] = []
-        conversation_sent = False
-        for chain_id in chains:
-            if chain_id not in chain_keys:
-                raise ConfigurationError(f"missing chain keys for chain {chain_id}")
-            if (
-                conversation_chain_id is not None
-                and chain_id == conversation_chain_id
-                and not conversation_sent
-            ):
-                if offline_notice:
-                    body = MessageBody.offline_notice()
-                else:
-                    body = MessageBody.data(payload or b"")
-                mailbox_message = self._seal_conversation(round_number, body)
-                conversation_sent = True
-            else:
-                mailbox_message = self._seal_loopback(round_number, chain_id)
-            submissions.append(
-                self._wrap_for_chain(round_number, chain_keys[chain_id], mailbox_message, cover)
-            )
-        return submissions
-
-    def build_cover_submissions(
-        self,
-        next_round_number: int,
-        num_chains: int,
-        chain_keys: Dict[int, ChainKeysView],
-    ) -> List[ClientSubmission]:
-        """Cover messages for round ``ρ + 1`` (§5.3.3).
-
-        If the user is in a conversation the cover set contains an *offline
-        notice* on the intersection chain so the partner learns she vanished;
-        otherwise it is all loopbacks.  The coordinator plays these on the
-        user's behalf if she fails to submit next round.
-        """
-        return self.build_round_submissions(
-            next_round_number,
-            num_chains,
-            chain_keys,
-            payload=None,
-            offline_notice=True,
-            cover=True,
-        )
-
-    def submission_envelopes(
-        self,
-        submissions: Sequence[ClientSubmission],
-        entry_servers: Dict[int, str],
-        upload_round: int,
-    ) -> List[Envelope]:
-        """Address this user's submissions to their chains' entry servers.
-
-        See :func:`repro.transport.envelope.submission_envelope` for the
-        upload-round semantics (covers cross the uplink one round early).
-        """
-        return [
-            submission_envelope(submission, entry_servers, upload_round)
-            for submission in submissions
-        ]
-
-    # -- mailbox decryption ---------------------------------------------------------
-
-    def decrypt_mailbox(
-        self,
-        round_number: int,
-        messages: Sequence[MailboxMessage],
-        num_chains: int,
-    ) -> List[ReceivedMessage]:
-        """Decrypt and classify this round's mailbox contents.
-
-        Loopback messages are recognised by trial decryption with each
-        per-chain loopback key; conversation messages with the partner's
-        directional key.  Receiving an offline notice marks the conversation
-        partner as offline (the §5.3.3 state transition).
-        """
-        received: List[ReceivedMessage] = []
-        loopback_keys = {
-            chain_id: loopback_key(self.keypair.identity_secret_bytes(), chain_id)
-            for chain_id in sorted(set(self.assigned_chains(num_chains)))
-        }
-        for message in messages:
-            if message.recipient != self.public_bytes:
-                received.append(ReceivedMessage(kind=ReceivedMessage.KIND_UNREADABLE, content=b""))
-                continue
-            classified = False
-            if self.conversation is not None:
-                body = message.open(self.conversation.key_to_me(), round_number)
-                if body is not None:
-                    if body.is_offline_notice():
-                        self.conversation.mark_partner_offline()
-                        received.append(
-                            ReceivedMessage(
-                                kind=ReceivedMessage.KIND_OFFLINE_NOTICE,
-                                content=b"",
-                                partner_name=self.conversation.partner_name,
-                            )
-                        )
-                    else:
-                        received.append(
-                            ReceivedMessage(
-                                kind=ReceivedMessage.KIND_CONVERSATION,
-                                content=body.content,
-                                partner_name=self.conversation.partner_name,
-                            )
-                        )
-                    classified = True
-            if classified:
-                continue
-            for chain_id, key in loopback_keys.items():
-                body = message.open(key, round_number)
-                if body is not None:
-                    received.append(
-                        ReceivedMessage(
-                            kind=ReceivedMessage.KIND_LOOPBACK, content=b"", chain_id=chain_id
-                        )
-                    )
-                    classified = True
-                    break
-            if not classified:
-                received.append(ReceivedMessage(kind=ReceivedMessage.KIND_UNREADABLE, content=b""))
-        return received

@@ -49,17 +49,15 @@ from repro.engine import (
 from repro.errors import ConfigurationError, ProtocolError
 from repro.mailbox import MailboxHub
 from repro.mixnet.ahs import ChainMember, MixChain
-import repro.population  # noqa: F401 - registers the population factories
 from repro.mixnet.chain import ChainTopology, form_chains, required_chain_length
 from repro.mixnet.messages import ClientSubmission
+from repro.population import UserPopulation
 from repro.registry import (
     CRYPTO_KERNELS,
     EXECUTION_BACKENDS,
-    POPULATIONS,
     TRANSPORTS,
     CryptoKernelKind,
     ExecutionBackendKind,
-    PopulationKind,
     TransportKind,
 )
 from repro.transport import Transport, make_transport
@@ -92,7 +90,7 @@ class DeploymentConfig:
     ``chain_length`` defaults to the anytrust formula for the configured
     ``malicious_fraction`` and ``security_bits``.  ``group_kind`` selects the
     cryptographic group: ``"ed25519"`` for the real curve or ``"modp"`` for
-    the small test group (fast, insecure — test use only).
+    the small 96-bit test group (fast, insecure — test use only).
     """
 
     num_servers: int = 4
@@ -105,7 +103,6 @@ class DeploymentConfig:
     seed: Optional[int] = None
     use_cover_messages: bool = True
     group_kind: str = "ed25519"
-    modp_bits: int = 96
     #: How the mix stage executes the per-chain work: a typed
     #: :class:`~repro.registry.ExecutionBackendKind` — ``SERIAL`` (default,
     #: reference semantics) or ``PARALLEL`` (chains on a thread pool) — or
@@ -126,13 +123,6 @@ class DeploymentConfig:
     #: by :mod:`repro.runner` instead of this knob) — or the name of a
     #: transport registered in :data:`repro.registry.TRANSPORTS`.
     transport: Union[str, TransportKind] = TransportKind.INPROC
-    #: How the honest user side executes: a typed
-    #: :class:`~repro.registry.PopulationKind` — ``OBJECT`` (default — one
-    #: :class:`~repro.client.user.User` at a time, the reference semantics)
-    #: or ``BATCHED`` (a :class:`~repro.population.UserPopulation` builds
-    #: and fetches whole chains at once over framed batch envelopes;
-    #: bit-identical, DESIGN.md §7) — or a registered population name.
-    population: Union[str, PopulationKind] = PopulationKind.OBJECT
     #: Whether the engine runs the AHS precompute stage (§5.2.1 / DESIGN.md
     #: §8): the chains' public-key work (DH blinding, outer-layer key
     #: derivation) executes ahead of the online mix phase — overlapped with
@@ -141,11 +131,10 @@ class DeploymentConfig:
     #: ``False`` restores the online-only reference path (bit-identical
     #: output; the benchmarks compare the two).
     precompute: bool = True
-    #: Streaming population builds (DESIGN.md §9): when set, the batched
-    #: population path builds, uploads, delivers, and fetches in chunks of
-    #: this many users instead of one whole-population pass, so peak memory
-    #: is O(chunk).  ``None`` (default) keeps the monolithic reference pass.
-    #: Requires ``population="batched"``.
+    #: Streaming population builds (DESIGN.md §9): when set, the population
+    #: builds, uploads, delivers, and fetches in chunks of this many users
+    #: instead of one whole-population pass, so peak memory is O(chunk).
+    #: ``None`` (default) keeps the monolithic pass.
     population_chunk_size: Optional[int] = None
     #: Which crypto kernel tier steers the batched hot loops: a typed
     #: :class:`~repro.registry.CryptoKernelKind` — ``PYTHON`` (scalar
@@ -165,7 +154,6 @@ class DeploymentConfig:
         # validate() is the loud gate.
         self.execution_backend = EXECUTION_BACKENDS.coerce(self.execution_backend)
         self.transport = TRANSPORTS.coerce(self.transport)
-        self.population = POPULATIONS.coerce(self.population)
         self.crypto_kernel = CRYPTO_KERNELS.coerce(self.crypto_kernel)
 
     def resolved_num_chains(self) -> int:
@@ -196,17 +184,10 @@ class DeploymentConfig:
         if self.max_workers is not None and self.max_workers < 1:
             raise ConfigurationError("max_workers must be positive when set")
         TRANSPORTS.ensure_known(self.transport, field="transport")
-        POPULATIONS.ensure_known(self.population, field="population")
         if self.crypto_kernel is not None:
             CRYPTO_KERNELS.ensure_known(self.crypto_kernel, field="crypto_kernel")
-        if self.population_chunk_size is not None:
-            if self.population_chunk_size < 1:
-                raise ConfigurationError("population_chunk_size must be positive when set")
-            if self.population != "batched":
-                raise ConfigurationError(
-                    "population_chunk_size requires population='batched' "
-                    "(the object path has no chunked build)"
-                )
+        if self.population_chunk_size is not None and self.population_chunk_size < 1:
+            raise ConfigurationError("population_chunk_size must be positive when set")
 
 
 class MixServerNode:
@@ -270,13 +251,11 @@ class Deployment:
         self.entry_servers: Dict[int, str] = {
             topology.chain_id: topology.servers[0] for topology in topologies
         }
-        #: Columnar batch views over the honest users (``None`` on the
-        #: per-user object path).  Chain assignments derive from public keys
+        #: Columnar batch views over the honest users: every build and fetch
+        #: runs through them.  Chain assignments derive from public keys
         #: alone, so the views survive churn recovery and chain re-formation
         #: unchanged; per-round key material is always passed in fresh.
-        self.population = POPULATIONS.create(
-            config.population, group=group, users=users, num_chains=len(chains)
-        )
+        self.population = UserPopulation(group, users, len(chains))
         self.next_round = 1
         self._users_by_name = {user.name: user for user in users}
         self._chains_by_id = {chain.chain_id: chain for chain in chains}
@@ -308,7 +287,7 @@ class Deployment:
             # (process-global).
             CRYPTO_KERNELS.create(config.crypto_kernel)
         if config.group_kind == "modp":
-            group = ModPGroup(bits=config.modp_bits)
+            group = ModPGroup()
         else:
             group = Ed25519Group()
         master_rng = random.Random(config.seed) if config.seed is not None else None

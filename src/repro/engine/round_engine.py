@@ -35,7 +35,6 @@ from repro.engine.stages import ChainOutcome, RoundContext, RoundReport, RoundSp
 from repro.population.streaming import built_chunks, chunk_spans
 from repro.transport.envelope import (
     MAILBOX_DELIVERY,
-    MAILBOX_FETCH,
     MAILBOX_FETCH_BATCH,
     Envelope,
     submission_batch_envelope,
@@ -96,40 +95,6 @@ class RoundEngine:
         ctx.per_chain = {chain.chain_id: [] for chain in deployment.chains}
         return ctx
 
-    def _upload_submissions(self, ctx: RoundContext, user, submissions) -> list:
-        """Send one user's submissions to their entry servers over the transport.
-
-        Returns the submissions as the entry servers received them — for the
-        in-process transport the same objects, for an instrumented transport
-        fresh objects decoded from the wire bytes.
-        """
-        deployment = self.deployment
-        envelopes = user.submission_envelopes(
-            submissions, deployment.entry_servers, upload_round=ctx.round_number
-        )
-        return [deployment.transport.deliver(envelope) for envelope in envelopes]
-
-    def _build_user_submissions(self, ctx: RoundContext, user) -> None:
-        """Build one online user's submissions and bank next round's covers.
-
-        Both the round's submissions and the next round's cover set cross the
-        client→entry-server link *this* round (covers are banked ahead of
-        time, §5.3.3), so both uploads are routed through the transport here.
-        """
-        deployment = self.deployment
-        built = user.build_round_submissions(
-            ctx.round_number,
-            deployment.num_chains,
-            ctx.current_views,
-            payload=ctx.spec.payloads.get(user.name),
-        )
-        ctx.user_submissions[user.name] = self._upload_submissions(ctx, user, built)
-        if deployment.config.use_cover_messages:
-            covers = user.build_cover_submissions(
-                ctx.round_number + 1, deployment.num_chains, ctx.next_views
-            )
-            deployment._cover_store[user.name] = self._upload_submissions(ctx, user, covers)
-
     def collect(self, ctx: RoundContext, defer: "frozenset[str]" = frozenset()) -> None:
         """Gather submissions from every online user; play covers for the rest.
 
@@ -169,27 +134,9 @@ class RoundEngine:
                 ctx.deferred_users.append(user.name)
                 continue
             online.append(user)
-        self._build_submissions(ctx, online)
+        self._build_population_submissions(ctx, online)
 
-    def _build_submissions(self, ctx: RoundContext, users) -> None:
-        """Build for ``users`` (in deployment order), overlapped or deferred alike.
-
-        When the deployment carries a :class:`~repro.population.
-        UserPopulation`, its users build through the whole-chain batch path;
-        users it does not own (adversarial wrappers swapped into
-        ``deployment.users``) keep the per-user path.
-        """
-        population = self.deployment.population
-        batched = []
-        for user in users:
-            if population is not None and population.owns(user):
-                batched.append(user)
-            else:
-                self._build_user_submissions(ctx, user)
-        if batched:
-            self._build_population_submissions(ctx, batched)
-
-    # -- population (batched) build path -----------------------------------------
+    # -- population build path -----------------------------------------------------
 
     def _upload_submission_batches(
         self, ctx: RoundContext, per_chain, cover: bool, part: Optional[int] = None
@@ -203,8 +150,7 @@ class RoundEngine:
         delivered (possibly re-decoded) submissions are scattered into
         per-sender FIFO queues keyed by chain, from which
         :meth:`_build_population_submissions` reassembles each user's list
-        in her own chain-slot order — the exact shape the per-user path
-        stores.
+        in her own chain-slot order.
         """
         deployment = self.deployment
         envelopes = [
@@ -245,7 +191,11 @@ class RoundEngine:
         return per_user
 
     def _build_population_submissions(self, ctx: RoundContext, users) -> None:
-        """Batched equivalent of :meth:`_build_user_submissions` for ``users``.
+        """Build ``users``' submissions and bank next round's covers.
+
+        Both the round's submissions and the next round's cover set cross the
+        client→entry-server link *this* round (covers are banked ahead of
+        time, §5.3.3), so both uploads are routed through the transport here.
 
         Streams through :func:`repro.population.streaming.built_chunks`:
         with ``population_chunk_size`` unset that is a single
@@ -318,7 +268,9 @@ class RoundEngine:
         so their contents are independent of which phase built each user.
         """
         deployment = self.deployment
-        self._build_submissions(ctx, [deployment.user(name) for name in ctx.deferred_users])
+        self._build_population_submissions(
+            ctx, [deployment.user(name) for name in ctx.deferred_users]
+        )
         ctx.deferred_users = []
         self._fold_user_submissions(ctx, ctx.per_chain)
         for submission in ctx.spec.extra_submissions:
@@ -514,57 +466,27 @@ class RoundEngine:
             deployment.note_convictions(ctx.round_number, chain_id, servers)
 
     def fetch(self, ctx: RoundContext) -> None:
-        """Each online user fetches and decrypts her mailbox.
+        """Every online user fetches and decrypts her mailbox.
 
-        With a population, the downloads are framed per mailbox shard (one
-        envelope per shard instead of one per user) and decrypted through
-        the population's batched trial-decryption cascade; users the
-        population does not own keep the per-user flow.
-        """
-        deployment = self.deployment
-        population = deployment.population
-        report = ctx.report
-        batched = []
-        for user in deployment.users:
-            if user.name in ctx.spec.offline_users:
-                continue
-            if population is not None and population.owns(user):
-                batched.append(user)
-                continue
-            inbox = deployment.mailboxes.get(ctx.round_number, user.public_bytes)
-            # The mailbox server sends the user her round's download.
-            inbox = deployment.transport.deliver(
-                Envelope(
-                    kind=MAILBOX_FETCH,
-                    source=deployment.mailboxes.server_name_for(user.public_bytes),
-                    destination=user.name,
-                    round_number=ctx.round_number,
-                    payload=inbox,
-                )
-            )
-            report.mailbox_counts[user.name] = len(inbox)
-            report.delivered[user.name] = user.decrypt_mailbox(
-                ctx.round_number, inbox, deployment.num_chains
-            )
-        if batched:
-            self._fetch_population(ctx, batched)
-
-    def _fetch_population(self, ctx: RoundContext, users) -> None:
-        """Batched fetch: one framed download per mailbox shard.
-
-        Under the streaming pipeline the users are walked in population
-        chunks: each chunk's downloads are framed per (shard, chunk) and
-        trial-decrypted before the next chunk's are fetched, so the fetch
-        stage holds O(chunk) inboxes at a time.  ``chunk_size=None`` is one
-        whole-population chunk — the monolithic reference flow.  Mailbox
-        classification is per (user, message), so chunking cannot change
-        any outcome; chunks are decrypted in order, so the §5.3.3
-        mark-partner-offline side effects land in the same user order too.
+        The downloads are framed per mailbox shard (one envelope per shard
+        instead of one per user) and decrypted through the population's
+        batched trial-decryption cascade.  Under the streaming pipeline the
+        users are walked in population chunks: each chunk's downloads are
+        framed per (shard, chunk) and trial-decrypted before the next
+        chunk's are fetched, so the fetch stage holds O(chunk) inboxes at a
+        time.  ``chunk_size=None`` is one whole-population chunk — the
+        monolithic flow.  Mailbox classification is per (user, message), so
+        chunking cannot change any outcome; chunks are decrypted in order,
+        so the §5.3.3 mark-partner-offline side effects land in the same user
+        order too.
         """
         deployment = self.deployment
         population = deployment.population
         report = ctx.report
         chunk_size = deployment.config.population_chunk_size
+        users = [
+            user for user in deployment.users if user.name not in ctx.spec.offline_users
+        ]
         for part, span in enumerate(chunk_spans(users, chunk_size)):
             inboxes_by_owner: dict = {}
             for server, owners in deployment.mailboxes.shard_owners(
@@ -587,9 +509,7 @@ class RoundEngine:
             for user, inbox in zip(span, inboxes):
                 report.mailbox_counts[user.name] = len(inbox)
             report.delivered.update(
-                population.decrypt_mailboxes_batch(
-                    ctx.round_number, span, inboxes, deployment.num_chains
-                )
+                population.decrypt_mailboxes_batch(ctx.round_number, span, inboxes)
             )
             population.emit_progress("fetch", part, len(span))
 

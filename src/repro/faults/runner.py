@@ -195,18 +195,23 @@ class ScenarioRunner:
     # -- setup ------------------------------------------------------------------
 
     def _absolute_link_faults(self, offset: int):
-        """The plan's link faults with round selectors mapped to absolute rounds.
+        """The plan's link faults as the transport matches them.
 
         A plan's round numbers are scenario-relative everywhere (server,
         user, *and* link faults); envelopes carry absolute round numbers, so
-        the selectors are shifted before installation.
+        the selectors are shifted before installation.  A plan names users,
+        but a download frame addresses each of its users by mailbox, so a
+        ``destination`` naming a user becomes the hex of her mailbox address.
         """
+        mailboxes = {user.name: user.public_bytes.hex() for user in self.deployment.users}
         faults = []
         for fault in self.plan.link_faults:
             if offset and fault.rounds is not None:
                 fault = dataclasses.replace(
                     fault, rounds=frozenset(offset + r for r in fault.rounds)
                 )
+            if fault.destination in mailboxes:
+                fault = dataclasses.replace(fault, destination=mailboxes[fault.destination])
             faults.append(fault)
         return faults
 

@@ -145,14 +145,18 @@ def invalid_proof_user(
 def flaky_uplink(
     user_name: str = "user-0", fault_round: int = 2, num_rounds: int = 3, seed: int = 0
 ) -> FaultPlan:
-    """One user's submissions are lost on the uplink for one round."""
+    """One user's submissions are lost on the uplink for one round.
+
+    The drop names her as the ``source``, so it removes her elements from
+    the population's ``SUBMISSION_BATCH`` frames and nobody else's.
+    """
     return FaultPlan(
         name="flaky-uplink",
         num_rounds=num_rounds,
         link_faults=(
             LinkFault(
                 behaviour=DROP,
-                kind=ev.SUBMISSION,
+                kind=ev.SUBMISSION_BATCH,
                 source=user_name,
                 rounds=frozenset({fault_round}),
             ),
@@ -164,14 +168,19 @@ def flaky_uplink(
 def lossy_mailbox_fetch(
     user_name: str = "user-0", fault_round: int = 1, num_rounds: int = 2, seed: int = 0
 ) -> FaultPlan:
-    """A user's mailbox download is lost: she sees an empty round."""
+    """A user's mailbox download is lost: she sees an empty round.
+
+    The drop names her as the ``destination``; the scenario runner resolves
+    the name to her mailbox address, whose pair it removes from the
+    ``MAILBOX_FETCH_BATCH`` frames.
+    """
     return FaultPlan(
         name="lossy-mailbox-fetch",
         num_rounds=num_rounds,
         link_faults=(
             LinkFault(
                 behaviour=DROP,
-                kind=ev.MAILBOX_FETCH,
+                kind=ev.MAILBOX_FETCH_BATCH,
                 destination=user_name,
                 rounds=frozenset({fault_round}),
             ),

@@ -2,7 +2,7 @@
 
 This module is the crypto half of the population layer: given one chain's
 key view and its pending entries as columns — senders, sealed-message
-inputs, and the three scalars the per-user path would have drawn (``y`` for
+inputs, and the three scalars drawn from each user's own RNG (``y`` for
 the inner envelope, ``x`` for the shared outer secret, ``k`` for the Schnorr
 nonce) — it produces the chain's :class:`~repro.mixnet.messages.
 ClientSubmission` batch.  Everything between the RNG draws and the Schnorr
@@ -13,10 +13,9 @@ proofs reuse the already-computed ``X_i = g^{x_i}`` and differ from
 :func:`repro.crypto.nizk.prove_dlog` only in not re-deriving it.
 
 Because the scalars are inputs, every byte of the output is a deterministic
-function of (scalars, keys, bodies) — identical to what
-:meth:`User.build_round_submissions <repro.client.user.User.
-build_round_submissions>` computes from the same draws.  The engine parity
-suite holds the two paths bit-identical across the full matrix.
+function of (scalars, keys, bodies) — identical to what the per-user
+oracle (``tests/user_oracle.py``) computes from the same draws, which
+``TestOnionBuildDifferential`` holds it to.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ class PendingColumns:
     ``bodies`` describe the mailbox messages (bodies already padded:
     ``MessageBody.encode()`` output); the three scalars were drawn from the
     *user's own* RNG in the per-user order (``y``, ``x``, ``k``) so the
-    output is bit-identical to the object path.
+    output is bit-identical to the per-user oracle.
     """
 
     senders: List[str] = field(default_factory=list)

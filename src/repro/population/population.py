@@ -1,21 +1,21 @@
 """The :class:`UserPopulation`: all honest users as column-oriented batches.
 
-The per-user object path walks one :class:`~repro.client.user.User` at a
-time: each submission seals, onion-encrypts, and proves individually, and
-each mailbox message is trial-decrypted one AEAD call at a time.  That per
-user Python overhead — not the protocol — is what capped practical rounds
-at a few hundred users.  The population keeps the *state* on the ``User``
-objects (conversations, keys, RNG streams stay the reference semantics) but
-executes the per-round work column-wise:
+Walking one user at a time — each submission sealed, onion-encrypted and
+proved individually, each mailbox message trial-decrypted one AEAD call at
+a time — is per-user Python overhead, not protocol, and it capped practical
+rounds at a few hundred users.  That walk survives only as the test oracle
+(``tests/user_oracle.py``).  The population keeps the *state* on the
+:class:`~repro.client.user.User` objects (conversations, keys, RNG streams)
+but executes the per-round work column-wise:
 
 * **build** — a cheap scalar-drawing pass walks users in deployment order,
-  drawing each user's randomness from *her own* RNG in exactly the order
-  the object path would (``y``, ``x``, ``k`` per assigned chain slot; round
-  submissions before banked covers).  The expensive crypto then runs per
-  chain over the collected columns (:mod:`repro.population.batch_build`).
-  Splitting the phases is what makes the batch bit-identical to the object
-  path: randomness order is preserved per user, and everything after the
-  draws is deterministic.
+  drawing each user's randomness from *her own* RNG in a fixed order
+  (``y``, ``x``, ``k`` per assigned chain slot; round submissions before
+  banked covers).  The expensive crypto then runs per chain over the
+  collected columns (:mod:`repro.population.batch_build`).  Splitting the
+  phases is what keeps the batch bit-identical to the per-user oracle:
+  randomness order is preserved per user, and everything after the draws
+  is deterministic.
 * **fetch** — mailbox decryption runs as a trial-decryption *cascade*: every
   (user, message) pair tries its first candidate key in one batched AEAD
   pass, survivors try their second, and so on.  Each message authenticates
@@ -52,7 +52,6 @@ class UserPopulation:
         self.group = group
         self.num_chains = num_chains
         self.users: List[User] = list(users)
-        self._by_name: Dict[str, User] = {user.name: user for user in self.users}
         #: name → ordered physical chain ids (length ℓ, possibly repeating).
         self.chain_assignments: Dict[str, Tuple[int, ...]] = {
             user.name: tuple(chains_for_user(user.public_bytes, num_chains))
@@ -68,7 +67,7 @@ class UserPopulation:
         #: never change, so these are computed once per population.
         self._loopback_keys: Dict[Tuple[str, int], bytes] = {}
         #: Per-user loopback trial order for the fetch cascade: sorted, so
-        #: it cannot depend on set hash order (the object path sorts too).
+        #: it cannot depend on set hash order.
         self._trial_chains: Dict[str, Tuple[int, ...]] = {
             name: tuple(sorted(set(assignment)))
             for name, assignment in self.chain_assignments.items()
@@ -77,25 +76,6 @@ class UserPopulation:
         #: called as ``progress(phase, chunk_index, num_users)`` after the
         #: engine finishes each chunk of a streamed build or fetch.
         self.progress = None
-
-    def __len__(self) -> int:
-        return len(self.users)
-
-    # -- membership -----------------------------------------------------------
-
-    def owns(self, user: User) -> bool:
-        """True when ``user`` is exactly the population's object for its name.
-
-        Adversarial harnesses may swap a wrapped ``User`` into
-        ``deployment.users``; such wrappers fall back to the per-user path so
-        their overridden behaviour is honoured.
-        """
-        return self._by_name.get(user.name) is user
-
-    def user(self, name: str) -> User:
-        if name not in self._by_name:
-            raise ConfigurationError(f"unknown user {name!r}")
-        return self._by_name[name]
 
     def emit_progress(self, phase: str, chunk_index: int, num_users: int) -> None:
         """Notify the optional :attr:`progress` observer (streamed chunks)."""
@@ -171,8 +151,8 @@ class UserPopulation:
                 pending.seal_keys.append(seal_key)
                 pending.recipients.append(recipient)
                 pending.bodies.append(body)
-                # The user's own RNG, in the object path's draw order:
-                # inner ephemeral, outer ephemeral, proof nonce — per slot.
+                # The user's own RNG, in the oracle's draw order: inner
+                # ephemeral, outer ephemeral, proof nonce — per slot.
                 rng = user._rng
                 pending.inner_scalars.append(group.random_scalar(rng))
                 pending.outer_scalars.append(group.random_scalar(rng))
@@ -191,13 +171,12 @@ class UserPopulation:
         round_number: int,
         users: Sequence[User],
         inboxes: Sequence[Sequence[MailboxMessage]],
-        num_chains: int,
     ) -> Dict[str, List[ReceivedMessage]]:
         """Decrypt and classify every user's round download, cascaded.
 
-        Semantics mirror :meth:`User.decrypt_mailbox
-        <repro.client.user.User.decrypt_mailbox>` exactly, including the
-        §5.3.3 side effect of marking a conversation partner offline.
+        Semantics mirror the per-user oracle (``tests/user_oracle.py``)
+        exactly, including the §5.3.3 side effect of marking a conversation
+        partner offline.
         """
         results: Dict[str, List[Optional[ReceivedMessage]]] = {}
         # (user, message, remaining trial keys); trials carry the chain id
@@ -206,9 +185,7 @@ class UserPopulation:
         for user, inbox in zip(users, inboxes):
             slots: List[Optional[ReceivedMessage]] = [None] * len(inbox)
             results[user.name] = slots
-            trial_chains = self._trial_chains.get(user.name)
-            if trial_chains is None:
-                trial_chains = tuple(sorted(set(chains_for_user(user.public_bytes, num_chains))))
+            trial_chains = self._trial_chains[user.name]
             conversation_key = (
                 user.conversation.key_to_me() if user.conversation is not None else None
             )

@@ -10,7 +10,7 @@ O(chunk) regardless of population size.
 Chunking cannot change any observable output because the batched build is
 elementwise per (user, chain-slot) entry (:func:`repro.population.
 batch_build.build_chain_submissions`) and each user's RNG draws happen
-inside her own chunk in the object path's exact order — per-chunk per-chain
+inside her own chunk in her fixed order — per-chunk per-chain
 lists concatenated in chunk order equal the monolithic per-chain lists, and
 :meth:`RoundEngine._fold_user_submissions
 <repro.engine.round_engine.RoundEngine._fold_user_submissions>` reassembles

@@ -1,7 +1,7 @@
 """Typed pluggable-component registry (DESIGN.md §10.1).
 
 The deployment's three pluggable seams — the transport, the mix-stage
-execution backend, and the user-population strategy — used to be selected by
+execution backend, and the crypto kernel tier — used to be selected by
 bare strings on :class:`~repro.coordinator.network.DeploymentConfig`.  Each
 new component meant another string compared in another ``if`` ladder; the
 KISS principle the control-plane literature argues for (PAPERS.md) is the
@@ -10,7 +10,7 @@ opposite: a small, explicit, *typed* contract.
 This module provides that contract:
 
 * one :class:`enum.Enum` per seam (:class:`TransportKind`,
-  :class:`ExecutionBackendKind`, :class:`PopulationKind`) naming the
+  :class:`ExecutionBackendKind`, :class:`CryptoKernelKind`) naming the
   built-in components.  The enums subclass :class:`str`, so existing code
   comparing ``config.transport == "inproc"`` keeps working unchanged;
 * one :class:`ComponentRegistry` per seam mapping keys to factory
@@ -38,12 +38,10 @@ from repro.errors import ConfigurationError
 __all__ = [
     "TransportKind",
     "ExecutionBackendKind",
-    "PopulationKind",
     "CryptoKernelKind",
     "ComponentRegistry",
     "TRANSPORTS",
     "EXECUTION_BACKENDS",
-    "POPULATIONS",
     "CRYPTO_KERNELS",
 ]
 
@@ -61,13 +59,6 @@ class ExecutionBackendKind(str, Enum):
 
     SERIAL = "serial"
     PARALLEL = "parallel"
-
-
-class PopulationKind(str, Enum):
-    """How the honest user side executes (DESIGN.md §7)."""
-
-    OBJECT = "object"
-    BATCHED = "batched"
 
 
 class CryptoKernelKind(str, Enum):
@@ -165,5 +156,4 @@ class ComponentRegistry:
 
 TRANSPORTS = ComponentRegistry("transport", TransportKind)
 EXECUTION_BACKENDS = ComponentRegistry("execution backend", ExecutionBackendKind)
-POPULATIONS = ComponentRegistry("population", PopulationKind)
 CRYPTO_KERNELS = ComponentRegistry("crypto kernel", CryptoKernelKind)

@@ -39,12 +39,7 @@ from repro.transport.codec import (
     encode_chain_outcome,
     encode_payload,
 )
-from repro.transport.envelope import (
-    MAILBOX_DELIVERY,
-    MAILBOX_FETCH,
-    MAILBOX_FETCH_BATCH,
-    Envelope,
-)
+from repro.transport.envelope import MAILBOX_DELIVERY, MAILBOX_FETCH_BATCH, Envelope
 from repro.transport.tcp import ReflectingHandler, TcpTransport
 
 __all__ = ["RoleHandler", "MixRoleHandler", "MailboxRoleHandler", "RoleNode"]
@@ -181,15 +176,6 @@ class MailboxRoleHandler(RoleHandler):
                     envelope.round_number, envelope.payload
                 )
             return encode_payload(self.group, envelope)
-        if envelope.kind == MAILBOX_FETCH:
-            user = deployment.user(envelope.destination)
-            with self._lock:
-                inbox = deployment.mailboxes.get(
-                    envelope.round_number, user.public_bytes
-                )
-            return encode_payload(
-                self.group, dataclasses.replace(envelope, payload=inbox)
-            )
         if envelope.kind == MAILBOX_FETCH_BATCH:
             owners = [owner for owner, _ in envelope.payload]
             with self._lock:

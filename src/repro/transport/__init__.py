@@ -34,7 +34,6 @@ from repro.transport.envelope import (
     COVER_SUBMISSION_BATCH,
     ENVELOPE_KINDS,
     MAILBOX_DELIVERY,
-    MAILBOX_FETCH,
     MAILBOX_FETCH_BATCH,
     SUBMISSION,
     SUBMISSION_BATCH,
@@ -58,7 +57,6 @@ __all__ = [
     "COVER_SUBMISSION",
     "BATCH",
     "MAILBOX_DELIVERY",
-    "MAILBOX_FETCH",
     "SUBMISSION_BATCH",
     "COVER_SUBMISSION_BATCH",
     "MAILBOX_FETCH_BATCH",

@@ -199,7 +199,7 @@ def encode_payload(group: Any, envelope: Envelope) -> bytes:
         return _encode_submission_batch(envelope.payload)
     if kind == ev.BATCH:
         return envelope.payload.to_wire()
-    if kind in (ev.MAILBOX_DELIVERY, ev.MAILBOX_FETCH):
+    if kind == ev.MAILBOX_DELIVERY:
         return _encode_mailbox_batch(envelope.payload)
     if kind == ev.MAILBOX_FETCH_BATCH:
         return _encode_fetch_batch(envelope.payload)
@@ -214,7 +214,7 @@ def decode_payload(group: Any, kind: str, data: bytes) -> object:
         return _decode_submission_batch(group, data)
     if kind == ev.BATCH:
         return EncodedBatch.from_wire(group, data)
-    if kind in (ev.MAILBOX_DELIVERY, ev.MAILBOX_FETCH):
+    if kind == ev.MAILBOX_DELIVERY:
         return _decode_mailbox_batch(data)
     if kind == ev.MAILBOX_FETCH_BATCH:
         return _decode_fetch_batch(data)

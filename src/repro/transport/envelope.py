@@ -5,22 +5,22 @@ An :class:`Envelope` names the logical link it crosses (``source`` →
 the protocol flow it belongs to (``kind``), and carries the typed payload.
 These kinds cover every cross-node interaction of the system:
 
-* ``SUBMISSION`` / ``COVER_SUBMISSION`` — a user's
+* ``SUBMISSION`` / ``COVER_SUBMISSION`` — one
   :class:`~repro.mixnet.messages.ClientSubmission` to the entry server of
-  one of her assigned chains (§6.2); covers are banked with the coordinator
-  one round ahead (§5.3.3) and are distinguished only so accounting can
-  attribute them.
+  its chain (§6.2): the unit injected submissions travel in (honest users
+  upload in ``SUBMISSION_BATCH`` frames); covers are banked with the
+  coordinator one round ahead (§5.3.3) and are distinguished only so
+  accounting can attribute them.
 * ``BATCH`` — the :class:`~repro.mixnet.messages.EncodedBatch` one chain
   server hands to its successor during mixing (§6.3).
 * ``MAILBOX_DELIVERY`` — the recovered
   :class:`~repro.mixnet.messages.MailboxMessage` batch the last server of a
   chain sends to the mailbox servers.
-* ``MAILBOX_FETCH`` — a user's mailbox download for the round.
 * ``SUBMISSION_BATCH`` / ``COVER_SUBMISSION_BATCH`` — one chain's whole
   submission batch framed as a single message on the (population →
   entry-server) link; the population layer's upload unit (DESIGN.md §7).
 * ``MAILBOX_FETCH_BATCH`` — one mailbox shard's round downloads for many
-  users, framed as ``(owner, messages)`` pairs.
+  users, framed as ``(owner, messages)`` pairs; the users' download unit.
 
 Payloads stay typed objects in the envelope; it is the *transport* that
 decides whether crossing the link serialises them (see
@@ -44,7 +44,6 @@ __all__ = [
     "COVER_SUBMISSION",
     "BATCH",
     "MAILBOX_DELIVERY",
-    "MAILBOX_FETCH",
     "SUBMISSION_BATCH",
     "COVER_SUBMISSION_BATCH",
     "MAILBOX_FETCH_BATCH",
@@ -53,7 +52,7 @@ __all__ = [
     "submission_batch_envelope",
 ]
 
-#: A user's per-chain submission to the chain's entry server.
+#: One submission to its chain's entry server.
 SUBMISSION = "submission"
 #: A banked next-round cover submission (uploaded one round early, §5.3.3).
 COVER_SUBMISSION = "cover-submission"
@@ -61,8 +60,6 @@ COVER_SUBMISSION = "cover-submission"
 BATCH = "batch"
 #: Recovered mailbox messages, last chain server → mailbox servers.
 MAILBOX_DELIVERY = "mailbox-delivery"
-#: A user's mailbox download, mailbox server → user.
-MAILBOX_FETCH = "mailbox-fetch"
 #: A whole chain's client submissions framed as one message on the
 #: (user-population → entry-server) link — the population layer's upload
 #: unit; the payload is the ordered submission list.
@@ -79,7 +76,6 @@ ENVELOPE_KINDS = (
     COVER_SUBMISSION,
     BATCH,
     MAILBOX_DELIVERY,
-    MAILBOX_FETCH,
     SUBMISSION_BATCH,
     COVER_SUBMISSION_BATCH,
     MAILBOX_FETCH_BATCH,
@@ -111,9 +107,7 @@ def submission_envelope(
 ) -> Envelope:
     """Address one client submission to its chain's entry server.
 
-    The single place the submission→envelope mapping lives: the honest
-    client path (:meth:`repro.client.user.User.submission_envelopes`) and
-    the engine's injected-submission path both build through here.
+    The engine's injected-submission path builds through here.
     ``upload_round`` is the round in which the bytes cross the uplink — for
     covers that is one round *before* the round their contents are built
     for (§5.3.3: covers are banked with the coordinator ahead of time); the

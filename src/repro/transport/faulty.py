@@ -11,9 +11,12 @@ envelope before (or instead of) handing it to the inner transport:
 
 * ``drop`` — the envelope never crosses the link.  List payloads (batches,
   mailbox flows) arrive empty; submissions arrive as ``None`` (the engine
-  skips them).  This models *data loss*, not timeout detection: a real
-  deployment would eventually time the link out, which is a liveness
-  concern the synchronous round structure has no place for (DESIGN.md §3).
+  skips them).  The population's frames carry many users' traffic, so a
+  drop naming one *user* — the ``source`` of an upload frame, the
+  ``destination`` of a download frame — loses only her elements of it.
+  This models *data loss*, not timeout detection: a real deployment would
+  eventually time the link out, which is a liveness concern the
+  synchronous round structure has no place for (DESIGN.md §3).
 * ``duplicate`` — one element of a list payload is replayed.  Only list
   payloads can be duplicated; a replayed client submission is the
   *user-level* attack :func:`~repro.coordinator.adversary.
@@ -71,11 +74,14 @@ LINK_BEHAVIOURS = (DROP, DUPLICATE, DELAY, REORDER)
 _LIST_KINDS = (
     ev.BATCH,
     ev.MAILBOX_DELIVERY,
-    ev.MAILBOX_FETCH,
     ev.SUBMISSION_BATCH,
     ev.COVER_SUBMISSION_BATCH,
     ev.MAILBOX_FETCH_BATCH,
 )
+#: The population's frames: many users' uploads to one entry server, and one
+#: shard's downloads to many users.
+_UPLOAD_FRAMES = (ev.SUBMISSION_BATCH, ev.COVER_SUBMISSION_BATCH)
+_DOWNLOAD_FRAMES = (ev.MAILBOX_FETCH_BATCH,)
 
 
 @dataclass(frozen=True)
@@ -117,18 +123,50 @@ class LinkFault:
         if self.rounds is not None:
             object.__setattr__(self, "rounds", frozenset(self.rounds))
 
+    def _inner_selector(self, envelope: Envelope) -> Optional[str]:
+        """Which endpoint selector of a ``drop`` names a user *inside* one of
+        the population's frames rather than the frame's own endpoint:
+        ``"source"`` (her submissions in an upload frame), ``"destination"``
+        (her ``(owner, messages)`` pair in a download frame, the owner
+        given as the hex of her mailbox address), or ``None``."""
+        if self.behaviour == DROP:
+            if envelope.kind in _UPLOAD_FRAMES and self.source not in (None, envelope.source):
+                return "source"
+            if envelope.kind in _DOWNLOAD_FRAMES and self.destination not in (
+                None, envelope.destination
+            ):
+                return "destination"
+        return None
+
     def matches(self, envelope: Envelope) -> bool:
         if self.kind is not None and envelope.kind != self.kind:
             return False
         if self.rounds is not None and envelope.round_number not in self.rounds:
             return False
-        if self.source is not None and envelope.source != self.source:
+        inner = self._inner_selector(envelope)
+        if self.source is not None and envelope.source != self.source and inner != "source":
             return False
-        if self.destination is not None and envelope.destination != self.destination:
+        if (
+            self.destination is not None
+            and envelope.destination != self.destination
+            and inner != "destination"
+        ):
             return False
         if self.chain_id is not None and envelope.chain_id != self.chain_id:
             return False
         return True
+
+    def surviving_elements(self, envelope: Envelope) -> Optional[List[int]]:
+        """For a matching ``drop``: the indices of the payload elements that
+        still arrive, or ``None`` when the whole envelope is lost."""
+        inner = self._inner_selector(envelope)
+        if inner == "source":
+            lost = [submission.sender == self.source for submission in envelope.payload]
+        elif inner == "destination":
+            lost = [owner.hex() == self.destination for owner, _ in envelope.payload]
+        else:
+            return None
+        return [index for index, gone in enumerate(lost) if not gone]
 
 
 def _pick(envelope: Envelope, order: Sequence[int]) -> object:
@@ -199,9 +237,14 @@ class FaultyTransport(Transport):
         delay_total = 0.0
         for fault in matching:
             if fault.behaviour == DROP:
-                self._log(fault, envelope)
-                return _pick(envelope, ()) if envelope.kind in _LIST_KINDS else None
-            if fault.behaviour == DUPLICATE:
+                kept = fault.surviving_elements(envelope)
+                if kept is None:
+                    self._log(fault, envelope)
+                    return _pick(envelope, ()) if envelope.kind in _LIST_KINDS else None
+                if len(kept) < len(envelope.payload):
+                    envelope = replace(envelope, payload=_pick(envelope, kept))
+                    self._log(fault, envelope)
+            elif fault.behaviour == DUPLICATE:
                 count = len(envelope.payload)
                 if count:
                     # dataclasses.replace keeps every other field (including

@@ -9,9 +9,10 @@ pool threads (parallel backend).
 Summaries answer the two questions the paper's evaluation measures from
 traffic:
 
-* **bytes** — per-user upload/download per round
-  (:meth:`TrafficLedger.per_user_bytes`), the measured companion to the
-  Figure 2 model in :mod:`repro.simulation.bandwidth`;
+* **bytes** — per round and per envelope kind; the per-user split of the
+  population's batch frames is reconstructed in
+  :mod:`repro.analysis.measured`, the measured companion to the Figure 2
+  model in :mod:`repro.simulation.bandwidth`;
 * **latency** — the modelled time of the round's critical path through the
   recorded links (:meth:`TrafficLedger.round_latency_seconds`), the
   measured-from-traffic companion to the Figure 4/5 closed-form model in
@@ -21,7 +22,7 @@ traffic:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.transport import envelope as ev
 
@@ -41,10 +42,6 @@ class LinkRecord:
     #: transmission at the link model's bandwidth).
     seconds: float
     chain_id: Optional[int] = None
-
-
-#: Envelope kinds that count toward a user's upstream traffic.
-_UPLOAD_KINDS = (ev.SUBMISSION, ev.COVER_SUBMISSION)
 
 
 class TrafficLedger:
@@ -88,47 +85,21 @@ class TrafficLedger:
             totals[record.kind] = totals.get(record.kind, 0) + record.num_bytes
         return totals
 
-    def per_user_bytes(self, round_number: int) -> Dict[str, Tuple[int, int]]:
-        """``{user: (upload_bytes, download_bytes)}`` for one round.
-
-        Uploads are the user's submissions plus banked covers, attributed to
-        the round in which the bytes crossed the link (covers are uploaded
-        one round before they are played, §5.3.3); downloads are her mailbox
-        fetch.
-        """
-        uploads: Dict[str, int] = {}
-        downloads: Dict[str, int] = {}
-        for record in self._records:
-            if record.round_number != round_number:
-                continue
-            if record.kind in _UPLOAD_KINDS:
-                uploads[record.source] = uploads.get(record.source, 0) + record.num_bytes
-            elif record.kind == ev.MAILBOX_FETCH:
-                downloads[record.destination] = (
-                    downloads.get(record.destination, 0) + record.num_bytes
-                )
-        return {
-            user: (uploads.get(user, 0), downloads.get(user, 0))
-            for user in sorted(set(uploads) | set(downloads))
-        }
-
     # -- latency accounting ----------------------------------------------------
 
     def round_latency_seconds(self, round_number: int) -> float:
         """Modelled end-to-end time of the round's measured critical path.
 
-        The round's data flow is: every submission reaches its entry server
-        (parallel across users — the slowest upload gates the start), the
-        chains mix (each chain's batches traverse its hops *sequentially*;
-        chains run in parallel, so the slowest chain gates delivery), the
-        recovered messages reach the mailbox servers, and every user fetches
-        (parallel — slowest fetch gates the end).
-
-        On a batched deployment the same legs are framed per chain
-        (``SUBMISSION_BATCH``) and per shard (``MAILBOX_FETCH_BATCH``);
-        frames cross their links in parallel, so the slowest frame gates
-        each leg.  Banked covers stay off the critical path either way —
-        they are uploads *for the next round*.
+        The round's data flow is: the submissions reach their entry servers
+        (framed per chain, ``SUBMISSION_BATCH``, plus any single injected
+        ``SUBMISSION``; frames cross their links in parallel, so the slowest
+        upload gates the start), the chains mix (each chain's batches
+        traverse its hops *sequentially*; chains run in parallel, so the
+        slowest chain gates delivery), the recovered messages reach the
+        mailbox servers, and the users fetch (framed per shard,
+        ``MAILBOX_FETCH_BATCH`` — the slowest fetch gates the end).  Banked
+        covers stay off the critical path — they are uploads *for the next
+        round*.
         """
         submission_max = 0.0
         fetch_max = 0.0
@@ -139,7 +110,7 @@ class TrafficLedger:
                 continue
             if record.kind in (ev.SUBMISSION, ev.SUBMISSION_BATCH):
                 submission_max = max(submission_max, record.seconds)
-            elif record.kind in (ev.MAILBOX_FETCH, ev.MAILBOX_FETCH_BATCH):
+            elif record.kind == ev.MAILBOX_FETCH_BATCH:
                 fetch_max = max(fetch_max, record.seconds)
             elif record.kind == ev.BATCH:
                 chain_path[record.chain_id] = chain_path.get(record.chain_id, 0.0) + record.seconds

@@ -16,7 +16,14 @@ execution strategy *and* the transport are unobservable.  For the
 instrumented transport the property is stronger still: every delivered
 payload was re-decoded from its wire bytes, so parity proves the codecs of
 :mod:`repro.transport.codec` lossless.
+
+The reference every cell is held to is pinned: :data:`GOLDEN` holds the
+digests the per-user client path produced before the population became the
+only client executor, and ``tests/user_oracle.py`` — that path, kept as the
+oracle — still reproduces them (:class:`TestGoldenDigests`).
 """
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -32,10 +39,33 @@ from repro.engine import (
 )
 from repro.errors import ConfigurationError
 
+from tests import user_oracle
 from tests.test_ahs_protocol import make_submission
 
 BACKENDS = ("serial", "parallel")
 TRANSPORTS = ("inproc", "instrumented")
+
+#: sha256[:16] of ``canonical_bytes()`` for :func:`build` (group swapped):
+#: the six reports of :func:`conversation_script` and the
+#: :class:`~repro.faults.runner.ScenarioReport` of ``tamper_and_recover()``.
+GOLDEN = {
+    "modp": {
+        "honest": [
+            "46a8ee3bd39341d9", "2dbb4df5ba7bca45", "3c02315e30b64c5b",
+            "87f1d9ea6ccee2e3", "d798b0780b6b822b", "523657d2fa3ac187",
+        ],
+        "blame": "892fb1dc2b0156c1",
+    },
+    "ed25519": {
+        "honest": [
+            "54d504a7b41bc2b0", "73234ecfdf1b2b9e", "1cbe5a90d61d8d90",
+            "5f15d73901da0e9d", "ad61b0aa361ea517", "0ba12a21a920b7e6",
+        ],
+        "blame": "cae9e33037d52cc7",
+    },
+}
+#: The reference of every modp matrix cell below.
+REFERENCE = GOLDEN["modp"]["honest"]
 
 _PROPERTY_GROUP = None
 
@@ -51,21 +81,20 @@ def _property_group():
     return _PROPERTY_GROUP
 
 
-def build(backend="serial", seed=42, transport="inproc", population="object", **kwargs):
+def build(backend="serial", seed=42, transport="inproc", **kwargs):
     # Pin the worker count so the parallel cells really run chains on two
     # threads even on single-core CI runners, where the cpu-count default
     # would give the pool one worker.
     kwargs.setdefault("max_workers", 2)
+    kwargs.setdefault("group_kind", "modp")
     config = DeploymentConfig(
         num_servers=4,
         num_users=6,
         num_chains=3,
         chain_length=2,
         seed=seed,
-        group_kind="modp",
         execution_backend=backend,
         transport=transport,
-        population=population,
         **kwargs,
     )
     return Deployment.create(config)
@@ -90,35 +119,104 @@ def conversation_script(deployment):
     ]
 
 
+def digest(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 def fingerprints(reports):
-    return [report.canonical_bytes() for report in reports]
+    return [digest(report.canonical_bytes()) for report in reports]
+
+
+def blame_fingerprint(deployment, staggered=False):
+    """``tamper_and_recover()`` on ``deployment`` (closed after), digested."""
+    from repro.faults.runner import ScenarioRunner
+    from repro.faults.scenarios import tamper_and_recover
+
+    try:
+        report = ScenarioRunner(deployment, tamper_and_recover(), staggered=staggered).run()
+    finally:
+        deployment.close()
+    return digest(report.canonical_bytes())
+
+
+class TestGoldenDigests:
+    """The pinned reference, on both groups and both kernel tiers.
+
+    A ``native`` cell on a box without the extension downgrades (one
+    warning) and re-proves the python tier instead of skipping.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _kernel_state(self):
+        from repro.crypto import kernels
+
+        kernels.reset_kernel_for_tests()
+        yield
+        kernels.reset_kernel_for_tests()
+
+    @staticmethod
+    def _build(group_kind, kernel):
+        import warnings as _warnings
+
+        from repro.registry import CryptoKernelKind
+
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("ignore", RuntimeWarning)
+            return build(group_kind=group_kind, crypto_kernel=CryptoKernelKind(kernel))
+
+    @pytest.mark.parametrize("kernel", ("python", "native"))
+    @pytest.mark.parametrize("group_kind", sorted(GOLDEN))
+    def test_honest_rounds(self, group_kind, kernel):
+        deployment = self._build(group_kind, kernel)
+        actual = fingerprints(deployment.run_rounds(conversation_script(deployment)))
+        deployment.close()
+        assert actual == GOLDEN[group_kind]["honest"]
+
+    @pytest.mark.parametrize("kernel", ("python", "native"))
+    @pytest.mark.parametrize("group_kind", sorted(GOLDEN))
+    def test_blame_scenario(self, group_kind, kernel):
+        assert blame_fingerprint(self._build(group_kind, kernel)) == GOLDEN[group_kind]["blame"]
+
+    @pytest.mark.parametrize("group_kind", sorted(GOLDEN))
+    def test_user_oracle_reproduces_the_pins(self, group_kind):
+        """The digests are the per-user path's: the oracle, run through the
+        engine user by user, lands on every one of them."""
+        deployment = build(group_kind=group_kind)
+        user_oracle.install(deployment)
+        actual = fingerprints(deployment.run_rounds(conversation_script(deployment)))
+        deployment.close()
+        assert actual == GOLDEN[group_kind]["honest"]
+        oracle = build(group_kind=group_kind)
+        user_oracle.install(oracle)
+        assert blame_fingerprint(oracle) == GOLDEN[group_kind]["blame"]
 
 
 class TestTransportBackendMatrix:
-    """The full transports × backends parity matrix on the six-round script."""
+    """The full transports × backends parity matrix on the six-round script.
 
-    @pytest.fixture(scope="class")
-    def reference(self):
-        deployment = build("serial", transport="inproc")
-        return fingerprints(deployment.run_rounds(conversation_script(deployment)))
+    For the instrumented cells every delivered submission crossed the wire
+    inside a framed ``SUBMISSION_BATCH`` / ``MAILBOX_FETCH_BATCH`` envelope
+    and was re-decoded from those bytes, so equality here also proves the
+    batch codecs lossless.
+    """
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matrix_cell_matches_reference(self, reference, transport, backend):
+    def test_matrix_cell_matches_reference(self, transport, backend):
         deployment = build(backend, transport=transport)
         actual = fingerprints(deployment.run_rounds(conversation_script(deployment)))
         deployment.close()
-        assert actual == reference
+        assert actual == REFERENCE
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matrix_cell_matches_reference_staggered(self, reference, transport, backend):
+    def test_matrix_cell_matches_reference_staggered(self, transport, backend):
         deployment = build(backend, transport=transport)
         actual = fingerprints(
             deployment.run_rounds(conversation_script(deployment), staggered=True)
         )
         deployment.close()
-        assert actual == reference
+        assert actual == REFERENCE
 
     def test_instrumented_ledgers_agree_across_backends(self):
         """Per-round byte totals are backend-independent."""
@@ -131,100 +229,56 @@ class TestTransportBackendMatrix:
             deployment.close()
         assert totals[0] == totals[1]
 
-
-class TestPopulationParity:
-    """The batched population path is bit-identical to the per-user path
-    across the full {backend} × {transport} × {scheduler} matrix (ISSUE 4).
-
-    For the instrumented cells every delivered submission crossed the wire
-    inside a framed ``SUBMISSION_BATCH`` / ``MAILBOX_FETCH_BATCH`` envelope
-    and was re-decoded from those bytes, so equality here also proves the
-    batch codecs lossless.
-    """
-
-    @pytest.fixture(scope="class")
-    def reference(self):
-        deployment = build("serial", transport="inproc", population="object")
-        return fingerprints(deployment.run_rounds(conversation_script(deployment)))
-
-    @pytest.mark.parametrize("staggered", (False, True))
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_population_matrix_cell(self, reference, backend, transport, staggered):
-        deployment = build(backend, transport=transport, population="batched")
-        actual = fingerprints(
-            deployment.run_rounds(conversation_script(deployment), staggered=staggered)
-        )
-        deployment.close()
-        assert actual == reference
-
     @pytest.mark.parametrize("transport", TRANSPORTS + ("tcp",))
-    def test_staggered_population_never_builds_per_user(self, reference, transport, monkeypatch):
-        """The deferred users (offline-notice targets, built after the fetch)
-        go through the batched builder too: the production schedule never
-        enters ``client/user.py``'s build path."""
-        from repro.client.user import User
+    def test_deferred_users_build_through_the_population(self, transport, monkeypatch):
+        """The users a staggered run defers (offline-notice targets, built
+        after the previous round's fetch) take the population's batched
+        build like everyone else — a build of exactly the deferred users."""
+        deployment = build(transport=transport)
+        population = deployment.population
+        calls = []
+        batch_build = population.build_round_submissions_batch
 
-        def per_user(self, *args, **kwargs):
-            raise AssertionError(f"per-user build entered for {self.name}")
+        def recording_build(round_number, views, users, **kwargs):
+            calls.append([user.name for user in users])
+            return batch_build(round_number, views, users, **kwargs)
 
-        monkeypatch.setattr(User, "build_round_submissions", per_user)
-        monkeypatch.setattr(User, "build_cover_submissions", per_user)
-        deployment = build(transport=transport, population="batched")
-        deferrals = []
+        monkeypatch.setattr(population, "build_round_submissions_batch", recording_build)
+        deferred_builds = []
         finalize = deployment.engine.finalize_collect
-        monkeypatch.setattr(
-            deployment.engine, "finalize_collect",
-            lambda ctx: (deferrals.extend(ctx.deferred_users), finalize(ctx)),
-        )
+
+        def recording_finalize(ctx):
+            deferred, start = list(ctx.deferred_users), len(calls)
+            finalize(ctx)
+            if deferred:
+                deferred_builds.append((deferred, calls[start:]))
+
+        monkeypatch.setattr(deployment.engine, "finalize_collect", recording_finalize)
         actual = fingerprints(
             deployment.run_rounds(conversation_script(deployment), staggered=True)
         )
         deployment.close()
-        assert actual == reference
-        assert deferrals  # the script did defer someone
+        assert actual == REFERENCE
+        assert deferred_builds  # the script did defer someone
+        for deferred, built in deferred_builds:
+            assert built and all(names == deferred for names in built)
 
-    def test_users_the_population_does_not_own_build_per_user(self):
-        """An adversarial wrapper swapped into ``deployment.users`` keeps the
-        per-user path, overlapped or deferred, next to the batched rest."""
-        from repro.client.user import User
-
-        class Wrapped(User):
-            built = 0
-
-            def build_round_submissions(self, *args, **kwargs):
-                type(self).built += 1
-                return super().build_round_submissions(*args, **kwargs)
-
-        runs = []
-        for staggered in (False, True):
-            deployment = build(population="batched")
-            wrapper = Wrapped.__new__(Wrapped)
-            wrapper.__dict__.update(deployment.users[0].__dict__)
-            deployment.users[0] = deployment._users_by_name[wrapper.name] = wrapper
-            assert not deployment.population.owns(wrapper)
-            Wrapped.built = 0
-            runs.append(fingerprints(
-                deployment.run_rounds(conversation_script(deployment), staggered=staggered)
-            ))
-            # One round build and one cover build per round online (all six:
-            # user 0 never goes offline, and round 3 defers her).
-            assert Wrapped.built == 12
-        assert runs[0] == runs[1]
-
-    def test_population_without_cover_messages(self, reference):
-        object_path = build(use_cover_messages=False)
-        batched = build(population="batched", use_cover_messages=False)
-        expected = fingerprints(object_path.run_rounds(conversation_script(object_path)))
-        actual = fingerprints(batched.run_rounds(conversation_script(batched)))
+    def test_matches_oracle_without_cover_messages(self):
+        oracle = build(use_cover_messages=False)
+        user_oracle.install(oracle)
+        production = build(use_cover_messages=False)
+        expected = fingerprints(oracle.run_rounds(conversation_script(oracle)))
+        actual = fingerprints(production.run_rounds(conversation_script(production)))
         assert actual == expected
 
-    def test_population_with_extra_submissions(self):
+    def test_matches_oracle_with_extra_submissions(self):
         """Injected adversarial submissions ride the per-submission path
         unchanged while honest traffic is batched."""
 
-        def run(population):
-            deployment = build(seed=9, population=population)
+        def run(oracle):
+            deployment = build(seed=9)
+            if oracle:
+                user_oracle.install(deployment)
             chain = deployment.chains[0]
             deployment.engine.announce(1)
             forged = make_submission(
@@ -248,15 +302,15 @@ class TestPopulationParity:
             deployment.close()
             return reports
 
-        expected = run("object")
-        actual = run("batched")
+        expected = run(oracle=True)
+        actual = run(oracle=False)
         assert expected[0].rejected_senders == ["mallory"]
         assert fingerprints(actual) == fingerprints(expected)
 
-    def test_population_ledger_uses_batch_frames(self):
+    def test_ledger_uses_batch_frames(self):
         from repro.transport import MAILBOX_FETCH_BATCH, SUBMISSION_BATCH
 
-        deployment = build(population="batched", transport="instrumented")
+        deployment = build(transport="instrumented")
         deployment.run_round()
         kinds = set(deployment.traffic_ledger.bytes_by_kind(1))
         assert SUBMISSION_BATCH in kinds
@@ -283,63 +337,50 @@ CHUNKINGS = (
 
 
 class TestStreamingParity:
-    """The streaming population pipeline is bit-identical to the per-user
-    path across {monolithic, chunked} × {backend} × {transport} ×
-    {scheduler} (ISSUE 6).
+    """The streaming population pipeline matches the pinned reference across
+    {monolithic, chunked} × {backend} × {transport} × {scheduler} (ISSUE 6).
 
     The chunked cells stream every flow: per-(chain, chunk) submission
     uploads, per-(chain, chunk) mailbox deliveries, and per-(shard, chunk)
     fetch downloads.
     """
 
-    @pytest.fixture(scope="class")
-    def reference(self):
-        deployment = build("serial", transport="inproc", population="object")
-        return fingerprints(deployment.run_rounds(conversation_script(deployment)))
-
     @pytest.mark.parametrize("staggered", (False, True))
     @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("chunking", CHUNKINGS)
-    def test_streaming_matrix_cell(self, reference, chunking, backend, transport, staggered):
-        deployment = build(backend, transport=transport, population="batched", **chunking)
+    def test_streaming_matrix_cell(self, chunking, backend, transport, staggered):
+        deployment = build(backend, transport=transport, **chunking)
         actual = fingerprints(
             deployment.run_rounds(conversation_script(deployment), staggered=staggered)
         )
         deployment.close()
-        assert actual == reference
+        assert actual == REFERENCE
 
     @pytest.mark.parametrize("chunking", CHUNKINGS)
     def test_streaming_blame_recovery_cell(self, chunking):
         """Blame, eviction, and chain re-formation under streamed builds."""
-        from repro.faults.scenarios import tamper_and_recover
-        from tests.test_faults import run_scenario
-
-        expected = run_scenario(tamper_and_recover()).canonical_bytes()
         for backend, staggered in (("serial", False), ("parallel", True)):
-            report = run_scenario(
-                tamper_and_recover(), backend, staggered,
-                population="batched", **chunking,
+            assert (
+                blame_fingerprint(build(backend, **chunking), staggered)
+                == GOLDEN["modp"]["blame"]
             )
-            assert report.canonical_bytes() == expected
 
-    def test_chunk_sizes_beyond_population_match(self, reference):
+    def test_chunk_sizes_beyond_population_match(self):
         """chunk=1 (one user per frame) and chunk≫users (single chunk)."""
         for chunk_size in (1, 100):
-            deployment = build(population="batched", population_chunk_size=chunk_size)
+            deployment = build(population_chunk_size=chunk_size)
             actual = fingerprints(
                 deployment.run_rounds(conversation_script(deployment))
             )
             deployment.close()
-            assert actual == reference
+            assert actual == REFERENCE
 
     def test_streaming_ledger_frames_per_chunk(self):
         """The instrumented ledger sees one framed upload per (chain, chunk)."""
         from repro.transport import SUBMISSION_BATCH
 
-        deployment = build(
-            population="batched", transport="instrumented", population_chunk_size=2
-        )
+        deployment = build(transport="instrumented", population_chunk_size=2)
         deployment.run_round()
         submission_records = [
             record
@@ -366,36 +407,31 @@ class TestPrecomputeParity:
     public-key work runs in the engine's precompute stage — overlapped with
     the previous round's mixing under the staggered scheduler — and the
     online mix phase serves blinded keys and layer keys from the cached
-    tables.  Every cell of {serial, parallel} × {inproc,
-    instrumented} × {sequential, staggered} (plus the batched-population
-    path) must equal the online-only reference, including rounds after a
-    blame conviction and chain re-formation.
+    tables.  The online-only path and every cell of {serial, parallel} ×
+    {inproc, instrumented} × {sequential, staggered} with the stage on must
+    equal the pinned reference, including rounds after a blame conviction
+    and chain re-formation.
     """
 
-    @pytest.fixture(scope="class")
-    def reference(self):
-        deployment = build("serial", transport="inproc", precompute=False)
-        return fingerprints(deployment.run_rounds(conversation_script(deployment)))
+    @pytest.mark.parametrize("staggered", (False, True))
+    def test_online_only_path_matches_reference(self, staggered):
+        deployment = build(precompute=False)
+        actual = fingerprints(
+            deployment.run_rounds(conversation_script(deployment), staggered=staggered)
+        )
+        deployment.close()
+        assert actual == REFERENCE
 
     @pytest.mark.parametrize("staggered", (False, True))
     @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_precompute_matrix_cell(self, reference, backend, transport, staggered):
+    def test_precompute_matrix_cell(self, backend, transport, staggered):
         deployment = build(backend, transport=transport, precompute=True)
         actual = fingerprints(
             deployment.run_rounds(conversation_script(deployment), staggered=staggered)
         )
         deployment.close()
-        assert actual == reference
-
-    @pytest.mark.parametrize("staggered", (False, True))
-    def test_precompute_with_batched_population(self, reference, staggered):
-        deployment = build("parallel", population="batched", precompute=True)
-        actual = fingerprints(
-            deployment.run_rounds(conversation_script(deployment), staggered=staggered)
-        )
-        deployment.close()
-        assert actual == reference
+        assert actual == REFERENCE
 
     def test_precompute_stage_recorded_only_when_enabled(self):
         enabled = build(precompute=True)
@@ -414,15 +450,13 @@ class TestPrecomputeParity:
         re-forms the chain; rounds 3+ run on fresh members whose precompute
         tables are rebuilt for the new ceremony.
         """
-        from repro.faults.scenarios import tamper_and_recover
-        from tests.test_faults import run_scenario
-
-        expected = run_scenario(tamper_and_recover(), precompute=False).canonical_bytes()
-        for backend, staggered in (("serial", False), ("parallel", True)):
-            report = run_scenario(
-                tamper_and_recover(), backend, staggered, precompute=True
+        for backend, staggered, precompute in (
+            ("serial", False, False), ("serial", False, True), ("parallel", True, True),
+        ):
+            assert (
+                blame_fingerprint(build(backend, precompute=precompute), staggered)
+                == GOLDEN["modp"]["blame"]
             )
-            assert report.canonical_bytes() == expected
 
     def test_reform_invalidates_old_chain_precompute(self):
         """A halted round keeps its tables until the re-form; then they die
@@ -897,10 +931,10 @@ class TestCryptoKernelParity:
     """Kernel tiers are unobservable (DESIGN.md §11).
 
     {python, native} crypto kernels × {inproc, instrumented}, over
-    the six-round conversation script, against the all-reference cell
-    (python kernels, in process).  ``canonical_bytes`` equality means the
-    tier is invisible in every observable byte — delivered messages,
-    rejections, statuses, mailbox contents.
+    the six-round conversation script, against the pinned reference.
+    ``canonical_bytes`` equality means the tier is invisible in every
+    observable byte — delivered messages, rejections, statuses, mailbox
+    contents.
     """
 
     @pytest.fixture(autouse=True)
@@ -911,23 +945,9 @@ class TestCryptoKernelParity:
         yield
         kernels.reset_kernel_for_tests()
 
-    @pytest.fixture(scope="class")
-    def reference(self):
-        from repro.crypto import kernels
-        from repro.registry import CryptoKernelKind
-
-        kernels.reset_kernel_for_tests()
-        try:
-            deployment = build(
-                "serial", transport="inproc", crypto_kernel=CryptoKernelKind.PYTHON
-            )
-            return fingerprints(deployment.run_rounds(conversation_script(deployment)))
-        finally:
-            kernels.reset_kernel_for_tests()
-
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_kernel_cell(self, reference, kernel, transport):
+    def test_kernel_cell(self, kernel, transport):
         import warnings as _warnings
 
         from repro.registry import CryptoKernelKind
@@ -941,7 +961,7 @@ class TestCryptoKernelParity:
                 deployment.run_rounds(conversation_script(deployment))
             )
             deployment.close()
-        assert actual == reference
+        assert actual == REFERENCE
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_kernel_blame_recovery(self, kernel):
@@ -953,32 +973,13 @@ class TestCryptoKernelParity:
         """
         import warnings as _warnings
 
-        from repro.faults.scenarios import tamper_and_recover
         from repro.registry import CryptoKernelKind
-        from tests.test_faults import run_scenario
 
-        expected = run_scenario(tamper_and_recover()).canonical_bytes()
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore", RuntimeWarning)
             for backend, staggered in (("serial", False), ("parallel", True)):
-                report = run_scenario(
-                    tamper_and_recover(), backend, staggered,
-                    crypto_kernel=CryptoKernelKind(kernel),
-                )
-                assert report.canonical_bytes() == expected
-
-    def test_kernel_with_batched_population(self, reference):
-        """The population fast path composes with the kernel axis."""
-        from repro.registry import CryptoKernelKind
-
-        deployment = build(
-            population="batched",
-            crypto_kernel=CryptoKernelKind.NATIVE if _native_available()
-            else CryptoKernelKind.PYTHON,
-        )
-        actual = fingerprints(deployment.run_rounds(conversation_script(deployment)))
-        deployment.close()
-        assert actual == reference
+                deployment = build(backend, crypto_kernel=CryptoKernelKind(kernel))
+                assert blame_fingerprint(deployment, staggered) == GOLDEN["modp"]["blame"]
 
 
 class TestBatchRepresentation:
@@ -1054,8 +1055,7 @@ class TestKernelTierParity:
     it replaces the DH → KDF → AEAD key pipeline of client build, precompute
     and mix.  ``RoundReport`` canonical bytes must not move: honest rounds
     (payloads, an offline user's cover, an idle round) and the tamper →
-    blame → evict → re-form arc, per user and through the batched
-    population.
+    blame → evict → re-form arc.
     """
 
     GROUPS = {"ed25519": "Ed25519Group", "modp": "ModPGroup"}
@@ -1072,7 +1072,7 @@ class TestKernelTierParity:
     def group_kind(self, request):
         return request.param
 
-    def _config(self, group_kind, kernel, population="object"):
+    def _config(self, group_kind, kernel):
         import warnings as _warnings
 
         from repro.registry import CryptoKernelKind
@@ -1084,23 +1084,22 @@ class TestKernelTierParity:
             deployment = Deployment.create(DeploymentConfig(
                 num_servers=3, num_users=4, num_chains=2, chain_length=2, seed=7,
                 group_kind=group_kind, crypto_kernel=CryptoKernelKind(kernel),
-                population=population,
             ))
         assert type(deployment.group).__name__ == self.GROUPS[group_kind]
         return deployment
 
-    def _honest(self, group_kind, kernel, **kwargs):
-        deployment = self._config(group_kind, kernel, **kwargs)
+    def _honest(self, group_kind, kernel):
+        deployment = self._config(group_kind, kernel)
         try:
             return fingerprints(deployment.run_rounds(conversation_script(deployment)[:3]))
         finally:
             deployment.close()
 
-    def _blame(self, group_kind, kernel, **kwargs):
+    def _blame(self, group_kind, kernel):
         from repro.faults.runner import ScenarioRunner
         from repro.faults.scenarios import tamper_and_recover
 
-        deployment = self._config(group_kind, kernel, **kwargs)
+        deployment = self._config(group_kind, kernel)
         try:
             report = ScenarioRunner(deployment, tamper_and_recover(num_rounds=3)).run()
         finally:
@@ -1114,15 +1113,7 @@ class TestKernelTierParity:
     def test_honest_rounds_identical_across_tiers(self, group_kind):
         reference = self._honest(group_kind, "python")
         assert self._honest(group_kind, "native") == reference
-        assert self._honest(group_kind, "native", population="batched") == reference
 
     def test_blame_round_identical_across_tiers(self, group_kind):
         reference = self._blame(group_kind, "python")
         assert self._blame(group_kind, "native") == reference
-        assert self._blame(group_kind, "native", population="batched") == reference
-
-
-def _native_available():
-    from repro.crypto import kernels
-
-    return kernels.native_available()

@@ -8,6 +8,8 @@ bit-identical across {serial, parallel} × {sequential, staggered} ×
 {inproc, instrumented}.
 """
 
+import hashlib
+
 import pytest
 
 from repro.coordinator.network import Deployment, DeploymentConfig
@@ -417,7 +419,7 @@ class TestLinkFaultScenarios:
             name="always-drop",
             num_rounds=1,
             link_faults=(
-                LinkFault(behaviour=DROP, kind=ev.SUBMISSION, source="user-0"),
+                LinkFault(behaviour=DROP, kind=ev.SUBMISSION_BATCH, source="user-0"),
             ),
         )
         report = ScenarioRunner(deployment, plan).run()
@@ -433,9 +435,36 @@ class TestLinkFaultScenarios:
         ScenarioRunner(deployment, plan).run()
         transport = deployment.transport
         assert isinstance(transport, FaultyTransport)
+        # One entry per upload frame that carried one of her submissions.
+        chains = deployment.population.chain_assignments["user-0"]
+        assert sorted(entry.chain_id for entry in transport.applied) == sorted(set(chains))
         assert all(entry.behaviour == DROP for entry in transport.applied)
-        assert {entry.source for entry in transport.applied} == {"user-0"}
+        assert {entry.kind for entry in transport.applied} == {ev.SUBMISSION_BATCH}
         deployment.close()
+
+    #: sha256[:16] of each scenario's ``canonical_bytes()`` on :func:`build`,
+    #: as the per-user client path produced them when it sent per-user
+    #: ``SUBMISSION`` and ``MAILBOX_FETCH`` envelopes.
+    PER_USER_DIGESTS = {
+        "flaky-uplink": (flaky_uplink(user_name="user-0", fault_round=2), "1a145ad25a40abce"),
+        "lossy-mailbox-fetch": (
+            lossy_mailbox_fetch(user_name="user-1", fault_round=1), "1c554a330de61622"
+        ),
+    }
+
+    @pytest.mark.parametrize("transport", ("inproc", "instrumented", "tcp"))
+    @pytest.mark.parametrize("scenario", sorted(PER_USER_DIGESTS))
+    def test_per_user_faults_act_on_population_frames(self, scenario, transport):
+        """A drop naming one user removes her elements from the population's
+        frames — and the scenario reads exactly as it did when each user
+        had envelopes of her own."""
+        plan, expected = self.PER_USER_DIGESTS[scenario]
+        deployment = build(transport=transport)
+        report = ScenarioRunner(deployment, plan).run()
+        applied = deployment.transport.applied
+        deployment.close()
+        assert applied
+        assert hashlib.sha256(report.canonical_bytes()).hexdigest()[:16] == expected
 
 
 class TestLinkFaultValidation:

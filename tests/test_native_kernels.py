@@ -704,10 +704,11 @@ class TestKeyPipeline:
 def _build_three_ways(group, tier, num_users, num_chains, layers, paired, notice, cover, seed):
     """One population build as ``to_bytes()`` lists per chain: the batched
     builder as the tier runs it, the same with the fused kernel declined,
-    and ``User.build_round_submissions`` user by user."""
+    and the per-user oracle user by user."""
     from repro.client.user import ChainKeysView, User
     from repro.crypto.keys import KeyPair
     from repro.population import UserPopulation
+    from tests.user_oracle import build_round_submissions
 
     def users():
         rng = random.Random(seed)
@@ -749,8 +750,9 @@ def _build_three_ways(group, tier, num_users, num_chains, layers, paired, notice
 
     per_user = {}
     for user in users():
-        for submission in user.build_round_submissions(
-            5, num_chains, views, payload=payloads[user.name], offline_notice=notice, cover=cover
+        for submission in build_round_submissions(
+            user, 5, num_chains, views, payload=payloads[user.name],
+            offline_notice=notice, cover=cover,
         ):
             per_user.setdefault(submission.chain_id, []).append(
                 (submission.to_bytes(), submission.cover)
@@ -760,7 +762,7 @@ def _build_three_ways(group, tier, num_users, num_chains, layers, paired, notice
 
 class TestOnionBuildDifferential:
     """The fused build kernel against the per-operation batched path and the
-    per-user object path: conversation, loopback and offline-notice bodies,
+    per-user oracle: conversation, loopback and offline-notice bodies,
     covers, every chain length, empty chains, both groups, both tiers."""
 
     @pytest.mark.parametrize("tier", TIERS)

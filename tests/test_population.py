@@ -7,8 +7,9 @@ matrix of ``test_engine_parity.py``:
    fixed-point scalar batches) are bit-identical to their scalar
    references, under hypothesis-generated inputs;
 2. the population's whole-chain build produces the *same submission
-   objects* (field for field) as the per-user path given identical RNG
-   state, and its fetch cascade classifies mailboxes identically;
+   objects* (field for field) as the per-user oracle (``tests/user_oracle.py``)
+   given identical RNG state, and its fetch cascade classifies mailboxes
+   identically;
 3. the new batch wire codecs round-trip losslessly and reject malformed
    frames with :class:`DecodingError` (framing fuzz).
 """
@@ -38,18 +39,22 @@ from repro.transport import (
 from repro.transport.codec import decode_payload, encode_payload
 from repro.transport.envelope import submission_batch_envelope
 
+from tests import user_oracle
+
 MODP = ModPGroup(bits=64)
 
 
 def deployment_pair(**kwargs):
-    """Two identically-seeded deployments: per-user reference and batched."""
+    """Two identically-seeded deployments: the per-user oracle and the
+    production population."""
     base = dict(
         num_servers=4, num_users=6, num_chains=3, chain_length=2,
         seed=77, group_kind="modp",
     )
     base.update(kwargs)
-    reference = Deployment.create(DeploymentConfig(**base, population="object"))
-    batched = Deployment.create(DeploymentConfig(**base, population="batched"))
+    reference = Deployment.create(DeploymentConfig(**base))
+    user_oracle.install(reference)
+    batched = Deployment.create(DeploymentConfig(**base))
     return reference, batched
 
 
@@ -131,7 +136,7 @@ class TestBatchedPrimitives:
 
 
 # ---------------------------------------------------------------------------
-# 2. population build/fetch == per-user path at the object level
+# 2. population build/fetch == per-user oracle at the object level
 # ---------------------------------------------------------------------------
 
 
@@ -183,18 +188,6 @@ class TestPopulationSemantics:
             assert len(assignment) == batched.ell()
             for chain_id in assignment:
                 assert name in population.chain_rosters[chain_id]
-
-    def test_population_does_not_own_foreign_wrappers(self):
-        _, batched = deployment_pair()
-        population = batched.population
-        real = batched.users[0]
-
-        class Wrapper:
-            def __init__(self, inner):
-                self.name = inner.name
-
-        assert population.owns(real)
-        assert not population.owns(Wrapper(real))
 
     def test_fetch_cascade_matches_per_user_decrypt(self):
         reference, batched = deployment_pair(seed=123)
@@ -285,14 +278,18 @@ class TestPopulationSemantics:
 
     def test_recovery_keeps_population_consistent(self):
         """Chain re-formation never invalidates the columnar views."""
+        from repro.faults.runner import ScenarioRunner
         from repro.faults.scenarios import tamper_and_recover
-        from tests.test_faults import run_scenario
+        from tests.test_faults import build
 
-        object_report = run_scenario(tamper_and_recover(), "serial", False)
-        batched_report = run_scenario(
-            tamper_and_recover(), "serial", False, population="batched"
-        )
-        assert batched_report.canonical_bytes() == object_report.canonical_bytes()
+        reports = []
+        for oracle in (True, False):
+            deployment = build()
+            if oracle:
+                user_oracle.install(deployment)
+            reports.append(ScenarioRunner(deployment, tamper_and_recover()).run())
+            deployment.close()
+        assert reports[1].canonical_bytes() == reports[0].canonical_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ Properties under test, per ISSUE 6:
 * **chunk mechanics** — :func:`repro.population.streaming.chunk_spans`
   partitions without loss; a chunked build leaves every user's RNG stream
   exactly where the monolithic build does;
-* **configuration** — incoherent knob combinations are rejected at
-  ``DeploymentConfig.validate`` time with actionable errors.
+* **configuration** — a non-positive chunk size is rejected at
+  ``DeploymentConfig.validate`` time with an actionable error.
 """
 
 import pytest
@@ -30,7 +30,7 @@ _REFERENCE = None
 def build(**kwargs):
     base = dict(
         num_servers=4, num_users=NUM_USERS, num_chains=3, chain_length=2,
-        seed=77, group_kind="modp", population="batched",
+        seed=77, group_kind="modp",
     )
     base.update(kwargs)
     return Deployment.create(DeploymentConfig(**base))
@@ -118,15 +118,9 @@ class TestChunkedBitIdentity:
 
 
 class TestStreamingConfiguration:
-    def test_chunk_size_requires_batched_population(self):
-        with pytest.raises(ConfigurationError, match="population='batched'"):
-            DeploymentConfig(population="object", population_chunk_size=100).validate()
-
     def test_nonpositive_chunk_size_rejected(self):
         with pytest.raises(ConfigurationError, match="positive"):
-            DeploymentConfig(
-                population="batched", population_chunk_size=0
-            ).validate()
+            DeploymentConfig(population_chunk_size=0).validate()
 
     def test_coherent_streaming_config_accepted(self):
-        DeploymentConfig(population="batched", population_chunk_size=10).validate()
+        DeploymentConfig(population_chunk_size=10).validate()

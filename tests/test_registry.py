@@ -7,12 +7,11 @@ import pytest
 from repro.coordinator.network import Deployment, DeploymentConfig
 from repro.errors import ConfigurationError
 from repro.registry import (
+    CRYPTO_KERNELS,
     EXECUTION_BACKENDS,
-    POPULATIONS,
     TRANSPORTS,
     CryptoKernelKind,
     ExecutionBackendKind,
-    PopulationKind,
     TransportKind,
 )
 from repro.transport import InProcTransport, make_transport
@@ -35,7 +34,7 @@ class TestEnums:
     def test_str_subclass_equality_keeps_old_comparisons_working(self):
         assert TransportKind.INPROC == "inproc"
         assert ExecutionBackendKind.PARALLEL == "parallel"
-        assert PopulationKind.BATCHED == "batched"
+        assert CryptoKernelKind.NATIVE == "native"
         assert TransportKind.TCP.value == "tcp"
 
     def test_builtins_are_registered(self):
@@ -43,8 +42,8 @@ class TestEnums:
             assert TRANSPORTS.is_known(kind)
         for kind in ExecutionBackendKind:
             assert EXECUTION_BACKENDS.is_known(kind)
-        for kind in PopulationKind:
-            assert POPULATIONS.is_known(kind)
+        for kind in CryptoKernelKind:
+            assert CRYPTO_KERNELS.is_known(kind)
 
     def test_keys_lists_the_builtins(self):
         assert set(k.value for k in TransportKind) <= set(TRANSPORTS.keys())
@@ -56,19 +55,14 @@ class TestStringSpelling:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert DeploymentConfig(transport="tcp").transport is TransportKind.TCP
-            config = make_config(
-                execution_backend="parallel", population="batched", crypto_kernel="python"
-            )
+            config = make_config(execution_backend="parallel", crypto_kernel="python")
             assert TRANSPORTS.coerce("inproc") is TransportKind.INPROC
         assert config.execution_backend is ExecutionBackendKind.PARALLEL
-        assert config.population is PopulationKind.BATCHED
         assert config.crypto_kernel is CryptoKernelKind.PYTHON
         assert config.transport is TransportKind.INPROC  # members pass through
 
     def test_strings_build_a_working_deployment(self):
-        config = make_config(
-            transport="inproc", execution_backend="serial", population="object"
-        )
+        config = make_config(transport="inproc", execution_backend="serial")
         deployment = Deployment.create(config)
         report = deployment.run_round()
         assert report.round_number == 1

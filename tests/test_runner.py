@@ -40,7 +40,7 @@ from repro.runner.harness import MAILBOX_ROLE, default_owners, run_coordinator
 from repro.runner.roles import RoleNode
 from repro.transport.envelope import (
     MAILBOX_DELIVERY,
-    MAILBOX_FETCH,
+    MAILBOX_FETCH_BATCH,
     SUBMISSION,
     Envelope,
 )
@@ -303,16 +303,16 @@ class TestDistributedInProcess:
                 client.deliver(delivery)
                 # The client's own hub never saw the delivery…
                 assert client_deployment.mailboxes.get(1, user.public_bytes) == []
-                # …but a fetch through the socket returns it: the reply came
-                # from the role's hub, not an echo of the request.
+                # …but a one-owner fetch through the socket returns it: the
+                # reply came from the role's hub, not an echo of the request.
                 fetch = Envelope(
-                    kind=MAILBOX_FETCH,
+                    kind=MAILBOX_FETCH_BATCH,
                     source="mailbox-hub",
-                    destination=user.name,
+                    destination="user-population",
                     round_number=1,
-                    payload=[],
+                    payload=[(user.public_bytes, [])],
                 )
-                assert client.deliver(fetch) == [message]
+                assert client.deliver(fetch) == [(user.public_bytes, [message])]
                 assert node.deployment.mailboxes.get(1, user.public_bytes) == [message]
             finally:
                 client.close()

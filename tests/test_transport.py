@@ -18,8 +18,9 @@ from repro.simulation.costmodel import CostModel
 from repro.transport import (
     BATCH,
     MAILBOX_DELIVERY,
-    MAILBOX_FETCH,
+    MAILBOX_FETCH_BATCH,
     SUBMISSION,
+    SUBMISSION_BATCH,
     Envelope,
     InProcTransport,
     InstrumentedTransport,
@@ -80,19 +81,17 @@ class TestCodecRoundTrips:
             MailboxMessage.seal(RECIPIENT, KEY, 3, MessageBody.data(b"m%d" % index))
             for index in range(3)
         ]
-        for kind in (MAILBOX_DELIVERY, MAILBOX_FETCH):
-            wire = encode_payload(group, envelope(kind, messages))
-            assert decode_payload(group, kind, wire) == messages
+        wire = encode_payload(group, envelope(MAILBOX_DELIVERY, messages))
+        assert decode_payload(group, MAILBOX_DELIVERY, wire) == messages
+        pairs = [(RECIPIENT, messages)]
+        wire = encode_payload(group, envelope(MAILBOX_FETCH_BATCH, pairs))
+        assert decode_payload(group, MAILBOX_FETCH_BATCH, wire) == pairs
 
     def test_empty_batches(self, group):
         empty = EncodedBatch.from_entries(group, [])
         assert len(decode_payload(group, BATCH, encode_payload(group, envelope(BATCH, empty)))) == 0
-        assert (
-            decode_payload(
-                group, MAILBOX_FETCH, encode_payload(group, envelope(MAILBOX_FETCH, []))
-            )
-            == []
-        )
+        for kind in (MAILBOX_DELIVERY, MAILBOX_FETCH_BATCH):
+            assert decode_payload(group, kind, encode_payload(group, envelope(kind, []))) == []
 
     def test_trailing_bytes_rejected(self, group):
         batch = EncodedBatch.from_entries(group, [BatchEntry(group.base_mult(2), b"ct")])
@@ -171,29 +170,21 @@ class TestTrafficLedger:
         ledger = TrafficLedger()
         ledger.append(self.record(num_bytes=10))
         ledger.append(self.record(round_number=2, num_bytes=20))
-        ledger.append(self.record(kind=MAILBOX_FETCH, num_bytes=5))
+        ledger.append(self.record(kind=MAILBOX_FETCH_BATCH, num_bytes=5))
         assert ledger.total_bytes() == 35
         assert ledger.total_bytes(round_number=1) == 15
         assert ledger.total_bytes(kinds=[SUBMISSION]) == 30
-        assert ledger.bytes_by_kind(1) == {SUBMISSION: 10, MAILBOX_FETCH: 5}
-
-    def test_per_user_bytes(self):
-        ledger = TrafficLedger()
-        ledger.append(self.record(source="alice", num_bytes=100))
-        ledger.append(self.record(source="alice", num_bytes=50))
-        ledger.append(self.record(kind=MAILBOX_FETCH, destination="alice", num_bytes=30))
-        ledger.append(self.record(kind=MAILBOX_FETCH, destination="bob", num_bytes=40))
-        assert ledger.per_user_bytes(1) == {"alice": (150, 30), "bob": (0, 40)}
+        assert ledger.bytes_by_kind(1) == {SUBMISSION: 10, MAILBOX_FETCH_BATCH: 5}
 
     def test_round_latency_critical_path(self):
         ledger = TrafficLedger()
-        ledger.append(self.record(seconds=0.2))
+        ledger.append(self.record(kind=SUBMISSION_BATCH, seconds=0.2))
         ledger.append(self.record(seconds=0.1))
         ledger.append(self.record(kind=BATCH, chain_id=0, seconds=0.3))
         ledger.append(self.record(kind=BATCH, chain_id=0, seconds=0.3))
         ledger.append(self.record(kind=BATCH, chain_id=1, seconds=0.5))
         ledger.append(self.record(kind=MAILBOX_DELIVERY, chain_id=1, seconds=0.2))
-        ledger.append(self.record(kind=MAILBOX_FETCH, seconds=0.4))
+        ledger.append(self.record(kind=MAILBOX_FETCH_BATCH, seconds=0.4))
         # slowest upload (0.2) + slowest chain (0.5 + 0.2 delivery) + fetch (0.4)
         assert ledger.round_latency_seconds(1) == pytest.approx(1.3)
         assert ledger.chain_hop_seconds(1) == {0: pytest.approx(0.6), 1: pytest.approx(0.5)}
@@ -211,7 +202,7 @@ class TestDeploymentWiring:
         assert deployment.traffic_ledger is deployment.transport.ledger
         deployment.run_round()
         kinds = set(deployment.traffic_ledger.bytes_by_kind(1))
-        assert {SUBMISSION, BATCH, MAILBOX_DELIVERY, MAILBOX_FETCH} <= kinds
+        assert {SUBMISSION_BATCH, BATCH, MAILBOX_DELIVERY, MAILBOX_FETCH_BATCH} <= kinds
         deployment.close()
 
     def test_use_transport_rewires_chains(self):
@@ -254,9 +245,10 @@ class TestWireOverheadConstant:
                 seed=2, group_kind="modp",
             )
         )
-        built = deployment.users[0].build_round_submissions(
-            1, deployment.num_chains, deployment.chain_keys_view(1)
+        built = deployment.population.build_round_submissions_batch(
+            1, deployment.chain_keys_view(1), deployment.users[:1]
         )
-        assert built
-        for submission in built:
+        submissions = [submission for batch in built.values() for submission in batch]
+        assert len(submissions) == deployment.ell()
+        for submission in submissions:
             assert submission.wire_size() == SUBMISSION_OVERHEAD + onion_size(3)

@@ -1,4 +1,5 @@
-"""Tests for the user agent: chain assignment, message building, mailbox decryption."""
+"""The user agent's chain assignment, and the per-user oracle's message
+building and mailbox decryption (``tests/user_oracle.py``) through real chains."""
 
 import pytest
 
@@ -9,6 +10,12 @@ from repro.mixnet.messages import MailboxMessage, MessageBody
 from repro.crypto.kdf import loopback_key
 
 from tests.test_ahs_protocol import build_chain
+from tests.user_oracle import (
+    build_cover_submissions,
+    build_round_submissions,
+    decrypt_mailbox,
+    seal_conversation,
+)
 
 
 def chain_views(group, num_chains, round_number, length=2):
@@ -51,7 +58,7 @@ class TestSubmissionBuilding:
         num_chains = 3
         _, views = chain_views(group, num_chains, 1)
         user = User("alice", group)
-        submissions = user.build_round_submissions(1, num_chains, views)
+        submissions = build_round_submissions(user, 1, num_chains, views)
         assert len(submissions) == ell_for_chains(num_chains)
         assert sorted(s.chain_id for s in submissions) == sorted(user.assigned_chains(num_chains))
         assert all(s.sender == "alice" for s in submissions)
@@ -61,9 +68,9 @@ class TestSubmissionBuilding:
         num_chains = 3
         _, views = chain_views(group, num_chains, 1)
         alice, bob = User("alice", group), User("bob", group)
-        idle = alice.build_round_submissions(1, num_chains, views)
+        idle = build_round_submissions(alice, 1, num_chains, views)
         alice.start_conversation("bob", bob.public_bytes)
-        talking = alice.build_round_submissions(1, num_chains, views, payload=b"hi")
+        talking = build_round_submissions(alice, 1, num_chains, views, payload=b"hi")
         assert len(idle) == len(talking)
         assert [s.chain_id for s in idle] == [s.chain_id for s in talking]
         assert all(len(i.ciphertext) == len(t.ciphertext) for i, t in zip(idle, talking))
@@ -71,20 +78,20 @@ class TestSubmissionBuilding:
     def test_missing_chain_keys_rejected(self, group):
         user = User("alice", group)
         with pytest.raises(ConfigurationError):
-            user.build_round_submissions(1, 3, {})
+            build_round_submissions(user, 1, 3, {})
 
     def test_cover_submissions_marked(self, group):
         num_chains = 3
         _, views = chain_views(group, num_chains, 2)
         user = User("alice", group)
-        covers = user.build_cover_submissions(2, num_chains, views)
+        covers = build_cover_submissions(user, 2, num_chains, views)
         assert all(submission.cover for submission in covers)
         assert len(covers) == ell_for_chains(num_chains)
 
     def test_sealing_conversation_without_partner_fails(self, group):
         user = User("alice", group)
         with pytest.raises(ProtocolError):
-            user._seal_conversation(1, MessageBody.data(b"x"))
+            seal_conversation(user, 1, MessageBody.data(b"x"))
 
 
 class TestEndToEndThroughRealChains:
@@ -98,7 +105,7 @@ class TestEndToEndThroughRealChains:
 
         per_chain = {chain.chain_id: [] for chain in chains}
         for user, payload in ((alice, b"hello bob"), (bob, b"hello alice")):
-            for submission in user.build_round_submissions(round_number, num_chains, views, payload=payload):
+            for submission in build_round_submissions(user, round_number, num_chains, views, payload=payload):
                 per_chain[submission.chain_id].append(submission)
 
         delivered = []
@@ -114,7 +121,7 @@ class TestEndToEndThroughRealChains:
         assert len(alice_mail) == ell
         assert len(bob_mail) == ell
 
-        alice_received = alice.decrypt_mailbox(round_number, alice_mail, num_chains)
+        alice_received = decrypt_mailbox(alice, round_number, alice_mail, num_chains)
         conversation = [m for m in alice_received if m.kind == ReceivedMessage.KIND_CONVERSATION]
         loopbacks = [m for m in alice_received if m.kind == ReceivedMessage.KIND_LOOPBACK]
         assert [m.content for m in conversation] == [b"hello alice"]
@@ -126,7 +133,7 @@ class TestEndToEndThroughRealChains:
         alice, bob = User("alice", group), User("bob", group)
         alice.start_conversation("bob", bob.public_bytes)
         bob.start_conversation("alice", alice.public_bytes)
-        submissions = alice.build_round_submissions(1, num_chains, views, offline_notice=True)
+        submissions = build_round_submissions(alice, 1, num_chains, views, offline_notice=True)
         per_chain = {chain.chain_id: [] for chain in chains}
         for submission in submissions:
             per_chain[submission.chain_id].append(submission)
@@ -135,7 +142,7 @@ class TestEndToEndThroughRealChains:
             chain.accept_submissions(1, per_chain[chain.chain_id])
             delivered.extend(chain.run_round(1).mailbox_messages)
         bob_mail = [m for m in delivered if m.recipient == bob.public_bytes]
-        received = bob.decrypt_mailbox(1, bob_mail, num_chains)
+        received = decrypt_mailbox(bob, 1, bob_mail, num_chains)
         assert any(m.kind == ReceivedMessage.KIND_OFFLINE_NOTICE for m in received)
         assert bob.conversation.partner_offline
         assert not bob.conversation.active
@@ -147,14 +154,14 @@ class TestMailboxDecryption:
         chain_id = user.assigned_chains(3)[0]
         key = loopback_key(user.keypair.identity_secret_bytes(), chain_id)
         message = MailboxMessage.seal(user.public_bytes, key, 1, MessageBody.loopback())
-        received = user.decrypt_mailbox(1, [message], 3)
+        received = decrypt_mailbox(user, 1, [message], 3)
         assert received[0].kind == ReceivedMessage.KIND_LOOPBACK
         assert received[0].chain_id == chain_id
 
     def test_unreadable_message_flagged(self, group):
         user = User("alice", group)
         message = MailboxMessage.seal(user.public_bytes, b"\x55" * 32, 1, MessageBody.data(b"x"))
-        received = user.decrypt_mailbox(1, [message], 3)
+        received = decrypt_mailbox(user, 1, [message], 3)
         assert received[0].kind == ReceivedMessage.KIND_UNREADABLE
 
     def test_message_for_other_user_flagged(self, group):
@@ -162,15 +169,15 @@ class TestMailboxDecryption:
         other = User("bob", group)
         key = loopback_key(other.keypair.identity_secret_bytes(), 0)
         message = MailboxMessage.seal(other.public_bytes, key, 1, MessageBody.loopback())
-        received = user.decrypt_mailbox(1, [message], 3)
+        received = decrypt_mailbox(user, 1, [message], 3)
         assert received[0].kind == ReceivedMessage.KIND_UNREADABLE
 
     def test_conversation_payload_decrypted(self, group):
         alice, bob = User("alice", group), User("bob", group)
         alice.start_conversation("bob", bob.public_bytes)
         bob.start_conversation("alice", alice.public_bytes)
-        sealed = bob._seal_conversation(4, MessageBody.data(b"round 4 text"))
-        received = alice.decrypt_mailbox(4, [sealed], 3)
+        sealed = seal_conversation(bob, 4, MessageBody.data(b"round 4 text"))
+        received = decrypt_mailbox(alice, 4, [sealed], 3)
         assert received[0].kind == ReceivedMessage.KIND_CONVERSATION
         assert received[0].content == b"round 4 text"
         assert received[0].partner_name == "bob"
