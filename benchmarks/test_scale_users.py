@@ -66,6 +66,13 @@ CHUNK_SIZE = 10_000
 #: latency are gated elsewhere (parity matrix + benchmark baseline).
 SMOKE_PEAK_RSS_CEILING = 1_500_000_000
 
+#: Rounds the scale-smoke point runs on one deployment, and how much the
+#: last round's own peak RSS may exceed the first's.  Delivered rounds are
+#: released, so the peaks are flat; a retained round grows each by its
+#: batch.
+SMOKE_ROUNDS = 3
+SMOKE_ROUND_PEAK_GROWTH = 0.05
+
 #: Whole-window peak-RSS budget for the opt-in million-user point.  The
 #: round's retained batch (every submission, held for mixing and blame) is
 #: O(users) under any pipeline — see the §9 discussion — so the budget
@@ -119,6 +126,17 @@ def run_round_at_scale(
     round, which is the quantity the streaming pipeline bounds at O(chunk)
     — the standing population is O(users) under any pipeline.
     """
+    deployment, create_peak = deploy_at_scale(num_users, precompute, chunk_size, crypto_kernel)
+    try:
+        point = metered_round(deployment)
+    finally:
+        deployment.close()
+    point["peak_rss"] = max(create_peak, point["round_peak_rss"])
+    return point
+
+
+def deploy_at_scale(num_users, precompute=True, chunk_size=None, crypto_kernel=None):
+    """A fresh scale-point deployment and the peak RSS of building it."""
     reset_assignment_caches()
     reset_window_table_caches()
     kernels.reset_kernel_for_tests()
@@ -126,26 +144,28 @@ def run_round_at_scale(
         # The native request degrades (with one warning) on a box without
         # the extension, so the sweep still runs — on the python tier.
         kernels.set_active_kernel(crypto_kernel)
-    config = scale_config(num_users, precompute, chunk_size)
     with PeakRssMeter() as create_meter:
-        deployment = Deployment.create(config)
+        deployment = Deployment.create(scale_config(num_users, precompute, chunk_size))
+    return deployment, create_meter.peak_bytes
+
+
+def metered_round(deployment):
+    """Run one round on ``deployment`` in its own peak-RSS window."""
+    num_users = deployment.config.num_users
     standing = current_rss_bytes()
     with PeakRssMeter() as round_meter:
         started = time.perf_counter()
         report = deployment.run_round()
         elapsed = time.perf_counter() - started
-        assert report.all_chains_delivered()
-        assert report.total_submissions == num_users * deployment.ell()
-        per_chain = report.total_submissions / deployment.num_chains
-        assert per_chain == pytest.approx(
-            messages_per_chain(num_users, deployment.num_chains)
-        )
-        deployment.close()
+    assert report.all_chains_delivered()
+    assert report.total_submissions == num_users * deployment.ell()
+    per_chain = report.total_submissions / deployment.num_chains
+    assert per_chain == pytest.approx(messages_per_chain(num_users, deployment.num_chains))
     return {
         "users": num_users,
         "kernel": kernels.active_kernel().value,
         "seconds": elapsed,
-        "peak_rss": max(create_meter.peak_bytes, round_meter.peak_bytes),
+        "round_peak_rss": round_meter.peak_bytes,
         "standing_rss": standing,
         "round_delta_rss": max(0, round_meter.peak_bytes - standing),
         "online_seconds": report.stage_seconds.get("mix", 0.0),
@@ -298,19 +318,31 @@ def test_slots_removes_instance_dicts():
 
 @pytest.mark.skipif(SCALE not in ("smoke", "full"), reason="set XRD_SCALE=smoke for the 50k round")
 def test_scale_smoke_50k_users():
-    """The CI scale-smoke acceptance point: a 50k-user round through the
-    streaming pipeline (10k-user chunks), under a peak-RSS budget.
+    """The CI scale-smoke acceptance point: 50k-user rounds through the
+    streaming pipeline (10k-user chunks), under a peak-RSS budget, and with
+    memory flat from round to round.
 
     Runs with the precompute stage enabled (the default), so the smoke job
     also proves the precompute subsystem holds at 50k users and records the
-    online/precompute phase split at that scale (ISSUE 5).
+    online/precompute phase split at that scale.  Three rounds run
+    on one deployment: a round's state is released once it is delivered and
+    fetched (DESIGN.md §8.3), so round 3 must peak where round 1 did — a
+    retained round would add its whole batch to every later peak.
     """
-    point = run_round_at_scale(
+    deployment, create_peak = deploy_at_scale(
         50_000, precompute=True, chunk_size=CHUNK_SIZE, crypto_kernel="native"
     )
+    try:
+        rounds = [metered_round(deployment) for _ in range(SMOKE_ROUNDS)]
+    finally:
+        deployment.close()
+    point = rounds[0]
+    peak_rss = max(create_peak, point["round_peak_rss"])
     assert point["precompute_seconds"] > 0.0
     assert point["online_seconds"] > 0.0
-    assert point["peak_rss"] < SMOKE_PEAK_RSS_CEILING
+    assert peak_rss < SMOKE_PEAK_RSS_CEILING
+    round_peaks = [r["round_peak_rss"] for r in rounds]
+    assert round_peaks[-1] <= round_peaks[0] * (1 + SMOKE_ROUND_PEAK_GROWTH)
     save_result(
         "scale_users_50k",
         f"50,000-user streamed round ({CHUNK_SIZE // 1000}k chunks, "
@@ -318,8 +350,11 @@ def test_scale_smoke_50k_users():
         f"{point['seconds']:.1f}s "
         f"(online mix phase {point['online_seconds']:.1f}s, "
         f"precomputed off-path {point['precompute_seconds']:.1f}s), "
-        f"peak RSS {point['peak_rss'] / 1e6:.0f} MB "
-        f"(budget {SMOKE_PEAK_RSS_CEILING / 1e6:.0f} MB)",
+        f"peak RSS {peak_rss / 1e6:.0f} MB "
+        f"(budget {SMOKE_PEAK_RSS_CEILING / 1e6:.0f} MB); "
+        "round peaks "
+        + " / ".join(f"{peak / 1e6:.0f}" for peak in round_peaks)
+        + " MB",
     )
 
 

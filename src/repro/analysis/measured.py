@@ -18,7 +18,7 @@ two side by side:
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from repro.constants import AEAD_TAG_SIZE, GROUP_ELEMENT_SIZE, PAYLOAD_SIZE
 from repro.crypto.onion import onion_size
@@ -51,46 +51,35 @@ def _per_user_frame_bytes(deployment, round_number: int) -> Dict:
     the ledger carries frame totals rather than per-user records.  The
     split is exact under the same full-attendance assumption the mean
     comparison already makes: every submission of a deployment has the same
-    wire size, so a chain frame divides evenly over its roster, and a fetch
-    frame's per-owner share is re-encoded from the hub's stored messages.
+    wire size, so a chain frame divides evenly over its roster, and every
+    online user downloads ℓ same-size messages, so a shard's fetch frame
+    divides evenly over the owners that shard holds.
     """
     from repro.transport import (
         COVER_SUBMISSION_BATCH,
         MAILBOX_FETCH_BATCH,
         SUBMISSION_BATCH,
     )
-    from repro.transport.codec import _encode_mailbox_batch, _pack_bytes
 
     ledger = _ledger_or_raise(deployment)
     population = deployment.population
+    shard_rosters: Dict[str, List[str]] = {}
+    for user in population.users:
+        shard = deployment.mailboxes.server_name_for(user.public_bytes)
+        shard_rosters.setdefault(shard, []).append(user.name)
     uploads: Dict[str, float] = {}
     downloads: Dict[str, float] = {}
     for record in ledger.records_for_round(round_number):
         if record.kind in (SUBMISSION_BATCH, COVER_SUBMISSION_BATCH):
-            roster = population.chain_rosters.get(record.chain_id, [])
-            if roster:
-                share = record.num_bytes / len(roster)
-                for sender in roster:
-                    uploads[sender] = uploads.get(sender, 0.0) + share
+            roster, totals = population.chain_rosters.get(record.chain_id, []), uploads
         elif record.kind == MAILBOX_FETCH_BATCH:
-            # Re-encode each owner's framed share with the codec itself
-            # (length-prefixed owner key plus her mailbox batch encoding) so
-            # the reconstruction tracks the wire format by construction; the
-            # frame's own count header is spread evenly.
-            shard_users = [
-                user
-                for user in population.users
-                if deployment.mailboxes.server_name_for(user.public_bytes) == record.source
-            ]
-            header_share = _FRAME_PREFIX / len(shard_users) if shard_users else 0.0
-            for user in shard_users:
-                messages = deployment.mailboxes.get(round_number, user.public_bytes)
-                pair_bytes = len(_pack_bytes(user.public_bytes)) + len(
-                    _encode_mailbox_batch(messages)
-                )
-                downloads[user.name] = (
-                    downloads.get(user.name, 0.0) + pair_bytes + header_share
-                )
+            roster, totals = shard_rosters.get(record.source, []), downloads
+        else:
+            continue
+        if roster:
+            share = record.num_bytes / len(roster)
+            for name in roster:
+                totals[name] = totals.get(name, 0.0) + share
     return {
         user: (uploads.get(user, 0.0), downloads.get(user, 0.0))
         for user in set(uploads) | set(downloads)

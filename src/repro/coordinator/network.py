@@ -261,7 +261,6 @@ class Deployment:
         self._chains_by_id = {chain.chain_id: chain for chain in chains}
         self._nodes_by_name = {node.name: node for node in server_nodes}
         self._cover_store: Dict[str, List[ClientSubmission]] = {}
-        self._begun_rounds: Dict[int, Dict[int, object]] = {}
         #: Servers removed from the coordinator's pool by blame convictions.
         self.evicted_servers: set = set()
         #: Convictions recorded by the engine's deliver stage, awaiting
@@ -388,12 +387,7 @@ class Deployment:
 
     def _begin_round_on_chains(self, round_number: int) -> Dict[int, object]:
         """Announce (idempotently) the per-round inner keys on every chain."""
-        if round_number not in self._begun_rounds:
-            aggregates = {}
-            for chain in self.chains:
-                aggregates[chain.chain_id] = chain.begin_round(round_number)
-            self._begun_rounds[round_number] = aggregates
-        return self._begun_rounds[round_number]
+        return {chain.chain_id: chain.begin_round(round_number) for chain in self.chains}
 
     def chain_keys_view(self, round_number: int) -> Dict[int, ChainKeysView]:
         """The public key material users need to build submissions for a round."""
@@ -558,11 +552,12 @@ class Deployment:
         """Re-form one chain from the non-evicted server pool.
 
         The new topology is sampled from the public randomness beacon (every
-        participant derives the same chain), the sampled servers run a fresh
-        key ceremony, and per-round inner keys are re-announced for every
-        future round the old chain had already announced — so users building
-        submissions for those rounds see the new chain's key material, under
-        any scheduler's announce horizon.
+        participant derives the same chain) and the sampled servers run a
+        fresh key ceremony.  Inner keys for rounds the old chain had already
+        announced die with it: the next :meth:`chain_keys_view` announces
+        them on the new chain, so users building submissions for those
+        rounds see the new chain's key material, under any scheduler's
+        announce horizon.
         """
         index = next(
             (i for i, chain in enumerate(self.chains) if chain.chain_id == chain_id), None
@@ -611,16 +606,9 @@ class Deployment:
                 self.topologies[position] = topology
         self.entry_servers[chain_id] = topology.servers[0]
 
-        # Future rounds the old chain already announced (a scheduler may have
-        # announced several ahead): replace the cached aggregates with the
-        # new chain's, so cached and freshly-computed views agree.
-        for cached_round in sorted(self._begun_rounds):
-            if cached_round >= self.next_round:
-                self._begun_rounds[cached_round][chain_id] = chain.begin_round(cached_round)
-
         # Precomputed public-key tables for the old chain's future rounds
         # were derived from the retired ceremony's secrets and are stale;
-        # invalidate them alongside the key re-announce.  The replaced
+        # invalidate them with the rest of the ceremony.  The replaced
         # members are dropped with the old chain, so this is defensive — it
         # guarantees no stale table is ever consulted through a lingering
         # reference (adversarial wrappers, tests).

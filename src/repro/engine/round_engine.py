@@ -17,7 +17,7 @@ Stage/state ownership, which is what makes that interleaving safe:
   round;
 * **mix** touches only chain state for its own round;
 * **deliver** and **fetch** touch the mailbox hub, user state, and the
-  report.
+  report; deliver also releases its own round's chain state.
 
 The scheduler keeps prepare/announce/deliver/fetch on the coordinating
 thread and only ever overlaps *collect* (user state) and *precompute*
@@ -428,10 +428,10 @@ class RoundEngine:
                 if sender not in report.rejected_senders
             )
             if result.delivered:
-                # Nothing reads a delivered round's precompute tables again;
-                # freed on the coordinating thread, they go under every
-                # backend.  (A halted round keeps its own until the re-form.)
-                chain.invalidate_precompute(ctx.round_number)
+                # Nothing reads a delivered round's chain state again; freed
+                # on the coordinating thread, it goes under every backend.
+                # (A halted round keeps its records until recover().)
+                chain.release_round(ctx.round_number)
                 # The last server of the chain ships the recovered messages
                 # to the mailbox tier — as one framed message per chain, or
                 # per (chain, chunk) under the streaming pipeline, so the

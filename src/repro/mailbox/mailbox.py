@@ -109,6 +109,9 @@ class MailboxServer:
             raise MailboxError("no mailbox registered for this owner")
         return self._mailboxes[owner].get(round_number)
 
+    def drain(self, round_number: int, owner: bytes) -> List[MailboxMessage]:
+        return self._mailboxes[owner].drain(round_number)
+
     def owners(self) -> List[bytes]:
         return list(self._mailboxes)
 
@@ -196,13 +199,19 @@ class ShardedMailboxHub:
     def fetch_batch(
         self, round_number: int, owners: Sequence[bytes]
     ) -> List[Tuple[bytes, List[MailboxMessage]]]:
-        """Every given owner's round download, in owner order.
+        """Every given owner's round download, in owner order, then drained.
 
         The population fetch path frames these per shard (see
         :meth:`shard_owners`); the lookup itself is one cached dict hit per
-        owner.
+        owner.  A fetch is the round's consumer, so the fetched owners'
+        round is deleted once read — an owner repeated in ``owners`` gets
+        the same download each time.  Owners nobody fetched (offline users)
+        keep theirs; :meth:`get` stays non-destructive for inspection.
         """
-        return [(owner, self.get(round_number, owner)) for owner in owners]
+        pairs = [(owner, self.get(round_number, owner)) for owner in owners]
+        for owner in owners:
+            self._server_for(owner).drain(round_number, owner)
+        return pairs
 
     def shard_owners(self, owners: Sequence[bytes]) -> List[Tuple[MailboxServer, List[bytes]]]:
         """Group ``owners`` by their shard, preserving order within a shard."""

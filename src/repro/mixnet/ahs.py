@@ -319,21 +319,19 @@ class ChainMember:
                 table[encodings[index]] = (blinded_key, keys[32 * slot:32 * slot + 32])
         return [table[key][0] for key in encodings]
 
-    def invalidate_precompute(self, round_number: Optional[int] = None) -> None:
-        """Drop cached precompute tables (for one round, or every round).
+    def invalidate_precompute(self) -> None:
+        """Drop every round's cached precompute table.
 
-        Called for a round once it is delivered — nothing reads its table
-        again — and for every round when the key material the tables were
-        derived from stops being valid: a chain re-formed after a blame
-        eviction, where the fresh ceremony replaces every member secret.
+        Called when the key material the tables were derived from stops
+        being valid: a chain re-formed after a blame eviction, where the
+        fresh ceremony replaces every member secret.
         """
-        if round_number is not None:
-            record = self._rounds.get(round_number)
-            if record is not None:
-                record.precomputed = None
-            return
         for record in self._rounds.values():
             record.precomputed = None
+
+    def release_round(self, round_number: int) -> None:
+        """Forget a delivered round's record: blobs, permutation, rng, secret, table."""
+        self._rounds.pop(round_number, None)
 
     def _blind_and_derive_keys(
         self, round_number: int, dh_publics: Sequence[object]
@@ -579,7 +577,6 @@ class MixChain:
         #: like every hop's) and, index-aligned with it, who sent each entry.
         self._entries: Dict[int, EncodedBatch] = {}
         self._submissions: Dict[int, List[_AcceptedSender]] = {}
-        self._history: Dict[int, List[EncodedBatch]] = {}
 
     def __len__(self) -> int:
         return len(self.members)
@@ -619,7 +616,14 @@ class MixChain:
     # -- per-round flow ---------------------------------------------------------
 
     def begin_round(self, round_number: int):
-        """Collect and verify every member's inner key announcement; return Σ ipk."""
+        """Collect and verify every member's inner key announcement; return Σ ipk.
+
+        Idempotent while the round is held (announcing again would draw from
+        the advanced round streams); a released round announces afresh, and
+        identically, since its member streams restart.
+        """
+        if round_number in self._aggregate_inner:
+            return self._aggregate_inner[round_number]
         group = self.group
         publics = []
         for member in self.members:
@@ -654,16 +658,24 @@ class MixChain:
         for member in self.members:
             publics = member.precompute_round(round_number, publics)
 
-    def invalidate_precompute(self, round_number: Optional[int] = None) -> None:
+    def invalidate_precompute(self) -> None:
         """Drop every member's cached precompute tables.
 
         Re-forming a chain discards the members themselves, but the
-        coordinator still invalidates explicitly (alongside the inner-key
-        re-announce) so tables derived from retired key material can never
-        be consulted through a stale reference.
+        coordinator still invalidates explicitly so tables derived from
+        retired key material can never be consulted through a stale
+        reference.
         """
         for member in self.members:
-            member.invalidate_precompute(round_number)
+            member.invalidate_precompute()
+
+    def release_round(self, round_number: int) -> None:
+        """Drop the chain's and every member's state for a delivered round
+        (never a halted one: recovery still reads it; DESIGN.md §8.3)."""
+        for store in (self._entries, self._submissions, self._inner_publics, self._aggregate_inner):
+            store.pop(round_number, None)
+        for member in self.members:
+            member.release_round(round_number)
 
     def decode_submission_publics(self, submissions: Sequence[ClientSubmission]) -> List[object]:
         """The decodable DH publics of a pending batch, for :meth:`precompute_round`.
@@ -751,10 +763,6 @@ class MixChain:
     def submissions_for_round(self, round_number: int) -> List[_AcceptedSender]:
         """The accepted submissions' senders, in batch order (blame identifies users by index)."""
         return self._submissions.get(round_number, [])
-
-    def history_for_round(self, round_number: int) -> List[EncodedBatch]:
-        """Per-position input batches observed during the round (for blame/tests)."""
-        return self._history.get(round_number, [])
 
     def _forward_batch(
         self, round_number: int, index: int, entries: EncodedBatch
@@ -859,8 +867,6 @@ class MixChain:
             # local for the inner-key reveal.
             entries = self._forward_batch(round_number, index, result.entries)
             history.append(entries)
-
-        self._history[round_number] = history
 
         # Inner-key reveal and final decryption.
         inner_secrets: List[int] = []

@@ -144,13 +144,12 @@ class DistributedControl:
         )
 
     def before_recover(self, deployment: "Deployment") -> None:
-        """Ship the pending convictions and the round horizon, then the roles
-        run the identical evict + re-form sequence on their replicas."""
+        """Ship the pending convictions, then the roles run the identical
+        evict + re-form sequence on their replicas."""
         self.broadcast(
             protocol.encode_json_control(
                 protocol.OP_RECOVER,
                 {
-                    "next_round": deployment.next_round,
                     "pending": [
                         [round_number, chain_id, list(servers)]
                         for round_number, chain_id, servers in deployment.pending_recoveries

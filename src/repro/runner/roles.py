@@ -115,13 +115,11 @@ class RoleHandler(ReflectingHandler):
         """Mirror the coordinator's evict + re-form sequence.
 
         The convictions arrive in the exact order the coordinator's deliver
-        stage recorded them, and ``next_round`` is synced first so
-        ``reform_chain``'s re-announce horizon matches the coordinator's.
+        stage recorded them.
         """
         data = protocol.decode_json_payload(payload)
         with self._lock:
             deployment = self.deployment
-            deployment.next_round = max(deployment.next_round, data["next_round"])
             for round_number, chain_id, servers in data["pending"]:
                 deployment.note_convictions(round_number, chain_id, servers)
             deployment.recover()
@@ -138,11 +136,12 @@ class MixRoleHandler(RoleHandler):
         with self._lock:
             deployment = self.deployment
             # Lazy idempotent announce: per-round inner keys derive from
-            # per-(member, round) streams, so announcing only the rounds
-            # this role actually mixes — possibly out of order across
-            # recoveries — yields the same keys the coordinator announced.
-            deployment._begin_round_on_chains(round_number)
+            # per-(member, round) streams, so announcing only the (chain,
+            # round) pairs this role actually mixes — possibly out of order
+            # across recoveries — yields the same keys the coordinator
+            # announced, and leaves no chain holding a round it never mixes.
             chain = deployment.chain(chain_id)
+            chain.begin_round(round_number)
             submissions = decode_submission_batch(deployment.group, batch)
             if deployment.config.precompute:
                 chain.precompute_round(
@@ -151,10 +150,9 @@ class MixRoleHandler(RoleHandler):
             _, rejected = chain.accept_submissions(round_number, submissions)
             result = chain.run_round(round_number, retry_after_blame=retry_after_blame)
             if result.delivered:
-                # This replica's engine never runs ``deliver``; free the
-                # round's precompute tables where the round ended.
-                chain.invalidate_precompute(round_number)
-            deployment.next_round = max(deployment.next_round, round_number + 1)
+                # This replica's engine never runs ``deliver``; release the
+                # round's chain state where the round ended.
+                chain.release_round(round_number)
         return encode_chain_outcome(chain_id, rejected, result)
 
 

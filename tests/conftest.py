@@ -15,6 +15,7 @@ import pytest
 from repro.coordinator.network import Deployment, DeploymentConfig
 from repro.crypto import kernels
 from repro.crypto.group import Ed25519Group, ModPGroup
+from repro.transport import BATCH, Transport
 
 needs_native = pytest.mark.skipif(
     not kernels.native_available(), reason="_xrdkernels extension not built (no C compiler?)"
@@ -69,6 +70,38 @@ def dispatches(monkeypatch):
                 monkeypatch.setattr(kernels, name, counting(name, getattr(kernels, name)))
     yield counts
     kernels.reset_kernel_for_tests()
+
+
+class RecordingTransport(Transport):
+    """Wraps a transport and keeps ``(envelope, delivered payload)`` for
+    everything it carried — a round observed live, hop by hop, instead of
+    from state the chains keep after the round is over."""
+
+    name = "recording"
+
+    def __init__(self, inner: Transport) -> None:
+        self.inner = inner
+        self.carried = []
+
+    def deliver(self, envelope):
+        delivered = self.inner.deliver(envelope)
+        self.carried.append((envelope, delivered))
+        return delivered
+
+    def deliver_many(self, envelopes):
+        delivered = self.inner.deliver_many(envelopes)
+        self.carried.extend(zip(envelopes, delivered))
+        return delivered
+
+    def close(self) -> None:
+        self.inner.close()
+
+    def batches(self, chain_id):
+        """What each hop of ``chain_id`` received, in order."""
+        return [
+            payload for envelope, payload in self.carried
+            if envelope.kind == BATCH and envelope.chain_id == chain_id
+        ]
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,8 @@ from repro.mixnet.ahs import (
 from repro.mixnet.messages import ClientSubmission, MailboxMessage, MessageBody
 from repro.crypto.nizk import prove_dlog
 
+from tests.conftest import RecordingTransport
+
 
 def build_chain(group, length=3, chain_id=0, seed=11):
     members = [
@@ -119,6 +121,13 @@ class TestInnerKeys:
             group.base_mult(member.round_record(1).inner_secret) for member in chain.members
         )
         assert aggregate == expected
+
+    def test_begin_round_is_idempotent(self, group):
+        chain = build_chain(group)
+        aggregate = chain.begin_round(1)
+        secrets = [member.round_record(1).inner_secret for member in chain.members]
+        assert chain.begin_round(1) == aggregate
+        assert [member.round_record(1).inner_secret for member in chain.members] == secrets
 
     def test_begin_round_proofs(self, group):
         chain = build_chain(group)
@@ -245,17 +254,39 @@ class TestHonestMixing:
         assert result.delivered
         assert result.mailbox_messages == []
 
-    def test_history_recorded(self, group):
+    def test_every_hop_crosses_the_transport(self, group):
+        """Each member's output reaches its successor as one BATCH envelope;
+        the last member's stays local for the inner-key reveal."""
         chain = build_chain(group, length=3)
+        chain.transport = recorder = RecordingTransport(chain.transport)
         chain.begin_round(1)
         recipient = KeyPair.generate(group)
         chain.accept_submissions(
             1, [make_submission(group, chain, 1, "alice", recipient.public_bytes, b"\x03" * 32)]
         )
-        chain.run_round(1)
-        history = chain.history_for_round(1)
-        assert len(history) == len(chain.members) + 1
-        assert all(len(batch) == 1 for batch in history)
+        assert chain.run_round(1).delivered
+        assert [(envelope.source, envelope.destination) for envelope, _ in recorder.carried] == [
+            ("server-0", "server-1"), ("server-1", "server-2"),
+        ]
+        assert [len(batch) for batch in recorder.batches(chain.chain_id)] == [1, 1]
+
+    def test_release_round_forgets_only_that_round(self, group):
+        chain = build_chain(group, length=2)
+        recipient = KeyPair.generate(group)
+        for round_number in (1, 2):
+            chain.begin_round(round_number)
+            chain.accept_submissions(round_number, [make_submission(
+                group, chain, round_number, "alice", recipient.public_bytes, b"\x05" * 32
+            )])
+        announced = chain.aggregate_inner_public(1)
+        assert chain.run_round(1).delivered
+        chain.release_round(1)
+        stores = (chain._entries, chain._submissions, chain._inner_publics, chain._aggregate_inner)
+        assert [sorted(store) for store in stores] == [[2]] * 4
+        assert all(sorted(member._rounds) == [2] for member in chain.members)
+        assert chain.run_round(2).delivered
+        # Announcing a released round re-derives the keys it had.
+        assert chain.begin_round(1) == announced
 
     def test_garbage_inner_envelope_dropped(self, group):
         """A submission whose outer layers are fine but whose inner envelope is garbage
@@ -353,20 +384,22 @@ class TestPrecompute:
         with pytest.raises(ProtocolError):
             member.precompute_round(1, [])
 
-    def test_invalidate_precompute_per_round_and_global(self, group):
+    def test_release_round_then_invalidate_precompute(self, group):
         chain = build_chain(group, length=1)
         member = chain.members[0]
         public = group.base_mult(group.random_scalar())
-        for round_number in (1, 2):
+        for round_number in (1, 2, 3):
             chain.begin_round(round_number)
             member.precompute_round(round_number, [public])
-        member.invalidate_precompute(1)
-        assert member.round_record(1).precomputed is None
+        member.release_round(1)
+        assert sorted(member._rounds) == [2, 3]
         assert member.round_record(2).precomputed is not None
         member.invalidate_precompute()
-        assert member.round_record(2).precomputed is None
-        # Invalidating a round that never precomputed is a no-op.
-        member.invalidate_precompute(99)
+        assert all(member.round_record(r).precomputed is None for r in (2, 3))
+        # The inner keys outlive the tables: only a release forgets a round.
+        assert member.round_record(2).inner_secret is not None
+        # Releasing a round the member never held is a no-op.
+        member.release_round(99)
 
     def test_chain_precompute_cascade_feeds_every_member(self, group):
         chain = build_chain(group, length=3)

@@ -40,6 +40,7 @@ from repro.engine import (
 from repro.errors import ConfigurationError
 
 from tests import user_oracle
+from tests.conftest import RecordingTransport
 from tests.test_ahs_protocol import make_submission
 
 BACKENDS = ("serial", "parallel")
@@ -459,8 +460,9 @@ class TestPrecomputeParity:
             )
 
     def test_reform_invalidates_old_chain_precompute(self):
-        """A halted round keeps its tables until the re-form; then they die
-        with the re-formed chain's retired members."""
+        """A halted round keeps its records until ``recover()``, where the
+        tables die with the re-formed chain's retired members; the chains
+        that delivered the same round released it at deliver."""
         from repro.coordinator.adversary import (
             MODE_TAMPER_CIPHERTEXT,
             install_tampering_server,
@@ -471,9 +473,13 @@ class TestPrecomputeParity:
         report = deployment.run_round()
         old_chain = deployment.chains[0]
         assert not report.chain_results[old_chain.chain_id].delivered
-        assert all(member.round_record(1).precomputed for member in old_chain.members)
-        for chain in deployment.chains[1:]:  # delivered: already released
-            assert all(m.round_record(1).precomputed is None for m in chain.members)
+        assert old_chain.submissions_for_round(1) and 1 in old_chain._entries
+        for member in old_chain.members:
+            record = member.round_record(1)
+            assert record.precomputed and record.inputs is not None
+        for chain in deployment.chains[1:]:
+            assert 1 not in chain._entries and 1 not in chain._aggregate_inner
+            assert all(1 not in member._rounds for member in chain.members)
         deployment.recover()
         for member in old_chain.members:
             assert member.round_record(1).precomputed is None
@@ -484,25 +490,49 @@ class TestPrecomputeParity:
         assert "precompute" in report.stage_seconds
         deployment.close()
 
-    @pytest.mark.parametrize("staggered", (False, True))
+
+class TestRoundStateLifetime:
+    """A round's state lives until it is over: delivered for the chains,
+    fetched for the mailbox tier.  After twelve rounds of conversations and
+    churn, nothing is left but what the next rounds already announced and
+    what offline users have not fetched."""
+
+    @staticmethod
+    def _script(deployment):
+        return conversation_script(deployment) + conversation_script(deployment)
+
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_delivered_rounds_release_their_tables(self, backend, staggered):
-        """Retention is bounded: N delivered rounds leave no member a table."""
-        deployment = build(backend)
-        reports = deployment.run_rounds(conversation_script(deployment), staggered=staggered)
+    @pytest.mark.parametrize("covers", (True, False), ids=("covers", "no-covers"))
+    @pytest.mark.parametrize("staggered", (False, True), ids=("sequential", "staggered"))
+    def test_only_undelivered_and_unfetched_rounds_remain(self, staggered, covers, backend):
+        deployment = build(backend, use_cover_messages=covers)
+        specs = self._script(deployment)
+        reports = deployment.run_rounds(specs, staggered=staggered)
         deployment.close()
+        assert len(reports) == 12
         assert all(report.all_chains_delivered() for report in reports)
-        assert all("precompute" in report.stage_seconds for report in reports)
+        announced = {deployment.next_round, deployment.next_round + 1}
         for chain in deployment.chains:
+            assert not chain._entries and not chain._submissions
+            assert set(chain._aggregate_inner) == set(chain._inner_publics) <= announced
             for member in chain.members:
-                for report in reports:
-                    assert member.round_record(report.round_number).precomputed is None
-            # A replica keeps a round's accepted batch with the history it
-            # recorded mixing it (blame and tests index into both).
-            for report in reports:
-                assert chain.history_for_round(report.round_number)
-                assert report.round_number in chain._entries
-                assert chain.submissions_for_round(report.round_number)
+                assert set(member._rounds) <= announced
+                assert all(record.inputs is None for record in member._rounds.values())
+        names = {user.public_bytes: user.name for user in deployment.users}
+        held = {
+            (names[owner], round_number)
+            for server in deployment.mailboxes.servers
+            for owner, mailbox in server._mailboxes.items()
+            for round_number, messages in mailbox._rounds.items()
+            if messages
+        }
+        offline = {
+            (name, report.round_number)
+            for report in reports
+            for name in report.offline_users
+        }
+        # Only offline users' rounds wait in the hub — and they do wait.
+        assert held and held <= offline
 
 
 class TestPrecomputePropertyParity:
@@ -986,16 +1016,19 @@ class TestBatchRepresentation:
     """One batch shape in the chain (DESIGN.md §11.3), however it travelled.
 
     Over every transport, honest or tampered or link-faulted, what each hop
-    recorded and what the chain's history holds is an ``EncodedBatch`` —
-    the wire transports, a tampering server and a faulty link used to hand
-    the next hop a decoded list — and the round is byte-identical to the
-    same case run in process.
+    received over the wire and what each member recorded while the round
+    was held is an ``EncodedBatch`` — the wire transports, a tampering
+    server and a faulty link used to hand the next hop a decoded list — and
+    the round is byte-identical to the same case run in process.
     """
 
     CASES = ("honest", "tamper", "duplicate", "reorder", "drop")
 
     @staticmethod
-    def _run(transport, case):
+    def _run(transport, case, inspect=lambda deployment, ctx: None):
+        """One round, stage by stage, calling ``inspect`` between mix and
+        deliver (deliver releases the round); returns the report and the
+        recording of every envelope."""
         from repro.coordinator.adversary import (
             MODE_TAMPER_CIPHERTEXT,
             install_tampering_server,
@@ -1015,7 +1048,16 @@ class TestBatchRepresentation:
                 deployment.use_transport(
                     FaultyTransport(deployment.transport, [fault]), close_previous=False
                 )
-            return deployment, deployment.run_round()
+            recorder = RecordingTransport(deployment.transport)
+            deployment.use_transport(recorder, close_previous=False)
+            engine = deployment.engine
+            ctx = engine.prepare(deployment.round_spec())
+            for stage in (engine.collect, engine.finalize_collect, engine.precompute, engine.mix):
+                stage(ctx)
+            inspect(deployment, ctx)
+            engine.deliver(ctx)
+            engine.fetch(ctx)
+            return ctx.report, recorder
         finally:
             deployment.close()
 
@@ -1024,27 +1066,31 @@ class TestBatchRepresentation:
     def test_every_hop_holds_an_encoded_batch(self, transport, case):
         from repro.mixnet.messages import EncodedBatch
 
-        deployment, report = self._run(transport, case)
-        _, reference = self._run("inproc", case)
+        def held_records(deployment, ctx):
+            for chain in deployment.chains:
+                delivered = ctx.chain_outcomes[chain.chain_id].result.delivered
+                # The hop behind the tampering server / the faulted link ran.
+                assert type(chain.members[1].round_record(1).inputs) is EncodedBatch
+                for member in chain.members:
+                    record = member.round_record(1)
+                    for batch in (record.inputs, record.outputs):
+                        assert batch is None or type(batch) is EncodedBatch
+                    if delivered:
+                        assert record.inputs is not None and record.outputs is not None
+                # What the chain keeps of the submissions is who sent them.
+                for accepted in chain.submissions_for_round(1):
+                    assert not hasattr(accepted, "ciphertext")
+                    assert isinstance(accepted.sender, str)
+
+        report, recorder = self._run(transport, case, held_records)
+        reference, _ = self._run("inproc", case)
         assert report.canonical_bytes() == reference.canonical_bytes()
         assert report.chain_results[0].delivered == (case != "tamper")
-        for chain in deployment.chains:
-            halted = not report.chain_results[chain.chain_id].delivered
-            history = chain.history_for_round(1)
-            assert len(history) == (0 if halted else len(chain.members) + 1)
-            assert all(type(batch) is EncodedBatch for batch in history)
-            # The hop behind the tampering server / the faulted link ran.
-            assert type(chain.members[1].round_record(1).inputs) is EncodedBatch
-            for member in chain.members:
-                record = member.round_record(1)
-                for batch in (record.inputs, record.outputs):
-                    assert batch is None or type(batch) is EncodedBatch
-                if not halted:
-                    assert record.inputs is not None and record.outputs is not None
-            # What the chain keeps of the submissions is who sent them.
-            for accepted in chain.submissions_for_round(1):
-                assert not hasattr(accepted, "ciphertext")
-                assert isinstance(accepted.sender, str)
+        for chain_id, result in report.chain_results.items():
+            hops = recorder.batches(chain_id)
+            assert hops and all(type(batch) is EncodedBatch for batch in hops)
+            if result.delivered:
+                assert len(hops) == 2  # chain_length − 1 server→server links
 
 
 class TestKernelTierParity:

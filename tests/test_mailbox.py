@@ -169,16 +169,29 @@ class TestConsistentHashing:
         for owner in owners:
             assert batched.get(1, owner) == sequential.get(1, owner)
 
-    def test_fetch_batch_matches_gets(self):
+    def test_fetch_batch_returns_the_gets_then_drains(self):
         hub = ShardedMailboxHub(num_servers=2)
         owners = self.owners(6)
         for owner in owners:
             hub.create_mailbox(owner)
-        hub.deliver_batch(2, [sealed(recipient=owners[0], round_number=2)])
-        pairs = hub.fetch_batch(2, owners)
-        assert [owner for owner, _ in pairs] == owners
-        for owner, messages in pairs:
-            assert messages == hub.get(2, owner)
+        hub.deliver_batch(2, [
+            sealed(recipient=owners[0], round_number=2),
+            sealed(recipient=owners[0], round_number=2, content=b"again"),
+            sealed(recipient=owners[3], round_number=2),
+            sealed(recipient=owners[5], round_number=2),
+        ])
+        hub.deliver_batch(3, [sealed(recipient=owners[0], round_number=3)])
+        # owners[0] twice in one frame; owners[5] is offline and not fetched.
+        fetched = [owners[0], owners[1], owners[3], owners[0]]
+        expected = [(owner, hub.get(2, owner)) for owner in fetched]
+        assert hub.fetch_batch(2, fetched) == expected
+        assert len(expected[0][1]) == 2 and expected[3] == expected[0]
+        for owner in fetched:
+            assert hub.get(2, owner) == []
+        assert hub.fetch_batch(2, fetched) == [(owner, []) for owner in fetched]
+        # An unfetched owner keeps her round; other rounds are untouched.
+        assert len(hub.get(2, owners[5])) == 1
+        assert len(hub.get(3, owners[0])) == 1
 
     def test_shard_owners_partitions_and_preserves_order(self):
         hub = ShardedMailboxHub(num_servers=3)

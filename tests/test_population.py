@@ -164,18 +164,23 @@ class TestPopulationSemantics:
                 s.to_bytes() for s in submissions
             ]
         for deployment, ctx in ((reference, ref_ctx), (batched, bat_ctx)):
-            for stage in ("precompute", "mix", "deliver", "fetch"):
-                getattr(deployment.engine, stage)(ctx)
-        assert bat_ctx.report.canonical_bytes() == ref_ctx.report.canonical_bytes()
+            deployment.engine.precompute(ctx)
+            deployment.engine.mix(ctx)
+        # What the chains accepted, observed while the round is still held
+        # (deliver releases it).
         for chain_ref, chain_bat in zip(reference.chains, batched.chains):
             assert chain_bat.submissions_for_round(1)
             assert (
                 chain_bat.submissions_for_round(1) == chain_ref.submissions_for_round(1)
             )
             assert (
-                chain_bat.history_for_round(1)[0].blob
-                == chain_ref.history_for_round(1)[0].blob
+                chain_bat.members[0].round_record(1).inputs.blob
+                == chain_ref.members[0].round_record(1).inputs.blob
             )
+        for deployment, ctx in ((reference, ref_ctx), (batched, bat_ctx)):
+            deployment.engine.deliver(ctx)
+            deployment.engine.fetch(ctx)
+        assert bat_ctx.report.canonical_bytes() == ref_ctx.report.canonical_bytes()
 
     def test_population_rosters_cover_every_user_slot(self):
         _, batched = deployment_pair()
