@@ -65,8 +65,12 @@ class Mailbox:
         return list(self._rounds.get(round_number, []))
 
     def drain(self, round_number: int) -> List[MailboxMessage]:
-        """Return and delete the round's messages."""
-        return self._rounds.pop(round_number, [])
+        """Return and delete the round's messages — and any earlier round's:
+        mail the owner missed offline, which nothing reads after this fetch."""
+        messages = self._rounds.pop(round_number, [])
+        for stale in [held for held in self._rounds if held < round_number]:
+            del self._rounds[stale]
+        return messages
 
     def message_count(self, round_number: int) -> int:
         return len(self._rounds.get(round_number, []))
@@ -110,6 +114,8 @@ class MailboxServer:
         return self._mailboxes[owner].get(round_number)
 
     def drain(self, round_number: int, owner: bytes) -> List[MailboxMessage]:
+        if owner not in self._mailboxes:
+            raise MailboxError("no mailbox registered for this owner")
         return self._mailboxes[owner].drain(round_number)
 
     def owners(self) -> List[bytes]:
@@ -199,18 +205,21 @@ class ShardedMailboxHub:
     def fetch_batch(
         self, round_number: int, owners: Sequence[bytes]
     ) -> List[Tuple[bytes, List[MailboxMessage]]]:
-        """Every given owner's round download, in owner order, then drained.
+        """Every given owner's round download, in owner order, drained.
 
         The population fetch path frames these per shard (see
         :meth:`shard_owners`); the lookup itself is one cached dict hit per
         owner.  A fetch is the round's consumer, so the fetched owners'
-        round is deleted once read — an owner repeated in ``owners`` gets
-        the same download each time.  Owners nobody fetched (offline users)
-        keep theirs; :meth:`get` stays non-destructive for inspection.
+        round (and any earlier one they missed) is drained as it is read;
+        a repeated owner gets the same download each time.  Offline users
+        keep theirs until their next fetch; :meth:`get` does not drain.
         """
-        pairs = [(owner, self.get(round_number, owner)) for owner in owners]
+        drained: Dict[bytes, List[MailboxMessage]] = {}
+        pairs = []
         for owner in owners:
-            self._server_for(owner).drain(round_number, owner)
+            if owner not in drained:
+                drained[owner] = self._server_for(owner).drain(round_number, owner)
+            pairs.append((owner, drained[owner]))
         return pairs
 
     def shard_owners(self, owners: Sequence[bytes]) -> List[Tuple[MailboxServer, List[bytes]]]:

@@ -164,6 +164,8 @@ class MailboxRoleHandler(RoleHandler):
     would starve all but the owner); deliveries mutate its hub, and fetch
     replies are built from that hub — not echoed from the request — so a
     user's round download demonstrably crossed from another process's state.
+    Like delivery, a fetch is unauthenticated and it consumes the round
+    (DESIGN.md §10.3): the roles assume a closed cluster of trusted peers.
     """
 
     def handle_envelope(self, envelope: Envelope) -> bytes:

@@ -499,7 +499,12 @@ class TestRoundStateLifetime:
 
     @staticmethod
     def _script(deployment):
-        return conversation_script(deployment) + conversation_script(deployment)
+        # Users b and d each miss a round and come back; in the last round
+        # b and c are offline, so the run ends with unfetched mail.
+        specs = conversation_script(deployment) + conversation_script(deployment)
+        b, c = deployment.users[1].name, deployment.users[2].name
+        specs[-1] = deployment.round_spec(offline_users={b, c})
+        return specs
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("covers", (True, False), ids=("covers", "no-covers"))
@@ -526,13 +531,12 @@ class TestRoundStateLifetime:
             for round_number, messages in mailbox._rounds.items()
             if messages
         }
-        offline = {
-            (name, report.round_number)
-            for report in reports
-            for name in report.offline_users
-        }
-        # Only offline users' rounds wait in the hub — and they do wait.
-        assert held and held <= offline
+        last_round = reports[-1].round_number
+        still_offline = {(name, last_round) for name in reports[-1].offline_users}
+        # Only the rounds of users offline since their last fetch wait in
+        # the hub — and they do wait; a returning user's fetch dropped the
+        # rounds she missed, so churn leaves nothing behind.
+        assert held and held <= still_offline
 
 
 class TestPrecomputePropertyParity:

@@ -189,9 +189,19 @@ class TestConsistentHashing:
         for owner in fetched:
             assert hub.get(2, owner) == []
         assert hub.fetch_batch(2, fetched) == [(owner, []) for owner in fetched]
-        # An unfetched owner keeps her round; other rounds are untouched.
+        # An unfetched owner keeps her round; later rounds are untouched.
         assert len(hub.get(2, owners[5])) == 1
         assert len(hub.get(3, owners[0])) == 1
+        # Back online, her next fetch also drops the round she missed.
+        assert hub.fetch_batch(3, [owners[5]]) == [(owners[5], [])]
+        assert hub.get(2, owners[5]) == []
+        held = {
+            (mailbox.owner, round_number)
+            for server in hub.servers
+            for mailbox in server._mailboxes.values()
+            for round_number in mailbox._rounds
+        }
+        assert held == {(owners[0], 3)}
 
     def test_shard_owners_partitions_and_preserves_order(self):
         hub = ShardedMailboxHub(num_servers=3)

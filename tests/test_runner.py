@@ -32,6 +32,7 @@ from repro.faults.plan import (
 )
 from repro.faults.runner import ScenarioRunner
 from repro.faults.scenarios import tamper_and_recover
+from repro.mixnet.ahs import MixChain
 from repro.mixnet.messages import MailboxMessage
 from repro.registry import TransportKind
 from repro.runner import protocol
@@ -210,7 +211,7 @@ def in_process_cluster(config, num_mix=2):
 
 
 class TestDistributedInProcess:
-    def test_parity_with_the_scenario_runner_reference(self):
+    def test_parity_with_the_scenario_runner_reference(self, monkeypatch):
         config = make_config()
         plan = tamper_and_recover()
 
@@ -220,6 +221,17 @@ class TestDistributedInProcess:
         finally:
             reference_deployment.close()
 
+        # Watch the distributed run's chain rounds live: every replica's
+        # chains hand off through its own transport, so the transport's node
+        # name says which process ran the round.
+        mixed = []
+        run_round = MixChain.run_round
+
+        def recording_run_round(chain, *args, **kwargs):
+            mixed.append((chain.transport.node_name, chain.chain_id))
+            return run_round(chain, *args, **kwargs)
+
+        monkeypatch.setattr(MixChain, "run_round", recording_run_round)
         nodes, peers, owners = in_process_cluster(config)
         try:
             distributed = run_coordinator(config, plan, peers, owners)
@@ -241,9 +253,14 @@ class TestDistributedInProcess:
         # SHUTDOWN was broadcast: every role saw it.
         for node in nodes:
             assert node.wait_for_shutdown(timeout=5)
-        # The coordinator never mixes locally, so the parity above is the
-        # mix roles' own work; they hold no round once it was delivered or
-        # its chain re-formed — not even inner keys of chains they never mix.
+        # The coordinator never mixed locally: every chain round ran on a
+        # mix role, and every mix role ran some, so the parity above is the
+        # mix roles' own work.
+        mix_roles = {node.name for node in nodes if node.kind == "mix"}
+        assert {name for name, _ in mixed} == mix_roles
+        assert {chain_id for _, chain_id in mixed} == set(range(config.num_chains))
+        # They hold no round once it was delivered or its chain re-formed —
+        # not even inner keys of chains they never mix.
         for node in nodes:
             if node.kind != "mix":
                 continue
