@@ -15,6 +15,15 @@ import pytest
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
+def online_only(deployment):
+    """Turn ``deployment`` into the online-only reference arm: its engine's
+    two precompute stages do nothing, so every chain member derives its keys
+    inline while mixing (§5.2.1 without the precomputation)."""
+    engine = deployment.engine
+    engine.precompute = engine.precompute_collected = lambda ctx: None
+    return deployment
+
+
 def save_result(name: str, text: str) -> None:
     """Persist a rendered figure/table under results/ and echo it to stdout."""
     RESULTS_DIR.mkdir(exist_ok=True)

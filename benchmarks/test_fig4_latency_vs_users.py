@@ -11,7 +11,7 @@ from repro.analysis import figures, render_figure
 from repro.coordinator.network import Deployment, DeploymentConfig
 from repro.simulation.latency import messages_per_chain
 
-from benchmarks.conftest import save_result
+from benchmarks.conftest import online_only, save_result
 
 
 def test_fig4_latency_vs_users(benchmark):
@@ -63,9 +63,10 @@ def test_fig4_engine_load_scaling(benchmark):
                         seed=4,
                         group_kind="modp",
                         execution_backend="parallel",
-                        precompute=precompute,
                     )
                 )
+                if not precompute:
+                    online_only(deployment)
                 reports = deployment.run_rounds(
                     [deployment.round_spec(), deployment.round_spec()], staggered=True
                 )

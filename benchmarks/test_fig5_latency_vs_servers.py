@@ -13,7 +13,7 @@ from repro.analysis import figures, render_figure
 from repro.coordinator.network import Deployment, DeploymentConfig
 from repro.simulation.latency import messages_per_chain, xrd_latency, xrd_latency_pipeline
 
-from benchmarks.conftest import save_result
+from benchmarks.conftest import online_only, save_result
 
 
 def test_fig5_latency_vs_servers(benchmark):
@@ -59,9 +59,10 @@ def test_fig5_engine_horizontal_scaling(benchmark):
                         seed=5,
                         group_kind="modp",
                         execution_backend="parallel",
-                        precompute=precompute,
                     )
                 )
+                if not precompute:
+                    online_only(deployment)
                 reports = deployment.run_rounds(
                     [deployment.round_spec(), deployment.round_spec()], staggered=True
                 )

@@ -30,7 +30,7 @@ import pytest
 from repro.coordinator.network import Deployment, DeploymentConfig
 from repro.mixnet.ahs import ChainMember
 
-from benchmarks.conftest import save_result
+from benchmarks.conftest import online_only, save_result
 
 #: Floor for the measured online-phase speedup.  The modp reference box
 #: measures ~2x (the blinding + shared-secret passes are roughly half the
@@ -54,9 +54,10 @@ def measure_phases(
             seed=7,
             group_kind="modp",
             use_cover_messages=False,
-            precompute=precompute,
         )
     )
+    if not precompute:
+        online_only(deployment)
     reports = deployment.run_rounds(
         [deployment.round_spec() for _ in range(rounds)], staggered=staggered
     )
@@ -136,9 +137,10 @@ def test_precompute_hides_behind_stagger(benchmark):
                 seed=11,
                 group_kind="modp",
                 use_cover_messages=False,
-                precompute=precompute,
             )
         )
+        if not precompute:
+            online_only(deployment)
         specs = [deployment.round_spec() for _ in range(3)]
         started = time.perf_counter()
         reports = deployment.run_rounds(specs, staggered=True)

@@ -87,7 +87,7 @@ MILLION_USER_PEAK_RSS_BUDGET = 24_000_000_000
 EAGER_100K_ROUND_DELTA_FLOOR = 1_120_000_000
 
 
-def scale_config(num_users: int, precompute: bool = True, chunk_size: int | None = None):
+def scale_config(num_users: int, chunk_size: int | None = None):
     """The scale points' deployment: modp group, 4 chains, covers off."""
     return DeploymentConfig(
         num_servers=4,
@@ -97,14 +97,12 @@ def scale_config(num_users: int, precompute: bool = True, chunk_size: int | None
         seed=4,
         group_kind="modp",
         use_cover_messages=False,
-        precompute=precompute,
         population_chunk_size=chunk_size,
     )
 
 
 def run_round_at_scale(
     num_users: int,
-    precompute: bool = True,
     chunk_size: int | None = None,
     crypto_kernel: str | None = None,
 ):
@@ -126,7 +124,7 @@ def run_round_at_scale(
     round, which is the quantity the streaming pipeline bounds at O(chunk)
     — the standing population is O(users) under any pipeline.
     """
-    deployment, create_peak = deploy_at_scale(num_users, precompute, chunk_size, crypto_kernel)
+    deployment, create_peak = deploy_at_scale(num_users, chunk_size, crypto_kernel)
     try:
         point = metered_round(deployment)
     finally:
@@ -135,7 +133,7 @@ def run_round_at_scale(
     return point
 
 
-def deploy_at_scale(num_users, precompute=True, chunk_size=None, crypto_kernel=None):
+def deploy_at_scale(num_users, chunk_size=None, crypto_kernel=None):
     """A fresh scale-point deployment and the peak RSS of building it."""
     reset_assignment_caches()
     reset_window_table_caches()
@@ -145,7 +143,7 @@ def deploy_at_scale(num_users, precompute=True, chunk_size=None, crypto_kernel=N
         # the extension, so the sweep still runs — on the python tier.
         kernels.set_active_kernel(crypto_kernel)
     with PeakRssMeter() as create_meter:
-        deployment = Deployment.create(scale_config(num_users, precompute, chunk_size))
+        deployment = Deployment.create(scale_config(num_users, chunk_size))
     return deployment, create_meter.peak_bytes
 
 
@@ -322,16 +320,13 @@ def test_scale_smoke_50k_users():
     streaming pipeline (10k-user chunks), under a peak-RSS budget, and with
     memory flat from round to round.
 
-    Runs with the precompute stage enabled (the default), so the smoke job
-    also proves the precompute subsystem holds at 50k users and records the
-    online/precompute phase split at that scale.  Three rounds run
+    The smoke job also proves the precompute stage holds at 50k users and
+    records the online/precompute phase split at that scale.  Three rounds run
     on one deployment: a round's state is released once it is delivered and
     fetched (DESIGN.md §8.3), so round 3 must peak where round 1 did — a
     retained round would add its whole batch to every later peak.
     """
-    deployment, create_peak = deploy_at_scale(
-        50_000, precompute=True, chunk_size=CHUNK_SIZE, crypto_kernel="native"
-    )
+    deployment, create_peak = deploy_at_scale(50_000, chunk_size=CHUNK_SIZE, crypto_kernel="native")
     try:
         rounds = [metered_round(deployment) for _ in range(SMOKE_ROUNDS)]
     finally:

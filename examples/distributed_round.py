@@ -52,7 +52,6 @@ def main() -> int:
         group_kind="modp",
         execution_backend=ExecutionBackendKind.SERIAL,
         transport=TransportKind.INPROC,  # what each replica uses internally
-        max_workers=2,
     )
     plan = tamper_and_recover()  # tamper at round 2 → blame → evict → re-form
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import random
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
@@ -52,14 +53,7 @@ from repro.mixnet.ahs import ChainMember, MixChain
 from repro.mixnet.chain import ChainTopology, form_chains, required_chain_length
 from repro.mixnet.messages import ClientSubmission
 from repro.population import UserPopulation
-from repro.registry import (
-    CRYPTO_KERNELS,
-    EXECUTION_BACKENDS,
-    TRANSPORTS,
-    CryptoKernelKind,
-    ExecutionBackendKind,
-    TransportKind,
-)
+from repro.registry import ExecutionBackendKind, TransportKind
 from repro.transport import Transport, make_transport
 
 __all__ = [
@@ -80,6 +74,10 @@ class RecoveryAction:
     chain_id: int
     evicted: List[str]
     new_servers: List[str]
+
+
+#: The config's enum-typed fields.
+_KINDS = {"execution_backend": ExecutionBackendKind, "transport": TransportKind}
 
 
 @dataclass
@@ -103,58 +101,32 @@ class DeploymentConfig:
     seed: Optional[int] = None
     use_cover_messages: bool = True
     group_kind: str = "ed25519"
-    #: How the mix stage executes the per-chain work: a typed
-    #: :class:`~repro.registry.ExecutionBackendKind` — ``SERIAL`` (default,
-    #: reference semantics) or ``PARALLEL`` (chains on a thread pool) — or
-    #: the name of a backend registered in
-    #: :data:`repro.registry.EXECUTION_BACKENDS`.  A built-in's plain string
-    #: (``"serial"``) is normalised to its member.  Chains in separate OS
-    #: processes are the distributed runtime's job (:mod:`repro.runner`).
+    #: How the mix stage executes the per-chain work:
+    #: :class:`~repro.registry.ExecutionBackendKind` ``SERIAL`` (default,
+    #: reference semantics) or ``PARALLEL`` (chains on a thread pool sized
+    #: from the chain and CPU counts).  Chains in separate OS processes are
+    #: the distributed runtime's job (:mod:`repro.runner`).
     execution_backend: Union[str, ExecutionBackendKind] = ExecutionBackendKind.SERIAL
-    #: Worker cap for the parallel backend (``None`` → CPU count).
-    max_workers: Optional[int] = None
-    #: How cross-node messages travel: a typed
-    #: :class:`~repro.registry.TransportKind` — ``INPROC`` (default,
-    #: reference semantics — delivery is a hand-off), ``INSTRUMENTED``
-    #: (every envelope is serialised to its real wire encoding and accounted
-    #: in a traffic ledger; observable behaviour is bit-identical), or
-    #: ``TCP`` (the wire encoding crosses a real loopback socket and is
-    #: parsed back — DESIGN.md §10; process-per-role deployments are wired
-    #: by :mod:`repro.runner` instead of this knob) — or the name of a
-    #: transport registered in :data:`repro.registry.TRANSPORTS`.
+    #: How cross-node messages travel: :class:`~repro.registry.TransportKind`
+    #: ``INPROC`` (default, reference semantics — delivery is a hand-off),
+    #: ``INSTRUMENTED`` (every envelope is serialised to its real wire
+    #: encoding and accounted in a traffic ledger; observable behaviour is
+    #: bit-identical), or ``TCP`` (the wire encoding crosses a real loopback
+    #: socket and is parsed back — DESIGN.md §10; process-per-role
+    #: deployments are wired by :mod:`repro.runner` instead of this knob).
     transport: Union[str, TransportKind] = TransportKind.INPROC
-    #: Whether the engine runs the AHS precompute stage (§5.2.1 / DESIGN.md
-    #: §8): the chains' public-key work (DH blinding, outer-layer key
-    #: derivation) executes ahead of the online mix phase — overlapped with
-    #: the previous round's mixing under the staggered scheduler — leaving
-    #: the online phase as symmetric crypto plus the aggregate proofs.
-    #: ``False`` restores the online-only reference path (bit-identical
-    #: output; the benchmarks compare the two).
-    precompute: bool = True
     #: Streaming population builds (DESIGN.md §9): when set, the population
     #: builds, uploads, delivers, and fetches in chunks of this many users
     #: instead of one whole-population pass, so peak memory is O(chunk).
     #: ``None`` (default) keeps the monolithic pass.
     population_chunk_size: Optional[int] = None
-    #: Which crypto kernel tier steers the batched hot loops: a typed
-    #: :class:`~repro.registry.CryptoKernelKind` — ``PYTHON`` (scalar
-    #: reference) or ``NATIVE`` (the ``_xrdkernels`` cffi extension,
-    #: DESIGN.md §11; degrades to python with one warning when the
-    #: extension is unavailable) — or the name of a kernel registered in
-    #: :data:`repro.registry.CRYPTO_KERNELS`.  ``None`` (default) keeps the
-    #: process's lazy resolution (``XRD_CRYPTO_KERNEL`` env, else best
-    #: available).  Note the selection is process-global: the last
-    #: deployment created wins.
-    crypto_kernel: Union[str, CryptoKernelKind, None] = None
 
     def __post_init__(self) -> None:
-        # Plain built-in strings are normalised to their typed enum
-        # members; strings naming registered external components pass
-        # through untouched.  Unknown names also pass through here —
-        # validate() is the loud gate.
-        self.execution_backend = EXECUTION_BACKENDS.coerce(self.execution_backend)
-        self.transport = TRANSPORTS.coerce(self.transport)
-        self.crypto_kernel = CRYPTO_KERNELS.coerce(self.crypto_kernel)
+        # A plain string is normalised to its enum member; an unknown name
+        # is kept as given, and validate() is the loud gate.
+        for name, kind in _KINDS.items():
+            with suppress(ValueError):
+                setattr(self, name, kind(getattr(self, name)))
 
     def resolved_num_chains(self) -> int:
         return self.num_chains if self.num_chains is not None else self.num_servers
@@ -172,6 +144,8 @@ class DeploymentConfig:
             raise ConfigurationError("a deployment needs at least one mix server")
         if self.num_users < 0:
             raise ConfigurationError("number of users must be non-negative")
+        if self.num_mailbox_servers < 1:
+            raise ConfigurationError("a deployment needs at least one mailbox server")
         if self.resolved_num_chains() < 1:
             raise ConfigurationError("a deployment needs at least one chain")
         if self.resolved_chain_length() < 1:
@@ -180,12 +154,12 @@ class DeploymentConfig:
             raise ConfigurationError("malicious fraction must be in [0, 1)")
         if self.group_kind not in ("ed25519", "modp"):
             raise ConfigurationError("group_kind must be 'ed25519' or 'modp'")
-        EXECUTION_BACKENDS.ensure_known(self.execution_backend, field="execution_backend")
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ConfigurationError("max_workers must be positive when set")
-        TRANSPORTS.ensure_known(self.transport, field="transport")
-        if self.crypto_kernel is not None:
-            CRYPTO_KERNELS.ensure_known(self.crypto_kernel, field="crypto_kernel")
+        for name, kind in _KINDS.items():
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigurationError(
+                    f"{name} must be one of {[member.value for member in kind]}, got {value!r}"
+                )
         if self.population_chunk_size is not None and self.population_chunk_size < 1:
             raise ConfigurationError("population_chunk_size must be positive when set")
 
@@ -271,9 +245,7 @@ class Deployment:
         #: dispatches each chain's round as an RPC to the owning mix process
         #: instead of running it through the local execution backend.
         self.remote_mix = None
-        self.engine = RoundEngine(
-            self, backend=make_backend(config.execution_backend, config.max_workers)
-        )
+        self.engine = RoundEngine(self, backend=make_backend(config.execution_backend))
 
     # -- construction -----------------------------------------------------------
 
@@ -281,10 +253,6 @@ class Deployment:
     def create(cls, config: DeploymentConfig) -> "Deployment":
         """Build a deployment: servers, chains (with key ceremony), mailboxes, users."""
         config.validate()
-        if config.crypto_kernel is not None:
-            # The registry factory for a kernel *is* the tier selection
-            # (process-global).
-            CRYPTO_KERNELS.create(config.crypto_kernel)
         if config.group_kind == "modp":
             group = ModPGroup()
         else:

@@ -10,8 +10,7 @@ Two tiers run the batched hot loops, bit-identically:
   cannot run, e.g. a >256-bit modulus).
 
 The active tier is process-global state, resolved lazily on first query
-from, in priority order: an explicit :func:`set_active_kernel` call
-(``DeploymentConfig.crypto_kernel`` routes here), the
+from, in priority order: an explicit :func:`set_active_kernel` call, the
 ``XRD_CRYPTO_KERNEL`` environment variable, then ``auto`` (best
 available).  Requesting ``native`` when the extension cannot be loaded
 downgrades with a single :class:`RuntimeWarning` — never an error — so
@@ -34,7 +33,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.constants import AEAD_NONCE_SIZE, KDF_LABEL_INNER, KDF_LABEL_OUTER
 from repro.errors import ConfigurationError
-from repro.registry import CRYPTO_KERNELS, CryptoKernelKind
+from repro.registry import CryptoKernelKind
 
 __all__ = [
     "active_kernel",
@@ -131,9 +130,8 @@ def active_kernel() -> CryptoKernelKind:
 def set_active_kernel(kind: Union[str, CryptoKernelKind, None]) -> CryptoKernelKind:
     """Select the kernel tier for this process; returns the resolved tier.
 
-    ``None`` re-enables lazy resolution (environment / auto).  Note this
-    is process-global: a ``DeploymentConfig.crypto_kernel`` setting
-    applies to every deployment in the process.
+    ``None`` re-enables lazy resolution (environment / auto).  The tier is
+    process-global: it applies to every deployment in the process.
     """
     global _active
     if kind is None:
@@ -647,7 +645,7 @@ def ed25519_decode_batch(encodings: Sequence[bytes],
 # -- fused onion build ----------------------------------------------------------
 #
 # One call per (chain, chunk): everything ``population/batch_build.py`` does
-# between the users' RNG draws and the Schnorr challenges (DESIGN.md §11.7).
+# between the users' RNG draws and the Schnorr challenges (DESIGN.md §11.4).
 # The columns are one 32-byte seal key, one 32-byte recipient, one body of
 # the common length and three reduced scalars ``(y, x, k)`` per entry;
 # anything else is declined before the C call.
@@ -719,14 +717,6 @@ def ed25519_onion_build(inner_public: object, mixing_publics: Sequence[object],
     except OverflowError:
         return None
     return _onion_build("xrd_ed25519_onion_build", head, "little", len(mixing_publics), *columns)
-
-
-# The registry's factory contract instantiates components; for kernels the
-# "component" is the process-wide tier itself, so each factory selects its
-# tier and returns the resolved kind.
-for _kind in CryptoKernelKind:
-    CRYPTO_KERNELS.register(_kind, (lambda k: lambda: set_active_kernel(k))(_kind))
-del _kind
 
 
 def reset_kernel_for_tests() -> None:

@@ -34,10 +34,10 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar, Union
 
 from repro.errors import ConfigurationError
-from repro.registry import EXECUTION_BACKENDS, ExecutionBackendKind
+from repro.registry import ExecutionBackendKind
 
 __all__ = ["ExecutionBackend", "SerialBackend", "ParallelBackend", "make_backend"]
 
@@ -75,9 +75,10 @@ class SerialBackend(ExecutionBackend):
 class ParallelBackend(ExecutionBackend):
     """Mix chains concurrently on a thread pool.
 
-    The pool is created lazily and reused across rounds; ``max_workers``
-    defaults to the machine's CPU count capped by the chain count of the
-    first dispatch.
+    The pool is created lazily and reused across rounds, sized to the
+    machine's CPU count capped by the chain count of the first dispatch;
+    ``max_workers`` pins it (tests install such a backend with
+    :meth:`~repro.coordinator.network.Deployment.use_backend`).
     """
 
     name = "parallel"
@@ -115,20 +116,13 @@ class ParallelBackend(ExecutionBackend):
             self._executor = None
 
 
-def _make_serial(max_workers: Optional[int] = None) -> ExecutionBackend:
-    return SerialBackend()
+_CONSTRUCTORS = {
+    ExecutionBackendKind.SERIAL: SerialBackend,
+    ExecutionBackendKind.PARALLEL: ParallelBackend,
+}
 
 
-def _make_parallel(max_workers: Optional[int] = None) -> ExecutionBackend:
-    return ParallelBackend(max_workers=max_workers)
-
-
-if not EXECUTION_BACKENDS.is_known(ExecutionBackendKind.SERIAL):  # tolerate re-import
-    EXECUTION_BACKENDS.register(ExecutionBackendKind.SERIAL, _make_serial)
-    EXECUTION_BACKENDS.register(ExecutionBackendKind.PARALLEL, _make_parallel)
-
-
-def make_backend(kind, max_workers: Optional[int] = None) -> ExecutionBackend:
-    """Build a backend from a :class:`~repro.registry.ExecutionBackendKind`
-    (or a registered name) via the component registry."""
-    return EXECUTION_BACKENDS.create(kind, max_workers=max_workers)
+def make_backend(kind: Union[str, ExecutionBackendKind]) -> ExecutionBackend:
+    """Build the backend an :class:`~repro.registry.ExecutionBackendKind` (or
+    its string) names; an unknown name raises :class:`ValueError`."""
+    return _CONSTRUCTORS[ExecutionBackendKind(kind)]()

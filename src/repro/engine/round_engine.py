@@ -334,12 +334,11 @@ class RoundEngine:
         """Run the round's public-key work ahead of the online mix phase.
 
         Operates on the assembled chain batches, so it is complete after
-        :meth:`finalize_collect`; a no-op when the deployment disables
-        precomputation (``DeploymentConfig.precompute=False`` — the
-        reference online-only path the benchmarks compare against).
+        :meth:`finalize_collect`.  Skipping it is harmless: the members
+        compute any entry missing from their tables inline while mixing
+        (the online-only reference the parity tests and benchmarks hold it
+        to).
         """
-        if not self.deployment.config.precompute:
-            return
         if self.deployment.remote_mix is not None:
             # The owning mix processes precompute on their own replicas as
             # part of the MIX RPC; the coordinator's members never mix.
@@ -357,8 +356,6 @@ class RoundEngine:
         pool.  Deferred users and extra submissions are not built yet; the
         post-finalize :meth:`precompute` tops those up.
         """
-        if not self.deployment.config.precompute:
-            return
         if self.deployment.remote_mix is not None:
             return
         per_chain: Dict[int, list] = {}

@@ -7,7 +7,7 @@ the inner envelope, ``x`` for the shared outer secret, ``k`` for the Schnorr
 nonce) — it produces the chain's :class:`~repro.mixnet.messages.
 ClientSubmission` batch.  Everything between the RNG draws and the Schnorr
 challenges is one kernel call per (chain, chunk) on the native tier
-(``group.onion_build``, DESIGN.md §11.7); :func:`_build_per_operation` is
+(``group.onion_build``, DESIGN.md §11.4); :func:`_build_per_operation` is
 the python tier's path and the oracle that kernel is tested against.  The
 proofs reuse the already-computed ``X_i = g^{x_i}`` and differ from
 :func:`repro.crypto.nizk.prove_dlog` only in not re-deriving it.

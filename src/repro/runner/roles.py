@@ -143,10 +143,7 @@ class MixRoleHandler(RoleHandler):
             chain = deployment.chain(chain_id)
             chain.begin_round(round_number)
             submissions = decode_submission_batch(deployment.group, batch)
-            if deployment.config.precompute:
-                chain.precompute_round(
-                    round_number, chain.decode_submission_publics(submissions)
-                )
+            chain.precompute_round(round_number, chain.decode_submission_publics(submissions))
             _, rejected = chain.accept_submissions(round_number, submissions)
             result = chain.run_round(round_number, retry_after_blame=retry_after_blame)
             if result.delivered:

@@ -18,15 +18,14 @@ delivery, and the user's mailbox fetch — travels as a typed
   (:mod:`repro.runner`) deploys it across OS processes, and the standalone
   ``transport="tcp"`` knob runs it against a loopback reflector.
 
-Transports are registered in the typed component registry
-(:data:`repro.registry.TRANSPORTS`); :func:`make_transport` is a thin
-wrapper over it, and external transports register there without touching
-this package.
+:func:`make_transport` maps each :class:`~repro.registry.TransportKind`
+straight to its constructor.
 """
 
-from typing import Any
+from typing import Any, Callable, Dict, Union
 
-from repro.registry import TRANSPORTS, TransportKind
+from repro.errors import ConfigurationError
+from repro.registry import TransportKind
 from repro.transport.base import Transport
 from repro.transport.envelope import (
     BATCH,
@@ -65,35 +64,27 @@ __all__ = [
 ]
 
 
-def _make_inproc(group: Any = None, cost_model: Any = None) -> Transport:
-    return InProcTransport()
-
-
-def _make_instrumented(group: Any = None, cost_model: Any = None) -> Transport:
-    from repro.errors import ConfigurationError
-
-    if group is None:
-        raise ConfigurationError("the instrumented transport needs the deployment's group")
-    return InstrumentedTransport(group, cost_model=cost_model)
-
-
-def _make_tcp(group: Any = None, cost_model: Any = None) -> Transport:
+def _loopback_tcp(group: Any, cost_model: Any = None) -> Transport:
     """The standalone knob: a loopback reflector in this process."""
-    from repro.errors import ConfigurationError
     from repro.transport.tcp import TcpTransport
 
-    if group is None:
-        raise ConfigurationError("the tcp transport needs the deployment's group")
     return TcpTransport(group, node_name="loopback")
 
 
-if not TRANSPORTS.is_known(TransportKind.INPROC):  # tolerate module re-import
-    TRANSPORTS.register(TransportKind.INPROC, _make_inproc)
-    TRANSPORTS.register(TransportKind.INSTRUMENTED, _make_instrumented)
-    TRANSPORTS.register(TransportKind.TCP, _make_tcp)
+#: Each kind's constructor, called as ``constructor(group, cost_model)``.
+_CONSTRUCTORS: Dict[TransportKind, Callable[[Any, Any], Transport]] = {
+    TransportKind.INPROC: lambda group, cost_model: InProcTransport(),
+    TransportKind.INSTRUMENTED: InstrumentedTransport,
+    TransportKind.TCP: _loopback_tcp,
+}
 
 
-def make_transport(kind: Any, group: Any = None, cost_model: Any = None) -> Transport:
-    """Build a transport from a :class:`~repro.registry.TransportKind` (or a
-    registered name) via the component registry."""
-    return TRANSPORTS.create(kind, group=group, cost_model=cost_model)
+def make_transport(
+    kind: Union[str, TransportKind], group: Any = None, cost_model: Any = None
+) -> Transport:
+    """Build the transport a :class:`~repro.registry.TransportKind` (or its
+    string) names; an unknown name raises :class:`ValueError`."""
+    kind = TransportKind(kind)
+    if group is None and kind is not TransportKind.INPROC:
+        raise ConfigurationError(f"the {kind.value} transport needs the deployment's group")
+    return _CONSTRUCTORS[kind](group, cost_model)

@@ -13,7 +13,7 @@ import pytest
 from repro.coordinator.network import DeploymentConfig
 from repro.engine import ExecutionBackend, ParallelBackend, SerialBackend, make_backend
 from repro.errors import ConfigurationError
-from repro.registry import EXECUTION_BACKENDS, ExecutionBackendKind
+from repro.registry import ExecutionBackendKind
 
 from tests.test_engine_parity import build, conversation_script, fingerprints
 
@@ -52,7 +52,7 @@ class TestBackendContract:
 
     def test_is_an_execution_backend(self, backend):
         assert isinstance(backend, ExecutionBackend)
-        assert EXECUTION_BACKENDS.is_known(backend.name)
+        assert ExecutionBackendKind(backend.name).value == backend.name
 
     def test_map_preserves_order_and_length(self, backend):
         assert backend.map_chains(abs, list(range(-9, 1))) == list(range(9, -1, -1))
@@ -127,7 +127,7 @@ class TestBackendRegistry:
     @pytest.mark.parametrize("kind", list(ExecutionBackendKind))
     def test_make_backend_builds_each_kind(self, kind):
         for key in (kind, kind.value):
-            with make_backend(key, max_workers=2) as instance:
+            with make_backend(key) as instance:
                 assert instance.name == kind.value
 
     def test_only_the_two_thread_backends_exist(self):

@@ -1,0 +1,88 @@
+"""``DeploymentConfig``: thirteen fields, two enum knobs, one validation gate."""
+
+import dataclasses
+import json
+import re
+import warnings
+
+import pytest
+
+from repro.coordinator.network import Deployment, DeploymentConfig
+from repro.crypto import kernels
+from repro.errors import ConfigurationError
+from repro.registry import CryptoKernelKind, ExecutionBackendKind, TransportKind
+from repro.runner import protocol
+
+FIELDS = [
+    "num_servers", "num_users", "num_chains", "chain_length", "malicious_fraction",
+    "security_bits", "num_mailbox_servers", "seed", "use_cover_messages", "group_kind",
+    "execution_backend", "transport", "population_chunk_size",
+]
+
+
+def test_the_config_has_exactly_these_fields():
+    assert [field.name for field in dataclasses.fields(DeploymentConfig)] == FIELDS
+
+
+@pytest.mark.parametrize("field, member", [
+    *(("transport", member) for member in TransportKind),
+    *(("execution_backend", member) for member in ExecutionBackendKind),
+], ids=lambda value: getattr(value, "value", value))
+def test_plain_strings_become_enum_members_without_a_warning(field, member):
+    """``-W error``: the plain spelling is first class, not a deprecation."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = DeploymentConfig(**{field: member.value})
+        config.validate()
+    assert getattr(config, field) is member and getattr(config, field) == member.value
+    assert getattr(DeploymentConfig(**{field: member}), field) is member  # members pass through
+
+
+@pytest.mark.parametrize("knob", ["precompute", "max_workers", "crypto_kernel"])
+def test_a_dict_naming_a_dropped_knob_is_refused(knob):
+    """A role handed a config that still carries a removed knob fails loudly
+    instead of silently running without it."""
+    data = protocol.config_to_dict(DeploymentConfig(group_kind="modp"))
+    data[knob] = None
+    with pytest.raises(TypeError, match=knob):
+        protocol.config_from_dict(data)
+
+
+def test_creating_a_deployment_leaves_the_kernel_tier_alone(tier):
+    """The tier is process state (``XRD_CRYPTO_KERNEL``/``set_active_kernel``);
+    no config field can switch it behind the caller's back."""
+    deployment = Deployment.create(DeploymentConfig(num_users=2, seed=1, group_kind="modp"))
+    assert deployment.run_round().all_chains_delivered()
+    assert kernels.active_kernel() is CryptoKernelKind(tier)
+
+
+@pytest.mark.parametrize("field, valid", [
+    ("transport", ["inproc", "instrumented", "tcp"]),
+    ("execution_backend", ["serial", "parallel"]),
+])
+def test_unknown_names_fail_validate_listing_the_valid_values(field, valid):
+    config = DeploymentConfig(**{field: "carrier-pigeon"})
+    assert getattr(config, field) == "carrier-pigeon"  # kept as given
+    with pytest.raises(ConfigurationError, match=re.escape(f"{field} must be one of {valid}")):
+        config.validate()
+
+
+@pytest.mark.parametrize("count", (0, -1))
+def test_a_deployment_needs_a_mailbox_server(count):
+    config = DeploymentConfig(num_mailbox_servers=count, group_kind="modp")
+    with pytest.raises(ConfigurationError, match="at least one mailbox server"):
+        config.validate()
+    with pytest.raises(ConfigurationError):  # before the hub could raise MailboxError
+        Deployment.create(config)
+
+
+def test_dict_round_trip():
+    config = DeploymentConfig(
+        num_servers=3, seed=5, group_kind="modp", execution_backend="parallel",
+        transport="instrumented", population_chunk_size=2,
+    )
+    data = json.loads(json.dumps(protocol.config_to_dict(config)))
+    assert data["transport"] == "instrumented"  # enum knobs travel as their values
+    rebuilt = protocol.config_from_dict(data)
+    assert rebuilt == config
+    assert rebuilt.execution_backend is ExecutionBackendKind.PARALLEL

@@ -37,8 +37,10 @@ from repro.engine import (
     StaggeredScheduler,
     make_backend,
 )
+from repro.crypto import kernels
 from repro.errors import ConfigurationError
 
+from benchmarks.conftest import online_only
 from tests import user_oracle
 from tests.conftest import RecordingTransport
 from tests.test_ahs_protocol import make_submission
@@ -83,10 +85,6 @@ def _property_group():
 
 
 def build(backend="serial", seed=42, transport="inproc", **kwargs):
-    # Pin the worker count so the parallel cells really run chains on two
-    # threads even on single-core CI runners, where the cpu-count default
-    # would give the pool one worker.
-    kwargs.setdefault("max_workers", 2)
     kwargs.setdefault("group_kind", "modp")
     config = DeploymentConfig(
         num_servers=4,
@@ -98,7 +96,12 @@ def build(backend="serial", seed=42, transport="inproc", **kwargs):
         transport=transport,
         **kwargs,
     )
-    return Deployment.create(config)
+    deployment = Deployment.create(config)
+    if backend == "parallel":
+        # Two workers so the parallel cells really run chains on two threads
+        # even on single-core CI runners, where the cpu-count default gives one.
+        deployment.use_backend(ParallelBackend(max_workers=2))
+    return deployment
 
 
 def conversation_script(deployment):
@@ -141,42 +144,18 @@ def blame_fingerprint(deployment, staggered=False):
 
 
 class TestGoldenDigests:
-    """The pinned reference, on both groups and both kernel tiers.
+    """The pinned reference, on both groups and both kernel tiers."""
 
-    A ``native`` cell on a box without the extension downgrades (one
-    warning) and re-proves the python tier instead of skipping.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _kernel_state(self):
-        from repro.crypto import kernels
-
-        kernels.reset_kernel_for_tests()
-        yield
-        kernels.reset_kernel_for_tests()
-
-    @staticmethod
-    def _build(group_kind, kernel):
-        import warnings as _warnings
-
-        from repro.registry import CryptoKernelKind
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", RuntimeWarning)
-            return build(group_kind=group_kind, crypto_kernel=CryptoKernelKind(kernel))
-
-    @pytest.mark.parametrize("kernel", ("python", "native"))
     @pytest.mark.parametrize("group_kind", sorted(GOLDEN))
-    def test_honest_rounds(self, group_kind, kernel):
-        deployment = self._build(group_kind, kernel)
+    def test_honest_rounds(self, group_kind, tier):
+        deployment = build(group_kind=group_kind)
         actual = fingerprints(deployment.run_rounds(conversation_script(deployment)))
         deployment.close()
         assert actual == GOLDEN[group_kind]["honest"]
 
-    @pytest.mark.parametrize("kernel", ("python", "native"))
     @pytest.mark.parametrize("group_kind", sorted(GOLDEN))
-    def test_blame_scenario(self, group_kind, kernel):
-        assert blame_fingerprint(self._build(group_kind, kernel)) == GOLDEN[group_kind]["blame"]
+    def test_blame_scenario(self, group_kind, tier):
+        assert blame_fingerprint(build(group_kind=group_kind)) == GOLDEN[group_kind]["blame"]
 
     @pytest.mark.parametrize("group_kind", sorted(GOLDEN))
     def test_user_oracle_reproduces_the_pins(self, group_kind):
@@ -404,60 +383,57 @@ class TestStreamingParity:
 class TestPrecomputeParity:
     """The AHS precompute phase is bit-identical to the online path (ISSUE 5).
 
-    With ``DeploymentConfig.precompute=True`` (the default) the chains'
-    public-key work runs in the engine's precompute stage — overlapped with
-    the previous round's mixing under the staggered scheduler — and the
-    online mix phase serves blinded keys and layer keys from the cached
-    tables.  The online-only path and every cell of {serial, parallel} ×
-    {inproc, instrumented} × {sequential, staggered} with the stage on must
-    equal the pinned reference, including rounds after a blame conviction
-    and chain re-formation.
+    The chains' public-key work runs in the engine's precompute stage —
+    overlapped with the previous round's mixing under the staggered
+    scheduler — and the online mix phase serves blinded keys and layer keys
+    from the cached tables (every cell of :class:`TestTransportBackendMatrix`
+    runs so).  With the two precompute stages switched off on one engine
+    (:func:`~benchmarks.conftest.online_only`) the members derive every key
+    inline while mixing; that online-only path must equal the same pinned
+    reference in every cell of {serial, parallel} × {inproc, instrumented}
+    × {sequential, staggered}, including rounds after a blame conviction and
+    chain re-formation.
     """
-
-    @pytest.mark.parametrize("staggered", (False, True))
-    def test_online_only_path_matches_reference(self, staggered):
-        deployment = build(precompute=False)
-        actual = fingerprints(
-            deployment.run_rounds(conversation_script(deployment), staggered=staggered)
-        )
-        deployment.close()
-        assert actual == REFERENCE
 
     @pytest.mark.parametrize("staggered", (False, True))
     @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_precompute_matrix_cell(self, backend, transport, staggered):
-        deployment = build(backend, transport=transport, precompute=True)
-        actual = fingerprints(
-            deployment.run_rounds(conversation_script(deployment), staggered=staggered)
-        )
+    def test_online_only_path_matches_reference(self, backend, transport, staggered):
+        deployment = online_only(build(backend, transport=transport))
+        reports = deployment.run_rounds(conversation_script(deployment), staggered=staggered)
         deployment.close()
-        assert actual == REFERENCE
+        assert fingerprints(reports) == REFERENCE
+        assert not any("precompute" in report.stage_seconds for report in reports)
 
-    def test_precompute_stage_recorded_only_when_enabled(self):
-        enabled = build(precompute=True)
-        report = enabled.run_round()
+    def test_precompute_stage_recorded_in_process_absent_under_remote_mix(self):
+        deployment = build()
+        report = deployment.run_round()
         assert "precompute" in report.stage_seconds and "mix" in report.stage_seconds
-        enabled.close()
-        disabled = build(precompute=False)
-        report = disabled.run_round()
-        assert "precompute" not in report.stage_seconds and "mix" in report.stage_seconds
-        disabled.close()
+        # Under the distributed runtime the owning mix roles precompute
+        # inside the MIX RPC; the coordinator's replica never does.
+        deployment.remote_mix = object()
+        engine = deployment.engine
+        ctx = engine.prepare(deployment.round_spec())
+        for stage in (engine.collect, engine.precompute_collected,
+                      engine.finalize_collect, engine.precompute):
+            stage(ctx)
+        assert "precompute" not in ctx.report.stage_seconds
+        for chain in deployment.chains:
+            for member in chain.members:
+                assert member.round_record(ctx.round_number).precomputed is None
+        deployment.close()
 
     def test_precompute_survives_blame_recovery(self):
-        """Post-``recover()`` rounds stay bit-identical with precompute on.
+        """Post-``recover()`` rounds stay bit-identical, precomputed or not.
 
         The tamper scenario convicts a server at round 2, evicts it, and
         re-forms the chain; rounds 3+ run on fresh members whose precompute
         tables are rebuilt for the new ceremony.
         """
-        for backend, staggered, precompute in (
-            ("serial", False, False), ("serial", False, True), ("parallel", True, True),
+        for deployment, staggered in (
+            (online_only(build()), False), (build(), False), (build("parallel"), True),
         ):
-            assert (
-                blame_fingerprint(build(backend, precompute=precompute), staggered)
-                == GOLDEN["modp"]["blame"]
-            )
+            assert blame_fingerprint(deployment, staggered) == GOLDEN["modp"]["blame"]
 
     def test_reform_invalidates_old_chain_precompute(self):
         """A halted round keeps its records until ``recover()``, where the
@@ -823,7 +799,7 @@ class TestBlameParity:
 
 class TestBackendConfiguration:
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError):
             make_backend("quantum")
         with pytest.raises(ConfigurationError):
             DeploymentConfig(execution_backend="quantum").validate()
@@ -831,14 +807,6 @@ class TestBackendConfiguration:
     def test_bad_worker_counts_rejected(self):
         with pytest.raises(ConfigurationError):
             ParallelBackend(max_workers=0)
-        with pytest.raises(ConfigurationError):
-            DeploymentConfig(max_workers=0).validate()
-
-    def test_max_workers_one_still_correct(self):
-        deployment = build("parallel", max_workers=1)
-        report = deployment.run_round()
-        deployment.close()
-        assert report.all_chains_delivered()
 
     def test_use_backend_swaps_engine_backend(self):
         deployment = build()
@@ -876,7 +844,11 @@ class TestDistributedParity:
     actual processes, not an in-process stand-in.
     """
 
-    def test_localhost_tcp_matches_inproc_reference(self):
+    @pytest.mark.parametrize("env_tier", (None, "native"), ids=("inherited", "native"))
+    def test_localhost_tcp_matches_inproc_reference(self, env_tier, monkeypatch):
+        """The native cell pins the role processes' tier through the
+        environment they inherit (the tier is process-global, not config):
+        the kernel axis survives real process separation too."""
         from repro.faults.runner import ScenarioRunner
         from repro.faults.scenarios import tamper_and_recover
         from repro.runner import protocol
@@ -889,7 +861,6 @@ class TestDistributedParity:
             chain_length=2,
             seed=42,
             group_kind="modp",
-            max_workers=2,
         )
         plan = tamper_and_recover()
 
@@ -900,6 +871,8 @@ class TestDistributedParity:
             reference_deployment.close()
         expected = protocol.scenario_summary(reference)
 
+        if env_tier is not None:
+            monkeypatch.setenv("XRD_CRYPTO_KERNEL", env_tier)
         summary = run_localhost(config, plan, num_mix=2, timeout=240.0)
 
         assert summary == expected
@@ -908,57 +881,6 @@ class TestDistributedParity:
         assert statuses[2]["0"] == "halted-blame"
         assert summary["evicted_servers"] == ["server-0"]
         assert summary["recoveries"], "the scenario must include a recovery round"
-
-    def test_localhost_tcp_native_matches_reference(self):
-        """The kernel axis survives real process separation: every role
-        process resolves the native tier (or its documented downgrade) from
-        the shipped config, and the scenario — tamper, blame, recovery
-        included — still matches the in-process reference bit for bit."""
-        import warnings as _warnings
-
-        from repro.crypto import kernels
-        from repro.faults.runner import ScenarioRunner
-        from repro.faults.scenarios import tamper_and_recover
-        from repro.registry import CryptoKernelKind
-        from repro.runner import protocol
-        from repro.runner.harness import run_localhost
-
-        base = dict(
-            num_servers=4,
-            num_users=6,
-            num_chains=3,
-            chain_length=2,
-            seed=42,
-            group_kind="modp",
-            max_workers=2,
-        )
-        plan = tamper_and_recover()
-
-        reference_deployment = Deployment.create(DeploymentConfig(**base))
-        try:
-            reference = ScenarioRunner(reference_deployment, plan).run()
-        finally:
-            reference_deployment.close()
-        expected = protocol.scenario_summary(reference)
-
-        kernels.reset_kernel_for_tests()
-        try:
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("ignore", RuntimeWarning)
-                config = DeploymentConfig(**base, crypto_kernel=CryptoKernelKind.NATIVE)
-                summary = run_localhost(config, plan, num_mix=2, timeout=240.0)
-        finally:
-            kernels.reset_kernel_for_tests()
-
-        assert summary == expected
-        assert summary["canonical"] == reference.canonical_bytes().hex()
-
-
-#: The crypto-kernel axis (DESIGN.md §11): every tier must be bit-identical.
-#: ``native`` cells run even without the extension — the documented
-#: downgrade path resolves them to python, so the cell then re-proves that
-#: tier (and proves the downgrade harmless) instead of skipping.
-KERNELS = ("python", "native")
 
 
 class TestCryptoKernelParity:
@@ -971,49 +893,22 @@ class TestCryptoKernelParity:
     contents.
     """
 
-    @pytest.fixture(autouse=True)
-    def _kernel_state(self):
-        from repro.crypto import kernels
-
-        kernels.reset_kernel_for_tests()
-        yield
-        kernels.reset_kernel_for_tests()
-
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_kernel_cell(self, kernel, transport):
-        import warnings as _warnings
-
-        from repro.registry import CryptoKernelKind
-
-        with _warnings.catch_warnings():
-            # The native cell may legitimately downgrade on a box with no
-            # C toolchain; the warning is the contract, not a failure.
-            _warnings.simplefilter("ignore", RuntimeWarning)
-            deployment = build(transport=transport, crypto_kernel=CryptoKernelKind(kernel))
-            actual = fingerprints(
-                deployment.run_rounds(conversation_script(deployment))
-            )
-            deployment.close()
+    def test_kernel_cell(self, tier, transport):
+        deployment = build(transport=transport)
+        actual = fingerprints(deployment.run_rounds(conversation_script(deployment)))
+        deployment.close()
         assert actual == REFERENCE
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_kernel_blame_recovery(self, kernel):
+    def test_kernel_blame_recovery(self, tier):
         """Blame, eviction, and chain re-formation on every tier.
 
         The chain retains only sender stubs and the wire blob; this proves
         that is enough state for the whole blame arc — the accusation, the
         history replay, the re-formed chain's rounds — byte for byte.
         """
-        import warnings as _warnings
-
-        from repro.registry import CryptoKernelKind
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", RuntimeWarning)
-            for backend, staggered in (("serial", False), ("parallel", True)):
-                deployment = build(backend, crypto_kernel=CryptoKernelKind(kernel))
-                assert blame_fingerprint(deployment, staggered) == GOLDEN["modp"]["blame"]
+        for backend, staggered in (("serial", False), ("parallel", True)):
+            assert blame_fingerprint(build(backend), staggered) == GOLDEN["modp"]["blame"]
 
 
 class TestBatchRepresentation:
@@ -1110,46 +1005,40 @@ class TestKernelTierParity:
 
     GROUPS = {"ed25519": "Ed25519Group", "modp": "ModPGroup"}
 
-    @pytest.fixture(autouse=True)
-    def _kernel_state(self):
-        from repro.crypto import kernels
-
-        kernels.reset_kernel_for_tests()
-        yield
-        kernels.reset_kernel_for_tests()
-
-    @pytest.fixture(params=sorted(GROUPS))
+    @pytest.fixture(scope="class", params=sorted(GROUPS))
     def group_kind(self, request):
         return request.param
 
-    def _config(self, group_kind, kernel):
-        import warnings as _warnings
+    @pytest.fixture(scope="class")
+    def python_reference(self, group_kind):
+        """Both arcs on the python tier, once per group (class-scoped, so it
+        runs before the ``tier`` fixture selects the tier under test)."""
+        kernels.set_active_kernel("python")
+        try:
+            return self._honest(group_kind), self._blame(group_kind)
+        finally:
+            kernels.reset_kernel_for_tests()
 
-        from repro.registry import CryptoKernelKind
-
-        with _warnings.catch_warnings():
-            # On a box with no built extension the native cells downgrade
-            # (one warning) and re-prove a lower tier instead.
-            _warnings.simplefilter("ignore", RuntimeWarning)
-            deployment = Deployment.create(DeploymentConfig(
-                num_servers=3, num_users=4, num_chains=2, chain_length=2, seed=7,
-                group_kind=group_kind, crypto_kernel=CryptoKernelKind(kernel),
-            ))
+    def _config(self, group_kind):
+        deployment = Deployment.create(DeploymentConfig(
+            num_servers=3, num_users=4, num_chains=2, chain_length=2, seed=7,
+            group_kind=group_kind,
+        ))
         assert type(deployment.group).__name__ == self.GROUPS[group_kind]
         return deployment
 
-    def _honest(self, group_kind, kernel):
-        deployment = self._config(group_kind, kernel)
+    def _honest(self, group_kind):
+        deployment = self._config(group_kind)
         try:
             return fingerprints(deployment.run_rounds(conversation_script(deployment)[:3]))
         finally:
             deployment.close()
 
-    def _blame(self, group_kind, kernel):
+    def _blame(self, group_kind):
         from repro.faults.runner import ScenarioRunner
         from repro.faults.scenarios import tamper_and_recover
 
-        deployment = self._config(group_kind, kernel)
+        deployment = self._config(group_kind)
         try:
             report = ScenarioRunner(deployment, tamper_and_recover(num_rounds=3)).run()
         finally:
@@ -1160,10 +1049,8 @@ class TestKernelTierParity:
         assert report.outcome_for(3).all_delivered
         return report.canonical_bytes()
 
-    def test_honest_rounds_identical_across_tiers(self, group_kind):
-        reference = self._honest(group_kind, "python")
-        assert self._honest(group_kind, "native") == reference
+    def test_honest_rounds_identical_across_tiers(self, group_kind, tier, python_reference):
+        assert self._honest(group_kind) == python_reference[0]
 
-    def test_blame_round_identical_across_tiers(self, group_kind):
-        reference = self._blame(group_kind, "python")
-        assert self._blame(group_kind, "native") == reference
+    def test_blame_round_identical_across_tiers(self, group_kind, tier, python_reference):
+        assert self._blame(group_kind) == python_reference[1]

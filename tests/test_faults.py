@@ -13,6 +13,7 @@ import hashlib
 import pytest
 
 from repro.coordinator.network import Deployment, DeploymentConfig
+from repro.engine import ParallelBackend
 from repro.errors import ConfigurationError
 from repro.faults import (
     CANNED_SCENARIOS,
@@ -42,7 +43,6 @@ BACKENDS = ("serial", "parallel")
 
 
 def build(backend="serial", transport="inproc", seed=42, **kwargs):
-    kwargs.setdefault("max_workers", 2)
     kwargs.setdefault("num_servers", 4)
     kwargs.setdefault("num_users", 6)
     kwargs.setdefault("num_chains", 3)
@@ -54,7 +54,10 @@ def build(backend="serial", transport="inproc", seed=42, **kwargs):
         transport=transport,
         **kwargs,
     )
-    return Deployment.create(config)
+    deployment = Deployment.create(config)
+    if backend == "parallel":  # two workers even on a one-core runner
+        deployment.use_backend(ParallelBackend(max_workers=2))
+    return deployment
 
 
 def run_scenario(plan, backend="serial", staggered=False, transport="inproc", **kwargs):

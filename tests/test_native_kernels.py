@@ -12,8 +12,7 @@ wrappers directly — the same entry points the hot loops dispatch through —
 so a mismatch pins the exact kernel, not a composite code path.
 
 The tier-selection machinery (lazy resolution, env override, downgrade
-warning, registry factories, ``DeploymentConfig.crypto_kernel``) is tested
-unconditionally; the differential classes skip as a block when the
+warning) is tested unconditionally; the differential classes skip as a block when the
 extension is unavailable (no C compiler), which is itself the documented
 degraded mode.
 """
@@ -32,7 +31,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import KDF_LABEL_INNER, KDF_LABEL_OUTER
-from repro.coordinator.network import DeploymentConfig
 from repro.crypto import aead, chacha20, kernels
 from repro.crypto import group as group_mod
 from repro.crypto.aead import adec, aenc
@@ -45,7 +43,7 @@ from repro.crypto.group import (
 from repro.crypto.kdf import derive_key
 from repro.crypto.onion import inner_envelope_key, outer_layer_key, shared_keys_batch
 from repro.errors import ConfigurationError, CryptoError, DecodingError
-from repro.registry import CRYPTO_KERNELS, CryptoKernelKind
+from repro.registry import CryptoKernelKind
 
 from tests.conftest import TIERS, forbid
 
@@ -1015,15 +1013,11 @@ class TestTierSelection:
             kernels.active_kernel()
 
     def test_numpy_is_not_a_tier(self, monkeypatch):
-        """Two tiers, named by both the environment and the config gate."""
+        """Two tiers, named by the environment gate."""
         monkeypatch.setenv("XRD_CRYPTO_KERNEL", "numpy")
         kernels.reset_kernel_for_tests()
         with pytest.raises(ConfigurationError, match=r"\['python', 'native'\]"):
             kernels.active_kernel()
-        monkeypatch.delenv("XRD_CRYPTO_KERNEL")
-        kernels.reset_kernel_for_tests()
-        with pytest.raises(ConfigurationError, match=r"\['python', 'native'\]"):
-            DeploymentConfig(crypto_kernel="numpy").validate()
 
     def test_numpy_is_never_imported(self):
         """A production round — the benchmark's ``steady`` configuration at
@@ -1051,10 +1045,6 @@ class TestTierSelection:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr
-
-    def test_registry_factories_select_tier(self):
-        assert CRYPTO_KERNELS.create(CryptoKernelKind.PYTHON) is CryptoKernelKind.PYTHON
-        assert kernels.active_kernel() is CryptoKernelKind.PYTHON
 
     def test_wrappers_return_none_on_python_tier(self):
         kernels.set_active_kernel("python")
@@ -1185,35 +1175,6 @@ class TestTierSelection:
             assert "ABI" in str(native.load_error())
         finally:
             native.reset_probe_for_tests()
-
-
-class TestDeploymentKnob:
-    def test_config_accepts_kind(self):
-        from repro.coordinator.network import DeploymentConfig
-
-        config = DeploymentConfig(crypto_kernel=CryptoKernelKind.PYTHON)
-        config.validate()
-        assert config.crypto_kernel is CryptoKernelKind.PYTHON
-
-    def test_config_rejects_unknown_kernel(self):
-        from repro.coordinator.network import DeploymentConfig
-
-        config = DeploymentConfig(crypto_kernel="quantum")
-        with pytest.raises(ConfigurationError):
-            config.validate()
-
-    def test_create_selects_tier(self):
-        from repro.coordinator.network import Deployment, DeploymentConfig
-
-        config = DeploymentConfig(
-            num_servers=2, num_users=2, seed=1, group_kind="modp",
-            crypto_kernel=CryptoKernelKind.PYTHON,
-        )
-        deployment = Deployment.create(config)
-        try:
-            assert kernels.active_kernel() is CryptoKernelKind.PYTHON
-        finally:
-            deployment.close()
 
 
 # -- error-message satellites ------------------------------------------------

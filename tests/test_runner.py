@@ -57,7 +57,6 @@ def make_config(**kwargs):
         chain_length=2,
         seed=42,
         group_kind="modp",
-        max_workers=2,
     )
     defaults.update(kwargs)
     return DeploymentConfig(**defaults)

@@ -156,7 +156,7 @@ class TestTransports:
         assert make_transport("instrumented", group=group).name == "instrumented"
         with pytest.raises(ConfigurationError):
             make_transport("instrumented")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError):
             make_transport("carrier-pigeon")
 
 
