@@ -1,4 +1,5 @@
-"""Round-engine backends: serial vs. parallel vs. staggered.
+"""Round-engine backends: production (thread pool) vs. the serial reference,
+each sequential and staggered.
 
 Times the *real* protocol stack (on the fast test group, so batches are
 non-trivial without taking minutes) under each execution strategy, verifies
@@ -13,13 +14,14 @@ their overheads, not to demonstrate multicore scaling (see DESIGN.md
 import time
 
 from repro.coordinator.network import Deployment, DeploymentConfig
+from repro.engine import SerialBackend
 
 from benchmarks.conftest import save_result
 
 ROUNDS = 4
 
 
-def make_deployment(backend="serial"):
+def make_deployment(serial=False):
     config = DeploymentConfig(
         num_servers=6,
         num_users=12,
@@ -27,9 +29,11 @@ def make_deployment(backend="serial"):
         chain_length=2,
         seed=77,
         group_kind="modp",
-        execution_backend=backend,
     )
-    return Deployment.create(config)
+    deployment = Deployment.create(config)
+    if serial:
+        deployment.use_backend(SerialBackend())
+    return deployment
 
 
 def script(deployment):
@@ -42,8 +46,7 @@ def script(deployment):
 
 
 def run_mode(mode):
-    backend = "parallel" if mode.endswith("parallel") else "serial"
-    deployment = make_deployment(backend)
+    deployment = make_deployment(serial=mode.endswith("serial"))
     specs = script(deployment)
     start = time.perf_counter()
     reports = deployment.run_rounds(specs, staggered=mode.startswith("staggered"))
@@ -55,7 +58,7 @@ def run_mode(mode):
 def test_engine_backends(benchmark):
     timings = {}
     fingerprints = {}
-    for mode in ("serial", "parallel", "staggered", "staggered+parallel"):
+    for mode in ("serial", "production", "staggered+serial", "staggered+production"):
         reports, elapsed = run_mode(mode)
         assert all(report.all_chains_delivered() for report in reports)
         timings[mode] = elapsed
@@ -64,7 +67,7 @@ def test_engine_backends(benchmark):
     # All strategies are observationally identical under the fixed seed.
     assert len(set(map(tuple, fingerprints.values()))) == 1
 
-    benchmark.pedantic(lambda: run_mode("staggered+parallel"), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: run_mode("staggered+production"), rounds=1, iterations=1)
 
     lines = ["Round-engine backends (%d rounds, 4 chains, 12 users, modp group):" % ROUNDS]
     for mode, elapsed in timings.items():

@@ -62,7 +62,6 @@ def test_fig4_engine_load_scaling(benchmark):
                         chain_length=2,
                         seed=4,
                         group_kind="modp",
-                        execution_backend="parallel",
                     )
                 )
                 if not precompute:

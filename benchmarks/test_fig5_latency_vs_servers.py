@@ -58,7 +58,6 @@ def test_fig5_engine_horizontal_scaling(benchmark):
                         chain_length=2,
                         seed=5,
                         group_kind="modp",
-                        execution_backend="parallel",
                     )
                 )
                 if not precompute:

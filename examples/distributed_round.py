@@ -7,8 +7,8 @@ processes and a mailbox process bind localhost TCP listeners, then a
 coordinator process drives the tamper/blame/recovery acceptance scenario
 across them — submissions, chain outcomes, and mailbox fetches all cross
 real sockets as length-prefixed frames.  This runtime is the repo's one
-multi-process deployment: inside one interpreter, chains run serially or on
-a thread pool (``execution_backend``), never in forked workers.
+multi-process deployment: inside one interpreter, chains run on a thread
+pool, never in forked workers.
 
 The punchline is parity: the distributed run's per-round fingerprints and
 scenario digest are compared against an ordinary in-process run of the
@@ -30,7 +30,7 @@ import sys
 from repro import Deployment, DeploymentConfig
 from repro.faults import ScenarioRunner
 from repro.faults.scenarios import tamper_and_recover
-from repro.registry import ExecutionBackendKind, TransportKind
+from repro.registry import TransportKind
 from repro.runner import protocol
 from repro.runner.harness import run_localhost
 
@@ -42,7 +42,7 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    # The typed config surface: enum knobs, not strings.
+    # The typed config surface: an enum knob, not a string.
     config = DeploymentConfig(
         num_servers=4,
         num_users=6,
@@ -50,7 +50,6 @@ def main() -> int:
         chain_length=2,
         seed=42,
         group_kind="modp",
-        execution_backend=ExecutionBackendKind.SERIAL,
         transport=TransportKind.INPROC,  # what each replica uses internally
     )
     plan = tamper_and_recover()  # tamper at round 2 → blame → evict → re-form

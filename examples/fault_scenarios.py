@@ -31,7 +31,7 @@ from repro.faults.scenarios import (
 )
 
 
-def fresh_deployment(seed: int, backend: str = "serial") -> Deployment:
+def fresh_deployment(seed: int) -> Deployment:
     return Deployment.create(
         DeploymentConfig(
             num_servers=4,
@@ -40,7 +40,6 @@ def fresh_deployment(seed: int, backend: str = "serial") -> Deployment:
             chain_length=3,
             seed=seed,
             group_kind="modp",
-            execution_backend=backend,
         )
     )
 

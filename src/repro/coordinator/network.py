@@ -12,9 +12,10 @@ drives communication rounds:
 
 Round execution itself lives in :mod:`repro.engine`: the deployment is a
 thin facade that builds a :class:`~repro.engine.round_engine.RoundEngine`
-with the configured execution backend and delegates
-:meth:`Deployment.run_round` to it.  Chains may therefore be mixed serially
-or concurrently, and consecutive rounds may be staggered
+and delegates :meth:`Deployment.run_round` to it.  Chains are built,
+accepted, precomputed and mixed concurrently on the engine's thread pool
+(or serially, on the reference backend :meth:`Deployment.use_backend`
+installs), and consecutive rounds may be staggered
 (:meth:`Deployment.run_rounds`), without any change to the protocol code.
 
 The deployment is an in-process simulation, but every cross-node interaction
@@ -45,7 +46,6 @@ from repro.engine import (
     RoundReport,
     RoundSpec,
     StaggeredScheduler,
-    make_backend,
 )
 from repro.errors import ConfigurationError, ProtocolError
 from repro.mailbox import MailboxHub
@@ -53,7 +53,7 @@ from repro.mixnet.ahs import ChainMember, MixChain
 from repro.mixnet.chain import ChainTopology, form_chains, required_chain_length
 from repro.mixnet.messages import ClientSubmission
 from repro.population import UserPopulation
-from repro.registry import ExecutionBackendKind, TransportKind
+from repro.registry import TransportKind
 from repro.transport import Transport, make_transport
 
 __all__ = [
@@ -74,10 +74,6 @@ class RecoveryAction:
     chain_id: int
     evicted: List[str]
     new_servers: List[str]
-
-
-#: The config's enum-typed fields.
-_KINDS = {"execution_backend": ExecutionBackendKind, "transport": TransportKind}
 
 
 @dataclass
@@ -101,12 +97,6 @@ class DeploymentConfig:
     seed: Optional[int] = None
     use_cover_messages: bool = True
     group_kind: str = "ed25519"
-    #: How the mix stage executes the per-chain work:
-    #: :class:`~repro.registry.ExecutionBackendKind` ``SERIAL`` (default,
-    #: reference semantics) or ``PARALLEL`` (chains on a thread pool sized
-    #: from the chain and CPU counts).  Chains in separate OS processes are
-    #: the distributed runtime's job (:mod:`repro.runner`).
-    execution_backend: Union[str, ExecutionBackendKind] = ExecutionBackendKind.SERIAL
     #: How cross-node messages travel: :class:`~repro.registry.TransportKind`
     #: ``INPROC`` (default, reference semantics — delivery is a hand-off),
     #: ``INSTRUMENTED`` (every envelope is serialised to its real wire
@@ -124,9 +114,8 @@ class DeploymentConfig:
     def __post_init__(self) -> None:
         # A plain string is normalised to its enum member; an unknown name
         # is kept as given, and validate() is the loud gate.
-        for name, kind in _KINDS.items():
-            with suppress(ValueError):
-                setattr(self, name, kind(getattr(self, name)))
+        with suppress(ValueError):
+            self.transport = TransportKind(self.transport)
 
     def resolved_num_chains(self) -> int:
         return self.num_chains if self.num_chains is not None else self.num_servers
@@ -154,12 +143,11 @@ class DeploymentConfig:
             raise ConfigurationError("malicious fraction must be in [0, 1)")
         if self.group_kind not in ("ed25519", "modp"):
             raise ConfigurationError("group_kind must be 'ed25519' or 'modp'")
-        for name, kind in _KINDS.items():
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                raise ConfigurationError(
-                    f"{name} must be one of {[member.value for member in kind]}, got {value!r}"
-                )
+        if not isinstance(self.transport, TransportKind):
+            raise ConfigurationError(
+                f"transport must be one of {[member.value for member in TransportKind]}, "
+                f"got {self.transport!r}"
+            )
         if self.population_chunk_size is not None and self.population_chunk_size < 1:
             raise ConfigurationError("population_chunk_size must be positive when set")
 
@@ -245,7 +233,7 @@ class Deployment:
         #: dispatches each chain's round as an RPC to the owning mix process
         #: instead of running it through the local execution backend.
         self.remote_mix = None
-        self.engine = RoundEngine(self, backend=make_backend(config.execution_backend))
+        self.engine = RoundEngine(self)
 
     # -- construction -----------------------------------------------------------
 
@@ -602,7 +590,9 @@ class Deployment:
         return topology
 
     def use_backend(self, backend: ExecutionBackend) -> None:
-        """Swap the mix-stage execution backend (closing the previous one)."""
+        """Swap the per-chain execution backend (closing the previous one) —
+        how tests install the :class:`~repro.engine.backends.SerialBackend`
+        reference or a pool with a pinned helper count."""
         self.engine.backend.close()
         self.engine.backend = backend
 
@@ -630,8 +620,9 @@ class Deployment:
     def close(self) -> None:
         """Release engine and transport resources (thread pools).
 
-        The deployment stays usable: a parallel backend lazily rebuilds its
-        pool on the next round.
+        The deployment stays usable: the backend restarts its helpers on the
+        next round.  A deployment dropped without closing stops its helpers
+        when it is collected.
         """
         self.engine.close()
         self.transport.close()

@@ -31,6 +31,7 @@ import warnings
 from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple, Union
 
+from repro import native
 from repro.constants import AEAD_NONCE_SIZE, KDF_LABEL_INNER, KDF_LABEL_OUTER
 from repro.errors import ConfigurationError
 from repro.registry import CryptoKernelKind
@@ -76,8 +77,6 @@ def _best_available() -> CryptoKernelKind:
 
 
 def _load_native():
-    from repro import native
-
     return native.load()
 
 
@@ -86,8 +85,6 @@ def _downgrade_warning(requested: str, got: CryptoKernelKind) -> None:
     if _warned_downgrade:
         return
     _warned_downgrade = True
-    from repro import native
-
     cause = native.load_error()
     detail = f" ({cause})" if cause is not None else ""
     warnings.warn(
@@ -114,17 +111,25 @@ def resolve_kernel(requested: Union[str, CryptoKernelKind, None]) -> CryptoKerne
 
 
 def active_kernel() -> CryptoKernelKind:
-    """The tier currently steering the batched hot loops."""
+    """The tier currently steering the batched hot loops.
+
+    The first call resolves it under the loader's probe lock, so threads
+    that make their first kernel call together all see the same tier.
+    """
     global _active
-    if _active is None:
-        env = os.environ.get("XRD_CRYPTO_KERNEL", "auto").strip().lower()
-        if env not in ("auto", "") and env not in set(CryptoKernelKind):
-            raise ConfigurationError(
-                f"XRD_CRYPTO_KERNEL must be one of "
-                f"{[k.value for k in CryptoKernelKind]} or 'auto', got {env!r}"
-            )
-        _active = resolve_kernel(env if env else "auto")
-    return _active
+    kind = _active
+    if kind is not None:
+        return kind
+    with native.probe_lock:
+        if _active is None:
+            env = os.environ.get("XRD_CRYPTO_KERNEL", "auto").strip().lower()
+            if env not in ("auto", "") and env not in set(CryptoKernelKind):
+                raise ConfigurationError(
+                    f"XRD_CRYPTO_KERNEL must be one of "
+                    f"{[k.value for k in CryptoKernelKind]} or 'auto', got {env!r}"
+                )
+            _active = resolve_kernel(env if env else "auto")
+        return _active
 
 
 def set_active_kernel(kind: Union[str, CryptoKernelKind, None]) -> CryptoKernelKind:
@@ -134,11 +139,9 @@ def set_active_kernel(kind: Union[str, CryptoKernelKind, None]) -> CryptoKernelK
     process-global: it applies to every deployment in the process.
     """
     global _active
-    if kind is None:
-        _active = None
+    with native.probe_lock:
+        _active = None if kind is None else resolve_kernel(kind)
         return active_kernel()
-    _active = resolve_kernel(kind)
-    return _active
 
 
 def native_enabled() -> bool:
@@ -722,5 +725,6 @@ def ed25519_onion_build(inner_public: object, mixing_publics: Sequence[object],
 def reset_kernel_for_tests() -> None:
     """Forget the resolved tier and downgrade warning (test hook only)."""
     global _active, _warned_downgrade
-    _active = None
-    _warned_downgrade = False
+    with native.probe_lock:
+        _active = None
+        _warned_downgrade = False

@@ -1,9 +1,10 @@
 """Pluggable round-execution engine (DESIGN.md §2).
 
 Splits round orchestration policy (:class:`RoundEngine`, the staged
-pipeline) from execution strategy (:class:`SerialBackend` /
-:class:`ParallelBackend`) and scheduling (:class:`StaggeredScheduler`,
-the paper's stagger optimisation).  :class:`Deployment
+pipeline) from execution strategy (:class:`ParallelBackend`, production:
+each stage's chains on the calling thread plus a helper pool;
+:class:`SerialBackend`, the reference order) and scheduling
+(:class:`StaggeredScheduler`, the paper's stagger optimisation).  :class:`Deployment
 <repro.coordinator.network.Deployment>` is a thin facade over this package.
 """
 
@@ -11,7 +12,6 @@ from repro.engine.backends import (
     ExecutionBackend,
     ParallelBackend,
     SerialBackend,
-    make_backend,
 )
 from repro.engine.round_engine import RoundEngine
 from repro.engine.stages import ChainOutcome, RoundContext, RoundReport, RoundSpec
@@ -21,7 +21,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ParallelBackend",
-    "make_backend",
     "RoundEngine",
     "RoundSpec",
     "RoundReport",

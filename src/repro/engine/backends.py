@@ -1,25 +1,27 @@
-"""Pluggable execution backends for the mix stage (DESIGN.md §2.2).
+"""Execution backends for the per-chain stages (DESIGN.md §2.2).
 
-A backend decides *how* the per-chain mixing work of one round is executed;
+A backend decides *how* the per-chain work of a round stage is executed;
 the :class:`~repro.engine.round_engine.RoundEngine` decides *what* that work
-is.  The contract is a single ordered map:
+is — the client build, intake, precompute and mix of every chain.  The
+contract is a single ordered map:
 
 ``map_chains(fn, chains)`` must return ``[fn(chain) for chain in chains]`` —
 same length, same order — and must propagate the first exception raised by
 any ``fn`` call.  ``fn`` touches only the given chain's state (members,
-per-round records) and produces a :class:`~repro.engine.stages.ChainOutcome`;
-chains share no mutable state, which is exactly the independence the paper's
-horizontal-scaling claim rests on, so backends are free to run them
-concurrently.
+per-round records, its own build columns); chains share no mutable state,
+which is exactly the independence the paper's horizontal-scaling claim
+rests on, so a backend is free to run them concurrently.
 
 Two backends are provided:
 
-* :class:`SerialBackend` — one chain after another on the calling thread;
-  the default, and the reference semantics.
-* :class:`ParallelBackend` — chains dispatched to a thread pool.  The
-  native kernels release the GIL for each batched call, so the chains'
+* :class:`ParallelBackend` — production.  The calling thread drains the
+  call's chains together with up to ``available CPUs − 1`` helper threads.
+  The native kernels release the GIL for each batched call, so the chains'
   group arithmetic and AEAD overlap; the Python between the calls (and all
   of it on the python tier) still serialises on the GIL.
+* :class:`SerialBackend` — one chain after another on the calling thread;
+  the reference execution order production is tested against, installed
+  with :meth:`~repro.coordinator.network.Deployment.use_backend`.
 
 Running chains in separate OS processes is the distributed runtime's job
 (:mod:`repro.runner`, one process per role over TCP), not a backend's.
@@ -32,23 +34,29 @@ bit-identical results under a fixed deployment seed.
 from __future__ import annotations
 
 import os
+import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence, TypeVar, Union
+import weakref
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.errors import ConfigurationError
-from repro.registry import ExecutionBackendKind
 
-__all__ = ["ExecutionBackend", "SerialBackend", "ParallelBackend", "make_backend"]
+__all__ = ["ExecutionBackend", "SerialBackend", "ParallelBackend", "available_cpus"]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 
-class ExecutionBackend:
-    """Contract every mix-stage backend implements."""
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    exposes one (a container or ``taskset`` narrows it), else the count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    name: str = "abstract"
+
+class ExecutionBackend:
+    """Contract every per-chain backend implements."""
 
     def map_chains(self, fn: Callable[[_T], _R], chains: Sequence[_T]) -> List[_R]:
         raise NotImplementedError
@@ -64,65 +72,124 @@ class ExecutionBackend:
 
 
 class SerialBackend(ExecutionBackend):
-    """Mix chains one after another — the reference execution order."""
-
-    name = "serial"
+    """Run chains one after another — the reference execution order."""
 
     def map_chains(self, fn: Callable[[_T], _R], chains: Sequence[_T]) -> List[_R]:
         return [fn(chain) for chain in chains]
 
 
-class ParallelBackend(ExecutionBackend):
-    """Mix chains concurrently on a thread pool.
+class _Batch:
+    """One ``map_chains`` call: its chains are claimed one at a time by
+    whichever threads drain it — the caller and any free helper."""
 
-    The pool is created lazily and reused across rounds, sized to the
-    machine's CPU count capped by the chain count of the first dispatch;
-    ``max_workers`` pins it (tests install such a backend with
-    :meth:`~repro.coordinator.network.Deployment.use_backend`).
+    def __init__(self, fn: Callable, chains: List) -> None:
+        self.fn: Optional[Callable] = fn
+        self.chains: Optional[List] = chains
+        self.results: Optional[List] = [None] * len(chains)
+        self.errors: Dict[int, BaseException] = {}
+        self.done = threading.Event()
+        self._size = len(chains)
+        self._claimed = 0
+        self._finished = 0
+        self._lock = threading.Lock()
+
+    def drain(self) -> None:
+        """Run unclaimed chains until none is left."""
+        while True:
+            with self._lock:
+                index = self._claimed
+                if index == self._size:
+                    return
+                self._claimed += 1
+            try:
+                self.results[index] = self.fn(self.chains[index])
+            except BaseException as exc:
+                # Re-raised on the caller; a helper that died holding a claim
+                # would leave the caller waiting forever.
+                self.errors[index] = exc
+            with self._lock:
+                self._finished += 1
+                if self._finished == self._size:
+                    self.done.set()
+
+
+def _help(work: "queue.SimpleQueue[Optional[_Batch]]") -> None:
+    """A helper thread's loop: drain each posted batch until told to stop."""
+    while True:
+        batch = work.get()
+        if batch is None:
+            return
+        batch.drain()
+        del batch  # an idle helper must not pin the last round's data
+
+
+def _stop(work: "queue.SimpleQueue[Optional[_Batch]]", threads: List[threading.Thread]) -> None:
+    for _ in threads:
+        work.put(None)
+
+
+class ParallelBackend(ExecutionBackend):
+    """Run chains on the calling thread and a pool of helper threads.
+
+    Each ``map_chains`` call posts its chains as one queue of claims; the
+    calling thread drains that queue alongside the helpers, then waits only
+    for the chains a helper is already running.  So one CPU (``helpers=0``)
+    means no thread at all, two concurrent callers — the stagger thread's
+    mix and the coordinator's build — both finish however busy the helpers
+    are, and a nested call cannot deadlock.
+
+    ``helpers`` defaults to ``available_cpus() − 1``; helpers start lazily,
+    never more than a call has chains to share.  They hold no reference to
+    the backend: closing it, or dropping the last reference to it, stops
+    them.
     """
 
-    name = "parallel"
+    def __init__(self, helpers: Optional[int] = None) -> None:
+        if helpers is not None and helpers < 0:
+            raise ConfigurationError("a parallel backend cannot have a negative helper count")
+        self.helpers = available_cpus() - 1 if helpers is None else helpers
+        self._work: "queue.SimpleQueue[Optional[_Batch]]" = queue.SimpleQueue()
+        self._threads: List[threading.Thread] = []
+        # Concurrent callers may both start helpers.
+        self._lock = threading.Lock()
+        weakref.finalize(self, _stop, self._work, self._threads)
 
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ConfigurationError("a parallel backend needs at least one worker")
-        self._max_workers = max_workers
-        self._executor: Optional[ThreadPoolExecutor] = None
-        # The staggered scheduler may run the precompute stage on the
-        # coordinator thread while a mix runs on its worker thread; both go
-        # through map_chains, so lazy pool creation must be race-free.
-        self._pool_lock = threading.Lock()
-
-    def _pool(self, num_tasks: int) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._executor is None:
-                workers = self._max_workers or min(max(num_tasks, 1), os.cpu_count() or 4)
-                self._executor = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="xrd-chain"
+    def _start_helpers(self, count: int) -> None:
+        with self._lock:
+            while len(self._threads) < count:
+                thread = threading.Thread(
+                    target=_help,
+                    args=(self._work,),
+                    name=f"xrd-chain-{len(self._threads)}",
+                    daemon=True,
                 )
-            return self._executor
+                thread.start()
+                self._threads.append(thread)
 
     def map_chains(self, fn: Callable[[_T], _R], chains: Sequence[_T]) -> List[_R]:
         chains = list(chains)
-        if len(chains) <= 1:
+        wanted = min(self.helpers, len(chains) - 1)
+        if wanted < 1:
             return [fn(chain) for chain in chains]
-        # Executor.map preserves submission order and re-raises the first
-        # worker exception on iteration.
-        return list(self._pool(len(chains)).map(fn, chains))
+        self._start_helpers(wanted)
+        batch = _Batch(fn, chains)
+        for _ in range(wanted):
+            self._work.put(batch)
+        batch.drain()
+        batch.done.wait()
+        results, errors = batch.results, batch.errors
+        # A helper still busy elsewhere pops this batch later and finds it
+        # drained; leave it nothing of the round to hold on to.
+        batch.fn = batch.chains = batch.results = None
+        batch.errors = {}
+        if errors:
+            raise errors[min(errors)]
+        return results
 
     def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-
-_CONSTRUCTORS = {
-    ExecutionBackendKind.SERIAL: SerialBackend,
-    ExecutionBackendKind.PARALLEL: ParallelBackend,
-}
-
-
-def make_backend(kind: Union[str, ExecutionBackendKind]) -> ExecutionBackend:
-    """Build the backend an :class:`~repro.registry.ExecutionBackendKind` (or
-    its string) names; an unknown name raises :class:`ValueError`."""
-    return _CONSTRUCTORS[ExecutionBackendKind(kind)]()
+        with self._lock:
+            threads = list(self._threads)
+            self._threads.clear()
+        _stop(self._work, threads)
+        for thread in threads:
+            thread.join()

@@ -22,7 +22,9 @@ Stage/state ownership, which is what makes that interleaving safe:
 The scheduler keeps prepare/announce/deliver/fetch on the coordinating
 thread and only ever overlaps *collect* (user state) and *precompute*
 (round *r*'s per-round tables) with *mix* (round *r − 1*'s chain state) —
-disjoint by construction.
+disjoint by construction.  Within a stage, the per-chain work — the
+client build's crypto pass, intake, precompute and mix — fans out through
+the backend's ``map_chains``, because chains share no state either.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.engine.backends import ExecutionBackend, SerialBackend
+from repro.engine.backends import ExecutionBackend, ParallelBackend
 from repro.engine.stages import ChainOutcome, RoundContext, RoundReport, RoundSpec
 from repro.population.streaming import built_chunks, chunk_spans
 from repro.transport.envelope import (
@@ -52,7 +54,7 @@ class RoundEngine:
 
     def __init__(self, deployment: "Deployment", backend: Optional[ExecutionBackend] = None) -> None:
         self.deployment = deployment
-        self.backend = backend or SerialBackend()
+        self.backend = backend or ParallelBackend()
 
     # -- one-shot execution ----------------------------------------------------
 
@@ -219,6 +221,7 @@ class RoundEngine:
             ctx.spec.payloads,
             chunk_size,
             use_covers=config.use_cover_messages,
+            map_chains=self.backend.map_chains,
         ):
             part = chunk.index if chunk_size is not None else None
             delivered = self._scatter_batch(
@@ -294,19 +297,14 @@ class RoundEngine:
 
     # -- precompute stage (§5.2.1 / DESIGN.md §8) ---------------------------------
 
-    def _precompute_batches(
-        self, ctx: RoundContext, per_chain: Dict[int, list], use_backend: bool = True
-    ) -> None:
+    def _precompute_batches(self, ctx: RoundContext, per_chain: Dict[int, list]) -> None:
         """Cascade the chains' public-key precompute over pending submissions.
 
         Incremental: members skip publics already in their round tables, so
         calling this once from the overlap window and again after
         :meth:`finalize_collect` only pays for the entries the first pass
         could not see (deferred users, injected extras).  The per-chain
-        work fans out through the backend's ``map_chains``;
-        ``use_backend=False`` runs it inline instead — the staggered overlap
-        window uses that so the precompute never competes with the
-        in-flight mix for the backend's worker pool.
+        work fans out through the backend's ``map_chains``.
         """
         deployment = self.deployment
 
@@ -318,11 +316,7 @@ class RoundEngine:
                 )
 
         started = time.perf_counter()  # xrdlint: disable=XRD102 - stage timing, not canonical
-        if use_backend:
-            self.backend.map_chains(run_chain, deployment.chains)
-        else:
-            for chain in deployment.chains:
-                run_chain(chain)
+        self.backend.map_chains(run_chain, deployment.chains)
         timings = ctx.report.stage_seconds
         timings["precompute"] = (
             timings.get("precompute", 0.0)
@@ -350,17 +344,17 @@ class RoundEngine:
 
         The staggered scheduler calls this inside the overlap window, while
         the previous round is still mixing, so the bulk of round *r*'s
-        public-key work hides behind round *r − 1*'s online phase.  It runs
-        inline on the coordinating thread (``use_backend=False``) so it
-        never competes with that in-flight mix for the backend's worker
-        pool.  Deferred users and extra submissions are not built yet; the
+        public-key work hides behind round *r − 1*'s online phase.  It fans
+        out like any stage: the coordinating thread drains its own chains,
+        so it never waits on helpers the in-flight mix keeps busy.
+        Deferred users and extra submissions are not built yet; the
         post-finalize :meth:`precompute` tops those up.
         """
         if self.deployment.remote_mix is not None:
             return
         per_chain: Dict[int, list] = {}
         self._fold_user_submissions(ctx, per_chain, strict=False)
-        self._precompute_batches(ctx, per_chain, use_backend=False)
+        self._precompute_batches(ctx, per_chain)
 
     def mix(self, ctx: RoundContext) -> None:
         """Run the aggregate hybrid shuffle on every chain via the backend.
@@ -371,17 +365,15 @@ class RoundEngine:
         it).
         """
 
-        accept_rejected: Dict[int, List[str]] = {}
+        def accept_chain(chain) -> List[str]:
+            _, rejected = chain.accept_submissions(
+                ctx.round_number, ctx.per_chain[chain.chain_id]
+            )
+            ctx.per_chain[chain.chain_id] = []
+            return rejected
 
-        def run_chain(chain) -> ChainOutcome:
-            result = chain.run_round(
-                ctx.round_number, retry_after_blame=ctx.spec.retry_after_blame
-            )
-            return ChainOutcome(
-                chain_id=chain.chain_id,
-                accept_rejected=accept_rejected[chain.chain_id],
-                result=result,
-            )
+        def run_chain(chain):
+            return chain.run_round(ctx.round_number, retry_after_blame=ctx.spec.retry_after_blame)
 
         started = time.perf_counter()  # xrdlint: disable=XRD102 - stage timing, not canonical
         if self.deployment.remote_mix is not None:
@@ -392,15 +384,15 @@ class RoundEngine:
             # keeps sender-only stubs for blame, so the engine can release
             # the decoded submission list — the round's largest structure —
             # for *every* chain before the first mix's transient working set
-            # stacks on top of it.  (Acceptance is transport-free and cheap
-            # next to mixing, so keeping it out of the backend's fan-out
-            # does not move the online-phase clock.)
-            for chain in self.deployment.chains:
-                _, accept_rejected[chain.chain_id] = chain.accept_submissions(
-                    ctx.round_number, ctx.per_chain[chain.chain_id]
-                )
-                ctx.per_chain[chain.chain_id] = []
-            outcomes = self.backend.map_chains(run_chain, self.deployment.chains)
+            # stacks on top of it.  Intake is transport-free, so it fans out
+            # like the mix; the two maps stay separate to keep that order.
+            chains = self.deployment.chains
+            rejected = self.backend.map_chains(accept_chain, chains)
+            results = self.backend.map_chains(run_chain, chains)
+            outcomes = [
+                ChainOutcome(chain_id=chain.chain_id, accept_rejected=senders, result=result)
+                for chain, senders, result in zip(chains, rejected, results)
+            ]
         # stage_seconds is excluded from canonical_bytes: diagnostics only.
         # xrdlint: disable=XRD102
         ctx.report.stage_seconds["mix"] = time.perf_counter() - started

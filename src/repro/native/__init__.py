@@ -13,6 +13,7 @@ import importlib
 import importlib.util
 import os
 import re
+import threading
 from typing import Optional, Tuple
 
 # ABI stamp expected from xrd_abi_version(); mirrors XRD_KERNELS_ABI in
@@ -24,6 +25,13 @@ _MODULE = "repro.native._xrdkernels"
 _ABI_STAMP = re.compile(rb"xrd-kernels-abi:(\d+)\0")
 
 _state: dict = {"probed": False, "handle": None, "error": None}
+
+#: Held for the whole probe, so a thread that calls :func:`load` while
+#: another is still probing (the ABI read and the build release the GIL)
+#: waits for the handle instead of reading a half-finished probe as "no
+#: extension".  Re-entrant: :mod:`repro.crypto.kernels` resolves the tier
+#: under it too, and that resolution calls :func:`load`.
+probe_lock = threading.RLock()
 
 
 def _import_extension():
@@ -72,7 +80,14 @@ def load() -> Optional[Tuple[object, object]]:
     """
     if _state["probed"]:
         return _state["handle"]
-    _state["probed"] = True
+    with probe_lock:
+        if not _state["probed"]:
+            _state["handle"] = _probe()
+            _state["probed"] = True
+    return _state["handle"]
+
+
+def _probe() -> Optional[Tuple[object, object]]:
     if os.environ.get("XRD_NATIVE_DISABLE"):  # escape hatch for tests
         _state["error"] = RuntimeError("disabled via XRD_NATIVE_DISABLE")
         return None
@@ -91,8 +106,7 @@ def load() -> Optional[Tuple[object, object]]:
             "xrdkernels.c and repro/native/__init__.py disagree"
         )
         return None
-    _state["handle"] = (ffi, lib)
-    return _state["handle"]
+    return ffi, lib
 
 
 def load_error() -> Optional[BaseException]:
@@ -102,4 +116,5 @@ def load_error() -> Optional[BaseException]:
 
 def reset_probe_for_tests() -> None:
     """Forget the cached probe result (test hook only)."""
-    _state.update(probed=False, handle=None, error=None)
+    with probe_lock:
+        _state.update(probed=False, handle=None, error=None)

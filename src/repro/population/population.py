@@ -29,7 +29,7 @@ which are per-round inputs, never the assignment).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.client.chain_selection import chains_for_user, intersection_chain
 from repro.client.user import ReceivedMessage, User
@@ -100,12 +100,16 @@ class UserPopulation:
         payloads: Optional[Dict[str, bytes]] = None,
         offline_notice: bool = False,
         cover: bool = False,
+        map_chains: Optional[Callable] = None,
     ) -> Dict[int, List[ClientSubmission]]:
         """Build every given user's ℓ submissions, batched per chain.
 
         ``users`` must be in deployment order; the returned per-chain lists
         are in the canonical batch order (deployment order, then each user's
-        chain-slot order) — the order ``finalize_collect`` assembles.
+        chain-slot order) — the order ``finalize_collect`` assembles.  The
+        scalar draws are one serial pass in that order; the per-chain crypto
+        pass goes through ``map_chains`` (an execution backend's, so chains
+        build concurrently; one after another when not given).
         """
         group = self.group
         payloads = payloads or {}
@@ -157,12 +161,15 @@ class UserPopulation:
                 pending.inner_scalars.append(group.random_scalar(rng))
                 pending.outer_scalars.append(group.random_scalar(rng))
                 pending.nonce_scalars.append(group.random_scalar(rng))
-        return {
-            chain_id: build_chain_submissions(
-                group, chain_keys[chain_id], round_number, pending, cover=cover
+        chain_ids = sorted(buckets)
+
+        def build(chain_id: int) -> List[ClientSubmission]:
+            return build_chain_submissions(
+                group, chain_keys[chain_id], round_number, buckets[chain_id], cover=cover
             )
-            for chain_id, pending in sorted(buckets.items())
-        }
+
+        built = map_chains(build, chain_ids) if map_chains else [build(c) for c in chain_ids]
+        return dict(zip(chain_ids, built))
 
     # -- batched mailbox decryption ---------------------------------------------
 

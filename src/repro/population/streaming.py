@@ -20,7 +20,7 @@ the mix batches in global user order either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.client.user import User
 from repro.errors import ConfigurationError
@@ -74,22 +74,25 @@ def built_chunks(
     payloads: Optional[Dict[str, bytes]],
     chunk_size: Optional[int],
     use_covers: bool,
+    map_chains: Optional[Callable] = None,
 ) -> Iterator[BuiltChunk]:
     """Yield the round's population build one chunk at a time.
 
     ``chunk_size=None`` degenerates to a single whole-population chunk (the
-    monolithic reference pass).
+    monolithic reference pass).  ``map_chains`` runs each chunk's per-chain
+    crypto pass (see :meth:`UserPopulation.build_round_submissions_batch`).
     """
     spans = [span for span in chunk_spans(users, chunk_size) if span]
     for index, span in enumerate(spans):
         submissions = population.build_round_submissions_batch(
-            round_number, current_views, span, payloads=payloads
+            round_number, current_views, span, payloads=payloads, map_chains=map_chains
         )
         covers = None
         if use_covers:
             # Next round's banked covers (§5.3.3): an offline notice where the
             # user is in a conversation, loopbacks elsewhere.
             covers = population.build_round_submissions_batch(
-                round_number + 1, next_views, span, offline_notice=True, cover=True
+                round_number + 1, next_views, span, offline_notice=True, cover=True,
+                map_chains=map_chains,
             )
         yield BuiltChunk(index=index, users=span, submissions=submissions, covers=covers)

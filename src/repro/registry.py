@@ -1,21 +1,21 @@
-"""The three typed enums naming the deployment's seams (DESIGN.md §10.1).
+"""The two typed enums naming the deployment's seams (DESIGN.md §10.1).
 
-The transport, the mix-stage execution backend and the crypto kernel tier
-each have a fixed set of built-in implementations, named by one
-:class:`str` :class:`~enum.Enum` per seam.  The enums subclass ``str``, so
-a plain string (``transport="tcp"``) compares equal to its member, and
-:class:`~repro.coordinator.network.DeploymentConfig` normalises it to the
-member on construction.  ``make_transport`` and ``make_backend`` map each
+The transport and the crypto kernel tier each have a fixed set of built-in
+implementations, named by one :class:`str` :class:`~enum.Enum` per seam.
+The enums subclass ``str``, so a plain string (``transport="tcp"``) compares
+equal to its member, and :class:`~repro.coordinator.network.DeploymentConfig`
+normalises it to the member on construction.  ``make_transport`` maps each
 member straight to its constructor; there is no third-party extension
 point — KISS (PAPERS.md): a seam with no runtime registration is a
-configuration that cannot be half-wired.
+configuration that cannot be half-wired.  (Execution has no seam: the
+thread pool is the one production backend, DESIGN.md §2.2.)
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-__all__ = ["TransportKind", "ExecutionBackendKind", "CryptoKernelKind"]
+__all__ = ["TransportKind", "CryptoKernelKind"]
 
 
 class TransportKind(str, Enum):
@@ -24,13 +24,6 @@ class TransportKind(str, Enum):
     INPROC = "inproc"
     INSTRUMENTED = "instrumented"
     TCP = "tcp"
-
-
-class ExecutionBackendKind(str, Enum):
-    """How the mix stage executes the per-chain work (DESIGN.md §2.2)."""
-
-    SERIAL = "serial"
-    PARALLEL = "parallel"
 
 
 class CryptoKernelKind(str, Enum):

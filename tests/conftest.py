@@ -15,6 +15,7 @@ import pytest
 from repro.coordinator.network import Deployment, DeploymentConfig
 from repro.crypto import kernels
 from repro.crypto.group import Ed25519Group, ModPGroup
+from repro.engine import ParallelBackend, SerialBackend
 from repro.transport import BATCH, Transport
 
 needs_native = pytest.mark.skipif(
@@ -22,6 +23,23 @@ needs_native = pytest.mark.skipif(
 )
 #: The kernel tiers a tier-sensitive test runs under.
 TIERS = ("python", pytest.param("native", marks=needs_native))
+
+
+#: The execution backends a backend-sensitive test runs under, besides
+#: production's default pool: the serial reference, and the pool with one
+#: pinned helper — two threads even on a one-CPU runner.
+BACKENDS = ("serial", "parallel")
+
+
+def install_backend(deployment, backend: str):
+    """Install a :data:`BACKENDS` entry; ``"production"`` keeps the default."""
+    if backend == "serial":
+        deployment.use_backend(SerialBackend())
+    elif backend == "parallel":
+        deployment.use_backend(ParallelBackend(helpers=1))
+    elif backend != "production":
+        raise ValueError(f"unknown test backend {backend!r}")
+    return deployment
 
 
 @pytest.fixture(params=TIERS)

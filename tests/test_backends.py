@@ -1,4 +1,6 @@
-"""The shared :class:`~repro.engine.backends.ExecutionBackend` contract suite.
+"""The shared :class:`~repro.engine.backends.ExecutionBackend` contract suite,
+the production pool's own contract, and proof that every per-chain stage
+fans out through it.
 
 ``map_chains(fn, chains)`` is ``[fn(c) for c in chains]`` — same length, same
 order — and propagates the first exception (DESIGN.md §2.2); ``close`` is
@@ -6,21 +8,27 @@ idempotent and leaves the backend usable.  A new backend only needs a
 factory row here to prove itself.
 """
 
+import collections
+import gc
+import os
+import sys
 import threading
 
 import pytest
 
-from repro.coordinator.network import DeploymentConfig
-from repro.engine import ExecutionBackend, ParallelBackend, SerialBackend, make_backend
+from repro.engine import ExecutionBackend, ParallelBackend, SerialBackend
+from repro.engine.backends import available_cpus
 from repro.errors import ConfigurationError
-from repro.registry import ExecutionBackendKind
+from repro.mixnet.ahs import MixChain
+from repro.population import population as population_module
 
-from tests.test_engine_parity import build, conversation_script, fingerprints
+from tests.test_engine_parity import GOLDEN, build, conversation_script, fingerprints
 
 FACTORIES = {
     "serial": SerialBackend,
-    "parallel-1": lambda: ParallelBackend(max_workers=1),
-    "parallel-2": lambda: ParallelBackend(max_workers=2),
+    "parallel-0": lambda: ParallelBackend(helpers=0),
+    "parallel-1": lambda: ParallelBackend(helpers=1),
+    "parallel-2": lambda: ParallelBackend(helpers=2),
     "parallel-default": ParallelBackend,
 }
 
@@ -44,15 +52,24 @@ def boom_from(threshold):
     return fn
 
 
+def run_concurrently(*targets):
+    """Start one thread per target and join them all, bounded."""
+    threads = [threading.Thread(target=target) for target in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(TIMEOUT_S)
+    assert not any(thread.is_alive() for thread in threads), "a caller deadlocked"
+
+
 class TestBackendContract:
     @pytest.fixture(scope="class")
     def reference(self):
         deployment = build("serial")
         return fingerprints(deployment.run_rounds(conversation_script(deployment)))
 
-    def test_is_an_execution_backend(self, backend):
+    def test_implements_the_backend_contract(self, backend):
         assert isinstance(backend, ExecutionBackend)
-        assert ExecutionBackendKind(backend.name).value == backend.name
 
     def test_map_preserves_order_and_length(self, backend):
         assert backend.map_chains(abs, list(range(-9, 1))) == list(range(9, -1, -1))
@@ -104,60 +121,259 @@ class TestBackendContract:
         results = {}
 
         def caller(tag):
-            start.wait()
-            results[tag] = backend.map_chains(lambda value: (tag, value), list(range(6)))
+            def run():
+                start.wait()
+                results[tag] = backend.map_chains(lambda value: (tag, value), list(range(6)))
 
-        threads = [threading.Thread(target=caller, args=(tag,)) for tag in ("a", "b")]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(TIMEOUT_S)
-        assert not any(thread.is_alive() for thread in threads)
+            return run
+
+        run_concurrently(caller("a"), caller("b"))
         assert results == {tag: [(tag, value) for value in range(6)] for tag in ("a", "b")}
 
+    def test_a_chain_may_map_again(self, backend):
+        """A nested call finishes: its caller drains its own chains."""
+        results = {}
+
+        def outer():
+            results["value"] = backend.map_chains(
+                lambda value: backend.map_chains(lambda inner: 10 * value + inner, [0, 1]),
+                [1, 2, 3],
+            )
+
+        run_concurrently(outer)
+        assert results["value"] == [[10, 11], [20, 21], [30, 31]]
+
     def test_mixes_rounds_like_the_reference(self, backend, reference):
-        deployment = build("serial")
+        deployment = build()
         deployment.use_backend(backend)
         actual = fingerprints(deployment.run_rounds(conversation_script(deployment)))
         deployment.close()
         assert actual == reference
 
 
-class TestBackendRegistry:
-    @pytest.mark.parametrize("kind", list(ExecutionBackendKind))
-    def test_make_backend_builds_each_kind(self, kind):
-        for key in (kind, kind.value):
-            with make_backend(key) as instance:
-                assert instance.name == kind.value
-
-    def test_only_the_two_thread_backends_exist(self):
-        assert [kind.value for kind in ExecutionBackendKind] == ["serial", "parallel"]
-        with pytest.raises(ConfigurationError, match=r"\['serial', 'parallel'\]"):
-            DeploymentConfig(execution_backend="multiprocess").validate()
+def helper_threads():
+    return {thread for thread in threading.enumerate() if thread.name.startswith("xrd-chain")}
 
 
 class TestParallelBackend:
+    def test_production_is_the_default_backend(self):
+        deployment = build()
+        assert type(deployment.engine.backend) is ParallelBackend
+        assert deployment.engine.backend.helpers == available_cpus() - 1
+        deployment.close()
+
     def test_chains_really_overlap(self):
-        """Two chains on two workers run at the same time: each waits for the
-        other at a barrier, which a one-at-a-time backend would break."""
+        """Two chains on the caller and one helper run at the same time: each
+        waits for the other at a barrier, which a one-at-a-time backend
+        would break."""
         meet = threading.Barrier(2, timeout=TIMEOUT_S)
 
         def chain(value):
             meet.wait()
             return value
 
-        with ParallelBackend(max_workers=2) as backend:
+        with ParallelBackend(helpers=1) as backend:
             assert backend.map_chains(chain, [0, 1]) == [0, 1]
 
-    def test_workers_are_the_named_pool_threads(self):
-        with ParallelBackend(max_workers=2) as backend:
-            names = backend.map_chains(
-                lambda value: threading.current_thread().name, list(range(4))
-            )
-        assert all(name.startswith("xrd-chain") for name in names)
+    def test_the_caller_runs_chains_too(self):
+        """With more than one chain the calling thread drains the queue
+        alongside the helpers; everything else is a named helper thread."""
+        meet = threading.Barrier(3, timeout=TIMEOUT_S)
 
-    def test_one_worker_runs_chains_in_submission_order(self):
+        def chain(value):
+            meet.wait()
+            return threading.current_thread()
+
+        with ParallelBackend(helpers=2) as backend:
+            workers = set(backend.map_chains(chain, [0, 1, 2]))
+        caller = threading.current_thread()
+        assert caller in workers and len(workers) == 3
+        assert all(thread.name.startswith("xrd-chain") for thread in workers - {caller})
+
+    def test_two_callers_finish_while_the_only_helper_is_busy(self):
+        """The stagger overlap: one caller's chain holds the one helper, and
+        another caller drains its whole map alone instead of waiting."""
+        backend = ParallelBackend(helpers=1)
+        helper_busy, release = threading.Event(), threading.Event()
+        results = {}
+
+        def held(value):
+            # Caller and helper take one chain each; the helper's stays busy.
+            if threading.current_thread().name.startswith("xrd-chain"):
+                helper_busy.set()
+                assert release.wait(TIMEOUT_S)
+            else:
+                assert helper_busy.wait(TIMEOUT_S)
+            return value
+
+        def first():
+            results["first"] = backend.map_chains(held, [0, 1])
+
+        def second():
+            assert helper_busy.wait(TIMEOUT_S)
+            results["second"] = backend.map_chains(
+                lambda value: (value, threading.current_thread().name), list(range(4))
+            )
+            release.set()
+
+        try:
+            run_concurrently(first, second)
+        finally:
+            release.set()
+            backend.close()
+        assert results["first"] == [0, 1]
+        assert [value for value, _ in results["second"]] == [0, 1, 2, 3]
+        assert not any(name.startswith("xrd-chain") for _, name in results["second"])
+
+    def test_every_chain_runs_exactly_once_under_contention(self):
+        """More threads than cores, switching every microsecond: a lost or
+        doubled claim shows as a chain run zero or two times, a misplaced
+        result as a map that is not the identity."""
+        runs = collections.Counter()
+        count_lock = threading.Lock()
+        wrong = []
+
+        def chain(value):
+            with count_lock:
+                runs[value] += 1
+            return value
+
+        def caller(offset, backend):
+            def run():
+                for start in range(offset, offset + 2000, 50):
+                    chains = list(range(start, start + 50))
+                    if backend.map_chains(chain, chains) != chains:
+                        wrong.append(start)
+
+            return run
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ParallelBackend(helpers=4) as backend:
+                run_concurrently(caller(0, backend), caller(10_000, backend))
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+        assert len(runs) == 4000 and set(runs.values()) == {1}
+
+    def test_zero_helpers_runs_everything_on_the_caller_and_starts_no_thread(self):
+        before = threading.active_count()
+        caller = threading.current_thread()
         seen = []
-        with ParallelBackend(max_workers=1) as backend:
-            backend.map_chains(seen.append, list(range(8)))
-        assert seen == list(range(8))
+        with ParallelBackend(helpers=0) as backend:
+            workers = backend.map_chains(
+                lambda value: seen.append(value) or threading.current_thread(), list(range(8))
+            )
+            assert threading.active_count() == before
+        assert set(workers) == {caller}
+        assert seen == list(range(8))  # a lone caller keeps submission order
+
+    def test_helpers_start_lazily_and_only_as_many_as_a_call_can_use(self):
+        before = helper_threads()
+        with ParallelBackend(helpers=4) as backend:
+            assert helper_threads() == before
+            backend.map_chains(abs, [-1, -2])
+            assert len(helper_threads() - before) == 1
+        assert helper_threads() == before
+
+    def test_helper_count_follows_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert available_cpus() == 3
+        assert ParallelBackend().helpers == 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {7}, raising=False)
+        assert ParallelBackend().helpers == 0
+
+    def test_negative_helper_count_is_refused(self):
+        with pytest.raises(ConfigurationError):
+            ParallelBackend(helpers=-1)
+
+    @pytest.mark.parametrize("backend", ["production", "parallel"])
+    def test_an_unclosed_deployment_leaks_no_thread(self, backend):
+        """Tier-1 builds many deployments and closes few: dropping one that
+        ran a round stops its helpers without a ``close``."""
+        gc.collect()
+        baseline = threading.active_count()
+        before = helper_threads()
+        deployment = build(backend)
+        deployment.run_round()
+        started = helper_threads() - before
+        assert len(started) == min(deployment.engine.backend.helpers, 2)
+        del deployment
+        gc.collect()
+        for thread in started:
+            thread.join(TIMEOUT_S)
+        assert not any(thread.is_alive() for thread in started)
+        assert threading.active_count() <= baseline
+
+
+class TestStagesFanOut:
+    """Every per-chain stage of a round runs on two threads when one helper
+    is pinned: the client build's crypto pass, intake, both precompute
+    calls (the overlap window and the post-finalize top-up) and the mix —
+    and the output stays byte-identical."""
+
+    STAGES = ("build", "accept", "precompute-overlap", "precompute-topup", "mix")
+
+    @pytest.mark.parametrize("num_chains", [2, 3])
+    def test_each_stage_runs_on_two_threads(self, num_chains, monkeypatch):
+        seen = {stage: set() for stage in self.STAGES}
+        meets = {stage: threading.Barrier(2, timeout=TIMEOUT_S) for stage in self.STAGES}
+        paired = set()
+        phase = {"precompute": None}
+
+        def record(stage):
+            """Note the thread; until a stage's first two calls have met,
+            hold each at a barrier so a second thread must take a chain."""
+            seen[stage].add(threading.get_ident())
+            if stage not in paired and not meets[stage].broken:
+                try:
+                    meets[stage].wait()
+                    paired.add(stage)
+                except threading.BrokenBarrierError:
+                    pass  # the stage ran on one thread; the assert says which
+
+        def recorded(stage, fn):
+            def wrapper(*args, **kwargs):
+                record(stage)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def precompute_round(chain, *args, **kwargs):
+            record(phase["precompute"])
+            return original_precompute(chain, *args, **kwargs)
+
+        original_precompute = MixChain.precompute_round
+        monkeypatch.setattr(
+            population_module, "build_chain_submissions",
+            recorded("build", population_module.build_chain_submissions),
+        )
+        monkeypatch.setattr(
+            MixChain, "accept_submissions", recorded("accept", MixChain.accept_submissions)
+        )
+        monkeypatch.setattr(MixChain, "run_round", recorded("mix", MixChain.run_round))
+        monkeypatch.setattr(MixChain, "precompute_round", precompute_round)
+
+        deployment = build("parallel", num_chains=num_chains)
+        engine = deployment.engine
+        for method, label in (("precompute_collected", "precompute-overlap"),
+                              ("precompute", "precompute-topup")):
+            def labelled(ctx, _inner=getattr(engine, method), _label=label):
+                phase["precompute"] = _label
+                return _inner(ctx)
+
+            setattr(engine, method, labelled)
+        actual = fingerprints(
+            deployment.run_rounds(conversation_script(deployment), staggered=True)
+        )
+        deployment.close()
+
+        assert {stage: len(threads) for stage, threads in seen.items()} == dict.fromkeys(
+            self.STAGES, 2
+        )
+        if num_chains == 3:  # the pinned configuration
+            assert actual == GOLDEN["modp"]["honest"]
+        else:
+            reference = build("serial", num_chains=num_chains)
+            assert actual == fingerprints(reference.run_rounds(conversation_script(reference)))

@@ -1,4 +1,4 @@
-"""``DeploymentConfig``: thirteen fields, two enum knobs, one validation gate."""
+"""``DeploymentConfig``: twelve fields, one enum knob, one validation gate."""
 
 import dataclasses
 import json
@@ -10,13 +10,13 @@ import pytest
 from repro.coordinator.network import Deployment, DeploymentConfig
 from repro.crypto import kernels
 from repro.errors import ConfigurationError
-from repro.registry import CryptoKernelKind, ExecutionBackendKind, TransportKind
+from repro.registry import CryptoKernelKind, TransportKind
 from repro.runner import protocol
 
 FIELDS = [
     "num_servers", "num_users", "num_chains", "chain_length", "malicious_fraction",
     "security_bits", "num_mailbox_servers", "seed", "use_cover_messages", "group_kind",
-    "execution_backend", "transport", "population_chunk_size",
+    "transport", "population_chunk_size",
 ]
 
 
@@ -24,21 +24,20 @@ def test_the_config_has_exactly_these_fields():
     assert [field.name for field in dataclasses.fields(DeploymentConfig)] == FIELDS
 
 
-@pytest.mark.parametrize("field, member", [
-    *(("transport", member) for member in TransportKind),
-    *(("execution_backend", member) for member in ExecutionBackendKind),
-], ids=lambda value: getattr(value, "value", value))
-def test_plain_strings_become_enum_members_without_a_warning(field, member):
+@pytest.mark.parametrize("member", list(TransportKind), ids=lambda member: member.value)
+def test_plain_strings_become_enum_members_without_a_warning(member):
     """``-W error``: the plain spelling is first class, not a deprecation."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        config = DeploymentConfig(**{field: member.value})
+        config = DeploymentConfig(transport=member.value)
         config.validate()
-    assert getattr(config, field) is member and getattr(config, field) == member.value
-    assert getattr(DeploymentConfig(**{field: member}), field) is member  # members pass through
+    assert config.transport is member and config.transport == member.value
+    assert DeploymentConfig(transport=member).transport is member  # members pass through
 
 
-@pytest.mark.parametrize("knob", ["precompute", "max_workers", "crypto_kernel"])
+@pytest.mark.parametrize(
+    "knob", ["precompute", "max_workers", "crypto_kernel", "execution_backend"]
+)
 def test_a_dict_naming_a_dropped_knob_is_refused(knob):
     """A role handed a config that still carries a removed knob fails loudly
     instead of silently running without it."""
@@ -56,14 +55,11 @@ def test_creating_a_deployment_leaves_the_kernel_tier_alone(tier):
     assert kernels.active_kernel() is CryptoKernelKind(tier)
 
 
-@pytest.mark.parametrize("field, valid", [
-    ("transport", ["inproc", "instrumented", "tcp"]),
-    ("execution_backend", ["serial", "parallel"]),
-])
-def test_unknown_names_fail_validate_listing_the_valid_values(field, valid):
-    config = DeploymentConfig(**{field: "carrier-pigeon"})
-    assert getattr(config, field) == "carrier-pigeon"  # kept as given
-    with pytest.raises(ConfigurationError, match=re.escape(f"{field} must be one of {valid}")):
+def test_unknown_names_fail_validate_listing_the_valid_values():
+    config = DeploymentConfig(transport="carrier-pigeon")
+    assert config.transport == "carrier-pigeon"  # kept as given
+    valid = ["inproc", "instrumented", "tcp"]
+    with pytest.raises(ConfigurationError, match=re.escape(f"transport must be one of {valid}")):
         config.validate()
 
 
@@ -78,11 +74,11 @@ def test_a_deployment_needs_a_mailbox_server(count):
 
 def test_dict_round_trip():
     config = DeploymentConfig(
-        num_servers=3, seed=5, group_kind="modp", execution_backend="parallel",
+        num_servers=3, seed=5, group_kind="modp",
         transport="instrumented", population_chunk_size=2,
     )
     data = json.loads(json.dumps(protocol.config_to_dict(config)))
     assert data["transport"] == "instrumented"  # enum knobs travel as their values
     rebuilt = protocol.config_from_dict(data)
     assert rebuilt == config
-    assert rebuilt.execution_backend is ExecutionBackendKind.PARALLEL
+    assert rebuilt.transport is TransportKind.INSTRUMENTED

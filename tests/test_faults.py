@@ -13,7 +13,6 @@ import hashlib
 import pytest
 
 from repro.coordinator.network import Deployment, DeploymentConfig
-from repro.engine import ParallelBackend
 from repro.errors import ConfigurationError
 from repro.faults import (
     CANNED_SCENARIOS,
@@ -39,10 +38,9 @@ from repro.mixnet.blame import BlameVerdict
 from repro.transport import envelope as ev
 from repro.transport.faulty import DELAY, DROP, DUPLICATE, REORDER, FaultyTransport
 
-BACKENDS = ("serial", "parallel")
+from tests.conftest import BACKENDS, install_backend
 
-
-def build(backend="serial", transport="inproc", seed=42, **kwargs):
+def build(backend="production", transport="inproc", seed=42, **kwargs):
     kwargs.setdefault("num_servers", 4)
     kwargs.setdefault("num_users", 6)
     kwargs.setdefault("num_chains", 3)
@@ -50,17 +48,13 @@ def build(backend="serial", transport="inproc", seed=42, **kwargs):
     config = DeploymentConfig(
         seed=seed,
         group_kind="modp",
-        execution_backend=backend,
         transport=transport,
         **kwargs,
     )
-    deployment = Deployment.create(config)
-    if backend == "parallel":  # two workers even on a one-core runner
-        deployment.use_backend(ParallelBackend(max_workers=2))
-    return deployment
+    return install_backend(Deployment.create(config), backend)
 
 
-def run_scenario(plan, backend="serial", staggered=False, transport="inproc", **kwargs):
+def run_scenario(plan, backend="production", staggered=False, transport="inproc", **kwargs):
     deployment = build(backend, transport, **kwargs)
     report = ScenarioRunner(deployment, plan, staggered=staggered).run()
     deployment.close()

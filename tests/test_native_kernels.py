@@ -24,6 +24,8 @@ import random
 import shutil
 import subprocess
 import sys
+import threading
+import time
 import warnings
 
 import pytest
@@ -1097,6 +1099,41 @@ class TestTierSelection:
             assert native.load() is None
         finally:
             native.reset_probe_for_tests()
+
+    @needs_native
+    def test_first_kernel_calls_from_many_threads_all_resolve_native(self, monkeypatch):
+        """Chains build and mix on several threads from the first round, so
+        the first kernel calls can race: a thread arriving while another is
+        still probing (the ABI read releases the GIL) must wait for the
+        probe, not read it as "no extension" and pin the python tier."""
+        from repro import native
+
+        built_abi = native._built_abi
+
+        def slow_built_abi():
+            time.sleep(0.05)
+            return built_abi()
+
+        monkeypatch.delenv("XRD_CRYPTO_KERNEL", raising=False)
+        monkeypatch.setattr(native, "_built_abi", slow_built_abi)
+        native.reset_probe_for_tests()
+        kernels.reset_kernel_for_tests()  # lazy again, and not yet resolved
+        start = threading.Barrier(8, timeout=10)
+        seen = []
+
+        def first_call():
+            start.wait()
+            seen.append(kernels.active_kernel())
+
+        threads = [threading.Thread(target=first_call) for _ in range(8)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+            assert seen == [CryptoKernelKind.NATIVE] * 8
+        finally:
+            kernels.reset_kernel_for_tests()
 
     @needs_native
     def test_loader_reports_abi(self):

@@ -211,7 +211,8 @@ def install(deployment) -> None:
     population = deployment.population
     num_chains = deployment.num_chains
 
-    def build(round_number, chain_keys, users, payloads=None, offline_notice=False, cover=False):
+    def build(round_number, chain_keys, users, payloads=None, offline_notice=False, cover=False,
+              map_chains=None):
         per_chain: Dict[int, List[ClientSubmission]] = {}
         for user in users:
             for submission in build_round_submissions(
