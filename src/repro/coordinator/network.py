@@ -175,9 +175,6 @@ class MixServerNode:
         self.chain_members[chain_id] = member
         return member
 
-    def chains(self) -> List[int]:
-        return list(self.chain_members)
-
 
 class Deployment:
     """A complete simulated XRD network."""
@@ -413,7 +410,7 @@ class Deployment:
         ]
         if staggered:
             return StaggeredScheduler(self.engine).run_rounds(normalised)
-        return self.engine.execute_rounds(normalised)
+        return [self.engine.execute_round(spec) for spec in normalised]
 
     # -- blame recovery: eviction and chain re-formation -------------------------
 
@@ -561,14 +558,6 @@ class Deployment:
             if existing.chain_id == chain_id:
                 self.topologies[position] = topology
         self.entry_servers[chain_id] = topology.servers[0]
-
-        # Precomputed public-key tables for the old chain's future rounds
-        # were derived from the retired ceremony's secrets and are stale;
-        # invalidate them with the rest of the ceremony.  The replaced
-        # members are dropped with the old chain, so this is defensive — it
-        # guarantees no stale table is ever consulted through a lingering
-        # reference (adversarial wrappers, tests).
-        old_chain.invalidate_precompute()
 
         # The retired ceremony's points may be pinned in the fixed-point
         # window-table caches; an epoch re-form is the natural reset point

@@ -30,7 +30,7 @@ the backend's ``map_chains``, because chains share no state either.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.engine.backends import ExecutionBackend, ParallelBackend
 from repro.engine.stages import ChainOutcome, RoundContext, RoundReport, RoundSpec
@@ -59,7 +59,7 @@ class RoundEngine:
     # -- one-shot execution ----------------------------------------------------
 
     def execute_round(self, spec: RoundSpec) -> RoundReport:
-        """Run all six stages of one round back to back."""
+        """Run the seven stages of one round back to back."""
         ctx = self.prepare(spec)
         self.collect(ctx)
         self.finalize_collect(ctx)
@@ -328,10 +328,9 @@ class RoundEngine:
         """Run the round's public-key work ahead of the online mix phase.
 
         Operates on the assembled chain batches, so it is complete after
-        :meth:`finalize_collect`.  Skipping it is harmless: the members
-        compute any entry missing from their tables inline while mixing
-        (the online-only reference the parity tests and benchmarks hold it
-        to).
+        :meth:`finalize_collect`.  Skipping it is harmless: a member's
+        online pass fills whatever its table lacks before reading it (the
+        online-only arm the parity table and the benchmarks hold it to).
         """
         if self.deployment.remote_mix is not None:
             # The owning mix processes precompute on their own replicas as
@@ -381,7 +380,7 @@ class RoundEngine:
         else:
             # Every chain accepts up front, before any chain mixes: each
             # acceptance re-encodes its batch into the chain's wire blob and
-            # keeps sender-only stubs for blame, so the engine can release
+            # keeps only the senders for blame, so the engine can release
             # the decoded submission list — the round's largest structure —
             # for *every* chain before the first mix's transient working set
             # stacks on top of it.  Intake is transport-free, so it fans out
@@ -416,10 +415,15 @@ class RoundEngine:
                 for sender in result.rejected_senders
                 if sender not in report.rejected_senders
             )
-            if result.delivered:
+            if not result.delivered:
+                # The chain that halted already deleted its inner keys
+                # (§6.4); under remote_mix that was the mix role's replica,
+                # and this one announced the round too.  The rest of a
+                # halted round's records waits for recover().
+                chain.delete_inner_secrets(ctx.round_number)
+            else:
                 # Nothing reads a delivered round's chain state again; freed
                 # on the coordinating thread, it goes under every backend.
-                # (A halted round keeps its records until recover().)
                 chain.release_round(ctx.round_number)
                 # The last server of the chain ships the recovered messages
                 # to the mailbox tier — as one framed message per chain, or
@@ -501,12 +505,6 @@ class RoundEngine:
                 population.decrypt_mailboxes_batch(ctx.round_number, span, inboxes)
             )
             population.emit_progress("fetch", part, len(span))
-
-    # -- multi-round convenience ------------------------------------------------
-
-    def execute_rounds(self, specs: Sequence[RoundSpec]) -> List[RoundReport]:
-        """Run several rounds sequentially (no stagger)."""
-        return [self.execute_round(spec) for spec in specs]
 
     def close(self) -> None:
         self.backend.close()

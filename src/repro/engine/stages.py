@@ -1,22 +1,26 @@
 """Typed artifacts of the staged round pipeline (see DESIGN.md §2).
 
-A communication round decomposes into six explicit stages:
+A communication round decomposes into seven explicit stages:
 
 1. **prepare** — allocate the round number and announce the per-round inner
    keys on every chain, yielding the key views users need;
 2. **collect** — gather one submission per (user, assigned chain), play
    covers for offline users, and bank next round's covers;
-3. **precompute** — run every chain member's public-key work (DH blinding,
+3. **finalize collect** — build the users a staggered schedule deferred
+   past the previous round's fetch, and assemble the per-chain batches;
+4. **precompute** — run every chain member's public-key work (DH blinding,
    outer-layer key derivation) on the collected batch ahead of the online
-   phase (§5.2.1); deterministic and optional, so a scheduler may run it
-   early, partially, or not at all without changing any output;
-4. **mix** — run the aggregate hybrid shuffle on every chain (the only stage
-   whose execution strategy is pluggable — chains share no mutable state, so
-   a backend may mix them concurrently);
-5. **deliver** — fold the per-chain outcomes into the round report and hand
+   phase (§5.2.1); it always runs, and deterministically, so a scheduler
+   may start it early (over what collect has built so far) and top it up;
+5. **mix** — accept and run the aggregate hybrid shuffle on every chain;
+6. **deliver** — fold the per-chain outcomes into the round report and hand
    the recovered mailbox messages to the mailbox servers, in chain order so
    the result is independent of the mixing schedule;
-6. **fetch** — each online user fetches and decrypts her mailbox.
+7. **fetch** — each online user fetches and decrypts her mailbox.
+
+Chains share no mutable state, so every per-chain step — the client
+build's crypto pass, intake, precompute and mix — fans out through the
+execution backend's ``map_chains`` (DESIGN.md §2.2).
 
 This module holds the data that flows between those stages: the
 :class:`RoundSpec` describing what a round should do, the per-chain

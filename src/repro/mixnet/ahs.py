@@ -171,19 +171,6 @@ class MixStepResult:
         return bool(self.failed_indices)
 
 
-@dataclass(frozen=True, slots=True)
-class _AcceptedSender:
-    """Sender-only stand-in for an accepted submission.
-
-    The only field the retained submission list is ever read for after
-    acceptance is ``sender`` (blame attribution and the rerun filter), so
-    intake keeps these stubs instead of whole submissions — dropping the
-    per-user ciphertext/proof bytes from the retained set.
-    """
-
-    sender: str
-
-
 @dataclass
 class _RoundRecord:
     """Private per-round state a member keeps for verification and blame."""
@@ -195,11 +182,11 @@ class _RoundRecord:
     inner_public: Optional[object] = None
     rng: Optional[random.Random] = None
     #: Precomputed public-key work (§5.2.1): encoded DH public →
-    #: ``(blinded key, outer layer key)``.  ``None`` means no precompute ran
-    #: for the round and the online path takes the straight batched passes.
-    #: Keyed by encoding (not batch index) so the table survives shuffles,
-    #: rejected submissions, and the rerun-after-blame entry removal.
-    precomputed: Optional[Dict[bytes, tuple]] = None
+    #: ``(blinded key, outer layer key)``, the one place the online pass
+    #: reads its keys from.  Keyed by encoding (not batch index) so the
+    #: table survives shuffles, rejected submissions, and the
+    #: rerun-after-blame entry removal.
+    precomputed: Dict[bytes, tuple] = field(default_factory=dict)
 
 
 class ChainMember:
@@ -304,11 +291,16 @@ class ChainMember:
         """
         if self.mixing_secret is None or self.blinding_secret is None:
             raise ProtocolError("chain member has not completed key setup")
+        table, encodings = self._filled_table(round_number, dh_publics)
+        return [table[key][0] for key in encodings]
+
+    def _filled_table(
+        self, round_number: int, dh_publics: Sequence[object]
+    ) -> Tuple[Dict[bytes, tuple], List[bytes]]:
+        """The round's key table with every one of ``dh_publics`` in it, and
+        their encodings: both batched passes run over the missing ones only."""
         group = self.group
-        record = self._rounds.setdefault(round_number, _RoundRecord())
-        table = record.precomputed
-        if table is None:
-            table = record.precomputed = {}
+        table = self._rounds.setdefault(round_number, _RoundRecord()).precomputed
         encodings = [group.encode(public) for public in dh_publics]
         missing = [index for index, key in enumerate(encodings) if key not in table]
         if missing:
@@ -317,17 +309,7 @@ class ChainMember:
             keys = shared_keys_batch(group, KDF_LABEL_OUTER, fresh, self.mixing_secret)
             for slot, (index, blinded_key) in enumerate(zip(missing, blinded)):
                 table[encodings[index]] = (blinded_key, keys[32 * slot:32 * slot + 32])
-        return [table[key][0] for key in encodings]
-
-    def invalidate_precompute(self) -> None:
-        """Drop every round's cached precompute table.
-
-        Called when the key material the tables were derived from stops
-        being valid: a chain re-formed after a blame eviction, where the
-        fresh ceremony replaces every member secret.
-        """
-        for record in self._rounds.values():
-            record.precomputed = None
+        return table, encodings
 
     def release_round(self, round_number: int) -> None:
         """Forget a delivered round's record: blobs, permutation, rng, secret, table."""
@@ -336,31 +318,15 @@ class ChainMember:
     def _blind_and_derive_keys(
         self, round_number: int, dh_publics: Sequence[object]
     ) -> Tuple[List[object], bytes]:
-        """The two public-key passes of the mix step, precomputed or fresh.
+        """The two public-key passes of the mix step, read from the round's table.
 
         Returns the blinded keys and the outer layer keys, the latter as
-        the one blob ``adec_batch`` takes.  With a precompute table the
-        passes become table lookups (topping up any entries the precompute
-        phase missed); without one this is the straight batched reference
-        path.  Values are bit-identical either way — ``scalar_mult`` is
-        deterministic — which is what the precompute parity matrix asserts.
+        the one blob ``adec_batch`` takes.  Entries the table lacks — every
+        entry, when the engine's precompute stage did not run — are filled
+        first, exactly as :meth:`precompute_round` fills them, so the online
+        pass has one path.
         """
-        group = self.group
-        record = self._rounds.setdefault(round_number, _RoundRecord())
-        if record.precomputed is None:
-            # Batched blinding fast path: every DH key is multiplied by the
-            # same blinding secret, so the scalar is recoded once for the
-            # whole batch; the per-entry shared elements for layer removal
-            # are one many-points-one-scalar pass over the mixing secret.
-            blinded_keys = scalar_mult_batch(group, dh_publics, self.blinding_secret)
-            return blinded_keys, shared_keys_batch(
-                group, KDF_LABEL_OUTER, dh_publics, self.mixing_secret
-            )
-        table = record.precomputed
-        encodings = [group.encode(public) for public in dh_publics]
-        missing = [public for public, key in zip(dh_publics, encodings) if key not in table]
-        if missing:  # entries the precompute phase could not see; compute inline
-            self.precompute_round(round_number, missing)
+        table, encodings = self._filled_table(round_number, dh_publics)
         return (
             [table[key][0] for key in encodings],
             b"".join(table[key][1] for key in encodings),
@@ -372,9 +338,8 @@ class ChainMember:
         """Decrypt one layer, blind the DH keys, shuffle, and prove (§6.3 steps 1-3).
 
         The public-key work (blinding, layer-key derivation) is served from
-        the precompute table when :meth:`precompute_round` ran for this
-        round, leaving the online phase as AEAD opens + shuffle + the
-        aggregate proof; otherwise both batched passes run inline.
+        the round's precompute table, leaving the online phase as AEAD opens
+        + shuffle + the aggregate proof once :meth:`precompute_round` ran.
 
         The batch arrives and leaves wire-encoded: its elements are decoded
         here, once (an encoding the group rejects raises
@@ -438,7 +403,7 @@ class ChainMember:
         return record.inner_secret
 
     def delete_inner_secret(self, round_number: int) -> None:
-        """Forget the round's inner secret (executed when the blame protocol fails)."""
+        """Forget the round's inner secret (§6.4: run when the round halts)."""
         record = self._rounds.get(round_number)
         if record is not None:
             record.inner_secret = None
@@ -576,7 +541,7 @@ class MixChain:
         #: Per round: the accepted batch (DESIGN.md §11.3 — one wire blob,
         #: like every hop's) and, index-aligned with it, who sent each entry.
         self._entries: Dict[int, EncodedBatch] = {}
-        self._submissions: Dict[int, List[_AcceptedSender]] = {}
+        self._senders: Dict[int, List[str]] = {}
 
     def __len__(self) -> int:
         return len(self.members)
@@ -658,43 +623,39 @@ class MixChain:
         for member in self.members:
             publics = member.precompute_round(round_number, publics)
 
-    def invalidate_precompute(self) -> None:
-        """Drop every member's cached precompute tables.
-
-        Re-forming a chain discards the members themselves, but the
-        coordinator still invalidates explicitly so tables derived from
-        retired key material can never be consulted through a stale
-        reference.
-        """
-        for member in self.members:
-            member.invalidate_precompute()
-
     def release_round(self, round_number: int) -> None:
         """Drop the chain's and every member's state for a delivered round
         (never a halted one: recovery still reads it; DESIGN.md §8.3)."""
-        for store in (self._entries, self._submissions, self._inner_publics, self._aggregate_inner):
+        for store in (self._entries, self._senders, self._inner_publics, self._aggregate_inner):
             store.pop(round_number, None)
         for member in self.members:
             member.release_round(round_number)
 
-    def decode_submission_publics(self, submissions: Sequence[ClientSubmission]) -> List[object]:
-        """The decodable DH publics of a pending batch, for :meth:`precompute_round`.
-
-        Mirrors :meth:`accept_submissions`'s decode step without verifying
-        proofs (proof checks stay online): submissions that will be rejected
-        merely precompute an unused table entry, and undecodable or
-        wrong-chain ones are skipped here exactly as they are rejected
-        there.
-        """
+    def _decode_statements(
+        self, submissions: Sequence[ClientSubmission]
+    ) -> Tuple[List[int], List[object]]:
+        """The indices and decoded DH publics of the submissions that can be
+        proof statements at all: this chain's, with a decodable key."""
+        rows: List[int] = []
         publics: List[object] = []
-        for submission in submissions:
+        for index, submission in enumerate(submissions):
             if submission.chain_id != self.chain_id:
                 continue
             try:
                 publics.append(self.group.decode(submission.dh_public))
             except Exception:
                 continue
-        return publics
+            rows.append(index)
+        return rows, publics
+
+    def decode_submission_publics(self, submissions: Sequence[ClientSubmission]) -> List[object]:
+        """The decodable DH publics of a pending batch, for :meth:`precompute_round`.
+
+        :meth:`accept_submissions`'s decode step without the proof checks
+        (those stay online): submissions that will be rejected merely
+        precompute an unused table entry.
+        """
+        return self._decode_statements(submissions)[1]
 
     def aggregate_inner_public(self, round_number: int):
         """Return Σ ipk for the round (what users encrypt inner envelopes to)."""
@@ -713,25 +674,16 @@ class MixChain:
         identified").
 
         The accepted batch is built directly from the submissions' wire
-        bytes, and the retained submission list holds sender-only stubs —
-        the caller may (and the engine does) drop its submission references
-        once this returns.
+        bytes, and the chain keeps only who sent each entry — the caller
+        may (and the engine does) drop its submission references once this
+        returns.
         """
         group = self.group
-        # One pass sorts out what cannot be a proof statement at all (wrong
-        # chain, undecodable key); everything else is one row of one batched
+        # Whatever cannot be a proof statement (wrong chain, undecodable
+        # key) is rejected as is; everything else is one row of one batched
         # verification, and the verdicts fall back into submission order.
+        rows, publics = self._decode_statements(submissions)
         valid = [False] * len(submissions)
-        rows: List[int] = []
-        publics: List[object] = []
-        for index, submission in enumerate(submissions):
-            if submission.chain_id != self.chain_id:
-                continue
-            try:
-                publics.append(group.decode(submission.dh_public))
-            except Exception:
-                continue
-            rows.append(index)
         verified = verify_dlog_batch(
             group,
             group.base(),
@@ -745,13 +697,11 @@ class MixChain:
         for index, ok in zip(rows, verified):
             valid[index] = ok
         # Keep the *wire bytes* (the decode above validated them, and every
-        # accepted encoding is canonical, so no re-encode is needed) plus a
-        # sender-only stub; the decoded points die here.
+        # accepted encoding is canonical, so no re-encode is needed) plus the
+        # senders; the decoded points die here.
         accepted = [submission for submission, ok in zip(submissions, valid) if ok]
         rejected = [submission.sender for submission, ok in zip(submissions, valid) if not ok]
-        self._submissions[round_number] = [
-            _AcceptedSender(submission.sender) for submission in accepted
-        ]
+        self._senders[round_number] = [submission.sender for submission in accepted]
         batch = EncodedBatch.from_parts(
             group,
             [submission.dh_public for submission in accepted],
@@ -760,9 +710,9 @@ class MixChain:
         self._entries[round_number] = batch
         return batch, rejected
 
-    def submissions_for_round(self, round_number: int) -> List[_AcceptedSender]:
-        """The accepted submissions' senders, in batch order (blame identifies users by index)."""
-        return self._submissions.get(round_number, [])
+    def senders_for_round(self, round_number: int) -> List[str]:
+        """Who sent each accepted entry, in batch order (blame identifies users by index)."""
+        return self._senders.get(round_number, [])
 
     def _forward_batch(
         self, round_number: int, index: int, entries: EncodedBatch
@@ -779,6 +729,21 @@ class MixChain:
             chain_id=self.chain_id,
         )
         return self.transport.deliver(envelope)
+
+    def delete_inner_secrets(self, round_number: int) -> None:
+        """§6.4 for a halted round: every member deletes its inner key, so
+        the round's inner envelopes can never be opened; the rest of the
+        round's state stays for blame and ``recover()``."""
+        for member in self.members:
+            member.delete_inner_secret(round_number)
+
+    def _halt(self, round_number: int, status: str, digest: bytes, **outcome) -> ChainRoundResult:
+        """End a round that will not deliver (its inner keys go first)."""
+        self.delete_inner_secrets(round_number)
+        return ChainRoundResult(
+            chain_id=self.chain_id, round_number=round_number, status=status,
+            input_digest=digest, **outcome,
+        )
 
     def run_round(self, round_number: int, retry_after_blame: bool = True) -> ChainRoundResult:
         """Execute the mixing phase for the round's accepted submissions.
@@ -812,25 +777,18 @@ class MixChain:
                     history=history,
                 )
                 if verdict.malicious_servers or not retry_after_blame or not verdict.malicious_users:
-                    return ChainRoundResult(
-                        chain_id=self.chain_id,
-                        round_number=round_number,
-                        status=ChainRoundResult.STATUS_HALTED_BLAME,
+                    return self._halt(
+                        round_number, ChainRoundResult.STATUS_HALTED_BLAME, digest,
                         blame_verdict=verdict,
-                        input_digest=digest,
                     )
                 # Remove the convicted users' submissions and rerun the
                 # round.  Index-based so the batch can subset its blob
                 # without decoding the survivors.
                 rejected_senders.extend(verdict.malicious_users)
                 malicious = set(verdict.malicious_users)
-                stored_submissions = self._submissions[round_number]
-                keep = [
-                    index
-                    for index, submission in enumerate(stored_submissions)
-                    if submission.sender not in malicious
-                ]
-                self._submissions[round_number] = [stored_submissions[index] for index in keep]
+                senders = self._senders[round_number]
+                keep = [index for index, sender in enumerate(senders) if sender not in malicious]
+                self._senders[round_number] = [senders[index] for index in keep]
                 self._entries[round_number] = self._entries[round_number].select(keep)
                 rerun = self.run_round(round_number, retry_after_blame=retry_after_blame)
                 rerun.rejected_senders = rejected_senders + rerun.rejected_senders
@@ -855,12 +813,9 @@ class MixChain:
                 )
             )
             if not valid:
-                return ChainRoundResult(
-                    chain_id=self.chain_id,
-                    round_number=round_number,
-                    status=ChainRoundResult.STATUS_HALTED_SERVER,
+                return self._halt(
+                    round_number, ChainRoundResult.STATUS_HALTED_SERVER, digest,
                     misbehaving_server=member.server_name,
-                    input_digest=digest,
                 )
             # Hand the verified output batch to the next server (the real
             # server→server wire of §6.3); the last member's output stays
@@ -874,12 +829,9 @@ class MixChain:
         for member, announced_public in zip(self.members, announced):
             secret = member.reveal_inner_secret(round_number)
             if group.base_mult(secret) != announced_public:
-                return ChainRoundResult(
-                    chain_id=self.chain_id,
-                    round_number=round_number,
-                    status=ChainRoundResult.STATUS_HALTED_SERVER,
+                return self._halt(
+                    round_number, ChainRoundResult.STATUS_HALTED_SERVER, digest,
                     misbehaving_server=member.server_name,
-                    input_digest=digest,
                 )
             inner_secrets.append(secret)
 

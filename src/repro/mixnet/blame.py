@@ -293,7 +293,7 @@ def run_blame_protocol(
 
     # A ciphertext traced to the submission layer convicts its submitter:
     # she produced a ciphertext that does not authenticate at the accuser.
-    submissions = chain.submissions_for_round(round_number)
+    senders = chain.senders_for_round(round_number)
     submitter = {slot: index for slot, index, _, _ in trail}
     verdict = BlameVerdict(
         chain_id=chain.chain_id,
@@ -305,10 +305,10 @@ def run_blame_protocol(
         if server is not None:
             if server not in verdict.malicious_servers:
                 verdict.malicious_servers.append(server)
-        elif submitter[slot] < len(submissions):
-            sender = submissions[submitter[slot]].sender
+        elif submitter[slot] < len(senders):
+            sender = senders[submitter[slot]]
             if sender not in verdict.malicious_users:
                 verdict.malicious_users.append(sender)
-        else:  # pragma: no cover - defensive; submissions and entries stay aligned
+        else:  # pragma: no cover - defensive; senders and entries stay aligned
             raise BlameError("flagged ciphertext could not be traced to a submission")
     return verdict

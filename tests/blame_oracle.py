@@ -124,7 +124,7 @@ def reference_blame_protocol(
         raise BlameError("accusing position out of range")
     if len(history) <= accusing_position:
         raise BlameError("history does not cover the accusing position")
-    submissions = chain.submissions_for_round(round_number)
+    senders = chain.senders_for_round(round_number)
     verdict = BlameVerdict(chain_id=chain.chain_id, round_number=round_number)
     accuser = members[accusing_position]
     accuser_context = blame_context(chain.chain_id, accuser.position, round_number)
@@ -192,11 +192,11 @@ def reference_blame_protocol(
         # The chain of reveals reached the submission layer: the original
         # submitter of this ciphertext produced a ciphertext that does not
         # authenticate at the accuser — she is actively malicious.
-        if downstream_index < len(submissions):
-            sender = submissions[downstream_index].sender
+        if downstream_index < len(senders):
+            sender = senders[downstream_index]
             if sender not in verdict.malicious_users:
                 verdict.malicious_users.append(sender)
-        else:  # pragma: no cover - defensive; submissions and entries stay aligned
+        else:  # pragma: no cover - defensive; senders and entries stay aligned
             raise BlameError("flagged ciphertext could not be traced to a submission")
 
     return verdict

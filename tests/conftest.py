@@ -7,6 +7,7 @@ end-to-end integration test so the default production path is covered too.
 
 from __future__ import annotations
 
+import contextlib
 import random
 import sys
 
@@ -42,13 +43,26 @@ def install_backend(deployment, backend: str):
     return deployment
 
 
+@contextlib.contextmanager
+def selected_tier(name):
+    """Run the block under kernel tier ``name``, then restore lazy
+    resolution; ``None`` leaves the process's tier as it is."""
+    if name is None:
+        yield
+        return
+    kernels.reset_kernel_for_tests()
+    kernels.set_active_kernel(name)
+    try:
+        yield
+    finally:
+        kernels.reset_kernel_for_tests()
+
+
 @pytest.fixture(params=TIERS)
 def tier(request):
     """Run under each kernel tier, then restore lazy resolution."""
-    kernels.reset_kernel_for_tests()
-    kernels.set_active_kernel(request.param)
-    yield request.param
-    kernels.reset_kernel_for_tests()
+    with selected_tier(request.param):
+        yield request.param
 
 
 def forbid(monkeypatch, *functions):

@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.keys import KeyPair
 from repro.crypto.nizk import verify_dlog
-from repro.crypto.onion import encrypt_inner, encrypt_outer_layers
+from repro.crypto.onion import encrypt_inner, encrypt_outer_layers, outer_layer_key
 from repro.errors import ProofError, ProtocolError
 from repro.mixnet.ahs import (
     ChainMember,
@@ -15,7 +17,13 @@ from repro.mixnet.ahs import (
     setup_context,
     submission_context,
 )
-from repro.mixnet.messages import ClientSubmission, MailboxMessage, MessageBody
+from repro.mixnet.messages import (
+    BatchEntry,
+    ClientSubmission,
+    EncodedBatch,
+    MailboxMessage,
+    MessageBody,
+)
 from repro.crypto.nizk import prove_dlog
 
 from tests.conftest import RecordingTransport
@@ -281,7 +289,7 @@ class TestHonestMixing:
         announced = chain.aggregate_inner_public(1)
         assert chain.run_round(1).delivered
         chain.release_round(1)
-        stores = (chain._entries, chain._submissions, chain._inner_publics, chain._aggregate_inner)
+        stores = (chain._entries, chain._senders, chain._inner_publics, chain._aggregate_inner)
         assert [sorted(store) for store in stores] == [[2]] * 4
         assert all(sorted(member._rounds) == [2] for member in chain.members)
         assert chain.run_round(2).delivered
@@ -384,7 +392,7 @@ class TestPrecompute:
         with pytest.raises(ProtocolError):
             member.precompute_round(1, [])
 
-    def test_release_round_then_invalidate_precompute(self, group):
+    def test_release_round_forgets_the_table_with_the_round(self, group):
         chain = build_chain(group, length=1)
         member = chain.members[0]
         public = group.base_mult(group.random_scalar())
@@ -393,11 +401,7 @@ class TestPrecompute:
             member.precompute_round(round_number, [public])
         member.release_round(1)
         assert sorted(member._rounds) == [2, 3]
-        assert member.round_record(2).precomputed is not None
-        member.invalidate_precompute()
-        assert all(member.round_record(r).precomputed is None for r in (2, 3))
-        # The inner keys outlive the tables: only a release forgets a round.
-        assert member.round_record(2).inner_secret is not None
+        assert all(len(member.round_record(r).precomputed) == 1 for r in (2, 3))
         # Releasing a round the member never held is a no-op.
         member.release_round(99)
 
@@ -421,6 +425,122 @@ class TestPrecompute:
         garbage = ClientSubmission(0, "eve", b"\xff" * 32, good.ciphertext, good.proof)
         publics = chain.decode_submission_publics([good, foreign, garbage])
         assert publics == [group.decode(good.dh_public)]
+
+
+def _submissions(group, chain, count):
+    recipient = KeyPair.generate(group)
+    return [
+        make_submission(
+            group, chain, 1, f"user-{index}", recipient.public_bytes, bytes([index + 1]) * 32
+        )
+        for index in range(count)
+    ]
+
+
+def _tampered(group, batch, indices):
+    """``batch`` with the first ciphertext byte of each entry in ``indices``
+    flipped: a failed open, so the blame path."""
+    entries = list(batch)
+    for index in indices:
+        entry = entries[index]
+        entries[index] = BatchEntry(
+            dh_public=entry.dh_public,
+            ciphertext=bytes([entry.ciphertext[0] ^ 0xFF]) + entry.ciphertext[1:],
+        )
+    return EncodedBatch.from_entries(group, entries)
+
+
+class TestPrecomputePropertyParity:
+    """Hypothesis: precompute ahead of the online pass == no precompute.
+
+    For arbitrary entry batches — valid submissions, tampered ciphertexts
+    (the blame/failed-open path), or a mix — running ``precompute_round``
+    first must change nothing but when the keys were derived: the online
+    pass of an identically-seeded twin fills its table itself and produces
+    the same result.
+    """
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.data())
+    def test_precompute_then_online_equals_process_round(self, group, data):
+        seed = data.draw(st.integers(min_value=0, max_value=2**16), label="seed")
+        count = data.draw(st.integers(min_value=0, max_value=4), label="entries")
+        corrupt = data.draw(
+            st.lists(st.booleans(), min_size=count, max_size=count), label="corrupt"
+        )
+        online = build_chain(group, length=2, seed=seed)
+        precomputed = build_chain(group, length=2, seed=seed)
+        online.begin_round(1)
+        precomputed.begin_round(1)
+        submissions = _submissions(group, online, count)
+        tampered = [index for index, flag in enumerate(corrupt) if flag]
+
+        def entries_for(chain):
+            accepted, rejected = chain.accept_submissions(1, submissions)
+            assert rejected == []
+            return _tampered(group, accepted, tampered)
+
+        entries = entries_for(online)
+        twin_entries = entries_for(precomputed)
+        member_online = online.members[0]
+        member_pre = precomputed.members[0]
+        blinded = member_pre.precompute_round(1, entries.decode_publics())
+        assert blinded == [
+            group.scalar_mult(entry.dh_public, member_pre.blinding_secret)
+            for entry in entries
+        ]
+        result_pre = member_pre.process_round(1, twin_entries)
+        result_online = member_online.process_round(1, entries)
+        assert result_pre.position == result_online.position
+        assert result_pre.entries.blob == result_online.entries.blob
+        assert result_pre.proof == result_online.proof
+        assert result_pre.failed_indices == result_online.failed_indices
+        # The online pass filled exactly the table the precompute built.
+        table = member_pre.round_record(1).precomputed
+        assert len(table) == len({group.encode(entry.dh_public) for entry in entries})
+        assert member_online.round_record(1).precomputed == table
+        # Both twins read the same table code, so hold it to the per-entry
+        # derivation: every layer key is the single-point one, and the opens
+        # fail on exactly the tampered entries.
+        for entry in entries:
+            shared = group.scalar_mult(entry.dh_public, member_pre.mixing_secret)
+            assert table[group.encode(entry.dh_public)][1] == outer_layer_key(group, shared)
+        assert result_online.failed_indices == tampered
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.data())
+    def test_chain_level_precompute_parity_with_blame(self, group, data):
+        """Whole-chain cascade parity, including halted/blamed rounds."""
+        seed = data.draw(st.integers(min_value=0, max_value=2**16), label="seed")
+        count = data.draw(st.integers(min_value=1, max_value=4), label="entries")
+        corrupt_index = data.draw(
+            st.one_of(st.none(), st.integers(min_value=0, max_value=count - 1)),
+            label="corrupt_index",
+        )
+        online = build_chain(group, length=2, seed=seed)
+        precomputed = build_chain(group, length=2, seed=seed)
+        online.begin_round(1)
+        precomputed.begin_round(1)
+        submissions = _submissions(group, online, count)
+
+        def run(chain, with_precompute):
+            chain.accept_submissions(1, submissions)
+            if corrupt_index is not None:
+                chain._entries[1] = _tampered(group, chain._entries[1], [corrupt_index])
+            if with_precompute:
+                chain.precompute_round(1, chain._entries[1].decode_publics())
+            return chain.run_round(1)
+
+        result_online = run(online, with_precompute=False)
+        result_pre = run(precomputed, with_precompute=True)
+        assert result_pre.status == result_online.status
+        assert [m.to_bytes() for m in result_pre.mailbox_messages] == [
+            m.to_bytes() for m in result_online.mailbox_messages
+        ]
+        assert result_pre.rejected_senders == result_online.rejected_senders
+        assert result_pre.invalid_inner_count == result_online.invalid_inner_count
+        if result_online.blame_verdict is not None:
+            assert result_pre.blame_verdict.to_bytes() == result_online.blame_verdict.to_bytes()
 
 
 class TestContextHelpers:

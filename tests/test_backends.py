@@ -16,7 +16,13 @@ import threading
 
 import pytest
 
-from repro.engine import ExecutionBackend, ParallelBackend, SerialBackend
+from repro.engine import (
+    ExecutionBackend,
+    ParallelBackend,
+    RoundEngine,
+    SerialBackend,
+    StaggeredScheduler,
+)
 from repro.engine.backends import available_cpus
 from repro.errors import ConfigurationError
 from repro.mixnet.ahs import MixChain
@@ -305,6 +311,31 @@ class TestParallelBackend:
             thread.join(TIMEOUT_S)
         assert not any(thread.is_alive() for thread in started)
         assert threading.active_count() <= baseline
+
+
+class TestBackendConfiguration:
+    def test_use_backend_swaps_engine_backend(self):
+        deployment = build()
+        assert isinstance(deployment.engine.backend, ParallelBackend)
+        deployment.use_backend(SerialBackend())
+        assert isinstance(deployment.engine.backend, SerialBackend)
+        report = deployment.run_round()
+        deployment.close()
+        assert report.all_chains_delivered()
+
+    def test_round_engine_usable_standalone(self):
+        """The engine API works without going through Deployment.run_round."""
+        deployment = build()
+        engine = RoundEngine(deployment, backend=SerialBackend())
+        report = engine.execute_round(deployment.round_spec())
+        assert report.round_number == 1
+        assert report.all_chains_delivered()
+
+    def test_staggered_scheduler_for_deployment(self):
+        deployment = build()
+        scheduler = StaggeredScheduler.for_deployment(deployment)
+        reports = scheduler.run_rounds([deployment.round_spec(), deployment.round_spec()])
+        assert [report.round_number for report in reports] == [1, 2]
 
 
 class TestStagesFanOut:

@@ -18,6 +18,7 @@ from repro.coordinator.adversary import (
     LIE_KEY_PROOF,
     LIE_PREIMAGE,
     LIE_REFUSE,
+    MODE_BREAK_AGGREGATE,
     MODE_PRESERVE_AGGREGATE,
     MODE_TAMPER_CIPHERTEXT,
     LyingRevealMember,
@@ -168,6 +169,26 @@ class TestMaliciousServerConviction:
         result = chain.run_round(1)
         assert result.status == ChainRoundResult.STATUS_HALTED_BLAME
         assert result.blame_verdict.malicious_servers == ["server-1"]
+
+    @pytest.mark.parametrize("mode, status", (
+        (MODE_TAMPER_CIPHERTEXT, ChainRoundResult.STATUS_HALTED_BLAME),
+        (MODE_BREAK_AGGREGATE, ChainRoundResult.STATUS_HALTED_SERVER),
+    ))
+    def test_a_halted_round_deletes_every_inner_key(self, group, mode, status):
+        """§6.4: a round that will not deliver loses its inner keys on every
+        server, so its inner envelopes can never be opened; the records
+        blame reads stay."""
+        chain = self._tampered_chain(group, mode)
+        chain.begin_round(1)
+        recipient = KeyPair.generate(group)
+        chain.accept_submissions(1, [
+            make_submission(group, chain, 1, f"user-{index}", recipient.public_bytes, b"\x09" * 32)
+            for index in range(3)
+        ])
+        assert chain.run_round(1).status == status
+        for member in chain.members:
+            assert member.round_record(1).inner_secret is None
+        assert chain.members[0].round_record(1).inputs is not None
 
     def test_honest_users_never_convicted_by_tampering_server(self, group):
         """Whatever a tampering server does, no honest user ends up convicted."""

@@ -6,7 +6,8 @@ from repro.client.user import ReceivedMessage
 from repro.errors import ConfigurationError
 from repro.coordinator.network import DeploymentConfig
 
-from tests.conftest import make_deployment
+from tests.conftest import BACKENDS, make_deployment
+from tests.test_engine_parity import build, conversation_script
 
 
 class TestDeploymentConstruction:
@@ -137,3 +138,152 @@ class TestEd25519Integration:
         assert report.conversation_payloads(bob) == [b"over the curve"]
         assert report.conversation_payloads(alice) == [b"indeed"]
         assert set(report.mailbox_counts.values()) == {deployment.ell()}
+
+
+class TestRoundStateLifetime:
+    """A round's state lives until it is over: delivered for the chains,
+    fetched for the mailbox tier.  After twelve rounds of conversations and
+    churn, nothing is left but what the next rounds already announced and
+    what offline users have not fetched."""
+
+    @staticmethod
+    def _script(deployment):
+        # Users b and d each miss a round and come back; in the last round
+        # b and c are offline, so the run ends with unfetched mail.
+        specs = conversation_script(deployment) + conversation_script(deployment)
+        b, c = deployment.users[1].name, deployment.users[2].name
+        specs[-1] = deployment.round_spec(offline_users={b, c})
+        return specs
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("covers", (True, False), ids=("covers", "no-covers"))
+    @pytest.mark.parametrize("staggered", (False, True), ids=("sequential", "staggered"))
+    def test_only_undelivered_and_unfetched_rounds_remain(self, staggered, covers, backend):
+        deployment = build(backend, use_cover_messages=covers)
+        specs = self._script(deployment)
+        reports = deployment.run_rounds(specs, staggered=staggered)
+        deployment.close()
+        assert len(reports) == 12
+        assert all(report.all_chains_delivered() for report in reports)
+        announced = {deployment.next_round, deployment.next_round + 1}
+        for chain in deployment.chains:
+            assert not chain._entries and not chain._senders
+            assert set(chain._aggregate_inner) == set(chain._inner_publics) <= announced
+            for member in chain.members:
+                assert set(member._rounds) <= announced
+                assert all(record.inputs is None for record in member._rounds.values())
+        names = {user.public_bytes: user.name for user in deployment.users}
+        held = {
+            (names[owner], round_number)
+            for server in deployment.mailboxes.servers
+            for owner, mailbox in server._mailboxes.items()
+            for round_number, messages in mailbox._rounds.items()
+            if messages
+        }
+        last_round = reports[-1].round_number
+        still_offline = {(name, last_round) for name in reports[-1].offline_users}
+        # Only the rounds of users offline since their last fetch wait in
+        # the hub — and they do wait; a returning user's fetch dropped the
+        # rounds she missed, so churn leaves nothing behind.
+        assert held and held <= still_offline
+
+    def test_a_halted_round_is_held_until_recover_without_its_inner_keys(self):
+        """A halted round keeps what blame and ``recover()`` read, but not its
+        inner keys (§6.4); the chains that delivered the same round released
+        it at deliver, and ``recover()`` retires the old chain's members."""
+        from repro.coordinator.adversary import (
+            MODE_TAMPER_CIPHERTEXT,
+            install_tampering_server,
+        )
+
+        deployment = build()
+        install_tampering_server(deployment, 0, 0, MODE_TAMPER_CIPHERTEXT)
+        report = deployment.run_round()
+        old_chain = deployment.chains[0]
+        assert report.chain_results[old_chain.chain_id].status == "halted-blame"
+        assert old_chain.senders_for_round(1) and 1 in old_chain._entries
+        for member in old_chain.members:
+            record = member.round_record(1)
+            assert record.precomputed and record.inputs is not None
+            assert record.inner_secret is None
+        for chain in deployment.chains[1:]:
+            assert 1 not in chain._entries and 1 not in chain._aggregate_inner
+            assert all(1 not in member._rounds for member in chain.members)
+        deployment.recover()
+        # Fresh members, fresh ceremony: no server still holds a retired one.
+        assert deployment.chains[0] is not old_chain
+        for member in old_chain.members:
+            node = deployment._nodes_by_name[member.server_name]
+            assert node.chain_members.get(old_chain.chain_id) is not member
+        report = deployment.run_round()
+        assert report.all_chains_delivered()
+        assert "precompute" in report.stage_seconds
+        deployment.close()
+
+
+class TestStaggeredDeferral:
+    """The staggered scheduler builds a round before the previous round's
+    fetch, except for the users that fetch may change: offline-notice
+    targets are deferred until after it."""
+
+    @pytest.mark.parametrize("transport", ("inproc", "instrumented", "tcp"))
+    def test_deferred_users_build_through_the_population(self, transport, monkeypatch):
+        """The deferred users take the population's batched build like
+        everyone else — a build of exactly the deferred users."""
+        deployment = build(transport=transport)
+        population = deployment.population
+        calls = []
+        batch_build = population.build_round_submissions_batch
+
+        def recording_build(round_number, views, users, **kwargs):
+            calls.append([user.name for user in users])
+            return batch_build(round_number, views, users, **kwargs)
+
+        monkeypatch.setattr(population, "build_round_submissions_batch", recording_build)
+        deferred_builds = []
+        finalize = deployment.engine.finalize_collect
+
+        def recording_finalize(ctx):
+            deferred, start = list(ctx.deferred_users), len(calls)
+            finalize(ctx)
+            if deferred:
+                deferred_builds.append((deferred, calls[start:]))
+
+        monkeypatch.setattr(deployment.engine, "finalize_collect", recording_finalize)
+        reports = deployment.run_rounds(conversation_script(deployment), staggered=True)
+        deployment.close()
+        assert all(report.all_chains_delivered() for report in reports)
+        assert deferred_builds  # the script did defer someone
+        for deferred, built in deferred_builds:
+            assert built and all(names == deferred for names in built)
+
+    def test_staggered_defers_notice_targets_only(self):
+        """The overlapped collect builds everyone except pending notice recipients."""
+        deployment = build()
+        a, b = deployment.users[0].name, deployment.users[1].name
+        deployment.start_conversation(a, b)
+        engine = deployment.engine
+        ctx1 = engine.prepare(deployment.round_spec(payloads={a: b"x"}))
+        engine.collect(ctx1)
+        engine.finalize_collect(ctx1)
+        assert ctx1.notice_targets == set()
+        engine.mix(ctx1)
+        engine.deliver(ctx1)
+        engine.fetch(ctx1)
+
+        ctx2 = engine.prepare(deployment.round_spec(offline_users={b}))
+        engine.collect(ctx2)
+        assert ctx2.notice_targets == {a}
+        engine.finalize_collect(ctx2)
+        engine.mix(ctx2)
+        engine.deliver(ctx2)
+        engine.fetch(ctx2)
+
+        ctx3 = engine.prepare(deployment.round_spec())
+        engine.collect(ctx3, defer=frozenset(ctx2.notice_targets))
+        assert ctx3.deferred_users == [a]
+        assert a not in ctx3.user_submissions
+        engine.finalize_collect(ctx3)
+        # Built after the fetch, folded into the chain batches, index dropped.
+        assert any(sub.sender == a for batch in ctx3.per_chain.values() for sub in batch)
+        assert ctx3.deferred_users == [] and ctx3.user_submissions == {}

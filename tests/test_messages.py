@@ -26,6 +26,8 @@ from repro.mixnet.messages import (
     split_into_payload_chunks,
 )
 
+from tests.conftest import RecordingTransport
+
 KEY = b"\x05" * 32
 RECIPIENT = b"\x09" * GROUP_ELEMENT_SIZE
 
@@ -303,6 +305,85 @@ class TestEncodedBatch:
         assert decoded.blob == batch.blob
         assert decoded.to_wire() == batch.to_wire()
         assert [batch.ciphertext(i) for i in range(len(batch))] == [ct for _, ct in records]
+
+
+class TestBatchRepresentation:
+    """One batch shape in the chain (DESIGN.md §11.3), however it travelled.
+
+    Over every transport, honest or tampered or link-faulted, what each hop
+    received over the wire and what each member recorded while the round
+    was held is an ``EncodedBatch`` — the wire transports, a tampering
+    server and a faulty link used to hand the next hop a decoded list — and
+    the round is byte-identical to the same case run in process.
+    """
+
+    CASES = ("honest", "tamper", "duplicate", "reorder", "drop")
+
+    @staticmethod
+    def _run(transport, case, inspect=lambda deployment, ctx: None):
+        """One round, stage by stage, calling ``inspect`` between mix and
+        deliver (deliver releases the round); returns the report and the
+        recording of every envelope."""
+        from repro.coordinator.adversary import (
+            MODE_TAMPER_CIPHERTEXT,
+            install_tampering_server,
+        )
+        from repro.coordinator.network import Deployment, DeploymentConfig
+        from repro.transport import BATCH
+        from repro.transport.faulty import FaultyTransport, LinkFault
+
+        deployment = Deployment.create(DeploymentConfig(
+            num_servers=4, num_users=6, num_chains=2, chain_length=3, seed=42,
+            group_kind="modp", transport=transport,
+        ))
+        try:
+            if case == "tamper":
+                install_tampering_server(deployment, 0, 0, MODE_TAMPER_CIPHERTEXT)
+            elif case != "honest":
+                fault = LinkFault(behaviour=case, kind=BATCH, chain_id=0, index=1, seed=5)
+                deployment.use_transport(
+                    FaultyTransport(deployment.transport, [fault]), close_previous=False
+                )
+            recorder = RecordingTransport(deployment.transport)
+            deployment.use_transport(recorder, close_previous=False)
+            engine = deployment.engine
+            ctx = engine.prepare(deployment.round_spec())
+            for stage in (engine.collect, engine.finalize_collect, engine.precompute, engine.mix):
+                stage(ctx)
+            inspect(deployment, ctx)
+            engine.deliver(ctx)
+            engine.fetch(ctx)
+            return ctx.report, recorder
+        finally:
+            deployment.close()
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("transport", ("inproc", "instrumented", "tcp"))
+    def test_every_hop_holds_an_encoded_batch(self, transport, case):
+        def held_records(deployment, ctx):
+            for chain in deployment.chains:
+                delivered = ctx.chain_outcomes[chain.chain_id].result.delivered
+                # The hop behind the tampering server / the faulted link ran.
+                assert type(chain.members[1].round_record(1).inputs) is EncodedBatch
+                for member in chain.members:
+                    record = member.round_record(1)
+                    for batch in (record.inputs, record.outputs):
+                        assert batch is None or type(batch) is EncodedBatch
+                    if delivered:
+                        assert record.inputs is not None and record.outputs is not None
+                # What the chain keeps of the submissions is who sent them.
+                senders = chain.senders_for_round(1)
+                assert senders and all(type(sender) is str for sender in senders)
+
+        report, recorder = self._run(transport, case, held_records)
+        reference, _ = self._run("inproc", case)
+        assert report.canonical_bytes() == reference.canonical_bytes()
+        assert report.chain_results[0].delivered == (case != "tamper")
+        for chain_id, result in report.chain_results.items():
+            hops = recorder.batches(chain_id)
+            assert hops and all(type(batch) is EncodedBatch for batch in hops)
+            if result.delivered:
+                assert len(hops) == 2  # chain_length − 1 server→server links
 
 
 class TestBatchDigest:

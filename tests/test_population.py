@@ -1,7 +1,7 @@
 """The vectorized user-population layer (DESIGN.md §7).
 
-Three properties are enforced here, below the end-to-end engine parity
-matrix of ``test_engine_parity.py``:
+Three properties are enforced here, below the end-to-end parity tables of
+``test_engine_parity.py``:
 
 1. the batched crypto primitives (ChaCha20 block batches, AEAD batches,
    fixed-point scalar batches) are bit-identical to their scalar
@@ -146,7 +146,7 @@ class TestPopulationSemantics:
         a, b = reference.users[0].name, reference.users[1].name
         reference.start_conversation(a, b)
         batched.start_conversation(a, b)
-        # Once a chain has accepted it keeps sender stubs and the wire blob,
+        # Once a chain has accepted it keeps the senders and the wire blob,
         # so whole submissions — chain id, sender, X, ciphertext, proof,
         # cover flag — are compared where they still exist: in the engine's
         # per-chain lists, after collect and before mix consumes them.
@@ -169,10 +169,8 @@ class TestPopulationSemantics:
         # What the chains accepted, observed while the round is still held
         # (deliver releases it).
         for chain_ref, chain_bat in zip(reference.chains, batched.chains):
-            assert chain_bat.submissions_for_round(1)
-            assert (
-                chain_bat.submissions_for_round(1) == chain_ref.submissions_for_round(1)
-            )
+            assert chain_bat.senders_for_round(1)
+            assert chain_bat.senders_for_round(1) == chain_ref.senders_for_round(1)
             assert (
                 chain_bat.members[0].round_record(1).inputs.blob
                 == chain_ref.members[0].round_record(1).inputs.blob

@@ -5,9 +5,10 @@ live :class:`~repro.runner.roles.RoleNode` replicas (two mix, one mailbox)
 behind real TCP listeners, driven by :func:`~repro.runner.harness.
 run_coordinator` through the acceptance scenario — tamper, blame, recovery
 — and compared bit-for-bit against the ordinary in-process
-:class:`~repro.faults.runner.ScenarioRunner`.  The subprocess flavour of
-the same comparison lives in ``tests/test_engine_parity.py`` under the
-``distributed`` marker.
+:class:`~repro.faults.runner.ScenarioRunner`.  The subprocess flavour,
+four OS processes held to the blame pin, is
+``tests/test_engine_parity.py::test_localhost_processes_deliver_the_blame_pin``
+(marked ``distributed``).
 """
 
 import io
@@ -21,7 +22,9 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from repro.coordinator.adversary import install_tampering_server
 from repro.coordinator.network import Deployment, DeploymentConfig
+from repro.engine.stages import ChainOutcome
 from repro.errors import ConfigurationError, DecodingError, TransportError
 from repro.faults.plan import (
     MODE_TAMPER_CIPHERTEXT,
@@ -266,6 +269,58 @@ class TestDistributedInProcess:
             for chain in node.deployment.chains:
                 assert not chain._entries and not chain._aggregate_inner
                 assert all(not member._rounds for member in chain.members)
+
+    def test_the_coordinator_replica_never_precomputes(self):
+        """Under the distributed runtime the owning mix roles precompute
+        inside the ``MIX`` RPC; the coordinator's replica records no
+        precompute stage and fills no member's table."""
+        deployment = Deployment.create(make_config())
+        report = deployment.run_round()
+        assert "precompute" in report.stage_seconds and "mix" in report.stage_seconds
+        deployment.remote_mix = object()
+        engine = deployment.engine
+        ctx = engine.prepare(deployment.round_spec())
+        for stage in (engine.collect, engine.precompute_collected,
+                      engine.finalize_collect, engine.precompute):
+            stage(ctx)
+        assert "precompute" not in ctx.report.stage_seconds
+        for chain in deployment.chains:
+            for member in chain.members:
+                assert member.round_record(ctx.round_number).precomputed == {}
+        deployment.close()
+
+    def test_a_remote_halt_deletes_the_coordinator_replicas_inner_keys(self):
+        """§6.4 on the replica that only announced the round: when the
+        mixing replica reports a halt, the coordinator's copy of the
+        round's inner keys goes too."""
+        config = make_config()
+        mixer = Deployment.create(config)
+        install_tampering_server(mixer, 0, 0, MODE_TAMPER_CIPHERTEXT)
+
+        class ReplicaMix:
+            """``remote_mix`` with a second in-process replica as the mix role."""
+
+            def mix_round(self, ctx):
+                outcomes = []
+                for chain in mixer.chains:
+                    chain.begin_round(ctx.round_number)
+                    _, rejected = chain.accept_submissions(
+                        ctx.round_number, ctx.per_chain[chain.chain_id]
+                    )
+                    result = chain.run_round(ctx.round_number)
+                    outcomes.append(ChainOutcome(chain.chain_id, rejected, result))
+                return outcomes
+
+        deployment = Deployment.create(config)
+        deployment.remote_mix = ReplicaMix()
+        report = deployment.run_round()
+        assert report.chain_results[0].status == "halted-blame"
+        assert all(result.delivered for result in list(report.chain_results.values())[1:])
+        for deployment_replica in (mixer, deployment):
+            for member in deployment_replica.chains[0].members:
+                assert member.round_record(1).inner_secret is None
+        mixer.close()
+        deployment.close()
 
     def test_mix_rpc_on_the_mailbox_role_is_refused_over_the_wire(self):
         config = make_config(num_users=2, num_chains=1)

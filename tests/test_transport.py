@@ -1,5 +1,7 @@
 """Transport layer: envelopes, codecs, accounting, and deployment wiring."""
 
+import functools
+
 import pytest
 
 from repro.constants import SUBMISSION_OVERHEAD
@@ -35,8 +37,22 @@ from repro.transport.codec import (
     encode_payload,
 )
 
+from tests.conftest import BACKENDS
+from tests.test_engine_parity import build, conversation_script
+
 RECIPIENT = b"\x09" * 32
 KEY = b"\x05" * 32
+
+
+@functools.lru_cache(maxsize=None)
+def script_wire_bytes(backend):
+    """Per-round, per-kind wire bytes of the six-round parity script."""
+    deployment = build(backend, transport="instrumented")
+    deployment.run_rounds(conversation_script(deployment))
+    ledger = deployment.traffic_ledger
+    totals = [ledger.bytes_by_kind(r) for r in range(1, 7)]
+    deployment.close()
+    return totals
 
 
 def make_submission(group, chain_id=1, sender="alice", ciphertext=b"c" * 64):
@@ -188,6 +204,48 @@ class TestTrafficLedger:
         # slowest upload (0.2) + slowest chain (0.5 + 0.2 delivery) + fetch (0.4)
         assert ledger.round_latency_seconds(1) == pytest.approx(1.3)
         assert ledger.chain_hop_seconds(1) == {0: pytest.approx(0.6), 1: pytest.approx(0.5)}
+
+    def test_a_round_uses_batch_frames(self):
+        deployment = build(transport="instrumented")
+        deployment.run_round()
+        kinds = set(deployment.traffic_ledger.bytes_by_kind(1))
+        assert SUBMISSION_BATCH in kinds
+        assert MAILBOX_FETCH_BATCH in kinds
+        # One framed upload per chain, not one per (user, chain).
+        submission_records = [
+            record
+            for record in deployment.traffic_ledger.records
+            if record.kind == SUBMISSION_BATCH
+        ]
+        assert len(submission_records) == deployment.num_chains
+        deployment.close()
+
+    def test_a_streamed_round_uploads_one_frame_per_chain_and_chunk(self):
+        deployment = build(transport="instrumented", population_chunk_size=2)
+        deployment.run_round()
+        submission_records = [
+            record
+            for record in deployment.traffic_ledger.records
+            if record.kind == SUBMISSION_BATCH
+        ]
+        # One framed upload per (chain, chunk) the chunk's users touch — 6
+        # users in chunks of 2 → 3 chunks — instead of one per chain.
+        assignments = deployment.population.chain_assignments
+        users = deployment.users
+        expected = sum(
+            len({chain for user in users[start:start + 2] for chain in assignments[user.name]})
+            for start in range(0, len(users), 2)
+        )
+        assert expected > deployment.num_chains
+        assert len(submission_records) == expected
+        deployment.close()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_wire_bytes_do_not_depend_on_the_backend(self, backend):
+        """Every round of the script puts the same bytes of each kind on
+        the wire as under the production pool."""
+        assert all(script_wire_bytes("production"))
+        assert script_wire_bytes(backend) == script_wire_bytes("production")
 
 
 class TestDeploymentWiring:
