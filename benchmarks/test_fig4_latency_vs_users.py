@@ -73,7 +73,7 @@ def test_fig4_engine_load_scaling(benchmark):
                 assert all(report.all_chains_delivered() for report in reports)
                 per_chain = reports[-1].total_submissions / deployment.num_chains
                 loads[num_users] = per_chain
-                online_phase[(num_users, precompute)] = reports[-1].stage_seconds["mix"]
+                online_phase[(num_users, precompute)] = reports[-1].trace.seconds("mix")
                 assert per_chain == pytest.approx(
                     messages_per_chain(num_users, deployment.num_chains)
                 )

@@ -69,7 +69,7 @@ def test_fig5_engine_horizontal_scaling(benchmark):
                 assert all(report.all_chains_delivered() for report in reports)
                 per_chain = reports[-1].total_submissions / deployment.num_chains
                 loads[num_chains] = per_chain
-                online_phase[(num_chains, precompute)] = reports[-1].stage_seconds["mix"]
+                online_phase[(num_chains, precompute)] = reports[-1].trace.seconds("mix")
                 assert per_chain == pytest.approx(messages_per_chain(16, num_chains))
         return loads, online_phase
 

@@ -9,7 +9,7 @@ so the online mix phase is left with symmetric crypto plus the aggregate
 proofs.
 
 This module measures exactly that claim on the real stack:
-``report.stage_seconds["mix"]`` (the online phase) with precomputation
+``report.trace.seconds("mix")`` (the online phase) with precomputation
 enabled must be measurably below the online-only reference path at equal
 configuration, and the win is regression-gated via
 ``benchmarks/baselines/baseline.json``.
@@ -64,10 +64,8 @@ def measure_phases(
     deployment.close()
     assert all(report.all_chains_delivered() for report in reports)
     return {
-        "online": statistics.mean(r.stage_seconds["mix"] for r in reports),
-        "precompute": statistics.mean(
-            r.stage_seconds.get("precompute", 0.0) for r in reports
-        ),
+        "online": statistics.mean(r.trace.seconds("mix") for r in reports),
+        "precompute": statistics.mean(r.trace.seconds("precompute") for r in reports),
     }
 
 
@@ -150,7 +148,7 @@ def test_precompute_hides_behind_stagger(benchmark):
         assert all(report.all_chains_delivered() for report in reports)
         # Every staggered round served its online phase from the tables.
         if precompute:
-            assert all(r.stage_seconds.get("precompute", 0.0) > 0.0 for r in reports)
+            assert all(r.trace.seconds("precompute") > 0.0 for r in reports)
         return elapsed
 
     def compare():

@@ -166,8 +166,8 @@ def metered_round(deployment):
         "round_peak_rss": round_meter.peak_bytes,
         "standing_rss": standing,
         "round_delta_rss": max(0, round_meter.peak_bytes - standing),
-        "online_seconds": report.stage_seconds.get("mix", 0.0),
-        "precompute_seconds": report.stage_seconds.get("precompute", 0.0),
+        "online_seconds": report.trace.seconds("mix"),
+        "precompute_seconds": report.trace.seconds("precompute"),
     }
 
 

@@ -1,8 +1,9 @@
 """Measured transport traffic vs. the analytic bandwidth model (fig2 companion).
 
 Runs a real deployment on the instrumented transport — every envelope is
-serialised to its actual wire encoding — and compares the bytes each user
-*measurably* uploaded/downloaded per round against the Figure 2 analytic
+serialised to its actual wire encoding, its size recorded in the round's
+trace — and compares the bytes each user *measurably* uploaded/downloaded
+per round against the Figure 2 analytic
 prediction (:mod:`repro.simulation.bandwidth`) anchored to the same chain
 parameters.  The population uploads one frame per chain and downloads one
 per mailbox shard, so each user's share is reconstructed from the frames.
@@ -13,9 +14,9 @@ downloads carry the owner key on the wire as well as the codec framing, so
 their bar is 8%.
 
 A second table reports the measured-from-traffic round latency companion to
-the Figure 4/5 analytic curves: the modelled time of the critical path
-through the recorded links next to the same path predicted from the
-configuration's uniform-load assumption.
+the Figure 4/5 analytic curves: the critical path through the recorded
+links, priced with the paper's testbed cost model, next to the same path
+predicted from the configuration's uniform-load assumption.
 """
 
 import pytest
@@ -59,15 +60,17 @@ def traffic_run():
     deployment = make_deployment()
     a, b = deployment.users[0].name, deployment.users[1].name
     deployment.start_conversation(a, b)
-    for index in range(ROUNDS):
+    reports = [
         deployment.run_round(payloads={a: b"ping-%d" % index, b: b"pong-%d" % index})
-    yield deployment
+        for index in range(ROUNDS)
+    ]
+    yield deployment, reports
     deployment.close()
 
 
 def test_measured_bandwidth_matches_model(benchmark, traffic_run):
-    deployment = traffic_run
-    comparison = benchmark(measured_vs_model_bandwidth, deployment, 1)
+    deployment, reports = traffic_run
+    comparison = benchmark(measured_vs_model_bandwidth, deployment, reports[0])
     rows = [
         ["upload", comparison["measured_upload_bytes"], comparison["model_upload_bytes"],
          f"{100 * (comparison['upload_ratio'] - 1):+.2f}%"],
@@ -86,10 +89,8 @@ def test_measured_bandwidth_matches_model(benchmark, traffic_run):
 
 def test_measured_bandwidth_stable_across_rounds(traffic_run):
     """Cover traffic makes every full round cost the same bytes (§5.3.3)."""
-    comparisons = [
-        measured_vs_model_bandwidth(traffic_run, round_number)
-        for round_number in range(1, ROUNDS + 1)
-    ]
+    deployment, reports = traffic_run
+    comparisons = [measured_vs_model_bandwidth(deployment, report) for report in reports]
     uploads = {comparison["measured_upload_bytes"] for comparison in comparisons}
     downloads = {comparison["measured_download_bytes"] for comparison in comparisons}
     assert len(uploads) == 1
@@ -111,9 +112,9 @@ def test_measured_bandwidth_batched_population(benchmark):
     config = deployment.config
     a, b = deployment.users[0].name, deployment.users[1].name
     deployment.start_conversation(a, b)
-    deployment.run_round(payloads={a: b"ping", b: b"pong"})
+    report = deployment.run_round(payloads={a: b"ping", b: b"pong"})
     comparison = benchmark.pedantic(
-        lambda: measured_vs_model_bandwidth(deployment, 1), rounds=1, iterations=1
+        lambda: measured_vs_model_bandwidth(deployment, report), rounds=1, iterations=1
     )
     save_result(
         "transport_measured_vs_model_bandwidth_batched",
@@ -136,9 +137,9 @@ def test_measured_bandwidth_batched_population(benchmark):
     deployment.close()
 
 
-def test_measured_latency_companion(benchmark, traffic_run):
-    deployment = traffic_run
-    comparison = benchmark(measured_vs_model_latency, deployment, 1)
+def test_measured_latency_companion(benchmark, traffic_run, paper_cost_model):
+    deployment, reports = traffic_run
+    comparison = benchmark(measured_vs_model_latency, deployment, reports[0], paper_cost_model)
     measured = comparison["measured_seconds"]
     modelled = comparison["modelled_network_seconds"]
     save_result(

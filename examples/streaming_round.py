@@ -8,9 +8,9 @@ O(chunk) no matter how large the population grows.  The round's observable
 outputs are bit-identical either way (the engine parity suite proves it);
 only the memory/latency profile changes.
 
-This example runs one such round end to end and logs a progress line per
-chunk as the engine streams through the build and fetch stages, then prints
-the round's phase timings and, on Linux, the process's peak RSS.
+This example runs one such round end to end, then prints from the round's
+trace a line per chunk of the build and fetch stages, the stage timings,
+and, on Linux, the process's peak RSS.
 
 Run with::
 
@@ -51,16 +51,6 @@ def main() -> None:
     )
 
     started = time.perf_counter()
-
-    def progress(phase: str, chunk_index: int, num_users: int) -> None:
-        elapsed = time.perf_counter() - started
-        print(
-            f"  [{elapsed:7.1f}s] {phase:<5} chunk {chunk_index + 1:>3}/{num_chunks}"
-            f"  ({num_users:,} users)"
-        )
-
-    deployment.population.progress = progress
-
     print("Running one round...")
     report = deployment.run_round()
     elapsed = time.perf_counter() - started
@@ -68,8 +58,16 @@ def main() -> None:
     assert report.all_chains_delivered()
     print(f"\nRound {report.round_number} delivered on all chains in {elapsed:.1f}s")
     print(f"  submissions mixed : {report.total_submissions:,}")
-    for stage, seconds in sorted(report.stage_seconds.items()):
-        print(f"  {stage:<18}: {seconds:.1f}s")
+    spans = report.trace.spans
+    origin = min(span.start for span in spans)
+    for span in spans:
+        if span.part is not None:
+            print(
+                f"  [{span.end - origin:7.1f}s] {span.stage:<16} chunk "
+                f"{span.part + 1:>3}/{num_chunks}  ({span.entries:,} users)"
+            )
+    for stage in dict.fromkeys(span.stage for span in spans):
+        print(f"  {stage:<18}: {report.trace.seconds(stage):.1f}s")
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     peak = rss if sys.platform == "darwin" else rss * 1024
     print(f"  peak RSS          : {peak / 1e6:,.0f} MB")

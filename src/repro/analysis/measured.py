@@ -1,67 +1,112 @@
 """Measured-from-traffic companions to the analytic figures.
 
 The analytic models in :mod:`repro.simulation` *predict* XRD's costs from
-closed forms; a deployment on the instrumented transport *measures* them
-from the wire bytes its envelopes actually carried.  This module puts the
-two side by side:
+closed forms; a round on the instrumented transport *measures* them: its
+report's trace (:mod:`repro.trace`) holds one link record per envelope,
+with the wire bytes it actually carried.  This module puts the two side by
+side, pricing each link with its own
+:class:`~repro.simulation.costmodel.CostModel`:
 
 * :func:`measured_vs_model_bandwidth` — the Figure 2 companion: mean
-  per-user upload/download bytes per round from the traffic ledger against
+  per-user upload/download bytes of one round against
   :func:`repro.simulation.bandwidth.deployment_user_bandwidth` anchored to
   the same chain parameters.  The acceptance bar is agreement within 5%.
 * :func:`measured_vs_model_latency` — the Figure 4/5 companion: the
   modelled time of the measured critical path (submission → slowest chain's
-  hops → delivery → fetch) next to the network leg predicted from the
-  configuration, and the closed-form end-to-end estimate (which also prices
-  compute, so it is reported for context rather than compared).
+  hops → delivery → fetch, :func:`round_latency_seconds`) next to the
+  network leg predicted from the configuration.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.constants import AEAD_TAG_SIZE, GROUP_ELEMENT_SIZE, PAYLOAD_SIZE
 from repro.crypto.onion import onion_size
 from repro.errors import SimulationError
 from repro.mixnet.messages import mailbox_message_size
 from repro.simulation.bandwidth import deployment_user_bandwidth, submission_wire_size
+from repro.simulation.costmodel import CostModel
 from repro.simulation.latency import messages_per_chain
+from repro.trace import Link
+from repro.transport import envelope as ev
 
 #: The codec's framing: each batch blob carries a 4-byte count, each framed
 #: item a 4-byte length prefix (see ``repro.transport.codec``).
 _FRAME_PREFIX = 4
 
-__all__ = ["measured_vs_model_bandwidth", "measured_vs_model_latency"]
+__all__ = [
+    "measured_vs_model_bandwidth",
+    "measured_vs_model_latency",
+    "round_latency_seconds",
+    "chain_hop_seconds",
+]
 
 
-def _ledger_or_raise(deployment):
-    ledger = deployment.traffic_ledger
-    if ledger is None:
+def _measured_links(report) -> List[Link]:
+    links = report.trace.links
+    if not links or any(record.wire_bytes is None for record in links):
         raise SimulationError(
-            "measured figures need a deployment on the instrumented transport"
+            f"round {report.round_number} has no wire bytes: measured figures need "
+            "a deployment on a transport that encodes its payloads"
         )
-    return ledger
+    return links
 
 
-def _per_user_frame_bytes(deployment, round_number: int) -> Dict:
+def _seconds(record: Link, cost_model: CostModel) -> float:
+    """A link's modelled one-way time: its bytes at the model's link speed, plus any delay."""
+    return cost_model.link_time(record.wire_bytes or 0) + record.delay_seconds
+
+
+def round_latency_seconds(links: List[Link], cost_model: CostModel) -> float:
+    """Modelled end-to-end time of a round's critical path through ``links``.
+
+    The round's data flow is: the submissions reach their entry servers
+    (framed per chain, ``SUBMISSION_BATCH``, plus any single injected
+    ``SUBMISSION``; frames cross their links in parallel, so the slowest
+    upload gates the start), the chains mix (each chain's batches traverse
+    its hops *sequentially*; chains run in parallel, so the slowest chain
+    gates delivery), the recovered messages reach the mailbox servers, and
+    the users fetch (framed per shard, ``MAILBOX_FETCH_BATCH`` — the slowest
+    fetch gates the end).  Banked covers stay off the critical path — they
+    are uploads *for the next round*.
+    """
+    submission_max = fetch_max = 0.0
+    chain_path: Dict[Optional[int], float] = {}
+    for record in links:
+        seconds = _seconds(record, cost_model)
+        if record.kind in (ev.SUBMISSION, ev.SUBMISSION_BATCH):
+            submission_max = max(submission_max, seconds)
+        elif record.kind == ev.MAILBOX_FETCH_BATCH:
+            fetch_max = max(fetch_max, seconds)
+        elif record.kind in (ev.BATCH, ev.MAILBOX_DELIVERY):
+            chain_path[record.chain_id] = chain_path.get(record.chain_id, 0.0) + seconds
+    return submission_max + max(chain_path.values(), default=0.0) + fetch_max
+
+
+def chain_hop_seconds(links: List[Link], cost_model: CostModel) -> Dict[int, float]:
+    """Per-chain summed batch-hop time through ``links`` (mix stage only)."""
+    totals: Dict[int, float] = {}
+    for record in links:
+        if record.kind == ev.BATCH and record.chain_id is not None:
+            totals[record.chain_id] = (
+                totals.get(record.chain_id, 0.0) + _seconds(record, cost_model)
+            )
+    return totals
+
+
+def _per_user_frame_bytes(deployment, report) -> Dict:
     """Per-user upload/download bytes reconstructed from batch frames.
 
     The population uploads one framed ``SUBMISSION_BATCH`` per
     (chain, round) and downloads one ``MAILBOX_FETCH_BATCH`` per shard, so
-    the ledger carries frame totals rather than per-user records.  The
+    the trace carries frame totals rather than per-user records.  The
     split is exact under the same full-attendance assumption the mean
     comparison already makes: every submission of a deployment has the same
     wire size, so a chain frame divides evenly over its roster, and every
     online user downloads ℓ same-size messages, so a shard's fetch frame
     divides evenly over the owners that shard holds.
     """
-    from repro.transport import (
-        COVER_SUBMISSION_BATCH,
-        MAILBOX_FETCH_BATCH,
-        SUBMISSION_BATCH,
-    )
-
-    ledger = _ledger_or_raise(deployment)
     population = deployment.population
     shard_rosters: Dict[str, List[str]] = {}
     for user in population.users:
@@ -69,15 +114,15 @@ def _per_user_frame_bytes(deployment, round_number: int) -> Dict:
         shard_rosters.setdefault(shard, []).append(user.name)
     uploads: Dict[str, float] = {}
     downloads: Dict[str, float] = {}
-    for record in ledger.records_for_round(round_number):
-        if record.kind in (SUBMISSION_BATCH, COVER_SUBMISSION_BATCH):
+    for record in _measured_links(report):
+        if record.kind in (ev.SUBMISSION_BATCH, ev.COVER_SUBMISSION_BATCH):
             roster, totals = population.chain_rosters.get(record.chain_id, []), uploads
-        elif record.kind == MAILBOX_FETCH_BATCH:
+        elif record.kind == ev.MAILBOX_FETCH_BATCH:
             roster, totals = shard_rosters.get(record.source, []), downloads
         else:
             continue
         if roster:
-            share = record.num_bytes / len(roster)
+            share = (record.wire_bytes or 0) / len(roster)
             for name in roster:
                 totals[name] = totals.get(name, 0.0) + share
     return {
@@ -86,8 +131,8 @@ def _per_user_frame_bytes(deployment, round_number: int) -> Dict:
     }
 
 
-def measured_vs_model_bandwidth(deployment, round_number: int) -> Dict:
-    """Mean measured per-user bytes for one round vs. the analytic prediction.
+def measured_vs_model_bandwidth(deployment, report) -> Dict:
+    """Mean measured per-user bytes of one round (its report) vs. the analytic prediction.
 
     The comparison is only meaningful for a round in which every user was
     online (offline users upload nothing, pulling the measured mean down).
@@ -96,9 +141,9 @@ def measured_vs_model_bandwidth(deployment, round_number: int) -> Dict:
     per submission and the owner key on the download wire, so measured
     bytes sit slightly above the model's.
     """
-    per_user = _per_user_frame_bytes(deployment, round_number)
+    per_user = _per_user_frame_bytes(deployment, report)
     if not per_user:
-        raise SimulationError(f"no traffic recorded for round {round_number}")
+        raise SimulationError(f"no traffic recorded for round {report.round_number}")
     uploads = [upload for upload, _ in per_user.values()]
     downloads = [download for _, download in per_user.values()]
     config = deployment.config
@@ -112,7 +157,7 @@ def measured_vs_model_bandwidth(deployment, round_number: int) -> Dict:
     measured_upload = sum(uploads) / len(uploads)
     measured_download = sum(downloads) / len(downloads)
     return {
-        "round": round_number,
+        "round": report.round_number,
         "users_measured": len(per_user),
         "measured_upload_bytes": measured_upload,
         "measured_download_bytes": measured_download,
@@ -123,8 +168,11 @@ def measured_vs_model_bandwidth(deployment, round_number: int) -> Dict:
     }
 
 
-def measured_vs_model_latency(deployment, round_number: int) -> Dict:
+def measured_vs_model_latency(deployment, report,
+                              cost_model: Optional[CostModel] = None) -> Dict:
     """The measured critical path's link time vs. the configured network model.
+
+    Links are priced with ``cost_model`` (default: the paper's testbed).
 
     ``modelled_network_seconds`` rebuilds the same critical path from the
     configuration alone (uniform chain load ``R = M·ℓ/n``, per-hop batch
@@ -132,10 +180,8 @@ def measured_vs_model_latency(deployment, round_number: int) -> Dict:
     quantifies how far real chain loads deviate from the uniform-load
     assumption — the network share of the Figure 4/5 analytic curves.
     """
-    ledger = _ledger_or_raise(deployment)
-    cost_model = getattr(deployment.transport, "cost_model", None)
-    if cost_model is None:
-        raise SimulationError("the deployment's transport carries no link cost model")
+    links = _measured_links(report)
+    cost_model = cost_model or CostModel.paper_testbed()
     config = deployment.config
     num_chains = deployment.num_chains
     chain_length = config.resolved_chain_length()
@@ -154,8 +200,8 @@ def measured_vs_model_latency(deployment, round_number: int) -> Dict:
     submission = cost_model.link_time(submission_wire_size(chain_length))
     fetch = cost_model.link_time(_FRAME_PREFIX + ell * framed_mailbox)
     return {
-        "round": round_number,
-        "measured_seconds": ledger.round_latency_seconds(round_number),
+        "round": report.round_number,
+        "measured_seconds": round_latency_seconds(links, cost_model),
         "modelled_network_seconds": submission + hops + delivery + fetch,
-        "chain_hop_seconds": ledger.chain_hop_seconds(round_number),
+        "chain_hop_seconds": chain_hop_seconds(links, cost_model),
     }

@@ -23,8 +23,9 @@ The deployment is an in-process simulation, but every cross-node interaction
 travels as a typed envelope over a pluggable :class:`~repro.transport.base.
 Transport` wired at construction (see DESIGN.md §5).  The protocol logic,
 message formats, and cryptography are exactly those a networked
-implementation would use; the instrumented transport measures the real wire
-bytes, and only physical sockets are elided (DESIGN.md §3).
+implementation would use; the transports record one link per envelope in
+the round's trace (DESIGN.md §13) — the instrumented one with its real wire
+bytes — and only physical sockets are elided (DESIGN.md §3).
 """
 
 from __future__ import annotations
@@ -100,10 +101,11 @@ class DeploymentConfig:
     #: How cross-node messages travel: :class:`~repro.registry.TransportKind`
     #: ``INPROC`` (default, reference semantics — delivery is a hand-off),
     #: ``INSTRUMENTED`` (every envelope is serialised to its real wire
-    #: encoding and accounted in a traffic ledger; observable behaviour is
-    #: bit-identical), or ``TCP`` (the wire encoding crosses a real loopback
-    #: socket and is parsed back — DESIGN.md §10; process-per-role
-    #: deployments are wired by :mod:`repro.runner` instead of this knob).
+    #: encoding, its size recorded in the round's trace; observable
+    #: behaviour is bit-identical), or ``TCP`` (the wire encoding crosses a
+    #: real loopback socket and is parsed back — DESIGN.md §10;
+    #: process-per-role deployments are wired by :mod:`repro.runner`
+    #: instead of this knob).
     transport: Union[str, TransportKind] = TransportKind.INPROC
     #: Streaming population builds (DESIGN.md §9): when set, the population
     #: builds, uploads, delivers, and fetches in chunks of this many users
@@ -361,14 +363,12 @@ class Deployment:
         payloads: Optional[Dict[str, bytes]] = None,
         offline_users: Optional[Iterable[str]] = None,
         extra_submissions: Optional[List[ClientSubmission]] = None,
-        retry_after_blame: bool = True,
     ) -> RoundSpec:
         """Normalise ``run_round``-style arguments into a :class:`RoundSpec`."""
         return RoundSpec(
             payloads=dict(payloads or {}),
             offline_users=set(offline_users or []),
             extra_submissions=list(extra_submissions or []),
-            retry_after_blame=retry_after_blame,
         )
 
     def run_round(
@@ -376,7 +376,6 @@ class Deployment:
         payloads: Optional[Dict[str, bytes]] = None,
         offline_users: Optional[Iterable[str]] = None,
         extra_submissions: Optional[List[ClientSubmission]] = None,
-        retry_after_blame: bool = True,
     ) -> RoundReport:
         """Execute one full communication round through the round engine.
 
@@ -388,7 +387,7 @@ class Deployment:
         in their place (§5.3.3).  ``extra_submissions`` lets adversarial
         tests inject arbitrary (e.g., malformed) submissions.
         """
-        spec = self.round_spec(payloads, offline_users, extra_submissions, retry_after_blame)
+        spec = self.round_spec(payloads, offline_users, extra_submissions)
         return self.engine.execute_round(spec)
 
     def run_rounds(
@@ -600,11 +599,6 @@ class Deployment:
             chain.transport = transport
         if close_previous and old is not transport:
             old.close()
-
-    @property
-    def traffic_ledger(self):
-        """The instrumented transport's ledger, or ``None`` on other transports."""
-        return getattr(self.transport, "ledger", None)
 
     def close(self) -> None:
         """Release engine and transport resources (thread pools).

@@ -35,10 +35,6 @@ __all__ = [
     "Ed25519Group",
     "ModPGroup",
     "default_group",
-    "multi_scalar_mult",
-    "multi_scalar_accumulate",
-    "scalar_mult_batch",
-    "fixed_point_mult_batch",
     "reset_window_table_caches",
 ]
 
@@ -435,6 +431,32 @@ class Ed25519Group:
             for point in points
         ]
 
+    def fixed_point_mult_batch(self, point: Point, scalars: Sequence[int]) -> List[Point]:
+        """Return ``[s·P for s in scalars]`` — one point, many scalars.
+
+        The dual of :meth:`scalar_mult_batch`, and the shape of the
+        population layer's whole-chain client crypto: every user of a chain
+        multiplies the *same* public key (the aggregate inner key, or one
+        mixing key) by her own fresh scalar.  The point's window table
+        (natively: its comb) is built once for the whole batch;
+        ``scalar_mult`` would rebuild or cache-lookup it per call.
+        """
+        reduced = [scalar % self.order for scalar in scalars]
+        native = _kernels.ed25519_fixed_mult_batch(point, reduced)
+        if native is not None:
+            return [_point_from_record(record) for record in native]
+        if point is _BASE_POINT or point == _BASE_POINT:
+            return [self.base_mult(scalar) for scalar in reduced]
+        if point.is_identity():
+            return [_IDENTITY for _ in reduced]
+        table = _window_table(point)
+        return [
+            _IDENTITY
+            if scalar == 0
+            else _windowed_mult_with_table(table, _scalar_windows(scalar))
+            for scalar in reduced
+        ]
+
     def scalar_mult_keys(self, points: Sequence[Point], scalar: int,
                          label: bytes) -> Optional[bytes]:
         """The KDF keys of ``[scalar · P for P in points]`` as one blob, or ``None``.
@@ -460,11 +482,11 @@ class Ed25519Group:
         """Return ``Σ sᵢ·Pᵢ`` with one shared doubling chain (Straus's trick)."""
         if len(points) != len(scalars):
             raise ConfigurationError("points and scalars must have the same length")
-        native = _kernels.ed25519_multi_scalar_accumulate(
-            points, [scalar % self.order for scalar in scalars]
+        native = _kernels.ed25519_accumulate_rows(
+            points, [scalar % self.order for scalar in scalars], len(points)
         )
         if native is not None:
-            return _point_from_record(native)
+            return _point_from_record(native[0])
         terms = []
         for point, scalar in zip(points, scalars):
             scalar %= self.order
@@ -680,9 +702,9 @@ class ModPGroup:
         if len(elements) != len(scalars):
             raise ConfigurationError("elements and scalars must have the same length")
         exponents = [scalar % self.order for scalar in scalars]
-        native = _kernels.modp_multi_scalar_accumulate(self.prime, elements, exponents)
+        native = _kernels.modp_accumulate_rows(self.prime, elements, exponents, len(elements))
         if native is not None:
-            return native
+            return native[0]
         total = 1
         for element, exponent in zip(elements, exponents):
             total = (total * pow(element, exponent, self.prime)) % self.prime
@@ -741,77 +763,3 @@ def default_group() -> Ed25519Group:
     if _DEFAULT_GROUP is None:
         _DEFAULT_GROUP = Ed25519Group()
     return _DEFAULT_GROUP
-
-
-def aggregate_public_keys(group, public_keys: Sequence) -> object:
-    """Return the aggregate (sum/product) of a sequence of public keys.
-
-    Used for the AHS inner envelope, which is encrypted under the aggregate
-    inner public key ``Σ ipk_i`` so that decryption requires every server's
-    per-round inner secret.
-    """
-    return group.sum(public_keys)
-
-
-def multi_scalar_mult(group, points: Sequence, scalars: Sequence[int]) -> List:
-    """Return ``[s_i * P_i]`` element-wise: many points, as many scalars.
-
-    One-term rows of the group's ``accumulate_rows`` (constant time in the
-    scalars on the curve's native tier) — the shape of a batch of sigma
-    protocol commitments ``nonce_i · base_i``.
-    """
-    return group.accumulate_rows(points, scalars, 1)
-
-
-def multi_scalar_accumulate(group, points: Sequence, scalars: Sequence[int]):
-    """Return ``Σ s_i·P_i``, via the group's fused fast path when it has one.
-
-    NIZK verification rewrites its equality checks as one accumulation
-    (``s·G − c·P == R``), which shares the doubling chain between the two
-    terms on the curve; groups without a fast path fall back to the generic
-    multiply-then-sum.
-    """
-    fused = getattr(group, "multi_scalar_accumulate", None)
-    if fused is not None:
-        return fused(points, scalars)
-    return group.sum(group.scalar_mult(point, scalar) for point, scalar in zip(points, scalars))
-
-
-def scalar_mult_batch(group, points: Sequence, scalar: int) -> List:
-    """Return ``[scalar·P for P in points]`` via the group's batch fast path."""
-    batch = getattr(group, "scalar_mult_batch", None)
-    if batch is not None:
-        return batch(points, scalar)
-    return [group.scalar_mult(point, scalar) for point in points]
-
-
-def fixed_point_mult_batch(group, point, scalars: Sequence[int]) -> List:
-    """Return ``[s·P for s in scalars]`` — one point, many scalars.
-
-    The dual of :func:`scalar_mult_batch`, and the shape of the population
-    layer's whole-chain client crypto: every user of a chain multiplies the
-    *same* public key (the aggregate inner key, or one mixing key) by her own
-    fresh scalar.  On the curve the point's window table (natively: its
-    comb) is built once for the whole batch; ``scalar_mult`` would rebuild
-    or cache-lookup it per call.
-    """
-    if isinstance(group, Ed25519Group):
-        reduced = [scalar % group.order for scalar in scalars]
-        native = _kernels.ed25519_fixed_mult_batch(point, reduced)
-        if native is not None:
-            return [_point_from_record(record) for record in native]
-        if point is _BASE_POINT or point == _BASE_POINT:
-            return [group.base_mult(scalar) for scalar in reduced]
-        if point.is_identity():
-            return [_IDENTITY for _ in reduced]
-        table = _window_table(point)
-        return [
-            _IDENTITY
-            if scalar == 0
-            else _windowed_mult_with_table(table, _scalar_windows(scalar))
-            for scalar in reduced
-        ]
-    batch = getattr(group, "fixed_point_mult_batch", None)
-    if batch is not None:
-        return batch(point, scalars)
-    return [group.scalar_mult(point, scalar) for scalar in scalars]

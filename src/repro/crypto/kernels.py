@@ -29,9 +29,9 @@ from __future__ import annotations
 import os
 import warnings
 from itertools import accumulate
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from repro import native
+from repro import native, trace
 from repro.constants import AEAD_NONCE_SIZE, KDF_LABEL_INNER, KDF_LABEL_OUTER
 from repro.errors import ConfigurationError
 from repro.registry import CryptoKernelKind
@@ -50,13 +50,11 @@ __all__ = [
     "modp_scalar_mult_keys",
     "modp_fixed_mult_batch",
     "modp_accumulate_rows",
-    "modp_multi_scalar_accumulate",
     "modp_onion_build",
     "ed25519_scalar_mult_batch",
     "ed25519_scalar_mult_keys",
     "ed25519_fixed_mult_batch",
     "ed25519_accumulate_rows",
-    "ed25519_multi_scalar_accumulate",
     "ed25519_onion_build",
     "ed25519_encode_batch",
     "ed25519_decode_batch",
@@ -159,12 +157,37 @@ def _handle():
     return _load_native()
 
 
-# ---------------------------------------------------------------------------
-# Native-call wrappers.  Each returns None when the native path is off,
-# unavailable, or declines the input — the caller then runs its reference
-# path.  Outputs are plain bytes in exactly the layouts the Python
-# reference produces.
-# ---------------------------------------------------------------------------
+def _dispatch(entry: str, count: int, pack: Callable[[], Sequence]) -> Optional[bool]:
+    """The one call into the extension: pack, check, call, decline.
+
+    ``pack`` builds kernel ``entry``'s arguments: a ``bytearray`` is an
+    output buffer, a list an integer array.  ``None`` — run the reference
+    path — when the native tier is off or unavailable, when an integer does
+    not fit its C width, or when the kernel declines (a non-zero return);
+    ``True`` once the kernel ran.  An empty batch (``count == 0``) calls
+    nothing.  A call that ran counts in the active trace as
+    ``dispatch.<entry>`` (DESIGN.md §13).
+    """
+    handle = _handle()
+    if handle is None:
+        return None
+    if not count:
+        return True
+    ffi, lib = handle
+    try:
+        args = [
+            ffi.from_buffer(arg, require_writable=True) if isinstance(arg, bytearray) else arg
+            for arg in pack()
+        ]
+    except OverflowError:  # an integer outside its C width: the reference path takes it
+        return None
+    if getattr(lib, entry)(*args) != 0:
+        return None
+    trace.count(f"dispatch.{entry}")
+    return True
+
+
+# -- native-call wrappers: ``None`` is "run the reference path" -------------
 
 
 def chacha20_blocks(keys: Sequence[bytes], nonces: Sequence[bytes],
@@ -175,20 +198,11 @@ def chacha20_blocks(keys: Sequence[bytes], nonces: Sequence[bytes],
     uint32 counters) — this mirrors where the dispatch sits inside
     ``chacha20_blocks_batch``.
     """
-    handle = _handle()
-    if handle is None:
-        return None
-    ffi, lib = handle
     count = len(keys)
     out = bytearray(64 * count)
-    if count:
-        rc = lib.xrd_chacha20_blocks(
-            b"".join(keys), b"".join(nonces),
-            ffi.new("uint32_t[]", list(counters)), count,
-            ffi.from_buffer(out, require_writable=True),
-        )
-        if rc != 0:  # pragma: no cover - no rejecting inputs after validation
-            return None
+    if not _dispatch("xrd_chacha20_blocks", count, lambda: (
+            b"".join(keys), b"".join(nonces), list(counters), count, out)):
+        return None
     return bytes(out)
 
 
@@ -208,27 +222,17 @@ def _key_blob(keys: KeyBatch) -> bytes:
 def aead_seal_batch(keys: KeyBatch, nonces: Sequence[bytes],
                     plaintexts: Sequence[bytes], aad: bytes) -> Optional[List[bytes]]:
     """Whole-batch ChaCha20-Poly1305 seal (ct || tag per message), or ``None``."""
-    handle = _handle()
-    if handle is None:
-        return None
-    ffi, lib = handle
     count = len(plaintexts)
     key_blob = _key_blob(keys)
     if len(key_blob) != 32 * count:
         return None
-    pt_offs = _offsets([len(pt) for pt in plaintexts])
     out_offs = _offsets([len(pt) + 16 for pt in plaintexts])
     out = bytearray(out_offs[-1])
-    if count:
-        rc = lib.xrd_aead_seal_batch(
+    if not _dispatch("xrd_aead_seal_batch", count, lambda: (
             key_blob, b"".join(nonces), count,
-            b"".join(plaintexts), ffi.new("uint64_t[]", pt_offs),
-            aad, len(aad),
-            ffi.from_buffer(out, require_writable=True),
-            ffi.new("uint64_t[]", out_offs),
-        )
-        if rc != 0:  # pragma: no cover - offsets are constructed consistent
-            return None
+            b"".join(plaintexts), _offsets([len(pt) for pt in plaintexts]),
+            aad, len(aad), out, out_offs)):
+        return None
     return [bytes(out[out_offs[i]:out_offs[i + 1]]) for i in range(count)]
 
 
@@ -241,29 +245,18 @@ def aead_open_batch(keys: KeyBatch, nonces: Sequence[bytes],
     otherwise (including data shorter than one tag) — the exact contract
     of the reference ``adec``.
     """
-    handle = _handle()
-    if handle is None:
-        return None
-    ffi, lib = handle
     count = len(datas)
     key_blob = _key_blob(keys)
     if len(key_blob) != 32 * count:
         return None
-    ct_offs = _offsets([len(d) for d in datas])
     pt_offs = _offsets([max(0, len(d) - 16) for d in datas])
     plain = bytearray(pt_offs[-1])
     ok = bytearray(count)
-    if count:
-        rc = lib.xrd_aead_open_batch(
+    if not _dispatch("xrd_aead_open_batch", count, lambda: (
             key_blob, b"".join(nonces), count,
-            b"".join(datas), ffi.new("uint64_t[]", ct_offs),
-            aad, len(aad),
-            ffi.from_buffer(plain, require_writable=True),
-            ffi.new("uint64_t[]", pt_offs),
-            ffi.from_buffer(ok, require_writable=True),
-        )
-        if rc != 0:  # pragma: no cover - offsets are constructed consistent
-            return None
+            b"".join(datas), _offsets([len(d) for d in datas]),
+            aad, len(aad), plain, pt_offs, ok)):
+        return None
     return [
         (True, bytes(plain[pt_offs[i]:pt_offs[i + 1]])) if ok[i] else (False, None)
         for i in range(count)
@@ -281,20 +274,11 @@ def aead_open_batch(keys: KeyBatch, nonces: Sequence[bytes],
 def _hkdf(secrets: Union[bytes, bytearray], stride: int,
           label: bytes, context: bytes) -> Optional[bytes]:
     """Keys for the 32-byte secrets that start every ``stride`` bytes of ``secrets``."""
-    handle = _handle()
-    if handle is None:
-        return None
-    ffi, lib = handle
     count = len(secrets) // stride
     out = bytearray(32 * count)
-    if count:
-        rc = lib.xrd_hkdf_sha256_batch(
-            label, len(label), context, len(context),
-            ffi.from_buffer(secrets), stride, count,
-            ffi.from_buffer(out, require_writable=True),
-        )
-        if rc != 0:  # pragma: no cover - the strides passed here are 32 and 96
-            return None
+    if not _dispatch("xrd_hkdf_sha256_batch", count, lambda: (
+            label, len(label), context, len(context), secrets, stride, count, out)):
+        return None
     return bytes(out)
 
 
@@ -318,11 +302,16 @@ def hkdf_derive_batch(secrets: bytes, label: bytes, context: bytes = b"",
 # the elements as the integers the group works in, ``*_keys`` hands the
 # kernel's output (already the 32-byte wire encodings) to the KDF kernel and
 # returns the key blob (``derive_key(encoding, label)``, empty context: what
-# ``kdf.shared_key_from_element`` derives).
+# ``kdf.shared_key_from_element`` derives).  Every integer crosses as 32
+# big-endian bytes; one outside [0, 2^256) is left to ``pow()``.
 
 
 def _modp_ready(prime: int) -> bool:
     return prime.bit_length() <= _MODP_LIMIT_BITS and prime % 2 == 1
+
+
+def _modp_blob(values: Sequence[int]) -> bytes:
+    return b"".join(value.to_bytes(32, "big") for value in values)
 
 
 def _modp_ints(blob: bytearray) -> List[int]:
@@ -331,24 +320,12 @@ def _modp_ints(blob: bytearray) -> List[int]:
 
 def _modp_scalar_mult(prime: int, elements: Sequence[int],
                       exponent: int) -> Optional[bytearray]:
-    handle = _handle()
-    if handle is None or not _modp_ready(prime):
-        return None
-    ffi, lib = handle
     count = len(elements)
     out = bytearray(32 * count)
-    if count:
-        try:
-            rc = lib.xrd_modp_scalar_mult_batch(
-                prime.to_bytes(32, "big"),
-                b"".join(e.to_bytes(32, "big") for e in elements), count,
-                exponent.to_bytes(32, "big"),
-                ffi.from_buffer(out, require_writable=True),
-            )
-        except OverflowError:  # an input outside [0, 2^256): let pow() handle it
-            return None
-        if rc != 0:
-            return None
+    if not _modp_ready(prime) or not _dispatch("xrd_modp_scalar_mult_batch", count, lambda: (
+            prime.to_bytes(32, "big"), _modp_blob(elements), count,
+            exponent.to_bytes(32, "big"), out)):
+        return None
     return out
 
 
@@ -373,48 +350,13 @@ def modp_scalar_mult_keys(prime: int, elements: Sequence[int], exponent: int,
 def modp_fixed_mult_batch(prime: int, element: int,
                           exponents: Sequence[int]) -> Optional[List[int]]:
     """``[pow(element, x, prime) for x in exponents]`` natively, or ``None``."""
-    handle = _handle()
-    if handle is None or not _modp_ready(prime):
-        return None
-    ffi, lib = handle
     count = len(exponents)
     out = bytearray(32 * count)
-    if count:
-        try:
-            rc = lib.xrd_modp_fixed_mult_batch(
-                prime.to_bytes(32, "big"), element.to_bytes(32, "big"),
-                b"".join(x.to_bytes(32, "big") for x in exponents), count,
-                ffi.from_buffer(out, require_writable=True),
-            )
-        except OverflowError:
-            return None
-        if rc != 0:
-            return None
+    if not _modp_ready(prime) or not _dispatch("xrd_modp_fixed_mult_batch", count, lambda: (
+            prime.to_bytes(32, "big"), element.to_bytes(32, "big"),
+            _modp_blob(exponents), count, out)):
+        return None
     return _modp_ints(out)
-
-
-def _modp_rows(prime: int, elements: Sequence[int], exponents: Sequence[int],
-               k: int, n: int) -> Optional[bytearray]:
-    handle = _handle()
-    if handle is None or not _modp_ready(prime):
-        return None
-    if not len(elements) == len(exponents) == k * n:
-        return None
-    ffi, lib = handle
-    out = bytearray(32 * n)
-    if n:
-        try:
-            rc = lib.xrd_modp_accumulate_rows(
-                prime.to_bytes(32, "big"),
-                b"".join(e.to_bytes(32, "big") for e in elements),
-                b"".join(x.to_bytes(32, "big") for x in exponents), k, n,
-                ffi.from_buffer(out, require_writable=True),
-            )
-        except OverflowError:
-            return None
-        if rc != 0:
-            return None
-    return out
 
 
 def modp_accumulate_rows(prime: int, elements: Sequence[int], exponents: Sequence[int],
@@ -425,20 +367,14 @@ def modp_accumulate_rows(prime: int, elements: Sequence[int], exponents: Sequenc
     for j in range(k))``, each row one Straus pass (one squaring chain for
     its ``k`` terms).  Both inputs must hold whole rows.
     """
-    if k < 1 or len(elements) % k:
+    if k < 1 or len(elements) % k or len(exponents) != len(elements) or not _modp_ready(prime):
         return None
-    out = _modp_rows(prime, elements, exponents, k, len(elements) // k)
-    return None if out is None else _modp_ints(out)
-
-
-def modp_multi_scalar_accumulate(prime: int, elements: Sequence[int],
-                                 exponents: Sequence[int]) -> Optional[int]:
-    """``prod(pow(e, x, prime))`` fused in one native pass, or ``None``.
-
-    One row of :func:`modp_accumulate_rows` as long as the batch.
-    """
-    out = _modp_rows(prime, elements, exponents, len(elements), 1)
-    return None if out is None else int.from_bytes(out, "big")
+    n = len(elements) // k
+    out = bytearray(32 * n)
+    if not _dispatch("xrd_modp_accumulate_rows", n, lambda: (
+            prime.to_bytes(32, "big"), _modp_blob(elements), _modp_blob(exponents), k, n, out)):
+        return None
+    return _modp_ints(out)
 
 
 # -- edwards25519 -----------------------------------------------------------
@@ -449,7 +385,8 @@ def modp_multi_scalar_accumulate(prime: int, elements: Sequence[int],
 # result with one shared inversion, so the canonical 32-byte encoding is a
 # by-product and the caller never pays for it again.  Scalars are used as
 # the integers they are, in [0, 2^256) — callers reduce mod the group order
-# first where the reference path does.
+# first where the reference path does; a coordinate or scalar outside that
+# range is declined.
 
 #: An affine point with its encoding: ``(encoding, x, y, t)``.
 Ed25519Record = Tuple[bytes, int, int, int]
@@ -463,6 +400,10 @@ def _ed25519_pack(points: Sequence[object]) -> bytes:
         for point in points
         for coordinate in (point.x, point.y, point.z, point.t)  # type: ignore[attr-defined]
     )
+
+
+def _ed25519_scalars(scalars: Sequence[int]) -> bytes:
+    return b"".join(scalar.to_bytes(32, "little") for scalar in scalars)
 
 
 def _ed25519_records(out: bytearray, count: int) -> List[Ed25519Record]:
@@ -479,22 +420,11 @@ def _ed25519_records(out: bytearray, count: int) -> List[Ed25519Record]:
 
 
 def _ed25519_scalar_mult(points: Sequence[object], scalar: int) -> Optional[bytearray]:
-    handle = _handle()
-    if handle is None:
-        return None
-    ffi, lib = handle
     count = len(points)
     out = bytearray(96 * count)
-    if count:
-        try:
-            rc = lib.xrd_ed25519_scalar_mult_batch(
-                _ed25519_pack(points), count, scalar.to_bytes(32, "little"),
-                ffi.from_buffer(out, require_writable=True),
-            )
-        except OverflowError:  # a coordinate or scalar outside [0, 2^256)
-            return None
-        if rc != 0:
-            return None
+    if not _dispatch("xrd_ed25519_scalar_mult_batch", count, lambda: (
+            _ed25519_pack(points), count, scalar.to_bytes(32, "little"), out)):
+        return None
     return out
 
 
@@ -529,45 +459,12 @@ def ed25519_fixed_mult_batch(point: object,
     base point and keeps its comb for the process, and builds any other
     point's (about four ladders' worth) for the one call.
     """
-    handle = _handle()
-    if handle is None:
-        return None
-    ffi, lib = handle
     count = len(scalars)
     out = bytearray(96 * count)
-    if count:
-        try:
-            rc = lib.xrd_ed25519_fixed_mult_batch(
-                _ed25519_pack([point]),
-                b"".join(scalar.to_bytes(32, "little") for scalar in scalars), count,
-                ffi.from_buffer(out, require_writable=True),
-            )
-        except OverflowError:
-            return None
-        if rc != 0:
-            return None
-    return _ed25519_records(out, count)
-
-
-def _ed25519_rows(points: Sequence[object], scalars: Sequence[int],
-                  k: int, n: int) -> Optional[List[Ed25519Record]]:
-    handle = _handle()
-    if handle is None or not len(points) == len(scalars) == k * n:
+    if not _dispatch("xrd_ed25519_fixed_mult_batch", count, lambda: (
+            _ed25519_pack([point]), _ed25519_scalars(scalars), count, out)):
         return None
-    ffi, lib = handle
-    out = bytearray(96 * n)
-    if n:
-        try:
-            rc = lib.xrd_ed25519_accumulate_rows(
-                _ed25519_pack(points),
-                b"".join(scalar.to_bytes(32, "little") for scalar in scalars), k, n,
-                ffi.from_buffer(out, require_writable=True),
-            )
-        except OverflowError:
-            return None
-        if rc != 0:
-            return None
-    return _ed25519_records(out, n)
+    return _ed25519_records(out, count)
 
 
 def ed25519_accumulate_rows(points: Sequence[object], scalars: Sequence[int],
@@ -580,39 +477,23 @@ def ed25519_accumulate_rows(points: Sequence[object], scalars: Sequence[int],
     or more are Straus accumulations in variable time — the verifier's
     side of the NIZKs, over public points and public scalars only.
     """
-    if k < 1 or len(points) % k:
+    if k < 1 or len(points) % k or len(scalars) != len(points):
         return None
-    return _ed25519_rows(points, scalars, k, len(points) // k)
-
-
-def ed25519_multi_scalar_accumulate(points: Sequence[object],
-                                    scalars: Sequence[int]) -> Optional[Ed25519Record]:
-    """``Σ sᵢ·Pᵢ`` by Straus's trick in one native pass, or ``None``.
-
-    One row of :func:`ed25519_accumulate_rows` as long as the batch.
-    """
-    rows = _ed25519_rows(points, scalars, len(points), 1)
-    return None if rows is None else rows[0]
+    n = len(points) // k
+    out = bytearray(96 * n)
+    if not _dispatch("xrd_ed25519_accumulate_rows", n, lambda: (
+            _ed25519_pack(points), _ed25519_scalars(scalars), k, n, out)):
+        return None
+    return _ed25519_records(out, n)
 
 
 def ed25519_encode_batch(points: Sequence[object]) -> Optional[List[bytes]]:
     """The canonical 32-byte encodings, one inversion for the batch, or ``None``."""
-    handle = _handle()
-    if handle is None:
-        return None
-    ffi, lib = handle
     count = len(points)
     out = bytearray(32 * count)
-    if count:
-        try:
-            rc = lib.xrd_ed25519_encode_batch(
-                _ed25519_pack(points), count,
-                ffi.from_buffer(out, require_writable=True),
-            )
-        except OverflowError:
-            return None
-        if rc != 0:
-            return None
+    if not _dispatch("xrd_ed25519_encode_batch", count, lambda: (
+            _ed25519_pack(points), count, out)):
+        return None
     return [bytes(out[offset:offset + 32]) for offset in range(0, 32 * count, 32)]
 
 
@@ -624,21 +505,14 @@ def ed25519_decode_batch(encodings: Sequence[bytes],
     ``Ed25519Group.decode`` rejects (the caller re-runs the reference path
     on those, for its exception).
     """
-    handle = _handle()
-    if handle is None or any(len(encoding) != 32 for encoding in encodings):
+    if any(len(encoding) != 32 for encoding in encodings):
         return None
-    ffi, lib = handle
     count = len(encodings)
     out = bytearray(96 * count)
     ok = bytearray(count)
-    if count:
-        rc = lib.xrd_ed25519_decode_batch(
-            b"".join(encodings), count,
-            ffi.from_buffer(out, require_writable=True),
-            ffi.from_buffer(ok, require_writable=True),
-        )
-        if rc != 0:  # pragma: no cover - the kernel reports per encoding
-            return None
+    if not _dispatch("xrd_ed25519_decode_batch", count, lambda: (
+            b"".join(encodings), count, out, ok)):
+        return None
     return [
         record if accepted else None
         for record, accepted in zip(_ed25519_records(out, count), ok)
@@ -657,15 +531,11 @@ def ed25519_decode_batch(encodings: Sequence[bytes],
 OnionColumns = Tuple[List[bytes], List[bytes], List[bytes]]
 
 
-def _onion_build(entry: str, head: Sequence[bytes], byteorder: str, layers: int,
+def _onion_build(entry: str, head: Callable[[], List[bytes]], byteorder: str, layers: int,
                  round_number: int, seal_keys: Sequence[bytes], recipients: Sequence[bytes],
                  bodies: Sequence[bytes], scalars: Sequence[Sequence[int]],
                  ) -> Optional[OnionColumns]:
-    """Run kernel ``entry`` (its group's arguments in ``head``) over one chain's columns."""
-    handle = _handle()
-    if handle is None:
-        return None
-    ffi, lib = handle
+    """Run kernel ``entry`` (its group's arguments packed by ``head``) over one chain's columns."""
     count = len(bodies)
     body_len = len(bodies[0]) if count else 0
     if (any(len(column) != count for column in (seal_keys, recipients, *scalars))
@@ -674,20 +544,13 @@ def _onion_build(entry: str, head: Sequence[bytes], byteorder: str, layers: int,
         return None
     stride = body_len + 96 + 16 * layers
     out, publics = bytearray(stride * count), bytearray(96 * count)
-    if count:
-        try:
-            rc = getattr(lib, entry)(
-                *head, layers, round_number.to_bytes(AEAD_NONCE_SIZE, "big"),
-                KDF_LABEL_INNER, len(KDF_LABEL_INNER), KDF_LABEL_OUTER, len(KDF_LABEL_OUTER),
-                count, body_len, b"".join(seal_keys), b"".join(recipients), b"".join(bodies),
-                b"".join(s.to_bytes(32, byteorder) for row in zip(*scalars) for s in row),
-                ffi.from_buffer(out, require_writable=True),
-                ffi.from_buffer(publics, require_writable=True),
-            )
-        except OverflowError:  # a scalar or the round outside its width
-            return None
-        if rc != 0:
-            return None
+    if not _dispatch(entry, count, lambda: (
+            *head(), layers, round_number.to_bytes(AEAD_NONCE_SIZE, "big"),
+            KDF_LABEL_INNER, len(KDF_LABEL_INNER), KDF_LABEL_OUTER, len(KDF_LABEL_OUTER),
+            count, body_len, b"".join(seal_keys), b"".join(recipients), b"".join(bodies),
+            b"".join(s.to_bytes(32, byteorder) for row in zip(*scalars) for s in row),
+            out, publics)):
+        return None
     onions, keys = memoryview(out), memoryview(publics)  # sliced with one copy each
     return (
         [bytes(onions[offset:offset + stride]) for offset in range(0, stride * count, stride)],
@@ -704,22 +567,22 @@ def modp_onion_build(prime: int, generator: int, inner_public: int,
     """
     if not _modp_ready(prime):
         return None
-    try:
-        head = [value.to_bytes(32, "big") for value in (prime, generator, inner_public)]
-        head.append(b"".join(public.to_bytes(32, "big") for public in mixing_publics))
-    except OverflowError:
-        return None
-    return _onion_build("xrd_modp_onion_build", head, "big", len(mixing_publics), *columns)
+    return _onion_build(
+        "xrd_modp_onion_build",
+        lambda: [*(value.to_bytes(32, "big") for value in (prime, generator, inner_public)),
+                 _modp_blob(mixing_publics)],
+        "big", len(mixing_publics), *columns,
+    )
 
 
 def ed25519_onion_build(inner_public: object, mixing_publics: Sequence[object],
                         *columns) -> Optional[OnionColumns]:
     """:func:`modp_onion_build` on the curve: constant time in the scalars."""
-    try:
-        head = [_ed25519_pack([inner_public]), _ed25519_pack(mixing_publics)]
-    except OverflowError:
-        return None
-    return _onion_build("xrd_ed25519_onion_build", head, "little", len(mixing_publics), *columns)
+    return _onion_build(
+        "xrd_ed25519_onion_build",
+        lambda: [_ed25519_pack([inner_public]), _ed25519_pack(mixing_publics)],
+        "little", len(mixing_publics), *columns,
+    )
 
 
 def reset_kernel_for_tests() -> None:

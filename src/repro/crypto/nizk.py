@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.constants import NIZK_LABEL_DLEQ, NIZK_LABEL_DLOG
-from repro.crypto.group import fixed_point_mult_batch, multi_scalar_accumulate, multi_scalar_mult
 from repro.errors import ProofError
 
 __all__ = [
@@ -112,8 +111,8 @@ def verify_dlog(group, base, public, proof: SchnorrProof, context: bytes = b"") 
     challenge = _dlog_challenge(group, base, public, proof.commitment, context)
     # s·base == R + c·public  ⟺  s·base − c·public == R; the single fused
     # accumulation shares one doubling chain between both terms.
-    combined = multi_scalar_accumulate(
-        group, [base, public], [proof.response, group.order - challenge]
+    combined = group.multi_scalar_accumulate(
+        [base, public], [proof.response, group.order - challenge]
     )
     return combined == commitment_point
 
@@ -185,10 +184,10 @@ def verify_dleq(group, base1, public1, base2, public2, proof: DleqProof, context
         group, base1, public1, base2, public2, proof.commitment1, proof.commitment2, context
     )
     negated = group.order - challenge
-    combined1 = multi_scalar_accumulate(group, [base1, public1], [proof.response, negated])
+    combined1 = group.multi_scalar_accumulate([base1, public1], [proof.response, negated])
     if combined1 != commitment1_point:
         return False
-    combined2 = multi_scalar_accumulate(group, [base2, public2], [proof.response, negated])
+    combined2 = group.multi_scalar_accumulate([base2, public2], [proof.response, negated])
     return combined2 == commitment2_point
 
 
@@ -205,8 +204,8 @@ def prove_dleq_batch(group, base1s: Sequence, encoded_public1s: Sequence[bytes],
     prover would have drawn them.
     """
     _same_length(base1s, encoded_public1s, nonces)
-    commitments1 = multi_scalar_mult(group, base1s, nonces)
-    commitments2 = fixed_point_mult_batch(group, base2, nonces)
+    commitments1 = group.accumulate_rows(base1s, nonces, 1)
+    commitments2 = group.fixed_point_mult_batch(base2, nonces)
     encoded_base2 = group.encode(base2)
     proofs = []
     for base1, encoded_public1, point1, point2, nonce in zip(

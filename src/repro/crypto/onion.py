@@ -29,7 +29,6 @@ from repro.constants import (
     PAYLOAD_SIZE,
 )
 from repro.crypto.aead import adec, adec_batch, aenc
-from repro.crypto.group import fixed_point_mult_batch, scalar_mult_batch
 from repro.crypto.kdf import derive_key_batch, shared_key_from_element
 from repro.errors import CryptoError
 
@@ -112,9 +111,9 @@ def shared_keys_batch(group, label: bytes, points, scalars: Union[int, Sequence[
         keys = group.scalar_mult_keys(points, scalars, label)
         if keys is not None:
             return keys
-        shared = scalar_mult_batch(group, points, scalars)
+        shared = group.scalar_mult_batch(points, scalars)
     else:
-        shared = fixed_point_mult_batch(group, points, scalars)
+        shared = group.fixed_point_mult_batch(points, scalars)
     # The unfused path: outer_layer_key / inner_envelope_key per element.
     return derive_key_batch(b"".join(map(group.encode, shared)), label)
 

@@ -33,6 +33,7 @@ bit-identical results under a fixed deployment seed.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import queue
 import threading
@@ -80,9 +81,12 @@ class SerialBackend(ExecutionBackend):
 
 class _Batch:
     """One ``map_chains`` call: its chains are claimed one at a time by
-    whichever threads drain it — the caller and any free helper."""
+    whichever threads drain it — the caller and any free helper.  Each runs
+    in a copy of the caller's context, so a helper's work is charged to the
+    caller's round trace (:mod:`repro.trace`)."""
 
     def __init__(self, fn: Callable, chains: List) -> None:
+        self.context = contextvars.copy_context()
         self.fn: Optional[Callable] = fn
         self.chains: Optional[List] = chains
         self.results: Optional[List] = [None] * len(chains)
@@ -102,7 +106,7 @@ class _Batch:
                     return
                 self._claimed += 1
             try:
-                self.results[index] = self.fn(self.chains[index])
+                self.results[index] = self.context.copy().run(self.fn, self.chains[index])
             except BaseException as exc:
                 # Re-raised on the caller; a helper that died holding a claim
                 # would leave the caller waiting forever.
@@ -180,7 +184,7 @@ class ParallelBackend(ExecutionBackend):
         results, errors = batch.results, batch.errors
         # A helper still busy elsewhere pops this batch later and finds it
         # drained; leave it nothing of the round to hold on to.
-        batch.fn = batch.chains = batch.results = None
+        batch.fn = batch.chains = batch.results = batch.context = None
         batch.errors = {}
         if errors:
             raise errors[min(errors)]

@@ -25,13 +25,19 @@ thread and only ever overlaps *collect* (user state) and *precompute*
 disjoint by construction.  Within a stage, the per-chain work — the
 client build's crypto pass, intake, precompute and mix — fans out through
 the backend's ``map_chains``, because chains share no state either.
+
+Each stage runs with the round's :class:`~repro.trace.Trace` active
+(DESIGN.md §13), on whichever thread the scheduler runs it: what the stage
+and the layers under it record — spans, link records, kernel dispatches —
+is charged to that round.
 """
 
 from __future__ import annotations
 
-import time
-from typing import TYPE_CHECKING, Dict, List, Optional
+import functools
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
+from repro import trace
 from repro.engine.backends import ExecutionBackend, ParallelBackend
 from repro.engine.stages import ChainOutcome, RoundContext, RoundReport, RoundSpec
 from repro.population.streaming import built_chunks, chunk_spans
@@ -47,6 +53,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.coordinator.network import Deployment
 
 __all__ = ["RoundEngine"]
+
+
+def _stage(name: str) -> Callable:
+    """Run an engine stage ``(self, ctx, ...)`` as stage ``name`` of its round's trace."""
+
+    def decorate(method):
+        @functools.wraps(method)
+        def staged(engine, ctx, *args, **kwargs):
+            with ctx.report.trace.stage(name):
+                return method(engine, ctx, *args, **kwargs)
+
+        return staged
+
+    return decorate
 
 
 class RoundEngine:
@@ -91,12 +111,14 @@ class RoundEngine:
             spec=spec,
             report=RoundReport(round_number=round_number),
         )
-        ctx.current_views = deployment.chain_keys_view(round_number)
-        if deployment.config.use_cover_messages:
-            ctx.next_views = deployment.chain_keys_view(round_number + 1)
+        with ctx.report.trace.stage("prepare"):
+            ctx.current_views = deployment.chain_keys_view(round_number)
+            if deployment.config.use_cover_messages:
+                ctx.next_views = deployment.chain_keys_view(round_number + 1)
         ctx.per_chain = {chain.chain_id: [] for chain in deployment.chains}
         return ctx
 
+    @_stage("collect")
     def collect(self, ctx: RoundContext, defer: "frozenset[str]" = frozenset()) -> None:
         """Gather submissions from every online user; play covers for the rest.
 
@@ -239,7 +261,6 @@ class RoundEngine:
                     chunk.users,
                 )
                 deployment._cover_store.update(banked)
-            population.emit_progress("build", chunk.index, len(chunk.users))
 
     def _fold_user_submissions(
         self, ctx: RoundContext, per_chain: Dict[int, list], strict: bool = True
@@ -264,6 +285,7 @@ class RoundEngine:
                     else:
                         per_chain.setdefault(submission.chain_id, []).append(submission)
 
+    @_stage("finalize_collect")
     def finalize_collect(self, ctx: RoundContext) -> None:
         """Build any deferred users' submissions and assemble the chain batches.
 
@@ -311,19 +333,14 @@ class RoundEngine:
         def run_chain(chain) -> None:
             submissions = per_chain.get(chain.chain_id)
             if submissions:
-                chain.precompute_round(
-                    ctx.round_number, chain.decode_submission_publics(submissions)
-                )
+                with trace.span(chain_id=chain.chain_id, entries=len(submissions)):
+                    chain.precompute_round(
+                        ctx.round_number, chain.decode_submission_publics(submissions)
+                    )
 
-        started = time.perf_counter()  # xrdlint: disable=XRD102 - stage timing, not canonical
         self.backend.map_chains(run_chain, deployment.chains)
-        timings = ctx.report.stage_seconds
-        timings["precompute"] = (
-            timings.get("precompute", 0.0)
-            # xrdlint: disable=XRD102 - stage timing, excluded from canonical bytes
-            + time.perf_counter() - started
-        )
 
+    @_stage("precompute")
     def precompute(self, ctx: RoundContext) -> None:
         """Run the round's public-key work ahead of the online mix phase.
 
@@ -338,6 +355,7 @@ class RoundEngine:
             return
         self._precompute_batches(ctx, ctx.per_chain)
 
+    @_stage("precompute")
     def precompute_collected(self, ctx: RoundContext) -> None:
         """Early precompute over whatever :meth:`collect` has built so far.
 
@@ -355,26 +373,26 @@ class RoundEngine:
         self._fold_user_submissions(ctx, per_chain, strict=False)
         self._precompute_batches(ctx, per_chain)
 
+    @_stage("mix")
     def mix(self, ctx: RoundContext) -> None:
         """Run the aggregate hybrid shuffle on every chain via the backend.
 
-        This is the protocol's *online* phase; its wall-clock duration is
-        recorded in ``report.stage_seconds["mix"]`` so the precompute win is
-        measurable (the fig4/fig5 companions and the benchmark gate track
-        it).
+        This is the protocol's *online* phase; its span in the round's trace
+        (the client-NIZK intake nested in it as stage ``accept``) is what the
+        precompute win is measured against (the fig4/fig5 companions).
         """
 
         def accept_chain(chain) -> List[str]:
-            _, rejected = chain.accept_submissions(
-                ctx.round_number, ctx.per_chain[chain.chain_id]
-            )
+            submissions = ctx.per_chain[chain.chain_id]
+            with trace.span(chain_id=chain.chain_id, entries=len(submissions)):
+                _, rejected = chain.accept_submissions(ctx.round_number, submissions)
             ctx.per_chain[chain.chain_id] = []
             return rejected
 
         def run_chain(chain):
-            return chain.run_round(ctx.round_number, retry_after_blame=ctx.spec.retry_after_blame)
+            with trace.span(chain_id=chain.chain_id):
+                return chain.run_round(ctx.round_number)
 
-        started = time.perf_counter()  # xrdlint: disable=XRD102 - stage timing, not canonical
         if self.deployment.remote_mix is not None:
             outcomes = self.deployment.remote_mix.mix_round(ctx)
         else:
@@ -386,17 +404,16 @@ class RoundEngine:
             # stacks on top of it.  Intake is transport-free, so it fans out
             # like the mix; the two maps stay separate to keep that order.
             chains = self.deployment.chains
-            rejected = self.backend.map_chains(accept_chain, chains)
+            with ctx.report.trace.stage("accept"):
+                rejected = self.backend.map_chains(accept_chain, chains)
             results = self.backend.map_chains(run_chain, chains)
             outcomes = [
                 ChainOutcome(chain_id=chain.chain_id, accept_rejected=senders, result=result)
                 for chain, senders, result in zip(chains, rejected, results)
             ]
-        # stage_seconds is excluded from canonical_bytes: diagnostics only.
-        # xrdlint: disable=XRD102
-        ctx.report.stage_seconds["mix"] = time.perf_counter() - started
         ctx.chain_outcomes = {outcome.chain_id: outcome for outcome in outcomes}
 
+    @_stage("deliver")
     def deliver(self, ctx: RoundContext) -> None:
         """Fold chain outcomes into the report and deliver mailbox messages.
 
@@ -458,6 +475,7 @@ class RoundEngine:
         for chain_id, servers in report.server_convictions().items():
             deployment.note_convictions(ctx.round_number, chain_id, servers)
 
+    @_stage("fetch")
     def fetch(self, ctx: RoundContext) -> None:
         """Every online user fetches and decrypts her mailbox.
 
@@ -481,30 +499,30 @@ class RoundEngine:
             user for user in deployment.users if user.name not in ctx.spec.offline_users
         ]
         for part, span in enumerate(chunk_spans(users, chunk_size)):
-            inboxes_by_owner: dict = {}
-            for server, owners in deployment.mailboxes.shard_owners(
-                [user.public_bytes for user in span]
-            ):
-                pairs = deployment.mailboxes.fetch_batch(ctx.round_number, owners)
-                delivered = deployment.transport.deliver(
-                    Envelope(
-                        kind=MAILBOX_FETCH_BATCH,
-                        source=server.name,
-                        destination="user-population",
-                        round_number=ctx.round_number,
-                        payload=pairs,
-                        part=part if chunk_size is not None else None,
+            with trace.span(part=part, entries=len(span)):
+                inboxes_by_owner: dict = {}
+                for server, owners in deployment.mailboxes.shard_owners(
+                    [user.public_bytes for user in span]
+                ):
+                    pairs = deployment.mailboxes.fetch_batch(ctx.round_number, owners)
+                    delivered = deployment.transport.deliver(
+                        Envelope(
+                            kind=MAILBOX_FETCH_BATCH,
+                            source=server.name,
+                            destination="user-population",
+                            round_number=ctx.round_number,
+                            payload=pairs,
+                            part=part if chunk_size is not None else None,
+                        )
                     )
+                    for owner, messages in delivered or []:
+                        inboxes_by_owner.setdefault(owner, []).extend(messages)
+                inboxes = [inboxes_by_owner.get(user.public_bytes, []) for user in span]
+                for user, inbox in zip(span, inboxes):
+                    report.mailbox_counts[user.name] = len(inbox)
+                report.delivered.update(
+                    population.decrypt_mailboxes_batch(ctx.round_number, span, inboxes)
                 )
-                for owner, messages in delivered or []:
-                    inboxes_by_owner.setdefault(owner, []).extend(messages)
-            inboxes = [inboxes_by_owner.get(user.public_bytes, []) for user in span]
-            for user, inbox in zip(span, inboxes):
-                report.mailbox_counts[user.name] = len(inbox)
-            report.delivered.update(
-                population.decrypt_mailboxes_batch(ctx.round_number, span, inboxes)
-            )
-            population.emit_progress("fetch", part, len(span))
 
     def close(self) -> None:
         self.backend.close()

@@ -37,6 +37,7 @@ from typing import Dict, List, Set
 from repro.client.user import ChainKeysView, ReceivedMessage
 from repro.mixnet.ahs import ChainRoundResult
 from repro.mixnet.messages import ClientSubmission
+from repro.trace import Trace
 
 __all__ = ["RoundSpec", "ChainOutcome", "RoundContext", "RoundReport"]
 
@@ -48,7 +49,6 @@ class RoundSpec:
     payloads: Dict[str, bytes] = field(default_factory=dict)
     offline_users: Set[str] = field(default_factory=set)
     extra_submissions: List[ClientSubmission] = field(default_factory=list)
-    retry_after_blame: bool = True
 
 
 @dataclass
@@ -64,11 +64,9 @@ class RoundReport:
     rejected_senders: List[str] = field(default_factory=list)
     total_submissions: int = 0
     dropped_unknown_recipients: int = 0
-    #: Wall-clock seconds per timed stage (``"precompute"``, ``"mix"`` — the
-    #: online phase).  Diagnostics only: timings are machine-dependent, so
-    #: they are deliberately excluded from :meth:`canonical_bytes` and play
-    #: no part in the parity matrix.
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
+    #: What the round did, stage by stage (DESIGN.md §13).  Diagnostics
+    #: only: excluded from :meth:`canonical_bytes`, and freed with the report.
+    trace: Trace = field(default_factory=Trace, compare=False, repr=False)
 
     def conversation_payloads(self, user_name: str) -> List[bytes]:
         """Convenience: the conversation payloads delivered to ``user_name``."""

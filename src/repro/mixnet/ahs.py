@@ -47,8 +47,8 @@ from repro.crypto.nizk import (
     verify_dlog,
     verify_dlog_batch,
 )
+from repro import trace
 from repro.crypto.aead import adec_batch
-from repro.crypto.group import scalar_mult_batch
 from repro.crypto.onion import (
     InnerEnvelope,
     decrypt_inner_batch,
@@ -305,7 +305,7 @@ class ChainMember:
         missing = [index for index, key in enumerate(encodings) if key not in table]
         if missing:
             fresh = [dh_publics[index] for index in missing]
-            blinded = scalar_mult_batch(group, fresh, self.blinding_secret)
+            blinded = group.scalar_mult_batch(fresh, self.blinding_secret)
             keys = shared_keys_batch(group, KDF_LABEL_OUTER, fresh, self.mixing_secret)
             for slot, (index, blinded_key) in enumerate(zip(missing, blinded)):
                 table[encodings[index]] = (blinded_key, keys[32 * slot:32 * slot + 32])
@@ -423,7 +423,7 @@ class ChainMember:
         """Decryption keys ``msk · X`` for ``preimages``, each proved against the mixing key."""
         group = self.group
         dh_publics = preimages.decode_publics()
-        decryption_keys = scalar_mult_batch(group, dh_publics, self.mixing_secret)
+        decryption_keys = group.scalar_mult_batch(dh_publics, self.mixing_secret)
         key_proofs = prove_dleq_batch(
             group,
             dh_publics,
@@ -767,7 +767,8 @@ class MixChain:
         rejected_senders: List[str] = []
 
         for index, member in enumerate(self.members):
-            result = member.process_round(round_number, entries)
+            with trace.span(chain_id=self.chain_id, hop=member.position, entries=len(entries)):
+                result = member.process_round(round_number, entries)
             if result.halted:
                 verdict = run_blame_protocol(
                     chain=self,

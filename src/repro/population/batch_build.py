@@ -25,7 +25,6 @@ from typing import List
 
 from repro.constants import KDF_LABEL_INNER, KDF_LABEL_OUTER, NIZK_LABEL_DLOG
 from repro.crypto.aead import aenc_batch
-from repro.crypto.group import fixed_point_mult_batch
 from repro.crypto.nizk import SchnorrProof
 from repro.crypto.onion import shared_keys_batch
 from repro.mixnet.ahs import submission_context
@@ -129,7 +128,7 @@ def _build_per_operation(group, inner_public, mixing_publics, round_number: int,
     mailbox_bytes = [recipient + body for recipient, body in zip(recipients, sealed)]
 
     # 2. Inner envelopes under the aggregate inner key (encrypt_inner).
-    inner_publics = fixed_point_mult_batch(group, base, inner_scalars)
+    inner_publics = group.fixed_point_mult_batch(base, inner_scalars)
     inner_keys = shared_keys_batch(group, KDF_LABEL_INNER, inner_public, inner_scalars)
     inner_cts = aenc_batch(inner_keys, round_number, mailbox_bytes)
     payloads = [
@@ -145,6 +144,6 @@ def _build_per_operation(group, inner_public, mixing_publics, round_number: int,
 
     return (
         payloads,
-        [group.encode(p) for p in fixed_point_mult_batch(group, base, outer_scalars)],
-        [group.encode(p) for p in fixed_point_mult_batch(group, base, nonce_scalars)],
+        [group.encode(p) for p in group.fixed_point_mult_batch(base, outer_scalars)],
+        [group.encode(p) for p in group.fixed_point_mult_batch(base, nonce_scalars)],
     )

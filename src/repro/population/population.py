@@ -72,15 +72,6 @@ class UserPopulation:
             name: tuple(sorted(set(assignment)))
             for name, assignment in self.chain_assignments.items()
         }
-        #: Optional observer for the streaming pipeline (DESIGN.md §9):
-        #: called as ``progress(phase, chunk_index, num_users)`` after the
-        #: engine finishes each chunk of a streamed build or fetch.
-        self.progress = None
-
-    def emit_progress(self, phase: str, chunk_index: int, num_users: int) -> None:
-        """Notify the optional :attr:`progress` observer (streamed chunks)."""
-        if self.progress is not None:
-            self.progress(phase, chunk_index, num_users)
 
     def _loopback_key(self, user: User, chain_id: int) -> bytes:
         cache_key = (user.name, chain_id)

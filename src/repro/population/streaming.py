@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
+from repro import trace
 from repro.client.user import User
 from repro.errors import ConfigurationError
 from repro.mixnet.messages import ClientSubmission
@@ -81,18 +82,20 @@ def built_chunks(
     ``chunk_size=None`` degenerates to a single whole-population chunk (the
     monolithic reference pass).  ``map_chains`` runs each chunk's per-chain
     crypto pass (see :meth:`UserPopulation.build_round_submissions_batch`).
+    Each chunk's build is one span of the active trace (DESIGN.md §13).
     """
     spans = [span for span in chunk_spans(users, chunk_size) if span]
     for index, span in enumerate(spans):
-        submissions = population.build_round_submissions_batch(
-            round_number, current_views, span, payloads=payloads, map_chains=map_chains
-        )
-        covers = None
-        if use_covers:
-            # Next round's banked covers (§5.3.3): an offline notice where the
-            # user is in a conversation, loopbacks elsewhere.
-            covers = population.build_round_submissions_batch(
-                round_number + 1, next_views, span, offline_notice=True, cover=True,
-                map_chains=map_chains,
+        with trace.span(part=index, entries=len(span)):
+            submissions = population.build_round_submissions_batch(
+                round_number, current_views, span, payloads=payloads, map_chains=map_chains
             )
+            covers = None
+            if use_covers:
+                # Next round's banked covers (§5.3.3): an offline notice where
+                # the user is in a conversation, loopbacks elsewhere.
+                covers = population.build_round_submissions_batch(
+                    round_number + 1, next_views, span, offline_notice=True, cover=True,
+                    map_chains=map_chains,
+                )
         yield BuiltChunk(index=index, users=span, submissions=submissions, covers=covers)

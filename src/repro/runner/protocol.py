@@ -89,32 +89,22 @@ def decode_json_payload(payload: bytes) -> Any:
 
 # -- the MIX request ------------------------------------------------------------
 #
-# ``chain_id (4B) || round (8B) || retry_after_blame (1B) || submission batch``
+# ``chain_id (4B) || round (8B) || submission batch``
 # where the batch is :func:`repro.transport.codec.encode_submission_batch`
 # over the coordinator-assembled per-chain submissions.  The reply is
 # :func:`repro.transport.codec.encode_chain_outcome`.
 
 
-def encode_mix_request(
-    chain_id: int, round_number: int, retry_after_blame: bool, batch: bytes
-) -> bytes:
-    return b"".join(
-        (
-            chain_id.to_bytes(4, "big"),
-            round_number.to_bytes(8, "big"),
-            bytes([1 if retry_after_blame else 0]),
-            batch,
-        )
-    )
+def encode_mix_request(chain_id: int, round_number: int, batch: bytes) -> bytes:
+    return b"".join((chain_id.to_bytes(4, "big"), round_number.to_bytes(8, "big"), batch))
 
 
-def decode_mix_request(payload: bytes) -> Tuple[int, int, bool, bytes]:
-    if len(payload) < 13:
+def decode_mix_request(payload: bytes) -> Tuple[int, int, bytes]:
+    if len(payload) < 12:
         raise DecodingError("truncated mix request")
     chain_id = int.from_bytes(payload[:4], "big")
     round_number = int.from_bytes(payload[4:12], "big")
-    retry_after_blame = bool(payload[12])
-    return chain_id, round_number, retry_after_blame, payload[13:]
+    return chain_id, round_number, payload[12:]
 
 
 # -- config serialisation --------------------------------------------------------

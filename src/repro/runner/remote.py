@@ -66,7 +66,6 @@ class RemoteMixDispatcher:
             body = protocol.encode_mix_request(
                 chain.chain_id,
                 ctx.round_number,
-                ctx.spec.retry_after_blame,
                 encode_submission_batch(ctx.per_chain[chain.chain_id]),
             )
             items.append(

@@ -130,9 +130,7 @@ class MixRoleHandler(RoleHandler):
     """A mix role: executes the ``MIX`` RPC for the chains it owns."""
 
     def handle_mix(self, payload: bytes) -> bytes:
-        chain_id, round_number, retry_after_blame, batch = protocol.decode_mix_request(
-            payload
-        )
+        chain_id, round_number, batch = protocol.decode_mix_request(payload)
         with self._lock:
             deployment = self.deployment
             # Lazy idempotent announce: per-round inner keys derive from
@@ -145,7 +143,7 @@ class MixRoleHandler(RoleHandler):
             submissions = decode_submission_batch(deployment.group, batch)
             chain.precompute_round(round_number, chain.decode_submission_publics(submissions))
             _, rejected = chain.accept_submissions(round_number, submissions)
-            result = chain.run_round(round_number, retry_after_blame=retry_after_blame)
+            result = chain.run_round(round_number)
             if result.delivered:
                 # This replica's engine never runs ``deliver``; release the
                 # round's chain state where the round ended.

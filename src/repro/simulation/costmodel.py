@@ -142,10 +142,11 @@ class CostModel:
         """One-way time for ``num_bytes`` to cross one link.
 
         Half the round-trip time (propagation) plus the transmission time at
-        the link bandwidth.  This is the per-envelope latency the
-        instrumented transport charges, built from the same constants the
-        analytic latency model composes — so measured-from-traffic and
-        modelled figures are directly comparable.
+        the link bandwidth.  This is the price
+        :mod:`repro.analysis.measured` puts on each link a round's trace
+        recorded, built from the same constants the analytic latency model
+        composes — so measured-from-traffic and modelled figures are
+        directly comparable.
         """
         return self.network_rtt / 2 + self.transmit_time(num_bytes)
 

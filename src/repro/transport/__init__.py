@@ -9,17 +9,18 @@ delivery, and the user's mailbox fetch — travels as a typed
   payload object through unchanged (bit-identical to the pre-transport
   in-process simulation).
 * :class:`InstrumentedTransport` — serialises each payload to its real
-  wire encoding, accounts bytes and modelled per-link latency in a
-  :class:`TrafficLedger`, and delivers the *decoded* payload, proving the
-  codecs lossless.
+  wire encoding and delivers the *decoded* payload, proving the codecs
+  lossless.
 * :class:`~repro.transport.tcp.TcpTransport` — sends the wire encoding
   over real TCP sockets as length-prefixed frames
   (:mod:`repro.transport.frames`); the process-per-role runner
   (:mod:`repro.runner`) deploys it across OS processes, and the standalone
   ``transport="tcp"`` knob runs it against a loopback reflector.
 
-:func:`make_transport` maps each :class:`~repro.registry.TransportKind`
-straight to its constructor.
+Every transport records one link per envelope it carries — with its wire
+bytes, where it encodes the payload — in the round's trace
+(:mod:`repro.trace`, DESIGN.md §13).  :func:`make_transport` maps each
+:class:`~repro.registry.TransportKind` straight to its constructor.
 """
 
 from typing import Any, Callable, Dict, Union
@@ -41,7 +42,6 @@ from repro.transport.envelope import (
 from repro.transport.faulty import FaultyTransport, LinkFault
 from repro.transport.inproc import InProcTransport
 from repro.transport.instrumented import InstrumentedTransport
-from repro.transport.metrics import LinkRecord, TrafficLedger
 
 __all__ = [
     "Transport",
@@ -49,8 +49,6 @@ __all__ = [
     "InstrumentedTransport",
     "FaultyTransport",
     "LinkFault",
-    "TrafficLedger",
-    "LinkRecord",
     "Envelope",
     "SUBMISSION",
     "COVER_SUBMISSION",
@@ -64,27 +62,25 @@ __all__ = [
 ]
 
 
-def _loopback_tcp(group: Any, cost_model: Any = None) -> Transport:
+def _loopback_tcp(group: Any) -> Transport:
     """The standalone knob: a loopback reflector in this process."""
     from repro.transport.tcp import TcpTransport
 
     return TcpTransport(group, node_name="loopback")
 
 
-#: Each kind's constructor, called as ``constructor(group, cost_model)``.
-_CONSTRUCTORS: Dict[TransportKind, Callable[[Any, Any], Transport]] = {
-    TransportKind.INPROC: lambda group, cost_model: InProcTransport(),
+#: Each kind's constructor, called with the deployment's group.
+_CONSTRUCTORS: Dict[TransportKind, Callable[[Any], Transport]] = {
+    TransportKind.INPROC: lambda group: InProcTransport(),
     TransportKind.INSTRUMENTED: InstrumentedTransport,
     TransportKind.TCP: _loopback_tcp,
 }
 
 
-def make_transport(
-    kind: Union[str, TransportKind], group: Any = None, cost_model: Any = None
-) -> Transport:
+def make_transport(kind: Union[str, TransportKind], group: Any = None) -> Transport:
     """Build the transport a :class:`~repro.registry.TransportKind` (or its
     string) names; an unknown name raises :class:`ValueError`."""
     kind = TransportKind(kind)
     if group is None and kind is not TransportKind.INPROC:
         raise ConfigurationError(f"the {kind.value} transport needs the deployment's group")
-    return _CONSTRUCTORS[kind](group, cost_model)
+    return _CONSTRUCTORS[kind](group)

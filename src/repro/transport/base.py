@@ -13,10 +13,9 @@ Implementations differ only in what happens on the way:
   straight through — the reference semantics, bit-identical to a method
   call.
 * :class:`~repro.transport.instrumented.InstrumentedTransport` serialises
-  the payload to its real wire encoding, accounts the bytes and the
-  modelled link latency, and returns a payload *decoded from those bytes* —
-  so its parity with the in-process transport is also a proof that every
-  codec round-trips losslessly.
+  the payload to its real wire encoding and returns a payload *decoded
+  from those bytes* — so its parity with the in-process transport is also
+  a proof that every codec round-trips losslessly.
 * :class:`~repro.transport.tcp.TcpTransport` sends the wire encoding over a
   real localhost/network socket and returns the payload decoded from the
   peer's framed reply (DESIGN.md §10).
@@ -33,6 +32,11 @@ every implementation by the shared suite in
   round-trips, but the results must be element-wise identical to the loop;
 * ``close`` must be idempotent, and delivery after ``close`` may fail but
   must never hang.
+
+An implementation records each envelope it carries in the round's trace
+(:func:`repro.trace.link`, once per envelope, with the wire byte count when
+it encodes the payload); a wrapper that delegates leaves that to its inner
+transport.
 """
 
 from __future__ import annotations

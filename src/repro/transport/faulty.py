@@ -4,10 +4,10 @@ delay / reorder) on selected envelopes.
 The fault-injection scenario engine (:mod:`repro.faults`) needs an adversary
 *below* the protocol: not a server computing the wrong thing, but a network
 losing, replaying, delaying, or reordering what honest nodes sent.
-:class:`FaultyTransport` wraps any inner :class:`Transport` — composing with
-:class:`~repro.transport.instrumented.InstrumentedTransport`, whose ledger it
-proxies — and applies the matching :class:`LinkFault` behaviours to each
-envelope before (or instead of) handing it to the inner transport:
+:class:`FaultyTransport` wraps any inner :class:`Transport` — the inner
+transport records the crossings in the round's trace — and applies the
+matching :class:`LinkFault` behaviours to each envelope before (or instead
+of) handing it to the inner transport:
 
 * ``drop`` — the envelope never crosses the link.  List payloads (batches,
   mailbox flows) arrive empty; submissions arrive as ``None`` (the engine
@@ -21,9 +21,10 @@ envelope before (or instead of) handing it to the inner transport:
   payloads can be duplicated; a replayed client submission is the
   *user-level* attack :func:`~repro.coordinator.adversary.
   forge_misauthenticated_submission` family models, not a link fault.
-* ``delay`` — the payload arrives intact but late: an extra zero-byte
-  :class:`LinkRecord` carrying ``delay_seconds`` is charged to the inner
-  ledger (when there is one), so measured round latency reflects the stall.
+* ``delay`` — the payload arrives intact but late: ``delay_seconds`` is
+  added to the link record of the envelope it delays
+  (:class:`~repro.trace.Link`), so measured round latency reflects the
+  stall.
 * ``reorder`` — a list payload arrives permuted, by a shuffle derived
   deterministically from (fault seed, round, chain), never from shared
   state.
@@ -40,11 +41,11 @@ import random
 from dataclasses import dataclass, replace
 from typing import FrozenSet, List, Optional, Sequence
 
+from repro import trace
 from repro.errors import ConfigurationError
 from repro.transport import envelope as ev
 from repro.transport.base import Transport
 from repro.transport.envelope import Envelope
-from repro.transport.metrics import LinkRecord
 
 __all__ = [
     "LinkFault",
@@ -204,11 +205,6 @@ class FaultyTransport(Transport):
         self.faults: List[LinkFault] = list(faults)
         self.applied: List[AppliedFault] = []
 
-    @property
-    def ledger(self) -> Optional[object]:
-        """The inner transport's traffic ledger, when it keeps one."""
-        return getattr(self.inner, "ledger", None)
-
     def _log(self, fault: LinkFault, envelope: Envelope) -> None:
         self.applied.append(
             AppliedFault(
@@ -263,20 +259,8 @@ class FaultyTransport(Transport):
                 delay_total += fault.delay_seconds
                 self._log(fault, envelope)
         delivered = self.inner.deliver(envelope)
-        if delay_total > 0.0 and self.ledger is not None:
-            # Charge the stall as a zero-byte crossing of the same link so
-            # the measured critical path reflects it.
-            self.ledger.append(
-                LinkRecord(
-                    round_number=envelope.round_number,
-                    kind=envelope.kind,
-                    source=envelope.source,
-                    destination=envelope.destination,
-                    num_bytes=0,
-                    seconds=delay_total,
-                    chain_id=envelope.chain_id,
-                )
-            )
+        if delay_total > 0.0:
+            trace.delay(envelope, delay_total)
         return delivered
 
     def close(self) -> None:

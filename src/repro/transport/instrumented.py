@@ -2,58 +2,40 @@
 
 ``deliver`` serialises the payload with the codecs of
 :mod:`repro.transport.codec` (the byte formats of
-:mod:`repro.mixnet.messages`), appends a :class:`LinkRecord` — byte count
-plus the link model's one-way time for that many bytes — to its
-:class:`TrafficLedger`, and returns the payload *decoded from the wire
-bytes*.  Returning the decoded object rather than the original is the
-load-bearing choice: the parity suite demands instrumented rounds be
-bit-identical to in-process rounds, which therefore proves every wire
-codec round-trips losslessly, the same property the distributed runtime
-(:mod:`repro.runner`) depends on.
+:mod:`repro.mixnet.messages`), records the crossing — with its wire byte
+count — in the round's trace (:mod:`repro.trace`), and returns the payload
+*decoded from the wire bytes*.  Returning the decoded object rather than
+the original is the load-bearing choice: the parity suite demands
+instrumented rounds be bit-identical to in-process rounds, which therefore
+proves every wire codec round-trips losslessly, the same property the
+distributed runtime (:mod:`repro.runner`) depends on.
 
-The link model is a :class:`~repro.simulation.costmodel.CostModel`: an
-envelope of ``b`` bytes takes ``rtt/2 + b / link_bandwidth`` seconds
-one-way, the same constants the analytic latency model uses — so measured
-and modelled figures are directly comparable.
+Pricing the recorded bytes as link time is the analysis layer's job
+(:mod:`repro.analysis.measured`, with its own
+:class:`~repro.simulation.costmodel.CostModel`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
+from repro import trace
 from repro.transport.base import Transport
 from repro.transport.codec import decode_payload, encode_payload
 from repro.transport.envelope import Envelope
-from repro.transport.metrics import LinkRecord, TrafficLedger
 
 __all__ = ["InstrumentedTransport"]
 
 
 class InstrumentedTransport(Transport):
-    """Accounts bytes and modelled latency per link, per round."""
+    """Re-decodes every payload from its wire bytes and records their count."""
 
     name = "instrumented"
 
-    def __init__(self, group: Any, cost_model: Any = None, ledger: Optional[TrafficLedger] = None) -> None:
-        if cost_model is None:
-            from repro.simulation.costmodel import CostModel
-
-            cost_model = CostModel.paper_testbed()
+    def __init__(self, group: Any) -> None:
         self.group = group
-        self.cost_model = cost_model
-        self.ledger = ledger if ledger is not None else TrafficLedger()
 
     def deliver(self, envelope: Envelope) -> object:
         wire = encode_payload(self.group, envelope)
-        self.ledger.append(
-            LinkRecord(
-                round_number=envelope.round_number,
-                kind=envelope.kind,
-                source=envelope.source,
-                destination=envelope.destination,
-                num_bytes=len(wire),
-                seconds=self.cost_model.link_time(len(wire)),
-                chain_id=envelope.chain_id,
-            )
-        )
+        trace.link(envelope, len(wire))
         return decode_payload(self.group, envelope.kind, wire)

@@ -47,6 +47,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Awaitable, Dict, List, Optional, Sequence, Tuple
 
+from repro import trace
 from repro.errors import DecodingError, TransportError
 from repro.transport import frames
 from repro.transport.base import Transport
@@ -126,7 +127,6 @@ class TcpTransport(Transport):
         config_digest: bytes = b"",
         request_timeout: float = 120.0,
         handler_threads: int = 8,
-        cost_model: Any = None,
     ) -> None:
         self.group = group
         self.node_name = node_name
@@ -191,17 +191,18 @@ class TcpTransport(Transport):
 
     def deliver(self, envelope: Envelope) -> object:
         wire = frames.encode_envelope_frame(self.group, envelope)
+        trace.link(envelope, len(wire))
         reply = self.request(self._route(envelope), frames.FRAME_ENVELOPE, wire)
         return decode_payload(self.group, envelope.kind, reply)
 
     def deliver_many(self, envelopes: Sequence[Envelope]) -> List[object]:
         """Pipelined batch delivery: all requests in flight concurrently."""
         envelopes = list(envelopes)
-        items = [
-            (self._route(envelope), frames.FRAME_ENVELOPE,
-             frames.encode_envelope_frame(self.group, envelope))
-            for envelope in envelopes
-        ]
+        items: List[Tuple[str, int, bytes]] = []
+        for envelope in envelopes:
+            wire = frames.encode_envelope_frame(self.group, envelope)
+            trace.link(envelope, len(wire))
+            items.append((self._route(envelope), frames.FRAME_ENVELOPE, wire))
         replies = self.request_batch(items)
         return [
             decode_payload(self.group, envelope.kind, reply)

@@ -17,6 +17,7 @@ from repro.coordinator.network import Deployment, DeploymentConfig
 from repro.crypto import kernels
 from repro.crypto.group import Ed25519Group, ModPGroup
 from repro.engine import ParallelBackend, SerialBackend
+from repro.trace import Trace
 from repro.transport import BATCH, Transport
 
 needs_native = pytest.mark.skipif(
@@ -77,31 +78,19 @@ def forbid(monkeypatch, *functions):
                 monkeypatch.setattr(module, function.__name__, forbidden)
 
 
-@pytest.fixture
-def dispatches(monkeypatch):
-    """Counts of native dispatches that ran (did not decline), by wrapper.
-
-    The point codec is left out: it is still one call per element
-    (DESIGN.md §11.4).
-    """
-    kernels.set_active_kernel("native")
+@contextlib.contextmanager
+def native_dispatches():
+    """Run the block on the native tier; on exit, the dict it yields holds
+    the kernel calls that ran, by entry point, as the block's trace counted
+    them — the point codec left out: it is still one call per element
+    (DESIGN.md §11.4)."""
     counts = {}
-
-    def counting(name, wrapper):
-        def counted(*args, **kwargs):
-            result = wrapper(*args, **kwargs)
-            if result is not None:
-                counts[name] = counts.get(name, 0) + 1
-            return result
-
-        return counted
-
-    for name in kernels.__all__:
-        if name.startswith(("chacha20_", "aead_", "hkdf_", "modp_", "ed25519_")):
-            if name not in ("ed25519_encode_batch", "ed25519_decode_batch"):
-                monkeypatch.setattr(kernels, name, counting(name, getattr(kernels, name)))
-    yield counts
-    kernels.reset_kernel_for_tests()
+    with selected_tier("native"), Trace().stage("counted") as recorded:
+        yield counts
+    counts.update(
+        (name[len("dispatch."):], total) for name, total in recorded.counters.items()
+        if name.startswith("dispatch.") and not name.endswith(("encode_batch", "decode_batch"))
+    )
 
 
 class RecordingTransport(Transport):
@@ -179,9 +168,3 @@ def make_deployment(
 def deployment():
     """A default small deployment (4 servers, 3 chains of length 2, 6 users)."""
     return make_deployment()
-
-
-@pytest.fixture
-def deployment_long_chains():
-    """A deployment with 3-server chains, used by tampering/blame tests."""
-    return make_deployment(num_servers=4, num_users=4, num_chains=3, chain_length=3, seed=7)

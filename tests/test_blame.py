@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import aead, kernels, nizk
+from repro.crypto import aead, nizk
 from repro.crypto.keys import KeyPair
 from repro.errors import BlameError
 from repro.mixnet.ahs import ChainRoundResult
@@ -27,7 +27,7 @@ from repro.coordinator.adversary import (
 )
 from repro.client.user import ChainKeysView
 
-from tests.conftest import forbid, needs_native
+from tests.conftest import forbid, native_dispatches, needs_native
 from tests.blame_oracle import (
     reference_blame_protocol,
     reference_blame_reveal,
@@ -473,25 +473,23 @@ class TestBatchedPathsStayBatched:
 
     @needs_native
     @pytest.mark.parametrize("group_name", ["group", "ed_group"])
-    def test_blame_dispatches_do_not_grow_with_the_flagged_set(
-        self, request, group_name, dispatches
-    ):
+    def test_blame_dispatches_do_not_grow_with_the_flagged_set(self, request, group_name):
         group = request.getfixturevalue(group_name)
         seen = []
         for size in self.SIZES:
             chain = build_chain(group, length=3)
             entries = populate(chain, 1, honest=2, forged=[None] * size)
             result, history = mix_to(chain, 1, 2, entries)
-            dispatches.clear()
-            verdict = run_blame_protocol(chain, 1, 2, result.failed_indices, history)
+            with native_dispatches() as counts:
+                verdict = run_blame_protocol(chain, 1, 2, result.failed_indices, history)
             assert len(verdict.malicious_users) == size
-            seen.append(dict(dispatches))
+            seen.append(counts)
         assert seen[0] == seen[1] == seen[2]
         assert seen[0]  # the guard is counting something
 
     @needs_native
     @pytest.mark.parametrize("group_name", ["group", "ed_group"])
-    def test_intake_dispatches_do_not_grow_with_the_batch(self, request, group_name, dispatches):
+    def test_intake_dispatches_do_not_grow_with_the_batch(self, request, group_name):
         group = request.getfixturevalue(group_name)
         seen = []
         for size in self.SIZES:
@@ -501,10 +499,10 @@ class TestBatchedPathsStayBatched:
                 forge_misauthenticated_submission(group, keys_view(chain, 1), 1, f"user-{index}")
                 for index in range(size)
             ]
-            dispatches.clear()
-            entries, rejected = chain.accept_submissions(1, forged)
+            with native_dispatches() as counts:
+                entries, rejected = chain.accept_submissions(1, forged)
             assert (len(entries), rejected) == (size, [])
-            seen.append(dict(dispatches))
+            seen.append(counts)
         assert seen[0] == seen[1] == seen[2]
         assert seen[0]
 

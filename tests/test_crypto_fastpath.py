@@ -13,12 +13,7 @@ import time
 
 import pytest
 
-from repro.crypto.group import (
-    Ed25519Group,
-    ModPGroup,
-    multi_scalar_accumulate,
-    scalar_mult_batch,
-)
+from repro.crypto.group import Ed25519Group, ModPGroup
 from repro.errors import ConfigurationError
 
 
@@ -89,22 +84,6 @@ class TestBatchBlinding:
         assert blinded[0].is_identity()
         assert blinded[1] == curve.base_mult(5)
 
-    def test_module_helper_falls_back_without_fast_path(self, curve):
-        class Bare:
-            def __init__(self, inner):
-                self.order = inner.order
-                self._inner = inner
-
-            def scalar_mult(self, point, scalar):
-                return self._inner.scalar_mult_slow(point, scalar)
-
-        bare = Bare(curve)
-        points = [curve.base_mult(3), curve.base_mult(4)]
-        assert scalar_mult_batch(bare, points, 7) == [
-            curve.base_mult(21),
-            curve.base_mult(28),
-        ]
-
 
 class TestMultiScalarAccumulate:
     def test_matches_sum_of_products(self, curve, fixed_rng):
@@ -114,7 +93,6 @@ class TestMultiScalarAccumulate:
             curve.scalar_mult_slow(point, scalar) for point, scalar in zip(points, scalars)
         )
         assert curve.multi_scalar_accumulate(points, scalars) == expected
-        assert multi_scalar_accumulate(curve, points, scalars) == expected
 
     def test_empty_and_degenerate_terms(self, curve):
         assert curve.multi_scalar_accumulate([], []).is_identity()

@@ -217,7 +217,7 @@ class TestRoundStateLifetime:
             assert node.chain_members.get(old_chain.chain_id) is not member
         report = deployment.run_round()
         assert report.all_chains_delivered()
-        assert "precompute" in report.stage_seconds
+        assert "precompute" in report.trace.stages()
         deployment.close()
 
 

@@ -29,6 +29,7 @@ from typing import NamedTuple, Optional
 import pytest
 
 from repro.coordinator.network import Deployment, DeploymentConfig
+from repro.crypto import kernels
 from repro.registry import TransportKind
 
 from benchmarks.conftest import online_only
@@ -54,6 +55,29 @@ GOLDEN = {
         ],
         "blame": "cae9e33037d52cc7",
     },
+}
+
+#: The modp script's six rounds on the instrumented transport, sequential,
+#: whole-population and precomputed, as their traces count them (DESIGN.md
+#: §13): each counter's value in each round, on every backend.  Envelopes,
+#: wire bytes and hop entries hold on every tier; the native dispatches, by
+#: entry point, on the native tier (the python tier makes none).
+COUNTERS = {
+    "dispatch.xrd_aead_open_batch": [12] * 6,
+    "dispatch.xrd_hkdf_sha256_batch": [9] * 6,
+    "dispatch.xrd_modp_accumulate_rows": [27, 21, 21, 21, 21, 21],
+    "dispatch.xrd_modp_onion_build": [6] * 6,
+    "dispatch.xrd_modp_scalar_mult_batch": [15] * 6,
+    "entries.hop0": [12] * 6, "entries.hop1": [12] * 6,
+    **{f"envelopes.{kind}": [3] * 6 for kind in (
+        "batch", "cover-submission-batch", "mailbox-delivery", "submission-batch"
+    )},
+    "envelopes.mailbox-fetch-batch": [1] * 6,
+    "wire_bytes.batch": [4860] * 6,
+    "wire_bytes.cover-submission-batch": [6276, 5232, 6276, 5232, 6276, 6276],
+    "wire_bytes.mailbox-delivery": [3708] * 6,
+    "wire_bytes.mailbox-fetch-batch": [3940, 3284, 3940, 3284, 3940, 3940],
+    "wire_bytes.submission-batch": [6276, 5232, 6276, 5232, 6276, 6276],
 }
 
 TRANSPORTS = tuple(kind.value for kind in TransportKind)
@@ -196,7 +220,16 @@ def test_honest_rounds(row):
     reports = deployment.run_rounds(conversation_script(deployment), staggered=row.staggered)
     deployment.close()
     assert fingerprints(reports) == GOLDEN[row.group]["honest"]
-    assert all(("precompute" in report.stage_seconds) == row.precompute for report in reports)
+    assert all(("precompute" in report.trace.stages()) == row.precompute for report in reports)
+    if row._replace(backend="serial", tier=None) == Row(transport="instrumented", backend="serial"):
+        native = kernels.native_enabled()
+        assert {
+            name: [report.trace.counters.get(name, 0) for report in reports]
+            for name in {name for report in reports for name in report.trace.counters}
+        } == {
+            name: values for name, values in COUNTERS.items()
+            if native or not name.startswith("dispatch.")
+        }
 
 
 @pytest.mark.parametrize("row", params(BLAME), indirect=True)

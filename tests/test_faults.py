@@ -12,6 +12,7 @@ import hashlib
 
 import pytest
 
+from repro.analysis.measured import round_latency_seconds
 from repro.coordinator.network import Deployment, DeploymentConfig
 from repro.errors import ConfigurationError
 from repro.faults import (
@@ -35,6 +36,7 @@ from repro.faults.scenarios import (
 )
 from repro.mixnet.ahs import ChainRoundResult
 from repro.mixnet.blame import BlameVerdict
+from repro.simulation.costmodel import CostModel
 from repro.transport import envelope as ev
 from repro.transport.faulty import DELAY, DROP, DUPLICATE, REORDER, FaultyTransport
 
@@ -374,18 +376,21 @@ class TestLinkFaultScenarios:
         )
 
     def test_delayed_batch_charges_the_measured_critical_path(self):
-        deployment = build(transport="instrumented")
-        baseline_dep = build(transport="instrumented")
-        ScenarioRunner(baseline_dep, FaultPlan(name="clean", num_rounds=1)).run()
-        baseline = baseline_dep.traffic_ledger.round_latency_seconds(1)
-        baseline_dep.close()
-        ScenarioRunner(
-            deployment, delayed_chain_batch(chain_id=0, fault_round=1,
-                                            num_rounds=1, delay_seconds=2.0)
-        ).run()
-        delayed = deployment.traffic_ledger.round_latency_seconds(1)
-        deployment.close()
-        assert delayed >= baseline + 2.0
+        def links(plan):
+            deployment = build(transport="instrumented")
+            report = ScenarioRunner(deployment, plan).run().outcome_for(1).report
+            deployment.close()
+            return report.trace.links
+
+        clean = links(FaultPlan(name="clean", num_rounds=1))
+        delayed = links(delayed_chain_batch(chain_id=0, num_rounds=1, delay_seconds=2.0))
+        model = CostModel.paper_testbed()
+        assert round_latency_seconds(delayed, model) >= round_latency_seconds(clean, model) + 2.0
+        # The stall rides each batch link it delayed, not an extra record.
+        assert len(delayed) == len(clean)
+        assert {(link.kind, link.chain_id) for link in delayed if link.delay_seconds} == {
+            (ev.BATCH, 0)
+        }
 
     def test_link_fault_rounds_are_scenario_relative(self):
         """Link faults fire even when the deployment has already run rounds."""

@@ -47,7 +47,7 @@ from repro.crypto.onion import inner_envelope_key, outer_layer_key, shared_keys_
 from repro.errors import ConfigurationError, CryptoError, DecodingError
 from repro.registry import CryptoKernelKind
 
-from tests.conftest import TIERS, forbid
+from tests.conftest import TIERS, forbid, native_dispatches
 
 NATIVE = kernels.native_available()
 
@@ -214,7 +214,7 @@ class TestAeadDifferential:
         assert kernels.aead_open_batch([], [], [], b"") == []
 
     @pytest.mark.parametrize("length", [0, 1, 64, 300])
-    def test_tag_is_compared_whole(self, length, dispatches):
+    def test_tag_is_compared_whole(self, length):
         """A tag wrong in its first byte and one wrong in its last are the
         same rejection: neither opens, and both cost the same dispatches
         (the kernel's compare reads all 16 bytes either way)."""
@@ -224,10 +224,10 @@ class TestAeadDifferential:
         for position in (length, length + 15):
             forged = bytearray(sealed)
             forged[position] ^= 0x80
-            dispatches.clear()
-            assert adec(key, nonce, bytes(forged)) == (False, None)
-            seen.append(dict(dispatches))
-        assert seen[0] == seen[1] == {"aead_open_batch": 1}
+            with native_dispatches() as counts:
+                assert adec(key, nonce, bytes(forged)) == (False, None)
+            seen.append(counts)
+        assert seen[0] == seen[1] == {"xrd_aead_open_batch": 1}
         assert adec(key, nonce, sealed) == (True, b"m" * length)
 
 
@@ -298,25 +298,24 @@ class TestModPDifferential:
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(MODULI), st.data())
-    def test_multi_scalar_accumulate(self, modulus, data):
+    def test_one_row_as_long_as_the_batch(self, modulus, data):
         kernels.set_active_kernel("native")
         elements = data.draw(_elements_st(modulus), label="elements")
         exponents = data.draw(
             st.lists(_exponent_st(modulus), min_size=len(elements), max_size=len(elements)),
             label="exponents",
         )
-        native = kernels.modp_multi_scalar_accumulate(modulus, elements, exponents)
+        native = kernels.modp_accumulate_rows(modulus, elements, exponents, len(elements))
         expected = 1
         for e, x in zip(elements, exponents):
             expected = expected * pow(e, x, modulus) % modulus
-        assert native == expected
+        assert native == ([expected] if elements else None)  # no row of no terms
 
     def test_single_element_batches(self):
         kernels.set_active_kernel("native")
         p = 2**127 - 1
         assert kernels.modp_scalar_mult_batch(p, [5], 3) == [125]
         assert kernels.modp_fixed_mult_batch(p, 5, [3]) == [125]
-        assert kernels.modp_multi_scalar_accumulate(p, [5], [3]) == 125
 
     def test_declines_wide_or_even_modulus(self):
         kernels.set_active_kernel("native")
@@ -459,15 +458,15 @@ class TestEd25519Differential:
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(curve_points_st(), curve_scalars_st), min_size=0, max_size=4))
-    def test_multi_scalar_accumulate(self, terms):
+    def test_one_row_as_long_as_the_batch(self, terms):
         kernels.set_active_kernel("native")
-        native = kernels.ed25519_multi_scalar_accumulate(
-            [point for point, _ in terms], [scalar for _, scalar in terms]
+        native = kernels.ed25519_accumulate_rows(
+            [point for point, _ in terms], [scalar for _, scalar in terms], len(terms)
         )
         expected = group_mod._IDENTITY
         for point, scalar in terms:
             expected = group_mod._edwards_add(expected, _reference_mult(point, scalar))
-        assert native == _record(expected)
+        assert native == ([_record(expected)] if terms else None)  # no row of no terms
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(curve_points_st(), min_size=0, max_size=8))
@@ -502,7 +501,6 @@ class TestEd25519Differential:
         base, five = group_mod._BASE_POINT, _record(_reference_mult(group_mod._BASE_POINT, 5))
         assert kernels.ed25519_scalar_mult_batch([base], 5) == [five]
         assert kernels.ed25519_fixed_mult_batch(base, [5]) == [five]
-        assert kernels.ed25519_multi_scalar_accumulate([base], [5]) == five
         assert kernels.ed25519_encode_batch([_reference_mult(base, 5)]) == [five[0]]
         assert kernels.ed25519_decode_batch([five[0]]) == [five]
 
@@ -510,7 +508,6 @@ class TestEd25519Differential:
         kernels.set_active_kernel("native")
         assert kernels.ed25519_scalar_mult_batch([], 5) == []
         assert kernels.ed25519_fixed_mult_batch(group_mod._BASE_POINT, []) == []
-        assert kernels.ed25519_multi_scalar_accumulate([], []) == _record(group_mod._IDENTITY)
         assert kernels.ed25519_encode_batch([]) == []
         assert kernels.ed25519_decode_batch([]) == []
 
@@ -542,7 +539,6 @@ class TestEd25519Differential:
         assert kernels.ed25519_scalar_mult_batch([bad], 5) is None
         assert kernels.ed25519_scalar_mult_batch([base], 2**256) is None
         assert kernels.ed25519_fixed_mult_batch(base, [-1]) is None
-        assert kernels.ed25519_multi_scalar_accumulate([bad], [1]) is None
         assert kernels.ed25519_encode_batch([bad]) is None
 
     def test_declines_zero_z(self):
@@ -567,8 +563,8 @@ class TestEd25519Differential:
                 CURVE.base_mult(scalars[1]),
                 *CURVE.scalar_mult_batch(fresh, scalars[2]),
                 CURVE.multi_scalar_accumulate(fresh, scalars[: len(fresh)]),
-                *group_mod.fixed_point_mult_batch(CURVE, fresh[0], scalars),
-                *group_mod.fixed_point_mult_batch(CURVE, CURVE.base(), scalars),
+                *CURVE.fixed_point_mult_batch(fresh[0], scalars),
+                *CURVE.fixed_point_mult_batch(CURVE.base(), scalars),
             ]
             encodings = [CURVE.encode(point) for point in fresh + results]
             decoded = [CURVE.encode(CURVE.decode(encoding)) for encoding in encodings]
@@ -787,16 +783,16 @@ class TestOnionBuildDifferential:
     @needs_native
     @pytest.mark.parametrize("group_name", ["group", "ed_group"])
     def test_one_build_call_per_chain_whatever_its_size(
-        self, request, group_name, dispatches, monkeypatch
+        self, request, group_name, monkeypatch
     ):
         from repro.client.user import ChainKeysView
-        from repro.crypto.group import fixed_point_mult_batch
         from repro.population.batch_build import PendingColumns, build_chain_submissions
 
         group = request.getfixturevalue(group_name)
         rng = random.Random(9)
         view = ChainKeysView(2, tuple(group.base_mult(s) for s in (3, 5, 7)), group.base_mult(11))
-        forbid(monkeypatch, aenc, aead.aenc_batch, fixed_point_mult_batch, shared_keys_batch)
+        forbid(monkeypatch, aenc, aead.aenc_batch, shared_keys_batch)
+        monkeypatch.setattr(group, "fixed_point_mult_batch", None)  # the per-operation path
         seen = []
         for size in (1, 8, 40):
             pending = PendingColumns(
@@ -804,10 +800,10 @@ class TestOnionBuildDifferential:
                 *([rng.randbytes(width) for _ in range(size)] for width in (32, 32, 256)),
                 *([group.random_scalar(rng) for _ in range(size)] for _ in range(3)),
             )
-            dispatches.clear()
-            assert len(build_chain_submissions(group, view, 4, pending)) == size
-            seen.append(dict(dispatches))
-        name = "modp_onion_build" if group_name == "group" else "ed25519_onion_build"
+            with native_dispatches() as counts:
+                assert len(build_chain_submissions(group, view, 4, pending)) == size
+            seen.append(counts)
+        name = "xrd_modp_onion_build" if group_name == "group" else "xrd_ed25519_onion_build"
         assert seen[0] == seen[1] == seen[2] == {name: 1}
 
     @needs_native
@@ -901,7 +897,6 @@ class TestRowsDifferential:
         assert kernels.modp_accumulate_rows(p, [5], [3], 1) == [125]
         assert kernels.modp_accumulate_rows(p, [5, 7], [3, 2], 2) == [125 * 49]
         assert kernels.modp_accumulate_rows(p, [5, 7], [3, 2], 1) == [125, 49]
-        assert kernels.modp_multi_scalar_accumulate(p, [], []) == 1
         base = group_mod._BASE_POINT
         five = _record(_reference_mult(base, 5))
         assert kernels.ed25519_accumulate_rows([], [], 2) == []
@@ -918,8 +913,8 @@ class TestRowsDifferential:
             [base, other, other, base], [3, 4, 5, 6], 2
         )
         assert together == [
-            kernels.ed25519_multi_scalar_accumulate([base, other], [3, 4]),
-            kernels.ed25519_multi_scalar_accumulate([other, base], [5, 6]),
+            *kernels.ed25519_accumulate_rows([base, other], [3, 4], 2),
+            *kernels.ed25519_accumulate_rows([other, base], [5, 6], 2),
         ]
 
     def test_declines_ragged_and_out_of_range(self):
@@ -932,7 +927,6 @@ class TestRowsDifferential:
         assert kernels.modp_accumulate_rows(p, [p, 3], [1, 1], 2) is None        # element >= p
         assert kernels.modp_accumulate_rows(p, [2, 3], [1, 2**256], 2) is None
         assert kernels.modp_accumulate_rows(2**300 + 1, [2], [2], 1) is None
-        assert kernels.modp_multi_scalar_accumulate(p, [2, 3], [1]) is None
         assert kernels.ed25519_accumulate_rows([base] * 3, [1, 1, 1], 2) is None
         assert kernels.ed25519_accumulate_rows([base] * 2, [1], 2) is None
         assert kernels.ed25519_accumulate_rows([base], [1], 0) is None
@@ -958,7 +952,7 @@ class TestRowsDifferential:
         for tier in ("python", "native"):
             kernels.set_active_kernel(tier)
             rows = group.accumulate_rows(points, scalars, k)
-            singles = group_mod.multi_scalar_mult(group, points, scalars)
+            singles = group.accumulate_rows(points, scalars, 1)
             answers.append([group.encode(point) for point in rows + singles])
         assert answers[0] == answers[1]
         assert answers[0][n:] == [
@@ -1061,7 +1055,6 @@ class TestTierSelection:
         assert kernels.ed25519_scalar_mult_keys([base], 2, b"label") is None
         assert kernels.ed25519_scalar_mult_batch([base], 2) is None
         assert kernels.ed25519_fixed_mult_batch(base, [2]) is None
-        assert kernels.ed25519_multi_scalar_accumulate([base], [2]) is None
         assert kernels.ed25519_accumulate_rows([base], [2], 1) is None
         assert kernels.ed25519_encode_batch([base]) is None
         assert kernels.ed25519_decode_batch([b"\x01" + b"\x00" * 31]) is None

@@ -26,7 +26,7 @@ from repro.crypto.chacha20 import (
     chacha20_keystream,
     chacha20_keystreams,
 )
-from repro.crypto.group import ModPGroup, fixed_point_mult_batch
+from repro.crypto.group import ModPGroup
 from repro.crypto.nizk import prove_dlog
 from repro.errors import DecodingError
 from repro.mixnet.messages import ClientSubmission, MailboxMessage, MessageBody
@@ -116,7 +116,7 @@ class TestBatchedPrimitives:
     @settings(max_examples=25, deadline=None)
     def test_fixed_point_batch_matches_scalar_modp(self, scalars, element_seed):
         point = MODP.scalar_mult(MODP.base(), element_seed)
-        assert fixed_point_mult_batch(MODP, point, scalars) == [
+        assert MODP.fixed_point_mult_batch(point, scalars) == [
             MODP.scalar_mult(point, scalar) for scalar in scalars
         ]
 
@@ -124,13 +124,13 @@ class TestBatchedPrimitives:
         group = ed_group
         point = group.scalar_mult(group.base(), 987654321)
         scalars = [0, 1, 5, group.order - 1, 2**200 + 17]
-        assert fixed_point_mult_batch(group, point, scalars) == [
+        assert group.fixed_point_mult_batch(point, scalars) == [
             group.scalar_mult(point, scalar) for scalar in scalars
         ]
-        assert fixed_point_mult_batch(group, group.identity(), scalars) == [
+        assert group.fixed_point_mult_batch(group.identity(), scalars) == [
             group.scalar_mult(group.identity(), scalar) for scalar in scalars
         ]
-        assert fixed_point_mult_batch(group, group.base(), scalars) == [
+        assert group.fixed_point_mult_batch(group.base(), scalars) == [
             group.scalar_mult(group.base(), scalar) for scalar in scalars
         ]
 

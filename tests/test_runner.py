@@ -90,13 +90,14 @@ class TestControlCodec:
             protocol.decode_json_payload(b"\xff\xfe")
 
     def test_mix_request_round_trip(self):
-        wire = protocol.encode_mix_request(3, 17, False, b"batch-bytes")
-        assert protocol.decode_mix_request(wire) == (3, 17, False, b"batch-bytes")
-        wire = protocol.encode_mix_request(0, 1, True, b"")
-        assert protocol.decode_mix_request(wire) == (0, 1, True, b"")
+        wire = protocol.encode_mix_request(3, 17, b"batch-bytes")
+        assert protocol.decode_mix_request(wire) == (3, 17, b"batch-bytes")
+        wire = protocol.encode_mix_request(0, 1, b"")
+        assert len(wire) == 12
+        assert protocol.decode_mix_request(wire) == (0, 1, b"")
 
     def test_mix_request_truncation_is_rejected(self):
-        wire = protocol.encode_mix_request(3, 17, True, b"")
+        wire = protocol.encode_mix_request(3, 17, b"")
         for cut in range(len(wire)):
             with pytest.raises(DecodingError, match="truncated mix request"):
                 protocol.decode_mix_request(wire[:cut])
@@ -270,25 +271,6 @@ class TestDistributedInProcess:
                 assert not chain._entries and not chain._aggregate_inner
                 assert all(not member._rounds for member in chain.members)
 
-    def test_the_coordinator_replica_never_precomputes(self):
-        """Under the distributed runtime the owning mix roles precompute
-        inside the ``MIX`` RPC; the coordinator's replica records no
-        precompute stage and fills no member's table."""
-        deployment = Deployment.create(make_config())
-        report = deployment.run_round()
-        assert "precompute" in report.stage_seconds and "mix" in report.stage_seconds
-        deployment.remote_mix = object()
-        engine = deployment.engine
-        ctx = engine.prepare(deployment.round_spec())
-        for stage in (engine.collect, engine.precompute_collected,
-                      engine.finalize_collect, engine.precompute):
-            stage(ctx)
-        assert "precompute" not in ctx.report.stage_seconds
-        for chain in deployment.chains:
-            for member in chain.members:
-                assert member.round_record(ctx.round_number).precomputed == {}
-        deployment.close()
-
     def test_a_remote_halt_deletes_the_coordinator_replicas_inner_keys(self):
         """§6.4 on the replica that only announced the round: when the
         mixing replica reports a halt, the coordinator's copy of the
@@ -336,7 +318,7 @@ class TestDistributedInProcess:
                     client.control(
                         MAILBOX_ROLE,
                         protocol.encode_control(
-                            protocol.OP_MIX, protocol.encode_mix_request(0, 1, True, b"")
+                            protocol.OP_MIX, protocol.encode_mix_request(0, 1, b"")
                         ),
                     )
                 with pytest.raises(TransportError, match="unknown control opcode"):

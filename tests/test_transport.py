@@ -1,6 +1,4 @@
-"""Transport layer: envelopes, codecs, accounting, and deployment wiring."""
-
-import functools
+"""Transport layer: envelopes, codecs, link records, and deployment wiring."""
 
 import pytest
 
@@ -16,7 +14,6 @@ from repro.mixnet.messages import (
     MailboxMessage,
     MessageBody,
 )
-from repro.simulation.costmodel import CostModel
 from repro.transport import (
     BATCH,
     MAILBOX_DELIVERY,
@@ -26,8 +23,6 @@ from repro.transport import (
     Envelope,
     InProcTransport,
     InstrumentedTransport,
-    LinkRecord,
-    TrafficLedger,
     make_transport,
 )
 from repro.transport.codec import (
@@ -37,22 +32,12 @@ from repro.transport.codec import (
     encode_payload,
 )
 
-from tests.conftest import BACKENDS
-from tests.test_engine_parity import build, conversation_script
+from repro.trace import Trace
+
+from tests.test_engine_parity import build
 
 RECIPIENT = b"\x09" * 32
 KEY = b"\x05" * 32
-
-
-@functools.lru_cache(maxsize=None)
-def script_wire_bytes(backend):
-    """Per-round, per-kind wire bytes of the six-round parity script."""
-    deployment = build(backend, transport="instrumented")
-    deployment.run_rounds(conversation_script(deployment))
-    ledger = deployment.traffic_ledger
-    totals = [ledger.bytes_by_kind(r) for r in range(1, 7)]
-    deployment.close()
-    return totals
 
 
 def make_submission(group, chain_id=1, sender="alice", ciphertext=b"c" * 64):
@@ -155,17 +140,18 @@ class TestTransports:
         assert transport.deliver(envelope(SUBMISSION, payload)) is payload
 
     def test_instrumented_records_wire_bytes(self, group):
-        transport = InstrumentedTransport(group, cost_model=CostModel.paper_testbed())
         submission = make_submission(group)
-        delivered = transport.deliver(
-            envelope(SUBMISSION, submission, source="alice", destination="server-0", chain_id=1)
+        with Trace().stage("collect") as recorded:
+            delivered = InstrumentedTransport(group).deliver(envelope(
+                SUBMISSION, submission, source="alice", destination="server-0", chain_id=1
+            ))
+        assert delivered == submission and delivered is not submission
+        [record] = recorded.links
+        size = submission.wire_size()
+        assert (record.source, record.destination, record.chain_id, record.wire_bytes) == (
+            "alice", "server-0", 1, size
         )
-        assert delivered == submission
-        assert delivered is not submission
-        [record] = transport.ledger.records
-        assert record.num_bytes == submission.wire_size()
-        assert record.seconds == transport.cost_model.link_time(record.num_bytes)
-        assert (record.source, record.destination, record.chain_id) == ("alice", "server-0", 1)
+        assert recorded.counters == {f"envelopes.{SUBMISSION}": 1, f"wire_bytes.{SUBMISSION}": size}
 
     def test_make_transport(self, group):
         assert make_transport("inproc").name == "inproc"
@@ -176,56 +162,11 @@ class TestTransports:
             make_transport("carrier-pigeon")
 
 
-class TestTrafficLedger:
-    @staticmethod
-    def record(round_number=1, kind=SUBMISSION, source="u", destination="s",
-               num_bytes=100, seconds=0.1, chain_id=None):
-        return LinkRecord(round_number, kind, source, destination, num_bytes, seconds, chain_id)
-
-    def test_totals_and_filters(self):
-        ledger = TrafficLedger()
-        ledger.append(self.record(num_bytes=10))
-        ledger.append(self.record(round_number=2, num_bytes=20))
-        ledger.append(self.record(kind=MAILBOX_FETCH_BATCH, num_bytes=5))
-        assert ledger.total_bytes() == 35
-        assert ledger.total_bytes(round_number=1) == 15
-        assert ledger.total_bytes(kinds=[SUBMISSION]) == 30
-        assert ledger.bytes_by_kind(1) == {SUBMISSION: 10, MAILBOX_FETCH_BATCH: 5}
-
-    def test_round_latency_critical_path(self):
-        ledger = TrafficLedger()
-        ledger.append(self.record(kind=SUBMISSION_BATCH, seconds=0.2))
-        ledger.append(self.record(seconds=0.1))
-        ledger.append(self.record(kind=BATCH, chain_id=0, seconds=0.3))
-        ledger.append(self.record(kind=BATCH, chain_id=0, seconds=0.3))
-        ledger.append(self.record(kind=BATCH, chain_id=1, seconds=0.5))
-        ledger.append(self.record(kind=MAILBOX_DELIVERY, chain_id=1, seconds=0.2))
-        ledger.append(self.record(kind=MAILBOX_FETCH_BATCH, seconds=0.4))
-        # slowest upload (0.2) + slowest chain (0.5 + 0.2 delivery) + fetch (0.4)
-        assert ledger.round_latency_seconds(1) == pytest.approx(1.3)
-        assert ledger.chain_hop_seconds(1) == {0: pytest.approx(0.6), 1: pytest.approx(0.5)}
-
-    def test_a_round_uses_batch_frames(self):
-        deployment = build(transport="instrumented")
-        deployment.run_round()
-        kinds = set(deployment.traffic_ledger.bytes_by_kind(1))
-        assert SUBMISSION_BATCH in kinds
-        assert MAILBOX_FETCH_BATCH in kinds
-        # One framed upload per chain, not one per (user, chain).
-        submission_records = [
-            record
-            for record in deployment.traffic_ledger.records
-            if record.kind == SUBMISSION_BATCH
-        ]
-        assert len(submission_records) == deployment.num_chains
-        deployment.close()
-
+class TestLinkRecords:
     def test_a_streamed_round_uploads_one_frame_per_chain_and_chunk(self):
         deployment = build(transport="instrumented", population_chunk_size=2)
-        deployment.run_round()
         submission_records = [
-            record
-            for record in deployment.traffic_ledger.records
+            record for record in deployment.run_round().trace.links
             if record.kind == SUBMISSION_BATCH
         ]
         # One framed upload per (chain, chunk) the chunk's users touch — 6
@@ -240,29 +181,8 @@ class TestTrafficLedger:
         assert len(submission_records) == expected
         deployment.close()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_wire_bytes_do_not_depend_on_the_backend(self, backend):
-        """Every round of the script puts the same bytes of each kind on
-        the wire as under the production pool."""
-        assert all(script_wire_bytes("production"))
-        assert script_wire_bytes(backend) == script_wire_bytes("production")
-
 
 class TestDeploymentWiring:
-    def test_chains_share_the_deployment_transport(self):
-        deployment = Deployment.create(
-            DeploymentConfig(
-                num_servers=3, num_users=2, num_chains=2, chain_length=2,
-                seed=1, group_kind="modp", transport="instrumented",
-            )
-        )
-        assert all(chain.transport is deployment.transport for chain in deployment.chains)
-        assert deployment.traffic_ledger is deployment.transport.ledger
-        deployment.run_round()
-        kinds = set(deployment.traffic_ledger.bytes_by_kind(1))
-        assert {SUBMISSION_BATCH, BATCH, MAILBOX_DELIVERY, MAILBOX_FETCH_BATCH} <= kinds
-        deployment.close()
-
     def test_use_transport_rewires_chains(self):
         deployment = Deployment.create(
             DeploymentConfig(
@@ -274,8 +194,8 @@ class TestDeploymentWiring:
         deployment.use_transport(replacement)
         assert deployment.transport is replacement
         assert all(chain.transport is replacement for chain in deployment.chains)
-        deployment.run_round()
-        assert replacement.ledger.total_bytes() > 0
+        counters = deployment.run_round().trace.counters
+        assert counters[f"wire_bytes.{BATCH}"] > 0
         deployment.close()
 
     def test_unknown_transport_rejected(self):

@@ -365,11 +365,14 @@ class TestNativeLoaderRules:
             "        return None\n"
             "    ffi, lib = handle\n"
             "    return lib.xrd_kernel(data)\n"
+            "def bad_by_name(entry, data):\n"
+            "    ffi, lib = _handle()\n"
+            "    return getattr(lib, entry)(data)\n"
         ))
         result = run_lint(tree)
-        assert len(result.findings) == 1
-        assert result.findings[0].rule == "XRD502"
+        assert [finding.rule for finding in result.findings] == ["XRD502"] * 2
         assert "bad()" in result.findings[0].message
+        assert "bad_by_name()" in result.findings[1].message
 
     def test_loader_scope_only(self, tree):
         # The same shapes outside the loader modules are not this rule's

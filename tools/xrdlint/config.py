@@ -34,6 +34,7 @@ _PROTOCOL = (
     "*/repro/transport/*",
     "*/repro/registry.py",
     "*/repro/constants.py",
+    "*/repro/trace.py",
 )
 
 #: Places allowed to reach for OS entropy: long-term key generation is

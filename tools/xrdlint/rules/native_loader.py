@@ -128,13 +128,21 @@ class WrapperFallbackRule(Rule):
 
     @staticmethod
     def _invokes_extension(func: ast.AST) -> bool:
+        """A call of ``lib.<entry>(...)`` or ``getattr(lib, <entry>)(...)``."""
         for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
             if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "lib"
+                isinstance(callee, ast.Call)
+                and isinstance(callee.func, ast.Name)
+                and callee.func.id == "getattr"
+                and callee.args
             ):
+                callee = callee.args[0]
+            elif isinstance(callee, ast.Attribute):
+                callee = callee.value
+            if isinstance(callee, ast.Name) and callee.id == "lib":
                 return True
         return False
 
