@@ -162,7 +162,7 @@ class TestTransports:
             make_transport("carrier-pigeon")
 
 
-class TestLinkRecords:
+class TestLinks:
     def test_a_streamed_round_uploads_one_frame_per_chain_and_chunk(self):
         deployment = build(transport="instrumented", population_chunk_size=2)
         submission_records = [
