@@ -8,10 +8,43 @@ import pytest
 from repro.analysis.measured import chain_hop_seconds, round_latency_seconds
 from repro.engine import ParallelBackend, SerialBackend
 from repro.simulation.costmodel import CostModel
-from repro.trace import Link, Trace, count
+from repro.trace import Link, Trace, count, delay, link
+from repro.transport import Envelope
 from repro.transport import envelope as ev
 
 from tests.test_engine_parity import build, conversation_script
+
+
+def test_links_feed_the_counters_and_a_delay_its_own_record():
+    def envelope(kind, round_number=1, chain_id=None):
+        return Envelope(kind=kind, payload=None, source="u", destination="s",
+                        round_number=round_number, chain_id=chain_id)
+
+    first, second = envelope(ev.BATCH, chain_id=0), envelope(ev.BATCH, chain_id=1)
+    link(first, 10)  # outside a stage: recorded nowhere
+    with Trace().stage("mix") as recorded:
+        link(first, 10)
+        link(second, 20)
+        link(envelope(ev.SUBMISSION), None)  # handed through, not encoded
+        delay(first, 0.5)
+        delay(envelope(ev.BATCH, round_number=2), 9.0)  # no such record
+    assert recorded.counters == {
+        f"envelopes.{ev.BATCH}": 2, f"wire_bytes.{ev.BATCH}": 30, f"envelopes.{ev.SUBMISSION}": 1,
+    }
+    assert [record.delay_seconds for record in recorded.links] == [0.5, 0.0, 0.0]
+    assert recorded.stages() == {"mix"}
+
+
+def test_the_trace_stays_out_of_the_canonical_bytes():
+    deployment = build(transport="instrumented")
+    report = deployment.run_round()
+    deployment.close()
+    before = report.canonical_bytes()
+    assert report.trace.links and report.trace.spans and report.trace.counters
+    report.trace.count("extra", 7)
+    report.trace.links.clear()
+    report.trace.spans.clear()
+    assert report.canonical_bytes() == before
 
 
 def test_a_pool_helper_charges_the_callers_trace():

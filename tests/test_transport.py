@@ -163,6 +163,16 @@ class TestTransports:
 
 
 class TestLinks:
+    def test_a_round_uses_batch_frames(self):
+        deployment = build(transport="instrumented")
+        links = deployment.run_round().trace.links
+        kinds = {record.kind for record in links}
+        assert {SUBMISSION_BATCH, MAILBOX_FETCH_BATCH} <= kinds
+        # One framed upload per chain, not one per (user, chain).
+        submission_records = [record for record in links if record.kind == SUBMISSION_BATCH]
+        assert len(submission_records) == deployment.num_chains
+        deployment.close()
+
     def test_a_streamed_round_uploads_one_frame_per_chain_and_chunk(self):
         deployment = build(transport="instrumented", population_chunk_size=2)
         submission_records = [
@@ -183,6 +193,19 @@ class TestLinks:
 
 
 class TestDeploymentWiring:
+    def test_chains_share_the_deployment_transport(self):
+        deployment = Deployment.create(
+            DeploymentConfig(
+                num_servers=3, num_users=2, num_chains=2, chain_length=2,
+                seed=1, group_kind="modp", transport="instrumented",
+            )
+        )
+        assert all(chain.transport is deployment.transport for chain in deployment.chains)
+        links = deployment.run_round().trace.links
+        kinds = {record.kind for record in links if record.wire_bytes}
+        assert {SUBMISSION_BATCH, BATCH, MAILBOX_DELIVERY, MAILBOX_FETCH_BATCH} <= kinds
+        deployment.close()
+
     def test_use_transport_rewires_chains(self):
         deployment = Deployment.create(
             DeploymentConfig(
