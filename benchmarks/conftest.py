@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import pathlib
 
-import pytest
-
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
@@ -30,10 +28,3 @@ def save_result(name: str, text: str) -> None:
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
     print(f"\n{text}\n[saved to {path}]")
-
-
-@pytest.fixture(scope="session")
-def paper_cost_model():
-    from repro.simulation.costmodel import CostModel
-
-    return CostModel.paper_testbed()

@@ -137,9 +137,9 @@ def test_measured_bandwidth_batched_population(benchmark):
     deployment.close()
 
 
-def test_measured_latency_companion(benchmark, traffic_run, paper_cost_model):
+def test_measured_latency_companion(benchmark, traffic_run):
     deployment, reports = traffic_run
-    comparison = benchmark(measured_vs_model_latency, deployment, reports[0], paper_cost_model)
+    comparison = benchmark(measured_vs_model_latency, deployment, reports[0])
     measured = comparison["measured_seconds"]
     modelled = comparison["modelled_network_seconds"]
     save_result(

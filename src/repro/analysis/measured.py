@@ -168,11 +168,10 @@ def measured_vs_model_bandwidth(deployment, report) -> Dict:
     }
 
 
-def measured_vs_model_latency(deployment, report,
-                              cost_model: Optional[CostModel] = None) -> Dict:
+def measured_vs_model_latency(deployment, report) -> Dict:
     """The measured critical path's link time vs. the configured network model.
 
-    Links are priced with ``cost_model`` (default: the paper's testbed).
+    Links are priced with the paper's testbed (:meth:`CostModel.paper_testbed`).
 
     ``modelled_network_seconds`` rebuilds the same critical path from the
     configuration alone (uniform chain load ``R = M·ℓ/n``, per-hop batch
@@ -181,7 +180,7 @@ def measured_vs_model_latency(deployment, report,
     assumption — the network share of the Figure 4/5 analytic curves.
     """
     links = _measured_links(report)
-    cost_model = cost_model or CostModel.paper_testbed()
+    cost_model = CostModel.paper_testbed()
     config = deployment.config
     num_chains = deployment.num_chains
     chain_length = config.resolved_chain_length()

@@ -340,7 +340,6 @@ class RoundEngine:
 
         self.backend.map_chains(run_chain, deployment.chains)
 
-    @_stage("precompute")
     def precompute(self, ctx: RoundContext) -> None:
         """Run the round's public-key work ahead of the online mix phase.
 
@@ -351,11 +350,12 @@ class RoundEngine:
         """
         if self.deployment.remote_mix is not None:
             # The owning mix processes precompute on their own replicas as
-            # part of the MIX RPC; the coordinator's members never mix.
+            # part of the MIX RPC; the coordinator's members never mix, and
+            # its trace records no precompute stage.
             return
-        self._precompute_batches(ctx, ctx.per_chain)
+        with ctx.report.trace.stage("precompute"):
+            self._precompute_batches(ctx, ctx.per_chain)
 
-    @_stage("precompute")
     def precompute_collected(self, ctx: RoundContext) -> None:
         """Early precompute over whatever :meth:`collect` has built so far.
 
@@ -369,9 +369,10 @@ class RoundEngine:
         """
         if self.deployment.remote_mix is not None:
             return
-        per_chain: Dict[int, list] = {}
-        self._fold_user_submissions(ctx, per_chain, strict=False)
-        self._precompute_batches(ctx, per_chain)
+        with ctx.report.trace.stage("precompute"):
+            per_chain: Dict[int, list] = {}
+            self._fold_user_submissions(ctx, per_chain, strict=False)
+            self._precompute_batches(ctx, per_chain)
 
     @_stage("mix")
     def mix(self, ctx: RoundContext) -> None:

@@ -46,7 +46,7 @@ class Link:
     destination: str
     chain_id: Optional[int]
     part: Optional[int]
-    #: The envelope's encoded size on the wire; ``None`` where the transport
+    #: The payload's encoded size on the wire; ``None`` where the transport
     #: hands the payload object through without encoding it.
     wire_bytes: Optional[int]
     #: Extra one-way latency a ``delay`` link fault charged to this crossing.

@@ -67,6 +67,7 @@ __all__ = [
     "encode_hello",
     "decode_hello",
     "encode_envelope_frame",
+    "frame_envelope",
     "decode_envelope_frame",
     "encode_error",
     "decode_error",
@@ -190,6 +191,11 @@ def _read_optional_int(data: bytes, offset: int, width: int) -> tuple:
 
 def encode_envelope_frame(group: Any, envelope: Envelope) -> bytes:
     """Serialise a whole envelope: routing header + wire-encoded payload."""
+    return frame_envelope(envelope, encode_payload(group, envelope))
+
+
+def frame_envelope(envelope: Envelope, payload_wire: bytes) -> bytes:
+    """:func:`encode_envelope_frame` around an already wire-encoded payload."""
     return b"".join(
         (
             _pack_str(envelope.kind),
@@ -198,7 +204,7 @@ def encode_envelope_frame(group: Any, envelope: Envelope) -> bytes:
             envelope.round_number.to_bytes(8, "big"),
             _pack_optional_int(envelope.chain_id, 4),
             _pack_optional_int(envelope.part, 4),
-            _pack_bytes(encode_payload(group, envelope)),
+            _pack_bytes(payload_wire),
         )
     )
 

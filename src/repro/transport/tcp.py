@@ -189,9 +189,15 @@ class TcpTransport(Transport):
 
     # -- Transport contract ------------------------------------------------------
 
+    def _frame(self, envelope: Envelope) -> bytes:
+        """Frame ``envelope``; its link record carries the payload's wire bytes,
+        as on the instrumented transport, never the routing header."""
+        payload_wire = encode_payload(self.group, envelope)
+        trace.link(envelope, len(payload_wire))
+        return frames.frame_envelope(envelope, payload_wire)
+
     def deliver(self, envelope: Envelope) -> object:
-        wire = frames.encode_envelope_frame(self.group, envelope)
-        trace.link(envelope, len(wire))
+        wire = self._frame(envelope)
         reply = self.request(self._route(envelope), frames.FRAME_ENVELOPE, wire)
         return decode_payload(self.group, envelope.kind, reply)
 
@@ -200,9 +206,7 @@ class TcpTransport(Transport):
         envelopes = list(envelopes)
         items: List[Tuple[str, int, bytes]] = []
         for envelope in envelopes:
-            wire = frames.encode_envelope_frame(self.group, envelope)
-            trace.link(envelope, len(wire))
-            items.append((self._route(envelope), frames.FRAME_ENVELOPE, wire))
+            items.append((self._route(envelope), frames.FRAME_ENVELOPE, self._frame(envelope)))
         replies = self.request_batch(items)
         return [
             decode_payload(self.group, envelope.kind, reply)

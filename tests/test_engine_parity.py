@@ -28,13 +28,13 @@ from typing import NamedTuple, Optional
 
 import pytest
 
-from repro.coordinator.network import Deployment, DeploymentConfig
+from repro.coordinator.network import DeploymentConfig
 from repro.crypto import kernels
 from repro.registry import TransportKind
 
 from benchmarks.conftest import online_only
 from tests import user_oracle
-from tests.conftest import BACKENDS, install_backend, needs_native, selected_tier
+from tests.conftest import BACKENDS, install_backend, make_deployment, needs_native, selected_tier
 from tests.test_ahs_protocol import make_submission
 
 #: sha256[:16] of ``canonical_bytes()`` for :func:`build` (group swapped):
@@ -86,10 +86,7 @@ TIERS = ("python", "native")
 
 
 def build(backend="production", seed=42, transport="inproc", **kwargs):
-    kwargs = {"group_kind": "modp", "num_servers": 4, "num_users": 6, "num_chains": 3,
-              "chain_length": 2, **kwargs}
-    config = DeploymentConfig(seed=seed, transport=transport, **kwargs)
-    return install_backend(Deployment.create(config), backend)
+    return install_backend(make_deployment(seed=seed, transport=transport, **kwargs), backend)
 
 
 def conversation_script(deployment):
@@ -124,10 +121,8 @@ def blame_fingerprint(deployment, staggered=False):
     from repro.faults.runner import ScenarioRunner
     from repro.faults.scenarios import tamper_and_recover
 
-    try:
+    with deployment:
         report = ScenarioRunner(deployment, tamper_and_recover(), staggered=staggered).run()
-    finally:
-        deployment.close()
     return digest(report.canonical_bytes())
 
 

@@ -13,7 +13,6 @@ import hashlib
 import pytest
 
 from repro.analysis.measured import round_latency_seconds
-from repro.coordinator.network import Deployment, DeploymentConfig
 from repro.errors import ConfigurationError
 from repro.faults import (
     CANNED_SCENARIOS,
@@ -40,20 +39,11 @@ from repro.simulation.costmodel import CostModel
 from repro.transport import envelope as ev
 from repro.transport.faulty import DELAY, DROP, DUPLICATE, REORDER, FaultyTransport
 
-from tests.conftest import BACKENDS, install_backend
+from tests.conftest import BACKENDS, install_backend, make_deployment
 
-def build(backend="production", transport="inproc", seed=42, **kwargs):
-    kwargs.setdefault("num_servers", 4)
-    kwargs.setdefault("num_users", 6)
-    kwargs.setdefault("num_chains", 3)
-    kwargs.setdefault("chain_length", 3)
-    config = DeploymentConfig(
-        seed=seed,
-        group_kind="modp",
-        transport=transport,
-        **kwargs,
-    )
-    return install_backend(Deployment.create(config), backend)
+def build(backend="production", transport="inproc", seed=42, chain_length=3, **kwargs):
+    deployment = make_deployment(chain_length=chain_length, seed=seed, transport=transport, **kwargs)
+    return install_backend(deployment, backend)
 
 
 def run_scenario(plan, backend="production", staggered=False, transport="inproc", **kwargs):

@@ -26,7 +26,7 @@ from repro.mixnet.messages import (
     split_into_payload_chunks,
 )
 
-from tests.conftest import RecordingTransport
+from tests.conftest import RecordingTransport, make_deployment
 
 KEY = b"\x05" * 32
 RECIPIENT = b"\x09" * GROUP_ELEMENT_SIZE
@@ -328,15 +328,10 @@ class TestBatchRepresentation:
             MODE_TAMPER_CIPHERTEXT,
             install_tampering_server,
         )
-        from repro.coordinator.network import Deployment, DeploymentConfig
         from repro.transport import BATCH
         from repro.transport.faulty import FaultyTransport, LinkFault
 
-        deployment = Deployment.create(DeploymentConfig(
-            num_servers=4, num_users=6, num_chains=2, chain_length=3, seed=42,
-            group_kind="modp", transport=transport,
-        ))
-        try:
+        with make_deployment(num_chains=2, chain_length=3, transport=transport) as deployment:
             if case == "tamper":
                 install_tampering_server(deployment, 0, 0, MODE_TAMPER_CIPHERTEXT)
             elif case != "honest":
@@ -354,8 +349,6 @@ class TestBatchRepresentation:
             engine.deliver(ctx)
             engine.fetch(ctx)
             return ctx.report, recorder
-        finally:
-            deployment.close()
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("transport", ("inproc", "instrumented", "tcp"))

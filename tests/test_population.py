@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coordinator.network import Deployment, DeploymentConfig
 from repro.crypto.aead import adec, adec_batch, aenc, aenc_batch
 from repro.crypto.chacha20 import (
     chacha20_block,
@@ -40,6 +39,7 @@ from repro.transport.codec import decode_payload, encode_payload
 from repro.transport.envelope import submission_batch_envelope
 
 from tests import user_oracle
+from tests.conftest import make_deployment
 
 MODP = ModPGroup(bits=64)
 
@@ -47,15 +47,10 @@ MODP = ModPGroup(bits=64)
 def deployment_pair(**kwargs):
     """Two identically-seeded deployments: the per-user oracle and the
     production population."""
-    base = dict(
-        num_servers=4, num_users=6, num_chains=3, chain_length=2,
-        seed=77, group_kind="modp",
-    )
-    base.update(kwargs)
-    reference = Deployment.create(DeploymentConfig(**base))
+    kwargs = {"seed": 77, **kwargs}
+    reference = make_deployment(**kwargs)
     user_oracle.install(reference)
-    batched = Deployment.create(DeploymentConfig(**base))
-    return reference, batched
+    return reference, make_deployment(**kwargs)
 
 
 # ---------------------------------------------------------------------------

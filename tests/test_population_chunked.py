@@ -18,9 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coordinator.network import Deployment, DeploymentConfig
+from repro.coordinator.network import DeploymentConfig
 from repro.errors import ConfigurationError
 from repro.population.streaming import chunk_spans
+
+from tests.conftest import make_deployment
 
 NUM_USERS = 6
 
@@ -28,12 +30,7 @@ _REFERENCE = None
 
 
 def build(**kwargs):
-    base = dict(
-        num_servers=4, num_users=NUM_USERS, num_chains=3, chain_length=2,
-        seed=77, group_kind="modp",
-    )
-    base.update(kwargs)
-    return Deployment.create(DeploymentConfig(**base))
+    return make_deployment(**{"num_users": NUM_USERS, "seed": 77, **kwargs})
 
 
 def two_round_script(deployment):

@@ -53,16 +53,9 @@ from repro.transport.tcp import TcpTransport
 
 
 def make_config(**kwargs):
-    defaults = dict(
-        num_servers=4,
-        num_users=6,
-        num_chains=3,
-        chain_length=2,
-        seed=42,
-        group_kind="modp",
-    )
-    defaults.update(kwargs)
-    return DeploymentConfig(**defaults)
+    defaults = dict(num_servers=4, num_users=6, num_chains=3, chain_length=2, seed=42,
+                    group_kind="modp")
+    return DeploymentConfig(**{**defaults, **kwargs})
 
 
 class TestControlCodec:
@@ -156,11 +149,8 @@ class TestRunSpecCodec:
 class TestScenarioSummary:
     def test_summary_carries_the_parity_instruments(self):
         config = make_config()
-        deployment = Deployment.create(config)
-        try:
+        with Deployment.create(config) as deployment:
             report = ScenarioRunner(deployment, tamper_and_recover()).run()
-        finally:
-            deployment.close()
         summary = protocol.scenario_summary(report)
         assert summary["plan"] == report.plan_name
         assert summary["canonical"] == report.canonical_bytes().hex()
@@ -218,11 +208,8 @@ class TestDistributedInProcess:
         config = make_config()
         plan = tamper_and_recover()
 
-        reference_deployment = Deployment.create(config)
-        try:
+        with Deployment.create(config) as reference_deployment:
             reference = ScenarioRunner(reference_deployment, plan).run()
-        finally:
-            reference_deployment.close()
 
         # Watch the distributed run's chain rounds live: every replica's
         # chains hand off through its own transport, so the transport's node
@@ -452,11 +439,8 @@ class TestLaunchCli:
             with open(report_path) as handle:
                 summary = json.load(handle)
 
-        reference_deployment = Deployment.create(config)
-        try:
+        with Deployment.create(config) as reference_deployment:
             reference = ScenarioRunner(reference_deployment, plan).run()
-        finally:
-            reference_deployment.close()
         assert summary == protocol.scenario_summary(reference)
 
     def test_bad_listen_spec_is_rejected(self):

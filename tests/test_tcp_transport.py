@@ -280,12 +280,7 @@ class TestTwoProcesses:
 
     def test_ping_deliver_and_shutdown(self):
         config = DeploymentConfig(
-            num_servers=2,
-            num_users=2,
-            num_chains=1,
-            chain_length=2,
-            seed=7,
-            group_kind="modp",
+            num_servers=2, num_users=2, num_chains=1, chain_length=2, seed=7, group_kind="modp"
         )
         package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env = dict(os.environ)

@@ -107,10 +107,15 @@ def test_the_remote_coordinator_records_no_precompute_work():
         for stage in (engine.collect, engine.precompute_collected,
                       engine.finalize_collect, engine.precompute):
             stage(ctx)
-        chains = {span.chain_id for span in ctx.report.trace.spans if span.stage == "precompute"}
+        trace = ctx.report.trace
+        chains = {span.chain_id for span in trace.spans if span.stage == "precompute"}
         tables = [member.round_record(ctx.round_number).precomputed
                   for chain in deployment.chains for member in chain.members]
-        assert (chains, all(tables)) == (({None}, False) if remote else ({None, 0, 1, 2}, True))
+        if remote:
+            assert "precompute" not in trace.stages() and trace.seconds("precompute") == 0
+            assert not any(tables)  # every member's table is empty
+        else:
+            assert chains == {None, 0, 1, 2} and all(tables)
     deployment.close()
 
 

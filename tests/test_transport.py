@@ -3,7 +3,7 @@
 import pytest
 
 from repro.constants import SUBMISSION_OVERHEAD
-from repro.coordinator.network import Deployment, DeploymentConfig
+from repro.coordinator.network import DeploymentConfig
 from repro.crypto.nizk import prove_dlog
 from repro.errors import ConfigurationError, DecodingError
 from repro.mixnet.ahs import ChainRoundResult
@@ -34,6 +34,7 @@ from repro.transport.codec import (
 
 from repro.trace import Trace
 
+from tests.conftest import make_deployment
 from tests.test_engine_parity import build
 
 RECIPIENT = b"\x09" * 32
@@ -194,25 +195,21 @@ class TestLinks:
 
 class TestDeploymentWiring:
     def test_chains_share_the_deployment_transport(self):
-        deployment = Deployment.create(
-            DeploymentConfig(
-                num_servers=3, num_users=2, num_chains=2, chain_length=2,
-                seed=1, group_kind="modp", transport="instrumented",
-            )
-        )
-        assert all(chain.transport is deployment.transport for chain in deployment.chains)
-        links = deployment.run_round().trace.links
-        kinds = {record.kind for record in links if record.wire_bytes}
-        assert {SUBMISSION_BATCH, BATCH, MAILBOX_DELIVERY, MAILBOX_FETCH_BATCH} <= kinds
-        deployment.close()
+        """Every hop kind crosses the one encoding transport, and the socket
+        transport counts the same payload bytes, never its routing header."""
+        counters = {}
+        for transport in ("instrumented", "tcp"):
+            deployment = make_deployment(num_servers=3, num_users=2, num_chains=2, seed=1,
+                                         transport=transport)
+            assert all(chain.transport is deployment.transport for chain in deployment.chains)
+            counters[transport] = deployment.run_round().trace.counters
+            deployment.close()
+        kinds = (SUBMISSION_BATCH, BATCH, MAILBOX_DELIVERY, MAILBOX_FETCH_BATCH)
+        assert all(counters["tcp"][f"wire_bytes.{kind}"] for kind in kinds)
+        assert counters["tcp"] == counters["instrumented"]
 
     def test_use_transport_rewires_chains(self):
-        deployment = Deployment.create(
-            DeploymentConfig(
-                num_servers=3, num_users=2, num_chains=2, chain_length=2,
-                seed=1, group_kind="modp",
-            )
-        )
+        deployment = make_deployment(num_servers=3, num_users=2, num_chains=2, seed=1)
         replacement = InstrumentedTransport(deployment.group)
         deployment.use_transport(replacement)
         assert deployment.transport is replacement
@@ -226,12 +223,7 @@ class TestDeploymentWiring:
             DeploymentConfig(transport="udp").validate()
 
     def test_entry_servers_are_chain_heads(self):
-        deployment = Deployment.create(
-            DeploymentConfig(
-                num_servers=4, num_users=2, num_chains=3, chain_length=2,
-                seed=3, group_kind="modp",
-            )
-        )
+        deployment = make_deployment(num_users=2, seed=3)
         for topology in deployment.topologies:
             assert deployment.entry_servers[topology.chain_id] == topology.servers[0]
 
@@ -240,12 +232,8 @@ class TestWireOverheadConstant:
     def test_submission_wire_size_is_overhead_plus_onion(self, group):
         from repro.crypto.onion import onion_size
 
-        deployment = Deployment.create(
-            DeploymentConfig(
-                num_servers=3, num_users=2, num_chains=2, chain_length=3,
-                seed=2, group_kind="modp",
-            )
-        )
+        deployment = make_deployment(num_servers=3, num_users=2, num_chains=2, chain_length=3,
+                                     seed=2)
         built = deployment.population.build_round_submissions_batch(
             1, deployment.chain_keys_view(1), deployment.users[:1]
         )
