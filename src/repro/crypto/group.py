@@ -28,7 +28,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from repro.crypto import field
 from repro.crypto import kernels as _kernels
-from repro.errors import ConfigurationError, DecodingError
+from repro.errors import ConfigurationError, CryptoError, DecodingError
 
 __all__ = [
     "Point",
@@ -121,7 +121,10 @@ def _recover_x(y: int, sign: int) -> int:
         if sign:
             raise DecodingError("invalid point encoding: x would be zero with sign bit set")
         return 0
-    x = field.sqrt_mod_p58(x2, _P)
+    try:
+        x = field.sqrt_mod_p58(x2, _P)
+    except CryptoError:
+        raise DecodingError("invalid point encoding: x^2 is not a square") from None
     if x & 1 != sign:
         x = _P - x
     return x
@@ -283,6 +286,18 @@ def _windowed_mult(point: Point, digits: List[int]) -> Point:
     return _windowed_mult_with_table(_window_table(point), digits)
 
 
+def _decode_each(decode, encodings: Sequence[bytes]) -> list:
+    """``[decode(data) for data in encodings]``, ``None`` where it raises
+    :class:`DecodingError` — the reference form of ``decode_batch``."""
+    points = []
+    for data in encodings:
+        try:
+            points.append(decode(data))
+        except DecodingError:
+            points.append(None)
+    return points
+
+
 def _check_rows(points: Sequence, scalars: Sequence[int], k: int) -> None:
     if k < 1 or len(points) != len(scalars) or len(points) % k:
         raise ConfigurationError(
@@ -367,16 +382,17 @@ class Ed25519Group:
         """Return ``scalar * point`` using a 4-bit fixed-window ladder.
 
         Multiplications by the standard base point are routed to the
-        precomputed comb table of :meth:`base_mult`.
+        precomputed comb table of :meth:`base_mult` (natively too: the comb
+        is constant time in the scalar, like the ladder).
         """
         scalar %= self.order
+        if point is _BASE_POINT or point == _BASE_POINT:
+            return self.base_mult(scalar)
         native = _kernels.ed25519_scalar_mult_batch([point], scalar)
         if native is not None:
             return _point_from_record(native[0])
         if scalar == 0 or point.is_identity():
             return _IDENTITY
-        if point is _BASE_POINT or point == _BASE_POINT:
-            return self.base_mult(scalar)
         return _windowed_mult(point, _scalar_windows(scalar))
 
     def scalar_mult_slow(self, point: Point, scalar: int) -> Point:
@@ -569,6 +585,23 @@ class Ed25519Group:
         object.__setattr__(point, "_enc", bytes(data))
         return point
 
+    def decode_batch(self, encodings: Sequence[bytes]) -> List[Optional[Point]]:
+        """Decode many encodings: per entry its point, or ``None`` exactly
+        where :meth:`decode` raises.
+
+        One native call for every 32-byte encoding (any other length is
+        ``None`` without reaching the kernel), else :meth:`decode` one by one.
+        """
+        sized = [index for index, data in enumerate(encodings) if len(data) == self.element_size]
+        native = _kernels.ed25519_decode_batch([encodings[index] for index in sized])
+        if native is None:
+            return _decode_each(self.decode, encodings)
+        points: List[Optional[Point]] = [None] * len(encodings)
+        for index, record in zip(sized, native):
+            if record is not None:
+                points[index] = _point_from_record(record)
+        return points
+
     def is_in_prime_subgroup(self, point: Point) -> bool:
         """Return ``True`` when ``point`` lies in the prime-order subgroup.
 
@@ -742,6 +775,10 @@ class ModPGroup:
         if not 1 <= value < self.prime:
             raise DecodingError("element out of range")
         return value
+
+    def decode_batch(self, encodings: Sequence[bytes]) -> List[Optional[int]]:
+        """Mirrors :meth:`Ed25519Group.decode_batch` (no kernel: decoding is a range check)."""
+        return _decode_each(self.decode, encodings)
 
     def is_in_prime_subgroup(self, element: int) -> bool:
         return pow(element, self.order, self.prime) == 1

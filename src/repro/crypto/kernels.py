@@ -502,7 +502,7 @@ def ed25519_decode_batch(encodings: Sequence[bytes],
     """Decode 32-byte encodings natively, or ``None``.
 
     Per encoding: its affine record, or ``None`` for exactly the encodings
-    ``Ed25519Group.decode`` rejects (the caller re-runs the reference path
+    ``Ed25519Group.decode`` rejects (``decode`` re-runs the reference path
     on those, for its exception).
     """
     if any(len(encoding) != 32 for encoding in encodings):

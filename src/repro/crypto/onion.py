@@ -173,20 +173,16 @@ def decrypt_inner_batch(
     """Batched :func:`decrypt_inner` over one round's recovered envelopes.
 
     Per-envelope results are identical to the scalar path (an envelope whose
-    ephemeral key fails to decode yields ``(False, None)``); the DH shared
-    elements use the many-points-one-scalar fast path and the AEAD opens run
-    as one batched keystream pass.
+    ephemeral key the group rejects yields ``(False, None)``); the ephemeral
+    keys decode as one batch, the DH shared elements use the
+    many-points-one-scalar fast path and the AEAD opens run as one batched
+    keystream pass.
     """
     aggregate_secret = sum(inner_secrets) % group.order
     results: List[Tuple[bool, Optional[bytes]]] = [(False, None)] * len(envelopes)
-    decodable = []
-    points = []
-    for index, envelope in enumerate(envelopes):
-        try:
-            points.append(group.decode(envelope.ephemeral_public))
-        except Exception:
-            continue
-        decodable.append(index)
+    decoded = group.decode_batch([envelope.ephemeral_public for envelope in envelopes])
+    decodable = [index for index, point in enumerate(decoded) if point is not None]
+    points = [decoded[index] for index in decodable]
     keys = shared_keys_batch(group, KDF_LABEL_INNER, points, aggregate_secret)
     opened = adec_batch(keys, round_number, [envelopes[i].ciphertext for i in decodable])
     for index, result in zip(decodable, opened):

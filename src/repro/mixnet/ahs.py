@@ -43,7 +43,7 @@ from repro.crypto.nizk import (
     prove_dleq,
     prove_dleq_batch,
     prove_dlog,
-    verify_dleq,
+    verify_dleq_batch,
     verify_dlog,
     verify_dlog_batch,
 )
@@ -590,15 +590,23 @@ class MixChain:
         if round_number in self._aggregate_inner:
             return self._aggregate_inner[round_number]
         group = self.group
-        publics = []
-        for member in self.members:
-            announcement = member.begin_round(round_number)
-            context = inner_key_context(self.chain_id, member.position, round_number)
-            if not verify_dlog(group, group.base(), announcement.inner_public, announcement.proof, context):
+        announcements = [member.begin_round(round_number) for member in self.members]
+        publics = [announcement.inner_public for announcement in announcements]
+        verified = verify_dlog_batch(
+            group,
+            group.base(),
+            publics,
+            [announcement.proof for announcement in announcements],
+            [
+                inner_key_context(self.chain_id, member.position, round_number)
+                for member in self.members
+            ],
+        )
+        for member, ok in zip(self.members, verified):
+            if not ok:
                 raise ProofError(
                     f"server {member.server_name} failed to prove knowledge of its inner key"
                 )
-            publics.append(announcement.inner_public)
         self._inner_publics[round_number] = publics
         aggregate = group.sum(publics)
         self._aggregate_inner[round_number] = aggregate
@@ -635,18 +643,15 @@ class MixChain:
         self, submissions: Sequence[ClientSubmission]
     ) -> Tuple[List[int], List[object]]:
         """The indices and decoded DH publics of the submissions that can be
-        proof statements at all: this chain's, with a decodable key."""
-        rows: List[int] = []
-        publics: List[object] = []
-        for index, submission in enumerate(submissions):
-            if submission.chain_id != self.chain_id:
-                continue
-            try:
-                publics.append(self.group.decode(submission.dh_public))
-            except Exception:
-                continue
-            rows.append(index)
-        return rows, publics
+        proof statements at all: this chain's, with a key the group accepts
+        (one ``decode_batch``; only a rejected encoding drops a submission)."""
+        ours = [
+            index for index, submission in enumerate(submissions)
+            if submission.chain_id == self.chain_id
+        ]
+        decoded = self.group.decode_batch([submissions[index].dh_public for index in ours])
+        rows = [index for index, point in zip(ours, decoded) if point is not None]
+        return rows, [point for point in decoded if point is not None]
 
     def decode_submission_publics(self, submissions: Sequence[ClientSubmission]) -> List[object]:
         """The decodable DH publics of a pending batch, for :meth:`precompute_round`.
@@ -765,6 +770,11 @@ class MixChain:
         digest = batch_digest(entries)
         history: List[EncodedBatch] = [entries]
         rejected_senders: List[str] = []
+        # Σ of the hop's input keys, each batch decoded and summed once:
+        # hop 0's from the accepted batch, every later hop's carried over
+        # from its predecessor's verified output when the batch arrived
+        # byte-identical, else from what arrived.
+        input_aggregate = None
 
         for index, member in enumerate(self.members):
             with trace.span(chain_id=self.chain_id, hop=member.position, entries=len(entries)):
@@ -797,21 +807,22 @@ class MixChain:
                 return rerun
             # Aggregate blinding verification performed on behalf of every
             # other (in particular the honest) member.
-            input_aggregate = group.sum(entries.decode_publics())
+            if input_aggregate is None:
+                input_aggregate = group.sum(entries.decode_publics())
             output_aggregate = group.sum(result.entries.decode_publics())
             context = mixing_context(self.chain_id, member.position, round_number)
             valid = (
                 result.proof is not None
                 and len(result.entries) == len(entries)
-                and verify_dleq(
+                and verify_dleq_batch(
                     group,
-                    input_aggregate,
-                    output_aggregate,
-                    member.base_point,
-                    member.blinding_public,
-                    result.proof,
+                    [input_aggregate],
+                    [output_aggregate],
+                    [member.base_point],
+                    [member.blinding_public],
+                    [result.proof],
                     context,
-                )
+                )[0]
             )
             if not valid:
                 return self._halt(
@@ -823,6 +834,7 @@ class MixChain:
             # local for the inner-key reveal.
             entries = self._forward_batch(round_number, index, result.entries)
             history.append(entries)
+            input_aggregate = output_aggregate if entries.blob == result.entries.blob else None
 
         # Inner-key reveal and final decryption.
         inner_secrets: List[int] = []

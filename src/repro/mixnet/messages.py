@@ -375,8 +375,18 @@ class EncodedBatch(Sequence):
         return [self.ciphertext(index) for index in range(len(self))]
 
     def decode_publics(self) -> List[object]:
-        """Decode every entry's DH element (transient: caller drops the list)."""
-        return [self._group.decode(self.element_bytes(i)) for i in range(len(self))]
+        """Decode every entry's DH element (transient: caller drops the list).
+
+        One ``decode_batch`` for the whole batch; an element the group
+        rejects raises the :class:`DecodingError` that ``decode`` gives it.
+        """
+        encodings = [self.element_bytes(index) for index in range(len(self))]
+        points = self._group.decode_batch(encodings)
+        for encoding, point in zip(encodings, points):
+            if point is None:
+                self._group.decode(encoding)  # raises the rejection's own error
+                raise DecodingError("batch element rejected")
+        return points
 
     def select(self, indices: Iterable[int]) -> "EncodedBatch":
         """A new batch holding the entries at ``indices``, in that order."""

@@ -82,14 +82,13 @@ def forbid(monkeypatch, *functions):
 def native_dispatches():
     """Run the block on the native tier; on exit, the dict it yields holds
     the kernel calls that ran, by entry point, as the block's trace counted
-    them — the point codec left out: it is still one call per element
-    (DESIGN.md §11.4)."""
+    them."""
     counts = {}
     with selected_tier("native"), Trace().stage("counted") as recorded:
         yield counts
     counts.update(
         (name[len("dispatch."):], total) for name, total in recorded.counters.items()
-        if name.startswith("dispatch.") and not name.endswith(("encode_batch", "decode_batch"))
+        if name.startswith("dispatch.")
     )
 
 

@@ -13,6 +13,7 @@ from repro.errors import ProofError, ProtocolError
 from repro.mixnet.ahs import (
     ChainMember,
     ChainRoundResult,
+    InnerKeyAnnouncement,
     MixChain,
     setup_context,
     submission_context,
@@ -26,7 +27,8 @@ from repro.mixnet.messages import (
 )
 from repro.crypto.nizk import prove_dlog
 
-from tests.conftest import RecordingTransport
+from tests.conftest import RecordingTransport, selected_tier
+from tests.test_native_kernels import REJECTED_ENCODINGS
 
 
 def build_chain(group, length=3, chain_id=0, seed=11):
@@ -149,6 +151,27 @@ class TestInnerKeys:
             b"xrd/inner-key|" + (0).to_bytes(4, "big") + (0).to_bytes(2, "big") + (7).to_bytes(8, "big"),
         )
 
+    @pytest.mark.parametrize("liar", [0, 2])
+    def test_a_false_announcement_names_its_member(self, group, liar):
+        """All announcements are checked in one batch; the verdict still
+        convicts the member whose proof is for another key."""
+
+        class LyingMember(ChainMember):
+            def begin_round(self, round_number):
+                honest = super().begin_round(round_number)
+                return InnerKeyAnnouncement(honest.position, self.group.base_mult(7), honest.proof)
+
+        members = [
+            (LyingMember if index == liar else ChainMember)(
+                f"server-{index}", 0, index, group, random.Random(index)
+            )
+            for index in range(3)
+        ]
+        chain = MixChain(0, members, group)
+        chain.setup()
+        with pytest.raises(ProofError, match=f"server-{liar} failed to prove"):
+            chain.begin_round(1)
+
     def test_aggregate_inner_requires_begin(self, group):
         chain = build_chain(group)
         with pytest.raises(ProtocolError):
@@ -200,14 +223,42 @@ class TestSubmissionIntake:
         _, rejected = chain.accept_submissions(1, [forged])
         assert rejected == ["mallory"]
 
-    def test_undecodable_key_rejected(self, group):
+    @pytest.mark.parametrize("group_name", ["group", "ed_group"])
+    def test_undecodable_key_rejected(self, request, group_name):
+        """Every kind of key the group rejects rejects its sender."""
+        group = request.getfixturevalue(group_name)
         chain = build_chain(group)
         chain.begin_round(1)
         recipient = KeyPair.generate(group)
         good = make_submission(group, chain, 1, "alice", recipient.public_bytes, b"\x01" * 32)
-        broken = ClientSubmission(0, "mallory", b"\xff" * 32, good.ciphertext, good.proof)
-        _, rejected = chain.accept_submissions(1, [broken])
-        assert rejected == ["mallory"]
+        keys = [b"\xff" * 32, b"\x01" * 31, b""] + (
+            [REJECTED_ENCODINGS["not a square"], REJECTED_ENCODINGS["x = 0 (y = 1), sign set"]]
+            if group_name == "ed_group" else [b"\x00" * 32]
+        )
+        broken = [
+            ClientSubmission(0, f"mallory-{index}", key, good.ciphertext, good.proof)
+            for index, key in enumerate(keys)
+        ]
+        entries, rejected = chain.accept_submissions(1, [good, *broken])
+        assert len(entries) == 1 and rejected == [submission.sender for submission in broken]
+
+    @pytest.mark.parametrize("group_name", ["group", "ed_group"])
+    def test_a_decoder_fault_is_not_a_rejection(self, request, group_name, monkeypatch):
+        """Only an encoding the group rejects drops a submission: any other
+        error raised while decoding propagates instead of convicting the sender."""
+        group = request.getfixturevalue(group_name)
+        chain = build_chain(group)
+        chain.begin_round(1)
+        recipient = KeyPair.generate(group)
+        good = make_submission(group, chain, 1, "alice", recipient.public_bytes, b"\x01" * 32)
+
+        def faulty(data):
+            raise RuntimeError("decoder fault")
+
+        with selected_tier("python"):  # where decode_batch runs decode per element
+            monkeypatch.setattr(group, "decode", faulty)
+            with pytest.raises(RuntimeError, match="decoder fault"):
+                chain.accept_submissions(1, [good])
 
     def test_run_round_requires_accept(self, group):
         chain = build_chain(group)

@@ -506,19 +506,39 @@ class TestBatchedPathsStayBatched:
         assert seen[0] == seen[1] == seen[2]
         assert seen[0]
 
+    VERIFIERS = (aead.adec, nizk.verify_dleq, nizk.verify_dlog)
+
     def test_no_per_item_crypto_on_either_path(self, group, monkeypatch):
-        per_item = (aead.adec, nizk.prove_dleq, nizk.verify_dleq, nizk.verify_dlog)
         chain = build_chain(group, length=3)
+        forbid(monkeypatch, *self.VERIFIERS)
         chain.begin_round(1)
         forged = [
             forge_misauthenticated_submission(group, keys_view(chain, 1), 1, f"mallory-{index}")
             for index in range(3)
         ]
-        forbid(monkeypatch, *per_item)
+        forbid(monkeypatch, nizk.prove_dleq)
         entries, rejected = chain.accept_submissions(1, forged)
         assert (len(entries), rejected) == (3, [])
-        monkeypatch.undo()  # mixing proves and checks its one aggregate proof per item
+        monkeypatch.undo()
+        forbid(monkeypatch, *self.VERIFIERS)  # each mix step proves its one aggregate proof
         result, history = mix_to(chain, 1, 2, entries)
-        forbid(monkeypatch, *per_item)
+        forbid(monkeypatch, nizk.prove_dleq)
         verdict = run_blame_protocol(chain, 1, 2, result.failed_indices, history)
         assert len(verdict.malicious_users) == 3
+
+    def test_no_per_item_verification_in_a_whole_round(self, group, monkeypatch):
+        """Announcing, intake, every hop's check, blame, the re-mix and the
+        inner opens: the chain verifies nothing item by item."""
+        chain = build_chain(group, length=3)
+        forbid(monkeypatch, *self.VERIFIERS)
+        chain.begin_round(1)
+        recipient = KeyPair.generate(group)
+        honest = [
+            make_submission(group, chain, 1, f"user-{index}", recipient.public_bytes, b"\x01" * 32)
+            for index in range(2)
+        ]
+        forged = forge_misauthenticated_submission(group, keys_view(chain, 1), 1, "mallory")
+        chain.accept_submissions(1, honest + [forged])
+        result = chain.run_round(1)
+        assert result.delivered and result.rejected_senders == ["mallory"]
+        assert len(result.mailbox_messages) == 2

@@ -65,7 +65,7 @@ GOLDEN = {
 COUNTERS = {
     "dispatch.xrd_aead_open_batch": [12] * 6,
     "dispatch.xrd_hkdf_sha256_batch": [9] * 6,
-    "dispatch.xrd_modp_accumulate_rows": [27, 21, 21, 21, 21, 21],
+    "dispatch.xrd_modp_accumulate_rows": [15, 12, 12, 12, 12, 12],
     "dispatch.xrd_modp_onion_build": [6] * 6,
     "dispatch.xrd_modp_scalar_mult_batch": [15] * 6,
     "entries.hop0": [12] * 6, "entries.hop1": [12] * 6,

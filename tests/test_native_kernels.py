@@ -45,6 +45,7 @@ from repro.crypto.group import (
 from repro.crypto.kdf import derive_key
 from repro.crypto.onion import inner_envelope_key, outer_layer_key, shared_keys_batch
 from repro.errors import ConfigurationError, CryptoError, DecodingError
+from repro.mixnet.messages import EncodedBatch
 from repro.registry import CryptoKernelKind
 
 from tests.conftest import TIERS, forbid, native_dispatches
@@ -614,9 +615,133 @@ class TestEd25519Differential:
         assert CURVE.decode(point.__dict__["_enc"]).__dict__["_enc"] == point.__dict__["_enc"]
 
 
-# -- DH -> KDF -> AEAD key pipeline --------------------------------------------
+# -- the groups' batch decoder and the base-point route -------------------------
 
 MODP = ModPGroup(bits=96)
+
+_WRONG_LENGTHS = st.binary(max_size=31) | st.binary(min_size=33, max_size=40)
+
+#: Curve encodings of every kind: canonical ones (small-order and
+#: off-subgroup points included: ``decode`` accepts them), y >= p with
+#: either sign, the rejections by reason (x = 0 with the sign bit set, a
+#: non-square), random strings (about half of them non-squares) and wrong
+#: lengths.
+curve_encodings_st = (
+    curve_points_st().map(lambda point: _record(point)[0])
+    | st.sampled_from(_SMALL_ORDER_POINTS).map(lambda point: _record(point)[0])
+    | st.tuples(st.integers(_P, 2**255 - 1), st.booleans()).map(
+        lambda y_sign: (y_sign[0] | y_sign[1] << 255).to_bytes(32, "little")
+    )
+    | st.sampled_from(sorted(REJECTED_ENCODINGS.values()))
+    | st.binary(min_size=32, max_size=32)
+    | _WRONG_LENGTHS
+)
+
+#: ModP encodings: elements, the range edges around them, any 32 bytes and
+#: wrong lengths.
+modp_encodings_st = (
+    st.integers(1, MODP.order - 1).map(lambda scalar: MODP.encode(MODP.base_mult(scalar)))
+    | st.sampled_from([0, 1, MODP.prime - 1, MODP.prime, MODP.prime + 1]).map(MODP.encode)
+    | st.binary(min_size=32, max_size=32)
+    | _WRONG_LENGTHS
+)
+
+
+def _decoded(group, encodings):
+    """``group.decode`` on the python tier, ``None`` where it raises."""
+    kernels.set_active_kernel("python")
+    points = []
+    for encoding in encodings:
+        try:
+            points.append(group.decode(encoding))
+        except DecodingError:
+            points.append(None)
+    return points
+
+
+def _comparable(point):
+    return point if point is None or isinstance(point, int) else point.affine()
+
+
+class TestDecodeBatch:
+    """``decode_batch`` is ``decode`` with ``None`` for a rejection, on both
+    groups and both tiers, held to ``decode`` on the python tier."""
+
+    @staticmethod
+    def _check(group, encodings, tier_name):
+        expected = _decoded(group, encodings)
+        kernels.set_active_kernel(tier_name)
+        got = group.decode_batch(encodings)
+        assert [_comparable(point) for point in got] == [_comparable(p) for p in expected]
+        # An accepted encoding is canonical: the point encodes back to it.
+        assert [group.encode(point) for point in got if point is not None] == [
+            encoding for encoding, point in zip(encodings, expected) if point is not None
+        ]
+
+    @pytest.mark.parametrize("tier_name", TIERS)
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(curve_encodings_st, max_size=8))
+    def test_curve(self, tier_name, encodings):
+        self._check(CURVE, encodings, tier_name)
+
+    @pytest.mark.parametrize("tier_name", TIERS)
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(modp_encodings_st, max_size=8))
+    def test_modp(self, tier_name, encodings):
+        self._check(MODP, encodings, tier_name)
+
+    @needs_native
+    def test_one_kernel_call_for_the_curve_batch(self):
+        encodings = [
+            _record(point)[0] for point in (group_mod._BASE_POINT, *_SMALL_ORDER_POINTS)
+        ] + sorted(REJECTED_ENCODINGS.values()) + [b"\x01" * 31, b""]
+        with native_dispatches() as counts:
+            decoded = CURVE.decode_batch(encodings)
+        assert counts == {"xrd_ed25519_decode_batch": 1}
+        assert [point is None for point in decoded] == [False] * 6 + [True] * 11
+
+    @pytest.mark.parametrize("tier_name", TIERS)
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("group, bad", [
+        *((CURVE, REJECTED_ENCODINGS[reason]) for reason in (
+            "y = p", "not a square", "x = 0 (y = 1), sign set",
+        )),
+        (MODP, b"\xff" * 32),
+        (MODP, b"\x00" * 32),
+    ], ids=["curve-y-p", "curve-non-square", "curve-x-0", "modp-high", "modp-zero"])
+    def test_decode_publics_raises_the_reference_error(self, tier_name, position, group, bad):
+        kernels.set_active_kernel("python")
+        elements = [group.encode(group.base_mult(scalar)) for scalar in (2, 3, 4)]
+        elements[position] = bad
+        batch = EncodedBatch.from_parts(group, elements, [b"x", b"", b"yz"])
+        with pytest.raises(DecodingError) as reference:
+            group.decode(bad)
+        kernels.set_active_kernel(tier_name)
+        with pytest.raises(DecodingError) as caught:
+            batch.decode_publics()
+        assert str(caught.value) == str(reference.value)
+
+    @needs_native
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([0, 1, _L - 1, _L]) | st.integers(0, 2**256 - 1), st.booleans())
+    def test_native_base_point_mult_takes_the_comb(self, scalar, unnormalised):
+        """``scalar_mult`` on the base point (or any copy of it) is
+        ``base_mult``: the fixed-base comb, not the variable-base ladder."""
+        base = group_mod._BASE_POINT
+        if unnormalised:
+            base = group_mod.Point(base.x * 2 % _P, base.y * 2 % _P, 2, base.t * 2 % _P)
+        kernels.set_active_kernel("python")
+        reference = CURVE.scalar_mult(base, scalar)
+        assert reference == _reference_mult(group_mod._BASE_POINT, scalar % _L)
+        with native_dispatches() as counts:
+            product = CURVE.scalar_mult(base, scalar)
+        assert counts == {"xrd_ed25519_fixed_mult_batch": 1}
+        kernels.set_active_kernel("native")
+        assert product == CURVE.base_mult(scalar) == reference
+        assert CURVE.encode(product) == _record(reference)[0]
+
+
+# -- DH -> KDF -> AEAD key pipeline --------------------------------------------
 
 
 def _group_elements(group, data, count):
