@@ -2,16 +2,14 @@
 
 These complement the figure benchmarks: instead of the calibrated cost model
 they time the actual protocol code — a full deployment round on the fast test
-group, a single-chain round on the real curve, and the Pung-style PIR store —
-so regressions in the implementation itself show up here.
+group and a single-chain round on the real curve — so regressions in the
+implementation itself show up here.
 """
 
-from repro.baselines.pung import TwoServerPIRStore
 from repro.coordinator.network import Deployment, DeploymentConfig
 from repro.crypto.group import Ed25519Group
 from repro.crypto.keys import KeyPair
 
-from benchmarks.conftest import save_result
 from tests.test_ahs_protocol import build_chain, make_submission
 
 
@@ -50,24 +48,3 @@ def test_single_chain_round_ed25519(benchmark):
     assert result.delivered
     assert len(result.mailbox_messages) == 6
 
-
-def test_pung_pir_store_query_cost_scales_with_table(benchmark):
-    """Pung's structural cost: one PIR query scans the entire mailbox table."""
-
-    def run():
-        timings = {}
-        for table_size in (100, 400):
-            store = TwoServerPIRStore(row_size=288)
-            for index in range(table_size):
-                store.put(b"user-%d" % index, b"message-%d" % index)
-            store.retrieve(b"user-1")
-            timings[table_size] = store.rows_scanned
-        return timings
-
-    scanned = benchmark(run)
-    save_result(
-        "pung_pir_scaling",
-        "Pung PIR store rows scanned per query: "
-        + ", ".join(f"{size}-row table -> {count}" for size, count in scanned.items()),
-    )
-    assert scanned[400] == 4 * scanned[100]

@@ -1,5 +1,5 @@
-"""Round-engine backends: production (thread pool) vs. the serial reference,
-each sequential and staggered.
+"""Round-engine execution: production (thread pool) vs. the serial reference
+(the pool with no helper thread), each sequential and staggered.
 
 Times the *real* protocol stack (on the fast test group, so batches are
 non-trivial without taking minutes) under each execution strategy, verifies
@@ -14,7 +14,7 @@ their overheads, not to demonstrate multicore scaling (see DESIGN.md
 import time
 
 from repro.coordinator.network import Deployment, DeploymentConfig
-from repro.engine import SerialBackend
+from repro.engine import ParallelBackend
 
 from benchmarks.conftest import save_result
 
@@ -32,7 +32,7 @@ def make_deployment(serial=False):
     )
     deployment = Deployment.create(config)
     if serial:
-        deployment.use_backend(SerialBackend())
+        deployment.use_backend(ParallelBackend(helpers=0))
     return deployment
 
 

@@ -1,6 +1,6 @@
 """Measured transport traffic vs. the analytic bandwidth model (fig2 companion).
 
-Runs a real deployment on the instrumented transport — every envelope is
+Runs a real deployment on the TCP loopback transport — every envelope is
 serialised to its actual wire encoding, its size recorded in the round's
 trace — and compares the bytes each user *measurably* uploaded/downloaded
 per round against the Figure 2 analytic
@@ -50,7 +50,7 @@ def make_deployment():
         security_bits=16,
         seed=1702,
         group_kind="modp",
-        transport="instrumented",
+        transport="tcp",
     )
     return Deployment.create(config)
 

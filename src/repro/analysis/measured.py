@@ -1,7 +1,7 @@
 """Measured-from-traffic companions to the analytic figures.
 
 The analytic models in :mod:`repro.simulation` *predict* XRD's costs from
-closed forms; a round on the instrumented transport *measures* them: its
+closed forms; a round on the TCP transport *measures* them: its
 report's trace (:mod:`repro.trace`) holds one link record per envelope,
 with the wire bytes it actually carried.  This module puts the two side by
 side, pricing each link with its own

@@ -4,14 +4,12 @@ Each baseline exposes the same estimator interface — ``latency(M, N)``,
 ``user_bandwidth(M, N)`` and ``user_compute(M, N)`` — calibrated against the
 numbers the paper itself reports (the paper likewise compares against
 extrapolated estimates for these systems, e.g. single-machine Pung runs
-scaled to N servers).  Pung additionally ships a small *functional*
-information-theoretic PIR store so the "work per query grows with the number
-of users" behaviour can be exercised, not just modelled.
+scaled to N servers).
 """
 
 from repro.baselines.atom import AtomModel
 from repro.baselines.common import BaselineEstimate, SystemModel
-from repro.baselines.pung import PungModel, TwoServerPIRStore
+from repro.baselines.pung import PungModel
 from repro.baselines.stadium import StadiumModel
 from repro.baselines.xrd_model import XRDModel
 
@@ -21,6 +19,5 @@ __all__ = [
     "PungModel",
     "StadiumModel",
     "SystemModel",
-    "TwoServerPIRStore",
     "XRDModel",
 ]

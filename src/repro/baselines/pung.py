@@ -1,4 +1,4 @@
-"""Pung (OSDI'16 / SealPIR follow-up) — cost model plus a functional PIR store.
+"""Pung (OSDI'16 / SealPIR follow-up) — a calibrated cost model.
 
 Pung provides metadata-private messaging with *cryptographic* privacy against
 an adversary controlling **all** servers, by storing every message in a
@@ -6,32 +6,20 @@ key-value store that clients read through computational PIR.  The price is
 that per-user work grows with the total number of users, so total work grows
 super-linearly and throughput is limited by PIR computation (§2, §8.2).
 
-Two things are reproduced here:
-
-* :class:`PungModel` — latency / bandwidth / computation estimators for the
-  XPIR and SealPIR variants, calibrated to the comparison points the paper
-  reports (272 s @ 1M and 927 s @ 2M users on 100 servers; 5.8 MB per user
-  per round of XPIR bandwidth at 1M users).
-* :class:`TwoServerPIRStore` — a small, fully functional two-server
-  information-theoretic PIR over the round's mailbox table.  It is not what
-  Pung deploys (Pung uses single-server CPIR), but it exercises the same
-  structural property that drives Pung's costs — every query touches every
-  row of the store — with an honestly implemented protocol rather than a
-  stub, and it is used by the Pung-flavoured example and tests.
+:class:`PungModel` gives latency / bandwidth / computation estimators for
+the XPIR and SealPIR variants, calibrated to the comparison points the paper
+reports (272 s @ 1M and 927 s @ 2M users on 100 servers; 5.8 MB per user per
+round of XPIR bandwidth at 1M users).
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import secrets
-from dataclasses import dataclass
-from typing import Dict, List
 
 from repro.baselines.common import SystemModel
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 
-__all__ = ["PungModel", "TwoServerPIRStore", "PIRQuery", "PIRAnswer"]
+__all__ = ["PungModel"]
 
 
 class PungModel(SystemModel):
@@ -75,114 +63,3 @@ class PungModel(SystemModel):
             return self.SEALPIR_COMPUTE_SECONDS
         return self.XPIR_COMPUTE_AT_1M * math.sqrt(max(num_users, 1) / 1e6)
 
-
-# ---------------------------------------------------------------------------
-# Functional two-server information-theoretic PIR
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PIRQuery:
-    """A client's query: one selection bit-vector per server."""
-
-    vector_a: bytes
-    vector_b: bytes
-    index: int
-
-
-@dataclass(frozen=True)
-class PIRAnswer:
-    """One server's answer: the XOR of the rows selected by the query vector."""
-
-    payload: bytes
-
-
-class TwoServerPIRStore:
-    """A mailbox table readable through two-server XOR-based PIR.
-
-    Every row has a fixed size.  A client who wants row ``i`` sends a random
-    bit-vector ``v`` to server A and ``v ⊕ e_i`` to server B; each server
-    XORs together the rows its vector selects; XORing the two answers yields
-    row ``i``.  Neither server alone learns anything about ``i`` — and each
-    server's work is linear in the table size, which is exactly the cost
-    behaviour that limits Pung's scalability.
-    """
-
-    def __init__(self, row_size: int = 288) -> None:
-        if row_size < 1:
-            raise ConfigurationError("row size must be positive")
-        self.row_size = row_size
-        self._rows: List[bytes] = []
-        self._index_by_label: Dict[bytes, int] = {}
-        self.queries_served = 0
-        self.rows_scanned = 0
-
-    # -- writes ---------------------------------------------------------------
-
-    def put(self, label: bytes, value: bytes) -> int:
-        """Insert (or overwrite) the row for ``label``; return its index."""
-        if len(value) > self.row_size:
-            raise ConfigurationError("value exceeds the fixed row size")
-        padded = value + b"\x00" * (self.row_size - len(value))
-        if label in self._index_by_label:
-            index = self._index_by_label[label]
-            self._rows[index] = padded
-            return index
-        self._rows.append(padded)
-        self._index_by_label[label] = len(self._rows) - 1
-        return len(self._rows) - 1
-
-    def index_of(self, label: bytes) -> int:
-        if label not in self._index_by_label:
-            raise ConfigurationError("unknown label")
-        return self._index_by_label[label]
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    # -- client side -------------------------------------------------------------
-
-    def build_query(self, index: int, rng=None) -> PIRQuery:
-        """Build the two query vectors for row ``index``."""
-        if not 0 <= index < len(self._rows):
-            raise ConfigurationError("row index out of range")
-        num_bytes = (len(self._rows) + 7) // 8
-        vector_a = bytearray(secrets.token_bytes(num_bytes) if rng is None else rng.randbytes(num_bytes))
-        # Mask out bits beyond the table size for cleanliness.
-        vector_b = bytearray(vector_a)
-        vector_b[index // 8] ^= 1 << (index % 8)
-        return PIRQuery(vector_a=bytes(vector_a), vector_b=bytes(vector_b), index=index)
-
-    @staticmethod
-    def decode(answer_a: PIRAnswer, answer_b: PIRAnswer) -> bytes:
-        """Combine the two servers' answers into the requested row."""
-        if len(answer_a.payload) != len(answer_b.payload):
-            raise SimulationError("answers have mismatched sizes")
-        return bytes(a ^ b for a, b in zip(answer_a.payload, answer_b.payload))
-
-    # -- server side ----------------------------------------------------------------
-
-    def answer(self, selection_vector: bytes) -> PIRAnswer:
-        """Scan the whole table, XORing the selected rows (linear work per query)."""
-        accumulator = bytearray(self.row_size)
-        for index, row in enumerate(self._rows):
-            self.rows_scanned += 1
-            if selection_vector[index // 8] >> (index % 8) & 1:
-                for offset, byte in enumerate(row):
-                    accumulator[offset] ^= byte
-        self.queries_served += 1
-        return PIRAnswer(payload=bytes(accumulator))
-
-    # -- end-to-end helper --------------------------------------------------------------
-
-    def retrieve(self, label: bytes, rng=None) -> bytes:
-        """Full client flow: build a query for ``label`` and decode the answers."""
-        index = self.index_of(label)
-        query = self.build_query(index, rng=rng)
-        answer_a = self.answer(query.vector_a)
-        answer_b = self.answer(query.vector_b)
-        return self.decode(answer_a, answer_b)
-
-
-def mailbox_label(recipient_public_key: bytes, round_number: int) -> bytes:
-    """The Pung-style key under which a round's message for a recipient is stored."""
-    return hashlib.sha256(recipient_public_key + round_number.to_bytes(8, "big")).digest()

@@ -14,7 +14,7 @@ Round execution itself lives in :mod:`repro.engine`: the deployment is a
 thin facade that builds a :class:`~repro.engine.round_engine.RoundEngine`
 and delegates :meth:`Deployment.run_round` to it.  Chains are built,
 accepted, precomputed and mixed concurrently on the engine's thread pool
-(or serially, on the reference backend :meth:`Deployment.use_backend`
+(or serially, on the helper-less pool :meth:`Deployment.use_backend`
 installs), and consecutive rounds may be staggered
 (:meth:`Deployment.run_rounds`), without any change to the protocol code.
 
@@ -24,8 +24,8 @@ travels as a typed envelope over a pluggable :class:`~repro.transport.base.
 Transport` wired at construction (see DESIGN.md §5).  The protocol logic,
 message formats, and cryptography are exactly those a networked
 implementation would use; the transports record one link per envelope in
-the round's trace (DESIGN.md §13) — the instrumented one with its real wire
-bytes — and only physical sockets are elided (DESIGN.md §3).
+the round's trace (DESIGN.md §13) — the TCP one with its real wire bytes,
+carried over a loopback socket (DESIGN.md §3, §10).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from repro.crypto.group import Ed25519Group, ModPGroup, reset_window_table_cache
 from repro.crypto.keys import KeyDirectory, KeyPair
 from repro.crypto.randomness import PublicRandomnessBeacon
 from repro.engine import (
-    ExecutionBackend,
+    ParallelBackend,
     RoundEngine,
     RoundReport,
     RoundSpec,
@@ -99,11 +99,10 @@ class DeploymentConfig:
     use_cover_messages: bool = True
     group_kind: str = "ed25519"
     #: How cross-node messages travel: :class:`~repro.registry.TransportKind`
-    #: ``INPROC`` (default, reference semantics — delivery is a hand-off),
-    #: ``INSTRUMENTED`` (every envelope is serialised to its real wire
-    #: encoding, its size recorded in the round's trace; observable
-    #: behaviour is bit-identical), or ``TCP`` (the wire encoding crosses a
-    #: real loopback socket and is parsed back — DESIGN.md §10;
+    #: ``INPROC`` (default, reference semantics — delivery is a hand-off) or
+    #: ``TCP`` (every envelope's real wire encoding, its size recorded in
+    #: the round's trace, crosses a loopback socket and is parsed back;
+    #: observable behaviour is bit-identical — DESIGN.md §10;
     #: process-per-role deployments are wired by :mod:`repro.runner`
     #: instead of this knob).
     transport: Union[str, TransportKind] = TransportKind.INPROC
@@ -419,7 +418,7 @@ class Deployment:
         Called by the engine's deliver stage (in chain order, on the
         coordinating thread) whenever a chain's round outcome convicts a
         server — via a blame verdict or an aggregate-proof failure — so the
-        recorded sequence is identical under every backend and scheduler.
+        recorded sequence is identical whatever the helper count and scheduler.
         """
         if servers:
             self._pending_recoveries.append((round_number, chain_id, tuple(servers)))
@@ -577,10 +576,10 @@ class Deployment:
             del self._cover_store[user_name]
         return topology
 
-    def use_backend(self, backend: ExecutionBackend) -> None:
-        """Swap the per-chain execution backend (closing the previous one) —
-        how tests install the :class:`~repro.engine.backends.SerialBackend`
-        reference or a pool with a pinned helper count."""
+    def use_backend(self, backend: ParallelBackend) -> None:
+        """Swap the per-chain thread pool (closing the previous one) — how
+        tests install the serial reference, ``ParallelBackend(helpers=0)``,
+        or a pool with a pinned helper count."""
         self.engine.backend.close()
         self.engine.backend = backend
 

@@ -1,6 +1,6 @@
-"""Execution backends for the per-chain stages (DESIGN.md §2.2).
+"""The execution backend for the per-chain stages (DESIGN.md §2.2).
 
-A backend decides *how* the per-chain work of a round stage is executed;
+The backend decides *how* the per-chain work of a round stage is executed;
 the :class:`~repro.engine.round_engine.RoundEngine` decides *what* that work
 is — the client build, intake, precompute and mix of every chain.  The
 contract is a single ordered map:
@@ -12,22 +12,20 @@ per-round records, its own build columns); chains share no mutable state,
 which is exactly the independence the paper's horizontal-scaling claim
 rests on, so a backend is free to run them concurrently.
 
-Two backends are provided:
-
-* :class:`ParallelBackend` — production.  The calling thread drains the
-  call's chains together with up to ``available CPUs − 1`` helper threads.
-  The native kernels release the GIL for each batched call, so the chains'
-  group arithmetic and AEAD overlap; the Python between the calls (and all
-  of it on the python tier) still serialises on the GIL.
-* :class:`SerialBackend` — one chain after another on the calling thread;
-  the reference execution order production is tested against, installed
-  with :meth:`~repro.coordinator.network.Deployment.use_backend`.
+:class:`ParallelBackend` is the one backend.  The calling thread drains the
+call's chains together with up to ``available CPUs − 1`` helper threads.
+The native kernels release the GIL for each batched call, so the chains'
+group arithmetic and AEAD overlap; the Python between the calls (and all of
+it on the python tier) still serialises on the GIL.  With ``helpers=0`` it
+starts no thread and runs the chains one after another on the caller — the
+reference execution order production is tested against, installed with
+:meth:`~repro.coordinator.network.Deployment.use_backend`.
 
 Running chains in separate OS processes is the distributed runtime's job
 (:mod:`repro.runner`, one process per role over TCP), not a backend's.
 
 Because every member's per-round randomness is an independent derived stream
-(see :class:`~repro.mixnet.ahs.ChainMember`), every backend produces
+(see :class:`~repro.mixnet.ahs.ChainMember`), every helper count produces
 bit-identical results under a fixed deployment seed.
 """
 
@@ -42,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.errors import ConfigurationError
 
-__all__ = ["ExecutionBackend", "SerialBackend", "ParallelBackend", "available_cpus"]
+__all__ = ["ParallelBackend", "available_cpus"]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -54,29 +52,6 @@ def available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-class ExecutionBackend:
-    """Contract every per-chain backend implements."""
-
-    def map_chains(self, fn: Callable[[_T], _R], chains: Sequence[_T]) -> List[_R]:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release any pooled resources; idempotent."""
-
-    def __enter__(self) -> "ExecutionBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class SerialBackend(ExecutionBackend):
-    """Run chains one after another — the reference execution order."""
-
-    def map_chains(self, fn: Callable[[_T], _R], chains: Sequence[_T]) -> List[_R]:
-        return [fn(chain) for chain in chains]
 
 
 class _Batch:
@@ -132,7 +107,7 @@ def _stop(work: "queue.SimpleQueue[Optional[_Batch]]", threads: List[threading.T
         work.put(None)
 
 
-class ParallelBackend(ExecutionBackend):
+class ParallelBackend:
     """Run chains on the calling thread and a pool of helper threads.
 
     Each ``map_chains`` call posts its chains as one queue of claims; the
@@ -191,9 +166,16 @@ class ParallelBackend(ExecutionBackend):
         return results
 
     def close(self) -> None:
+        """Stop the helpers; idempotent."""
         with self._lock:
             threads = list(self._threads)
             self._threads.clear()
         _stop(self._work, threads)
         for thread in threads:
             thread.join()
+
+    def __enter__(self) -> "ParallelBackend":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

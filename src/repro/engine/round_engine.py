@@ -2,11 +2,11 @@
 
 :class:`RoundEngine` decomposes :meth:`Deployment.run_round
 <repro.coordinator.network.Deployment.run_round>` into the explicit stages
-described in :mod:`repro.engine.stages` and delegates the mix stage to a
-pluggable :class:`~repro.engine.backends.ExecutionBackend`.  The engine holds
-no round state of its own — everything lives in the :class:`RoundContext` —
-so a scheduler (see :mod:`repro.engine.stagger`) may interleave the stages of
-consecutive rounds.
+described in :mod:`repro.engine.stages` and fans each stage's per-chain
+work out on a :class:`~repro.engine.backends.ParallelBackend`.  The engine
+holds no round state of its own — everything lives in the
+:class:`RoundContext` — so a scheduler (see :mod:`repro.engine.stagger`) may
+interleave the stages of consecutive rounds.
 
 Stage/state ownership, which is what makes that interleaving safe:
 
@@ -38,7 +38,7 @@ import functools
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro import trace
-from repro.engine.backends import ExecutionBackend, ParallelBackend
+from repro.engine.backends import ParallelBackend
 from repro.engine.stages import ChainOutcome, RoundContext, RoundReport, RoundSpec
 from repro.population.streaming import built_chunks, chunk_spans
 from repro.transport.envelope import (
@@ -70,9 +70,9 @@ def _stage(name: str) -> Callable:
 
 
 class RoundEngine:
-    """Executes rounds for one deployment through a pluggable backend."""
+    """Executes rounds for one deployment on its thread pool."""
 
-    def __init__(self, deployment: "Deployment", backend: Optional[ExecutionBackend] = None) -> None:
+    def __init__(self, deployment: "Deployment", backend: Optional[ParallelBackend] = None) -> None:
         self.deployment = deployment
         self.backend = backend or ParallelBackend()
 
@@ -440,8 +440,8 @@ class RoundEngine:
                 # halted round's records waits for recover().
                 chain.delete_inner_secrets(ctx.round_number)
             else:
-                # Nothing reads a delivered round's chain state again; freed
-                # on the coordinating thread, it goes under every backend.
+                # Nothing reads a delivered round's chain state again; it is
+                # freed on the coordinating thread, for any helper count.
                 chain.release_round(ctx.round_number)
                 # The last server of the chain ships the recovered messages
                 # to the mailbox tier — as one framed message per chain, or
@@ -472,7 +472,7 @@ class RoundEngine:
         # recoveries: the coordinator evicts and re-forms on an explicit
         # Deployment.recover(), never mid-pipeline — see that method's note
         # on scheduler parity.  Recorded here, in chain order on the
-        # coordinating thread, so every backend records the same sequence.
+        # coordinating thread, so any helper count records the same sequence.
         for chain_id, servers in report.server_convictions().items():
             deployment.note_convictions(ctx.round_number, chain_id, servers)
 

@@ -46,13 +46,10 @@ Everyone else's submissions are built during the overlap.
 from __future__ import annotations
 
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.engine.round_engine import RoundEngine
 from repro.engine.stages import RoundContext, RoundReport, RoundSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.coordinator.network import Deployment
 
 __all__ = ["StaggeredScheduler"]
 
@@ -62,10 +59,6 @@ class StaggeredScheduler:
 
     def __init__(self, engine: RoundEngine) -> None:
         self.engine = engine
-
-    @classmethod
-    def for_deployment(cls, deployment: "Deployment") -> "StaggeredScheduler":
-        return cls(deployment.engine)
 
     def run_rounds(self, specs: Iterable[RoundSpec]) -> List[RoundReport]:
         """Execute the given rounds with the stagger optimisation.

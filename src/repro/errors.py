@@ -22,10 +22,6 @@ class DecodingError(CryptoError):
     """A byte string could not be decoded into a group element or scalar."""
 
 
-class AuthenticationError(CryptoError):
-    """Authenticated decryption failed (wrong key, nonce, or tampering)."""
-
-
 class ProofError(CryptoError):
     """A zero-knowledge proof failed to verify."""
 
@@ -40,10 +36,6 @@ class ConfigurationError(XRDError):
 
 class ChainSelectionError(XRDError):
     """The chain-selection algorithm was invoked with invalid arguments."""
-
-
-class MixingError(ProtocolError):
-    """Mixing halted because tampering or misbehaviour was detected."""
 
 
 class BlameError(ProtocolError):

@@ -138,7 +138,7 @@ class FaultPlan:
         """Scenario rounds that can trigger the blame protocol.
 
         Segment boundaries are derived from the *plan*, never from execution
-        results, so every backend and scheduler sees identical segments —
+        results, so every helper count and scheduler sees identical segments —
         the property the parity guarantee rests on.
         """
         rounds = {fault.round_number for fault in self.server_faults}

@@ -12,8 +12,8 @@ re-form the affected chains).  Segment boundaries come from the *plan*, not
 from execution results, and recovery always runs on the coordinator thread
 between ``run_rounds`` calls — so a staggered schedule never pipelines
 across a recovery, and the scenario's canonical bytes are bit-identical
-across {serial, parallel} × {sequential, staggered} ×
-{inproc, instrumented}.
+across {one thread, the helper pool} × {sequential, staggered} ×
+{inproc, tcp}.
 
 Reproducibility: every adversarial behaviour draws from a stream derived
 from ``(plan.seed, fault identity)`` — never from the global :mod:`random`

@@ -750,16 +750,15 @@ class MixChain:
             input_digest=digest, **outcome,
         )
 
-    def run_round(self, round_number: int, retry_after_blame: bool = True) -> ChainRoundResult:
+    def run_round(self, round_number: int) -> ChainRoundResult:
         """Execute the mixing phase for the round's accepted submissions.
 
         Returns a :class:`ChainRoundResult` whose status reflects whether the
         messages were delivered, a server was caught misbehaving (protocol
-        halts, no privacy loss), or the blame protocol ran.  When
-        ``retry_after_blame`` is set and blame convicts only *users*, their
-        submissions are removed and mixing is re-run — mirroring §6.4's
-        "those ciphertexts are removed from the set and the upstream servers
-        repeat the AHS protocol".
+        halts, no privacy loss), or the blame protocol ran.  When blame
+        convicts only *users*, their submissions are removed and mixing is
+        re-run — mirroring §6.4's "those ciphertexts are removed from the set
+        and the upstream servers repeat the AHS protocol".
         """
         from repro.mixnet.blame import run_blame_protocol  # local import to avoid a cycle
 
@@ -787,7 +786,7 @@ class MixChain:
                     flagged_input_indices=result.failed_indices,
                     history=history,
                 )
-                if verdict.malicious_servers or not retry_after_blame or not verdict.malicious_users:
+                if verdict.malicious_servers or not verdict.malicious_users:
                     return self._halt(
                         round_number, ChainRoundResult.STATUS_HALTED_BLAME, digest,
                         blame_verdict=verdict,
@@ -801,7 +800,7 @@ class MixChain:
                 keep = [index for index, sender in enumerate(senders) if sender not in malicious]
                 self._senders[round_number] = [senders[index] for index in keep]
                 self._entries[round_number] = self._entries[round_number].select(keep)
-                rerun = self.run_round(round_number, retry_after_blame=retry_after_blame)
+                rerun = self.run_round(round_number)
                 rerun.rejected_senders = rejected_senders + rerun.rejected_senders
                 rerun.blame_verdict = verdict
                 return rerun

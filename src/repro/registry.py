@@ -22,7 +22,6 @@ class TransportKind(str, Enum):
     """How cross-node envelopes travel (DESIGN.md §5, §10)."""
 
     INPROC = "inproc"
-    INSTRUMENTED = "instrumented"
     TCP = "tcp"
 
 

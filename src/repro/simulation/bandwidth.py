@@ -38,7 +38,7 @@ __all__ = [
 #: Schnorr proof (element commitment + scalar response).  The onion size
 #: already counts the outer DH key ``X``.  This is exactly
 #: ``repro.constants.SUBMISSION_OVERHEAD``, the overhead of
-#: ``ClientSubmission.to_bytes`` — the instrumented transport measures the
+#: ``ClientSubmission.to_bytes`` — the TCP transport measures the
 #: same bytes this model predicts.
 _SUBMISSION_HEADER_BYTES = SUBMISSION_OVERHEAD
 
@@ -84,7 +84,7 @@ def deployment_user_bandwidth(
     This is the arithmetic core of :func:`xrd_user_bandwidth`, exposed so a
     prediction can be anchored to a *concrete* deployment (whose chain
     length may be capped at its server count) and compared against the
-    bytes an instrumented transport actually measured — see
+    bytes the TCP transport actually measured — see
     :func:`repro.analysis.measured.measured_vs_model_bandwidth`.
     """
     ell = ell_for_chains(num_chains)

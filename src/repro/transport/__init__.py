@@ -8,14 +8,13 @@ delivery, and the user's mailbox fetch — travels as a typed
 * :class:`InProcTransport` — reference semantics: delivery hands the
   payload object through unchanged (bit-identical to the pre-transport
   in-process simulation).
-* :class:`InstrumentedTransport` — serialises each payload to its real
-  wire encoding and delivers the *decoded* payload, proving the codecs
-  lossless.
-* :class:`~repro.transport.tcp.TcpTransport` — sends the wire encoding
-  over real TCP sockets as length-prefixed frames
-  (:mod:`repro.transport.frames`); the process-per-role runner
-  (:mod:`repro.runner`) deploys it across OS processes, and the standalone
-  ``transport="tcp"`` knob runs it against a loopback reflector.
+* :class:`~repro.transport.tcp.TcpTransport` — production: sends each
+  payload's real wire encoding over TCP sockets as length-prefixed frames
+  (:mod:`repro.transport.frames`) and delivers the payload *decoded* from
+  the reply, so its parity with the reference proves the codecs lossless.
+  The process-per-role runner (:mod:`repro.runner`) deploys it across OS
+  processes, and the standalone ``transport="tcp"`` knob runs it against a
+  loopback reflector.
 
 Every transport records one link per envelope it carries — with its wire
 bytes, where it encodes the payload — in the round's trace
@@ -41,12 +40,10 @@ from repro.transport.envelope import (
 )
 from repro.transport.faulty import FaultyTransport, LinkFault
 from repro.transport.inproc import InProcTransport
-from repro.transport.instrumented import InstrumentedTransport
 
 __all__ = [
     "Transport",
     "InProcTransport",
-    "InstrumentedTransport",
     "FaultyTransport",
     "LinkFault",
     "Envelope",
@@ -72,7 +69,6 @@ def _loopback_tcp(group: Any) -> Transport:
 #: Each kind's constructor, called with the deployment's group.
 _CONSTRUCTORS: Dict[TransportKind, Callable[[Any], Transport]] = {
     TransportKind.INPROC: lambda group: InProcTransport(),
-    TransportKind.INSTRUMENTED: InstrumentedTransport,
     TransportKind.TCP: _loopback_tcp,
 }
 

@@ -12,13 +12,11 @@ Implementations differ only in what happens on the way:
 * :class:`~repro.transport.inproc.InProcTransport` hands the payload object
   straight through — the reference semantics, bit-identical to a method
   call.
-* :class:`~repro.transport.instrumented.InstrumentedTransport` serialises
-  the payload to its real wire encoding and returns a payload *decoded
-  from those bytes* — so its parity with the in-process transport is also
-  a proof that every codec round-trips losslessly.
-* :class:`~repro.transport.tcp.TcpTransport` sends the wire encoding over a
-  real localhost/network socket and returns the payload decoded from the
-  peer's framed reply (DESIGN.md §10).
+* :class:`~repro.transport.tcp.TcpTransport` sends the payload's real wire
+  encoding over a localhost/network socket and returns the payload decoded
+  from the peer's framed reply (DESIGN.md §10) — so its parity with the
+  in-process transport is also a proof that every codec round-trips
+  losslessly.
 
 The contract is an ABC with an explicit capability surface, enforced for
 every implementation by the shared suite in

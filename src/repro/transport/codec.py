@@ -1,11 +1,11 @@
 """Wire codecs for envelope payloads and per-chain round results.
 
 Every encoding here is the *real* byte format of
-:mod:`repro.mixnet.messages` — the instrumented transport measures these
-bytes, the distributed runtime (:mod:`repro.runner`) ships them between
-role processes, and the parity suite proves they round-trip losslessly
-(decode(encode(x)) produces a payload the protocol cannot distinguish from
-``x``).
+:mod:`repro.mixnet.messages` — the TCP transport carries and measures
+these bytes, over loopback or between the distributed runtime's role
+processes (:mod:`repro.runner`), and the parity suite proves they
+round-trip losslessly (decode(encode(x)) produces a payload the protocol
+cannot distinguish from ``x``).
 
 One payload detail is deliberately *not* on the wire: a submission's
 ``cover`` flag is client-side metadata (to a server, a cover is

@@ -6,9 +6,8 @@ event loop runs on a dedicated daemon thread; ``deliver`` serialises the
 envelope with :func:`~repro.transport.frames.encode_envelope_frame`, sends
 it as a length-prefixed request frame to the peer that *owns* the
 destination node, and returns the payload decoded from the peer's framed
-reply — the same decoded-from-wire-bytes semantics as the instrumented
-transport, now with the bytes having crossed a real socket and been parsed
-by another process.
+reply — the bytes have crossed a real socket and been parsed by another
+process (or, standalone, this process's own listener).
 
 Routing: the transport carries an *owner map* (node name → peer name) and a
 *peer map* (peer name → address).  An envelope goes to the owner of its
@@ -191,7 +190,7 @@ class TcpTransport(Transport):
 
     def _frame(self, envelope: Envelope) -> bytes:
         """Frame ``envelope``; its link record carries the payload's wire bytes,
-        as on the instrumented transport, never the routing header."""
+        never the routing header."""
         payload_wire = encode_payload(self.group, envelope)
         trace.link(envelope, len(payload_wire))
         return frames.frame_envelope(envelope, payload_wire)

@@ -16,7 +16,7 @@ import pytest
 from repro.coordinator.network import Deployment, DeploymentConfig
 from repro.crypto import kernels
 from repro.crypto.group import Ed25519Group, ModPGroup
-from repro.engine import ParallelBackend, SerialBackend
+from repro.engine import ParallelBackend
 from repro.trace import Trace
 from repro.transport import BATCH, Transport
 
@@ -27,16 +27,16 @@ needs_native = pytest.mark.skipif(
 TIERS = ("python", pytest.param("native", marks=needs_native))
 
 
-#: The execution backends a backend-sensitive test runs under, besides
-#: production's default pool: the serial reference, and the pool with one
-#: pinned helper — two threads even on a one-CPU runner.
+#: The pools a backend-sensitive test runs under, besides production's
+#: default: the serial reference (no helper thread), and one pinned helper —
+#: two threads even on a one-CPU runner.
 BACKENDS = ("serial", "parallel")
 
 
 def install_backend(deployment, backend: str):
     """Install a :data:`BACKENDS` entry; ``"production"`` keeps the default."""
     if backend == "serial":
-        deployment.use_backend(SerialBackend())
+        deployment.use_backend(ParallelBackend(helpers=0))
     elif backend == "parallel":
         deployment.use_backend(ParallelBackend(helpers=1))
     elif backend != "production":

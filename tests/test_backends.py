@@ -1,11 +1,10 @@
-"""The shared :class:`~repro.engine.backends.ExecutionBackend` contract suite,
-the production pool's own contract, and proof that every per-chain stage
-fans out through it.
+"""The :class:`~repro.engine.backends.ParallelBackend` contract suite over
+every helper count — no helper is the serial reference — the pool's own
+contract, and proof that every per-chain stage fans out through it.
 
 ``map_chains(fn, chains)`` is ``[fn(c) for c in chains]`` — same length, same
 order — and propagates the first exception (DESIGN.md §2.2); ``close`` is
-idempotent and leaves the backend usable.  A new backend only needs a
-factory row here to prove itself.
+idempotent and leaves the backend usable.
 """
 
 import collections
@@ -16,13 +15,7 @@ import threading
 
 import pytest
 
-from repro.engine import (
-    ExecutionBackend,
-    ParallelBackend,
-    RoundEngine,
-    SerialBackend,
-    StaggeredScheduler,
-)
+from repro.engine import ParallelBackend, RoundEngine, StaggeredScheduler
 from repro.engine.backends import available_cpus
 from repro.errors import ConfigurationError
 from repro.mixnet.ahs import MixChain
@@ -31,7 +24,6 @@ from repro.population import population as population_module
 from tests.test_engine_parity import GOLDEN, build, conversation_script, fingerprints
 
 FACTORIES = {
-    "serial": SerialBackend,
     "parallel-0": lambda: ParallelBackend(helpers=0),
     "parallel-1": lambda: ParallelBackend(helpers=1),
     "parallel-2": lambda: ParallelBackend(helpers=2),
@@ -74,9 +66,6 @@ class TestBackendContract:
         deployment = build("serial")
         return fingerprints(deployment.run_rounds(conversation_script(deployment)))
 
-    def test_implements_the_backend_contract(self, backend):
-        assert isinstance(backend, ExecutionBackend)
-
     def test_map_preserves_order_and_length(self, backend):
         assert backend.map_chains(abs, list(range(-9, 1))) == list(range(9, -1, -1))
 
@@ -116,7 +105,6 @@ class TestBackendContract:
         # for the other tests' sake.
         for factory in FACTORIES.values():
             with factory() as instance:
-                assert isinstance(instance, ExecutionBackend)
                 assert instance.map_chains(abs, [-5, -6]) == [5, 6]
             instance.close()  # idempotent even after __exit__
 
@@ -317,8 +305,9 @@ class TestBackendConfiguration:
     def test_use_backend_swaps_engine_backend(self):
         deployment = build()
         assert isinstance(deployment.engine.backend, ParallelBackend)
-        deployment.use_backend(SerialBackend())
-        assert isinstance(deployment.engine.backend, SerialBackend)
+        serial = ParallelBackend(helpers=0)
+        deployment.use_backend(serial)
+        assert deployment.engine.backend is serial
         report = deployment.run_round()
         deployment.close()
         assert report.all_chains_delivered()
@@ -326,14 +315,14 @@ class TestBackendConfiguration:
     def test_round_engine_usable_standalone(self):
         """The engine API works without going through Deployment.run_round."""
         deployment = build()
-        engine = RoundEngine(deployment, backend=SerialBackend())
+        engine = RoundEngine(deployment, backend=ParallelBackend(helpers=0))
         report = engine.execute_round(deployment.round_spec())
         assert report.round_number == 1
         assert report.all_chains_delivered()
 
-    def test_staggered_scheduler_for_deployment(self):
+    def test_staggered_scheduler_usable_standalone(self):
         deployment = build()
-        scheduler = StaggeredScheduler.for_deployment(deployment)
+        scheduler = StaggeredScheduler(deployment.engine)
         reports = scheduler.run_rounds([deployment.round_spec(), deployment.round_spec()])
         assert [report.round_number for report in reports] == [1, 2]
 

@@ -55,7 +55,7 @@ class TestMaliciousUserConviction:
         ]
         bad = forge_misauthenticated_submission(group, keys_view(chain, 1), 1, "mallory")
         chain.accept_submissions(1, honest + [bad])
-        result = chain.run_round(1, retry_after_blame=True)
+        result = chain.run_round(1)
         assert result.delivered
         assert "mallory" in result.rejected_senders
         assert result.blame_verdict is not None
@@ -111,15 +111,6 @@ class TestMaliciousUserConviction:
             "mallory-2",
         ]
         assert len(result.mailbox_messages) == 2
-
-    def test_no_retry_halts_round(self, group):
-        chain = build_chain(group, length=3)
-        chain.begin_round(1)
-        bad = forge_misauthenticated_submission(group, keys_view(chain, 1), 1, "mallory")
-        chain.accept_submissions(1, [bad])
-        result = chain.run_round(1, retry_after_blame=False)
-        assert result.status == ChainRoundResult.STATUS_HALTED_BLAME
-        assert result.blame_verdict.malicious_users == ["mallory"]
 
 
 class TestMaliciousServerConviction:

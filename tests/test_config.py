@@ -56,11 +56,12 @@ def test_creating_a_deployment_leaves_the_kernel_tier_alone(tier):
 
 
 def test_unknown_names_fail_validate_listing_the_valid_values():
-    config = DeploymentConfig(transport="carrier-pigeon")
-    assert config.transport == "carrier-pigeon"  # kept as given
-    valid = ["inproc", "instrumented", "tcp"]
-    with pytest.raises(ConfigurationError, match=re.escape(f"transport must be one of {valid}")):
-        config.validate()
+    valid = ["inproc", "tcp"]
+    for name in ("carrier-pigeon", "instrumented"):
+        config = DeploymentConfig(transport=name)
+        assert config.transport == name  # kept as given
+        with pytest.raises(ConfigurationError, match=re.escape(f"transport must be one of {valid}")):
+            config.validate()
 
 
 @pytest.mark.parametrize("count", (0, -1))
@@ -75,10 +76,10 @@ def test_a_deployment_needs_a_mailbox_server(count):
 def test_dict_round_trip():
     config = DeploymentConfig(
         num_servers=3, seed=5, group_kind="modp",
-        transport="instrumented", population_chunk_size=2,
+        transport="tcp", population_chunk_size=2,
     )
     data = json.loads(json.dumps(protocol.config_to_dict(config)))
-    assert data["transport"] == "instrumented"  # enum knobs travel as their values
+    assert data["transport"] == "tcp"  # enum knobs travel as their values
     rebuilt = protocol.config_from_dict(data)
     assert rebuilt == config
-    assert rebuilt.transport is TransportKind.INSTRUMENTED
+    assert rebuilt.transport is TransportKind.TCP

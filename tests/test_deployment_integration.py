@@ -226,7 +226,7 @@ class TestStaggeredDeferral:
     fetch, except for the users that fetch may change: offline-notice
     targets are deferred until after it."""
 
-    @pytest.mark.parametrize("transport", ("inproc", "instrumented", "tcp"))
+    @pytest.mark.parametrize("transport", ("inproc", "tcp"))
     def test_deferred_users_build_through_the_population(self, transport, monkeypatch):
         """The deferred users take the population's batched build like
         everyone else — a build of exactly the deferred users."""

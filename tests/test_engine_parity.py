@@ -13,11 +13,11 @@ blame verdict's wire encoding and every recovery action.
 ``tests/user_oracle.py`` still reproduces them.  Each row of :data:`HONEST`
 and :data:`BLAME` is one (group, transport, backend, schedule, chunk size,
 kernel tier, precompute) combination held to its pin, never to another run
-of its own.  On the instrumented and TCP transports every payload is
-re-decoded from its wire bytes, so those rows also prove the codecs of
-:mod:`repro.transport.codec` lossless.  The precompute-off rows are the
-online-only arm (:func:`~benchmarks.conftest.online_only`): every member
-fills its key table inside the mix.
+of its own.  On the TCP transport every payload is re-decoded from its wire
+bytes, so those rows also prove the codecs of :mod:`repro.transport.codec`
+lossless.  The precompute-off rows are the online-only arm
+(:func:`~benchmarks.conftest.online_only`): every member fills its key table
+inside the mix.
 """
 
 import dataclasses
@@ -57,7 +57,7 @@ GOLDEN = {
     },
 }
 
-#: The modp script's six rounds on the instrumented transport, sequential,
+#: The modp script's six rounds on the TCP loopback transport, sequential,
 #: whole-population and precomputed, as their traces count them (DESIGN.md
 #: §13): each counter's value in each round, on every backend.  Envelopes,
 #: wire bytes and hop entries hold on every tier; the native dispatches, by
@@ -164,15 +164,15 @@ HONEST = list(dict.fromkeys(
     # Both wire-decoding and in-process hand-offs, both backends, both
     # schedules; monolithic, three even chunks a round, and a full chunk
     # followed by a short one.
-    + rows(transport=TRANSPORTS[:2], backend=BACKENDS, schedule=SCHEDULES, chunk=(None, 2, 4))
-    # The production pool staggered on every transport, TCP loopback too.
+    + rows(transport=TRANSPORTS, backend=BACKENDS, schedule=SCHEDULES, chunk=(None, 2, 4))
+    # The production pool staggered on every transport.
     + rows(transport=TRANSPORTS, schedule=("staggered",))
     # One user per frame, and one chunk larger than the population.
     + rows(chunk=(1, 100))
     # The online-only arm.
-    + rows(transport=TRANSPORTS[:2], backend=BACKENDS, schedule=SCHEDULES, precompute=(False,))
+    + rows(transport=TRANSPORTS, backend=BACKENDS, schedule=SCHEDULES, precompute=(False,))
     # Each tier behind the wire codecs.
-    + rows(transport=("instrumented",), tier=TIERS)
+    + rows(transport=("tcp",), tier=TIERS)
 ))
 
 BLAME = list(dict.fromkeys(
@@ -216,7 +216,7 @@ def test_honest_rounds(row):
     deployment.close()
     assert fingerprints(reports) == GOLDEN[row.group]["honest"]
     assert all(("precompute" in report.trace.stages()) == row.precompute for report in reports)
-    if row._replace(backend="serial", tier=None) == Row(transport="instrumented", backend="serial"):
+    if row._replace(backend="serial", tier=None) == Row(transport="tcp", backend="serial"):
         native = kernels.native_enabled()
         assert {
             name: [report.trace.counters.get(name, 0) for report in reports]
@@ -302,8 +302,8 @@ def oracle_run(script):
 ORACLE_ROWS = [
     Row(), Row(backend="parallel"), Row(backend="serial", schedule="staggered"),
     Row(backend="parallel", schedule="staggered"),
-    Row(transport="instrumented", backend="serial"),
-    Row(transport="instrumented", backend="parallel", schedule="staggered"),
+    Row(transport="tcp", backend="serial"),
+    Row(transport="tcp", backend="parallel", schedule="staggered"),
 ]
 
 

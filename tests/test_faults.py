@@ -5,7 +5,7 @@ injecting ``MODE_TAMPER_CIPHERTEXT`` at round *r* is detected and blamed,
 the convicted server is evicted, the chain is re-formed from the remaining
 pool, and rounds *r+1…* deliver correctly — with the whole scenario
 bit-identical across {serial, parallel} × {sequential, staggered} ×
-{inproc, instrumented}.
+{inproc, tcp}.
 """
 
 import hashlib
@@ -96,9 +96,8 @@ class TestTamperAndRecoverAcceptance:
         assert report.canonical_bytes() == reference.canonical_bytes()
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_bit_identical_on_instrumented_transport(self, reference, backend):
-        report = run_scenario(tamper_and_recover(), backend, staggered=True,
-                              transport="instrumented")
+    def test_bit_identical_on_tcp_transport(self, reference, backend):
+        report = run_scenario(tamper_and_recover(), backend, staggered=True, transport="tcp")
         assert report.canonical_bytes() == reference.canonical_bytes()
 
     def test_deployment_state_after_recovery(self):
@@ -367,7 +366,7 @@ class TestLinkFaultScenarios:
 
     def test_delayed_batch_charges_the_measured_critical_path(self):
         def links(plan):
-            deployment = build(transport="instrumented")
+            deployment = build(transport="tcp")
             report = ScenarioRunner(deployment, plan).run().outcome_for(1).report
             deployment.close()
             return report.trace.links
@@ -444,7 +443,7 @@ class TestLinkFaultScenarios:
         ),
     }
 
-    @pytest.mark.parametrize("transport", ("inproc", "instrumented", "tcp"))
+    @pytest.mark.parametrize("transport", ("inproc", "tcp"))
     @pytest.mark.parametrize("scenario", sorted(PER_USER_DIGESTS))
     def test_per_user_faults_act_on_population_frames(self, scenario, transport):
         """A drop naming one user removes her elements from the population's

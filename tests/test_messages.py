@@ -351,7 +351,7 @@ class TestBatchRepresentation:
             return ctx.report, recorder
 
     @pytest.mark.parametrize("case", CASES)
-    @pytest.mark.parametrize("transport", ("inproc", "instrumented", "tcp"))
+    @pytest.mark.parametrize("transport", ("inproc", "tcp"))
     def test_every_hop_holds_an_encoded_batch(self, transport, case):
         def held_records(deployment, ctx):
             for chain in deployment.chains:

@@ -206,14 +206,15 @@ class TestPopulationSemantics:
         assert reference.user(a).conversation.partner_offline
         assert batched.user(a).conversation.partner_offline
 
-    @pytest.mark.parametrize("transport", ["inproc", "instrumented"])
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
     def test_chain_envelopes_of_a_pass_travel_together(self, transport):
         """One ``deliver_many`` per build pass, one envelope per chain in it
         (TCP pipelines them) — and nothing counted twice by an observer that
         wraps both entry points, as the benchmark's tracer does."""
         from repro.transport.envelope import COVER_SUBMISSION_BATCH, SUBMISSION_BATCH
 
-        _, batched = deployment_pair(transport=transport, use_cover_messages=True)
+        reference, batched = deployment_pair(transport=transport, use_cover_messages=True)
+        reference.close()
         link = batched.transport
         batches, singles = [], []
         one, many = link.deliver, link.deliver_many
@@ -223,6 +224,7 @@ class TestPopulationSemantics:
             or many(envelopes)
         )
         batched.run_round()
+        batched.close()
         chains = sorted(batched.population.chain_rosters)
         assert batches == [
             [(SUBMISSION_BATCH, chain_id) for chain_id in chains],

@@ -109,14 +109,13 @@ class TestErrorHierarchy:
         subclasses = [
             errors.CryptoError,
             errors.DecodingError,
-            errors.AuthenticationError,
             errors.ProofError,
             errors.ProtocolError,
             errors.ConfigurationError,
             errors.ChainSelectionError,
-            errors.MixingError,
             errors.BlameError,
             errors.MailboxError,
+            errors.TransportError,
             errors.SimulationError,
         ]
         for subclass in subclasses:

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.analysis.measured import chain_hop_seconds, round_latency_seconds
-from repro.engine import ParallelBackend, SerialBackend
+from repro.engine import ParallelBackend
 from repro.simulation.costmodel import CostModel
 from repro.trace import Link, Trace, count, delay, link
 from repro.transport import Envelope
@@ -36,7 +36,7 @@ def test_links_feed_the_counters_and_a_delay_its_own_record():
 
 
 def test_the_trace_stays_out_of_the_canonical_bytes():
-    deployment = build(transport="instrumented")
+    deployment = build(transport="tcp")
     report = deployment.run_round()
     deployment.close()
     before = report.canonical_bytes()
@@ -66,7 +66,7 @@ def test_staggered_counters_are_exact_on_the_pool():
     counts what the serial run counts, so no work went to the wrong round."""
 
     def counters(backend):
-        deployment = build(transport="instrumented")
+        deployment = build(transport="tcp")
         deployment.use_backend(backend)
         reports = deployment.run_rounds(conversation_script(deployment), staggered=True)
         deployment.close()
@@ -74,7 +74,7 @@ def test_staggered_counters_are_exact_on_the_pool():
             assert {link.round_number for link in report.trace.links} == {report.round_number}
         return [report.trace.counters for report in reports]
 
-    serial = counters(SerialBackend())
+    serial = counters(ParallelBackend(helpers=0))
     assert all(serial)
     assert counters(ParallelBackend(helpers=3)) == serial
 

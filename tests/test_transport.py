@@ -22,7 +22,6 @@ from repro.transport import (
     SUBMISSION_BATCH,
     Envelope,
     InProcTransport,
-    InstrumentedTransport,
     make_transport,
 )
 from repro.transport.codec import (
@@ -31,6 +30,7 @@ from repro.transport.codec import (
     encode_chain_outcome,
     encode_payload,
 )
+from repro.transport.tcp import TcpTransport
 
 from repro.trace import Trace
 
@@ -140,12 +140,13 @@ class TestTransports:
         payload = object()
         assert transport.deliver(envelope(SUBMISSION, payload)) is payload
 
-    def test_instrumented_records_wire_bytes(self, group):
+    def test_tcp_records_payload_wire_bytes(self, group):
         submission = make_submission(group)
-        with Trace().stage("collect") as recorded:
-            delivered = InstrumentedTransport(group).deliver(envelope(
-                SUBMISSION, submission, source="alice", destination="server-0", chain_id=1
-            ))
+        with TcpTransport(group, node_name="loopback") as transport:
+            with Trace().stage("collect") as recorded:
+                delivered = transport.deliver(envelope(
+                    SUBMISSION, submission, source="alice", destination="server-0", chain_id=1
+                ))
         assert delivered == submission and delivered is not submission
         [record] = recorded.links
         size = submission.wire_size()
@@ -156,16 +157,17 @@ class TestTransports:
 
     def test_make_transport(self, group):
         assert make_transport("inproc").name == "inproc"
-        assert make_transport("instrumented", group=group).name == "instrumented"
+        with make_transport("tcp", group=group) as transport:
+            assert transport.name == "tcp"
         with pytest.raises(ConfigurationError):
-            make_transport("instrumented")
+            make_transport("tcp")
         with pytest.raises(ValueError):
             make_transport("carrier-pigeon")
 
 
 class TestLinks:
     def test_a_round_uses_batch_frames(self):
-        deployment = build(transport="instrumented")
+        deployment = build(transport="tcp")
         links = deployment.run_round().trace.links
         kinds = {record.kind for record in links}
         assert {SUBMISSION_BATCH, MAILBOX_FETCH_BATCH} <= kinds
@@ -175,7 +177,7 @@ class TestLinks:
         deployment.close()
 
     def test_a_streamed_round_uploads_one_frame_per_chain_and_chunk(self):
-        deployment = build(transport="instrumented", population_chunk_size=2)
+        deployment = build(transport="tcp", population_chunk_size=2)
         submission_records = [
             record for record in deployment.run_round().trace.links
             if record.kind == SUBMISSION_BATCH
@@ -195,22 +197,20 @@ class TestLinks:
 
 class TestDeploymentWiring:
     def test_chains_share_the_deployment_transport(self):
-        """Every hop kind crosses the one encoding transport, and the socket
-        transport counts the same payload bytes, never its routing header."""
-        counters = {}
-        for transport in ("instrumented", "tcp"):
-            deployment = make_deployment(num_servers=3, num_users=2, num_chains=2, seed=1,
-                                         transport=transport)
-            assert all(chain.transport is deployment.transport for chain in deployment.chains)
-            counters[transport] = deployment.run_round().trace.counters
-            deployment.close()
+        """Every hop kind crosses the one encoding transport; that it counts
+        payload bytes, never its routing header, is the parity suite's
+        ``COUNTERS`` pin."""
+        deployment = make_deployment(num_servers=3, num_users=2, num_chains=2, seed=1,
+                                     transport="tcp")
+        assert all(chain.transport is deployment.transport for chain in deployment.chains)
+        counters = deployment.run_round().trace.counters
+        deployment.close()
         kinds = (SUBMISSION_BATCH, BATCH, MAILBOX_DELIVERY, MAILBOX_FETCH_BATCH)
-        assert all(counters["tcp"][f"wire_bytes.{kind}"] for kind in kinds)
-        assert counters["tcp"] == counters["instrumented"]
+        assert all(counters[f"wire_bytes.{kind}"] for kind in kinds)
 
     def test_use_transport_rewires_chains(self):
         deployment = make_deployment(num_servers=3, num_users=2, num_chains=2, seed=1)
-        replacement = InstrumentedTransport(deployment.group)
+        replacement = TcpTransport(deployment.group, node_name="loopback")
         deployment.use_transport(replacement)
         assert deployment.transport is replacement
         assert all(chain.transport is replacement for chain in deployment.chains)

@@ -4,9 +4,9 @@ Every transport the registry can produce — and every wrapper — must honour
 the same capability surface: ``deliver`` returns the payload as the
 destination observed it, ``deliver_many`` is semantically the per-envelope
 loop, ``close`` is idempotent, and the context-manager protocol closes.
-The suite runs identically over inproc, instrumented, faulty(inproc), and
-the TCP loopback reflector, so a new transport only needs a factory row
-here to prove itself.
+The suite runs identically over inproc, faulty(inproc), and the TCP
+loopback reflector, so a new transport only needs a factory row here to
+prove itself.
 """
 
 import abc
@@ -18,7 +18,6 @@ from repro.transport import (
     Envelope,
     FaultyTransport,
     InProcTransport,
-    InstrumentedTransport,
     Transport,
 )
 from repro.transport.tcp import TcpTransport
@@ -28,10 +27,6 @@ from tests.test_transport import make_submission
 
 def _inproc(group):
     return InProcTransport()
-
-
-def _instrumented(group):
-    return InstrumentedTransport(group)
 
 
 def _faulty(group):
@@ -44,7 +39,6 @@ def _tcp(group):
 
 FACTORIES = {
     "inproc": _inproc,
-    "instrumented": _instrumented,
     "faulty": _faulty,
     "tcp": _tcp,
 }
