@@ -28,6 +28,8 @@ FACTORIES = {
     "parallel-1": lambda: ParallelBackend(helpers=1),
     "parallel-2": lambda: ParallelBackend(helpers=2),
     "parallel-default": ParallelBackend,
+    # More helpers than any map below has chains: only len(chains) − 1 start.
+    "parallel-16": lambda: ParallelBackend(helpers=16),
 }
 
 #: A deadlocked backend fails here instead of hanging the suite.
@@ -65,6 +67,16 @@ class TestBackendContract:
     def reference(self):
         deployment = build("serial")
         return fingerprints(deployment.run_rounds(conversation_script(deployment)))
+
+    def test_implements_the_backend_contract(self, backend):
+        """What the engine and ``Deployment.use_backend`` rely on: a helper
+        count, ``map_chains``, and a context manager that yields the backend
+        itself and closes it on exit without making it unusable."""
+        assert isinstance(backend, ParallelBackend) and backend.helpers >= 0
+        with backend as entered:
+            assert entered is backend
+            assert entered.map_chains(abs, [-1, -2, -3]) == [1, 2, 3]
+        assert backend.map_chains(abs, [-4, -5]) == [4, 5]
 
     def test_map_preserves_order_and_length(self, backend):
         assert backend.map_chains(abs, list(range(-9, 1))) == list(range(9, -1, -1))

@@ -4,9 +4,13 @@ import math
 
 import pytest
 
+from repro.client.chain_selection import ell_for_chains
+from repro.constants import PAYLOAD_SIZE
 from repro.crypto.onion import onion_size
 from repro.errors import SimulationError
+from repro.mixnet.messages import mailbox_message_size
 from repro.simulation.bandwidth import (
+    deployment_user_bandwidth,
     submission_wire_size,
     xrd_user_bandwidth,
     xrd_user_compute,
@@ -46,6 +50,25 @@ class TestBandwidth:
     def test_invalid_round_duration(self):
         with pytest.raises(SimulationError):
             xrd_user_bandwidth(100).bandwidth_kbps(round_duration=0)
+
+    def test_a_concrete_deployment_uploads_ell_submissions_per_set(self):
+        """A capped chain length (a small deployment's) prices as given."""
+        cost = deployment_user_bandwidth(num_chains=3, chain_length=2)
+        ell = ell_for_chains(3)
+        assert (cost.num_servers, cost.ell, cost.chain_length) == (3, ell, 2)
+        assert cost.upload_bytes == 2 * ell * submission_wire_size(2)
+        assert cost.download_bytes == ell * mailbox_message_size(PAYLOAD_SIZE)
+        assert cost.compute_seconds == 0.0
+        alone = deployment_user_bandwidth(3, 2, cover_messages=False, num_servers=5)
+        assert alone.num_servers == 5
+        assert 2 * alone.upload_bytes == cost.upload_bytes
+        assert alone.download_bytes == cost.download_bytes
+
+    def test_the_network_figure_is_the_deployment_figure_at_its_chain_length(self):
+        network = xrd_user_bandwidth(200, num_chains=100)
+        assert network == deployment_user_bandwidth(
+            100, network.chain_length, num_servers=200
+        )
 
     def test_submission_wire_size_matches_onion(self):
         assert submission_wire_size(31) > onion_size(31)

@@ -6,6 +6,14 @@ from repro.baselines import AtomModel, PungModel, StadiumModel, XRDModel
 from repro.baselines.common import SystemModel
 from repro.errors import ConfigurationError, SimulationError
 
+MODELS = {
+    "atom": AtomModel,
+    "pung-xpir": lambda: PungModel("xpir"),
+    "pung-sealpir": lambda: PungModel("sealpir"),
+    "stadium": StadiumModel,
+    "xrd": XRDModel,
+}
+
 
 class TestInterface:
     def test_estimate_bundles_fields(self):
@@ -14,6 +22,17 @@ class TestInterface:
         assert estimate.latency_seconds > 0
         assert estimate.user_bandwidth_bytes > 0
         assert estimate.user_compute_seconds > 0
+
+    @pytest.mark.parametrize("system", sorted(MODELS))
+    def test_estimate_is_the_models_own_figures(self, system):
+        model = MODELS[system]()
+        estimate = model.estimate(2_000_000, 200)
+        assert (estimate.system, estimate.num_users, estimate.num_servers) == (
+            model.name, 2_000_000, 200
+        )
+        assert estimate.latency_seconds == model.latency(2_000_000, 200) > 0
+        assert estimate.user_bandwidth_bytes == model.user_bandwidth(2_000_000, 200) > 0
+        assert estimate.user_compute_seconds == model.user_compute(2_000_000, 200) > 0
 
     def test_sweeps(self):
         model = StadiumModel()
@@ -75,6 +94,13 @@ class TestPung:
         assert PungModel("sealpir").user_bandwidth(1_000_000, 100) < 0.05 * PungModel(
             "xpir"
         ).user_bandwidth(1_000_000, 100)
+
+    def test_xpir_client_compute_grows_as_the_root_of_the_users(self):
+        xpir, sealpir = PungModel("xpir"), PungModel("sealpir")
+        assert xpir.user_compute(4_000_000, 100) == pytest.approx(
+            2 * xpir.user_compute(1_000_000, 100)
+        )
+        assert sealpir.user_compute(4_000_000, 100) == sealpir.user_compute(1_000_000, 100)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigurationError):

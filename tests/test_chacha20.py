@@ -69,6 +69,13 @@ class TestEncryption:
     def test_empty_plaintext(self):
         assert chacha20.chacha20_encrypt(RFC_KEY, RFC_NONCE, b"") == b""
 
+    @settings(max_examples=50, deadline=None)
+    @given(left=st.binary(max_size=80), extra=st.binary(max_size=16), data=st.data())
+    def test_xor_bytes_matches_the_bytewise_xor(self, left, extra, data):
+        right = data.draw(st.binary(min_size=len(left), max_size=len(left))) + extra
+        expected = bytes(a ^ b for a, b in zip(left, right))
+        assert chacha20.xor_bytes(left, right) == expected
+
     def test_keystream_prefix_property(self):
         long = chacha20.chacha20_keystream(RFC_KEY, RFC_NONCE, 200)
         short = chacha20.chacha20_keystream(RFC_KEY, RFC_NONCE, 64)

@@ -58,6 +58,12 @@ class TestDerivedQuantities:
         model = CostModel.paper_testbed()
         assert model.transmit_time(model.link_bandwidth) == pytest.approx(1.0)
 
+    def test_link_time_is_half_the_rtt_plus_transmission(self):
+        model = CostModel.paper_testbed().with_rtt(0.2)
+        assert model.link_time(0) == pytest.approx(0.1)
+        assert model.link_time(model.link_bandwidth) == pytest.approx(1.1)
+        assert model.with_rtt(0.0).link_time(4096) == model.transmit_time(4096)
+
     def test_client_message_cost_grows_with_chain_length(self):
         model = CostModel.paper_testbed()
         assert model.client_message_cost(40) > model.client_message_cost(10)

@@ -171,8 +171,9 @@ HONEST = list(dict.fromkeys(
     + rows(chunk=(1, 100))
     # The online-only arm.
     + rows(transport=TRANSPORTS, backend=BACKENDS, schedule=SCHEDULES, precompute=(False,))
-    # Each tier behind the wire codecs.
+    # Each tier and each group behind the wire codecs.
     + rows(transport=("tcp",), tier=TIERS)
+    + rows(group=tuple(GOLDEN), transport=("tcp",))
 ))
 
 BLAME = list(dict.fromkeys(
@@ -181,6 +182,11 @@ BLAME = list(dict.fromkeys(
     # builds included.
     + rows(backend=BACKENDS, schedule=SCHEDULES, chunk=(None, 2, 4))
     + rows(transport=TRANSPORTS)
+    # Re-formation behind the wire codecs: each group, streamed builds under
+    # each schedule, and the online-only arm.
+    + rows(group=tuple(GOLDEN), transport=("tcp",))
+    + rows(transport=("tcp",), schedule=SCHEDULES, chunk=(2, 4))
+    + rows(transport=("tcp",), precompute=(False,))
     + rows(precompute=(True, False))
     + rows(backend=BACKENDS, tier=TIERS)
     + rows(backend=("parallel",), schedule=("staggered",), tier=TIERS)

@@ -9,6 +9,7 @@ bit-identical across {serial, parallel} × {sequential, staggered} ×
 """
 
 import hashlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -478,6 +479,48 @@ class TestLinkFaultValidation:
             LinkFault(behaviour=DELAY, delay_seconds=-1.0)
 
 
+class TestLinkFaultSelection:
+    """Which envelopes a fault matches, and which elements of a population
+    frame survive a ``drop`` aimed at one user inside it."""
+
+    @staticmethod
+    def frame(kind, source="population", destination="server-0", payload=(), **fields):
+        return ev.Envelope(kind=kind, source=source, destination=destination,
+                           round_number=1, payload=list(payload), **fields)
+
+    def test_a_user_drop_keeps_the_rest_of_an_upload_frame(self):
+        senders = [SimpleNamespace(sender=name) for name in ("ann", "bob", "ann", "cy")]
+        envelope = self.frame(ev.SUBMISSION_BATCH, payload=senders)
+        fault = LinkFault(behaviour=DROP, source="ann")
+        assert fault.matches(envelope)
+        assert fault.surviving_elements(envelope) == [1, 3]
+
+    def test_a_user_drop_keeps_the_rest_of_a_download_frame(self):
+        owners = [(bytes([index]) * 4, []) for index in range(3)]
+        envelope = self.frame(ev.MAILBOX_FETCH_BATCH, source="server-0",
+                              destination="population", payload=owners)
+        fault = LinkFault(behaviour=DROP, destination=owners[1][0].hex())
+        assert fault.matches(envelope)
+        assert fault.surviving_elements(envelope) == [0, 2]
+
+    def test_an_endpoint_drop_loses_the_whole_envelope(self):
+        upload = self.frame(ev.SUBMISSION_BATCH, payload=[SimpleNamespace(sender="ann")])
+        assert LinkFault(behaviour=DROP, source="population").surviving_elements(upload) is None
+        submission = self.frame(ev.SUBMISSION, source="ann")
+        fault = LinkFault(behaviour=DROP, source="ann")
+        assert fault.matches(submission) and fault.surviving_elements(submission) is None
+        assert not fault.matches(self.frame(ev.SUBMISSION, source="bob"))
+
+    def test_round_and_chain_selectors_narrow_the_match(self):
+        fault = LinkFault(behaviour=DELAY, kind=ev.BATCH, rounds=[2, 3], chain_id=1)
+        batch = dict(kind=ev.BATCH, source="server-0", destination="server-1", payload=[])
+        assert fault.matches(ev.Envelope(round_number=2, chain_id=1, **batch))
+        assert not fault.matches(ev.Envelope(round_number=1, chain_id=1, **batch))
+        assert not fault.matches(ev.Envelope(round_number=3, chain_id=0, **batch))
+        assert not fault.matches(ev.Envelope(round_number=3, chain_id=1,
+                                             **dict(batch, kind=ev.MAILBOX_DELIVERY)))
+
+
 class TestFaultPlanValidation:
     def test_fault_past_the_last_round_rejected(self):
         plan = FaultPlan(
@@ -498,6 +541,22 @@ class TestFaultPlanValidation:
         assert quiet.segments() == ((1, 3),)
         final = tamper_and_recover(fault_round=4, num_rounds=4)
         assert final.segments() == ((1, 4),)
+
+    def test_blame_rounds_are_the_sorted_server_and_user_fault_rounds(self):
+        plan = FaultPlan(
+            name="mixed",
+            num_rounds=5,
+            server_faults=(
+                ServerFault(round_number=4, chain_id=0, position=0,
+                            mode="tamper-ciphertext"),
+            ),
+            user_faults=(UserFault(round_number=2, chain_id=0, sender="user-0",
+                                   kind=USER_INVALID_PROOF),),
+            link_faults=(LinkFault(behaviour=DROP, rounds=frozenset({3})),),
+        )
+        assert plan.blame_rounds() == (2, 4)
+        assert plan.segments() == ((1, 2), (3, 4), (5, 5))
+        assert FaultPlan(name="quiet", num_rounds=3).blame_rounds() == ()
 
     def test_link_fault_round_past_the_plan_rejected(self):
         plan = FaultPlan(

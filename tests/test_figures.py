@@ -99,6 +99,15 @@ class TestRendering:
         assert len(lines) == 4
         assert "a" in lines[0] and "b" in lines[0]
 
+    def test_render_table_right_aligns_every_column(self):
+        lines = render_table(["users", "s"], [[7, "x"], [12345.6, "long"]]).splitlines()
+        assert lines == [
+            " users     s",
+            "------  ----",
+            "     7     x",
+            "12,346  long",
+        ]
+
     def test_render_figure(self):
         text = render_figure(figures.figure7())
         assert "Figure 7" in text

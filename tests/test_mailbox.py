@@ -62,6 +62,16 @@ class TestMailboxServer:
         with pytest.raises(MailboxError):
             server.get(1, OWNER)
 
+    def test_grouped_delivery_counts_unknown_recipients_as_dropped(self):
+        server = MailboxServer("mb-0")
+        server.create_mailbox(OWNER)
+        groups = {OWNER: [sealed(content=b"a"), sealed(content=b"b")],
+                  OTHER: [sealed(recipient=OTHER)] * 3}
+        assert server.deliver_grouped(1, groups) == 3
+        assert server.get(1, OWNER) == groups[OWNER]
+        assert OTHER not in server
+        assert server.deliver_grouped(2, {}) == 0
+
     def test_create_idempotent(self):
         server = MailboxServer("mb-0")
         first = server.create_mailbox(OWNER)

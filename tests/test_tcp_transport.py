@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 import repro
 from repro.coordinator.network import Deployment, DeploymentConfig
 from repro.errors import DecodingError, TransportError
+from repro.mixnet.blame import BlameVerdict
 from repro.runner import protocol
 from repro.runner.harness import READY_PREFIX
-from repro.transport import frames
+from repro.transport import codec, frames
 from repro.transport.envelope import SUBMISSION, Envelope
 from repro.transport.faulty import DROP, FaultyTransport, LinkFault
 from repro.transport.tcp import TcpTransport
@@ -55,6 +56,24 @@ class TestFrameCodec:
     def test_every_truncation_is_rejected(self, request_id, body):
         wire = frames.encode_frame(frames.FRAME_ENVELOPE, request_id, body)
         all_proper_prefixes_fail(frames.decode_frame, wire)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        frame_type=st.sampled_from(frames.FRAME_TYPES),
+        request_id=request_ids,
+        body=st.binary(max_size=64),
+    )
+    def test_the_stream_layer_parses_a_frame_without_its_prefix(
+        self, frame_type, request_id, body
+    ):
+        wire = frames.encode_frame(frame_type, request_id, body)
+        assert frames.decode_frame_payload(wire[4:]) == (frame_type, request_id, body)
+
+    def test_a_prefixless_frame_needs_its_whole_header(self):
+        header = frames.encode_frame(frames.FRAME_REPLY, 7, b"")[4:]
+        all_proper_prefixes_fail(frames.decode_frame_payload, header)
+        with pytest.raises(DecodingError, match="unknown frame type"):
+            frames.decode_frame_payload(b"\xff" + header[1:])
 
     def test_trailing_bytes_are_rejected(self):
         wire = frames.encode_frame(frames.FRAME_REPLY, 7, b"body")
@@ -136,6 +155,20 @@ class TestEnvelopeFrameCodec:
             wire = frames.encode_envelope_frame(group, envelope)
             assert frames.decode_envelope_frame(group, wire) == envelope
 
+    def test_framing_an_encoded_payload_matches_the_one_shot_encoder(self, group):
+        envelope = Envelope(
+            kind=SUBMISSION,
+            source="user-1",
+            destination="server-0",
+            round_number=11,
+            payload=make_submission(group),
+            chain_id=1,
+        )
+        payload_wire = codec.encode_payload(group, envelope)
+        wire = frames.frame_envelope(envelope, payload_wire)
+        assert wire == frames.encode_envelope_frame(group, envelope)
+        assert wire.endswith(payload_wire)
+
     def test_every_truncation_is_rejected(self, group):
         envelope = Envelope(
             kind=SUBMISSION,
@@ -177,6 +210,56 @@ class TestEnvelopeFrameCodec:
         broken = wire.replace(SUBMISSION.encode(), b"x" * len(SUBMISSION.encode()), 1)
         with pytest.raises(DecodingError, match="unknown envelope kind"):
             frames.decode_envelope_frame(group, broken)
+
+
+class TestBlameVerdictCodec:
+    """The verdict a mix role returns to the coordinator after blame."""
+
+    names = st.lists(st.text(max_size=12), max_size=4)
+
+    @staticmethod
+    def verdict(users=("user-3",), servers=("server-1", "server-2")):
+        return BlameVerdict(
+            chain_id=2,
+            round_number=9,
+            malicious_users=list(users),
+            malicious_servers=list(servers),
+            false_accusations=1,
+            examined_ciphertexts=12,
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        chain_id=st.integers(min_value=0, max_value=2**32 - 1),
+        round_number=st.integers(min_value=0, max_value=2**64 - 1),
+        users=names,
+        servers=names,
+        counters=st.tuples(*[st.integers(min_value=0, max_value=2**32 - 1)] * 2),
+    )
+    def test_round_trip(self, chain_id, round_number, users, servers, counters):
+        verdict = BlameVerdict(
+            chain_id=chain_id,
+            round_number=round_number,
+            malicious_users=users,
+            malicious_servers=servers,
+            false_accusations=counters[0],
+            examined_ciphertexts=counters[1],
+        )
+        assert BlameVerdict.from_bytes(verdict.to_bytes()) == verdict
+
+    def test_every_truncation_is_rejected(self):
+        all_proper_prefixes_fail(BlameVerdict.from_bytes, self.verdict().to_bytes())
+
+    def test_trailing_bytes_are_rejected(self):
+        with pytest.raises(DecodingError, match="trailing"):
+            BlameVerdict.from_bytes(self.verdict().to_bytes() + b"\x00")
+
+    def test_decoding_resumes_at_the_returned_offset(self):
+        first, second = self.verdict(), self.verdict(users=(), servers=("server-0",))
+        wire = b"prefix" + first.to_bytes() + second.to_bytes()
+        decoded, offset = codec.decode_blame_verdict(wire, len(b"prefix"))
+        assert decoded == first
+        assert codec.decode_blame_verdict(wire, offset) == (second, len(wire))
 
 
 class TestErrorCodec:

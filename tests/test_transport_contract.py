@@ -4,9 +4,9 @@ Every transport the registry can produce — and every wrapper — must honour
 the same capability surface: ``deliver`` returns the payload as the
 destination observed it, ``deliver_many`` is semantically the per-envelope
 loop, ``close`` is idempotent, and the context-manager protocol closes.
-The suite runs identically over inproc, faulty(inproc), and the TCP
-loopback reflector, so a new transport only needs a factory row here to
-prove itself.
+The suite runs identically over inproc, the TCP loopback reflector, and
+the fault wrapper around each of them, so a new transport only needs a
+factory row here to prove itself.
 """
 
 import abc
@@ -37,9 +37,15 @@ def _tcp(group):
     return TcpTransport(group, node_name="contract")
 
 
+def _faulty_tcp(group):
+    return FaultyTransport(_tcp(group), [])
+
+
+#: Row id → factory; a row's id starts with the name its transport reports.
 FACTORIES = {
     "inproc": _inproc,
     "faulty": _faulty,
+    "faulty-tcp": _faulty_tcp,
     "tcp": _tcp,
 }
 
@@ -66,9 +72,10 @@ def submission_envelope(group, sender="alice"):
 
 
 class TestTransportContract:
-    def test_is_a_transport(self, transport):
+    def test_is_a_transport(self, transport, request):
         assert isinstance(transport, Transport)
         assert transport.name in FACTORIES
+        assert request.node.callspec.params["transport"].split("-")[0] == transport.name
 
     def test_deliver_returns_the_observed_payload(self, transport, group):
         submission, envelope = submission_envelope(group)
