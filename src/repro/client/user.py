@@ -12,13 +12,13 @@ column-wise.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.client.chain_selection import chains_for_user, intersection_chain
 from repro.client.conversation import Conversation
 from repro.crypto.keys import KeyPair
+from repro.crypto.stream import stream_key as fresh_stream_key
 
 __all__ = ["ChainKeysView", "ReceivedMessage", "User"]
 
@@ -48,19 +48,23 @@ class ReceivedMessage:
 
 
 class User:
-    """One XRD user: identity, conversation state, and chain assignment."""
+    """One XRD user: identity, conversation state, and chain assignment.
+
+    ``stream_key`` keys every scalar her submissions draw
+    (:mod:`repro.crypto.stream`); fresh OS entropy when not given.
+    """
 
     def __init__(
         self,
         name: str,
         group,
         keypair: Optional[KeyPair] = None,
-        rng: Optional[random.Random] = None,
+        stream_key: Optional[bytes] = None,
     ) -> None:
         self.name = name
         self.group = group
         self.keypair = keypair or KeyPair.generate(group)
-        self._rng = rng
+        self.stream_key = stream_key if stream_key is not None else fresh_stream_key()
         self.conversation: Optional[Conversation] = None
 
     # -- identity ------------------------------------------------------------

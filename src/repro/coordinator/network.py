@@ -30,7 +30,6 @@ carried over a loopback socket (DESIGN.md §3, §10).
 
 from __future__ import annotations
 
-import random
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass
@@ -40,6 +39,7 @@ from repro.client.chain_selection import ell_for_chains
 from repro.client.user import ChainKeysView, User
 from repro.crypto.group import Ed25519Group, ModPGroup, reset_window_table_caches
 from repro.crypto.keys import KeyDirectory, KeyPair
+from repro.crypto import stream
 from repro.crypto.randomness import PublicRandomnessBeacon
 from repro.engine import (
     ParallelBackend,
@@ -154,24 +154,30 @@ class DeploymentConfig:
 
 
 class MixServerNode:
-    """A physical mix server, holding one :class:`ChainMember` per chain it joins."""
+    """A physical mix server, holding one :class:`ChainMember` per chain it joins.
 
-    def __init__(self, name: str, group, rng: Optional[random.Random] = None) -> None:
+    Each member it creates gets its own stream key, derived from the
+    server's by join count (:mod:`repro.crypto.stream`), so a server that
+    rejoins a re-formed chain draws fresh keys.
+    """
+
+    def __init__(self, name: str, group, stream_key: Optional[bytes] = None) -> None:
         self.name = name
         self.group = group
-        self._rng = rng
+        self._stream_key = stream_key if stream_key is not None else stream.stream_key()
+        self._joins = 0
         self.chain_members: Dict[int, ChainMember] = {}
 
     def join_chain(self, chain_id: int, position: int) -> ChainMember:
         """Create this server's member state for one chain."""
-        # xrdlint: disable=XRD101 - CSPRNG is the production default; seeded runs pass rng
-        member_rng = self._rng if self._rng is not None else random.SystemRandom()
+        (member_key,) = stream.derive_keys(self._stream_key, stream.JOIN, [self._joins])
+        self._joins += 1
         member = ChainMember(
             server_name=self.name,
             chain_id=chain_id,
             position=position,
             group=self.group,
-            rng=member_rng,
+            stream_key=member_key,
         )
         self.chain_members[chain_id] = member
         return member
@@ -243,7 +249,9 @@ class Deployment:
             group = ModPGroup()
         else:
             group = Ed25519Group()
-        master_rng = random.Random(config.seed) if config.seed is not None else None
+        # One key per deployment, from the seed or drawn once from the OS;
+        # every server's and user's stream key derives from it.
+        master_key = stream.stream_key(config.seed)
         beacon_seed = (
             b"xrd-deployment-" + str(config.seed).encode()
             if config.seed is not None
@@ -251,14 +259,9 @@ class Deployment:
         )
         beacon = PublicRandomnessBeacon(seed=beacon_seed)
         directory = KeyDirectory(group=group)
-
-        def node_rng() -> Optional[random.Random]:
-            if master_rng is None:
-                return None
-            return random.Random(master_rng.getrandbits(64))
-
+        server_keys = stream.derive_keys(master_key, stream.SERVER, range(config.num_servers))
         server_nodes = [
-            MixServerNode(name=f"server-{index}", group=group, rng=node_rng())
+            MixServerNode(name=f"server-{index}", group=group, stream_key=server_keys[index])
             for index in range(config.num_servers)
         ]
         nodes_by_name = {node.name: node for node in server_nodes}
@@ -281,10 +284,22 @@ class Deployment:
             chains.append(chain)
 
         mailboxes = MailboxHub(num_servers=config.num_mailbox_servers)
+        # A user is her stream key: the identity secret is its first draw.
+        user_keys = stream.derive_keys(master_key, stream.USER, range(config.num_users))
+        identity_secrets = stream.scalars(group, stream.blocks(
+            user_keys, [stream.stream_nonce(stream.IDENTITY, 0)] * len(user_keys),
+            [0] * len(user_keys),
+        ))
+        identity_publics = group.fixed_point_mult_batch(group.base(), identity_secrets)
         users: List[User] = []
         for index in range(config.num_users):
-            keypair = KeyPair.generate(group, node_rng())
-            user = User(name=f"user-{index}", group=group, keypair=keypair, rng=node_rng())
+            public = identity_publics[index]
+            keypair = KeyPair(
+                secret=identity_secrets[index], public=public, public_bytes=group.encode(public)
+            )
+            user = User(
+                name=f"user-{index}", group=group, keypair=keypair, stream_key=user_keys[index]
+            )
             directory.register_user(user.name, user.public_bytes)
             mailboxes.create_mailbox(user.public_bytes)
             users.append(user)

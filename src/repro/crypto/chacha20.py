@@ -33,46 +33,64 @@ NONCE_SIZE = 12
 BLOCK_SIZE = 64
 
 
-def _rotl32(value: int, count: int) -> int:
-    value &= _MASK32
-    return ((value << count) | (value >> (32 - count))) & _MASK32
-
-
-def _quarter_round(state: List[int], a: int, b: int, c: int, d: int) -> None:
-    state[a] = (state[a] + state[b]) & _MASK32
-    state[d] = _rotl32(state[d] ^ state[a], 16)
-    state[c] = (state[c] + state[d]) & _MASK32
-    state[b] = _rotl32(state[b] ^ state[c], 12)
-    state[a] = (state[a] + state[b]) & _MASK32
-    state[d] = _rotl32(state[d] ^ state[a], 8)
-    state[c] = (state[c] + state[d]) & _MASK32
-    state[b] = _rotl32(state[b] ^ state[c], 7)
-
-
 def chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
-    """Return one 64-byte keystream block (RFC 8439 §2.3)."""
+    """Return one 64-byte keystream block (RFC 8439 §2.3).
+
+    The 20 rounds are written out over sixteen locals — the quarter round
+    of §2.1 (``a += b; d ^= a; d <<<= 16; c += d; b ^= c; b <<<= 12; …``)
+    four times per column or diagonal round — because per-word list
+    indexing and a call per quarter round doubled the python tier's cost
+    per block.
+    """
     if len(key) != KEY_SIZE:
         raise CryptoError("ChaCha20 key must be 32 bytes")
     if len(nonce) != NONCE_SIZE:
         raise CryptoError("ChaCha20 nonce must be 12 bytes")
     if not 0 <= counter < 2**32:
         raise CryptoError("ChaCha20 block counter out of range")
-    state = list(_CONSTANTS)
-    state.extend(struct.unpack("<8L", key))
-    state.append(counter)
-    state.extend(struct.unpack("<3L", nonce))
-    working = list(state)
+    state = _CONSTANTS + struct.unpack("<8L", key) + (counter,) + struct.unpack("<3L", nonce)
+    x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15 = state
     for _ in range(10):
-        _quarter_round(working, 0, 4, 8, 12)
-        _quarter_round(working, 1, 5, 9, 13)
-        _quarter_round(working, 2, 6, 10, 14)
-        _quarter_round(working, 3, 7, 11, 15)
-        _quarter_round(working, 0, 5, 10, 15)
-        _quarter_round(working, 1, 6, 11, 12)
-        _quarter_round(working, 2, 7, 8, 13)
-        _quarter_round(working, 3, 4, 9, 14)
-    output = [(working[i] + state[i]) & _MASK32 for i in range(16)]
-    return struct.pack("<16L", *output)
+        # Column rounds.
+        x0 = (x0 + x4) & _MASK32; t = x12 ^ x0; x12 = ((t << 16) | (t >> 16)) & _MASK32
+        x8 = (x8 + x12) & _MASK32; t = x4 ^ x8; x4 = ((t << 12) | (t >> 20)) & _MASK32
+        x0 = (x0 + x4) & _MASK32; t = x12 ^ x0; x12 = ((t << 8) | (t >> 24)) & _MASK32
+        x8 = (x8 + x12) & _MASK32; t = x4 ^ x8; x4 = ((t << 7) | (t >> 25)) & _MASK32
+        x1 = (x1 + x5) & _MASK32; t = x13 ^ x1; x13 = ((t << 16) | (t >> 16)) & _MASK32
+        x9 = (x9 + x13) & _MASK32; t = x5 ^ x9; x5 = ((t << 12) | (t >> 20)) & _MASK32
+        x1 = (x1 + x5) & _MASK32; t = x13 ^ x1; x13 = ((t << 8) | (t >> 24)) & _MASK32
+        x9 = (x9 + x13) & _MASK32; t = x5 ^ x9; x5 = ((t << 7) | (t >> 25)) & _MASK32
+        x2 = (x2 + x6) & _MASK32; t = x14 ^ x2; x14 = ((t << 16) | (t >> 16)) & _MASK32
+        x10 = (x10 + x14) & _MASK32; t = x6 ^ x10; x6 = ((t << 12) | (t >> 20)) & _MASK32
+        x2 = (x2 + x6) & _MASK32; t = x14 ^ x2; x14 = ((t << 8) | (t >> 24)) & _MASK32
+        x10 = (x10 + x14) & _MASK32; t = x6 ^ x10; x6 = ((t << 7) | (t >> 25)) & _MASK32
+        x3 = (x3 + x7) & _MASK32; t = x15 ^ x3; x15 = ((t << 16) | (t >> 16)) & _MASK32
+        x11 = (x11 + x15) & _MASK32; t = x7 ^ x11; x7 = ((t << 12) | (t >> 20)) & _MASK32
+        x3 = (x3 + x7) & _MASK32; t = x15 ^ x3; x15 = ((t << 8) | (t >> 24)) & _MASK32
+        x11 = (x11 + x15) & _MASK32; t = x7 ^ x11; x7 = ((t << 7) | (t >> 25)) & _MASK32
+        # Diagonal rounds.
+        x0 = (x0 + x5) & _MASK32; t = x15 ^ x0; x15 = ((t << 16) | (t >> 16)) & _MASK32
+        x10 = (x10 + x15) & _MASK32; t = x5 ^ x10; x5 = ((t << 12) | (t >> 20)) & _MASK32
+        x0 = (x0 + x5) & _MASK32; t = x15 ^ x0; x15 = ((t << 8) | (t >> 24)) & _MASK32
+        x10 = (x10 + x15) & _MASK32; t = x5 ^ x10; x5 = ((t << 7) | (t >> 25)) & _MASK32
+        x1 = (x1 + x6) & _MASK32; t = x12 ^ x1; x12 = ((t << 16) | (t >> 16)) & _MASK32
+        x11 = (x11 + x12) & _MASK32; t = x6 ^ x11; x6 = ((t << 12) | (t >> 20)) & _MASK32
+        x1 = (x1 + x6) & _MASK32; t = x12 ^ x1; x12 = ((t << 8) | (t >> 24)) & _MASK32
+        x11 = (x11 + x12) & _MASK32; t = x6 ^ x11; x6 = ((t << 7) | (t >> 25)) & _MASK32
+        x2 = (x2 + x7) & _MASK32; t = x13 ^ x2; x13 = ((t << 16) | (t >> 16)) & _MASK32
+        x8 = (x8 + x13) & _MASK32; t = x7 ^ x8; x7 = ((t << 12) | (t >> 20)) & _MASK32
+        x2 = (x2 + x7) & _MASK32; t = x13 ^ x2; x13 = ((t << 8) | (t >> 24)) & _MASK32
+        x8 = (x8 + x13) & _MASK32; t = x7 ^ x8; x7 = ((t << 7) | (t >> 25)) & _MASK32
+        x3 = (x3 + x4) & _MASK32; t = x14 ^ x3; x14 = ((t << 16) | (t >> 16)) & _MASK32
+        x9 = (x9 + x14) & _MASK32; t = x4 ^ x9; x4 = ((t << 12) | (t >> 20)) & _MASK32
+        x3 = (x3 + x4) & _MASK32; t = x14 ^ x3; x14 = ((t << 8) | (t >> 24)) & _MASK32
+        x9 = (x9 + x14) & _MASK32; t = x4 ^ x9; x4 = ((t << 7) | (t >> 25)) & _MASK32
+    return struct.pack(
+        "<16L",
+        *((word + initial) & _MASK32 for word, initial in zip(
+            (x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15), state
+        )),
+    )
 
 
 def chacha20_keystream(key: bytes, nonce: bytes, length: int, initial_counter: int = 0) -> bytes:
@@ -129,13 +147,14 @@ def chacha20_blocks_batch(keys: Sequence[bytes], nonces: Sequence[bytes],
             "one nonce and one counter per key required "
             f"(got {len(keys)} keys, {len(nonces)} nonces, {len(counters)} counters)"
         )
-    for key, nonce, counter in zip(keys, nonces, counters):
-        if len(key) != KEY_SIZE:
-            raise CryptoError("ChaCha20 key must be 32 bytes")
-        if len(nonce) != NONCE_SIZE:
-            raise CryptoError("ChaCha20 nonce must be 12 bytes")
-        if not 0 <= counter < 2**32:
-            raise CryptoError("ChaCha20 block counter out of range")
+    # Whole-column checks (map/min/max run in C): the keyed draw stream
+    # sends every scalar of a round through here.
+    if keys and set(map(len, keys)) != {KEY_SIZE}:
+        raise CryptoError("ChaCha20 key must be 32 bytes")
+    if nonces and set(map(len, nonces)) != {NONCE_SIZE}:
+        raise CryptoError("ChaCha20 nonce must be 12 bytes")
+    if counters and not (0 <= min(counters) and max(counters) < 2**32):
+        raise CryptoError("ChaCha20 block counter out of range")
     if _kernels.native_enabled():
         native = _kernels.chacha20_blocks(keys, nonces, counters)
         if native is not None:

@@ -522,7 +522,7 @@ def ed25519_decode_batch(encodings: Sequence[bytes],
 # -- fused onion build ----------------------------------------------------------
 #
 # One call per (chain, chunk): everything ``population/batch_build.py`` does
-# between the users' RNG draws and the Schnorr challenges (DESIGN.md §11.4).
+# between the users' stream draws and the Schnorr challenges (DESIGN.md §11.4).
 # The columns are one 32-byte seal key, one 32-byte recipient, one body of
 # the common length and three reduced scalars ``(y, x, k)`` per entry;
 # anything else is declined before the C call.

@@ -28,7 +28,7 @@ per-item function gives it, and a forged proof is pinned to its index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.constants import NIZK_LABEL_DLEQ, NIZK_LABEL_DLOG
 from repro.errors import ProofError
@@ -87,15 +87,18 @@ def _same_length(*columns: Sequence) -> None:
         )
 
 
-def prove_dlog(group, base, secret: int, context: bytes = b"", rng=None) -> SchnorrProof:
+def prove_dlog(group, base, secret: int, context: bytes = b"", rng=None,
+               nonce: Optional[int] = None) -> SchnorrProof:
     """Prove knowledge of ``secret`` such that ``secret · base`` is known.
 
     The statement (``base``, ``public = secret · base``) and ``context`` are
     bound into the Fiat-Shamir challenge, so a proof cannot be replayed for a
-    different statement or round.
+    different statement or round.  ``nonce`` is a caller-drawn nonce scalar;
+    without one it is drawn from ``rng``.
     """
     public = group.scalar_mult(base, secret)
-    nonce = group.random_scalar(rng)
+    if nonce is None:
+        nonce = group.random_scalar(rng)
     commitment = group.encode(group.scalar_mult(base, nonce))
     challenge = _dlog_challenge(group, base, public, commitment, context)
     response = (nonce + challenge * secret) % group.order
@@ -159,11 +162,16 @@ def _dleq_challenge_encoded(group, base1: bytes, public1: bytes, base2: bytes, p
     )
 
 
-def prove_dleq(group, base1, base2, secret: int, context: bytes = b"", rng=None) -> DleqProof:
-    """Prove that ``log_base1(secret·base1) = log_base2(secret·base2) = secret``."""
+def prove_dleq(group, base1, base2, secret: int, context: bytes = b"", rng=None,
+               nonce: Optional[int] = None) -> DleqProof:
+    """Prove that ``log_base1(secret·base1) = log_base2(secret·base2) = secret``.
+
+    ``nonce`` is a caller-drawn nonce scalar; without one it is drawn from ``rng``.
+    """
     public1 = group.scalar_mult(base1, secret)
     public2 = group.scalar_mult(base2, secret)
-    nonce = group.random_scalar(rng)
+    if nonce is None:
+        nonce = group.random_scalar(rng)
     commitment1 = group.encode(group.scalar_mult(base1, nonce))
     commitment2 = group.encode(group.scalar_mult(base2, nonce))
     challenge = _dleq_challenge(
@@ -197,8 +205,8 @@ def prove_dleq_batch(group, base1s: Sequence, encoded_public1s: Sequence[bytes],
     """Batched :func:`prove_dleq` under one secret and one second base.
 
     Proof ``i`` states ``log_base1s[i](public1_i) = log_base2(public2) =
-    secret`` and is byte for byte what :func:`prove_dleq` returns when its
-    rng yields ``nonces[i]``.  The prover already holds its publics and they
+    secret`` and is byte for byte what :func:`prove_dleq` returns for
+    ``nonce=nonces[i]``.  The prover already holds its publics and they
     enter nothing but the transcript, so they are taken as their wire
     encodings; the nonces are drawn by the caller, in the order the per-item
     prover would have drawn them.

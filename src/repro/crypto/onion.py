@@ -142,14 +142,17 @@ class InnerEnvelope:
         return len(self.ephemeral_public) + len(self.ciphertext)
 
 
-def encrypt_inner(group, aggregate_inner_public, round_number: int, plaintext: bytes, rng=None) -> InnerEnvelope:
+def encrypt_inner(group, aggregate_inner_public, round_number: int, plaintext: bytes, rng=None,
+                  ephemeral_secret: Optional[int] = None) -> InnerEnvelope:
     """Encrypt ``plaintext`` under the aggregate inner public key ``Σ ipk_i``.
 
     The "one-shot" onion of §6.2: decryption requires knowledge of *all*
     per-round inner secrets, which the servers only reveal once the shuffle
-    has been verified.
+    has been verified.  ``ephemeral_secret`` is a caller-drawn ``y``;
+    without one it is drawn from ``rng``.
     """
-    ephemeral_secret = group.random_scalar(rng)
+    if ephemeral_secret is None:
+        ephemeral_secret = group.random_scalar(rng)
     ephemeral_public = group.base_mult(ephemeral_secret)
     shared = group.scalar_mult(aggregate_inner_public, ephemeral_secret)
     key = inner_envelope_key(group, shared)

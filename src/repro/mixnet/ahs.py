@@ -32,7 +32,6 @@ relevant methods.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -48,13 +47,14 @@ from repro.crypto.nizk import (
     verify_dlog_batch,
 )
 from repro import trace
+from repro.crypto import stream
 from repro.crypto.aead import adec_batch
 from repro.crypto.onion import (
     InnerEnvelope,
     decrypt_inner_batch,
     shared_keys_batch,
 )
-from repro.errors import ProofError, ProtocolError
+from repro.errors import CryptoError, DecodingError, ProofError, ProtocolError
 from repro.mixnet.messages import (
     ClientSubmission,
     EncodedBatch,
@@ -180,7 +180,10 @@ class _RoundRecord:
     permutation: List[int] = field(default_factory=list)
     inner_secret: Optional[int] = field(default=None, repr=False)
     inner_public: Optional[object] = None
-    rng: Optional[random.Random] = None
+    #: Blocks of the member's ``MEMBER_ROUND`` stream this round has used:
+    #: every draw takes the next ones, so a blame rerun's shuffle and
+    #: proof nonces are fresh.
+    draws: int = 0
     #: Precomputed public-key work (§5.2.1): encoded DH public →
     #: ``(blinded key, outer layer key)``, the one place the online pass
     #: reads its keys from.  Keyed by encoding (not batch index) so the
@@ -203,23 +206,18 @@ class ChainMember:
         chain_id: int,
         position: int,
         group,
-        rng: Optional[random.Random] = None,
+        stream_key: Optional[bytes] = None,
     ) -> None:
         self.server_name = server_name
         self.chain_id = chain_id
         self.position = position
         self.group = group
-        # xrdlint: disable=XRD101 - CSPRNG is the production default; seeded runs pass rng
-        self._rng = rng or random.SystemRandom()
-        # Per-round randomness is derived from a seed drawn once at
-        # construction, so every (member, round) pair owns an independent
-        # stream.  This is what lets the engine mix chains concurrently and
-        # stagger rounds while staying bit-identical to serial execution:
-        # no draw order across chains or rounds can change any output.  When
-        # no deterministic rng was supplied, rounds keep using the OS CSPRNG
-        # directly.
-        self._deterministic = rng is not None
-        self._round_seed_base = self._rng.getrandbits(256) if self._deterministic else None
+        # Every scalar and shuffle this member draws comes off one keyed
+        # stream (repro.crypto.stream), addressed by (round, draw index):
+        # no execution order across chains or rounds can change what any
+        # (member, round) pair draws, which is what lets the engine mix
+        # chains concurrently and stagger rounds bit-identically.
+        self._stream_key = stream_key if stream_key is not None else stream.stream_key()
         self.base_point = None
         self.blinding_secret: Optional[int] = None
         self.blinding_public = None
@@ -227,14 +225,18 @@ class ChainMember:
         self.mixing_public = None
         self._rounds: Dict[int, _RoundRecord] = {}
 
-    def _round_rng(self, round_number: int) -> random.Random:
-        """The member's independent randomness stream for one round."""
-        if not self._deterministic:
-            return self._rng
+    def _draw_blocks(self, round_number: int, count: int) -> bytes:
+        """The round's next ``count`` stream blocks (advancing its draw counter)."""
         record = self._rounds.setdefault(round_number, _RoundRecord())
-        if record.rng is None:
-            record.rng = random.Random((self._round_seed_base << 64) | round_number)
-        return record.rng
+        start = record.draws
+        record.draws += count
+        return stream.draw_blocks(
+            self._stream_key, stream.MEMBER_ROUND, round_number, start, count
+        )
+
+    def draw_scalars(self, round_number: int, count: int) -> List[int]:
+        """The round's next ``count`` scalar draws."""
+        return stream.scalars(self.group, self._draw_blocks(round_number, count))
 
     # -- key ceremony ---------------------------------------------------------
 
@@ -242,8 +244,9 @@ class ChainMember:
         """Generate blinding and mixing keys on ``base_point`` (= ``bpk_{i-1}``)."""
         group = self.group
         self.base_point = base_point
-        self.blinding_secret = group.random_scalar(self._rng)
-        self.mixing_secret = group.random_scalar(self._rng)
+        self.blinding_secret, self.mixing_secret, blinding_nonce, mixing_nonce = (
+            stream.draw_scalars(group, self._stream_key, stream.MEMBER_KEYS, 0, 0, 4)
+        )
         self.blinding_public = group.scalar_mult(base_point, self.blinding_secret)
         self.mixing_public = group.scalar_mult(base_point, self.mixing_secret)
         context = setup_context(self.chain_id, self.position)
@@ -251,8 +254,12 @@ class ChainMember:
             position=self.position,
             blinding_public=self.blinding_public,
             mixing_public=self.mixing_public,
-            blinding_proof=prove_dlog(group, base_point, self.blinding_secret, context, self._rng),
-            mixing_proof=prove_dlog(group, base_point, self.mixing_secret, context, self._rng),
+            blinding_proof=prove_dlog(
+                group, base_point, self.blinding_secret, context, nonce=blinding_nonce
+            ),
+            mixing_proof=prove_dlog(
+                group, base_point, self.mixing_secret, context, nonce=mixing_nonce
+            ),
         )
 
     # -- per-round inner keys --------------------------------------------------
@@ -260,12 +267,12 @@ class ChainMember:
     def begin_round(self, round_number: int) -> InnerKeyAnnouncement:
         """Generate this round's inner key pair and announce the public part."""
         group = self.group
-        rng = self._round_rng(round_number)
-        record = self._rounds.setdefault(round_number, _RoundRecord())
-        record.inner_secret = group.random_scalar(rng)
-        record.inner_public = group.base_mult(record.inner_secret)
+        secret, nonce = self.draw_scalars(round_number, 2)
+        record = self._rounds[round_number]
+        record.inner_secret = secret
+        record.inner_public = group.base_mult(secret)
         context = inner_key_context(self.chain_id, self.position, round_number)
-        proof = prove_dlog(group, group.base(), record.inner_secret, context, rng)
+        proof = prove_dlog(group, group.base(), secret, context, nonce=nonce)
         return InnerKeyAnnouncement(position=self.position, inner_public=record.inner_public, proof=proof)
 
     # -- precomputation (§5.2.1) -------------------------------------------------
@@ -312,7 +319,7 @@ class ChainMember:
         return table, encodings
 
     def release_round(self, round_number: int) -> None:
-        """Forget a delivered round's record: blobs, permutation, rng, secret, table."""
+        """Forget a delivered round's record: blobs, permutation, draws, secret, table."""
         self._rounds.pop(round_number, None)
 
     def _blind_and_derive_keys(
@@ -351,7 +358,6 @@ class ChainMember:
         if self.mixing_secret is None or self.blinding_secret is None:
             raise ProtocolError("chain member has not completed key setup")
         group = self.group
-        rng = self._round_rng(round_number)
         record = self._rounds.setdefault(round_number, _RoundRecord())
         dh_publics = entries.decode_publics()
         record.inputs = entries  # immutable, blob-backed: no copy
@@ -371,8 +377,11 @@ class ChainMember:
                 position=self.position, entries=entries.select(()), proof=None,
                 failed_indices=failed,
             )
-        permutation = list(range(len(stripped)))
-        rng.shuffle(permutation)
+        # One stream call: the shuffle's blocks, then the proof nonce's.
+        size = len(stripped)
+        drawn = self._draw_blocks(round_number, stream.shuffle_blocks(size) + 1)
+        permutation = stream.permutation(drawn, size)
+        (nonce,) = stream.scalars(group, drawn[-stream.BLOCK_SIZE:])
         # Re-encode the survivors straight into the next wire blob; the
         # decoded publics, blinded points, and plaintext list all die with
         # this frame.
@@ -389,7 +398,7 @@ class ChainMember:
             base2=self.base_point,
             secret=self.blinding_secret,
             context=mixing_context(self.chain_id, self.position, round_number),
-            rng=rng,
+            nonce=nonce,
         )
         return MixStepResult(position=self.position, entries=outputs, proof=proof)
 
@@ -439,18 +448,17 @@ class ChainMember:
     def blame_reveals(self, round_number: int, output_indices: Sequence[int]):
         """Reveal the pre-images of some output entries with proofs (§6.4 steps 1-2).
 
-        One reveal for the whole set; per entry the rng gives the blinding
-        proof's nonce, then the key proof's.
+        One reveal for the whole set; per entry the round's stream gives the
+        blinding proof's nonce, then the key proof's.
         """
         from repro.mixnet.blame import BlameReveals  # local import to avoid a cycle
 
         group = self.group
-        rng = self._round_rng(round_number)
         record = self._rounds[round_number]
         input_indices = [record.permutation[index] for index in output_indices]
         preimages = record.inputs.select(input_indices)
         outputs = record.outputs
-        nonces = [group.random_scalar(rng) for _ in range(2 * len(input_indices))]
+        nonces = self.draw_scalars(round_number, 2 * len(input_indices))
         context = blame_context(self.chain_id, self.position, round_number)
         dh_publics, decryption_keys, key_proofs = self._reveal_keys(
             preimages, nonces[1::2], context
@@ -482,9 +490,8 @@ class ChainMember:
         """
         from repro.mixnet.blame import KeyReveals  # local import to avoid a cycle
 
-        rng = self._round_rng(round_number)
         preimages = self._rounds[round_number].inputs.select(input_indices)
-        nonces = [self.group.random_scalar(rng) for _ in input_indices]
+        nonces = self.draw_scalars(round_number, len(input_indices))
         context = blame_context(self.chain_id, self.position, round_number)
         _, decryption_keys, key_proofs = self._reveal_keys(preimages, nonces, context)
         return KeyReveals(
@@ -583,9 +590,9 @@ class MixChain:
     def begin_round(self, round_number: int):
         """Collect and verify every member's inner key announcement; return Σ ipk.
 
-        Idempotent while the round is held (announcing again would draw from
-        the advanced round streams); a released round announces afresh, and
-        identically, since its member streams restart.
+        Idempotent while the round is held (announcing again would draw the
+        members' next blocks); a released round announces afresh, and
+        identically, since its members' draw counters restart.
         """
         if round_number in self._aggregate_inner:
             return self._aggregate_inner[round_number]
@@ -853,7 +860,7 @@ class MixChain:
         for ciphertext in map(entries.ciphertext, range(len(entries))):
             try:
                 envelopes.append(InnerEnvelope.from_bytes(ciphertext))
-            except Exception:
+            except CryptoError:
                 envelopes.append(None)
         parseable = [envelope for envelope in envelopes if envelope is not None]
         # Whole-batch final decryption: one many-points-one-scalar pass over
@@ -870,7 +877,7 @@ class MixChain:
                 continue
             try:
                 mailbox_messages.append(MailboxMessage.from_bytes(plaintext))
-            except Exception:
+            except DecodingError:
                 invalid_inner += 1
         return ChainRoundResult(
             chain_id=self.chain_id,

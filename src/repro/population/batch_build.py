@@ -1,21 +1,24 @@
-"""Whole-chain submission construction from pre-drawn randomness.
+"""Whole-chain submission construction, from the draws to the proofs.
 
 This module is the crypto half of the population layer: given one chain's
 key view and its pending entries as columns — senders, sealed-message
-inputs, and the three scalars drawn from each user's own RNG (``y`` for
-the inner envelope, ``x`` for the shared outer secret, ``k`` for the Schnorr
-nonce) — it produces the chain's :class:`~repro.mixnet.messages.
-ClientSubmission` batch.  Everything between the RNG draws and the Schnorr
-challenges is one kernel call per (chain, chunk) on the native tier
-(``group.onion_build``, DESIGN.md §11.4); :func:`_build_per_operation` is
-the python tier's path and the oracle that kernel is tested against.  The
-proofs reuse the already-computed ``X_i = g^{x_i}`` and differ from
-:func:`repro.crypto.nizk.prove_dlog` only in not re-deriving it.
+inputs, and each entry's (stream key, chain slot) — it produces the chain's
+:class:`~repro.mixnet.messages.ClientSubmission` batch.  The three scalars
+of every entry (``y`` for the inner envelope, ``x`` for the shared outer
+secret, ``k`` for the Schnorr nonce) are drawn first, in one batched
+ChaCha20 call (:func:`repro.crypto.stream.submission_scalars`); everything
+between the draws and the Schnorr challenges is then one kernel call per
+(chain, chunk) on the native tier (``group.onion_build``, DESIGN.md §11.4);
+:func:`_build_per_operation` is the python tier's path and the oracle that
+kernel is tested against.  The proofs reuse the already-computed
+``X_i = g^{x_i}`` and differ from :func:`repro.crypto.nizk.prove_dlog` only
+in not re-deriving it.
 
-Because the scalars are inputs, every byte of the output is a deterministic
-function of (scalars, keys, bodies) — identical to what the per-user
-oracle (``tests/user_oracle.py``) computes from the same draws, which
-``TestOnionBuildDifferential`` holds it to.
+A draw is a pure function of (user's key, round, live-or-cover, slot), so
+every byte of the output is a deterministic function of the columns and
+the keys — identical to what the per-user oracle (``tests/user_oracle.py``)
+computes, which ``TestOnionBuildDifferential`` holds it to, however the
+entries are split into chains and chunks.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.constants import KDF_LABEL_INNER, KDF_LABEL_OUTER, NIZK_LABEL_DLOG
 from repro.crypto.aead import aenc_batch
 from repro.crypto.nizk import SchnorrProof
 from repro.crypto.onion import shared_keys_batch
+from repro.crypto.stream import submission_scalars
 from repro.mixnet.ahs import submission_context
 from repro.mixnet.messages import ClientSubmission
 
@@ -39,18 +43,17 @@ class PendingColumns:
 
     Row ``i`` of every column is one entry.  ``seal_keys``/``recipients``/
     ``bodies`` describe the mailbox messages (bodies already padded:
-    ``MessageBody.encode()`` output); the three scalars were drawn from the
-    *user's own* RNG in the per-user order (``y``, ``x``, ``k``) so the
-    output is bit-identical to the per-user oracle.
+    ``MessageBody.encode()`` output); ``stream_keys``/``slots`` name the
+    entry's draws: the sender's stream key and the position of this chain
+    in her assignment.
     """
 
     senders: List[str] = field(default_factory=list)
     seal_keys: List[bytes] = field(default_factory=list)
     recipients: List[bytes] = field(default_factory=list)
     bodies: List[bytes] = field(default_factory=list)
-    inner_scalars: List[int] = field(default_factory=list)   # y — inner envelope ephemeral
-    outer_scalars: List[int] = field(default_factory=list)   # x — shared outer ephemeral
-    nonce_scalars: List[int] = field(default_factory=list)   # k — Schnorr proof nonce
+    stream_keys: List[bytes] = field(default_factory=list)
+    slots: List[int] = field(default_factory=list)
 
 
 def build_chain_submissions(
@@ -70,6 +73,10 @@ def build_chain_submissions(
     if not pending.senders:
         return []
     chain_id = view.chain_id
+    # y (inner envelope ephemeral), x (shared outer ephemeral), k (proof nonce).
+    scalars = submission_scalars(
+        group, pending.stream_keys, pending.slots, round_number, cover
+    )
     columns = (
         view.aggregate_inner_public,
         list(view.mixing_publics),
@@ -77,7 +84,7 @@ def build_chain_submissions(
         pending.seal_keys,
         pending.recipients,
         pending.bodies,
-        (pending.inner_scalars, pending.outer_scalars, pending.nonce_scalars),
+        scalars,
     )
     built = group.onion_build(*columns)
     if built is None:
@@ -87,7 +94,7 @@ def build_chain_submissions(
     base_encoded = group.encode(group.base())
     submissions: List[ClientSubmission] = []
     for sender, nonce_scalar, outer_scalar, ciphertext, dh_encoded, commitment in zip(
-        pending.senders, pending.nonce_scalars, pending.outer_scalars, *built
+        pending.senders, scalars[2], scalars[1], *built
     ):
         challenge = group.hash_to_scalar(
             NIZK_LABEL_DLOG,

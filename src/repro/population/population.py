@@ -5,17 +5,17 @@ proved individually, each mailbox message trial-decrypted one AEAD call at
 a time — is per-user Python overhead, not protocol, and it capped practical
 rounds at a few hundred users.  That walk survives only as the test oracle
 (``tests/user_oracle.py``).  The population keeps the *state* on the
-:class:`~repro.client.user.User` objects (conversations, keys, RNG streams)
-but executes the per-round work column-wise:
+:class:`~repro.client.user.User` objects (conversations, identity and
+stream keys) but executes the per-round work column-wise:
 
-* **build** — a cheap scalar-drawing pass walks users in deployment order,
-  drawing each user's randomness from *her own* RNG in a fixed order
-  (``y``, ``x``, ``k`` per assigned chain slot; round submissions before
-  banked covers).  The expensive crypto then runs per chain over the
-  collected columns (:mod:`repro.population.batch_build`).  Splitting the
-  phases is what keeps the batch bit-identical to the per-user oracle:
-  randomness order is preserved per user, and everything after the draws
-  is deterministic.
+* **build** — a gathering pass walks users in deployment order and sorts
+  each (user, chain slot) entry into its chain's columns: body, seal key,
+  recipient, the user's stream key and the slot.  Everything else — the
+  ``y``/``x``/``k`` draws, each a pure function of (stream key, round,
+  live or cover, slot) (:mod:`repro.crypto.stream`), and the crypto — runs
+  per chain over those columns (:mod:`repro.population.batch_build`), so
+  the batch is bit-identical to the per-user oracle whatever the chain,
+  chunk or thread it runs on.
 * **fetch** — mailbox decryption runs as a trial-decryption *cascade*: every
   (user, message) pair tries its first candidate key in one batched AEAD
   pass, survivors try their second, and so on.  Each message authenticates
@@ -97,12 +97,11 @@ class UserPopulation:
 
         ``users`` must be in deployment order; the returned per-chain lists
         are in the canonical batch order (deployment order, then each user's
-        chain-slot order) — the order ``finalize_collect`` assembles.  The
-        scalar draws are one serial pass in that order; the per-chain crypto
-        pass goes through ``map_chains`` (an execution backend's, so chains
+        chain-slot order) — the order ``finalize_collect`` assembles.  This
+        pass only gathers each entry's columns; the per-chain draws and
+        crypto go through ``map_chains`` (an execution backend's, so chains
         build concurrently; one after another when not given).
         """
-        group = self.group
         payloads = payloads or {}
         buckets: Dict[int, PendingColumns] = {}
         loopback_body = MessageBody.loopback().encode()
@@ -119,7 +118,7 @@ class UserPopulation:
                 )
             conversation_sent = False
             payload = payloads.get(user.name)
-            for chain_id in assignment:
+            for slot, chain_id in enumerate(assignment):
                 if chain_id not in chain_keys:
                     raise ConfigurationError(f"missing chain keys for chain {chain_id}")
                 if (
@@ -146,17 +145,13 @@ class UserPopulation:
                 pending.seal_keys.append(seal_key)
                 pending.recipients.append(recipient)
                 pending.bodies.append(body)
-                # The user's own RNG, in the oracle's draw order: inner
-                # ephemeral, outer ephemeral, proof nonce — per slot.
-                rng = user._rng
-                pending.inner_scalars.append(group.random_scalar(rng))
-                pending.outer_scalars.append(group.random_scalar(rng))
-                pending.nonce_scalars.append(group.random_scalar(rng))
+                pending.stream_keys.append(user.stream_key)
+                pending.slots.append(slot)
         chain_ids = sorted(buckets)
 
         def build(chain_id: int) -> List[ClientSubmission]:
             return build_chain_submissions(
-                group, chain_keys[chain_id], round_number, buckets[chain_id], cover=cover
+                self.group, chain_keys[chain_id], round_number, buckets[chain_id], cover=cover
             )
 
         built = map_chains(build, chain_ids) if map_chains else [build(c) for c in chain_ids]

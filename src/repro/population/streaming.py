@@ -9,9 +9,9 @@ O(chunk) regardless of population size.
 
 Chunking cannot change any observable output because the batched build is
 elementwise per (user, chain-slot) entry (:func:`repro.population.
-batch_build.build_chain_submissions`) and each user's RNG draws happen
-inside her own chunk in her fixed order — per-chunk per-chain
-lists concatenated in chunk order equal the monolithic per-chain lists, and
+batch_build.build_chain_submissions`), its scalar draws included — each is
+a pure function of (user's stream key, round, slot) — so per-chunk
+per-chain lists concatenated in chunk order equal the monolithic lists, and
 :meth:`RoundEngine._fold_user_submissions
 <repro.engine.round_engine.RoundEngine._fold_user_submissions>` reassembles
 the mix batches in global user order either way.

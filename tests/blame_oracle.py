@@ -4,10 +4,11 @@ This is the protocol as it ran before it was batched — one flagged
 ciphertext at a time, every proof made by :func:`prove_dleq` (which
 recomputes both publics from the secret) and checked by :func:`verify_dleq`,
 every key derived by :func:`outer_layer_key`, every trial decryption a
-single :func:`adec` — reading each member's secrets and per-round rng
-directly.  ``run_blame_protocol`` must return the same
-:class:`BlameVerdict` bytes and leave every member's round rng in the same
-state (tests/test_blame.py).
+single :func:`adec` — reading each member's secrets directly and drawing
+each proof nonce as its own draw of the member's round stream.
+``run_blame_protocol`` must return the same :class:`BlameVerdict` bytes and
+leave every member's round draw counter in the same place
+(tests/test_blame.py).
 
 It knows honest members and :class:`TamperingMember` wrappers (whose
 reveals are the wrapped member's own); a :class:`LyingRevealMember` has no
@@ -39,7 +40,7 @@ class ReferenceReveal:
 
 
 def _honest(member):
-    """The member whose secrets and rng make the reveal: a wrapper's wrapped one."""
+    """The member whose secrets and stream make the reveal: a wrapper's wrapped one."""
     return getattr(member, "_member", member)
 
 
@@ -47,17 +48,20 @@ def reference_blame_reveal(member, round_number: int, output_index: int) -> Refe
     """An upstream member's reveal for one output entry (§6.4 steps 1-2)."""
     member = _honest(member)
     group = member.group
-    rng = member._round_rng(round_number)
     record = member.round_record(round_number)
     input_index = record.permutation[output_index]
     entry = record.inputs[input_index]
     context = blame_context(member.chain_id, member.position, round_number)
+    (blinding_nonce,) = member.draw_scalars(round_number, 1)
     blinding_proof = prove_dleq(
-        group, entry.dh_public, member.base_point, member.blinding_secret, context, rng
+        group, entry.dh_public, member.base_point, member.blinding_secret, context,
+        nonce=blinding_nonce,
     )
     decryption_key = group.scalar_mult(entry.dh_public, member.mixing_secret)
+    (key_nonce,) = member.draw_scalars(round_number, 1)
     key_proof = prove_dleq(
-        group, entry.dh_public, member.base_point, member.mixing_secret, context, rng
+        group, entry.dh_public, member.base_point, member.mixing_secret, context,
+        nonce=key_nonce,
     )
     return ReferenceReveal(
         input_index, entry.dh_public, entry.ciphertext, decryption_key, key_proof, blinding_proof
@@ -68,12 +72,12 @@ def reference_key_reveal(member, round_number: int, input_index: int) -> Referen
     """The accusing member's reveal for one of its input entries (§6.4 step 4)."""
     member = _honest(member)
     group = member.group
-    rng = member._round_rng(round_number)
     entry = member.round_record(round_number).inputs[input_index]
     context = blame_context(member.chain_id, member.position, round_number)
     decryption_key = group.scalar_mult(entry.dh_public, member.mixing_secret)
+    (nonce,) = member.draw_scalars(round_number, 1)
     key_proof = prove_dleq(
-        group, entry.dh_public, member.base_point, member.mixing_secret, context, rng
+        group, entry.dh_public, member.base_point, member.mixing_secret, context, nonce=nonce
     )
     return ReferenceReveal(input_index, entry.dh_public, entry.ciphertext, decryption_key, key_proof)
 

@@ -1,6 +1,5 @@
 """Tests for the aggregate hybrid shuffle: key ceremony, mixing, verification."""
 
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.keys import KeyPair
 from repro.crypto.nizk import verify_dlog
-from repro.crypto.onion import encrypt_inner, encrypt_outer_layers, outer_layer_key
+from repro.crypto.onion import InnerEnvelope, encrypt_inner, encrypt_outer_layers, outer_layer_key
 from repro.errors import ProofError, ProtocolError
 from repro.mixnet.ahs import (
     ChainMember,
@@ -26,6 +25,7 @@ from repro.mixnet.messages import (
     MessageBody,
 )
 from repro.crypto.nizk import prove_dlog
+from repro.crypto.stream import stream_key
 
 from tests.conftest import RecordingTransport, selected_tier
 from tests.test_native_kernels import REJECTED_ENCODINGS
@@ -33,7 +33,7 @@ from tests.test_native_kernels import REJECTED_ENCODINGS
 
 def build_chain(group, length=3, chain_id=0, seed=11):
     members = [
-        ChainMember(f"server-{index}", chain_id, index, group, random.Random(seed + index))
+        ChainMember(f"server-{index}", chain_id, index, group, stream_key(seed + index))
         for index in range(length)
     ]
     chain = MixChain(chain_id=chain_id, members=members, group=group)
@@ -100,8 +100,8 @@ class TestKeyCeremony:
                 )
 
         members = [
-            ChainMember("server-0", 0, 0, group, random.Random(1)),
-            LyingMember("server-1", 0, 1, group, random.Random(2)),
+            ChainMember("server-0", 0, 0, group, stream_key(1)),
+            LyingMember("server-1", 0, 1, group, stream_key(2)),
         ]
         chain = MixChain(0, members, group)
         with pytest.raises(ProofError):
@@ -163,7 +163,7 @@ class TestInnerKeys:
 
         members = [
             (LyingMember if index == liar else ChainMember)(
-                f"server-{index}", 0, index, group, random.Random(index)
+                f"server-{index}", 0, index, group, stream_key(index)
             )
             for index in range(3)
         ]
@@ -348,8 +348,9 @@ class TestHonestMixing:
         assert chain.begin_round(1) == announced
 
     def test_garbage_inner_envelope_dropped(self, group):
-        """A submission whose outer layers are fine but whose inner envelope is garbage
-        is simply dropped after the reveal (it can only hurt its malicious sender)."""
+        """A submission whose outer layers are fine but whose inner envelope is
+        truncated garbage is simply dropped after the reveal, and counted as
+        invalid (it can only hurt its malicious sender)."""
         chain = build_chain(group, length=2)
         chain.begin_round(1)
         recipient = KeyPair.generate(group)
@@ -370,6 +371,44 @@ class TestHonestMixing:
         assert result.delivered
         assert len(result.mailbox_messages) == 1
         assert result.invalid_inner_count == 1
+
+    def test_a_short_mailbox_message_is_an_invalid_inner(self, group):
+        """An inner envelope that opens to fewer bytes than a mailbox message
+        counts as invalid, like a truncated envelope does."""
+        chain = build_chain(group, length=2)
+        chain.begin_round(1)
+        envelope = encrypt_inner(group, chain.aggregate_inner_public(1), 1, b"short")
+        ephemeral = group.random_scalar()
+        short = ClientSubmission(
+            chain_id=0,
+            sender="mallory",
+            dh_public=group.encode(group.base_mult(ephemeral)),
+            ciphertext=encrypt_outer_layers(
+                group, chain.public_keys.mixing_publics, 1, envelope.to_bytes(), ephemeral
+            ),
+            proof=prove_dlog(group, group.base(), ephemeral, submission_context(0, 1, "mallory")),
+        )
+        chain.accept_submissions(1, [short])
+        result = chain.run_round(1)
+        assert result.delivered
+        assert (result.mailbox_messages, result.invalid_inner_count) == ([], 1)
+
+    @pytest.mark.parametrize("parser", [InnerEnvelope, MailboxMessage], ids=lambda c: c.__name__)
+    def test_a_parser_fault_is_not_an_invalid_inner(self, group, parser, monkeypatch):
+        """Only the codec errors the parsers raise make an entry invalid; any
+        other exception propagates out of ``run_round``."""
+        chain = build_chain(group, length=2)
+        chain.begin_round(1)
+        recipient = KeyPair.generate(group)
+        good = make_submission(group, chain, 1, "alice", recipient.public_bytes, b"\x04" * 32)
+        chain.accept_submissions(1, [good])
+
+        def faulty(cls, data):
+            raise RuntimeError("parser fault")
+
+        monkeypatch.setattr(parser, "from_bytes", classmethod(faulty))
+        with pytest.raises(RuntimeError, match="parser fault"):
+            chain.run_round(1)
 
     def test_multiple_rounds_independent(self, group):
         chain = build_chain(group, length=2)
@@ -439,7 +478,7 @@ class TestPrecompute:
         assert len(table) == 2
 
     def test_precompute_requires_key_setup(self, group):
-        member = ChainMember("server-0", 0, 0, group, random.Random(1))
+        member = ChainMember("server-0", 0, 0, group, stream_key(1))
         with pytest.raises(ProtocolError):
             member.precompute_round(1, [])
 

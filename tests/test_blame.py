@@ -296,18 +296,19 @@ def mix_to(chain, round_number, position, entries):
     return chain.members[position].process_round(round_number, entries), history
 
 
-def rng_states(chain, round_number):
-    return [member.round_record(round_number).rng.getstate() for member in chain.members]
+def draw_counters(chain, round_number):
+    return [member.round_record(round_number).draws for member in chain.members]
 
 
 class TestBatchedWalkMatchesReference:
     """``run_blame_protocol`` against ``tests/blame_oracle.py``: same verdict
-    bytes, and every member's round rng left where the per-ciphertext walk
-    leaves it (so the re-mix after blame shuffles identically)."""
+    bytes, and every member's round draw counter left where the
+    per-ciphertext walk leaves it (so the re-mix after blame shuffles
+    identically)."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
-    def test_verdict_and_rng_state(self, group, data):
+    def test_verdict_and_draw_counters(self, group, data):
         length = data.draw(st.integers(1, 4), label="chain length")
         accusing = data.draw(st.integers(0, length - 1), label="accusing position")
         honest = data.draw(st.integers(0, 3), label="honest submissions")
@@ -345,7 +346,7 @@ class TestBatchedWalkMatchesReference:
         verdict = run_blame_protocol(chains[0], 1, accusing, flagged, histories[0])
         reference = reference_blame_protocol(chains[1], 1, accusing, flagged, histories[1])
         assert verdict.to_bytes() == reference.to_bytes()
-        assert rng_states(chains[0], 1) == rng_states(chains[1], 1)
+        assert draw_counters(chains[0], 1) == draw_counters(chains[1], 1)
 
     @pytest.mark.parametrize("group_name", ["group", "ed_group"])
     def test_reveals_are_the_reference_reveals(self, request, group_name, tier):
@@ -374,7 +375,7 @@ class TestBatchedWalkMatchesReference:
             assert reveals.decryption_keys[column] == expected.decryption_key
             assert reveals.blinding_proofs[column] == expected.blinding_proof
             assert reveals.key_proofs[column] == expected.key_proof
-        assert rng_states(chains[0], 1) == rng_states(chains[1], 1)
+        assert draw_counters(chains[0], 1) == draw_counters(chains[1], 1)
 
 
 class TestLyingReveals:

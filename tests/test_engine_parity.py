@@ -43,17 +43,17 @@ from tests.test_ahs_protocol import make_submission
 GOLDEN = {
     "modp": {
         "honest": [
-            "46a8ee3bd39341d9", "2dbb4df5ba7bca45", "3c02315e30b64c5b",
-            "87f1d9ea6ccee2e3", "d798b0780b6b822b", "523657d2fa3ac187",
+            "134cedfb46d02a46", "26111b80e31b4644", "24e7d9994867bb22",
+            "45496b81e191325c", "0ff91bddf87409f6", "e7017fa62b4c7ca7",
         ],
-        "blame": "892fb1dc2b0156c1",
+        "blame": "f5a9250b3402168a",
     },
     "ed25519": {
         "honest": [
-            "54d504a7b41bc2b0", "73234ecfdf1b2b9e", "1cbe5a90d61d8d90",
-            "5f15d73901da0e9d", "ad61b0aa361ea517", "0ba12a21a920b7e6",
+            "90a0313248ed698f", "db06e51d980b5378", "1744712c9cbce0c7",
+            "27a67703a13ac6e5", "2b5d11a322b5f885", "db3555a5da648ad4",
         ],
-        "blame": "cae9e33037d52cc7",
+        "blame": "518f8940b6d1afe0",
     },
 }
 
@@ -64,6 +64,10 @@ GOLDEN = {
 #: entry point, on the native tier (the python tier makes none).
 COUNTERS = {
     "dispatch.xrd_aead_open_batch": [12] * 6,
+    # Keyed draws: a (chain, build) call each for the round's submissions
+    # and banked covers (3 + 3), one per member mix step (6), one per member
+    # announcing the next round (6) — and round 1 announces itself too (+6).
+    "dispatch.xrd_chacha20_blocks": [24] + [18] * 5,
     "dispatch.xrd_hkdf_sha256_batch": [9] * 6,
     "dispatch.xrd_modp_accumulate_rows": [15, 12, 12, 12, 12, 12],
     "dispatch.xrd_modp_onion_build": [6] * 6,

@@ -434,13 +434,15 @@ class TestLinkFaultScenarios:
         assert {entry.kind for entry in transport.applied} == {ev.SUBMISSION_BATCH}
         deployment.close()
 
-    #: sha256[:16] of each scenario's ``canonical_bytes()`` on :func:`build`,
-    #: as the per-user client path produced them when it sent per-user
-    #: ``SUBMISSION`` and ``MAILBOX_FETCH`` envelopes.
+    #: sha256[:16] of each scenario's ``canonical_bytes()`` on :func:`build`.
+    #: First pinned from the per-user client path when it sent per-user
+    #: ``SUBMISSION`` and ``MAILBOX_FETCH`` envelopes; re-pinned with
+    #: ``GOLDEN`` when the keyed draw stream replaced the per-user RNGs, and
+    #: ``user_oracle.install`` lands on the same digests on both transports.
     PER_USER_DIGESTS = {
-        "flaky-uplink": (flaky_uplink(user_name="user-0", fault_round=2), "1a145ad25a40abce"),
+        "flaky-uplink": (flaky_uplink(user_name="user-0", fault_round=2), "4dbb29da77233c75"),
         "lossy-mailbox-fetch": (
-            lossy_mailbox_fetch(user_name="user-1", fault_round=1), "1c554a330de61622"
+            lossy_mailbox_fetch(user_name="user-1", fault_round=1), "4c8345bc1007b79c"
         ),
     }
 

@@ -828,13 +828,14 @@ def _build_three_ways(group, tier, num_users, num_chains, layers, paired, notice
     and the per-user oracle user by user."""
     from repro.client.user import ChainKeysView, User
     from repro.crypto.keys import KeyPair
+    from repro.crypto.stream import stream_key
     from repro.population import UserPopulation
     from tests.user_oracle import build_round_submissions
 
     def users():
         rng = random.Random(seed)
         made = [
-            User(f"user-{i}", group, KeyPair.generate(group, rng), random.Random(rng.random()))
+            User(f"user-{i}", group, KeyPair.generate(group, rng), stream_key(rng.random()))
             for i in range(num_users)
         ]
         for left, right in zip(made[0:paired:2], made[1:paired:2]):
@@ -922,14 +923,14 @@ class TestOnionBuildDifferential:
         for size in (1, 8, 40):
             pending = PendingColumns(
                 [f"user-{i}" for i in range(size)],
-                *([rng.randbytes(width) for _ in range(size)] for width in (32, 32, 256)),
-                *([group.random_scalar(rng) for _ in range(size)] for _ in range(3)),
+                *([rng.randbytes(width) for _ in range(size)] for width in (32, 32, 256, 32)),
+                list(range(size)),
             )
             with native_dispatches() as counts:
                 assert len(build_chain_submissions(group, view, 4, pending)) == size
             seen.append(counts)
         name = "xrd_modp_onion_build" if group_name == "group" else "xrd_ed25519_onion_build"
-        assert seen[0] == seen[1] == seen[2] == {name: 1}
+        assert seen[0] == seen[1] == seen[2] == {"xrd_chacha20_blocks": 1, name: 1}
 
     @needs_native
     def test_declines_before_the_c_call(self, monkeypatch):

@@ -99,20 +99,6 @@ class TestChunkedBitIdentity:
             == reference_fingerprints()
         )
 
-    def test_rng_streams_match_monolithic(self):
-        """After a chunked round, every seeded user RNG sits exactly where the
-        monolithic build left it (getstate comparison — stronger than report
-        parity)."""
-        chunked = build(population_chunk_size=2)
-        monolithic = build()
-        chunked.run_round()
-        monolithic.run_round()
-        for left, right in zip(chunked.users, monolithic.users):
-            assert left._rng is not None
-            assert left._rng.getstate() == right._rng.getstate()
-        chunked.close()
-        monolithic.close()
-
 
 class TestStreamingConfiguration:
     def test_nonpositive_chunk_size_rejected(self):

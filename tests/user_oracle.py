@@ -2,10 +2,11 @@
 
 This is the client as it ran before the batched population became the only
 executor — one :class:`~repro.client.user.User` at a time, every submission
-sealed, onion-encrypted and proved individually from the user's own RNG,
-every mailbox message trial-decrypted one AEAD call at a time.  From the
-same RNG state :class:`~repro.population.UserPopulation` must build the same
-submission bytes (tests/test_native_kernels.py::TestOnionBuildDifferential)
+sealed, onion-encrypted and proved individually, each of its three scalars
+one block of the user's keyed stream (:func:`draw`), every mailbox message
+trial-decrypted one AEAD call at a time.  From the same stream keys
+:class:`~repro.population.UserPopulation` must build the same submission
+bytes (tests/test_native_kernels.py::TestOnionBuildDifferential)
 and classify every mailbox the same way, including the §5.3.3 offline-notice
 side effect (tests/test_population.py, tests/test_user.py).  :func:`install`
 routes a whole deployment's client side through these functions, so any
@@ -15,6 +16,8 @@ round script can be run against the oracle end to end.
 from typing import Dict, List, Optional, Sequence
 
 from repro.client.user import ChainKeysView, ReceivedMessage
+from repro.crypto import stream
+from repro.crypto.chacha20 import chacha20_block
 from repro.crypto.kdf import loopback_key
 from repro.crypto.nizk import prove_dlog
 from repro.crypto.onion import encrypt_inner, encrypt_outer_layers
@@ -39,18 +42,27 @@ def seal_conversation(user, round_number: int, body: MessageBody) -> MailboxMess
     )
 
 
+def draw(user, label: bytes, round_number: int, slot: int) -> int:
+    """One scalar: block ``slot`` of the user's (label, round) stream, reduced."""
+    block = chacha20_block(user.stream_key, slot, label + round_number.to_bytes(8, "big"))
+    return 1 + int.from_bytes(block, "little") % (user.group.order - 1)
+
+
 def wrap_for_chain(
     user,
     round_number: int,
+    slot: int,
     chain_keys: ChainKeysView,
     mailbox_message: MailboxMessage,
     cover: bool,
 ) -> ClientSubmission:
     group = user.group
+    label_y, label_x, label_k = stream.COVER if cover else stream.LIVE
     envelope = encrypt_inner(
-        group, chain_keys.aggregate_inner_public, round_number, mailbox_message.to_bytes(), user._rng
+        group, chain_keys.aggregate_inner_public, round_number, mailbox_message.to_bytes(),
+        ephemeral_secret=draw(user, label_y, round_number, slot),
     )
-    ephemeral_secret = group.random_scalar(user._rng)
+    ephemeral_secret = draw(user, label_x, round_number, slot)
     ciphertext = encrypt_outer_layers(
         group, chain_keys.mixing_publics, round_number, envelope.to_bytes(), ephemeral_secret
     )
@@ -59,7 +71,7 @@ def wrap_for_chain(
         group.base(),
         ephemeral_secret,
         submission_context(chain_keys.chain_id, round_number, user.name),
-        user._rng,
+        nonce=draw(user, label_k, round_number, slot),
     )
     return ClientSubmission(
         chain_id=chain_keys.chain_id,
@@ -93,7 +105,7 @@ def build_round_submissions(
     conversation_chain_id = user.conversation_chain(num_chains) if user.in_conversation() else None
     submissions: List[ClientSubmission] = []
     conversation_sent = False
-    for chain_id in chains:
+    for slot, chain_id in enumerate(chains):
         if chain_id not in chain_keys:
             raise ConfigurationError(f"missing chain keys for chain {chain_id}")
         if (
@@ -110,7 +122,7 @@ def build_round_submissions(
         else:
             mailbox_message = seal_loopback(user, round_number, chain_id)
         submissions.append(
-            wrap_for_chain(user, round_number, chain_keys[chain_id], mailbox_message, cover)
+            wrap_for_chain(user, round_number, slot, chain_keys[chain_id], mailbox_message, cover)
         )
     return submissions
 
@@ -205,7 +217,7 @@ def install(deployment) -> None:
 
     The population's two batch entry points are replaced on the instance by
     per-user loops over :func:`build_round_submissions` and
-    :func:`decrypt_mailbox` — same users, same order, same RNG streams — so
+    :func:`decrypt_mailbox` — same users, same order, same stream keys — so
     the engine, transport and mailbox flows around them are unchanged.
     """
     population = deployment.population

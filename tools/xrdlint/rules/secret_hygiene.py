@@ -19,11 +19,16 @@ from tools.xrdlint.core import Finding, ModuleContext, Rule, resolve_call_name, 
 from tools.xrdlint.dataflow import FunctionTaint, TaintSpec, dotted_name
 from tools.xrdlint.rules import register
 
-#: Calls that *produce* secret values: the group's scalar sampler and every
-#: key-derivation function in :mod:`repro.crypto.kdf`.
+#: Calls that *produce* secret values: the group's scalar sampler, the keyed
+#: draw stream of :mod:`repro.crypto.stream`, and every key-derivation
+#: function in :mod:`repro.crypto.kdf`.
 SECRET_PRODUCERS = frozenset(
     {
         "random_scalar",
+        "stream_key",
+        "derive_keys",
+        "draw_scalars",
+        "submission_scalars",
         "derive_key",
         "shared_key_from_element",
         "loopback_key",
