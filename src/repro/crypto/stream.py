@@ -131,13 +131,11 @@ def submission_scalars(group, keys: Sequence[bytes], slots: Sequence[int],
     """
     count = len(keys)
     labels = COVER if cover else LIVE
-    blob = blocks(
-        [key for key in keys for _ in labels],
-        [stream_nonce(label, round_number) for label in labels] * count,
-        [slot for slot in slots for _ in labels],
-    )
-    drawn = scalars(group, blob)
-    return drawn[0::3], drawn[1::3], drawn[2::3]
+    nonces: List[bytes] = []
+    for label in labels:
+        nonces += [stream_nonce(label, round_number)] * count
+    drawn = scalars(group, blocks(list(keys) * 3, nonces, list(slots) * 3))
+    return drawn[:count], drawn[count:2 * count], drawn[2 * count:]
 
 
 def shuffle_blocks(size: int) -> int:
