@@ -14,7 +14,6 @@ Expected shape: baseline < AHS << verifiable shuffle, with AHS costing only a
 small constant factor over the unprotected baseline.
 """
 
-import random
 import time
 
 import pytest
@@ -22,6 +21,7 @@ import pytest
 from repro.crypto.group import ModPGroup
 from repro.crypto.keys import KeyPair
 from repro.crypto.onion import encrypt_onion_baseline
+from repro.crypto.stream import stream_key
 from repro.mixnet.messages import MailboxMessage, MessageBody
 from repro.mixnet.server import BaselineMixChain, BaselineMixServer
 
@@ -35,7 +35,7 @@ CHAIN_LENGTH = 3
 
 def _run_baseline_round():
     servers = [
-        BaselineMixServer(f"server-{i}", GROUP, random.Random(i)) for i in range(CHAIN_LENGTH)
+        BaselineMixServer(f"server-{i}", GROUP, stream_key(i)) for i in range(CHAIN_LENGTH)
     ]
     chain = BaselineMixChain(0, servers, GROUP)
     recipient = KeyPair.generate(GROUP)
@@ -45,8 +45,9 @@ def _run_baseline_round():
             chain.mixing_public_keys(),
             1,
             MailboxMessage.seal(recipient.public_bytes, b"\x01" * 32, 1, MessageBody.data(b"x")).to_bytes(),
+            stream_key(f"onion-{index}"),
         )
-        for _ in range(BATCH)
+        for index in range(BATCH)
     ]
     return chain.run_round(1, onions)
 

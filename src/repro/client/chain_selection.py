@@ -101,38 +101,25 @@ def chains_for_group(group_index: int, num_chains: int) -> List[int]:
     return [_logical_to_physical(logical, num_chains) for logical in sets[group_index]]
 
 
-#
-# Both per-user caches below are *unbounded* on purpose.  They used to be
-# ``lru_cache(maxsize=1 << 16)``, which sat just under the 100k-user
-# populations the scale benchmarks run: every round sweeps the users in the
-# same order, so a population larger than the cache evicted each entry
-# exactly one sweep before its next use — an ~0% hit rate at precisely the
-# scale the memoisation was added for (classic LRU thrash).  Entries are
-# pure functions of their keys (which include ``num_chains``), so they can
-# never go stale; memory is a few dozen bytes per (user, epoch
-# configuration), and :func:`reset_assignment_caches` clears both between
-# epochs or benchmark sweeps.
-
-
-@lru_cache(maxsize=None)
-def _chains_for_user_cached(public_key_bytes: bytes, num_chains: int) -> Tuple[int, ...]:
-    ell = ell_for_chains(num_chains)
-    group_index = assign_group(public_key_bytes, ell + 1)
-    return tuple(chains_for_group(group_index, num_chains))
-
-
 def chains_for_user(public_key_bytes: bytes, num_chains: int) -> List[int]:
     """Physical chain ids the owner of ``public_key_bytes`` must send to each round.
 
-    Assignments are pure functions of the (public key, chain count) pair and
-    are re-derived for every user every round on the hot submission path, so
-    the result is memoised per epoch configuration; the cache is shared by
-    the per-user and population build paths and by partner-intersection
-    lookups.
+    A pure function of the (public key, chain count) pair; the population
+    derives it once per user per epoch (``UserPopulation.chain_assignments``).
     """
-    return list(_chains_for_user_cached(public_key_bytes, num_chains))
+    ell = ell_for_chains(num_chains)
+    return chains_for_group(assign_group(public_key_bytes, ell + 1), num_chains)
 
 
+# The intersection cache is *unbounded* on purpose.  It used to be
+# ``lru_cache(maxsize=1 << 16)``, which sat just under the 100k-user
+# populations the scale benchmarks run: every round sweeps the pairs in the
+# same order, so more pairs than the cache evicted each entry exactly one
+# sweep before its next use — an ~0% hit rate at precisely the scale the
+# memoisation was added for (classic LRU thrash).  Entries are pure
+# functions of their keys (which include ``num_chains``), so they can never
+# go stale, and :func:`reset_assignment_caches` clears the cache between
+# epochs or benchmark sweeps.
 @lru_cache(maxsize=None)
 def intersection_logical_chain(public_key_a: bytes, public_key_b: bytes, num_chains: int) -> int:
     """Smallest-index *logical* chain shared by the two users' groups.
@@ -176,14 +163,13 @@ def expected_chain_load(num_users: int, num_chains: int) -> float:
 
 
 def reset_assignment_caches() -> None:
-    """Clear the per-user assignment caches (epoch change, benchmark sweeps).
+    """Clear the partner-intersection cache (epoch change, benchmark sweeps).
 
     Correctness never requires this — cache keys include every input the
     cached values depend on — but a long-lived process that churns through
     many distinct populations (the scale benchmarks, multi-deployment test
     sessions) can call it to return the memory of retired epochs.
     """
-    _chains_for_user_cached.cache_clear()
     intersection_logical_chain.cache_clear()
 
 

@@ -50,8 +50,10 @@ class ReceivedMessage:
 class User:
     """One XRD user: identity, conversation state, and chain assignment.
 
-    ``stream_key`` keys every scalar her submissions draw
-    (:mod:`repro.crypto.stream`); fresh OS entropy when not given.
+    ``stream_key`` keys every scalar she draws (:mod:`repro.crypto.stream`);
+    fresh OS entropy when not given.  Her key pair, when not given, is the
+    key's identity draw — as :meth:`Deployment.create
+    <repro.coordinator.network.Deployment.create>` derives it.
     """
 
     def __init__(
@@ -63,8 +65,8 @@ class User:
     ) -> None:
         self.name = name
         self.group = group
-        self.keypair = keypair or KeyPair.generate(group)
         self.stream_key = stream_key if stream_key is not None else fresh_stream_key()
+        self.keypair = keypair or KeyPair.generate(group, self.stream_key)
         self.conversation: Optional[Conversation] = None
 
     # -- identity ------------------------------------------------------------

@@ -20,11 +20,10 @@ benchmarks can exercise them:
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import random
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.client.user import ChainKeysView
+from repro.crypto import stream
 from repro.crypto.nizk import DleqProof, prove_dlog
 from repro.errors import ConfigurationError, ProtocolError
 from repro.mixnet.ahs import ChainMember, MixStepResult, submission_context
@@ -66,30 +65,6 @@ _MODES = (
 )
 
 
-def _derived_seed(*context: object) -> int:
-    """A deterministic 256-bit seed bound to the adversarial call context.
-
-    Adversarial randomness must be exactly as reproducible as honest
-    randomness: the parity matrix and the fault runner's scenario reports
-    compare round outputs byte for byte, so an adversary that reached for
-    OS entropy when no RNG was supplied would make the *same seeded
-    deployment* produce different bytes on every run.  When a caller does
-    not provide a seeded RNG we therefore derive one from the call context
-    instead of falling back to ``os.urandom``/``secrets``.
-    """
-    hasher = hashlib.sha256()
-    for part in context:
-        data = part if isinstance(part, bytes) else str(part).encode()
-        hasher.update(len(data).to_bytes(8, "big"))
-        hasher.update(data)
-    return int.from_bytes(hasher.digest(), "big")
-
-
-def _derived_rng(*context: object) -> random.Random:
-    """A deterministic ``random.Random`` seeded from :func:`_derived_seed`."""
-    return random.Random(_derived_seed(*context))
-
-
 class TamperingMember:
     """A malicious chain member: honest key material, corrupted mixing step.
 
@@ -99,16 +74,15 @@ class TamperingMember:
     to catch.
 
     The wrapper's own randomness (the delta scalars of the aggregate-breaking
-    modes) is drawn from a per-(wrapper, round) stream — mirroring
-    :class:`ChainMember`'s per-round streams, so adversarial rounds are
-    exactly as reproducible as honest ones and bit-identical under every
-    execution backend and scheduler.  The stream is derived from ``rng`` when
-    one is supplied; otherwise it is derived deterministically from the
-    wrapped member's identity and the tampering parameters (never from OS
-    entropy — see :func:`_derived_seed`).  ``rounds`` restricts the
-    corruption to the named round numbers (the wrapper behaves honestly
-    elsewhere), which is how fault plans schedule "tamper at round r"
-    without installing and removing wrappers mid-scenario.
+    modes) is drawn from ``stream_key`` under :data:`~repro.crypto.stream.
+    DERIVED`, addressed like :class:`ChainMember`'s draws by (round, draw
+    counter) — so adversarial rounds are exactly as reproducible as honest
+    ones and bit-identical under every execution backend and scheduler.  An
+    omitted key is derived from the wrapped member's identity and the
+    tampering parameters.  ``rounds`` restricts the corruption to the named
+    round numbers (the wrapper behaves honestly elsewhere), which is how
+    fault plans schedule "tamper at round r" without installing and removing
+    wrappers mid-scenario.
     """
 
     def __init__(
@@ -116,7 +90,7 @@ class TamperingMember:
         member: ChainMember,
         mode: str,
         target_index: int = 0,
-        rng: Optional[random.Random] = None,
+        stream_key: Optional[bytes] = None,
         rounds: Optional[Iterable[int]] = None,
     ) -> None:
         if mode not in _MODES:
@@ -125,28 +99,23 @@ class TamperingMember:
         self.mode = mode
         self.target_index = target_index
         self.rounds = frozenset(rounds) if rounds is not None else None
-        if rng is not None:
-            self._seed_base = rng.getrandbits(256)
-        else:
-            self._seed_base = _derived_seed(
-                "tampering-member",
-                getattr(member, "server_name", "?"),
-                getattr(member, "position", -1),
-                mode,
-                target_index,
-            )
-        self._round_rngs: dict = {}
+        self._stream_key = stream_key if stream_key is not None else stream.context_key(
+            "tampering-member", member.server_name, member.position, mode, target_index
+        )
+        #: Round → stream blocks drawn so far (a blame rerun draws fresh ones).
+        self._draws: Dict[int, int] = {}
 
     def __getattr__(self, name: str):
         return getattr(self._member, name)
 
-    def _round_rng(self, round_number: int) -> random.Random:
-        """The wrapper's independent randomness stream for one round."""
-        if round_number not in self._round_rngs:
-            self._round_rngs[round_number] = random.Random(
-                (self._seed_base << 64) | round_number
-            )
-        return self._round_rngs[round_number]
+    def _draw_scalar(self, round_number: int) -> int:
+        """The round's next draw (advancing its counter)."""
+        start = self._draws.get(round_number, 0)
+        self._draws[round_number] = start + 1
+        (scalar,) = stream.draw_scalars(
+            self._member.group, self._stream_key, stream.DERIVED, round_number, start, 1
+        )
+        return scalar
 
     def process_round(self, round_number: int, entries: EncodedBatch) -> MixStepResult:
         result = self._member.process_round(round_number, entries)
@@ -155,7 +124,6 @@ class TamperingMember:
         if result.halted or not result.entries:
             return result
         group = self._member.group
-        rng = self._round_rng(round_number)
         # Decode the honest output, corrupt it, and hand on what a server
         # really would: the re-encoded batch.
         outputs: List[BatchEntry] = list(result.entries)
@@ -167,13 +135,13 @@ class TamperingMember:
             outputs[target] = BatchEntry(outputs[target].dh_public, corrupted)
         elif self.mode == MODE_BREAK_AGGREGATE:
             outputs[target] = BatchEntry(
-                group.base_mult(group.random_scalar(rng)), outputs[target].ciphertext
+                group.base_mult(self._draw_scalar(round_number)), outputs[target].ciphertext
             )
         elif self.mode == MODE_PRESERVE_AGGREGATE:
             other = (target + 1) % len(outputs)
             if other == target:
                 return result
-            delta = group.base_mult(group.random_scalar(rng))
+            delta = group.base_mult(self._draw_scalar(round_number))
             outputs[target] = BatchEntry(
                 group.add(outputs[target].dh_public, delta), outputs[target].ciphertext
             )
@@ -274,14 +242,16 @@ def install_tampering_server(
     position: int,
     mode: str,
     target_index: int = 0,
-    rng: Optional[random.Random] = None,
+    stream_key: Optional[bytes] = None,
     rounds: Optional[Iterable[int]] = None,
 ) -> TamperingMember:
     """Replace one chain position in ``deployment`` with a tampering wrapper."""
     chain = deployment.chain(chain_id)
     if not 0 <= position < len(chain.members):
         raise ConfigurationError("position out of range for this chain")
-    wrapper = TamperingMember(chain.members[position], mode, target_index, rng=rng, rounds=rounds)
+    wrapper = TamperingMember(
+        chain.members[position], mode, target_index, stream_key=stream_key, rounds=rounds
+    )
     chain.members[position] = wrapper
     return wrapper
 
@@ -292,7 +262,7 @@ def forge_misauthenticated_submission(
     round_number: int,
     sender_name: str,
     fail_at_position: Optional[int] = None,
-    rng: Optional[random.Random] = None,
+    stream_key: Optional[bytes] = None,
 ) -> ClientSubmission:
     """Build a malicious user's submission that fails authentication mid-chain.
 
@@ -304,9 +274,9 @@ def forge_misauthenticated_submission(
     walk-back is needed to convict her.  ``fail_at_position`` defaults to the
     last server — the paper's worst case (§8.2, "impact of blame protocol").
 
-    ``rng`` may be omitted, in which case the forgery's randomness is derived
-    deterministically from ``(chain, round, sender, fail position)`` so
-    adversarial rounds stay reproducible (see :func:`_derived_seed`).
+    The forgery draws from ``stream_key`` — the ephemeral secret, the proof
+    nonce, then one block of garbage; an omitted key is derived from
+    ``(chain, round, sender, fail position)``.
     """
     from repro.crypto.onion import encrypt_outer_layers
 
@@ -316,16 +286,14 @@ def forge_misauthenticated_submission(
         fail_at_position = chain_length - 1
     if not 0 <= fail_at_position < chain_length:
         raise ConfigurationError("fail_at_position out of range")
-    if rng is None:
-        rng = _derived_rng(
-            "forge-misauthenticated",
-            chain_keys.chain_id,
-            round_number,
-            sender_name,
+    if stream_key is None:
+        stream_key = stream.context_key(
+            "forge-misauthenticated", chain_keys.chain_id, round_number, sender_name,
             fail_at_position,
         )
-    ephemeral_secret = group.random_scalar(rng)
-    garbage = rng.randbytes(64)
+    drawn = stream.draw_blocks(stream_key, stream.DERIVED, round_number, 0, 3)
+    ephemeral_secret, nonce = stream.scalars(group, drawn[:2 * stream.BLOCK_SIZE])
+    garbage = drawn[2 * stream.BLOCK_SIZE:]
     ciphertext = encrypt_outer_layers(
         group, mixing_publics[:fail_at_position], round_number, garbage, ephemeral_secret
     )
@@ -334,7 +302,7 @@ def forge_misauthenticated_submission(
         group.base(),
         ephemeral_secret,
         submission_context(chain_keys.chain_id, round_number, sender_name),
-        rng,
+        nonce=nonce,
     )
     return ClientSubmission(
         chain_id=chain_keys.chain_id,
@@ -350,32 +318,33 @@ def forge_invalid_proof_submission(
     chain_keys: ChainKeysView,
     round_number: int,
     sender_name: str,
-    rng: Optional[random.Random] = None,
+    stream_key: Optional[bytes] = None,
 ) -> ClientSubmission:
     """A submission whose knowledge-of-discrete-log proof is for the wrong key.
 
     Such submissions are rejected immediately at intake (§6.4: misbehaviour
-    detected without running the blame protocol).  As with
-    :func:`forge_misauthenticated_submission`, an omitted ``rng`` is derived
-    deterministically from the call context.
+    detected without running the blame protocol).  The forgery draws its
+    ephemeral secret, the wrong secret, the proof nonce and two blocks of
+    ciphertext from ``stream_key``; an omitted key is derived from
+    ``(chain, round, sender)``.
     """
-    if rng is None:
-        rng = _derived_rng(
+    if stream_key is None:
+        stream_key = stream.context_key(
             "forge-invalid-proof", chain_keys.chain_id, round_number, sender_name
         )
-    ephemeral_secret = group.random_scalar(rng)
-    wrong_secret = group.random_scalar(rng)
+    drawn = stream.draw_blocks(stream_key, stream.DERIVED, round_number, 0, 5)
+    ephemeral_secret, wrong_secret, nonce = stream.scalars(group, drawn[:3 * stream.BLOCK_SIZE])
     proof = prove_dlog(
         group,
         group.base(),
         wrong_secret,
         submission_context(chain_keys.chain_id, round_number, sender_name),
-        rng,
+        nonce=nonce,
     )
     return ClientSubmission(
         chain_id=chain_keys.chain_id,
         sender=sender_name,
         dh_public=group.encode(group.base_mult(ephemeral_secret)),
-        ciphertext=rng.randbytes(128),
+        ciphertext=drawn[3 * stream.BLOCK_SIZE:],
         proof=proof,
     )

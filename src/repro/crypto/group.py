@@ -22,12 +22,12 @@ so protocol code stays agnostic of the representation.
 from __future__ import annotations
 
 import hashlib
-import secrets
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 from repro.crypto import field
 from repro.crypto import kernels as _kernels
+from repro.crypto import stream
 from repro.errors import ConfigurationError, CryptoError, DecodingError
 
 __all__ = [
@@ -306,6 +306,22 @@ def _check_rows(points: Sequence, scalars: Sequence[int], k: int) -> None:
         )
 
 
+def _random_scalar(group, rng: Optional[object]) -> int:
+    """A uniformly random non-zero scalar of ``group``.
+
+    ``rng`` is any object with a ``randrange`` method (the tests' seeded
+    generators, the analytic models); without one the scalar is the first
+    draw of a fresh stream key.  Protocol code draws from its own stream key
+    (:mod:`repro.crypto.stream`) instead.
+    """
+    if rng is None:
+        return stream.draw_scalars(group, stream.stream_key(), stream.DERIVED, 0, 0, 1)[0]
+    while True:
+        value = rng.randrange(group.order)
+        if value != 0:
+            return value
+
+
 class Ed25519Group:
     """The prime-order subgroup of edwards25519 used for all XRD DH operations."""
 
@@ -321,23 +337,8 @@ class Ed25519Group:
     # -- scalars -------------------------------------------------------------
 
     def random_scalar(self, rng: Optional[object] = None) -> int:
-        """Sample a uniformly random non-zero scalar.
-
-        ``rng`` may be a :class:`random.Random`-like object for deterministic
-        tests; by default the OS CSPRNG is used.
-        """
-        while True:
-            if rng is None:
-                # xrdlint: disable=XRD101 - CSPRNG is the production default; seeded runs pass rng
-                value = secrets.randbelow(self.order)
-            else:
-                value = rng.randrange(self.order)
-            if value != 0:
-                return value
-
-    def scalar_from_bytes(self, data: bytes) -> int:
-        """Reduce arbitrary bytes into a scalar (used by Fiat-Shamir hashing)."""
-        return int.from_bytes(hashlib.sha512(data).digest(), "little") % self.order
+        """A uniformly random non-zero scalar (see :func:`_random_scalar`)."""
+        return _random_scalar(self, rng)
 
     def encode_scalar(self, scalar: int) -> bytes:
         """Encode a scalar as 32 little-endian bytes."""
@@ -540,10 +541,6 @@ class Ed25519Group:
             for start in range(0, len(points), k)
         ]
 
-    def exp(self, point: Point, scalar: int) -> Point:
-        """Alias of :meth:`scalar_mult` using the paper's multiplicative notation."""
-        return self.scalar_mult(point, scalar)
-
     def diffie_hellman(self, public: Point, secret: int) -> Point:
         """Return the Diffie-Hellman shared element ``DH(public, secret)``."""
         return self.scalar_mult(public, secret)
@@ -647,14 +644,7 @@ class ModPGroup:
     # -- scalars -------------------------------------------------------------
 
     def random_scalar(self, rng: Optional[object] = None) -> int:
-        while True:
-            if rng is None:
-                # xrdlint: disable=XRD101 - CSPRNG is the production default; seeded runs pass rng
-                value = secrets.randbelow(self.order)
-            else:
-                value = rng.randrange(self.order)
-            if value != 0:
-                return value
+        return _random_scalar(self, rng)
 
     def encode_scalar(self, scalar: int) -> bytes:
         return (scalar % self.order).to_bytes(self.scalar_size, "big")
@@ -758,9 +748,6 @@ class ModPGroup:
             self.multi_scalar_accumulate(elements[start:start + k], exponents[start:start + k])
             for start in range(0, len(elements), k)
         ]
-
-    def exp(self, element: int, scalar: int) -> int:
-        return self.scalar_mult(element, scalar)
 
     def diffie_hellman(self, public: int, secret: int) -> int:
         return self.scalar_mult(public, secret)

@@ -9,10 +9,10 @@ directory.
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.crypto import stream
 from repro.crypto.group import default_group
 from repro.errors import ConfigurationError
 
@@ -28,10 +28,16 @@ class KeyPair:
     public_bytes: bytes = field(repr=False)
 
     @classmethod
-    def generate(cls, group=None, rng: Optional[object] = None) -> "KeyPair":
-        """Generate a fresh key pair on ``group`` (default: edwards25519)."""
+    def generate(cls, group=None, stream_key: Optional[bytes] = None) -> "KeyPair":
+        """The key pair of ``stream_key`` on ``group`` (default: edwards25519).
+
+        The secret is the key's ``IDENTITY`` draw — the identity a deployment
+        gives the user holding that stream key.  Without a key the pair is
+        fresh: a key pair has no call context to derive one from.
+        """
         group = group or default_group()
-        secret = group.random_scalar(rng)
+        key = stream_key if stream_key is not None else stream.stream_key()
+        (secret,) = stream.draw_scalars(group, key, stream.IDENTITY, 0, 0, 1)
         public = group.base_mult(secret)
         return cls(secret=secret, public=public, public_bytes=group.encode(public))
 
@@ -95,8 +101,3 @@ class KeyDirectory:
 
     def __len__(self) -> int:
         return len(self._users) + len(self._servers)
-
-
-def random_bytes(length: int) -> bytes:
-    """Return ``length`` cryptographically random bytes."""
-    return secrets.token_bytes(length)

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.constants import NIZK_LABEL_DLEQ, NIZK_LABEL_DLOG
+from repro.crypto import stream
 from repro.errors import ProofError
 
 __all__ = [
@@ -87,18 +88,21 @@ def _same_length(*columns: Sequence) -> None:
         )
 
 
-def prove_dlog(group, base, secret: int, context: bytes = b"", rng=None,
+def prove_dlog(group, base, secret: int, context: bytes = b"",
                nonce: Optional[int] = None) -> SchnorrProof:
     """Prove knowledge of ``secret`` such that ``secret · base`` is known.
 
     The statement (``base``, ``public = secret · base``) and ``context`` are
     bound into the Fiat-Shamir challenge, so a proof cannot be replayed for a
     different statement or round.  ``nonce`` is a caller-drawn nonce scalar;
-    without one it is drawn from ``rng``.
+    without one it is derived from the secret and the statement (as EdDSA
+    derives its nonces), so one statement always gets one proof.
     """
     public = group.scalar_mult(base, secret)
     if nonce is None:
-        nonce = group.random_scalar(rng)
+        nonce = stream.context_scalar(
+            group, "prove-dlog", group.encode(base), group.encode_scalar(secret), context
+        )
     commitment = group.encode(group.scalar_mult(base, nonce))
     challenge = _dlog_challenge(group, base, public, commitment, context)
     response = (nonce + challenge * secret) % group.order
@@ -162,16 +166,20 @@ def _dleq_challenge_encoded(group, base1: bytes, public1: bytes, base2: bytes, p
     )
 
 
-def prove_dleq(group, base1, base2, secret: int, context: bytes = b"", rng=None,
+def prove_dleq(group, base1, base2, secret: int, context: bytes = b"",
                nonce: Optional[int] = None) -> DleqProof:
     """Prove that ``log_base1(secret·base1) = log_base2(secret·base2) = secret``.
 
-    ``nonce`` is a caller-drawn nonce scalar; without one it is drawn from ``rng``.
+    ``nonce`` is a caller-drawn nonce scalar; without one it is derived from
+    the secret and the statement, as in :func:`prove_dlog`.
     """
     public1 = group.scalar_mult(base1, secret)
     public2 = group.scalar_mult(base2, secret)
     if nonce is None:
-        nonce = group.random_scalar(rng)
+        nonce = stream.context_scalar(
+            group, "prove-dleq", group.encode(base1), group.encode(base2),
+            group.encode_scalar(secret), context,
+        )
     commitment1 = group.encode(group.scalar_mult(base1, nonce))
     commitment2 = group.encode(group.scalar_mult(base2, nonce))
     challenge = _dleq_challenge(

@@ -28,6 +28,7 @@ from repro.constants import (
     KDF_LABEL_OUTER,
     PAYLOAD_SIZE,
 )
+from repro.crypto import stream
 from repro.crypto.aead import adec, adec_batch, aenc
 from repro.crypto.kdf import derive_key_batch, shared_key_from_element
 from repro.errors import CryptoError
@@ -142,17 +143,19 @@ class InnerEnvelope:
         return len(self.ephemeral_public) + len(self.ciphertext)
 
 
-def encrypt_inner(group, aggregate_inner_public, round_number: int, plaintext: bytes, rng=None,
+def encrypt_inner(group, aggregate_inner_public, round_number: int, plaintext: bytes,
                   ephemeral_secret: Optional[int] = None) -> InnerEnvelope:
     """Encrypt ``plaintext`` under the aggregate inner public key ``Σ ipk_i``.
 
     The "one-shot" onion of §6.2: decryption requires knowledge of *all*
     per-round inner secrets, which the servers only reveal once the shuffle
     has been verified.  ``ephemeral_secret`` is a caller-drawn ``y``;
-    without one it is drawn from ``rng``.
+    without one it is derived from the call (key, round and plaintext).
     """
     if ephemeral_secret is None:
-        ephemeral_secret = group.random_scalar(rng)
+        ephemeral_secret = stream.context_scalar(
+            group, "encrypt-inner", group.encode(aggregate_inner_public), round_number, plaintext
+        )
     ephemeral_public = group.base_mult(ephemeral_secret)
     shared = group.scalar_mult(aggregate_inner_public, ephemeral_secret)
     key = inner_envelope_key(group, shared)
@@ -228,14 +231,26 @@ def decrypt_outer_layer(group, mixing_secret: int, round_number: int, dh_public,
 # Baseline onion (Algorithm 2): fresh DH key per layer
 # --------------------------------------------------------------------------
 
-def encrypt_onion_baseline(group, mixing_public_keys: Sequence, round_number: int, payload: bytes, rng=None) -> bytes:
+def encrypt_onion_baseline(group, mixing_public_keys: Sequence, round_number: int,
+                           payload: bytes, stream_key: Optional[bytes] = None) -> bytes:
     """Onion-encrypt ``payload`` with a fresh ephemeral key per layer.
 
     Layer format: ``g^{x_i} (32 bytes) || AEnc(DH(mpk_i, x_i), ρ, next_layer)``.
+    The layers' secrets are the first draws of ``stream_key``, innermost
+    layer first; without a key they are derived from the call (keys, round
+    and payload).
     """
+    mixing_public_keys = list(mixing_public_keys)
+    if stream_key is None:
+        stream_key = stream.context_key(
+            "encrypt-onion-baseline", *map(group.encode, mixing_public_keys), round_number,
+            payload,
+        )
+    ephemeral_secrets = stream.draw_scalars(
+        group, stream_key, stream.DERIVED, round_number, 0, len(mixing_public_keys)
+    )
     ciphertext = payload
-    for mixing_public in reversed(list(mixing_public_keys)):
-        ephemeral_secret = group.random_scalar(rng)
+    for mixing_public, ephemeral_secret in zip(reversed(mixing_public_keys), ephemeral_secrets):
         ephemeral_public = group.base_mult(ephemeral_secret)
         shared = group.scalar_mult(mixing_public, ephemeral_secret)
         key = outer_layer_key(group, shared)

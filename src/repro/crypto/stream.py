@@ -1,4 +1,4 @@
-"""The keyed draw stream: every honest user and chain-member scalar (DESIGN.md §2.2).
+"""The keyed draw stream: every reproducible draw in the system (DESIGN.md §2.2).
 
 Each participant holds one 32-byte *stream key*.  A draw is one ChaCha20
 block, ``block(key, nonce = label ‖ number, counter = draw index)``, reduced
@@ -22,10 +22,19 @@ round (0 for a one-off draw); the counter is the draw's index within that
   round's inner key, shuffle and proof nonces under ``MEMBER_ROUND``, from
   a counter its round record advances (a blame rerun draws fresh blocks);
 * per-participant keys are derived from their parent's key with the
-  ``USER``/``SERVER``/``JOIN`` labels, indexed by the number field.
+  ``USER``/``SERVER``/``JOIN`` labels, indexed by the number field;
+* a §5 baseline server draws its key and shuffles as a chain member does;
+* everything else — an adversary's or a fault's draws, a proof nonce or
+  ephemeral secret a caller did not supply — draws under ``DERIVED`` from
+  a key that :func:`context_key` binds to the call's identity (a tampering
+  member, a forged submission, one envelope of a reorder fault) unless the
+  caller hands over a key of its own.
 
 A seeded deployment derives its master key from the seed; an unseeded one
-draws it once from the OS CSPRNG (:func:`stream_key`).
+draws it once from the OS CSPRNG (:func:`stream_key`), the one read of OS
+entropy in the package.  The public randomness beacon
+(:mod:`repro.crypto.randomness`) is the one generator outside the stream:
+its outputs are public and it forms every chain.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from repro.crypto.chacha20 import BLOCK_SIZE, KEY_SIZE, chacha20_blocks_batch
 __all__ = [
     "BLOCK_SIZE",
     "COVER",
+    "DERIVED",
     "IDENTITY",
     "JOIN",
     "KEY_SIZE",
@@ -49,6 +59,8 @@ __all__ = [
     "SERVER",
     "USER",
     "blocks",
+    "context_key",
+    "context_scalar",
     "derive_keys",
     "draw_blocks",
     "draw_scalars",
@@ -69,6 +81,7 @@ MEMBER_ROUND = b"mrnd"
 USER = b"user"
 SERVER = b"srvr"
 JOIN = b"join"
+DERIVED = b"drvd"
 
 #: Sort keys per block for :func:`permutation`: 64 bits each.
 _KEYS_PER_BLOCK = BLOCK_SIZE // 8
@@ -80,6 +93,18 @@ def stream_key(seed: Optional[object] = None) -> bytes:
         # xrdlint: disable=XRD101 - the one unseeded key draw; every scalar derives from it
         return secrets.token_bytes(KEY_SIZE)
     return hashlib.sha256(b"xrd/stream-key|" + str(seed).encode()).digest()
+
+
+def context_key(*context: object) -> bytes:
+    """A 32-byte stream key bound to ``context``: SHA-256 over its parts,
+    each length-framed (bytes as they are, anything else as ``str``), so no
+    two distinct contexts share a key."""
+    hasher = hashlib.sha256(b"xrd/context-key")
+    for part in context:
+        data = part if isinstance(part, bytes) else str(part).encode()
+        hasher.update(len(data).to_bytes(8, "big"))
+        hasher.update(data)
+    return hasher.digest()
 
 
 def stream_nonce(label: bytes, number: int) -> bytes:
@@ -120,6 +145,11 @@ def draw_scalars(group, key: bytes, label: bytes, number: int, start: int,
                  count: int) -> List[int]:
     """Draws ``start … start + count − 1`` of one key's (label, number) stream."""
     return scalars(group, draw_blocks(key, label, number, start, count))
+
+
+def context_scalar(group, *context: object) -> int:
+    """The one-off draw of the key :func:`context_key` gives ``context``."""
+    return draw_scalars(group, context_key(*context), DERIVED, 0, 0, 1)[0]
 
 
 def submission_scalars(group, keys: Sequence[bytes], slots: Sequence[int],

@@ -20,8 +20,8 @@ counter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from dataclasses import astuple, dataclass, field
+from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from repro.coordinator.adversary import (
     MODE_BREAK_AGGREGATE,
@@ -29,10 +29,11 @@ from repro.coordinator.adversary import (
     MODE_PRESERVE_AGGREGATE,
     MODE_TAMPER_CIPHERTEXT,
 )
+from repro.crypto import stream
 from repro.errors import ConfigurationError
 from repro.transport.faulty import LinkFault
 
-__all__ = ["ServerFault", "UserFault", "FaultPlan"]
+__all__ = ["ServerFault", "UserFault", "FaultPlan", "fault_key"]
 
 _SERVER_MODES = (
     MODE_TAMPER_CIPHERTEXT,
@@ -84,6 +85,16 @@ class UserFault:
             raise ConfigurationError(f"unknown user-fault kind {self.kind!r}")
         if self.round_number < 1:
             raise ConfigurationError("user-fault rounds are 1-based")
+
+
+def fault_key(seed: int, fault: Union[ServerFault, UserFault]) -> bytes:
+    """The stream key every draw of one of a plan's faults comes from.
+
+    A function of the plan seed and the fault's whole identity, so the
+    distributed runner's mix roles, told only those, re-derive the key the
+    coordinator uses (:mod:`repro.crypto.stream`).
+    """
+    return stream.context_key(type(fault).__name__, seed, *astuple(fault))
 
 
 @dataclass(frozen=True)

@@ -15,17 +15,16 @@ across a recovery, and the scenario's canonical bytes are bit-identical
 across {one thread, the helper pool} × {sequential, staggered} ×
 {inproc, tcp}.
 
-Reproducibility: every adversarial behaviour draws from a stream derived
-from ``(plan.seed, fault identity)`` — never from the global :mod:`random`
-state — matching the per-(member, round) determinism of honest execution.
+Reproducibility: every adversarial behaviour draws from the stream key
+:func:`~repro.faults.plan.fault_key` derives from ``(plan.seed, fault
+identity)``, matching the per-(member, round) determinism of honest
+execution.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import random
-import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
@@ -36,7 +35,7 @@ from repro.coordinator.adversary import (
     install_tampering_server,
 )
 from repro.errors import ConfigurationError
-from repro.faults.plan import USER_MISAUTHENTICATED, FaultPlan, ServerFault, UserFault
+from repro.faults.plan import USER_MISAUTHENTICATED, FaultPlan, UserFault, fault_key
 from repro.transport.faulty import FaultyTransport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,24 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.stages import RoundReport
     from repro.mixnet.blame import BlameVerdict
 
-__all__ = ["RoundOutcome", "ScenarioReport", "ScenarioRunner", "server_fault_rng"]
-
-
-def server_fault_rng(seed: int, fault: ServerFault) -> random.Random:
-    """The adversarial stream for one server fault, derived from the *plan*.
-
-    Module-level because the distributed runner must derive the identical
-    stream on the mix process that owns the tampering server: the coordinator
-    broadcasts only the plan seed and the fault's identity, and both sides
-    seed from ``(seed, fault)`` exactly the same way.
-    """
-    return random.Random(
-        (seed << 48)
-        ^ (fault.round_number << 32)
-        ^ (fault.chain_id << 16)
-        ^ (fault.position << 8)
-        ^ 0xA5
-    )
+__all__ = ["RoundOutcome", "ScenarioReport", "ScenarioRunner"]
 
 
 @dataclass
@@ -179,19 +161,6 @@ class ScenarioRunner:
         #: code paths, which is what makes distributed parity by construction.
         self.control = control
 
-    # -- deterministic adversarial randomness ---------------------------------
-
-    def _server_fault_rng(self, fault: ServerFault) -> random.Random:
-        return server_fault_rng(self.plan.seed, fault)
-
-    def _user_fault_rng(self, fault: UserFault) -> random.Random:
-        return random.Random(
-            (self.plan.seed << 48)
-            ^ (fault.round_number << 32)
-            ^ (fault.chain_id << 16)
-            ^ zlib.crc32(fault.sender.encode())
-        )
-
     # -- setup ------------------------------------------------------------------
 
     def _absolute_link_faults(self, offset: int):
@@ -232,7 +201,7 @@ class ScenarioRunner:
         views = deployment.chain_keys_view(absolute_round)
         if fault.chain_id not in views:
             raise ConfigurationError(f"user fault targets unknown chain {fault.chain_id}")
-        rng = self._user_fault_rng(fault)
+        key = fault_key(self.plan.seed, fault)
         if fault.kind == USER_MISAUTHENTICATED:
             return forge_misauthenticated_submission(
                 deployment.group,
@@ -240,10 +209,11 @@ class ScenarioRunner:
                 absolute_round,
                 fault.sender,
                 fail_at_position=fault.fail_at_position,
-                rng=rng,
+                stream_key=key,
             )
         return forge_invalid_proof_submission(
-            deployment.group, views[fault.chain_id], absolute_round, fault.sender, rng=rng
+            deployment.group, views[fault.chain_id], absolute_round, fault.sender,
+            stream_key=key,
         )
 
     # -- execution ----------------------------------------------------------------
@@ -287,7 +257,7 @@ class ScenarioRunner:
                         fault.position,
                         fault.mode,
                         target_index=fault.target_index,
-                        rng=self._server_fault_rng(fault),
+                        stream_key=fault_key(plan.seed, fault),
                         rounds={offset + fault.round_number},
                     )
             specs = []

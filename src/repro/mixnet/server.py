@@ -10,10 +10,10 @@ benchmarks.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.crypto import stream
 from repro.crypto.onion import decrypt_baseline_layer
 from repro.errors import ProtocolError
 from repro.mixnet.messages import MailboxMessage
@@ -22,15 +22,23 @@ __all__ = ["BaselineMixServer", "BaselineMixChain", "BaselineRoundResult"]
 
 
 class BaselineMixServer:
-    """A single mix server with an independent mixing key pair (Algorithm 1)."""
+    """A single mix server with an independent mixing key pair (Algorithm 1).
 
-    def __init__(self, server_name: str, group, rng: Optional[random.Random] = None) -> None:
+    Its mixing secret and every round's shuffle are draws of ``stream_key``
+    (:mod:`repro.crypto.stream`, labelled as a chain member's are); a
+    fresh key when none is given.
+    """
+
+    def __init__(self, server_name: str, group, stream_key: Optional[bytes] = None) -> None:
         self.server_name = server_name
         self.group = group
-        # xrdlint: disable=XRD101 - CSPRNG is the production default; seeded runs pass rng
-        self._rng = rng or random.SystemRandom()
-        self.mixing_secret = group.random_scalar(self._rng)
+        self._stream_key = stream_key if stream_key is not None else stream.stream_key()
+        (self.mixing_secret,) = stream.draw_scalars(
+            group, self._stream_key, stream.MEMBER_KEYS, 0, 0, 1
+        )
         self.mixing_public = group.base_mult(self.mixing_secret)
+        #: Round → stream blocks its shuffles have drawn.
+        self._draws: Dict[int, int] = {}
 
     def process(self, round_number: int, ciphertexts: Sequence[bytes]) -> Tuple[List[bytes], List[int]]:
         """Decrypt one onion layer from each ciphertext and shuffle the results.
@@ -50,8 +58,14 @@ class BaselineMixServer:
                 failed.append(index)
                 continue
             decrypted.append(plaintext)
-        self._rng.shuffle(decrypted)
-        return decrypted, failed
+        count = stream.shuffle_blocks(len(decrypted))
+        start = self._draws.get(round_number, 0)
+        self._draws[round_number] = start + count
+        order = stream.permutation(
+            stream.draw_blocks(self._stream_key, stream.MEMBER_ROUND, round_number, start, count),
+            len(decrypted),
+        )
+        return [decrypted[index] for index in order], failed
 
 
 @dataclass

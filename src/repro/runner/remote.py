@@ -123,9 +123,8 @@ class DistributedControl:
         """Mirror one tampering-server installation on every role.
 
         Only the fault's identity crosses the wire; each role re-derives the
-        adversarial stream from ``(plan seed, fault)`` via
-        :func:`repro.faults.runner.server_fault_rng`, exactly as the
-        coordinator does.
+        fault's stream key from ``(plan seed, fault)`` via
+        :func:`repro.faults.plan.fault_key`, exactly as the coordinator does.
         """
         self.broadcast(
             protocol.encode_json_control(

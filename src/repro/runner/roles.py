@@ -31,8 +31,7 @@ from typing import Optional, Tuple
 from repro.coordinator.adversary import install_tampering_server
 from repro.coordinator.network import Deployment, DeploymentConfig
 from repro.errors import ConfigurationError, TransportError
-from repro.faults.plan import ServerFault
-from repro.faults.runner import server_fault_rng
+from repro.faults.plan import ServerFault, fault_key
 from repro.runner import protocol
 from repro.transport.codec import (
     decode_submission_batch,
@@ -106,7 +105,7 @@ class RoleHandler(ReflectingHandler):
                 fault.position,
                 fault.mode,
                 target_index=fault.target_index,
-                rng=server_fault_rng(data["seed"], fault),
+                stream_key=fault_key(data["seed"], fault),
                 rounds={data["absolute_round"]},
             )
         return b"ok"

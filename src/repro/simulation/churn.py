@@ -11,7 +11,6 @@ introduced by servers appearing in many chains are captured.
 from __future__ import annotations
 
 import hashlib
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,20 +79,21 @@ def simulate_failure_rate(
     server_names = [f"server-{index}" for index in range(num_servers)]
     beacon = PublicRandomnessBeacon(seed=b"churn-simulation-%d" % seed)
     topologies = form_chains(server_names, num_chains, chain_length, beacon=beacon)
-    rng = random.Random(seed)
+    # The trials' draws are public model inputs, like the chains themselves.
+    sampler = beacon.rng_for_epoch(0, "churn-trials")
 
     failures = 0
     total = 0
     for _ in range(trials):
-        failed_servers = {name for name in server_names if rng.random() < churn_rate}
+        failed_servers = {name for name in server_names if sampler.random() < churn_rate}
         failed_chains = {
             topology.chain_id
             for topology in topologies
             if any(server in failed_servers for server in topology.servers)
         }
         for _pair_index in range(conversations_per_trial):
-            key_a = _synthetic_public_key(rng.randrange(1 << 30))
-            key_b = _synthetic_public_key(rng.randrange(1 << 30))
+            key_a = _synthetic_public_key(sampler.randrange(1 << 30))
+            key_b = _synthetic_public_key(sampler.randrange(1 << 30))
             chain_id = intersection_chain(key_a, key_b, num_chains)
             total += 1
             if chain_id in failed_chains:

@@ -25,9 +25,10 @@ of) handing it to the inner transport:
   added to the link record of the envelope it delays
   (:class:`~repro.trace.Link`), so measured round latency reflects the
   stall.
-* ``reorder`` — a list payload arrives permuted, by a shuffle derived
-  deterministically from (fault seed, round, chain), never from shared
-  state.
+* ``reorder`` — a list payload arrives permuted, by a shuffle drawn from
+  the stream key :func:`~repro.crypto.stream.context_key` derives from the
+  fault seed and the envelope's whole identity (kind, round, chain, part,
+  source, destination), never from shared state.
 
 Every behaviour is a *pure function of the envelope* — matching keeps no
 counters — so the wrapper is safe to share between the coordinator thread
@@ -37,11 +38,11 @@ round outcome is what parity is measured on).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from typing import FrozenSet, List, Optional, Sequence
 
 from repro import trace
+from repro.crypto import stream
 from repro.errors import ConfigurationError
 from repro.transport import envelope as ev
 from repro.transport.base import Transport
@@ -104,7 +105,7 @@ class LinkFault:
     index: int = 0
     #: Extra one-way latency charged by a ``delay``.
     delay_seconds: float = 0.0
-    #: Seed component of a ``reorder``'s deterministic permutation.
+    #: Seed component of a ``reorder``'s permutation key.
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -218,15 +219,15 @@ class FaultyTransport(Transport):
         )
 
     @staticmethod
-    def _reorder_rng(fault: LinkFault, envelope: Envelope) -> random.Random:
-        """A permutation stream derived purely from the (fault, envelope) pair."""
-        chain = envelope.chain_id if envelope.chain_id is not None else -1
-        return random.Random(
-            (fault.seed << 96)
-            ^ (envelope.round_number << 32)
-            ^ ((chain & 0xFFFF) << 16)
-            ^ len(envelope.kind)
+    def _reorder(fault: LinkFault, envelope: Envelope, count: int) -> List[int]:
+        """The permutation a ``reorder`` applies: a pure function of the
+        fault's seed and the envelope's identity."""
+        key = stream.context_key(
+            "reorder", fault.seed, envelope.kind, envelope.round_number, envelope.chain_id,
+            envelope.part, envelope.source, envelope.destination,
         )
+        blocks = stream.draw_blocks(key, stream.DERIVED, 0, 0, stream.shuffle_blocks(count))
+        return stream.permutation(blocks, count)
 
     def deliver(self, envelope: Envelope) -> object:
         matching = [fault for fault in self.faults if fault.matches(envelope)]
@@ -251,8 +252,7 @@ class FaultyTransport(Transport):
             elif fault.behaviour == REORDER:
                 count = len(envelope.payload)
                 if count > 1:
-                    order = list(range(count))
-                    self._reorder_rng(fault, envelope).shuffle(order)
+                    order = self._reorder(fault, envelope, count)
                     envelope = replace(envelope, payload=_pick(envelope, order))
                     self._log(fault, envelope)
             elif fault.behaviour == DELAY:

@@ -1,7 +1,5 @@
 """Tests for adversarial behaviours at the deployment level."""
 
-import random
-
 import pytest
 
 from repro.coordinator.adversary import (
@@ -14,6 +12,7 @@ from repro.coordinator.adversary import (
     forge_misauthenticated_submission,
     install_tampering_server,
 )
+from repro.crypto.stream import stream_key
 from repro.errors import ConfigurationError
 from repro.mixnet.ahs import ChainRoundResult
 
@@ -98,11 +97,11 @@ class TestTamperingServerAtDeploymentLevel:
 
 
 class TestAdversarialReproducibility:
-    """Seeded adversaries are exactly as reproducible as honest members.
+    """Keyed adversaries are exactly as reproducible as honest members.
 
-    The wrapper draws from a per-(wrapper, round) stream derived from the
-    supplied RNG — matching PR 1's per-(member, round) determinism — so
-    adversarial rounds are bit-identical under every backend and scheduler.
+    The wrapper draws from its stream key by (round, draw counter), as a
+    chain member does, so adversarial rounds are bit-identical under every
+    backend and scheduler.
     """
 
     def test_preserve_aggregate_tampering_reproducible(self):
@@ -111,7 +110,7 @@ class TestAdversarialReproducibility:
                 num_servers=4, num_users=4, num_chains=3, chain_length=3, seed=7
             )
             install_tampering_server(
-                deployment, 0, 0, MODE_PRESERVE_AGGREGATE, rng=random.Random(99)
+                deployment, 0, 0, MODE_PRESERVE_AGGREGATE, stream_key=stream_key(99)
             )
             deployment.run_round()
             # What the (honest) second member received is the tampered output.
@@ -120,14 +119,17 @@ class TestAdversarialReproducibility:
 
         assert tampered_batch() == tampered_batch()
 
-    def test_round_rng_streams_are_independent_per_round(self):
+    def test_round_draws_do_not_depend_on_round_order(self):
         deployment = make_deployment()
         member = deployment.chain(0).members[0]
-        first = TamperingMember(member, MODE_BREAK_AGGREGATE, rng=random.Random(5))
-        second = TamperingMember(member, MODE_BREAK_AGGREGATE, rng=random.Random(5))
-        # Same stream per round regardless of the order rounds are touched.
-        assert second._round_rng(9).random() == first._round_rng(9).random()
-        assert second._round_rng(2).random() == first._round_rng(2).random()
+        first = TamperingMember(member, MODE_BREAK_AGGREGATE, stream_key=stream_key(5))
+        second = TamperingMember(member, MODE_BREAK_AGGREGATE, stream_key=stream_key(5))
+        # Same draws per round regardless of the order rounds are touched.
+        in_order = [first._draw_scalar(2), first._draw_scalar(9), first._draw_scalar(9)]
+        reversed_order = [second._draw_scalar(9), second._draw_scalar(9), second._draw_scalar(2)]
+        assert in_order == [reversed_order[2], reversed_order[0], reversed_order[1]]
+        # A round's second draw (a blame rerun's) is a fresh block.
+        assert in_order[1] != in_order[2]
 
     def test_round_scoped_tampering_fires_only_in_its_rounds(self):
         deployment = make_deployment(
@@ -141,35 +143,34 @@ class TestAdversarialReproducibility:
         assert second.chain_results[0].status == ChainRoundResult.STATUS_HALTED_BLAME
         assert deployment.run_round().chain_results[0].delivered
 
-    def test_forged_submissions_reproducible_with_rng(self):
+    def test_forged_submissions_reproducible_with_a_stream_key(self):
         deployment = make_deployment(
             num_servers=4, num_users=4, num_chains=3, chain_length=3, seed=8
         )
         views = deployment.chain_keys_view(1)
 
-        def forge(kind):
-            rng = random.Random(17)
+        def forge(kind, seed=17):
+            key = stream_key(seed)
             if kind == "misauth":
                 return forge_misauthenticated_submission(
-                    deployment.group, views[0], 1, "mallory", rng=rng
-                )
+                    deployment.group, views[0], 1, "mallory", stream_key=key
+                ).to_bytes()
             return forge_invalid_proof_submission(
-                deployment.group, views[0], 1, "mallory", rng=rng
-            )
+                deployment.group, views[0], 1, "mallory", stream_key=key
+            ).to_bytes()
 
-        assert forge("misauth").to_bytes() == forge("misauth").to_bytes()
-        assert forge("proof").to_bytes() == forge("proof").to_bytes()
+        assert forge("misauth") == forge("misauth") != forge("misauth", seed=18)
+        assert forge("proof") == forge("proof") != forge("proof", seed=18)
 
 
 class TestDerivedAdversarialDeterminism:
-    """``rng=None`` adversaries derive their stream from the call context.
+    """Adversaries given no stream key derive one from the call context.
 
     Regression for the xrdlint determinism findings: the forge helpers used
-    to fall back to ``os.urandom`` (and ``group.random_scalar(None)`` to the
-    OS CSPRNG) when no RNG was supplied, so an adversarial round on a fully
-    seeded deployment still produced different bytes on every run — breaking
-    the "adversarial rounds are exactly as reproducible as honest ones"
-    contract the parity matrix and blame rely on.
+    to fall back to OS entropy when given no randomness, so an adversarial
+    round on a fully seeded deployment still produced different bytes on
+    every run — breaking the "adversarial rounds are exactly as reproducible
+    as honest ones" contract the parity matrix and blame rely on.
     """
 
     @staticmethod
@@ -177,7 +178,7 @@ class TestDerivedAdversarialDeterminism:
         deployment = make_deployment(
             num_servers=4, num_users=4, num_chains=3, chain_length=3, seed=7
         )
-        # No rng anywhere: every adversarial draw must be derived, not fresh.
+        # No key anywhere: every adversarial draw must be derived, not fresh.
         install_tampering_server(
             deployment, chain_id=0, position=1, mode=MODE_PRESERVE_AGGREGATE
         )
@@ -191,7 +192,7 @@ class TestDerivedAdversarialDeterminism:
     def test_unseeded_adversarial_round_bit_identical_across_runs(self):
         assert self._adversarial_round_bytes() == self._adversarial_round_bytes()
 
-    def test_forged_submissions_without_rng_are_deterministic(self):
+    def test_forged_submissions_without_a_key_are_deterministic(self):
         deployment = make_deployment(
             num_servers=4, num_users=4, num_chains=3, chain_length=3, seed=8
         )
@@ -212,7 +213,7 @@ class TestDerivedAdversarialDeterminism:
         member = deployment.chain(0).members[0]
         first = TamperingMember(member, MODE_BREAK_AGGREGATE)
         second = TamperingMember(member, MODE_BREAK_AGGREGATE)
-        assert first._round_rng(3).random() == second._round_rng(3).random()
+        assert first._draw_scalar(3) == second._draw_scalar(3)
 
 
 class TestMaliciousUsers:

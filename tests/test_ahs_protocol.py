@@ -46,17 +46,17 @@ def make_submission(group, chain, round_number, sender, recipient_key, symmetric
     """Build a well-formed AHS submission for one chain (``rng``: reproducibly)."""
     body = body or MessageBody.data(b"payload for " + sender.encode())
     mailbox_message = MailboxMessage.seal(recipient_key, symmetric_key, round_number, body)
+    inner, ephemeral, nonce = (group.random_scalar(rng) for _ in range(3))
     envelope = encrypt_inner(
         group, chain.aggregate_inner_public(round_number), round_number,
-        mailbox_message.to_bytes(), rng,
+        mailbox_message.to_bytes(), ephemeral_secret=inner,
     )
-    ephemeral = group.random_scalar(rng)
     ciphertext = encrypt_outer_layers(
         group, chain.public_keys.mixing_publics, round_number, envelope.to_bytes(), ephemeral
     )
     proof = prove_dlog(
         group, group.base(), ephemeral,
-        submission_context(chain.chain_id, round_number, sender), rng,
+        submission_context(chain.chain_id, round_number, sender), nonce=nonce,
     )
     return ClientSubmission(
         chain_id=chain.chain_id,

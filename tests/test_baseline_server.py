@@ -1,10 +1,9 @@
 """Tests for the baseline (non-AHS) mix chain of §5 / Algorithm 1."""
 
-import random
-
 import pytest
 
 from repro.crypto.keys import KeyPair
+from repro.crypto.stream import stream_key
 from repro.crypto.onion import encrypt_onion_baseline
 from repro.errors import ProtocolError
 from repro.mixnet.messages import MailboxMessage, MessageBody
@@ -13,7 +12,7 @@ from repro.mixnet.server import BaselineMixChain, BaselineMixServer
 
 def build_baseline_chain(group, length=3, seed=5):
     servers = [
-        BaselineMixServer(f"server-{index}", group, random.Random(seed + index))
+        BaselineMixServer(f"server-{index}", group, stream_key(seed + index))
         for index in range(length)
     ]
     return BaselineMixChain(chain_id=0, servers=servers, group=group)
@@ -84,7 +83,7 @@ class TestBaselineChain:
             BaselineMixChain(0, [], group)
 
     def test_single_server_process(self, group):
-        server = BaselineMixServer("s", group, random.Random(0))
+        server = BaselineMixServer("s", group, stream_key(0))
         chain = BaselineMixChain(0, [server], group)
         recipient = KeyPair.generate(group)
         onion = make_onion(group, chain, 1, recipient.public_bytes, b"\x06" * 32)

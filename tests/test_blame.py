@@ -267,7 +267,7 @@ def populate(chain, round_number, honest, forged, seed=5):
     group = chain.group
     rng = random.Random(seed)
     chain.begin_round(round_number)
-    recipient = KeyPair.generate(group, rng)
+    recipient = KeyPair.from_secret(group.random_scalar(rng), group)
     submissions = [
         make_submission(
             group, chain, round_number, f"user-{index}", recipient.public_bytes,

@@ -184,37 +184,37 @@ class TestLoad:
 
 
 class TestAssignmentCacheScale:
-    """Regression for the LRU-thrash bug: at populations above the old
-    ``maxsize=1 << 16`` bound, the per-round in-order sweep evicted every
-    entry one sweep before its next use (~0% hit rate at exactly the scale
-    the memoisation was added for).  The caches are unbounded now; a second
-    sweep over a >65,536-user population must be pure cache hits.
+    """Regression for the LRU-thrash bug: above the old ``maxsize=1 << 16``
+    bound, the per-round in-order sweep evicted every entry one sweep before
+    its next use (~0% hit rate at exactly the scale the memoisation was
+    added for).  The intersection cache is unbounded now; a second sweep
+    over >65,536 pairs must be pure cache hits.
     """
 
-    POPULATION = (1 << 16) + 512  # strictly above the old cache bound
+    PAIRS = (1 << 16) + 512  # strictly above the old cache bound
 
     def test_second_sweep_hits_cache_above_old_bound(self):
         cs.reset_assignment_caches()
-        keys = [index.to_bytes(32, "big") for index in range(self.POPULATION)]
-        first = [cs.chains_for_user(key, 30) for key in keys]
-        info_after_first = cs._chains_for_user_cached.cache_info()
-        assert info_after_first.misses == self.POPULATION
-        assert info_after_first.currsize == self.POPULATION
-        second = [cs.chains_for_user(key, 30) for key in keys]
-        info_after_second = cs._chains_for_user_cached.cache_info()
+        pairs = [
+            (index.to_bytes(32, "big"), (index + 1).to_bytes(32, "big"))
+            for index in range(self.PAIRS)
+        ]
+        first = [cs.intersection_logical_chain(a, b, 30) for a, b in pairs]
+        info_after_first = cs.intersection_logical_chain.cache_info()
+        assert info_after_first.misses == self.PAIRS
+        assert info_after_first.currsize == self.PAIRS
+        second = [cs.intersection_logical_chain(a, b, 30) for a, b in pairs]
+        info_after_second = cs.intersection_logical_chain.cache_info()
         assert second == first
-        # The whole second sweep must be served from the cache: no user was
-        # evicted between her two lookups.
-        assert info_after_second.misses == self.POPULATION
-        assert info_after_second.hits - info_after_first.hits == self.POPULATION
+        # The whole second sweep must be served from the cache: no pair was
+        # evicted between its two lookups.
+        assert info_after_second.misses == self.PAIRS
+        assert info_after_second.hits - info_after_first.hits == self.PAIRS
         cs.reset_assignment_caches()
 
-    def test_reset_assignment_caches_clears_both(self):
+    def test_reset_assignment_caches_clears_the_intersection_cache(self):
         cs.reset_assignment_caches()
-        cs.chains_for_user(b"\x01" * 32, 12)
         cs.intersection_logical_chain(b"\x01" * 32, b"\x02" * 32, 12)
-        assert cs._chains_for_user_cached.cache_info().currsize == 1
         assert cs.intersection_logical_chain.cache_info().currsize == 1
         cs.reset_assignment_caches()
-        assert cs._chains_for_user_cached.cache_info().currsize == 0
         assert cs.intersection_logical_chain.cache_info().currsize == 0

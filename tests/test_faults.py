@@ -39,6 +39,7 @@ from repro.mixnet.blame import BlameVerdict
 from repro.simulation.costmodel import CostModel
 from repro.transport import envelope as ev
 from repro.transport.faulty import DELAY, DROP, DUPLICATE, REORDER, FaultyTransport
+from repro.transport.inproc import InProcTransport
 
 from tests.conftest import BACKENDS, install_backend, make_deployment
 
@@ -521,6 +522,35 @@ class TestLinkFaultSelection:
         assert not fault.matches(ev.Envelope(round_number=3, chain_id=0, **batch))
         assert not fault.matches(ev.Envelope(round_number=3, chain_id=1,
                                              **dict(batch, kind=ev.MAILBOX_DELIVERY)))
+
+
+class TestReorderPermutation:
+    """A reorder's permutation is keyed by the fault's seed and the
+    envelope's whole identity: kind, round, chain, part, source and
+    destination."""
+
+    @staticmethod
+    def reordered(kind, size=16, **fields):
+        transport = FaultyTransport(
+            InProcTransport(), [LinkFault(behaviour=REORDER, kind=kind, seed=3)]
+        )
+        envelope = ev.Envelope(kind=kind, source="population", destination="server-0",
+                               round_number=1, payload=list(range(size)), **fields)
+        delivered = transport.deliver(envelope)
+        assert len(transport.applied) == 1 and sorted(delivered) == list(range(size))
+        return delivered
+
+    def test_a_reorder_is_a_pure_function_of_the_envelope(self):
+        first = self.reordered(ev.MAILBOX_DELIVERY, chain_id=2)
+        assert first == self.reordered(ev.MAILBOX_DELIVERY, chain_id=2) != list(range(16))
+
+    def test_two_chunks_of_one_round_and_chain_draw_different_permutations(self):
+        first = self.reordered(ev.SUBMISSION_BATCH, chain_id=0, part=0)
+        assert first != self.reordered(ev.SUBMISSION_BATCH, chain_id=0, part=1)
+
+    def test_an_upload_frame_and_a_mailbox_delivery_draw_different_permutations(self):
+        upload = self.reordered(ev.SUBMISSION_BATCH, chain_id=0)
+        assert upload != self.reordered(ev.MAILBOX_DELIVERY, chain_id=0)
 
 
 class TestFaultPlanValidation:

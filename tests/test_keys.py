@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.crypto.keys import KeyDirectory, KeyPair, random_bytes
+from repro.crypto import stream
+from repro.crypto.keys import KeyDirectory, KeyPair
 from repro.errors import ConfigurationError
 
 
@@ -25,12 +26,14 @@ class TestKeyPair:
         with pytest.raises(ConfigurationError):
             KeyPair.from_secret(group.order, group)
 
-    def test_deterministic_with_seeded_rng(self, group, rng):
-        import random
-
-        first = KeyPair.generate(group, random.Random(9))
-        second = KeyPair.generate(group, random.Random(9))
-        assert first.public_bytes == second.public_bytes
+    def test_a_stream_key_determines_the_pair(self, group):
+        """The pair of a stream key is its identity draw: the key pair a
+        deployment gives the user holding that key."""
+        key = stream.stream_key(9)
+        first = KeyPair.generate(group, key)
+        assert first.public_bytes == KeyPair.generate(group, key).public_bytes
+        assert first.secret == stream.draw_scalars(group, key, stream.IDENTITY, 0, 0, 1)[0]
+        assert first.public_bytes != KeyPair.generate(group, stream.stream_key(10)).public_bytes
 
     def test_distinct_keypairs(self, group):
         assert KeyPair.generate(group).public_bytes != KeyPair.generate(group).public_bytes
@@ -73,7 +76,3 @@ class TestKeyDirectory:
         directory.register_user("alice", b"\x03" * 32)
         assert directory.user_public_key("alice") == b"\x03" * 32
         assert len(directory.users()) == 1
-
-    def test_random_bytes_helper(self):
-        assert len(random_bytes(16)) == 16
-        assert random_bytes(16) != random_bytes(16)

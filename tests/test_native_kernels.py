@@ -835,7 +835,10 @@ def _build_three_ways(group, tier, num_users, num_chains, layers, paired, notice
     def users():
         rng = random.Random(seed)
         made = [
-            User(f"user-{i}", group, KeyPair.generate(group, rng), stream_key(rng.random()))
+            User(
+                f"user-{i}", group, KeyPair.from_secret(group.random_scalar(rng), group),
+                stream_key(rng.random()),
+            )
             for i in range(num_users)
         ]
         for left, right in zip(made[0:paired:2], made[1:paired:2]):

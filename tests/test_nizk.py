@@ -243,16 +243,6 @@ def on_groups_and_tiers(test):
     return pytest.mark.parametrize("tier", TIERS)(test)
 
 
-class _Nonces:
-    """An rng whose ``randrange`` hands out the given nonces, in order."""
-
-    def __init__(self, nonces):
-        self._nonces = iter(nonces)
-
-    def randrange(self, _order):
-        return next(self._nonces)
-
-
 def _mutation(data, group, proof, label):
     """What to replace in ``proof``: nothing, its response (off by one), or a
     commitment (with one no honest prover sends)."""
@@ -287,7 +277,7 @@ class TestBatchForms:
             b"ctx",
         )
         assert batch == [
-            prove_dleq(group, base1, base2, secret, b"ctx", _Nonces([nonce]))
+            prove_dleq(group, base1, base2, secret, b"ctx", nonce=nonce)
             for base1, nonce in zip(base1s, nonces)
         ]
 

@@ -32,6 +32,7 @@ from repro.faults.plan import (
     FaultPlan,
     ServerFault,
     UserFault,
+    fault_key,
 )
 from repro.faults.runner import ScenarioRunner
 from repro.faults.scenarios import tamper_and_recover
@@ -257,6 +258,30 @@ class TestDistributedInProcess:
             for chain in node.deployment.chains:
                 assert not chain._entries and not chain._aggregate_inner
                 assert all(not member._rounds for member in chain.members)
+
+    def test_every_role_re_derives_the_fault_key(self, monkeypatch):
+        """Only the plan seed and the fault's identity cross the wire: the
+        coordinator and each role key their tampering member identically."""
+        from repro.coordinator import adversary
+
+        keys = []
+        real_init = adversary.TamperingMember.__init__
+
+        def recording_init(wrapper, *args, **kwargs):
+            real_init(wrapper, *args, **kwargs)
+            keys.append(wrapper._stream_key)
+
+        monkeypatch.setattr(adversary.TamperingMember, "__init__", recording_init)
+        config, plan = make_config(), tamper_and_recover(seed=5)
+        nodes, peers, owners = in_process_cluster(config)
+        try:
+            run_coordinator(config, plan, peers, owners)
+        finally:
+            for node in nodes:
+                node.close()
+        # The coordinator's replica and every role's.
+        assert len(keys) == 1 + len(nodes)
+        assert set(keys) == {fault_key(plan.seed, plan.server_faults[0])}
 
     def test_a_remote_halt_deletes_the_coordinator_replicas_inner_keys(self):
         """§6.4 on the replica that only announced the round: when the

@@ -1,12 +1,14 @@
 """The keyed draw stream (``repro.crypto.stream``, DESIGN.md §2.2).
 
-Every honest user and chain-member scalar is one ChaCha20 block of its
-owner's stream key, addressed by (label, round, index).  These tests pin the
-derivation (known answers, both groups, both tiers and a no-extension
-process), and prove that no run ever consumes the same block twice — live
-submissions against banked covers, blame reruns, re-formed chains.
+Every draw — a user's or chain member's scalar, an adversary's or a fault's
+— is one ChaCha20 block of a stream key, addressed by (label, round,
+index).  These tests pin the derivation (known answers, both groups, both
+tiers and a no-extension process), and prove that no run ever consumes the
+same block twice — live submissions against banked covers, blame reruns,
+re-formed chains, and the adversaries and faults beside them.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -47,6 +49,32 @@ KNOWN_ANSWERS = {
 }
 
 GROUPS = {"modp": ModPGroup(bits=96), "ed25519": Ed25519Group()}
+
+
+#: Canned scenarios whose adversary or fault draws (``DERIVED`` blocks).
+ADVERSARIAL_SCENARIOS = (
+    "aggregate-attack-and-recover", "misauthenticating-user", "reordered-mailbox-delivery",
+)
+
+
+def scenario_digest(name):
+    """sha256 of the canned scenario's canonical bytes on a seed-9 deployment."""
+    from repro.faults.runner import ScenarioRunner
+    from repro.faults.scenarios import CANNED_SCENARIOS
+
+    with make_deployment(seed=9) as deployment:
+        report = ScenarioRunner(deployment, CANNED_SCENARIOS[name]()).run()
+    return hashlib.sha256(report.canonical_bytes()).hexdigest()
+
+
+def without_the_extension(script):
+    """``script``'s stdout, run where the extension is ruled out (pure-Python ChaCha20)."""
+    env = dict(os.environ, XRD_NATIVE_DISABLE="1", XRD_CRYPTO_KERNEL="python")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ("src", ".", env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        check=True, cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    ).stdout
 
 
 def draws(group):
@@ -92,14 +120,8 @@ class TestDerivation:
             "assert kernels.active_kernel().value == 'python'\n"
             "print(json.dumps({name: draws(group) for name, group in GROUPS.items()}))\n"
         )
-        env = dict(os.environ, XRD_NATIVE_DISABLE="1", XRD_CRYPTO_KERNEL="python")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, ("src", ".", env.get("PYTHONPATH"))))
-        result = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
-            check=True, cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
         expected = {name: draws(group) for name, group in GROUPS.items()}
-        assert json.loads(result.stdout) == expected
+        assert json.loads(without_the_extension(script)) == expected
         with selected_tier("python"):
             assert {name: draws(group) for name, group in GROUPS.items()} == expected
 
@@ -190,6 +212,30 @@ def test_blame_reruns_and_reformed_chains_consume_every_block_once(consumed):
     deployment.close()
     assert summary.recoveries
     assert_no_block_repeats(consumed)
+
+
+@pytest.mark.parametrize("name", ADVERSARIAL_SCENARIOS)
+def test_adversary_and_fault_draws_never_repeat_an_honest_block(consumed, name):
+    """A tampering member's, a forger's and a reorder fault's blocks come
+    off keys of their own: none is a block the honest run also drew."""
+    scenario_digest(name)
+    adversarial = {block for block in consumed if block[1].startswith(stream.DERIVED)}
+    honest = {block for block in consumed if not block[1].startswith(stream.DERIVED)}
+    assert adversarial and honest
+    assert not adversarial & honest
+    assert_no_block_repeats(consumed)
+
+
+def test_adversarial_scenarios_digest_alike_without_the_extension():
+    """The adversaries' and faults' draws are tier-independent too: a
+    no-extension process lands on this process's scenario bytes."""
+    script = (
+        "import json\n"
+        "from tests.test_stream import ADVERSARIAL_SCENARIOS, scenario_digest\n"
+        "print(json.dumps({name: scenario_digest(name) for name in ADVERSARIAL_SCENARIOS}))\n"
+    )
+    expected = {name: scenario_digest(name) for name in ADVERSARIAL_SCENARIOS}
+    assert json.loads(without_the_extension(script)) == expected
 
 
 def peel(deployment, chain_id, round_number, submission):

@@ -71,20 +71,58 @@ class TestDeterminismRules:
         flagged = [f for f in result.findings if f.rule == "XRD101"]
         assert len(flagged) == 5  # both urandom spellings resolve via aliases
 
-    def test_seeded_rng_is_clean(self, tree):
+    def test_seeded_rng_is_not_unseeded_entropy(self, tree):
         write(tree, "engine/draws.py", (
             "import random\n"
             "def good(seed):\n"
             "    rng = random.Random(seed)\n"
             "    return rng.randbytes(8), rng.randrange(10)\n"
         ))
-        assert codes(run_lint(tree)) == []
+        assert "XRD101" not in codes(run_lint(tree))
 
     def test_entropy_allowlist_exempts_keygen(self, tree):
         write(tree, "crypto/keys.py", (
             "import secrets\n"
             "def keygen():\n"
             "    return secrets.randbelow(2**252)\n"
+        ))
+        assert "XRD101" not in codes(run_lint(tree))
+
+    def test_generators_and_secrets_outside_the_sources_are_flagged(self, tree):
+        write(tree, "coordinator/adversary.py", (
+            "import random\n"
+            "import secrets\n"
+            "from random import SystemRandom\n"
+            "from secrets import token_bytes\n"
+            "def bad(seed):\n"
+            "    return random.Random(seed), SystemRandom(), token_bytes(8)\n"
+        ))
+        write(tree, "simulation/churn.py", (
+            "import random\n"
+            "def model(seed):\n"
+            "    return random.Random(seed).random()\n"
+        ))
+        flagged = [f for f in run_lint(tree).findings if f.rule == "XRD104"]
+        assert sorted((f.path.rsplit("/", 1)[-1], f.line) for f in flagged) == [
+            ("adversary.py", 2), ("adversary.py", 4), ("adversary.py", 6),
+            ("adversary.py", 6), ("churn.py", 3),
+        ]
+
+    def test_the_stream_and_the_beacon_may_draw(self, tree):
+        write(tree, "crypto/stream.py", (
+            "import secrets\n"
+            "def stream_key():\n"
+            "    return secrets.token_bytes(32)  # xrdlint: disable=XRD101 - the one read\n"
+        ))
+        write(tree, "crypto/randomness.py", (
+            "import random\n"
+            "def rng_for_epoch(seed):\n"
+            "    return random.Random(seed)\n"
+        ))
+        write(tree, "engine/draws.py", (
+            "import random\n"
+            "def uses(rng: random.Random):\n"
+            "    return rng.randrange(10)\n"
         ))
         assert codes(run_lint(tree)) == []
 
@@ -536,7 +574,7 @@ class TestCli:
         tmp_path.joinpath("src/repro").mkdir(parents=True)
         listed = self._run("--list-rules", cwd=tmp_path)
         assert listed.returncode == 0
-        for code in ("XRD101", "XRD102", "XRD103", "XRD201", "XRD202", "XRD203",
+        for code in ("XRD101", "XRD102", "XRD103", "XRD104", "XRD201", "XRD202", "XRD203",
                      "XRD401", "XRD402", "XRD501", "XRD502"):
             assert code in listed.stdout
         assert "XRD301" not in listed.stdout

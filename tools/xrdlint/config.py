@@ -47,6 +47,16 @@ _ENTROPY_ALLOWLIST = (
     "*/memutil.py",
 )
 
+#: The whole package, analysis and models included: where XRD104 looks.
+_PACKAGE = ("*/repro/*",)
+
+#: The two places a draw may come from (XRD104): the keyed stream, which
+#: alone imports ``secrets``, and the public beacon's generator.
+_RANDOMNESS_SOURCES = (
+    "*/repro/crypto/randomness.py",
+    "*/repro/crypto/stream.py",
+)
+
 #: The native-kernel loader surface held to the never-raise-at-import /
 #: always-offer-a-fallback contract (DESIGN.md §11).
 _NATIVE_LOADERS = (
@@ -66,6 +76,8 @@ class LintConfig:
     protocol_globs: Tuple[str, ...] = _PROTOCOL
     entropy_allowlist: Tuple[str, ...] = _ENTROPY_ALLOWLIST
     native_loader_globs: Tuple[str, ...] = _NATIVE_LOADERS
+    package_globs: Tuple[str, ...] = _PACKAGE
+    randomness_sources: Tuple[str, ...] = _RANDOMNESS_SOURCES
     #: Where the codec-exhaustiveness rule looks for round-trip tests; None
     #: disables the test cross-reference (XRD402).
     tests_dir: Optional[Path] = field(default_factory=lambda: Path("tests"))
@@ -80,3 +92,9 @@ class LintConfig:
 
     def in_native_loader_scope(self, path: str) -> bool:
         return _matches(path, self.native_loader_globs)
+
+    def in_package_scope(self, path: str) -> bool:
+        return _matches(path, self.package_globs)
+
+    def is_randomness_source(self, path: str) -> bool:
+        return _matches(path, self.randomness_sources)

@@ -94,8 +94,7 @@ class UnseededEntropyRule(Rule):
         "Protocol code must not draw from OS entropy or the global random "
         "instance: os.urandom, secrets.*, uuid4, argless random.Random() and "
         "random-module functions all make a seeded round unreproducible. "
-        "Draw from an explicitly seeded rng instead (allowlisted: key "
-        "generation in crypto/keys.py, benchmarks)."
+        "Draw from a stream key (repro.crypto.stream) instead."
     )
 
     def scope(self, config: LintConfig, path: str) -> bool:
@@ -115,8 +114,7 @@ class UnseededEntropyRule(Rule):
                         self.code,
                         node,
                         f"unseeded entropy: {called}() in protocol code — "
-                        "derive from an explicitly seeded rng so rounds stay "
-                        "reproducible",
+                        "draw from a stream key so rounds stay reproducible",
                     )
                 )
             elif called == "random.Random" and not node.args and not node.keywords:
@@ -129,6 +127,51 @@ class UnseededEntropyRule(Rule):
                         "seed",
                     )
                 )
+        return findings
+
+
+#: Generators whose construction XRD104 reserves to the randomness sources.
+GENERATOR_CALLS = frozenset({"random.Random", "random.SystemRandom"})
+
+
+def _imports_secrets(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "secrets" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and not node.level and node.module == "secrets"
+
+
+@register
+class RandomnessOutsideStreamRule(Rule):
+    code = "XRD104"
+    name = "randomness-outside-stream"
+    description = (
+        "Every draw in the package comes from the keyed stream "
+        "(crypto/stream.py), the one importer of secrets, or from the public "
+        "beacon (crypto/randomness.py), the one random.Random. Constructing "
+        "random.Random/random.SystemRandom or importing secrets anywhere else "
+        "opens a second way to draw: take a stream key instead."
+    )
+
+    def scope(self, config: LintConfig, path: str) -> bool:
+        return config.in_package_scope(path) and not config.is_randomness_source(path)
+
+    def check_module(self, module: ModuleContext, config: LintConfig) -> Iterable[Finding]:
+        findings: List[Finding] = []
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Call):
+                called = resolve_call_name(node.func, module.imports)
+                if called in GENERATOR_CALLS:
+                    findings.append(module.finding(
+                        self.code, node,
+                        f"{called}() outside the randomness sources — draw from "
+                        "a stream key (repro.crypto.stream)",
+                    ))
+            elif _imports_secrets(node):
+                findings.append(module.finding(
+                    self.code, node,
+                    "secrets imported outside crypto/stream.py — OS entropy "
+                    "enters only through stream.stream_key()",
+                ))
         return findings
 
 
