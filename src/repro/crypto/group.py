@@ -315,7 +315,7 @@ def _random_scalar(group, rng: Optional[object]) -> int:
     (:mod:`repro.crypto.stream`) instead.
     """
     if rng is None:
-        return stream.draw_scalars(group, stream.stream_key(), stream.DERIVED, 0, 0, 1)[0]
+        return stream.fresh_scalar(group)
     while True:
         value = rng.randrange(group.order)
         if value != 0:

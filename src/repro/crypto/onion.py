@@ -150,12 +150,10 @@ def encrypt_inner(group, aggregate_inner_public, round_number: int, plaintext: b
     The "one-shot" onion of §6.2: decryption requires knowledge of *all*
     per-round inner secrets, which the servers only reveal once the shuffle
     has been verified.  ``ephemeral_secret`` is a caller-drawn ``y``;
-    without one it is derived from the call (key, round and plaintext).
+    without one it is a :func:`~repro.crypto.stream.fresh_scalar`.
     """
     if ephemeral_secret is None:
-        ephemeral_secret = stream.context_scalar(
-            group, "encrypt-inner", group.encode(aggregate_inner_public), round_number, plaintext
-        )
+        ephemeral_secret = stream.fresh_scalar(group)
     ephemeral_public = group.base_mult(ephemeral_secret)
     shared = group.scalar_mult(aggregate_inner_public, ephemeral_secret)
     key = inner_envelope_key(group, shared)
@@ -237,15 +235,12 @@ def encrypt_onion_baseline(group, mixing_public_keys: Sequence, round_number: in
 
     Layer format: ``g^{x_i} (32 bytes) || AEnc(DH(mpk_i, x_i), ρ, next_layer)``.
     The layers' secrets are the first draws of ``stream_key``, innermost
-    layer first; without a key they are derived from the call (keys, round
-    and payload).
+    layer first; without a key they come from a fresh
+    :func:`~repro.crypto.stream.stream_key`.
     """
     mixing_public_keys = list(mixing_public_keys)
     if stream_key is None:
-        stream_key = stream.context_key(
-            "encrypt-onion-baseline", *map(group.encode, mixing_public_keys), round_number,
-            payload,
-        )
+        stream_key = stream.stream_key()
     ephemeral_secrets = stream.draw_scalars(
         group, stream_key, stream.DERIVED, round_number, 0, len(mixing_public_keys)
     )

@@ -24,11 +24,14 @@ round (0 for a one-off draw); the counter is the draw's index within that
 * per-participant keys are derived from their parent's key with the
   ``USER``/``SERVER``/``JOIN`` labels, indexed by the number field;
 * a §5 baseline server draws its key and shuffles as a chain member does;
-* everything else — an adversary's or a fault's draws, a proof nonce or
-  ephemeral secret a caller did not supply — draws under ``DERIVED`` from
-  a key that :func:`context_key` binds to the call's identity (a tampering
-  member, a forged submission, one envelope of a reorder fault) unless the
-  caller hands over a key of its own.
+* everything else — an adversary's or a fault's draws, a proof nonce a
+  caller did not supply — draws under ``DERIVED`` from a key that
+  :func:`context_key` binds to the call's identity (a tampering member, a
+  forged submission, one envelope of a reorder fault) unless the caller
+  hands over a key of its own;
+* an encryption's ephemeral secret a caller did not supply is a
+  :func:`fresh_scalar`: derived from the call, it would be a function of
+  public inputs, and anyone holding the output could link it to its input.
 
 A seeded deployment derives its master key from the seed; an unseeded one
 draws it once from the OS CSPRNG (:func:`stream_key`), the one read of OS
@@ -64,6 +67,7 @@ __all__ = [
     "derive_keys",
     "draw_blocks",
     "draw_scalars",
+    "fresh_scalar",
     "permutation",
     "scalars",
     "shuffle_blocks",
@@ -150,6 +154,11 @@ def draw_scalars(group, key: bytes, label: bytes, number: int, start: int,
 def context_scalar(group, *context: object) -> int:
     """The one-off draw of the key :func:`context_key` gives ``context``."""
     return draw_scalars(group, context_key(*context), DERIVED, 0, 0, 1)[0]
+
+
+def fresh_scalar(group) -> int:
+    """The first draw of a fresh :func:`stream_key`: unpredictable, never reproducible."""
+    return draw_scalars(group, stream_key(), DERIVED, 0, 0, 1)[0]
 
 
 def submission_scalars(group, keys: Sequence[bytes], slots: Sequence[int],

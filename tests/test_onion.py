@@ -69,6 +69,16 @@ class TestInnerEnvelope:
         assert restored == envelope
         assert len(envelope) == len(envelope.to_bytes())
 
+    def test_equal_plaintexts_encrypt_apart(self, group):
+        """An omitted ``y`` is fresh, never a function of the (public) key and
+        plaintext the last server reveals: two equal envelopes do not share it."""
+        aggregate = group.base_mult(group.random_scalar())
+        first, second = (onion.encrypt_inner(group, aggregate, 3, b"m") for _ in range(2))
+        assert first.ephemeral_public != second.ephemeral_public
+        drawn = [onion.encrypt_inner(group, aggregate, 3, b"m", ephemeral_secret=7)
+                 for _ in range(2)]
+        assert drawn[0] == drawn[1]
+
     def test_from_bytes_too_short(self):
         with pytest.raises(CryptoError):
             onion.InnerEnvelope.from_bytes(b"short")
@@ -149,6 +159,20 @@ class TestBaselineOnion:
             ok, current = onion.decrypt_baseline_layer(group, secret, 4, current)
             assert ok
         assert current == b"payload"
+
+    def test_equal_payloads_encrypt_apart(self, group):
+        """Without a stream key each onion's layer secrets are fresh: the payload
+        leaves the last server in the clear, so secrets derived from it (and the
+        public keys) would let anyone rebuild g^{x_1} and link output to sender."""
+        mixing_publics = [group.base_mult(group.random_scalar()) for _ in range(2)]
+        first, second = (
+            onion.encrypt_onion_baseline(group, mixing_publics, 1, b"same") for _ in range(2)
+        )
+        assert first[:GROUP_ELEMENT_SIZE] != second[:GROUP_ELEMENT_SIZE]
+        key = b"\x05" * 32
+        assert onion.encrypt_onion_baseline(group, mixing_publics, 1, b"same", key) == (
+            onion.encrypt_onion_baseline(group, mixing_publics, 1, b"same", key)
+        )
 
     def test_wrong_key_fails(self, group):
         mixing_publics = [group.base_mult(group.random_scalar())]

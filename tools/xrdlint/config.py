@@ -37,26 +37,6 @@ _PROTOCOL = (
     "*/repro/trace.py",
 )
 
-#: Places allowed to reach for OS entropy: long-term key generation is
-#: *supposed* to use the CSPRNG (the PKI stand-in), and the native build
-#: script is not protocol code.
-_ENTROPY_ALLOWLIST = (
-    "*/repro/crypto/keys.py",
-    "*/repro/native/_build.py",
-    "*/benchmarks/*",
-    "*/memutil.py",
-)
-
-#: The whole package, analysis and models included: where XRD104 looks.
-_PACKAGE = ("*/repro/*",)
-
-#: The two places a draw may come from (XRD104): the keyed stream, which
-#: alone imports ``secrets``, and the public beacon's generator.
-_RANDOMNESS_SOURCES = (
-    "*/repro/crypto/randomness.py",
-    "*/repro/crypto/stream.py",
-)
-
 #: The native-kernel loader surface held to the never-raise-at-import /
 #: always-offer-a-fallback contract (DESIGN.md §11).
 _NATIVE_LOADERS = (
@@ -74,10 +54,7 @@ class LintConfig:
     """Every knob the rules consult, with repo-layout defaults."""
 
     protocol_globs: Tuple[str, ...] = _PROTOCOL
-    entropy_allowlist: Tuple[str, ...] = _ENTROPY_ALLOWLIST
     native_loader_globs: Tuple[str, ...] = _NATIVE_LOADERS
-    package_globs: Tuple[str, ...] = _PACKAGE
-    randomness_sources: Tuple[str, ...] = _RANDOMNESS_SOURCES
     #: Where the codec-exhaustiveness rule looks for round-trip tests; None
     #: disables the test cross-reference (XRD402).
     tests_dir: Optional[Path] = field(default_factory=lambda: Path("tests"))
@@ -87,14 +64,5 @@ class LintConfig:
     def in_protocol_scope(self, path: str) -> bool:
         return _matches(path, self.protocol_globs)
 
-    def entropy_allowlisted(self, path: str) -> bool:
-        return _matches(path, self.entropy_allowlist)
-
     def in_native_loader_scope(self, path: str) -> bool:
         return _matches(path, self.native_loader_globs)
-
-    def in_package_scope(self, path: str) -> bool:
-        return _matches(path, self.package_globs)
-
-    def is_randomness_source(self, path: str) -> bool:
-        return _matches(path, self.randomness_sources)

@@ -11,6 +11,7 @@ replicas diverge silently.  These rules make that discipline static.
 from __future__ import annotations
 
 import ast
+from fnmatch import fnmatch
 from typing import Iterable, List
 
 from tools.xrdlint.config import LintConfig
@@ -98,7 +99,7 @@ class UnseededEntropyRule(Rule):
     )
 
     def scope(self, config: LintConfig, path: str) -> bool:
-        return config.in_protocol_scope(path) and not config.entropy_allowlisted(path)
+        return config.in_protocol_scope(path)
 
     def check_module(self, module: ModuleContext, config: LintConfig) -> Iterable[Finding]:
         findings: List[Finding] = []
@@ -133,6 +134,10 @@ class UnseededEntropyRule(Rule):
 #: Generators whose construction XRD104 reserves to the randomness sources.
 GENERATOR_CALLS = frozenset({"random.Random", "random.SystemRandom"})
 
+#: The two places a draw may come from: the keyed stream, which alone
+#: imports ``secrets``, and the public beacon's generator.
+RANDOMNESS_SOURCES = ("*/repro/crypto/randomness.py", "*/repro/crypto/stream.py")
+
 
 def _imports_secrets(node: ast.AST) -> bool:
     if isinstance(node, ast.Import):
@@ -153,7 +158,7 @@ class RandomnessOutsideStreamRule(Rule):
     )
 
     def scope(self, config: LintConfig, path: str) -> bool:
-        return config.in_package_scope(path) and not config.is_randomness_source(path)
+        return not any(fnmatch(path, source) for source in RANDOMNESS_SOURCES)
 
     def check_module(self, module: ModuleContext, config: LintConfig) -> Iterable[Finding]:
         findings: List[Finding] = []
@@ -188,7 +193,7 @@ class WallClockRule(Rule):
     )
 
     def scope(self, config: LintConfig, path: str) -> bool:
-        return config.in_protocol_scope(path) and not config.entropy_allowlisted(path)
+        return config.in_protocol_scope(path)
 
     def check_module(self, module: ModuleContext, config: LintConfig) -> Iterable[Finding]:
         findings: List[Finding] = []
