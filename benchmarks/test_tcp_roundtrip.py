@@ -2,9 +2,10 @@
 
 The distributed runtime's parity tests prove the TCP transport changes
 *nothing observable*; this companion measures what it costs.  A loopback
-reflector (one live listener, real length-prefixed frames, full encode →
-socket → decode → encode → socket → decode round trip per delivery) is
-timed against the function-call transport on identical envelopes, and the
+reflector (one live listener, real length-prefixed frames: encode →
+socket → the listener parses and validates the payload and sends its bytes
+back → socket → the requester parses and validates it again) is timed
+against the function-call transport on identical envelopes, and the
 pipelined ``deliver_many`` path is compared against the same envelopes
 delivered one blocking request at a time — the reason the engine's batch
 fan-outs go through ``request_batch`` rather than a loop.

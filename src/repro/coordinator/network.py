@@ -52,7 +52,7 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.mailbox import MailboxHub
 from repro.mixnet.ahs import ChainMember, MixChain
 from repro.mixnet.chain import ChainTopology, form_chains, required_chain_length
-from repro.mixnet.messages import ClientSubmission
+from repro.mixnet.messages import ClientSubmission, SubmissionBatch
 from repro.population import UserPopulation
 from repro.registry import TransportKind
 from repro.transport import Transport, make_transport
@@ -226,7 +226,9 @@ class Deployment:
         self._users_by_name = {user.name: user for user in users}
         self._chains_by_id = {chain.chain_id: chain for chain in chains}
         self._nodes_by_name = {node.name: node for node in server_nodes}
-        self._cover_store: Dict[str, List[ClientSubmission]] = {}
+        #: Banked next-round covers per user, as submission records (views
+        #: into the uploaded cover batches).
+        self._cover_store: Dict[str, List[memoryview]] = {}
         #: Servers removed from the coordinator's pool by blame convictions.
         self.evicted_servers: set = set()
         #: Convictions recorded by the engine's deliver stage, awaiting
@@ -582,10 +584,7 @@ class Deployment:
         stale = [
             user_name
             for user_name, covers in self._cover_store.items()
-            if any(
-                submission is not None and submission.chain_id == chain_id
-                for submission in covers
-            )
+            if any(SubmissionBatch.record_chain_id(record) == chain_id for record in covers)
         ]
         for user_name in stale:
             del self._cover_store[user_name]

@@ -42,6 +42,7 @@ __all__ = [
     "prove_dleq",
     "verify_dleq",
     "verify_dlog_batch",
+    "verify_dlog_columns",
     "prove_dleq_batch",
     "verify_dleq_batch",
 ]
@@ -126,23 +127,32 @@ def verify_dlog(group, base, public, proof: SchnorrProof, context: bytes = b"") 
 
 def verify_dlog_batch(group, base, publics: Sequence, proofs: Sequence[SchnorrProof],
                       contexts: Sequence[bytes]) -> List[bool]:
-    """Batched :func:`verify_dlog` over one base: ``[verify_dlog(group, base, P_i, π_i, ctx_i)]``.
+    """Batched :func:`verify_dlog` over one base: ``[verify_dlog(group, base, P_i, π_i, ctx_i)]``."""
+    return verify_dlog_columns(
+        group, base, publics,
+        [proof.commitment for proof in proofs], [proof.response for proof in proofs], contexts,
+    )
+
+
+def verify_dlog_columns(group, base, publics: Sequence, commitments: Sequence[bytes],
+                        responses: Sequence[int], contexts: Sequence[bytes]) -> List[bool]:
+    """:func:`verify_dlog_batch` over proofs given as columns (wire intake).
 
     One accumulation row ``s_i·base − c_i·P_i`` per proof, compared with the
     commitment in its encoding: decoding accepts canonical encodings only,
     so "the bytes decode to this point" and "these are this point's bytes"
     are the same predicate, garbage commitments included.
     """
-    _same_length(publics, proofs, contexts)
+    _same_length(publics, commitments, responses, contexts)
     points: list = []
     scalars: List[int] = []
-    for public, proof, context in zip(publics, proofs, contexts):
-        challenge = _dlog_challenge(group, base, public, proof.commitment, context)
+    for public, commitment, response, context in zip(publics, commitments, responses, contexts):
+        challenge = _dlog_challenge(group, base, public, commitment, context)
         points += (base, public)
-        scalars += (proof.response, group.order - challenge)
+        scalars += (response, group.order - challenge)
     combined = group.accumulate_rows(points, scalars, 2)
     return [
-        group.encode(point) == proof.commitment for point, proof in zip(combined, proofs)
+        group.encode(point) == commitment for point, commitment in zip(combined, commitments)
     ]
 
 

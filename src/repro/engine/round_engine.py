@@ -35,11 +35,13 @@ is charged to that round.
 from __future__ import annotations
 
 import functools
+from collections import deque
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro import trace
 from repro.engine.backends import ParallelBackend
 from repro.engine.stages import ChainOutcome, RoundContext, RoundReport, RoundSpec
+from repro.mixnet.messages import FetchBatch, MailboxBatch, SubmissionBatch
 from repro.population.streaming import built_chunks, chunk_spans
 from repro.transport.envelope import (
     MAILBOX_DELIVERY,
@@ -115,7 +117,6 @@ class RoundEngine:
             ctx.current_views = deployment.chain_keys_view(round_number)
             if deployment.config.use_cover_messages:
                 ctx.next_views = deployment.chain_keys_view(round_number + 1)
-        ctx.per_chain = {chain.chain_id: [] for chain in deployment.chains}
         return ctx
 
     @_stage("collect")
@@ -163,49 +164,58 @@ class RoundEngine:
     # -- population build path -----------------------------------------------------
 
     def _upload_submission_batches(
-        self, ctx: RoundContext, per_chain, cover: bool, part: Optional[int] = None
-    ) -> dict:
-        """Ship per-chain batches over the transport; scatter back per sender.
+        self, ctx: RoundContext, per_chain: Dict[int, SubmissionBatch], cover: bool,
+        part: Optional[int] = None,
+    ) -> Dict[int, SubmissionBatch]:
+        """Ship per-chain batches over the transport; the batches as delivered.
 
         One framed envelope crosses each (chain, entry-server) link — per
         round in the monolithic path, per (chain, chunk) when the streaming
         pipeline passes a ``part`` index — and the chains' envelopes go out
-        together (``deliver_many``: TCP keeps them all in flight).  The
-        delivered (possibly re-decoded) submissions are scattered into
-        per-sender FIFO queues keyed by chain, from which
-        :meth:`_build_population_submissions` reassembles each user's list
-        in her own chain-slot order.
+        together (``deliver_many``: TCP keeps them all in flight).
         """
         deployment = self.deployment
         envelopes = [
             submission_batch_envelope(
                 chain_id,
-                submissions,
+                batch,
                 deployment.entry_servers,
                 ctx.round_number,
                 cover=cover,
                 part=part,
             )
-            for chain_id, submissions in per_chain.items()
+            for chain_id, batch in per_chain.items()
         ]
-        queues: dict = {}
-        for chain_id, delivered in zip(per_chain, deployment.transport.deliver_many(envelopes)):
-            chain_queues = queues.setdefault(chain_id, {})
-            for submission in delivered or []:
-                chain_queues.setdefault(submission.sender, []).append(submission)
-        return queues
+        return dict(zip(per_chain, deployment.transport.deliver_many(envelopes)))
 
-    def _scatter_batch(self, queues: dict, users) -> dict:
-        """Rebuild per-user submission lists from per-chain sender queues."""
+    def _scatter_batch(
+        self, delivered: Dict[int, SubmissionBatch], users
+    ) -> Dict[str, List[memoryview]]:
+        """Rebuild per-user record lists from the delivered per-chain batches.
+
+        Each chain's records are queued per sender (FIFO, so a link fault's
+        duplicate or reordering keeps what it can); each user then takes one
+        record from each of her chains' queues, in her own chain-slot order.
+        A record is a view into its delivered batch: nothing is copied, and
+        nothing is decoded beyond the sender.
+        """
         population = self.deployment.population
-        per_user: dict = {}
+        queues: Dict[int, Dict[str, deque]] = {}
+        for chain_id, batch in delivered.items():
+            chain_queues = queues[chain_id] = {}
+            for sender, record in zip(batch.senders(), batch.records()):
+                queue = chain_queues.get(sender)
+                if queue is None:
+                    queue = chain_queues[sender] = deque()
+                queue.append(record)
+        per_user: Dict[str, List[memoryview]] = {}
         for user in users:
-            submissions = []
+            records = []
             for chain_id in population.chain_assignments[user.name]:
                 queue = queues.get(chain_id, {}).get(user.name)
                 if queue:
-                    submissions.append(queue.pop(0))
-            per_user[user.name] = submissions
+                    records.append(queue.popleft())
+            per_user[user.name] = records
         # Anything left in a queue (a duplicated batch element from a link
         # fault) still belongs to its sender; append in chain order.
         for chain_id in sorted(queues):
@@ -265,11 +275,10 @@ class RoundEngine:
     def _fold_user_submissions(
         self, ctx: RoundContext, per_chain: Dict[int, list], strict: bool = True
     ) -> None:
-        """Fold delivered per-user submissions into per-chain batches.
+        """Fold the per-user submission records into per-chain record lists.
 
-        Walks the users in global (deployment) order, skipping uploads a
-        faulty transport dropped (``None``) — the one definition of which
-        submissions are pending, shared by :meth:`finalize_collect`
+        Walks the users in global (deployment) order — the one definition of
+        which submissions are pending, shared by :meth:`finalize_collect`
         (assembling the mix batches) and the overlapped precompute
         (operating on the same pending set).  ``strict`` keeps
         finalize_collect's invariant that a submission for a chain the
@@ -277,13 +286,13 @@ class RoundEngine:
         being counted into a batch no chain will ever mix; the precompute
         fold is tolerant — it only wants whatever work it can do early.
         """
+        chain_of = SubmissionBatch.record_chain_id
         for user in self.deployment.users:
-            for submission in ctx.user_submissions.get(user.name, []):
-                if submission is not None:
-                    if strict:
-                        per_chain[submission.chain_id].append(submission)
-                    else:
-                        per_chain.setdefault(submission.chain_id, []).append(submission)
+            for record in ctx.user_submissions.get(user.name, ()):
+                if strict:
+                    per_chain[chain_of(record)].append(record)
+                else:
+                    per_chain.setdefault(chain_of(record), []).append(record)
 
     @_stage("finalize_collect")
     def finalize_collect(self, ctx: RoundContext) -> None:
@@ -297,9 +306,14 @@ class RoundEngine:
             ctx, [deployment.user(name) for name in ctx.deferred_users]
         )
         ctx.deferred_users = []
-        self._fold_user_submissions(ctx, ctx.per_chain)
+        records: Dict[int, list] = {chain.chain_id: [] for chain in deployment.chains}
+        self._fold_user_submissions(ctx, records)
+        # The fold was the last reader of the per-user index: from here the
+        # chain lists hold the only references to the records, so each
+        # chain's list dies as soon as its batch is joined.
+        ctx.user_submissions = {}
         for submission in ctx.spec.extra_submissions:
-            if submission.chain_id in ctx.per_chain:
+            if submission.chain_id in records:
                 # Injected (possibly adversarial) submissions cross the same
                 # client→entry-server link as honest ones.
                 delivered = deployment.transport.deliver(
@@ -308,18 +322,18 @@ class RoundEngine:
                     )
                 )
                 if delivered is not None:
-                    ctx.per_chain[submission.chain_id].append(delivered)
+                    records[submission.chain_id].append(delivered.to_bytes())
+        ctx.per_chain = {
+            chain_id: SubmissionBatch.from_records(deployment.group, records.pop(chain_id))
+            for chain_id in list(records)
+        }
         ctx.report.total_submissions = sum(len(batch) for batch in ctx.per_chain.values())
-        # The fold above was the last reader of the per-user index, but the
-        # index still references every decoded submission — left in place
-        # it would pin the whole decoded round even after the chains release
-        # their batches at acceptance.  Dropped here, the decoded objects
-        # die with ``per_chain``.
-        ctx.user_submissions = {}
 
     # -- precompute stage (§5.2.1 / DESIGN.md §8) ---------------------------------
 
-    def _precompute_batches(self, ctx: RoundContext, per_chain: Dict[int, list]) -> None:
+    def _precompute_batches(
+        self, ctx: RoundContext, per_chain: Dict[int, SubmissionBatch]
+    ) -> None:
         """Cascade the chains' public-key precompute over pending submissions.
 
         Incremental: members skip publics already in their round tables, so
@@ -370,9 +384,13 @@ class RoundEngine:
         if self.deployment.remote_mix is not None:
             return
         with ctx.report.trace.stage("precompute"):
-            per_chain: Dict[int, list] = {}
-            self._fold_user_submissions(ctx, per_chain, strict=False)
-            self._precompute_batches(ctx, per_chain)
+            records: Dict[int, list] = {}
+            self._fold_user_submissions(ctx, records, strict=False)
+            group = self.deployment.group
+            self._precompute_batches(ctx, {
+                chain_id: SubmissionBatch.from_records(group, chain_records)
+                for chain_id, chain_records in records.items()
+            })
 
     @_stage("mix")
     def mix(self, ctx: RoundContext) -> None:
@@ -384,10 +402,9 @@ class RoundEngine:
         """
 
         def accept_chain(chain) -> List[str]:
-            submissions = ctx.per_chain[chain.chain_id]
+            submissions = ctx.per_chain.pop(chain.chain_id)
             with trace.span(chain_id=chain.chain_id, entries=len(submissions)):
                 _, rejected = chain.accept_submissions(ctx.round_number, submissions)
-            ctx.per_chain[chain.chain_id] = []
             return rejected
 
         def run_chain(chain):
@@ -398,12 +415,13 @@ class RoundEngine:
             outcomes = self.deployment.remote_mix.mix_round(ctx)
         else:
             # Every chain accepts up front, before any chain mixes: each
-            # acceptance re-encodes its batch into the chain's wire blob and
-            # keeps only the senders for blame, so the engine can release
-            # the decoded submission list — the round's largest structure —
-            # for *every* chain before the first mix's transient working set
-            # stacks on top of it.  Intake is transport-free, so it fans out
-            # like the mix; the two maps stay separate to keep that order.
+            # acceptance slices its EncodedBatch out of the submission
+            # records and keeps only the senders for blame, so the engine
+            # can release the submission batches — the round's largest
+            # structure — for *every* chain before the first mix's
+            # transient working set stacks on top of it.  Intake is
+            # transport-free, so it fans out like the mix; the two maps stay
+            # separate to keep that order.
             chains = self.deployment.chains
             with ctx.report.trace.stage("accept"):
                 rejected = self.backend.map_chains(accept_chain, chains)
@@ -460,7 +478,7 @@ class RoundEngine:
                             source=chain.members[-1].server_name,
                             destination="mailbox-hub",
                             round_number=ctx.round_number,
-                            payload=span,
+                            payload=MailboxBatch.from_messages(span),
                             chain_id=chain.chain_id,
                             part=part if chunk_size is not None else None,
                         )
@@ -512,11 +530,11 @@ class RoundEngine:
                             source=server.name,
                             destination="user-population",
                             round_number=ctx.round_number,
-                            payload=pairs,
+                            payload=FetchBatch.from_pairs(pairs),
                             part=part if chunk_size is not None else None,
                         )
                     )
-                    for owner, messages in delivered or []:
+                    for owner, messages in delivered:
                         inboxes_by_owner.setdefault(owner, []).extend(messages)
                 inboxes = [inboxes_by_owner.get(user.public_bytes, []) for user in span]
                 for user, inbox in zip(span, inboxes):

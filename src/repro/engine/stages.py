@@ -36,7 +36,7 @@ from typing import Dict, List, Set
 
 from repro.client.user import ChainKeysView, ReceivedMessage
 from repro.mixnet.ahs import ChainRoundResult
-from repro.mixnet.messages import ClientSubmission
+from repro.mixnet.messages import ClientSubmission, SubmissionBatch
 from repro.trace import Trace
 
 __all__ = ["RoundSpec", "ChainOutcome", "RoundContext", "RoundReport"]
@@ -158,9 +158,11 @@ class RoundContext:
     report: RoundReport
     current_views: Dict[int, ChainKeysView] = field(default_factory=dict)
     next_views: Dict[int, ChainKeysView] = field(default_factory=dict)
-    #: Per-user submission lists, assembled into ``per_chain`` (in global
-    #: user order, so batches are schedule-independent) by finalize_collect.
-    user_submissions: Dict[str, List[ClientSubmission]] = field(default_factory=dict)
+    #: Per-user submission records (``ClientSubmission.to_bytes()`` layout,
+    #: viewed in the uploaded batches), assembled into ``per_chain`` (in
+    #: global user order, so batches are schedule-independent) by
+    #: finalize_collect.
+    user_submissions: Dict[str, List[memoryview]] = field(default_factory=dict)
     #: Users whose submission build was deferred past the previous round's
     #: fetch because that fetch may flip their conversation state.
     deferred_users: List[str] = field(default_factory=list)
@@ -169,5 +171,6 @@ class RoundContext:
     #: staggered scheduler must not build their next-round submissions until
     #: this round's fetch has run.
     notice_targets: Set[str] = field(default_factory=set)
-    per_chain: Dict[int, List[ClientSubmission]] = field(default_factory=dict)
+    #: Each chain's assembled batch, from finalize_collect until its intake.
+    per_chain: Dict[int, SubmissionBatch] = field(default_factory=dict)
     chain_outcomes: Dict[int, ChainOutcome] = field(default_factory=dict)

@@ -45,6 +45,7 @@ from repro.crypto.nizk import (
     verify_dleq_batch,
     verify_dlog,
     verify_dlog_batch,
+    verify_dlog_columns,
 )
 from repro import trace
 from repro.crypto import stream
@@ -56,9 +57,9 @@ from repro.crypto.onion import (
 )
 from repro.errors import CryptoError, DecodingError, ProofError, ProtocolError
 from repro.mixnet.messages import (
-    ClientSubmission,
     EncodedBatch,
     MailboxMessage,
+    SubmissionBatch,
     batch_digest,
 )
 from repro.transport.envelope import BATCH, Envelope
@@ -647,27 +648,25 @@ class MixChain:
             member.release_round(round_number)
 
     def _decode_statements(
-        self, submissions: Sequence[ClientSubmission]
+        self, chain_ids: Sequence[int], publics: Sequence[bytes]
     ) -> Tuple[List[int], List[object]]:
         """The indices and decoded DH publics of the submissions that can be
         proof statements at all: this chain's, with a key the group accepts
         (one ``decode_batch``; only a rejected encoding drops a submission)."""
-        ours = [
-            index for index, submission in enumerate(submissions)
-            if submission.chain_id == self.chain_id
-        ]
-        decoded = self.group.decode_batch([submissions[index].dh_public for index in ours])
+        ours = [index for index, chain_id in enumerate(chain_ids) if chain_id == self.chain_id]
+        decoded = self.group.decode_batch([publics[index] for index in ours])
         rows = [index for index, point in zip(ours, decoded) if point is not None]
         return rows, [point for point in decoded if point is not None]
 
-    def decode_submission_publics(self, submissions: Sequence[ClientSubmission]) -> List[object]:
+    def decode_submission_publics(self, submissions) -> List[object]:
         """The decodable DH publics of a pending batch, for :meth:`precompute_round`.
 
         :meth:`accept_submissions`'s decode step without the proof checks
         (those stay online): submissions that will be rejected merely
         precompute an unused table entry.
         """
-        return self._decode_statements(submissions)[1]
+        chain_ids, _, publics, _, _ = SubmissionBatch.of(self.group, submissions).columns()
+        return self._decode_statements(chain_ids, publics)[1]
 
     def aggregate_inner_public(self, round_number: int):
         """Return Σ ipk for the round (what users encrypt inner envelopes to)."""
@@ -676,51 +675,52 @@ class MixChain:
         return self._aggregate_inner[round_number]
 
     def accept_submissions(
-        self, round_number: int, submissions: Sequence[ClientSubmission]
+        self, round_number: int, submissions
     ) -> Tuple[EncodedBatch, List[str]]:
         """Verify client NIZKs and build the round's input batch.
 
-        Submissions whose knowledge-of-discrete-log proof does not verify are
-        rejected immediately and their senders reported (§6.4: "the
-        misbehaviour is detected and the adversary is immediately
-        identified").
+        ``submissions`` is a :class:`SubmissionBatch` (a list of
+        :class:`ClientSubmission` is encoded into one first).  Submissions
+        whose knowledge-of-discrete-log proof does not verify are rejected
+        immediately and their senders reported (§6.4: "the misbehaviour is
+        detected and the adversary is immediately identified").
 
-        The accepted batch is built directly from the submissions' wire
-        bytes, and the chain keeps only who sent each entry — the caller
-        may (and the engine does) drop its submission references once this
-        returns.
+        Everything is read from the batch's columns, and the accepted
+        :class:`EncodedBatch` is sliced out of the submission records; the
+        chain keeps only who sent each entry, so the caller may (and the
+        engine does) drop the submission batch once this returns.
         """
         group = self.group
+        batch = SubmissionBatch.of(group, submissions)
+        chain_ids, senders, encoded, commitments, responses = batch.columns()
         # Whatever cannot be a proof statement (wrong chain, undecodable
         # key) is rejected as is; everything else is one row of one batched
         # verification, and the verdicts fall back into submission order.
-        rows, publics = self._decode_statements(submissions)
-        valid = [False] * len(submissions)
-        verified = verify_dlog_batch(
+        rows, publics = self._decode_statements(chain_ids, encoded)
+        valid = [False] * len(batch)
+        verified = verify_dlog_columns(
             group,
             group.base(),
             publics,
-            [submissions[index].proof for index in rows],
-            [
-                submission_context(self.chain_id, round_number, submissions[index].sender)
-                for index in rows
-            ],
+            [commitments[index] for index in rows],
+            [responses[index] for index in rows],
+            [submission_context(self.chain_id, round_number, senders[index]) for index in rows],
         )
         for index, ok in zip(rows, verified):
             valid[index] = ok
         # Keep the *wire bytes* (the decode above validated them, and every
         # accepted encoding is canonical, so no re-encode is needed) plus the
         # senders; the decoded points die here.
-        accepted = [submission for submission, ok in zip(submissions, valid) if ok]
-        rejected = [submission.sender for submission, ok in zip(submissions, valid) if not ok]
-        self._senders[round_number] = [submission.sender for submission in accepted]
-        batch = EncodedBatch.from_parts(
+        accepted = [index for index, ok in enumerate(valid) if ok]
+        rejected = [sender for sender, ok in zip(senders, valid) if not ok]
+        self._senders[round_number] = [senders[index] for index in accepted]
+        entries = EncodedBatch.from_parts(
             group,
-            [submission.dh_public for submission in accepted],
-            [submission.ciphertext for submission in accepted],
+            [encoded[index] for index in accepted],
+            [batch.ciphertext(index) for index in accepted],
         )
-        self._entries[round_number] = batch
-        return batch, rejected
+        self._entries[round_number] = entries
+        return entries, rejected
 
     def senders_for_round(self, round_number: int) -> List[str]:
         """Who sent each accepted entry, in batch order (blame identifies users by index)."""

@@ -10,6 +10,10 @@ honest user's, so all formats here are fixed-size for a given deployment:
 * :class:`ClientSubmission` — what a user sends to the first server of a
   chain in the AHS design: the shared outer Diffie-Hellman key ``X = g^x``,
   the outer ciphertext, and the NIZK that she knows ``x`` (§6.2).
+* :class:`SubmissionBatch` — a batch of submissions held in its wire
+  encoding, from the population's build to a chain's intake;
+  :class:`MailboxBatch` and :class:`FetchBatch` are the mailbox flows'
+  wire-resident batches.
 * :class:`EncodedBatch` — the round's batch of ``(X_i^j, c_i^j)`` pairs
   that flows between servers inside a chain during mixing (§6.3), held in
   its wire encoding; :class:`BatchEntry` is the decoded view of one pair.
@@ -20,7 +24,8 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.constants import (
     AEAD_TAG_SIZE,
@@ -40,7 +45,11 @@ __all__ = [
     "ClientSubmission",
     "BatchEntry",
     "EncodedBatch",
+    "SubmissionBatch",
+    "MailboxBatch",
+    "FetchBatch",
     "batch_digest",
+    "submission_record",
     "mailbox_message_size",
 ]
 
@@ -133,6 +142,57 @@ class MailboxMessage:
         return len(self.recipient) + len(self.sealed_body)
 
 
+#: Where a submission record's sender field starts: chain id (4) and sender
+#: length (2) come first.
+_SENDER_START = 6
+#: Chain id, sender length and the padded sender field.
+_SUBMISSION_HEADER = _SENDER_START + SENDER_FIELD_SIZE
+_ZERO_SENDER = bytes(SENDER_FIELD_SIZE)
+
+
+def submission_record(chain_id: int, sender: str, dh_public: bytes, commitment: bytes,
+                      response: int, ciphertext: bytes) -> bytes:
+    """One submission's wire record (the layout :class:`ClientSubmission` documents)."""
+    sender_bytes = sender.encode()
+    if len(sender_bytes) > SENDER_FIELD_SIZE:
+        raise CryptoError(f"sender name exceeds {SENDER_FIELD_SIZE} bytes")
+    return b"".join((
+        chain_id.to_bytes(4, "big"),
+        len(sender_bytes).to_bytes(2, "big"),
+        sender_bytes,
+        _ZERO_SENDER[len(sender_bytes):],
+        dh_public,
+        commitment,
+        response.to_bytes(SCALAR_SIZE, "little"),
+        ciphertext,
+    ))
+
+
+def _record_sender(data: bytes, start: int) -> str:
+    """The sender of the submission record at ``data[start:]``.
+
+    The caller has checked that the record holds the whole fixed part.  The
+    field must be canonical — a length within it, UTF-8, zero padding — so a
+    record the decoders accept re-encodes to exactly its own bytes.
+    """
+    length = int.from_bytes(data[start + 4:start + _SENDER_START], "big")
+    if length > SENDER_FIELD_SIZE:
+        raise DecodingError("client submission sender length exceeds the field size")
+    field_start = start + _SENDER_START
+    padding = data[field_start + length:field_start + SENDER_FIELD_SIZE]
+    if padding != _ZERO_SENDER[length:]:
+        raise DecodingError("client submission sender padding is not zero")
+    try:
+        return data[field_start:field_start + length].decode()
+    except UnicodeDecodeError as exc:
+        raise DecodingError("client submission sender is not valid UTF-8") from exc
+
+
+def _submission_fixed_size(element_size: int) -> int:
+    """The smallest submission record: everything but the ciphertext."""
+    return _SUBMISSION_HEADER + 2 * element_size + SCALAR_SIZE
+
+
 @dataclass(frozen=True, slots=True)
 class ClientSubmission:
     """A user's per-chain submission in the AHS design (§6.2).
@@ -140,6 +200,11 @@ class ClientSubmission:
     The sender identity is carried in the clear — the first server of a chain
     necessarily knows who submitted what; XRD's privacy comes from the shuffle
     breaking the link between submissions and delivered mailbox messages.
+
+    Honest rounds carry submissions as :class:`SubmissionBatch` records from
+    build to intake; this object is the per-item form — injected and
+    adversarial submissions, the single ``SUBMISSION`` envelope, and what
+    indexing a batch yields.
     """
 
     chain_id: int
@@ -152,35 +217,27 @@ class ClientSubmission:
     def to_bytes(self) -> bytes:
         """Serialise to the fixed layout the entry server parses.
 
-        ``chain id (4) || sender length (2) || sender padded to
+        ``chain id (4) || sender length (2) || sender padded with zeros to
         SENDER_FIELD_SIZE || X || proof commitment || proof response ||
         ciphertext``.  The sender field is padded so every submission of a
         deployment has the same wire size regardless of who sent it.
         """
-        sender_bytes = self.sender.encode()
-        if len(sender_bytes) > SENDER_FIELD_SIZE:
-            raise CryptoError(f"sender name exceeds {SENDER_FIELD_SIZE} bytes")
-        header = self.chain_id.to_bytes(4, "big") + len(sender_bytes).to_bytes(2, "big")
-        sender_field = sender_bytes + b"\x00" * (SENDER_FIELD_SIZE - len(sender_bytes))
-        proof_bytes = self.proof.commitment + self.proof.response.to_bytes(SCALAR_SIZE, "little")
-        return header + sender_field + self.dh_public + proof_bytes + self.ciphertext
+        return submission_record(
+            self.chain_id, self.sender, self.dh_public, self.proof.commitment,
+            self.proof.response, self.ciphertext,
+        )
 
     @classmethod
     def from_bytes(cls, data: bytes, element_size: int = GROUP_ELEMENT_SIZE) -> "ClientSubmission":
-        """Parse the :meth:`to_bytes` layout (``element_size`` = encoded group element)."""
-        fixed = 6 + SENDER_FIELD_SIZE + 2 * element_size + SCALAR_SIZE
-        if len(data) < fixed:
+        """Parse the :meth:`to_bytes` layout (``element_size`` = encoded group element).
+
+        Only canonical records parse — the sender padding must be zero — so
+        ``to_bytes`` gives back exactly ``data``.
+        """
+        if len(data) < _submission_fixed_size(element_size):
             raise DecodingError("client submission too short")
-        chain_id = int.from_bytes(data[:4], "big")
-        sender_length = int.from_bytes(data[4:6], "big")
-        if sender_length > SENDER_FIELD_SIZE:
-            raise DecodingError("client submission sender length exceeds the field size")
-        offset = 6
-        try:
-            sender = data[offset:offset + sender_length].decode()
-        except UnicodeDecodeError as exc:
-            raise DecodingError("client submission sender is not valid UTF-8") from exc
-        offset += SENDER_FIELD_SIZE
+        sender = _record_sender(data, 0)
+        offset = _SUBMISSION_HEADER
         dh_public = data[offset:offset + element_size]
         offset += element_size
         commitment = data[offset:offset + element_size]
@@ -188,7 +245,7 @@ class ClientSubmission:
         response = int.from_bytes(data[offset:offset + SCALAR_SIZE], "little")
         offset += SCALAR_SIZE
         return cls(
-            chain_id=chain_id,
+            chain_id=int.from_bytes(data[:4], "big"),
             sender=sender,
             dh_public=dh_public,
             ciphertext=data[offset:],
@@ -197,6 +254,389 @@ class ClientSubmission:
 
     def wire_size(self) -> int:
         return len(self.to_bytes())
+
+
+def _walk_records(data: bytes, start: int, minimum: int, what: str,
+                  check: Optional[Callable[[bytes, int], object]] = None,
+                  offsets: Optional[array] = None) -> int:
+    """Check ``count (4) || count × (length (4) || record)`` at ``data[start:]``.
+
+    The count must fit first — ``count`` minimum-size records inside the
+    remaining bytes — so a forged count cannot size the offset table or the
+    walk.  Every record must hold at least ``minimum`` bytes, end inside
+    ``data``, and pass ``check(data, record_start)``.  Appends each entry's
+    end (relative to the first entry) to ``offsets`` when given; returns
+    where the last one ends, and the caller decides whether anything may
+    follow.
+    """
+    size = len(data)
+    if size < start + 4:
+        raise DecodingError(f"truncated {what} header")
+    count = int.from_bytes(data[start:start + 4], "big")
+    base = start + 4
+    if count * (4 + minimum) > size - base:
+        raise DecodingError(f"{what} count exceeds the payload")
+    end = base
+    for _ in range(count):
+        record = end + 4
+        end = record + int.from_bytes(data[end:record], "big")
+        if end > size:
+            raise DecodingError(f"{what} record overruns the payload")
+        if end - record < minimum:
+            raise DecodingError(f"{what} record too short")
+        if check is not None:
+            check(data, record)
+        if offsets is not None:
+            offsets.append(end - base)
+    return end
+
+
+def _join_records(records: Iterable[bytes]) -> Tuple[bytes, array]:
+    """Length-prefix and concatenate ``records``; the blob and its offsets."""
+    records = list(records)
+    sizes = [len(record) for record in records]
+    prefixes = {size: size.to_bytes(4, "big") for size in dict.fromkeys(sizes)}
+    parts: List[bytes] = [b""] * (2 * len(records))
+    parts[0::2] = [prefixes[size] for size in sizes]
+    parts[1::2] = records
+    return b"".join(parts), array("Q", accumulate((size + 4 for size in sizes), initial=0))
+
+
+class _RecordBatch(Sequence):
+    """Shared body of the uplink and mailbox batches.
+
+    On the wire a batch is ``count (4) || entries``; ``blob`` is the
+    entries and ``offsets[i]`` is where entry ``i`` starts in it.  A batch
+    built by a sender that holds decoded items (the mailbox tier's
+    messages) keeps them as ``items`` and encodes only when a link asks
+    for bytes, so a hand-off in process passes the sender's own objects.
+    Subclasses say how an entry encodes and decodes.
+    """
+
+    __slots__ = ("_blob", "_offsets", "_items")
+
+    def __init__(self, blob: bytes, offsets: Optional[array], items: Optional[list] = None) -> None:
+        self._blob = blob
+        self._offsets = offsets
+        self._items = items
+
+    @classmethod
+    def _of_items(cls, items: Iterable):
+        return cls(b"", None, list(items))
+
+    def _encode_items(self, items: list) -> Tuple[bytes, array]:
+        raise NotImplementedError
+
+    def _wire(self) -> Tuple[bytes, array]:
+        """The blob and offsets, encoding held items on first use."""
+        if self._offsets is None:
+            self._blob, self._offsets = self._encode_items(self._items)
+        return self._blob, self._offsets
+
+    def __len__(self) -> int:
+        if self._items is not None:
+            return len(self._items)
+        return len(self._offsets) - 1
+
+    def __getitem__(self, index: int):
+        if self._items is not None:
+            return self._items[index]
+        count = len(self)
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError("batch record index out of range")
+        return self._materialise(index)
+
+    def __iter__(self):
+        if self._items is not None:
+            return iter(self._items)
+        return map(self._materialise, range(len(self)))
+
+    def _materialise(self, index: int):
+        raise NotImplementedError
+
+    @property
+    def blob(self) -> bytes:
+        return self._wire()[0]
+
+    def to_wire(self) -> bytes:
+        """The wire payload: the entry count, then the blob as it is."""
+        return len(self).to_bytes(4, "big") + self._wire()[0]
+
+    def select(self, indices: Iterable[int]):
+        """A new batch holding the entries at ``indices``, in that order.
+
+        A link moves records as bytes, undecoded; held items move as they
+        are.
+        """
+        if self._items is not None:
+            return self._of_items([self._items[index] for index in indices])
+        blob, offsets = self._blob, self._offsets
+        picked = array("Q", [0])
+        parts: List[bytes] = []
+        total = 0
+        for index in indices:
+            entry = blob[offsets[index]:offsets[index + 1]]
+            parts.append(entry)
+            total += len(entry)
+            picked.append(total)
+        return self._with_wire(b"".join(parts), picked)
+
+    def _with_wire(self, blob: bytes, offsets: array):
+        return type(self)(blob, offsets)
+
+
+class _PrefixedBatch(_RecordBatch):
+    """A batch whose entries are ``length (4) || record``."""
+
+    __slots__ = ()
+
+    def record(self, index: int) -> bytes:
+        """Record ``index``'s bytes, without its length prefix."""
+        blob, offsets = self._wire()
+        return blob[offsets[index] + 4:offsets[index + 1]]
+
+    def records(self) -> List[memoryview]:
+        """Every record, as a view into the blob (no copy; the views keep
+        the blob alive)."""
+        blob, offsets = self._wire()
+        view = memoryview(blob)
+        return [view[offsets[index] + 4:offsets[index + 1]] for index in range(len(self))]
+
+
+class SubmissionBatch(_PrefixedBatch):
+    """A batch of client submissions, held in its wire encoding.
+
+    One blob of length-prefixed :meth:`ClientSubmission.to_bytes` records
+    plus an offset table — exactly a ``SUBMISSION_BATCH`` payload minus its
+    count — the uplink's counterpart of :class:`EncodedBatch`.  The
+    population builds it from columns, the transport carries it as it is,
+    the engine scatters and folds its records, and a chain's intake reads
+    its :meth:`columns` and slices its :class:`EncodedBatch` out of them.
+    Indexing decodes one :class:`ClientSubmission` on demand; the honest
+    path never does.
+    """
+
+    __slots__ = ("_element_size",)
+
+    def __init__(self, element_size: int, blob: bytes, offsets: array) -> None:
+        super().__init__(blob, offsets)
+        self._element_size = element_size
+
+    def _with_wire(self, blob: bytes, offsets: array) -> "SubmissionBatch":
+        return SubmissionBatch(self._element_size, blob, offsets)
+
+    @classmethod
+    def from_records(cls, group, records: Iterable[bytes]) -> "SubmissionBatch":
+        """Join records already in the :meth:`ClientSubmission.to_bytes`
+        layout (built, or taken out of another batch)."""
+        blob, offsets = _join_records(records)
+        return cls(group.element_size, blob, offsets)
+
+    @classmethod
+    def from_submissions(cls, group, submissions: Iterable[ClientSubmission]) -> "SubmissionBatch":
+        return cls.from_records(group, [submission.to_bytes() for submission in submissions])
+
+    @classmethod
+    def of(cls, group, submissions) -> "SubmissionBatch":
+        """``submissions`` as a batch: itself if it is one, else encoded."""
+        if isinstance(submissions, cls):
+            return submissions
+        return cls.from_submissions(group, submissions)
+
+    @classmethod
+    def from_wire(cls, group, data: bytes) -> "SubmissionBatch":
+        """Parse a ``SUBMISSION_BATCH`` payload: ``count (4) || entries``.
+
+        The structure is checked once, against the buffer: the count must
+        fit, every record must hold the fixed part and end inside the
+        buffer, its sender field must be canonical (length within the field,
+        UTF-8, zero padding), and nothing may trail.  Every record the view
+        then yields parses with :meth:`ClientSubmission.from_bytes`.
+        """
+        element_size = group.element_size
+        offsets = array("Q", [0])
+        end = _walk_records(
+            data, 0, _submission_fixed_size(element_size), "submission batch", _record_sender,
+            offsets,
+        )
+        if end != len(data):
+            raise DecodingError("trailing bytes after submission batch")
+        return cls(element_size, data[4:], offsets)
+
+    def _materialise(self, index: int) -> ClientSubmission:
+        return ClientSubmission.from_bytes(self.record(index), self._element_size)
+
+    # -- columns (no ClientSubmission materialisation) -------------------------
+    # Every record was checked where it entered the batch: built, taken out
+    # of a checked batch, or parsed by from_wire.
+
+    @staticmethod
+    def record_chain_id(record: bytes) -> int:
+        """The chain id of one :meth:`record`."""
+        return int.from_bytes(record[:4], "big")
+
+    def senders(self) -> List[str]:
+        blob = self._blob
+        senders = []
+        for start in self._offsets[:-1]:
+            start += 4 + _SENDER_START
+            senders.append(blob[start:start + int.from_bytes(blob[start - 2:start], "big")].decode())
+        return senders
+
+    def columns(self) -> Tuple[List[int], List[str], List[bytes], List[bytes], List[int]]:
+        """Every record's chain id, sender, encoded ``X``, proof commitment
+        and proof response, in one pass."""
+        blob, size = self._blob, self._element_size
+        x_at = 4 + _SUBMISSION_HEADER
+        commitment_at = x_at + size
+        response_at = commitment_at + size
+        response_end = response_at + SCALAR_SIZE
+        from_bytes = int.from_bytes
+        chain_ids: List[int] = []
+        senders: List[str] = []
+        publics: List[bytes] = []
+        commitments: List[bytes] = []
+        responses: List[int] = []
+        for start in self._offsets[:-1]:
+            chain_ids.append(from_bytes(blob[start + 4:start + 8], "big"))
+            name = start + 4 + _SENDER_START
+            senders.append(blob[name:name + from_bytes(blob[name - 2:name], "big")].decode())
+            publics.append(blob[start + x_at:start + commitment_at])
+            commitments.append(blob[start + commitment_at:start + response_at])
+            responses.append(from_bytes(blob[start + response_at:start + response_end], "little"))
+        return chain_ids, senders, publics, commitments, responses
+
+    def ciphertext(self, index: int) -> bytes:
+        start = self._offsets[index] + 4 + _submission_fixed_size(self._element_size)
+        return self._blob[start:self._offsets[index + 1]]
+
+
+class MailboxBatch(_PrefixedBatch):
+    """Mailbox messages in transit (``MAILBOX_DELIVERY``).
+
+    Length-prefixed :meth:`MailboxMessage.to_bytes` records.  Built from a
+    chain's messages it holds them and encodes when a link needs bytes;
+    parsed from the wire it is a view, checked once, whose records become
+    :class:`MailboxMessage` objects only as a consumer reads them.
+    """
+
+    __slots__ = ()
+
+    #: The smallest record :meth:`MailboxMessage.from_bytes` accepts.
+    MINIMUM = GROUP_ELEMENT_SIZE + AEAD_TAG_SIZE
+
+    @classmethod
+    def from_messages(cls, messages: Iterable[MailboxMessage]) -> "MailboxBatch":
+        return cls._of_items(messages)
+
+    def _encode_items(self, items: list) -> Tuple[bytes, array]:
+        return _join_records(message.to_bytes() for message in items)
+
+    @classmethod
+    def read(cls, data: bytes, offset: int = 0) -> Tuple["MailboxBatch", int]:
+        """Parse one embedded batch at ``offset``; ``(batch, next offset)``."""
+        offsets = array("Q", [0])
+        end = _walk_records(data, offset, cls.MINIMUM, "mailbox batch", offsets=offsets)
+        return cls(data[offset + 4:end], offsets), end
+
+    @classmethod
+    def from_wire(cls, data: bytes) -> "MailboxBatch":
+        batch, end = cls.read(data)
+        if end != len(data):
+            raise DecodingError("trailing bytes after mailbox batch")
+        return batch
+
+    def _materialise(self, index: int) -> MailboxMessage:
+        record = self.record(index)
+        return MailboxMessage(
+            recipient=record[:GROUP_ELEMENT_SIZE], sealed_body=record[GROUP_ELEMENT_SIZE:]
+        )
+
+
+class FetchBatch(_RecordBatch):
+    """One shard's round downloads in transit (``MAILBOX_FETCH_BATCH``).
+
+    Per user: ``owner length (4) || owner key || mailbox batch`` (the
+    :meth:`MailboxBatch.to_wire` layout); ``offsets[i]`` is where user
+    ``i``'s entry starts.  Built from the hub's ``(owner, messages)`` pairs
+    it holds them and encodes when a link needs bytes; parsed from the wire
+    it is a view checked once.  Indexing yields ``(owner, messages)``, the
+    user's :class:`MailboxMessage` list; :meth:`owners` reads the keys
+    alone.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[Tuple[bytes, Sequence[MailboxMessage]]]) -> "FetchBatch":
+        return cls._of_items(pairs)
+
+    def _encode_items(self, items: list) -> Tuple[bytes, array]:
+        parts: List[bytes] = []
+        offsets = array("Q", [0])
+        total = 0
+        for owner, messages in items:
+            entry = [len(owner).to_bytes(4, "big"), owner, len(messages).to_bytes(4, "big")]
+            for message in messages:
+                record = message.to_bytes()
+                entry += (len(record).to_bytes(4, "big"), record)
+            joined = b"".join(entry)
+            parts.append(joined)
+            total += len(joined)
+            offsets.append(total)
+        return b"".join(parts), offsets
+
+    @classmethod
+    def from_wire(cls, data: bytes) -> "FetchBatch":
+        """Parse a ``MAILBOX_FETCH_BATCH`` payload, every nested batch included.
+
+        The pair count must fit (an owner prefix and a mailbox count per
+        pair), each owner and mailbox batch must end inside the buffer, and
+        nothing may trail.
+        """
+        size = len(data)
+        if size < 4:
+            raise DecodingError("truncated fetch batch header")
+        count = int.from_bytes(data[:4], "big")
+        if count * 8 > size - 4:
+            raise DecodingError("fetch batch count exceeds the payload")
+        offsets = array("Q", [0])
+        end = 4
+        for _ in range(count):
+            end += 4 + int.from_bytes(data[end:end + 4], "big")
+            if end > size:
+                raise DecodingError("fetch batch owner overruns the payload")
+            end = _walk_records(data, end, MailboxBatch.MINIMUM, "mailbox batch")
+            offsets.append(end - 4)
+        if end != size:
+            raise DecodingError("trailing bytes after fetch batch")
+        return cls(data[4:], offsets)
+
+    def owners(self) -> List[bytes]:
+        if self._items is not None:
+            return [owner for owner, _ in self._items]
+        blob, offsets = self._blob, self._offsets
+        owners = []
+        for start in offsets[:-1]:
+            owners.append(blob[start + 4:start + 4 + int.from_bytes(blob[start:start + 4], "big")])
+        return owners
+
+    def _materialise(self, index: int) -> Tuple[bytes, List[MailboxMessage]]:
+        # The entry was checked where it entered (from_wire).
+        entry = self._blob[self._offsets[index]:self._offsets[index + 1]]
+        split = 4 + int.from_bytes(entry[:4], "big")
+        messages = []
+        end = split + 4
+        for _ in range(int.from_bytes(entry[split:end], "big")):
+            start = end + 4
+            end = start + int.from_bytes(entry[end:start], "big")
+            messages.append(MailboxMessage(
+                recipient=entry[start:start + GROUP_ELEMENT_SIZE],
+                sealed_body=entry[start + GROUP_ELEMENT_SIZE:end],
+            ))
+        return entry[4:split], messages
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,7 +3,8 @@
 This module is the crypto half of the population layer: given one chain's
 key view and its pending entries as columns — senders, sealed-message
 inputs, and each entry's (stream key, chain slot) — it produces the chain's
-:class:`~repro.mixnet.messages.ClientSubmission` batch.  The three scalars
+:class:`~repro.mixnet.messages.SubmissionBatch`, written record by record
+from the columns.  The three scalars
 of every entry (``y`` for the inner envelope, ``x`` for the shared outer
 secret, ``k`` for the Schnorr nonce) are drawn first, in one batched
 ChaCha20 call (:func:`repro.crypto.stream.submission_scalars`); everything
@@ -28,11 +29,10 @@ from typing import List
 
 from repro.constants import KDF_LABEL_INNER, KDF_LABEL_OUTER, NIZK_LABEL_DLOG
 from repro.crypto.aead import aenc_batch
-from repro.crypto.nizk import SchnorrProof
 from repro.crypto.onion import shared_keys_batch
 from repro.crypto.stream import submission_scalars
 from repro.mixnet.ahs import submission_context
-from repro.mixnet.messages import ClientSubmission
+from repro.mixnet.messages import SubmissionBatch, submission_record
 
 __all__ = ["PendingColumns", "build_chain_submissions"]
 
@@ -62,16 +62,19 @@ def build_chain_submissions(
     round_number: int,
     pending: PendingColumns,
     cover: bool = False,
-) -> List[ClientSubmission]:
-    """Build one chain's submissions for a round.
+) -> SubmissionBatch:
+    """Build one chain's submissions for a round, as wire records.
 
     ``view`` is the chain's :class:`~repro.client.user.ChainKeysView`.  The
     output order is the input order (users in deployment order, each user's
     chain slots in her assignment order) — the same order the engine's
-    ``finalize_collect`` produces from per-user lists.
+    ``finalize_collect`` produces from per-user lists.  Each record is
+    written straight from the columns; no per-submission object is built.
+    ``cover`` picks the cover stream for the draws; on the wire a cover is
+    like any other submission.
     """
     if not pending.senders:
-        return []
+        return SubmissionBatch.from_records(group, ())
     chain_id = view.chain_id
     # y (inner envelope ephemeral), x (shared outer ephemeral), k (proof nonce).
     scalars = submission_scalars(
@@ -92,7 +95,8 @@ def build_chain_submissions(
 
     # Schnorr proofs (prove_dlog with X_i = g^x and g^k precomputed).
     base_encoded = group.encode(group.base())
-    submissions: List[ClientSubmission] = []
+    order = group.order
+    records: List[bytes] = []
     for sender, nonce_scalar, outer_scalar, ciphertext, dh_encoded, commitment in zip(
         pending.senders, scalars[2], scalars[1], *built
     ):
@@ -103,20 +107,11 @@ def build_chain_submissions(
             commitment,
             submission_context(chain_id, round_number, sender),
         )
-        submissions.append(
-            ClientSubmission(
-                chain_id=chain_id,
-                sender=sender,
-                dh_public=dh_encoded,
-                ciphertext=ciphertext,
-                proof=SchnorrProof(
-                    commitment=commitment,
-                    response=(nonce_scalar + challenge * outer_scalar) % group.order,
-                ),
-                cover=cover,
-            )
-        )
-    return submissions
+        records.append(submission_record(
+            chain_id, sender, dh_encoded, commitment,
+            (nonce_scalar + challenge * outer_scalar) % order, ciphertext,
+        ))
+    return SubmissionBatch.from_records(group, records)
 
 
 def _build_per_operation(group, inner_public, mixing_publics, round_number: int,

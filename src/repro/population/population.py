@@ -36,7 +36,7 @@ from repro.client.user import ReceivedMessage, User
 from repro.crypto.aead import adec_batch
 from repro.crypto.kdf import loopback_key
 from repro.errors import ConfigurationError
-from repro.mixnet.messages import ClientSubmission, MailboxMessage, MessageBody
+from repro.mixnet.messages import MailboxMessage, MessageBody, SubmissionBatch
 from repro.population.batch_build import PendingColumns, build_chain_submissions
 
 __all__ = ["UserPopulation"]
@@ -92,11 +92,11 @@ class UserPopulation:
         offline_notice: bool = False,
         cover: bool = False,
         map_chains: Optional[Callable] = None,
-    ) -> Dict[int, List[ClientSubmission]]:
+    ) -> Dict[int, SubmissionBatch]:
         """Build every given user's ℓ submissions, batched per chain.
 
-        ``users`` must be in deployment order; the returned per-chain lists
-        are in the canonical batch order (deployment order, then each user's
+        ``users`` must be in deployment order; the returned per-chain
+        batches are in the canonical batch order (deployment order, then each user's
         chain-slot order) — the order ``finalize_collect`` assembles.  This
         pass only gathers each entry's columns; the per-chain draws and
         crypto go through ``map_chains`` (an execution backend's, so chains
@@ -149,7 +149,7 @@ class UserPopulation:
                 pending.slots.append(slot)
         chain_ids = sorted(buckets)
 
-        def build(chain_id: int) -> List[ClientSubmission]:
+        def build(chain_id: int) -> SubmissionBatch:
             return build_chain_submissions(
                 self.group, chain_keys[chain_id], round_number, buckets[chain_id], cover=cover
             )

@@ -11,7 +11,7 @@ Chunking cannot change any observable output because the batched build is
 elementwise per (user, chain-slot) entry (:func:`repro.population.
 batch_build.build_chain_submissions`), its scalar draws included — each is
 a pure function of (user's stream key, round, slot) — so per-chunk
-per-chain lists concatenated in chunk order equal the monolithic lists, and
+per-chain records concatenated in chunk order equal the monolithic ones, and
 :meth:`RoundEngine._fold_user_submissions
 <repro.engine.round_engine.RoundEngine._fold_user_submissions>` reassembles
 the mix batches in global user order either way.
@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence
 from repro import trace
 from repro.client.user import User
 from repro.errors import ConfigurationError
-from repro.mixnet.messages import ClientSubmission
+from repro.mixnet.messages import SubmissionBatch
 from repro.population.population import UserPopulation
 
 __all__ = ["BuiltChunk", "built_chunks", "chunk_spans"]
@@ -35,15 +35,15 @@ __all__ = ["BuiltChunk", "built_chunks", "chunk_spans"]
 class BuiltChunk:
     """One chunk's worth of built submissions, ready to upload.
 
-    ``submissions``/``covers`` are per-chain lists in canonical batch order
-    restricted to this chunk's users; ``covers`` is ``None`` when the
+    ``submissions``/``covers`` are per-chain batches in canonical batch
+    order restricted to this chunk's users; ``covers`` is ``None`` when the
     deployment runs without cover messages.
     """
 
     index: int
     users: List[User]
-    submissions: Dict[int, List[ClientSubmission]]
-    covers: Optional[Dict[int, List[ClientSubmission]]]
+    submissions: Dict[int, SubmissionBatch]
+    covers: Optional[Dict[int, SubmissionBatch]]
 
 
 def chunk_spans(items: Sequence, chunk_size: Optional[int]) -> Iterator[list]:

@@ -90,8 +90,8 @@ def decode_json_payload(payload: bytes) -> Any:
 # -- the MIX request ------------------------------------------------------------
 #
 # ``chain_id (4B) || round (8B) || submission batch``
-# where the batch is :func:`repro.transport.codec.encode_submission_batch`
-# over the coordinator-assembled per-chain submissions.  The reply is
+# where the batch is the coordinator-assembled per-chain
+# ``SubmissionBatch.to_wire()`` (a ``SUBMISSION_BATCH`` payload).  The reply is
 # :func:`repro.transport.codec.encode_chain_outcome`.
 
 

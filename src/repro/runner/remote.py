@@ -3,8 +3,9 @@
 :class:`RemoteMixDispatcher` is what ``Deployment.remote_mix`` points at: the
 engine's mix stage hands it the round context and each chain's round becomes
 one ``MIX`` control RPC to the role process owning the chain's entry server.
-The request carries the coordinator-assembled submission batch in its
-canonical wire encoding; the reply is the chain outcome in its canonical
+The request carries the coordinator-assembled
+:class:`~repro.mixnet.messages.SubmissionBatch` in the bytes a
+``SUBMISSION_BATCH`` envelope would carry; the reply is the chain outcome in its canonical
 wire encoding (:func:`repro.transport.codec.encode_chain_outcome`) — so the
 distributed mix is, byte for byte, the same data flow as the in-process one
 with a socket in the middle.
@@ -23,7 +24,7 @@ from repro.engine.stages import ChainOutcome
 from repro.errors import TransportError
 from repro.runner import protocol
 from repro.transport import frames
-from repro.transport.codec import decode_chain_outcome, encode_submission_batch
+from repro.transport.codec import decode_chain_outcome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.coordinator.network import Deployment
@@ -66,7 +67,7 @@ class RemoteMixDispatcher:
             body = protocol.encode_mix_request(
                 chain.chain_id,
                 ctx.round_number,
-                encode_submission_batch(ctx.per_chain[chain.chain_id]),
+                ctx.per_chain[chain.chain_id].to_wire(),
             )
             items.append(
                 (self._owner_of_chain(chain.chain_id), frames.FRAME_CONTROL,

@@ -6,8 +6,8 @@ chains, mailboxes, users) and serves two kinds of inbound traffic on its
 :class:`~repro.transport.tcp.TcpTransport` listener:
 
 * **Envelopes** — the protocol's data plane.  A mix role reflects them
-  (decode → re-encode), proving each server→server and client→server hop
-  crossed the socket losslessly; the mailbox role *answers authoritatively*
+  (validate, then send the same bytes back), proving each server→server
+  and client→server hop crossed the socket and parsed; the mailbox role *answers authoritatively*
   from its own hub state — deliveries mutate its shards, fetches are
   served from them — so the bytes the coordinator folds into its round
   reports are another process's state, not an echo.
@@ -24,7 +24,6 @@ outputs must be bit-identical to the single-threaded reference).
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from typing import Optional, Tuple
 
@@ -33,11 +32,8 @@ from repro.coordinator.network import Deployment, DeploymentConfig
 from repro.errors import ConfigurationError, TransportError
 from repro.faults.plan import ServerFault, fault_key
 from repro.runner import protocol
-from repro.transport.codec import (
-    decode_submission_batch,
-    encode_chain_outcome,
-    encode_payload,
-)
+from repro.mixnet.messages import FetchBatch, SubmissionBatch
+from repro.transport.codec import encode_chain_outcome, encode_payload
 from repro.transport.envelope import MAILBOX_DELIVERY, MAILBOX_FETCH_BATCH, Envelope
 from repro.transport.tcp import ReflectingHandler, TcpTransport
 
@@ -45,7 +41,14 @@ __all__ = ["RoleHandler", "MixRoleHandler", "MailboxRoleHandler", "RoleNode"]
 
 
 class RoleHandler(ReflectingHandler):
-    """Control plumbing shared by every role; envelopes reflect by default."""
+    """Control plumbing shared by every role; envelopes reflect by default.
+
+    Its handlers take the role's lock and may call back into the transport
+    (a ``MIX`` forwards batches to other roles), so they run on the
+    transport's worker pool, never on the event loop.
+    """
+
+    runs_on_loop = False
 
     def __init__(self, deployment: Deployment) -> None:
         super().__init__(deployment.group)
@@ -139,7 +142,7 @@ class MixRoleHandler(RoleHandler):
             # announced, and leaves no chain holding a round it never mixes.
             chain = deployment.chain(chain_id)
             chain.begin_round(round_number)
-            submissions = decode_submission_batch(deployment.group, batch)
+            submissions = SubmissionBatch.from_wire(deployment.group, batch)
             chain.precompute_round(round_number, chain.decode_submission_publics(submissions))
             _, rejected = chain.accept_submissions(round_number, submissions)
             result = chain.run_round(round_number)
@@ -171,12 +174,10 @@ class MailboxRoleHandler(RoleHandler):
                 )
             return encode_payload(self.group, envelope)
         if envelope.kind == MAILBOX_FETCH_BATCH:
-            owners = [owner for owner, _ in envelope.payload]
+            owners = envelope.payload.owners()
             with self._lock:
                 pairs = deployment.mailboxes.fetch_batch(envelope.round_number, owners)
-            return encode_payload(
-                self.group, dataclasses.replace(envelope, payload=pairs)
-            )
+            return FetchBatch.from_pairs(pairs).to_wire()
         return super().handle_envelope(envelope)
 
 

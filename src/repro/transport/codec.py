@@ -3,9 +3,14 @@
 Every encoding here is the *real* byte format of
 :mod:`repro.mixnet.messages` — the TCP transport carries and measures
 these bytes, over loopback or between the distributed runtime's role
-processes (:mod:`repro.runner`), and the parity suite proves they
-round-trip losslessly (decode(encode(x)) produces a payload the protocol
-cannot distinguish from ``x``).
+processes (:mod:`repro.runner`).  Every batch kind travels as a type that
+already holds its wire encoding (:class:`~repro.mixnet.messages.
+SubmissionBatch`, :class:`~repro.mixnet.messages.EncodedBatch`,
+:class:`~repro.mixnet.messages.MailboxBatch`, :class:`~repro.mixnet.
+messages.FetchBatch`): encoding is its count and blob, decoding one
+structural check of the buffer that yields the same type, and no record is
+decoded into an object here.  ``tests/wire_reference.py`` keeps the
+per-object decoders the views are held to.
 
 One payload detail is deliberately *not* on the wire: a submission's
 ``cover`` flag is client-side metadata (to a server, a cover is
@@ -23,10 +28,16 @@ ran it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Type, TypeVar
 
 from repro.errors import DecodingError
-from repro.mixnet.messages import ClientSubmission, EncodedBatch, MailboxMessage
+from repro.mixnet.messages import (
+    ClientSubmission,
+    EncodedBatch,
+    FetchBatch,
+    MailboxBatch,
+    SubmissionBatch,
+)
 from repro.transport import envelope as ev
 from repro.transport.envelope import Envelope
 
@@ -41,8 +52,6 @@ __all__ = [
     "decode_blame_verdict",
     "encode_chain_outcome",
     "decode_chain_outcome",
-    "encode_submission_batch",
-    "decode_submission_batch",
     "UnsupportedPayload",
 ]
 
@@ -105,6 +114,8 @@ def _read_int(data: bytes, offset: int, width: int) -> tuple:
 
 def _read_str_list(data: bytes, offset: int) -> tuple:
     count, offset = _read_int(data, offset, 4)
+    if count * 4 > len(data) - offset:  # every item carries a 4-byte length prefix
+        raise DecodingError("string list count exceeds the payload")
     items: List[str] = []
     for _ in range(count):
         raw, offset = _read_bytes(data, offset)
@@ -114,110 +125,55 @@ def _read_str_list(data: bytes, offset: int) -> tuple:
 
 # -- envelope payloads --------------------------------------------------------
 
-def _encode_mailbox_batch(messages: Sequence[MailboxMessage]) -> bytes:
-    parts = [len(messages).to_bytes(4, "big")]
-    parts.extend(_pack_bytes(message.to_bytes()) for message in messages)
-    return b"".join(parts)
+_P = TypeVar("_P")
 
 
-def _read_mailbox_batch(data: bytes, offset: int) -> tuple:
-    """Parse one embedded mailbox batch; return ``(messages, next_offset)``."""
-    count, offset = _read_int(data, offset, 4)
-    messages: List[MailboxMessage] = []
-    for _ in range(count):
-        raw, offset = _read_bytes(data, offset)
-        messages.append(MailboxMessage.from_bytes(raw))
-    return messages, offset
-
-
-def _decode_mailbox_batch(data: bytes) -> List[MailboxMessage]:
-    messages, offset = _read_mailbox_batch(data, 0)
-    if offset != len(data):
-        raise DecodingError("trailing bytes after mailbox batch")
-    return messages
-
-
-def _encode_submission_batch(submissions: Sequence[ClientSubmission]) -> bytes:
-    """``count || per submission: length-prefixed ClientSubmission bytes``.
-
-    Submissions are length-prefixed even though a deployment's are
-    fixed-size: the frame must stay parseable for adversarial (oddly-sized)
-    submissions, which cross the same link as honest ones.
-    """
-    parts = [len(submissions).to_bytes(4, "big")]
-    parts.extend(_pack_bytes(submission.to_bytes()) for submission in submissions)
-    return b"".join(parts)
-
-
-def _decode_submission_batch(group: Any, data: bytes) -> List[ClientSubmission]:
-    count, offset = _read_int(data, 0, 4)
-    submissions: List[ClientSubmission] = []
-    for _ in range(count):
-        raw, offset = _read_bytes(data, offset)
-        submissions.append(
-            ClientSubmission.from_bytes(raw, element_size=group.element_size)
+def _expect(payload: object, wire_type: Type[_P], kind: str) -> _P:
+    if not isinstance(payload, wire_type):
+        raise UnsupportedPayload(
+            f"a {kind!r} payload must be a {wire_type.__name__}, not {type(payload).__name__}"
         )
-    if offset != len(data):
-        raise DecodingError("trailing bytes after submission batch")
-    return submissions
-
-
-#: Public aliases of the submission-batch codec: the distributed runtime's
-#: coordinator ships each chain's batch to its mix role in exactly the bytes
-#: a ``SUBMISSION_BATCH`` envelope would carry on the wire.
-encode_submission_batch = _encode_submission_batch
-decode_submission_batch = _decode_submission_batch
-
-
-def _encode_fetch_batch(pairs: Sequence[tuple]) -> bytes:
-    """``count || per user: length-prefixed owner key + mailbox batch``."""
-    parts = [len(pairs).to_bytes(4, "big")]
-    for owner, messages in pairs:
-        parts.append(_pack_bytes(owner))
-        parts.append(_encode_mailbox_batch(messages))
-    return b"".join(parts)
-
-
-def _decode_fetch_batch(data: bytes) -> List[tuple]:
-    count, offset = _read_int(data, 0, 4)
-    pairs: List[tuple] = []
-    for _ in range(count):
-        owner, offset = _read_bytes(data, offset)
-        messages, offset = _read_mailbox_batch(data, offset)
-        pairs.append((owner, messages))
-    if offset != len(data):
-        raise DecodingError("trailing bytes after fetch batch")
-    return pairs
+    return payload
 
 
 def encode_payload(group: Any, envelope: Envelope) -> bytes:
-    """Serialise an envelope's payload to its real wire encoding."""
+    """Serialise an envelope's payload to its real wire encoding.
+
+    Every batch kind already holds its wire encoding, so this is its count
+    and blob; only the single submission is an object to encode.
+    """
     kind = envelope.kind
+    payload = envelope.payload
     if kind in (ev.SUBMISSION, ev.COVER_SUBMISSION):
-        return envelope.payload.to_bytes()
+        return _expect(payload, ClientSubmission, kind).to_bytes()
     if kind in (ev.SUBMISSION_BATCH, ev.COVER_SUBMISSION_BATCH):
-        return _encode_submission_batch(envelope.payload)
+        return _expect(payload, SubmissionBatch, kind).to_wire()
     if kind == ev.BATCH:
-        return envelope.payload.to_wire()
+        return _expect(payload, EncodedBatch, kind).to_wire()
     if kind == ev.MAILBOX_DELIVERY:
-        return _encode_mailbox_batch(envelope.payload)
+        return _expect(payload, MailboxBatch, kind).to_wire()
     if kind == ev.MAILBOX_FETCH_BATCH:
-        return _encode_fetch_batch(envelope.payload)
+        return _expect(payload, FetchBatch, kind).to_wire()
     raise UnsupportedPayload(f"no wire encoding for envelope kind {kind!r}")
 
 
 def decode_payload(group: Any, kind: str, data: bytes) -> object:
-    """Parse wire bytes back into the payload the destination consumes."""
+    """Parse wire bytes into the payload the destination consumes.
+
+    A batch decodes to a view over ``data`` whose whole structure has been
+    checked against the buffer; its records decode when a consumer reads
+    them.
+    """
     if kind in (ev.SUBMISSION, ev.COVER_SUBMISSION):
         return ClientSubmission.from_bytes(data, element_size=group.element_size)
     if kind in (ev.SUBMISSION_BATCH, ev.COVER_SUBMISSION_BATCH):
-        return _decode_submission_batch(group, data)
+        return SubmissionBatch.from_wire(group, data)
     if kind == ev.BATCH:
         return EncodedBatch.from_wire(group, data)
     if kind == ev.MAILBOX_DELIVERY:
-        return _decode_mailbox_batch(data)
+        return MailboxBatch.from_wire(data)
     if kind == ev.MAILBOX_FETCH_BATCH:
-        return _decode_fetch_batch(data)
+        return FetchBatch.from_wire(data)
     raise UnsupportedPayload(f"no wire decoding for envelope kind {kind!r}")
 
 
@@ -274,7 +230,7 @@ def encode_chain_outcome(chain_id: int, accept_rejected: Sequence[str],
             result.chain_id.to_bytes(4, "big"),
             result.round_number.to_bytes(8, "big"),
             _pack_str(result.status),
-            _encode_mailbox_batch(result.mailbox_messages),
+            MailboxBatch.from_messages(result.mailbox_messages).to_wire(),
             _pack_str(result.misbehaving_server),
             _pack_str_list(result.rejected_senders),
             result.invalid_inner_count.to_bytes(4, "big"),
@@ -296,7 +252,7 @@ def decode_chain_outcome(data: bytes) -> tuple:
     result_chain_id, offset = _read_int(data, offset, 4)
     round_number, offset = _read_int(data, offset, 8)
     status, offset = _read_str(data, offset)
-    mailbox_messages, offset = _read_mailbox_batch(data, offset)
+    mailbox_batch, offset = MailboxBatch.read(data, offset)
     misbehaving_server, offset = _read_str(data, offset)
     rejected_senders, offset = _read_str_list(data, offset)
     invalid_inner_count, offset = _read_int(data, offset, 4)
@@ -311,7 +267,7 @@ def decode_chain_outcome(data: bytes) -> tuple:
         chain_id=result_chain_id,
         round_number=round_number,
         status=status,
-        mailbox_messages=mailbox_messages,
+        mailbox_messages=list(mailbox_batch),
         blame_verdict=blame_verdict,
         misbehaving_server=misbehaving_server,
         rejected_senders=rejected_senders,

@@ -13,19 +13,22 @@ These kinds cover every cross-node interaction of the system:
   accounting can attribute them.
 * ``BATCH`` — the :class:`~repro.mixnet.messages.EncodedBatch` one chain
   server hands to its successor during mixing (§6.3).
-* ``MAILBOX_DELIVERY`` — the recovered
-  :class:`~repro.mixnet.messages.MailboxMessage` batch the last server of a
+* ``MAILBOX_DELIVERY`` — the recovered mailbox messages, as a
+  :class:`~repro.mixnet.messages.MailboxBatch`, that the last server of a
   chain sends to the mailbox servers.
 * ``SUBMISSION_BATCH`` / ``COVER_SUBMISSION_BATCH`` — one chain's whole
-  submission batch framed as a single message on the (population →
-  entry-server) link; the population layer's upload unit (DESIGN.md §7).
+  :class:`~repro.mixnet.messages.SubmissionBatch` framed as a single
+  message on the (population → entry-server) link; the population layer's
+  upload unit (DESIGN.md §7).
 * ``MAILBOX_FETCH_BATCH`` — one mailbox shard's round downloads for many
-  users, framed as ``(owner, messages)`` pairs; the users' download unit.
+  users, a :class:`~repro.mixnet.messages.FetchBatch` of ``(owner,
+  messages)`` pairs; the users' download unit.
 
-Payloads stay typed objects in the envelope; it is the *transport* that
-decides whether crossing the link serialises them (see
-:mod:`repro.transport.codec` for the wire encodings, which are exactly the
-``to_bytes``/``from_bytes`` formats of :mod:`repro.mixnet.messages`).
+Every batch payload already holds its wire encoding, and every transport
+hands the destination the same type: the in-process one passes the object
+through, the TCP one sends its bytes and hands back a view checked against
+the received buffer (see :mod:`repro.transport.codec`).  Only the single
+submission is an object that crossing a socket encodes and decodes.
 
 This module is import-light on purpose: client and mixnet code can build
 envelopes without pulling in the codec (and its imports) transitively.
@@ -34,7 +37,7 @@ envelopes without pulling in the codec (and its imports) transitively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from repro.errors import ConfigurationError
 
@@ -62,12 +65,12 @@ BATCH = "batch"
 MAILBOX_DELIVERY = "mailbox-delivery"
 #: A whole chain's client submissions framed as one message on the
 #: (user-population → entry-server) link — the population layer's upload
-#: unit; the payload is the ordered submission list.
+#: unit; the payload is the chain's ``SubmissionBatch``.
 SUBMISSION_BATCH = "submission-batch"
 #: The banked-cover counterpart of ``SUBMISSION_BATCH`` (§5.3.3).
 COVER_SUBMISSION_BATCH = "cover-submission-batch"
 #: One mailbox shard's round downloads for many users framed as one
-#: message; the payload is an ordered list of ``(owner public key,
+#: message; the payload is a ``FetchBatch`` of ``(owner public key,
 #: messages)`` pairs.
 MAILBOX_FETCH_BATCH = "mailbox-fetch-batch"
 
@@ -128,7 +131,7 @@ def submission_envelope(
 
 def submission_batch_envelope(
     chain_id: int,
-    submissions: Sequence[Any],
+    submissions: Any,
     entry_servers: Dict[int, str],
     upload_round: int,
     cover: bool = False,
@@ -137,7 +140,8 @@ def submission_batch_envelope(
     """Frame one chain's whole submission batch for its entry server.
 
     The population layer's upload unit: one framed message per
-    (chain, entry-server) link and round instead of one per user.  As with
+    (chain, entry-server) link and round instead of one per user, its
+    payload the chain's :class:`~repro.mixnet.messages.SubmissionBatch`.  As with
     :func:`submission_envelope`, ``upload_round`` is the round the bytes
     cross the uplink in — for banked covers that is one round before the
     round the contents were built for (§5.3.3).  Under the streaming
@@ -151,7 +155,7 @@ def submission_batch_envelope(
         source="user-population",
         destination=entry_servers[chain_id],
         round_number=upload_round,
-        payload=list(submissions),
+        payload=submissions,
         chain_id=chain_id,
         part=part,
     )

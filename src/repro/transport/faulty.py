@@ -10,8 +10,8 @@ matching :class:`LinkFault` behaviours to each envelope before (or instead
 of) handing it to the inner transport:
 
 * ``drop`` — the envelope never crosses the link.  List payloads (batches,
-  mailbox flows) arrive empty; submissions arrive as ``None`` (the engine
-  skips them).  The population's frames carry many users' traffic, so a
+  mailbox flows) arrive as an empty batch of their type; a single
+  submission arrives as ``None`` (the engine skips it).  The population's frames carry many users' traffic, so a
   drop naming one *user* — the ``source`` of an upload frame, the
   ``destination`` of a download frame — loses only her elements of it.
   This models *data loss*, not timeout detection: a real deployment would
@@ -39,7 +39,7 @@ round outcome is what parity is measured on).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import FrozenSet, List, Optional, Sequence
+from typing import Any, FrozenSet, List, Optional, Sequence
 
 from repro import trace
 from repro.crypto import stream
@@ -69,7 +69,8 @@ REORDER = "reorder"
 
 LINK_BEHAVIOURS = (DROP, DUPLICATE, DELAY, REORDER)
 
-#: Envelope kinds whose payload is a list (eligible for duplicate/reorder).
+#: Envelope kinds whose payload is a wire-resident batch with a ``select``
+#: (eligible for duplicate/reorder).
 #: The population layer's batch frames qualify too: dropping one models the
 #: whole framed message being lost, and the engine's sender-keyed scatter
 #: tolerates duplicated or reordered batch elements.
@@ -162,26 +163,25 @@ class LinkFault:
         """For a matching ``drop``: the indices of the payload elements that
         still arrive, or ``None`` when the whole envelope is lost."""
         inner = self._inner_selector(envelope)
+        payload: Any = envelope.payload
         if inner == "source":
-            lost = [submission.sender == self.source for submission in envelope.payload]
+            lost = [sender == self.source for sender in payload.senders()]
         elif inner == "destination":
-            lost = [owner.hex() == self.destination for owner, _ in envelope.payload]
+            lost = [owner.hex() == self.destination for owner in payload.owners()]
         else:
             return None
         return [index for index, gone in enumerate(lost) if not gone]
 
 
 def _pick(envelope: Envelope, order: Sequence[int]) -> object:
-    """The elements of a list payload at ``order``, in the payload's own shape.
+    """The elements of a list payload at ``order``, in the payload's own type.
 
-    A mix batch is subset through :meth:`~repro.mixnet.messages.
-    EncodedBatch.select` — its records move as bytes, undecoded, which is
-    all a link can do to them; every other list kind is a plain list.
+    Every list payload is a wire-resident batch, subset through its
+    ``select``: the records move as bytes, undecoded, which is all a link
+    can do to them.
     """
-    payload = envelope.payload
-    if envelope.kind == ev.BATCH:
-        return payload.select(order)
-    return [payload[index] for index in order]
+    payload: Any = envelope.payload
+    return payload.select(order)
 
 
 @dataclass(frozen=True)

@@ -16,19 +16,22 @@ destination; when the destination is local, to the owner of its source
 by the mailbox process); and when both are local, it loops through this
 process's own listener, so every envelope crosses a socket without
 exception.  With no maps at all (the standalone ``transport="tcp"`` config
-knob) the transport runs a loopback *reflector*: its own listener decodes
-each inbound envelope and re-encodes the payload for the reply, proving the
-full frame grammar round-trips through a real socket even in a
-single-process deployment.
+knob) the transport runs a loopback *reflector*: its own listener parses
+each inbound envelope, checks its payload's whole structure against the
+received buffer, and sends the same payload bytes back, which the requester
+checks again — so every envelope of a single-process deployment still
+crosses a real socket and parses at both ends.
 
 What a listener does with inbound requests is pluggable via
 :class:`RequestHandler` — the process-per-role runner
 (:mod:`repro.runner.roles`) installs handlers that apply mailbox deliveries
 to the local shard state or execute a chain's mixing; the default
-:class:`ReflectingHandler` just proves the bytes parse.  Handlers run on a
-small thread pool, never on the event loop, so a handler is free to call
-``deliver`` itself (a mix server forwarding a batch to the next chain
-member in another process) without deadlocking the loop.
+:class:`ReflectingHandler` just proves the bytes parse.  Role handlers run
+on a small thread pool, never on the event loop, so a handler is free to
+call ``deliver`` itself (a mix server forwarding a batch to the next chain
+member in another process) without deadlocking the loop; the reflector's
+bounded validate-and-return runs on the loop itself
+(:attr:`RequestHandler.runs_on_loop`).
 
 Failure behaviour is fail-fast, matching the synchronous round model: a
 refused connection, a rejected handshake, a mid-request disconnect, or a
@@ -44,7 +47,7 @@ import concurrent.futures
 import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Awaitable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import trace
 from repro.errors import DecodingError, TransportError
@@ -59,10 +62,17 @@ __all__ = ["RequestHandler", "ReflectingHandler", "TcpTransport"]
 class RequestHandler:
     """What a listening endpoint does with inbound requests.
 
-    Handlers run on the transport's worker thread pool (never on the event
-    loop), return the reply body bytes, and signal failure by raising — the
-    transport turns the exception into an ``ERROR`` frame for the requester.
+    Handlers run on the transport's worker thread pool, return the reply
+    body bytes, and signal failure by raising — the transport turns the
+    exception into an ``ERROR`` frame for the requester.  A handler whose
+    work is bounded and never calls back into the transport may set
+    ``runs_on_loop`` and skip the hop to the pool.
     """
+
+    #: Run on the event loop thread instead of the worker pool.  Only for
+    #: bounded work that never blocks and never calls ``deliver``: the loop
+    #: would deadlock waiting for its own reply.
+    runs_on_loop = False
 
     def handle_envelope(self, envelope: Envelope) -> bytes:
         """Consume one inbound envelope; return the reply payload bytes."""
@@ -74,14 +84,18 @@ class RequestHandler:
 
 
 class ReflectingHandler(RequestHandler):
-    """Default listener behaviour: decode the envelope, re-encode the payload.
+    """Default listener behaviour: validate the envelope, send its payload back.
 
-    The inbound frame was already fully parsed into payload objects by the
-    time the handler sees it; re-encoding those objects for the reply makes
-    every delivery a complete encode → socket → decode → encode → socket →
-    decode round trip, which is what makes TCP parity with the in-process
-    reference a proof of the whole frame grammar.
+    By the time the handler sees the envelope its frame has been parsed and
+    its payload checked against the received buffer (every batch kind is a
+    view validated once; see :mod:`repro.transport.codec`).  Re-encoding a
+    view is its count and blob, so the reply is the request's payload bytes
+    unchanged — every accepted encoding is canonical — and the requester
+    validates them again.  That is bounded work that never calls back into
+    the transport, so it runs on the event loop.
     """
+
+    runs_on_loop = True
 
     def __init__(self, group: Any) -> None:
         self.group = group
@@ -420,6 +434,13 @@ class TcpTransport(Transport):
             self._accepted_writers.discard(writer)
             writer.close()
 
+    async def _run_handler(self, method: Callable[[Any], bytes], argument: Any) -> bytes:
+        """Run a handler method where its handler says: inline on the loop,
+        or on the worker pool."""
+        if self.handler.runs_on_loop:
+            return method(argument)
+        return await self._loop.run_in_executor(self._executor, method, argument)
+
     async def _handle_request(
         self,
         frame_type: int,
@@ -431,13 +452,9 @@ class TcpTransport(Transport):
         try:
             if frame_type == frames.FRAME_ENVELOPE:
                 envelope = frames.decode_envelope_frame(self.group, body)
-                reply = await self._loop.run_in_executor(
-                    self._executor, self.handler.handle_envelope, envelope
-                )
+                reply = await self._run_handler(self.handler.handle_envelope, envelope)
             elif frame_type == frames.FRAME_CONTROL:
-                reply = await self._loop.run_in_executor(
-                    self._executor, self.handler.handle_control, body
-                )
+                reply = await self._run_handler(self.handler.handle_control, body)
             else:
                 raise TransportError(f"unexpected request frame type {frame_type}")
             out = frames.encode_frame(frames.FRAME_REPLY, request_id, reply)

@@ -9,11 +9,11 @@ bit-identical across {serial, parallel} × {sequential, staggered} ×
 """
 
 import hashlib
-from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis.measured import round_latency_seconds
+from repro.crypto.group import ModPGroup
 from repro.errors import ConfigurationError
 from repro.faults import (
     CANNED_SCENARIOS,
@@ -36,6 +36,13 @@ from repro.faults.scenarios import (
 )
 from repro.mixnet.ahs import ChainRoundResult
 from repro.mixnet.blame import BlameVerdict
+from repro.mixnet.messages import (
+    FetchBatch,
+    MailboxBatch,
+    MailboxMessage,
+    SubmissionBatch,
+    submission_record,
+)
 from repro.simulation.costmodel import CostModel
 from repro.transport import envelope as ev
 from repro.transport.faulty import DELAY, DROP, DUPLICATE, REORDER, FaultyTransport
@@ -172,7 +179,7 @@ class TestRecoveryMechanics:
         affected = {
             name
             for name, covers in deployment._cover_store.items()
-            if any(sub.chain_id == 0 for sub in covers)
+            if any(SubmissionBatch.record_chain_id(record) == 0 for record in covers)
         }
         unaffected = set(deployment._cover_store) - affected
         deployment.reform_chain(0)
@@ -482,6 +489,19 @@ class TestLinkFaultValidation:
             LinkFault(behaviour=DELAY, delay_seconds=-1.0)
 
 
+MODP = ModPGroup(bits=64)
+
+
+def uploads(*senders):
+    """An upload frame's batch: one record per sender, numbered by its last
+    ciphertext byte (the other fields are never read by a link fault)."""
+    return SubmissionBatch.from_records(MODP, [
+        submission_record(0, sender, b"\x02" * MODP.element_size, b"\x03" * MODP.element_size,
+                          0, bytes([index]))
+        for index, sender in enumerate(senders)
+    ])
+
+
 class TestLinkFaultSelection:
     """Which envelopes a fault matches, and which elements of a population
     frame survive a ``drop`` aimed at one user inside it."""
@@ -489,11 +509,11 @@ class TestLinkFaultSelection:
     @staticmethod
     def frame(kind, source="population", destination="server-0", payload=(), **fields):
         return ev.Envelope(kind=kind, source=source, destination=destination,
-                           round_number=1, payload=list(payload), **fields)
+                           round_number=1, payload=payload, **fields)
 
     def test_a_user_drop_keeps_the_rest_of_an_upload_frame(self):
-        senders = [SimpleNamespace(sender=name) for name in ("ann", "bob", "ann", "cy")]
-        envelope = self.frame(ev.SUBMISSION_BATCH, payload=senders)
+        upload = uploads("ann", "bob", "ann", "cy")
+        envelope = self.frame(ev.SUBMISSION_BATCH, payload=upload)
         fault = LinkFault(behaviour=DROP, source="ann")
         assert fault.matches(envelope)
         assert fault.surviving_elements(envelope) == [1, 3]
@@ -501,13 +521,13 @@ class TestLinkFaultSelection:
     def test_a_user_drop_keeps_the_rest_of_a_download_frame(self):
         owners = [(bytes([index]) * 4, []) for index in range(3)]
         envelope = self.frame(ev.MAILBOX_FETCH_BATCH, source="server-0",
-                              destination="population", payload=owners)
+                              destination="population", payload=FetchBatch.from_pairs(owners))
         fault = LinkFault(behaviour=DROP, destination=owners[1][0].hex())
         assert fault.matches(envelope)
         assert fault.surviving_elements(envelope) == [0, 2]
 
     def test_an_endpoint_drop_loses_the_whole_envelope(self):
-        upload = self.frame(ev.SUBMISSION_BATCH, payload=[SimpleNamespace(sender="ann")])
+        upload = self.frame(ev.SUBMISSION_BATCH, payload=uploads("ann"))
         assert LinkFault(behaviour=DROP, source="population").surviving_elements(upload) is None
         submission = self.frame(ev.SUBMISSION, source="ann")
         fault = LinkFault(behaviour=DROP, source="ann")
@@ -531,14 +551,23 @@ class TestReorderPermutation:
 
     @staticmethod
     def reordered(kind, size=16, **fields):
+        """The order a reorder delivers ``size`` numbered batch elements in."""
         transport = FaultyTransport(
             InProcTransport(), [LinkFault(behaviour=REORDER, kind=kind, seed=3)]
         )
+        if kind == ev.MAILBOX_DELIVERY:
+            payload = MailboxBatch.from_messages(
+                MailboxMessage(bytes([index]) * 32, bytes(16)) for index in range(size)
+            )
+        else:
+            payload = uploads(*(f"user-{index}" for index in range(size)))
         envelope = ev.Envelope(kind=kind, source="population", destination="server-0",
-                               round_number=1, payload=list(range(size)), **fields)
+                               round_number=1, payload=payload, **fields)
         delivered = transport.deliver(envelope)
-        assert len(transport.applied) == 1 and sorted(delivered) == list(range(size))
-        return delivered
+        number = 0 if kind == ev.MAILBOX_DELIVERY else -1  # recipient / ciphertext byte
+        order = [delivered.record(index)[number] for index in range(len(delivered))]
+        assert len(transport.applied) == 1 and sorted(order) == list(range(size))
+        return order
 
     def test_a_reorder_is_a_pure_function_of_the_envelope(self):
         first = self.reordered(ev.MAILBOX_DELIVERY, chain_id=2)

@@ -871,7 +871,9 @@ def _build_three_ways(group, tier, num_users, num_chains, layers, paired, notice
         finally:
             del group.onion_build
         ran = [result is not None for result in fused]
-        return {c: [(s.to_bytes(), s.cover) for s in subs] for c, subs in built.items()}, ran
+        # Records only: a cover differs from a live submission in its draws,
+        # which the bytes carry; the flag itself is not on the wire.
+        return {c: [subs.record(i) for i in range(len(subs))] for c, subs in built.items()}, ran
 
     per_user = {}
     for user in users():
@@ -879,9 +881,7 @@ def _build_three_ways(group, tier, num_users, num_chains, layers, paired, notice
             user, 5, num_chains, views, payload=payloads[user.name],
             offline_notice=notice, cover=cover,
         ):
-            per_user.setdefault(submission.chain_id, []).append(
-                (submission.to_bytes(), submission.cover)
-            )
+            per_user.setdefault(submission.chain_id, []).append(submission.to_bytes())
     return batched(False), batched(True), per_user
 
 

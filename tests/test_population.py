@@ -28,7 +28,13 @@ from repro.crypto.chacha20 import (
 from repro.crypto.group import ModPGroup
 from repro.crypto.nizk import prove_dlog
 from repro.errors import DecodingError
-from repro.mixnet.messages import ClientSubmission, MailboxMessage, MessageBody
+from repro.mixnet.messages import (
+    ClientSubmission,
+    FetchBatch,
+    MailboxMessage,
+    MessageBody,
+    SubmissionBatch,
+)
 from repro.transport import (
     COVER_SUBMISSION_BATCH,
     MAILBOX_FETCH_BATCH,
@@ -325,11 +331,13 @@ class TestSubmissionBatchCodec:
             make_submission(MODP, chain_id, sender, ciphertext)
             for chain_id, sender, ciphertext in specs
         ]
+        batch = SubmissionBatch.from_submissions(MODP, submissions)
         for kind in (SUBMISSION_BATCH, COVER_SUBMISSION_BATCH):
-            wire = encode_payload(MODP, envelope(kind, submissions))
+            wire = encode_payload(MODP, envelope(kind, batch))
             decoded = decode_payload(MODP, kind, wire)
+            assert isinstance(decoded, SubmissionBatch) and decoded.to_wire() == wire
             # The cover flag is client-side metadata, not on the wire.
-            assert decoded == [
+            assert list(decoded) == [
                 ClientSubmission(
                     chain_id=s.chain_id, sender=s.sender, dh_public=s.dh_public,
                     ciphertext=s.ciphertext, proof=s.proof,
@@ -344,22 +352,24 @@ class TestSubmissionBatchCodec:
             make_submission(MODP, index, f"user-{index}", b"ct" * index)
             for index in range(3)
         ]
-        wire = encode_payload(MODP, envelope(SUBMISSION_BATCH, submissions))
+        wire = encode_payload(
+            MODP, envelope(SUBMISSION_BATCH, SubmissionBatch.from_submissions(MODP, submissions))
+        )
         cut = data.draw(st.integers(min_value=0, max_value=len(wire) - 1))
         mutated = wire[:cut]
         with pytest.raises(DecodingError):
             decode_payload(MODP, SUBMISSION_BATCH, mutated)
 
     def test_trailing_bytes_rejected(self):
-        wire = encode_payload(
-            MODP, envelope(SUBMISSION_BATCH, [make_submission(MODP, 1, "u", b"c")])
-        )
+        batch = SubmissionBatch.from_submissions(MODP, [make_submission(MODP, 1, "u", b"c")])
+        wire = encode_payload(MODP, envelope(SUBMISSION_BATCH, batch))
         with pytest.raises(DecodingError):
             decode_payload(MODP, SUBMISSION_BATCH, wire + b"\x00")
 
     def test_envelope_builder_labels_the_link(self):
-        submissions = [make_submission(MODP, 2, "user-1", b"c")]
+        submissions = SubmissionBatch.from_submissions(MODP, [make_submission(MODP, 2, "user-1", b"c")])
         built = submission_batch_envelope(2, submissions, {2: "server-7"}, 9, cover=True)
+        assert built.payload is submissions
         assert built.kind == COVER_SUBMISSION_BATCH
         assert built.destination == "server-7"
         assert built.chain_id == 2
@@ -382,8 +392,9 @@ class TestFetchBatchCodec:
             )
             for owner, contents in owner_specs
         ]
-        wire = encode_payload(MODP, envelope(MAILBOX_FETCH_BATCH, pairs))
-        assert decode_payload(MODP, MAILBOX_FETCH_BATCH, wire) == pairs
+        wire = encode_payload(MODP, envelope(MAILBOX_FETCH_BATCH, FetchBatch.from_pairs(pairs)))
+        decoded = decode_payload(MODP, MAILBOX_FETCH_BATCH, wire)
+        assert [(owner, list(messages)) for owner, messages in decoded] == pairs
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -392,12 +403,12 @@ class TestFetchBatchCodec:
         pairs = [
             (owner, [MailboxMessage.seal(owner, b"\x07" * 32, 1, MessageBody.loopback())])
         ]
-        wire = encode_payload(MODP, envelope(MAILBOX_FETCH_BATCH, pairs))
+        wire = encode_payload(MODP, envelope(MAILBOX_FETCH_BATCH, FetchBatch.from_pairs(pairs)))
         cut = data.draw(st.integers(min_value=0, max_value=len(wire) - 1))
         with pytest.raises(DecodingError):
             decode_payload(MODP, MAILBOX_FETCH_BATCH, wire[:cut])
 
     def test_trailing_bytes_rejected(self):
-        wire = encode_payload(MODP, envelope(MAILBOX_FETCH_BATCH, []))
+        wire = encode_payload(MODP, envelope(MAILBOX_FETCH_BATCH, FetchBatch.from_pairs([])))
         with pytest.raises(DecodingError):
             decode_payload(MODP, MAILBOX_FETCH_BATCH, wire + b"\xff")

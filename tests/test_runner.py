@@ -37,7 +37,7 @@ from repro.faults.plan import (
 from repro.faults.runner import ScenarioRunner
 from repro.faults.scenarios import tamper_and_recover
 from repro.mixnet.ahs import MixChain
-from repro.mixnet.messages import MailboxMessage
+from repro.mixnet.messages import FetchBatch, MailboxBatch, MailboxMessage
 from repro.registry import TransportKind
 from repro.runner import protocol
 from repro.runner.__main__ import _parse_listen, main
@@ -361,7 +361,7 @@ class TestDistributedInProcess:
                     source="chain-0",
                     destination="mailbox-hub",
                     round_number=1,
-                    payload=[message],
+                    payload=MailboxBatch.from_messages([message]),
                 )
                 client.deliver(delivery)
                 # The client's own hub never saw the delivery…
@@ -373,12 +373,16 @@ class TestDistributedInProcess:
                     source="mailbox-hub",
                     destination="user-population",
                     round_number=1,
-                    payload=[(user.public_bytes, [])],
+                    payload=FetchBatch.from_pairs([(user.public_bytes, [])]),
                 )
-                assert client.deliver(fetch) == [(user.public_bytes, [message])]
+
+                def fetched():
+                    return [(owner, list(batch)) for owner, batch in client.deliver(fetch)]
+
+                assert fetched() == [(user.public_bytes, [message])]
                 # The fetch consumed the round: the role's hub drained it.
                 assert node.deployment.mailboxes.get(1, user.public_bytes) == []
-                assert client.deliver(fetch) == [(user.public_bytes, [])]
+                assert fetched() == [(user.public_bytes, [])]
             finally:
                 client.close()
                 client_deployment.close()

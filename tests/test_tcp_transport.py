@@ -13,22 +13,27 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.coordinator.adversary import forge_invalid_proof_submission
 from repro.coordinator.network import Deployment, DeploymentConfig
 from repro.errors import DecodingError, TransportError
 from repro.mixnet.blame import BlameVerdict
+from repro.mixnet.messages import ClientSubmission
 from repro.runner import protocol
 from repro.runner.harness import READY_PREFIX
+from repro.runner.roles import MixRoleHandler
 from repro.transport import codec, frames
 from repro.transport.envelope import SUBMISSION, Envelope
 from repro.transport.faulty import DROP, FaultyTransport, LinkFault
-from repro.transport.tcp import TcpTransport
+from repro.transport.tcp import ReflectingHandler, TcpTransport
 
+from tests.conftest import make_deployment
 from tests.test_transport import make_submission
 
 request_ids = st.integers(min_value=0, max_value=2**64 - 1)
@@ -325,6 +330,77 @@ class TestLoopback:
         tcp.set_peers({}, {"server-0": "elsewhere"})
         with pytest.raises(TransportError, match="no route to peer"):
             tcp.deliver(envelope)
+
+
+class TestWireResidentUplink:
+    """The honest uplink stays in its wire encoding over TCP, and the
+    reflector that proves it parses works on the event loop."""
+
+    @staticmethod
+    def constructed_submissions(monkeypatch):
+        """Record the sender of every ClientSubmission built from here on."""
+        senders = []
+        original = ClientSubmission.__init__
+
+        def counting(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            senders.append(self.sender)
+
+        monkeypatch.setattr(ClientSubmission, "__init__", counting)
+        return senders
+
+    def test_an_honest_churn_round_builds_no_submission_objects(self, monkeypatch):
+        # The churn shape: covers on, TCP loopback, chunked, staggered, some
+        # users offline (their banked covers are played).
+        deployment = make_deployment(num_users=10, transport="tcp", population_chunk_size=4)
+        try:
+            a, b = deployment.users[0].name, deployment.users[1].name
+            deployment.start_conversation(a, b)
+            senders = self.constructed_submissions(monkeypatch)
+            reports = deployment.run_rounds([
+                deployment.round_spec(payloads={a: b"hi"}),
+                deployment.round_spec(offline_users={deployment.users[5].name}),
+                deployment.round_spec(offline_users={b}),
+            ], staggered=True)
+            assert reports[0].conversation_payloads(b) == [b"hi"]
+            assert reports[1].used_cover_for == [deployment.users[5].name]
+            assert senders == []
+            # An injected submission is the one thing built as an object: by
+            # its author, then once per decode of its SUBMISSION envelope.
+            forged = forge_invalid_proof_submission(
+                deployment.group, deployment.chain_keys_view(4)[0], 4, "mallory"
+            )
+            report = deployment.run_round(extra_submissions=[forged])
+            assert "mallory" in report.rejected_senders
+            assert set(senders) == {"mallory"}
+        finally:
+            deployment.close()
+
+    def test_the_reflector_runs_on_the_loop_and_role_handlers_on_the_pool(self):
+        deployment = make_deployment(num_users=2)
+        seen = {}
+
+        def recording(base, label):
+            class Recording(base):
+                def handle_envelope(self, envelope):
+                    seen[label] = threading.current_thread().name
+                    return super().handle_envelope(envelope)
+            return Recording
+
+        reflector = TcpTransport(deployment.group, node_name="reflector",
+                                 handler=recording(ReflectingHandler, "reflector")(deployment.group))
+        role = TcpTransport(deployment.group, node_name="role",
+                            handler=recording(MixRoleHandler, "role")(deployment))
+        try:
+            for transport in (reflector, role):
+                submission, envelope = submission_envelope(deployment.group)
+                assert transport.deliver(envelope) == submission
+            assert seen["reflector"] == reflector._thread.name == "xrd-tcp-reflector"
+            assert seen["role"].startswith("xrd-tcp-handler")
+        finally:
+            reflector.close()
+            role.close()
+            deployment.close()
 
 
 class TestHandshake:

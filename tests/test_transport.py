@@ -11,8 +11,11 @@ from repro.mixnet.messages import (
     BatchEntry,
     ClientSubmission,
     EncodedBatch,
+    FetchBatch,
+    MailboxBatch,
     MailboxMessage,
     MessageBody,
+    SubmissionBatch,
 )
 from repro.transport import (
     BATCH,
@@ -25,6 +28,7 @@ from repro.transport import (
     make_transport,
 )
 from repro.transport.codec import (
+    UnsupportedPayload,
     decode_chain_outcome,
     decode_payload,
     encode_chain_outcome,
@@ -83,17 +87,37 @@ class TestCodecRoundTrips:
             MailboxMessage.seal(RECIPIENT, KEY, 3, MessageBody.data(b"m%d" % index))
             for index in range(3)
         ]
-        wire = encode_payload(group, envelope(MAILBOX_DELIVERY, messages))
-        assert decode_payload(group, MAILBOX_DELIVERY, wire) == messages
+        wire = encode_payload(group, envelope(MAILBOX_DELIVERY, MailboxBatch.from_messages(messages)))
+        decoded = decode_payload(group, MAILBOX_DELIVERY, wire)
+        assert isinstance(decoded, MailboxBatch) and list(decoded) == messages
         pairs = [(RECIPIENT, messages)]
-        wire = encode_payload(group, envelope(MAILBOX_FETCH_BATCH, pairs))
-        assert decode_payload(group, MAILBOX_FETCH_BATCH, wire) == pairs
+        wire = encode_payload(group, envelope(MAILBOX_FETCH_BATCH, FetchBatch.from_pairs(pairs)))
+        decoded = decode_payload(group, MAILBOX_FETCH_BATCH, wire)
+        assert isinstance(decoded, FetchBatch)
+        assert [(owner, list(batch)) for owner, batch in decoded] == pairs
+
+    def test_submission_batch_payload(self, group):
+        submissions = [make_submission(group, sender=f"user-{index}") for index in range(3)]
+        batch = SubmissionBatch.from_submissions(group, submissions)
+        wire = encode_payload(group, envelope(SUBMISSION_BATCH, batch))
+        assert wire == batch.to_wire()
+        decoded = decode_payload(group, SUBMISSION_BATCH, wire)
+        assert isinstance(decoded, SubmissionBatch) and list(decoded) == submissions
 
     def test_empty_batches(self, group):
-        empty = EncodedBatch.from_entries(group, [])
-        assert len(decode_payload(group, BATCH, encode_payload(group, envelope(BATCH, empty)))) == 0
-        for kind in (MAILBOX_DELIVERY, MAILBOX_FETCH_BATCH):
-            assert decode_payload(group, kind, encode_payload(group, envelope(kind, []))) == []
+        empties = {
+            BATCH: EncodedBatch.from_entries(group, []),
+            SUBMISSION_BATCH: SubmissionBatch.from_records(group, []),
+            MAILBOX_DELIVERY: MailboxBatch.from_messages([]),
+            MAILBOX_FETCH_BATCH: FetchBatch.from_pairs([]),
+        }
+        for kind, empty in empties.items():
+            decoded = decode_payload(group, kind, encode_payload(group, envelope(kind, empty)))
+            assert type(decoded) is type(empty) and list(decoded) == []
+
+    def test_a_batch_kind_takes_only_its_wire_type(self, group):
+        with pytest.raises(UnsupportedPayload, match="must be a MailboxBatch"):
+            encode_payload(group, envelope(MAILBOX_DELIVERY, []))
 
     def test_trailing_bytes_rejected(self, group):
         batch = EncodedBatch.from_entries(group, [BatchEntry(group.base_mult(2), b"ct")])

@@ -23,7 +23,7 @@ from repro.crypto.nizk import prove_dlog
 from repro.crypto.onion import encrypt_inner, encrypt_outer_layers
 from repro.errors import ConfigurationError, ProtocolError
 from repro.mixnet.ahs import submission_context
-from repro.mixnet.messages import ClientSubmission, MailboxMessage, MessageBody
+from repro.mixnet.messages import ClientSubmission, MailboxMessage, MessageBody, SubmissionBatch
 
 
 def seal_loopback(user, round_number: int, chain_id: int) -> MailboxMessage:
@@ -233,7 +233,10 @@ def install(deployment) -> None:
                 offline_notice=offline_notice, cover=cover,
             ):
                 per_chain.setdefault(submission.chain_id, []).append(submission)
-        return dict(sorted(per_chain.items()))
+        return {
+            chain_id: SubmissionBatch.from_submissions(deployment.group, submissions)
+            for chain_id, submissions in sorted(per_chain.items())
+        }
 
     def decrypt(round_number, users, inboxes):
         return {
