@@ -25,7 +25,7 @@ import hashlib
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.constants import (
     AEAD_TAG_SIZE,
@@ -303,7 +303,7 @@ def _join_records(records: Iterable[bytes]) -> Tuple[bytes, array]:
 
 
 class _RecordBatch(Sequence):
-    """Shared body of the uplink and mailbox batches.
+    """Shared body of the wire-resident batches: uplink, chain and mailbox.
 
     On the wire a batch is ``count (4) || entries``; ``blob`` is the
     entries and ``offsets[i]`` is where entry ``i`` starts in it.  A batch
@@ -338,7 +338,9 @@ class _RecordBatch(Sequence):
             return len(self._items)
         return len(self._offsets) - 1
 
-    def __getitem__(self, index: int):
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
         if self._items is not None:
             return self._items[index]
         count = len(self)
@@ -677,46 +679,40 @@ class BatchEntry:
         )
 
 
-class EncodedBatch(Sequence):
+class EncodedBatch(_RecordBatch):
     """A chain's round batch, held in its wire encoding.
 
     One contiguous blob of concatenated :meth:`BatchEntry.to_bytes` records
     plus an offset table — exactly the payload of a BATCH frame minus its
     count header.  This is the only shape a chain accepts, mixes, forwards,
     records or digests a batch in.  Entries decode *on demand* through
-    :meth:`__getitem__`, so holding a 100k-entry round in history costs the
-    blob (a few MB) instead of 100k decoded :class:`BatchEntry`/element
-    objects.  The blame protocol's random access and the history replay
-    both read through the same lazy window; mixing itself uses the bulk
-    accessors (:meth:`element_bytes`, :meth:`ciphertext`,
-    :meth:`decode_publics`) to avoid materialising entry objects at all.
+    indexing, so holding a 100k-entry round in history costs the blob (a
+    few MB) instead of 100k decoded :class:`BatchEntry`/element objects.
+    The blame protocol's random access and the history replay both read
+    through the same lazy window; mixing itself uses the bulk accessors
+    (:meth:`element_bytes`, :meth:`ciphertext`, :meth:`decode_publics`) to
+    avoid materialising entry objects at all.
 
     Instances are immutable: transforms produce a new batch
     (:meth:`select`) or build one from parts (:meth:`from_parts`).
     """
 
-    __slots__ = ("_group", "_blob", "_offsets")
+    __slots__ = ("_group",)
 
-    def __init__(self, group, blob: bytes, offsets: "array") -> None:
+    def __init__(self, group, blob: bytes, offsets: array) -> None:
+        super().__init__(blob, offsets)
         self._group = group
-        self._blob = blob
-        self._offsets = offsets
+
+    def _with_wire(self, blob: bytes, offsets: array) -> "EncodedBatch":
+        return EncodedBatch(self._group, blob, offsets)
 
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def _from_records(cls, group, records: List[bytes]) -> "EncodedBatch":
-        offsets = array("Q", [0])
-        total = 0
-        for record in records:
-            total += len(record)
-            offsets.append(total)
-        return cls(group, b"".join(records), offsets)
-
-    @classmethod
     def from_entries(cls, group, entries: Iterable[BatchEntry]) -> "EncodedBatch":
         """Encode decoded entries (how tests and adversaries build a batch)."""
-        return cls._from_records(group, [entry.to_bytes(group) for entry in entries])
+        records = [entry.to_bytes(group) for entry in entries]
+        return cls(group, b"".join(records), array("Q", accumulate(map(len, records), initial=0)))
 
     @classmethod
     def from_parts(cls, group, element_bytes: Sequence[bytes],
@@ -771,36 +767,11 @@ class EncodedBatch(Sequence):
             raise DecodingError("trailing bytes after batch")
         return cls(group, data[4:], offsets)
 
-    def to_wire(self) -> bytes:
-        """The BATCH payload: the entry count, then the blob as it is."""
-        return len(self).to_bytes(4, "big") + self._blob
-
-    # -- sequence protocol ---------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._offsets) - 1
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        count = len(self)
-        if index < 0:
-            index += count
-        if not 0 <= index < count:
-            raise IndexError("batch entry index out of range")
+    def _materialise(self, index: int) -> BatchEntry:
         record = self._blob[self._offsets[index]:self._offsets[index + 1]]
         return BatchEntry.from_bytes(self._group, record)
 
-    def __iter__(self) -> Iterator[BatchEntry]:
-        for index in range(len(self)):
-            yield self[index]
-
     # -- bulk accessors (no BatchEntry materialisation) ----------------------
-
-    @property
-    def blob(self) -> bytes:
-        """The concatenated wire records (a BATCH payload minus its count)."""
-        return self._blob
 
     def element_bytes(self, index: int) -> bytes:
         """Entry ``index``'s encoded DH element, without decoding it."""
@@ -827,13 +798,6 @@ class EncodedBatch(Sequence):
                 self._group.decode(encoding)  # raises the rejection's own error
                 raise DecodingError("batch element rejected")
         return points
-
-    def select(self, indices: Iterable[int]) -> "EncodedBatch":
-        """A new batch holding the entries at ``indices``, in that order."""
-        return self._from_records(
-            self._group,
-            [self._blob[self._offsets[index]:self._offsets[index + 1]] for index in indices],
-        )
 
 
 def batch_digest(batch: EncodedBatch) -> bytes:

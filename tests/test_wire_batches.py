@@ -216,6 +216,39 @@ def _agree(view, expected):
     assert view() == wanted
 
 
+@st.composite
+def wire_payloads(draw, kind):
+    """A well-formed payload of ``kind`` with generated contents."""
+    if kind == ev.SUBMISSION_BATCH:
+        return submission_wire(*(
+            record(draw(st.integers(0, 9)), draw(_valid_senders), draw(st.binary(max_size=24)))
+            for _ in range(draw(st.integers(0, 3)))
+        ))
+    messages = st.lists(st.builds(
+        MailboxMessage, st.binary(min_size=GROUP_ELEMENT_SIZE, max_size=GROUP_ELEMENT_SIZE),
+        st.binary(min_size=AEAD_TAG_SIZE, max_size=AEAD_TAG_SIZE + 12),
+    ), max_size=3)
+    if kind == ev.MAILBOX_DELIVERY:
+        return MailboxBatch.from_messages(draw(messages)).to_wire()
+    pairs = draw(st.lists(st.tuples(st.binary(max_size=33), messages), max_size=3))
+    return FetchBatch.from_pairs(pairs).to_wire()
+
+
+class TestGeneratedStructure:
+    @pytest.mark.parametrize("kind", [ev.SUBMISSION_BATCH, ev.MAILBOX_DELIVERY,
+                                      ev.MAILBOX_FETCH_BATCH])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_every_proper_prefix_and_a_trailing_byte_are_rejected(self, kind, data):
+        wire = data.draw(wire_payloads(kind))
+        assert decode_payload(MODP, kind, wire).to_wire() == wire
+        for cut in range(len(wire)):
+            with pytest.raises(DecodingError):
+                decode_payload(MODP, kind, wire[:cut])
+        with pytest.raises(DecodingError):
+            decode_payload(MODP, kind, wire + data.draw(st.binary(min_size=1, max_size=4)))
+
+
 class TestDifferential:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
