@@ -3,14 +3,15 @@
 Every encoding here is the *real* byte format of
 :mod:`repro.mixnet.messages` — the TCP transport carries and measures
 these bytes, over loopback or between the distributed runtime's role
-processes (:mod:`repro.runner`).  Every batch kind travels as a type that
-already holds its wire encoding (:class:`~repro.mixnet.messages.
-SubmissionBatch`, :class:`~repro.mixnet.messages.EncodedBatch`,
-:class:`~repro.mixnet.messages.MailboxBatch`, :class:`~repro.mixnet.
-messages.FetchBatch`): encoding is its count and blob, decoding one
-structural check of the buffer that yields the same type, and no record is
-decoded into an object here.  ``tests/wire_reference.py`` keeps the
-per-object decoders the views are held to.
+processes (:mod:`repro.runner`).  Every batch kind travels as a wire-batch
+type (:class:`~repro.mixnet.messages.SubmissionBatch`,
+:class:`~repro.mixnet.messages.EncodedBatch`, :class:`~repro.mixnet.
+messages.MailboxBatch`, :class:`~repro.mixnet.messages.FetchBatch`):
+encoding is its count and blob (a mailbox batch built from the sender's
+objects encodes them when first asked), decoding one structural check of
+the buffer that yields the same type, and no record is decoded into an
+object here.  ``tests/wire_reference.py`` keeps the per-object decoders
+the views are held to.
 
 One payload detail is deliberately *not* on the wire: a submission's
 ``cover`` flag is client-side metadata (to a server, a cover is
@@ -139,8 +140,8 @@ def _expect(payload: object, wire_type: Type[_P], kind: str) -> _P:
 def encode_payload(group: Any, envelope: Envelope) -> bytes:
     """Serialise an envelope's payload to its real wire encoding.
 
-    Every batch kind already holds its wire encoding, so this is its count
-    and blob; only the single submission is an object to encode.
+    A batch kind is its count and blob; only the single submission is an
+    object to encode.
     """
     kind = envelope.kind
     payload = envelope.payload
