@@ -17,12 +17,15 @@ accepted, precomputed and mixed concurrently on the engine's thread pool
 (or serially, on the helper-less pool :meth:`Deployment.use_backend`
 installs), and consecutive rounds may be staggered
 (:meth:`Deployment.run_rounds`), without any change to the protocol code.
+The distributed coordinator swaps in an engine subclass
+(:mod:`repro.runner.remote`); the deployment has no distributed mode.
 
 The deployment is an in-process simulation, but every cross-node interaction
 — submissions, server→server batches, mailbox delivery, mailbox fetch —
-travels as a typed envelope over a pluggable :class:`~repro.transport.base.
-Transport` wired at construction (see DESIGN.md §5).  The protocol logic,
-message formats, and cryptography are exactly those a networked
+travels as a typed envelope over the deployment's one pluggable
+:class:`~repro.transport.base.Transport` (see DESIGN.md §5); chains hold
+none, the engine hands each chain round the current one.  The protocol
+logic, message formats, and cryptography are exactly those a networked
 implementation would use; the transports record one link per envelope in
 the round's trace (DESIGN.md §13) — the TCP one with its real wire bytes,
 carried over a loopback socket (DESIGN.md §3, §10).
@@ -211,8 +214,6 @@ class Deployment:
         self.transport = (
             transport if transport is not None else make_transport(config.transport, group=group)
         )
-        for chain in self.chains:
-            chain.transport = self.transport
         #: chain id → the server users submit to (the first server of the chain).
         self.entry_servers: Dict[int, str] = {
             topology.chain_id: topology.servers[0] for topology in topologies
@@ -235,10 +236,6 @@ class Deployment:
         #: :meth:`recover` — ``(round_number, chain_id, server_names)``.
         self._pending_recoveries: List[tuple] = []
         self._reform_counts: Dict[int, int] = {}
-        #: When set (by the distributed runner), the engine's mix stage
-        #: dispatches each chain's round as an RPC to the owning mix process
-        #: instead of running it through the local execution backend.
-        self.remote_mix = None
         self.engine = RoundEngine(self)
 
     # -- construction -----------------------------------------------------------
@@ -566,7 +563,6 @@ class Deployment:
             self._nodes_by_name[name].chain_members.pop(chain_id, None)
         chain = MixChain(chain_id=chain_id, members=members, group=self.group)
         chain.setup()
-        chain.transport = self.transport
         self.chains[index] = chain
         self._chains_by_id[chain_id] = chain
         for position, existing in enumerate(self.topologies):
@@ -600,16 +596,14 @@ class Deployment:
     def use_transport(self, transport: Transport, close_previous: bool = True) -> None:
         """Swap the deployment's transport (closing the previous one).
 
-        Every chain shares the deployment's transport, so the swap rewires
-        the server→server batch links too.  Pass ``close_previous=False``
-        when the new transport *wraps* the old one (e.g.
-        :class:`~repro.transport.faulty.FaultyTransport`) and will keep
-        delegating to it.
+        The engine hands each chain round the deployment's current
+        transport, so the swap moves the server→server batch links too.
+        Pass ``close_previous=False`` when the new transport *wraps* the old
+        one (e.g. :class:`~repro.transport.faulty.FaultyTransport`) and will
+        keep delegating to it.
         """
         old = self.transport
         self.transport = transport
-        for chain in self.chains:
-            chain.transport = transport
         if close_previous and old is not transport:
             old.close()
 

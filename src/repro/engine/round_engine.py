@@ -72,7 +72,12 @@ def _stage(name: str) -> Callable:
 
 
 class RoundEngine:
-    """Executes rounds for one deployment on its thread pool."""
+    """Executes rounds for one deployment on its thread pool.
+
+    The precompute and mix stages run the chains ``ctx.per_chain`` names: all
+    of them in process, the one of a ``MIX`` request on a mix role.  The
+    distributed coordinator overrides just those (``RemoteMixEngine``).
+    """
 
     def __init__(self, deployment: "Deployment", backend: Optional[ParallelBackend] = None) -> None:
         self.deployment = deployment
@@ -100,8 +105,7 @@ class RoundEngine:
         round is mixing, the overlapped collect stage finds every key view it
         needs already cached and never touches chain state.
         """
-        deployment = self.deployment
-        deployment._begin_round_on_chains(round_number)
+        self.deployment._begin_round_on_chains(round_number)
 
     def prepare(self, spec: RoundSpec) -> RoundContext:
         """Allocate the round number and assemble the chain key views."""
@@ -331,6 +335,11 @@ class RoundEngine:
 
     # -- precompute stage (§5.2.1 / DESIGN.md §8) ---------------------------------
 
+    def _chains_of(self, per_chain: Dict[int, SubmissionBatch]) -> list:
+        """The deployment's chains that ``per_chain`` names, in chain order:
+        every chain in process, the one chain a mix role was asked to run."""
+        return [chain for chain in self.deployment.chains if chain.chain_id in per_chain]
+
     def _precompute_batches(
         self, ctx: RoundContext, per_chain: Dict[int, SubmissionBatch]
     ) -> None:
@@ -342,18 +351,16 @@ class RoundEngine:
         could not see (deferred users, injected extras).  The per-chain
         work fans out through the backend's ``map_chains``.
         """
-        deployment = self.deployment
 
         def run_chain(chain) -> None:
-            submissions = per_chain.get(chain.chain_id)
+            submissions = per_chain[chain.chain_id]
             if submissions:
                 with trace.span(chain_id=chain.chain_id, entries=len(submissions)):
-                    chain.precompute_round(
-                        ctx.round_number, chain.decode_submission_publics(submissions)
-                    )
+                    chain.precompute_round(ctx.round_number, submissions)
 
-        self.backend.map_chains(run_chain, deployment.chains)
+        self.backend.map_chains(run_chain, self._chains_of(per_chain))
 
+    @_stage("precompute")
     def precompute(self, ctx: RoundContext) -> None:
         """Run the round's public-key work ahead of the online mix phase.
 
@@ -362,14 +369,9 @@ class RoundEngine:
         online pass fills whatever its table lacks before reading it (the
         online-only arm the parity table and the benchmarks hold it to).
         """
-        if self.deployment.remote_mix is not None:
-            # The owning mix processes precompute on their own replicas as
-            # part of the MIX RPC; the coordinator's members never mix, and
-            # its trace records no precompute stage.
-            return
-        with ctx.report.trace.stage("precompute"):
-            self._precompute_batches(ctx, ctx.per_chain)
+        self._precompute_batches(ctx, ctx.per_chain)
 
+    @_stage("precompute")
     def precompute_collected(self, ctx: RoundContext) -> None:
         """Early precompute over whatever :meth:`collect` has built so far.
 
@@ -381,25 +383,24 @@ class RoundEngine:
         Deferred users and extra submissions are not built yet; the
         post-finalize :meth:`precompute` tops those up.
         """
-        if self.deployment.remote_mix is not None:
-            return
-        with ctx.report.trace.stage("precompute"):
-            records: Dict[int, list] = {}
-            self._fold_user_submissions(ctx, records, strict=False)
-            group = self.deployment.group
-            self._precompute_batches(ctx, {
-                chain_id: SubmissionBatch.from_records(group, chain_records)
-                for chain_id, chain_records in records.items()
-            })
+        records: Dict[int, list] = {}
+        self._fold_user_submissions(ctx, records, strict=False)
+        group = self.deployment.group
+        self._precompute_batches(ctx, {
+            chain_id: SubmissionBatch.from_records(group, chain_records)
+            for chain_id, chain_records in records.items()
+        })
 
     @_stage("mix")
     def mix(self, ctx: RoundContext) -> None:
-        """Run the aggregate hybrid shuffle on every chain via the backend.
+        """Run the aggregate hybrid shuffle on the round's chains via the backend.
 
         This is the protocol's *online* phase; its span in the round's trace
         (the client-NIZK intake nested in it as stage ``accept``) is what the
         precompute win is measured against (the fig4/fig5 companions).
+        Each chain hands its hops to the deployment's transport.
         """
+        transport = self.deployment.transport
 
         def accept_chain(chain) -> List[str]:
             submissions = ctx.per_chain.pop(chain.chain_id)
@@ -409,28 +410,23 @@ class RoundEngine:
 
         def run_chain(chain):
             with trace.span(chain_id=chain.chain_id):
-                return chain.run_round(ctx.round_number)
+                return chain.run_round(ctx.round_number, transport)
 
-        if self.deployment.remote_mix is not None:
-            outcomes = self.deployment.remote_mix.mix_round(ctx)
-        else:
-            # Every chain accepts up front, before any chain mixes: each
-            # acceptance slices its EncodedBatch out of the submission
-            # records and keeps only the senders for blame, so the engine
-            # can release the submission batches — the round's largest
-            # structure — for *every* chain before the first mix's
-            # transient working set stacks on top of it.  Intake is
-            # transport-free, so it fans out like the mix; the two maps stay
-            # separate to keep that order.
-            chains = self.deployment.chains
-            with ctx.report.trace.stage("accept"):
-                rejected = self.backend.map_chains(accept_chain, chains)
-            results = self.backend.map_chains(run_chain, chains)
-            outcomes = [
-                ChainOutcome(chain_id=chain.chain_id, accept_rejected=senders, result=result)
-                for chain, senders, result in zip(chains, rejected, results)
-            ]
-        ctx.chain_outcomes = {outcome.chain_id: outcome for outcome in outcomes}
+        # Every chain accepts up front, before any chain mixes: each
+        # acceptance slices its EncodedBatch out of the submission records
+        # and keeps only the senders for blame, so the engine can release
+        # the submission batches — the round's largest structure — for
+        # *every* chain before the first mix's transient working set stacks
+        # on top of it.  Intake is transport-free, so it fans out like the
+        # mix; the two maps stay separate to keep that order.
+        chains = self._chains_of(ctx.per_chain)
+        with ctx.report.trace.stage("accept"):
+            rejected = self.backend.map_chains(accept_chain, chains)
+        results = self.backend.map_chains(run_chain, chains)
+        ctx.chain_outcomes = {
+            chain.chain_id: ChainOutcome(chain.chain_id, senders, result)
+            for chain, senders, result in zip(chains, rejected, results)
+        }
 
     @_stage("deliver")
     def deliver(self, ctx: RoundContext) -> None:
@@ -452,40 +448,35 @@ class RoundEngine:
                 if sender not in report.rejected_senders
             )
             if not result.delivered:
-                # The chain that halted already deleted its inner keys
-                # (§6.4); under remote_mix that was the mix role's replica,
-                # and this one announced the round too.  The rest of a
-                # halted round's records waits for recover().
-                chain.delete_inner_secrets(ctx.round_number)
-            else:
-                # Nothing reads a delivered round's chain state again; it is
-                # freed on the coordinating thread, for any helper count.
-                chain.release_round(ctx.round_number)
-                # The last server of the chain ships the recovered messages
-                # to the mailbox tier — as one framed message per chain, or
-                # per (chain, chunk) under the streaming pipeline, so the
-                # mailbox hub's intake is incremental and the largest single
-                # wire message stays bounded.  deliver_batch preserves
-                # per-recipient arrival order across successive calls, so
-                # chunked delivery leaves mailbox contents bit-identical.
-                chunk_size = deployment.config.population_chunk_size
-                for part, span in enumerate(
-                    chunk_spans(result.mailbox_messages, chunk_size)
-                ):
-                    messages = deployment.transport.deliver(
-                        Envelope(
-                            kind=MAILBOX_DELIVERY,
-                            source=chain.members[-1].server_name,
-                            destination="mailbox-hub",
-                            round_number=ctx.round_number,
-                            payload=MailboxBatch.from_messages(span),
-                            chain_id=chain.chain_id,
-                            part=part if chunk_size is not None else None,
-                        )
+                # A halted chain deleted its inner keys as it halted (§6.4);
+                # the rest of its round's records waits for recover().
+                continue
+            # Nothing reads a delivered round's chain state again; it is
+            # freed on the coordinating thread, for any helper count.
+            chain.release_round(ctx.round_number)
+            # The last server of the chain ships the recovered messages
+            # to the mailbox tier — as one framed message per chain, or
+            # per (chain, chunk) under the streaming pipeline, so the
+            # mailbox hub's intake is incremental and the largest single
+            # wire message stays bounded.  deliver_batch preserves
+            # per-recipient arrival order across successive calls, so
+            # chunked delivery leaves mailbox contents bit-identical.
+            chunk_size = deployment.config.population_chunk_size
+            for part, span in enumerate(chunk_spans(result.mailbox_messages, chunk_size)):
+                messages = deployment.transport.deliver(
+                    Envelope(
+                        kind=MAILBOX_DELIVERY,
+                        source=chain.members[-1].server_name,
+                        destination="mailbox-hub",
+                        round_number=ctx.round_number,
+                        payload=MailboxBatch.from_messages(span),
+                        chain_id=chain.chain_id,
+                        part=part if chunk_size is not None else None,
                     )
-                    report.dropped_unknown_recipients += (
-                        deployment.mailboxes.deliver_batch(ctx.round_number, messages)
-                    )
+                )
+                report.dropped_unknown_recipients += (
+                    deployment.mailboxes.deliver_batch(ctx.round_number, messages)
+                )
         # Server convictions (blame verdicts, proof failures) become pending
         # recoveries: the coordinator evicts and re-forms on an explicit
         # Deployment.recover(), never mid-pipeline — see that method's note

@@ -62,6 +62,7 @@ from repro.mixnet.messages import (
     SubmissionBatch,
     batch_digest,
 )
+from repro.transport.base import Transport
 from repro.transport.envelope import BATCH, Envelope
 from repro.transport.inproc import InProcTransport
 
@@ -523,6 +524,9 @@ class ChainRoundResult:
         return self.status == self.STATUS_DELIVERED
 
 
+_HANDOFF = InProcTransport()  # a chain driven on its own hands its hops over in process
+
+
 class MixChain:
     """A full anytrust chain: key ceremony, round orchestration, verification.
 
@@ -530,19 +534,17 @@ class MixChain:
     and the one honest server guarantees detection.  The simulation performs
     each verification once on behalf of all members — equivalent in outcome,
     since XRD's guarantees only require that *some* verifier is honest.
+
+    The chain holds no transport: :meth:`run_round` hands each hop to the
+    one its caller passes (the engine passes its deployment's).
     """
 
-    def __init__(
-        self, chain_id: int, members: Sequence[ChainMember], group, transport=None
-    ) -> None:
+    def __init__(self, chain_id: int, members: Sequence[ChainMember], group) -> None:
         if not members:
             raise ProtocolError("a chain needs at least one member")
         self.chain_id = chain_id
         self.members = list(members)
         self.group = group
-        #: Carries the batch hand-offs between consecutive members (§6.3);
-        #: the deployment wires one shared transport into every chain.
-        self.transport = transport if transport is not None else InProcTransport()
         self.public_keys: Optional[ChainPublicKeys] = None
         self._inner_publics: Dict[int, List[object]] = {}
         self._aggregate_inner: Dict[int, object] = {}
@@ -620,22 +622,26 @@ class MixChain:
         self._aggregate_inner[round_number] = aggregate
         return aggregate
 
-    def precompute_round(self, round_number: int, dh_publics: Sequence[object]) -> None:
+    def precompute_round(self, round_number: int, submissions) -> None:
         """Precompute every member's public-key work for the round (§5.2.1).
 
-        ``dh_publics`` are the (decoded) DH keys of the submissions expected
-        in the round's batch.  The precompute cascades down the chain:
-        member 0 blinds the original publics, and each member's blinded
-        outputs are the next member's inputs — exactly the keys it will see
-        online, up to the predecessor's shuffle, which the members' keyed
-        tables are insensitive to.  After this, :meth:`run_round`'s per-member
-        online work is AEAD opens + shuffle + the aggregate DLEQ proof.
+        ``submissions`` is the round's pending batch, whose DH keys are
+        decoded as :meth:`accept_submissions` decodes them, without the
+        proof checks (those stay online): a submission that will be rejected
+        merely precomputes an unused table entry.  The precompute cascades
+        down the chain: member 0 blinds the decoded publics, and each
+        member's blinded outputs are the next member's inputs — exactly the
+        keys it will see online, up to the predecessor's shuffle, which the
+        members' keyed tables are insensitive to.  After this,
+        :meth:`run_round`'s per-member online work is AEAD opens + shuffle +
+        the aggregate DLEQ proof.
 
         Deterministic and side-effect-free beyond the member caches, so it
         may run concurrently with another round's mixing (the stagger
         window) and is safe to repeat or top up incrementally.
         """
-        publics = list(dh_publics)
+        chain_ids, _, encoded, _, _ = SubmissionBatch.of(self.group, submissions).columns()
+        publics = self._decode_statements(chain_ids, encoded)[1]
         for member in self.members:
             publics = member.precompute_round(round_number, publics)
 
@@ -657,16 +663,6 @@ class MixChain:
         decoded = self.group.decode_batch([publics[index] for index in ours])
         rows = [index for index, point in zip(ours, decoded) if point is not None]
         return rows, [point for point in decoded if point is not None]
-
-    def decode_submission_publics(self, submissions) -> List[object]:
-        """The decodable DH publics of a pending batch, for :meth:`precompute_round`.
-
-        :meth:`accept_submissions`'s decode step without the proof checks
-        (those stay online): submissions that will be rejected merely
-        precompute an unused table entry.
-        """
-        chain_ids, _, publics, _, _ = SubmissionBatch.of(self.group, submissions).columns()
-        return self._decode_statements(chain_ids, publics)[1]
 
     def aggregate_inner_public(self, round_number: int):
         """Return Σ ipk for the round (what users encrypt inner envelopes to)."""
@@ -727,9 +723,9 @@ class MixChain:
         return self._senders.get(round_number, [])
 
     def _forward_batch(
-        self, round_number: int, index: int, entries: EncodedBatch
+        self, transport: Transport, round_number: int, index: int, entries: EncodedBatch
     ) -> EncodedBatch:
-        """Send member ``index``'s output batch to its successor over the transport."""
+        """Send member ``index``'s output batch to its successor over ``transport``."""
         if index + 1 >= len(self.members):
             return entries
         envelope = Envelope(
@@ -740,7 +736,7 @@ class MixChain:
             payload=entries,
             chain_id=self.chain_id,
         )
-        return self.transport.deliver(envelope)
+        return transport.deliver(envelope)
 
     def delete_inner_secrets(self, round_number: int) -> None:
         """§6.4 for a halted round: every member deletes its inner key, so
@@ -757,15 +753,17 @@ class MixChain:
             input_digest=digest, **outcome,
         )
 
-    def run_round(self, round_number: int) -> ChainRoundResult:
+    def run_round(self, round_number: int, transport: Transport = _HANDOFF) -> ChainRoundResult:
         """Execute the mixing phase for the round's accepted submissions.
 
-        Returns a :class:`ChainRoundResult` whose status reflects whether the
-        messages were delivered, a server was caught misbehaving (protocol
-        halts, no privacy loss), or the blame protocol ran.  When blame
-        convicts only *users*, their submissions are removed and mixing is
-        re-run — mirroring §6.4's "those ciphertexts are removed from the set
-        and the upstream servers repeat the AHS protocol".
+        Each hop's output reaches its successor as one ``BATCH`` envelope
+        over ``transport``.  Returns a :class:`ChainRoundResult` whose status
+        reflects whether the messages were delivered, a server was caught
+        misbehaving (protocol halts, no privacy loss), or the blame protocol
+        ran.  When blame convicts only *users*, their submissions are removed
+        and mixing is re-run — mirroring §6.4's "those ciphertexts are
+        removed from the set and the upstream servers repeat the AHS
+        protocol".
         """
         from repro.mixnet.blame import run_blame_protocol  # local import to avoid a cycle
 
@@ -807,7 +805,7 @@ class MixChain:
                 keep = [index for index, sender in enumerate(senders) if sender not in malicious]
                 self._senders[round_number] = [senders[index] for index in keep]
                 self._entries[round_number] = self._entries[round_number].select(keep)
-                rerun = self.run_round(round_number)
+                rerun = self.run_round(round_number, transport)
                 rerun.rejected_senders = rejected_senders + rerun.rejected_senders
                 rerun.blame_verdict = verdict
                 return rerun
@@ -838,7 +836,7 @@ class MixChain:
             # Hand the verified output batch to the next server (the real
             # server→server wire of §6.3); the last member's output stays
             # local for the inner-key reveal.
-            entries = self._forward_batch(round_number, index, result.entries)
+            entries = self._forward_batch(transport, round_number, index, result.entries)
             history.append(entries)
             input_aggregate = output_aggregate if entries.blob == result.entries.blob else None
 

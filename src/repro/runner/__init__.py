@@ -2,7 +2,8 @@
 
 This package turns the single-process deployment into a real distributed
 system: a **coordinator** process drives the round pipeline, **mix** role
-processes execute chain mixing, and a **mailbox** role process owns the
+processes run the engine's precompute and mix stages for the chains they
+own, and a **mailbox** role process owns the
 mailbox tier — each a separate OS process holding its own deterministic
 replica of the deployment, wired together by
 :class:`~repro.transport.tcp.TcpTransport` sockets.
@@ -25,8 +26,8 @@ Layout:
 * :mod:`repro.runner.roles` — the role handlers and :class:`RoleNode`
   (one live replica + listening transport, usable in-process or as a
   child process).
-* :mod:`repro.runner.remote` — the coordinator's side: the remote mix
-  dispatcher the engine calls into and the scenario-control broadcaster.
+* :mod:`repro.runner.remote` — the coordinator's side: its round engine
+  (one ``MIX`` RPC per chain) and the scenario-control broadcaster.
 * :mod:`repro.runner.harness` — ``run_coordinator`` (drive a scenario
   against live roles) and ``run_localhost`` (spawn everything as
   localhost subprocesses).
@@ -34,14 +35,14 @@ Layout:
 """
 
 from repro.runner.harness import default_owners, run_coordinator, run_localhost
-from repro.runner.remote import DistributedControl, RemoteMixDispatcher
+from repro.runner.remote import DistributedControl, RemoteMixEngine
 from repro.runner.roles import MailboxRoleHandler, MixRoleHandler, RoleHandler, RoleNode
 
 __all__ = [
     "DistributedControl",
     "MailboxRoleHandler",
     "MixRoleHandler",
-    "RemoteMixDispatcher",
+    "RemoteMixEngine",
     "RoleHandler",
     "RoleNode",
     "default_owners",

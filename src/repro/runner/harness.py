@@ -1,12 +1,14 @@
 """Drive a scenario across live roles; launch everything on localhost.
 
 :func:`run_coordinator` is the coordinator process's body: build the local
-replica, wire the TCP transport and the remote-mix dispatcher into it, and
+replica, wire the TCP transport into it, install the
+:class:`~repro.runner.remote.RemoteMixEngine` in place of its engine, and
 run the plan through the ordinary :class:`~repro.faults.runner.ScenarioRunner`
 — the identical code path the in-process reference uses, with the
-distributed behaviour injected only through ``Deployment.remote_mix`` and
-the runner's ``control`` hook.  That shared path is the parity argument:
-there is no separate distributed round loop that could drift.
+distributed behaviour injected only through that engine subclass and the
+runner's ``control`` hook.  That shared path is the parity argument: there
+is no separate distributed round loop that could drift, and the mix roles
+run the engine's own precompute and mix stages.
 
 :func:`run_localhost` is the all-in-one harness: spawn the mix and mailbox
 roles as subprocesses of this interpreter, wait for their ``READY`` lines,
@@ -31,7 +33,7 @@ from repro.errors import ConfigurationError, TransportError
 from repro.faults.plan import FaultPlan
 from repro.faults.runner import ScenarioReport, ScenarioRunner
 from repro.runner import protocol
-from repro.runner.remote import DistributedControl, RemoteMixDispatcher
+from repro.runner.remote import DistributedControl, RemoteMixEngine
 from repro.transport.tcp import TcpTransport
 
 __all__ = ["default_owners", "run_coordinator", "run_localhost"]
@@ -90,7 +92,8 @@ def run_coordinator(
         control.send_peers(peers, owners)
         control.ping()
         deployment.use_transport(transport)
-        deployment.remote_mix = RemoteMixDispatcher(deployment, transport, owners)
+        backend = deployment.engine.backend
+        deployment.engine = RemoteMixEngine(deployment, transport, owners, backend)
         runner = ScenarioRunner(deployment, plan, staggered=staggered, control=control)
         report = runner.run()
         control.shutdown()

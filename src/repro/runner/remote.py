@@ -1,14 +1,14 @@
 """The coordinator's side of the distributed runtime.
 
-:class:`RemoteMixDispatcher` is what ``Deployment.remote_mix`` points at: the
-engine's mix stage hands it the round context and each chain's round becomes
-one ``MIX`` control RPC to the role process owning the chain's entry server.
+:class:`RemoteMixEngine` is the coordinator's round engine: each chain's
+round becomes one ``MIX`` control RPC to the role process owning the chain's
+entry server, which runs the engine's own precompute and mix stages there.
 The request carries the coordinator-assembled
 :class:`~repro.mixnet.messages.SubmissionBatch` in the bytes a
-``SUBMISSION_BATCH`` envelope would carry; the reply is the chain outcome in its canonical
-wire encoding (:func:`repro.transport.codec.encode_chain_outcome`) — so the
-distributed mix is, byte for byte, the same data flow as the in-process one
-with a socket in the middle.
+``SUBMISSION_BATCH`` envelope would carry; the reply is the chain outcome in
+its canonical wire encoding (:func:`repro.transport.codec.encode_chain_outcome`)
+— so the distributed mix is, byte for byte, the same data flow as the
+in-process one with a socket in the middle.
 
 :class:`DistributedControl` is the :class:`~repro.faults.runner.ScenarioRunner`
 ``control`` hook: it broadcasts fault installation and recovery state to
@@ -18,9 +18,11 @@ exactly the points the in-process runner would apply them locally.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.engine.stages import ChainOutcome
+from repro.engine.backends import ParallelBackend
+from repro.engine.round_engine import RoundEngine
+from repro.engine.stages import ChainOutcome, RoundContext
 from repro.errors import TransportError
 from repro.runner import protocol
 from repro.transport import frames
@@ -28,20 +30,20 @@ from repro.transport.codec import decode_chain_outcome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.coordinator.network import Deployment
-    from repro.engine.stages import RoundContext
     from repro.faults.plan import ServerFault
     from repro.transport.tcp import TcpTransport
 
-__all__ = ["DistributedControl", "RemoteMixDispatcher"]
+__all__ = ["DistributedControl", "RemoteMixEngine"]
 
 
-class RemoteMixDispatcher:
-    """Executes the engine's mix stage as RPCs to the owning mix roles."""
+class RemoteMixEngine(RoundEngine):
+    """The coordinator's engine: each chain's round runs on its owning mix role."""
 
     def __init__(
-        self, deployment: "Deployment", transport: "TcpTransport", owners: Dict[str, str]
+        self, deployment: "Deployment", transport: "TcpTransport", owners: Dict[str, str],
+        backend: Optional[ParallelBackend] = None,
     ) -> None:
-        self.deployment = deployment
+        super().__init__(deployment, backend)
         self.transport = transport
         self.owners = dict(owners)
 
@@ -56,34 +58,33 @@ class RemoteMixDispatcher:
             )
         return owner
 
-    def mix_round(self, ctx: "RoundContext") -> List[ChainOutcome]:
+    def precompute(self, ctx: RoundContext) -> None:
+        """Nothing: the owning mix roles precompute inside ``MIX``, so the
+        coordinator's members fill no table and its trace records no
+        precompute stage."""
+
+    precompute_collected = precompute
+
+    def mix(self, ctx: RoundContext) -> None:
         """One ``MIX`` RPC per chain, all in flight concurrently.
 
-        Replies come back in chain order (the transport correlates them),
-        mirroring ``map_chains``'s ordered contract.
+        Each batch leaves ``ctx.per_chain`` as its request is encoded, and
+        replies come back in chain order.  A chain that halted deleted its
+        inner keys on its role; this replica, which announced the round
+        too, deletes its copy here.
         """
-        items = []
-        for chain in self.deployment.chains:
-            body = protocol.encode_mix_request(
-                chain.chain_id,
-                ctx.round_number,
-                ctx.per_chain[chain.chain_id].to_wire(),
-            )
-            items.append(
-                (self._owner_of_chain(chain.chain_id), frames.FRAME_CONTROL,
-                 protocol.encode_control(protocol.OP_MIX, body))
-            )
-        outcomes = []
-        for reply in self.transport.request_batch(items):
-            chain_id, accept_rejected, result = decode_chain_outcome(reply)
-            outcomes.append(
-                ChainOutcome(
-                    chain_id=chain_id,
-                    accept_rejected=list(accept_rejected),
-                    result=result,
-                )
-            )
-        return outcomes
+        with ctx.report.trace.stage("mix"):
+            items = []
+            for chain in self._chains_of(ctx.per_chain):
+                batch = ctx.per_chain.pop(chain.chain_id).to_wire()
+                body = protocol.encode_mix_request(chain.chain_id, ctx.round_number, batch)
+                items.append((self._owner_of_chain(chain.chain_id), frames.FRAME_CONTROL,
+                              protocol.encode_control(protocol.OP_MIX, body)))
+            for reply in self.transport.request_batch(items):
+                chain_id, accept_rejected, result = decode_chain_outcome(reply)
+                if not result.delivered:
+                    self.deployment.chain(chain_id).delete_inner_secrets(ctx.round_number)
+                ctx.chain_outcomes[chain_id] = ChainOutcome(chain_id, list(accept_rejected), result)
 
 
 class DistributedControl:

@@ -12,9 +12,9 @@ chains, mailboxes, users) and serves two kinds of inbound traffic on its
   served from them — so the bytes the coordinator folds into its round
   reports are another process's state, not an echo.
 * **Control messages** — the runner's management plane
-  (:mod:`repro.runner.protocol`): peer wiring, the ``MIX`` RPC that
-  executes a chain's round on the owning role, fault installation, and
-  the recovery mirror.
+  (:mod:`repro.runner.protocol`): peer wiring, the ``MIX`` RPC that runs
+  the replica engine's own precompute and mix stages for one chain on the
+  owning role, fault installation, and the recovery mirror.
 
 Handlers run on the transport's worker thread pool; the mutating operations
 (``MIX``, recovery, mailbox writes) serialise on one lock per role, so
@@ -29,6 +29,7 @@ from typing import Optional, Tuple
 
 from repro.coordinator.adversary import install_tampering_server
 from repro.coordinator.network import Deployment, DeploymentConfig
+from repro.engine.stages import RoundContext, RoundReport, RoundSpec
 from repro.errors import ConfigurationError, TransportError
 from repro.faults.plan import ServerFault, fault_key
 from repro.runner import protocol
@@ -129,28 +130,32 @@ class RoleHandler(ReflectingHandler):
 
 
 class MixRoleHandler(RoleHandler):
-    """A mix role: executes the ``MIX`` RPC for the chains it owns."""
+    """A mix role: runs the ``MIX`` RPC for its chains through its engine's stages."""
 
     def handle_mix(self, payload: bytes) -> bytes:
         chain_id, round_number, batch = protocol.decode_mix_request(payload)
+        deployment = self.deployment
         with self._lock:
-            deployment = self.deployment
+            # Parse the whole request before touching the replica: a
+            # malformed one must leave no round behind.
+            chain = deployment.chain(chain_id)
+            submissions = SubmissionBatch.from_wire(deployment.group, batch)
+            ctx = RoundContext(round_number, RoundSpec(), RoundReport(round_number))
+            ctx.per_chain[chain_id] = submissions
             # Lazy idempotent announce: per-round inner keys derive from
             # per-(member, round) streams, so announcing only the (chain,
             # round) pairs this role actually mixes — possibly out of order
             # across recoveries — yields the same keys the coordinator
             # announced, and leaves no chain holding a round it never mixes.
-            chain = deployment.chain(chain_id)
             chain.begin_round(round_number)
-            submissions = SubmissionBatch.from_wire(deployment.group, batch)
-            chain.precompute_round(round_number, chain.decode_submission_publics(submissions))
-            _, rejected = chain.accept_submissions(round_number, submissions)
-            result = chain.run_round(round_number)
-            if result.delivered:
+            deployment.engine.precompute(ctx)
+            deployment.engine.mix(ctx)
+            outcome = ctx.chain_outcomes[chain_id]
+            if outcome.result.delivered:
                 # This replica's engine never runs ``deliver``; release the
                 # round's chain state where the round ended.
                 chain.release_round(round_number)
-        return encode_chain_outcome(chain_id, rejected, result)
+        return encode_chain_outcome(chain_id, outcome.accept_rejected, outcome.result)
 
 
 class MailboxRoleHandler(RoleHandler):

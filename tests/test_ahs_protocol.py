@@ -27,6 +27,8 @@ from repro.mixnet.messages import (
 from repro.crypto.nizk import prove_dlog
 from repro.crypto.stream import stream_key
 
+from repro.transport.inproc import InProcTransport
+
 from tests.conftest import RecordingTransport, selected_tier
 from tests.test_native_kernels import REJECTED_ENCODINGS
 
@@ -317,13 +319,13 @@ class TestHonestMixing:
         """Each member's output reaches its successor as one BATCH envelope;
         the last member's stays local for the inner-key reveal."""
         chain = build_chain(group, length=3)
-        chain.transport = recorder = RecordingTransport(chain.transport)
+        recorder = RecordingTransport(InProcTransport())
         chain.begin_round(1)
         recipient = KeyPair.generate(group)
         chain.accept_submissions(
             1, [make_submission(group, chain, 1, "alice", recipient.public_bytes, b"\x03" * 32)]
         )
-        assert chain.run_round(1).delivered
+        assert chain.run_round(1, recorder).delivered
         assert [(envelope.source, envelope.destination) for envelope, _ in recorder.carried] == [
             ("server-0", "server-1"), ("server-1", "server-2"),
         ]
@@ -498,23 +500,25 @@ class TestPrecompute:
     def test_chain_precompute_cascade_feeds_every_member(self, group):
         chain = build_chain(group, length=3)
         chain.begin_round(1)
-        publics = [group.base_mult(group.random_scalar()) for _ in range(2)]
-        chain.precompute_round(1, publics)
-        expected = list(publics)
+        submissions = _submissions(group, chain, 2)
+        chain.precompute_round(1, submissions)
+        expected = [group.decode(submission.dh_public) for submission in submissions]
         for member in chain.members:
             table = member.round_record(1).precomputed
             assert set(table) == {group.encode(p) for p in expected}
             expected = [group.scalar_mult(p, member.blinding_secret) for p in expected]
 
-    def test_decode_submission_publics_skips_foreign_and_garbage(self, group):
+    def test_chain_precompute_skips_foreign_and_garbage(self, group):
+        """Only this chain's decodable keys reach the tables; a batch that
+        will fail its proofs still precomputes (the checks stay online)."""
         chain = build_chain(group, length=2)
         chain.begin_round(1)
         recipient = KeyPair.generate(group)
         good = make_submission(group, chain, 1, "alice", recipient.public_bytes, b"\x01" * 32)
         foreign = ClientSubmission(99, "bob", good.dh_public, good.ciphertext, good.proof)
         garbage = ClientSubmission(0, "eve", b"\xff" * 32, good.ciphertext, good.proof)
-        publics = chain.decode_submission_publics([good, foreign, garbage])
-        assert publics == [group.decode(good.dh_public)]
+        chain.precompute_round(1, [good, foreign, garbage])
+        assert set(chain.members[0].round_record(1).precomputed) == {good.dh_public}
 
 
 def _submissions(group, chain, count):
@@ -618,7 +622,7 @@ class TestPrecomputePropertyParity:
             if corrupt_index is not None:
                 chain._entries[1] = _tampered(group, chain._entries[1], [corrupt_index])
             if with_precompute:
-                chain.precompute_round(1, chain._entries[1].decode_publics())
+                chain.precompute_round(1, submissions)
             return chain.run_round(1)
 
         result_online = run(online, with_precompute=False)

@@ -21,10 +21,11 @@ import time
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.coordinator.adversary import install_tampering_server
 from repro.coordinator.network import Deployment, DeploymentConfig
-from repro.engine.stages import ChainOutcome
 from repro.errors import ConfigurationError, DecodingError, TransportError
 from repro.faults.plan import (
     MODE_TAMPER_CIPHERTEXT,
@@ -37,12 +38,19 @@ from repro.faults.plan import (
 from repro.faults.runner import ScenarioRunner
 from repro.faults.scenarios import tamper_and_recover
 from repro.mixnet.ahs import MixChain
-from repro.mixnet.messages import FetchBatch, MailboxBatch, MailboxMessage
+from repro.mixnet.messages import (
+    FetchBatch,
+    MailboxBatch,
+    MailboxMessage,
+    SubmissionBatch,
+    submission_record,
+)
 from repro.registry import TransportKind
 from repro.runner import protocol
 from repro.runner.__main__ import _parse_listen, main
 from repro.runner.harness import MAILBOX_ROLE, default_owners, run_coordinator
-from repro.runner.roles import RoleNode
+from repro.runner.remote import DistributedControl, RemoteMixEngine
+from repro.runner.roles import MixRoleHandler, RoleNode
 from repro.transport.envelope import (
     MAILBOX_DELIVERY,
     MAILBOX_FETCH_BATCH,
@@ -204,6 +212,22 @@ def in_process_cluster(config, num_mix=2):
     return nodes, peers, default_owners(config, num_mix)
 
 
+def remote_coordinator(config, peers, owners):
+    """A coordinator replica wired to live roles as ``run_coordinator`` wires
+    its own, for driving single rounds and stages."""
+    deployment = Deployment.create(config)
+    transport = TcpTransport(
+        deployment.group, node_name="coordinator", config_digest=protocol.config_digest(config)
+    )
+    transport.set_peers(peers, owners)
+    DistributedControl(transport, sorted(set(owners.values())), 0).send_peers(peers, owners)
+    deployment.use_transport(transport)
+    deployment.engine = RemoteMixEngine(
+        deployment, transport, owners, backend=deployment.engine.backend
+    )
+    return deployment
+
+
 class TestDistributedInProcess:
     def test_parity_with_the_scenario_runner_reference(self, monkeypatch):
         config = make_config()
@@ -213,14 +237,14 @@ class TestDistributedInProcess:
             reference = ScenarioRunner(reference_deployment, plan).run()
 
         # Watch the distributed run's chain rounds live: every replica's
-        # chains hand off through its own transport, so the transport's node
-        # name says which process ran the round.
+        # engine hands its chains the replica's own transport, so that
+        # transport's node name says which process ran the round.
         mixed = []
         run_round = MixChain.run_round
 
-        def recording_run_round(chain, *args, **kwargs):
-            mixed.append((chain.transport.node_name, chain.chain_id))
-            return run_round(chain, *args, **kwargs)
+        def recording_run_round(chain, round_number, transport):
+            mixed.append((transport.node_name, chain.chain_id))
+            return run_round(chain, round_number, transport)
 
         monkeypatch.setattr(MixChain, "run_round", recording_run_round)
         nodes, peers, owners = in_process_cluster(config)
@@ -285,36 +309,51 @@ class TestDistributedInProcess:
 
     def test_a_remote_halt_deletes_the_coordinator_replicas_inner_keys(self):
         """§6.4 on the replica that only announced the round: when the
-        mixing replica reports a halt, the coordinator's copy of the
-        round's inner keys goes too."""
+        mixing role reports a halt, the coordinator's copy of the round's
+        inner keys goes too."""
         config = make_config()
-        mixer = Deployment.create(config)
-        install_tampering_server(mixer, 0, 0, MODE_TAMPER_CIPHERTEXT)
-
-        class ReplicaMix:
-            """``remote_mix`` with a second in-process replica as the mix role."""
-
-            def mix_round(self, ctx):
-                outcomes = []
-                for chain in mixer.chains:
-                    chain.begin_round(ctx.round_number)
-                    _, rejected = chain.accept_submissions(
-                        ctx.round_number, ctx.per_chain[chain.chain_id]
-                    )
-                    result = chain.run_round(ctx.round_number)
-                    outcomes.append(ChainOutcome(chain.chain_id, rejected, result))
-                return outcomes
-
-        deployment = Deployment.create(config)
-        deployment.remote_mix = ReplicaMix()
-        report = deployment.run_round()
+        nodes, peers, owners = in_process_cluster(config)
+        for node in nodes:
+            install_tampering_server(node.deployment, 0, 0, MODE_TAMPER_CIPHERTEXT)
+        deployment = remote_coordinator(config, peers, owners)
+        try:
+            report = deployment.run_round()
+        finally:
+            deployment.close()
+            for node in nodes:
+                node.close()
         assert report.chain_results[0].status == "halted-blame"
         assert all(result.delivered for result in list(report.chain_results.values())[1:])
-        for deployment_replica in (mixer, deployment):
-            for member in deployment_replica.chains[0].members:
+        mixer = next(
+            node for node in nodes if node.name == owners[deployment.entry_servers[0]]
+        )
+        for replica in (mixer.deployment, deployment):
+            for member in replica.chains[0].members:
                 assert member.round_record(1).inner_secret is None
-        mixer.close()
-        deployment.close()
+
+    def test_the_mix_stage_releases_every_submission_batch(self):
+        """Both engines drop each chain's batch from the round context as
+        its intake (or its ``MIX`` request) takes it."""
+        config = make_config()
+        nodes, peers, owners = in_process_cluster(config)
+        local = Deployment.create(config)
+        remote = remote_coordinator(config, peers, owners)
+        try:
+            for deployment in (local, remote):
+                engine = deployment.engine
+                ctx = engine.prepare(deployment.round_spec())
+                for stage in (engine.collect, engine.finalize_collect, engine.precompute):
+                    stage(ctx)
+                assert sorted(ctx.per_chain) == list(range(config.num_chains))
+                engine.mix(ctx)
+                assert ctx.per_chain == {}
+                assert sorted(ctx.chain_outcomes) == list(range(config.num_chains))
+            assert isinstance(remote.engine, RemoteMixEngine)
+        finally:
+            local.close()
+            remote.close()
+            for node in nodes:
+                node.close()
 
     def test_mix_rpc_on_the_mailbox_role_is_refused_over_the_wire(self):
         config = make_config(num_users=2, num_chains=1)
@@ -390,6 +429,53 @@ class TestDistributedInProcess:
     def test_role_node_rejects_unknown_kind(self):
         with pytest.raises(ConfigurationError, match="unknown role kind"):
             RoleNode("x-0", make_config(), "auditor")
+
+
+@pytest.fixture(scope="module")
+def mix_handler():
+    """A mix role's handler on a fresh replica; the refusals below must
+    leave it as fresh as they found it."""
+    deployment = Deployment.create(make_config())
+    yield MixRoleHandler(deployment)
+    deployment.close()
+
+
+def replica_rounds(deployment):
+    """Every round the replica's chains and members hold."""
+    return [
+        (set(chain._aggregate_inner), [set(member._rounds) for member in chain.members])
+        for chain in deployment.chains
+    ]
+
+
+class TestMixRequestRefusal:
+    """A malformed ``MIX`` is refused before the replica announces its round."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        chain_id=st.integers(min_value=0, max_value=2),
+        round_number=st.integers(min_value=1, max_value=2**64 - 1),
+        records=st.lists(
+            st.tuples(st.text(max_size=8), st.binary(max_size=24), st.integers(0, 2**64)),
+            max_size=3,
+        ),
+    )
+    def test_a_malformed_request_leaves_the_replica_untouched(
+        self, mix_handler, chain_id, round_number, records
+    ):
+        deployment = mix_handler.deployment
+        size = deployment.group.element_size
+        batch = SubmissionBatch.from_records(deployment.group, [
+            submission_record(chain_id, sender, b"\x01" * size, b"\x02" * size, response, body)
+            for sender, body, response in records
+        ]).to_wire()
+        body = protocol.encode_mix_request(chain_id, round_number, batch)
+        forged_count = body[:12] + (2**32 - 1).to_bytes(4, "big") + body[16:]
+        before = replica_rounds(deployment)
+        for malformed in [body[:cut] for cut in range(len(body))] + [body + b"\x00", forged_count]:
+            with pytest.raises(DecodingError):
+                mix_handler.handle_mix(malformed)
+            assert replica_rounds(deployment) == before
 
 
 class TestLaunchCli:

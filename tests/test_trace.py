@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis.measured import chain_hop_seconds, round_latency_seconds
 from repro.engine import ParallelBackend
+from repro.runner.remote import RemoteMixEngine
 from repro.simulation.costmodel import CostModel
 from repro.trace import Link, Trace, count, delay, link
 from repro.transport import Envelope
@@ -98,11 +99,12 @@ def test_the_record_count_does_not_grow_with_the_users():
 def test_the_remote_coordinator_records_no_precompute_work():
     """Under the distributed runtime the owning mix roles precompute inside
     the ``MIX`` RPC: the coordinator's replica runs no chain's precompute
-    and fills no member's table."""
+    and fills no member's table.  (Its stages before mix send nothing, so
+    the remote engine needs no live roles here.)"""
     deployment = build()
-    for remote in (None, object()):
-        deployment.remote_mix = remote
-        engine = deployment.engine
+    remote_engine = RemoteMixEngine(deployment, None, {}, backend=deployment.engine.backend)
+    for engine in (deployment.engine, remote_engine):
+        remote = engine is remote_engine
         ctx = engine.prepare(deployment.round_spec())
         for stage in (engine.collect, engine.precompute_collected,
                       engine.finalize_collect, engine.precompute):

@@ -219,27 +219,48 @@ class TestLinks:
         deployment.close()
 
 
+def hop_links(deployment, report):
+    """The round's ``BATCH`` links, after checking there is one per hop of
+    every chain — each member but the last hands its output on."""
+    links = [link for link in report.trace.links if link.kind == BATCH]
+    assert sorted((link.chain_id, link.source, link.destination) for link in links) == sorted(
+        (chain.chain_id, sender.server_name, receiver.server_name)
+        for chain in deployment.chains
+        for sender, receiver in zip(chain.members, chain.members[1:])
+    )
+    return links
+
+
 class TestDeploymentWiring:
     def test_chains_share_the_deployment_transport(self):
-        """Every hop kind crosses the one encoding transport; that it counts
-        payload bytes, never its routing header, is the parity suite's
-        ``COUNTERS`` pin."""
+        """Every hop kind crosses the one encoding transport, each chain hop
+        included; that it counts payload bytes, never its routing header, is
+        the parity suite's ``COUNTERS`` pin."""
         deployment = make_deployment(num_servers=3, num_users=2, num_chains=2, seed=1,
                                      transport="tcp")
-        assert all(chain.transport is deployment.transport for chain in deployment.chains)
-        counters = deployment.run_round().trace.counters
+        report = deployment.run_round()
+        assert all(link.wire_bytes for link in hop_links(deployment, report))
+        counters = report.trace.counters
         deployment.close()
         kinds = (SUBMISSION_BATCH, BATCH, MAILBOX_DELIVERY, MAILBOX_FETCH_BATCH)
         assert all(counters[f"wire_bytes.{kind}"] for kind in kinds)
 
     def test_use_transport_rewires_chains(self):
+        """Chains hold no transport: every hop crosses the deployment's
+        current one, after a swap and on a re-formed chain alike (the TCP
+        replacement encodes each batch, the in-process one does not)."""
         deployment = make_deployment(num_servers=3, num_users=2, num_chains=2, seed=1)
+        assert all(
+            link.wire_bytes is None for link in hop_links(deployment, deployment.run_round())
+        )
         replacement = TcpTransport(deployment.group, node_name="loopback")
         deployment.use_transport(replacement)
         assert deployment.transport is replacement
-        assert all(chain.transport is replacement for chain in deployment.chains)
-        counters = deployment.run_round().trace.counters
-        assert counters[f"wire_bytes.{BATCH}"] > 0
+        assert all(link.wire_bytes for link in hop_links(deployment, deployment.run_round()))
+        retired = deployment.chain(0)
+        deployment.reform_chain(0)
+        assert deployment.chain(0) is not retired
+        assert all(link.wire_bytes for link in hop_links(deployment, deployment.run_round()))
         deployment.close()
 
     def test_unknown_transport_rejected(self):
