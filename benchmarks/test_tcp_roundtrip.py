@@ -16,8 +16,9 @@ import time
 import pytest
 
 from repro.crypto.group import ModPGroup
+from repro.mixnet.messages import SubmissionBatch
 from repro.transport import InProcTransport
-from repro.transport.envelope import SUBMISSION, Envelope
+from repro.transport.envelope import SUBMISSION_BATCH, Envelope
 from repro.transport.tcp import TcpTransport
 
 from benchmarks.conftest import save_result
@@ -32,11 +33,12 @@ def submission_envelopes(group, count):
         submission = make_submission(group, chain_id=1, sender=f"user-{index}")
         envelopes.append(
             Envelope(
-                kind=SUBMISSION,
+                kind=SUBMISSION_BATCH,
                 source=f"user-{index}",
                 destination="server-0",
                 round_number=1,
-                payload=submission,
+                payload=SubmissionBatch.from_submissions(group, [submission]),
+                chain_id=1,
             )
         )
     return envelopes

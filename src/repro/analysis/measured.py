@@ -62,20 +62,21 @@ def round_latency_seconds(links: List[Link], cost_model: CostModel) -> float:
     """Modelled end-to-end time of a round's critical path through ``links``.
 
     The round's data flow is: the submissions reach their entry servers
-    (framed per chain, ``SUBMISSION_BATCH``, plus any single injected
-    ``SUBMISSION``; frames cross their links in parallel, so the slowest
-    upload gates the start), the chains mix (each chain's batches traverse
-    its hops *sequentially*; chains run in parallel, so the slowest chain
-    gates delivery), the recovered messages reach the mailbox servers, and
-    the users fetch (framed per shard, ``MAILBOX_FETCH_BATCH`` — the slowest
-    fetch gates the end).  Banked covers stay off the critical path — they
-    are uploads *for the next round*.
+    (``SUBMISSION_BATCH`` frames, per chain from the population and per
+    chain for any injected submissions; frames cross their links in
+    parallel, so the slowest upload gates the start), the chains mix (each
+    chain's batches traverse its hops *sequentially*; chains run in
+    parallel, so the slowest chain gates delivery), the recovered records
+    reach the mailbox servers (``MAILBOX_DELIVERY``, on the chain's path),
+    and the users fetch (framed per shard, ``MAILBOX_FETCH_BATCH`` — the
+    slowest fetch gates the end).  Banked covers stay off the critical
+    path — they are uploads *for the next round*.
     """
     submission_max = fetch_max = 0.0
     chain_path: Dict[Optional[int], float] = {}
     for record in links:
         seconds = _seconds(record, cost_model)
-        if record.kind in (ev.SUBMISSION, ev.SUBMISSION_BATCH):
+        if record.kind == ev.SUBMISSION_BATCH:
             submission_max = max(submission_max, seconds)
         elif record.kind == ev.MAILBOX_FETCH_BATCH:
             fetch_max = max(fetch_max, seconds)
@@ -105,7 +106,8 @@ def _per_user_frame_bytes(deployment, report) -> Dict:
     comparison already makes: every submission of a deployment has the same
     wire size, so a chain frame divides evenly over its roster, and every
     online user downloads ℓ same-size messages, so a shard's fetch frame
-    divides evenly over the owners that shard holds.
+    divides evenly over the owners that shard holds.  A frame of injected
+    submissions (source ``INJECTED``) carries no honest user's bytes.
     """
     population = deployment.population
     shard_rosters: Dict[str, List[str]] = {}
@@ -115,7 +117,8 @@ def _per_user_frame_bytes(deployment, report) -> Dict:
     uploads: Dict[str, float] = {}
     downloads: Dict[str, float] = {}
     for record in _measured_links(report):
-        if record.kind in (ev.SUBMISSION_BATCH, ev.COVER_SUBMISSION_BATCH):
+        uploaded = record.kind in (ev.SUBMISSION_BATCH, ev.COVER_SUBMISSION_BATCH)
+        if uploaded and record.source == ev.POPULATION:
             roster, totals = population.chain_rosters.get(record.chain_id, []), uploads
         elif record.kind == ev.MAILBOX_FETCH_BATCH:
             roster, totals = shard_rosters.get(record.source, []), downloads

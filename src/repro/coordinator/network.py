@@ -52,7 +52,7 @@ from repro.engine import (
     StaggeredScheduler,
 )
 from repro.errors import ConfigurationError, ProtocolError
-from repro.mailbox import MailboxHub
+from repro.mailbox import ShardedMailboxHub
 from repro.mixnet.ahs import ChainMember, MixChain
 from repro.mixnet.chain import ChainTopology, form_chains, required_chain_length
 from repro.mixnet.messages import ClientSubmission, SubmissionBatch
@@ -198,7 +198,7 @@ class Deployment:
         server_nodes: List[MixServerNode],
         topologies: List[ChainTopology],
         chains: List[MixChain],
-        mailboxes: MailboxHub,
+        mailboxes: ShardedMailboxHub,
         users: List[User],
         transport: Optional[Transport] = None,
     ) -> None:
@@ -282,7 +282,7 @@ class Deployment:
             chain.setup()
             chains.append(chain)
 
-        mailboxes = MailboxHub(num_servers=config.num_mailbox_servers)
+        mailboxes = ShardedMailboxHub(num_servers=config.num_mailbox_servers)
         # A user is her stream key: the identity secret is its first draw.
         user_keys = stream.derive_keys(master_key, stream.USER, range(config.num_users))
         identity_secrets = stream.scalars(group, stream.blocks(

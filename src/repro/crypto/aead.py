@@ -211,7 +211,8 @@ def adec_batch(keys: _kernels.KeyBatch, nonce, datas: Sequence[bytes],
                aad: bytes = b"") -> List[Tuple[bool, Optional[bytes]]]:
     """Batched :func:`adec`: per-message ``(ok, plaintext)`` pairs.
 
-    ``keys`` is a sequence of 32-byte keys or one blob of them.  Messages
+    ``keys`` is a sequence of 32-byte keys or one blob of them; a message
+    may be any bytes-like view (the fetch passes record views).  Messages
     shorter than a tag fail without consuming keystream, exactly like the
     scalar path.
     """
@@ -235,7 +236,7 @@ def adec_batch(keys: _kernels.KeyBatch, nonce, datas: Sequence[bytes],
     for index, data in enumerate(datas):
         if len(data) < AEAD_TAG_SIZE:
             continue
-        ciphertext, tag = data[:-AEAD_TAG_SIZE], data[-AEAD_TAG_SIZE:]
+        ciphertext, tag = bytes(data[:-AEAD_TAG_SIZE]), data[-AEAD_TAG_SIZE:]
         otk = otk_flat[index * BLOCK_SIZE:index * BLOCK_SIZE + 32]
         if poly1305_verify(_mac_data(aad, ciphertext), otk, tag):
             survivors.append((index, ciphertext))

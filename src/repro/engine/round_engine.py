@@ -41,14 +41,15 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 from repro import trace
 from repro.engine.backends import ParallelBackend
 from repro.engine.stages import ChainOutcome, RoundContext, RoundReport, RoundSpec
-from repro.mixnet.messages import FetchBatch, MailboxBatch, SubmissionBatch
-from repro.population.streaming import built_chunks, chunk_spans
+from repro.mixnet.messages import SubmissionBatch
+from repro.population.streaming import built_chunks, chunk_spans, index_spans
 from repro.transport.envelope import (
+    INJECTED,
     MAILBOX_DELIVERY,
     MAILBOX_FETCH_BATCH,
+    POPULATION,
     Envelope,
     submission_batch_envelope,
-    submission_envelope,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -169,7 +170,7 @@ class RoundEngine:
 
     def _upload_submission_batches(
         self, ctx: RoundContext, per_chain: Dict[int, SubmissionBatch], cover: bool,
-        part: Optional[int] = None,
+        part: Optional[int] = None, source: str = POPULATION,
     ) -> Dict[int, SubmissionBatch]:
         """Ship per-chain batches over the transport; the batches as delivered.
 
@@ -187,6 +188,7 @@ class RoundEngine:
                 ctx.round_number,
                 cover=cover,
                 part=part,
+                source=source,
             )
             for chain_id, batch in per_chain.items()
         ]
@@ -302,8 +304,11 @@ class RoundEngine:
     def finalize_collect(self, ctx: RoundContext) -> None:
         """Build any deferred users' submissions and assemble the chain batches.
 
-        Batches are assembled in global user order (then extra submissions),
-        so their contents are independent of which phase built each user.
+        Batches are assembled in global user order, then the extra
+        submissions in spec order, so their contents are independent of
+        which phase built each user.  Injected (possibly adversarial)
+        submissions cross the same client→entry-server link as honest ones:
+        one ``SUBMISSION_BATCH`` per chain, from the ``INJECTED`` source.
         """
         deployment = self.deployment
         self._build_population_submissions(
@@ -316,17 +321,17 @@ class RoundEngine:
         # chain lists hold the only references to the records, so each
         # chain's list dies as soon as its batch is joined.
         ctx.user_submissions = {}
+        extras: Dict[int, list] = {}
         for submission in ctx.spec.extra_submissions:
             if submission.chain_id in records:
-                # Injected (possibly adversarial) submissions cross the same
-                # client→entry-server link as honest ones.
-                delivered = deployment.transport.deliver(
-                    submission_envelope(
-                        submission, deployment.entry_servers, ctx.round_number
-                    )
-                )
-                if delivered is not None:
-                    records[submission.chain_id].append(delivered.to_bytes())
+                extras.setdefault(submission.chain_id, []).append(submission.to_bytes())
+        if extras:
+            injected = self._upload_submission_batches(ctx, {
+                chain_id: SubmissionBatch.from_records(deployment.group, extras[chain_id])
+                for chain_id in sorted(extras)
+            }, cover=False, source=INJECTED)
+            for chain_id, batch in injected.items():
+                records[chain_id].extend(batch.records())
         ctx.per_chain = {
             chain_id: SubmissionBatch.from_records(deployment.group, records.pop(chain_id))
             for chain_id in list(records)
@@ -454,28 +459,29 @@ class RoundEngine:
             # Nothing reads a delivered round's chain state again; it is
             # freed on the coordinating thread, for any helper count.
             chain.release_round(ctx.round_number)
-            # The last server of the chain ships the recovered messages
-            # to the mailbox tier — as one framed message per chain, or
-            # per (chain, chunk) under the streaming pipeline, so the
-            # mailbox hub's intake is incremental and the largest single
-            # wire message stays bounded.  deliver_batch preserves
-            # per-recipient arrival order across successive calls, so
-            # chunked delivery leaves mailbox contents bit-identical.
+            # The last server of the chain ships the recovered records to
+            # the mailbox tier — as one framed message per chain, or per
+            # (chain, chunk) under the streaming pipeline, so the mailbox
+            # hub's intake is incremental and the largest single wire
+            # message stays bounded.  deliver_batch preserves per-recipient
+            # arrival order across successive calls, so chunked delivery
+            # leaves mailbox contents bit-identical.
+            batch = result.mailbox_messages
             chunk_size = deployment.config.population_chunk_size
-            for part, span in enumerate(chunk_spans(result.mailbox_messages, chunk_size)):
-                messages = deployment.transport.deliver(
+            for part, span in enumerate(index_spans(len(batch), chunk_size)):
+                delivered = deployment.transport.deliver(
                     Envelope(
                         kind=MAILBOX_DELIVERY,
                         source=chain.members[-1].server_name,
                         destination="mailbox-hub",
                         round_number=ctx.round_number,
-                        payload=MailboxBatch.from_messages(span),
+                        payload=batch if chunk_size is None else batch.select(span),
                         chain_id=chain.chain_id,
                         part=part if chunk_size is not None else None,
                     )
                 )
                 report.dropped_unknown_recipients += (
-                    deployment.mailboxes.deliver_batch(ctx.round_number, messages)
+                    deployment.mailboxes.deliver_batch(ctx.round_number, delivered)
                 )
         # Server convictions (blame verdicts, proof failures) become pending
         # recoveries: the coordinator evicts and re-forms on an explicit
@@ -490,8 +496,9 @@ class RoundEngine:
         """Every online user fetches and decrypts her mailbox.
 
         The downloads are framed per mailbox shard (one envelope per shard
-        instead of one per user) and decrypted through the population's
-        batched trial-decryption cascade.  Under the streaming pipeline the
+        instead of one per user), read as record views — no object is
+        built — and decrypted through the population's batched
+        trial-decryption cascade.  Under the streaming pipeline the
         users are walked in population chunks: each chunk's downloads are
         framed per (shard, chunk) and trial-decrypted before the next
         chunk's are fetched, so the fetch stage holds O(chunk) inboxes at a
@@ -514,19 +521,18 @@ class RoundEngine:
                 for server, owners in deployment.mailboxes.shard_owners(
                     [user.public_bytes for user in span]
                 ):
-                    pairs = deployment.mailboxes.fetch_batch(ctx.round_number, owners)
                     delivered = deployment.transport.deliver(
                         Envelope(
                             kind=MAILBOX_FETCH_BATCH,
                             source=server.name,
-                            destination="user-population",
+                            destination=POPULATION,
                             round_number=ctx.round_number,
-                            payload=FetchBatch.from_pairs(pairs),
+                            payload=deployment.mailboxes.fetch_batch(ctx.round_number, owners),
                             part=part if chunk_size is not None else None,
                         )
                     )
-                    for owner, messages in delivered:
-                        inboxes_by_owner.setdefault(owner, []).extend(messages)
+                    for owner, records in delivered.inboxes():
+                        inboxes_by_owner.setdefault(owner, []).extend(records)
                 inboxes = [inboxes_by_owner.get(user.public_bytes, []) for user in span]
                 for user, inbox in zip(span, inboxes):
                     report.mailbox_counts[user.name] = len(inbox)

@@ -14,7 +14,7 @@ A communication round decomposes into seven explicit stages:
    may start it early (over what collect has built so far) and top it up;
 5. **mix** — accept and run the aggregate hybrid shuffle on every chain;
 6. **deliver** — fold the per-chain outcomes into the round report and hand
-   the recovered mailbox messages to the mailbox servers, in chain order so
+   the recovered mailbox records to the mailbox servers, in chain order so
    the result is independent of the mixing schedule;
 7. **fetch** — each online user fetches and decrypts her mailbox.
 
@@ -131,8 +131,8 @@ class RoundReport:
             result = self.chain_results[chain_id]
             feed(b"chain", chain_id, result.status, result.input_digest, result.invalid_inner_count)
             feed(result.misbehaving_server, *result.rejected_senders)
-            for message in result.mailbox_messages:
-                feed(message.to_bytes())
+            for record in result.mailbox_messages.records():
+                feed(bytes(record))
         feed(b"offline", *self.offline_users)
         feed(b"covers", *self.used_cover_for)
         feed(b"rejected", *self.rejected_senders)

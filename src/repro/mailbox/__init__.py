@@ -1,5 +1,5 @@
 """Mailbox servers (§5.1): per-user message stores trusted only for availability."""
 
-from repro.mailbox.mailbox import Mailbox, MailboxHub, MailboxServer, ShardedMailboxHub
+from repro.mailbox.mailbox import Mailbox, MailboxServer, ShardedMailboxHub
 
-__all__ = ["Mailbox", "MailboxHub", "MailboxServer", "ShardedMailboxHub"]
+__all__ = ["Mailbox", "MailboxServer", "ShardedMailboxHub"]

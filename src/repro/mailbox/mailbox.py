@@ -13,9 +13,16 @@ first point at or after the hash of her public key.  Adding or removing a
 shard therefore moves only the owners in the vacated arcs — ``~1/n`` of
 them — where the previous modulo scheme reshuffled nearly everyone.  The
 owner→server mapping is cached at mailbox creation, so steady-state routing
-is one dict lookup, and both delivery and fetch are *batched*: messages are
+is one dict lookup, and both delivery and fetch are *batched*: records are
 grouped per shard and appended with one list-extend per mailbox round
 (O(batch) dict merges) instead of one guarded put per message.
+
+A mailbox holds *records* — ``recipient || AEnc(s, ρ, body)``, the
+:meth:`~repro.mixnet.messages.MailboxMessage.to_bytes` layout — as
+``bytes``: delivery slices them out of a chain's
+:class:`~repro.mixnet.messages.MailboxBatch` (a copy, so mail held for an
+offline user does not keep the chain's whole delivery alive), and a fetch
+frames them into a :class:`~repro.mixnet.messages.FetchBatch` as they are.
 """
 
 from __future__ import annotations
@@ -23,12 +30,13 @@ from __future__ import annotations
 import bisect
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from repro.constants import GROUP_ELEMENT_SIZE
 from repro.errors import MailboxError
-from repro.mixnet.messages import MailboxMessage
+from repro.mixnet.messages import FetchBatch, MailboxBatch, MailboxMessage
 
-__all__ = ["Mailbox", "MailboxServer", "ShardedMailboxHub", "MailboxHub"]
+__all__ = ["Mailbox", "MailboxServer", "ShardedMailboxHub"]
 
 #: Virtual ring points per mailbox server.  Enough that shard loads stay
 #: within a few percent of uniform at deployment scale while keeping ring
@@ -38,39 +46,39 @@ VIRTUAL_NODES_PER_SERVER = 64
 
 @dataclass(slots=True)
 class Mailbox:
-    """A single user's mailbox: per-round lists of sealed messages."""
+    """A single user's mailbox: per-round lists of sealed records."""
 
     owner: bytes
-    _rounds: Dict[int, List[MailboxMessage]] = field(default_factory=dict)
+    _rounds: Dict[int, List[bytes]] = field(default_factory=dict)
 
     def put(self, round_number: int, message: MailboxMessage) -> None:
         if message.recipient != self.owner:
             raise MailboxError("message recipient does not match mailbox owner")
-        self._rounds.setdefault(round_number, []).append(message)
+        self._rounds.setdefault(round_number, []).append(message.to_bytes())
 
-    def put_batch(self, round_number: int, messages: Sequence[MailboxMessage]) -> None:
-        """Append a whole round batch in one list merge.
+    def put_batch(self, round_number: int, records: Sequence[bytes]) -> None:
+        """Append a whole round batch of records in one list merge.
 
         The caller (the hub's sharded delivery) has already routed by
-        recipient, so the per-message ownership check reduces to one
+        recipient, so the per-record ownership check reduces to one
         assertion over the batch.
         """
-        for message in messages:
-            if message.recipient != self.owner:
+        for record in records:
+            if record[:GROUP_ELEMENT_SIZE] != self.owner:
                 raise MailboxError("message recipient does not match mailbox owner")
-        self._rounds.setdefault(round_number, []).extend(messages)
+        self._rounds.setdefault(round_number, []).extend(records)
 
-    def get(self, round_number: int) -> List[MailboxMessage]:
-        """Return (without removing) every message delivered in ``round_number``."""
+    def get(self, round_number: int) -> List[bytes]:
+        """Return (without removing) every record delivered in ``round_number``."""
         return list(self._rounds.get(round_number, []))
 
-    def drain(self, round_number: int) -> List[MailboxMessage]:
-        """Return and delete the round's messages — and any earlier round's:
+    def drain(self, round_number: int) -> List[bytes]:
+        """Return and delete the round's records — and any earlier round's:
         mail the owner missed offline, which nothing reads after this fetch."""
-        messages = self._rounds.pop(round_number, [])
+        records = self._rounds.pop(round_number, [])
         for stale in [held for held in self._rounds if held < round_number]:
             del self._rounds[stale]
-        return messages
+        return records
 
     def message_count(self, round_number: int) -> int:
         return len(self._rounds.get(round_number, []))
@@ -95,25 +103,23 @@ class MailboxServer:
             raise MailboxError("no mailbox registered for this recipient")
         self._mailboxes[message.recipient].put(round_number, message)
 
-    def deliver_grouped(
-        self, round_number: int, groups: Dict[bytes, List[MailboxMessage]]
-    ) -> int:
-        """Deliver recipient-grouped messages; return the dropped count."""
+    def deliver_grouped(self, round_number: int, groups: Dict[bytes, List[bytes]]) -> int:
+        """Deliver recipient-grouped records; return the dropped count."""
         dropped = 0
-        for recipient, messages in groups.items():
+        for recipient, records in groups.items():
             mailbox = self._mailboxes.get(recipient)
             if mailbox is None:
-                dropped += len(messages)
+                dropped += len(records)
                 continue
-            mailbox.put_batch(round_number, messages)
+            mailbox.put_batch(round_number, records)
         return dropped
 
-    def get(self, round_number: int, owner: bytes) -> List[MailboxMessage]:
+    def get(self, round_number: int, owner: bytes) -> List[bytes]:
         if owner not in self._mailboxes:
             raise MailboxError("no mailbox registered for this owner")
         return self._mailboxes[owner].get(round_number)
 
-    def drain(self, round_number: int, owner: bytes) -> List[MailboxMessage]:
+    def drain(self, round_number: int, owner: bytes) -> List[bytes]:
         if owner not in self._mailboxes:
             raise MailboxError("no mailbox registered for this owner")
         return self._mailboxes[owner].drain(round_number)
@@ -178,33 +184,33 @@ class ShardedMailboxHub:
     def put(self, round_number: int, message: MailboxMessage) -> None:
         self._server_for(message.recipient).put(round_number, message)
 
-    def deliver_batch(self, round_number: int, messages: Iterable[MailboxMessage]) -> int:
-        """Deliver a batch of messages, dropping ones addressed to unknown mailboxes.
+    def deliver_batch(self, round_number: int, batch: MailboxBatch) -> int:
+        """Deliver a chain's records, dropping ones addressed to unknown mailboxes.
 
-        Messages for unknown recipients can only have been produced by
+        Records for unknown recipients can only have been produced by
         malicious users (honest users address themselves or their partner),
         so dropping them is safe; the count of drops is returned for
         reporting.  Delivery is grouped per (shard, recipient) so the hot
-        path is dict merges, not per-message guarded puts.
+        path is dict merges, not per-record guarded puts.
         """
-        per_server: Dict[int, Dict[bytes, List[MailboxMessage]]] = {}
+        per_server: Dict[int, Dict[bytes, List[bytes]]] = {}
         server_ids: Dict[int, MailboxServer] = {}
-        for message in messages:
-            server = self._server_for(message.recipient)
+        for index in range(len(batch)):
+            record = bytes(batch.record(index))
+            recipient = record[:GROUP_ELEMENT_SIZE]
+            server = self._server_for(recipient)
             key = id(server)
             server_ids[key] = server
-            per_server.setdefault(key, {}).setdefault(message.recipient, []).append(message)
+            per_server.setdefault(key, {}).setdefault(recipient, []).append(record)
         dropped = 0
         for key, groups in per_server.items():
             dropped += server_ids[key].deliver_grouped(round_number, groups)
         return dropped
 
-    def get(self, round_number: int, owner: bytes) -> List[MailboxMessage]:
+    def get(self, round_number: int, owner: bytes) -> List[bytes]:
         return self._server_for(owner).get(round_number, owner)
 
-    def fetch_batch(
-        self, round_number: int, owners: Sequence[bytes]
-    ) -> List[Tuple[bytes, List[MailboxMessage]]]:
+    def fetch_batch(self, round_number: int, owners: Sequence[bytes]) -> FetchBatch:
         """Every given owner's round download, in owner order, drained.
 
         The population fetch path frames these per shard (see
@@ -214,13 +220,11 @@ class ShardedMailboxHub:
         a repeated owner gets the same download each time.  Offline users
         keep theirs until their next fetch; :meth:`get` does not drain.
         """
-        drained: Dict[bytes, List[MailboxMessage]] = {}
-        pairs = []
+        drained: Dict[bytes, List[bytes]] = {}
         for owner in owners:
             if owner not in drained:
                 drained[owner] = self._server_for(owner).drain(round_number, owner)
-            pairs.append((owner, drained[owner]))
-        return pairs
+        return FetchBatch.from_inboxes((owner, drained[owner]) for owner in owners)
 
     def shard_owners(self, owners: Sequence[bytes]) -> List[Tuple[MailboxServer, List[bytes]]]:
         """Group ``owners`` by their shard, preserving order within a shard."""
@@ -236,8 +240,3 @@ class ShardedMailboxHub:
     def message_counts(self, round_number: int, owners: Sequence[bytes]) -> Dict[bytes, int]:
         """Per-owner delivered-message counts — the adversary's observable in §5.3.3."""
         return {owner: len(self.get(round_number, owner)) for owner in owners}
-
-
-#: Historical name: the hub has always sharded by recipient key; it now does
-#: so with a consistent-hash ring and batched flows.
-MailboxHub = ShardedMailboxHub

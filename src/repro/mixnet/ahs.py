@@ -55,10 +55,10 @@ from repro.crypto.onion import (
     decrypt_inner_batch,
     shared_keys_batch,
 )
-from repro.errors import CryptoError, DecodingError, ProofError, ProtocolError
+from repro.errors import CryptoError, ProofError, ProtocolError
 from repro.mixnet.messages import (
     EncodedBatch,
-    MailboxMessage,
+    MailboxBatch,
     SubmissionBatch,
     batch_digest,
 )
@@ -508,7 +508,8 @@ class ChainRoundResult:
     chain_id: int
     round_number: int
     status: str
-    mailbox_messages: List[MailboxMessage] = field(default_factory=list)
+    #: The opened records, in batch order; indexing yields MailboxMessage.
+    mailbox_messages: MailboxBatch = field(default_factory=lambda: MailboxBatch.from_records(()))
     blame_verdict: Optional[object] = None
     misbehaving_server: Optional[str] = None
     rejected_senders: List[str] = field(default_factory=list)
@@ -852,7 +853,7 @@ class MixChain:
                 )
             inner_secrets.append(secret)
 
-        mailbox_messages: List[MailboxMessage] = []
+        records: List[bytes] = []
         invalid_inner = 0
         envelopes: List[Optional[InnerEnvelope]] = []
         for ciphertext in map(entries.ciphertext, range(len(entries))):
@@ -870,18 +871,15 @@ class MixChain:
                 invalid_inner += 1
                 continue
             ok, plaintext = next(opened)
-            if not ok or plaintext is None:
-                invalid_inner += 1
-                continue
-            try:
-                mailbox_messages.append(MailboxMessage.from_bytes(plaintext))
-            except DecodingError:
+            if ok and plaintext is not None and len(plaintext) >= MailboxBatch.MINIMUM:
+                records.append(plaintext)
+            else:
                 invalid_inner += 1
         return ChainRoundResult(
             chain_id=self.chain_id,
             round_number=round_number,
             status=ChainRoundResult.STATUS_DELIVERED,
-            mailbox_messages=mailbox_messages,
+            mailbox_messages=MailboxBatch.from_records(records),
             rejected_senders=rejected_senders,
             invalid_inner_count=invalid_inner,
             input_digest=digest,

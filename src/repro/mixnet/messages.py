@@ -11,9 +11,11 @@ honest user's, so all formats here are fixed-size for a given deployment:
   chain in the AHS design: the shared outer Diffie-Hellman key ``X = g^x``,
   the outer ciphertext, and the NIZK that she knows ``x`` (§6.2).
 * :class:`SubmissionBatch` — a batch of submissions held in its wire
-  encoding, from the population's build to a chain's intake;
-  :class:`MailboxBatch` and :class:`FetchBatch` are the mailbox flows'
-  wire-resident batches.
+  encoding, from the population's build (or an injected batch) to a
+  chain's intake; :class:`MailboxBatch` (a chain's output, on its way to
+  the hub) and :class:`FetchBatch` (a shard's downloads) are the downlink's.
+  Each batch is one blob of records plus offsets; indexing one builds the
+  per-item object, which no round does.
 * :class:`EncodedBatch` — the round's batch of ``(X_i^j, c_i^j)`` pairs
   that flows between servers inside a chain during mixing (§6.3), held in
   its wire encoding; :class:`BatchEntry` is the decoded view of one pair.
@@ -22,6 +24,7 @@ honest user's, so all formats here are fixed-size for a given deployment:
 from __future__ import annotations
 
 import hashlib
+import struct
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
@@ -201,10 +204,9 @@ class ClientSubmission:
     necessarily knows who submitted what; XRD's privacy comes from the shuffle
     breaking the link between submissions and delivered mailbox messages.
 
-    Honest rounds carry submissions as :class:`SubmissionBatch` records from
-    build to intake; this object is the per-item form — injected and
-    adversarial submissions, the single ``SUBMISSION`` envelope, and what
-    indexing a batch yields.
+    Every round carries submissions as :class:`SubmissionBatch` records
+    from build to intake; this object is the per-item form — what the
+    adversary's forges build and what indexing a batch yields.
     """
 
     chain_id: int
@@ -212,7 +214,6 @@ class ClientSubmission:
     dh_public: bytes
     ciphertext: bytes
     proof: SchnorrProof
-    cover: bool = False
 
     def to_bytes(self) -> bytes:
         """Serialise to the fixed layout the entry server parses.
@@ -291,6 +292,10 @@ def _walk_records(data: bytes, start: int, minimum: int, what: str,
     return end
 
 
+#: A big-endian length field read in place: ``_read_u32(data, offset)[0]``.
+_read_u32 = struct.Struct(">I").unpack_from
+
+
 def _join_records(records: Iterable[bytes]) -> Tuple[bytes, array]:
     """Length-prefix and concatenate ``records``; the blob and its offsets."""
     records = list(records)
@@ -306,43 +311,24 @@ class _RecordBatch(Sequence):
     """Shared body of the wire-resident batches: uplink, chain and mailbox.
 
     On the wire a batch is ``count (4) || entries``; ``blob`` is the
-    entries and ``offsets[i]`` is where entry ``i`` starts in it.  A batch
-    built by a sender that holds decoded items (the mailbox tier's
-    messages) keeps them as ``items`` and encodes only when a link asks
-    for bytes, so a hand-off in process passes the sender's own objects.
-    Subclasses say how an entry encodes and decodes.
+    entries and ``offsets[i]`` is where entry ``i`` starts in it (the last
+    offset is where the blob ends).  Two batches of one kind are equal when
+    their blobs are, and a batch equals the list of the items it yields.
+    Subclasses say how an entry decodes.
     """
 
-    __slots__ = ("_blob", "_offsets", "_items")
+    __slots__ = ("_blob", "_offsets")
 
-    def __init__(self, blob: bytes, offsets: Optional[array], items: Optional[list] = None) -> None:
+    def __init__(self, blob: bytes, offsets: array) -> None:
         self._blob = blob
         self._offsets = offsets
-        self._items = items
-
-    @classmethod
-    def _of_items(cls, items: Iterable):
-        return cls(b"", None, list(items))
-
-    def _encode_items(self, items: list) -> Tuple[bytes, array]:
-        raise NotImplementedError
-
-    def _wire(self) -> Tuple[bytes, array]:
-        """The blob and offsets, encoding held items on first use."""
-        if self._offsets is None:
-            self._blob, self._offsets = self._encode_items(self._items)
-        return self._blob, self._offsets
 
     def __len__(self) -> int:
-        if self._items is not None:
-            return len(self._items)
         return len(self._offsets) - 1
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        if self._items is not None:
-            return self._items[index]
         count = len(self)
         if index < 0:
             index += count
@@ -351,29 +337,31 @@ class _RecordBatch(Sequence):
         return self._materialise(index)
 
     def __iter__(self):
-        if self._items is not None:
-            return iter(self._items)
         return map(self._materialise, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, list):
+            return list(self) == other
+        if not isinstance(other, _RecordBatch):
+            return NotImplemented
+        return type(self) is type(other) and self._blob == other._blob
 
     def _materialise(self, index: int):
         raise NotImplementedError
 
     @property
     def blob(self) -> bytes:
-        return self._wire()[0]
+        return self._blob
 
     def to_wire(self) -> bytes:
         """The wire payload: the entry count, then the blob as it is."""
-        return len(self).to_bytes(4, "big") + self._wire()[0]
+        return len(self).to_bytes(4, "big") + self._blob
 
     def select(self, indices: Iterable[int]):
         """A new batch holding the entries at ``indices``, in that order.
 
-        A link moves records as bytes, undecoded; held items move as they
-        are.
+        The entries move as bytes, undecoded: all a link can do to them.
         """
-        if self._items is not None:
-            return self._of_items([self._items[index] for index in indices])
         blob, offsets = self._blob, self._offsets
         picked = array("Q", [0])
         parts: List[bytes] = []
@@ -396,14 +384,12 @@ class _PrefixedBatch(_RecordBatch):
 
     def record(self, index: int) -> bytes:
         """Record ``index``'s bytes, without its length prefix."""
-        blob, offsets = self._wire()
-        return blob[offsets[index] + 4:offsets[index + 1]]
+        return self._blob[self._offsets[index] + 4:self._offsets[index + 1]]
 
     def records(self) -> List[memoryview]:
         """Every record, as a view into the blob (no copy; the views keep
         the blob alive)."""
-        blob, offsets = self._wire()
-        view = memoryview(blob)
+        offsets, view = self._offsets, memoryview(self._blob)
         return [view[offsets[index] + 4:offsets[index + 1]] for index in range(len(self))]
 
 
@@ -515,13 +501,21 @@ class SubmissionBatch(_PrefixedBatch):
         return self._blob[start:self._offsets[index + 1]]
 
 
-class MailboxBatch(_PrefixedBatch):
-    """Mailbox messages in transit (``MAILBOX_DELIVERY``).
+def _mailbox_message(record: bytes) -> MailboxMessage:
+    """The per-item form of one mailbox record (checked where it entered)."""
+    return MailboxMessage(
+        recipient=bytes(record[:GROUP_ELEMENT_SIZE]), sealed_body=bytes(record[GROUP_ELEMENT_SIZE:])
+    )
 
-    Length-prefixed :meth:`MailboxMessage.to_bytes` records.  Built from a
-    chain's messages it holds them and encodes when a link needs bytes;
-    parsed from the wire it is a view, checked once, whose records become
-    :class:`MailboxMessage` objects only as a consumer reads them.
+
+class MailboxBatch(_PrefixedBatch):
+    """Mailbox records in transit (``MAILBOX_DELIVERY``): a chain's output.
+
+    Length-prefixed ``recipient || sealed body`` records, the
+    :meth:`MailboxMessage.to_bytes` layout.  The last server joins the
+    plaintexts it opens into one, the transport carries it as it is, and
+    the hub stores its records.  Indexing builds one :class:`MailboxMessage`
+    on demand; the round never does.
     """
 
     __slots__ = ()
@@ -530,11 +524,9 @@ class MailboxBatch(_PrefixedBatch):
     MINIMUM = GROUP_ELEMENT_SIZE + AEAD_TAG_SIZE
 
     @classmethod
-    def from_messages(cls, messages: Iterable[MailboxMessage]) -> "MailboxBatch":
-        return cls._of_items(messages)
-
-    def _encode_items(self, items: list) -> Tuple[bytes, array]:
-        return _join_records(message.to_bytes() for message in items)
+    def from_records(cls, records: Iterable[bytes]) -> "MailboxBatch":
+        """Join records of at least :attr:`MINIMUM` bytes."""
+        return cls(*_join_records(records))
 
     @classmethod
     def read(cls, data: bytes, offset: int = 0) -> Tuple["MailboxBatch", int]:
@@ -551,10 +543,7 @@ class MailboxBatch(_PrefixedBatch):
         return batch
 
     def _materialise(self, index: int) -> MailboxMessage:
-        record = self.record(index)
-        return MailboxMessage(
-            recipient=record[:GROUP_ELEMENT_SIZE], sealed_body=record[GROUP_ELEMENT_SIZE:]
-        )
+        return _mailbox_message(self.record(index))
 
 
 class FetchBatch(_RecordBatch):
@@ -562,33 +551,34 @@ class FetchBatch(_RecordBatch):
 
     Per user: ``owner length (4) || owner key || mailbox batch`` (the
     :meth:`MailboxBatch.to_wire` layout); ``offsets[i]`` is where user
-    ``i``'s entry starts.  Built from the hub's ``(owner, messages)`` pairs
-    it holds them and encodes when a link needs bytes; parsed from the wire
-    it is a view checked once.  Indexing yields ``(owner, messages)``, the
-    user's :class:`MailboxMessage` list; :meth:`owners` reads the keys
-    alone.
+    ``i``'s entry starts.  The hub frames it from its stored records, the
+    transport carries it as it is, and :meth:`inboxes` reads each user's
+    records as views.  Indexing yields ``(owner, messages)``, the user's
+    :class:`MailboxMessage` list; :meth:`owners` reads the keys alone.
     """
 
     __slots__ = ()
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[Tuple[bytes, Sequence[MailboxMessage]]]) -> "FetchBatch":
-        return cls._of_items(pairs)
+    def from_inboxes(cls, inboxes: Iterable[Tuple[bytes, Sequence[bytes]]]) -> "FetchBatch":
+        """Frame ``(owner, records)`` pairs, each record in the
+        :meth:`MailboxMessage.to_bytes` layout.
 
-    def _encode_items(self, items: list) -> Tuple[bytes, array]:
-        parts: List[bytes] = []
-        offsets = array("Q", [0])
-        total = 0
-        for owner, messages in items:
-            entry = [len(owner).to_bytes(4, "big"), owner, len(messages).to_bytes(4, "big")]
-            for message in messages:
-                record = message.to_bytes()
-                entry += (len(record).to_bytes(4, "big"), record)
-            joined = b"".join(entry)
-            parts.append(joined)
-            total += len(joined)
-            offsets.append(total)
-        return b"".join(parts), offsets
+        Every record is joined in one pass; an entry is its owner header
+        and a view of its records' span of that blob.
+        """
+        heads, stops, flat = [], [], []
+        for owner, records in inboxes:
+            heads.append(len(owner).to_bytes(4, "big") + owner + len(records).to_bytes(4, "big"))
+            flat.extend(records)
+            stops.append(len(flat))
+        blob, offsets = _join_records(flat)
+        view, parts, sizes, start = memoryview(blob), [], [], 0
+        for head, stop in zip(heads, stops):
+            parts += (head, view[offsets[start]:offsets[stop]])
+            sizes.append(len(head) + offsets[stop] - offsets[start])
+            start = stop
+        return cls(b"".join(parts), array("Q", accumulate(sizes, initial=0)))
 
     @classmethod
     def from_wire(cls, data: bytes) -> "FetchBatch":
@@ -617,28 +607,34 @@ class FetchBatch(_RecordBatch):
         return cls(data[4:], offsets)
 
     def owners(self) -> List[bytes]:
-        if self._items is not None:
-            return [owner for owner, _ in self._items]
-        blob, offsets = self._blob, self._offsets
+        blob = self._blob
         owners = []
-        for start in offsets[:-1]:
+        for start in self._offsets[:-1]:
             owners.append(blob[start + 4:start + 4 + int.from_bytes(blob[start:start + 4], "big")])
         return owners
 
-    def _materialise(self, index: int) -> Tuple[bytes, List[MailboxMessage]]:
-        # The entry was checked where it entered (from_wire).
-        entry = self._blob[self._offsets[index]:self._offsets[index + 1]]
-        split = 4 + int.from_bytes(entry[:4], "big")
-        messages = []
+    def _inbox(self, index: int, view: memoryview) -> Tuple[bytes, List[memoryview]]:
+        # The entry was checked where it entered (built, or from_wire).  The
+        # fetch reads every record of a round here, so the length fields are
+        # unpacked in place rather than sliced out.
+        blob, start = self._blob, self._offsets[index]
+        split = start + 4 + _read_u32(blob, start)[0]
+        records = []
         end = split + 4
-        for _ in range(int.from_bytes(entry[split:end], "big")):
-            start = end + 4
-            end = start + int.from_bytes(entry[end:start], "big")
-            messages.append(MailboxMessage(
-                recipient=entry[start:start + GROUP_ELEMENT_SIZE],
-                sealed_body=entry[start + GROUP_ELEMENT_SIZE:end],
-            ))
-        return entry[4:split], messages
+        for _ in range(_read_u32(blob, split)[0]):
+            record = end + 4
+            end = record + _read_u32(blob, end)[0]
+            records.append(view[record:end])
+        return bytes(blob[start + 4:split]), records
+
+    def inboxes(self) -> List[Tuple[bytes, List[memoryview]]]:
+        """Every ``(owner, records)`` pair, each record a view into the blob."""
+        view = memoryview(self._blob)
+        return [self._inbox(index, view) for index in range(len(self))]
+
+    def _materialise(self, index: int) -> Tuple[bytes, List[MailboxMessage]]:
+        owner, records = self._inbox(index, memoryview(self._blob))
+        return owner, [_mailbox_message(record) for record in records]
 
 
 @dataclass(frozen=True, slots=True)

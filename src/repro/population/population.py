@@ -16,10 +16,12 @@ stream keys) but executes the per-round work column-wise:
   per chain over those columns (:mod:`repro.population.batch_build`), so
   the batch is bit-identical to the per-user oracle whatever the chain,
   chunk or thread it runs on.
-* **fetch** — mailbox decryption runs as a trial-decryption *cascade*: every
-  (user, message) pair tries its first candidate key in one batched AEAD
-  pass, survivors try their second, and so on.  Each message authenticates
-  under exactly one key, so cascade order cannot change any classification.
+* **fetch** — mailbox decryption reads each fetched record as it came
+  (``recipient = record[:32]``, ``sealed body = record[32:]``) and runs a
+  trial-decryption *cascade*: every (user, record) pair tries its first
+  candidate key in one batched AEAD pass, survivors try their second, and
+  so on.  Each record authenticates under exactly one key, so cascade
+  order cannot change any classification.
 
 Chain assignments are derived from public keys alone, so the columns stay
 valid across chain re-formation (:meth:`Deployment.reform_chain
@@ -33,10 +35,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.client.chain_selection import chains_for_user, intersection_chain
 from repro.client.user import ReceivedMessage, User
+from repro.constants import GROUP_ELEMENT_SIZE
 from repro.crypto.aead import adec_batch
 from repro.crypto.kdf import loopback_key
 from repro.errors import ConfigurationError
-from repro.mixnet.messages import MailboxMessage, MessageBody, SubmissionBatch
+from repro.mixnet.messages import MessageBody, SubmissionBatch
 from repro.population.batch_build import PendingColumns, build_chain_submissions
 
 __all__ = ["UserPopulation"]
@@ -163,17 +166,20 @@ class UserPopulation:
         self,
         round_number: int,
         users: Sequence[User],
-        inboxes: Sequence[Sequence[MailboxMessage]],
+        inboxes: Sequence[Sequence[bytes]],
     ) -> Dict[str, List[ReceivedMessage]]:
         """Decrypt and classify every user's round download, cascaded.
 
+        Each inbox holds the user's mailbox records (views or bytes, in the
+        :meth:`~repro.mixnet.messages.MailboxMessage.to_bytes` layout).
         Semantics mirror the per-user oracle (``tests/user_oracle.py``)
         exactly, including the §5.3.3 side effect of marking a conversation
         partner offline.
         """
         results: Dict[str, List[Optional[ReceivedMessage]]] = {}
-        # (user, message, remaining trial keys); trials carry the chain id
-        # the loopback key belongs to, or the conversation sentinel.
+        # (user, record index, sealed body, trial keys, next trial); trials
+        # carry the chain id the loopback key belongs to, or the
+        # conversation sentinel.
         pending: List[list] = []
         for user, inbox in zip(users, inboxes):
             slots: List[Optional[ReceivedMessage]] = [None] * len(inbox)
@@ -182,8 +188,8 @@ class UserPopulation:
             conversation_key = (
                 user.conversation.key_to_me() if user.conversation is not None else None
             )
-            for message_index, message in enumerate(inbox):
-                if message.recipient != user.public_bytes:
+            for message_index, record in enumerate(inbox):
+                if record[:GROUP_ELEMENT_SIZE] != user.public_bytes:
                     slots[message_index] = ReceivedMessage(
                         kind=ReceivedMessage.KIND_UNREADABLE, content=b""
                     )
@@ -195,17 +201,17 @@ class UserPopulation:
                     (chain_id, self._loopback_key(user, chain_id))
                     for chain_id in trial_chains
                 )
-                pending.append([user, message_index, message, trials, 0])
+                pending.append([user, message_index, record[GROUP_ELEMENT_SIZE:], trials, 0])
 
         while pending:
             opened = adec_batch(
                 [item[3][item[4]][1] for item in pending],
                 round_number,
-                [item[2].sealed_body for item in pending],
+                [item[2] for item in pending],
             )
             still_pending: List[list] = []
             for item, (ok, plaintext) in zip(pending, opened):
-                user, message_index, _message, trials, position = item
+                user, message_index, _sealed, trials, position = item
                 if ok:
                     label = trials[position][0]
                     body = MessageBody.decode(plaintext)

@@ -28,7 +28,7 @@ from repro.errors import ConfigurationError
 from repro.mixnet.messages import SubmissionBatch
 from repro.population.population import UserPopulation
 
-__all__ = ["BuiltChunk", "built_chunks", "chunk_spans"]
+__all__ = ["BuiltChunk", "built_chunks", "chunk_spans", "index_spans"]
 
 
 @dataclass(slots=True)
@@ -46,24 +46,32 @@ class BuiltChunk:
     covers: Optional[Dict[int, SubmissionBatch]]
 
 
+def index_spans(count: int, chunk_size: Optional[int]) -> List[range]:
+    """Contiguous index ranges of at most ``chunk_size`` over ``count`` items.
+
+    ``None`` is one range over everything.  There is always at least one
+    (possibly empty) range, so every flow frames at least one envelope per
+    link, exactly as the monolithic path does.
+    """
+    if chunk_size is None:
+        return [range(count)]
+    if chunk_size < 1:
+        raise ConfigurationError("chunk size must be positive")
+    spans = [range(start, min(start + chunk_size, count)) for start in range(0, count, chunk_size)]
+    return spans or [range(0)]
+
+
 def chunk_spans(items: Sequence, chunk_size: Optional[int]) -> Iterator[list]:
-    """Slice ``items`` into contiguous chunks of at most ``chunk_size``.
+    """Slice ``items`` into the lists :func:`index_spans` marks out.
 
     ``None`` keeps the monolithic behaviour: one span holding everything
-    (the original sequence, unsliced — no copy at scale).  Always yields at
-    least one (possibly empty) span so every flow frames at least one
-    envelope per link, exactly as the monolithic path does.
+    (the original list, unsliced — no copy at scale).
     """
     if chunk_size is None:
         yield items if isinstance(items, list) else list(items)
         return
-    if chunk_size < 1:
-        raise ConfigurationError("chunk size must be positive")
-    if not items:
-        yield []
-        return
-    for start in range(0, len(items), chunk_size):
-        yield list(items[start:start + chunk_size])
+    for span in index_spans(len(items), chunk_size):
+        yield list(items[span.start:span.stop])
 
 
 def built_chunks(

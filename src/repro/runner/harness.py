@@ -80,18 +80,19 @@ def run_coordinator(
     runs the scenario, then broadcasts ``SHUTDOWN``.
     """
     deployment = Deployment.create(config)
-    transport = TcpTransport(
-        deployment.group,
-        node_name="coordinator",
-        config_digest=protocol.config_digest(config),
-    )
     try:
+        transport = TcpTransport(
+            deployment.group,
+            node_name="coordinator",
+            config_digest=protocol.config_digest(config),
+        )
+        # The deployment owns the transport from here, so every exit closes it.
+        deployment.use_transport(transport)
         transport.set_peers(peers, owners)
         role_peers = sorted(set(owners.values()))
         control = DistributedControl(transport, role_peers, plan.seed)
         control.send_peers(peers, owners)
         control.ping()
-        deployment.use_transport(transport)
         backend = deployment.engine.backend
         deployment.engine = RemoteMixEngine(deployment, transport, owners, backend)
         runner = ScenarioRunner(deployment, plan, staggered=staggered, control=control)

@@ -24,7 +24,7 @@ import dataclasses
 import enum
 import hashlib
 import json
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.coordinator.network import DeploymentConfig
 from repro.errors import DecodingError
@@ -44,6 +44,7 @@ __all__ = [
     "decode_json_payload",
     "encode_mix_request",
     "decode_mix_request",
+    "decode_recover_request",
     "config_to_dict",
     "config_from_dict",
     "config_digest",
@@ -105,6 +106,33 @@ def decode_mix_request(payload: bytes) -> Tuple[int, int, bytes]:
     chain_id = int.from_bytes(payload[:4], "big")
     round_number = int.from_bytes(payload[4:12], "big")
     return chain_id, round_number, payload[12:]
+
+
+# -- the RECOVER request ----------------------------------------------------------
+#
+# JSON ``{"pending": [[round, chain id, [server, ...]], ...]}``: the
+# coordinator's pending convictions, in the order its deliver stage noted them.
+
+
+def decode_recover_request(payload: bytes) -> List[Tuple[int, int, Tuple[str, ...]]]:
+    """The pending convictions of a ``RECOVER`` body, every entry checked
+    before any is returned, so a refused request changes nothing."""
+    data = decode_json_payload(payload)
+    pending = data.get("pending") if isinstance(data, dict) else None
+    if not isinstance(pending, list):
+        raise DecodingError("a RECOVER body needs a list of pending convictions")
+    parsed = []
+    for entry in pending:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 3
+            and all(type(field) is int for field in entry[:2])
+            and isinstance(entry[2], list)
+            and all(isinstance(server, str) for server in entry[2])
+        ):
+            raise DecodingError(f"malformed pending conviction {entry!r}")
+        parsed.append((entry[0], entry[1], tuple(entry[2])))
+    return parsed
 
 
 # -- config serialisation --------------------------------------------------------

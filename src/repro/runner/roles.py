@@ -33,7 +33,7 @@ from repro.engine.stages import RoundContext, RoundReport, RoundSpec
 from repro.errors import ConfigurationError, TransportError
 from repro.faults.plan import ServerFault, fault_key
 from repro.runner import protocol
-from repro.mixnet.messages import FetchBatch, SubmissionBatch
+from repro.mixnet.messages import SubmissionBatch
 from repro.transport.codec import encode_chain_outcome, encode_payload
 from repro.transport.envelope import MAILBOX_DELIVERY, MAILBOX_FETCH_BATCH, Envelope
 from repro.transport.tcp import ReflectingHandler, TcpTransport
@@ -118,12 +118,12 @@ class RoleHandler(ReflectingHandler):
         """Mirror the coordinator's evict + re-form sequence.
 
         The convictions arrive in the exact order the coordinator's deliver
-        stage recorded them.
+        stage recorded them; all of them parse before the first is noted.
         """
-        data = protocol.decode_json_payload(payload)
+        pending = protocol.decode_recover_request(payload)
         with self._lock:
             deployment = self.deployment
-            for round_number, chain_id, servers in data["pending"]:
+            for round_number, chain_id, servers in pending:
                 deployment.note_convictions(round_number, chain_id, servers)
             deployment.recover()
         return b"ok"
@@ -181,8 +181,8 @@ class MailboxRoleHandler(RoleHandler):
         if envelope.kind == MAILBOX_FETCH_BATCH:
             owners = envelope.payload.owners()
             with self._lock:
-                pairs = deployment.mailboxes.fetch_batch(envelope.round_number, owners)
-            return FetchBatch.from_pairs(pairs).to_wire()
+                fetched = deployment.mailboxes.fetch_batch(envelope.round_number, owners)
+            return fetched.to_wire()
         return super().handle_envelope(envelope)
 
 

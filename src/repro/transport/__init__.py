@@ -1,8 +1,8 @@
 """The message-passing transport layer (DESIGN.md §5, §10).
 
 Every cross-node interaction of the deployment — client→entry-server
-submission, server→server batch flow inside a chain, chain→mailbox
-delivery, and the user's mailbox fetch — travels as a typed
+submission batch, server→server batch flow inside a chain, chain→mailbox
+delivery, and the users' mailbox fetch — travels as a typed
 :class:`Envelope` over a pluggable :class:`Transport`:
 
 * :class:`InProcTransport` — reference semantics: delivery hands the
@@ -29,12 +29,10 @@ from repro.registry import TransportKind
 from repro.transport.base import Transport
 from repro.transport.envelope import (
     BATCH,
-    COVER_SUBMISSION,
     COVER_SUBMISSION_BATCH,
     ENVELOPE_KINDS,
     MAILBOX_DELIVERY,
     MAILBOX_FETCH_BATCH,
-    SUBMISSION,
     SUBMISSION_BATCH,
     Envelope,
 )
@@ -47,8 +45,6 @@ __all__ = [
     "FaultyTransport",
     "LinkFault",
     "Envelope",
-    "SUBMISSION",
-    "COVER_SUBMISSION",
     "BATCH",
     "MAILBOX_DELIVERY",
     "SUBMISSION_BATCH",

@@ -3,20 +3,14 @@
 Every encoding here is the *real* byte format of
 :mod:`repro.mixnet.messages` — the TCP transport carries and measures
 these bytes, over loopback or between the distributed runtime's role
-processes (:mod:`repro.runner`).  Every batch kind travels as a wire-batch
-type (:class:`~repro.mixnet.messages.SubmissionBatch`,
+processes (:mod:`repro.runner`).  Every envelope kind is a batch and
+travels as a wire-batch type (:class:`~repro.mixnet.messages.SubmissionBatch`,
 :class:`~repro.mixnet.messages.EncodedBatch`, :class:`~repro.mixnet.
 messages.MailboxBatch`, :class:`~repro.mixnet.messages.FetchBatch`):
-encoding is its count and blob (a mailbox batch built from the sender's
-objects encodes them when first asked), decoding one structural check of
-the buffer that yields the same type, and no record is decoded into an
-object here.  ``tests/wire_reference.py`` keeps the per-object decoders
-the views are held to.
-
-One payload detail is deliberately *not* on the wire: a submission's
-``cover`` flag is client-side metadata (to a server, a cover is
-indistinguishable from any other submission — that is the point of covers),
-so decoded submissions carry the default ``cover=False``.
+encoding is its count and blob, decoding one structural check of the
+buffer that yields the same type, and no record is decoded into an object
+here.  ``tests/wire_reference.py`` keeps the per-object codecs the views
+are held to.
 
 A :class:`~repro.mixnet.blame.BlameVerdict` *is* a wire format
 (:func:`encode_blame_verdict`): it is the coordinator-facing outcome of the
@@ -33,7 +27,6 @@ from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Type, TypeVar
 
 from repro.errors import DecodingError
 from repro.mixnet.messages import (
-    ClientSubmission,
     EncodedBatch,
     FetchBatch,
     MailboxBatch,
@@ -138,15 +131,10 @@ def _expect(payload: object, wire_type: Type[_P], kind: str) -> _P:
 
 
 def encode_payload(group: Any, envelope: Envelope) -> bytes:
-    """Serialise an envelope's payload to its real wire encoding.
-
-    A batch kind is its count and blob; only the single submission is an
-    object to encode.
-    """
+    """Serialise an envelope's payload to its real wire encoding: its
+    batch's count and blob."""
     kind = envelope.kind
     payload = envelope.payload
-    if kind in (ev.SUBMISSION, ev.COVER_SUBMISSION):
-        return _expect(payload, ClientSubmission, kind).to_bytes()
     if kind in (ev.SUBMISSION_BATCH, ev.COVER_SUBMISSION_BATCH):
         return _expect(payload, SubmissionBatch, kind).to_wire()
     if kind == ev.BATCH:
@@ -165,8 +153,6 @@ def decode_payload(group: Any, kind: str, data: bytes) -> object:
     checked against the buffer; its records decode when a consumer reads
     them.
     """
-    if kind in (ev.SUBMISSION, ev.COVER_SUBMISSION):
-        return ClientSubmission.from_bytes(data, element_size=group.element_size)
     if kind in (ev.SUBMISSION_BATCH, ev.COVER_SUBMISSION_BATCH):
         return SubmissionBatch.from_wire(group, data)
     if kind == ev.BATCH:
@@ -231,7 +217,7 @@ def encode_chain_outcome(chain_id: int, accept_rejected: Sequence[str],
             result.chain_id.to_bytes(4, "big"),
             result.round_number.to_bytes(8, "big"),
             _pack_str(result.status),
-            MailboxBatch.from_messages(result.mailbox_messages).to_wire(),
+            result.mailbox_messages.to_wire(),
             _pack_str(result.misbehaving_server),
             _pack_str_list(result.rejected_senders),
             result.invalid_inner_count.to_bytes(4, "big"),
@@ -268,7 +254,7 @@ def decode_chain_outcome(data: bytes) -> tuple:
         chain_id=result_chain_id,
         round_number=round_number,
         status=status,
-        mailbox_messages=list(mailbox_batch),
+        mailbox_messages=mailbox_batch,
         blame_verdict=blame_verdict,
         misbehaving_server=misbehaving_server,
         rejected_senders=rejected_senders,

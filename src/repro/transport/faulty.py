@@ -9,23 +9,19 @@ transport records the crossings in the round's trace — and applies the
 matching :class:`LinkFault` behaviours to each envelope before (or instead
 of) handing it to the inner transport:
 
-* ``drop`` — the envelope never crosses the link.  List payloads (batches,
-  mailbox flows) arrive as an empty batch of their type; a single
-  submission arrives as ``None`` (the engine skips it).  The population's frames carry many users' traffic, so a
-  drop naming one *user* — the ``source`` of an upload frame, the
+* ``drop`` — the envelope never crosses the link: its batch arrives empty.
+  Upload and download frames carry many users' traffic, so a drop naming
+  one *user* — the ``source`` of an upload frame (honest or injected), the
   ``destination`` of a download frame — loses only her elements of it.
   This models *data loss*, not timeout detection: a real deployment would
   eventually time the link out, which is a liveness concern the
   synchronous round structure has no place for (DESIGN.md §3).
-* ``duplicate`` — one element of a list payload is replayed.  Only list
-  payloads can be duplicated; a replayed client submission is the
-  *user-level* attack :func:`~repro.coordinator.adversary.
-  forge_misauthenticated_submission` family models, not a link fault.
+* ``duplicate`` — one element of the batch is replayed.
 * ``delay`` — the payload arrives intact but late: ``delay_seconds`` is
   added to the link record of the envelope it delays
   (:class:`~repro.trace.Link`), so measured round latency reflects the
   stall.
-* ``reorder`` — a list payload arrives permuted, by a shuffle drawn from
+* ``reorder`` — the batch arrives permuted, by a shuffle drawn from
   the stream key :func:`~repro.crypto.stream.context_key` derives from the
   fault seed and the envelope's whole identity (kind, round, chain, part,
   source, destination), never from shared state.
@@ -60,28 +56,16 @@ __all__ = [
 
 #: The envelope never arrives (data loss on the link).
 DROP = "drop"
-#: One element of a list payload is replayed.
+#: One element of the batch is replayed.
 DUPLICATE = "duplicate"
 #: The payload arrives intact but ``delay_seconds`` late.
 DELAY = "delay"
-#: A list payload arrives deterministically permuted.
+#: The batch arrives deterministically permuted.
 REORDER = "reorder"
 
 LINK_BEHAVIOURS = (DROP, DUPLICATE, DELAY, REORDER)
 
-#: Envelope kinds whose payload is a wire-resident batch with a ``select``
-#: (eligible for duplicate/reorder).
-#: The population layer's batch frames qualify too: dropping one models the
-#: whole framed message being lost, and the engine's sender-keyed scatter
-#: tolerates duplicated or reordered batch elements.
-_LIST_KINDS = (
-    ev.BATCH,
-    ev.MAILBOX_DELIVERY,
-    ev.SUBMISSION_BATCH,
-    ev.COVER_SUBMISSION_BATCH,
-    ev.MAILBOX_FETCH_BATCH,
-)
-#: The population's frames: many users' uploads to one entry server, and one
+#: The frames: many users' uploads to one entry server, and one
 #: shard's downloads to many users.
 _UPLOAD_FRAMES = (ev.SUBMISSION_BATCH, ev.COVER_SUBMISSION_BATCH)
 _DOWNLOAD_FRAMES = (ev.MAILBOX_FETCH_BATCH,)
@@ -102,7 +86,7 @@ class LinkFault:
     source: Optional[str] = None
     destination: Optional[str] = None
     chain_id: Optional[int] = None
-    #: Which element of a list payload a ``duplicate`` replays (mod length).
+    #: Which element of the batch a ``duplicate`` replays (mod length).
     index: int = 0
     #: Extra one-way latency charged by a ``delay``.
     delay_seconds: float = 0.0
@@ -114,13 +98,11 @@ class LinkFault:
             raise ConfigurationError(f"unknown link-fault behaviour {self.behaviour!r}")
         if self.kind is not None and self.kind not in ev.ENVELOPE_KINDS:
             raise ConfigurationError(f"unknown envelope kind {self.kind!r}")
-        if self.behaviour in (DUPLICATE, REORDER):
-            if self.kind is None or self.kind not in _LIST_KINDS:
-                raise ConfigurationError(
-                    f"{self.behaviour} faults need an explicit list-payload kind "
-                    f"(one of {_LIST_KINDS}); replayed submissions are a user-level "
-                    "attack, not a link fault"
-                )
+        if self.behaviour in (DUPLICATE, REORDER) and self.kind is None:
+            raise ConfigurationError(
+                f"{self.behaviour} faults need an explicit envelope kind "
+                f"(one of {ev.ENVELOPE_KINDS})"
+            )
         if self.behaviour == DELAY and self.delay_seconds < 0:
             raise ConfigurationError("delay_seconds must be non-negative")
         if self.rounds is not None:
@@ -128,7 +110,7 @@ class LinkFault:
 
     def _inner_selector(self, envelope: Envelope) -> Optional[str]:
         """Which endpoint selector of a ``drop`` names a user *inside* one of
-        the population's frames rather than the frame's own endpoint:
+        the users' frames rather than the frame's own endpoint:
         ``"source"`` (her submissions in an upload frame), ``"destination"``
         (her ``(owner, messages)`` pair in a download frame, the owner
         given as the hex of her mailbox address), or ``None``."""
@@ -174,11 +156,11 @@ class LinkFault:
 
 
 def _pick(envelope: Envelope, order: Sequence[int]) -> object:
-    """The elements of a list payload at ``order``, in the payload's own type.
+    """The elements of the batch at ``order``, in the batch's own type.
 
-    Every list payload is a wire-resident batch, subset through its
-    ``select``: the records move as bytes, undecoded, which is all a link
-    can do to them.
+    Every payload is a wire-resident batch, subset through its ``select``:
+    the records move as bytes, undecoded, which is all a link can do to
+    them.
     """
     payload: Any = envelope.payload
     return payload.select(order)
@@ -237,7 +219,7 @@ class FaultyTransport(Transport):
                 kept = fault.surviving_elements(envelope)
                 if kept is None:
                     self._log(fault, envelope)
-                    return _pick(envelope, ()) if envelope.kind in _LIST_KINDS else None
+                    return _pick(envelope, ())
                 if len(kept) < len(envelope.payload):
                     envelope = replace(envelope, payload=_pick(envelope, kept))
                     self._log(fault, envelope)

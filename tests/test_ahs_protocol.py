@@ -395,10 +395,11 @@ class TestHonestMixing:
         assert result.delivered
         assert (result.mailbox_messages, result.invalid_inner_count) == ([], 1)
 
-    @pytest.mark.parametrize("parser", [InnerEnvelope, MailboxMessage], ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("parser", [InnerEnvelope], ids=lambda c: c.__name__)
     def test_a_parser_fault_is_not_an_invalid_inner(self, group, parser, monkeypatch):
-        """Only the codec errors the parsers raise make an entry invalid; any
-        other exception propagates out of ``run_round``."""
+        """Only the codec errors the parser raises make an entry invalid; any
+        other exception propagates out of ``run_round``.  (An opened record
+        is checked by length alone, with no parser to fault.)"""
         chain = build_chain(group, length=2)
         chain.begin_round(1)
         recipient = KeyPair.generate(group)

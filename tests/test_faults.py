@@ -39,7 +39,6 @@ from repro.mixnet.blame import BlameVerdict
 from repro.mixnet.messages import (
     FetchBatch,
     MailboxBatch,
-    MailboxMessage,
     SubmissionBatch,
     submission_record,
 )
@@ -480,7 +479,7 @@ class TestLinkFaultValidation:
 
     def test_duplicate_requires_list_payload_kind(self):
         with pytest.raises(ConfigurationError):
-            LinkFault(behaviour=DUPLICATE, kind=ev.SUBMISSION)
+            LinkFault(behaviour=DUPLICATE)
         with pytest.raises(ConfigurationError):
             LinkFault(behaviour=REORDER)
 
@@ -521,7 +520,7 @@ class TestLinkFaultSelection:
     def test_a_user_drop_keeps_the_rest_of_a_download_frame(self):
         owners = [(bytes([index]) * 4, []) for index in range(3)]
         envelope = self.frame(ev.MAILBOX_FETCH_BATCH, source="server-0",
-                              destination="population", payload=FetchBatch.from_pairs(owners))
+                              destination="population", payload=FetchBatch.from_inboxes(owners))
         fault = LinkFault(behaviour=DROP, destination=owners[1][0].hex())
         assert fault.matches(envelope)
         assert fault.surviving_elements(envelope) == [0, 2]
@@ -529,10 +528,11 @@ class TestLinkFaultSelection:
     def test_an_endpoint_drop_loses_the_whole_envelope(self):
         upload = self.frame(ev.SUBMISSION_BATCH, payload=uploads("ann"))
         assert LinkFault(behaviour=DROP, source="population").surviving_elements(upload) is None
-        submission = self.frame(ev.SUBMISSION, source="ann")
+        injected = self.frame(ev.SUBMISSION_BATCH, source=ev.INJECTED, payload=uploads("ann"))
+        assert LinkFault(behaviour=DROP, source=ev.INJECTED).surviving_elements(injected) is None
         fault = LinkFault(behaviour=DROP, source="ann")
-        assert fault.matches(submission) and fault.surviving_elements(submission) is None
-        assert not fault.matches(self.frame(ev.SUBMISSION, source="bob"))
+        assert fault.matches(injected) and fault.surviving_elements(injected) == []
+        assert not fault.matches(self.frame(ev.MAILBOX_DELIVERY, source="bob"))
 
     def test_round_and_chain_selectors_narrow_the_match(self):
         fault = LinkFault(behaviour=DELAY, kind=ev.BATCH, rounds=[2, 3], chain_id=1)
@@ -556,8 +556,8 @@ class TestReorderPermutation:
             InProcTransport(), [LinkFault(behaviour=REORDER, kind=kind, seed=3)]
         )
         if kind == ev.MAILBOX_DELIVERY:
-            payload = MailboxBatch.from_messages(
-                MailboxMessage(bytes([index]) * 32, bytes(16)) for index in range(size)
+            payload = MailboxBatch.from_records(
+                bytes([index]) * 32 + bytes(16) for index in range(size)
             )
         else:
             payload = uploads(*(f"user-{index}" for index in range(size)))
@@ -624,7 +624,7 @@ class TestFaultPlanValidation:
             name="never-fires",
             num_rounds=2,
             link_faults=(
-                LinkFault(behaviour=DROP, kind=ev.SUBMISSION,
+                LinkFault(behaviour=DROP, kind=ev.SUBMISSION_BATCH,
                           rounds=frozenset({5})),
             ),
         )

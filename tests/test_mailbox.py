@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import MailboxError
-from repro.mailbox import Mailbox, MailboxHub, MailboxServer, ShardedMailboxHub
-from repro.mixnet.messages import MailboxMessage, MessageBody
+from repro.mailbox import Mailbox, MailboxServer, ShardedMailboxHub
+from repro.mixnet.messages import MailboxBatch, MailboxMessage, MessageBody
 
 OWNER = b"\x01" * 32
 OTHER = b"\x02" * 32
@@ -13,6 +13,11 @@ KEY = b"\x09" * 32
 
 def sealed(recipient=OWNER, round_number=1, content=b"hello"):
     return MailboxMessage.seal(recipient, KEY, round_number, MessageBody.data(content))
+
+
+def batch(*messages):
+    """A chain's delivery: the messages' records, as the hub receives them."""
+    return MailboxBatch.from_records(message.to_bytes() for message in messages)
 
 
 class TestMailbox:
@@ -65,8 +70,8 @@ class TestMailboxServer:
     def test_grouped_delivery_counts_unknown_recipients_as_dropped(self):
         server = MailboxServer("mb-0")
         server.create_mailbox(OWNER)
-        groups = {OWNER: [sealed(content=b"a"), sealed(content=b"b")],
-                  OTHER: [sealed(recipient=OTHER)] * 3}
+        groups = {OWNER: [sealed(content=b"a").to_bytes(), sealed(content=b"b").to_bytes()],
+                  OTHER: [sealed(recipient=OTHER).to_bytes()] * 3}
         assert server.deliver_grouped(1, groups) == 3
         assert server.get(1, OWNER) == groups[OWNER]
         assert OTHER not in server
@@ -81,13 +86,13 @@ class TestMailboxServer:
 
 class TestMailboxHub:
     def test_sharding_is_stable(self):
-        hub = MailboxHub(num_servers=4)
+        hub = ShardedMailboxHub(num_servers=4)
         hub.create_mailbox(OWNER)
         hub.put(1, sealed())
         assert len(hub.get(1, OWNER)) == 1
 
     def test_all_shards_used(self):
-        hub = MailboxHub(num_servers=4)
+        hub = ShardedMailboxHub(num_servers=4)
         owners = [bytes([index]) * 32 for index in range(1, 60)]
         for owner in owners:
             hub.create_mailbox(owner)
@@ -95,14 +100,14 @@ class TestMailboxHub:
         assert len(populated) == 4
 
     def test_deliver_batch_counts_unknown(self):
-        hub = MailboxHub(num_servers=2)
+        hub = ShardedMailboxHub(num_servers=2)
         hub.create_mailbox(OWNER)
-        dropped = hub.deliver_batch(1, [sealed(), sealed(recipient=OTHER)])
+        dropped = hub.deliver_batch(1, batch(sealed(), sealed(recipient=OTHER)))
         assert dropped == 1
         assert len(hub.get(1, OWNER)) == 1
 
     def test_message_counts(self):
-        hub = MailboxHub()
+        hub = ShardedMailboxHub()
         hub.create_mailbox(OWNER)
         hub.create_mailbox(OTHER)
         hub.put(1, sealed())
@@ -111,7 +116,7 @@ class TestMailboxHub:
 
     def test_invalid_server_count(self):
         with pytest.raises(MailboxError):
-            MailboxHub(num_servers=0)
+            ShardedMailboxHub(num_servers=0)
 
 
 class TestConsistentHashing:
@@ -120,9 +125,6 @@ class TestConsistentHashing:
     @staticmethod
     def owners(count):
         return [index.to_bytes(2, "big") * 16 for index in range(1, count + 1)]
-
-    def test_hub_alias_is_sharded_hub(self):
-        assert MailboxHub is ShardedMailboxHub
 
     def test_mapping_is_deterministic_across_instances(self):
         first = ShardedMailboxHub(num_servers=5)
@@ -168,7 +170,7 @@ class TestConsistentHashing:
             sequential.create_mailbox(owner)
         messages = [sealed(recipient=owner) for owner in owners for _ in range(2)]
         messages.append(sealed(recipient=b"\xfe" * 32))  # unknown recipient
-        dropped = batched.deliver_batch(1, messages)
+        dropped = batched.deliver_batch(1, batch(*messages))
         sequential_dropped = 0
         for message in messages:
             try:
@@ -184,26 +186,26 @@ class TestConsistentHashing:
         owners = self.owners(6)
         for owner in owners:
             hub.create_mailbox(owner)
-        hub.deliver_batch(2, [
+        hub.deliver_batch(2, batch(
             sealed(recipient=owners[0], round_number=2),
             sealed(recipient=owners[0], round_number=2, content=b"again"),
             sealed(recipient=owners[3], round_number=2),
             sealed(recipient=owners[5], round_number=2),
-        ])
-        hub.deliver_batch(3, [sealed(recipient=owners[0], round_number=3)])
+        ))
+        hub.deliver_batch(3, batch(sealed(recipient=owners[0], round_number=3)))
         # owners[0] twice in one frame; owners[5] is offline and not fetched.
         fetched = [owners[0], owners[1], owners[3], owners[0]]
         expected = [(owner, hub.get(2, owner)) for owner in fetched]
-        assert hub.fetch_batch(2, fetched) == expected
+        assert hub.fetch_batch(2, fetched).inboxes() == expected
         assert len(expected[0][1]) == 2 and expected[3] == expected[0]
         for owner in fetched:
             assert hub.get(2, owner) == []
-        assert hub.fetch_batch(2, fetched) == [(owner, []) for owner in fetched]
+        assert hub.fetch_batch(2, fetched).inboxes() == [(owner, []) for owner in fetched]
         # An unfetched owner keeps her round; later rounds are untouched.
         assert len(hub.get(2, owners[5])) == 1
         assert len(hub.get(3, owners[0])) == 1
         # Back online, her next fetch also drops the round she missed.
-        assert hub.fetch_batch(3, [owners[5]]) == [(owners[5], [])]
+        assert hub.fetch_batch(3, [owners[5]]).inboxes() == [(owners[5], [])]
         assert hub.get(2, owners[5]) == []
         held = {
             (mailbox.owner, round_number)
@@ -229,6 +231,6 @@ class TestConsistentHashing:
     def test_put_batch_rejects_foreign_recipient(self):
         mailbox = Mailbox(owner=OWNER)
         with pytest.raises(MailboxError):
-            mailbox.put_batch(1, [sealed(), sealed(recipient=OTHER)])
-        mailbox.put_batch(1, [sealed(), sealed()])
+            mailbox.put_batch(1, [sealed().to_bytes(), sealed(recipient=OTHER).to_bytes()])
+        mailbox.put_batch(1, [sealed().to_bytes(), sealed().to_bytes()])
         assert mailbox.message_count(1) == 2

@@ -148,8 +148,8 @@ class TestPopulationSemantics:
         reference.start_conversation(a, b)
         batched.start_conversation(a, b)
         # Once a chain has accepted it keeps the senders and the wire blob,
-        # so whole submissions — chain id, sender, X, ciphertext, proof,
-        # cover flag — are compared where they still exist: in the engine's
+        # so whole submissions — chain id, sender, X, ciphertext, proof —
+        # are compared where they still exist: in the engine's
         # per-chain lists, after collect and before mix consumes them.
         collected = []
         for deployment in (reference, batched):
@@ -336,14 +336,7 @@ class TestSubmissionBatchCodec:
             wire = encode_payload(MODP, envelope(kind, batch))
             decoded = decode_payload(MODP, kind, wire)
             assert isinstance(decoded, SubmissionBatch) and decoded.to_wire() == wire
-            # The cover flag is client-side metadata, not on the wire.
-            assert list(decoded) == [
-                ClientSubmission(
-                    chain_id=s.chain_id, sender=s.sender, dh_public=s.dh_public,
-                    ciphertext=s.ciphertext, proof=s.proof,
-                )
-                for s in submissions
-            ]
+            assert list(decoded) == submissions
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -392,23 +385,25 @@ class TestFetchBatchCodec:
             )
             for owner, contents in owner_specs
         ]
-        wire = encode_payload(MODP, envelope(MAILBOX_FETCH_BATCH, FetchBatch.from_pairs(pairs)))
+        inboxes = [(owner, [message.to_bytes() for message in messages]) for owner, messages in pairs]
+        wire = encode_payload(MODP, envelope(MAILBOX_FETCH_BATCH, FetchBatch.from_inboxes(inboxes)))
         decoded = decode_payload(MODP, MAILBOX_FETCH_BATCH, wire)
         assert [(owner, list(messages)) for owner, messages in decoded] == pairs
+        assert decoded.inboxes() == inboxes
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_framing_fuzz_truncation(self, data):
         owner = b"\x05" * 32
-        pairs = [
-            (owner, [MailboxMessage.seal(owner, b"\x07" * 32, 1, MessageBody.loopback())])
+        inboxes = [
+            (owner, [MailboxMessage.seal(owner, b"\x07" * 32, 1, MessageBody.loopback()).to_bytes()])
         ]
-        wire = encode_payload(MODP, envelope(MAILBOX_FETCH_BATCH, FetchBatch.from_pairs(pairs)))
+        wire = encode_payload(MODP, envelope(MAILBOX_FETCH_BATCH, FetchBatch.from_inboxes(inboxes)))
         cut = data.draw(st.integers(min_value=0, max_value=len(wire) - 1))
         with pytest.raises(DecodingError):
             decode_payload(MODP, MAILBOX_FETCH_BATCH, wire[:cut])
 
     def test_trailing_bytes_rejected(self):
-        wire = encode_payload(MODP, envelope(MAILBOX_FETCH_BATCH, FetchBatch.from_pairs([])))
+        wire = encode_payload(MODP, envelope(MAILBOX_FETCH_BATCH, FetchBatch.from_inboxes([])))
         with pytest.raises(DecodingError):
             decode_payload(MODP, MAILBOX_FETCH_BATCH, wire + b"\xff")

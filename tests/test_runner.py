@@ -54,7 +54,7 @@ from repro.runner.roles import MixRoleHandler, RoleNode
 from repro.transport.envelope import (
     MAILBOX_DELIVERY,
     MAILBOX_FETCH_BATCH,
-    SUBMISSION,
+    SUBMISSION_BATCH,
     Envelope,
 )
 from repro.transport.faulty import DROP, LinkFault
@@ -138,8 +138,8 @@ class TestRunSpecCodec:
                 ),
             ),
             link_faults=(
-                LinkFault(behaviour=DROP, kind=SUBMISSION, rounds=frozenset({2, 3})),
-                LinkFault(behaviour=DROP, kind=SUBMISSION, source="user-0"),
+                LinkFault(behaviour=DROP, kind=SUBMISSION_BATCH, rounds=frozenset({2, 3})),
+                LinkFault(behaviour=DROP, kind=SUBMISSION_BATCH, source="user-0"),
             ),
             conversations=(("user-0", "user-1"),),
             payloads={2: {"user-0": b"\x00\xffhello"}},
@@ -400,7 +400,7 @@ class TestDistributedInProcess:
                     source="chain-0",
                     destination="mailbox-hub",
                     round_number=1,
-                    payload=MailboxBatch.from_messages([message]),
+                    payload=MailboxBatch.from_records([message.to_bytes()]),
                 )
                 client.deliver(delivery)
                 # The client's own hub never saw the delivery…
@@ -412,7 +412,7 @@ class TestDistributedInProcess:
                     source="mailbox-hub",
                     destination="user-population",
                     round_number=1,
-                    payload=FetchBatch.from_pairs([(user.public_bytes, [])]),
+                    payload=FetchBatch.from_inboxes([(user.public_bytes, [])]),
                 )
 
                 def fetched():
@@ -476,6 +476,50 @@ class TestMixRequestRefusal:
             with pytest.raises(DecodingError):
                 mix_handler.handle_mix(malformed)
             assert replica_rounds(deployment) == before
+
+
+class TestRecoverRefusal:
+    """A malformed ``RECOVER`` is refused before the replica notes a conviction."""
+
+    @pytest.mark.parametrize("body", [
+        {"pending": [[1, 0, ["server-0"]], [2, 1]]},
+        {"convictions": [[1, 0, ["server-0"]]]},
+        {"pending": [[1, 0, ["server-0"]], [2, "1", ["server-1"]]]},
+        {"pending": [[1, 0, ["server-0"]], [2, 1, [3]]]},
+        {"pending": {"1": [0, ["server-0"]]}},
+    ], ids=["two-fields", "missing-key", "wrong-type", "wrong-server-type", "not-a-list"])
+    def test_a_malformed_request_changes_nothing(self, mix_handler, body):
+        deployment = mix_handler.deployment
+
+        def state():
+            return (
+                deployment.pending_recoveries,
+                set(deployment.evicted_servers),
+                [[member.server_name for member in chain.members] for chain in deployment.chains],
+            )
+
+        before = state()
+        with pytest.raises(DecodingError):
+            mix_handler.handle_control(protocol.encode_json_control(protocol.OP_RECOVER, body))
+        assert state() == before
+
+
+class TestCoordinatorCleanup:
+    def test_unreachable_roles_leave_no_transport_running(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            closed = probe.getsockname()
+        config = make_config()
+        owners = default_owners(config, 1)
+        peers = {role: closed for role in set(owners.values())}
+
+        def tcp_threads():
+            return {thread for thread in threading.enumerate() if thread.name.startswith("xrd-tcp-")}
+
+        before = tcp_threads()
+        with pytest.raises(TransportError):
+            run_coordinator(config, tamper_and_recover(), peers, owners)
+        assert tcp_threads() - before == set()
 
 
 class TestLaunchCli:

@@ -24,12 +24,12 @@ from repro.coordinator.adversary import forge_invalid_proof_submission
 from repro.coordinator.network import Deployment, DeploymentConfig
 from repro.errors import DecodingError, TransportError
 from repro.mixnet.blame import BlameVerdict
-from repro.mixnet.messages import ClientSubmission
+from repro.mixnet.messages import ClientSubmission, MailboxMessage, SubmissionBatch
 from repro.runner import protocol
 from repro.runner.harness import READY_PREFIX
 from repro.runner.roles import MixRoleHandler
 from repro.transport import codec, frames
-from repro.transport.envelope import SUBMISSION, Envelope
+from repro.transport.envelope import INJECTED, SUBMISSION_BATCH, Envelope
 from repro.transport.faulty import DROP, FaultyTransport, LinkFault
 from repro.transport.tcp import ReflectingHandler, TcpTransport
 
@@ -144,16 +144,21 @@ class TestHelloCodec:
             frames.decode_hello(bytes(wire))
 
 
+def sample_batch(group, **fields):
+    """A one-submission batch: the sample payload of the envelope tests."""
+    return SubmissionBatch.from_submissions(group, [make_submission(group, **fields)])
+
+
 class TestEnvelopeFrameCodec:
     def test_round_trip_with_optional_fields(self, group):
-        submission = make_submission(group, chain_id=2, sender="user-1")
+        batch = sample_batch(group, chain_id=2, sender="user-1")
         for chain_id, part in [(None, None), (2, None), (2, 3)]:
             envelope = Envelope(
-                kind=SUBMISSION,
+                kind=SUBMISSION_BATCH,
                 source="user-1",
                 destination="server-0",
                 round_number=11,
-                payload=submission,
+                payload=batch,
                 chain_id=chain_id,
                 part=part,
             )
@@ -162,11 +167,11 @@ class TestEnvelopeFrameCodec:
 
     def test_framing_an_encoded_payload_matches_the_one_shot_encoder(self, group):
         envelope = Envelope(
-            kind=SUBMISSION,
+            kind=SUBMISSION_BATCH,
             source="user-1",
             destination="server-0",
             round_number=11,
-            payload=make_submission(group),
+            payload=sample_batch(group),
             chain_id=1,
         )
         payload_wire = codec.encode_payload(group, envelope)
@@ -176,11 +181,11 @@ class TestEnvelopeFrameCodec:
 
     def test_every_truncation_is_rejected(self, group):
         envelope = Envelope(
-            kind=SUBMISSION,
+            kind=SUBMISSION_BATCH,
             source="user-1",
             destination="server-0",
             round_number=11,
-            payload=make_submission(group),
+            payload=sample_batch(group),
             chain_id=1,
             part=0,
         )
@@ -191,11 +196,11 @@ class TestEnvelopeFrameCodec:
 
     def test_trailing_bytes_are_rejected(self, group):
         envelope = Envelope(
-            kind=SUBMISSION,
+            kind=SUBMISSION_BATCH,
             source="u",
             destination="s",
             round_number=1,
-            payload=make_submission(group),
+            payload=sample_batch(group),
         )
         wire = frames.encode_envelope_frame(group, envelope)
         with pytest.raises(DecodingError, match="trailing"):
@@ -203,16 +208,16 @@ class TestEnvelopeFrameCodec:
 
     def test_unknown_kind_is_rejected(self, group):
         envelope = Envelope(
-            kind=SUBMISSION,
+            kind=SUBMISSION_BATCH,
             source="u",
             destination="s",
             round_number=1,
-            payload=make_submission(group),
+            payload=sample_batch(group),
         )
         wire = frames.encode_envelope_frame(group, envelope)
         # Splice in an unknown kind string of the same length.
-        assert SUBMISSION.encode() in wire
-        broken = wire.replace(SUBMISSION.encode(), b"x" * len(SUBMISSION.encode()), 1)
+        assert SUBMISSION_BATCH.encode() in wire
+        broken = wire.replace(SUBMISSION_BATCH.encode(), b"x" * len(SUBMISSION_BATCH.encode()), 1)
         with pytest.raises(DecodingError, match="unknown envelope kind"):
             frames.decode_envelope_frame(group, broken)
 
@@ -286,15 +291,16 @@ def tcp(group):
 
 
 def submission_envelope(group, sender="alice"):
-    submission = make_submission(group, chain_id=1, sender=sender)
+    batch = sample_batch(group, chain_id=1, sender=sender)
     envelope = Envelope(
-        kind=SUBMISSION,
+        kind=SUBMISSION_BATCH,
         source=sender,
         destination="server-0",
         round_number=1,
-        payload=submission,
+        payload=batch,
+        chain_id=1,
     )
-    return submission, envelope
+    return batch, envelope
 
 
 class TestLoopback:
@@ -314,9 +320,10 @@ class TestLoopback:
             tcp.control(tcp.node_name, b"\x01")
 
     def test_faulty_wrapper_drops_over_tcp(self, tcp, group):
-        faulty = FaultyTransport(tcp, [LinkFault(behaviour=DROP, kind=SUBMISSION)])
+        faulty = FaultyTransport(tcp, [LinkFault(behaviour=DROP, kind=SUBMISSION_BATCH)])
         _, envelope = submission_envelope(group)
-        assert faulty.deliver(envelope) is None
+        delivered = faulty.deliver(envelope)
+        assert isinstance(delivered, SubmissionBatch) and delivered == []
 
     def test_request_after_close_raises(self, tcp, group):
         tcp.close()
@@ -333,30 +340,31 @@ class TestLoopback:
 
 
 class TestWireResidentUplink:
-    """The honest uplink stays in its wire encoding over TCP, and the
+    """Both directions stay in their wire encoding over TCP, and the
     reflector that proves it parses works on the event loop."""
 
     @staticmethod
-    def constructed_submissions(monkeypatch):
-        """Record the sender of every ClientSubmission built from here on."""
-        senders = []
-        original = ClientSubmission.__init__
+    def constructed(monkeypatch, cls, field):
+        """Record ``field`` of every ``cls`` object built from here on."""
+        built = []
+        original = cls.__init__
 
         def counting(self, *args, **kwargs):
             original(self, *args, **kwargs)
-            senders.append(self.sender)
+            built.append(getattr(self, field))
 
-        monkeypatch.setattr(ClientSubmission, "__init__", counting)
-        return senders
+        monkeypatch.setattr(cls, "__init__", counting)
+        return built
 
     def test_an_honest_churn_round_builds_no_submission_objects(self, monkeypatch):
         # The churn shape: covers on, TCP loopback, chunked, staggered, some
-        # users offline (their banked covers are played).
+        # users offline (their banked covers are played, their mail held).
         deployment = make_deployment(num_users=10, transport="tcp", population_chunk_size=4)
         try:
             a, b = deployment.users[0].name, deployment.users[1].name
             deployment.start_conversation(a, b)
-            senders = self.constructed_submissions(monkeypatch)
+            senders = self.constructed(monkeypatch, ClientSubmission, "sender")
+            recipients = self.constructed(monkeypatch, MailboxMessage, "recipient")
             reports = deployment.run_rounds([
                 deployment.round_spec(payloads={a: b"hi"}),
                 deployment.round_spec(offline_users={deployment.users[5].name}),
@@ -364,15 +372,35 @@ class TestWireResidentUplink:
             ], staggered=True)
             assert reports[0].conversation_payloads(b) == [b"hi"]
             assert reports[1].used_cover_for == [deployment.users[5].name]
-            assert senders == []
-            # An injected submission is the one thing built as an object: by
-            # its author, then once per decode of its SUBMISSION envelope.
+            assert senders == [] and recipients == []
+            # An injected submission is the one thing built as an object, by
+            # its author; its frame crosses the uplink as records.
             forged = forge_invalid_proof_submission(
                 deployment.group, deployment.chain_keys_view(4)[0], 4, "mallory"
             )
             report = deployment.run_round(extra_submissions=[forged])
             assert "mallory" in report.rejected_senders
-            assert set(senders) == {"mallory"}
+            assert senders == ["mallory"] and recipients == []
+        finally:
+            deployment.close()
+
+    def test_a_drop_naming_a_forger_loses_only_her_record(self):
+        deployment = make_deployment(num_users=6, transport="tcp")
+        try:
+            honest = deployment.run_round().total_submissions
+            deployment.use_transport(
+                FaultyTransport(deployment.transport, [LinkFault(behaviour=DROP, source="mallory")]),
+                close_previous=False,
+            )
+            forged = forge_invalid_proof_submission(
+                deployment.group, deployment.chain_keys_view(2)[0], 2, "mallory"
+            )
+            report = deployment.run_round(extra_submissions=[forged])
+            assert "mallory" not in report.rejected_senders
+            assert report.total_submissions == honest
+            assert report.all_chains_delivered()
+            [applied] = deployment.transport.applied
+            assert (applied.kind, applied.source) == (SUBMISSION_BATCH, INJECTED)
         finally:
             deployment.close()
 

@@ -26,11 +26,12 @@ def test_links_feed_the_counters_and_a_delay_its_own_record():
     with Trace().stage("mix") as recorded:
         link(first, 10)
         link(second, 20)
-        link(envelope(ev.SUBMISSION), None)  # handed through, not encoded
+        link(envelope(ev.SUBMISSION_BATCH), None)  # handed through, not encoded
         delay(first, 0.5)
         delay(envelope(ev.BATCH, round_number=2), 9.0)  # no such record
     assert recorded.counters == {
-        f"envelopes.{ev.BATCH}": 2, f"wire_bytes.{ev.BATCH}": 30, f"envelopes.{ev.SUBMISSION}": 1,
+        f"envelopes.{ev.BATCH}": 2, f"wire_bytes.{ev.BATCH}": 30,
+        f"envelopes.{ev.SUBMISSION_BATCH}": 1,
     }
     assert [record.delay_seconds for record in recorded.links] == [0.5, 0.0, 0.0]
     assert recorded.stages() == {"mix"}
@@ -126,7 +127,7 @@ def test_round_latency_critical_path():
     links = [
         Link(1, kind, "u", "s", chain_id, None, 0, seconds)
         for kind, chain_id, seconds in (
-            (ev.SUBMISSION_BATCH, None, 0.2), (ev.SUBMISSION, None, 0.1),
+            (ev.SUBMISSION_BATCH, None, 0.2), (ev.SUBMISSION_BATCH, None, 0.1),
             (ev.BATCH, 0, 0.3), (ev.BATCH, 0, 0.3), (ev.BATCH, 1, 0.5),
             (ev.MAILBOX_DELIVERY, 1, 0.2), (ev.MAILBOX_FETCH_BATCH, None, 0.4),
         )

@@ -21,7 +21,6 @@ from repro.transport import (
     BATCH,
     MAILBOX_DELIVERY,
     MAILBOX_FETCH_BATCH,
-    SUBMISSION,
     SUBMISSION_BATCH,
     Envelope,
     InProcTransport,
@@ -66,10 +65,11 @@ def envelope(kind, payload, **kwargs):
 class TestCodecRoundTrips:
     def test_submission_payload(self, group):
         submission = make_submission(group)
-        wire = encode_payload(group, envelope(SUBMISSION, submission))
-        assert len(wire) == submission.wire_size()
-        decoded = decode_payload(group, SUBMISSION, wire)
-        assert decoded == submission
+        batch = SubmissionBatch.from_submissions(group, [submission])
+        wire = encode_payload(group, envelope(SUBMISSION_BATCH, batch))
+        assert len(wire) == 4 + 4 + submission.wire_size()
+        decoded = decode_payload(group, SUBMISSION_BATCH, wire)
+        assert decoded == batch and decoded == [submission]
 
     def test_batch_payload(self, group):
         entries = [
@@ -87,14 +87,16 @@ class TestCodecRoundTrips:
             MailboxMessage.seal(RECIPIENT, KEY, 3, MessageBody.data(b"m%d" % index))
             for index in range(3)
         ]
-        wire = encode_payload(group, envelope(MAILBOX_DELIVERY, MailboxBatch.from_messages(messages)))
+        records = [message.to_bytes() for message in messages]
+        wire = encode_payload(group, envelope(MAILBOX_DELIVERY, MailboxBatch.from_records(records)))
         decoded = decode_payload(group, MAILBOX_DELIVERY, wire)
         assert isinstance(decoded, MailboxBatch) and list(decoded) == messages
-        pairs = [(RECIPIENT, messages)]
-        wire = encode_payload(group, envelope(MAILBOX_FETCH_BATCH, FetchBatch.from_pairs(pairs)))
+        inboxes = [(RECIPIENT, records)]
+        wire = encode_payload(group, envelope(MAILBOX_FETCH_BATCH, FetchBatch.from_inboxes(inboxes)))
         decoded = decode_payload(group, MAILBOX_FETCH_BATCH, wire)
         assert isinstance(decoded, FetchBatch)
-        assert [(owner, list(batch)) for owner, batch in decoded] == pairs
+        assert [(owner, list(batch)) for owner, batch in decoded] == [(RECIPIENT, messages)]
+        assert decoded.inboxes() == inboxes
 
     def test_submission_batch_payload(self, group):
         submissions = [make_submission(group, sender=f"user-{index}") for index in range(3)]
@@ -108,8 +110,8 @@ class TestCodecRoundTrips:
         empties = {
             BATCH: EncodedBatch.from_entries(group, []),
             SUBMISSION_BATCH: SubmissionBatch.from_records(group, []),
-            MAILBOX_DELIVERY: MailboxBatch.from_messages([]),
-            MAILBOX_FETCH_BATCH: FetchBatch.from_pairs([]),
+            MAILBOX_DELIVERY: MailboxBatch.from_records([]),
+            MAILBOX_FETCH_BATCH: FetchBatch.from_inboxes([]),
         }
         for kind, empty in empties.items():
             decoded = decode_payload(group, kind, encode_payload(group, envelope(kind, empty)))
@@ -130,7 +132,9 @@ class TestCodecRoundTrips:
             chain_id=3,
             round_number=9,
             status=ChainRoundResult.STATUS_DELIVERED,
-            mailbox_messages=[MailboxMessage.seal(RECIPIENT, KEY, 9, MessageBody.loopback())],
+            mailbox_messages=MailboxBatch.from_records(
+                [MailboxMessage.seal(RECIPIENT, KEY, 9, MessageBody.loopback()).to_bytes()]
+            ),
             rejected_senders=["mallory"],
             invalid_inner_count=2,
             input_digest=b"\xaa" * 32,
@@ -162,22 +166,24 @@ class TestTransports:
     def test_inproc_is_identity(self):
         transport = InProcTransport()
         payload = object()
-        assert transport.deliver(envelope(SUBMISSION, payload)) is payload
+        assert transport.deliver(envelope(SUBMISSION_BATCH, payload)) is payload
 
     def test_tcp_records_payload_wire_bytes(self, group):
-        submission = make_submission(group)
+        batch = SubmissionBatch.from_submissions(group, [make_submission(group)])
         with TcpTransport(group, node_name="loopback") as transport:
             with Trace().stage("collect") as recorded:
                 delivered = transport.deliver(envelope(
-                    SUBMISSION, submission, source="alice", destination="server-0", chain_id=1
+                    SUBMISSION_BATCH, batch, source="alice", destination="server-0", chain_id=1
                 ))
-        assert delivered == submission and delivered is not submission
+        assert delivered == batch and delivered is not batch
         [record] = recorded.links
-        size = submission.wire_size()
+        size = len(batch.to_wire())
         assert (record.source, record.destination, record.chain_id, record.wire_bytes) == (
             "alice", "server-0", 1, size
         )
-        assert recorded.counters == {f"envelopes.{SUBMISSION}": 1, f"wire_bytes.{SUBMISSION}": size}
+        assert recorded.counters == {
+            f"envelopes.{SUBMISSION_BATCH}": 1, f"wire_bytes.{SUBMISSION_BATCH}": size,
+        }
 
     def test_make_transport(self, group):
         assert make_transport("inproc").name == "inproc"

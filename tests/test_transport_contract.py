@@ -13,8 +13,9 @@ import abc
 
 import pytest
 
+from repro.mixnet.messages import SubmissionBatch
 from repro.transport import (
-    SUBMISSION,
+    SUBMISSION_BATCH,
     Envelope,
     FaultyTransport,
     InProcTransport,
@@ -58,15 +59,18 @@ def transport(request, group):
 
 
 def submission_envelope(group, sender="alice"):
-    submission = make_submission(group, chain_id=1, sender=sender)
+    batch = SubmissionBatch.from_submissions(
+        group, [make_submission(group, chain_id=1, sender=sender)]
+    )
     return (
-        submission,
+        batch,
         Envelope(
-            kind=SUBMISSION,
+            kind=SUBMISSION_BATCH,
             source=sender,
             destination="server-0",
             round_number=1,
-            payload=submission,
+            payload=batch,
+            chain_id=1,
         ),
     )
 

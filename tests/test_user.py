@@ -80,13 +80,18 @@ class TestSubmissionBuilding:
         with pytest.raises(ConfigurationError):
             build_round_submissions(user, 1, 3, {})
 
-    def test_cover_submissions_marked(self, group):
+    def test_cover_submissions_look_like_live_ones(self, group):
+        """A cover set is shaped like the live round it stands in for (§5.3.3):
+        the same chains and sizes, from draws of its own."""
         num_chains = 3
         _, views = chain_views(group, num_chains, 2)
         user = User("alice", group)
         covers = build_cover_submissions(user, 2, num_chains, views)
-        assert all(submission.cover for submission in covers)
+        live = build_round_submissions(user, 2, num_chains, views)
         assert len(covers) == ell_for_chains(num_chains)
+        assert [s.chain_id for s in covers] == [s.chain_id for s in live]
+        assert [len(s.to_bytes()) for s in covers] == [len(s.to_bytes()) for s in live]
+        assert all(cover.dh_public != s.dh_public for cover, s in zip(covers, live))
 
     def test_sealing_conversation_without_partner_fails(self, group):
         user = User("alice", group)

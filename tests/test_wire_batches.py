@@ -11,7 +11,7 @@ or both raise.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.constants import AEAD_TAG_SIZE, GROUP_ELEMENT_SIZE, SCALAR_SIZE, SENDER_FIELD_SIZE
@@ -54,15 +54,15 @@ def submission_wire(*records):
 
 
 def mailbox_wire(count=2):
-    return MailboxBatch.from_messages(
+    return reference.encode_mailbox_batch([
         MailboxMessage(bytes([index]) * GROUP_ELEMENT_SIZE, b"\x01" * (AEAD_TAG_SIZE + index))
         for index in range(count)
-    ).to_wire()
+    ])
 
 
 def fetch_wire():
     message = MailboxMessage(b"\x05" * GROUP_ELEMENT_SIZE, b"\x06" * AEAD_TAG_SIZE)
-    return FetchBatch.from_pairs([(b"\x05" * 32, [message, message]), (b"", []), (b"o", [])]).to_wire()
+    return reference.encode_fetch_batch([(b"\x05" * 32, [message, message]), (b"", []), (b"o", [])])
 
 
 def batch_wire():
@@ -125,7 +125,7 @@ class TestStructure:
             decode_payload(MODP, kind, b"\xff\xff\xff\xff" + wire[4:])
 
     def test_a_forged_nested_count_is_rejected(self):
-        wire = FetchBatch.from_pairs([(b"owner", [])]).to_wire()
+        wire = reference.encode_fetch_batch([(b"owner", [])])
         with pytest.raises(DecodingError, match="count exceeds"):
             FetchBatch.from_wire(wire[:-4] + b"\xff\xff\xff\xff")
 
@@ -229,9 +229,9 @@ def wire_payloads(draw, kind):
         st.binary(min_size=AEAD_TAG_SIZE, max_size=AEAD_TAG_SIZE + 12),
     ), max_size=3)
     if kind == ev.MAILBOX_DELIVERY:
-        return MailboxBatch.from_messages(draw(messages)).to_wire()
+        return reference.encode_mailbox_batch(draw(messages))
     pairs = draw(st.lists(st.tuples(st.binary(max_size=33), messages), max_size=3))
-    return FetchBatch.from_pairs(pairs).to_wire()
+    return reference.encode_fetch_batch(pairs)
 
 
 class TestGeneratedStructure:
@@ -285,3 +285,47 @@ class TestDifferential:
             lambda: [(owner, list(messages)) for owner, messages in FetchBatch.from_wire(wire)],
             lambda: reference.decode_fetch_batch(wire),
         )
+
+
+# -- the record builders against the object encoders --------------------------
+
+#: Mailbox messages of odd sizes: any recipient, a sealed body from one tag up.
+_messages = st.builds(
+    MailboxMessage, st.binary(min_size=GROUP_ELEMENT_SIZE, max_size=GROUP_ELEMENT_SIZE),
+    st.binary(min_size=AEAD_TAG_SIZE, max_size=AEAD_TAG_SIZE + 21),
+)
+#: Owners from a small pool, so inboxes repeat owners; the empty key included.
+_owners = st.sampled_from([b"", b"\x01" * GROUP_ELEMENT_SIZE, b"\x02" * GROUP_ELEMENT_SIZE, b"odd"])
+
+
+class TestRecordBuilders:
+    """``MailboxBatch.from_records`` and ``FetchBatch.from_inboxes`` write
+    the bytes the per-object encoders write, and read back the same owners
+    and records."""
+
+    @given(st.lists(_messages, max_size=6))
+    @example([])
+    @settings(max_examples=100, deadline=None)
+    def test_a_mailbox_batch_from_records(self, messages):
+        records = [message.to_bytes() for message in messages]
+        batch = MailboxBatch.from_records(records)
+        assert batch.to_wire() == reference.encode_mailbox_batch(messages)
+        assert [bytes(record) for record in batch.records()] == records
+        assert list(batch) == messages
+
+    @given(st.lists(st.tuples(_owners, st.lists(_messages, max_size=3)), max_size=5))
+    @example([])  # no owners
+    @example([(b"odd", []), (b"odd", [])])  # a repeated owner, empty inboxes
+    @settings(max_examples=100, deadline=None)
+    def test_a_fetch_batch_from_inboxes(self, inboxes):
+        batch = FetchBatch.from_inboxes(
+            (owner, [message.to_bytes() for message in messages]) for owner, messages in inboxes
+        )
+        assert batch.to_wire() == reference.encode_fetch_batch(inboxes)
+        assert batch.owners() == [owner for owner, _ in inboxes]
+        assert [(owner, [bytes(record) for record in records])
+                for owner, records in batch.inboxes()] == [
+            (owner, [message.to_bytes() for message in messages]) for owner, messages in inboxes
+        ]
+        assert list(batch) == [(owner, list(messages)) for owner, messages in inboxes]
+        assert FetchBatch.from_wire(batch.to_wire()) == batch

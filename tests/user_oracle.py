@@ -79,7 +79,6 @@ def wrap_for_chain(
         dh_public=group.encode(group.base_mult(ephemeral_secret)),
         ciphertext=ciphertext,
         proof=proof,
-        cover=cover,
     )
 
 
@@ -239,8 +238,12 @@ def install(deployment) -> None:
         }
 
     def decrypt(round_number, users, inboxes):
+        # The engine hands over record views; the oracle reads each as an object.
         return {
-            user.name: decrypt_mailbox(user, round_number, inbox, num_chains)
+            user.name: decrypt_mailbox(
+                user, round_number, [MailboxMessage.from_bytes(bytes(record)) for record in inbox],
+                num_chains,
+            )
             for user, inbox in zip(users, inboxes)
         }
 
