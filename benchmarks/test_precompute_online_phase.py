@@ -76,16 +76,16 @@ def test_precompute_serves_every_online_entry(monkeypatch, staggered):
     including when the stage ran in the stagger's overlap window — and in
     the online-only arm every pass does."""
     served = []
-    online_pass = ChainMember._blind_and_derive_keys
+    online_pass = ChainMember.process_round
 
-    def watched(member, round_number, dh_publics):
+    def watched(member, round_number, entries):
         table = member.round_record(round_number).precomputed
         held = len(table)
-        result = online_pass(member, round_number, dh_publics)
+        result = online_pass(member, round_number, entries)
         served.append(len(table) == held)
         return result
 
-    monkeypatch.setattr(ChainMember, "_blind_and_derive_keys", watched)
+    monkeypatch.setattr(ChainMember, "process_round", watched)
     with_precompute = measure_phases(precompute=True, num_users=60, staggered=staggered)
     assert with_precompute["precompute"] > 0.0
     assert served and all(served)

@@ -10,22 +10,26 @@ both properties.
 ``ADec`` follows the paper's convention of returning a ``(ok, plaintext)``
 pair instead of raising, because the mix servers must treat authentication
 failure as a signal to start the blame protocol rather than as an exception.
+
+Every open in the system is one :func:`open_spans` call: spans of a buffer
+the caller already holds (a hop's batch blob, a fetch envelope), each
+opened under the first of its candidate keys whose tag verifies, the
+plaintexts written into one output buffer in the caller's output order.
+:func:`adec_batch` and :func:`adec` are its one-candidate, contiguous case.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 from repro.constants import AEAD_NONCE_SIZE, AEAD_TAG_SIZE
 from repro.crypto import kernels as _kernels
-from repro.crypto.chacha20 import (
-    BLOCK_SIZE,
-    chacha20_blocks_batch,
-    chacha20_keystreams,
-    xor_bytes,
-)
+from repro.crypto.kernels import OpenedSpans
+from repro.crypto.chacha20 import chacha20_block, chacha20_encrypt
 from repro.crypto.poly1305 import poly1305_mac, poly1305_verify
 from repro.errors import CryptoError
 
@@ -35,6 +39,8 @@ __all__ = [
     "adec",
     "aenc_batch",
     "adec_batch",
+    "open_spans",
+    "OpenedSpans",
     "ciphertext_overhead",
 ]
 
@@ -116,40 +122,13 @@ def ciphertext_overhead(layers: int = 1) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Batched AEAD: many independent (key, message) pairs in one keystream pass
+# Batched AEAD: many independent (key, message) pairs under one nonce
 # ---------------------------------------------------------------------------
 #
 # The population layer seals whole chains' worth of messages per call (every
 # online user of a chain shares the round nonce but owns her own key), and
-# the mix servers strip one outer layer from a whole batch at once.  Each
-# message needs the Poly1305 one-time-key block (counter 0) plus its payload
-# blocks (counters 1…), all under its own key — so the batch flattens to one
-# :func:`~repro.crypto.chacha20.chacha20_blocks_batch` call.  A single
-# :func:`aenc` / :func:`adec` is a batch of one message.
-
-
-def _batch_keystreams(keys: Sequence[bytes], nonces: Sequence[bytes],
-                      lengths: Sequence[int]):
-    """Per-message ``(poly1305 one-time key, payload keystream)`` pairs."""
-    block_keys: List[bytes] = []
-    block_nonces: List[bytes] = []
-    block_counters: List[int] = []
-    block_counts: List[int] = []
-    for key, nonce, length in zip(keys, nonces, lengths):
-        blocks = 1 + (length + BLOCK_SIZE - 1) // BLOCK_SIZE
-        block_counts.append(blocks)
-        block_keys.extend([key] * blocks)
-        block_nonces.extend([nonce] * blocks)
-        block_counters.extend(range(blocks))
-    flat = chacha20_blocks_batch(block_keys, block_nonces, block_counters)
-    pairs = []
-    offset = 0
-    for blocks, length in zip(block_counts, lengths):
-        otk = flat[offset:offset + 32]
-        payload_stream = flat[offset + BLOCK_SIZE:offset + BLOCK_SIZE + length]
-        pairs.append((otk, payload_stream))
-        offset += blocks * BLOCK_SIZE
-    return pairs
+# every open in the system is one :func:`open_spans` call.  On the python
+# tier both are the RFC 8439 construction below, message by message.
 
 
 def _keys_for(keys: _kernels.KeyBatch, messages: Sequence[bytes], noun: str) -> bytes:
@@ -172,16 +151,9 @@ def _keys_for(keys: _kernels.KeyBatch, messages: Sequence[bytes], noun: str) -> 
     return blob
 
 
-def _split_keys(blob: bytes) -> List[bytes]:
-    return [blob[offset:offset + 32] for offset in range(0, len(blob), 32)]
-
-
-def _normalise_nonces(nonce, count: int) -> List[bytes]:
-    if isinstance(nonce, (list, tuple)):
-        if len(nonce) != count:
-            raise CryptoError("one nonce per message required")
-        return [_normalise_nonce(item) for item in nonce]
-    return [_normalise_nonce(nonce)] * count
+def _one_time_key(key: bytes, nonce: bytes) -> bytes:
+    """The Poly1305 key of one message: the first half of its counter-0 block."""
+    return chacha20_block(key, 0, nonce)[:32]
 
 
 def aenc_batch(keys: _kernels.KeyBatch, nonce, plaintexts: Sequence[bytes],
@@ -189,21 +161,19 @@ def aenc_batch(keys: _kernels.KeyBatch, nonce, plaintexts: Sequence[bytes],
     """Batched :func:`aenc`: ``[aenc(k, nonce, m) for k, m in zip(...)]``.
 
     ``keys`` is a sequence of 32-byte keys or one blob of them (the KDF
-    batch's output).  ``nonce`` is shared (a round number or 12-byte nonce)
-    or a per-message sequence.  All messages share ``aad``.
+    batch's output); ``nonce`` (a round number or 12 bytes) and ``aad`` are
+    the batch's.
     """
     key_blob = _keys_for(keys, plaintexts, "plaintext")
-    nonces = _normalise_nonces(nonce, len(plaintexts))
-    native = _kernels.aead_seal_batch(key_blob, nonces, plaintexts, aad)
+    nonce = _normalise_nonce(nonce)
+    native = _kernels.aead_seal_batch(key_blob, [nonce] * len(plaintexts), plaintexts, aad)
     if native is not None:
         return native
-    keys = _split_keys(key_blob)
-    lengths = [len(plaintext) for plaintext in plaintexts]
     out: List[bytes] = []
-    for (otk, stream), plaintext in zip(_batch_keystreams(keys, nonces, lengths), plaintexts):
-        ciphertext = xor_bytes(plaintext, stream)
-        tag = poly1305_mac(_mac_data(aad, ciphertext), otk)
-        out.append(ciphertext + tag)
+    for index, plaintext in enumerate(plaintexts):
+        key = key_blob[32 * index:32 * index + 32]
+        ciphertext = chacha20_encrypt(key, nonce, plaintext)
+        out.append(ciphertext + poly1305_mac(_mac_data(aad, ciphertext), _one_time_key(key, nonce)))
     return out
 
 
@@ -211,42 +181,81 @@ def adec_batch(keys: _kernels.KeyBatch, nonce, datas: Sequence[bytes],
                aad: bytes = b"") -> List[Tuple[bool, Optional[bytes]]]:
     """Batched :func:`adec`: per-message ``(ok, plaintext)`` pairs.
 
-    ``keys`` is a sequence of 32-byte keys or one blob of them; a message
-    may be any bytes-like view (the fetch passes record views).  Messages
-    shorter than a tag fail without consuming keystream, exactly like the
-    scalar path.
+    The one-candidate, contiguous case of :func:`open_spans`: the messages
+    are joined into one buffer and message ``i`` is opened under key ``i``.
+    ``keys`` is a sequence of 32-byte keys or one blob of them.  ``nonce``
+    is the batch's one nonce; one that is malformed opens nothing.
     """
     key_blob = _keys_for(keys, datas, "ciphertext")
     try:
-        nonces = _normalise_nonces(nonce, len(datas))
+        nonce = _normalise_nonce(nonce)
     except CryptoError:
         return [(False, None)] * len(datas)
-    native = _kernels.aead_open_batch(key_blob, nonces, datas, aad)
-    if native is not None:
-        return native
-    keys = _split_keys(key_blob)
-    # Pass 1: one counter-0 block per message yields every Poly1305 one-time
-    # key.  Verify-before-decrypt matters here more than in scalar adec:
-    # the fetch cascade's trials fail by design (every message authenticates
-    # under exactly one of its candidate keys), so payload keystream must
-    # only be spent on the messages whose tag verifies.
-    otk_flat = chacha20_blocks_batch(keys, nonces, [0] * len(keys))
-    results: List[Tuple[bool, Optional[bytes]]] = [(False, None)] * len(keys)
-    survivors: List[Tuple[int, bytes]] = []
-    for index, data in enumerate(datas):
-        if len(data) < AEAD_TAG_SIZE:
-            continue
-        ciphertext, tag = bytes(data[:-AEAD_TAG_SIZE]), data[-AEAD_TAG_SIZE:]
-        otk = otk_flat[index * BLOCK_SIZE:index * BLOCK_SIZE + 32]
-        if poly1305_verify(_mac_data(aad, ciphertext), otk, tag):
-            survivors.append((index, ciphertext))
-    if survivors:
-        # Pass 2: payload keystream (counters 1…) for the survivors only.
-        streams = chacha20_keystreams(
-            [keys[index] for index, _ in survivors],
-            [nonces[index] for index, _ in survivors],
-            [len(ciphertext) for _, ciphertext in survivors],
-        )
-        for (index, ciphertext), stream in zip(survivors, streams):
-            results[index] = (True, xor_bytes(ciphertext, stream))
-    return results
+    bounds = list(accumulate(map(len, datas), initial=0))
+    plain, offsets, opened = open_spans(b"".join(datas), bounds[:-1], bounds[1:], key_blob, nonce,
+                                        aad=aad)
+    return [
+        (True, plain[offsets[index] + 4:offsets[index + 1]]) if opened[index] else (False, None)
+        for index in range(len(datas))
+    ]
+
+
+def open_spans(buf: bytes, starts: Sequence[int], ends: Sequence[int],
+               keys: _kernels.KeyBatch, nonce, *, first_keys: Optional[Sequence[int]] = None,
+               key_counts: Optional[Sequence[int]] = None,
+               order: Optional[Sequence[int]] = None, heads: bytes = b"",
+               aad: bytes = b"") -> OpenedSpans:
+    """Open spans of ``buf`` in place: one kernel call, whatever the batch.
+
+    Span ``i`` (``ciphertext || tag``) is ``buf[starts[i]:ends[i]]``; its
+    candidates are keys ``first_keys[i]`` … ``first_keys[i] + key_counts[i]
+    - 1`` of ``keys`` (a blob or a sequence; at most
+    :data:`~repro.crypto.kernels.MAX_CANDIDATES`; by default key ``i``
+    alone), tried in order under the one ``nonce``; the first whose tag
+    verifies — checked in constant time, before anything is decrypted —
+    opens it.  Output slot ``j`` holds span ``order[j]`` (default: the spans
+    in order) headed by span ``i``'s ``len(heads) // len(starts)`` bytes of
+    ``heads``: see :class:`~repro.crypto.kernels.OpenedSpans`.  A span,
+    key range or order index outside its buffer raises :class:`CryptoError`
+    on every tier, before anything is read.
+    """
+    count = len(starts)
+    key_blob = keys if isinstance(keys, bytes) else b"".join(keys)
+    first_keys = array("Q", range(count)) if first_keys is None else first_keys
+    key_counts = array("Q", [1]) * count if key_counts is None else key_counts
+    order = array("Q", range(count)) if order is None else order
+    columns = (buf, starts, ends, key_blob, first_keys, key_counts, _normalise_nonce(nonce), aad,
+               order, heads)
+    native = _kernels.aead_open_spans(*columns)
+    return native if native is not None else _open_spans_reference(*columns)
+
+
+def _open_spans_reference(buf: bytes, starts, ends, keys: bytes, first_keys, key_counts,
+                          nonce: bytes, aad: bytes, order, heads: bytes) -> OpenedSpans:
+    """The python tier of :func:`open_spans`, and the oracle the kernel is held to."""
+    count = len(starts)
+    head_len = len(heads) // count if count else 0
+    if (any(len(column) != count for column in (ends, first_keys, key_counts, order))
+            or len(heads) != head_len * count or len(keys) % 32):
+        raise CryptoError("span columns, heads and keys must describe the same spans")
+    for start, end, first, candidates in zip(starts, ends, first_keys, key_counts):
+        if not (0 <= start <= end <= len(buf) and 0 <= candidates <= _kernels.MAX_CANDIDATES
+                and 0 <= first <= len(keys) // 32 - candidates):
+            raise CryptoError("span or key range outside its buffer")
+    if not all(0 <= span < count for span in order):
+        raise CryptoError("output order names a span that does not exist")
+    out, offsets, opened = bytearray(), array("Q"), bytearray(count)
+    for span in order:
+        offsets.append(len(out))
+        data = bytes(buf[starts[span]:ends[span]])
+        ciphertext, tag = data[:-AEAD_TAG_SIZE], data[-AEAD_TAG_SIZE:]
+        for trial in range(key_counts[span] if len(data) >= AEAD_TAG_SIZE else 0):
+            key = keys[32 * (first_keys[span] + trial):][:32]
+            if poly1305_verify(_mac_data(aad, ciphertext), _one_time_key(key, nonce), tag):
+                plaintext = chacha20_encrypt(key, nonce, ciphertext)
+                out += heads[head_len * span:head_len * (span + 1)]
+                out += len(plaintext).to_bytes(4, "big") + plaintext
+                opened[span] = trial + 1
+                break
+    offsets.append(len(out))
+    return OpenedSpans(bytes(out), offsets, bytes(opened))

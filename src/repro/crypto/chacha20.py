@@ -20,7 +20,7 @@ Two implementations share one block function contract:
 from __future__ import annotations
 
 import struct
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.crypto import kernels as _kernels
 from repro.errors import CryptoError
@@ -149,31 +149,3 @@ def chacha20_blocks_batch(keys: Sequence[bytes], nonces: Sequence[bytes],
         chacha20_block(key, counter, nonce)
         for key, nonce, counter in zip(keys, nonces, counters)
     )
-
-
-def chacha20_keystreams(keys: Sequence[bytes], nonces: Sequence[bytes],
-                        lengths: Sequence[int], initial_counter: int = 1) -> List[bytes]:
-    """Per-message keystreams for a batch of independent (key, nonce) pairs.
-
-    Message ``i`` receives ``lengths[i]`` keystream bytes starting at block
-    ``initial_counter`` — exactly what ``chacha20_keystream`` would return
-    for it — but the blocks of the whole batch are evaluated in one
-    :func:`chacha20_blocks_batch` call.  Ragged lengths are supported.
-    """
-    block_keys: List[bytes] = []
-    block_nonces: List[bytes] = []
-    block_counters: List[int] = []
-    block_counts: List[int] = []
-    for key, nonce, length in zip(keys, nonces, lengths):
-        blocks = max(0, (length + BLOCK_SIZE - 1) // BLOCK_SIZE)
-        block_counts.append(blocks)
-        block_keys.extend([key] * blocks)
-        block_nonces.extend([nonce] * blocks)
-        block_counters.extend(range(initial_counter, initial_counter + blocks))
-    flat = chacha20_blocks_batch(block_keys, block_nonces, block_counters)
-    streams: List[bytes] = []
-    offset = 0
-    for blocks, length in zip(block_counts, lengths):
-        streams.append(flat[offset:offset + length])
-        offset += blocks * BLOCK_SIZE
-    return streams

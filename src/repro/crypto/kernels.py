@@ -4,7 +4,7 @@ Two tiers run the batched hot loops, bit-identically:
 
 * ``python`` — the scalar reference implementations, the oracle;
 * ``native`` — the ``_xrdkernels`` cffi extension for the proven hot
-  kernels (ChaCha20, the AEAD cascade, batched HKDF, the modp ladders, and
+  kernels (ChaCha20, the AEAD seal and span open, batched HKDF, the modp ladders, and
   the edwards25519 ladders, comb, accumulation rows and point codec), falling back
   *per function* to the python tier for anything it does not cover (or
   cannot run, e.g. a >256-bit modulus).
@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import os
 import warnings
+from array import array
 from itertools import accumulate
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro import native, trace
 from repro.constants import AEAD_NONCE_SIZE, KDF_LABEL_INNER, KDF_LABEL_OUTER
@@ -44,7 +45,8 @@ __all__ = [
     "native_available",
     "chacha20_blocks",
     "aead_seal_batch",
-    "aead_open_batch",
+    "OpenedSpans",
+    "aead_open_spans",
     "hkdf_derive_batch",
     "modp_scalar_mult_batch",
     "modp_scalar_mult_keys",
@@ -157,11 +159,21 @@ def _handle():
     return _load_native()
 
 
+def _c_argument(ffi, arg):
+    """A packed argument as cffi passes it: buffers and ``array('Q')``
+    columns by reference, anything else (bytes, lists, ints) as it is."""
+    if isinstance(arg, (bytearray, memoryview)):
+        return ffi.from_buffer(arg)
+    if isinstance(arg, array):
+        return ffi.from_buffer("uint64_t[]", arg)
+    return arg
+
+
 def _dispatch(entry: str, count: int, pack: Callable[[], Sequence]) -> Optional[bool]:
     """The one call into the extension: pack, check, call, decline.
 
     ``pack`` builds kernel ``entry``'s arguments: a ``bytearray`` is an
-    output buffer, a list an integer array.  ``None`` — run the reference
+    output buffer, a list or an ``array('Q')`` an integer array.  ``None`` — run the reference
     path — when the native tier is off or unavailable, when an integer does
     not fit its C width, or when the kernel declines (a non-zero return);
     ``True`` once the kernel ran.  An empty batch (``count == 0``) calls
@@ -175,13 +187,10 @@ def _dispatch(entry: str, count: int, pack: Callable[[], Sequence]) -> Optional[
         return True
     ffi, lib = handle
     try:
-        args = [
-            ffi.from_buffer(arg, require_writable=True) if isinstance(arg, bytearray) else arg
-            for arg in pack()
-        ]
+        declined = getattr(lib, entry)(*[_c_argument(ffi, arg) for arg in pack()])
     except OverflowError:  # an integer outside its C width: the reference path takes it
         return None
-    if getattr(lib, entry)(*args) != 0:
+    if declined:
         return None
     trace.count(f"dispatch.{entry}")
     return True
@@ -236,38 +245,52 @@ def aead_seal_batch(keys: KeyBatch, nonces: Sequence[bytes],
     return [bytes(out[out_offs[i]:out_offs[i + 1]]) for i in range(count)]
 
 
-def aead_open_batch(keys: KeyBatch, nonces: Sequence[bytes],
-                    datas: Sequence[bytes], aad: bytes,
-                    ) -> Optional[List[Tuple[bool, Optional[bytes]]]]:
-    """Whole-batch verify-then-decrypt cascade, or ``None``.
+class OpenedSpans(NamedTuple):
+    """What an open over spans gives back (DESIGN.md §11.4).
 
-    Per message: ``(True, plaintext)`` on tag match, ``(False, None)``
-    otherwise (including data shorter than one tag) — the exact contract
-    of the reference ``adec``.
+    ``plain`` holds one slot per output position, in output order: empty
+    when its span did not open, else ``head || length (4, big-endian) ||
+    plaintext``; slot ``j`` is ``plain[offsets[j]:offsets[j + 1]]``.
+    ``opened[i]`` is 0 when no candidate of span ``i`` verified, else one
+    more than the index of the candidate that did.
     """
-    count = len(datas)
-    key_blob = _key_blob(keys)
-    if len(key_blob) != 32 * count:
+
+    plain: bytes
+    offsets: array
+    opened: bytes
+
+
+#: The most candidate keys one span may have (``opened`` is a byte).
+MAX_CANDIDATES = 255
+
+def aead_open_spans(buf: bytes, starts: Sequence[int], ends: Sequence[int], keys: bytes,
+                    first_keys: Sequence[int], key_counts: Sequence[int], nonce: bytes, aad: bytes,
+                    order: Sequence[int], heads: bytes) -> Optional[OpenedSpans]:
+    """:func:`repro.crypto.aead.open_spans` natively, or ``None``.
+
+    Columns of unequal length are declined here; the kernel checks every
+    index against its buffer before it reads anything and declines any out
+    of range.
+    """
+    count = len(starts)
+    head_len = len(heads) // count if count else 0
+    if (any(len(column) != count for column in (ends, first_keys, key_counts, order))
+            or len(heads) != head_len * count or len(keys) % 32 or len(nonce) != AEAD_NONCE_SIZE):
         return None
-    pt_offs = _offsets([max(0, len(d) - 16) for d in datas])
-    plain = bytearray(pt_offs[-1])
-    ok = bytearray(count)
-    if not _dispatch("xrd_aead_open_batch", count, lambda: (
-            key_blob, b"".join(nonces), count,
-            b"".join(datas), _offsets([len(d) for d in datas]),
-            aad, len(aad), plain, pt_offs, ok)):
+    capacity = max(0, sum(ends) - sum(starts)) + count * (head_len + 4)
+    out, offsets, opened = bytearray(capacity), array("Q", bytes(8 * (count + 1))), bytearray(count)
+    if not _dispatch("xrd_aead_open_spans", count, lambda: (
+            buf, len(buf), count, starts, ends, keys, len(keys) // 32, first_keys, key_counts,
+            nonce, aad, len(aad), order, heads, head_len, out, capacity, offsets, opened)):
         return None
-    return [
-        (True, bytes(plain[pt_offs[i]:pt_offs[i + 1]])) if ok[i] else (False, None)
-        for i in range(count)
-    ]
+    return OpenedSpans(bytes(memoryview(out)[:offsets[-1]]), offsets, bytes(opened))
 
 
 # -- HKDF-SHA256 --------------------------------------------------------------
 #
 # The step between the DH kernels and the AEAD kernels.  Keys come back as
 # one blob of 32-byte keys, in input order — the layout ``aead_seal_batch``
-# and ``aead_open_batch`` pass to C as is — so a DH → KDF → AEAD pipeline
+# and ``aead_open_spans`` pass to C as is — so a DH → KDF → AEAD pipeline
 # creates no per-element Python object between its three kernel calls.
 
 

@@ -177,14 +177,17 @@ def _dleq_challenge_encoded(group, base1: bytes, public1: bytes, base2: bytes, p
 
 
 def prove_dleq(group, base1, base2, secret: int, context: bytes = b"",
-               nonce: Optional[int] = None) -> DleqProof:
+               nonce: Optional[int] = None, public2=None) -> DleqProof:
     """Prove that ``log_base1(secret·base1) = log_base2(secret·base2) = secret``.
 
     ``nonce`` is a caller-drawn nonce scalar; without one it is derived from
-    the secret and the statement, as in :func:`prove_dlog`.
+    the secret and the statement, as in :func:`prove_dlog`.  ``public2`` is
+    ``secret·base2`` when the prover already holds it (a mix server's
+    blinding key); without it, it is computed.
     """
     public1 = group.scalar_mult(base1, secret)
-    public2 = group.scalar_mult(base2, secret)
+    if public2 is None:
+        public2 = group.scalar_mult(base2, secret)
     if nonce is None:
         nonce = stream.context_scalar(
             group, "prove-dleq", group.encode(base1), group.encode(base2),

@@ -13,7 +13,11 @@ Two flavours are implemented, matching the paper:
   blind the accompanying public key ``X = g^x`` and prove in aggregate that
   no message was dropped or substituted (§6.3).
 
-Padding helpers enforce the paper's fixed 256-byte payloads.
+The servers never parse an envelope into an object: a hop opens its outer
+layers, and the last server the inner envelopes (:func:`open_inner_envelopes`),
+where they lie in the batch blob, one :func:`~repro.crypto.aead.open_spans`
+call each; :func:`decrypt_outer_layer` and :func:`decrypt_inner` are the
+per-item forms.  Padding helpers enforce the paper's fixed 256-byte payloads.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from repro.constants import (
     PAYLOAD_SIZE,
 )
 from repro.crypto import stream
-from repro.crypto.aead import adec, adec_batch, aenc
+from repro.crypto.aead import OpenedSpans, adec, aenc, open_spans
 from repro.crypto.kdf import derive_key_batch, shared_key_from_element
 from repro.errors import CryptoError
 
@@ -42,7 +46,7 @@ __all__ = [
     "shared_keys_batch",
     "encrypt_inner",
     "decrypt_inner",
-    "decrypt_inner_batch",
+    "open_inner_envelopes",
     "encrypt_outer_layers",
     "decrypt_outer_layer",
     "encrypt_onion_baseline",
@@ -106,7 +110,7 @@ def shared_keys_batch(group, label: bytes, points, scalars: Union[int, Sequence[
     server key: the per-operation client build; the native tier fuses that
     whole build instead, :meth:`group.onion_build`).
     :func:`~repro.crypto.aead.aenc_batch` and
-    :func:`~repro.crypto.aead.adec_batch` take the blob as it is.
+    :func:`~repro.crypto.aead.open_spans` take the blob as it is.
     """
     if isinstance(scalars, int):
         keys = group.scalar_mult_keys(points, scalars, label)
@@ -170,28 +174,33 @@ def decrypt_inner(group, inner_secrets: Sequence[int], round_number: int, envelo
     return adec(key, round_number, envelope.ciphertext)
 
 
-def decrypt_inner_batch(
-    group, inner_secrets: Sequence[int], round_number: int,
-    envelopes: Sequence[InnerEnvelope],
-) -> List[Tuple[bool, Optional[bytes]]]:
-    """Batched :func:`decrypt_inner` over one round's recovered envelopes.
+def open_inner_envelopes(group, inner_secrets: Sequence[int], round_number: int, buf: bytes,
+                         starts: Sequence[int], ends: Sequence[int],
+                         minimum: int = 0) -> OpenedSpans:
+    """Batched :func:`decrypt_inner` over the envelopes at ``buf[starts[i]:ends[i]]``.
 
-    Per-envelope results are identical to the scalar path (an envelope whose
-    ephemeral key the group rejects yields ``(False, None)``); the ephemeral
-    keys decode as one batch, the DH shared elements use the
-    many-points-one-scalar fast path and the AEAD opens run as one batched
-    keystream pass.
+    One ``decode_batch`` of the ephemeral keys, one many-points-one-scalar
+    key derivation, one :func:`~repro.crypto.aead.open_spans` call over the
+    sealed parts (head-less, in envelope order).  An envelope shorter than
+    :meth:`InnerEnvelope.from_bytes` accepts, one whose ephemeral key the
+    group rejects, and one whose plaintext would be shorter than
+    ``minimum`` bytes get no key: they do not open.
     """
     aggregate_secret = sum(inner_secrets) % group.order
-    results: List[Tuple[bool, Optional[bytes]]] = [(False, None)] * len(envelopes)
-    decoded = group.decode_batch([envelope.ephemeral_public for envelope in envelopes])
-    decodable = [index for index, point in enumerate(decoded) if point is not None]
-    points = [decoded[index] for index in decodable]
-    keys = shared_keys_batch(group, KDF_LABEL_INNER, points, aggregate_secret)
-    opened = adec_batch(keys, round_number, [envelopes[i].ciphertext for i in decodable])
-    for index, result in zip(decodable, opened):
-        results[index] = result
-    return results
+    shortest = GROUP_ELEMENT_SIZE + AEAD_TAG_SIZE + minimum
+    sealed = [min(start + GROUP_ELEMENT_SIZE, end) for start, end in zip(starts, ends)]
+    sized = [index for index, end in enumerate(ends) if end - starts[index] >= shortest]
+    decoded = group.decode_batch([buf[starts[index]:sealed[index]] for index in sized])
+    decodable = [index for index, point in zip(sized, decoded) if point is not None]
+    keys = shared_keys_batch(
+        group, KDF_LABEL_INNER, [point for point in decoded if point is not None], aggregate_secret
+    )
+    key_counts = [0] * len(starts)
+    first_keys = [0] * len(starts)
+    for slot, index in enumerate(decodable):
+        first_keys[index], key_counts[index] = slot, 1
+    return open_spans(buf, sealed, ends, keys, round_number,
+                      first_keys=first_keys, key_counts=key_counts)
 
 
 # --------------------------------------------------------------------------

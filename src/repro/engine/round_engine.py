@@ -496,17 +496,16 @@ class RoundEngine:
         """Every online user fetches and decrypts her mailbox.
 
         The downloads are framed per mailbox shard (one envelope per shard
-        instead of one per user), read as record views — no object is
-        built — and decrypted through the population's batched
-        trial-decryption cascade.  Under the streaming pipeline the
-        users are walked in population chunks: each chunk's downloads are
-        framed per (shard, chunk) and trial-decrypted before the next
-        chunk's are fetched, so the fetch stage holds O(chunk) inboxes at a
-        time.  ``chunk_size=None`` is one whole-population chunk — the
-        monolithic flow.  Mailbox classification is per (user, message), so
-        chunking cannot change any outcome; chunks are decrypted in order,
-        so the §5.3.3 mark-partner-offline side effects land in the same user
-        order too.
+        instead of one per user) and the population opens each envelope's
+        records where they lie, one AEAD call per envelope — no object is
+        built.  Under the streaming pipeline the users are walked in
+        population chunks: each chunk's downloads are framed per (shard,
+        chunk) and decrypted before the next chunk's are fetched, so the
+        fetch stage holds O(chunk) inboxes at a time.  ``chunk_size=None``
+        is one whole-population chunk — the monolithic flow.  Mailbox
+        classification is per (user, message), so chunking cannot change
+        any outcome; chunks are decrypted in order, so the §5.3.3
+        mark-partner-offline side effects land in the same user order too.
         """
         deployment = self.deployment
         population = deployment.population
@@ -517,11 +516,8 @@ class RoundEngine:
         ]
         for part, span in enumerate(chunk_spans(users, chunk_size)):
             with trace.span(part=part, entries=len(span)):
-                inboxes_by_owner: dict = {}
-                for server, owners in deployment.mailboxes.shard_owners(
-                    [user.public_bytes for user in span]
-                ):
-                    delivered = deployment.transport.deliver(
+                fetches = [
+                    deployment.transport.deliver(
                         Envelope(
                             kind=MAILBOX_FETCH_BATCH,
                             source=server.name,
@@ -531,14 +527,14 @@ class RoundEngine:
                             part=part if chunk_size is not None else None,
                         )
                     )
-                    for owner, records in delivered.inboxes():
-                        inboxes_by_owner.setdefault(owner, []).extend(records)
-                inboxes = [inboxes_by_owner.get(user.public_bytes, []) for user in span]
-                for user, inbox in zip(span, inboxes):
-                    report.mailbox_counts[user.name] = len(inbox)
-                report.delivered.update(
-                    population.decrypt_mailboxes_batch(ctx.round_number, span, inboxes)
-                )
+                    for server, owners in deployment.mailboxes.shard_owners(
+                        [user.public_bytes for user in span]
+                    )
+                ]
+                received = population.decrypt_mailboxes_batch(ctx.round_number, span, fetches)
+                for user in span:
+                    report.mailbox_counts[user.name] = len(received[user.name])
+                report.delivered.update(received)
 
     def close(self) -> None:
         self.backend.close()

@@ -49,18 +49,15 @@ from repro.crypto.nizk import (
 )
 from repro import trace
 from repro.crypto import stream
-from repro.crypto.aead import adec_batch
-from repro.crypto.onion import (
-    InnerEnvelope,
-    decrypt_inner_batch,
-    shared_keys_batch,
-)
-from repro.errors import CryptoError, ProofError, ProtocolError
+from repro.crypto.aead import open_spans
+from repro.crypto.onion import open_inner_envelopes, shared_keys_batch
+from repro.errors import ProofError, ProtocolError
 from repro.mixnet.messages import (
     EncodedBatch,
     MailboxBatch,
     SubmissionBatch,
     batch_digest,
+    decode_elements,
 )
 from repro.transport.base import Transport
 from repro.transport.envelope import BATCH, Envelope
@@ -186,11 +183,12 @@ class _RoundRecord:
     #: every draw takes the next ones, so a blame rerun's shuffle and
     #: proof nonces are fresh.
     draws: int = 0
-    #: Precomputed public-key work (§5.2.1): encoded DH public →
-    #: ``(blinded key, outer layer key)``, the one place the online pass
-    #: reads its keys from.  Keyed by encoding (not batch index) so the
+    #: Precomputed public-key work (§5.2.1): a DH public's wire encoding →
+    #: ``(public, blinded key, blinded key's encoding, outer layer key)``,
+    #: the one place the online pass reads its keys from.  Keyed by the
+    #: encoding as it lies in the batch blob (not by batch index), so the
     #: table survives shuffles, rejected submissions, and the
-    #: rerun-after-blame entry removal.
+    #: rerun-after-blame entry removal, and a lookup decodes nothing.
     precomputed: Dict[bytes, tuple] = field(default_factory=dict)
 
 
@@ -280,66 +278,57 @@ class ChainMember:
     # -- precomputation (§5.2.1) -------------------------------------------------
 
     def precompute_round(self, round_number: int, dh_publics: Sequence[object]) -> List[object]:
+        """:meth:`precompute_rows` for decoded publics; their blinded keys, in order."""
+        encodings = [self.group.encode(public) for public in dh_publics]
+        return [row[1] for row in self.precompute_rows(round_number, encodings, dh_publics)]
+
+    def precompute_rows(self, round_number: int, encodings: Sequence[bytes],
+                        dh_publics: Optional[Sequence[object]] = None) -> List[tuple]:
         """Run the round's public-key work ahead of time and cache the results.
 
         Both expensive passes of :meth:`process_round` — blinding every DH
         key with the blinding secret and deriving every outer layer key from
         the mixing secret — depend only on the DH publics, which are known
         before the online phase (§5.2.1: the hybrid shuffle is "hybrid"
-        precisely so this work can run during idle time).  The results are
-        cached in the round record keyed by encoded public, and the blinded
-        keys are returned in input order so a chain can cascade the
-        precompute through its members (member *i*'s blinded outputs are
-        member *i + 1*'s inputs; the intervening shuffle only permutes the
-        batch, which a keyed table is insensitive to).
+        precisely so this work can run during idle time).  Returns the
+        table rows ``(public, blinded, blinded encoding, layer key)`` of the
+        publics encoded as ``encodings``, in input order, so a chain can
+        cascade the precompute through its members on the blinded columns
+        (the intervening shuffle only permutes the batch, which a keyed
+        table is insensitive to).
 
-        Idempotent and incremental: already-cached publics are not
-        recomputed, so late top-ups (deferred users, injected submissions)
-        only pay for the new entries.  Pure-deterministic: no randomness is
-        drawn, so running it — or not — never changes any round output.
+        Rows the table lacks are filled from ``dh_publics`` (the same
+        publics, decoded) or, when not given, by decoding ``encodings``
+        here, where one the group rejects raises
+        :class:`~repro.errors.DecodingError`.  Idempotent and incremental,
+        so late top-ups only pay for the new entries; it draws no
+        randomness, so running it — or not — never changes any output.
         """
         if self.mixing_secret is None or self.blinding_secret is None:
             raise ProtocolError("chain member has not completed key setup")
-        table, encodings = self._filled_table(round_number, dh_publics)
-        return [table[key][0] for key in encodings]
-
-    def _filled_table(
-        self, round_number: int, dh_publics: Sequence[object]
-    ) -> Tuple[Dict[bytes, tuple], List[bytes]]:
-        """The round's key table with every one of ``dh_publics`` in it, and
-        their encodings: both batched passes run over the missing ones only."""
         group = self.group
         table = self._rounds.setdefault(round_number, _RoundRecord()).precomputed
-        encodings = [group.encode(public) for public in dh_publics]
+        try:
+            return list(map(table.__getitem__, encodings))
+        except KeyError:
+            pass
         missing = [index for index, key in enumerate(encodings) if key not in table]
-        if missing:
-            fresh = [dh_publics[index] for index in missing]
-            blinded = group.scalar_mult_batch(fresh, self.blinding_secret)
-            keys = shared_keys_batch(group, KDF_LABEL_OUTER, fresh, self.mixing_secret)
-            for slot, (index, blinded_key) in enumerate(zip(missing, blinded)):
-                table[encodings[index]] = (blinded_key, keys[32 * slot:32 * slot + 32])
-        return table, encodings
+        fresh = (
+            [dh_publics[index] for index in missing] if dh_publics is not None
+            else decode_elements(group, [encodings[index] for index in missing])
+        )
+        blinded = group.scalar_mult_batch(fresh, self.blinding_secret)
+        keys = shared_keys_batch(group, KDF_LABEL_OUTER, fresh, self.mixing_secret)
+        for slot, index in enumerate(missing):
+            table[encodings[index]] = (
+                fresh[slot], blinded[slot], group.encode(blinded[slot]),
+                keys[32 * slot:32 * slot + 32],
+            )
+        return list(map(table.__getitem__, encodings))
 
     def release_round(self, round_number: int) -> None:
         """Forget a delivered round's record: blobs, permutation, draws, secret, table."""
         self._rounds.pop(round_number, None)
-
-    def _blind_and_derive_keys(
-        self, round_number: int, dh_publics: Sequence[object]
-    ) -> Tuple[List[object], bytes]:
-        """The two public-key passes of the mix step, read from the round's table.
-
-        Returns the blinded keys and the outer layer keys, the latter as
-        the one blob ``adec_batch`` takes.  Entries the table lacks — every
-        entry, when the engine's precompute stage did not run — are filled
-        first, exactly as :meth:`precompute_round` fills them, so the online
-        pass has one path.
-        """
-        table, encodings = self._filled_table(round_number, dh_publics)
-        return (
-            [table[key][0] for key in encodings],
-            b"".join(table[key][1] for key in encodings),
-        )
 
     # -- mixing -----------------------------------------------------------------
 
@@ -347,60 +336,51 @@ class ChainMember:
         """Decrypt one layer, blind the DH keys, shuffle, and prove (§6.3 steps 1-3).
 
         The public-key work (blinding, layer-key derivation) is served from
-        the round's precompute table, leaving the online phase as AEAD opens
-        + shuffle + the aggregate proof once :meth:`precompute_round` ran.
+        the round's precompute table, looked up by each entry's element
+        bytes as they lie in the blob, leaving the online phase as AEAD
+        opens + shuffle + the aggregate proof once :meth:`precompute_round`
+        ran.  An element the table lacks is decoded and its row filled
+        here (one the group rejects raises
+        :class:`~repro.errors.DecodingError`).
 
-        The batch arrives and leaves wire-encoded: its elements are decoded
-        here, once (an encoding the group rejects raises
-        :class:`~repro.errors.DecodingError`); the decoded publics and
-        opened plaintexts live only inside this call, and both the retained
-        input record and the output batch are blobs (decode → outer-strip →
-        re-encode survivor).
+        The opens are one :func:`~repro.crypto.aead.open_spans` call over
+        the batch blob: each entry's ciphertext is read where it lies and
+        its plaintext is written behind its blinded key's encoding and
+        length, so the call's output is the next hop's entries; one join
+        puts them in shuffled order.  A tag that fails anywhere gives
+        ``failed_indices`` in input order and no output.  The shuffle is
+        drawn only after every entry opened, so a failed hop draws nothing.
         """
-        if self.mixing_secret is None or self.blinding_secret is None:
-            raise ProtocolError("chain member has not completed key setup")
         group = self.group
-        record = self._rounds.setdefault(round_number, _RoundRecord())
-        dh_publics = entries.decode_publics()
+        rows = self.precompute_rows(round_number, entries.element_encodings())
+        record = self._rounds[round_number]
         record.inputs = entries  # immutable, blob-backed: no copy
-        blinded_keys, layer_keys = self._blind_and_derive_keys(round_number, dh_publics)
-        # The authenticated opens run as one keystream batch; per-entry
-        # results are identical to decrypt_outer_layer.
-        opened = adec_batch(layer_keys, round_number, entries.ciphertexts())
-        stripped: List[bytes] = []
-        failed: List[int] = []
-        for index, (ok, next_ciphertext) in enumerate(opened):
-            if not ok:
-                failed.append(index)
-                next_ciphertext = b""
-            stripped.append(next_ciphertext or b"")
-        if failed:
+        starts, ends = entries.ciphertext_spans()
+        opened = open_spans(
+            entries.blob, starts, ends, b"".join([row[3] for row in rows]), round_number,
+            heads=b"".join([row[2] for row in rows]),
+        )
+        if 0 in opened.opened:
             return MixStepResult(
                 position=self.position, entries=entries.select(()), proof=None,
-                failed_indices=failed,
+                failed_indices=[index for index, ok in enumerate(opened.opened) if not ok],
             )
         # One stream call: the shuffle's blocks, then the proof nonce's.
-        size = len(stripped)
+        size = len(entries)
         drawn = self._draw_blocks(round_number, stream.shuffle_blocks(size) + 1)
         permutation = stream.permutation(drawn, size)
         (nonce,) = stream.scalars(group, drawn[-stream.BLOCK_SIZE:])
-        # Re-encode the survivors straight into the next wire blob; the
-        # decoded publics, blinded points, and plaintext list all die with
-        # this frame.
-        outputs = EncodedBatch.from_parts(
-            group,
-            [group.encode(blinded_keys[source]) for source in permutation],
-            [stripped[source] for source in permutation],
-        )
+        outputs = EncodedBatch(group, opened.plain, opened.offsets).select(permutation)
         record.permutation = permutation
         record.outputs = outputs
         proof = prove_dleq(
             group,
-            base1=group.sum(dh_publics) if dh_publics else group.identity(),
+            base1=group.sum([row[0] for row in rows]) if rows else group.identity(),
             base2=self.base_point,
             secret=self.blinding_secret,
             context=mixing_context(self.chain_id, self.position, round_number),
             nonce=nonce,
+            public2=self.blinding_public,
         )
         return MixStepResult(position=self.position, entries=outputs, proof=proof)
 
@@ -642,9 +622,11 @@ class MixChain:
         window) and is safe to repeat or top up incrementally.
         """
         chain_ids, _, encoded, _, _ = SubmissionBatch.of(self.group, submissions).columns()
-        publics = self._decode_statements(chain_ids, encoded)[1]
+        indices, publics = self._decode_statements(chain_ids, encoded)
+        encodings = [encoded[index] for index in indices]
         for member in self.members:
-            publics = member.precompute_round(round_number, publics)
+            rows = member.precompute_rows(round_number, encodings, publics)
+            publics, encodings = [row[1] for row in rows], [row[2] for row in rows]
 
     def release_round(self, round_number: int) -> None:
         """Drop the chain's and every member's state for a delivered round
@@ -853,34 +835,19 @@ class MixChain:
                 )
             inner_secrets.append(secret)
 
-        records: List[bytes] = []
-        invalid_inner = 0
-        envelopes: List[Optional[InnerEnvelope]] = []
-        for ciphertext in map(entries.ciphertext, range(len(entries))):
-            try:
-                envelopes.append(InnerEnvelope.from_bytes(ciphertext))
-            except CryptoError:
-                envelopes.append(None)
-        parseable = [envelope for envelope in envelopes if envelope is not None]
         # Whole-batch final decryption: one many-points-one-scalar pass over
-        # the aggregate inner secret plus one batched AEAD open, per-entry
-        # results identical to decrypt_inner.
-        opened = iter(decrypt_inner_batch(group, inner_secrets, round_number, parseable))
-        for envelope in envelopes:
-            if envelope is None:
-                invalid_inner += 1
-                continue
-            ok, plaintext = next(opened)
-            if ok and plaintext is not None and len(plaintext) >= MailboxBatch.MINIMUM:
-                records.append(plaintext)
-            else:
-                invalid_inner += 1
+        # the aggregate inner secret, then one open over the inner envelopes
+        # where they lie, straight into the mailbox records.
+        opened = open_inner_envelopes(
+            group, inner_secrets, round_number, entries.blob, *entries.ciphertext_spans(),
+            minimum=MailboxBatch.MINIMUM,
+        )
         return ChainRoundResult(
             chain_id=self.chain_id,
             round_number=round_number,
             status=ChainRoundResult.STATUS_DELIVERED,
-            mailbox_messages=MailboxBatch.from_records(records),
+            mailbox_messages=MailboxBatch.from_opened(opened),
             rejected_senders=rejected_senders,
-            invalid_inner_count=invalid_inner,
+            invalid_inner_count=opened.opened.count(0),
             input_digest=digest,
         )

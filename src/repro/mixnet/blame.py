@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence
 
 from repro.constants import KDF_LABEL_OUTER
-from repro.crypto.aead import adec_batch
+from repro.crypto.aead import OpenedSpans, open_spans
 from repro.crypto.kdf import derive_key_batch
 from repro.crypto.nizk import DleqProof, verify_dleq_batch
 from repro.errors import BlameError
@@ -126,10 +126,11 @@ class BlameVerdict:
 
 
 def _keys_open(group, decryption_keys: Sequence, round_number: int,
-               ciphertexts: Sequence[bytes]) -> list:
-    """``ADec`` of each ciphertext under the outer-layer key of its revealed DH element."""
+               batch: EncodedBatch) -> OpenedSpans:
+    """``ADec`` of each entry's ciphertext, where it lies in ``batch``, under
+    the outer-layer key of its revealed DH element: one open for the batch."""
     keys = derive_key_batch(b"".join(map(group.encode, decryption_keys)), KDF_LABEL_OUTER)
-    return adec_batch(keys, round_number, ciphertexts)
+    return open_spans(batch.blob, *batch.ciphertext_spans(), keys, round_number)
 
 
 def _same_entries(revealed: EncodedBatch, recorded: EncodedBatch) -> List[bool]:
@@ -166,10 +167,10 @@ def _valid_accusations(chain, accuser, round_number: int, flagged: Sequence[int]
         reveals.key_proofs,
         blame_context(chain.chain_id, accuser.position, round_number),
     )
-    opened = _keys_open(group, reveals.decryption_keys, round_number, accused.ciphertexts())
+    opened = _keys_open(group, reveals.decryption_keys, round_number, accused).opened
     return [
         same and valid and not ok
-        for same, valid, (ok, _) in zip(_same_entries(reveals.preimages, accused), proved, opened)
+        for same, valid, ok in zip(_same_entries(reveals.preimages, accused), proved, opened)
     ]
 
 
@@ -209,7 +210,8 @@ def _verified_preimages(chain, member, round_number: int, reveals: BlameReveals,
         checkable(reveals.blinding_proofs) + checkable(reveals.key_proofs),
         blame_context(chain.chain_id, member.position, round_number),
     )
-    opened = _keys_open(group, decryption_keys, round_number, recorded_ciphertexts)
+    plain, offsets, opened = _keys_open(group, decryption_keys, round_number, recorded)
+    plaintexts = memoryview(plain)
     same = _same_entries(reveals.preimages.select(columns), recorded)
     preimages: List[Optional[tuple]] = [None] * len(reveals.input_indices)
     for row, column in enumerate(columns):
@@ -217,7 +219,8 @@ def _verified_preimages(chain, member, round_number: int, reveals: BlameReveals,
             same[row]
             and proved[row]
             and proved[count + row]
-            and opened[row] == (True, downstream_ciphertexts[column])
+            and opened[row]
+            and plaintexts[offsets[row] + 4:offsets[row + 1]] == downstream_ciphertexts[column]
         ):
             preimages[column] = (
                 reveals.input_indices[column], recorded_publics[row], recorded_ciphertexts[row]

@@ -28,7 +28,7 @@ import struct
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.constants import (
     AEAD_TAG_SIZE,
@@ -37,7 +37,7 @@ from repro.constants import (
     SCALAR_SIZE,
     SENDER_FIELD_SIZE,
 )
-from repro.crypto.aead import adec, aenc
+from repro.crypto.aead import OpenedSpans, adec, aenc
 from repro.crypto.nizk import SchnorrProof
 from repro.crypto.onion import pad_payload, unpad_payload
 from repro.errors import CryptoError, DecodingError
@@ -52,6 +52,7 @@ __all__ = [
     "MailboxBatch",
     "FetchBatch",
     "batch_digest",
+    "decode_elements",
     "submission_record",
     "mailbox_message_size",
 ]
@@ -362,16 +363,9 @@ class _RecordBatch(Sequence):
 
         The entries move as bytes, undecoded: all a link can do to them.
         """
-        blob, offsets = self._blob, self._offsets
-        picked = array("Q", [0])
-        parts: List[bytes] = []
-        total = 0
-        for index in indices:
-            entry = blob[offsets[index]:offsets[index + 1]]
-            parts.append(entry)
-            total += len(entry)
-            picked.append(total)
-        return self._with_wire(b"".join(parts), picked)
+        view, offsets = memoryview(self._blob), self._offsets
+        parts = [view[offsets[index]:offsets[index + 1]] for index in indices]
+        return self._with_wire(b"".join(parts), array("Q", accumulate(map(len, parts), initial=0)))
 
     def _with_wire(self, blob: bytes, offsets: array):
         return type(self)(blob, offsets)
@@ -542,6 +536,12 @@ class MailboxBatch(_PrefixedBatch):
             raise DecodingError("trailing bytes after mailbox batch")
         return batch
 
+    @classmethod
+    def from_opened(cls, opened: OpenedSpans) -> "MailboxBatch":
+        """The records a head-less :func:`~repro.crypto.aead.open_spans` call
+        opened, as they lie in its output: a slot that did not open is empty."""
+        return cls(opened.plain, array("Q", dict.fromkeys(opened.offsets)))
+
     def _materialise(self, index: int) -> MailboxMessage:
         return _mailbox_message(self.record(index))
 
@@ -626,6 +626,41 @@ class FetchBatch(_RecordBatch):
             end = record + _read_u32(blob, end)[0]
             records.append(view[record:end])
         return bytes(blob[start + 4:split]), records
+
+    def sealed_spans(self, key_ranges: Dict[bytes, Tuple[int, int]]) -> Tuple[List, ...]:
+        """Every record's sealed body as a span of the blob, in one pass.
+
+        Returns the spans' ``starts``, ``ends``, ``first_keys`` and
+        ``key_counts`` (the :func:`~repro.crypto.aead.open_spans` columns),
+        then ``(owner, first record, record count)`` per entry.  A record
+        addressed to its owner has the owner's ``(first key, key count)``
+        in ``key_ranges`` (none for an owner not there); any other, none.
+        """
+        blob, read = self._blob, _read_u32
+        starts: List[int] = []
+        ends: List[int] = []
+        firsts: List[int] = []
+        counts: List[int] = []
+        entries: List[Tuple[bytes, int, int]] = []
+        for start in self._offsets[:-1]:
+            split = start + 4 + read(blob, start)[0]
+            owner = blob[start + 4:split]
+            first, candidates = key_ranges.get(owner, (0, 0))
+            total = read(blob, split)[0]
+            entries.append((owner, len(starts), total))
+            end = split + 4
+            for _ in range(total):
+                record = end + 4
+                end = record + read(blob, end)[0]
+                starts.append(record + GROUP_ELEMENT_SIZE)
+                ends.append(end)
+                if blob.startswith(owner, record, record + GROUP_ELEMENT_SIZE):
+                    firsts.append(first)
+                    counts.append(candidates)
+                else:
+                    firsts.append(0)
+                    counts.append(0)
+        return starts, ends, firsts, counts, entries
 
     def inboxes(self) -> List[Tuple[bytes, List[memoryview]]]:
         """Every ``(owner, records)`` pair, each record a view into the blob."""
@@ -781,19 +816,30 @@ class EncodedBatch(_RecordBatch):
     def ciphertexts(self) -> List[bytes]:
         return [self.ciphertext(index) for index in range(len(self))]
 
-    def decode_publics(self) -> List[object]:
-        """Decode every entry's DH element (transient: caller drops the list).
+    def ciphertext_spans(self) -> Tuple[array, array]:
+        """Every entry's ciphertext as a span of :attr:`blob`: ``(starts, ends)``."""
+        skip = self._group.element_size + 4
+        return array("Q", [start + skip for start in self._offsets[:-1]]), self._offsets[1:]
 
-        One ``decode_batch`` for the whole batch; an element the group
-        rejects raises the :class:`DecodingError` that ``decode`` gives it.
-        """
-        encodings = [self.element_bytes(index) for index in range(len(self))]
-        points = self._group.decode_batch(encodings)
-        for encoding, point in zip(encodings, points):
-            if point is None:
-                self._group.decode(encoding)  # raises the rejection's own error
-                raise DecodingError("batch element rejected")
-        return points
+    def element_encodings(self) -> List[bytes]:
+        """Every entry's encoded DH element, as it lies in the blob."""
+        blob, size = self._blob, self._group.element_size
+        return [blob[start:start + size] for start in self._offsets[:-1]]
+
+    def decode_publics(self) -> List[object]:
+        """Decode every entry's DH element (transient: caller drops the list)."""
+        return decode_elements(self._group, self.element_encodings())
+
+
+def decode_elements(group, encodings: Sequence[bytes]) -> List[object]:
+    """Decode encoded group elements with one ``decode_batch``; an element
+    the group rejects raises the :class:`DecodingError` ``decode`` gives it."""
+    points = group.decode_batch(encodings)
+    for encoding, point in zip(encodings, points):
+        if point is None:
+            group.decode(encoding)  # raises the rejection's own error
+            raise DecodingError("batch element rejected")
+    return points
 
 
 def batch_digest(batch: EncodedBatch) -> bytes:

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 # ABI stamp expected from xrd_abi_version(); mirrors XRD_KERNELS_ABI in
 # xrdkernels.c so a stale prebuilt .so is rebuilt instead of trusted.
-EXPECTED_ABI = 5
+EXPECTED_ABI = 6
 
 _MODULE = "repro.native._xrdkernels"
 # The string xrdkernels.c compiles in next to xrd_abi_version().

@@ -4,10 +4,10 @@
  * implementations bit for bit:
  *
  *   - batched ChaCha20 keystream blocks (RFC 8439 §2.3);
- *   - ChaCha20-Poly1305 AEAD seal/open over whole batches (the
- *     trial-decrypt cascade behind adec_batch: one counter-0 block per
- *     message for the Poly1305 one-time key, verify-before-decrypt,
- *     payload keystream only for survivors);
+ *   - ChaCha20-Poly1305 AEAD: seal over whole batches, and open over
+ *     spans of a buffer the caller holds, each under the first of its
+ *     candidate keys whose tag verifies (verify-before-decrypt: one
+ *     counter-0 block per trial, payload keystream only for the match);
  *   - batched HKDF-SHA256 (RFC 5869; kdf.py's derive_key): the step from a
  *     32-byte encoded Diffie-Hellman element to its 32-byte AEAD key, one
  *     label and context for the whole batch;
@@ -41,7 +41,7 @@
  * stale prebuilt module and rebuilds it.  The stamp string lets the loader
  * read the ABI of a built module from its file, without importing it (an
  * imported extension cannot be replaced within the process). */
-#define XRD_KERNELS_ABI 5
+#define XRD_KERNELS_ABI 6
 #define XRD_STR2(x) #x
 #define XRD_STR(x) XRD_STR2(x)
 
@@ -58,11 +58,14 @@ int xrd_aead_seal_batch(const uint8_t *keys, const uint8_t *nonces, size_t count
                         const uint8_t *plains, const uint64_t *pt_offsets,
                         const uint8_t *aad, size_t aad_len,
                         uint8_t *out, const uint64_t *out_offsets);
-int xrd_aead_open_batch(const uint8_t *keys, const uint8_t *nonces, size_t count,
-                        const uint8_t *datas, const uint64_t *ct_offsets,
-                        const uint8_t *aad, size_t aad_len,
-                        uint8_t *plain_out, const uint64_t *pt_offsets,
-                        uint8_t *ok_out);
+int xrd_aead_open_spans(const uint8_t *buf, size_t buf_len, size_t count,
+                        const uint64_t *starts, const uint64_t *ends,
+                        const uint8_t *keys, size_t key_count,
+                        const uint64_t *first_key, const uint64_t *key_counts,
+                        const uint8_t *nonce, const uint8_t *aad, size_t aad_len,
+                        const uint64_t *order, const uint8_t *heads, size_t head_len,
+                        uint8_t *out, size_t out_len, uint64_t *out_offsets,
+                        uint8_t *opened);
 int xrd_hkdf_sha256_batch(const uint8_t *label, size_t label_len,
                           const uint8_t *context, size_t context_len,
                           const uint8_t *secrets, size_t stride, size_t count,
@@ -124,6 +127,13 @@ static void st32(uint8_t *p, uint32_t v) {
     p[1] = (uint8_t)(v >> 8);
     p[2] = (uint8_t)(v >> 16);
     p[3] = (uint8_t)(v >> 24);
+}
+
+static void st32_be(uint8_t *p, uint32_t v) {
+    p[0] = (uint8_t)(v >> 24);
+    p[1] = (uint8_t)(v >> 16);
+    p[2] = (uint8_t)(v >> 8);
+    p[3] = (uint8_t)v;
 }
 
 #define ROTL32(v, n) (((v) << (n)) | ((v) >> (32 - (n))))
@@ -354,31 +364,53 @@ int xrd_aead_seal_batch(const uint8_t *keys, const uint8_t *nonces, size_t count
     return 0;
 }
 
-int xrd_aead_open_batch(const uint8_t *keys, const uint8_t *nonces, size_t count,
-                        const uint8_t *datas, const uint64_t *ct_offsets,
-                        const uint8_t *aad, size_t aad_len,
-                        uint8_t *plain_out, const uint64_t *pt_offsets,
-                        uint8_t *ok_out) {
-    size_t i;
+/* Open spans of `buf` in place.  Span i is buf[starts[i], ends[i]) and its
+ * candidates are the 32-byte keys first_key[i] .. first_key[i] + key_counts[i]
+ * of `keys`, tried in order; opened[i] = 1 + the candidate whose tag
+ * verified, 0 when none did (a span shorter than a tag never does).  Output
+ * slot j holds span order[j]: nothing when it did not open, else its head
+ * (head_len bytes of `heads`) || be32(plaintext length) || plaintext.  Slot j
+ * starts at out_offsets[j]; out_offsets[count] is the end.  Every index is
+ * checked against its buffer before anything is read: any bad one declines. */
+int xrd_aead_open_spans(const uint8_t *buf, size_t buf_len, size_t count,
+                        const uint64_t *starts, const uint64_t *ends,
+                        const uint8_t *keys, size_t key_count,
+                        const uint64_t *first_key, const uint64_t *key_counts,
+                        const uint8_t *nonce, const uint8_t *aad, size_t aad_len,
+                        const uint64_t *order, const uint8_t *heads, size_t head_len,
+                        uint8_t *out, size_t out_len, uint64_t *out_offsets,
+                        uint8_t *opened) {
+    size_t i, j, c, need = 0, at = 0;
     uint8_t otk_block[64], tag[16];
-    for (i = 0; i < count; i++) {
-        const uint8_t *key = keys + 32 * i;
-        const uint8_t *nonce = nonces + 12 * i;
-        size_t data_len = (size_t)(ct_offsets[i + 1] - ct_offsets[i]);
-        const uint8_t *data = datas + ct_offsets[i];
-        size_t ct_len;
-        ok_out[i] = 0;
-        if (data_len < 16) continue;  /* shorter than a tag: reject */
-        ct_len = data_len - 16;
-        if (pt_offsets[i + 1] - pt_offsets[i] != ct_len) return -1;
-        /* Verify before decrypt: the trial-decrypt cascade fails by
-         * design, so payload keystream is only spent on survivors. */
-        chacha_block(key, 0, nonce, otk_block);
-        aead_tag(otk_block, aad, aad_len, data, ct_len, tag);
-        if (!tag_equal(tag, data + ct_len)) continue;
-        chacha_xor(key, nonce, 1, data, ct_len, plain_out + pt_offsets[i]);
-        ok_out[i] = 1;
+    for (i = 0; i < count; i++)
+        if (starts[i] > ends[i] || ends[i] > buf_len || key_counts[i] > 255
+            || first_key[i] > key_count || key_counts[i] > key_count - first_key[i])
+            return -1;
+    for (j = 0; j < count; j++) {
+        if (order[j] >= count) return -1;
+        need += head_len + 4 + (size_t)(ends[order[j]] - starts[order[j]]);
+        if (need > out_len) return -1;
     }
+    memset(opened, 0, count);
+    for (j = 0; j < count; j++) {
+        const uint8_t *data = buf + starts[order[j]];
+        size_t data_len = (size_t)(ends[order[j]] - starts[order[j]]);
+        i = order[j];
+        out_offsets[j] = at;
+        for (c = 0; c < key_counts[i] && data_len >= 16; c++) {
+            const uint8_t *key = keys + 32 * (first_key[i] + c);
+            chacha_block(key, 0, nonce, otk_block);
+            aead_tag(otk_block, aad, aad_len, data, data_len - 16, tag);
+            if (!tag_equal(tag, data + data_len - 16)) continue;
+            if (head_len) memcpy(out + at, heads + head_len * i, head_len);
+            st32_be(out + at + head_len, (uint32_t)(data_len - 16));
+            chacha_xor(key, nonce, 1, data, data_len - 16, out + at + head_len + 4);
+            at += head_len + 4 + data_len - 16;
+            opened[i] = (uint8_t)(c + 1);
+            break;
+        }
+    }
+    out_offsets[count] = at;
     return 0;
 }
 
@@ -393,13 +425,6 @@ int xrd_aead_open_batch(const uint8_t *keys, const uint8_t *nonces, size_t count
 static uint32_t be32(const uint8_t *p) {
     return ((uint32_t)p[0] << 24) | ((uint32_t)p[1] << 16) | ((uint32_t)p[2] << 8)
          | (uint32_t)p[3];
-}
-
-static void st32_be(uint8_t *p, uint32_t v) {
-    p[0] = (uint8_t)(v >> 24);
-    p[1] = (uint8_t)(v >> 16);
-    p[2] = (uint8_t)(v >> 8);
-    p[3] = (uint8_t)v;
 }
 
 static const uint32_t SHA256_K[64] = {

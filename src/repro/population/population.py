@@ -16,12 +16,14 @@ stream keys) but executes the per-round work column-wise:
   per chain over those columns (:mod:`repro.population.batch_build`), so
   the batch is bit-identical to the per-user oracle whatever the chain,
   chunk or thread it runs on.
-* **fetch** — mailbox decryption reads each fetched record as it came
-  (``recipient = record[:32]``, ``sealed body = record[32:]``) and runs a
-  trial-decryption *cascade*: every (user, record) pair tries its first
-  candidate key in one batched AEAD pass, survivors try their second, and
-  so on.  Each record authenticates under exactly one key, so cascade
-  order cannot change any classification.
+* **fetch** — mailbox decryption opens each fetch envelope (one shard's
+  downloads for one chunk of users) in one
+  :func:`~repro.crypto.aead.open_spans` call over its blob: every record's
+  sealed body (``record[32:]``) is a span, and a record addressed to its
+  owner (``record[:32]``) has her candidate keys — the conversation key,
+  then her loopback keys in sorted chain order — of which the first whose
+  tag verifies opens it.  Each record authenticates under at most one of
+  them, so the order cannot change any classification.
 
 Chain assignments are derived from public keys alone, so the columns stay
 valid across chain re-formation (:meth:`Deployment.reform_chain
@@ -35,17 +37,19 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.client.chain_selection import chains_for_user, intersection_chain
 from repro.client.user import ReceivedMessage, User
-from repro.constants import GROUP_ELEMENT_SIZE
-from repro.crypto.aead import adec_batch
+from repro.crypto.aead import open_spans
 from repro.crypto.kdf import loopback_key
 from repro.errors import ConfigurationError
-from repro.mixnet.messages import MessageBody, SubmissionBatch
+from repro.mixnet.messages import FetchBatch, MessageBody, SubmissionBatch
 from repro.population.batch_build import PendingColumns, build_chain_submissions
 
 __all__ = ["UserPopulation"]
 
-#: Sentinel chain label for the conversation-key trial of the fetch cascade.
+#: Sentinel chain label for the conversation key among a user's candidates.
 _CONVERSATION_TRIAL = -1
+#: The one loopback body there is: a plaintext equal to it decodes, as a loopback.
+_LOOPBACK_BODY = MessageBody.loopback().encode()
+_UNREADABLE = ReceivedMessage(kind=ReceivedMessage.KIND_UNREADABLE, content=b"")
 
 
 class UserPopulation:
@@ -69,12 +73,14 @@ class UserPopulation:
         #: Lazily derived per-(user, chain) loopback keys — identity secrets
         #: never change, so these are computed once per population.
         self._loopback_keys: Dict[Tuple[str, int], bytes] = {}
-        #: Per-user loopback trial order for the fetch cascade: sorted, so
-        #: it cannot depend on set hash order.
+        #: Per-user loopback candidate order for the fetch: sorted, so it
+        #: cannot depend on set hash order.
         self._trial_chains: Dict[str, Tuple[int, ...]] = {
             name: tuple(sorted(set(assignment)))
             for name, assignment in self.chain_assignments.items()
         }
+        #: Per user, her loopback keys in that order, as one key blob.
+        self._loopback_blobs: Dict[str, bytes] = {}
 
     def _loopback_key(self, user: User, chain_id: int) -> bytes:
         cache_key = (user.name, chain_id)
@@ -83,6 +89,18 @@ class UserPopulation:
             key = loopback_key(user.keypair.identity_secret_bytes(), chain_id)
             self._loopback_keys[cache_key] = key
         return key
+
+    def _candidates(self, user: User) -> Tuple[Tuple[int, ...], bytes]:
+        """The user's fetch candidates: their labels (a chain id, or the
+        conversation sentinel) and their keys as one blob, in trial order."""
+        chains = self._trial_chains[user.name]
+        blob = self._loopback_blobs.get(user.name)
+        if blob is None:
+            blob = b"".join(self._loopback_key(user, chain_id) for chain_id in chains)
+            self._loopback_blobs[user.name] = blob
+        if user.conversation is None:
+            return chains, blob
+        return (_CONVERSATION_TRIAL, *chains), user.conversation.key_to_me() + blob
 
     # -- batched submission building -------------------------------------------
 
@@ -166,82 +184,71 @@ class UserPopulation:
         self,
         round_number: int,
         users: Sequence[User],
-        inboxes: Sequence[Sequence[bytes]],
+        fetches: Sequence[FetchBatch],
     ) -> Dict[str, List[ReceivedMessage]]:
-        """Decrypt and classify every user's round download, cascaded.
+        """Decrypt and classify every user's round download.
 
-        Each inbox holds the user's mailbox records (views or bytes, in the
-        :meth:`~repro.mixnet.messages.MailboxMessage.to_bytes` layout).
-        Semantics mirror the per-user oracle (``tests/user_oracle.py``)
-        exactly, including the §5.3.3 side effect of marking a conversation
-        partner offline.
+        ``fetches`` are the fetch envelopes that carried ``users``' mailboxes
+        (a user's records are those of her entries, in fetch order).  Each
+        envelope is one open over its blob; then the users are classified
+        in ``users`` order.  Semantics mirror the per-user oracle
+        (``tests/user_oracle.py``) exactly, including the §5.3.3 side effect
+        of marking a conversation partner offline, in the same user order.
         """
-        results: Dict[str, List[Optional[ReceivedMessage]]] = {}
-        # (user, record index, sealed body, trial keys, next trial); trials
-        # carry the chain id the loopback key belongs to, or the
-        # conversation sentinel.
-        pending: List[list] = []
-        for user, inbox in zip(users, inboxes):
-            slots: List[Optional[ReceivedMessage]] = [None] * len(inbox)
-            results[user.name] = slots
-            trial_chains = self._trial_chains[user.name]
-            conversation_key = (
-                user.conversation.key_to_me() if user.conversation is not None else None
-            )
-            for message_index, record in enumerate(inbox):
-                if record[:GROUP_ELEMENT_SIZE] != user.public_bytes:
-                    slots[message_index] = ReceivedMessage(
-                        kind=ReceivedMessage.KIND_UNREADABLE, content=b""
-                    )
+        owners = {user.public_bytes: user for user in users}
+        labels: Dict[bytes, Tuple[int, ...]] = {}
+        located: Dict[bytes, list] = {}
+        for fetch in fetches:
+            keys: List[bytes] = []
+            ranges: Dict[bytes, Tuple[int, int]] = {}
+            held = 0
+            for owner in fetch.owners():
+                user = owners.get(owner)
+                if user is None or owner in ranges:
                     continue
-                trials: List[Tuple[int, bytes]] = []
-                if conversation_key is not None:
-                    trials.append((_CONVERSATION_TRIAL, conversation_key))
-                trials.extend(
-                    (chain_id, self._loopback_key(user, chain_id))
-                    for chain_id in trial_chains
-                )
-                pending.append([user, message_index, record[GROUP_ELEMENT_SIZE:], trials, 0])
-
-        while pending:
-            opened = adec_batch(
-                [item[3][item[4]][1] for item in pending],
-                round_number,
-                [item[2] for item in pending],
+                labels[owner], blob = self._candidates(user)
+                ranges[owner] = (held, len(labels[owner]))
+                keys.append(blob)
+                held += len(labels[owner])
+            starts, ends, first_keys, key_counts, entries = fetch.sealed_spans(ranges)
+            opened = open_spans(
+                fetch.blob, starts, ends, b"".join(keys), round_number,
+                first_keys=first_keys, key_counts=key_counts,
             )
-            still_pending: List[list] = []
-            for item, (ok, plaintext) in zip(pending, opened):
-                user, message_index, _sealed, trials, position = item
-                if ok:
-                    label = trials[position][0]
+            for owner, first, count in entries:
+                located.setdefault(owner, []).append((opened, first, count))
+
+        results: Dict[str, List[ReceivedMessage]] = {}
+        loopbacks: Dict[int, ReceivedMessage] = {}
+        for user in users:
+            received: List[ReceivedMessage] = []
+            results[user.name] = received
+            user_labels = labels.get(user.public_bytes, ())
+            for (plain, offsets, opened), first, count in located.get(user.public_bytes, ()):
+                for span in range(first, first + count):
+                    trial = opened[span]
+                    if not trial:
+                        received.append(_UNREADABLE)
+                        continue
+                    plaintext = plain[offsets[span] + 4:offsets[span + 1]]
+                    label = user_labels[trial - 1]
+                    if label != _CONVERSATION_TRIAL:
+                        if plaintext != _LOOPBACK_BODY:
+                            MessageBody.decode(plaintext)  # raises for a malformed body
+                        loopback = loopbacks.get(label)
+                        if loopback is None:
+                            loopback = loopbacks[label] = ReceivedMessage(
+                                kind=ReceivedMessage.KIND_LOOPBACK, content=b"", chain_id=label
+                            )
+                        received.append(loopback)
+                        continue
                     body = MessageBody.decode(plaintext)
-                    if label == _CONVERSATION_TRIAL:
-                        if body.is_offline_notice():
-                            user.conversation.mark_partner_offline()
-                            received = ReceivedMessage(
-                                kind=ReceivedMessage.KIND_OFFLINE_NOTICE,
-                                content=b"",
-                                partner_name=user.conversation.partner_name,
-                            )
-                        else:
-                            received = ReceivedMessage(
-                                kind=ReceivedMessage.KIND_CONVERSATION,
-                                content=body.content,
-                                partner_name=user.conversation.partner_name,
-                            )
+                    if body.is_offline_notice():
+                        user.conversation.mark_partner_offline()
+                        kind, content = ReceivedMessage.KIND_OFFLINE_NOTICE, b""
                     else:
-                        received = ReceivedMessage(
-                            kind=ReceivedMessage.KIND_LOOPBACK, content=b"", chain_id=label
-                        )
-                    results[user.name][message_index] = received
-                    continue
-                item[4] = position + 1
-                if item[4] < len(trials):
-                    still_pending.append(item)
-                else:
-                    results[user.name][message_index] = ReceivedMessage(
-                        kind=ReceivedMessage.KIND_UNREADABLE, content=b""
-                    )
-            pending = still_pending
-
-        return {name: list(slots) for name, slots in results.items()}
+                        kind, content = ReceivedMessage.KIND_CONVERSATION, body.content
+                    received.append(ReceivedMessage(
+                        kind=kind, content=content, partner_name=user.conversation.partner_name
+                    ))
+        return results

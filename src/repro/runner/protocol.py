@@ -24,10 +24,11 @@ import dataclasses
 import enum
 import hashlib
 import json
+from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from repro.coordinator.network import DeploymentConfig
-from repro.errors import DecodingError
+from repro.errors import ConfigurationError, DecodingError
 from repro.faults.plan import FaultPlan, ServerFault, UserFault
 from repro.transport.faulty import LinkFault
 
@@ -45,6 +46,10 @@ __all__ = [
     "encode_mix_request",
     "decode_mix_request",
     "decode_recover_request",
+    "PeersRequest",
+    "decode_peers_request",
+    "FaultRequest",
+    "decode_install_fault_request",
     "config_to_dict",
     "config_from_dict",
     "config_digest",
@@ -133,6 +138,59 @@ def decode_recover_request(payload: bytes) -> List[Tuple[int, int, Tuple[str, ..
             raise DecodingError(f"malformed pending conviction {entry!r}")
         parsed.append((entry[0], entry[1], tuple(entry[2])))
     return parsed
+
+
+# -- the PEERS and INSTALL_FAULT requests -----------------------------------------
+#
+# JSON ``{"owners": {node: peer}, "peers": {peer: [host, port]}}``, and the
+# ServerFault's fields plus the plan seed its stream key derives from and
+# the absolute round it fires in.  Each body is checked whole before the
+# role acts on it, so a refused request changes nothing.
+
+
+@dataclass(frozen=True)
+class PeersRequest:
+    peers: Dict[str, Tuple[str, int]]
+    owners: Dict[str, str]
+
+
+@dataclass(frozen=True)
+class FaultRequest:
+    fault: ServerFault
+    seed: int
+    absolute_round: int
+
+
+def _exact_keys(payload: bytes, keys: Tuple[str, ...], op: str) -> Dict[str, Any]:
+    data = decode_json_payload(payload)
+    if not (isinstance(data, dict) and sorted(data) == sorted(keys)):
+        raise DecodingError(f"a {op} body needs exactly the keys {sorted(keys)}")
+    return data
+
+
+def decode_peers_request(payload: bytes) -> PeersRequest:
+    data = _exact_keys(payload, ("owners", "peers"), "PEERS")
+    peers, owners = data["peers"], data["owners"]
+    if not (isinstance(peers, dict) and all(
+        isinstance(address, list) and len(address) == 2 and isinstance(address[0], str)
+        and type(address[1]) is int and 0 <= address[1] < 2**16 for address in peers.values()
+    )) or not (isinstance(owners, dict) and all(isinstance(v, str) for v in owners.values())):
+        raise DecodingError("a PEERS body maps peers to [host, port] and nodes to peers")
+    return PeersRequest({name: (host, port) for name, (host, port) in peers.items()}, owners)
+
+
+_FAULT_FIELDS = ("round_number", "chain_id", "position", "mode", "target_index")
+
+
+def decode_install_fault_request(payload: bytes) -> FaultRequest:
+    data = _exact_keys(payload, (*_FAULT_FIELDS, "seed", "absolute_round"), "INSTALL_FAULT")
+    if not all(type(value) is (str if key == "mode" else int) for key, value in data.items()):
+        raise DecodingError("an INSTALL_FAULT body has integer fields and a string mode")
+    try:
+        fault = ServerFault(**{key: data[key] for key in _FAULT_FIELDS})
+    except ConfigurationError as exc:
+        raise DecodingError(f"malformed server fault: {exc}") from exc
+    return FaultRequest(fault, data["seed"], data["absolute_round"])
 
 
 # -- config serialisation --------------------------------------------------------

@@ -31,7 +31,7 @@ from repro.coordinator.adversary import install_tampering_server
 from repro.coordinator.network import Deployment, DeploymentConfig
 from repro.engine.stages import RoundContext, RoundReport, RoundSpec
 from repro.errors import ConfigurationError, TransportError
-from repro.faults.plan import ServerFault, fault_key
+from repro.faults.plan import fault_key
 from repro.runner import protocol
 from repro.mixnet.messages import SubmissionBatch
 from repro.transport.codec import encode_chain_outcome, encode_payload
@@ -66,11 +66,8 @@ class RoleHandler(ReflectingHandler):
         if op == protocol.OP_PING:
             return b"pong"
         if op == protocol.OP_PEERS:
-            data = protocol.decode_json_payload(payload)
-            self.transport.set_peers(
-                {name: tuple(address) for name, address in data["peers"].items()},
-                data["owners"],
-            )
+            request = protocol.decode_peers_request(payload)
+            self.transport.set_peers(request.peers, request.owners)
             return b"ok"
         if op == protocol.OP_MIX:
             return self.handle_mix(payload)
@@ -94,14 +91,8 @@ class RoleHandler(ReflectingHandler):
         structurally identical (and a post-recovery re-formation discards
         the wrapper everywhere at once).
         """
-        data = protocol.decode_json_payload(payload)
-        fault = ServerFault(
-            round_number=data["round_number"],
-            chain_id=data["chain_id"],
-            position=data["position"],
-            mode=data["mode"],
-            target_index=data["target_index"],
-        )
+        request = protocol.decode_install_fault_request(payload)
+        fault = request.fault
         with self._lock:
             install_tampering_server(
                 self.deployment,
@@ -109,8 +100,8 @@ class RoleHandler(ReflectingHandler):
                 fault.position,
                 fault.mode,
                 target_index=fault.target_index,
-                stream_key=fault_key(data["seed"], fault),
-                rounds={data["absolute_round"]},
+                stream_key=fault_key(request.seed, fault),
+                rounds={request.absolute_round},
             )
         return b"ok"
 

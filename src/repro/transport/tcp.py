@@ -187,9 +187,11 @@ class TcpTransport(Transport):
     def set_peers(
         self, peers: Dict[str, Tuple[str, int]], owners: Dict[str, str]
     ) -> None:
-        """Install the peer address map and the node-ownership map."""
-        self._peers = {name: (host, int(port)) for name, (host, port) in peers.items()}
-        self._owners = dict(owners)
+        """Install the peer address map and the node-ownership map (both
+        built before either is replaced)."""
+        self._peers, self._owners = (
+            {name: (host, int(port)) for name, (host, port) in peers.items()}, dict(owners)
+        )
 
     def _route(self, envelope: Envelope) -> str:
         """The peer that must observe this envelope (see the module docstring)."""

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.crypto.keys import KeyPair
 from repro.crypto.nizk import verify_dlog
-from repro.crypto.onion import InnerEnvelope, encrypt_inner, encrypt_outer_layers, outer_layer_key
+from repro.crypto import onion
+from repro.crypto.onion import encrypt_inner, encrypt_outer_layers, outer_layer_key
 from repro.errors import ProofError, ProtocolError
 from repro.mixnet.ahs import (
     ChainMember,
@@ -395,22 +396,22 @@ class TestHonestMixing:
         assert result.delivered
         assert (result.mailbox_messages, result.invalid_inner_count) == ([], 1)
 
-    @pytest.mark.parametrize("parser", [InnerEnvelope], ids=lambda c: c.__name__)
-    def test_a_parser_fault_is_not_an_invalid_inner(self, group, parser, monkeypatch):
-        """Only the codec errors the parser raises make an entry invalid; any
-        other exception propagates out of ``run_round``.  (An opened record
-        is checked by length alone, with no parser to fault.)"""
+    def test_a_decryption_fault_is_not_an_invalid_inner(self, group, monkeypatch):
+        """Only what the envelopes themselves fail on — length, a rejected
+        ephemeral key, a tag — makes an entry invalid; a fault of the final
+        decryption propagates out of ``run_round``.  (The envelopes are read
+        where they lie, with no parser to fault.)"""
         chain = build_chain(group, length=2)
         chain.begin_round(1)
         recipient = KeyPair.generate(group)
         good = make_submission(group, chain, 1, "alice", recipient.public_bytes, b"\x04" * 32)
         chain.accept_submissions(1, [good])
 
-        def faulty(cls, data):
-            raise RuntimeError("parser fault")
+        def faulty(*args, **kwargs):
+            raise RuntimeError("key derivation fault")
 
-        monkeypatch.setattr(parser, "from_bytes", classmethod(faulty))
-        with pytest.raises(RuntimeError, match="parser fault"):
+        monkeypatch.setattr(onion, "shared_keys_batch", faulty)
+        with pytest.raises(RuntimeError, match="key derivation fault"):
             chain.run_round(1)
 
     def test_multiple_rounds_independent(self, group):
@@ -457,10 +458,10 @@ class TestPrecompute:
         table = member.round_record(1).precomputed
         assert set(table) == {group.encode(p) for p in publics}
         for public in publics:
-            cached_blinded, cached_key = table[group.encode(public)]
+            cached_public, cached_blinded, cached_encoding, cached_key = table[group.encode(public)]
+            assert cached_public == public
             assert cached_blinded == group.scalar_mult(public, member.blinding_secret)
-            from repro.crypto.onion import outer_layer_key
-
+            assert cached_encoding == group.encode(cached_blinded)
             assert cached_key == outer_layer_key(
                 group, group.scalar_mult(public, member.mixing_secret)
             )
@@ -599,7 +600,7 @@ class TestPrecomputePropertyParity:
         # fail on exactly the tampered entries.
         for entry in entries:
             shared = group.scalar_mult(entry.dh_public, member_pre.mixing_secret)
-            assert table[group.encode(entry.dh_public)][1] == outer_layer_key(group, shared)
+            assert table[group.encode(entry.dh_public)][3] == outer_layer_key(group, shared)
         assert result_online.failed_indices == tampered
 
     @settings(max_examples=6, deadline=None)

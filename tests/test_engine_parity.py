@@ -63,7 +63,9 @@ GOLDEN = {
 #: wire bytes and hop entries hold on every tier; the native dispatches, by
 #: entry point, on the native tier (the python tier makes none).
 COUNTERS = {
-    "dispatch.xrd_aead_open_batch": [12] * 6,
+    # One open per call site: a member mix step each (3 chains x 2 hops),
+    # each chain's final decryption (3), and one per fetch envelope (1).
+    "dispatch.xrd_aead_open_spans": [10] * 6,
     # Keyed draws: a (chain, build) call each for the round's submissions
     # and banked covers (3 + 3), one per member mix step (6), one per member
     # announcing the next round (6) — and round 1 announces itself too (+6).

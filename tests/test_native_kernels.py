@@ -169,18 +169,18 @@ class TestAeadDifferential:
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(
-            st.tuples(keys_st, nonces_st, st.binary(min_size=0, max_size=200)),
+            st.tuples(keys_st, st.binary(min_size=0, max_size=200)),
             min_size=1,
             max_size=12,
         ),
+        nonces_st,
         st.binary(min_size=0, max_size=40),
         st.data(),
     )
-    def test_open_matches_reference_with_forgeries(self, items, aad, data):
+    def test_open_matches_reference_with_forgeries(self, items, nonce, aad, data):
         kernels.set_active_kernel("python")  # aenc and adec run on the active tier
-        keys = [k for k, _, _ in items]
-        nonces = [n for _, n, _ in items]
-        sealed = [aenc(k, n, p, aad) for k, n, p in items]
+        keys = [k for k, _ in items]
+        sealed = [aenc(k, nonce, p, aad) for k, p in items]
         # Corrupt a random subset: bit-flips (in ciphertext or tag) and
         # truncations below one tag — every one must come back (False, None).
         for index in range(len(sealed)):
@@ -196,23 +196,21 @@ class TestAeadDifferential:
                 sealed[index] = bytes(corrupted)
             elif action == "truncate":
                 sealed[index] = sealed[index][: data.draw(st.integers(0, 15))]
-        reference = [adec(k, n, d, aad) for k, n, d in zip(keys, nonces, sealed)]
+        reference = [adec(k, nonce, d, aad) for k, d in zip(keys, sealed)]
         kernels.set_active_kernel("native")
-        assert kernels.aead_open_batch(keys, nonces, sealed, aad) == reference
+        assert _open_pairs(keys, nonce, sealed, aad) == reference
 
     def test_wrong_key_rejected(self):
         kernels.set_active_kernel("native")
         sealed = aenc(b"\x01" * 32, b"\x00" * 12, b"secret", b"")
         assert adec(b"\x01" * 32, b"\x00" * 12, sealed) == (True, b"secret")
-        [(ok, plain)] = kernels.aead_open_batch(
-            [b"\x02" * 32], [b"\x00" * 12], [sealed], b""
-        )
+        [(ok, plain)] = _open_pairs([b"\x02" * 32], b"\x00" * 12, [sealed], b"")
         assert (ok, plain) == (False, None)
 
     def test_empty_batches(self):
         kernels.set_active_kernel("native")
         assert kernels.aead_seal_batch([], [], [], b"") == []
-        assert kernels.aead_open_batch([], [], [], b"") == []
+        assert _open_pairs([], b"\x00" * 12, [], b"") == []
 
     @pytest.mark.parametrize("length", [0, 1, 64, 300])
     def test_tag_is_compared_whole(self, length):
@@ -228,8 +226,167 @@ class TestAeadDifferential:
             with native_dispatches() as counts:
                 assert adec(key, nonce, bytes(forged)) == (False, None)
             seen.append(counts)
-        assert seen[0] == seen[1] == {"xrd_aead_open_batch": 1}
+        assert seen[0] == seen[1] == {"xrd_aead_open_spans": 1}
         assert adec(key, nonce, sealed) == (True, b"m" * length)
+
+
+def _open_pairs(keys, nonce, datas, aad):
+    """``(ok, plaintext)`` per message from the raw span kernel: message ``i``
+    is span ``i`` of the joined messages, under key ``i`` alone."""
+    bounds = [sum(map(len, datas[:index])) for index in range(len(datas) + 1)]
+    count = len(datas)
+    plain, offsets, opened = kernels.aead_open_spans(
+        b"".join(datas), bounds[:-1], bounds[1:], b"".join(keys), list(range(count)),
+        [1] * count, nonce, aad, list(range(count)), b"",
+    )
+    return [
+        (True, plain[offsets[index] + 4:offsets[index + 1]]) if opened[index] else (False, None)
+        for index in range(count)
+    ]
+
+
+@st.composite
+def span_batches(draw):
+    """A buffer holding sealed messages among filler, and the spans over it.
+
+    Spans cover the sealed messages (some with a flipped bit), empty and
+    shorter-than-a-tag stretches, and one ending at the buffer's end; each
+    has a candidate list of any length from a small key pool — none, the
+    right key among wrong ones, duplicates — and the output order is a
+    random permutation with random fixed-width heads.
+    """
+    pool = draw(st.lists(keys_st, min_size=1, max_size=4, unique=True))
+    nonce = draw(nonces_st)
+    aad = draw(st.binary(max_size=20))
+    buf = bytearray(draw(st.binary(max_size=8)))
+    spans, rights = [], []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["sealed", "sealed", "flipped", "empty", "short"]))
+        right = draw(st.integers(0, len(pool) - 1))
+        if kind in ("sealed", "flipped"):
+            chunk = bytearray(aenc(pool[right], nonce, draw(st.binary(max_size=150)), aad))
+            if kind == "flipped":
+                chunk[draw(st.integers(0, len(chunk) - 1))] ^= 0x04
+        else:
+            chunk = bytearray(draw(st.binary(max_size=0 if kind == "empty" else 15)))
+        spans.append((len(buf), len(buf) + len(chunk)))
+        rights.append(right)
+        buf += chunk
+        buf += draw(st.binary(max_size=5))
+    if spans and draw(st.booleans()):  # the last span ends at the buffer's end
+        del buf[spans[-1][1]:]
+    keys, first_keys, key_counts = [], [], []
+    for right in rights:
+        candidates = draw(st.lists(st.integers(0, len(pool) - 1), max_size=4))
+        if draw(st.booleans()):
+            candidates.insert(draw(st.integers(0, len(candidates))), right)
+        first_keys.append(len(keys))
+        key_counts.append(len(candidates))
+        keys += [pool[index] for index in candidates]
+    count = len(spans)
+    order = draw(st.permutations(range(count)))
+    heads = draw(st.binary(min_size=count * 3, max_size=count * 3))[:count * draw(st.integers(0, 3))]
+    return dict(
+        buf=bytes(buf), starts=[start for start, _ in spans], ends=[end for _, end in spans],
+        keys=b"".join(keys), first_keys=first_keys, key_counts=key_counts, nonce=nonce,
+        aad=aad, order=list(order), heads=heads,
+    )
+
+
+def _scalar_opens(batch):
+    """The spans' opens one ``adec`` at a time: the contract, spelled out."""
+    count = len(batch["starts"])
+    head_len = len(batch["heads"]) // count if count else 0
+    plain, offsets, opened = b"", [], bytearray(count)
+    for span in batch["order"]:
+        offsets.append(len(plain))
+        data = batch["buf"][batch["starts"][span]:batch["ends"][span]]
+        first = batch["first_keys"][span]
+        for trial in range(batch["key_counts"][span]):
+            key = batch["keys"][32 * (first + trial):32 * (first + trial + 1)]
+            ok, plaintext = adec(key, batch["nonce"], data, batch["aad"])
+            if ok:
+                opened[span] = trial + 1
+                plain += batch["heads"][head_len * span:head_len * (span + 1)]
+                plain += len(plaintext).to_bytes(4, "big") + plaintext
+                break
+    offsets.append(len(plain))
+    return plain, offsets, bytes(opened)
+
+
+def _raw_open(batch):
+    return kernels.aead_open_spans(
+        batch["buf"], batch["starts"], batch["ends"], batch["keys"], batch["first_keys"],
+        batch["key_counts"], batch["nonce"], batch["aad"], batch["order"], batch["heads"],
+    )
+
+
+def _tier_open(batch):
+    return aead.open_spans(
+        batch["buf"], batch["starts"], batch["ends"], batch["keys"], batch["nonce"],
+        first_keys=batch["first_keys"], key_counts=batch["key_counts"], order=batch["order"],
+        heads=batch["heads"], aad=batch["aad"],
+    )
+
+
+#: Ways to put one index of a span batch out of its buffer's range.
+BAD_INDICES = (
+    ("end past the buffer", lambda b: b["ends"].__setitem__(-1, len(b["buf"]) + 1)),
+    ("start past its end", lambda b: b["starts"].__setitem__(-1, b["ends"][-1] + 1)),
+    ("negative start", lambda b: b["starts"].__setitem__(-1, -1)),
+    ("key range past the keys", lambda b: b["key_counts"].__setitem__(
+        -1, len(b["keys"]) // 32 - b["first_keys"][-1] + 1)),
+    ("first key past the keys", lambda b: b["first_keys"].__setitem__(-1, 2**40)),
+    ("too many candidates", lambda b: b["key_counts"].__setitem__(-1, 256)),
+    ("order past the spans", lambda b: b["order"].__setitem__(-1, len(b["starts"]))),
+)
+
+
+class TestOpenSpansDifferential:
+    """``open_spans`` against one ``adec`` per trial, on both tiers, and the
+    native kernel against the python reference it is held to."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(span_batches())
+    def test_python_reference_is_the_contract(self, batch):
+        kernels.set_active_kernel("python")
+        assert tuple(map(list, _tier_open(batch))) == tuple(map(list, _scalar_opens(batch)))
+
+    @needs_native
+    @settings(max_examples=120, deadline=None)
+    @given(span_batches())
+    def test_native_kernel_matches_reference(self, batch):
+        kernels.set_active_kernel("python")
+        reference = _tier_open(batch)
+        kernels.set_active_kernel("native")
+        with native_dispatches() as counts:
+            assert _raw_open(batch) == reference
+        assert counts == ({"xrd_aead_open_spans": 1} if batch["starts"] else {})
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("reason, spoil", BAD_INDICES, ids=[r for r, _ in BAD_INDICES])
+    @settings(max_examples=15, deadline=None)
+    @given(batch=span_batches().filter(lambda b: b["starts"] and b["keys"]))
+    def test_bad_indices_are_refused_on_every_tier(self, tier, reason, spoil, batch):
+        spoil(batch)
+        if tier == "native":
+            kernels.set_active_kernel("native")
+            assert _raw_open(batch) is None  # declined before reading anything
+        kernels.set_active_kernel(tier)
+        with pytest.raises(CryptoError):
+            _tier_open(batch)
+
+    def test_a_key_blob_and_a_key_list_open_alike(self):
+        keys = [bytes([index]) * 32 for index in range(3)]
+        sealed = [aenc(key, 9, bytes([index]) * 40) for index, key in enumerate(keys)]
+        bounds = [0, 56, 112, 168]
+        for tier in ("python", "native") if NATIVE else ("python",):
+            kernels.set_active_kernel(tier)
+            opened = aead.open_spans(b"".join(sealed), bounds[:-1], bounds[1:], keys, 9)
+            assert opened == aead.open_spans(
+                b"".join(sealed), bounds[:-1], bounds[1:], b"".join(keys), 9
+            )
+            assert opened.opened == b"\x01\x01\x01"
 
 
 @needs_native
@@ -817,9 +974,13 @@ class TestKeyPipeline:
             opened = aead.adec_batch(b"".join(keys), 7, sealed)
             assert opened == aead.adec_batch(keys, 7, sealed)
             assert opened == [(True, plain) for plain in plains]
+            bounds = [sum(map(len, sealed[:index])) for index in range(len(sealed) + 1)]
+            spans = aead.open_spans(b"".join(sealed), bounds[:-1], bounds[1:], b"".join(keys), 7)
+            assert spans == aead.open_spans(b"".join(sealed), bounds[:-1], bounds[1:], keys, 7)
+            assert spans.opened == b"\x01" * len(items)
 
 
-# -- fused onion build (ABI 5) -------------------------------------------------
+# -- fused onion build -------------------------------------------------
 
 
 def _build_three_ways(group, tier, num_users, num_chains, layers, paired, notice, cover, seed):
@@ -1175,7 +1336,9 @@ class TestTierSelection:
         kernels.set_active_kernel("python")
         assert kernels.chacha20_blocks([b"\x00" * 32], [b"\x00" * 12], [0]) is None
         assert kernels.aead_seal_batch([b"\x00" * 32], [b"\x00" * 12], [b""], b"") is None
-        assert kernels.aead_open_batch([b"\x00" * 32], [b"\x00" * 12], [b""], b"") is None
+        assert kernels.aead_open_spans(
+            b"", [0], [0], b"\x00" * 32, [0], [1], b"\x00" * 12, b"", [0], b""
+        ) is None
         assert kernels.hkdf_derive_batch(b"\x00" * 32, b"label") is None
         assert kernels.modp_scalar_mult_batch(2**61 - 1, [2], 2) is None
         assert kernels.modp_accumulate_rows(2**61 - 1, [2], [2], 1) is None

@@ -258,6 +258,24 @@ class TestBatchForms:
     @on_groups_and_tiers
     @settings(max_examples=15, deadline=None)
     @given(st.data())
+    def test_a_known_public_proves_byte_for_byte_alike(
+        self, group, ed_group, group_name, tier, data
+    ):
+        """A prover handing in ``secret·base2`` (a mix server's blinding key)
+        gets exactly the proof the one computing it gets."""
+        group = _on(group_name, tier, group, ed_group)
+        scalars = st.integers(1, group.order - 1)
+        secret, nonce = data.draw(scalars, label="secret"), data.draw(scalars, label="nonce")
+        base1 = group.base_mult(data.draw(scalars, label="base1 log"))
+        base2 = group.base_mult(data.draw(scalars, label="base2 log"))
+        public2 = group.scalar_mult(base2, secret)
+        assert prove_dleq(
+            group, base1, base2, secret, b"hop", nonce=nonce, public2=public2
+        ) == prove_dleq(group, base1, base2, secret, b"hop", nonce=nonce)
+
+    @on_groups_and_tiers
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
     def test_prove_dleq_batch_is_prove_dleq(self, group, ed_group, group_name, tier, data):
         group = _on(group_name, tier, group, ed_group)
         count = data.draw(st.integers(0, 4), label="count")

@@ -18,14 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import kernels
 from repro.crypto.aead import adec, adec_batch, aenc, aenc_batch
-from repro.crypto.chacha20 import (
-    chacha20_block,
-    chacha20_blocks_batch,
-    chacha20_keystream,
-    chacha20_keystreams,
-)
+from repro.crypto.chacha20 import chacha20_block, chacha20_blocks_batch
 from repro.crypto.group import ModPGroup
+from repro.crypto.kdf import loopback_key
 from repro.crypto.nizk import prove_dlog
 from repro.errors import DecodingError
 from repro.mixnet.messages import (
@@ -45,7 +42,7 @@ from repro.transport.codec import decode_payload, encode_payload
 from repro.transport.envelope import submission_batch_envelope
 
 from tests import user_oracle
-from tests.conftest import make_deployment
+from tests.conftest import make_deployment, native_dispatches
 
 MODP = ModPGroup(bits=64)
 
@@ -80,19 +77,6 @@ class TestBatchedPrimitives:
             for key, nonce, counter in triples
         )
         assert flat == expected
-
-    @given(st.lists(st.tuples(st.binary(min_size=32, max_size=32),
-                              st.binary(min_size=12, max_size=12),
-                              st.integers(min_value=0, max_value=300)),
-                    min_size=0, max_size=30))
-    @settings(max_examples=25, deadline=None)
-    def test_keystreams_match_scalar(self, triples):
-        keys = [t[0] for t in triples]
-        nonces = [t[1] for t in triples]
-        lengths = [t[2] for t in triples]
-        streams = chacha20_keystreams(keys, nonces, lengths, initial_counter=1)
-        for key, nonce, length, stream in zip(keys, nonces, lengths, streams):
-            assert stream == chacha20_keystream(key, nonce, length, 1)
 
     @given(st.lists(st.tuples(st.binary(min_size=32, max_size=32),
                               st.binary(min_size=0, max_size=400)),
@@ -142,6 +126,47 @@ class TestBatchedPrimitives:
 
 
 class TestPopulationSemantics:
+    def test_each_fetch_envelope_is_one_open_classified_like_the_oracle(self):
+        """Two fetch envelopes, one a user split from her partner's: a
+        conversation message, an offline notice, a loopback, a record
+        addressed to someone else and one sealed under no key of hers.  The
+        population opens each envelope once and classifies every record —
+        side effect included — as the per-user oracle does."""
+        outcomes = []
+        for oracle, deployment in zip((True, False), deployment_pair()):
+            a, b, c = deployment.users[:3]
+            deployment.start_conversation(a.name, b.name)
+
+            def loopback(user):
+                chain_id = deployment.population._trial_chains[user.name][-1]
+                key = loopback_key(user.keypair.identity_secret_bytes(), chain_id)
+                return MailboxMessage.seal(user.public_bytes, key, 5, MessageBody.loopback())
+
+            def from_a(body):
+                return MailboxMessage.seal(b.public_bytes, a.conversation.key_to_partner(), 5, body)
+
+            b_mail = [
+                from_a(MessageBody.data(b"hi")), loopback(b), loopback(c),
+                MailboxMessage.seal(b.public_bytes, b"\x55" * 32, 5, MessageBody.data(b"?")),
+                from_a(MessageBody.offline_notice()),
+            ]
+            fetches = [
+                FetchBatch.from_inboxes([(b.public_bytes, [m.to_bytes() for m in b_mail])]),
+                FetchBatch.from_inboxes([(c.public_bytes, [loopback(c).to_bytes()]),
+                                         (a.public_bytes, [])]),
+            ]
+            if oracle or not kernels.native_available():
+                received = deployment.population.decrypt_mailboxes_batch(5, [a, b, c], fetches)
+            else:
+                with native_dispatches() as counts:
+                    received = deployment.population.decrypt_mailboxes_batch(5, [a, b, c], fetches)
+                assert counts == {"xrd_aead_open_spans": 2}
+            outcomes.append((received, b.conversation.partner_offline))
+        assert outcomes[0] == outcomes[1]
+        assert [m.kind for m in outcomes[1][0][b.name]] == [
+            "conversation", "loopback", "unreadable", "unreadable", "offline-notice"
+        ]
+
     def test_batched_build_produces_identical_submissions(self):
         reference, batched = deployment_pair()
         a, b = reference.users[0].name, reference.users[1].name

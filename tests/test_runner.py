@@ -504,6 +504,103 @@ class TestRecoverRefusal:
         assert state() == before
 
 
+def malformed_bodies(op, body, wrong_typed):
+    """Every proper prefix of ``op``'s control body, the body with one
+    trailing byte, one with each wrong-typed field and one without each key."""
+    encoded = protocol.encode_json_control(op, body)
+    yield from (encoded[:cut] for cut in range(len(encoded)))
+    yield encoded + b"\x00"
+    for key, value in wrong_typed.items():
+        yield protocol.encode_json_control(op, {**body, key: value})
+    for key in body:
+        yield protocol.encode_json_control(op, {k: v for k, v in body.items() if k != key})
+
+
+def topologies(deployment):
+    """Who holds every chain position, and as what (a fault wraps a member)."""
+    return [
+        [(type(member).__name__, member.server_name) for member in chain.members]
+        for chain in deployment.chains
+    ]
+
+
+names_st = st.text(min_size=1, max_size=6)
+
+
+class TestPeersRefusal:
+    """A malformed ``PEERS`` is refused before the transport's maps change."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        peers=st.dictionaries(
+            names_st, st.tuples(names_st, st.integers(0, 2**16 - 1)), min_size=1, max_size=3
+        ),
+        owners=st.dictionaries(names_st, names_st, max_size=3),
+    )
+    def test_a_malformed_request_changes_nothing(self, mix_handler, peers, owners):
+        transport = TcpTransport(mix_handler.deployment.group, start_server=False,
+                                 handler_threads=1)
+        mix_handler.transport = transport
+        try:
+            transport.set_peers({"before": ("127.0.0.1", 1)}, {"node": "before"})
+            before = (dict(transport._peers), dict(transport._owners))
+            body = {"peers": {name: list(address) for name, address in peers.items()},
+                    "owners": owners}
+            wrong_typed = {
+                "owners": [1, 2, 3],
+                "peers": {name: [host, str(port)] for name, (host, port) in peers.items()},
+            }
+            for malformed in malformed_bodies(protocol.OP_PEERS, body, wrong_typed):
+                with pytest.raises(DecodingError):
+                    mix_handler.handle_control(malformed)
+                assert (transport._peers, transport._owners) == before
+                assert topologies(mix_handler.deployment) == self.topology
+            assert mix_handler.handle_control(
+                protocol.encode_json_control(protocol.OP_PEERS, body)
+            ) == b"ok"
+            assert (transport._peers, transport._owners) == (peers, owners)
+        finally:
+            mix_handler.transport = None
+            transport.close()
+
+    @pytest.fixture(autouse=True)
+    def _topology(self, mix_handler):
+        self.topology = topologies(mix_handler.deployment)
+
+
+class TestInstallFaultRefusal:
+    """A malformed ``INSTALL_FAULT`` is refused before any member is wrapped."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        fault=st.builds(
+            ServerFault, round_number=st.integers(1, 5), chain_id=st.integers(0, 2),
+            position=st.integers(0, 1), mode=st.just(MODE_TAMPER_CIPHERTEXT),
+            target_index=st.integers(0, 3),
+        ),
+        seed=st.integers(0, 2**32),
+        absolute_round=st.integers(1, 9),
+    )
+    def test_a_malformed_request_changes_nothing(self, mix_handler, fault, seed, absolute_round):
+        deployment = mix_handler.deployment
+        before = (topologies(deployment), replica_rounds(deployment))
+        body = {
+            "seed": seed, "round_number": fault.round_number, "chain_id": fault.chain_id,
+            "position": fault.position, "mode": fault.mode, "target_index": fault.target_index,
+            "absolute_round": absolute_round,
+        }
+        wrong_typed = {"chain_id": str(fault.chain_id), "mode": 3, "seed": None,
+                       "round_number": 0}
+        for malformed in malformed_bodies(protocol.OP_INSTALL_FAULT, body, wrong_typed):
+            with pytest.raises(DecodingError):
+                mix_handler.handle_control(malformed)
+            assert (topologies(deployment), replica_rounds(deployment)) == before
+        request = protocol.decode_install_fault_request(
+            protocol.encode_json_control(protocol.OP_INSTALL_FAULT, body)[1:]
+        )
+        assert request == protocol.FaultRequest(fault, seed, absolute_round)
+
+
 class TestCoordinatorCleanup:
     def test_unreachable_roles_leave_no_transport_running(self):
         with socket.socket() as probe:

@@ -237,14 +237,20 @@ def install(deployment) -> None:
             for chain_id, submissions in sorted(per_chain.items())
         }
 
-    def decrypt(round_number, users, inboxes):
-        # The engine hands over record views; the oracle reads each as an object.
+    def decrypt(round_number, users, fetches):
+        # The engine hands over its fetch envelopes; the oracle reads each
+        # user's records out of them as objects.
+        inboxes: Dict[bytes, List[MailboxMessage]] = {}
+        for fetch in fetches:
+            for owner, records in fetch.inboxes():
+                inboxes.setdefault(owner, []).extend(
+                    MailboxMessage.from_bytes(bytes(record)) for record in records
+                )
         return {
             user.name: decrypt_mailbox(
-                user, round_number, [MailboxMessage.from_bytes(bytes(record)) for record in inbox],
-                num_chains,
+                user, round_number, inboxes.get(user.public_bytes, []), num_chains
             )
-            for user, inbox in zip(users, inboxes)
+            for user in users
         }
 
     population.build_round_submissions_batch = build
