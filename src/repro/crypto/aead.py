@@ -14,7 +14,7 @@ failure as a signal to start the blame protocol rather than as an exception.
 Every open in the system is one :func:`open_spans` call: spans of a buffer
 the caller already holds (a hop's batch blob, a fetch envelope), each
 opened under the first of its candidate keys whose tag verifies, the
-plaintexts written into one output buffer in the caller's output order.
+plaintexts written into one output buffer in span order.
 :func:`adec_batch` and :func:`adec` are its one-candidate, contiguous case.
 """
 
@@ -202,8 +202,7 @@ def adec_batch(keys: _kernels.KeyBatch, nonce, datas: Sequence[bytes],
 
 def open_spans(buf: bytes, starts: Sequence[int], ends: Sequence[int],
                keys: _kernels.KeyBatch, nonce, *, first_keys: Optional[Sequence[int]] = None,
-               key_counts: Optional[Sequence[int]] = None,
-               order: Optional[Sequence[int]] = None, heads: bytes = b"",
+               key_counts: Optional[Sequence[int]] = None, heads: bytes = b"",
                aad: bytes = b"") -> OpenedSpans:
     """Open spans of ``buf`` in place: one kernel call, whatever the batch.
 
@@ -213,39 +212,36 @@ def open_spans(buf: bytes, starts: Sequence[int], ends: Sequence[int],
     :data:`~repro.crypto.kernels.MAX_CANDIDATES`; by default key ``i``
     alone), tried in order under the one ``nonce``; the first whose tag
     verifies — checked in constant time, before anything is decrypted —
-    opens it.  Output slot ``j`` holds span ``order[j]`` (default: the spans
-    in order) headed by span ``i``'s ``len(heads) // len(starts)`` bytes of
-    ``heads``: see :class:`~repro.crypto.kernels.OpenedSpans`.  A span,
-    key range or order index outside its buffer raises :class:`CryptoError`
-    on every tier, before anything is read.
+    opens it.  Output slot ``i`` holds span ``i``'s plaintext headed by its
+    ``len(heads) // len(starts)`` bytes of ``heads``: see
+    :class:`~repro.crypto.kernels.OpenedSpans`.  A span or key range
+    outside its buffer raises :class:`CryptoError` on every tier, before
+    anything is read.
     """
     count = len(starts)
     key_blob = keys if isinstance(keys, bytes) else b"".join(keys)
     first_keys = array("Q", range(count)) if first_keys is None else first_keys
     key_counts = array("Q", [1]) * count if key_counts is None else key_counts
-    order = array("Q", range(count)) if order is None else order
     columns = (buf, starts, ends, key_blob, first_keys, key_counts, _normalise_nonce(nonce), aad,
-               order, heads)
+               heads)
     native = _kernels.aead_open_spans(*columns)
     return native if native is not None else _open_spans_reference(*columns)
 
 
 def _open_spans_reference(buf: bytes, starts, ends, keys: bytes, first_keys, key_counts,
-                          nonce: bytes, aad: bytes, order, heads: bytes) -> OpenedSpans:
+                          nonce: bytes, aad: bytes, heads: bytes) -> OpenedSpans:
     """The python tier of :func:`open_spans`, and the oracle the kernel is held to."""
     count = len(starts)
     head_len = len(heads) // count if count else 0
-    if (any(len(column) != count for column in (ends, first_keys, key_counts, order))
+    if (any(len(column) != count for column in (ends, first_keys, key_counts))
             or len(heads) != head_len * count or len(keys) % 32):
         raise CryptoError("span columns, heads and keys must describe the same spans")
     for start, end, first, candidates in zip(starts, ends, first_keys, key_counts):
         if not (0 <= start <= end <= len(buf) and 0 <= candidates <= _kernels.MAX_CANDIDATES
                 and 0 <= first <= len(keys) // 32 - candidates):
             raise CryptoError("span or key range outside its buffer")
-    if not all(0 <= span < count for span in order):
-        raise CryptoError("output order names a span that does not exist")
     out, offsets, opened = bytearray(), array("Q"), bytearray(count)
-    for span in order:
+    for span in range(count):
         offsets.append(len(out))
         data = bytes(buf[starts[span]:ends[span]])
         ciphertext, tag = data[:-AEAD_TAG_SIZE], data[-AEAD_TAG_SIZE:]

@@ -173,12 +173,12 @@ def _dispatch(entry: str, count: int, pack: Callable[[], Sequence]) -> Optional[
     """The one call into the extension: pack, check, call, decline.
 
     ``pack`` builds kernel ``entry``'s arguments: a ``bytearray`` is an
-    output buffer, a list or an ``array('Q')`` an integer array.  ``None`` — run the reference
-    path — when the native tier is off or unavailable, when an integer does
-    not fit its C width, or when the kernel declines (a non-zero return);
-    ``True`` once the kernel ran.  An empty batch (``count == 0``) calls
-    nothing.  A call that ran counts in the active trace as
-    ``dispatch.<entry>`` (DESIGN.md §13).
+    output buffer, a list or an ``array('Q')`` an integer array.  ``None``
+    — run the reference path — when the native tier is off or unavailable,
+    when an integer does not fit its C width, or when the kernel declines (a
+    non-zero return); ``True`` once the kernel ran.  An empty batch
+    (``count == 0``) calls nothing.  A call that ran counts in the active
+    trace as ``dispatch.<entry>`` (DESIGN.md §13).
     """
     handle = _handle()
     if handle is None:
@@ -248,9 +248,9 @@ def aead_seal_batch(keys: KeyBatch, nonces: Sequence[bytes],
 class OpenedSpans(NamedTuple):
     """What an open over spans gives back (DESIGN.md §11.4).
 
-    ``plain`` holds one slot per output position, in output order: empty
-    when its span did not open, else ``head || length (4, big-endian) ||
-    plaintext``; slot ``j`` is ``plain[offsets[j]:offsets[j + 1]]``.
+    ``plain`` holds one slot per span, in span order: empty when the span
+    did not open, else ``head || length (4, big-endian) || plaintext``;
+    slot ``i`` is ``plain[offsets[i]:offsets[i + 1]]``.
     ``opened[i]`` is 0 when no candidate of span ``i`` verified, else one
     more than the index of the candidate that did.
     """
@@ -263,9 +263,10 @@ class OpenedSpans(NamedTuple):
 #: The most candidate keys one span may have (``opened`` is a byte).
 MAX_CANDIDATES = 255
 
+
 def aead_open_spans(buf: bytes, starts: Sequence[int], ends: Sequence[int], keys: bytes,
                     first_keys: Sequence[int], key_counts: Sequence[int], nonce: bytes, aad: bytes,
-                    order: Sequence[int], heads: bytes) -> Optional[OpenedSpans]:
+                    heads: bytes) -> Optional[OpenedSpans]:
     """:func:`repro.crypto.aead.open_spans` natively, or ``None``.
 
     Columns of unequal length are declined here; the kernel checks every
@@ -274,14 +275,14 @@ def aead_open_spans(buf: bytes, starts: Sequence[int], ends: Sequence[int], keys
     """
     count = len(starts)
     head_len = len(heads) // count if count else 0
-    if (any(len(column) != count for column in (ends, first_keys, key_counts, order))
+    if (any(len(column) != count for column in (ends, first_keys, key_counts))
             or len(heads) != head_len * count or len(keys) % 32 or len(nonce) != AEAD_NONCE_SIZE):
         return None
     capacity = max(0, sum(ends) - sum(starts)) + count * (head_len + 4)
     out, offsets, opened = bytearray(capacity), array("Q", bytes(8 * (count + 1))), bytearray(count)
     if not _dispatch("xrd_aead_open_spans", count, lambda: (
             buf, len(buf), count, starts, ends, keys, len(keys) // 32, first_keys, key_counts,
-            nonce, aad, len(aad), order, heads, head_len, out, capacity, offsets, opened)):
+            nonce, aad, len(aad), heads, head_len, out, capacity, offsets, opened)):
         return None
     return OpenedSpans(bytes(memoryview(out)[:offsets[-1]]), offsets, bytes(opened))
 

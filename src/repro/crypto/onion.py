@@ -175,8 +175,7 @@ def decrypt_inner(group, inner_secrets: Sequence[int], round_number: int, envelo
 
 
 def open_inner_envelopes(group, inner_secrets: Sequence[int], round_number: int, buf: bytes,
-                         starts: Sequence[int], ends: Sequence[int],
-                         minimum: int = 0) -> OpenedSpans:
+                         starts: Sequence[int], ends: Sequence[int], minimum: int) -> OpenedSpans:
     """Batched :func:`decrypt_inner` over the envelopes at ``buf[starts[i]:ends[i]]``.
 
     One ``decode_batch`` of the ephemeral keys, one many-points-one-scalar

@@ -20,7 +20,7 @@ The module implements the three phases of the protocol:
 The shuffle is "hybrid" (§5.2.1) because the expensive public-key half of
 the mixing phase — blinding every DH key, deriving every outer layer key —
 depends only on the DH publics, which are known before the online phase
-begins.  :meth:`ChainMember.precompute_round` runs exactly those two passes
+begins.  :meth:`ChainMember.precompute_rows` runs exactly those two passes
 ahead of time and caches the results in the round record, leaving
 :meth:`ChainMember.process_round`'s online phase as symmetric crypto (AEAD
 opens + shuffle) plus the aggregate DLEQ proof.
@@ -277,11 +277,6 @@ class ChainMember:
 
     # -- precomputation (§5.2.1) -------------------------------------------------
 
-    def precompute_round(self, round_number: int, dh_publics: Sequence[object]) -> List[object]:
-        """:meth:`precompute_rows` for decoded publics; their blinded keys, in order."""
-        encodings = [self.group.encode(public) for public in dh_publics]
-        return [row[1] for row in self.precompute_rows(round_number, encodings, dh_publics)]
-
     def precompute_rows(self, round_number: int, encodings: Sequence[bytes],
                         dh_publics: Optional[Sequence[object]] = None) -> List[tuple]:
         """Run the round's public-key work ahead of time and cache the results.
@@ -338,7 +333,7 @@ class ChainMember:
         The public-key work (blinding, layer-key derivation) is served from
         the round's precompute table, looked up by each entry's element
         bytes as they lie in the blob, leaving the online phase as AEAD
-        opens + shuffle + the aggregate proof once :meth:`precompute_round`
+        opens + shuffle + the aggregate proof once :meth:`precompute_rows`
         ran.  An element the table lacks is decoded and its row filled
         here (one the group rejects raises
         :class:`~repro.errors.DecodingError`).
@@ -840,7 +835,7 @@ class MixChain:
         # where they lie, straight into the mailbox records.
         opened = open_inner_envelopes(
             group, inner_secrets, round_number, entries.blob, *entries.ciphertext_spans(),
-            minimum=MailboxBatch.MINIMUM,
+            MailboxBatch.MINIMUM,
         )
         return ChainRoundResult(
             chain_id=self.chain_id,

@@ -552,9 +552,10 @@ class FetchBatch(_RecordBatch):
     Per user: ``owner length (4) || owner key || mailbox batch`` (the
     :meth:`MailboxBatch.to_wire` layout); ``offsets[i]`` is where user
     ``i``'s entry starts.  The hub frames it from its stored records, the
-    transport carries it as it is, and :meth:`inboxes` reads each user's
-    records as views.  Indexing yields ``(owner, messages)``, the user's
-    :class:`MailboxMessage` list; :meth:`owners` reads the keys alone.
+    transport carries it as it is, and the fetch opens every record where
+    it lies (:meth:`sealed_spans`).  Indexing yields ``(owner, messages)``,
+    the user's :class:`MailboxMessage` list; :meth:`owners` reads the keys
+    alone.
     """
 
     __slots__ = ()
@@ -613,22 +614,24 @@ class FetchBatch(_RecordBatch):
             owners.append(blob[start + 4:start + 4 + int.from_bytes(blob[start:start + 4], "big")])
         return owners
 
-    def _inbox(self, index: int, view: memoryview) -> Tuple[bytes, List[memoryview]]:
+    def _entry(self, index: int) -> Tuple[bytes, List[int], List[int]]:
+        """Entry ``index``'s owner, and where its records start and end in the blob."""
         # The entry was checked where it entered (built, or from_wire).  The
         # fetch reads every record of a round here, so the length fields are
         # unpacked in place rather than sliced out.
         blob, start = self._blob, self._offsets[index]
         split = start + 4 + _read_u32(blob, start)[0]
-        records = []
+        starts: List[int] = []
+        ends: List[int] = []
         end = split + 4
         for _ in range(_read_u32(blob, split)[0]):
-            record = end + 4
-            end = record + _read_u32(blob, end)[0]
-            records.append(view[record:end])
-        return bytes(blob[start + 4:split]), records
+            starts.append(end + 4)
+            end += 4 + _read_u32(blob, end)[0]
+            ends.append(end)
+        return bytes(blob[start + 4:split]), starts, ends
 
     def sealed_spans(self, key_ranges: Dict[bytes, Tuple[int, int]]) -> Tuple[List, ...]:
-        """Every record's sealed body as a span of the blob, in one pass.
+        """Every record's sealed body as a span of the blob.
 
         Returns the spans' ``starts``, ``ends``, ``first_keys`` and
         ``key_counts`` (the :func:`~repro.crypto.aead.open_spans` columns),
@@ -636,40 +639,26 @@ class FetchBatch(_RecordBatch):
         addressed to its owner has the owner's ``(first key, key count)``
         in ``key_ranges`` (none for an owner not there); any other, none.
         """
-        blob, read = self._blob, _read_u32
+        blob = self._blob
         starts: List[int] = []
         ends: List[int] = []
         firsts: List[int] = []
         counts: List[int] = []
         entries: List[Tuple[bytes, int, int]] = []
-        for start in self._offsets[:-1]:
-            split = start + 4 + read(blob, start)[0]
-            owner = blob[start + 4:split]
+        for owner, records, stops in map(self._entry, range(len(self))):
             first, candidates = key_ranges.get(owner, (0, 0))
-            total = read(blob, split)[0]
-            entries.append((owner, len(starts), total))
-            end = split + 4
-            for _ in range(total):
-                record = end + 4
-                end = record + read(blob, end)[0]
-                starts.append(record + GROUP_ELEMENT_SIZE)
-                ends.append(end)
-                if blob.startswith(owner, record, record + GROUP_ELEMENT_SIZE):
-                    firsts.append(first)
-                    counts.append(candidates)
-                else:
-                    firsts.append(0)
-                    counts.append(0)
+            entries.append((owner, len(starts), len(records)))
+            starts += [record + GROUP_ELEMENT_SIZE for record in records]
+            ends += stops
+            for record in records:
+                mine = blob.startswith(owner, record, record + GROUP_ELEMENT_SIZE)
+                firsts.append(first if mine else 0)
+                counts.append(candidates if mine else 0)
         return starts, ends, firsts, counts, entries
 
-    def inboxes(self) -> List[Tuple[bytes, List[memoryview]]]:
-        """Every ``(owner, records)`` pair, each record a view into the blob."""
-        view = memoryview(self._blob)
-        return [self._inbox(index, view) for index in range(len(self))]
-
     def _materialise(self, index: int) -> Tuple[bytes, List[MailboxMessage]]:
-        owner, records = self._inbox(index, memoryview(self._blob))
-        return owner, [_mailbox_message(record) for record in records]
+        owner, starts, ends = self._entry(index)
+        return owner, [_mailbox_message(self._blob[start:end]) for start, end in zip(starts, ends)]
 
 
 @dataclass(frozen=True, slots=True)

@@ -63,7 +63,7 @@ int xrd_aead_open_spans(const uint8_t *buf, size_t buf_len, size_t count,
                         const uint8_t *keys, size_t key_count,
                         const uint64_t *first_key, const uint64_t *key_counts,
                         const uint8_t *nonce, const uint8_t *aad, size_t aad_len,
-                        const uint64_t *order, const uint8_t *heads, size_t head_len,
+                        const uint8_t *heads, size_t head_len,
                         uint8_t *out, size_t out_len, uint64_t *out_offsets,
                         uint8_t *opened);
 int xrd_hkdf_sha256_batch(const uint8_t *label, size_t label_len,
@@ -368,35 +368,32 @@ int xrd_aead_seal_batch(const uint8_t *keys, const uint8_t *nonces, size_t count
  * candidates are the 32-byte keys first_key[i] .. first_key[i] + key_counts[i]
  * of `keys`, tried in order; opened[i] = 1 + the candidate whose tag
  * verified, 0 when none did (a span shorter than a tag never does).  Output
- * slot j holds span order[j]: nothing when it did not open, else its head
- * (head_len bytes of `heads`) || be32(plaintext length) || plaintext.  Slot j
- * starts at out_offsets[j]; out_offsets[count] is the end.  Every index is
- * checked against its buffer before anything is read: any bad one declines. */
+ * slot i, at out_offsets[i] (out_offsets[count] is the end), is empty when
+ * span i did not open, else its head (head_len bytes of `heads`) ||
+ * be32(plaintext length) || plaintext.  Every index is checked against its
+ * buffer before anything is read: any bad one declines. */
 int xrd_aead_open_spans(const uint8_t *buf, size_t buf_len, size_t count,
                         const uint64_t *starts, const uint64_t *ends,
                         const uint8_t *keys, size_t key_count,
                         const uint64_t *first_key, const uint64_t *key_counts,
                         const uint8_t *nonce, const uint8_t *aad, size_t aad_len,
-                        const uint64_t *order, const uint8_t *heads, size_t head_len,
+                        const uint8_t *heads, size_t head_len,
                         uint8_t *out, size_t out_len, uint64_t *out_offsets,
                         uint8_t *opened) {
-    size_t i, j, c, need = 0, at = 0;
+    size_t i, c, need = 0, at = 0;
     uint8_t otk_block[64], tag[16];
-    for (i = 0; i < count; i++)
+    for (i = 0; i < count; i++) {
         if (starts[i] > ends[i] || ends[i] > buf_len || key_counts[i] > 255
             || first_key[i] > key_count || key_counts[i] > key_count - first_key[i])
             return -1;
-    for (j = 0; j < count; j++) {
-        if (order[j] >= count) return -1;
-        need += head_len + 4 + (size_t)(ends[order[j]] - starts[order[j]]);
+        need += head_len + 4 + (size_t)(ends[i] - starts[i]);
         if (need > out_len) return -1;
     }
     memset(opened, 0, count);
-    for (j = 0; j < count; j++) {
-        const uint8_t *data = buf + starts[order[j]];
-        size_t data_len = (size_t)(ends[order[j]] - starts[order[j]]);
-        i = order[j];
-        out_offsets[j] = at;
+    for (i = 0; i < count; i++) {
+        const uint8_t *data = buf + starts[i];
+        size_t data_len = (size_t)(ends[i] - starts[i]);
+        out_offsets[i] = at;
         for (c = 0; c < key_counts[i] && data_len >= 16; c++) {
             const uint8_t *key = keys + 32 * (first_key[i] + c);
             chacha_block(key, 0, nonce, otk_block);

@@ -70,34 +70,33 @@ class UserPopulation:
         for user in self.users:
             for chain_id in self.chain_assignments[user.name]:
                 self.chain_rosters.setdefault(chain_id, []).append(user.name)
-        #: Lazily derived per-(user, chain) loopback keys — identity secrets
-        #: never change, so these are computed once per population.
-        self._loopback_keys: Dict[Tuple[str, int], bytes] = {}
         #: Per-user loopback candidate order for the fetch: sorted, so it
         #: cannot depend on set hash order.
         self._trial_chains: Dict[str, Tuple[int, ...]] = {
             name: tuple(sorted(set(assignment)))
             for name, assignment in self.chain_assignments.items()
         }
-        #: Per user, her loopback keys in that order, as one key blob.
+        #: Per user, the loopback keys in that order, as one key blob —
+        #: derived lazily, once per population: identity secrets never change.
         self._loopback_blobs: Dict[str, bytes] = {}
 
+    def _loopback_blob(self, user: User) -> bytes:
+        blob = self._loopback_blobs.get(user.name)
+        if blob is None:
+            secret = user.keypair.identity_secret_bytes()
+            blob = self._loopback_blobs[user.name] = b"".join(
+                loopback_key(secret, chain_id) for chain_id in self._trial_chains[user.name]
+            )
+        return blob
+
     def _loopback_key(self, user: User, chain_id: int) -> bytes:
-        cache_key = (user.name, chain_id)
-        key = self._loopback_keys.get(cache_key)
-        if key is None:
-            key = loopback_key(user.keypair.identity_secret_bytes(), chain_id)
-            self._loopback_keys[cache_key] = key
-        return key
+        at = 32 * self._trial_chains[user.name].index(chain_id)
+        return self._loopback_blob(user)[at:at + 32]
 
     def _candidates(self, user: User) -> Tuple[Tuple[int, ...], bytes]:
         """The user's fetch candidates: their labels (a chain id, or the
         conversation sentinel) and their keys as one blob, in trial order."""
-        chains = self._trial_chains[user.name]
-        blob = self._loopback_blobs.get(user.name)
-        if blob is None:
-            blob = b"".join(self._loopback_key(user, chain_id) for chain_id in chains)
-            self._loopback_blobs[user.name] = blob
+        chains, blob = self._trial_chains[user.name], self._loopback_blob(user)
         if user.conversation is None:
             return chains, blob
         return (_CONVERSATION_TRIAL, *chains), user.conversation.key_to_me() + blob

@@ -453,7 +453,8 @@ class TestPrecompute:
         chain.begin_round(1)
         member = chain.members[0]
         publics = [group.base_mult(group.random_scalar()) for _ in range(3)]
-        blinded = member.precompute_round(1, publics)
+        rows = member.precompute_rows(1, [group.encode(p) for p in publics], publics)
+        blinded = [row[1] for row in rows]
         assert blinded == [group.scalar_mult(p, member.blinding_secret) for p in publics]
         table = member.round_record(1).precomputed
         assert set(table) == {group.encode(p) for p in publics}
@@ -472,19 +473,20 @@ class TestPrecompute:
         member = chain.members[0]
         first = group.base_mult(group.random_scalar())
         second = group.base_mult(group.random_scalar())
-        member.precompute_round(1, [first])
+        member.precompute_rows(1, [group.encode(first)], [first])
         table = member.round_record(1).precomputed
         assert len(table) == 1
-        member.precompute_round(1, [first, second])  # tops up, same table object
+        both = [group.encode(first), group.encode(second)]
+        member.precompute_rows(1, both, [first, second])  # tops up, same table object
         assert member.round_record(1).precomputed is table
         assert len(table) == 2
-        member.precompute_round(1, [first, second])  # pure repeat: no change
+        member.precompute_rows(1, both)  # pure repeat: no change, nothing decoded
         assert len(table) == 2
 
     def test_precompute_requires_key_setup(self, group):
         member = ChainMember("server-0", 0, 0, group, stream_key(1))
         with pytest.raises(ProtocolError):
-            member.precompute_round(1, [])
+            member.precompute_rows(1, [])
 
     def test_release_round_forgets_the_table_with_the_round(self, group):
         chain = build_chain(group, length=1)
@@ -492,7 +494,7 @@ class TestPrecompute:
         public = group.base_mult(group.random_scalar())
         for round_number in (1, 2, 3):
             chain.begin_round(round_number)
-            member.precompute_round(round_number, [public])
+            member.precompute_rows(round_number, [group.encode(public)], [public])
         member.release_round(1)
         assert sorted(member._rounds) == [2, 3]
         assert all(len(member.round_record(r).precomputed) == 1 for r in (2, 3))
@@ -550,7 +552,7 @@ class TestPrecomputePropertyParity:
     """Hypothesis: precompute ahead of the online pass == no precompute.
 
     For arbitrary entry batches — valid submissions, tampered ciphertexts
-    (the blame/failed-open path), or a mix — running ``precompute_round``
+    (the blame/failed-open path), or a mix — running ``precompute_rows``
     first must change nothing but when the keys were derived: the online
     pass of an identically-seeded twin fills its table itself and produces
     the same result.
@@ -580,8 +582,8 @@ class TestPrecomputePropertyParity:
         twin_entries = entries_for(precomputed)
         member_online = online.members[0]
         member_pre = precomputed.members[0]
-        blinded = member_pre.precompute_round(1, entries.decode_publics())
-        assert blinded == [
+        rows = member_pre.precompute_rows(1, entries.element_encodings(), entries.decode_publics())
+        assert [row[1] for row in rows] == [
             group.scalar_mult(entry.dh_public, member_pre.blinding_secret)
             for entry in entries
         ]

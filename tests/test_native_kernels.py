@@ -237,7 +237,7 @@ def _open_pairs(keys, nonce, datas, aad):
     count = len(datas)
     plain, offsets, opened = kernels.aead_open_spans(
         b"".join(datas), bounds[:-1], bounds[1:], b"".join(keys), list(range(count)),
-        [1] * count, nonce, aad, list(range(count)), b"",
+        [1] * count, nonce, aad, b"",
     )
     return [
         (True, plain[offsets[index] + 4:offsets[index + 1]]) if opened[index] else (False, None)
@@ -252,8 +252,7 @@ def span_batches(draw):
     Spans cover the sealed messages (some with a flipped bit), empty and
     shorter-than-a-tag stretches, and one ending at the buffer's end; each
     has a candidate list of any length from a small key pool — none, the
-    right key among wrong ones, duplicates — and the output order is a
-    random permutation with random fixed-width heads.
+    right key among wrong ones, duplicates — and random fixed-width heads.
     """
     pool = draw(st.lists(keys_st, min_size=1, max_size=4, unique=True))
     nonce = draw(nonces_st)
@@ -284,12 +283,11 @@ def span_batches(draw):
         key_counts.append(len(candidates))
         keys += [pool[index] for index in candidates]
     count = len(spans)
-    order = draw(st.permutations(range(count)))
     heads = draw(st.binary(min_size=count * 3, max_size=count * 3))[:count * draw(st.integers(0, 3))]
     return dict(
         buf=bytes(buf), starts=[start for start, _ in spans], ends=[end for _, end in spans],
         keys=b"".join(keys), first_keys=first_keys, key_counts=key_counts, nonce=nonce,
-        aad=aad, order=list(order), heads=heads,
+        aad=aad, heads=heads,
     )
 
 
@@ -298,7 +296,7 @@ def _scalar_opens(batch):
     count = len(batch["starts"])
     head_len = len(batch["heads"]) // count if count else 0
     plain, offsets, opened = b"", [], bytearray(count)
-    for span in batch["order"]:
+    for span in range(count):
         offsets.append(len(plain))
         data = batch["buf"][batch["starts"][span]:batch["ends"][span]]
         first = batch["first_keys"][span]
@@ -317,15 +315,15 @@ def _scalar_opens(batch):
 def _raw_open(batch):
     return kernels.aead_open_spans(
         batch["buf"], batch["starts"], batch["ends"], batch["keys"], batch["first_keys"],
-        batch["key_counts"], batch["nonce"], batch["aad"], batch["order"], batch["heads"],
+        batch["key_counts"], batch["nonce"], batch["aad"], batch["heads"],
     )
 
 
 def _tier_open(batch):
     return aead.open_spans(
         batch["buf"], batch["starts"], batch["ends"], batch["keys"], batch["nonce"],
-        first_keys=batch["first_keys"], key_counts=batch["key_counts"], order=batch["order"],
-        heads=batch["heads"], aad=batch["aad"],
+        first_keys=batch["first_keys"], key_counts=batch["key_counts"], heads=batch["heads"],
+        aad=batch["aad"],
     )
 
 
@@ -338,7 +336,6 @@ BAD_INDICES = (
         -1, len(b["keys"]) // 32 - b["first_keys"][-1] + 1)),
     ("first key past the keys", lambda b: b["first_keys"].__setitem__(-1, 2**40)),
     ("too many candidates", lambda b: b["key_counts"].__setitem__(-1, 256)),
-    ("order past the spans", lambda b: b["order"].__setitem__(-1, len(b["starts"]))),
 )
 
 
@@ -1337,7 +1334,7 @@ class TestTierSelection:
         assert kernels.chacha20_blocks([b"\x00" * 32], [b"\x00" * 12], [0]) is None
         assert kernels.aead_seal_batch([b"\x00" * 32], [b"\x00" * 12], [b""], b"") is None
         assert kernels.aead_open_spans(
-            b"", [0], [0], b"\x00" * 32, [0], [1], b"\x00" * 12, b"", [0], b""
+            b"", [0], [0], b"\x00" * 32, [0], [1], b"\x00" * 12, b"", b""
         ) is None
         assert kernels.hkdf_derive_batch(b"\x00" * 32, b"label") is None
         assert kernels.modp_scalar_mult_batch(2**61 - 1, [2], 2) is None

@@ -414,7 +414,6 @@ class TestFetchBatchCodec:
         wire = encode_payload(MODP, envelope(MAILBOX_FETCH_BATCH, FetchBatch.from_inboxes(inboxes)))
         decoded = decode_payload(MODP, MAILBOX_FETCH_BATCH, wire)
         assert [(owner, list(messages)) for owner, messages in decoded] == pairs
-        assert decoded.inboxes() == inboxes
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)

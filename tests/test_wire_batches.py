@@ -323,9 +323,5 @@ class TestRecordBuilders:
         )
         assert batch.to_wire() == reference.encode_fetch_batch(inboxes)
         assert batch.owners() == [owner for owner, _ in inboxes]
-        assert [(owner, [bytes(record) for record in records])
-                for owner, records in batch.inboxes()] == [
-            (owner, [message.to_bytes() for message in messages]) for owner, messages in inboxes
-        ]
         assert list(batch) == [(owner, list(messages)) for owner, messages in inboxes]
         assert FetchBatch.from_wire(batch.to_wire()) == batch

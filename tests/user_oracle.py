@@ -242,10 +242,8 @@ def install(deployment) -> None:
         # user's records out of them as objects.
         inboxes: Dict[bytes, List[MailboxMessage]] = {}
         for fetch in fetches:
-            for owner, records in fetch.inboxes():
-                inboxes.setdefault(owner, []).extend(
-                    MailboxMessage.from_bytes(bytes(record)) for record in records
-                )
+            for owner, messages in fetch:
+                inboxes.setdefault(owner, []).extend(messages)
         return {
             user.name: decrypt_mailbox(
                 user, round_number, inboxes.get(user.public_bytes, []), num_chains
