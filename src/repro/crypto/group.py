@@ -22,6 +22,7 @@ so protocol code stays agnostic of the representation.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
@@ -284,6 +285,24 @@ def _windowed_mult_with_table(table: List[Point], digits: List[int]) -> Point:
 def _windowed_mult(point: Point, digits: List[int]) -> Point:
     """Multiply ``point`` by the scalar whose 4-bit digits (LSB first) are given."""
     return _windowed_mult_with_table(_window_table(point), digits)
+
+
+_LENGTH = struct.Struct(">Q").pack
+
+
+def _hash_to_scalars(prefix: Sequence[bytes], rows: Iterable[Sequence[bytes]],
+                     byteorder: str, order: int) -> List[int]:
+    """``hash_to_scalar(*prefix, *row)`` for every row (the transcript is
+    ``len ‖ part`` per part): the shared prefix is hashed once, and each row
+    is one ``copy`` of that state and one ``update`` over its joined parts."""
+    head = hashlib.sha512(b"".join([_LENGTH(len(part)) + part for part in prefix]))
+    copy, from_bytes = head.copy, int.from_bytes
+    scalars = []
+    for row in rows:
+        hasher = copy()
+        hasher.update(b"".join([_LENGTH(len(part)) + part for part in row]))
+        scalars.append(from_bytes(hasher.digest(), byteorder) % order)
+    return scalars
 
 
 def _decode_each(decode, encodings: Sequence[bytes]) -> list:
@@ -620,6 +639,12 @@ class Ed25519Group:
             hasher.update(part)
         return int.from_bytes(hasher.digest(), "little") % self.order
 
+    def hash_to_scalars(self, prefix: Sequence[bytes],
+                        rows: Iterable[Sequence[bytes]]) -> List[int]:
+        """``[hash_to_scalar(*prefix, *row) for row in rows]``, hashing the
+        shared prefix once (the batched Fiat-Shamir challenges)."""
+        return _hash_to_scalars(prefix, rows, "little", self.order)
+
 
 class ModPGroup:
     """Quadratic-residue subgroup of ``Z_p*`` for a deterministically found safe prime.
@@ -693,7 +718,8 @@ class ModPGroup:
 
         The population layer's shape: every user of a chain exponentiates
         the same mixing (or aggregate inner) key by her own scalar.  The
-        native kernel builds the base's window table once for the batch.
+        native kernel builds the base's comb once for the batch, as deep as
+        its longest exponent (DESIGN.md §11.4).
         """
         exponents = [scalar % self.order for scalar in scalars]
         native = _kernels.modp_fixed_mult_batch(self.prime, element, exponents)
@@ -776,6 +802,11 @@ class ModPGroup:
             hasher.update(len(part).to_bytes(8, "big"))
             hasher.update(part)
         return int.from_bytes(hasher.digest(), "big") % self.order
+
+    def hash_to_scalars(self, prefix: Sequence[bytes],
+                        rows: Iterable[Sequence[bytes]]) -> List[int]:
+        """Mirrors :meth:`Ed25519Group.hash_to_scalars` (big-endian, as :meth:`hash_to_scalar`)."""
+        return _hash_to_scalars(prefix, rows, "big", self.order)
 
 
 _DEFAULT_GROUP: Optional[Ed25519Group] = None

@@ -129,25 +129,31 @@ def verify_dlog_batch(group, base, publics: Sequence, proofs: Sequence[SchnorrPr
                       contexts: Sequence[bytes]) -> List[bool]:
     """Batched :func:`verify_dlog` over one base: ``[verify_dlog(group, base, P_i, π_i, ctx_i)]``."""
     return verify_dlog_columns(
-        group, base, publics,
+        group, base, publics, [group.encode(public) for public in publics],
         [proof.commitment for proof in proofs], [proof.response for proof in proofs], contexts,
     )
 
 
-def verify_dlog_columns(group, base, publics: Sequence, commitments: Sequence[bytes],
-                        responses: Sequence[int], contexts: Sequence[bytes]) -> List[bool]:
+def verify_dlog_columns(group, base, publics: Sequence, encoded_publics: Sequence[bytes],
+                        commitments: Sequence[bytes], responses: Sequence[int],
+                        contexts: Sequence[bytes]) -> List[bool]:
     """:func:`verify_dlog_batch` over proofs given as columns (wire intake).
 
-    One accumulation row ``s_i·base − c_i·P_i`` per proof, compared with the
-    commitment in its encoding: decoding accepts canonical encodings only,
-    so "the bytes decode to this point" and "these are this point's bytes"
-    are the same predicate, garbage commitments included.
+    ``encoded_publics`` are the publics' encodings, which the intake already
+    holds; the challenges share the ``label ‖ base`` prefix of their
+    transcripts (``group.hash_to_scalars``).  One accumulation row
+    ``s_i·base − c_i·P_i`` per proof, compared with the commitment in its
+    encoding: decoding accepts canonical encodings only, so "the bytes
+    decode to this point" and "these are this point's bytes" are the same
+    predicate, garbage commitments included.
     """
-    _same_length(publics, commitments, responses, contexts)
+    _same_length(publics, encoded_publics, commitments, responses, contexts)
+    challenges = group.hash_to_scalars(
+        (NIZK_LABEL_DLOG, group.encode(base)), zip(encoded_publics, commitments, contexts)
+    )
     points: list = []
     scalars: List[int] = []
-    for public, commitment, response, context in zip(publics, commitments, responses, contexts):
-        challenge = _dlog_challenge(group, base, public, commitment, context)
+    for public, response, challenge in zip(publics, responses, challenges):
         points += (base, public)
         scalars += (response, group.order - challenge)
     combined = group.accumulate_rows(points, scalars, 2)

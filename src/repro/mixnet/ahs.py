@@ -33,7 +33,7 @@ relevant methods.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.constants import KDF_LABEL_OUTER
 from repro.crypto.nizk import (
@@ -72,6 +72,7 @@ __all__ = [
     "MixChain",
     "ChainRoundResult",
     "submission_context",
+    "submission_contexts",
     "setup_context",
     "mixing_context",
 ]
@@ -104,12 +105,14 @@ def mixing_context(chain_id: int, position: int, round_number: int) -> bytes:
 
 def submission_context(chain_id: int, round_number: int, sender: str) -> bytes:
     """Fiat-Shamir context binding a client submission to (chain, round, sender)."""
-    return (
-        b"xrd/submission|"
-        + chain_id.to_bytes(4, "big")
-        + round_number.to_bytes(8, "big")
-        + sender.encode()
-    )
+    return submission_contexts(chain_id, round_number, (sender,))[0]
+
+
+def submission_contexts(chain_id: int, round_number: int, senders: Iterable[str]) -> List[bytes]:
+    """:func:`submission_context` for every sender of one (chain, round),
+    from one ``chain ‖ round`` prefix."""
+    prefix = b"xrd/submission|" + chain_id.to_bytes(4, "big") + round_number.to_bytes(8, "big")
+    return [prefix + sender.encode() for sender in senders]
 
 
 def blame_context(chain_id: int, position: int, round_number: int) -> bytes:
@@ -676,9 +679,10 @@ class MixChain:
             group,
             group.base(),
             publics,
+            [encoded[index] for index in rows],
             [commitments[index] for index in rows],
             [responses[index] for index in rows],
-            [submission_context(self.chain_id, round_number, senders[index]) for index in rows],
+            submission_contexts(self.chain_id, round_number, [senders[index] for index in rows]),
         )
         for index, ok in zip(rows, verified):
             valid[index] = ok

@@ -41,7 +41,7 @@
  * stale prebuilt module and rebuilds it.  The stamp string lets the loader
  * read the ABI of a built module from its file, without importing it (an
  * imported extension cannot be replaced within the process). */
-#define XRD_KERNELS_ABI 6
+#define XRD_KERNELS_ABI 7
 #define XRD_STR2(x) #x
 #define XRD_STR(x) XRD_STR2(x)
 
@@ -773,21 +773,36 @@ int xrd_modp_scalar_mult_batch(const uint8_t *prime, const uint8_t *elements,
     return 0;
 }
 
-/* One base, many exponents, one window table: out[out_stride i ..] =
- * element ^ (the exponent at exponents + exp_stride i).  `group` is the
- * mont_ctx (the onion build's column signature, shared with the curve). */
+/* One base, many exponents, one comb: comb[j][d] = element^(d 16^j), rows
+ * only up to the batch's longest exponent; each exponent then costs one
+ * product per nonzero 4-bit digit, no squaring (variable time).  `group` is
+ * the mont_ctx (the onion build's column signature, shared with the curve). */
 static int modp_fixed_mult(const void *group, const uint8_t *element,
                            const uint8_t *exponents, size_t exp_stride,
                            size_t count, uint8_t *out, size_t out_stride) {
     const mont_ctx *m = group;
-    uint64_t table[16][MAXL], base_m[MAXL], acc[MAXL];
+    uint64_t (*comb)[16][MAXL], base_m[MAXL], acc[MAXL];
+    int rows = 0, j, d;
     size_t i;
     if (load_element(m, element, base_m) != 0) return -2;
-    mont_pow_table(m, base_m, table);
+    for (i = 0; i < count; i++)  /* rows = the longest exponent's digit count */
+        for (j = rows; j < 64; j++)
+            if ((exponents[exp_stride * i + 31 - j / 2] >> (4 * (j & 1))) & 0xF) rows = j + 1;
+    comb = alloc_array((size_t)rows, sizeof(*comb));
+    if (!comb) return -3;
+    for (j = 0; j < rows; j++) {
+        memcpy(comb[j][1], j ? acc : base_m, sizeof(acc));
+        for (d = 2; d < 16; d++) mont_mul(comb[j][d], comb[j][d - 1], comb[j][1], m);
+        mont_mul(acc, comb[j][15], comb[j][1], m);  /* element^(16^(j+1)) */
+    }
     for (i = 0; i < count; i++) {
-        mont_pow_with_table(m, table, exponents + exp_stride * i, acc);
+        memcpy(acc, m->one, sizeof(acc));
+        for (j = 0; j < rows; j++)
+            if ((d = (exponents[exp_stride * i + 31 - j / 2] >> (4 * (j & 1))) & 0xF))
+                mont_mul(acc, acc, comb[j][d], m);
         store_element(m, acc, out + out_stride * i);
     }
+    free(comb);
     return 0;
 }
 

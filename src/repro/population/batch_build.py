@@ -31,7 +31,7 @@ from repro.constants import KDF_LABEL_INNER, KDF_LABEL_OUTER, NIZK_LABEL_DLOG
 from repro.crypto.aead import aenc_batch
 from repro.crypto.onion import shared_keys_batch
 from repro.crypto.stream import submission_scalars
-from repro.mixnet.ahs import submission_context
+from repro.mixnet.ahs import submission_contexts
 from repro.mixnet.messages import SubmissionBatch, submission_record
 
 __all__ = ["PendingColumns", "build_chain_submissions"]
@@ -93,24 +93,23 @@ def build_chain_submissions(
     if built is None:
         built = _build_per_operation(group, *columns)
 
-    # Schnorr proofs (prove_dlog with X_i = g^x and g^k precomputed).
-    base_encoded = group.encode(group.base())
+    # Schnorr proofs (prove_dlog with X_i = g^x and g^k precomputed); the
+    # challenges share their transcripts' label ‖ base prefix.
+    onions, dh_publics, commitments = built
+    challenges = group.hash_to_scalars(
+        (NIZK_LABEL_DLOG, group.encode(group.base())),
+        zip(dh_publics, commitments, submission_contexts(chain_id, round_number, pending.senders)),
+    )
     order = group.order
-    records: List[bytes] = []
-    for sender, nonce_scalar, outer_scalar, ciphertext, dh_encoded, commitment in zip(
-        pending.senders, scalars[2], scalars[1], *built
-    ):
-        challenge = group.hash_to_scalar(
-            NIZK_LABEL_DLOG,
-            base_encoded,
-            dh_encoded,
-            commitment,
-            submission_context(chain_id, round_number, sender),
-        )
-        records.append(submission_record(
+    records = [
+        submission_record(
             chain_id, sender, dh_encoded, commitment,
-            (nonce_scalar + challenge * outer_scalar) % order, ciphertext,
-        ))
+            (nonce_scalar + challenge * outer_scalar) % order, onion,
+        )
+        for sender, nonce_scalar, outer_scalar, challenge, onion, dh_encoded, commitment in zip(
+            pending.senders, scalars[2], scalars[1], challenges, onions, dh_publics, commitments
+        )
+    ]
     return SubmissionBatch.from_records(group, records)
 
 

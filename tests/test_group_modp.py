@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from repro.crypto.group import ModPGroup
 from repro.errors import DecodingError
 
+from tests.conftest import TIERS, selected_tier
+
 GROUP = ModPGroup(bits=96)
 SCALARS = st.integers(min_value=1, max_value=GROUP.order - 1)
 
@@ -62,6 +64,20 @@ class TestGroupLaws:
         assert GROUP.scalar_mult(GROUP.scalar_mult(point, bsk1), bsk2) == GROUP.scalar_mult(
             GROUP.scalar_mult(point, bsk2), bsk1
         )
+
+
+class TestFixedBase:
+    """One base under many exponents is ``pow`` per exponent on both tiers
+    (natively, the comb, as deep as the batch's longest exponent)."""
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @given(st.lists(SCALARS | st.sampled_from([0, 1, 2**256 - 1]), max_size=8), SCALARS)
+    @settings(max_examples=30, deadline=None)
+    def test_fixed_point_mult_batch_is_pow(self, tier, scalars, log):
+        base = GROUP.base_mult(log)
+        with selected_tier(tier):
+            batch = GROUP.fixed_point_mult_batch(base, scalars)
+        assert batch == [GROUP.scalar_mult(base, scalar) for scalar in scalars]
 
 
 class TestEncoding:

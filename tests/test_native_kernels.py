@@ -472,6 +472,34 @@ class TestModPDifferential:
         assert kernels.modp_scalar_mult_batch(p, [5], 3) == [125]
         assert kernels.modp_fixed_mult_batch(p, 5, [3]) == [125]
 
+    # The fixed-base kernel is a comb whose row count follows the batch's
+    # longest exponent: exponents at the order's edges, a batch that needs
+    # every row beside 95-bit ones, and batches that need none.
+    COMB_GROUP = ModPGroup(bits=96)
+
+    @pytest.mark.parametrize("exponents", [
+        [0, 1, COMB_GROUP.order - 1],
+        [2**256 - 1, COMB_GROUP.order - 1, 2**94 + 3, 0, 1],
+        [2**94 + 5, 2**256 - 1],
+        [0, 0, 0],
+        [COMB_GROUP.order - 1],
+        [0],
+    ], ids=["order-edges", "longest-first", "longest-last", "all-zero", "one", "one-zero"])
+    def test_comb_edges(self, exponents):
+        kernels.set_active_kernel("native")
+        p = self.COMB_GROUP.prime
+        for element in (self.COMB_GROUP.base(), 1, p - 1, 0):
+            assert kernels.modp_fixed_mult_batch(p, element, exponents) == [
+                pow(element, x, p) for x in exponents
+            ]
+
+    def test_comb_declines_out_of_range_base(self):
+        kernels.set_active_kernel("native")
+        p = self.COMB_GROUP.prime
+        for exponents in ([3, 2**95], [0]):  # an empty batch calls nothing
+            assert kernels.modp_fixed_mult_batch(p, p, exponents) is None
+            assert kernels.modp_fixed_mult_batch(p, p + 4, exponents) is None
+
     def test_declines_wide_or_even_modulus(self):
         kernels.set_active_kernel("native")
         assert kernels.modp_scalar_mult_batch(2**300 + 1, [2], 2) is None

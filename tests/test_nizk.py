@@ -1,9 +1,10 @@
 """Tests for the Schnorr and Chaum-Pedersen NIZKs."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.constants import NIZK_LABEL_DLOG
 from repro.crypto import kernels
 from repro.crypto.nizk import (
     DleqProof,
@@ -19,6 +20,7 @@ from repro.crypto.nizk import (
     verify_dlog_batch,
 )
 from repro.errors import ProofError
+from repro.mixnet.ahs import submission_context, submission_contexts
 
 from tests.conftest import TIERS
 
@@ -380,3 +382,37 @@ class TestBatchForms:
                               [group.base_mult(2)] * 2, [group.base_mult(10)] * 2, [dleq])
         with pytest.raises(ProofError):
             prove_dleq_batch(group, [group.base()], [b""] * 2, group.base(), b"", 5, [7])
+
+
+class TestHashToScalars:
+    """The batched challenges are the per-item ones, row by row, on both
+    groups (each in its own byte order)."""
+
+    contexts = st.one_of(
+        st.just(b""),
+        st.text(max_size=12).map(lambda sender: submission_context(3, 2**40 + 7, sender)),
+    )
+
+    @pytest.mark.parametrize("group_name", ["modp", "ed25519"])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        prefix=st.lists(st.binary(max_size=40), max_size=3),
+        rows=st.lists(st.tuples(st.binary(max_size=40), st.binary(max_size=40), contexts),
+                      max_size=5),
+    )
+    @example(prefix=[NIZK_LABEL_DLOG, b"\x04" * 12], rows=[])
+    @example(prefix=[NIZK_LABEL_DLOG], rows=[(b"x", b"r", b"")])
+    @example(prefix=[], rows=[(b"x", b"r", submission_context(0, 1, "zoë-✓"))])
+    def test_rows_are_hash_to_scalar(self, group, ed_group, group_name, prefix, rows):
+        group = {"modp": group, "ed25519": ed_group}[group_name]
+        assert group.hash_to_scalars(prefix, rows) == [
+            group.hash_to_scalar(*prefix, *row) for row in rows
+        ]
+
+    def test_contexts_are_one_prefix_and_the_sender(self):
+        senders = ["alice", "", "zoë-✓"]
+        prefix = b"xrd/submission|" + (1).to_bytes(4, "big") + (2).to_bytes(8, "big")
+        assert submission_contexts(1, 2, senders) == [
+            prefix + sender.encode() for sender in senders
+        ] == [submission_context(1, 2, sender) for sender in senders]
+        assert submission_contexts(1, 2, []) == []

@@ -143,6 +143,40 @@ class TestHelloCodec:
         with pytest.raises(DecodingError, match="version mismatch"):
             frames.decode_hello(bytes(wire))
 
+    @staticmethod
+    def _wire(node, group_kind, digest=b""):
+        """A HELLO spelled out field by field: a text field is a presence
+        byte and a length-prefixed body (``None``: presence byte 0 alone)."""
+        def text(raw):
+            return b"\x00" if raw is None else b"\x01" + len(raw).to_bytes(4, "big") + raw
+        return (frames.MAGIC + frames.PROTOCOL_VERSION.to_bytes(2, "big") + text(node)
+                + text(group_kind) + len(digest).to_bytes(4, "big") + digest)
+
+    def test_the_spelled_out_wire_matches_the_encoder(self):
+        hello = frames.Hello(node="mix-0", group_kind="ModPGroup", config_digest=b"\x07" * 3)
+        assert self._wire(b"mix-0", b"ModPGroup", b"\x07" * 3) == frames.encode_hello(hello)
+
+    @settings(max_examples=25, deadline=None)
+    @given(node=st.text(max_size=16), digest=st.binary(max_size=32),
+           extra=st.binary(min_size=1, max_size=1))
+    def test_one_trailing_byte_is_rejected(self, node, digest, extra):
+        wire = frames.encode_hello(frames.Hello(node=node, group_kind="g", config_digest=digest))
+        with pytest.raises(DecodingError, match="trailing"):
+            frames.decode_hello(wire + extra)
+
+    @pytest.mark.parametrize("node, group_kind", [(None, b"g"), (b"n", None), (None, None)],
+                             ids=["no-node", "no-group-kind", "neither"])
+    def test_an_absent_node_or_group_kind_is_rejected(self, node, group_kind):
+        with pytest.raises(DecodingError, match="missing"):
+            frames.decode_hello(self._wire(node, group_kind))
+
+    @pytest.mark.parametrize("node, group_kind", [(b"\xff\xfe", b"g"), (b"mix-\xc3", b"g"),
+                                                  (b"n", b"\x80")],
+                             ids=["invalid-start", "cut-sequence", "group-kind"])
+    def test_a_name_that_is_not_utf8_is_rejected(self, node, group_kind):
+        with pytest.raises(DecodingError, match="UTF-8"):
+            frames.decode_hello(self._wire(node, group_kind))
+
 
 def sample_batch(group, **fields):
     """A one-submission batch: the sample payload of the envelope tests."""
