@@ -20,10 +20,10 @@ def test_full_round_modp_deployment(benchmark):
         config = DeploymentConfig(
             num_servers=4, num_users=10, num_chains=3, chain_length=2, seed=1, group_kind="modp"
         )
-        deployment = Deployment.create(config)
-        alice, bob = deployment.users[0].name, deployment.users[1].name
-        deployment.start_conversation(alice, bob)
-        return deployment.run_round(payloads={alice: b"hi", bob: b"hi"})
+        with Deployment.create(config) as deployment:
+            alice, bob = deployment.users[0].name, deployment.users[1].name
+            deployment.start_conversation(alice, bob)
+            return deployment.run_round(payloads={alice: b"hi", bob: b"hi"})
 
     report = benchmark.pedantic(run, rounds=3, iterations=1)
     assert report.all_chains_delivered()

@@ -40,9 +40,7 @@ import time
 import pytest
 
 from repro.analysis import render_table
-from repro.client.chain_selection import reset_assignment_caches
 from repro.crypto import kernels
-from repro.crypto.group import reset_window_table_caches
 from repro.coordinator.network import Deployment, DeploymentConfig
 from repro.crypto.nizk import SchnorrProof
 from repro.mixnet.messages import BatchEntry, ClientSubmission, MailboxMessage
@@ -135,8 +133,6 @@ def run_round_at_scale(
 
 def deploy_at_scale(num_users, chunk_size=None, crypto_kernel=None):
     """A fresh scale-point deployment and the peak RSS of building it."""
-    reset_assignment_caches()
-    reset_window_table_caches()
     kernels.reset_kernel_for_tests()
     if crypto_kernel is not None:
         # The native request degrades (with one warning) on a box without

@@ -53,7 +53,7 @@ def main() -> None:
     bob = deployment.users[1].name
     deployment.start_conversation(alice, bob)
     print(f"\n{alice} and {bob} agreed (out of band) to start talking; their "
-          f"intersection chain is {deployment.user(alice).conversation_chain(deployment.num_chains)}")
+          f"intersection chain is {deployment.user(alice).conversation.chain_id}")
 
     print("\n--- round 1 ---")
     report = deployment.run_round(

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from repro.errors import ChainSelectionError
@@ -36,11 +35,9 @@ __all__ = [
     "intersection_logical_chain",
     "all_pairs_intersect",
     "expected_chain_load",
-    "reset_assignment_caches",
 ]
 
 
-@lru_cache(maxsize=None)
 def ell_for_chains(num_chains: int) -> int:
     """Number of chains ``ℓ`` each user connects to, for ``n`` physical chains.
 
@@ -64,7 +61,6 @@ def num_logical_chains(ell: int) -> int:
     return ell * (ell + 1) // 2
 
 
-@lru_cache(maxsize=None)
 def build_group_chain_sets(ell: int) -> Tuple[Tuple[int, ...], ...]:
     """Return the ``ℓ + 1`` ordered logical-chain sets ``C_1 … C_{ℓ+1}`` (1-based ids)."""
     if ell < 1:
@@ -105,28 +101,18 @@ def chains_for_user(public_key_bytes: bytes, num_chains: int) -> List[int]:
     """Physical chain ids the owner of ``public_key_bytes`` must send to each round.
 
     A pure function of the (public key, chain count) pair; the population
-    derives it once per user per epoch (``UserPopulation.chain_assignments``).
+    derives every user's at once, from each group's chains
+    (``UserPopulation.chain_assignments``).
     """
     ell = ell_for_chains(num_chains)
     return chains_for_group(assign_group(public_key_bytes, ell + 1), num_chains)
 
 
-# The intersection cache is *unbounded* on purpose.  It used to be
-# ``lru_cache(maxsize=1 << 16)``, which sat just under the 100k-user
-# populations the scale benchmarks run: every round sweeps the pairs in the
-# same order, so more pairs than the cache evicted each entry exactly one
-# sweep before its next use — an ~0% hit rate at precisely the scale the
-# memoisation was added for (classic LRU thrash).  Entries are pure
-# functions of their keys (which include ``num_chains``), so they can never
-# go stale, and :func:`reset_assignment_caches` clears the cache between
-# epochs or benchmark sweeps.
-@lru_cache(maxsize=None)
 def intersection_logical_chain(public_key_a: bytes, public_key_b: bytes, num_chains: int) -> int:
     """Smallest-index *logical* chain shared by the two users' groups.
 
     The tie-break (smallest index) matches §5.3.2 and is what makes both
-    partners pick the same chain independently.  Cached: conversation
-    partners re-derive their intersection every round.
+    partners pick the same chain independently.
     """
     ell = ell_for_chains(num_chains)
     sets = build_group_chain_sets(ell)
@@ -160,17 +146,6 @@ def expected_chain_load(num_users: int, num_chains: int) -> float:
         raise ChainSelectionError("number of users must be non-negative")
     ell = ell_for_chains(num_chains)
     return num_users * ell / num_chains
-
-
-def reset_assignment_caches() -> None:
-    """Clear the partner-intersection cache (epoch change, benchmark sweeps).
-
-    Correctness never requires this — cache keys include every input the
-    cached values depend on — but a long-lived process that churns through
-    many distinct populations (the scale benchmarks, multi-deployment test
-    sessions) can call it to return the memory of retired epochs.
-    """
-    intersection_logical_chain.cache_clear()
 
 
 def group_sizes(user_public_keys: Sequence[bytes], num_chains: int) -> List[int]:

@@ -30,6 +30,9 @@ class Conversation:
     #: so they are derived once, in :meth:`establish`.
     partner_key: bytes = field(repr=False)
     my_key: bytes = field(repr=False)
+    #: The physical chain both partners send on: their intersection chain,
+    #: fixed when they agree to talk (§5.3.2).
+    chain_id: int
     established_round: int = 0
     active: bool = True
     partner_offline: bool = False
@@ -41,9 +44,11 @@ class Conversation:
         my_keypair,
         partner_name: str,
         partner_public_bytes: bytes,
+        chain_id: int,
         established_round: int = 0,
     ) -> "Conversation":
-        """Create conversation state from my key pair and the partner's public key."""
+        """Create conversation state from my key pair and the partner's public
+        key, on the intersection chain ``chain_id`` the two of us share."""
         partner_point = group.decode(partner_public_bytes)
         shared_point = group.diffie_hellman(partner_point, my_keypair.secret)
         partner_public_bytes = bytes(partner_public_bytes)
@@ -57,6 +62,7 @@ class Conversation:
             my_public_bytes=my_public_bytes,
             partner_key=conversation_key(shared_secret_bytes, partner_public_bytes),
             my_key=conversation_key(shared_secret_bytes, my_public_bytes),
+            chain_id=chain_id,
             established_round=established_round,
         )
 

@@ -82,10 +82,14 @@ class User:
 
     # -- conversations ---------------------------------------------------------
 
-    def start_conversation(self, partner_name: str, partner_public_bytes: bytes, round_number: int = 0) -> Conversation:
-        """Begin (or replace) the user's single active conversation."""
+    def start_conversation(
+        self, partner_name: str, partner_public_bytes: bytes, num_chains: int, round_number: int = 0
+    ) -> Conversation:
+        """Begin (or replace) the user's single active conversation, on the
+        chain she and the partner share among ``num_chains`` (§5.3.2)."""
+        chain_id = intersection_chain(self.public_bytes, partner_public_bytes, num_chains)
         self.conversation = Conversation.establish(
-            self.group, self.keypair, partner_name, partner_public_bytes, round_number
+            self.group, self.keypair, partner_name, partner_public_bytes, chain_id, round_number
         )
         return self.conversation
 
@@ -95,11 +99,3 @@ class User:
 
     def in_conversation(self) -> bool:
         return self.conversation is not None and self.conversation.active
-
-    def conversation_chain(self, num_chains: int) -> Optional[int]:
-        """The physical chain shared with the current partner, if any."""
-        if self.conversation is None:
-            return None
-        return intersection_chain(
-            self.public_bytes, self.conversation.partner_public_bytes, num_chains
-        )

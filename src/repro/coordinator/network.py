@@ -40,7 +40,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.client.chain_selection import ell_for_chains
 from repro.client.user import ChainKeysView, User
-from repro.crypto.group import Ed25519Group, ModPGroup, reset_window_table_caches
+from repro.crypto.group import Ed25519Group, ModPGroup
 from repro.crypto.keys import KeyDirectory, KeyPair
 from repro.crypto import stream
 from repro.crypto.randomness import PublicRandomnessBeacon
@@ -344,8 +344,8 @@ class Deployment:
         round_number = round_number if round_number is not None else self.next_round
         user_a = self.user(name_a)
         user_b = self.user(name_b)
-        user_a.start_conversation(name_b, user_b.public_bytes, round_number)
-        user_b.start_conversation(name_a, user_a.public_bytes, round_number)
+        user_a.start_conversation(name_b, user_b.public_bytes, self.num_chains, round_number)
+        user_b.start_conversation(name_a, user_a.public_bytes, self.num_chains, round_number)
 
     def end_conversation(self, name_a: str, name_b: str) -> None:
         self.user(name_a).end_conversation()
@@ -569,11 +569,6 @@ class Deployment:
             if existing.chain_id == chain_id:
                 self.topologies[position] = topology
         self.entry_servers[chain_id] = topology.servers[0]
-
-        # The retired ceremony's points may be pinned in the fixed-point
-        # window-table caches; an epoch re-form is the natural reset point
-        # (mirrors reset_assignment_caches for the population layer).
-        reset_window_table_caches()
 
         # Banked covers that target the re-formed chain were built for key
         # material that no longer exists; playing them would misauthenticate.

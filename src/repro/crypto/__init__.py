@@ -17,7 +17,7 @@ This package implements, from scratch, every primitive the paper relies on:
 """
 
 from repro.crypto.aead import AuthenticatedCiphertext, adec, aenc
-from repro.crypto.group import Ed25519Group, ModPGroup, Point, default_group
+from repro.crypto.group import Ed25519Group, ModPGroup, Point
 from repro.crypto.kdf import derive_key, hkdf_expand, hkdf_extract, nonce_from_round
 from repro.crypto.keys import KeyDirectory, KeyPair
 from repro.crypto.nizk import DleqProof, SchnorrProof, prove_dleq, prove_dlog, verify_dleq, verify_dlog
@@ -35,7 +35,6 @@ __all__ = [
     "SchnorrProof",
     "adec",
     "aenc",
-    "default_group",
     "derive_key",
     "hkdf_expand",
     "hkdf_extract",

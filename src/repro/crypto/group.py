@@ -35,8 +35,6 @@ __all__ = [
     "Point",
     "Ed25519Group",
     "ModPGroup",
-    "default_group",
-    "reset_window_table_caches",
 ]
 
 # --- edwards25519 parameters (RFC 8032) -------------------------------------
@@ -137,15 +135,19 @@ _BASE_POINT = _point_from_affine(_recover_x(_BASE_Y, 0), _BASE_Y)
 #
 # The hot paths of the protocol multiply a small set of long-lived points
 # (the base point, chain mixing/blinding keys, users' DH keys during proof
-# verification) by fresh scalars thousands of times per round.  Three layers
+# verification) by fresh scalars thousands of times per round.  Two layers
 # of precomputation speed this up without changing any observable output:
 #
-# * a comb table for the base point: ``_BASE_COMB[j][d] = d · 16^j · B`` so a
-#   base multiplication is ~63 additions and no doublings;
-# * per-point 4-bit window tables (``[P, 2P, …, 15P]``), cached by encoding
-#   for points that are reused across calls;
-# * Straus interleaving for Σ sᵢ·Pᵢ, sharing one doubling chain between all
-#   terms (used by NIZK verification, which checks ``s·G − c·P == R``).
+# * the base point's tables, built once per process: a comb
+#   ``_BASE_COMB[j][d] = d · 16^j · B`` so a base multiplication is ~63
+#   additions and no doublings, and its 4-bit window table;
+# * a per-call 4-bit window table (``[P, 2P, …, 15P]``) for any other point,
+#   shared by every scalar of a batch, and Straus interleaving for Σ sᵢ·Pᵢ,
+#   sharing one doubling chain between all terms (used by NIZK
+#   verification, which checks ``s·G − c·P == R``).
+#
+# No other point's table outlives its call: this tier is the reference, and
+# the native kernels build their tables in C.
 
 _WINDOW_BITS = 4
 _WINDOW_SIZE = 1 << _WINDOW_BITS  # 16
@@ -153,42 +155,7 @@ _SCALAR_WINDOWS = (253 + _WINDOW_BITS - 1) // _WINDOW_BITS  # 64 windows cover a
 
 _BASE_COMB: Optional[List[List[Point]]] = None
 
-#: Window tables are cached by the point's canonical 32-byte encoding, so
-#: distinct :class:`Point` instances decoding the same wire bytes (every
-#: round re-decodes the chain mixing keys) share one table.  Only points
-#: whose encoding is already known are cached — computing one costs an
-#: affine field inversion, comparable to building the table, so one-shot
-#: internal points never pay it — and a table is only *promoted* to the
-#: cache on its encoding's second sighting, so the flood of one-shot
-#: ephemeral DH keys through mixing and proof verification cannot evict
-#: the genuinely hot entries.  Both dicts are bounded and evicted FIFO.
-#: (Python tier only: the native kernels build their tables in C.)
-_WINDOW_TABLE_BY_ENCODING: "dict[bytes, List[Point]]" = {}
-_ENCODING_SEEN_ONCE: "dict[bytes, None]" = {}
-_WINDOW_TABLE_CACHE_LIMIT = 512
-
 _BASE_WINDOW_TABLE: Optional[List[Point]] = None
-
-
-def _evict_one(cache: dict) -> None:
-    try:  # benign race: concurrent mix threads may evict the same key
-        cache.pop(next(iter(cache)), None)
-    except (RuntimeError, StopIteration):
-        pass
-
-
-def reset_window_table_caches() -> None:
-    """Drop every cached per-point window table (the epoch-reset hook).
-
-    Mirrors ``reset_assignment_caches``: call when the set of long-lived
-    points changes wholesale — a chain re-forms after blame, a scale
-    benchmark rebuilds its deployment — so the bounded caches are not
-    left holding tables for points that will never be seen again.  The
-    base-point comb and window table are derived from a compile-time
-    constant and survive resets.
-    """
-    _WINDOW_TABLE_BY_ENCODING.clear()
-    _ENCODING_SEEN_ONCE.clear()
 
 
 def _point_encoding(point: Point) -> bytes:
@@ -218,29 +185,13 @@ def _point_from_record(record: "_kernels.Ed25519Record") -> Point:
 
 
 def _window_table(point: Point) -> List[Point]:
-    """Return ``[1·P, 2·P, …, 15·P]``, cached for points that are reused."""
+    """Return ``[1·P, 2·P, …, 15·P]``: the base point's pinned table, or a new one."""
     global _BASE_WINDOW_TABLE
-    if point is _BASE_POINT:  # pinned: the hottest point in every verification
-        if _BASE_WINDOW_TABLE is None:
-            _BASE_WINDOW_TABLE = _build_window_table(point)
-        return _BASE_WINDOW_TABLE
-    enc = point.__dict__.get("_enc")
-    if enc is None:  # an internal, never-encoded point: not worth an inversion
+    if point is not _BASE_POINT:
         return _build_window_table(point)
-    table = _WINDOW_TABLE_BY_ENCODING.get(enc)
-    if table is not None:
-        return table
-    table = _build_window_table(point)
-    if enc in _ENCODING_SEEN_ONCE:
-        _ENCODING_SEEN_ONCE.pop(enc, None)
-        if len(_WINDOW_TABLE_BY_ENCODING) >= _WINDOW_TABLE_CACHE_LIMIT:
-            _evict_one(_WINDOW_TABLE_BY_ENCODING)
-        _WINDOW_TABLE_BY_ENCODING[enc] = table
-    else:
-        if len(_ENCODING_SEEN_ONCE) >= _WINDOW_TABLE_CACHE_LIMIT:
-            _evict_one(_ENCODING_SEEN_ONCE)
-        _ENCODING_SEEN_ONCE[enc] = None
-    return table
+    if _BASE_WINDOW_TABLE is None:  # the hottest point in every verification
+        _BASE_WINDOW_TABLE = _build_window_table(point)
+    return _BASE_WINDOW_TABLE
 
 
 def _build_window_table(point: Point) -> List[Point]:
@@ -475,7 +426,7 @@ class Ed25519Group:
         multiplies the *same* public key (the aggregate inner key, or one
         mixing key) by her own fresh scalar.  The point's window table
         (natively: its comb) is built once for the whole batch;
-        ``scalar_mult`` would rebuild or cache-lookup it per call.
+        ``scalar_mult`` would rebuild it per call.
         """
         reduced = [scalar % self.order for scalar in scalars]
         native = _kernels.ed25519_fixed_mult_batch(point, reduced)
@@ -596,8 +547,8 @@ class Ed25519Group:
         x = _recover_x(y, sign)
         point = _point_from_affine(x, y)
         # The input bytes ARE the canonical encoding (encode(decode(d)) == d
-        # for any accepted d), so memoise them: the window-table cache keys
-        # on it, and re-encoding later would cost an affine inversion.
+        # for any accepted d), so memoise them: re-encoding later would cost
+        # an affine inversion.
         object.__setattr__(point, "_enc", bytes(data))
         return point
 
@@ -807,14 +758,3 @@ class ModPGroup:
                         rows: Iterable[Sequence[bytes]]) -> List[int]:
         """Mirrors :meth:`Ed25519Group.hash_to_scalars` (big-endian, as :meth:`hash_to_scalar`)."""
         return _hash_to_scalars(prefix, rows, "big", self.order)
-
-
-_DEFAULT_GROUP: Optional[Ed25519Group] = None
-
-
-def default_group() -> Ed25519Group:
-    """Return the process-wide default group (edwards25519)."""
-    global _DEFAULT_GROUP
-    if _DEFAULT_GROUP is None:
-        _DEFAULT_GROUP = Ed25519Group()
-    return _DEFAULT_GROUP

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.crypto import stream
-from repro.crypto.group import default_group
+from repro.crypto.group import Ed25519Group
 from repro.errors import ConfigurationError
 
 __all__ = ["KeyPair", "KeyDirectory"]
@@ -35,7 +35,7 @@ class KeyPair:
         gives the user holding that stream key.  Without a key the pair is
         fresh: a key pair has no call context to derive one from.
         """
-        group = group or default_group()
+        group = group or Ed25519Group()
         key = stream_key if stream_key is not None else stream.stream_key()
         (secret,) = stream.draw_scalars(group, key, stream.IDENTITY, 0, 0, 1)
         public = group.base_mult(secret)
@@ -44,7 +44,7 @@ class KeyPair:
     @classmethod
     def from_secret(cls, secret: int, group=None) -> "KeyPair":
         """Reconstruct a key pair from an existing secret scalar."""
-        group = group or default_group()
+        group = group or Ed25519Group()
         secret %= group.order
         if secret == 0:
             raise ConfigurationError("secret scalar must be non-zero")
@@ -66,7 +66,7 @@ class KeyDirectory:
     uses to place users into groups reproducibly.
     """
 
-    group: object = field(default_factory=default_group)
+    group: object = field(default_factory=Ed25519Group)
     _users: Dict[str, bytes] = field(default_factory=dict)
     _servers: Dict[str, bytes] = field(default_factory=dict)
 

@@ -278,27 +278,23 @@ class RoundEngine:
                 )
                 deployment._cover_store.update(banked)
 
-    def _fold_user_submissions(
-        self, ctx: RoundContext, per_chain: Dict[int, list], strict: bool = True
-    ) -> None:
+    def _fold_user_submissions(self, ctx: RoundContext) -> Dict[int, list]:
         """Fold the per-user submission records into per-chain record lists.
 
         Walks the users in global (deployment) order — the one definition of
         which submissions are pending, shared by :meth:`finalize_collect`
         (assembling the mix batches) and the overlapped precompute
-        (operating on the same pending set).  ``strict`` keeps
-        finalize_collect's invariant that a submission for a chain the
-        deployment does not run fails loudly (``KeyError``) instead of
-        being counted into a batch no chain will ever mix; the precompute
-        fold is tolerant — it only wants whatever work it can do early.
+        (operating on the same pending set).  Every chain of the deployment
+        gets a list, and a submission for a chain the deployment does not
+        run fails loudly (``KeyError``) instead of being counted into a
+        batch no chain will ever mix.
         """
+        per_chain: Dict[int, list] = {chain.chain_id: [] for chain in self.deployment.chains}
         chain_of = SubmissionBatch.record_chain_id
         for user in self.deployment.users:
             for record in ctx.user_submissions.get(user.name, ()):
-                if strict:
-                    per_chain[chain_of(record)].append(record)
-                else:
-                    per_chain.setdefault(chain_of(record), []).append(record)
+                per_chain[chain_of(record)].append(record)
+        return per_chain
 
     @_stage("finalize_collect")
     def finalize_collect(self, ctx: RoundContext) -> None:
@@ -315,8 +311,7 @@ class RoundEngine:
             ctx, [deployment.user(name) for name in ctx.deferred_users]
         )
         ctx.deferred_users = []
-        records: Dict[int, list] = {chain.chain_id: [] for chain in deployment.chains}
-        self._fold_user_submissions(ctx, records)
+        records = self._fold_user_submissions(ctx)
         # The fold was the last reader of the per-user index: from here the
         # chain lists hold the only references to the records, so each
         # chain's list dies as soon as its batch is joined.
@@ -388,12 +383,10 @@ class RoundEngine:
         Deferred users and extra submissions are not built yet; the
         post-finalize :meth:`precompute` tops those up.
         """
-        records: Dict[int, list] = {}
-        self._fold_user_submissions(ctx, records, strict=False)
         group = self.deployment.group
         self._precompute_batches(ctx, {
             chain_id: SubmissionBatch.from_records(group, chain_records)
-            for chain_id, chain_records in records.items()
+            for chain_id, chain_records in self._fold_user_submissions(ctx).items()
         })
 
     @_stage("mix")

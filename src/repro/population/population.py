@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.client.chain_selection import chains_for_user, intersection_chain
+from repro.client.chain_selection import assign_group, chains_for_group, ell_for_chains
 from repro.client.user import ReceivedMessage, User
 from repro.crypto.aead import open_spans
 from repro.crypto.kdf import loopback_key
@@ -57,11 +57,13 @@ class UserPopulation:
 
     def __init__(self, group, users: Sequence[User], num_chains: int) -> None:
         self.group = group
-        self.num_chains = num_chains
         self.users: List[User] = list(users)
-        #: name → ordered physical chain ids (length ℓ, possibly repeating).
+        #: name → ordered physical chain ids (length ℓ, possibly repeating):
+        #: her group's chains (§5.3.1), one tuple shared by the group.
+        groups = ell_for_chains(num_chains) + 1
+        group_chains = [tuple(chains_for_group(index, num_chains)) for index in range(groups)]
         self.chain_assignments: Dict[str, Tuple[int, ...]] = {
-            user.name: tuple(chains_for_user(user.public_bytes, num_chains))
+            user.name: group_chains[assign_group(user.public_bytes, groups)]
             for user in self.users
         }
         #: chain id → sender names in deployment order (with multiplicity):
@@ -129,13 +131,7 @@ class UserPopulation:
             assignment = self.chain_assignments.get(user.name)
             if assignment is None:
                 raise ConfigurationError(f"user {user.name!r} is not in the population")
-            conversation_chain_id = None
-            if user.in_conversation():
-                conversation_chain_id = intersection_chain(
-                    user.public_bytes,
-                    user.conversation.partner_public_bytes,
-                    self.num_chains,
-                )
+            conversation_chain_id = user.conversation.chain_id if user.in_conversation() else None
             conversation_sent = False
             payload = payloads.get(user.name)
             for slot, chain_id in enumerate(assignment):

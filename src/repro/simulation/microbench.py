@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from repro.crypto.aead import aenc
-from repro.crypto.group import default_group
+from repro.crypto.group import Ed25519Group
 from repro.crypto.kernels import active_kernel
 from repro.crypto.nizk import prove_dlog, verify_dlog
 from repro.simulation.costmodel import CostModel
@@ -43,7 +43,7 @@ def _time_it(function, iterations: int) -> float:
 
 def measure_primitives(iterations: int = 20, group=None) -> PrimitiveTimings:
     """Time the primitives this library actually executes."""
-    group = group or default_group()
+    group = group or Ed25519Group()
     scalar = group.random_scalar()
     point = group.base_mult(group.random_scalar())
     scalar_mult = _time_it(lambda: group.scalar_mult(point, scalar), iterations)

@@ -8,8 +8,12 @@ end-to-end integration test so the default production path is covered too.
 from __future__ import annotations
 
 import contextlib
+import os
 import random
 import sys
+import threading
+import time
+import weakref
 
 import pytest
 
@@ -160,7 +164,74 @@ def make_deployment(
         group_kind=group_kind,
         **kwargs,
     )
-    return Deployment.create(config)
+    deployment = Deployment.create(config)
+    _MADE.append(weakref.ref(deployment))
+    return deployment
+
+
+#: Every deployment :func:`make_deployment` built, weakly: the test that
+#: built one closes it when it ends (:func:`_census`), if it is still alive.
+_MADE = []
+#: How long a closed pool's or transport's threads get to finish exiting.
+CENSUS_GRACE_S = 2.0
+
+
+def _owned_threads():
+    """The threads the system starts: TCP loops and handlers, chain pools."""
+    return {
+        thread for thread in threading.enumerate()
+        if thread.name.startswith(("xrd-tcp-", "xrd-chain-"))
+    }
+
+
+def _children():
+    """Process ids of this process's children, whichever thread forked them."""
+    pids = set()
+    for task in os.listdir("/proc/self/task"):
+        with contextlib.suppress(OSError):  # the thread exited meanwhile
+            with open(f"/proc/self/task/{task}/children") as listing:
+                pids.update(listing.read().split())
+    return pids
+
+
+def _open_fds():
+    """This process's open file descriptors: number → what it refers to."""
+    fds = {}
+    for fd in os.listdir("/proc/self/fd"):
+        with contextlib.suppress(OSError):  # the listing's own, closed by now
+            fds[fd] = os.readlink(f"/proc/self/fd/{fd}")
+    return fds
+
+
+@pytest.fixture(autouse=True)
+def _census():
+    """Fail a test that leaves behind a thread of the system's own, a child
+    process or an open file descriptor.
+
+    The deployments :func:`make_deployment` built during the test are
+    closed first, which joins their chain pools and stops their transports.
+    One built another way is the test's to close: its pool otherwise runs
+    until the garbage collector finds it.
+    """
+    made = len(_MADE)
+    threads, children, fds = _owned_threads(), _children(), _open_fds()
+    yield
+    for deployment in filter(None, (made_ref() for made_ref in _MADE[made:])):
+        deployment.close()
+    del _MADE[made:]
+    deadline = time.monotonic() + CENSUS_GRACE_S
+    for thread in _owned_threads() - threads:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    left = {
+        "threads": sorted(thread.name for thread in _owned_threads() - threads),
+        "child processes": sorted(_children() - children),
+        "file descriptors": sorted(
+            f"{fd} -> {target}" for fd, target in _open_fds().items() if fds.get(fd) != target
+        ),
+    }
+    left = {kind: items for kind, items in left.items() if items}
+    if left:
+        pytest.fail(f"the test left behind {left}")
 
 
 @pytest.fixture

@@ -181,40 +181,3 @@ class TestLoad:
     def test_negative_users_rejected(self):
         with pytest.raises(ChainSelectionError):
             cs.expected_chain_load(-1, 10)
-
-
-class TestAssignmentCacheScale:
-    """Regression for the LRU-thrash bug: above the old ``maxsize=1 << 16``
-    bound, the per-round in-order sweep evicted every entry one sweep before
-    its next use (~0% hit rate at exactly the scale the memoisation was
-    added for).  The intersection cache is unbounded now; a second sweep
-    over >65,536 pairs must be pure cache hits.
-    """
-
-    PAIRS = (1 << 16) + 512  # strictly above the old cache bound
-
-    def test_second_sweep_hits_cache_above_old_bound(self):
-        cs.reset_assignment_caches()
-        pairs = [
-            (index.to_bytes(32, "big"), (index + 1).to_bytes(32, "big"))
-            for index in range(self.PAIRS)
-        ]
-        first = [cs.intersection_logical_chain(a, b, 30) for a, b in pairs]
-        info_after_first = cs.intersection_logical_chain.cache_info()
-        assert info_after_first.misses == self.PAIRS
-        assert info_after_first.currsize == self.PAIRS
-        second = [cs.intersection_logical_chain(a, b, 30) for a, b in pairs]
-        info_after_second = cs.intersection_logical_chain.cache_info()
-        assert second == first
-        # The whole second sweep must be served from the cache: no pair was
-        # evicted between its two lookups.
-        assert info_after_second.misses == self.PAIRS
-        assert info_after_second.hits - info_after_first.hits == self.PAIRS
-        cs.reset_assignment_caches()
-
-    def test_reset_assignment_caches_clears_the_intersection_cache(self):
-        cs.reset_assignment_caches()
-        cs.intersection_logical_chain(b"\x01" * 32, b"\x02" * 32, 12)
-        assert cs.intersection_logical_chain.cache_info().currsize == 1
-        cs.reset_assignment_caches()
-        assert cs.intersection_logical_chain.cache_info().currsize == 0

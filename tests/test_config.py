@@ -50,8 +50,8 @@ def test_a_dict_naming_a_dropped_knob_is_refused(knob):
 def test_creating_a_deployment_leaves_the_kernel_tier_alone(tier):
     """The tier is process state (``XRD_CRYPTO_KERNEL``/``set_active_kernel``);
     no config field can switch it behind the caller's back."""
-    deployment = Deployment.create(DeploymentConfig(num_users=2, seed=1, group_kind="modp"))
-    assert deployment.run_round().all_chains_delivered()
+    with Deployment.create(DeploymentConfig(num_users=2, seed=1, group_kind="modp")) as deployment:
+        assert deployment.run_round().all_chains_delivered()
     assert kernels.active_kernel() is CryptoKernelKind(tier)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import kernels
-from repro.crypto.group import Ed25519Group, default_group
+from repro.crypto.group import Ed25519Group
 from repro.errors import DecodingError
 
 from tests.test_native_kernels import SMALL_ORDER
@@ -202,9 +202,6 @@ class TestSubgroupAndHashing:
     def test_random_scalar_range(self):
         for _ in range(20):
             assert 1 <= GROUP.random_scalar() < GROUP.order
-
-    def test_default_group_singleton(self):
-        assert default_group() is default_group()
 
     def test_point_hash_consistent_with_equality(self):
         a = GROUP.base_mult(5)

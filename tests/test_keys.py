@@ -41,7 +41,7 @@ class TestKeyPair:
     def test_identity_secret_bytes(self, group):
         assert len(KeyPair.generate(group).identity_secret_bytes()) == 32
 
-    def test_default_group_is_ed25519(self):
+    def test_a_keypair_defaults_to_ed25519(self):
         keypair = KeyPair.generate()
         assert len(keypair.public_bytes) == 32
 

@@ -37,11 +37,7 @@ from repro.crypto import aead, chacha20, kernels
 from repro.crypto import group as group_mod
 from repro.crypto.aead import adec, aenc
 from repro.crypto.chacha20 import chacha20_block
-from repro.crypto.group import (
-    Ed25519Group,
-    ModPGroup,
-    reset_window_table_caches,
-)
+from repro.crypto.group import Ed25519Group, ModPGroup
 from repro.crypto.kdf import derive_key
 from repro.crypto.onion import inner_envelope_key, outer_layer_key, shared_keys_batch
 from repro.errors import ConfigurationError, CryptoError, DecodingError
@@ -1028,8 +1024,8 @@ def _build_three_ways(group, tier, num_users, num_chains, layers, paired, notice
             for i in range(num_users)
         ]
         for left, right in zip(made[0:paired:2], made[1:paired:2]):
-            left.start_conversation(right.name, right.public_bytes)
-            right.start_conversation(left.name, left.public_bytes)
+            left.start_conversation(right.name, right.public_bytes, num_chains)
+            right.start_conversation(left.name, left.public_bytes, num_chains)
         return made
 
     rng = random.Random(seed + 1)
@@ -1547,58 +1543,3 @@ class TestLengthMismatchMessages:
             aead.aenc_batch(b"\x00" * 96, 1, [b"a", b"b"])
         with pytest.raises(CryptoError, match=r"32 bytes"):
             aead.aenc_batch(b"\x00" * 33, 1, [b"a"])
-
-
-# -- window-table cache satellite --------------------------------------------
-
-
-class TestWindowTableCache:
-    @pytest.fixture(autouse=True)
-    def _clean_caches(self):
-        reset_window_table_caches()
-        yield
-        reset_window_table_caches()
-
-    def test_decoded_copies_share_one_table(self):
-        group = Ed25519Group()
-        encoded = group.encode(group.base_mult(7))
-        first = group.decode(encoded)
-        second = group.decode(encoded)
-        assert first is not second
-        group_mod._window_table(first)   # probation
-        table = group_mod._window_table(first)  # promoted
-        assert group_mod._window_table(second) is table
-
-    def test_unencoded_point_is_never_cached(self):
-        kernels.set_active_kernel("python")
-        group = Ed25519Group()
-        point = group.base_mult(11)  # never encoded: no _enc memo yet
-        assert "_enc" not in point.__dict__
-        first = group_mod._window_table(point)
-        assert group_mod._window_table(point) is not first
-        assert "_enc" not in point.__dict__
-        assert not group_mod._WINDOW_TABLE_BY_ENCODING
-        assert not group_mod._ENCODING_SEEN_ONCE
-
-    def test_reset_clears_everything_but_base(self):
-        group = Ed25519Group()
-        point = group.decode(group.encode(group.base_mult(13)))
-        group_mod._window_table(point)
-        group_mod._window_table(point)
-        assert group_mod._WINDOW_TABLE_BY_ENCODING
-        base_table = group_mod._window_table(group.base())
-        reset_window_table_caches()
-        assert not group_mod._WINDOW_TABLE_BY_ENCODING
-        assert not group_mod._ENCODING_SEEN_ONCE
-        assert group_mod._window_table(group.base()) is base_table
-
-    def test_cache_is_bounded(self):
-        group = Ed25519Group()
-        for scalar in range(2, 2 + group_mod._WINDOW_TABLE_CACHE_LIMIT + 8):
-            point = group.decode(group.encode(group.base_mult(scalar)))
-            group_mod._window_table(point)
-            group_mod._window_table(point)
-        assert (
-            len(group_mod._WINDOW_TABLE_BY_ENCODING)
-            <= group_mod._WINDOW_TABLE_CACHE_LIMIT
-        )

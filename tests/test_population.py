@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.client import chain_selection
 from repro.crypto import kernels
 from repro.crypto.aead import adec, adec_batch, aenc, aenc_batch
 from repro.crypto.chacha20 import chacha20_block, chacha20_blocks_batch
@@ -42,7 +43,7 @@ from repro.transport.codec import decode_payload, encode_payload
 from repro.transport.envelope import submission_batch_envelope
 
 from tests import user_oracle
-from tests.conftest import make_deployment, native_dispatches
+from tests.conftest import forbid, make_deployment, native_dispatches
 
 MODP = ModPGroup(bits=64)
 
@@ -205,6 +206,24 @@ class TestPopulationSemantics:
             deployment.engine.deliver(ctx)
             deployment.engine.fetch(ctx)
         assert bat_ctx.report.canonical_bytes() == ref_ctx.report.canonical_bytes()
+
+    def test_rounds_read_the_chain_fixed_at_agreement(self, monkeypatch):
+        """Partners fix their intersection chain once, when they agree to
+        talk (§5.3.2): no staggered round — covers banked and played, one
+        user offline — asks chain selection for it again."""
+        deployment = make_deployment(seed=5)
+        a, b, c, d = (user.name for user in deployment.users[:4])
+        deployment.start_conversation(a, b)
+        deployment.start_conversation(c, d)
+        forbid(monkeypatch, chain_selection.intersection_chain,
+               chain_selection.intersection_logical_chain)
+        reports = deployment.run_rounds([
+            deployment.round_spec(payloads={a: b"hi", c: b"yo"}),
+            deployment.round_spec(offline_users={b}),  # b's covers play
+        ], staggered=True)
+        assert reports[0].conversation_payloads(b) == [b"hi"]
+        assert reports[0].conversation_payloads(d) == [b"yo"]
+        assert deployment.user(a).conversation.partner_offline  # b's cover notice
 
     def test_population_rosters_cover_every_user_slot(self):
         _, batched = deployment_pair()

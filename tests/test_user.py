@@ -44,13 +44,9 @@ class TestChainAssignment:
 
     def test_conversation_chain_is_shared(self, group):
         alice, bob = User("alice", group), User("bob", group)
-        alice.start_conversation("bob", bob.public_bytes)
-        shared = alice.conversation_chain(10)
+        shared = alice.start_conversation("bob", bob.public_bytes, 10).chain_id
         assert shared in alice.assigned_chains(10)
         assert shared == intersection_chain(alice.public_bytes, bob.public_bytes, 10)
-
-    def test_no_conversation_chain_when_idle(self, group):
-        assert User("alice", group).conversation_chain(10) is None
 
 
 class TestSubmissionBuilding:
@@ -69,7 +65,7 @@ class TestSubmissionBuilding:
         _, views = chain_views(group, num_chains, 1)
         alice, bob = User("alice", group), User("bob", group)
         idle = build_round_submissions(alice, 1, num_chains, views)
-        alice.start_conversation("bob", bob.public_bytes)
+        alice.start_conversation("bob", bob.public_bytes, num_chains)
         talking = build_round_submissions(alice, 1, num_chains, views, payload=b"hi")
         assert len(idle) == len(talking)
         assert [s.chain_id for s in idle] == [s.chain_id for s in talking]
@@ -105,8 +101,8 @@ class TestEndToEndThroughRealChains:
         round_number = 1
         chains, views = chain_views(group, num_chains, round_number)
         alice, bob = User("alice", group), User("bob", group)
-        alice.start_conversation("bob", bob.public_bytes)
-        bob.start_conversation("alice", alice.public_bytes)
+        alice.start_conversation("bob", bob.public_bytes, num_chains)
+        bob.start_conversation("alice", alice.public_bytes, num_chains)
 
         per_chain = {chain.chain_id: [] for chain in chains}
         for user, payload in ((alice, b"hello bob"), (bob, b"hello alice")):
@@ -136,8 +132,8 @@ class TestEndToEndThroughRealChains:
         num_chains = 3
         chains, views = chain_views(group, num_chains, 1)
         alice, bob = User("alice", group), User("bob", group)
-        alice.start_conversation("bob", bob.public_bytes)
-        bob.start_conversation("alice", alice.public_bytes)
+        alice.start_conversation("bob", bob.public_bytes, num_chains)
+        bob.start_conversation("alice", alice.public_bytes, num_chains)
         submissions = build_round_submissions(alice, 1, num_chains, views, offline_notice=True)
         per_chain = {chain.chain_id: [] for chain in chains}
         for submission in submissions:
@@ -179,8 +175,8 @@ class TestMailboxDecryption:
 
     def test_conversation_payload_decrypted(self, group):
         alice, bob = User("alice", group), User("bob", group)
-        alice.start_conversation("bob", bob.public_bytes)
-        bob.start_conversation("alice", alice.public_bytes)
+        alice.start_conversation("bob", bob.public_bytes, 3)
+        bob.start_conversation("alice", alice.public_bytes, 3)
         sealed = seal_conversation(bob, 4, MessageBody.data(b"round 4 text"))
         received = decrypt_mailbox(alice, 4, [sealed], 3)
         assert received[0].kind == ReceivedMessage.KIND_CONVERSATION

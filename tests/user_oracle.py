@@ -15,6 +15,7 @@ round script can be run against the oracle end to end.
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.client.chain_selection import intersection_chain
 from repro.client.user import ChainKeysView, ReceivedMessage
 from repro.crypto import stream
 from repro.crypto.chacha20 import chacha20_block
@@ -101,7 +102,11 @@ def build_round_submissions(
     their traffic pattern is identical.
     """
     chains = user.assigned_chains(num_chains)
-    conversation_chain_id = user.conversation_chain(num_chains) if user.in_conversation() else None
+    conversation_chain_id = None
+    if user.in_conversation():  # derived here, not read off the field it checks
+        conversation_chain_id = intersection_chain(
+            user.public_bytes, user.conversation.partner_public_bytes, num_chains
+        )
     submissions: List[ClientSubmission] = []
     conversation_sent = False
     for slot, chain_id in enumerate(chains):
