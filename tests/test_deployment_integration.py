@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.client.chain_selection import intersection_chain
 from repro.client.user import ReceivedMessage
 from repro.errors import ConfigurationError
 from repro.coordinator.network import DeploymentConfig
@@ -42,6 +43,18 @@ class TestDeploymentConstruction:
         two = make_deployment(seed=5)
         assert [u.public_bytes for u in one.users] == [u.public_bytes for u in two.users]
         assert [t.servers for t in one.topologies] == [t.servers for t in two.topologies]
+
+    def test_partners_agree_on_one_chain(self, deployment):
+        """Agreeing to talk fixes one chain for both partners: their
+        intersection among the deployment's chains (§5.3.2)."""
+        alice, bob = deployment.users[0], deployment.users[1]
+        deployment.start_conversation(alice.name, bob.name)
+        chain_id = alice.conversation.chain_id
+        assert bob.conversation.chain_id == chain_id
+        assert chain_id == intersection_chain(
+            alice.public_bytes, bob.public_bytes, deployment.num_chains
+        )
+        assert chain_id in {chain.chain_id for chain in deployment.chains}
 
     def test_unknown_lookups(self, deployment):
         with pytest.raises(ConfigurationError):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import group as group_mod
 from repro.crypto import kernels
 from repro.crypto.group import Ed25519Group
 from repro.errors import DecodingError
@@ -211,3 +212,41 @@ class TestSubgroupAndHashing:
 
     def test_point_not_equal_to_other_types(self):
         assert GROUP.base() != object()
+
+
+class TestWindowTable:
+    """The python tier's 4-bit window tables: the base point's is built once
+    and pinned, any other point's lives only as long as the call using it."""
+
+    def test_base_point_table_is_pinned(self):
+        table = group_mod._window_table(GROUP.base())
+        assert group_mod._window_table(GROUP.base()) is table
+        assert table == [GROUP.scalar_mult_slow(GROUP.base(), k) for k in range(1, 16)]
+
+    def test_every_other_point_gets_a_new_table(self):
+        encoded = GROUP.encode(GROUP.base_mult(7))
+        first, second = GROUP.decode(encoded), GROUP.decode(encoded)
+        table = group_mod._window_table(first)
+        assert group_mod._window_table(first) is not table
+        assert group_mod._window_table(second) == table
+        assert table == [GROUP.scalar_mult_slow(first, k) for k in range(1, 16)]
+
+    def test_a_table_leaves_no_module_state_behind(self):
+        group_mod._window_table(GROUP.base())
+        group_mod._base_comb()
+        before = {name: id(value) for name, value in vars(group_mod).items()}
+        for scalar in range(2, 10):
+            point = GROUP.decode(GROUP.encode(GROUP.base_mult(scalar)))
+            group_mod._windowed_mult(point, group_mod._scalar_windows(scalar))
+        assert {name: id(value) for name, value in vars(group_mod).items()} == before
+
+    def test_a_copy_of_the_base_point_multiplies_like_it(self):
+        """A decoded copy of B is not the pinned object, so it takes the
+        per-call table; the product must not depend on which table it was."""
+        copy = GROUP.decode(GROUP.encode(GROUP.base()))
+        assert copy is not GROUP.base()
+        for scalar in (1, 2, 15, 16, 2**200 + 12345, GROUP.order - 1):
+            digits = group_mod._scalar_windows(scalar)
+            assert group_mod._windowed_mult(copy, digits) == group_mod._windowed_mult(
+                GROUP.base(), digits
+            )

@@ -48,6 +48,24 @@ class TestChainAssignment:
         assert shared in alice.assigned_chains(10)
         assert shared == intersection_chain(alice.public_bytes, bob.public_bytes, 10)
 
+    def test_no_conversation_chain_when_idle(self, group):
+        alice = User("alice", group)
+        assert alice.conversation is None
+        assert not alice.in_conversation()
+
+    def test_a_new_partner_moves_the_chain(self, group):
+        """Replacing the conversation fixes the chain shared with the new
+        partner; the old partner's chain goes with the old conversation."""
+        num_chains = 40
+        alice, bob, carol = User("alice", group), User("bob", group), User("carol", group)
+        with_bob = alice.start_conversation("bob", bob.public_bytes, num_chains)
+        with_carol = alice.start_conversation("carol", carol.public_bytes, num_chains)
+        assert alice.conversation is with_carol
+        assert with_bob.chain_id == intersection_chain(alice.public_bytes, bob.public_bytes, num_chains)
+        assert with_carol.chain_id == intersection_chain(
+            alice.public_bytes, carol.public_bytes, num_chains
+        )
+
 
 class TestSubmissionBuilding:
     def test_idle_user_sends_all_loopbacks(self, group):
