@@ -9,6 +9,7 @@ C compiler are available), or ``None`` when it is not.  All policy about
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import importlib.util
 import os
@@ -18,7 +19,7 @@ from typing import Optional, Tuple
 
 # ABI stamp expected from xrd_abi_version(); mirrors XRD_KERNELS_ABI in
 # xrdkernels.c so a stale prebuilt .so is rebuilt instead of trusted.
-EXPECTED_ABI = 7
+EXPECTED_ABI = 8
 
 _MODULE = "repro.native._xrdkernels"
 # The string xrdkernels.c compiles in next to xrd_abi_version().
@@ -106,7 +107,62 @@ def _probe() -> Optional[Tuple[object, object]]:
             "xrdkernels.c and repro/native/__init__.py disagree"
         )
         return None
-    return ffi, lib
+    handle = _known_answers(ffi, lib)
+    if handle is None:
+        _state["error"] = RuntimeError(
+            "_xrdkernels failed its known-answer check: the lane kernels this CPU "
+            "resolved to disagree with the reference"
+        )
+    return handle
+
+
+#: sha256 of the known-answer run's keys and sealed messages, as the python
+#: tier computes them (tests/test_native_kernels.py holds the pin to it).
+KNOWN_ANSWER = "ed5e81d67972045830036eb01a58a873d1f5a2d5b81cb601d2d6a6124c28ba8b"
+
+
+def known_answer_inputs(lanes: int):
+    """The fixed vectors: ``lanes + 1`` secrets, plaintexts of ragged
+    lengths (0 to 5 · lanes bytes), the nonce, the HKDF label and the AAD."""
+    count = lanes + 1
+    secrets = bytes((7 * index + 3) & 0xFF for index in range(32 * count))
+    plains = [bytes([index]) * (5 * index) for index in range(count)]
+    return secrets, plains, bytes(range(12)), b"xrd/known-answer", b"aad"
+
+
+def _known_answers(ffi, lib) -> Optional[Tuple[object, object]]:
+    """``(ffi, lib)`` if one HKDF batch and one AEAD seal and open of
+    ``XRD_LANES + 1`` entries give :data:`KNOWN_ANSWER`, else ``None``.
+
+    The dynamic loader picks the lane kernels' clone for this CPU, and no
+    test may have run that clone, so the loader checks it once before
+    trusting it.  Never raises: anything unexpected is a failed check.
+    """
+    try:
+        secrets, plains, nonce, label, aad = known_answer_inputs(lib.XRD_LANES)
+        count = len(plains)
+        keys = ffi.new("uint8_t[]", 32 * count)
+        pt_offsets = [sum(map(len, plains[:index])) for index in range(count + 1)]
+        out_offsets = [offset + 16 * index for index, offset in enumerate(pt_offsets)]
+        sealed = ffi.new("uint8_t[]", out_offsets[-1])
+        plain = ffi.new("uint8_t[]", out_offsets[-1] + 4 * count)
+        offsets, opened = ffi.new("uint64_t[]", count + 1), ffi.new("uint8_t[]", count)
+        if (lib.xrd_hkdf_sha256_batch(label, len(label), b"", 0, secrets, 32, count, keys)
+                or lib.xrd_aead_seal_batch(keys, nonce * count, count, b"".join(plains),
+                                           pt_offsets, aad, len(aad), sealed, out_offsets)
+                or lib.xrd_aead_open_spans(sealed, out_offsets[-1], count, out_offsets[:-1],
+                                           out_offsets[1:], keys, count, list(range(count)),
+                                           [1] * count, nonce, aad, len(aad), b"", 0, plain,
+                                           len(plain), offsets, opened)):
+            return None
+        digest = hashlib.sha256(bytes(ffi.buffer(keys)) + bytes(ffi.buffer(sealed))).hexdigest()
+        expected = b"".join(len(pt).to_bytes(4, "big") + pt for pt in plains)
+        if (digest == KNOWN_ANSWER and bytes(ffi.buffer(opened)) == b"\x01" * count
+                and bytes(ffi.buffer(plain, offsets[count])) == expected):
+            return ffi, lib
+    except Exception:  # a malformed module: as good as a wrong answer
+        pass
+    return None
 
 
 def load_error() -> Optional[BaseException]:

@@ -25,7 +25,8 @@
  *     above.
  *
  * Every entry point operates on whole batches behind one C call, so the
- * cffi wrapper releases the GIL for the duration.  All multi-byte modp
+ * cffi wrapper releases the GIL for the duration; the symmetric kernels run
+ * XRD_LANES messages of a batch at a time in SIMD lanes (see "Lanes").  All multi-byte modp
  * values are 32-byte big-endian, exactly the ModPGroup wire encoding;
  * curve coordinates and scalars are 32-byte little-endian, exactly the
  * Ed25519Group one; ChaCha20 keys/nonces are the raw 32/12-byte strings.
@@ -41,7 +42,7 @@
  * stale prebuilt module and rebuilds it.  The stamp string lets the loader
  * read the ABI of a built module from its file, without importing it (an
  * imported extension cannot be replaced within the process). */
-#define XRD_KERNELS_ABI 7
+#define XRD_KERNELS_ABI 8
 #define XRD_STR2(x) #x
 #define XRD_STR(x) XRD_STR2(x)
 
@@ -51,6 +52,7 @@ __attribute__((used)) const char xrd_abi_stamp[] =
 /* The Python-visible ABI, in its only copy: _build.py hands cffi the text
  * between the two marker comments as the cdef. */
 /* xrd-cdef-begin */
+#define XRD_LANES 16
 int xrd_abi_version(void);
 int xrd_chacha20_blocks(const uint8_t *keys, const uint8_t *nonces,
                         const uint32_t *counters, size_t count, uint8_t *out);
@@ -114,12 +116,36 @@ static void *alloc_array(size_t count, size_t size) {
 }
 
 /* ------------------------------------------------------------------ */
-/* ChaCha20 (RFC 8439)                                                */
+/* Lanes: XRD_LANES independent messages per pass                     */
 /* ------------------------------------------------------------------ */
+
+/* The two lane primitives, chacha_lanes and sha256_lanes, are the only
+ * ChaCha20 block function and the only SHA-256 compression here.  Each
+ * runs XRD_LANES independent states per call, word w of lane l at [w][l];
+ * a single stream is one active lane.  They are written once with vector
+ * extensions and built, by function multiversioning, for the widest vector
+ * unit the CPU has: the dynamic loader's resolver picks one clone per
+ * process.  Neither branches on, or indexes by, any data. */
+typedef uint32_t lane_words[XRD_LANES];
+typedef uint32_t u32v __attribute__((vector_size(4 * XRD_LANES)));
+
+#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define LANE_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#endif
+#ifndef LANE_CLONES
+#define LANE_CLONES
+#endif
 
 static uint32_t le32(const uint8_t *p) {
     return (uint32_t)p[0] | ((uint32_t)p[1] << 8) | ((uint32_t)p[2] << 16)
          | ((uint32_t)p[3] << 24);
+}
+
+static uint32_t be32(const uint8_t *p) {
+    return ((uint32_t)p[0] << 24) | ((uint32_t)p[1] << 16) | ((uint32_t)p[2] << 8)
+         | (uint32_t)p[3];
 }
 
 static void st32(uint8_t *p, uint32_t v) {
@@ -136,6 +162,23 @@ static void st32_be(uint8_t *p, uint32_t v) {
     p[3] = (uint8_t)v;
 }
 
+/* Words [0, n) of every lane = the n words of `value`. */
+static void lanes_fill(lane_words *words, const uint32_t *value, int n) {
+    int w, l;
+    for (w = 0; w < n; w++)
+        for (l = 0; l < XRD_LANES; l++) words[w][l] = value[w];
+}
+
+/* Words [0, n) of one lane = the n big-endian words at p. */
+static void lane_load_be(lane_words *words, size_t lane, const uint8_t *p, int n) {
+    int w;
+    for (w = 0; w < n; w++) words[w][lane] = be32(p + 4 * w);
+}
+
+/* ------------------------------------------------------------------ */
+/* ChaCha20 (RFC 8439)                                                */
+/* ------------------------------------------------------------------ */
+
 #define ROTL32(v, n) (((v) << (n)) | ((v) >> (32 - (n))))
 #define QR(a, b, c, d)                          \
     a += b; d ^= a; d = ROTL32(d, 16);          \
@@ -143,46 +186,93 @@ static void st32_be(uint8_t *p, uint32_t v) {
     a += b; d ^= a; d = ROTL32(d, 8);           \
     c += d; b ^= c; b = ROTL32(b, 7);
 
-static void chacha_block(const uint8_t key[32], uint32_t counter,
-                         const uint8_t nonce[12], uint8_t out[64]) {
-    uint32_t s[16], w[16];
+/* out = the keystream block of every lane's state `in`. */
+LANE_CLONES static void chacha_lanes(lane_words in[16], lane_words out[16]) {
+    u32v s[16], x[16];
     int i;
-    s[0] = 0x61707865u; s[1] = 0x3320646Eu; s[2] = 0x79622D32u; s[3] = 0x6B206574u;
-    for (i = 0; i < 8; i++) s[4 + i] = le32(key + 4 * i);
-    s[12] = counter;
-    for (i = 0; i < 3; i++) s[13 + i] = le32(nonce + 4 * i);
-    memcpy(w, s, sizeof(s));
-    for (i = 0; i < 10; i++) {
-        QR(w[0], w[4], w[8],  w[12])
-        QR(w[1], w[5], w[9],  w[13])
-        QR(w[2], w[6], w[10], w[14])
-        QR(w[3], w[7], w[11], w[15])
-        QR(w[0], w[5], w[10], w[15])
-        QR(w[1], w[6], w[11], w[12])
-        QR(w[2], w[7], w[8],  w[13])
-        QR(w[3], w[4], w[9],  w[14])
+    for (i = 0; i < 16; i++) {
+        memcpy(&s[i], in[i], sizeof(u32v));
+        x[i] = s[i];
     }
-    for (i = 0; i < 16; i++) st32(out + 4 * i, w[i] + s[i]);
+    for (i = 0; i < 10; i++) {
+        QR(x[0], x[4], x[8],  x[12])
+        QR(x[1], x[5], x[9],  x[13])
+        QR(x[2], x[6], x[10], x[14])
+        QR(x[3], x[7], x[11], x[15])
+        QR(x[0], x[5], x[10], x[15])
+        QR(x[1], x[6], x[11], x[12])
+        QR(x[2], x[7], x[8],  x[13])
+        QR(x[3], x[4], x[9],  x[14])
+    }
+    for (i = 0; i < 16; i++) {
+        x[i] += s[i];
+        memcpy(out[i], &x[i], sizeof(u32v));
+    }
 }
 
-/* XOR `len` bytes of message against the keystream starting at `counter`. */
-static void chacha_xor(const uint8_t key[32], const uint8_t nonce[12],
-                       uint32_t counter, const uint8_t *in, size_t len,
-                       uint8_t *out) {
+/* One keystream run: `len` bytes from block `counter` on, XORed into `in`
+ * (which may be `out`) or, with no `in`, written out as they are. */
+typedef struct {
+    const uint8_t *key, *nonce;  /* 32 and 12 bytes */
+    const uint8_t *in;
+    uint8_t *out;
+    size_t len;
+    uint32_t counter;
+} chacha_job;
+
+/* Run jobs through the lanes: a lane takes the next job as soon as its
+ * last one is done, so ragged lengths keep every lane busy until the
+ * queue runs dry. */
+static void chacha_run(chacha_job *jobs, size_t count) {
+    static const uint32_t sigma[4] = {0x61707865u, 0x3320646Eu, 0x79622D32u, 0x6B206574u};
+    lane_words in[16] = {{0}}, ks[16];
+    const chacha_job *job[XRD_LANES] = {0};
+    size_t done[XRD_LANES] = {0}, next = 0;
     uint8_t block[64];
-    while (len) {
-        size_t n = len < 64 ? len : 64, i;
-        chacha_block(key, counter++, nonce, block);
-        for (i = 0; i < n; i++) out[i] = in[i] ^ block[i];
-        in += n; out += n; len -= n;
+    int l, w, busy;
+    lanes_fill(in, sigma, 4);
+    for (;;) {
+        for (l = busy = 0; l < XRD_LANES; l++) {
+            if (job[l] && done[l] == job[l]->len) job[l] = NULL;
+            while (!job[l] && next < count) {
+                const chacha_job *j = &jobs[next++];
+                if (!j->len) continue;
+                job[l] = j;
+                done[l] = 0;
+                for (w = 0; w < 8; w++) in[4 + w][l] = le32(j->key + 4 * w);
+                in[12][l] = j->counter;
+                for (w = 0; w < 3; w++) in[13 + w][l] = le32(j->nonce + 4 * w);
+            }
+            busy |= job[l] != NULL;
+        }
+        if (!busy) return;
+        chacha_lanes(in, ks);
+        for (l = 0; l < XRD_LANES; l++) {
+            const chacha_job *j = job[l];
+            size_t n, i;
+            if (!j) continue;
+            n = j->len - done[l] < 64 ? j->len - done[l] : 64;
+            for (w = 0; w < 16; w++) st32(block + 4 * w, ks[w][l]);
+            if (j->in)
+                for (i = 0; i < n; i++) j->out[done[l] + i] = j->in[done[l] + i] ^ block[i];
+            else
+                memcpy(j->out + done[l], block, n);
+            done[l] += n;
+            in[12][l]++;
+        }
     }
 }
 
 int xrd_chacha20_blocks(const uint8_t *keys, const uint8_t *nonces,
                         const uint32_t *counters, size_t count, uint8_t *out) {
+    chacha_job *jobs = alloc_array(count, sizeof(chacha_job));
     size_t i;
+    if (!jobs) return -3;
     for (i = 0; i < count; i++)
-        chacha_block(keys + 32 * i, counters[i], nonces + 12 * i, out + 64 * i);
+        jobs[i] = (chacha_job){keys + 32 * i, nonces + 12 * i, NULL, out + 64 * i, 64,
+                               counters[i]};
+    chacha_run(jobs, count);
+    free(jobs);
     return 0;
 }
 
@@ -331,15 +421,26 @@ static void aead_tag(const uint8_t otk[32], const uint8_t *aad, size_t aad_len,
     poly1305_finish(&st, tag);
 }
 
-/* dst[0 .. len + 16) = ciphertext || tag of the len bytes at src; src may
- * be dst itself (the onion build seals its layers in place). */
-static void aead_seal(const uint8_t key[32], const uint8_t nonce[12],
-                      const uint8_t *aad, size_t aad_len,
-                      const uint8_t *src, size_t len, uint8_t *dst) {
-    uint8_t otk_block[64];
-    chacha_xor(key, nonce, 1, src, len, dst);
-    chacha_block(key, 0, nonce, otk_block);
-    aead_tag(otk_block, aad, aad_len, dst, len, dst + len);
+/* Room for 2 count jobs, then count one-time keys; one free() releases both. */
+static chacha_job *alloc_jobs(size_t count, uint8_t **otk) {
+    chacha_job *jobs = alloc_array(count, 2 * sizeof(chacha_job) + 32);
+    if (jobs) *otk = (uint8_t *)(jobs + 2 * count);
+    return jobs;
+}
+
+/* Seal message i of jobs[0 .. count), each the counter-1 run of its key and
+ * nonce over its plaintext (in may be out), appending its tag at out + len:
+ * ciphertext || tag.  The one-time keys run through the lanes together with
+ * the messages, in jobs[count .. 2 count). */
+static void seal_jobs(chacha_job *jobs, size_t count, uint8_t *otk,
+                      const uint8_t *aad, size_t aad_len) {
+    size_t i;
+    for (i = 0; i < count; i++)
+        jobs[count + i] = (chacha_job){jobs[i].key, jobs[i].nonce, NULL, otk + 32 * i, 32, 0};
+    chacha_run(jobs, 2 * count);
+    for (i = 0; i < count; i++)
+        aead_tag(otk + 32 * i, aad, aad_len, jobs[i].out, jobs[i].len,
+                 jobs[i].out + jobs[i].len);
 }
 
 /* 1 iff the two tags are equal, in time independent of where they differ. */
@@ -354,13 +455,19 @@ int xrd_aead_seal_batch(const uint8_t *keys, const uint8_t *nonces, size_t count
                         const uint8_t *plains, const uint64_t *pt_offsets,
                         const uint8_t *aad, size_t aad_len,
                         uint8_t *out, const uint64_t *out_offsets) {
+    chacha_job *jobs;
+    uint8_t *otk;
     size_t i;
-    for (i = 0; i < count; i++) {
-        size_t pt_len = (size_t)(pt_offsets[i + 1] - pt_offsets[i]);
-        if (out_offsets[i + 1] - out_offsets[i] != pt_len + 16) return -1;
-        aead_seal(keys + 32 * i, nonces + 12 * i, aad, aad_len,
-                  plains + pt_offsets[i], pt_len, out + out_offsets[i]);
-    }
+    for (i = 0; i < count; i++)
+        if (out_offsets[i + 1] - out_offsets[i] != pt_offsets[i + 1] - pt_offsets[i] + 16)
+            return -1;
+    if (!(jobs = alloc_jobs(count, &otk))) return -3;
+    for (i = 0; i < count; i++)
+        jobs[i] = (chacha_job){keys + 32 * i, nonces + 12 * i, plains + pt_offsets[i],
+                               out + out_offsets[i],
+                               (size_t)(pt_offsets[i + 1] - pt_offsets[i]), 1};
+    seal_jobs(jobs, count, otk, aad, aad_len);
+    free(jobs);
     return 0;
 }
 
@@ -380,8 +487,9 @@ int xrd_aead_open_spans(const uint8_t *buf, size_t buf_len, size_t count,
                         const uint8_t *heads, size_t head_len,
                         uint8_t *out, size_t out_len, uint64_t *out_offsets,
                         uint8_t *opened) {
-    size_t i, c, need = 0, at = 0;
-    uint8_t otk_block[64], tag[16];
+    size_t i, j, c, n, need = 0, at = 0;
+    chacha_job *jobs;
+    uint8_t *otk, tag[16];
     for (i = 0; i < count; i++) {
         if (starts[i] > ends[i] || ends[i] > buf_len || key_counts[i] > 255
             || first_key[i] > key_count || key_counts[i] > key_count - first_key[i])
@@ -389,25 +497,40 @@ int xrd_aead_open_spans(const uint8_t *buf, size_t buf_len, size_t count,
         need += head_len + 4 + (size_t)(ends[i] - starts[i]);
         if (need > out_len) return -1;
     }
+    if (!(jobs = alloc_jobs(count, &otk))) return -3;
     memset(opened, 0, count);
-    for (i = 0; i < count; i++) {
-        const uint8_t *data = buf + starts[i];
-        size_t data_len = (size_t)(ends[i] - starts[i]);
-        out_offsets[i] = at;
-        for (c = 0; c < key_counts[i] && data_len >= 16; c++) {
-            const uint8_t *key = keys + 32 * (first_key[i] + c);
-            chacha_block(key, 0, nonce, otk_block);
-            aead_tag(otk_block, aad, aad_len, data, data_len - 16, tag);
-            if (!tag_equal(tag, data + data_len - 16)) continue;
-            if (head_len) memcpy(out + at, heads + head_len * i, head_len);
-            st32_be(out + at + head_len, (uint32_t)(data_len - 16));
-            chacha_xor(key, nonce, 1, data, data_len - 16, out + at + head_len + 4);
-            at += head_len + 4 + data_len - 16;
-            opened[i] = (uint8_t)(c + 1);
-            break;
+    /* Trial c of every span still shut: their one-time keys share the lanes,
+     * then each tag is checked; a span still opens under its first
+     * candidate that verifies, and nothing is decrypted before that. */
+    for (c = 0;; c++) {
+        for (i = n = 0; i < count; i++)
+            if (!opened[i] && c < key_counts[i] && ends[i] - starts[i] >= 16)
+                jobs[n++] = (chacha_job){keys + 32 * (first_key[i] + c), nonce, NULL,
+                                         otk + 32 * i, 32, 0};
+        if (!n) break;
+        chacha_run(jobs, n);
+        for (j = 0; j < n; j++) {
+            size_t ct_len;
+            i = (size_t)(jobs[j].out - otk) / 32;
+            ct_len = (size_t)(ends[i] - starts[i]) - 16;
+            aead_tag(otk + 32 * i, aad, aad_len, buf + starts[i], ct_len, tag);
+            if (tag_equal(tag, buf + starts[i] + ct_len)) opened[i] = (uint8_t)(c + 1);
         }
     }
+    for (i = n = 0; i < count; i++) {
+        size_t ct_len;
+        out_offsets[i] = at;
+        if (!opened[i]) continue;
+        ct_len = (size_t)(ends[i] - starts[i]) - 16;
+        if (head_len) memcpy(out + at, heads + head_len * i, head_len);
+        st32_be(out + at + head_len, (uint32_t)ct_len);
+        jobs[n++] = (chacha_job){keys + 32 * (first_key[i] + opened[i] - 1), nonce,
+                                 buf + starts[i], out + at + head_len + 4, ct_len, 1};
+        at += head_len + 4 + ct_len;
+    }
     out_offsets[count] = at;
+    chacha_run(jobs, n);
+    free(jobs);
     return 0;
 }
 
@@ -418,11 +541,6 @@ int xrd_aead_open_spans(const uint8_t *buf, size_t buf_len, size_t count,
 /* Nothing here branches on, or indexes by, a byte of the secrets or of
  * anything derived from them; the only data-dependent control flow is on
  * lengths, which are public. */
-
-static uint32_t be32(const uint8_t *p) {
-    return ((uint32_t)p[0] << 24) | ((uint32_t)p[1] << 16) | ((uint32_t)p[2] << 8)
-         | (uint32_t)p[3];
-}
 
 static const uint32_t SHA256_K[64] = {
     0x428a2f98u, 0x71374491u, 0xb5c0fbcfu, 0xe9b5dba5u, 0x3956c25bu, 0x59f111f1u,
@@ -437,144 +555,167 @@ static const uint32_t SHA256_K[64] = {
     0x5b9cca4fu, 0x682e6ff3u, 0x748f82eeu, 0x78a5636fu, 0x84c87814u, 0x8cc70208u,
     0x90befffau, 0xa4506cebu, 0xbef9a3f7u, 0xc67178f2u};
 
+static const uint32_t SHA256_IV[8] = {
+    0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
+    0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u};
+
+/* The padding of a 96-byte message whose last block holds a 32-byte secret
+ * or digest in words 0 .. 7: an HMAC's message after its key block. */
+static const uint32_t PAD_96[8] = {0x80000000u, 0, 0, 0, 0, 0, 0, 96 * 8};
+
 #define ROTR32(v, n) (((v) >> (n)) | ((v) << (32 - (n))))
 
-static void sha256_compress(uint32_t state[8], const uint8_t block[64]) {
-    uint32_t w[64];
-    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
-    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+/* Every lane's state absorbs its message block (big-endian words). */
+LANE_CLONES static void sha256_lanes(lane_words state[8], lane_words block[16]) {
+    u32v w[16], s[8], a, b, c, d, e, f, g, h;
     int i;
-    for (i = 0; i < 16; i++) w[i] = be32(block + 4 * i);
-    for (i = 16; i < 64; i++) {
-        uint32_t s0 = ROTR32(w[i - 15], 7) ^ ROTR32(w[i - 15], 18) ^ (w[i - 15] >> 3);
-        uint32_t s1 = ROTR32(w[i - 2], 17) ^ ROTR32(w[i - 2], 19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
-    for (i = 0; i < 64; i++) {
-        uint32_t t1 = h + (ROTR32(e, 6) ^ ROTR32(e, 11) ^ ROTR32(e, 25))
-                    + ((e & f) ^ (~e & g)) + SHA256_K[i] + w[i];
-        uint32_t t2 = (ROTR32(a, 2) ^ ROTR32(a, 13) ^ ROTR32(a, 22))
-                    + ((a & b) ^ (a & c) ^ (b & c));
+    for (i = 0; i < 16; i++) memcpy(&w[i], block[i], sizeof(u32v));
+    for (i = 0; i < 8; i++) memcpy(&s[i], state[i], sizeof(u32v));
+    a = s[0]; b = s[1]; c = s[2]; d = s[3]; e = s[4]; f = s[5]; g = s[6]; h = s[7];
+    for (i = 0; i < 64; i++) {  /* w[i & 15] is w[i]: the schedule rolls */
+        u32v t1, t2;
+        if (i >= 16) {
+            u32v w15 = w[(i + 1) & 15], w2 = w[(i + 14) & 15];
+            w[i & 15] += (ROTR32(w15, 7) ^ ROTR32(w15, 18) ^ (w15 >> 3)) + w[(i + 9) & 15]
+                       + (ROTR32(w2, 17) ^ ROTR32(w2, 19) ^ (w2 >> 10));
+        }
+        t1 = h + (ROTR32(e, 6) ^ ROTR32(e, 11) ^ ROTR32(e, 25)) + ((e & f) ^ (~e & g))
+           + SHA256_K[i] + w[i & 15];
+        t2 = (ROTR32(a, 2) ^ ROTR32(a, 13) ^ ROTR32(a, 22)) + ((a & b) ^ (a & c) ^ (b & c));
         h = g; g = f; f = e; e = d + t1;
         d = c; c = b; b = a; a = t1 + t2;
     }
-    state[0] += a; state[1] += b; state[2] += c; state[3] += d;
-    state[4] += e; state[5] += f; state[6] += g; state[7] += h;
+    s[0] += a; s[1] += b; s[2] += c; s[3] += d;
+    s[4] += e; s[5] += f; s[6] += g; s[7] += h;
+    for (i = 0; i < 8; i++) memcpy(state[i], &s[i], sizeof(u32v));
 }
 
-typedef struct {
-    uint32_t state[8];
-    uint64_t length;     /* bytes absorbed so far */
-    uint8_t buffer[64];  /* the length % 64 bytes not yet compressed */
-} sha256_ctx;
-
-static void sha256_init(sha256_ctx *ctx) {
-    static const uint32_t initial[8] = {
-        0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
-        0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u};
-    memcpy(ctx->state, initial, sizeof(initial));
-    ctx->length = 0;
-}
-
-static void sha256_update(sha256_ctx *ctx, const uint8_t *data, size_t len) {
-    size_t held = (size_t)(ctx->length % 64);
-    if (!len) return;
-    ctx->length += len;
-    if (held) {
-        size_t want = 64 - held;
-        if (want > len) want = len;
-        memcpy(ctx->buffer + held, data, want);
-        data += want; len -= want;
-        if (held + want < 64) return;
-        sha256_compress(ctx->state, ctx->buffer);
-    }
-    for (; len >= 64; data += 64, len -= 64) sha256_compress(ctx->state, data);
-    if (len) memcpy(ctx->buffer, data, len);
-}
-
-static void sha256_final(sha256_ctx *ctx, uint8_t out[32]) {
-    size_t held = (size_t)(ctx->length % 64);
-    uint64_t bits = ctx->length * 8;
-    int i;
-    ctx->buffer[held++] = 0x80;
-    if (held > 56) {
-        memset(ctx->buffer + held, 0, 64 - held);
-        sha256_compress(ctx->state, ctx->buffer);
-        held = 0;
-    }
-    memset(ctx->buffer + held, 0, 56 - held);
-    st32_be(ctx->buffer + 56, (uint32_t)(bits >> 32));
-    st32_be(ctx->buffer + 60, (uint32_t)bits);
-    sha256_compress(ctx->state, ctx->buffer);
-    for (i = 0; i < 8; i++) st32_be(out + 4 * i, ctx->state[i]);
+/* Append SHA-256 padding to the len message bytes at buf, for a message of
+ * `total` bytes in all; returns the blocks from buf on (buf has room for
+ * (len + 72) / 64 of them). */
+static size_t sha256_pad(uint8_t *buf, size_t len, uint64_t total) {
+    size_t blocks = (len + 72) / 64;
+    buf[len] = 0x80;
+    memset(buf + len + 1, 0, 64 * blocks - len - 9);
+    st32_be(buf + 64 * blocks - 8, (uint32_t)(total >> 29));
+    st32_be(buf + 64 * blocks - 4, (uint32_t)(total << 3));
+    return blocks;
 }
 
 /* An HMAC key as the two hash states that have absorbed key ^ ipad and
- * key ^ opad: every MAC under the key starts from a copy of them. */
-typedef struct { sha256_ctx inner, outer; } hmac_key;
+ * key ^ opad: every MAC under the key starts from them. */
+typedef struct { uint32_t inner[8], outer[8]; } hmac_key;
 
-static void hmac_set_key(hmac_key *mac, const uint8_t *key, size_t key_len) {
-    uint8_t block[64] = {0};
+static int hmac_set_key(hmac_key *mac, const uint8_t *key, size_t key_len) {
+    lane_words state[8] = {{0}}, block[16] = {{0}};
+    uint8_t pad[64] = {0};
     int i;
-    if (key_len > 64) {  /* a key longer than a block is hashed first */
-        sha256_init(&mac->inner);
-        sha256_update(&mac->inner, key, key_len);
-        sha256_final(&mac->inner, block);
+    lanes_fill(state, SHA256_IV, 8);
+    if (key_len > 64) {  /* a key longer than a block is hashed first, in lane 0 */
+        uint8_t *msg = malloc(key_len + 72);
+        size_t n, blocks;
+        if (!msg) return -3;
+        memcpy(msg, key, key_len);
+        blocks = sha256_pad(msg, key_len, key_len);
+        for (n = 0; n < blocks; n++) {
+            lane_load_be(block, 0, msg + 64 * n, 16);
+            sha256_lanes(state, block);
+        }
+        for (i = 0; i < 8; i++) st32_be(pad + 4 * i, state[i][0]);
+        lanes_fill(state, SHA256_IV, 8);
+        free(msg);
     } else if (key_len) {
-        memcpy(block, key, key_len);
+        memcpy(pad, key, key_len);
     }
-    for (i = 0; i < 64; i++) block[i] ^= 0x36;
-    sha256_init(&mac->inner);
-    sha256_update(&mac->inner, block, 64);
-    for (i = 0; i < 64; i++) block[i] ^= 0x36 ^ 0x5c;
-    sha256_init(&mac->outer);
-    sha256_update(&mac->outer, block, 64);
+    for (i = 0; i < 16; i++) {  /* lane 0 absorbs key ^ ipad, lane 1 key ^ opad */
+        block[i][0] = be32(pad + 4 * i) ^ 0x36363636u;
+        block[i][1] = be32(pad + 4 * i) ^ 0x5c5c5c5cu;
+    }
+    sha256_lanes(state, block);
+    for (i = 0; i < 8; i++) {
+        mac->inner[i] = state[i][0];
+        mac->outer[i] = state[i][1];
+    }
+    return 0;
 }
 
-/* out = HMAC(key, m) for the message m that `inner` (a copy of the key's
- * inner state) has absorbed. */
-static void hmac_finish(const hmac_key *mac, sha256_ctx *inner, uint8_t out[32]) {
-    sha256_ctx outer = mac->outer;
-    sha256_final(inner, out);
-    sha256_update(&outer, out, 32);
-    sha256_final(&outer, out);
+/* One label and context, for a batch: the salt's key, and the expand MAC's
+ * message after its key block, context || 0x01, padded. */
+typedef struct {
+    hmac_key salt;
+    uint8_t *expand;
+    size_t expand_blocks;
+} hkdf_ctx;
+
+static int hkdf_init(hkdf_ctx *k, const uint8_t *label, size_t label_len,
+                     const uint8_t *context, size_t context_len) {
+    k->expand = malloc(context_len + 73);
+    if (!k->expand || hmac_set_key(&k->salt, label, label_len)) {
+        free(k->expand);
+        k->expand = NULL;
+        return -3;
+    }
+    if (context_len) memcpy(k->expand, context, context_len);
+    k->expand[context_len] = 1;
+    k->expand_blocks = sha256_pad(k->expand, context_len + 1, 64 + context_len + 1);
+    return 0;
 }
 
-/* out = HKDF(salt, IKM = the 32 bytes at secret, info = context, L = 32):
- * extract, then the one block of expand, T(1) = HMAC(PRK, context || 0x01).
- * The salt comes as its two key states, computed once for a batch; each
- * element then costs six compressions while context || 0x01 fits one
- * block. */
-static void hkdf_derive(const hmac_key *salt, const uint8_t secret[32],
-                        const uint8_t *context, size_t context_len,
-                        uint8_t out[32]) {
-    static const uint8_t block_index = 1;
-    hmac_key prk_key;
-    sha256_ctx inner = salt->inner;
-    uint8_t prk[32];
-    sha256_update(&inner, secret, 32);
-    hmac_finish(salt, &inner, prk);
-    hmac_set_key(&prk_key, prk, 32);
-    inner = prk_key.inner;
-    sha256_update(&inner, context, context_len);
-    sha256_update(&inner, &block_index, 1);
-    hmac_finish(&prk_key, &inner, out);
+/* out + 32 i = HKDF(salt = label, IKM = the 32 bytes at secrets + stride i,
+ * info = context, L = 32): extract, then the one block of expand,
+ * T(1) = HMAC(PRK, context || 0x01), XRD_LANES secrets per pass and six
+ * compressions each while context || 0x01 fits one block.  `out` may be
+ * `secrets` when stride is 32: a pass reads its secrets before it writes. */
+static void hkdf_lanes(const hkdf_ctx *k, const uint8_t *secrets, size_t stride,
+                       size_t count, uint8_t *out) {
+    lane_words state[8], key[8], block[16] = {{0}};
+    size_t base, n, l, b;
+    int w;
+    for (base = 0; base < count; base += XRD_LANES) {
+        n = count - base < XRD_LANES ? count - base : XRD_LANES;
+        for (l = 0; l < n; l++) lane_load_be(block, l, secrets + stride * (base + l), 8);
+        lanes_fill(block + 8, PAD_96, 8);
+        lanes_fill(state, k->salt.inner, 8);  /* PRK = HMAC(salt, secret) */
+        sha256_lanes(state, block);
+        memcpy(block, state, sizeof(state));
+        lanes_fill(state, k->salt.outer, 8);
+        sha256_lanes(state, block);
+        for (w = 0; w < 16; w++)  /* the PRK's key states: key ^ ipad, then ^ opad */
+            for (l = 0; l < XRD_LANES; l++)
+                block[w][l] = (w < 8 ? state[w][l] : 0) ^ 0x36363636u;
+        lanes_fill(key, SHA256_IV, 8);
+        sha256_lanes(key, block);
+        for (w = 0; w < 16; w++)
+            for (l = 0; l < XRD_LANES; l++) block[w][l] ^= 0x36363636u ^ 0x5c5c5c5cu;
+        lanes_fill(state, SHA256_IV, 8);
+        sha256_lanes(state, block);
+        for (b = 0; b < k->expand_blocks; b++) {  /* T(1) = HMAC(PRK, context || 1) */
+            for (w = 0; w < 16; w++) {
+                uint32_t word = be32(k->expand + 64 * b + 4 * w);
+                lanes_fill(block + w, &word, 1);
+            }
+            sha256_lanes(key, block);
+        }
+        memcpy(block, key, sizeof(key));
+        lanes_fill(block + 8, PAD_96, 8);
+        sha256_lanes(state, block);
+        for (l = 0; l < n; l++)
+            for (w = 0; w < 8; w++) st32_be(out + 32 * (base + l) + 4 * w, state[w][l]);
+    }
 }
 
-/* out[32 i ..] = hkdf_derive of the secret at secrets + stride i under
- * salt = label.  An empty label is RFC 5869's default salt (a zero key
- * either way).  `stride` is 32 for packed encodings and 96 for the curve
- * kernels' records, whose first 32 bytes are the encoding. */
+/* An empty label is RFC 5869's default salt (a zero key either way).
+ * `stride` is 32 for packed encodings and 96 for the curve kernels'
+ * records, whose first 32 bytes are the encoding. */
 int xrd_hkdf_sha256_batch(const uint8_t *label, size_t label_len,
                           const uint8_t *context, size_t context_len,
                           const uint8_t *secrets, size_t stride, size_t count,
                           uint8_t *out) {
-    hmac_key salt;
-    size_t i;
+    hkdf_ctx k;
     if (stride < 32) return -1;
-    hmac_set_key(&salt, label, label_len);
-    for (i = 0; i < count; i++)
-        hkdf_derive(&salt, secrets + stride * i, context, context_len, out + 32 * i);
+    if (hkdf_init(&k, label, label_len, context, context_len)) return -3;
+    hkdf_lanes(&k, secrets, stride, count, out);
+    free(k.expand);
     return 0;
 }
 
@@ -1502,19 +1643,17 @@ typedef int (*fixed_mult_fn)(const void *group, const uint8_t *base,
 static const uint8_t EMPTY[1] = {0};
 
 /* Seal bytes [0, len) of every entry in place under HKDF(label, shared_i),
- * appending the tag. */
-static void onion_seal_layer(const uint8_t *label, size_t label_len,
-                             const uint8_t *shared, const uint8_t nonce[12],
-                             size_t count, uint8_t *first, size_t stride, size_t len) {
-    hmac_key salt;
-    uint8_t key[32];
+ * appending the tag: the layer's keys are derived into `shared` as one
+ * batch, then the entries, all len bytes, share the lanes. */
+static void onion_seal_layer(const hkdf_ctx *kdf, uint8_t *shared, const uint8_t nonce[12],
+                             size_t count, uint8_t *first, size_t stride, size_t len,
+                             chacha_job *jobs, uint8_t *otk) {
     size_t i;
-    hmac_set_key(&salt, label, label_len);
-    for (i = 0; i < count; i++) {
-        uint8_t *entry = first + stride * i;
-        hkdf_derive(&salt, shared + 32 * i, EMPTY, 0, key);
-        aead_seal(key, nonce, EMPTY, 0, entry, len, entry);
-    }
+    hkdf_lanes(kdf, shared, 32, count, shared);
+    for (i = 0; i < count; i++)
+        jobs[i] = (chacha_job){shared + 32 * i, nonce, first + stride * i,
+                               first + stride * i, len, 1};
+    seal_jobs(jobs, count, otk, EMPTY, 0);
 }
 
 static int onion_build(fixed_mult_fn mult, const void *group, size_t base_size,
@@ -1528,33 +1667,41 @@ static int onion_build(fixed_mult_fn mult, const void *group, size_t base_size,
                        const uint8_t *bodies, const uint8_t *scalars,
                        uint8_t *out, uint8_t *publics) {
     size_t stride = body_len + 96 + 16 * layers, len = body_len + 48, i;
-    uint8_t *shared = alloc_array(count, 32);
+    uint8_t *shared = alloc_array(count, 32), *otk = NULL;
+    chacha_job *jobs = alloc_jobs(count, &otk);
+    hkdf_ctx inner, outer;
     int rc;
-    if (!shared) return -3;
-    for (i = 0; i < count; i++) {  /* MailboxMessage.seal */
-        uint8_t *entry = out + stride * i;
-        memcpy(entry + 32, recipients + 32 * i, 32);
-        aead_seal(seal_keys + 32 * i, nonce, EMPTY, 0,
-                  bodies + body_len * i, body_len, entry + 64);
+    inner.expand = outer.expand = NULL;
+    rc = shared && jobs && !hkdf_init(&inner, inner_label, inner_label_len, EMPTY, 0)
+         && !hkdf_init(&outer, outer_label, outer_label_len, EMPTY, 0) ? 0 : -3;
+    if (rc == 0) {  /* MailboxMessage.seal */
+        for (i = 0; i < count; i++) {
+            uint8_t *entry = out + stride * i;
+            memcpy(entry + 32, recipients + 32 * i, 32);
+            jobs[i] = (chacha_job){seal_keys + 32 * i, nonce, bodies + body_len * i,
+                                   entry + 64, body_len, 1};
+        }
+        seal_jobs(jobs, count, otk, EMPTY, 0);
+        rc = mult(group, generator, scalars, 32, 3 * count, publics, 32);
     }
-    rc = mult(group, generator, scalars, 32, 3 * count, publics, 32);
     if (rc == 0)  /* encrypt_inner: the mailbox message under y.ipk, g^y in front */
         rc = mult(group, inner_public, scalars, 96, count, shared, 32);
     if (rc == 0) {
         for (i = 0; i < count; i++) memcpy(out + stride * i, publics + 96 * i, 32);
-        onion_seal_layer(inner_label, inner_label_len, shared, nonce,
-                         count, out + 32, stride, len);
+        onion_seal_layer(&inner, shared, nonce, count, out + 32, stride, len, jobs, otk);
         len += 48;
     }
     while (rc == 0 && layers-- > 0) {  /* encrypt_outer_layers: x.mpk_j, innermost last */
         rc = mult(group, mixing_publics + base_size * layers, scalars + 32, 96,
                   count, shared, 32);
         if (rc == 0) {
-            onion_seal_layer(outer_label, outer_label_len, shared, nonce,
-                             count, out, stride, len);
+            onion_seal_layer(&outer, shared, nonce, count, out, stride, len, jobs, otk);
             len += 16;
         }
     }
+    free(inner.expand);
+    free(outer.expand);
+    free(jobs);
     free(shared);
     return rc;
 }

@@ -73,10 +73,10 @@ class UserPopulation:
             for chain_id in self.chain_assignments[user.name]:
                 self.chain_rosters.setdefault(chain_id, []).append(user.name)
         #: Per-user loopback candidate order for the fetch: sorted, so it
-        #: cannot depend on set hash order.
+        #: cannot depend on set hash order; one tuple shared by the group.
+        group_trials = {chains: tuple(sorted(set(chains))) for chains in group_chains}
         self._trial_chains: Dict[str, Tuple[int, ...]] = {
-            name: tuple(sorted(set(assignment)))
-            for name, assignment in self.chain_assignments.items()
+            name: group_trials[assignment] for name, assignment in self.chain_assignments.items()
         }
         #: Per user, the loopback keys in that order, as one key blob —
         #: derived lazily, once per population: identity secrets never change.

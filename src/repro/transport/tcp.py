@@ -503,4 +503,7 @@ class TcpTransport(Transport):
         self._thread.join(10)
         if not self._thread.is_alive():
             self._loop.close()
-        self._executor.shutdown(wait=False)
+        # The loop has stopped, so no handler call is queued after this: wait
+        # for the running ones (a request from one is bounded by its
+        # timeout), so no handler thread outlives the transport.
+        self._executor.shutdown(wait=True, cancel_futures=True)

@@ -4,9 +4,10 @@ A user is her identity key pair, her 32-byte stream key
 (:mod:`repro.crypto.stream`) and her rows in the population's views — no
 generator object (a generator alone was 2.5 KB of the 3.9 KB a user took
 before the keyed stream), no second copy of her chain assignment in a
-module-level cache (≈ 140 B more), and no assignment tuple of her own: her
-group's is shared (≈ 56 B more).  The count is of traced allocations,
-with no clock in it, so the bound is deterministic: ≈ 830 B a user.
+module-level cache (≈ 140 B more), and no assignment tuple or fetch
+trial-order tuple of her own: her group's are shared (≈ 56 B more each).
+The count is of traced allocations, with no clock in it, so the bound is
+deterministic: ≈ 773 B a user.
 """
 
 import gc

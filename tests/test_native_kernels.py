@@ -19,6 +19,7 @@ degraded mode.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import shutil
@@ -33,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import KDF_LABEL_INNER, KDF_LABEL_OUTER
+from repro import native
 from repro.crypto import aead, chacha20, kernels
 from repro.crypto import group as group_mod
 from repro.crypto.aead import adec, aenc
@@ -380,6 +382,170 @@ class TestOpenSpansDifferential:
                 b"".join(sealed), bounds[:-1], bounds[1:], b"".join(keys), 9
             )
             assert opened.opened == b"\x01\x01\x01"
+
+
+#: Messages per pass of the lane kernels (``XRD_LANES`` in xrdkernels.c).
+LANES = native.load()[1].XRD_LANES if NATIVE else 16
+#: Batches that stop short of, fill, and spill past a pass of the lanes.
+LANE_BATCHES = (0, 1, LANES - 1, LANES, LANES + 1, 3 * LANES + 5)
+
+
+def _lane_bytes(count, length, salt=0):
+    """``count`` distinct ``length``-byte strings."""
+    return [bytes((31 * index + 7 * offset + salt) & 0xFF for offset in range(length))
+            for index in range(count)]
+
+
+def _open_columns(sealed, keys, nonce, aad, candidates=None):
+    """open_spans columns over the joined messages; span ``i``'s candidates
+    are ``candidates[i]`` (a list of keys), by default ``[keys[i]]``."""
+    candidates = [[key] for key in keys] if candidates is None else candidates
+    bounds = [sum(map(len, sealed[:index])) for index in range(len(sealed) + 1)]
+    first_keys = [sum(map(len, candidates[:index])) for index in range(len(candidates))]
+    return (b"".join(sealed), bounds[:-1], bounds[1:],
+            b"".join(key for keys_ in candidates for key in keys_), first_keys,
+            [len(keys_) for keys_ in candidates], nonce, aad, b"")
+
+
+@needs_native
+class TestLaneBoundaries:
+    """Every symmetric kernel runs ``LANES`` messages a pass: batches cut
+    across the lanes, against the python references."""
+
+    @pytest.mark.parametrize("count", LANE_BATCHES)
+    @pytest.mark.parametrize("label, context", [(b"xrd/outer-layer", b""), (b"k" * 65, b"c" * 60)],
+                             ids=["one-block", "multi-block"])
+    def test_hkdf(self, count, label, context):
+        secrets = b"".join(_lane_bytes(count, 32))
+        kernels.set_active_kernel("native")
+        assert kernels.hkdf_derive_batch(secrets, label, context) == b"".join(
+            derive_key(secrets[at:at + 32], label, context) for at in range(0, len(secrets), 32)
+        )
+
+    @pytest.mark.parametrize("count", LANE_BATCHES)
+    def test_chacha_blocks(self, count):
+        keys, nonces = _lane_bytes(count, 32), _lane_bytes(count, 12, salt=5)
+        counters = [(2**32 - 3 + 5 * index) % 2**32 for index in range(count)]
+        kernels.set_active_kernel("native")
+        assert kernels.chacha20_blocks(keys, nonces, counters) == b"".join(
+            chacha20_block(key, counter, nonce)
+            for key, nonce, counter in zip(keys, nonces, counters)
+        )
+
+    @pytest.mark.parametrize("count", LANE_BATCHES)
+    def test_seal_and_open(self, count):
+        keys, nonce, aad = _lane_bytes(count, 32), b"\x09" * 12, b"lanes"
+        plains = _lane_bytes(count, 130, salt=1)
+        kernels.set_active_kernel("python")
+        sealed = aead.aenc_batch(keys, nonce, plains, aad)
+        kernels.set_active_kernel("native")
+        assert kernels.aead_seal_batch(keys, [nonce] * count, plains, aad) == sealed
+        columns = _open_columns(sealed, keys, nonce, aad)
+        assert kernels.aead_open_spans(*columns) == aead._open_spans_reference(*columns)
+
+    def test_ragged_lengths_in_one_seal_batch(self):
+        lengths = [0, 1, 63, 64, 65, 400] * (LANES // 2)
+        keys, nonce = _lane_bytes(len(lengths), 32), b"\x03" * 12
+        plains = [bytes([index]) * length for index, length in enumerate(lengths)]
+        kernels.set_active_kernel("python")
+        sealed = aead.aenc_batch(keys, nonce, plains, b"")
+        kernels.set_active_kernel("native")
+        assert kernels.aead_seal_batch(keys, [nonce] * len(plains), plains, b"") == sealed
+        columns = _open_columns(sealed, keys, nonce, b"")
+        opened = kernels.aead_open_spans(*columns)
+        assert opened == aead._open_spans_reference(*columns)
+        assert opened.opened == b"\x01" * len(plains)
+
+    @pytest.mark.parametrize("position", range(LANES + 1))
+    def test_a_zero_candidate_span_in_every_lane(self, position):
+        """A span with no candidate opens nothing and reads no key, wherever
+        it sits: its first key may be one past the blob's last."""
+        count = LANES + 1
+        keys, nonce = _lane_bytes(count, 32), b"\x01" * 12
+        sealed = aead.aenc_batch(keys, nonce, _lane_bytes(count, 70), b"")
+        candidates = [[key] for key in keys]
+        candidates[position] = []
+        columns = list(_open_columns(sealed, keys, nonce, b"", candidates))
+        columns[4][position] = len(columns[3]) // 32  # first key == key count
+        kernels.set_active_kernel("native")
+        opened = kernels.aead_open_spans(*columns)
+        assert opened == aead._open_spans_reference(*columns)
+        assert opened.opened == bytes(1 if span != position else 0 for span in range(count))
+
+    def test_spans_open_at_later_candidates_inside_a_lane_group(self):
+        """Trial c of one span shares a pass with trial 0 of another: each
+        still opens under its first candidate that verifies."""
+        count = LANES + 3
+        keys, nonce = _lane_bytes(count, 32), b"\x02" * 12
+        wrong = _lane_bytes(4, 32, salt=99)
+        sealed = aead.aenc_batch(keys, nonce, _lane_bytes(count, 90), b"")
+        # span i opens at candidate i % 4, and a duplicate of its key later
+        # never opens it twice
+        candidates = [wrong[:index % 4] + [keys[index], keys[index]] for index in range(count)]
+        columns = _open_columns(sealed, keys, nonce, b"", candidates)
+        kernels.set_active_kernel("native")
+        opened = kernels.aead_open_spans(*columns)
+        assert opened == aead._open_spans_reference(*columns)
+        assert list(opened.opened) == [index % 4 + 1 for index in range(count)]
+
+    @pytest.mark.parametrize("lane", [0, LANES // 2, LANES - 1, LANES])
+    def test_a_tampered_tag_in_one_lane(self, lane):
+        count = LANES + 1
+        keys, nonce = _lane_bytes(count, 32), b"\x04" * 12
+        plains = _lane_bytes(count, 100)
+        sealed = aead.aenc_batch(keys, nonce, plains, b"")
+        forged = bytearray(sealed[lane])
+        forged[-1] ^= 0x01
+        sealed[lane] = bytes(forged)
+        columns = _open_columns(sealed, keys, nonce, b"")
+        kernels.set_active_kernel("native")
+        plain, offsets, opened = kernels.aead_open_spans(*columns)
+        assert (plain, offsets, opened) == aead._open_spans_reference(*columns)
+        assert opened == bytes(0 if span == lane else 1 for span in range(count))
+        for span in range(count):
+            if span != lane:
+                assert plain[offsets[span] + 4:offsets[span + 1]] == plains[span]
+
+
+class TestKnownAnswers:
+    """The loader's check of the clone the dynamic loader picked."""
+
+    @needs_native
+    def test_the_pin_is_the_python_tier_answer(self):
+        secrets, plains, nonce, label, aad = native.known_answer_inputs(LANES)
+        kernels.set_active_kernel("python")
+        keys = b"".join(derive_key(secrets[at:at + 32], label)
+                        for at in range(0, len(secrets), 32))
+        sealed = b"".join(aead.aenc_batch(keys, nonce, plains, aad))
+        assert len(plains) == LANES + 1
+        assert hashlib.sha256(keys + sealed).hexdigest() == native.KNOWN_ANSWER
+
+    def test_the_built_extension_passes_it(self):
+        """A refused extension would only skip the native tests: fail here."""
+        native.load()
+        assert "known-answer" not in str(native.load_error())
+
+    @needs_native
+    def test_a_wrong_answer_declines_the_native_tier(self, monkeypatch):
+        monkeypatch.delenv("XRD_NATIVE_DISABLE", raising=False)
+        monkeypatch.setattr(native, "KNOWN_ANSWER", "0" * 64)
+        native.reset_probe_for_tests()
+        try:
+            assert native.load() is None
+            assert "known-answer" in str(native.load_error())
+        finally:
+            native.reset_probe_for_tests()
+
+    def test_a_malformed_module_fails_the_check_without_raising(self):
+        class _Lib:
+            XRD_LANES = 16
+
+            @staticmethod
+            def xrd_hkdf_sha256_batch(*args):
+                raise TypeError("not a kernel")
+
+        assert native._known_answers(object(), _Lib) is None
+        assert native._known_answers(object(), object()) is None
 
 
 @needs_native
@@ -1285,7 +1451,9 @@ class TestRowsDifferential:
 
 
 class TestTierSelection:
-    def test_best_available_resolution(self):
+    def test_best_available_resolution(self, monkeypatch):
+        monkeypatch.delenv("XRD_CRYPTO_KERNEL", raising=False)
+        kernels.reset_kernel_for_tests()
         resolved = kernels.active_kernel()
         if NATIVE:
             assert resolved is CryptoKernelKind.NATIVE

@@ -464,6 +464,26 @@ class TestWireResidentUplink:
             role.close()
             deployment.close()
 
+    def test_close_returns_after_every_thread_it_started(self):
+        """``close()`` joins the loop thread and the handler pool: no
+        ``xrd-tcp-*`` thread of the transport is alive when it returns,
+        without the census's grace period."""
+        deployment = make_deployment(num_users=2)
+        before = set(threading.enumerate())
+        role = TcpTransport(deployment.group, node_name="role", handler=MixRoleHandler(deployment))
+        try:
+            submission, envelope = submission_envelope(deployment.group)
+            assert role.deliver(envelope) == submission
+            started = {
+                thread for thread in set(threading.enumerate()) - before
+                if thread.name.startswith("xrd-tcp-")
+            }
+            assert any(thread.name.startswith("xrd-tcp-handler") for thread in started)
+        finally:
+            role.close()
+            deployment.close()
+        assert sorted(thread.name for thread in started if thread.is_alive()) == []
+
 
 class TestHandshake:
     def test_group_kind_mismatch_is_rejected(self, group):
