@@ -131,7 +131,7 @@ typedef uint32_t u32v __attribute__((vector_size(4 * XRD_LANES)));
 
 #if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
-#define LANE_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#define LANE_CLONES __attribute__((target_clones("avx512f", "default")))
 #endif
 #endif
 #ifndef LANE_CLONES

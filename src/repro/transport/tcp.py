@@ -173,7 +173,13 @@ class TcpTransport(Transport):
     # -- synchronous facade over the loop thread --------------------------------
 
     def _call(self, coro: Awaitable, timeout: Optional[float] = None) -> Any:
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
+        # Submitted under the close lock, so a call either is refused or is
+        # queued on the loop ahead of the shutdown that cancels it.
+        with self._close_lock:
+            if self._closed:
+                coro.close()
+                raise TransportError(f"{self.node_name}: transport is closed")
+            future = asyncio.run_coroutine_threadsafe(coro, self._loop)
         try:
             return future.result(timeout)
         except concurrent.futures.TimeoutError:
@@ -181,6 +187,8 @@ class TcpTransport(Transport):
             raise TransportError(
                 f"{self.node_name}: request timed out after {timeout}s"
             ) from None
+        except concurrent.futures.CancelledError:
+            raise TransportError(f"{self.node_name}: transport is closed") from None
 
     # -- wiring -----------------------------------------------------------------
 
@@ -232,8 +240,6 @@ class TcpTransport(Transport):
 
     def request(self, peer: str, frame_type: int, body: bytes) -> bytes:
         """Send one request frame to ``peer``; block for the correlated reply."""
-        if self._closed:
-            raise TransportError(f"{self.node_name}: transport is closed")
         return self._call(
             self._request_async(peer, frame_type, body), self.request_timeout
         )
@@ -430,8 +436,9 @@ class TcpTransport(Transport):
                 )
                 self._handler_tasks.add(task)
                 task.add_done_callback(self._handler_tasks.discard)
-        except (asyncio.IncompleteReadError, ConnectionError, DecodingError):
-            pass  # peer went away; its pending requests fail on their side
+        except (asyncio.IncompleteReadError, ConnectionError, DecodingError,
+                asyncio.CancelledError):
+            pass  # peer went away or we closed; its requests fail on its side
         finally:
             self._accepted_writers.discard(writer)
             writer.close()
@@ -479,16 +486,19 @@ class TcpTransport(Transport):
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for task in list(self._handler_tasks):
-            task.cancel()
         for conn in list(self._connections.values()):
-            if conn.pump_task is not None:
-                conn.pump_task.cancel()
             conn.writer.close()
         self._connections.clear()
         for writer in list(self._accepted_writers):
             writer.close()
         self._accepted_writers.clear()
+        # Every other task of this loop (pumps, handler calls, outbound
+        # requests) ends before the loop stops, so a handler thread waiting
+        # on a request is answered that the transport closed.
+        tasks = asyncio.all_tasks() - {asyncio.current_task()}
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
 
     def close(self) -> None:
         with self._close_lock:
@@ -503,7 +513,7 @@ class TcpTransport(Transport):
         self._thread.join(10)
         if not self._thread.is_alive():
             self._loop.close()
-        # The loop has stopped, so no handler call is queued after this: wait
-        # for the running ones (a request from one is bounded by its
-        # timeout), so no handler thread outlives the transport.
+        # The loop has stopped, so no handler call is queued after this and
+        # no running one waits on a request: wait for them, so no handler
+        # thread outlives the transport.
         self._executor.shutdown(wait=True, cancel_futures=True)

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -483,6 +484,54 @@ class TestWireResidentUplink:
             role.close()
             deployment.close()
         assert sorted(thread.name for thread in started if thread.is_alive()) == []
+
+    def test_close_does_not_wait_out_a_handlers_outbound_request(self, group):
+        """A handler blocked on a peer that never answers is told the
+        transport closed: ``close()`` returns at once, not after the
+        request timeout, and leaves no handler thread behind."""
+        entered, release = threading.Event(), threading.Event()
+        forwarded = []
+
+        class Stalling(ReflectingHandler):
+            runs_on_loop = False
+
+            def handle_control(self, body):
+                entered.set()
+                release.wait(30)
+                return body
+
+        class Forwarding(ReflectingHandler):
+            runs_on_loop = False
+
+            def handle_control(self, body):
+                try:
+                    return middle.control("stall", body)
+                except TransportError as exc:
+                    forwarded.append((threading.current_thread(), str(exc)))
+                    raise
+
+        stall = TcpTransport(group, node_name="stall", handler=Stalling(group))
+        middle = TcpTransport(group, node_name="middle", handler=Forwarding(group),
+                              request_timeout=60)
+        client = TcpTransport(group, node_name="client", start_server=False)
+        middle.set_peers({"stall": stall.local_address}, {})
+        client.set_peers({"middle": middle.local_address}, {})
+        caller = threading.Thread(target=lambda: pytest.raises(
+            TransportError, client.control, "middle", b"\x01"))
+        try:
+            caller.start()
+            assert entered.wait(10)
+            started = time.monotonic()
+            middle.close()
+            assert time.monotonic() - started < 5
+            [(handler, error)] = forwarded
+            assert error == "middle: transport is closed" and not handler.is_alive()
+        finally:
+            release.set()
+            middle.close()
+            client.close()
+            stall.close()
+            caller.join(10)
 
 
 class TestHandshake:
