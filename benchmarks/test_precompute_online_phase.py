@@ -78,10 +78,10 @@ def test_precompute_serves_every_online_entry(monkeypatch, staggered):
     served = []
     online_pass = ChainMember.process_round
 
-    def watched(member, round_number, entries):
+    def watched(member, round_number, entries, input_aggregate):
         table = member.round_record(round_number).precomputed
         held = len(table)
-        result = online_pass(member, round_number, entries)
+        result = online_pass(member, round_number, entries, input_aggregate)
         served.append(len(table) == held)
         return result
 

@@ -117,8 +117,9 @@ class TamperingMember:
         )
         return scalar
 
-    def process_round(self, round_number: int, entries: EncodedBatch) -> MixStepResult:
-        result = self._member.process_round(round_number, entries)
+    def process_round(self, round_number: int, entries: EncodedBatch,
+                      input_aggregate) -> MixStepResult:
+        result = self._member.process_round(round_number, entries, input_aggregate)
         if self.rounds is not None and round_number not in self.rounds:
             return result
         if result.halted or not result.entries:

@@ -21,9 +21,11 @@ The shuffle is "hybrid" (§5.2.1) because the expensive public-key half of
 the mixing phase — blinding every DH key, deriving every outer layer key —
 depends only on the DH publics, which are known before the online phase
 begins.  :meth:`ChainMember.precompute_rows` runs exactly those two passes
-ahead of time and caches the results in the round record, leaving
-:meth:`ChainMember.process_round`'s online phase as symmetric crypto (AEAD
-opens + shuffle) plus the aggregate DLEQ proof.
+ahead of time and keeps their results, as bytes, in the round record,
+leaving :meth:`ChainMember.process_round`'s online phase as symmetric
+crypto (AEAD opens + shuffle) plus the aggregate DLEQ proof.  A round
+decodes each DH key k + 3 times: at precompute, at intake and per hop
+output, plus the inner envelope's own ``g^y`` (DESIGN.md §8.1).
 
 The classes here model *honest* behaviour; adversarial servers for tests and
 experiments live in :mod:`repro.coordinator.adversary` and override the
@@ -32,7 +34,9 @@ relevant methods.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.constants import KDF_LABEL_OUTER
@@ -179,20 +183,20 @@ class _RoundRecord:
 
     inputs: Optional[EncodedBatch] = None
     outputs: Optional[EncodedBatch] = None
-    permutation: List[int] = field(default_factory=list)
+    #: Input index of each output entry, 4 bytes an entry.
+    permutation: array = field(default_factory=lambda: array("I"))
     inner_secret: Optional[int] = field(default=None, repr=False)
-    inner_public: Optional[object] = None
     #: Blocks of the member's ``MEMBER_ROUND`` stream this round has used:
     #: every draw takes the next ones, so a blame rerun's shuffle and
     #: proof nonces are fresh.
     draws: int = 0
     #: Precomputed public-key work (§5.2.1): a DH public's wire encoding →
-    #: ``(public, blinded key, blinded key's encoding, outer layer key)``,
-    #: the one place the online pass reads its keys from.  Keyed by the
-    #: encoding as it lies in the batch blob (not by batch index), so the
-    #: table survives shuffles, rejected submissions, and the
-    #: rerun-after-blame entry removal, and a lookup decodes nothing.
-    precomputed: Dict[bytes, tuple] = field(default_factory=dict)
+    #: ``(blinded key's encoding, outer layer key)``, the one place the
+    #: online pass reads its keys from.  Bytes only: no group element is
+    #: kept.  Keyed by the encoding as it lies in the batch blob (not by
+    #: batch index), so the table survives shuffles, rejected submissions,
+    #: and the rerun-after-blame entry removal, and a lookup decodes nothing.
+    precomputed: Dict[bytes, Tuple[bytes, bytes]] = field(default_factory=dict)
 
 
 class ChainMember:
@@ -230,7 +234,7 @@ class ChainMember:
 
     def _draw_blocks(self, round_number: int, count: int) -> bytes:
         """The round's next ``count`` stream blocks (advancing its draw counter)."""
-        record = self._rounds.setdefault(round_number, _RoundRecord())
+        record = self.round_record(round_number)
         start = record.draws
         record.draws += count
         return stream.draw_blocks(
@@ -271,58 +275,39 @@ class ChainMember:
         """Generate this round's inner key pair and announce the public part."""
         group = self.group
         secret, nonce = self.draw_scalars(round_number, 2)
-        record = self._rounds[round_number]
-        record.inner_secret = secret
-        record.inner_public = group.base_mult(secret)
+        self.round_record(round_number).inner_secret = secret
         context = inner_key_context(self.chain_id, self.position, round_number)
         proof = prove_dlog(group, group.base(), secret, context, nonce=nonce)
-        return InnerKeyAnnouncement(position=self.position, inner_public=record.inner_public, proof=proof)
+        return InnerKeyAnnouncement(self.position, group.base_mult(secret), proof)
 
     # -- precomputation (§5.2.1) -------------------------------------------------
 
     def precompute_rows(self, round_number: int, encodings: Sequence[bytes],
-                        dh_publics: Optional[Sequence[object]] = None) -> List[tuple]:
-        """Run the round's public-key work ahead of time and cache the results.
+                        publics: Sequence[object]) -> Tuple[List[bytes], List[object]]:
+        """Run the round's public-key work for ``publics`` ahead of time.
 
         Both expensive passes of :meth:`process_round` — blinding every DH
         key with the blinding secret and deriving every outer layer key from
         the mixing secret — depend only on the DH publics, which are known
         before the online phase (§5.2.1: the hybrid shuffle is "hybrid"
-        precisely so this work can run during idle time).  Returns the
-        table rows ``(public, blinded, blinded encoding, layer key)`` of the
-        publics encoded as ``encodings``, in input order, so a chain can
-        cascade the precompute through its members on the blinded columns
-        (the intervening shuffle only permutes the batch, which a keyed
-        table is insensitive to).
-
-        Rows the table lacks are filled from ``dh_publics`` (the same
-        publics, decoded) or, when not given, by decoding ``encodings``
-        here, where one the group rejects raises
-        :class:`~repro.errors.DecodingError`.  Idempotent and incremental,
-        so late top-ups only pay for the new entries; it draws no
+        precisely so this work can run during idle time).  Each public,
+        encoded as ``encodings``, gets the row ``(blinded key's encoding,
+        layer key)``.  Returns the blinded keys' encodings and the blinded
+        keys, in input order: the next member's inputs up to this member's
+        shuffle, which a keyed table is insensitive to, so a chain cascades
+        the precompute by handing them on as transients.  It draws no
         randomness, so running it — or not — never changes any output.
         """
         if self.mixing_secret is None or self.blinding_secret is None:
             raise ProtocolError("chain member has not completed key setup")
         group = self.group
-        table = self._rounds.setdefault(round_number, _RoundRecord()).precomputed
-        try:
-            return list(map(table.__getitem__, encodings))
-        except KeyError:
-            pass
-        missing = [index for index, key in enumerate(encodings) if key not in table]
-        fresh = (
-            [dh_publics[index] for index in missing] if dh_publics is not None
-            else decode_elements(group, [encodings[index] for index in missing])
-        )
-        blinded = group.scalar_mult_batch(fresh, self.blinding_secret)
-        keys = shared_keys_batch(group, KDF_LABEL_OUTER, fresh, self.mixing_secret)
-        for slot, index in enumerate(missing):
-            table[encodings[index]] = (
-                fresh[slot], blinded[slot], group.encode(blinded[slot]),
-                keys[32 * slot:32 * slot + 32],
-            )
-        return list(map(table.__getitem__, encodings))
+        table = self.round_record(round_number).precomputed
+        blinded = group.scalar_mult_batch(publics, self.blinding_secret)
+        keys = shared_keys_batch(group, KDF_LABEL_OUTER, publics, self.mixing_secret)
+        heads = [group.encode(point) for point in blinded]
+        for slot, encoding in enumerate(encodings):
+            table[encoding] = (heads[slot], keys[32 * slot:32 * slot + 32])
+        return heads, blinded
 
     def release_round(self, round_number: int) -> None:
         """Forget a delivered round's record: blobs, permutation, draws, secret, table."""
@@ -330,16 +315,19 @@ class ChainMember:
 
     # -- mixing -----------------------------------------------------------------
 
-    def process_round(self, round_number: int, entries: EncodedBatch) -> MixStepResult:
+    def process_round(self, round_number: int, entries: EncodedBatch,
+                      input_aggregate) -> MixStepResult:
         """Decrypt one layer, blind the DH keys, shuffle, and prove (§6.3 steps 1-3).
 
         The public-key work (blinding, layer-key derivation) is served from
         the round's precompute table, looked up by each entry's element
         bytes as they lie in the blob, leaving the online phase as AEAD
         opens + shuffle + the aggregate proof once :meth:`precompute_rows`
-        ran.  An element the table lacks is decoded and its row filled
+        ran.  Elements the table lacks are decoded and their rows filled
         here (one the group rejects raises
-        :class:`~repro.errors.DecodingError`).
+        :class:`~repro.errors.DecodingError`).  ``input_aggregate``, the
+        proof's base, is the chain's Σ of the keys of ``entries`` as they
+        arrived: what the verifier checks the proof against.
 
         The opens are one :func:`~repro.crypto.aead.open_spans` call over
         the batch blob: each entry's ciphertext is read where it lies and
@@ -350,13 +338,17 @@ class ChainMember:
         drawn only after every entry opened, so a failed hop draws nothing.
         """
         group = self.group
-        rows = self.precompute_rows(round_number, entries.element_encodings())
-        record = self._rounds[round_number]
+        record = self.round_record(round_number)
+        encodings = entries.element_encodings()
+        missing = [encoding for encoding in encodings if encoding not in record.precomputed]
+        if missing:
+            self.precompute_rows(round_number, missing, decode_elements(group, missing))
+        rows = list(map(record.precomputed.__getitem__, encodings))
         record.inputs = entries  # immutable, blob-backed: no copy
         starts, ends = entries.ciphertext_spans()
         opened = open_spans(
-            entries.blob, starts, ends, b"".join([row[3] for row in rows]), round_number,
-            heads=b"".join([row[2] for row in rows]),
+            entries.blob, starts, ends, b"".join([row[1] for row in rows]), round_number,
+            heads=b"".join([row[0] for row in rows]),
         )
         if 0 in opened.opened:
             return MixStepResult(
@@ -369,11 +361,11 @@ class ChainMember:
         permutation = stream.permutation(drawn, size)
         (nonce,) = stream.scalars(group, drawn[-stream.BLOCK_SIZE:])
         outputs = EncodedBatch(group, opened.plain, opened.offsets).select(permutation)
-        record.permutation = permutation
+        record.permutation = array("I", permutation)
         record.outputs = outputs
         proof = prove_dleq(
             group,
-            base1=group.sum([row[0] for row in rows]) if rows else group.identity(),
+            base1=input_aggregate,
             base2=self.base_point,
             secret=self.blinding_secret,
             context=mixing_context(self.chain_id, self.position, round_number),
@@ -399,14 +391,9 @@ class ChainMember:
 
     # -- blame support -------------------------------------------------------------
 
-    def output_to_input_index(self, round_number: int, output_index: int) -> int:
-        """Map an index in this member's output batch to the corresponding input index."""
-        record = self._rounds[round_number]
-        return record.permutation[output_index]
-
     def round_record(self, round_number: int) -> _RoundRecord:
-        """Access the private round record (used by the blame protocol and tests)."""
-        return self._rounds[round_number]
+        """The private round record, made on first use (blame and tests read it)."""
+        return self._rounds.setdefault(round_number, _RoundRecord())
 
     def _reveal_keys(self, preimages: EncodedBatch, nonces: Sequence[int], context: bytes):
         """Decryption keys ``msk · X`` for ``preimages``, each proved against the mixing key."""
@@ -528,9 +515,11 @@ class MixChain:
         self._inner_publics: Dict[int, List[object]] = {}
         self._aggregate_inner: Dict[int, object] = {}
         #: Per round: the accepted batch (DESIGN.md §11.3 — one wire blob,
-        #: like every hop's) and, index-aligned with it, who sent each entry.
+        #: like every hop's), who sent each entry (index-aligned with it),
+        #: and Σ of its DH keys, hop 0's input aggregate.
         self._entries: Dict[int, EncodedBatch] = {}
         self._senders: Dict[int, List[str]] = {}
+        self._input_aggregate: Dict[int, object] = {}
 
     def __len__(self) -> int:
         return len(self.members)
@@ -604,43 +593,44 @@ class MixChain:
     def precompute_round(self, round_number: int, submissions) -> None:
         """Precompute every member's public-key work for the round (§5.2.1).
 
-        ``submissions`` is the round's pending batch, whose DH keys are
-        decoded as :meth:`accept_submissions` decodes them, without the
-        proof checks (those stay online): a submission that will be rejected
-        merely precomputes an unused table entry.  The precompute cascades
-        down the chain: member 0 blinds the decoded publics, and each
-        member's blinded outputs are the next member's inputs — exactly the
-        keys it will see online, up to the predecessor's shuffle, which the
-        members' keyed tables are insensitive to.  After this,
-        :meth:`run_round`'s per-member online work is AEAD opens + shuffle +
-        the aggregate DLEQ proof.
+        ``submissions`` is the round's pending batch.  Only the DH keys
+        member 0 has no row for are decoded, without the proof checks
+        (those stay online: a submission that will be rejected merely
+        precomputes an unused row), so a top-up pays for new entries alone.
+        The precompute cascades down the chain: member 0 blinds the decoded
+        publics, and each member's freshly blinded points are the next
+        member's inputs — exactly the keys it will see online, up to the
+        predecessor's shuffle.  After this, :meth:`run_round`'s per-member
+        online work is AEAD opens + shuffle + the aggregate DLEQ proof.
 
-        Deterministic and side-effect-free beyond the member caches, so it
+        Deterministic and side-effect-free beyond the member tables, so it
         may run concurrently with another round's mixing (the stagger
-        window) and is safe to repeat or top up incrementally.
+        window) and is safe to repeat.
         """
         chain_ids, _, encoded, _, _ = SubmissionBatch.of(self.group, submissions).columns()
-        indices, publics = self._decode_statements(chain_ids, encoded)
+        known = self.members[0].round_record(round_number).precomputed
+        indices, publics = self._decode_statements(chain_ids, encoded, known)
         encodings = [encoded[index] for index in indices]
         for member in self.members:
-            rows = member.precompute_rows(round_number, encodings, publics)
-            publics, encodings = [row[1] for row in rows], [row[2] for row in rows]
+            encodings, publics = member.precompute_rows(round_number, encodings, publics)
 
     def release_round(self, round_number: int) -> None:
         """Drop the chain's and every member's state for a delivered round
         (never a halted one: recovery still reads it; DESIGN.md §8.3)."""
-        for store in (self._entries, self._senders, self._inner_publics, self._aggregate_inner):
+        for store in (self._entries, self._senders, self._input_aggregate,
+                      self._inner_publics, self._aggregate_inner):
             store.pop(round_number, None)
         for member in self.members:
             member.release_round(round_number)
 
     def _decode_statements(
-        self, chain_ids: Sequence[int], publics: Sequence[bytes]
+        self, chain_ids: Sequence[int], publics: Sequence[bytes], known
     ) -> Tuple[List[int], List[object]]:
         """The indices and decoded DH publics of the submissions that can be
-        proof statements at all: this chain's, with a key the group accepts
-        (one ``decode_batch``; only a rejected encoding drops a submission)."""
-        ours = [index for index, chain_id in enumerate(chain_ids) if chain_id == self.chain_id]
+        proof statements at all: this chain's, not in ``known``, with a key the
+        group accepts (one ``decode_batch``; only a rejected encoding drops one)."""
+        ours = [index for index, chain_id in enumerate(chain_ids)
+                if chain_id == self.chain_id and publics[index] not in known]
         decoded = self.group.decode_batch([publics[index] for index in ours])
         rows = [index for index, point in zip(ours, decoded) if point is not None]
         return rows, [point for point in decoded if point is not None]
@@ -664,8 +654,9 @@ class MixChain:
 
         Everything is read from the batch's columns, and the accepted
         :class:`EncodedBatch` is sliced out of the submission records; the
-        chain keeps only who sent each entry, so the caller may (and the
-        engine does) drop the submission batch once this returns.
+        chain keeps only who sent each entry and Σ of the accepted DH keys
+        (hop 0's input aggregate, from the same decode), so the caller may
+        (and the engine does) drop the submission batch once this returns.
         """
         group = self.group
         batch = SubmissionBatch.of(group, submissions)
@@ -673,7 +664,7 @@ class MixChain:
         # Whatever cannot be a proof statement (wrong chain, undecodable
         # key) is rejected as is; everything else is one row of one batched
         # verification, and the verdicts fall back into submission order.
-        rows, publics = self._decode_statements(chain_ids, encoded)
+        rows, publics = self._decode_statements(chain_ids, encoded, ())
         valid = [False] * len(batch)
         verified = verify_dlog_columns(
             group,
@@ -687,11 +678,12 @@ class MixChain:
         for index, ok in zip(rows, verified):
             valid[index] = ok
         # Keep the *wire bytes* (the decode above validated them, and every
-        # accepted encoding is canonical, so no re-encode is needed) plus the
-        # senders; the decoded points die here.
+        # accepted encoding is canonical, so no re-encode is needed), the
+        # senders and Σ of the accepted keys; the decoded points die here.
         accepted = [index for index, ok in enumerate(valid) if ok]
         rejected = [sender for sender, ok in zip(senders, valid) if not ok]
         self._senders[round_number] = [senders[index] for index in accepted]
+        self._input_aggregate[round_number] = group.sum(compress(publics, verified))
         entries = EncodedBatch.from_parts(
             group,
             [encoded[index] for index in accepted],
@@ -756,15 +748,15 @@ class MixChain:
         digest = batch_digest(entries)
         history: List[EncodedBatch] = [entries]
         rejected_senders: List[str] = []
-        # Σ of the hop's input keys, each batch decoded and summed once:
-        # hop 0's from the accepted batch, every later hop's carried over
-        # from its predecessor's verified output when the batch arrived
-        # byte-identical, else from what arrived.
-        input_aggregate = None
+        # Σ of the hop's input keys, the member's proof base and the
+        # verifier's: hop 0's from the intake's decode, every later hop's
+        # carried over from its predecessor's verified output when the batch
+        # arrived byte-identical, else decoded from what arrived.
+        input_aggregate = self._input_aggregate[round_number]
 
         for index, member in enumerate(self.members):
             with trace.span(chain_id=self.chain_id, hop=member.position, entries=len(entries)):
-                result = member.process_round(round_number, entries)
+                result = member.process_round(round_number, entries, input_aggregate)
             if result.halted:
                 verdict = run_blame_protocol(
                     chain=self,
@@ -786,15 +778,14 @@ class MixChain:
                 senders = self._senders[round_number]
                 keep = [index for index, sender in enumerate(senders) if sender not in malicious]
                 self._senders[round_number] = [senders[index] for index in keep]
-                self._entries[round_number] = self._entries[round_number].select(keep)
+                kept = self._entries[round_number] = self._entries[round_number].select(keep)
+                self._input_aggregate[round_number] = group.sum(kept.decode_publics())
                 rerun = self.run_round(round_number, transport)
                 rerun.rejected_senders = rejected_senders + rerun.rejected_senders
                 rerun.blame_verdict = verdict
                 return rerun
             # Aggregate blinding verification performed on behalf of every
             # other (in particular the honest) member.
-            if input_aggregate is None:
-                input_aggregate = group.sum(entries.decode_publics())
             output_aggregate = group.sum(result.entries.decode_publics())
             context = mixing_context(self.chain_id, member.position, round_number)
             valid = (
@@ -820,7 +811,8 @@ class MixChain:
             # local for the inner-key reveal.
             entries = self._forward_batch(transport, round_number, index, result.entries)
             history.append(entries)
-            input_aggregate = output_aggregate if entries.blob == result.entries.blob else None
+            input_aggregate = (output_aggregate if entries.blob == result.entries.blob
+                               else group.sum(entries.decode_publics()))
 
         # Inner-key reveal and final decryption.
         inner_secrets: List[int] = []

@@ -129,7 +129,8 @@ static void *alloc_array(size_t count, size_t size) {
 typedef uint32_t lane_words[XRD_LANES];
 typedef uint32_t u32v __attribute__((vector_size(4 * XRD_LANES)));
 
-#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute)
+/* -DLANE_CLONES= builds the lane functions once, for the default target. */
+#if !defined(LANE_CLONES) && defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
 #define LANE_CLONES __attribute__((target_clones("avx512f", "default")))
 #endif

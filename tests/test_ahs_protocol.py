@@ -44,6 +44,11 @@ def build_chain(group, length=3, chain_id=0, seed=11):
     return chain
 
 
+def input_aggregate(chain, entries):
+    """Σ of a batch's DH keys, the proof base ``run_round`` hands a member."""
+    return chain.group.sum(entries.decode_publics())
+
+
 def make_submission(group, chain, round_number, sender, recipient_key, symmetric_key, body=None,
                     rng=None):
     """Build a well-formed AHS submission for one chain (``rng``: reproducibly)."""
@@ -343,8 +348,9 @@ class TestHonestMixing:
         announced = chain.aggregate_inner_public(1)
         assert chain.run_round(1).delivered
         chain.release_round(1)
-        stores = (chain._entries, chain._senders, chain._inner_publics, chain._aggregate_inner)
-        assert [sorted(store) for store in stores] == [[2]] * 4
+        stores = (chain._entries, chain._senders, chain._input_aggregate,
+                  chain._inner_publics, chain._aggregate_inner)
+        assert [sorted(store) for store in stores] == [[2]] * 5
         assert all(sorted(member._rounds) == [2] for member in chain.members)
         assert chain.run_round(2).delivered
         # Announcing a released round re-derives the keys it had.
@@ -453,18 +459,15 @@ class TestPrecompute:
         chain.begin_round(1)
         member = chain.members[0]
         publics = [group.base_mult(group.random_scalar()) for _ in range(3)]
-        rows = member.precompute_rows(1, [group.encode(p) for p in publics], publics)
-        blinded = [row[1] for row in rows]
+        heads, blinded = member.precompute_rows(1, [group.encode(p) for p in publics], publics)
         assert blinded == [group.scalar_mult(p, member.blinding_secret) for p in publics]
+        assert heads == [group.encode(point) for point in blinded]
         table = member.round_record(1).precomputed
         assert set(table) == {group.encode(p) for p in publics}
         for public in publics:
-            cached_public, cached_blinded, cached_encoding, cached_key = table[group.encode(public)]
-            assert cached_public == public
-            assert cached_blinded == group.scalar_mult(public, member.blinding_secret)
-            assert cached_encoding == group.encode(cached_blinded)
-            assert cached_key == outer_layer_key(
-                group, group.scalar_mult(public, member.mixing_secret)
+            assert table[group.encode(public)] == (
+                group.encode(group.scalar_mult(public, member.blinding_secret)),
+                outer_layer_key(group, group.scalar_mult(public, member.mixing_secret)),
             )
 
     def test_precompute_is_incremental_and_idempotent(self, group):
@@ -475,18 +478,16 @@ class TestPrecompute:
         second = group.base_mult(group.random_scalar())
         member.precompute_rows(1, [group.encode(first)], [first])
         table = member.round_record(1).precomputed
-        assert len(table) == 1
+        row = table[group.encode(first)]
         both = [group.encode(first), group.encode(second)]
         member.precompute_rows(1, both, [first, second])  # tops up, same table object
         assert member.round_record(1).precomputed is table
-        assert len(table) == 2
-        member.precompute_rows(1, both)  # pure repeat: no change, nothing decoded
-        assert len(table) == 2
+        assert len(table) == 2 and table[group.encode(first)] == row
 
     def test_precompute_requires_key_setup(self, group):
         member = ChainMember("server-0", 0, 0, group, stream_key(1))
         with pytest.raises(ProtocolError):
-            member.precompute_rows(1, [])
+            member.precompute_rows(1, [], [])
 
     def test_release_round_forgets_the_table_with_the_round(self, group):
         chain = build_chain(group, length=1)
@@ -511,6 +512,32 @@ class TestPrecompute:
             table = member.round_record(1).precomputed
             assert set(table) == {group.encode(p) for p in expected}
             expected = [group.scalar_mult(p, member.blinding_secret) for p in expected]
+            assert [row[0] for row in table.values()] == [group.encode(p) for p in expected]
+
+    def test_chain_precompute_decodes_only_what_member_zero_lacks(self, group, monkeypatch):
+        """A repeat over the same batch decodes nothing; a top-up decodes
+        only the new keys."""
+        chain = build_chain(group, length=3)
+        chain.begin_round(1)
+        submissions = _submissions(group, chain, 3)
+        decoded = []
+        decode_batch = group.decode_batch
+
+        def counting(encodings):
+            decoded.extend(encodings)
+            return decode_batch(encodings)
+
+        monkeypatch.setattr(group, "decode_batch", counting)
+        chain.precompute_round(1, submissions[:2])
+        assert decoded == [submission.dh_public for submission in submissions[:2]]
+        tables = [dict(member.round_record(1).precomputed) for member in chain.members]
+        del decoded[:]
+        chain.precompute_round(1, submissions[:2])
+        assert decoded == []
+        assert [member.round_record(1).precomputed for member in chain.members] == tables
+        chain.precompute_round(1, submissions)
+        assert decoded == [submissions[2].dh_public]
+        assert all(len(member.round_record(1).precomputed) == 3 for member in chain.members)
 
     def test_chain_precompute_skips_foreign_and_garbage(self, group):
         """Only this chain's decodable keys reach the tables; a batch that
@@ -582,13 +609,16 @@ class TestPrecomputePropertyParity:
         twin_entries = entries_for(precomputed)
         member_online = online.members[0]
         member_pre = precomputed.members[0]
-        rows = member_pre.precompute_rows(1, entries.element_encodings(), entries.decode_publics())
-        assert [row[1] for row in rows] == [
+        _, blinded = member_pre.precompute_rows(
+            1, entries.element_encodings(), entries.decode_publics()
+        )
+        assert blinded == [
             group.scalar_mult(entry.dh_public, member_pre.blinding_secret)
             for entry in entries
         ]
-        result_pre = member_pre.process_round(1, twin_entries)
-        result_online = member_online.process_round(1, entries)
+        aggregate = input_aggregate(precomputed, entries)
+        result_pre = member_pre.process_round(1, twin_entries, aggregate)
+        result_online = member_online.process_round(1, entries, aggregate)
         assert result_pre.position == result_online.position
         assert result_pre.entries.blob == result_online.entries.blob
         assert result_pre.proof == result_online.proof
@@ -602,7 +632,7 @@ class TestPrecomputePropertyParity:
         # fail on exactly the tampered entries.
         for entry in entries:
             shared = group.scalar_mult(entry.dh_public, member_pre.mixing_secret)
-            assert table[group.encode(entry.dh_public)][3] == outer_layer_key(group, shared)
+            assert table[group.encode(entry.dh_public)][1] == outer_layer_key(group, shared)
         assert result_online.failed_indices == tampered
 
     @settings(max_examples=6, deadline=None)

@@ -33,7 +33,7 @@ from tests.blame_oracle import (
     reference_blame_reveal,
     reference_key_reveal,
 )
-from tests.test_ahs_protocol import build_chain, make_submission
+from tests.test_ahs_protocol import build_chain, input_aggregate, make_submission
 
 
 def keys_view(chain, round_number):
@@ -230,7 +230,7 @@ class TestBlameProtocolDirect:
         entries, _ = chain.accept_submissions(1, [submission])
         # Server 0 processes the batch normally, then falsely accuses Alice's
         # (perfectly valid) submission anyway.
-        chain.members[0].process_round(1, entries)
+        chain.members[0].process_round(1, entries, input_aggregate(chain, entries))
         verdict = run_blame_protocol(
             chain, 1, accusing_position=0, flagged_input_indices=[0], history=[entries]
         )
@@ -291,9 +291,12 @@ def mix_to(chain, round_number, position, entries):
     history so far."""
     history = [entries]
     for member in chain.members[:position]:
-        entries = member.process_round(round_number, entries).entries
+        entries = member.process_round(
+            round_number, entries, input_aggregate(chain, entries)
+        ).entries
         history.append(entries)
-    return chain.members[position].process_round(round_number, entries), history
+    member = chain.members[position]
+    return member.process_round(round_number, entries, input_aggregate(chain, entries)), history
 
 
 def draw_counters(chain, round_number):
@@ -394,7 +397,7 @@ class TestLyingReveals:
     def _output_index(self, chain, position, flagged_index):
         """Where the ciphertext flagged at the last hop sits in ``position``'s output."""
         for member in chain.members[2 - 1:position:-1]:
-            flagged_index = member.output_to_input_index(1, flagged_index)
+            flagged_index = member.round_record(1).permutation[flagged_index]
         return flagged_index
 
     @pytest.mark.parametrize("group_name", ["group", "ed_group"])

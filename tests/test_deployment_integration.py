@@ -1,11 +1,14 @@
 """Integration tests: full deployments running complete rounds."""
 
+from array import array
+
 import pytest
 
 from repro.client.chain_selection import intersection_chain
 from repro.client.user import ReceivedMessage
 from repro.errors import ConfigurationError
 from repro.coordinator.network import DeploymentConfig
+from repro.crypto.group import Ed25519Group, Point
 
 from tests.conftest import BACKENDS, make_deployment
 from tests.test_engine_parity import build, conversation_script
@@ -153,6 +156,65 @@ class TestEd25519Integration:
         assert set(report.mailbox_counts.values()) == {deployment.ell()}
 
 
+def _points_in(value) -> int:
+    """How many edwards25519 ``Point`` objects ``value``'s containers hold."""
+    if isinstance(value, Point):
+        return 1
+    if isinstance(value, dict):
+        return sum(_points_in(key) + _points_in(item) for key, item in value.items())
+    if isinstance(value, (list, tuple, set)):
+        return sum(map(_points_in, value))
+    return 0
+
+
+class TestDecodeCensus:
+    """A chain round decodes each DH key k + 3 times (DESIGN.md §8.1): once
+    at precompute, once at intake, once per hop output as the verifier
+    receives it, plus the inner envelope's own ``g^y`` — whether the
+    stagger's top-up pass ran or not.  And a member's round record holds
+    bytes: no curve point outlives the call that made it."""
+
+    @pytest.mark.parametrize("staggered", (False, True), ids=("sequential", "staggered"))
+    @pytest.mark.parametrize("length", (3, 16))
+    def test_each_key_is_decoded_k_plus_3_times(self, monkeypatch, length, staggered):
+        deployment = make_deployment(
+            num_servers=length, num_users=12, num_chains=1, chain_length=length, seed=3,
+            group_kind="ed25519",
+        )
+        decoded = []
+        decode_batch = Ed25519Group.decode_batch
+        monkeypatch.setattr(Ed25519Group, "decode_batch", lambda group, encodings: (
+            decoded.append(len(encodings)) or decode_batch(group, encodings)
+        ))
+        records = []
+
+        def census(stage):
+            def run(ctx):
+                stage(ctx)
+                records.extend(
+                    member.round_record(ctx.round_number)
+                    for chain in deployment.chains for member in chain.members
+                )
+            return run
+
+        engine = deployment.engine
+        for stage in ("precompute_collected", "precompute", "mix"):
+            monkeypatch.setattr(engine, stage, census(getattr(engine, stage)))
+        alice, bob = deployment.users[0].name, deployment.users[1].name
+        deployment.start_conversation(alice, bob)
+        specs = [deployment.round_spec()]
+        if staggered:
+            # Alice goes offline: Bob gets the notice and is deferred, so
+            # the stagger's top-up precompute runs for his submission.
+            specs += [deployment.round_spec(offline_users={alice})] * 2
+        reports = deployment.run_rounds(specs, staggered=staggered)
+        assert all(report.all_chains_delivered() for report in reports)
+        submissions = sum(report.total_submissions for report in reports)
+        assert sum(decoded) == (length + 3) * submissions
+        assert records and not any(_points_in(vars(record)) for record in records)
+        assert all(type(record.permutation) is array for record in records)
+
+
 class TestRoundStateLifetime:
     """A round's state lives until it is over: delivered for the chains,
     fetched for the mailbox tier.  After twelve rounds of conversations and
@@ -180,7 +242,7 @@ class TestRoundStateLifetime:
         assert all(report.all_chains_delivered() for report in reports)
         announced = {deployment.next_round, deployment.next_round + 1}
         for chain in deployment.chains:
-            assert not chain._entries and not chain._senders
+            assert not chain._entries and not chain._senders and not chain._input_aggregate
             assert set(chain._aggregate_inner) == set(chain._inner_publics) <= announced
             for member in chain.members:
                 assert set(member._rounds) <= announced
