@@ -10,16 +10,20 @@ vs. peak RSS — the scale table README cites.
 The default run sweeps up to 10k users (kept CI-sized).  The larger points
 are opt-in via ``XRD_SCALE``:
 
-* ``XRD_SCALE=smoke`` adds the 50k-user streamed round — the CI
-  ``scale-smoke`` job runs exactly this under a hard timeout and a
-  peak-RSS budget (acceptance criterion);
-* ``XRD_SCALE=full`` adds the 100k monolithic-vs-streamed comparison and
-  the million-user streamed round.
+* ``XRD_SCALE=smoke`` adds the 50k-user round — the CI ``scale-smoke``
+  job runs exactly this under a hard timeout and a peak-RSS budget
+  (acceptance criterion);
+* ``XRD_SCALE=full`` adds the 100k-user round, held below the retained
+  floor of decoded batches, and the million-user round.
+
+Every point streams its population in chunks of
+:data:`~repro.population.streaming.CHUNK_USERS` users (DESIGN.md §9), the
+one path a round has.
 
 The committed sweeps end in ratios of wall clocks (``< 25×``, ``> 2×``),
 so they carry the ``wallclock`` marker: tier-1 deselects them, the
 ``benchmarks`` CI job selects them.  Tier-1 keeps the exact part — one
-round per build path through the same helper, every submission accounted.
+round through the same helper, every submission accounted.
 
 Memory accounting: rounds are timed *without* tracemalloc (its allocation
 hooks slow this workload by an order of magnitude); each point's peak RSS
@@ -44,6 +48,7 @@ from repro.crypto import kernels
 from repro.coordinator.network import Deployment, DeploymentConfig
 from repro.crypto.nizk import SchnorrProof
 from repro.mixnet.messages import BatchEntry, ClientSubmission, MailboxMessage
+from repro.population.streaming import CHUNK_USERS
 from repro.simulation.latency import messages_per_chain
 from repro.transport.envelope import Envelope
 
@@ -52,16 +57,13 @@ from benchmarks.memutil import PeakRssMeter, current_rss_bytes
 
 SCALE = os.environ.get("XRD_SCALE", "")
 
-#: The streaming configuration the chunked scale points run: bounded build
-#: chunks (DESIGN.md §9).
-CHUNK_SIZE = 10_000
-
 #: Whole-window peak-RSS budget for the CI scale-smoke point: the 50k-user
-#: streamed round measures ~0.86 GB on the reference box (vs ~1.02 GB
-#: monolithic); the budget's headroom absorbs allocator/runner variance
-#: while still failing the job on a gross memory regression (a doubled
-#: retained batch, a leaked per-chunk buffer).  Mono-vs-chunked parity and
-#: latency are gated elsewhere (parity matrix + benchmark baseline).
+#: round peaks at 500–518 MB on a 2-vCPU x86-64 box (native tier, AVX-512
+#: clone, VmRSS sampled every millisecond), as it did at the 10 000-user
+#: chunks it once ran (504–516 MB); the budget's headroom absorbs
+#: allocator/runner variance while still failing the job on a gross memory
+#: regression (a doubled retained batch, a leaked per-chunk buffer).
+#: Chunk-size parity is gated by the parity matrix.
 SMOKE_PEAK_RSS_CEILING = 1_500_000_000
 
 #: Rounds the scale-smoke point runs on one deployment, and how much the
@@ -85,7 +87,7 @@ MILLION_USER_PEAK_RSS_BUDGET = 24_000_000_000
 EAGER_100K_ROUND_DELTA_FLOOR = 1_120_000_000
 
 
-def scale_config(num_users: int, chunk_size: int | None = None):
+def scale_config(num_users: int):
     """The scale points' deployment: modp group, 4 chains, covers off."""
     return DeploymentConfig(
         num_servers=4,
@@ -95,23 +97,18 @@ def scale_config(num_users: int, chunk_size: int | None = None):
         seed=4,
         group_kind="modp",
         use_cover_messages=False,
-        population_chunk_size=chunk_size,
     )
 
 
-def run_round_at_scale(
-    num_users: int,
-    chunk_size: int | None = None,
-    crypto_kernel: str | None = None,
-):
+def run_round_at_scale(num_users: int, crypto_kernel: str | None = None):
     """One full round at ``num_users`` (modp group, 4 chains, covers off).
 
     Covers are disabled so a point measures exactly one round's submissions
     (with covers every round also builds round ``r+1``'s batch, doubling
-    the build work without changing the scaling shape).  The per-user
-    assignment caches are reset first so every point pays (and therefore
-    measures) its own population's assignment work, and retired epochs do
-    not inflate the next point's RSS.
+    the build work without changing the scaling shape).  The kernel tier is
+    reset first, then set to ``crypto_kernel`` when one is given, so each
+    point runs on the tier it names instead of the one a previous point
+    left behind.
 
     Memory is metered in two windows.  ``peak_rss`` spans deployment
     construction *and* the round (the standing population — users, keys,
@@ -122,7 +119,7 @@ def run_round_at_scale(
     round, which is the quantity the streaming pipeline bounds at O(chunk)
     — the standing population is O(users) under any pipeline.
     """
-    deployment, create_peak = deploy_at_scale(num_users, chunk_size, crypto_kernel)
+    deployment, create_peak = deploy_at_scale(num_users, crypto_kernel)
     try:
         point = metered_round(deployment)
     finally:
@@ -131,7 +128,7 @@ def run_round_at_scale(
     return point
 
 
-def deploy_at_scale(num_users, chunk_size=None, crypto_kernel=None):
+def deploy_at_scale(num_users, crypto_kernel=None):
     """A fresh scale-point deployment and the peak RSS of building it."""
     kernels.reset_kernel_for_tests()
     if crypto_kernel is not None:
@@ -139,7 +136,7 @@ def deploy_at_scale(num_users, chunk_size=None, crypto_kernel=None):
         # the extension, so the sweep still runs — on the python tier.
         kernels.set_active_kernel(crypto_kernel)
     with PeakRssMeter() as create_meter:
-        deployment = Deployment.create(scale_config(num_users, chunk_size))
+        deployment = Deployment.create(scale_config(num_users))
     return deployment, create_meter.peak_bytes
 
 
@@ -184,12 +181,11 @@ def _sweep_rows(points):
 _SWEEP_HEADER = ["users", "kernel", "round s", "online s", "peak RSS MB", "round Δ MB"]
 
 
-@pytest.mark.parametrize("chunk_size", (None, 250), ids=("monolithic", "chunked"))
-def test_scale_round_accounts_every_submission(chunk_size):
+def test_scale_round_accounts_every_submission():
     """Tier-1's share of the sweeps below: the helper's exact assertions
     (every chain delivered, ``users × ℓ`` submissions, the analytic
-    per-chain load) on one small round per build path."""
-    point = run_round_at_scale(1_000, chunk_size=chunk_size)
+    per-chain load) on one small round of four chunks."""
+    point = run_round_at_scale(1_000)
     assert point["users"] == 1_000 and point["online_seconds"] > 0.0
 
 
@@ -210,25 +206,6 @@ def test_scale_users_sweep(benchmark):
     )
     # Latency grows roughly linearly in users (the fig4 shape): going 1k→10k
     # must cost well under the 100× of quadratic per-user behaviour.
-    assert points[-1]["seconds"] < 25 * points[0]["seconds"]
-
-
-@pytest.mark.wallclock
-def test_scale_users_chunked_sweep(benchmark):
-    """The streaming-pipeline companion sweep (ISSUE 6): the same 1k → 10k
-    points built in 1k-user chunks, committed to the benchmark baseline so
-    a regression in the chunked path gates CI."""
-
-    def sweep():
-        return [run_round_at_scale(users, chunk_size=1_000) for users in (1_000, 5_000, 10_000)]
-
-    points = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    save_result(
-        "scale_users_chunked",
-        "Measured round latency vs. users, streaming pipeline (1k-user chunks;\n"
-        "same deployment as the monolithic sweep)\n"
-        + render_table(_SWEEP_HEADER, _sweep_rows(points)),
-    )
     assert points[-1]["seconds"] < 25 * points[0]["seconds"]
 
 
@@ -313,8 +290,8 @@ def test_slots_removes_instance_dicts():
 @pytest.mark.skipif(SCALE not in ("smoke", "full"), reason="set XRD_SCALE=smoke for the 50k round")
 def test_scale_smoke_50k_users():
     """The CI scale-smoke acceptance point: 50k-user rounds through the
-    streaming pipeline (10k-user chunks), under a peak-RSS budget, and with
-    memory flat from round to round.
+    streaming pipeline, under a peak-RSS budget, and with memory flat from
+    round to round.
 
     The smoke job also proves the precompute stage holds at 50k users and
     records the online/precompute phase split at that scale.  Three rounds run
@@ -322,7 +299,7 @@ def test_scale_smoke_50k_users():
     fetched (DESIGN.md §8.3), so round 3 must peak where round 1 did — a
     retained round would add its whole batch to every later peak.
     """
-    deployment, create_peak = deploy_at_scale(50_000, chunk_size=CHUNK_SIZE, crypto_kernel="native")
+    deployment, create_peak = deploy_at_scale(50_000, crypto_kernel="native")
     try:
         rounds = [metered_round(deployment) for _ in range(SMOKE_ROUNDS)]
     finally:
@@ -336,7 +313,7 @@ def test_scale_smoke_50k_users():
     assert round_peaks[-1] <= round_peaks[0] * (1 + SMOKE_ROUND_PEAK_GROWTH)
     save_result(
         "scale_users_50k",
-        f"50,000-user streamed round ({CHUNK_SIZE // 1000}k chunks, "
+        f"50,000-user streamed round ({CHUNK_USERS}-user chunks, "
         f"{point['kernel']} kernels): "
         f"{point['seconds']:.1f}s "
         f"(online mix phase {point['online_seconds']:.1f}s, "
@@ -351,52 +328,36 @@ def test_scale_smoke_50k_users():
     )
 
 
-@pytest.mark.skipif(SCALE != "full", reason="set XRD_SCALE=full for the 100k rounds")
+@pytest.mark.skipif(SCALE != "full", reason="set XRD_SCALE=full for the 100k round")
 def test_scale_full_100k_users():
-    """The headline comparison: 100k users, monolithic build vs the
-    streaming pipeline, same deployment otherwise.
-
-    The streamed round must beat the monolithic one on whole-process peak
-    RSS *and* on the round's transient working set, at equal-or-better
-    wall-clock (the 15% band absorbs run-to-run noise; measured, the
-    chunked round is slightly faster).  The drop is bounded: the round's
-    retained batch — every submission, held for mixing and for blame — is
-    O(users) under any pipeline (a batch mixnet's servers hold their whole
-    chain batch), so chunking removes the build-stage transient on top of
-    that floor, not the floor itself.  What the chains retain is the wire
-    blob plus sender stubs, so the chunked round's transient must also stay
-    below the floor measured when they held decoded entries.
-    """
-    mono = run_round_at_scale(100_000)
-    chunked = run_round_at_scale(100_000, chunk_size=CHUNK_SIZE)
-    assert chunked["seconds"] < mono["seconds"] * 1.15
-    assert chunked["peak_rss"] < mono["peak_rss"]
-    assert chunked["round_delta_rss"] < mono["round_delta_rss"]
-    assert chunked["round_delta_rss"] < EAGER_100K_ROUND_DELTA_FLOOR
-    rows = [
-        ["monolithic", f"{mono['seconds']:.1f}", f"{mono['peak_rss'] / 1e6:.0f}",
-         f"{mono['round_delta_rss'] / 1e6:.0f}"],
-        [f"chunked {CHUNK_SIZE // 1000}k",
-         f"{chunked['seconds']:.1f}", f"{chunked['peak_rss'] / 1e6:.0f}",
-         f"{chunked['round_delta_rss'] / 1e6:.0f}"],
-    ]
+    """100k users, one round.  The round's retained batch — every
+    submission, held for mixing and for blame — is O(users) under any
+    slicing (a batch mixnet's servers hold their whole chain batch); what
+    the chains retain is the wire blob plus sender stubs, so the round's
+    transient must stay below the floor measured when they held decoded
+    entries."""
+    point = run_round_at_scale(100_000)
+    assert point["round_delta_rss"] < EAGER_100K_ROUND_DELTA_FLOOR
     save_result(
         "scale_users_100k",
-        "100,000-user round, monolithic vs streaming pipeline\n"
-        + render_table(["build path", "round s", "peak RSS MB", "round Δ MB"], rows),
+        f"100,000-user round ({CHUNK_USERS}-user chunks)\n"
+        + render_table(
+            ["round s", "peak RSS MB", "round Δ MB"],
+            [[f"{point['seconds']:.1f}", f"{point['peak_rss'] / 1e6:.0f}",
+              f"{point['round_delta_rss'] / 1e6:.0f}"]],
+        ),
     )
 
 
 @pytest.mark.skipif(SCALE != "full", reason="set XRD_SCALE=full for the million-user round")
 def test_scale_full_1m_users():
-    """The million-user point (ISSUE 6): one round, streaming pipeline only
-    (the monolithic build at this scale is exactly what the pipeline
-    retires), under the whole-process peak-RSS budget."""
-    point = run_round_at_scale(1_000_000, chunk_size=CHUNK_SIZE, crypto_kernel="native")
+    """The million-user point: one round under the whole-process peak-RSS
+    budget."""
+    point = run_round_at_scale(1_000_000, crypto_kernel="native")
     assert point["peak_rss"] < MILLION_USER_PEAK_RSS_BUDGET
     save_result(
         "scale_users_1m",
-        f"1,000,000-user streamed round ({CHUNK_SIZE // 1000}k chunks, "
+        f"1,000,000-user streamed round ({CHUNK_USERS}-user chunks, "
         f"{point['kernel']} kernels): "
         f"{point['seconds']:.1f}s "
         f"(online mix phase {point['online_seconds']:.1f}s, "

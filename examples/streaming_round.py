@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Drive a large round through the streaming population pipeline (DESIGN.md §9).
 
-By default the population builds every submission of a round in one
-O(users) pass; ``population_chunk_size`` slices the build into bounded
-chunks and uploads, delivers, and fetches per chunk, so peak memory is
+Every round slices its population into chunks of
+``repro.population.streaming.CHUNK_USERS`` users and builds, uploads,
+delivers and fetches one chunk at a time, so the build's peak memory is
 O(chunk) no matter how large the population grows.  The round's observable
-outputs are bit-identical either way (the engine parity suite proves it);
-only the memory/latency profile changes.
+outputs do not depend on the chunk size (the engine parity suite proves
+it); only the memory/latency profile would.
 
 This example runs one such round end to end, then prints from the round's
 trace a line per chunk of the build and fetch stages, the stage timings,
@@ -14,8 +14,8 @@ and, on Linux, the process's peak RSS.
 
 Run with::
 
-    python examples/streaming_round.py                 # 20k users, 2k chunks
-    python examples/streaming_round.py --users 100000 --chunk-size 10000
+    python examples/streaming_round.py                 # 5k users, 20 chunks
+    python examples/streaming_round.py --users 100000
 """
 
 import argparse
@@ -24,18 +24,18 @@ import sys
 import time
 
 from repro import Deployment, DeploymentConfig
+from repro.population.streaming import CHUNK_USERS
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--users", type=int, default=20_000)
-    parser.add_argument("--chunk-size", type=int, default=2_000)
+    parser.add_argument("--users", type=int, default=5_000)
     args = parser.parse_args()
 
-    num_chunks = -(-args.users // args.chunk_size)
+    num_chunks = -(-args.users // CHUNK_USERS)
     print(
         f"Creating deployment: {args.users:,} users, 4 chains, "
-        f"chunk size {args.chunk_size:,} ({num_chunks} chunks)"
+        f"chunk size {CHUNK_USERS:,} ({num_chunks} chunks)"
     )
     deployment = Deployment.create(
         DeploymentConfig(
@@ -46,7 +46,6 @@ def main() -> None:
             seed=7,
             group_kind="modp",
             use_cover_messages=False,
-            population_chunk_size=args.chunk_size,
         )
     )
 

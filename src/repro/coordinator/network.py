@@ -109,11 +109,6 @@ class DeploymentConfig:
     #: process-per-role deployments are wired by :mod:`repro.runner`
     #: instead of this knob).
     transport: Union[str, TransportKind] = TransportKind.INPROC
-    #: Streaming population builds (DESIGN.md §9): when set, the population
-    #: builds, uploads, delivers, and fetches in chunks of this many users
-    #: instead of one whole-population pass, so peak memory is O(chunk).
-    #: ``None`` (default) keeps the monolithic pass.
-    population_chunk_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         # A plain string is normalised to its enum member; an unknown name
@@ -152,8 +147,6 @@ class DeploymentConfig:
                 f"transport must be one of {[member.value for member in TransportKind]}, "
                 f"got {self.transport!r}"
             )
-        if self.population_chunk_size is not None and self.population_chunk_size < 1:
-            raise ConfigurationError("population_chunk_size must be positive when set")
 
 
 class MixServerNode:

@@ -174,10 +174,10 @@ class RoundEngine:
     ) -> Dict[int, SubmissionBatch]:
         """Ship per-chain batches over the transport; the batches as delivered.
 
-        One framed envelope crosses each (chain, entry-server) link — per
-        round in the monolithic path, per (chain, chunk) when the streaming
-        pipeline passes a ``part`` index — and the chains' envelopes go out
-        together (``deliver_many``: TCP keeps them all in flight).
+        One framed envelope crosses each (chain, entry-server) link per
+        population chunk (``part``; ``None`` for injected extras), and the
+        chains' envelopes go out together (``deliver_many``: TCP keeps them
+        all in flight).
         """
         deployment = self.deployment
         envelopes = [
@@ -238,18 +238,13 @@ class RoundEngine:
         time, §5.3.3), so both uploads are routed through the transport here.
 
         Streams through :func:`repro.population.streaming.built_chunks`:
-        with ``population_chunk_size`` unset that is a single
-        whole-population chunk (the monolithic reference pass — envelope
-        stream unchanged); with it set, each chunk is built, uploaded as
-        per-(chain, chunk) framed envelopes, and released before the next,
-        so peak build memory is O(chunk).  Uploads run in (chunk, chain)
-        order, so every transport sees the same deterministic envelope
-        stream.
+        each chunk is built, uploaded as per-(chain, chunk) framed
+        envelopes, and released before the next, so peak build memory is
+        O(chunk).  Uploads run in (chunk, chain) order, so every transport
+        sees the same deterministic envelope stream.
         """
         deployment = self.deployment
         population = deployment.population
-        config = deployment.config
-        chunk_size = config.population_chunk_size
         for chunk in built_chunks(
             population,
             ctx.round_number,
@@ -257,14 +252,12 @@ class RoundEngine:
             ctx.next_views,
             users,
             ctx.spec.payloads,
-            chunk_size,
-            use_covers=config.use_cover_messages,
+            use_covers=deployment.config.use_cover_messages,
             map_chains=self.backend.map_chains,
         ):
-            part = chunk.index if chunk_size is not None else None
             delivered = self._scatter_batch(
                 self._upload_submission_batches(
-                    ctx, chunk.submissions, cover=False, part=part
+                    ctx, chunk.submissions, cover=False, part=chunk.index
                 ),
                 chunk.users,
             )
@@ -272,7 +265,7 @@ class RoundEngine:
             if chunk.covers is not None:
                 banked = self._scatter_batch(
                     self._upload_submission_batches(
-                        ctx, chunk.covers, cover=True, part=part
+                        ctx, chunk.covers, cover=True, part=chunk.index
                     ),
                     chunk.users,
                 )
@@ -453,24 +446,22 @@ class RoundEngine:
             # freed on the coordinating thread, for any helper count.
             chain.release_round(ctx.round_number)
             # The last server of the chain ships the recovered records to
-            # the mailbox tier — as one framed message per chain, or per
-            # (chain, chunk) under the streaming pipeline, so the mailbox
-            # hub's intake is incremental and the largest single wire
-            # message stays bounded.  deliver_batch preserves per-recipient
-            # arrival order across successive calls, so chunked delivery
-            # leaves mailbox contents bit-identical.
+            # the mailbox tier as one framed message per (chain, chunk), so
+            # the mailbox hub's intake is incremental and the largest single
+            # wire message stays bounded.  deliver_batch preserves
+            # per-recipient arrival order across successive calls, so
+            # chunked delivery leaves mailbox contents bit-identical.
             batch = result.mailbox_messages
-            chunk_size = deployment.config.population_chunk_size
-            for part, span in enumerate(index_spans(len(batch), chunk_size)):
+            for part, span in enumerate(index_spans(len(batch))):
                 delivered = deployment.transport.deliver(
                     Envelope(
                         kind=MAILBOX_DELIVERY,
                         source=chain.members[-1].server_name,
                         destination="mailbox-hub",
                         round_number=ctx.round_number,
-                        payload=batch if chunk_size is None else batch.select(span),
+                        payload=batch.select(span),
                         chain_id=chain.chain_id,
-                        part=part if chunk_size is not None else None,
+                        part=part,
                     )
                 )
                 report.dropped_unknown_recipients += (
@@ -491,23 +482,21 @@ class RoundEngine:
         The downloads are framed per mailbox shard (one envelope per shard
         instead of one per user) and the population opens each envelope's
         records where they lie, one AEAD call per envelope — no object is
-        built.  Under the streaming pipeline the users are walked in
-        population chunks: each chunk's downloads are framed per (shard,
-        chunk) and decrypted before the next chunk's are fetched, so the
-        fetch stage holds O(chunk) inboxes at a time.  ``chunk_size=None``
-        is one whole-population chunk — the monolithic flow.  Mailbox
-        classification is per (user, message), so chunking cannot change
-        any outcome; chunks are decrypted in order, so the §5.3.3
-        mark-partner-offline side effects land in the same user order too.
+        built.  The users are walked in population chunks: each chunk's
+        downloads are framed per (shard, chunk) and decrypted before the
+        next chunk's are fetched, so the fetch stage holds O(chunk) inboxes
+        at a time.  Mailbox classification is per (user, message), so
+        chunking cannot change any outcome; chunks are decrypted in order,
+        so the §5.3.3 mark-partner-offline side effects land in the same
+        user order too.
         """
         deployment = self.deployment
         population = deployment.population
         report = ctx.report
-        chunk_size = deployment.config.population_chunk_size
         users = [
             user for user in deployment.users if user.name not in ctx.spec.offline_users
         ]
-        for part, span in enumerate(chunk_spans(users, chunk_size)):
+        for part, span in enumerate(chunk_spans(users)):
             with trace.span(part=part, entries=len(span)):
                 fetches = [
                     deployment.transport.deliver(
@@ -517,7 +506,7 @@ class RoundEngine:
                             destination=POPULATION,
                             round_number=ctx.round_number,
                             payload=deployment.mailboxes.fetch_batch(ctx.round_number, owners),
-                            part=part if chunk_size is not None else None,
+                            part=part,
                         )
                     )
                     for server, owners in deployment.mailboxes.shard_owners(

@@ -1,20 +1,19 @@
 """Streaming population builds (DESIGN.md §9).
 
-The monolithic population path builds every submission column of a round in
-one pass, so its peak memory is O(users).  This module slices the build into
-contiguous *chunks* of the engine's filtered, deployment-ordered user list
-and yields one :class:`BuiltChunk` at a time: the engine uploads, scatters,
-and releases each chunk before the next is built, so peak memory is
-O(chunk) regardless of population size.
+Every round walks its population in contiguous *chunks* of
+:data:`CHUNK_USERS` users of the engine's filtered, deployment-ordered user
+list, and this module yields one :class:`BuiltChunk` at a time: the engine
+uploads, scatters, and releases each chunk before the next is built, so the
+build's peak memory is O(chunk) regardless of population size.
 
 Chunking cannot change any observable output because the batched build is
 elementwise per (user, chain-slot) entry (:func:`repro.population.
 batch_build.build_chain_submissions`), its scalar draws included — each is
 a pure function of (user's stream key, round, slot) — so per-chunk
-per-chain records concatenated in chunk order equal the monolithic ones, and
+per-chain records concatenated in chunk order equal a single pass's, and
 :meth:`RoundEngine._fold_user_submissions
 <repro.engine.round_engine.RoundEngine._fold_user_submissions>` reassembles
-the mix batches in global user order either way.
+the mix batches in global user order for any chunk size.
 """
 
 from __future__ import annotations
@@ -24,11 +23,14 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro import trace
 from repro.client.user import User
-from repro.errors import ConfigurationError
 from repro.mixnet.messages import SubmissionBatch
 from repro.population.population import UserPopulation
 
-__all__ = ["BuiltChunk", "built_chunks", "chunk_spans", "index_spans"]
+__all__ = ["CHUNK_USERS", "BuiltChunk", "built_chunks", "chunk_spans", "index_spans"]
+
+#: Users per chunk of every round's build, upload, delivery and fetch; read
+#: at each call, so a test wanting several chunks of a dozen users patches it.
+CHUNK_USERS = 250
 
 
 @dataclass(slots=True)
@@ -46,31 +48,22 @@ class BuiltChunk:
     covers: Optional[Dict[int, SubmissionBatch]]
 
 
-def index_spans(count: int, chunk_size: Optional[int]) -> List[range]:
-    """Contiguous index ranges of at most ``chunk_size`` over ``count`` items.
+def index_spans(count: int) -> List[range]:
+    """Contiguous index ranges of at most :data:`CHUNK_USERS` over ``count`` items.
 
-    ``None`` is one range over everything.  There is always at least one
-    (possibly empty) range, so every flow frames at least one envelope per
-    link, exactly as the monolithic path does.
+    There is always at least one (possibly empty) range, so every flow
+    frames at least one envelope per link.
     """
-    if chunk_size is None:
-        return [range(count)]
-    if chunk_size < 1:
-        raise ConfigurationError("chunk size must be positive")
-    spans = [range(start, min(start + chunk_size, count)) for start in range(0, count, chunk_size)]
+    spans = [
+        range(start, min(start + CHUNK_USERS, count))
+        for start in range(0, count, CHUNK_USERS)
+    ]
     return spans or [range(0)]
 
 
-def chunk_spans(items: Sequence, chunk_size: Optional[int]) -> Iterator[list]:
-    """Slice ``items`` into the lists :func:`index_spans` marks out.
-
-    ``None`` keeps the monolithic behaviour: one span holding everything
-    (the original list, unsliced — no copy at scale).
-    """
-    if chunk_size is None:
-        yield items if isinstance(items, list) else list(items)
-        return
-    for span in index_spans(len(items), chunk_size):
+def chunk_spans(items: Sequence) -> Iterator[list]:
+    """Slice ``items`` into the lists :func:`index_spans` marks out."""
+    for span in index_spans(len(items)):
         yield list(items[span.start:span.stop])
 
 
@@ -81,18 +74,16 @@ def built_chunks(
     next_views: Optional[Dict[int, object]],
     users: Sequence[User],
     payloads: Optional[Dict[str, bytes]],
-    chunk_size: Optional[int],
     use_covers: bool,
     map_chains: Optional[Callable] = None,
 ) -> Iterator[BuiltChunk]:
     """Yield the round's population build one chunk at a time.
 
-    ``chunk_size=None`` degenerates to a single whole-population chunk (the
-    monolithic reference pass).  ``map_chains`` runs each chunk's per-chain
-    crypto pass (see :meth:`UserPopulation.build_round_submissions_batch`).
-    Each chunk's build is one span of the active trace (DESIGN.md §13).
+    ``map_chains`` runs each chunk's per-chain crypto pass (see
+    :meth:`UserPopulation.build_round_submissions_batch`).  Each chunk's
+    build is one span of the active trace (DESIGN.md §13).
     """
-    spans = [span for span in chunk_spans(users, chunk_size) if span]
+    spans = [span for span in chunk_spans(users) if span]
     for index, span in enumerate(spans):
         with trace.span(part=index, entries=len(span)):
             submissions = population.build_round_submissions_batch(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import selectors
 import shutil
 import subprocess
 import sys
@@ -118,9 +119,21 @@ def run_localhost(
     process that drives ``plan`` to completion (including any blame and
     recovery rounds) and writes its scenario summary; returns that summary
     as a dict.  ``keep_report`` additionally copies the summary JSON to the
-    given path (the CI smoke job uploads it as an artifact).
+    given path (the CI smoke job uploads it as an artifact).  ``timeout``
+    bounds the whole run — READY lines, coordinator, role exits — and a
+    child that misses it is a :class:`TransportError` naming the child.
     """
-    deadline = time.monotonic() + timeout  # xrdlint: disable=XRD102 - subprocess deadline
+    deadline: Optional[float] = None
+
+    def remaining() -> float:
+        """Seconds left of ``timeout``, counted from the first call."""
+        nonlocal deadline
+        # xrdlint: disable=XRD102 - subprocess deadline, not protocol state
+        now = time.monotonic()
+        deadline = now + timeout if deadline is None else deadline
+        return max(deadline - now, 0.0)
+
+    remaining()  # start the clock
     workdir = tempfile.mkdtemp(prefix="xrd-runner-")
     children = []
     # The children must import the same ``repro`` this process runs (the
@@ -135,6 +148,8 @@ def run_localhost(
     )
 
     def fail(name: str, proc: subprocess.Popen, reason: str) -> TransportError:
+        if proc.poll() is None:
+            proc.kill()  # so its stderr ends here instead of at the child's leisure
         try:
             _, stderr = proc.communicate(timeout=5)
         except (subprocess.TimeoutExpired, ValueError):
@@ -142,6 +157,20 @@ def run_localhost(
         return TransportError(
             f"{name} {reason}" + (f"; stderr:\n{stderr[-2000:]}" if stderr else "")
         )
+
+    def read_line(name: str, proc: subprocess.Popen) -> str:
+        """``proc``'s first stdout line, read under the deadline."""
+        data = b""
+        with selectors.DefaultSelector() as selector:
+            selector.register(proc.stdout, selectors.EVENT_READ)
+            while b"\n" not in data:
+                if not selector.select(remaining()):
+                    raise fail(name, proc, f"printed no READY line within {timeout}s")
+                chunk = os.read(proc.stdout.fileno(), 4096)
+                data += chunk
+                if not chunk:  # the role exited
+                    break
+        return data.partition(b"\n")[0].decode(errors="replace").strip()
 
     try:
         config_path = os.path.join(workdir, "config.json")
@@ -166,7 +195,7 @@ def run_localhost(
 
         peers: Dict[str, Tuple[str, int]] = {}
         for name, proc in children:
-            line = proc.stdout.readline().strip()
+            line = read_line(name, proc)
             parts = line.split()
             if len(parts) != 4 or parts[0] != READY_PREFIX:
                 raise fail(name, proc, f"failed to start (got {line!r})")
@@ -193,8 +222,7 @@ def run_localhost(
         )
         children.append(("coordinator", coordinator))
         try:
-            # xrdlint: disable=XRD102 - subprocess deadline, not protocol state
-            coordinator.wait(timeout=max(deadline - time.monotonic(), 1.0))
+            coordinator.wait(timeout=remaining())
         except subprocess.TimeoutExpired as exc:
             raise fail("coordinator", coordinator, f"timed out after {timeout}s") from exc
         if coordinator.returncode != 0:
@@ -208,8 +236,7 @@ def run_localhost(
         # should be draining out on their own.
         for name, proc in children[:-1]:
             try:
-                # xrdlint: disable=XRD102 - subprocess deadline, not protocol state
-                proc.wait(timeout=max(deadline - time.monotonic(), 1.0))
+                proc.wait(timeout=remaining())
             except subprocess.TimeoutExpired as exc:
                 raise fail(name, proc, "did not exit after SHUTDOWN") from exc
         if keep_report is not None:
@@ -219,9 +246,7 @@ def run_localhost(
         for _, proc in children:
             if proc.poll() is None:
                 proc.kill()
-        for _, proc in children:
-            if proc.stdout is not None:
-                proc.stdout.close()
-            if proc.stderr is not None:
-                proc.stderr.close()
+                proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
         shutil.rmtree(workdir, ignore_errors=True)

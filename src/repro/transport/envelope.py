@@ -92,10 +92,10 @@ class Envelope:
     #: (submissions and batches); lets accounting reconstruct per-chain
     #: critical paths.
     chain_id: Optional[int] = None
-    #: Chunk index when the flow is streamed per population chunk
-    #: (DESIGN.md §9): the streaming pipeline frames several envelopes per
-    #: (link, round) instead of one, and ``part`` orders them.  ``None``
-    #: for monolithic (whole-population) frames and all other flows.
+    #: Chunk index of a flow streamed per population chunk (DESIGN.md §9):
+    #: uploads, mailbox deliveries and fetches frame one envelope per
+    #: (link, chunk), and ``part`` orders them.  ``None`` for the flows that
+    #: belong to no chunk: ``BATCH`` hops, injected uploads and control.
     part: Optional[int] = None
 
 
@@ -108,16 +108,16 @@ def submission_batch_envelope(
     part: Optional[int] = None,
     source: str = POPULATION,
 ) -> Envelope:
-    """Frame one chain's whole submission batch for its entry server.
+    """Frame one chain's submission batch for its entry server.
 
-    The upload unit: one framed message per (chain, entry-server) link and
-    round instead of one per user, its payload the chain's
+    The upload unit: one framed message per (chain, entry-server) link,
+    round and population chunk (``part``, the chunk's index; injected
+    extras have none) instead of one per user, its payload the chain's
     :class:`~repro.mixnet.messages.SubmissionBatch`.  ``upload_round`` is
     the round the bytes cross the uplink in — for banked covers that is one
     round before the round the contents were built for (§5.3.3); a
     submission's own round is bound inside its NIZK context and
-    ciphertexts.  Under the streaming pipeline ``part`` carries the chunk
-    index — one framed message per (chain, chunk) instead of per chain.
+    ciphertexts.
     """
     if chain_id not in entry_servers:
         raise ConfigurationError(f"no entry server for chain {chain_id}")

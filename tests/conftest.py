@@ -14,6 +14,7 @@ import sys
 import threading
 import time
 import weakref
+from unittest import mock
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.coordinator.network import Deployment, DeploymentConfig
 from repro.crypto import kernels
 from repro.crypto.group import Ed25519Group, ModPGroup
 from repro.engine import ParallelBackend
+from repro.population import streaming
 from repro.trace import Trace
 from repro.transport import BATCH, Transport
 
@@ -61,6 +63,13 @@ def selected_tier(name):
         yield
     finally:
         kernels.reset_kernel_for_tests()
+
+
+def chunk_users(size: int):
+    """Run the block with population chunks of ``size`` users (DESIGN.md §9):
+    the chunk size is a module constant, patched here so a dozen users span
+    several chunks."""
+    return mock.patch.object(streaming, "CHUNK_USERS", size)
 
 
 @pytest.fixture(params=TIERS)

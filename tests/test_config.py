@@ -1,4 +1,4 @@
-"""``DeploymentConfig``: twelve fields, one enum knob, one validation gate."""
+"""``DeploymentConfig``: eleven fields, one enum knob, one validation gate."""
 
 import dataclasses
 import json
@@ -16,7 +16,7 @@ from repro.runner import protocol
 FIELDS = [
     "num_servers", "num_users", "num_chains", "chain_length", "malicious_fraction",
     "security_bits", "num_mailbox_servers", "seed", "use_cover_messages", "group_kind",
-    "transport", "population_chunk_size",
+    "transport",
 ]
 
 
@@ -76,7 +76,7 @@ def test_a_deployment_needs_a_mailbox_server(count):
 def test_dict_round_trip():
     config = DeploymentConfig(
         num_servers=3, seed=5, group_kind="modp",
-        transport="tcp", population_chunk_size=2,
+        transport="tcp",
     )
     data = json.loads(json.dumps(protocol.config_to_dict(config)))
     assert data["transport"] == "tcp"  # enum knobs travel as their values

@@ -30,11 +30,14 @@ import pytest
 
 from repro.coordinator.network import DeploymentConfig
 from repro.crypto import kernels
+from repro.population.streaming import CHUNK_USERS
 from repro.registry import TransportKind
 
 from benchmarks.conftest import online_only
 from tests import user_oracle
-from tests.conftest import BACKENDS, install_backend, make_deployment, needs_native, selected_tier
+from tests.conftest import (
+    BACKENDS, chunk_users, install_backend, make_deployment, needs_native, selected_tier,
+)
 from tests.test_ahs_protocol import make_submission
 
 #: sha256[:16] of ``canonical_bytes()`` for :func:`build` (group swapped):
@@ -58,7 +61,7 @@ GOLDEN = {
 }
 
 #: The modp script's six rounds on the TCP loopback transport, sequential,
-#: whole-population and precomputed, as their traces count them (DESIGN.md
+#: in one population chunk and precomputed, as their traces count them (DESIGN.md
 #: §13): each counter's value in each round, on every backend.  Envelopes,
 #: wire bytes and hop entries hold on every tier; the native dispatches, by
 #: entry point, on the native tier (the python tier makes none).
@@ -140,8 +143,9 @@ class Row(NamedTuple):
     #: A :data:`~tests.conftest.BACKENDS` entry or ``"production"``.
     backend: str = "production"
     schedule: str = "sequential"
-    #: ``population_chunk_size``; ``None`` is the monolithic pass.
-    chunk: Optional[int] = None
+    #: Users per population chunk (``streaming.CHUNK_USERS``, patched
+    #: around the test): the production size is one chunk of the 12 users.
+    chunk: int = CHUNK_USERS
     #: ``None`` runs the process's tier (``XRD_CRYPTO_KERNEL``, else the
     #: best available), which is how the CI tier jobs re-run every row.
     tier: Optional[str] = None
@@ -153,8 +157,7 @@ class Row(NamedTuple):
 
     def deploy(self, **kwargs):
         deployment = build(
-            self.backend, transport=self.transport, group_kind=self.group,
-            population_chunk_size=self.chunk, **kwargs,
+            self.backend, transport=self.transport, group_kind=self.group, **kwargs,
         )
         return deployment if self.precompute else online_only(deployment)
 
@@ -168,9 +171,9 @@ HONEST = list(dict.fromkeys(
     # The pins themselves: each group on each tier.
     rows(group=tuple(GOLDEN), tier=TIERS)
     # Both wire-decoding and in-process hand-offs, both backends, both
-    # schedules; monolithic, three even chunks a round, and a full chunk
+    # schedules; one chunk, three even chunks a round, and a full chunk
     # followed by a short one.
-    + rows(transport=TRANSPORTS, backend=BACKENDS, schedule=SCHEDULES, chunk=(None, 2, 4))
+    + rows(transport=TRANSPORTS, backend=BACKENDS, schedule=SCHEDULES, chunk=(CHUNK_USERS, 2, 4))
     # The production pool staggered on every transport.
     + rows(transport=TRANSPORTS, schedule=("staggered",))
     # One user per frame, and one chunk larger than the population.
@@ -186,7 +189,7 @@ BLAME = list(dict.fromkeys(
     rows(group=tuple(GOLDEN), tier=TIERS)
     # Eviction and re-formation under every backend and schedule, streamed
     # builds included.
-    + rows(backend=BACKENDS, schedule=SCHEDULES, chunk=(None, 2, 4))
+    + rows(backend=BACKENDS, schedule=SCHEDULES, chunk=(CHUNK_USERS, 2, 4))
     + rows(transport=TRANSPORTS)
     # Re-formation behind the wire codecs: each group, streamed builds under
     # each schedule, and the online-only arm.
@@ -205,7 +208,7 @@ def params(table):
             row,
             id="-".join((
                 row.group, row.transport, row.backend, row.schedule,
-                f"chunk{row.chunk}" if row.chunk else "whole", row.tier or "env",
+                f"chunk{row.chunk}", row.tier or "env",
                 "precompute" if row.precompute else "online-only",
             )),
             marks=needs_native if row.tier == "native" else (),
@@ -216,8 +219,9 @@ def params(table):
 
 @pytest.fixture
 def row(request):
-    """The row under test, with its kernel tier selected around the test."""
-    with selected_tier(request.param.tier):
+    """The row under test, with its kernel tier and chunk size selected
+    around the test."""
+    with selected_tier(request.param.tier), chunk_users(request.param.chunk):
         yield request.param
 
 
@@ -251,7 +255,7 @@ def test_every_axis_value_has_a_row():
     assert values(HONEST, "transport") == set(TRANSPORTS)
     assert values(HONEST, "backend") == set(BACKENDS) | {"production"}
     assert values(HONEST, "schedule") == set(SCHEDULES)
-    assert {None, 1, 100} < values(HONEST, "chunk")
+    assert {CHUNK_USERS, 1, 2, 4, 100} == values(HONEST, "chunk")
     assert values(HONEST, "tier") == set(TIERS) | {None}
     assert values(HONEST, "precompute") == {True, False}
     assert values(HONEST, "group") == values(BLAME, "group") == set(GOLDEN)

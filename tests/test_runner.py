@@ -48,7 +48,7 @@ from repro.mixnet.messages import (
 from repro.registry import TransportKind
 from repro.runner import protocol
 from repro.runner.__main__ import _parse_listen, main
-from repro.runner.harness import MAILBOX_ROLE, default_owners, run_coordinator
+from repro.runner.harness import MAILBOX_ROLE, default_owners, run_coordinator, run_localhost
 from repro.runner.remote import DistributedControl, RemoteMixEngine
 from repro.runner.roles import MixRoleHandler, RoleNode
 from repro.transport.envelope import (
@@ -617,6 +617,30 @@ class TestCoordinatorCleanup:
         with pytest.raises(TransportError):
             run_coordinator(config, tamper_and_recover(), peers, owners)
         assert tcp_threads() - before == set()
+
+
+class TestLocalhostDeadline:
+    def test_a_role_that_never_prints_ready_fails_within_the_timeout(self, tmp_path):
+        """The harness's one deadline covers the READY lines too: a role that
+        starts but never prints is a TransportError naming it, not a hang."""
+        stub = tmp_path / "python"
+        stub.write_text("#!/bin/sh\nexec sleep 60\n")
+        stub.chmod(0o755)
+        started = time.monotonic()
+        with pytest.raises(TransportError, match="mix-0 printed no READY line"):
+            run_localhost(
+                make_config(), tamper_and_recover(), num_mix=1, timeout=2.0, python=str(stub)
+            )
+        assert time.monotonic() - started < 10.0
+
+    def test_a_role_that_exits_before_ready_is_named_with_its_stderr(self, tmp_path):
+        stub = tmp_path / "python"
+        stub.write_text("#!/bin/sh\necho no-such-role >&2\nexit 3\n")
+        stub.chmod(0o755)
+        with pytest.raises(TransportError, match="(?s)mix-0 failed to start.*no-such-role"):
+            run_localhost(
+                make_config(), tamper_and_recover(), num_mix=1, timeout=30.0, python=str(stub)
+            )
 
 
 class TestLaunchCli:

@@ -34,7 +34,7 @@ from repro.transport.envelope import INJECTED, SUBMISSION_BATCH, Envelope
 from repro.transport.faulty import DROP, FaultyTransport, LinkFault
 from repro.transport.tcp import ReflectingHandler, TcpTransport
 
-from tests.conftest import make_deployment
+from tests.conftest import chunk_users, make_deployment
 from tests.test_transport import make_submission
 
 request_ids = st.integers(min_value=0, max_value=2**64 - 1)
@@ -394,17 +394,18 @@ class TestWireResidentUplink:
     def test_an_honest_churn_round_builds_no_submission_objects(self, monkeypatch):
         # The churn shape: covers on, TCP loopback, chunked, staggered, some
         # users offline (their banked covers are played, their mail held).
-        deployment = make_deployment(num_users=10, transport="tcp", population_chunk_size=4)
+        deployment = make_deployment(num_users=10, transport="tcp")
         try:
             a, b = deployment.users[0].name, deployment.users[1].name
             deployment.start_conversation(a, b)
             senders = self.constructed(monkeypatch, ClientSubmission, "sender")
             recipients = self.constructed(monkeypatch, MailboxMessage, "recipient")
-            reports = deployment.run_rounds([
-                deployment.round_spec(payloads={a: b"hi"}),
-                deployment.round_spec(offline_users={deployment.users[5].name}),
-                deployment.round_spec(offline_users={b}),
-            ], staggered=True)
+            with chunk_users(4):
+                reports = deployment.run_rounds([
+                    deployment.round_spec(payloads={a: b"hi"}),
+                    deployment.round_spec(offline_users={deployment.users[5].name}),
+                    deployment.round_spec(offline_users={b}),
+                ], staggered=True)
             assert reports[0].conversation_payloads(b) == [b"hi"]
             assert reports[1].used_cover_for == [deployment.users[5].name]
             assert senders == [] and recipients == []

@@ -13,6 +13,7 @@ from repro.trace import Link, Trace, count, delay, link
 from repro.transport import Envelope
 from repro.transport import envelope as ev
 
+from tests.conftest import chunk_users
 from tests.test_engine_parity import build, conversation_script
 
 
@@ -86,8 +87,9 @@ def test_the_record_count_does_not_grow_with_the_users():
     three chunks, 20× the users move only a chain's mailbox delivery parts."""
 
     def records(num_users):
-        deployment = build(num_users=num_users, population_chunk_size=num_users // 3)
-        trace = deployment.run_round().trace
+        deployment = build(num_users=num_users)
+        with chunk_users(num_users // 3):
+            trace = deployment.run_round().trace
         deployment.close()
         return len(trace.links), len(trace.spans), sorted(trace.counters)
 

@@ -37,7 +37,7 @@ from repro.transport.tcp import TcpTransport
 
 from repro.trace import Trace
 
-from tests.conftest import make_deployment
+from tests.conftest import chunk_users, make_deployment
 from tests.test_engine_parity import build
 
 RECIPIENT = b"\x09" * 32
@@ -206,11 +206,10 @@ class TestLinks:
         deployment.close()
 
     def test_a_streamed_round_uploads_one_frame_per_chain_and_chunk(self):
-        deployment = build(transport="tcp", population_chunk_size=2)
-        submission_records = [
-            record for record in deployment.run_round().trace.links
-            if record.kind == SUBMISSION_BATCH
-        ]
+        deployment = build(transport="tcp")
+        with chunk_users(2):
+            links = deployment.run_round().trace.links
+        submission_records = [record for record in links if record.kind == SUBMISSION_BATCH]
         # One framed upload per (chain, chunk) the chunk's users touch — 6
         # users in chunks of 2 → 3 chunks — instead of one per chain.
         assignments = deployment.population.chain_assignments
